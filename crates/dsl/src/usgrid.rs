@@ -275,34 +275,37 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
     fn kernel(&mut self, ctx: &mut TaskCtx<UsCell>, _warmup: bool) -> bool {
         let alpha = self.alpha;
         let beta = self.beta;
+        // The block's own points move as one slab each way (read, update in
+        // place, write back); the staging vector is parked in the task's
+        // scratch slot so later steps reuse it.
+        let mut points = ctx.take_scratch::<Vec<UsCell>>().unwrap_or_default();
         for bid in ctx.get_blocks() {
-            let ext = ctx.env().block(bid).meta.extent;
-            for j in 0..ext.ny as i64 {
-                for i in 0..ext.nx as i64 {
-                    let la = LocalAddress::new2d(i, j);
-                    // Own value: always inside the block.
-                    let me = ctx.get_dd(bid, la);
-                    // Neighbours are indirect: no static in-block guarantee,
-                    // so the access goes through MMAT / the Env search.
-                    let mut vals = [0.0f64; 4];
-                    for (slot, (nx, ny)) in me.neighbors.into_iter().enumerate() {
-                        let n = ctx.get_global(bid, GlobalAddress::new2d(nx, ny));
-                        vals[slot] = n.value;
-                    }
-                    let ans = match &self.update {
-                        Some(update) => (update.0)(me.value, &vals),
-                        None => {
-                            let mut sum = 0.0;
-                            for v in vals {
-                                sum += v;
-                            }
-                            alpha * me.value + beta * sum
-                        }
-                    };
-                    ctx.set(bid, la, UsCell { value: ans, neighbors: me.neighbors });
+            let cells = ctx.env().block(bid).meta.extent.cells();
+            points.resize(cells, UsCell::default());
+            // Own values: always inside the block.
+            ctx.get_block_dd(bid, &mut points);
+            for me in points.iter_mut() {
+                // Neighbours are indirect: no static in-block guarantee,
+                // so the access goes through MMAT / the Env search.
+                let mut vals = [0.0f64; 4];
+                for (slot, (nx, ny)) in me.neighbors.into_iter().enumerate() {
+                    let n = ctx.get_global(bid, GlobalAddress::new2d(nx, ny));
+                    vals[slot] = n.value;
                 }
+                me.value = match &self.update {
+                    Some(update) => (update.0)(me.value, &vals),
+                    None => {
+                        let mut sum = 0.0;
+                        for v in vals {
+                            sum += v;
+                        }
+                        alpha * me.value + beta * sum
+                    }
+                };
             }
+            ctx.set_block(bid, &points);
         }
+        ctx.put_scratch(points);
         ctx.refresh()
     }
 
@@ -310,20 +313,7 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
         if let Some(sink) = &self.sink {
             // Report values keyed by storage address; tests invert the layout
             // when they need logical positions.
-            let mut out = Vec::new();
-            for bid in ctx.owned_blocks() {
-                let (ext, origin) = {
-                    let b = ctx.env().block(bid);
-                    (b.meta.extent, b.meta.origin)
-                };
-                for j in 0..ext.ny as i64 {
-                    for i in 0..ext.nx as i64 {
-                        let v = ctx.get_dd(bid, LocalAddress::new2d(i, j));
-                        out.push((origin + LocalAddress::new2d(i, j), v.value));
-                    }
-                }
-            }
-            sink.lock().extend(out);
+            ctx.deposit_owned(sink, |cell| cell.value);
         }
     }
 }

@@ -149,6 +149,14 @@ impl Extent {
         let dx = rem % self.nx;
         LocalAddress { dx: dx as i64, dy: dy as i64, dz: dz as i64 }
     }
+
+    /// The local address of the first cell of every X-row, in linear-index
+    /// order: row `r` holds the cells `r * nx .. (r + 1) * nx`, so a loop over
+    /// rows visits every cell in slab order with no division per cell.
+    pub fn row_starts(&self) -> impl Iterator<Item = LocalAddress> {
+        let ny = self.ny;
+        (0..ny * self.nz).map(move |r| LocalAddress::new3d(0, (r % ny) as i64, (r / ny) as i64))
+    }
 }
 
 #[cfg(test)]
@@ -200,6 +208,14 @@ mod tests {
             let la = e.delinearize(idx);
             prop_assert!(e.contains_local(la));
             prop_assert_eq!(e.linear_index(la), idx);
+        }
+
+        /// Row `r` starts at the cell with linear index `r * nx`.
+        #[test]
+        fn row_starts_follow_the_linear_index(nx in 1usize..9, ny in 1usize..9, nz in 1usize..4) {
+            let e = Extent::new3d(nx, ny, nz);
+            let want: Vec<LocalAddress> = (0..ny * nz).map(|r| e.delinearize(r * nx)).collect();
+            prop_assert_eq!(e.row_starts().collect::<Vec<_>>(), want);
         }
 
         /// (g + d) - g == d for arbitrary addresses.

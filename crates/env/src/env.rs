@@ -550,6 +550,77 @@ impl<C: Cell> Env<C> {
         }
     }
 
+    // ------------------------------------------------------------------
+    // Slab access: a whole block per call
+    // ------------------------------------------------------------------
+    //
+    // The block loop of a compiled kernel moves every cell of the block it
+    // was given, in row-major order.  These are the three in-block calls
+    // above at that granularity: one lock and one copy per block instead of
+    // an address computation, a lock and a page lookup per cell — with
+    // exactly the counters, missing-page records and dirty flags the
+    // per-cell loop over `0..extent.cells()` produces.  A block without cell
+    // buffers or a slice of the wrong length returns `false` and touches
+    // nothing.
+
+    /// The buffers of `id` if it is a buffer-bearing block of `len` cells.
+    fn slab_buffers(&self, id: BlockId, len: usize) -> Option<&RwLock<MultiBuffer<C>>> {
+        let block = &self.blocks[id];
+        match &block.kind {
+            BlockKind::Data(buf) | BlockKind::BufferOnly(buf)
+                if len == block.meta.extent.cells() =>
+            {
+                Some(buf)
+            }
+            _ => None,
+        }
+    }
+
+    /// Read every cell of `start` into `out` — the slab form of
+    /// [`Env::read_local`] with the in-block hint (`GetDD`).  Cells of an
+    /// invalid page read as `C::default()` and are recorded missing, one
+    /// record per cell, as the per-cell path does.
+    pub fn read_block_into(&self, start: BlockId, out: &mut [C], state: &mut AccessState) -> bool {
+        let Some(buf) = self.slab_buffers(start, out.len()) else { return false };
+        state.counters.reads += out.len() as u64;
+        state.counters.skip_search_hits += out.len() as u64;
+        let guard = buf.read();
+        if self.blocks[start].meta.is_valid() {
+            out.clone_from_slice(guard.read_buf());
+            return true;
+        }
+        let pages = guard.pages();
+        for page in 0..pages.num_pages() {
+            let range = pages.cell_range(page);
+            if pages.is_valid(page) {
+                out[range.clone()].clone_from_slice(&guard.read_buf()[range]);
+            } else {
+                for cell in &mut out[range] {
+                    *cell = C::default();
+                    state.record_missing(start, page);
+                }
+            }
+        }
+        true
+    }
+
+    /// Write every cell of `start`'s write buffer from `src` — the slab form
+    /// of [`Env::write_local`] (`SetD`); every page becomes dirty.
+    pub fn write_block_from(&self, start: BlockId, src: &[C], state: &mut AccessState) -> bool {
+        let Some(buf) = self.slab_buffers(start, src.len()) else { return false };
+        state.counters.writes += src.len() as u64;
+        buf.write().fill_write_buf(src);
+        true
+    }
+
+    /// Write every cell of `start`'s *read* buffer from `src` — the slab form
+    /// of [`Env::write_initial`] (step-0 data, no page marked dirty).
+    pub fn init_block_from(&self, start: BlockId, src: &[C]) -> bool {
+        let Some(buf) = self.slab_buffers(start, src.len()) else { return false };
+        buf.write().fill_read_buf(src);
+        true
+    }
+
     fn read_buffered_cell(
         &self,
         bid: BlockId,
@@ -642,18 +713,6 @@ impl<C: Cell> Env<C> {
             if b.meta.dm_tid() == Some(task) {
                 if let BlockKind::Data(buf) = &b.kind {
                     buf.write().swap();
-                }
-            }
-        }
-    }
-
-    /// Copy the read buffer into the write buffer for every Data block whose
-    /// `dm_tid` is `task` (for kernels updating only a subset of cells).
-    pub fn carry_forward_owned(&self, task: usize) {
-        for b in &self.blocks {
-            if b.meta.dm_tid() == Some(task) {
-                if let BlockKind::Data(buf) = &b.kind {
-                    buf.write().carry_forward();
                 }
             }
         }
@@ -773,6 +832,7 @@ impl<C> fmt::Debug for Env<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::AccessCounters;
     use std::sync::Arc;
 
     /// Build the Fig. 2a example: a root joint, a boundary Arithmetic block on
@@ -1066,6 +1126,138 @@ mod tests {
                     None => prop_assert!(env.block(bid).meta.catch_all),
                 }
             }
+        }
+    }
+
+    mod slab_properties {
+        use super::*;
+        use aohpc_mem::PageTable;
+        use proptest::prelude::*;
+
+        /// One buffer-bearing block of `extent` under a joint, plus a
+        /// catch-all Arithmetic boundary (a block without cell buffers).
+        fn one_block_env(extent: Extent, cpp: usize, buffer_only: bool) -> (Env<u64>, BlockId) {
+            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), cpp);
+            let root = b.add_empty(None);
+            b.add_arithmetic(root, Arc::new(|_| 0), true);
+            let joint = b.add_empty(Some(root));
+            let origin = GlobalAddress::new3d(3, -2, 1);
+            let id = if buffer_only {
+                b.add_buffer_only(joint, origin, extent, 0).unwrap()
+            } else {
+                b.add_data(joint, origin, extent, 0).unwrap()
+            };
+            (b.build(), id)
+        }
+
+        /// Both buffers and the page flags of a block.
+        fn snapshot(env: &Env<u64>, id: BlockId) -> (Vec<u64>, Vec<u64>, PageTable) {
+            match &env.block(id).kind {
+                BlockKind::Data(buf) | BlockKind::BufferOnly(buf) => {
+                    let mut g = buf.write();
+                    (g.read_buf().to_vec(), g.write_buf().to_vec(), g.pages().clone())
+                }
+                _ => unreachable!("buffer-bearing block"),
+            }
+        }
+
+        proptest! {
+            /// The slab calls and the per-cell loops they replace leave the
+            /// same values, counters, missing-page list (in order) and page
+            /// flags — on Data and Buffer-only blocks, wholly valid or with
+            /// an arbitrary subset of pages invalid.
+            #[test]
+            fn slab_calls_equal_the_per_cell_loops(
+                nx in 1usize..9,
+                ny in 1usize..9,
+                nz in 1usize..3,
+                cpp in 1usize..40,
+                buffer_only in any::<bool>(),
+                wholly_valid in any::<bool>(),
+                invalid_mask in any::<u64>(),
+                seed in any::<u64>(),
+            ) {
+                let extent = Extent::new3d(nx, ny, nz);
+                let n = extent.cells();
+                let initial: Vec<u64> = (0..n as u64).map(|i| seed.wrapping_add(i * 7919)).collect();
+                let next: Vec<u64> = initial.iter().map(|v| v.rotate_left(17) ^ 0x5bd1).collect();
+                let (slab, a) = one_block_env(extent, cpp, buffer_only);
+                let (cellwise, b) = one_block_env(extent, cpp, buffer_only);
+                let (mut st_a, mut st_b) = (AccessState::new(), AccessState::new());
+
+                // Initialise.
+                prop_assert!(slab.init_block_from(a, &initial));
+                for (idx, v) in initial.iter().enumerate() {
+                    prop_assert!(cellwise.write_initial(b, extent.delinearize(idx), *v));
+                }
+                prop_assert_eq!(snapshot(&slab, a), snapshot(&cellwise, b));
+
+                // Page validity: all valid as a block, or page by page.
+                for (env, id) in [(&slab, a), (&cellwise, b)] {
+                    env.set_block_valid(id, wholly_valid).unwrap();
+                    if !wholly_valid {
+                        for page in 0..env.num_pages(id).unwrap() {
+                            if invalid_mask >> (page % 64) & 1 == 0 {
+                                let payload = env.extract_page(id, page).unwrap();
+                                env.install_page(id, page, &payload).unwrap();
+                            }
+                        }
+                    }
+                }
+
+                // Gather.
+                let mut out_a = vec![u64::MAX; n];
+                prop_assert!(slab.read_block_into(a, &mut out_a, &mut st_a));
+                let out_b: Vec<u64> = (0..n)
+                    .map(|idx| {
+                        cellwise
+                            .read_local(b, extent.delinearize(idx), true, &mut st_b)
+                            .unwrap_or_default()
+                    })
+                    .collect();
+                prop_assert_eq!(&out_a, &out_b);
+                prop_assert_eq!(st_a.counters, st_b.counters);
+                prop_assert_eq!(st_a.missing(), st_b.missing());
+
+                // Scatter.
+                prop_assert!(slab.write_block_from(a, &next, &mut st_a));
+                for (idx, v) in next.iter().enumerate() {
+                    prop_assert!(cellwise.write_local(b, extent.delinearize(idx), *v, &mut st_b));
+                }
+                prop_assert_eq!(st_a.counters, st_b.counters);
+                prop_assert_eq!(st_a.missing(), st_b.missing());
+                prop_assert_eq!(snapshot(&slab, a), snapshot(&cellwise, b));
+            }
+        }
+
+        #[test]
+        fn wrong_length_and_non_buffer_blocks_are_refused_untouched() {
+            let extent = Extent::new2d(4, 3);
+            let (env, id) = one_block_env(extent, 5, false);
+            assert!(env.init_block_from(id, &[9; 12]));
+            let before = snapshot(&env, id);
+            let mut st = AccessState::new();
+            // A slice one short, one long; then the Empty root and the
+            // Arithmetic boundary with a slice of any length.
+            for len in [11, 13] {
+                let mut buf = vec![1u64; len];
+                assert!(!env.read_block_into(id, &mut buf, &mut st));
+                assert!(buf.iter().all(|v| *v == 1));
+                assert!(!env.write_block_from(id, &buf, &mut st));
+                assert!(!env.init_block_from(id, &buf));
+            }
+            for other in [0, 1] {
+                assert!(!env.block(other).kind.has_buffers());
+                for len in [0, 12] {
+                    let mut buf = vec![1u64; len];
+                    assert!(!env.read_block_into(other, &mut buf, &mut st));
+                    assert!(!env.write_block_from(other, &buf, &mut st));
+                    assert!(!env.init_block_from(other, &buf));
+                }
+            }
+            assert_eq!(st.counters, AccessCounters::default());
+            assert!(!st.has_missing());
+            assert_eq!(snapshot(&env, id), before);
         }
     }
 

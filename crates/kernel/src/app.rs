@@ -4,19 +4,26 @@
 //! not hand-written Rust but a [`StencilProgram`] compiled per block shape.
 //! One step per block is:
 //!
-//! 1. gather the block's current values with the `GetDD` fast path (one
-//!    platform access per cell instead of one per load — the access
-//!    resolution of all interior loads was cached at compile time);
+//! 1. gather the block's current values with one slab `GetDD`
+//!    ([`TaskCtx::get_block_dd`]: the in-block assertion made once for the
+//!    block, one copy, and one counted read per cell instead of one per load
+//!    — the access resolution of all interior loads was cached at compile
+//!    time);
 //! 2. execute the compiled kernel on the chosen backend, fetching only the
-//!    true out-of-block halo values through the platform (`GetD` without the
-//!    in-block assertion, so MMAT / Env-search accounting still applies);
-//! 3. write the results back with `SetD` and finish the step with `refresh`,
-//!    exactly like a hand-written kernel.
+//!    true out-of-block halo values through the platform, cell by cell (`GetD`
+//!    without the in-block assertion, so MMAT / Env-search accounting still
+//!    applies);
+//! 3. write the results back with one slab `SetD` ([`TaskCtx::set_block`], one
+//!    counted write per cell, every page dirty) and finish the step with
+//!    `refresh`, exactly like a hand-written kernel.
 //!
-//! Because steps 1–3 use the same Annotation/Memory-Library join points as
-//! Listing 1, every aspect module (MPI, OpenMP, hybrid) applies unchanged —
-//! which is the point of the paper's layering: the subkernel generator is a
-//! DSL-part concern, invisible to the aspect modules.
+//! `Initialize` and `Finalize` move whole blocks the same way
+//! ([`TaskCtx::initialize_owned`], [`TaskCtx::deposit_owned`]).  Because all
+//! of it goes through the same Annotation/Memory-Library join points and
+//! leaves the same counters as Listing 1's per-cell calls, every aspect
+//! module (MPI, OpenMP, hybrid) applies unchanged — which is the point of the
+//! paper's layering: the subkernel generator is a DSL-part concern, invisible
+//! to the aspect modules.
 
 use crate::backend::{ExecStats, Processor};
 use crate::hetero::{HeteroDispatcher, PerProcessorStats};
@@ -233,18 +240,7 @@ impl HpcApp<f64> for IrStencilApp {
     }
 
     fn initialize(&mut self, ctx: &mut TaskCtx<f64>) {
-        for bid in ctx.owned_blocks() {
-            let (ext, origin) = {
-                let b = ctx.env().block(bid);
-                (b.meta.extent, b.meta.origin)
-            };
-            for j in 0..ext.ny as i64 {
-                for i in 0..ext.nx as i64 {
-                    let g = origin + LocalAddress::new2d(i, j);
-                    ctx.set_initial(bid, LocalAddress::new2d(i, j), (self.init)(g));
-                }
-            }
-        }
+        ctx.initialize_owned(|g| (self.init)(g));
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<f64>, _warmup: bool) -> bool {
@@ -276,12 +272,9 @@ impl HpcApp<f64> for IrStencilApp {
             // can bracket real per-block work; with no matching advice this
             // is a plain call.
             ctx.run_block(bid as i64, nx * ny, |ctx| {
-                // 1. Gather the block's current values (GetDD fast path).
+                // 1. Gather the block's current values (slab GetDD).
                 scratch.cells.resize(nx * ny, 0.0);
-                for idx in 0..nx * ny {
-                    let la = ext.delinearize(idx);
-                    scratch.cells[idx] = ctx.get_dd(bid, la);
-                }
+                ctx.get_block_dd(bid, &mut scratch.cells);
 
                 // 2. Execute on the assigned backend; halo loads go back
                 //    through the platform so MMAT / Env-search semantics are
@@ -300,10 +293,8 @@ impl HpcApp<f64> for IrStencilApp {
                 );
                 step_stats.record(processor, &stats);
 
-                // 3. Write the next-step values back (SetD).
-                for (idx, &value) in scratch.out.iter().enumerate() {
-                    ctx.set(bid, ext.delinearize(idx), value);
-                }
+                // 3. Write the next-step values back (slab SetD).
+                ctx.set_block(bid, &scratch.out);
             });
         }
         ctx.put_scratch(scratch);
@@ -315,20 +306,7 @@ impl HpcApp<f64> for IrStencilApp {
 
     fn finalize(&mut self, ctx: &mut TaskCtx<f64>) {
         if let Some(sink) = &self.field_sink {
-            let mut outputs = Vec::new();
-            for bid in ctx.owned_blocks() {
-                let (ext, origin) = {
-                    let b = ctx.env().block(bid);
-                    (b.meta.extent, b.meta.origin)
-                };
-                for j in 0..ext.ny as i64 {
-                    for i in 0..ext.nx as i64 {
-                        let v = ctx.get_dd(bid, LocalAddress::new2d(i, j));
-                        outputs.push((origin + LocalAddress::new2d(i, j), v));
-                    }
-                }
-            }
-            sink.lock().extend(outputs);
+            ctx.deposit_owned(sink, |v| *v);
         }
     }
 }

@@ -130,18 +130,19 @@ impl<C: Clone + Default> MultiBuffer<C> {
         self.pages.clear_dirty();
     }
 
-    /// Copy the current read buffer into the write buffer.
-    ///
-    /// Useful for kernels that only update a subset of cells per step (e.g.
-    /// the particle DSL) so untouched cells keep their previous value.
-    pub fn carry_forward(&mut self) {
-        let (r, w) = (self.read_idx, self.write_idx());
-        if r == w {
-            return;
-        }
-        // Split borrow via index juggling.
-        let src: Vec<C> = self.buffers[r].clone();
-        self.buffers[w].clone_from_slice(&src);
+    /// Overwrite the whole write buffer from `src` (one copy), marking every
+    /// page dirty — the slab form of [`MultiBuffer::write_cell`] over all
+    /// cells.  `src` must hold exactly [`MultiBuffer::cells`] values.
+    pub fn fill_write_buf(&mut self, src: &[C]) {
+        self.write_buf().clone_from_slice(src);
+        self.pages.mark_all_dirty();
+    }
+
+    /// Overwrite the whole *read* buffer from `src` — the slab form of
+    /// [`MultiBuffer::write_cell_to_read_buf`] over all cells.
+    pub fn fill_read_buf(&mut self, src: &[C]) {
+        let r = self.read_idx;
+        self.buffers[r].clone_from_slice(src);
     }
 
     /// Page table (validity / dirtiness).
@@ -262,19 +263,21 @@ mod tests {
     }
 
     #[test]
-    fn carry_forward_copies_read_to_write() {
-        let mut mb: MultiBuffer<u32> = MultiBuffer::unpooled(3, 2, 2);
-        mb.write_cell(0, 7);
-        mb.write_cell(1, 8);
-        mb.write_cell(2, 9);
-        mb.swap();
-        mb.carry_forward();
-        // Only update cell 1 this step; others must persist after swap.
-        mb.write_cell(1, 80);
-        mb.swap();
-        assert_eq!(*mb.read_cell(0), 7);
-        assert_eq!(*mb.read_cell(1), 80);
-        assert_eq!(*mb.read_cell(2), 9);
+    fn slab_fills_match_the_per_cell_writes() {
+        let values = [7u32, 8, 9, 10, 11];
+        let mut slab: MultiBuffer<u32> = MultiBuffer::unpooled(5, 2, 2);
+        let mut cellwise: MultiBuffer<u32> = MultiBuffer::unpooled(5, 2, 2);
+        slab.fill_read_buf(&values);
+        slab.fill_write_buf(&values);
+        for (i, v) in values.iter().enumerate() {
+            cellwise.write_cell_to_read_buf(i, *v);
+            cellwise.write_cell(i, *v);
+        }
+        assert_eq!(slab.read_buf(), cellwise.read_buf());
+        assert_eq!(slab.pages(), cellwise.pages(), "every page dirty, none validated");
+        slab.swap();
+        cellwise.swap();
+        assert_eq!(slab.read_buf(), cellwise.read_buf());
     }
 
     #[test]

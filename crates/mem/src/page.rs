@@ -113,6 +113,13 @@ impl PageTable {
         }
     }
 
+    /// Mark every page dirty (a whole-buffer write).
+    pub fn mark_all_dirty(&mut self) {
+        for f in &mut self.flags {
+            f.dirty = true;
+        }
+    }
+
     /// Clear every dirty bit (after the dirty pages have been shipped).
     pub fn clear_dirty(&mut self) {
         for f in &mut self.flags {

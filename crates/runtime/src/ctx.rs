@@ -1,8 +1,9 @@
 //! Task context, rank-shared state and the join-point payloads.
 //!
 //! A [`TaskCtx`] is what an end-user application sees: the Block-based memory
-//! interface (`get` / `get_dd` / `set`), `get_blocks`, `refresh`, and a
-//! handful of introspection helpers.  Internally every one of those calls is
+//! interface (`get` / `get_dd` / `set` per cell, `get_block_dd` / `set_block`
+//! / `set_initial_block` per block), `get_blocks`, `refresh`, and a handful
+//! of introspection helpers.  Internally every one of those calls is
 //! dispatched through the woven program, so aspect modules can intercept them
 //! — this is the runtime analogue of the AspectC++ pointcuts on the memory
 //! and annotation libraries.
@@ -36,6 +37,8 @@ pub struct MainPayload<C: Cell> {
     /// Runs one rank's whole program (build Env replica, initialise, process,
     /// finalise).  The body runs it once for rank 0; the distributed-layer
     /// aspect runs it once per rank on its own thread with a communicator.
+    /// Ranks reach `Finalize` in rank order (rank `r` waits for `r - 1`), so
+    /// an aspect running them one after another must go in ascending order.
     pub run_rank: Arc<dyn Fn(usize, Option<Communicator<C>>) + Send + Sync>,
     /// Runtime-control log (AspectType I events such as `mpi:init`).
     pub runtime_log: Arc<Mutex<Vec<String>>>,
@@ -626,6 +629,10 @@ impl<C: Cell> TaskCtx<C> {
     }
 
     // -- Cell accessors (the GetD / GetDD / SetD macros of Listing 1) -------
+    //
+    // One platform call per cell: the paper's programming model, what a
+    // hand-written kernel (`SGridJacobiApp`, `ParticleApp`) uses, and the only
+    // form for reads that may leave the block (halo, indirect neighbours).
 
     /// Read a cell via a block-relative address.  `in_block` is the caller's
     /// assertion that the address lies inside `block` (skips the Env search).
@@ -657,6 +664,78 @@ impl<C: Cell> TaskCtx<C> {
     /// Write the initial (step-0) value of a cell.
     pub fn set_initial(&mut self, block: BlockId, local: LocalAddress, value: C) -> bool {
         self.env.write_initial(block, local, value)
+    }
+
+    // -- Slab accessors: the same three calls, a whole block at a time ------
+    //
+    // A loop that touches every cell of its block (a compiled kernel's
+    // gather and write-back, `Initialize`, `Finalize`) asserts "inside my
+    // block" once for the block instead of once per cell.  Slices are in
+    // row-major (linear-index) order and must hold exactly the block's cells;
+    // counters, missing-page records and dirty flags come out exactly as from
+    // the per-cell loop.  `false` (nothing touched) on a block without cell
+    // buffers or a slice of the wrong length.
+
+    /// Read every cell of `block` into `out` (`GetDD` over the block).
+    pub fn get_block_dd(&mut self, block: BlockId, out: &mut [C]) -> bool {
+        self.env.read_block_into(block, out, &mut self.state)
+    }
+
+    /// Write every cell of the block being updated from `values` (`SetD`
+    /// over the block).
+    pub fn set_block(&mut self, block: BlockId, values: &[C]) -> bool {
+        self.env.write_block_from(block, values, &mut self.state)
+    }
+
+    /// Write the initial (step-0) values of every cell of `block`.
+    pub fn set_initial_block(&mut self, block: BlockId, values: &[C]) -> bool {
+        self.env.init_block_from(block, values)
+    }
+
+    /// `Initialize` for a field given as a function of the global address:
+    /// set the step-0 values of every owned block, one slab per block.
+    pub fn initialize_owned(&mut self, mut init: impl FnMut(GlobalAddress) -> C) {
+        let mut slab = Vec::new();
+        for bid in self.owned_blocks() {
+            let meta = &self.env.block(bid).meta;
+            let (ext, origin) = (meta.extent, meta.origin);
+            slab.clear();
+            for start in ext.row_starts() {
+                let row = origin + start;
+                slab.extend(
+                    (0..ext.nx as i64).map(|dx| init(GlobalAddress { x: row.x + dx, ..row })),
+                );
+            }
+            self.set_initial_block(bid, &slab);
+        }
+    }
+
+    /// `Finalize` into a field sink: append `(global address, value(cell))`
+    /// for every cell of every owned block — blocks in Z-order, cells
+    /// row-major — straight into the locked sink, reserved once.
+    pub fn deposit_owned(
+        &mut self,
+        sink: &Mutex<Vec<(GlobalAddress, f64)>>,
+        value: impl Fn(&C) -> f64,
+    ) {
+        let owned = self.owned_blocks();
+        let total: usize = owned.iter().map(|&b| self.env.block(b).meta.extent.cells()).sum();
+        let mut slab = Vec::new();
+        let mut out = sink.lock();
+        out.reserve(total);
+        for bid in owned {
+            let meta = &self.env.block(bid).meta;
+            let (ext, origin) = (meta.extent, meta.origin);
+            slab.resize(ext.cells(), C::default());
+            self.get_block_dd(bid, &mut slab);
+            // (`max(1)`: a zero-cell block has no rows, and no chunk size 0.)
+            for (start, cells) in ext.row_starts().zip(slab.chunks_exact(ext.nx.max(1))) {
+                let row = origin + start;
+                out.extend(
+                    cells.iter().zip(row.x..).map(|(c, x)| (GlobalAddress { x, ..row }, value(c))),
+                );
+            }
+        }
     }
 
     /// Finish the task and emit its report.
@@ -727,6 +806,40 @@ mod tests {
         assert!(ctx.refresh());
         assert_eq!(ctx.get(ids[0], LocalAddress::new2d(1, 1), true), 3.5);
         assert_eq!(ctx.get_dd(ids[0], LocalAddress::new2d(1, 1)), 3.5);
+    }
+
+    #[test]
+    fn slab_accessors_count_like_the_per_cell_loop() {
+        let (env, ids) = tiny_env();
+        let mut ctx = serial_ctx(env);
+        let next: Vec<f64> = (0..16).map(f64::from).collect();
+        assert!(ctx.set_block(ids[0], &next));
+        assert!(ctx.refresh());
+        let mut got = vec![0.0; 16];
+        assert!(ctx.get_block_dd(ids[0], &mut got));
+        assert_eq!(got, next);
+        assert_eq!(ctx.get_dd(ids[0], LocalAddress::new2d(1, 2)), 9.0, "row-major slab order");
+        assert!(!ctx.get_block_dd(ids[0], &mut got[..15]), "wrong length is refused");
+        let c = ctx.state.counters;
+        assert_eq!((c.reads, c.skip_search_hits, c.writes), (17, 17, 16));
+    }
+
+    #[test]
+    fn initialize_and_deposit_cover_the_owned_blocks_in_order() {
+        let (env, ids) = tiny_env();
+        let mut ctx = serial_ctx(env);
+        ctx.initialize_owned(|g| (g.x * 10 + g.y) as f64);
+        assert_eq!(ctx.get_dd(ids[1], LocalAddress::new2d(2, 3)), 63.0);
+        let reads_before = ctx.state.counters.reads;
+        let sink = Mutex::new(vec![(GlobalAddress::new2d(-1, -1), 0.5)]);
+        ctx.deposit_owned(&sink, |v| v * 2.0);
+        let pairs = sink.into_inner();
+        assert_eq!(pairs.len(), 33, "appended after what the sink held");
+        assert_eq!(pairs[1], (GlobalAddress::new2d(0, 0), 0.0));
+        assert_eq!(pairs[2], (GlobalAddress::new2d(1, 0), 20.0));
+        assert_eq!(pairs[17], (GlobalAddress::new2d(4, 0), 80.0), "second block follows the first");
+        assert_eq!(pairs[32], (GlobalAddress::new2d(7, 3), 146.0));
+        assert_eq!(ctx.state.counters.reads - reads_before, 32, "one counted read per cell");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use aohpc_env::{Cell, Env, EnvStats};
 use aohpc_mem::PoolStats;
 use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
 /// Whether platform calls go through the weaver at all.
@@ -114,6 +114,42 @@ impl Default for RunConfig {
     }
 }
 
+/// Whose `Finalize` runs next.  Ranks finalize in rank order: rank `r` owns
+/// the `r`-th contiguous Z-order range of blocks, so whatever the apps deposit
+/// (a field sink, a checksum fold) comes out in global block order — the
+/// same order a single-rank run produces — instead of thread-arrival order.
+/// A single-rank run never waits.
+#[derive(Default)]
+struct FinalizeOrder {
+    next_rank: StdMutex<usize>,
+    advanced: Condvar,
+}
+
+/// One rank's place in the [`FinalizeOrder`]; dropping it (normally or while
+/// unwinding) passes the turn on, so a failed rank cannot park the others.
+struct FinalizeTurn<'a> {
+    order: &'a FinalizeOrder,
+    rank: usize,
+}
+
+impl FinalizeTurn<'_> {
+    /// Block until every lower rank has finished (or abandoned) `Finalize`.
+    fn wait(&self) {
+        let mut next = self.order.next_rank.lock().unwrap_or_else(|e| e.into_inner());
+        while *next < self.rank {
+            next = self.order.advanced.wait(next).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+impl Drop for FinalizeTurn<'_> {
+    fn drop(&mut self) {
+        self.wait();
+        *self.order.next_rank.lock().unwrap_or_else(|e| e.into_inner()) = self.rank + 1;
+        self.order.advanced.notify_all();
+    }
+}
+
 fn dispatch(
     woven: &WovenProgram,
     use_weaver: bool,
@@ -164,6 +200,7 @@ where
     let env_stats_cell: Arc<Mutex<Option<EnvStats>>> = Arc::new(Mutex::new(None));
     let pool_stats_cell: Arc<Mutex<Option<PoolStats>>> = Arc::new(Mutex::new(None));
     let runtime_log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let finalize_order = Arc::new(FinalizeOrder::default());
 
     let run_rank: Arc<dyn Fn(usize, Option<Communicator<C>>) + Send + Sync> = {
         let topology = topology.clone();
@@ -178,6 +215,7 @@ where
         let progress = progress.clone();
 
         Arc::new(move |rank: usize, comm: Option<Communicator<C>>| {
+            let finalize_turn = FinalizeTurn { order: &finalize_order, rank };
             let ranks = topology.ranks();
             let threads = topology.threads_per_rank();
 
@@ -282,6 +320,7 @@ where
                 },
             );
 
+            finalize_turn.wait();
             dispatch(
                 &woven,
                 use_weaver,
@@ -291,6 +330,7 @@ where
                 &mut (),
                 &mut |_| master_app.finalize(&mut master_ctx),
             );
+            drop(finalize_turn);
 
             let comm_stats = shared.comm.as_ref().map(|c| c.lock().stats()).unwrap_or_default();
             rank_reports.lock().push(RankReport { rank, comm: comm_stats });

@@ -369,22 +369,7 @@ fn drive_members(
         // installs, dispatched through the member's weave.
         let init_attrs = [(attr::TASK_ID, master_slot.task_id as i64), (attr::RANK, 0i64)];
         dispatch_body(&woven, use_weaver, INITIALIZE, &init_attrs, &mut || {
-            for bid in master_ctx.owned_blocks() {
-                let (ext, origin) = {
-                    let b = master_ctx.env().block(bid);
-                    (b.meta.extent, b.meta.origin)
-                };
-                for j in 0..ext.ny as i64 {
-                    for i in 0..ext.nx as i64 {
-                        let g = origin + LocalAddress::new2d(i, j);
-                        master_ctx.set_initial(
-                            bid,
-                            LocalAddress::new2d(i, j),
-                            default_initial_value(g),
-                        );
-                    }
-                }
-            }
+            master_ctx.initialize_owned(default_initial_value);
         });
 
         // PROCESSING marker: the interleaved loop below plays the thread-0
@@ -464,20 +449,7 @@ fn drive_members(
         let sink = member.sink.clone();
         let master_ctx = &mut member.master_ctx;
         dispatch_body(&member.woven, member.use_weaver, FINALIZE, &init_attrs, &mut || {
-            let mut outputs = Vec::new();
-            for bid in master_ctx.owned_blocks() {
-                let (ext, origin) = {
-                    let b = master_ctx.env().block(bid);
-                    (b.meta.extent, b.meta.origin)
-                };
-                for j in 0..ext.ny as i64 {
-                    for i in 0..ext.nx as i64 {
-                        let v = master_ctx.get_dd(bid, LocalAddress::new2d(i, j));
-                        outputs.push((origin + LocalAddress::new2d(i, j), v));
-                    }
-                }
-            }
-            sink.lock().extend(outputs);
+            master_ctx.deposit_owned(&sink, |v| *v);
         });
 
         let report = RunReport {
@@ -550,9 +522,7 @@ fn fused_step(
             let (bid_m, _) = schedules[m][i];
             let seg = &mut cells_buf[m * b..(m + 1) * b];
             member.ctx.run_block(bid_m as i64, b, |ctx| {
-                for (idx, cell) in seg.iter_mut().enumerate() {
-                    *cell = ctx.get_dd(bid_m, ext.delinearize(idx));
-                }
+                ctx.get_block_dd(bid_m, seg);
             });
         }
 
@@ -603,9 +573,7 @@ fn fused_step(
         // 3. Scatter each member's next-step values back.
         for (m, member) in members.iter_mut().enumerate() {
             let (bid_m, _) = schedules[m][i];
-            for (idx, &value) in out_buf[m * b..(m + 1) * b].iter().enumerate() {
-                member.ctx.set(bid_m, ext.delinearize(idx), value);
-            }
+            member.ctx.set_block(bid_m, &out_buf[m * b..(m + 1) * b]);
         }
     }
 

@@ -278,10 +278,12 @@ pub struct JobReport {
     /// Meaningless when `error` is set and the failure preceded plan
     /// resolution — only count hit rates over reports with `error: None`.
     pub plan_cache_hit: bool,
-    /// Checksum of the final field.  Accumulated in sink order, so runs with
-    /// the same topology agree bit-for-bit; across different topologies the
-    /// summation order changes and equality holds only to float-accumulation
-    /// tolerance (compare with a relative epsilon).
+    /// Checksum of the final field, accumulated in sink order.  Ranks
+    /// finalize in rank order and rank `r` deposits the `r`-th contiguous
+    /// Z-order range of blocks, so the sink is in global block order whatever
+    /// the topology and however the rank threads are scheduled: repeats of
+    /// one spec agree bit-for-bit, on multi-rank topologies too, and with
+    /// the serial run of the same spec.
     pub checksum: f64,
     /// Deterministic simulated execution time of the run.
     pub simulated_seconds: f64,

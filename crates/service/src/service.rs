@@ -2049,6 +2049,27 @@ mod tests {
     }
 
     #[test]
+    fn multi_rank_checksums_repeat_bit_for_bit() {
+        // Ranks finalize in rank order, so the two ranks' halves of the field
+        // are folded in global block order however their threads are
+        // scheduled: every repeat gives one bit pattern — the serial one.
+        let service = KernelService::new(ServiceConfig::default().with_workers(2));
+        let session = service.open_session(SessionSpec::tenant("mpi"));
+        service.submit(session, smoke_job()).unwrap();
+        for _ in 0..20 {
+            service.submit(session, smoke_job().with_topology(Topology::hybrid(2, 1))).unwrap();
+        }
+        let reports = service.drain();
+        assert_eq!(reports.len(), 21);
+        let serial = reports[0].checksum.to_bits();
+        for report in &reports[1..] {
+            assert!(report.error.is_none(), "job {} failed: {:?}", report.job, report.error);
+            assert_eq!(report.summary.tasks, 2);
+            assert_eq!(report.checksum.to_bits(), serial, "job {}", report.job);
+        }
+    }
+
+    #[test]
     fn drain_session_takes_only_that_sessions_reports() {
         let service = KernelService::new(ServiceConfig::default().with_workers(2));
         let a = service.open_session(SessionSpec::tenant("a"));
