@@ -26,9 +26,13 @@ pub struct AccessCounters {
     pub in_block_hits: u64,
     /// Reads satisfied via the skip-search flag (`GetDD`).
     pub skip_search_hits: u64,
-    /// Env tree searches performed.
+    /// Env tree searches actually run.  A run read
+    /// ([`Env::read_run_into`](crate::Env::read_run_into)) searches once for
+    /// a stretch of cells it can prove share a holder, so this may be lower
+    /// than the number of reads that left their starting block
+    /// (`out_of_block_reads` counts those, one per cell).
     pub env_searches: u64,
-    /// Tree nodes visited during searches.
+    /// Tree nodes visited during the searches that ran.
     pub search_nodes_visited: u64,
     /// Reads resolved by the MMAT memo.
     pub mmat_hits: u64,
@@ -96,7 +100,16 @@ impl AccessState {
 
     /// Record a non-existent page access (deduplicated, order-preserving).
     pub fn record_missing(&mut self, block: BlockId, page: PageId) {
-        self.counters.missing_accesses += 1;
+        self.record_missing_n(block, page, 1);
+    }
+
+    /// Record `n` accesses to one non-existent page: what `n` calls of
+    /// [`AccessState::record_missing`] leave, with one set insert.
+    pub fn record_missing_n(&mut self, block: BlockId, page: PageId, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counters.missing_accesses += n;
         if self.missing_set.insert((block, page)) {
             self.missing.push((block, page));
         }
@@ -153,6 +166,21 @@ mod tests {
         // After draining, the same page can be recorded again.
         s.record_missing(3, 1);
         assert_eq!(s.missing(), &[(3, 1)]);
+    }
+
+    #[test]
+    fn bulk_missing_equals_repeated_single_records() {
+        let (mut bulk, mut single) = (AccessState::new(), AccessState::new());
+        for (block, page, n) in [(3, 1, 4), (2, 0, 1), (3, 1, 2), (5, 5, 0)] {
+            bulk.record_missing_n(block, page, n);
+            for _ in 0..n {
+                single.record_missing(block, page);
+            }
+        }
+        assert_eq!(bulk.missing(), single.missing());
+        assert_eq!(bulk.missing(), &[(3, 1), (2, 0)], "a zero-count record leaves nothing");
+        assert_eq!(bulk.counters, single.counters);
+        assert_eq!(bulk.counters.missing_accesses, 7);
     }
 
     #[test]

@@ -216,14 +216,65 @@ impl<C: Cell> EnvBuilder<C> {
     }
 
     /// Freeze the tree.
+    ///
+    /// One pass over the arena records what every later search would
+    /// otherwise rediscover: the first catch-all block, and whether a run
+    /// read may trust a holder it has already found (see
+    /// [`Env::read_run_into`]).
     pub fn build(self) -> Env<C> {
+        let first_catch_all = self.blocks.iter().position(|b| b.meta.catch_all);
+        let holders_are_unique = holders_are_unique(&self.blocks);
         Env {
             blocks: self.blocks,
             cells_per_page: self.cells_per_page,
             num_buffers: self.num_buffers,
             pool: self.pool,
+            first_catch_all,
+            holders_are_unique,
         }
     }
+}
+
+/// Whether a block can answer a read (anything but an Empty joint).
+fn holds_values<C>(b: &Block<C>) -> bool {
+    !matches!(b.kind, BlockKind::Empty)
+}
+
+/// The half-open box `[lo, hi)` of a block that matches addresses by
+/// placement (not a catch-all) and has cells; `None` for the rest.
+fn placed_box<C>(b: &Block<C>) -> Option<([i64; 3], [i64; 3])> {
+    let (o, e) = (b.meta.origin, b.meta.extent);
+    (!b.meta.catch_all && e.cells() > 0)
+        .then(|| ([o.x, o.y, o.z], [o.x + e.nx as i64, o.y + e.ny as i64, o.z + e.nz as i64]))
+}
+
+/// Whether an address inside a value-holding block can only ever resolve to
+/// that block: the value-holding blocks are pairwise disjoint (no other
+/// block could answer first), and every bounded joint covers the
+/// value-holding blocks below it (pruning never hides one).
+fn holders_are_unique<C>(blocks: &[Block<C>]) -> bool {
+    let mut boxes = Vec::with_capacity(blocks.len());
+    for b in blocks.iter().filter(|b| holds_values(b)) {
+        let Some((lo, hi)) = placed_box(b) else { continue };
+        let mut up = b.meta.parent;
+        while let Some(p) = up {
+            let joint = &blocks[p];
+            if let (false, Some((jlo, jhi))) = (holds_values(joint), placed_box(joint)) {
+                if (0..3).any(|a| lo[a] < jlo[a] || hi[a] > jhi[a]) {
+                    return false;
+                }
+            }
+            up = joint.meta.parent;
+        }
+        boxes.push((lo, hi));
+    }
+    // Sweep along x: only boxes whose x-ranges overlap are compared.
+    boxes.sort_unstable();
+    boxes.iter().enumerate().all(|(i, (lo, hi))| {
+        boxes[i + 1..].iter().take_while(|(other_lo, _)| other_lo[0] < hi[0]).all(
+            |(other_lo, other_hi)| (1..3).any(|a| other_lo[a] >= hi[a] || lo[a] >= other_hi[a]),
+        )
+    })
 }
 
 /// The Env: an arena-allocated tree of blocks.
@@ -232,6 +283,10 @@ pub struct Env<C> {
     cells_per_page: usize,
     num_buffers: usize,
     pool: PoolHandle,
+    /// The catch-all block a search falls back to (first in arena order).
+    first_catch_all: Option<BlockId>,
+    /// See [`holders_are_unique`]; what lets a run read skip searches.
+    holders_are_unique: bool,
 }
 
 impl<C: Cell> Env<C> {
@@ -373,18 +428,15 @@ impl<C: Cell> Env<C> {
             current = parent;
         }
 
-        // Catch-all (boundary) blocks are consulted last, in tree order.
-        for b in &self.blocks {
-            if b.meta.catch_all {
-                visited += 1;
-                return (Some(b.meta.id), visited);
-            }
+        // The catch-all (boundary) block is consulted last.
+        if self.first_catch_all.is_some() {
+            visited += 1;
         }
-        (None, visited)
+        (self.first_catch_all, visited)
     }
 
     fn holds_values(&self, id: BlockId) -> bool {
-        !matches!(self.blocks[id].kind, BlockKind::Empty)
+        holds_values(&self.blocks[id])
     }
 
     fn search_subtree(
@@ -430,6 +482,24 @@ impl<C: Cell> Env<C> {
         addr: GlobalAddress,
         in_block_hint: bool,
         state: &mut AccessState,
+    ) -> Option<C> {
+        self.read_noting(start, addr, in_block_hint, state, &mut None)
+    }
+
+    /// [`Env::read`], also noting in `landed` the block a tree search landed
+    /// on (left alone when the read was resolved without a search, or the
+    /// search found nothing).  The value comes back exactly as from `read` —
+    /// cells can be kilobytes, so it is not wrapped in a pair — and the body
+    /// is inlined into its two callers, so `read` itself pays nothing for
+    /// the note (a per-cell neighbour sweep is millions of these calls).
+    #[inline(always)]
+    fn read_noting(
+        &self,
+        start: BlockId,
+        addr: GlobalAddress,
+        in_block_hint: bool,
+        state: &mut AccessState,
+        landed: &mut Option<BlockId>,
     ) -> Option<C> {
         state.counters.reads += 1;
 
@@ -479,6 +549,7 @@ impl<C: Cell> Env<C> {
         state.counters.search_nodes_visited += visited;
         match found {
             Some(bid) => {
+                *landed = Some(bid);
                 state.counters.out_of_block_reads += 1;
                 if state.mmat_enabled {
                     state.mmat.record(start, addr, MmatEntry::Remote(bid));
@@ -492,6 +563,75 @@ impl<C: Cell> Env<C> {
                 state.counters.missing_accesses += 1;
                 None
             }
+        }
+    }
+
+    /// Read the run of cells `first, first + step, first + 2·step, …` into
+    /// `out` — the run form of [`Env::read`] without the in-block hint
+    /// (`GetD` over a halo edge).  Missing data reads as `C::default()`.
+    ///
+    /// Values, missing-page records (in order) and every counter except
+    /// `env_searches` / `search_nodes_visited` are exactly those of the
+    /// per-cell loop.  The leading cell is resolved as [`Env::read`] resolves
+    /// it; where that took a tree search that landed on a buffer-bearing
+    /// block, the following cells still inside that block are served from it
+    /// under one lock, and the two search counters record only the search
+    /// that ran.  The shortcut is taken only where the per-cell search is
+    /// known to land on the same block — MMAT off (each read would consult
+    /// and update the memo), `start` a placed value-holding block, and the
+    /// tree's holders unique (checked at [`EnvBuilder::build`]) — and the
+    /// cell after the stretch is resolved afresh, so a run may cross blocks
+    /// and leave the domain.
+    pub fn read_run_into(
+        &self,
+        start: BlockId,
+        first: GlobalAddress,
+        step: LocalAddress,
+        out: &mut [C],
+        state: &mut AccessState,
+    ) {
+        let shortcut = self.holders_are_unique
+            && !state.mmat_enabled
+            && !self.blocks[start].meta.catch_all
+            && self.holds_values(start);
+        let mut addr = first;
+        let mut i = 0;
+        while i < out.len() {
+            let mut landed = None;
+            out[i] = self.read_noting(start, addr, false, state, &mut landed).unwrap_or_default();
+            i += 1;
+            addr = addr + step;
+            let Some(holder) = landed.filter(|_| shortcut) else { continue };
+            let block = &self.blocks[holder];
+            let (BlockKind::Data(buf) | BlockKind::BufferOnly(buf)) = &block.kind else { continue };
+            let guard = buf.read();
+            let whole = block.meta.is_valid();
+            let from = i;
+            // Consecutive cells of one invalid page are recorded in one go:
+            // (page, cells) of the stretch being crossed.
+            let mut gap: (PageId, u64) = (0, 0);
+            while i < out.len() {
+                let Some(idx) = block.cell_index(addr) else { break };
+                let invalid = (!whole)
+                    .then(|| guard.pages().page_of(idx))
+                    .filter(|&page| !guard.pages().is_valid(page));
+                match invalid {
+                    None => out[i] = guard.read_cell(idx).clone(),
+                    Some(page) => {
+                        out[i] = C::default();
+                        if page != gap.0 {
+                            state.record_missing_n(holder, gap.0, gap.1);
+                            gap = (page, 0);
+                        }
+                        gap.1 += 1;
+                    }
+                }
+                i += 1;
+                addr = addr + step;
+            }
+            state.record_missing_n(holder, gap.0, gap.1);
+            state.counters.reads += (i - from) as u64;
+            state.counters.out_of_block_reads += (i - from) as u64;
         }
     }
 
@@ -595,10 +735,8 @@ impl<C: Cell> Env<C> {
             if pages.is_valid(page) {
                 out[range.clone()].clone_from_slice(&guard.read_buf()[range]);
             } else {
-                for cell in &mut out[range] {
-                    *cell = C::default();
-                    state.record_missing(start, page);
-                }
+                state.record_missing_n(start, page, range.len() as u64);
+                out[range].fill(C::default());
             }
         }
         true
@@ -1258,6 +1396,202 @@ mod tests {
             assert_eq!(st.counters, AccessCounters::default());
             assert!(!st.has_missing());
             assert_eq!(snapshot(&env, id), before);
+        }
+    }
+
+    mod run_properties {
+        use super::*;
+        use crate::topology::{TilePlacement, TreeTopology};
+        use proptest::prelude::*;
+
+        const TILE: (usize, usize) = (4, 3);
+        const DOMAIN: (i64, i64) = (12, 9);
+
+        fn value_at(a: GlobalAddress) -> u64 {
+            (a.x * 1_000 + a.y) as u64 ^ 0x9e37
+        }
+
+        /// A 3×3 tiling of 4×3 data blocks under flat or quadtree joints, a
+        /// Static block to the right of the domain, and a catch-all that is
+        /// either Arithmetic or a Reference mirroring into the domain;
+        /// optionally one more data block lying across four tiles.
+        fn tiled_env(cpp: usize, quadtree: bool, reference: bool, overlap: bool) -> Env<u64> {
+            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), cpp);
+            let root = b.add_empty(None);
+            let tiles: Vec<TilePlacement> = (0..9u32)
+                .map(|k| {
+                    let (bx, by) = (k % 3, k / 3);
+                    TilePlacement::new(
+                        GlobalAddress::new2d(bx as i64 * 4, by as i64 * 3),
+                        Extent::new2d(TILE.0, TILE.1),
+                        crate::morton::morton2d(bx, by),
+                    )
+                })
+                .collect();
+            let topology = if quadtree {
+                TreeTopology::Quadtree { max_leaf_blocks: 2 }
+            } else {
+                TreeTopology::Flat
+            };
+            let joints = topology.build_joints(&mut b, root, &tiles);
+            let mut data = Vec::new();
+            for (tile, joint) in tiles.iter().zip(&joints) {
+                data.push(b.add_data(*joint, tile.origin, tile.extent, tile.morton).unwrap());
+            }
+            if overlap {
+                let joint = b.add_empty(Some(root));
+                data.push(
+                    b.add_data(joint, GlobalAddress::new2d(3, 2), Extent::new2d(4, 3), 99).unwrap(),
+                );
+            }
+            let strip = Extent::new2d(3, DOMAIN.1 as usize);
+            let origin = GlobalAddress::new2d(DOMAIN.0, 0);
+            let cells = (0..strip.cells()).map(|i| value_at(origin + strip.delinearize(i)) + 1);
+            b.add_static(root, origin, strip, cells.collect());
+            if reference {
+                let mirror = |a: GlobalAddress| {
+                    GlobalAddress::new2d(a.x.clamp(0, DOMAIN.0 - 1), a.y.clamp(0, DOMAIN.1 - 1))
+                };
+                b.add_reference(root, data[4], Arc::new(mirror), true);
+            } else {
+                b.add_arithmetic(root, Arc::new(|a| value_at(a) + 2), true);
+            }
+            let env = b.build();
+            for &id in &data {
+                let block = env.block(id);
+                for idx in 0..block.meta.extent.cells() {
+                    let la = block.meta.extent.delinearize(idx);
+                    env.write_initial(id, la, value_at(block.to_global(la)) + id as u64);
+                }
+            }
+            env
+        }
+
+        #[test]
+        fn a_run_along_a_neighbour_searches_once() {
+            let env = tiled_env(4, false, false, false);
+            let start = env.data_block_ids()[4];
+            let (mut run, mut cellwise) = (AccessState::new(), AccessState::new());
+            let mut out = [0u64; 4];
+            // The row above the centre tile: four cells of the tile to its north.
+            env.read_run_into(
+                start,
+                GlobalAddress::new2d(4, 2),
+                LocalAddress::new2d(1, 0),
+                &mut out,
+                &mut run,
+            );
+            for (k, got) in out.iter().enumerate() {
+                let want =
+                    env.read(start, GlobalAddress::new2d(4 + k as i64, 2), false, &mut cellwise);
+                assert_eq!(Some(*got), want);
+            }
+            assert_eq!((run.counters.env_searches, cellwise.counters.env_searches), (1, 4));
+            assert_eq!(
+                run.counters.search_nodes_visited * 4,
+                cellwise.counters.search_nodes_visited
+            );
+            assert_eq!(run.counters.out_of_block_reads, 4);
+        }
+
+        #[test]
+        fn a_joint_narrower_than_its_block_disables_the_shortcut() {
+            // The joint's box covers only the left half of the block below
+            // it, so a search for the right half is pruned and lands on the
+            // boundary: the holder found for one cell says nothing about the
+            // next, and the run read must search cell by cell.
+            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), 4);
+            let root = b.add_empty(None);
+            b.add_arithmetic(root, Arc::new(|_| 7), true);
+            let flat = b.add_empty(Some(root));
+            let start =
+                b.add_data(flat, GlobalAddress::new2d(0, 1), Extent::new2d(8, 1), 0).unwrap();
+            let narrow = b.add_joint(Some(root), GlobalAddress::new2d(0, 0), Extent::new2d(4, 1));
+            let wide =
+                b.add_data(narrow, GlobalAddress::new2d(0, 0), Extent::new2d(8, 1), 1).unwrap();
+            let env = b.build();
+            for x in 0..8 {
+                env.write_initial(wide, LocalAddress::new2d(x, 0), 100 + x as u64);
+            }
+            let (mut run, mut cellwise) = (AccessState::new(), AccessState::new());
+            let mut got = [0u64; 8];
+            let (first, step) = (GlobalAddress::new2d(0, 0), LocalAddress::new2d(1, 0));
+            env.read_run_into(start, first, step, &mut got, &mut run);
+            let want: Vec<u64> = (0..8)
+                .map(|x| env.read(start, GlobalAddress::new2d(x, 0), false, &mut cellwise).unwrap())
+                .collect();
+            assert_eq!(want, [100, 101, 102, 103, 7, 7, 7, 7]);
+            assert_eq!(got[..], want[..]);
+            assert_eq!(run.counters, cellwise.counters);
+        }
+
+        proptest! {
+            /// A run read and the per-cell loop it replaces: same values,
+            /// same missing-page list in the same order, every counter equal
+            /// except the two search counters, which count the searches that
+            /// ran — never more than the loop's, and exactly the loop's where
+            /// the shortcut's proof is unavailable (overlapping holders, MMAT).
+            #[test]
+            fn run_reads_equal_the_per_cell_loop(
+                cpp in 1usize..8,
+                quadtree in any::<bool>(),
+                reference in any::<bool>(),
+                overlap_sel in 0usize..4,
+                mmat in any::<bool>(),
+                start_sel in 0usize..9,
+                x in -3i64..17,
+                y in -3i64..12,
+                step_sel in 0usize..6,
+                len in 1usize..28,
+                invalid_block in 0usize..9,
+                invalid_mask in any::<u64>(),
+            ) {
+                let overlap = overlap_sel == 0;
+                let env = tiled_env(cpp, quadtree, reference, overlap);
+                let data = env.data_block_ids();
+                // One tile loses some of its pages (a remote block mid-refresh).
+                let victim = data[invalid_block];
+                env.set_block_valid(victim, false).unwrap();
+                for page in 0..env.num_pages(victim).unwrap() {
+                    if invalid_mask >> (page % 64) & 1 == 0 {
+                        let payload = env.extract_page(victim, page).unwrap();
+                        env.install_page(victim, page, &payload).unwrap();
+                    }
+                }
+                let start = data[start_sel];
+                let first = GlobalAddress::new2d(x, y);
+                let step = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (2, -1)][step_sel];
+                let step = LocalAddress::new2d(step.0, step.1);
+                let fresh = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
+                let (mut run, mut cellwise) = (fresh(), fresh());
+
+                // Twice, so the second pass replays whatever MMAT memorised.
+                for _ in 0..2 {
+                    let mut got = vec![u64::MAX; len];
+                    env.read_run_into(start, first, step, &mut got, &mut run);
+                    let mut addr = first;
+                    let mut want = Vec::with_capacity(len);
+                    for _ in 0..len {
+                        want.push(env.read(start, addr, false, &mut cellwise).unwrap_or_default());
+                        addr = addr + step;
+                    }
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(run.missing(), cellwise.missing());
+                prop_assert_eq!(run.mmat.len(), cellwise.mmat.len());
+                let (r, c) = (run.counters, cellwise.counters);
+                prop_assert!(r.env_searches <= c.env_searches);
+                prop_assert!(r.search_nodes_visited <= c.search_nodes_visited);
+                if overlap || mmat {
+                    prop_assert_eq!(r, c);
+                }
+                let searches_aside = |k: AccessCounters| AccessCounters {
+                    env_searches: 0,
+                    search_nodes_visited: 0,
+                    ..k
+                };
+                prop_assert_eq!(searches_aside(r), searches_aside(c));
+            }
         }
     }
 

@@ -10,9 +10,12 @@
 //!    — the access resolution of all interior loads was cached at compile
 //!    time);
 //! 2. execute the compiled kernel on the chosen backend, fetching only the
-//!    true out-of-block halo values through the platform, cell by cell (`GetD`
-//!    without the in-block assertion, so MMAT / Env-search accounting still
-//!    applies);
+//!    true out-of-block halo values through the platform: the plan's
+//!    [`HaloRing`] lists each of them once, and [`fill_halo_ring`] fetches
+//!    the ring with one run read per edge ([`TaskCtx::get_run`] — `GetD`
+//!    without the in-block assertion for every cell of the run, so MMAT and
+//!    the per-read counters still apply, but a stretch of cells the Env can
+//!    prove share a neighbour block costs one tree search, not one each);
 //! 3. write the results back with one slab `SetD` ([`TaskCtx::set_block`], one
 //!    counted write per cell, every page dirty) and finish the step with
 //!    `refresh`, exactly like a hand-written kernel.
@@ -28,10 +31,10 @@
 use crate::backend::{ExecStats, Processor};
 use crate::hetero::{HeteroDispatcher, PerProcessorStats};
 use crate::opt::{OptLevel, OptStats};
-use crate::plan::{CompiledKernel, PlanSource};
+use crate::plan::{CompiledKernel, HaloRing, PlanSource};
 use crate::program::StencilProgram;
 use crate::tape::{ExecScratch, ScratchPool};
-use aohpc_env::{Extent, GlobalAddress, LocalAddress};
+use aohpc_env::{BlockId, Extent, GlobalAddress, LocalAddress};
 use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -228,6 +231,16 @@ impl IrStencilApp {
     }
 }
 
+/// Fill `buf` — one value per slot of `ring` — with the halo of `block`
+/// through the platform: one [`TaskCtx::get_run`] per ring run.
+pub fn fill_halo_ring(ctx: &mut TaskCtx<f64>, block: BlockId, ring: &HaloRing, buf: &mut [f64]) {
+    for run in ring.runs() {
+        let (first, step) =
+            (LocalAddress::new2d(run.x, run.y), LocalAddress::new2d(run.dx, run.dy));
+        ctx.get_run(block, first, step, &mut buf[run.slots()]);
+    }
+}
+
 /// The default initial condition shared with the sample SGrid DSL, so the two
 /// kernels can be compared field-for-field.
 pub fn default_initial_value(addr: GlobalAddress) -> f64 {
@@ -247,7 +260,7 @@ impl HpcApp<f64> for IrStencilApp {
         let blocks = ctx.get_blocks();
         let assignments = self.dispatcher.assign(&blocks);
         // Per-task reusable buffers: taking them out of the context sidesteps
-        // borrow entanglement with the halo closure below, and putting them
+        // borrow entanglement with the ring fill below, and putting them
         // back keeps them warm across steps (and retries) — after the first
         // block the whole step allocates nothing.
         let mut scratch = ctx
@@ -276,16 +289,16 @@ impl HpcApp<f64> for IrStencilApp {
                 scratch.cells.resize(nx * ny, 0.0);
                 ctx.get_block_dd(bid, &mut scratch.cells);
 
-                // 2. Execute on the assigned backend; halo loads go back
-                //    through the platform so MMAT / Env-search semantics are
-                //    preserved.
+                // 2. Execute on the assigned backend; the halo ring comes
+                //    through the platform, run by run, so MMAT / Env-search
+                //    semantics are preserved.
                 scratch.out.resize(nx * ny, 0.0);
                 let mut stats = ExecStats::default();
                 let KernelScratch { exec, cells, out, .. } = &mut scratch;
-                compiled.execute_block(
+                compiled.execute_block_ring(
                     cells,
                     &self.params,
-                    &mut |x, y| ctx.get(bid, LocalAddress::new2d(x, y), false),
+                    |ring, buf| fill_halo_ring(ctx, bid, ring, buf),
                     out,
                     processor,
                     &mut stats,

@@ -29,7 +29,7 @@
 //! extents and backends, and the `bench_kernel` harness measures what the
 //! lowering buys.
 
-use crate::plan::{CompiledKernel, ResolvedAccess};
+use crate::plan::{CompiledKernel, HaloRing, ResolvedAccess};
 use crate::tape::ExecScratch;
 use serde::Serialize;
 
@@ -68,7 +68,8 @@ pub struct ExecStats {
     pub interior_cells: u64,
     /// Cells updated through the resolved boundary path.
     pub boundary_cells: u64,
-    /// Out-of-block loads that had to go back to the platform.
+    /// Out-of-block cells fetched from the platform: the halo ring's distinct
+    /// cells, once per block execution.
     pub halo_fetches: u64,
     /// DAG operations evaluated one cell at a time.
     pub scalar_ops: u64,
@@ -118,13 +119,32 @@ impl CompiledKernel {
     ///   [`num_params`](CompiledKernel::num_params) (validated here — a short
     ///   slice would otherwise silently zero-fill, which is a wrong answer,
     ///   not a fallback);
-    /// * `halo` — resolves an out-of-block load given block-local target
-    ///   coordinates (the caller adds the block origin and goes through the
-    ///   platform's `GetD`, so MMAT / Env search accounting still applies);
+    /// * `fill` — fills the block's halo ring: called once, with the plan's
+    ///   [`HaloRing`] and a buffer of one value per ring slot (it must set
+    ///   the slots of every run), before any boundary cell is evaluated.  The caller adds the block origin and
+    ///   goes through the platform (one `TaskCtx::get_run` per ring run, so
+    ///   MMAT / Env-search accounting still applies);
     /// * `out` — the block's next values, row-major (same length as `cells`);
     /// * `processor` — which backend executes the interior region;
-    /// * `scratch` — reusable register/operand buffers; grown on first use,
-    ///   then reused allocation-free for every later block.
+    /// * `scratch` — reusable register/operand/ring buffers; grown on first
+    ///   use, then reused allocation-free for every later block.
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute_block_ring(
+        &self,
+        cells: &[f64],
+        params: &[f64],
+        fill: impl FnOnce(&HaloRing, &mut [f64]),
+        out: &mut [f64],
+        processor: Processor,
+        stats: &mut ExecStats,
+        scratch: &mut ExecScratch,
+    ) {
+        self.execute_block_impl(cells, params, fill, out, processor, stats, scratch, true);
+    }
+
+    /// [`execute_block_ring`](CompiledKernel::execute_block_ring) with the
+    /// ring filled one cell at a time: `halo` resolves an out-of-block load
+    /// given block-local target coordinates and is called once per ring cell.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_block(
         &self,
@@ -136,7 +156,8 @@ impl CompiledKernel {
         stats: &mut ExecStats,
         scratch: &mut ExecScratch,
     ) {
-        self.execute_block_impl(cells, params, halo, out, processor, stats, scratch, true);
+        let fill = |ring: &HaloRing, buf: &mut [f64]| ring.fill_per_cell(buf, halo);
+        self.execute_block_impl(cells, params, fill, out, processor, stats, scratch, true);
     }
 
     /// [`execute_block`](CompiledKernel::execute_block) with the specialized
@@ -153,7 +174,8 @@ impl CompiledKernel {
         stats: &mut ExecStats,
         scratch: &mut ExecScratch,
     ) {
-        self.execute_block_impl(cells, params, halo, out, processor, stats, scratch, false);
+        let fill = |ring: &HaloRing, buf: &mut [f64]| ring.fill_per_cell(buf, halo);
+        self.execute_block_impl(cells, params, fill, out, processor, stats, scratch, false);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -161,7 +183,7 @@ impl CompiledKernel {
         &self,
         cells: &[f64],
         params: &[f64],
-        halo: &mut impl FnMut(i64, i64) -> f64,
+        fill: impl FnOnce(&HaloRing, &mut [f64]),
         out: &mut [f64],
         processor: Processor,
         stats: &mut ExecStats,
@@ -172,12 +194,12 @@ impl CompiledKernel {
         let plan = self.plan();
         let tape = self.tape();
         let lanes = processor != Processor::Scalar;
-        scratch.ensure(tape.num_regs(), plan.offsets.len(), lanes);
+        scratch.ensure(tape.num_regs(), plan.offsets.len(), plan.ring.slots(), lanes);
 
         stats.blocks += 1;
         stats.cells += plan.cells() as u64;
 
-        let ExecScratch { regs, lane_regs, wide_regs, operands } = scratch;
+        let ExecScratch { regs, lane_regs, wide_regs, operands, ring } = scratch;
         // Prelude: constants and runtime parameters land in pinned registers
         // once per block, not once per cell.
         tape.run_prelude(params, regs);
@@ -250,15 +272,16 @@ impl CompiledKernel {
             },
         }
 
-        // Boundary: resolved accesses, halo loads through the platform.
+        // Boundary: the ring is fetched through the platform once, then
+        // every resolved access is an index — into the block or the ring.
+        let ring = &mut ring[..plan.ring.slots()];
+        fill(&plan.ring, ring);
+        stats.halo_fetches += plan.ring.cells() as u64;
         for cell in &plan.boundary {
-            for (slot, access) in cell.accesses.iter().enumerate() {
-                operands[slot] = match *access {
+            for (operand, access) in operands.iter_mut().zip(&cell.accesses) {
+                *operand = match *access {
                     ResolvedAccess::InBlock(idx) => cells[idx],
-                    ResolvedAccess::Halo { x, y } => {
-                        stats.halo_fetches += 1;
-                        halo(x, y)
-                    }
+                    ResolvedAccess::Halo { slot } => ring[slot],
                 };
             }
             out[cell.index] = tape.exec_operands(operands, regs);
@@ -425,14 +448,19 @@ mod tree_walk {
                 }
             }
 
+            // The oracle asks `halo` for every load by its own coordinate
+            // (cell + offset) — no ring, so a wrong ring slot shows up as a
+            // wrong value — and accounts the fetches as the ring does: each
+            // distinct cell once.
+            stats.halo_fetches += plan.halo_loads() as u64;
             let mut operands = vec![0.0f64; plan.offsets.len()];
             for cell in &plan.boundary {
                 for (slot, access) in cell.accesses.iter().enumerate() {
                     operands[slot] = match *access {
                         ResolvedAccess::InBlock(idx) => cells[idx],
-                        ResolvedAccess::Halo { x, y } => {
-                            stats.halo_fetches += 1;
-                            halo(x, y)
+                        ResolvedAccess::Halo { .. } => {
+                            let (dx, dy) = plan.offsets[slot];
+                            halo(cell.x + dx, cell.y + dy)
                         }
                     };
                 }
@@ -605,6 +633,37 @@ mod tests {
         assert_eq!(fetches, stats.halo_fetches);
         assert_eq!(fetches as usize, compiled.plan().halo_loads());
         assert_eq!(fetches as usize, 4 * n);
+    }
+
+    #[test]
+    fn nine_point_ring_cells_are_fetched_once() {
+        // Each of the 68 ring cells of a 16² block (4·16 edge cells + 4
+        // corners) is asked for once, though 188 boundary loads read them;
+        // the Accelerator ships the block and that ring.
+        let compiled = CompiledKernel::compile(
+            &StencilProgram::smooth_9pt(),
+            Extent::new2d(16, 16),
+            OptLevel::Full,
+        );
+        let cells = vec![1.0; 256];
+        let mut out = vec![0.0; 256];
+        let mut stats = ExecStats::default();
+        let mut asked = std::collections::HashSet::new();
+        compiled.execute_block(
+            &cells,
+            &[0.5, 0.0625],
+            &mut |x, y| {
+                assert!(asked.insert((x, y)), "({x}, {y}) fetched twice");
+                0.0
+            },
+            &mut out,
+            Processor::Accelerator,
+            &mut stats,
+            &mut ExecScratch::new(),
+        );
+        assert_eq!(asked.len(), 68);
+        assert_eq!(stats.halo_fetches, 68);
+        assert_eq!(stats.offload_bytes_in, (256 + 68) * 8);
     }
 
     #[test]

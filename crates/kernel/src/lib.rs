@@ -10,9 +10,9 @@
 //! * **Cache of data access resolution** — the address of every load is
 //!   resolved once per (program, block shape) pair at compile time
 //!   ([`plan`]): interior loads become precomputed row-major index offsets
-//!   processed in sequential order, and only the true out-of-block halo loads
-//!   go back to the platform's `GetD` path (keeping MMAT / Env-search
-//!   semantics intact).
+//!   processed in sequential order, and only the true out-of-block halo
+//!   cells go back to the platform's `GetD` path — each once per block, a
+//!   halo-ring run at a time (keeping MMAT / Env-search semantics intact).
 //!
 //! The pipeline is: [`expr::KernelExpr`] → [`program::StencilProgram`]
 //! (validation) → [`opt::Dag`] (CSE, constant folding, algebraic
@@ -68,8 +68,8 @@ pub mod spec;
 pub mod tape;
 
 pub use app::{
-    default_initial_value, new_stats_sink, new_stencil_field_sink, InitFn, IrStencilApp,
-    KernelScratch, StatsSink, StencilFieldSink,
+    default_initial_value, fill_halo_ring, new_stats_sink, new_stencil_field_sink, InitFn,
+    IrStencilApp, KernelScratch, StatsSink, StencilFieldSink,
 };
 pub use backend::{ExecStats, Processor, LANES};
 pub use expr::{jacobi_5pt, lit, load, param, smooth_9pt, BinOp, KernelExpr, UnaryOp};
@@ -80,7 +80,7 @@ pub use family::{
 pub use field::DenseField;
 pub use hetero::{HeteroDispatcher, PerProcessorStats, ScheduleError, SchedulePolicy};
 pub use opt::{Dag, OptLevel, OptStats};
-pub use plan::{AccessPlan, CompiledKernel, PlanSource, ResolvedAccess};
+pub use plan::{AccessPlan, CompiledKernel, HaloRing, HaloRun, PlanSource, ResolvedAccess};
 pub use portable::{PortableError, PortableKernel};
 pub use program::{ProgramError, ProgramFingerprint, StencilProgram};
 pub use spec::{FusedKernel, SpecializationId, MAX_FUSION_WIDTH};

@@ -15,6 +15,13 @@
 //!   still precomputed indices and only the true out-of-block loads go back
 //!   to the platform (`GetD` with the search path / MMAT).
 //!
+//! The out-of-block cells are known here too, so the plan also lists them
+//! once — the block shape's [`HaloRing`]: every distinct out-of-block cell
+//! with a slot, the slots grouped into maximal axis-aligned runs.  The
+//! executor fetches each ring cell once per block (one platform run read per
+//! run, see `TaskCtx::get_run`) and boundary cells read their halo operands
+//! from the ring by slot.
+//!
 //! Under Assumption II the classification never changes between steps, so the
 //! plan is computed once per (program, block shape) pair and reused — the
 //! compile-time analogue of MMAT's run-time memoization.
@@ -77,14 +84,160 @@ pub trait PlanSource: Send + Sync {
 pub enum ResolvedAccess {
     /// The load stays inside the block: a precomputed row-major index.
     InBlock(usize),
-    /// The load leaves the block: the executor must fetch the value at this
-    /// local coordinate (may be negative or ≥ extent) through the platform.
+    /// The load leaves the block: its value comes through the platform, via
+    /// the halo ring.
     Halo {
-        /// Target X in block-local coordinates.
-        x: i64,
-        /// Target Y in block-local coordinates.
-        y: i64,
+        /// The target cell's slot in the plan's [`HaloRing`].
+        slot: usize,
     },
+}
+
+/// A maximal axis-aligned run of halo-ring cells: the `len` cells
+/// `(x, y), (x + dx, y + dy), …` in block-local coordinates (which may be
+/// negative or ≥ extent), holding the ring slots `slot .. slot + len` in that
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct HaloRun {
+    /// Local X of the first cell.
+    pub x: i64,
+    /// Local Y of the first cell.
+    pub y: i64,
+    /// X step between consecutive cells (1 for a row run, else 0).
+    pub dx: i64,
+    /// Y step between consecutive cells (1 for a column run, else 0).
+    pub dy: i64,
+    /// Ring slot of the first cell.
+    pub slot: usize,
+    /// Number of cells.
+    pub len: usize,
+}
+
+impl HaloRun {
+    /// The ring slots this run fills.
+    pub fn slots(&self) -> std::ops::Range<usize> {
+        self.slot..self.slot + self.len
+    }
+
+    /// The run's cells, in slot order.
+    pub fn cells(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
+        (0..self.len as i64).map(|k| (self.x + k * self.dx, self.y + k * self.dy))
+    }
+}
+
+/// The distinct out-of-block cells one execution of a plan reads, each with
+/// a slot, grouped into maximal axis-aligned runs.
+///
+/// A cell's slot is its place in ring order over everything the stencil can
+/// reach outside the block: the rows above the block top-down and the rows
+/// below it, each along `x` (corners included), then the columns left of it
+/// and the columns right of it, each along `y`.  Reachable cells no boundary
+/// cell loads (the corners, for a 5-point stencil) keep their slot but
+/// belong to no run and are never fetched.  A 5-point ring is its four
+/// edges; the 9-point ring adds the four corners to the two row runs.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+pub struct HaloRing {
+    runs: Vec<HaloRun>,
+    slots: usize,
+    cells: usize,
+}
+
+impl HaloRing {
+    /// The ring of the loaded slots of `order`: loaded neighbours along a
+    /// line become one run.
+    fn of_loaded(order: &RingOrder, loaded: &[bool]) -> Self {
+        let mut runs: Vec<HaloRun> = Vec::new();
+        let mut slot = 0;
+        for ((x0, y0), (dx, dy), len) in order.lines() {
+            let mut open = false;
+            for k in 0..len {
+                if loaded[slot] {
+                    match runs.last_mut() {
+                        Some(run) if open => run.len += 1,
+                        _ => runs.push(HaloRun {
+                            x: x0 + k * dx,
+                            y: y0 + k * dy,
+                            dx,
+                            dy,
+                            slot,
+                            len: 1,
+                        }),
+                    }
+                }
+                open = loaded[slot];
+                slot += 1;
+            }
+        }
+        let cells = runs.iter().map(|run| run.len).sum();
+        HaloRing { runs, slots: loaded.len(), cells }
+    }
+
+    /// Length of the ring buffer: one value per slot.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Number of distinct cells the ring fetches (the cells of its runs).
+    pub fn cells(&self) -> usize {
+        self.cells
+    }
+
+    /// The runs, in slot order.
+    pub fn runs(&self) -> &[HaloRun] {
+        &self.runs
+    }
+
+    /// Fill a ring buffer one cell at a time: `buf[slot] = halo(x, y)` for
+    /// every cell of every run.
+    pub fn fill_per_cell(&self, buf: &mut [f64], mut halo: impl FnMut(i64, i64) -> f64) {
+        for run in &self.runs {
+            for (value, (x, y)) in buf[run.slots()].iter_mut().zip(run.cells()) {
+                *value = halo(x, y);
+            }
+        }
+    }
+}
+
+/// Ring order (see [`HaloRing`]) for an `nx × ny` block and a stencil's
+/// reach past each of its sides.
+struct RingOrder {
+    nx: i64,
+    ny: i64,
+    /// How far the stencil reaches past each side of the block.
+    left: i64,
+    right: i64,
+    top: i64,
+    bottom: i64,
+}
+
+impl RingOrder {
+    fn row_len(&self) -> i64 {
+        self.left + self.nx + self.right
+    }
+
+    /// Number of slots.
+    fn len(&self) -> usize {
+        ((self.top + self.bottom) * self.row_len() + (self.left + self.right) * self.ny) as usize
+    }
+
+    /// Slot of the out-of-block cell `(x, y)`.
+    fn slot(&self, x: i64, y: i64) -> usize {
+        let p = if y < 0 || y >= self.ny {
+            let row = if y < 0 { y + self.top } else { self.top + y - self.ny };
+            row * self.row_len() + x + self.left
+        } else {
+            let col = if x < 0 { x + self.left } else { self.left + x - self.nx };
+            (self.top + self.bottom) * self.row_len() + col * self.ny + y
+        };
+        p as usize
+    }
+
+    /// The lines in slot order: `(first cell, step, length)`.
+    fn lines(&self) -> impl Iterator<Item = ((i64, i64), (i64, i64), i64)> + '_ {
+        let rows = (-self.top..0).chain(self.ny..self.ny + self.bottom);
+        let cols = (-self.left..0).chain(self.nx..self.nx + self.right);
+        rows.map(|y| ((-self.left, y), (1, 0), self.row_len()))
+            .chain(cols.map(|x| ((x, 0), (0, 1), self.ny)))
+    }
 }
 
 /// A boundary cell together with its fully resolved accesses.
@@ -142,6 +295,8 @@ pub struct AccessPlan {
     pub interior: InteriorRegion,
     /// Every non-interior cell with its resolved accesses.
     pub boundary: Vec<BoundaryCell>,
+    /// The out-of-block cells the boundary reads, once each.
+    pub ring: HaloRing,
 }
 
 impl AccessPlan {
@@ -161,6 +316,15 @@ impl AccessPlan {
         };
         let linear_offsets =
             offsets.iter().map(|&(dx, dy)| dy as isize * nx as isize + dx as isize).collect();
+        let order = RingOrder {
+            nx: inx,
+            ny: iny,
+            left: -min_dx,
+            right: max_dx,
+            top: -min_dy,
+            bottom: max_dy,
+        };
+        let mut loaded = vec![false; order.len()];
         let mut boundary = Vec::new();
         for y in 0..iny {
             for x in 0..inx {
@@ -174,13 +338,16 @@ impl AccessPlan {
                         if tx >= 0 && ty >= 0 && tx < inx && ty < iny {
                             ResolvedAccess::InBlock((ty * inx + tx) as usize)
                         } else {
-                            ResolvedAccess::Halo { x: tx, y: ty }
+                            let slot = order.slot(tx, ty);
+                            loaded[slot] = true;
+                            ResolvedAccess::Halo { slot }
                         }
                     })
                     .collect();
                 boundary.push(BoundaryCell { x, y, index: (y * inx + x) as usize, accesses });
             }
         }
+        let ring = HaloRing::of_loaded(&order, &loaded);
         AccessPlan {
             extent_nx: nx,
             extent_ny: ny,
@@ -188,6 +355,7 @@ impl AccessPlan {
             linear_offsets,
             interior,
             boundary,
+            ring,
         }
     }
 
@@ -196,12 +364,11 @@ impl AccessPlan {
         self.extent_nx * self.extent_ny
     }
 
-    /// Number of out-of-block loads one execution of the plan performs.
+    /// Number of out-of-block cells one execution of the plan fetches: the
+    /// ring's distinct cells, each fetched once however many boundary cells
+    /// load it.
     pub fn halo_loads(&self) -> usize {
-        self.boundary
-            .iter()
-            .map(|c| c.accesses.iter().filter(|a| matches!(a, ResolvedAccess::Halo { .. })).count())
-            .sum()
+        self.ring.cells()
     }
 }
 
@@ -330,6 +497,7 @@ impl CompiledKernel {
         scratch.ensure(
             self.tape.num_regs(),
             self.plan.offsets.len(),
+            self.plan.ring.slots(),
             processor != Processor::Scalar,
         );
     }
@@ -356,6 +524,12 @@ impl CompiledKernel {
 mod tests {
     use super::*;
     use crate::expr::load;
+
+    /// The cell a ring slot holds (`None` for a slot no run covers).
+    fn cell_at(ring: &HaloRing, slot: usize) -> Option<(i64, i64)> {
+        let run = ring.runs().iter().find(|run| run.slots().contains(&slot))?;
+        run.cells().nth(slot - run.slot)
+    }
 
     #[test]
     fn five_point_interior_is_the_inner_rectangle() {
@@ -392,8 +566,16 @@ mod tests {
         let in_block =
             corner.accesses.iter().filter(|a| matches!(a, ResolvedAccess::InBlock(_))).count();
         assert_eq!(in_block, 3);
-        assert!(corner.accesses.iter().any(|a| matches!(a, ResolvedAccess::Halo { x: 0, y: -1 })));
-        assert!(corner.accesses.iter().any(|a| matches!(a, ResolvedAccess::Halo { x: -1, y: 0 })));
+        let mut halo: Vec<(i64, i64)> = corner
+            .accesses
+            .iter()
+            .filter_map(|a| match *a {
+                ResolvedAccess::Halo { slot } => cell_at(&plan.ring, slot),
+                ResolvedAccess::InBlock(_) => None,
+            })
+            .collect();
+        halo.sort_unstable();
+        assert_eq!(halo, [(-1, 0), (0, -1)]);
         // An edge (not corner) cell has exactly one halo load for a 5-point
         // stencil.
         let edge = plan.boundary.iter().find(|c| c.x == 2 && c.y == 0).unwrap();
@@ -411,6 +593,25 @@ mod tests {
             let plan = AccessPlan::build(p.offsets(), n, n);
             assert_eq!(plan.halo_loads(), 4 * n, "n={n}");
         }
+    }
+
+    #[test]
+    fn ring_cells_are_distinct_and_grouped_into_edges() {
+        // 5-point: the four edges, one run each, no corners.
+        let plan = AccessPlan::build(StencilProgram::jacobi_5pt().offsets(), 8, 6);
+        let runs: Vec<_> =
+            plan.ring.runs().iter().map(|r| ((r.x, r.y), (r.dx, r.dy), r.len)).collect();
+        assert_eq!(
+            runs,
+            [((0, -1), (1, 0), 8), ((0, 6), (1, 0), 8), ((-1, 0), (0, 1), 6), ((8, 0), (0, 1), 6)]
+        );
+        // 9-point: an edge cell's three out-of-block loads overlap its
+        // neighbours', so counting loads read 4·14·3 + 4·5 = 188 on a 16²
+        // block; the ring holds each cell once — four edges and four corners.
+        let plan = AccessPlan::build(StencilProgram::smooth_9pt().offsets(), 16, 16);
+        assert_eq!(plan.halo_loads(), 4 * 16 + 4);
+        let lens: Vec<usize> = plan.ring.runs().iter().map(|r| r.len).collect();
+        assert_eq!(lens, [18, 18, 16, 16], "the corners ride on the row runs");
     }
 
     #[test]
@@ -455,6 +656,70 @@ mod tests {
                 seen.iter().all(|&s| s),
                 "{nx}x{ny}: some cell is neither interior nor boundary"
             );
+        }
+    }
+
+    mod ring_properties {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        proptest! {
+            /// For any offset set within radius 2 (asymmetric sets included)
+            /// the ring's runs hold exactly the out-of-block targets: every
+            /// `Halo` access names the slot whose run cell is its target,
+            /// every run cell is some access's target, no cell has two slots,
+            /// and the runs are disjoint, in slot order, straight and maximal.
+            #[test]
+            fn ring_slots_cover_exactly_the_halo_targets(
+                offsets in proptest::collection::vec(((-2i64..=2), (-2i64..=2)), 1..7),
+                nx in 1usize..9,
+                ny in 1usize..9,
+            ) {
+                let plan = AccessPlan::build(&offsets, nx, ny);
+                let ring = &plan.ring;
+                let mut targets = BTreeSet::new();
+                for cell in &plan.boundary {
+                    for (access, &(dx, dy)) in cell.accesses.iter().zip(&plan.offsets) {
+                        let target = (cell.x + dx, cell.y + dy);
+                        match *access {
+                            ResolvedAccess::Halo { slot } => {
+                                prop_assert!(slot < ring.slots());
+                                prop_assert_eq!(cell_at(ring, slot), Some(target));
+                                targets.insert(target);
+                            }
+                            ResolvedAccess::InBlock(idx) => {
+                                prop_assert_eq!(idx as i64, target.1 * nx as i64 + target.0);
+                            }
+                        }
+                    }
+                }
+                let fetched: Vec<(i64, i64)> =
+                    ring.runs().iter().flat_map(|run| run.cells()).collect();
+                let distinct: BTreeSet<(i64, i64)> = fetched.iter().copied().collect();
+                prop_assert_eq!(distinct.len(), fetched.len(), "a cell holds one slot");
+                prop_assert_eq!(&distinct, &targets);
+                prop_assert_eq!(plan.halo_loads(), targets.len());
+                prop_assert_eq!(ring.cells(), targets.len());
+
+                let mut next = 0;
+                for run in ring.runs() {
+                    prop_assert!(run.slot >= next, "runs are disjoint and in slot order");
+                    prop_assert!(run.len > 0 && [(1, 0), (0, 1)].contains(&(run.dx, run.dy)));
+                    // Maximal: the cells before and after it along its axis
+                    // are not fetched cells of the same kind (row / column).
+                    let row = |y: i64| y < 0 || y >= ny as i64;
+                    let len = run.len as i64;
+                    for (x, y) in [
+                        (run.x - run.dx, run.y - run.dy),
+                        (run.x + len * run.dx, run.y + len * run.dy),
+                    ] {
+                        prop_assert!(!distinct.contains(&(x, y)) || row(y) != row(run.y));
+                    }
+                    next = run.slots().end;
+                }
+                prop_assert!(next <= ring.slots());
+            }
         }
     }
 

@@ -60,7 +60,7 @@
 //! [`AccessPlan`]: crate::plan::AccessPlan
 
 use crate::backend::{ExecStats, Processor};
-use crate::plan::{CompiledKernel, InteriorRegion, ResolvedAccess};
+use crate::plan::{CompiledKernel, HaloRing, InteriorRegion, ResolvedAccess};
 use crate::tape::{ExecScratch, ExecTape, PreludeOp, Reg, TapeOp, TapeStats, LANES, WIDE};
 use serde::Serialize;
 use std::fmt;
@@ -438,6 +438,8 @@ pub struct FusedKernel {
     param_bases: Vec<usize>,
     num_params: usize,
     max_slots: usize,
+    /// The longest member halo ring (members take turns in one buffer).
+    max_ring: usize,
     all_specialized: bool,
 }
 
@@ -547,6 +549,8 @@ impl FusedKernel {
         let all_specialized = members.iter().all(|m| m.spec().is_some());
         let max_slots =
             members.iter().map(|m| m.plan().offsets.len()).max().expect("non-empty batch");
+        let max_ring =
+            members.iter().map(|m| m.plan().ring.slots()).max().expect("non-empty batch");
         Some(FusedKernel {
             members,
             tape,
@@ -555,6 +559,7 @@ impl FusedKernel {
             param_bases,
             num_params: pb,
             max_slots,
+            max_ring,
             all_specialized,
         })
     }
@@ -595,20 +600,46 @@ impl FusedKernel {
     /// Pre-size a scratch for this fused kernel so later
     /// [`execute_block`](FusedKernel::execute_block) calls allocate nothing.
     pub fn prepare_scratch(&self, scratch: &mut ExecScratch, processor: Processor) {
-        scratch.ensure(self.tape.num_regs, self.max_slots, processor != Processor::Scalar);
+        scratch.ensure(
+            self.tape.num_regs,
+            self.max_slots,
+            self.max_ring,
+            processor != Processor::Scalar,
+        );
     }
 
-    /// Execute one fused block: `cells`/`out` are `width * cells_per_member`
-    /// long (member-major), `params` is the concatenated parameter slice,
-    /// `halo(m, x, y)` resolves member `m`'s out-of-block loads, and
-    /// `stats[m]` receives member `m`'s counters — bit-identical, member by
-    /// member, to `width` solo `execute_block` calls.
+    /// [`execute_block_ring`](FusedKernel::execute_block_ring) with every
+    /// ring filled one cell at a time: `halo(m, x, y)` resolves member `m`'s
+    /// out-of-block load and is called once per ring cell.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_block(
         &self,
         cells: &[f64],
         params: &[f64],
         halo: &mut impl FnMut(usize, i64, i64) -> f64,
+        out: &mut [f64],
+        processor: Processor,
+        stats: &mut [ExecStats],
+        scratch: &mut ExecScratch,
+    ) {
+        let fill = |m: usize, ring: &HaloRing, buf: &mut [f64]| {
+            ring.fill_per_cell(buf, |x, y| halo(m, x, y))
+        };
+        self.execute_block_ring(cells, params, fill, out, processor, stats, scratch);
+    }
+
+    /// Execute one fused block: `cells`/`out` are `width * cells_per_member`
+    /// long (member-major), `params` is the concatenated parameter slice,
+    /// `fill(m, ring, buf)` fills member `m`'s halo ring (called once per
+    /// member, before that member's boundary cells are evaluated), and
+    /// `stats[m]` receives member `m`'s counters — bit-identical, member by
+    /// member, to `width` solo `execute_block_ring` calls.
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute_block_ring(
+        &self,
+        cells: &[f64],
+        params: &[f64],
+        mut fill: impl FnMut(usize, &HaloRing, &mut [f64]),
         out: &mut [f64],
         processor: Processor,
         stats: &mut [ExecStats],
@@ -627,12 +658,12 @@ impl FusedKernel {
             self.num_params
         );
         let lanes = processor != Processor::Scalar;
-        scratch.ensure(self.tape.num_regs, self.max_slots, lanes);
+        scratch.ensure(self.tape.num_regs, self.max_slots, self.max_ring, lanes);
         for s in stats.iter_mut() {
             s.blocks += 1;
             s.cells += b as u64;
         }
-        let ExecScratch { regs, lane_regs, wide_regs, operands } = scratch;
+        let ExecScratch { regs, lane_regs, wide_regs, operands, ring } = scratch;
         self.tape.run_prelude(params, regs);
 
         let nx = plan.extent_nx as i64;
@@ -718,22 +749,23 @@ impl FusedKernel {
         }
 
         // Boundary: each member runs its own generic tape over its own
-        // segment with its own plan's resolved accesses.  The member's pinned
-        // registers already sit at its rebased positions (the fused prelude
-        // filled them), so its register file is simply the fused file's slice.
+        // segment with its own plan's resolved accesses and its own halo
+        // ring.  The member's pinned registers already sit at its rebased
+        // positions (the fused prelude filled them), so its register file is
+        // simply the fused file's slice.
         for (m, member) in self.members.iter().enumerate() {
             let t = member.tape();
             let rb = self.reg_bases[m];
             let mregs = &mut regs[rb..rb + t.num_regs()];
             let ops = member.op_count();
+            let ring = &mut ring[..member.plan().ring.slots()];
+            fill(m, &member.plan().ring, ring);
+            stats[m].halo_fetches += member.plan().ring.cells() as u64;
             for cell in &member.plan().boundary {
-                for (slot, access) in cell.accesses.iter().enumerate() {
-                    operands[slot] = match *access {
+                for (operand, access) in operands.iter_mut().zip(&cell.accesses) {
+                    *operand = match *access {
                         ResolvedAccess::InBlock(idx) => cells[m * b + idx],
-                        ResolvedAccess::Halo { x, y } => {
-                            stats[m].halo_fetches += 1;
-                            halo(m, x, y)
-                        }
+                        ResolvedAccess::Halo { slot } => ring[slot],
                     };
                 }
                 out[m * b + cell.index] = t.exec_operands(operands, mregs);

@@ -996,8 +996,8 @@ impl fmt::Display for ExecTape {
 // Scratch
 // ---------------------------------------------------------------------------
 
-/// Reusable per-task execution scratch: the register files and the boundary
-/// operand buffer the tape interpreter works from.
+/// Reusable per-task execution scratch: the register files, the boundary
+/// operand buffer and the halo ring buffer the tape interpreter works from.
 ///
 /// Create once (or check out of a [`ScratchPool`]), pass to every
 /// [`execute_block`](crate::plan::CompiledKernel::execute_block) call; the
@@ -1009,6 +1009,8 @@ pub struct ExecScratch {
     pub(crate) lane_regs: Vec<[f64; LANES]>,
     pub(crate) wide_regs: Vec<[f64; WIDE]>,
     pub(crate) operands: Vec<f64>,
+    /// One value per slot of the plan's halo ring, filled once per block.
+    pub(crate) ring: Vec<f64>,
 }
 
 impl ExecScratch {
@@ -1018,9 +1020,10 @@ impl ExecScratch {
     }
 
     /// Grow the buffers to fit a tape with `num_regs` registers, `slots`
-    /// boundary operand slots, and (for lane backends) lane registers.
+    /// boundary operand slots, `ring` halo-ring slots, and (for lane
+    /// backends) lane registers.
     #[inline]
-    pub(crate) fn ensure(&mut self, num_regs: usize, slots: usize, lanes: bool) {
+    pub(crate) fn ensure(&mut self, num_regs: usize, slots: usize, ring: usize, lanes: bool) {
         if self.regs.len() < num_regs {
             self.regs.resize(num_regs, 0.0);
         }
@@ -1033,6 +1036,9 @@ impl ExecScratch {
         if self.operands.len() < slots {
             self.operands.resize(slots, 0.0);
         }
+        if self.ring.len() < ring {
+            self.ring.resize(ring, 0.0);
+        }
     }
 
     /// Bytes currently held by the scratch buffers.
@@ -1041,6 +1047,7 @@ impl ExecScratch {
             + std::mem::size_of_val(self.lane_regs.as_slice())
             + std::mem::size_of_val(self.wide_regs.as_slice())
             + std::mem::size_of_val(self.operands.as_slice())
+            + std::mem::size_of_val(self.ring.as_slice())
     }
 }
 
@@ -1179,7 +1186,7 @@ mod tests {
         // 0.0 with two roundings but to 2^-54 under FMA.
         let params = [1.0 + 2f64.powi(-27), 1.0 + 2f64.powi(-27), -(1.0 + 2f64.powi(-26))];
         let mut scratch = ExecScratch::new();
-        scratch.ensure(tape.num_regs(), 1, false);
+        scratch.ensure(tape.num_regs(), 1, 0, false);
         tape.run_prelude(&params, &mut scratch.regs);
         let got = tape.exec_operands(&[0.0], &mut scratch.regs);
         let want = params[0] * params[1] + params[2];
@@ -1198,7 +1205,7 @@ mod tests {
             let params = [0.5, 0.125];
             let cells: Vec<f64> = (0..nx * ny).map(|k| (k as f64 * 0.37).sin() + 1.5).collect();
             let mut scratch = ExecScratch::new();
-            scratch.ensure(tape.num_regs(), plan.offsets.len(), true);
+            scratch.ensure(tape.num_regs(), plan.offsets.len(), 0, true);
             tape.run_prelude(&params, &mut scratch.regs);
             tape.broadcast_prelude(&scratch.regs.clone(), &mut scratch.lane_regs);
             for y in plan.interior.y0..plan.interior.y1 {
@@ -1235,7 +1242,7 @@ mod tests {
         assert_eq!(tape.body().len(), 0, "{tape}");
         assert_eq!(tape.ops_per_cell(), 0);
         let mut scratch = ExecScratch::new();
-        scratch.ensure(tape.num_regs(), 0, false);
+        scratch.ensure(tape.num_regs(), 0, 0, false);
         tape.run_prelude(&[], &mut scratch.regs);
         assert_eq!(tape.exec_cell(&[1.0; 16], 5, &mut scratch.regs), 2.5);
     }
@@ -1270,10 +1277,10 @@ mod tests {
     fn scratch_footprint_grows_with_use() {
         let mut s = ExecScratch::new();
         assert_eq!(s.footprint_bytes(), 0);
-        s.ensure(4, 5, true);
+        s.ensure(4, 5, 6, true);
         let grown = s.footprint_bytes();
         assert!(grown > 0);
-        s.ensure(2, 1, false);
+        s.ensure(2, 1, 1, false);
         assert_eq!(s.footprint_bytes(), grown, "ensure never shrinks");
     }
 }

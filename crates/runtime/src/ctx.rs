@@ -1,12 +1,13 @@
 //! Task context, rank-shared state and the join-point payloads.
 //!
 //! A [`TaskCtx`] is what an end-user application sees: the Block-based memory
-//! interface (`get` / `get_dd` / `set` per cell, `get_block_dd` / `set_block`
-//! / `set_initial_block` per block), `get_blocks`, `refresh`, and a handful
-//! of introspection helpers.  Internally every one of those calls is
-//! dispatched through the woven program, so aspect modules can intercept them
-//! — this is the runtime analogue of the AspectC++ pointcuts on the memory
-//! and annotation libraries.
+//! interface (`get` / `get_dd` / `set` per cell, `get_run` per halo edge,
+//! `get_block_dd` / `set_block` / `set_initial_block` per block),
+//! `get_blocks`, `refresh`, and a handful of introspection helpers.
+//! Internally every one of those calls is dispatched through the woven
+//! program, so aspect modules can intercept them — this is the runtime
+//! analogue of the AspectC++ pointcuts on the memory and annotation
+//! libraries.
 //!
 //! [`RankShared`] is the state one rank's tasks share: the barrier of the
 //! shared-memory layer, the communicator of the distributed layer, the merged
@@ -631,8 +632,8 @@ impl<C: Cell> TaskCtx<C> {
     // -- Cell accessors (the GetD / GetDD / SetD macros of Listing 1) -------
     //
     // One platform call per cell: the paper's programming model, what a
-    // hand-written kernel (`SGridJacobiApp`, `ParticleApp`) uses, and the only
-    // form for reads that may leave the block (halo, indirect neighbours).
+    // hand-written kernel (`SGridJacobiApp`, `ParticleApp`) uses, and the
+    // oracle the run and slab forms are tested against.
 
     /// Read a cell via a block-relative address.  `in_block` is the caller's
     /// assertion that the address lies inside `block` (skips the Env search).
@@ -654,6 +655,24 @@ impl<C: Cell> TaskCtx<C> {
     /// Read a cell by global address, returning `None` for missing data.
     pub fn try_get_global(&mut self, block: BlockId, addr: GlobalAddress) -> Option<C> {
         self.env.read(block, addr, false, &mut self.state)
+    }
+
+    /// Read the cells `first, first + step, …` (block-relative, no in-block
+    /// assertion) into `out`: `out.len()` calls of [`TaskCtx::get`] with
+    /// `in_block = false` — same values, missing-page records and counters —
+    /// except that the Env runs one search for a stretch of cells it can
+    /// prove share a holder (see `Env::read_run_into`), so `env_searches` /
+    /// `search_nodes_visited` count the searches that ran.  What a compiled
+    /// kernel fills its halo ring with, one call per edge.
+    pub fn get_run(
+        &mut self,
+        block: BlockId,
+        first: LocalAddress,
+        step: LocalAddress,
+        out: &mut [C],
+    ) {
+        let first = self.env.block(block).to_global(first);
+        self.env.read_run_into(block, first, step, out, &mut self.state);
     }
 
     /// Write a cell of the block being updated (`SetD`).
@@ -822,6 +841,24 @@ mod tests {
         assert!(!ctx.get_block_dd(ids[0], &mut got[..15]), "wrong length is refused");
         let c = ctx.state.counters;
         assert_eq!((c.reads, c.skip_search_hits, c.writes), (17, 17, 16));
+    }
+
+    #[test]
+    fn get_run_counts_like_per_cell_gets_but_searches_once() {
+        let (env, ids) = tiny_env();
+        let mut run = serial_ctx(env.clone());
+        let mut cellwise = serial_ctx(env);
+        run.initialize_owned(|g| (g.x * 10 + g.y) as f64);
+        // The column just right of block 0: the first column of block 1.
+        let mut got = [0.0; 4];
+        run.get_run(ids[0], LocalAddress::new2d(4, 0), LocalAddress::new2d(0, 1), &mut got);
+        let want: Vec<f64> =
+            (0..4).map(|y| cellwise.get(ids[0], LocalAddress::new2d(4, y), false)).collect();
+        assert_eq!(got[..], want[..]);
+        assert_eq!(got, [40.0, 41.0, 42.0, 43.0]);
+        let (r, c) = (run.state.counters, cellwise.state.counters);
+        assert_eq!((r.reads, r.out_of_block_reads), (c.reads, c.out_of_block_reads));
+        assert_eq!((r.env_searches, c.env_searches), (1, 4));
     }
 
     #[test]

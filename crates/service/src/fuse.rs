@@ -40,11 +40,11 @@ use crate::service::{
 };
 use aohpc_aop::{attr, names, JoinPointKind, WovenProgram, FINALIZE, INITIALIZE, MAIN, PROCESSING};
 use aohpc_dsl::{DslSystem, SGridSystem};
-use aohpc_env::{Env, EnvStats, Extent, LocalAddress};
+use aohpc_env::{Env, EnvStats, Extent};
 use aohpc_kernel::{
-    default_initial_value, new_stencil_field_sink, CompiledKernel, ExecScratch, ExecStats,
-    FusedKernel, HeteroDispatcher, OptLevel, PlanSource, SpecializationId, StencilFieldSink,
-    StencilProgram,
+    default_initial_value, fill_halo_ring, new_stencil_field_sink, CompiledKernel, ExecScratch,
+    ExecStats, FusedKernel, HeteroDispatcher, OptLevel, PlanSource, SpecializationId,
+    StencilFieldSink, StencilProgram,
 };
 use aohpc_obs::push_context;
 use aohpc_runtime::annotation::MAX_RETRIES_PER_STEP;
@@ -537,13 +537,10 @@ fn fused_step(
                 for (m, k) in compiled.iter().enumerate() {
                     fused_params.extend_from_slice(&members[m].params[..k.num_params()]);
                 }
-                let mut halo = |m: usize, x: i64, y: i64| {
-                    members[m].ctx.get(bid, LocalAddress::new2d(x, y), false)
-                };
-                fused.execute_block(
+                fused.execute_block_ring(
                     &cells_buf,
                     &fused_params,
-                    &mut halo,
+                    |m, ring, buf| fill_halo_ring(&mut members[m].ctx, bid, ring, buf),
                     &mut out_buf,
                     processor,
                     &mut stats,
@@ -555,12 +552,10 @@ fn fused_step(
                     let (bid_m, proc_m) = schedules[m][i];
                     k.prepare_scratch(scratch, proc_m);
                     let Member { params, ctx, .. } = &mut members[m];
-                    let mut halo =
-                        |x: i64, y: i64| ctx.get(bid_m, LocalAddress::new2d(x, y), false);
-                    k.execute_block(
+                    k.execute_block_ring(
                         &cells_buf[m * b..(m + 1) * b],
                         params,
-                        &mut halo,
+                        |ring, buf| fill_halo_ring(ctx, bid_m, ring, buf),
                         &mut out_buf[m * b..(m + 1) * b],
                         proc_m,
                         &mut stats[m],
