@@ -8,15 +8,10 @@
 //! `AOHPC_SCALE=smoke|default|paper`.
 
 use aohpc_kernel::{
-    CompiledKernel, ExecScratch, ExecStats, FusedKernel, OptLevel, Processor, SpecializationId,
-    StencilProgram, MAX_FUSION_WIDTH,
+    CompiledKernel, ExecScratch, ExecStats, OptLevel, Processor, SpecializationId, StencilProgram,
 };
 use aohpc_workloads::Scale;
-use std::sync::Arc;
 use std::time::Instant;
-
-/// Members per fused pass: the service's typical drained batch width.
-const FUSE_WIDTH: usize = 4;
 
 // Thread-scoped counting allocator shared with the kernel crate's no_alloc
 // regression test (the tape's warm path must report 0 allocs/block).
@@ -56,18 +51,15 @@ struct Outcome {
     checksum: f64,
 }
 
-/// Time `reps` executions of one block-step variant.  `width` scales the
-/// output buffer and the cell count: fused variants update `width` blocks
-/// per step (member-major), solo variants pass 1.
+/// Time `reps` executions of one block-step variant.
 fn measure(
     name: &'static str,
     n: usize,
-    width: usize,
     reps: u32,
     ops_per_cell: u64,
     mut step: impl FnMut(&mut Vec<f64>),
 ) -> Outcome {
-    let mut out = vec![0.0f64; width * n * n];
+    let mut out = vec![0.0f64; n * n];
     // Warm-up (grows any lazily-sized buffer the variant owns).
     step(&mut out);
     let start = Instant::now();
@@ -77,7 +69,7 @@ fn measure(
         }
     });
     let secs = start.elapsed().as_secs_f64().max(1e-9);
-    let cells = (width * n * n) as f64 * reps as f64;
+    let cells = (n * n) as f64 * reps as f64;
     Outcome {
         name,
         cells_per_sec: cells / secs,
@@ -98,7 +90,6 @@ fn main() {
         Scale::Default => 50,
         Scale::Paper => 5,
     };
-    const _: () = assert!(FUSE_WIDTH <= MAX_FUSION_WIDTH);
     let program = StencilProgram::jacobi_5pt();
     let params = [0.5, 0.125];
     let compiled = CompiledKernel::compile(
@@ -131,7 +122,7 @@ fn main() {
         ("tape_accel_warm", Processor::Accelerator),
     ] {
         let mut scratch = ExecScratch::new();
-        outcomes.push(measure(name, n, 1, reps, ops, |out| {
+        outcomes.push(measure(name, n, reps, ops, |out| {
             let mut stats = ExecStats::default();
             compiled.execute_block_unspecialized(
                 &cells,
@@ -158,7 +149,7 @@ fn main() {
         ("tape_spec_accel_warm", Processor::Accelerator),
     ] {
         let mut scratch = ExecScratch::new();
-        outcomes.push(measure(name, n, 1, reps, ops, |out| {
+        outcomes.push(measure(name, n, reps, ops, |out| {
             let mut stats = ExecStats::default();
             compiled.execute_block(
                 &cells,
@@ -172,40 +163,8 @@ fn main() {
         }));
     }
 
-    // Cross-job batch fusion: FUSE_WIDTH copies of the block swept as one
-    // fused pass over a member-major buffer (one prelude, one interior walk).
-    let member = Arc::new(compiled.clone());
-    let fused = FusedKernel::fuse(vec![member; FUSE_WIDTH]).expect("jacobi-5pt blocks fuse");
-    let fused_cells: Vec<f64> = {
-        let mut v = Vec::with_capacity(FUSE_WIDTH * n * n);
-        for _ in 0..FUSE_WIDTH {
-            v.extend_from_slice(&cells);
-        }
-        v
-    };
-    let fused_params: Vec<f64> = params.repeat(FUSE_WIDTH);
-    for (name, proc) in [
-        ("fused_batch_scalar_warm", Processor::Scalar),
-        ("fused_batch_simd_warm", Processor::Simd),
-        ("fused_batch_accel_warm", Processor::Accelerator),
-    ] {
-        let mut scratch = ExecScratch::new();
-        let mut stats = [ExecStats::default(); FUSE_WIDTH];
-        outcomes.push(measure(name, n, FUSE_WIDTH, reps, ops, |out| {
-            fused.execute_block(
-                &fused_cells,
-                &fused_params,
-                &mut |_, _, _| 0.0,
-                out,
-                proc,
-                &mut stats,
-                &mut scratch,
-            );
-        }));
-    }
-
     // Cold tape: a fresh scratch per block (what a pool-less host would pay).
-    outcomes.push(measure("tape_scalar_cold", n, 1, reps, ops, |out| {
+    outcomes.push(measure("tape_scalar_cold", n, reps, ops, |out| {
         let mut scratch = ExecScratch::new();
         let mut stats = ExecStats::default();
         compiled.execute_block_unspecialized(
@@ -223,7 +182,7 @@ fn main() {
     // "plan-resolve time" via `prepare_scratch` — block zero is already
     // allocation-free inside `execute_block` (the sizing cost moved out of
     // the counted region, where the plan cache pays it once per resolve).
-    outcomes.push(measure("tape_spec_scalar_cold_prep", n, 1, reps, ops, |out| {
+    outcomes.push(measure("tape_spec_scalar_cold_prep", n, reps, ops, |out| {
         let mut scratch = ExecScratch::new();
         compiled.prepare_scratch(&mut scratch, Processor::Scalar);
         let mut stats = ExecStats::default();
@@ -244,7 +203,7 @@ fn main() {
     // Hand-written jacobi: the straight-line loop a human would write for
     // this block (halo reads 0.0, neighbour fold in the tape's load order).
     // The ceiling the specialized tier is measured against.
-    outcomes.push(measure("handwritten_scalar", n, 1, reps, ops, |out| {
+    outcomes.push(measure("handwritten_scalar", n, reps, ops, |out| {
         handwritten_jacobi(&cells, &params, n, out);
     }));
 
@@ -252,7 +211,7 @@ fn main() {
     for (name, proc) in
         [("tree_walk_scalar", Processor::Scalar), ("tree_walk_simd", Processor::Simd)]
     {
-        outcomes.push(measure(name, n, 1, reps, ops, |out| {
+        outcomes.push(measure(name, n, reps, ops, |out| {
             let mut stats = ExecStats::default();
             compiled.execute_block_tree(&cells, &params, &mut |_, _| 0.0, out, proc, &mut stats);
         }));
@@ -283,13 +242,6 @@ fn main() {
     println!(
         "speedup (specialized/generic tape): scalar {speedup_spec_scalar:.2}x, simd {speedup_spec_simd:.2}x"
     );
-    let speedup_fused_scalar =
-        get("fused_batch_scalar_warm").cells_per_sec / get("tape_scalar_warm").cells_per_sec;
-    let speedup_fused_simd =
-        get("fused_batch_simd_warm").cells_per_sec / get("tape_simd_warm").cells_per_sec;
-    println!(
-        "speedup (fused width-{FUSE_WIDTH}/generic tape): scalar {speedup_fused_scalar:.2}x, simd {speedup_fused_simd:.2}x"
-    );
     // The remaining gap to hand-written code (≥ 1.0 means the platform won).
     let spec_vs_handwritten =
         get("tape_spec_scalar_warm").cells_per_sec / get("handwritten_scalar").cells_per_sec;
@@ -315,11 +267,6 @@ fn main() {
         get("tape_spec_scalar_warm").allocs_per_block,
         0.0,
         "warm specialized execution must be allocation-free"
-    );
-    assert_eq!(
-        get("fused_batch_scalar_warm").allocs_per_block,
-        0.0,
-        "warm fused execution must be allocation-free"
     );
 
     // Machine-readable trajectory record (no external JSON dependency in the
@@ -353,13 +300,10 @@ fn main() {
         ));
     }
     json.push_str("  },\n");
-    json.push_str(&format!("  \"fuse_width\": {FUSE_WIDTH},\n"));
     json.push_str(&format!("  \"speedup_scalar\": {speedup_scalar:.3},\n"));
     json.push_str(&format!("  \"speedup_simd\": {speedup_simd:.3},\n"));
     json.push_str(&format!("  \"speedup_spec_scalar\": {speedup_spec_scalar:.3},\n"));
     json.push_str(&format!("  \"speedup_spec_simd\": {speedup_spec_simd:.3},\n"));
-    json.push_str(&format!("  \"speedup_fused_scalar\": {speedup_fused_scalar:.3},\n"));
-    json.push_str(&format!("  \"speedup_fused_simd\": {speedup_fused_simd:.3},\n"));
     json.push_str(&format!("  \"spec_vs_handwritten\": {spec_vs_handwritten:.3}\n"));
     json.push_str("}\n");
     std::fs::write("BENCH_kernel.json", &json).expect("write BENCH_kernel.json");

@@ -125,12 +125,6 @@ impl ParticleSystem {
         }
     }
 
-    /// Deprecated alias for [`ParticleSystem::paper`].
-    #[deprecated(note = "use `ParticleSystem::paper` — the common builder front door")]
-    pub fn for_particles(particles: ParticleSize) -> Self {
-        Self::paper(particles)
-    }
-
     /// Use a non-default data-branch topology (locality joints, §III-B3).
     pub fn with_topology(mut self, tree: TreeTopology) -> Self {
         self.tree = tree;
@@ -598,17 +592,6 @@ mod tests {
         }
         assert!(!b.push(Particle::default()));
         assert_eq!(b.live().len(), BUCKET_CAPACITY);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_matches_the_paper_front_door() {
-        let via_paper = ParticleSystem::paper(ParticleSize::new(400));
-        let via_alias = ParticleSystem::for_particles(ParticleSize::new(400));
-        assert_eq!(via_paper.buckets_x, via_alias.buckets_x);
-        assert_eq!(via_paper.buckets_y, via_alias.buckets_y);
-        assert_eq!(via_paper.fill_per_bucket, via_alias.fill_per_bucket);
-        assert_eq!(via_paper.buckets_per_page, via_alias.buckets_per_page);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   searches for spatially local accesses.
 //!
 //! Bounded joints (created with [`EnvBuilder::add_joint`]) carry the bounding
-//! box of their descendants; [`Env::find_block`] prunes a bounded joint's
+//! box of their descendants; [`Env::find_block`](crate::env::Env::find_block) prunes a bounded joint's
 //! subtree whenever the requested address falls outside that box.
 
 use crate::address::{Extent, GlobalAddress};

@@ -215,7 +215,6 @@ impl CompiledKernel {
                 spec.exec_region(
                     cells,
                     out,
-                    0,
                     &plan.interior,
                     plan.extent_nx,
                     lanes,

@@ -83,7 +83,7 @@ pub use opt::{Dag, OptLevel, OptStats};
 pub use plan::{AccessPlan, CompiledKernel, HaloRing, HaloRun, PlanSource, ResolvedAccess};
 pub use portable::{PortableError, PortableKernel};
 pub use program::{ProgramError, ProgramFingerprint, StencilProgram};
-pub use spec::{FusedKernel, SpecializationId, MAX_FUSION_WIDTH};
+pub use spec::SpecializationId;
 pub use tape::{ExecScratch, ExecTape, ScratchPool, ScratchPoolStats, TapeStats};
 
 /// Convenience re-exports for downstream users (examples, benches).
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::plan::{AccessPlan, CompiledKernel, PlanSource};
     pub use crate::portable::PortableKernel;
     pub use crate::program::{ProgramFingerprint, StencilProgram};
-    pub use crate::spec::{FusedKernel, SpecializationId, MAX_FUSION_WIDTH};
+    pub use crate::spec::SpecializationId;
     pub use crate::tape::{ExecScratch, ExecTape, ScratchPool, TapeStats};
     pub use aohpc_env::Extent;
 }

@@ -64,18 +64,12 @@ use std::fmt;
 
 /// Frame magic: "AOPK" (AOhpc Portable Kernel).
 const MAGIC: [u8; 4] = *b"AOPK";
-/// Current wire-format version.  Version 2 added the family tag byte to the
-/// header (version 1 frames were implicitly stencil-only and are refused —
-/// no compatibility shim, the cluster is always homogeneous).  Version 3
-/// appends a three-byte specialization annotation (`[tag, neighbors, form]`,
-/// see [`crate::spec::SpecializationId`]) after the family payload; version
-/// 2 frames are still accepted and decode as
-/// [`SpecializationId::Generic`] — hydration re-derives the real
-/// specialization deterministically, so old frames lose nothing but the
-/// advisory stamp.
+/// The wire-format version, and the only one accepted: the cluster is always
+/// homogeneous, so there is no compatibility shim.  Version 2 added the
+/// family tag byte to the header; version 3 appends a three-byte
+/// specialization annotation (`[tag, neighbors, form]`, see
+/// [`crate::spec::SpecializationId`]) after the family payload.
 const VERSION: u16 = 3;
-/// Oldest wire-format version this build still accepts.
-const MIN_VERSION: u16 = 2;
 /// Upper bound on wire-claimed DAG sizes (a hostility guard far above any
 /// real subkernel, not a functional limit).
 const MAX_DAG_NODES: usize = 1 << 20;
@@ -95,7 +89,7 @@ pub enum PortableError {
     Truncated,
     /// The frame does not start with the portable-kernel magic.
     BadMagic,
-    /// The frame's version is newer than this build understands.
+    /// The frame's version is not the one this build speaks.
     UnsupportedVersion(u16),
     /// The frame's family tag names a kernel family this build does not
     /// implement.
@@ -340,7 +334,7 @@ impl PortableKernel {
             return Err(PortableError::BadMagic);
         }
         let version = u16::from_le_bytes(take(bytes, &mut pos, 2)?.try_into().expect("two bytes"));
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(PortableError::UnsupportedVersion(version));
         }
         let family_tag = take(bytes, &mut pos, 1)?[0];
@@ -411,21 +405,12 @@ impl PortableKernel {
                 )
             }
         };
-        // v3: specialization annotation.  v2 frames predate the stamp and
-        // decode as Generic — hydration re-specializes either way.
-        let spec = if version >= 3 {
-            let payload = take(bytes, &mut pos, 3)?;
-            match payload[0] {
-                0 => SpecializationId::Generic,
-                1 => SpecializationId::WeightedSum { neighbors: payload[1], form: payload[2] },
-                t => {
-                    return Err(PortableError::BadProgram(format!(
-                        "unknown specialization tag {t}"
-                    )))
-                }
-            }
-        } else {
-            SpecializationId::Generic
+        // The specialization annotation (advisory: hydration re-specializes).
+        let payload = take(bytes, &mut pos, 3)?;
+        let spec = match payload[0] {
+            0 => SpecializationId::Generic,
+            1 => SpecializationId::WeightedSum { neighbors: payload[1], form: payload[2] },
+            t => return Err(PortableError::BadProgram(format!("unknown specialization tag {t}"))),
         };
         let stated = u128::from_le_bytes(take(bytes, &mut pos, 16)?.try_into().expect("sixteen"));
         if pos != bytes.len() {
@@ -783,10 +768,10 @@ mod tests {
     }
 
     #[test]
-    fn version2_frames_still_parse_and_respecialize_on_hydrate() {
-        // Rebuild the sender's frame as a pre-specialization v2 frame:
-        // version bytes rewound, the three-byte spec annotation dropped,
-        // digest recomputed over the shortened body.
+    fn a_version2_frame_is_refused() {
+        // A well-formed pre-specialization v2 frame: version bytes rewound,
+        // the three-byte spec annotation dropped, digest recomputed over the
+        // shortened body.  No fleet ever ran v2, so it is not accepted.
         let wire = jacobi_portable().to_bytes();
         let body_len = wire.len() - 16 - 3;
         let mut v2 = wire[..body_len].to_vec();
@@ -794,18 +779,7 @@ mod tests {
         let digest = frame_digest(&v2);
         v2.extend_from_slice(&digest.to_le_bytes());
 
-        let decoded = PortableKernel::from_bytes(&v2).expect("v2 frames are still accepted");
-        assert_eq!(
-            decoded.specialization(),
-            SpecializationId::Generic,
-            "v2 frames predate the annotation"
-        );
-        let (_, artifact) = decoded.hydrate();
-        assert_ne!(
-            artifact.as_stencil().expect("stencil").specialization(),
-            SpecializationId::Generic,
-            "hydration re-derives the specialization the old frame could not carry"
-        );
+        assert_eq!(PortableKernel::from_bytes(&v2), Err(PortableError::UnsupportedVersion(2)));
     }
 
     #[test]

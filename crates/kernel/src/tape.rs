@@ -39,9 +39,8 @@
 //! tape → specialized — each bit-identical to the last.  When the lowered
 //! tape matches a known hot shape, [`crate::spec::SpecializedKernel`]
 //! replaces the whole per-cell interpretation by one monomorphic
-//! super-instruction loop (and [`crate::spec::FusedKernel`] sweeps several
-//! compatible tapes in one pass); see `spec.rs` for how a shape qualifies
-//! and `BENCH_kernel.json` for the measured trajectory across tiers.
+//! super-instruction loop; see `spec.rs` for how a shape qualifies and
+//! `BENCH_kernel.json` for the measured trajectory across tiers.
 
 use crate::expr::{BinOp, UnaryOp};
 use crate::opt::{Dag, Node};
@@ -242,9 +241,9 @@ pub struct ExecTape {
     /// `(slot, delta)` pairs referenced by chain instructions, in fold order.
     pub(crate) load_table: Vec<(u16, isize)>,
     pub(crate) root: Reg,
-    pub(crate) num_regs: usize,
-    pub(crate) ops_per_cell: u64,
-    pub(crate) stats: TapeStats,
+    num_regs: usize,
+    ops_per_cell: u64,
+    stats: TapeStats,
 }
 
 /// Symbolic instruction used between fusion marking and register allocation:

@@ -437,22 +437,6 @@ impl<C: Cell> TaskCtx<C> {
     /// point, handling step/retry accounting.  `body` is the user kernel and
     /// returns the refresh outcome.
     pub fn run_kernel_step(&mut self, warmup: bool, body: impl FnOnce(&mut Self) -> bool) -> bool {
-        self.begin_kernel_step(warmup);
-        let ok = body(self);
-        self.finish_kernel_step(warmup, ok)
-    }
-
-    /// The opening half of [`TaskCtx::run_kernel_step`]: dispatch the
-    /// `Annotation::KernelStep` marker for the step about to run.
-    ///
-    /// Use the split `begin_kernel_step` / [`TaskCtx::finish_kernel_step`]
-    /// pair when one driver interleaves the steps of several task contexts
-    /// (the service's batch-fusion driver runs member *m*'s gather, a fused
-    /// execute and member *m*'s refresh in separate phases): every context
-    /// still sees the exact marker-then-body-then-accounting sequence
-    /// `run_kernel_step` produces, so reports and dispatch counts stay
-    /// bit-identical to solo runs.
-    pub fn begin_kernel_step(&mut self, warmup: bool) {
         let step = self.step;
         let mut payload = KernelStepPayload { step, warmup };
         // The kernel needs `&mut self`, so it cannot run inside a dispatch
@@ -474,12 +458,7 @@ impl<C: Cell> TaskCtx<C> {
                 &mut |_| {},
             );
         }
-    }
-
-    /// The closing half of [`TaskCtx::run_kernel_step`]: record the step's
-    /// refresh outcome `ok` (step/retry accounting, progress notification)
-    /// and return it.
-    pub fn finish_kernel_step(&mut self, warmup: bool, ok: bool) -> bool {
+        let ok = body(self);
         if !warmup {
             if ok {
                 self.steps_done += 1;

@@ -1,6 +1,6 @@
 //! The execution driver.
 //!
-//! [`execute`] runs an [`HpcApp`](crate::HpcApp) under a woven program and a
+//! [`execute`] runs an [`HpcApp`] under a woven program and a
 //! [`RunConfig`].  The driver owns only the *mechanics* that AspectC++ would
 //! leave in the generated code: building each rank's Env replica, the
 //! rank-level Z-order block assignment (done by the DSL layer in the paper's

@@ -48,7 +48,4 @@ pub use cost::{CostModel, CostParams};
 pub use ctx::{Progress, ProgressNotifier, RankShared, TaskCtx};
 pub use driver::{execute, RunConfig, WeaveMode};
 pub use report::{RankReport, RunReport, RunSummary, TaskReport};
-// `RunReport::pool_stats` is a public field of this type; re-export it so
-// downstream crates can name it without a direct `aohpc-mem` dependency.
-pub use aohpc_mem::PoolStats;
 pub use task::{CompletionSlot, LayerKind, LayerSpec, ScratchSlot, TaskSlot, Topology};

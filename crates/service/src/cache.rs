@@ -475,23 +475,6 @@ impl PlanCache {
         self.family_misses[key.family.tag() as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Resolve the plan for a **stencil** `(program, extent, level)`,
-    /// compiling on a miss.
-    ///
-    /// Returns the shared kernel and whether the lookup was a hit — the
-    /// stencil compatibility wrapper over the family-generic
-    /// [`PlanCache::resolve`].
-    pub fn get_or_compile(
-        &self,
-        program: &StencilProgram,
-        extent: Extent,
-        level: OptLevel,
-    ) -> (Arc<CompiledKernel>, bool) {
-        let (artifact, origin) =
-            self.resolve(&FamilyProgram::from(program.clone()), extent, level, false);
-        (artifact.expect_stencil(), origin == PlanOrigin::Hit)
-    }
-
     /// Resolve the plan for `(program, extent, level)` — any kernel family —
     /// through the full chain: local shard → in-progress flight → cluster
     /// fetch → compile.  `pin` marks the entry pinned (set by hot-tenant
@@ -850,7 +833,7 @@ impl PlanSource for PlanCache {
         extent: Extent,
         level: OptLevel,
     ) -> Arc<CompiledKernel> {
-        self.get_or_compile(program, extent, level).0
+        self.resolve(&FamilyProgram::from(program.clone()), extent, level, false).0.expect_stencil()
     }
 
     /// Every family resolves through the cache — not just stencils — so the
@@ -893,6 +876,18 @@ mod tests {
         FamilyProgram::from(p.clone())
     }
 
+    /// Resolve a stencil plan unpinned: the shared kernel and whether the
+    /// lookup was a hit.
+    fn get_or_compile(
+        cache: &PlanCache,
+        program: &StencilProgram,
+        extent: Extent,
+        level: OptLevel,
+    ) -> (Arc<CompiledKernel>, bool) {
+        let (artifact, origin) = cache.resolve(&fam(program), extent, level, false);
+        (artifact.expect_stencil(), origin == PlanOrigin::Hit)
+    }
+
     /// A program whose plan cost scales with its live offset count.
     fn wide_program(name: &str, width: i64) -> StencilProgram {
         let mut expr = load(0, 0);
@@ -906,8 +901,8 @@ mod tests {
     fn hit_after_miss_shares_the_same_kernel() {
         let cache = PlanCache::new(4, 16);
         let p = program("p", 1);
-        let (a, hit_a) = cache.get_or_compile(&p, Extent::new2d(8, 8), OptLevel::Full);
-        let (b, hit_b) = cache.get_or_compile(&p, Extent::new2d(8, 8), OptLevel::Full);
+        let (a, hit_a) = get_or_compile(&cache, &p, Extent::new2d(8, 8), OptLevel::Full);
+        let (b, hit_b) = get_or_compile(&cache, &p, Extent::new2d(8, 8), OptLevel::Full);
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b), "hits return the same compiled kernel");
@@ -921,19 +916,20 @@ mod tests {
         let cache = PlanCache::new(2, 16);
         let p = program("named-one-way", 1);
         let renamed = program("named-another-way", 1);
-        cache.get_or_compile(&p, Extent::new2d(8, 8), OptLevel::Full);
+        get_or_compile(&cache, &p, Extent::new2d(8, 8), OptLevel::Full);
         // Same structure under a different name: a hit (the anti-collision
         // verification compares structure, not the name label).
-        let (_, hit) = cache.get_or_compile(&renamed, Extent::new2d(8, 8), OptLevel::Full);
+        let (_, hit) = get_or_compile(&cache, &renamed, Extent::new2d(8, 8), OptLevel::Full);
         assert!(hit, "the cache keys on structure, not the name label");
         assert_eq!(cache.stats().collisions, 0);
         // Different shape or level: misses.
-        let (_, hit) = cache.get_or_compile(&p, Extent::new2d(8, 4), OptLevel::Full);
+        let (_, hit) = get_or_compile(&cache, &p, Extent::new2d(8, 4), OptLevel::Full);
         assert!(!hit);
-        let (_, hit) = cache.get_or_compile(&p, Extent::new2d(8, 8), OptLevel::None);
+        let (_, hit) = get_or_compile(&cache, &p, Extent::new2d(8, 8), OptLevel::None);
         assert!(!hit);
         // Different structure: a miss.
-        let (_, hit) = cache.get_or_compile(&program("p", 2), Extent::new2d(8, 8), OptLevel::Full);
+        let (_, hit) =
+            get_or_compile(&cache, &program("p", 2), Extent::new2d(8, 8), OptLevel::Full);
         assert!(!hit);
         assert_eq!(cache.stats().misses, 4);
     }
@@ -946,12 +942,12 @@ mod tests {
         assert_eq!(cache.policy_name(), "lru");
         let (p1, p2, p3) = (program("p1", 1), program("p2", 2), program("p3", 3));
         let ext = Extent::new2d(8, 8);
-        cache.get_or_compile(&p1, ext, OptLevel::Full);
-        cache.get_or_compile(&p2, ext, OptLevel::Full);
+        get_or_compile(&cache, &p1, ext, OptLevel::Full);
+        get_or_compile(&cache, &p2, ext, OptLevel::Full);
         // Touch p1 so p2 becomes the LRU victim.
-        let (_, hit) = cache.get_or_compile(&p1, ext, OptLevel::Full);
+        let (_, hit) = get_or_compile(&cache, &p1, ext, OptLevel::Full);
         assert!(hit);
-        cache.get_or_compile(&p3, ext, OptLevel::Full);
+        get_or_compile(&cache, &p3, ext, OptLevel::Full);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         let key = |p: &StencilProgram| PlanKey::of(&fam(p), ext, OptLevel::Full);
@@ -959,7 +955,7 @@ mod tests {
         assert!(!cache.contains(&key(&p2)), "LRU entry evicted");
         assert!(cache.contains(&key(&p3)));
         // The evicted plan recompiles on next use.
-        let (_, hit) = cache.get_or_compile(&p2, ext, OptLevel::Full);
+        let (_, hit) = get_or_compile(&cache, &p2, ext, OptLevel::Full);
         assert!(!hit);
     }
 
@@ -977,21 +973,21 @@ mod tests {
 
         let cost_aware = PlanCache::with_policy(1, 2, Arc::new(CostAwarePolicy));
         assert_eq!(cost_aware.policy_name(), "cost-aware");
-        cost_aware.get_or_compile(&expensive, ext, OptLevel::Full);
-        cost_aware.get_or_compile(&cheap1, ext, OptLevel::Full);
+        get_or_compile(&cost_aware, &expensive, ext, OptLevel::Full);
+        get_or_compile(&cost_aware, &cheap1, ext, OptLevel::Full);
         let meta_exp = cost_aware.entry_meta(&key(&expensive)).unwrap();
         let meta_cheap = cost_aware.entry_meta(&key(&cheap1)).unwrap();
         assert!(meta_exp.cost > meta_cheap.cost, "{meta_exp:?} vs {meta_cheap:?}");
         assert!(meta_exp.last_used < meta_cheap.last_used, "expensive is the LRU entry");
-        cost_aware.get_or_compile(&cheap2, ext, OptLevel::Full);
+        get_or_compile(&cost_aware, &cheap2, ext, OptLevel::Full);
         assert!(cost_aware.contains(&key(&expensive)), "expensive plan retained");
         assert!(!cost_aware.contains(&key(&cheap1)), "cheap plan sacrificed");
 
         // Control: under the same sequence, LRU evicts the expensive plan.
         let lru = PlanCache::new(1, 2);
-        lru.get_or_compile(&expensive, ext, OptLevel::Full);
-        lru.get_or_compile(&cheap1, ext, OptLevel::Full);
-        lru.get_or_compile(&cheap2, ext, OptLevel::Full);
+        get_or_compile(&lru, &expensive, ext, OptLevel::Full);
+        get_or_compile(&lru, &cheap1, ext, OptLevel::Full);
+        get_or_compile(&lru, &cheap2, ext, OptLevel::Full);
         assert!(!lru.contains(&key(&expensive)), "LRU would have dropped it");
     }
 
@@ -1004,16 +1000,16 @@ mod tests {
 
         // Resolve-with-pin (the hot-session path) pins the entry.
         cache.resolve(&fam(&hot), ext, OptLevel::Full, true);
-        cache.get_or_compile(&cold, ext, OptLevel::Full);
+        get_or_compile(&cache, &cold, ext, OptLevel::Full);
         // `hot` is the LRU entry, but it is pinned: `cold` goes instead.
-        cache.get_or_compile(&newcomer, ext, OptLevel::Full);
+        get_or_compile(&cache, &newcomer, ext, OptLevel::Full);
         assert!(cache.contains(&key(&hot)), "pinned survives despite being LRU");
         assert!(!cache.contains(&key(&cold)));
         assert_eq!(cache.stats().pinned_entries, 1);
 
         // Unpin: the entry competes normally again.
         assert!(cache.unpin(&key(&hot)));
-        cache.get_or_compile(&program("q", 4), ext, OptLevel::Full);
+        get_or_compile(&cache, &program("q", 4), ext, OptLevel::Full);
         assert!(!cache.contains(&key(&hot)), "unpinned LRU entry evicts normally");
 
         // Pin APIs on absent keys are no-ops.
@@ -1046,7 +1042,7 @@ mod tests {
             let cache = Arc::clone(&cache);
             let p = p.clone();
             handles.push(thread::spawn(move || {
-                cache.get_or_compile(&p, Extent::new2d(16, 16), OptLevel::Full).0
+                get_or_compile(&cache, &p, Extent::new2d(16, 16), OptLevel::Full).0
             }));
         }
         let kernels: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -1065,8 +1061,8 @@ mod tests {
         // same Arc) necessarily skips lowering: one miss, one tape, shared.
         let cache = PlanCache::new(2, 8);
         let p = StencilProgram::jacobi_5pt();
-        let (cold, hit_cold) = cache.get_or_compile(&p, Extent::new2d(8, 8), OptLevel::Full);
-        let (warm, hit_warm) = cache.get_or_compile(&p, Extent::new2d(8, 8), OptLevel::Full);
+        let (cold, hit_cold) = get_or_compile(&cache, &p, Extent::new2d(8, 8), OptLevel::Full);
+        let (warm, hit_warm) = get_or_compile(&cache, &p, Extent::new2d(8, 8), OptLevel::Full);
         assert!(!hit_cold);
         assert!(hit_warm);
         assert!(Arc::ptr_eq(&cold, &warm));

@@ -12,11 +12,11 @@
 //!
 //! Every [`PlanKey`] has a deterministic **owner rank** — the highest
 //! rendezvous-hash scorer among the *live* ranks
-//! ([`rendezvous_owner`](crate::membership::rendezvous_owner)) — the
+//! ([`rendezvous_owner`]) — the
 //! cluster's single-flight arbiter for that plan:
 //!
 //! 1. A node missing locally asks its cache's chained
-//!    [`PlanFetcher`](crate::cache::PlanFetcher) — here a [`ClusterFetcher`]
+//!    [`PlanFetcher`] — here a [`ClusterFetcher`]
 //!    holding a [`ControlHandle`] onto the mesh.  If the node *is* the
 //!    owner (or the cluster is shutting down), the fetcher declines and the
 //!    cache compiles locally.
@@ -92,7 +92,7 @@
 //!   report resolves the original submitter's [`JobHandle`] carrying a
 //!   [`FailoverProvenance`], so zero jobs are lost and every failover is
 //!   auditable per job.
-//! * **Failure injection.**  A [`FaultPlan`](crate::fault::FaultPlan) arms
+//! * **Failure injection.**  A [`FaultPlan`] arms
 //!   scripted kills, restarts, directional link cuts/heals, fabric wedges,
 //!   and frame drops/delays into the cluster
 //!   ([`ClusterService::with_fault_plan`]), driven by the same clock seam —

@@ -9,7 +9,8 @@
 //! Submission returns a [`JobHandle`] — a poll/wait future backed by a
 //! shared [`CompletionSlot`].  Every accepted job **resolves exactly once**
 //! with a [`JobOutcome`]: `Ok(JobReport)` when it executed (even if the
-//! kernel panicked — the report carries the error), or `Err(JobError)` when
+//! kernel panicked or the run stopped short of its steps — the report carries
+//! the error), or `Err(JobError)` when
 //! it was [cancelled](JobHandle::cancel) before a worker picked it up or
 //! abandoned at shutdown.  The handle can be polled ([`JobHandle::poll`]),
 //! blocked on ([`JobHandle::wait`] / [`JobHandle::wait_timeout`]), awaited
@@ -242,23 +243,6 @@ pub struct FailoverProvenance {
     pub checkpoint_steps: u64,
 }
 
-/// How a job's execution shared a worker pass with other jobs — attached to
-/// its [`JobReport`] when the service's opt-in cross-job batch fuser ran the
-/// job as one member of a fused multi-root pass.
-///
-/// Fusion is transparent to results: the fused tape keeps every member's
-/// register file, root, and [`RunSummary`] accounting separate, so checksum,
-/// summary, and completion order are bit-identical to an unfused run — this
-/// record is provenance, not a semantic change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct FusionProvenance {
-    /// Number of jobs fused into the shared pass (including this one).
-    pub width: usize,
-    /// This job's member index within the fused pass (0-based, admission
-    /// order).
-    pub member: usize,
-}
-
 /// The result of one completed job.
 #[derive(Debug, Clone, Serialize)]
 pub struct JobReport {
@@ -283,13 +267,15 @@ pub struct JobReport {
     /// Z-order range of blocks, so the sink is in global block order whatever
     /// the topology and however the rank threads are scheduled: repeats of
     /// one spec agree bit-for-bit, on multi-rank topologies too, and with
-    /// the serial run of the same spec.
+    /// the serial run of the same spec.  NaN when `error` is set.
     pub checksum: f64,
     /// Deterministic simulated execution time of the run.
     pub simulated_seconds: f64,
     /// Digest of the underlying run.
     pub summary: RunSummary,
-    /// Panic message if the job failed (bookkeeping still settles).
+    /// Why the job failed, if it did (bookkeeping still settles): the panic
+    /// message, or `completed k of n steps …` when the slowest task gave up
+    /// re-executing a step before the run reached [`JobSpec::steps`].
     pub error: Option<String>,
     /// The job's trace id in the installed flight recorder — every span of
     /// the job's tree (root, resolve, execute, supersteps, blocks, plan
@@ -312,9 +298,6 @@ pub struct JobReport {
     /// monomorphic super-instruction kernel.  Always `Generic` for
     /// non-stencil families.
     pub specialization: SpecializationId,
-    /// Set when the opt-in batch fuser ran this job as one member of a fused
-    /// multi-root pass; `None` for jobs that executed solo.
-    pub fusion: Option<FusionProvenance>,
 }
 
 /// Why a job resolved without a report.

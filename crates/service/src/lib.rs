@@ -28,8 +28,9 @@
 //! * [`KernelService`] — the front door: `open_session` → `submit` /
 //!   `try_submit` / `submit_timeout` / `submit_batch`, with per-session
 //!   admission quotas applied as **backpressure** and a bounded
-//!   crossbeam-channel worker pool executing jobs through the existing
-//!   `runtime::execute` + `IrStencilApp` path.
+//!   crossbeam-channel worker pool executing every job, whatever its
+//!   family, through one path: the family's DSL system and app under
+//!   `runtime::execute`.
 //! * [`JobHandle`] / [`CompletionStream`] — the asynchronous result surface:
 //!   every accepted job resolves its handle exactly once (report or
 //!   [`JobError`]), and a session's stream delivers outcomes in submission
@@ -86,7 +87,6 @@
 pub mod cache;
 pub mod cluster;
 pub mod fault;
-mod fuse;
 pub mod job;
 pub mod membership;
 pub mod service;
@@ -101,8 +101,8 @@ pub use cluster::{
 };
 pub use fault::{FaultAction, FaultPlan, FaultState, Interception};
 pub use job::{
-    FailoverProvenance, FusionProvenance, JobError, JobErrorKind, JobHandle, JobId, JobOutcome,
-    JobReport, JobSpec, JobSpecError, JobStatus,
+    FailoverProvenance, JobError, JobErrorKind, JobHandle, JobId, JobOutcome, JobReport, JobSpec,
+    JobSpecError, JobStatus,
 };
 pub use membership::{
     rendezvous_owner, ClusterTuning, Membership, MembershipStats, NodeState, Transition,

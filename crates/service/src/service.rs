@@ -18,9 +18,11 @@
 //! 3. **Execution** — the worker claims the cell (losing the claim means the
 //!    job was [cancelled](JobHandle::cancel)), resolves the job's primary
 //!    plan through the shared cache (attributing the hit/miss to the job),
-//!    then drives the existing `runtime::execute` + `IrStencilApp` path with
-//!    the cache installed as the app's
-//!    [`PlanSource`](aohpc_kernel::PlanSource) and the job's live
+//!    then runs it the one way every job runs, whatever its family: the
+//!    family's DSL system and app — for stencils `IrStencilApp` with the
+//!    cache installed as its [`PlanSource`](aohpc_kernel::PlanSource) —
+//!    through `runtime::execute`, under the layer aspects the topology asks
+//!    for, with the job's live
 //!    [`ProgressNotifier`](aohpc_runtime::ProgressNotifier) installed in the
 //!    run config.
 //! 4. **Results** — the job **resolves exactly once**: its [`JobHandle`]
@@ -39,7 +41,7 @@ use crate::session::{
 };
 use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
 use aohpc_dsl::{
-    new_field_sink, DslSystem, PairForce, ParticleApp, ParticleSystem, SGridSystem,
+    new_field_sink, DslSystem, FieldSink, PairForce, ParticleApp, ParticleSystem, SGridSystem,
     UsGridJacobiApp, UsGridSystem, UsUpdate,
 };
 use aohpc_env::Extent;
@@ -49,9 +51,12 @@ use aohpc_kernel::{
 };
 use aohpc_obs::{
     push_context, AdmissionCounters, CacheCounters, Histogram, JobCounters, ObsHub, ObsRunAspect,
-    ObsServiceAspect, ObsSnapshot, RunFinisher,
+    ObsServiceAspect, ObsSnapshot,
 };
-use aohpc_runtime::{execute, CostModel, MpiAspect, OmpAspect, RunConfig, Topology};
+use aohpc_runtime::annotation::MAX_RETRIES_PER_STEP;
+use aohpc_runtime::{
+    execute, CostModel, HpcApp, MpiAspect, OmpAspect, RunConfig, TaskSlot, Topology,
+};
 use aohpc_testalloc::sync::FakeClock;
 use aohpc_workloads::{checksum, GridLayout, ParticleSize, Scale};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -91,17 +96,6 @@ pub struct ServiceConfig {
     /// Handle/stream-only deployments can switch this off so an undrained
     /// service does not accumulate reports without bound.
     pub retain_reports: bool,
-    /// Maximum cross-job batch-fusion width (`0` or `1` disables fusion, the
-    /// default).  When ≥ 2, a worker that dequeues a job drains up to
-    /// `batch_fusion - 1` further *compatible* queued jobs (same stencil
-    /// geometry, serial topology — see the [`fuse`](crate::service) driver)
-    /// and runs the whole batch as one fused sweep: one traversal of the
-    /// shared block structure executes every member's tape, amortizing
-    /// gather/scatter and dispatch across the batch.  Reports, checksums and
-    /// completion streams are bit-identical to unfused execution; each
-    /// member's [`JobReport::fusion`](crate::JobReport) records its batch
-    /// provenance.
-    pub batch_fusion: usize,
 }
 
 impl Default for ServiceConfig {
@@ -114,7 +108,6 @@ impl Default for ServiceConfig {
             max_queued_jobs: 1024,
             admission_timeout: Duration::from_secs(30),
             retain_reports: true,
-            batch_fusion: 0,
         }
     }
 }
@@ -165,15 +158,6 @@ impl ServiceConfig {
     /// Enable or disable report retention for the synchronous drain path.
     pub fn with_report_retention(mut self, retain: bool) -> Self {
         self.retain_reports = retain;
-        self
-    }
-
-    /// Enable cross-job batch fusion up to `width` members per batch
-    /// (clamped to the kernel layer's
-    /// [`MAX_FUSION_WIDTH`](aohpc_kernel::MAX_FUSION_WIDTH); `0` / `1`
-    /// disables fusion).
-    pub fn with_batch_fusion(mut self, width: usize) -> Self {
-        self.batch_fusion = width.min(aohpc_kernel::MAX_FUSION_WIDTH);
         self
     }
 }
@@ -358,12 +342,12 @@ impl CapacitySignal {
     }
 }
 
-pub(crate) struct Queued {
-    pub(crate) cell: Arc<JobCell>,
-    pub(crate) spec: JobSpec,
+struct Queued {
+    cell: Arc<JobCell>,
+    spec: JobSpec,
     /// When admission accepted the job (on the service clock), so the worker
     /// that dequeues it can meter the queue-wait latency.
-    pub(crate) admitted_at: Duration,
+    admitted_at: Duration,
 }
 
 /// A job stranded on a killed node, handed to the failover supervisor for
@@ -387,21 +371,21 @@ pub(crate) struct OrphanedJob {
 pub(crate) type OrphanSink = Arc<dyn Fn(OrphanedJob) + Send + Sync>;
 
 pub(crate) struct Inner {
-    pub(crate) config: ServiceConfig,
-    pub(crate) cache: Arc<PlanCache>,
+    config: ServiceConfig,
+    cache: Arc<PlanCache>,
     /// Execution-scratch recycling across jobs: each job's tasks check their
     /// tape register files out of this pool and the task-context drop returns
     /// them, so a worker's steady-state jobs run on warm buffers.
-    pub(crate) scratch: Arc<ScratchPool>,
-    pub(crate) sessions: Mutex<HashMap<SessionId, SessionCtx>>,
+    scratch: Arc<ScratchPool>,
+    sessions: Mutex<HashMap<SessionId, SessionCtx>>,
     /// Per-session completion streams (attached lazily; see
     /// [`KernelService::completion_stream`]).  Lock order: `sessions` may be
     /// held while taking this lock, never the reverse.
     streams: Mutex<HashMap<SessionId, Arc<StreamState>>>,
-    pub(crate) results: Mutex<Vec<JobReport>>,
-    pub(crate) pending: StdMutex<u64>,
-    pub(crate) idle: Condvar,
-    pub(crate) capacity: Arc<CapacitySignal>,
+    results: Mutex<Vec<JobReport>>,
+    pending: StdMutex<u64>,
+    idle: Condvar,
+    capacity: Arc<CapacitySignal>,
     /// Jobs admitted but not yet dequeued by a worker.  Checked and
     /// incremented under the `sessions` lock, so it never exceeds
     /// `config.max_queued_jobs` — which is also the channel's capacity, so
@@ -422,35 +406,27 @@ pub(crate) struct Inner {
     /// The failover supervisor's orphan intake, when this node runs inside a
     /// cluster with fault tolerance enabled.
     orphan_sink: Mutex<Option<OrphanSink>>,
-    pub(crate) clock: ServiceClock,
+    clock: ServiceClock,
     /// Queue-wait latency distribution, always on (recording is a handful of
     /// relaxed atomics) — backs the `admission_stats` p50/p99 whether or not
     /// an observer is installed.
-    pub(crate) queue_wait: Histogram,
+    queue_wait: Histogram,
     /// The observability hub, when one was installed at construction
     /// ([`KernelService::with_observer`]).
-    pub(crate) obs: Option<Arc<ObsHub>>,
+    obs: Option<Arc<ObsHub>>,
     /// The service plane's own woven program: carries the obs aspect around
     /// `Service::execute_spec` and `PlanCache::resolve`.  Empty — and the
     /// dispatch sites skipped entirely — when no hub is installed, so the
     /// unobserved path pays nothing.
-    pub(crate) service_woven: WovenProgram,
+    service_woven: WovenProgram,
 }
 
 impl Inner {
     /// The session's stream state, if one is attached *and* has a live
     /// consumer — callers skip building the outcome (a report clone on the
     /// completion hot path) entirely otherwise.
-    pub(crate) fn consumer_stream(&self, session: SessionId) -> Option<Arc<StreamState>> {
+    fn consumer_stream(&self, session: SessionId) -> Option<Arc<StreamState>> {
         self.streams.lock().get(&session).filter(|s| s.has_consumers()).cloned()
-    }
-
-    /// Bookkeeping for taking one job off the bounded channel outside the
-    /// worker loop (the fusion drain, and the fusion unit tests): free the
-    /// queue slot and wake backpressured submitters.
-    pub(crate) fn note_dequeued(&self) {
-        self.queued.fetch_sub(1, Ordering::SeqCst);
-        self.capacity.bump();
     }
 
     /// Deliver an outcome to the session's stream, if a consumer is
@@ -491,12 +467,11 @@ impl Inner {
 /// [`KernelService::drain`] (or wait the handles) first if their results
 /// matter.
 pub struct KernelService {
-    pub(crate) inner: Arc<Inner>,
+    inner: Arc<Inner>,
     queue: Option<Sender<Queued>>,
-    // Kept so `submit` stays valid in admission-only mode (0 workers), so
-    // shutdown can abandon a backlog no worker will ever drain, and so the
-    // batch-fusion unit tests can dequeue deterministically.
-    pub(crate) queue_rx: Receiver<Queued>,
+    // Kept so `submit` stays valid in admission-only mode (0 workers) and so
+    // shutdown can abandon a backlog no worker will ever drain.
+    queue_rx: Receiver<Queued>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -608,26 +583,14 @@ impl KernelService {
                         while let Ok(queued) = rx.recv() {
                             // The queue slot frees as soon as the job is
                             // dequeued; tell backpressured submitters.
-                            inner.note_dequeued();
+                            inner.queued.fetch_sub(1, Ordering::SeqCst);
+                            inner.capacity.bump();
                             if inner.killed.load(Ordering::SeqCst) {
                                 // Fail-stop: anything dequeued after the kill
                                 // goes to the failover sink, never a worker.
                                 orphan_one(&inner, queued);
                             } else if inner.shutting_down.load(Ordering::Relaxed) {
                                 abandon_one(&inner, &queued.cell);
-                            } else if inner.config.batch_fusion >= 2 {
-                                // Batch fusion: drain compatible backlog
-                                // behind this job and run it as one fused
-                                // sweep.  An incompatible job stops the
-                                // drain and becomes the head of the next
-                                // one, so it still gets a chance to fuse
-                                // with whatever queued behind it.
-                                let mut head = Some(queued);
-                                while let Some(first) = head.take() {
-                                    let (batch, stashed) = drain_batch(&inner, &rx, first);
-                                    crate::fuse::run_batch(&inner, batch);
-                                    head = stashed;
-                                }
                             } else {
                                 run_one(&inner, queued);
                             }
@@ -1188,60 +1151,29 @@ fn orphan_one(inner: &Inner, queued: Queued) {
     }
 }
 
-/// Drain up to `batch_fusion - 1` further jobs behind `first` from the
-/// queue's backlog, stopping at the first fusion-incompatible job (returned
-/// separately so the worker runs it solo right after the batch).  Draining
-/// performs the same dequeue bookkeeping the worker loop does; fail-stop and
-/// shutdown checks stop the drain and route the job the same way the loop
-/// head would.
-fn drain_batch(
-    inner: &Inner,
-    rx: &Receiver<Queued>,
-    first: Queued,
-) -> (Vec<Queued>, Option<Queued>) {
-    let mut batch = vec![first];
-    let mut stashed = None;
-    while batch.len() < inner.config.batch_fusion {
-        let Ok(next) = rx.try_recv() else { break };
-        inner.note_dequeued();
-        if inner.killed.load(Ordering::SeqCst) {
-            orphan_one(inner, next);
-            break;
-        }
-        if inner.shutting_down.load(Ordering::Relaxed) {
-            abandon_one(inner, &next.cell);
-            break;
-        }
-        if crate::fuse::fusion_compatible(&batch[0].spec, &next.spec) {
-            batch.push(next);
-        } else {
-            stashed = Some(next);
-            break;
-        }
-    }
-    (batch, stashed)
+/// What executing a job yields: the result fields of its [`JobReport`].
+struct Executed {
+    checksum: f64,
+    simulated_seconds: f64,
+    summary: aohpc_runtime::RunSummary,
+    error: Option<String>,
 }
 
-/// Execute one queued job on the calling worker thread and resolve it.
-pub(crate) fn run_one(inner: &Inner, queued: Queued) {
+/// Execute one queued job on the calling worker thread and resolve it
+/// exactly once: retained results, completion stream, status, session
+/// accounting, handle, pending count and capacity wake-ups — in the order the
+/// drain invariants require.
+fn run_one(inner: &Inner, queued: Queued) {
     let Queued { cell, spec, admitted_at } = queued;
     if !cell.begin_running() {
         // A cancel won the race; it settled every counter already.
         return;
     }
-    run_claimed(inner, cell, spec, admitted_at);
-}
-
-/// Execute a job whose cell has already been claimed (`begin_running`
-/// succeeded) — the body of [`run_one`], also the solo fallback of the
-/// batch-fusion driver.
-pub(crate) fn run_claimed(inner: &Inner, cell: Arc<JobCell>, spec: JobSpec, admitted_at: Duration) {
     let queue_wait = inner.clock.now().saturating_sub(admitted_at);
     inner.queue_wait.record(queue_wait.as_nanos() as u64);
+    let job = cell.job;
     let session = cell.session;
     let fingerprint = spec.program.fingerprint();
-    let program_name = spec.program.name().to_string();
-    let topology = spec.topology.clone();
     // Hot sessions pin the plans they resolve, so eviction pressure from
     // other tenants cannot flush them (see SessionSpec::pin_plans).
     let pin_plans =
@@ -1290,69 +1222,20 @@ pub(crate) fn run_claimed(inner: &Inner, cell: Arc<JobCell>, spec: JobSpec, admi
         result
     }));
     let cache_hit = prewarm_hit.get();
-    let (checksum_value, simulated_seconds, summary, error) = match outcome {
-        Ok((cks, sim, summary)) => (cks, sim, summary, None),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".to_string());
-            (f64::NAN, 0.0, aohpc_runtime::RunReport::empty(topology).summary(), Some(msg))
+    let executed = outcome.unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "job panicked".to_string());
+        Executed {
+            checksum: f64::NAN,
+            simulated_seconds: 0.0,
+            summary: aohpc_runtime::RunReport::empty(spec.topology.clone()).summary(),
+            error: Some(msg),
         }
-    };
+    });
 
-    settle_finished(
-        inner,
-        FinishedJob {
-            cell,
-            fingerprint,
-            program: program_name,
-            cache_hit,
-            checksum: checksum_value,
-            simulated_seconds,
-            summary,
-            error,
-            trace_ctx,
-            obs_root: obs_job.map(|(_, open)| open),
-            queue_wait,
-            resolve_time: resolve_time.get(),
-            execute_time: execute_time.get(),
-            specialization: spec_tier.get(),
-            fusion: None,
-        },
-    );
-}
-
-/// Everything the completion path needs to resolve one finished job — built
-/// by [`run_claimed`] for solo jobs and by the batch-fusion driver once per
-/// fused member.
-pub(crate) struct FinishedJob {
-    pub(crate) cell: Arc<JobCell>,
-    pub(crate) fingerprint: aohpc_kernel::ProgramFingerprint,
-    pub(crate) program: String,
-    pub(crate) cache_hit: Option<bool>,
-    pub(crate) checksum: f64,
-    pub(crate) simulated_seconds: f64,
-    pub(crate) summary: aohpc_runtime::RunSummary,
-    pub(crate) error: Option<String>,
-    pub(crate) trace_ctx: Option<(u64, u64)>,
-    pub(crate) obs_root: Option<aohpc_obs::OpenSpan>,
-    pub(crate) queue_wait: Duration,
-    pub(crate) resolve_time: Duration,
-    pub(crate) execute_time: Duration,
-    pub(crate) specialization: SpecializationId,
-    pub(crate) fusion: Option<crate::job::FusionProvenance>,
-}
-
-/// Meter the session, build the [`JobReport`] and resolve the job exactly
-/// once: retained results, completion stream, status, session accounting,
-/// handle, pending count and capacity wake-ups — in the order the drain
-/// invariants require.
-pub(crate) fn settle_finished(inner: &Inner, done: FinishedJob) {
-    let FinishedJob { cell, fingerprint, program, cache_hit, checksum, .. } = &done;
-    let job = cell.job;
-    let session = cell.session;
     // Meter the session *without* releasing its in-flight slot yet: the
     // report must be in `results` before in_flight drops to zero, or a
     // concurrent `drain_session` could observe an idle session and miss its
@@ -1367,8 +1250,8 @@ pub(crate) fn settle_finished(inner: &Inner, done: FinishedJob) {
                     Some(false) => meter.plan_cache_misses += 1,
                     None => {} // panicked before/while resolving the plan
                 }
-                meter.cells_updated += done.summary.writes;
-                meter.simulated_seconds += done.simulated_seconds;
+                meter.cells_updated += executed.summary.writes;
+                meter.simulated_seconds += executed.simulated_seconds;
                 ctx.tenant().to_string()
             }
             None => "unknown".to_string(),
@@ -1379,20 +1262,19 @@ pub(crate) fn settle_finished(inner: &Inner, done: FinishedJob) {
         job,
         session,
         tenant,
-        program: program.clone(),
-        fingerprint: *fingerprint,
+        program: spec.program.name().to_string(),
+        fingerprint,
         plan_cache_hit: cache_hit.unwrap_or(false),
-        checksum: *checksum,
-        simulated_seconds: done.simulated_seconds,
-        summary: done.summary.clone(),
-        error: done.error.clone(),
-        trace_id: done.trace_ctx.map(|(trace, _)| trace),
-        queue_wait: done.queue_wait,
-        resolve_time: done.resolve_time,
-        execute_time: done.execute_time,
+        checksum: executed.checksum,
+        simulated_seconds: executed.simulated_seconds,
+        summary: executed.summary,
+        error: executed.error,
+        trace_id: trace_ctx.map(|(trace, _)| trace),
+        queue_wait,
+        resolve_time: resolve_time.get(),
+        execute_time: execute_time.get(),
         failover: None,
-        specialization: done.specialization,
-        fusion: done.fusion,
+        specialization: spec_tier.get(),
     };
     // Close the job's trace root and settle the hub's job-level metrics; the
     // per-phase spans/histograms were filed by the woven obs advice.
@@ -1409,7 +1291,7 @@ pub(crate) fn settle_finished(inner: &Inner, done: FinishedJob) {
             report.summary.writes,
             report.execute_time.as_nanos() as u64,
         );
-        if let Some(open) = done.obs_root {
+        if let Some((_, open)) = obs_job {
             hub.recorder().end_with(open, job as i64, i64::from(report.error.is_none()));
         }
     }
@@ -1446,7 +1328,7 @@ pub(crate) fn settle_finished(inner: &Inner, done: FinishedJob) {
 /// dispatched through the service's woven program, so the obs aspect wraps
 /// it in a span parented into the job's tree — the body publishes the plan's
 /// [`PlanOrigin`] as an attribute for the advice to file.
-pub(crate) fn resolve_primary(
+fn resolve_primary(
     inner: &Inner,
     spec: &JobSpec,
     primary: Extent,
@@ -1511,7 +1393,7 @@ fn execute_traced(
     cell: &JobCell,
     artifact: &FamilyArtifact,
     trace_ctx: Option<(u64, u64)>,
-) -> (f64, f64, aohpc_runtime::RunSummary) {
+) -> Executed {
     let Some((trace, parent)) = trace_ctx else {
         return execute_spec(inner, spec, cell, artifact, None);
     };
@@ -1535,11 +1417,10 @@ fn execute_traced(
     result.expect("execute body runs exactly once")
 }
 
-/// The execution core: the same compile-and-run pipeline the one-shot
-/// harnesses use, with the shared cache installed as the plan source and the
-/// job's progress counters installed in the run config.  Dispatches on the
-/// spec's [kernel family](aohpc_kernel::KernelFamilyId): stencil jobs run the
-/// IR pipeline, particle and usgrid jobs run their DSL apps with the
+/// Build the job's `(system, app)` pair for its
+/// [kernel family](aohpc_kernel::KernelFamilyId) and hand it to
+/// [`run_family`]: stencil jobs run the IR app with the shared cache installed
+/// as its plan source, particle and usgrid jobs run their DSL apps with the
 /// cache-resolved family artifact installed as the update law.
 fn execute_spec(
     inner: &Inner,
@@ -1547,38 +1428,84 @@ fn execute_spec(
     cell: &JobCell,
     artifact: &FamilyArtifact,
     trace_ctx: Option<(u64, u64)>,
-) -> (f64, f64, aohpc_runtime::RunSummary) {
+) -> Executed {
     match artifact {
-        FamilyArtifact::Stencil(_) => execute_stencil(inner, spec, cell, trace_ctx),
+        FamilyArtifact::Stencil(_) => {
+            let program =
+                spec.program.as_stencil().expect("stencil artifact implies stencil program");
+            let system = SGridSystem::with_block_size(spec.region, spec.block);
+            let sink = new_stencil_field_sink();
+            let dispatcher =
+                HeteroDispatcher::try_new(spec.policy.clone()).expect("policy validated at submit");
+            let app = IrStencilApp::new(program.clone(), spec.params.clone(), spec.steps)
+                .with_opt_level(spec.opt_level)
+                .with_dispatcher(dispatcher)
+                .with_plan_source(inner.cache.clone())
+                .with_scratch_pool(inner.scratch.clone())
+                .with_field_sink(sink.clone());
+            run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
+        }
         FamilyArtifact::Particle(kernel) => {
-            let law = PairForce(kernel.pair_law(spec.params[0]));
-            execute_particle(inner, spec, cell, law, trace_ctx)
+            // The bucket grid re-derived from the particle count matches
+            // spec.region when the spec came from JobSpec::particle; the
+            // count fallback assumes the paper's half-full buckets for
+            // hand-built specs.
+            let count = spec.particles.unwrap_or(spec.region.cells() * 8);
+            let system = ParticleSystem::paper(ParticleSize::new(count));
+            let sink = new_field_sink();
+            let app = ParticleApp::new(system.clone(), spec.steps)
+                .with_dt(spec.params[1])
+                .with_sink(sink.clone())
+                .with_pair_force(PairForce(kernel.pair_law(spec.params[0])));
+            run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
         }
         FamilyArtifact::UsGrid(kernel) => {
-            let law = UsUpdate(kernel.update_fn(spec.params[0], spec.params[1]));
-            execute_usgrid(inner, spec, cell, law, trace_ctx)
+            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
+            let sink = new_field_sink();
+            let mut app = UsGridJacobiApp::new(system.clone(), spec.steps)
+                .with_sink(sink.clone())
+                .with_update(UsUpdate(kernel.update_fn(spec.params[0], spec.params[1])));
+            app.alpha = spec.params[0];
+            app.beta = spec.params[1];
+            run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
         }
     }
 }
 
-/// Weave the spec's aspects and build its run config — identical for every
-/// family, so all three execution paths share one topology/progress wiring.
+/// The one execute path, whatever the family: weave the spec's layer aspects,
+/// run `app` on `system` through `runtime::execute` with the job's progress
+/// counters installed, then fold the field `Finalize` left in `sink` into the
+/// checksum and the run's counters into the simulated time.
+///
+/// The layer aspects are instantiated on the system's own cell type: their
+/// advice finds the run's payloads by that type, so an aspect typed on
+/// another family's cell would fall through and leave rank 0 running alone.
 /// With an observer, the per-job [`ObsRunAspect`] joins the weave carrying
 /// the job's trace and root-span ids (rank threads have no thread-local span
-/// context); the returned [`RunFinisher`] closes the final step spans after
-/// the run returns.
-pub(crate) fn weave_for(
+/// context) and its finisher closes the final step spans after the run.
+///
+/// A run whose slowest task gave up before `spec.steps` (the
+/// [`MAX_RETRIES_PER_STEP`] cap in `HpcApp::processing`) is a failure, not a
+/// result: it resolves with an error and a NaN checksum, as a panic does.
+fn run_family<S, A>(
     inner: &Inner,
     spec: &JobSpec,
     cell: &JobCell,
     trace_ctx: Option<(u64, u64)>,
-) -> (WovenProgram, RunConfig, Option<RunFinisher>) {
+    system: S,
+    app: Arc<dyn Fn(TaskSlot) -> A + Send + Sync>,
+    sink: FieldSink,
+) -> Executed
+where
+    S: DslSystem + 'static,
+    A: HpcApp<S::Cell> + 'static,
+{
     let mut weaver = Weaver::new();
     if spec.topology.ranks() > 1 {
-        weaver = weaver.with_aspect(Box::new(MpiAspect::<f64>::new()));
+        weaver = weaver.with_aspect(Box::new(MpiAspect::<S::Cell>::new()));
     }
     if spec.topology.threads_per_rank() > 1 {
-        weaver = weaver.with_aspect(Box::new(OmpAspect::<f64>::new()));
+        weaver = weaver.with_aspect(Box::new(OmpAspect::<S::Cell>::new()));
     }
     let mut finisher = None;
     if let (Some(hub), Some((trace, job_span))) = (&inner.obs, trace_ctx) {
@@ -1586,95 +1513,30 @@ pub(crate) fn weave_for(
         finisher = Some(aspect.finisher());
         weaver = weaver.with_aspect(Box::new(aspect));
     }
-    let woven = weaver.weave();
     let config = RunConfig::serial()
         .with_topology(spec.topology.clone())
         .with_weave_mode(spec.weave_mode)
         .with_progress(cell.progress.clone());
-    (woven, config, finisher)
-}
-
-fn execute_stencil(
-    inner: &Inner,
-    spec: &JobSpec,
-    cell: &JobCell,
-    trace_ctx: Option<(u64, u64)>,
-) -> (f64, f64, aohpc_runtime::RunSummary) {
-    let program = spec.program.as_stencil().expect("stencil artifact implies stencil program");
-    let system = Arc::new(SGridSystem::with_block_size(spec.region, spec.block));
-    let sink = new_stencil_field_sink();
-    let dispatcher =
-        HeteroDispatcher::try_new(spec.policy.clone()).expect("policy validated at submit");
-    let app = IrStencilApp::new(program.clone(), spec.params.clone(), spec.steps)
-        .with_opt_level(spec.opt_level)
-        .with_dispatcher(dispatcher)
-        .with_plan_source(inner.cache.clone())
-        .with_scratch_pool(inner.scratch.clone())
-        .with_field_sink(sink.clone());
-
-    let (woven, config, finisher) = weave_for(inner, spec, cell, trace_ctx);
-    let report = execute(&config, woven, system.env_factory(), app.factory());
+    let report = execute(&config, weaver.weave(), Arc::new(system).env_factory(), app);
     if let Some(finisher) = finisher {
         finisher.finish();
     }
 
-    let cks = checksum(sink.lock().iter().map(|(_, v)| *v));
-    let sim = CostModel::default().makespan_seconds(&report);
-    (cks, sim, report.summary())
-}
-
-fn execute_particle(
-    inner: &Inner,
-    spec: &JobSpec,
-    cell: &JobCell,
-    law: PairForce,
-    trace_ctx: Option<(u64, u64)>,
-) -> (f64, f64, aohpc_runtime::RunSummary) {
-    // The bucket grid re-derived from the particle count matches spec.region
-    // when the spec came from JobSpec::particle; the count fallback assumes
-    // the paper's half-full buckets for hand-built specs.
-    let count = spec.particles.unwrap_or(spec.region.cells() * 8);
-    let system = ParticleSystem::paper(ParticleSize::new(count));
-    let sink = new_field_sink();
-    let app = ParticleApp::new(system.clone(), spec.steps)
-        .with_dt(spec.params[1])
-        .with_sink(sink.clone())
-        .with_pair_force(law);
-
-    let (woven, config, finisher) = weave_for(inner, spec, cell, trace_ctx);
-    let report = execute(&config, woven, Arc::new(system).env_factory(), app.factory());
-    if let Some(finisher) = finisher {
-        finisher.finish();
+    let simulated_seconds = CostModel::default().makespan_seconds(&report);
+    let summary = report.summary();
+    // `summary.steps` is the furthest any task got; a run is only as done as
+    // its slowest task.
+    let completed = report.tasks.iter().map(|t| t.steps).min().unwrap_or(0);
+    if completed < spec.steps as u64 {
+        let error = format!(
+            "completed {completed} of {} steps: a task gave up after {MAX_RETRIES_PER_STEP} \
+             consecutive failed refreshes",
+            spec.steps
+        );
+        return Executed { checksum: f64::NAN, simulated_seconds, summary, error: Some(error) };
     }
-
-    let cks = checksum(sink.lock().iter().map(|(_, v)| *v));
-    let sim = CostModel::default().makespan_seconds(&report);
-    (cks, sim, report.summary())
-}
-
-fn execute_usgrid(
-    inner: &Inner,
-    spec: &JobSpec,
-    cell: &JobCell,
-    law: UsUpdate,
-    trace_ctx: Option<(u64, u64)>,
-) -> (f64, f64, aohpc_runtime::RunSummary) {
-    let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
-    let sink = new_field_sink();
-    let mut app =
-        UsGridJacobiApp::new(system.clone(), spec.steps).with_sink(sink.clone()).with_update(law);
-    app.alpha = spec.params[0];
-    app.beta = spec.params[1];
-
-    let (woven, config, finisher) = weave_for(inner, spec, cell, trace_ctx);
-    let report = execute(&config, woven, Arc::new(system).env_factory(), app.factory());
-    if let Some(finisher) = finisher {
-        finisher.finish();
-    }
-
-    let cks = checksum(sink.lock().iter().map(|(_, v)| *v));
-    let sim = CostModel::default().makespan_seconds(&report);
-    (cks, sim, report.summary())
+    let checksum = checksum(sink.lock().iter().map(|(_, v)| *v));
+    Executed { checksum, simulated_seconds, summary, error: None }
 }
 
 #[cfg(test)]
@@ -2067,6 +1929,29 @@ mod tests {
             assert_eq!(report.summary.tasks, 2);
             assert_eq!(report.checksum.to_bits(), serial, "job {}", report.job);
         }
+    }
+
+    #[test]
+    fn a_run_that_stops_short_of_its_steps_resolves_as_an_error() {
+        // Two ranks compiled directly: nothing dispatches, so the layer
+        // aspects never run, rank 0 works alone and its refresh can never
+        // fetch rank 1's halo pages — every step exhausts its retries.
+        let service =
+            KernelService::with_observer(ServiceConfig::default().with_workers(1), ObsHub::new());
+        let session = service.open_session(SessionSpec::tenant("t"));
+        let stalled = smoke_job()
+            .with_topology(Topology::hybrid(2, 1))
+            .with_weave_mode(aohpc_runtime::WeaveMode::Direct);
+        let report = service.submit(session, stalled).unwrap().wait().expect("the job resolves");
+        let error = report.error.as_deref().expect("a short run is a failure");
+        let steps = smoke_job().steps;
+        assert!(error.starts_with(&format!("completed 0 of {steps} steps")), "{error}");
+        assert!(report.checksum.is_nan(), "no checksum for a field that was never computed");
+        assert_eq!(report.summary.steps, 0);
+        assert!(report.summary.retries > MAX_RETRIES_PER_STEP);
+        let jobs = service.obs_snapshot().expect("observer installed").jobs;
+        assert_eq!((jobs.completed, jobs.failed), (0, 1), "metered as failed");
+        assert_eq!(service.session(session).unwrap().in_flight(), 0, "bookkeeping still settles");
     }
 
     #[test]
