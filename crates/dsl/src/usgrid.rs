@@ -15,8 +15,8 @@
 //! Data outside the computational domain lives in a Static Data block, as in
 //! §V-B2.
 
-use crate::common::{build_tiled_env_with_topology, origin_index, DslSystem, FieldSink, Tiling};
-use aohpc_env::{Env, Extent, GlobalAddress, LocalAddress, TreeTopology};
+use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
+use aohpc_env::{Env, Extent, GlobalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
 use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::{GridLayout, RegionSize};
@@ -176,7 +176,8 @@ pub type UsUpdateFn = Arc<dyn Fn(f64, &[f64]) -> f64 + Send + Sync>;
 /// Installed by [`UsGridJacobiApp::with_update`], typically from a compiled
 /// usgrid-family kernel artifact so that service-submitted jobs execute the
 /// cached plan's arithmetic.  Neighbour values arrive in the program's
-/// declared neighbour order.  When absent, the app's built-in
+/// declared neighbour order, as one slice per point cut from the block's
+/// gathered neighbour values.  When absent, the app's built-in
 /// `alpha·me + beta·Σ` law runs; the stock compiled law reproduces it
 /// bit-for-bit.
 #[derive(Clone)]
@@ -242,22 +243,32 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
     }
 
     fn initialize(&mut self, ctx: &mut TaskCtx<UsCell>) {
-        // Iterate logical points; write each into its storage position if the
-        // owning block belongs to this rank.
+        // Iterate logical points; stage each at its storage position in the
+        // slab of the block holding it, if that block belongs to this rank,
+        // and write every slab with one call.
         let owned = ctx.owned_blocks();
-        let by_origin = origin_index(ctx.env().as_ref());
-        let owned_set: std::collections::HashSet<_> = owned.iter().copied().collect();
+        let tiling = self.system.tiling();
+        let (tiles_x, bs) = (tiling.blocks_x(), tiling.block);
+        // Tile slot -> position of the tile's block in `owned` (and of its
+        // cells, row-major, in `slabs`) and its row length; `None` for a tile
+        // of another rank.
+        let mut slab_of_tile = vec![None; tiling.total_blocks()];
+        let mut slabs: Vec<Vec<UsCell>> = Vec::with_capacity(owned.len());
+        for (k, &bid) in owned.iter().enumerate() {
+            let meta = &ctx.env().block(bid).meta;
+            let tile = (meta.origin.y as usize / bs) * tiles_x + meta.origin.x as usize / bs;
+            slab_of_tile[tile] = Some((k, meta.extent.nx));
+            slabs.push(vec![UsCell::default(); meta.extent.cells()]);
+        }
         let (nx, ny) = (self.system.region.nx as i64, self.system.region.ny as i64);
-        let bs = self.system.block_size as i64;
         for y in 0..ny {
             for x in 0..nx {
                 let s = self.system.storage_of(x, y);
-                let origin = ((s.x / bs) * bs, (s.y / bs) * bs);
-                let Some(&bid) = by_origin.get(&origin) else { continue };
-                if !owned_set.contains(&bid) {
+                let (sx, sy) = (s.x as usize, s.y as usize);
+                let Some((k, row)) = slab_of_tile[(sy / bs) * tiles_x + sx / bs] else {
                     continue;
-                }
-                let cell = UsCell {
+                };
+                slabs[k][(sy % bs) * row + sx % bs] = UsCell {
                     value: Self::initial_value(x, y),
                     neighbors: [
                         self.system.neighbor_address(x, y, 0, -1),
@@ -266,34 +277,41 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
                         self.system.neighbor_address(x, y, 0, 1),
                     ],
                 };
-                let local = LocalAddress::new2d(s.x - origin.0, s.y - origin.1);
-                ctx.set_initial(bid, local, cell);
             }
+        }
+        for (bid, slab) in owned.into_iter().zip(&slabs) {
+            ctx.set_initial_block(bid, slab);
         }
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<UsCell>, _warmup: bool) -> bool {
         let alpha = self.alpha;
         let beta = self.beta;
-        // The block's own points move as one slab each way (read, update in
-        // place, write back); the staging vector is parked in the task's
-        // scratch slot so later steps reuse it.
-        let mut points = ctx.take_scratch::<Vec<UsCell>>().unwrap_or_default();
+        // Three platform calls a block: the block's own points in as one
+        // slab, the values of all their neighbours as one gather (four per
+        // point, in point order), the updated points out as one slab.  Both
+        // staging vectors are parked in the task's scratch slot so later
+        // steps reuse them.
+        let (mut points, mut near) =
+            ctx.take_scratch::<(Vec<UsCell>, Vec<f64>)>().unwrap_or_default();
         for bid in ctx.get_blocks() {
             let cells = ctx.env().block(bid).meta.extent.cells();
             points.resize(cells, UsCell::default());
+            near.resize(4 * cells, 0.0);
             // Own values: always inside the block.
             ctx.get_block_dd(bid, &mut points);
-            for me in points.iter_mut() {
-                // Neighbours are indirect: no static in-block guarantee,
-                // so the access goes through MMAT / the Env search.
-                let mut vals = [0.0f64; 4];
-                for (slot, (nx, ny)) in me.neighbors.into_iter().enumerate() {
-                    let n = ctx.get_global(bid, GlobalAddress::new2d(nx, ny));
-                    vals[slot] = n.value;
-                }
+            // Neighbours are indirect: no static in-block guarantee, so the
+            // access goes through MMAT / the Env search where it leaves the
+            // block.
+            let addrs = points
+                .iter()
+                .flat_map(|p| p.neighbors)
+                .map(|(nx, ny)| GlobalAddress::new2d(nx, ny));
+            ctx.get_gather(bid, addrs, |n| n.value, &mut near);
+            // Each point's neighbour values arrive as one gathered slice.
+            for (me, vals) in points.iter_mut().zip(near.chunks_exact(4)) {
                 me.value = match &self.update {
-                    Some(update) => (update.0)(me.value, &vals),
+                    Some(update) => (update.0)(me.value, vals),
                     None => {
                         let mut sum = 0.0;
                         for v in vals {
@@ -305,7 +323,7 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
             }
             ctx.set_block(bid, &points);
         }
-        ctx.put_scratch(points);
+        ctx.put_scratch((points, near));
         ctx.refresh()
     }
 
@@ -355,7 +373,16 @@ mod tests {
     }
 
     fn run(layout: GridLayout, topology: Topology, woven: WovenProgram, mmat: bool) -> Vec<f64> {
-        let region = RegionSize::square(16);
+        run_region(RegionSize::square(16), layout, topology, woven, mmat)
+    }
+
+    fn run_region(
+        region: RegionSize,
+        layout: GridLayout,
+        topology: Topology,
+        woven: WovenProgram,
+        mmat: bool,
+    ) -> Vec<f64> {
         let steps = 3;
         let system = UsGridSystem::with_block_size(region, 8, layout);
         let sink = new_field_sink();
@@ -404,6 +431,18 @@ mod tests {
         let field =
             run(GridLayout::CaseR { seed: 11 }, Topology::serial(), WovenProgram::unwoven(), true);
         close(&field, &reference(RegionSize::square(16), 3));
+    }
+
+    #[test]
+    fn ragged_tiling_matches_reference() {
+        // 20 x 12 in blocks of 8: the right-hand tiles are 4 wide, the bottom
+        // ones 4 tall, so a slab's row length is not the block size.
+        let region = RegionSize { nx: 20, ny: 12 };
+        for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 7 }] {
+            let field =
+                run_region(region, layout, Topology::serial(), WovenProgram::unwoven(), false);
+            close(&field, &reference(region, 3));
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@ pub struct AccessCounters {
     pub reads: u64,
     /// Total cell writes requested.
     pub writes: u64,
-    /// Reads satisfied by the starting block without a search.
+    /// Reads satisfied by the starting block without a search — one per
+    /// cell whether it was read by [`Env::read`](crate::Env::read) or as part
+    /// of a gather ([`Env::read_gather_into`](crate::Env::read_gather_into)).
     pub in_block_hits: u64,
     /// Reads satisfied via the skip-search flag (`GetDD`).
     pub skip_search_hits: u64,
@@ -30,7 +32,9 @@ pub struct AccessCounters {
     /// ([`Env::read_run_into`](crate::Env::read_run_into)) searches once for
     /// a stretch of cells it can prove share a holder, so this may be lower
     /// than the number of reads that left their starting block
-    /// (`out_of_block_reads` counts those, one per cell).
+    /// (`out_of_block_reads` counts those, one per cell).  The slab and
+    /// gather forms never search less than the per-cell loop: every counter
+    /// they leave is that loop's.
     pub env_searches: u64,
     /// Tree nodes visited during the searches that ran.
     pub search_nodes_visited: u64,

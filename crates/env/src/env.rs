@@ -635,6 +635,86 @@ impl<C: Cell> Env<C> {
         }
     }
 
+    /// Read the cells at `addrs` and keep `project(&cell)` of each:
+    /// `out[i] = project(&cell)` for the `i`-th address, where the cell is
+    /// what [`Env::read`] without the in-block hint yields (`C::default()`
+    /// for missing data) — the gather form of that call, for a block whose
+    /// cells name their neighbours (an unstructured grid's indirection).
+    /// Stops at the shorter of `addrs` and `out`.
+    ///
+    /// Values, **every** counter, missing-page records (in order) and the
+    /// MMAT memo are exactly those of the per-cell loop.  Addresses inside
+    /// `start` — the common case under Assumption III — are served from its
+    /// read buffer, one lock acquisition per stretch of them and no clone of
+    /// the cell; every other address goes through [`Env::read`], in order.
+    /// With MMAT on (each read consults and updates the memo), or `start` a
+    /// catch-all or a block without cell buffers, it is the per-cell loop.
+    ///
+    /// `start`'s lock is never held across a per-cell read: a `Reference`
+    /// block may map an outside address back into `start`, and a second
+    /// read acquisition behind a queued writer deadlocks.
+    pub fn read_gather_into<T>(
+        &self,
+        start: BlockId,
+        addrs: impl IntoIterator<Item = GlobalAddress>,
+        project: impl Fn(&C) -> T,
+        out: &mut [T],
+        state: &mut AccessState,
+    ) {
+        let block = &self.blocks[start];
+        // The buffers in-block addresses may be served from, if any.
+        let direct = match &block.kind {
+            BlockKind::Data(buf) | BlockKind::BufferOnly(buf)
+                if !state.mmat_enabled && !block.meta.catch_all =>
+            {
+                Some(buf)
+            }
+            _ => None,
+        };
+        let mut pairs = out.iter_mut().zip(addrs);
+        let mut next = pairs.next();
+        while let Some((mut slot, addr)) = next.take() {
+            let Some((buf, mut idx)) = direct.zip(block.cell_index(addr)) else {
+                *slot = project(&self.read_unhinted(start, addr, state));
+                next = pairs.next();
+                continue;
+            };
+            // A stretch of addresses inside `start`, under one guard.
+            let guard = buf.read();
+            let whole = block.meta.is_valid();
+            let mut served = 0u64;
+            loop {
+                served += 1;
+                let page = (!whole).then(|| guard.pages().page_of(idx));
+                match page.filter(|&page| !guard.pages().is_valid(page)) {
+                    None => *slot = project(guard.read_cell(idx)),
+                    Some(page) => {
+                        state.record_missing(start, page);
+                        *slot = project(&C::default());
+                    }
+                }
+                let Some((after, addr)) = pairs.next() else { break };
+                match block.cell_index(addr) {
+                    Some(inside) => (slot, idx) = (after, inside),
+                    None => {
+                        next = Some((after, addr));
+                        break;
+                    }
+                }
+            }
+            drop(guard);
+            state.counters.reads += served;
+            state.counters.in_block_hits += served;
+        }
+    }
+
+    /// One per-cell read on behalf of [`Env::read_gather_into`], kept out of
+    /// line so the gather's in-block loop stays small.
+    #[inline(never)]
+    fn read_unhinted(&self, start: BlockId, addr: GlobalAddress, state: &mut AccessState) -> C {
+        self.read(start, addr, false, state).unwrap_or_default()
+    }
+
     /// Read with a local (block-relative) address — the `GetD`/`GetDD` form.
     pub fn read_local(
         &self,
@@ -1415,7 +1495,12 @@ mod tests {
         /// Static block to the right of the domain, and a catch-all that is
         /// either Arithmetic or a Reference mirroring into the domain;
         /// optionally one more data block lying across four tiles.
-        fn tiled_env(cpp: usize, quadtree: bool, reference: bool, overlap: bool) -> Env<u64> {
+        pub(super) fn tiled_env(
+            cpp: usize,
+            quadtree: bool,
+            reference: bool,
+            overlap: bool,
+        ) -> Env<u64> {
             let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), cpp);
             let root = b.add_empty(None);
             let tiles: Vec<TilePlacement> = (0..9u32)
@@ -1592,6 +1677,184 @@ mod tests {
                 };
                 prop_assert_eq!(searches_aside(r), searches_aside(c));
             }
+        }
+    }
+
+    mod gather_properties {
+        use super::run_properties::tiled_env;
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+
+        /// What the tests keep of a cell: not the identity, so a projection
+        /// skipped or applied to the wrong cell shows.
+        fn project(cell: &u64) -> u64 {
+            cell.wrapping_mul(3) ^ 0x55
+        }
+
+        /// Leave the pages of `id` named by `mask` invalid.
+        fn invalidate_pages(env: &Env<u64>, id: BlockId, mask: u64) {
+            env.set_block_valid(id, false).unwrap();
+            for page in 0..env.num_pages(id).unwrap() {
+                if mask >> (page % 64) & 1 == 0 {
+                    let payload = env.extract_page(id, page).unwrap();
+                    env.install_page(id, page, &payload).unwrap();
+                }
+            }
+        }
+
+        proptest! {
+            /// A gather and the per-cell loop it replaces: same values, the
+            /// same `AccessCounters` field for field, the same missing-page
+            /// list in the same order and the same MMAT memo — whatever the
+            /// address list (inside `start`, in a neighbour, in the Static
+            /// strip, outside the domain, repeated) and whatever `start` is
+            /// (Data, Buffer-only, or a block without cell buffers).
+            #[test]
+            fn gather_reads_equal_the_per_cell_loop(
+                cpp in 1usize..8,
+                quadtree in any::<bool>(),
+                reference in any::<bool>(),
+                overlap_sel in 0usize..4,
+                mmat in any::<bool>(),
+                start_sel in 0usize..40,
+                buffer_only in any::<bool>(),
+                start_invalid in any::<bool>(),
+                victims in (0usize..9, 0usize..9),
+                invalid_mask in any::<u64>(),
+                picks in proptest::collection::vec((0usize..8, -3i64..17, -3i64..12), 0..48),
+            ) {
+                let mut env = tiled_env(cpp, quadtree, reference, overlap_sel == 0);
+                let data = env.data_block_ids();
+                // Three starts in four are data tiles; the rest range over
+                // the whole arena (joints, the Static strip, the catch-all).
+                let start = if start_sel < 30 {
+                    data[start_sel % data.len()]
+                } else {
+                    start_sel % env.len()
+                };
+                if buffer_only && env.block(start).is_data() {
+                    env.demote_to_buffer_only(start).unwrap();
+                }
+                // Remote blocks mid-refresh: two tiles, and maybe `start`.
+                invalidate_pages(&env, data[victims.0], invalid_mask);
+                invalidate_pages(&env, data[victims.1], invalid_mask.rotate_left(7));
+                if env.block(start).kind.has_buffers() {
+                    if start_invalid {
+                        invalidate_pages(&env, start, invalid_mask.rotate_left(13));
+                    } else if !env.block(start).is_data() {
+                        env.set_block_valid(start, true).unwrap();
+                    }
+                }
+                let meta = &env.block(start).meta;
+                let (origin, ext) = (meta.origin, meta.extent);
+                let mut addrs: Vec<GlobalAddress> = Vec::with_capacity(picks.len());
+                for (kind, x, y) in picks {
+                    addrs.push(match (kind, addrs.last()) {
+                        // Inside `start` (where it has cells) ...
+                        (0..=3, _) if ext.cells() > 0 => {
+                            let dx = x.rem_euclid(ext.nx as i64);
+                            origin + LocalAddress::new2d(dx, y.rem_euclid(ext.ny as i64))
+                        }
+                        // ... the address just read, again ...
+                        (4, Some(&last)) => last,
+                        // ... or anywhere in and around the domain.
+                        _ => GlobalAddress::new2d(x, y),
+                    });
+                }
+                let fresh = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
+                let (mut gather, mut cellwise) = (fresh(), fresh());
+
+                // Twice, so the second pass replays whatever MMAT memorised.
+                for _ in 0..2 {
+                    let mut got = vec![u64::MAX; addrs.len()];
+                    env.read_gather_into(start, addrs.iter().copied(), project, &mut got, &mut gather);
+                    let want: Vec<u64> = addrs
+                        .iter()
+                        .map(|&a| project(&env.read(start, a, false, &mut cellwise).unwrap_or_default()))
+                        .collect();
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(gather.counters, cellwise.counters);
+                    prop_assert_eq!(gather.missing(), cellwise.missing());
+                    prop_assert_eq!(gather.mmat.len(), cellwise.mmat.len());
+                }
+            }
+        }
+
+        #[test]
+        fn a_gather_stops_at_the_shorter_of_addresses_and_slots() {
+            let env = tiled_env(4, false, false, false);
+            let start = env.data_block_ids()[4];
+            let origin = env.block(start).meta.origin;
+            let addrs = [origin, origin + LocalAddress::new2d(1, 0)];
+            let mut st = AccessState::new();
+            let mut out = [u64::MAX; 3];
+            env.read_gather_into(start, addrs, project, &mut out, &mut st);
+            assert_ne!(out[1], u64::MAX);
+            assert_eq!(out[2], u64::MAX, "no address, slot untouched");
+            env.read_gather_into(start, addrs, project, &mut out[..1], &mut st);
+            assert_eq!(st.counters.reads, 3, "no slot, address not read");
+            assert_eq!(st.counters.in_block_hits, 3);
+        }
+
+        /// The lock rule: `start`'s lock is not held across a per-cell read.
+        /// A Reference boundary maps the second address back into `start`, so
+        /// that read locks `start` again; had the gather kept its guard, a
+        /// writer queued in between would block the second acquisition for
+        /// good (std's `RwLock` prefers writers).
+        #[test]
+        fn a_gather_through_a_reference_into_start_yields_to_a_waiting_writer() {
+            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), 4);
+            let root = b.add_empty(None);
+            let joint = b.add_empty(Some(root));
+            let start =
+                b.add_data(joint, GlobalAddress::new2d(0, 0), Extent::new2d(4, 4), 0).unwrap();
+            let mirror = |a: GlobalAddress| GlobalAddress::new2d(a.x.clamp(0, 3), a.y.clamp(0, 3));
+            b.add_reference(root, start, Arc::new(mirror), true);
+            let env = Arc::new(b.build());
+            env.write_initial(start, LocalAddress::new2d(1, 1), 11);
+            env.write_initial(start, LocalAddress::new2d(0, 2), 2);
+
+            let (holding_tx, holding_rx) = mpsc::channel();
+            let (done_tx, done_rx) = mpsc::channel();
+            let writer = {
+                let env = env.clone();
+                std::thread::spawn(move || {
+                    holding_rx.recv().expect("the gather reaches its first cell");
+                    let BlockKind::Data(buf) = &env.block(start).kind else { unreachable!() };
+                    drop(buf.write());
+                })
+            };
+            let reader = std::thread::spawn(move || {
+                let BlockKind::Data(buf) = &env.block(start).kind else { unreachable!() };
+                let first = AtomicBool::new(true);
+                // Runs under the gather's guard: release the writer, then
+                // hold on until it is queued (a queued writer turns further
+                // readers away), a few seconds at most.
+                let project_when_contended = |cell: &u64| {
+                    if first.swap(false, Ordering::Relaxed) {
+                        holding_tx.send(()).expect("the writer is waiting for this");
+                        let deadline = Instant::now() + Duration::from_secs(5);
+                        while buf.try_read().is_some() && Instant::now() < deadline {
+                            std::thread::yield_now();
+                        }
+                    }
+                    *cell
+                };
+                let addrs = [GlobalAddress::new2d(1, 1), GlobalAddress::new2d(-1, 2)];
+                let mut out = [0u64; 2];
+                let mut st = AccessState::new();
+                env.read_gather_into(start, addrs, project_when_contended, &mut out, &mut st);
+                done_tx.send((out, st.counters.reference_reads)).expect("the test is waiting");
+            });
+            let (out, reference_reads) = done_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the gather must not deadlock against a queued writer");
+            assert_eq!((out, reference_reads), ([11, 2], 1));
+            writer.join().unwrap();
+            reader.join().unwrap();
         }
     }
 

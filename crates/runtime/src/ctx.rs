@@ -2,7 +2,8 @@
 //!
 //! A [`TaskCtx`] is what an end-user application sees: the Block-based memory
 //! interface (`get` / `get_dd` / `set` per cell, `get_run` per halo edge,
-//! `get_block_dd` / `set_block` / `set_initial_block` per block),
+//! `get_gather` per neighbour list, `get_block_dd` / `set_block` /
+//! `set_initial_block` per block),
 //! `get_blocks`, `refresh`, and a handful of introspection helpers.
 //! Internally every one of those calls is dispatched through the woven
 //! program, so aspect modules can intercept them — this is the runtime
@@ -608,11 +609,17 @@ impl<C: Cell> TaskCtx<C> {
         payload.success
     }
 
+    // The accessors below are four forms of one contract.  The per-cell
+    // calls define it; the slab, run and gather forms move many cells per
+    // call and leave the values, missing-page records and counters the
+    // per-cell loop over the same cells leaves (the run form alone counts
+    // fewer searches — those it ran).
+
     // -- Cell accessors (the GetD / GetDD / SetD macros of Listing 1) -------
     //
     // One platform call per cell: the paper's programming model, what a
     // hand-written kernel (`SGridJacobiApp`, `ParticleApp`) uses, and the
-    // oracle the run and slab forms are tested against.
+    // oracle the slab, run and gather forms are tested against.
 
     /// Read a cell via a block-relative address.  `in_block` is the caller's
     /// assertion that the address lies inside `block` (skips the Env search).
@@ -631,10 +638,21 @@ impl<C: Cell> TaskCtx<C> {
         self.env.read(block, addr, false, &mut self.state).unwrap_or_default()
     }
 
-    /// Read a cell by global address, returning `None` for missing data.
-    pub fn try_get_global(&mut self, block: BlockId, addr: GlobalAddress) -> Option<C> {
-        self.env.read(block, addr, false, &mut self.state)
+    /// Write a cell of the block being updated (`SetD`).
+    pub fn set(&mut self, block: BlockId, local: LocalAddress, value: C) -> bool {
+        self.env.write_local(block, local, value, &mut self.state)
     }
+
+    /// Write the initial (step-0) value of a cell.
+    pub fn set_initial(&mut self, block: BlockId, local: LocalAddress, value: C) -> bool {
+        self.env.write_initial(block, local, value)
+    }
+
+    // -- Run and gather: the un-hinted read (`GetD`), many cells per call ----
+    //
+    // Reads that may leave the block, so no "inside my block" assertion: a
+    // run is an arithmetic sequence of addresses (a halo edge), a gather an
+    // arbitrary list (a block's indirect neighbours).
 
     /// Read the cells `first, first + step, …` (block-relative, no in-block
     /// assertion) into `out`: `out.len()` calls of [`TaskCtx::get`] with
@@ -654,14 +672,22 @@ impl<C: Cell> TaskCtx<C> {
         self.env.read_run_into(block, first, step, out, &mut self.state);
     }
 
-    /// Write a cell of the block being updated (`SetD`).
-    pub fn set(&mut self, block: BlockId, local: LocalAddress, value: C) -> bool {
-        self.env.write_local(block, local, value, &mut self.state)
-    }
-
-    /// Write the initial (step-0) value of a cell.
-    pub fn set_initial(&mut self, block: BlockId, local: LocalAddress, value: C) -> bool {
-        self.env.write_initial(block, local, value)
+    /// Read the cells at `addrs` (global, no in-block assertion) and keep
+    /// `project(&cell)` of each in `out`: one [`TaskCtx::get_global`] per
+    /// address — same values, missing-page records, MMAT memo and **every**
+    /// counter — with the addresses inside `block` served from its buffer
+    /// under one lock and without cloning the cell (see
+    /// `Env::read_gather_into`).  What a kernel over indirect neighbour lists
+    /// (`UsGridJacobiApp`) reads its neighbours with, one call per block.
+    /// Stops at the shorter of `addrs` and `out`.
+    pub fn get_gather<T>(
+        &mut self,
+        block: BlockId,
+        addrs: impl IntoIterator<Item = GlobalAddress>,
+        project: impl Fn(&C) -> T,
+        out: &mut [T],
+    ) {
+        self.env.read_gather_into(block, addrs, project, out, &mut self.state);
     }
 
     // -- Slab accessors: the same three calls, a whole block at a time ------

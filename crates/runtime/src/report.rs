@@ -69,7 +69,8 @@ pub struct RunSummary {
     pub tasks: usize,
     /// Ranks that executed.
     pub ranks: usize,
-    /// Completed steps of the slowest task.
+    /// Completed steps of the task that got furthest (the maximum over
+    /// tasks; a run is only as done as the minimum).
     pub steps: u64,
     /// Re-executed steps over all tasks.
     pub retries: u64,
@@ -233,7 +234,7 @@ mod tests {
         let s = report.summary();
         assert_eq!(s.tasks, 2);
         assert_eq!(s.ranks, 2);
-        assert_eq!(s.steps, 5, "slowest task's completed steps");
+        assert_eq!(s.steps, 5, "the maximum over tasks of their completed steps");
         assert_eq!(s.retries, 2);
         assert_eq!(s.reads, 16);
         assert_eq!(s.writes, 4);

@@ -1,4 +1,5 @@
-//! The slab and run access paths must not buy speed by dropping accounting.
+//! The slab, run and gather access paths must not buy speed by dropping
+//! accounting.
 //!
 //! `IrStencilApp` moves whole blocks through `TaskCtx::{get_block_dd,
 //! set_block, set_initial_block}` and fetches its halo ring with one
@@ -7,7 +8,12 @@
 //! same platform, so the fields must agree bit for bit, and the IR run's
 //! access counters must read exactly what the per-cell loops read — except
 //! the two search counters, which count the searches that actually ran.
+//!
+//! `UsGridJacobiApp` reads each block's indirect neighbours with one
+//! `TaskCtx::get_gather`; the oracle is the same kernel with one
+//! `ctx.get_global` per neighbour, and there every counter must agree.
 
+use aohpc::dsl::UsUpdate;
 use aohpc::env::AccessCounters;
 use aohpc::prelude::*;
 use aohpc_kernel::prelude::*;
@@ -201,4 +207,119 @@ fn closure_adaptor_matches_the_run_reads_serial() {
 #[test]
 fn closure_adaptor_matches_the_run_reads_hybrid() {
     run_reads_match_the_closure_adaptor(ExecutionMode::PlatformHybrid { ranks: 2, threads: 2 });
+}
+
+/// `UsGridJacobiApp` with the neighbours read the old way: its kernel as it
+/// stood before the gather — slab in, four `ctx.get_global` per point, slab
+/// out — around the app's own `Initialize` and `Finalize`.
+#[derive(Clone)]
+struct PerCellUsGridApp(UsGridJacobiApp);
+
+impl HpcApp<UsCell> for PerCellUsGridApp {
+    fn loop_count(&self) -> usize {
+        self.0.loop_count()
+    }
+
+    fn initialize(&mut self, ctx: &mut TaskCtx<UsCell>) {
+        self.0.initialize(ctx);
+    }
+
+    fn kernel(&mut self, ctx: &mut TaskCtx<UsCell>, _warmup: bool) -> bool {
+        let (alpha, beta) = (self.0.alpha, self.0.beta);
+        let mut points = Vec::new();
+        for bid in ctx.get_blocks() {
+            let cells = ctx.env().block(bid).meta.extent.cells();
+            points.resize(cells, UsCell::default());
+            ctx.get_block_dd(bid, &mut points);
+            for me in points.iter_mut() {
+                let mut vals = [0.0f64; 4];
+                for (slot, (nx, ny)) in me.neighbors.into_iter().enumerate() {
+                    vals[slot] = ctx.get_global(bid, GlobalAddress::new2d(nx, ny)).value;
+                }
+                me.value = match &self.0.update {
+                    Some(update) => (update.0)(me.value, &vals),
+                    None => {
+                        let mut sum = 0.0;
+                        for v in vals {
+                            sum += v;
+                        }
+                        alpha * me.value + beta * sum
+                    }
+                };
+            }
+            ctx.set_block(bid, &points);
+        }
+        ctx.refresh()
+    }
+
+    fn finalize(&mut self, ctx: &mut TaskCtx<UsCell>) {
+        self.0.finalize(ctx);
+    }
+}
+
+/// What a usgrid run leaves: field bits by storage address, every access
+/// counter, the retried steps and the cost model's seconds (as bits).
+type UsGridOutcome = (Vec<u64>, AccessCounters, u64, u64);
+
+fn usgrid_run<A: HpcApp<UsCell> + Clone + Send + Sync + 'static>(
+    platform: &Platform,
+    system: &UsGridSystem,
+    wrap: impl Fn(UsGridJacobiApp) -> A,
+    update: Option<UsUpdate>,
+) -> UsGridOutcome {
+    let sink = new_field_sink();
+    let mut app = UsGridJacobiApp::new(system.clone(), STEPS).with_sink(sink.clone());
+    if let Some(update) = update {
+        app = app.with_update(update);
+    }
+    let app = wrap(app);
+    let outcome = platform.run_system(Arc::new(system.clone()), Arc::new(move |_| app.clone()));
+    assert!(outcome.report.tasks.iter().all(|t| t.steps == STEPS as u64));
+    let field = dense_bits(&sink.lock());
+    let report = &outcome.report;
+    (field, report.total_counters(), report.total_retries(), outcome.simulated_seconds.to_bits())
+}
+
+/// The gathered neighbour reads against the per-cell ones: the same field,
+/// the same counters — all thirteen, searches included — the same retries
+/// and simulated seconds, where reads stay in the block (CaseC) and where
+/// most leave it (CaseR), with and without MMAT, built-in and plugged-in law.
+fn gather_matches_the_per_cell_neighbour_reads(mode: ExecutionMode) {
+    // Weights differ per neighbour, so a slice in the wrong order shows.
+    let weighted = UsUpdate(Arc::new(|me, near: &[f64]| {
+        0.4 * me + 0.1 * near[0] + 0.2 * near[1] + 0.05 * near[2] + 0.25 * near[3]
+    }));
+    for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 11 }] {
+        let system = UsGridSystem::with_block_size(RegionSize::square(REGION), BLOCK, layout);
+        for mmat in [false, true] {
+            for update in [None, Some(weighted.clone())] {
+                let platform = Platform::new(mode).with_mmat(mmat);
+                let case = format!(
+                    "{} {} mmat={mmat} plugged-law={}",
+                    layout.name(),
+                    mode.label(),
+                    update.is_some()
+                );
+                let gathered = usgrid_run(&platform, &system, |app| app, update.clone());
+                let oracle = usgrid_run(&platform, &system, PerCellUsGridApp, update);
+                assert_eq!(gathered.0, oracle.0, "{case}: fields differ");
+                assert_eq!(gathered.1, oracle.1, "{case}: counters differ");
+                assert_eq!((gathered.2, gathered.3), (oracle.2, oracle.3), "{case}");
+                assert!(gathered.1.reads > 0 && gathered.1.out_of_block_reads > 0, "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn per_cell_neighbour_reads_match_the_gather_serial() {
+    gather_matches_the_per_cell_neighbour_reads(ExecutionMode::PlatformNop);
+}
+
+#[test]
+fn per_cell_neighbour_reads_match_the_gather_hybrid() {
+    gather_matches_the_per_cell_neighbour_reads(ExecutionMode::PlatformHybrid {
+        ranks: 2,
+        threads: 2,
+    });
 }
