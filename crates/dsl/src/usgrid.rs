@@ -16,10 +16,11 @@
 //! §V-B2.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
-use aohpc_env::{Env, Extent, GlobalAddress, TreeTopology};
+use aohpc_env::{BlockId, Env, Extent, GatherPlan, GlobalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
 use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::{GridLayout, RegionSize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One unstructured-grid point: its value and the storage addresses of its
@@ -118,13 +119,27 @@ impl UsGridSystem {
     /// The storage address of the neighbour of logical `(x, y)` in direction
     /// `(dx, dy)` — either a real point or a Static-block slot.
     pub fn neighbor_address(&self, x: i64, y: i64, dx: i64, dy: i64) -> (i64, i64) {
+        let (nx, ny) = (self.region.nx as i64, self.region.ny as i64);
+        self.neighbor_under(|x, y| self.layout.storage_of(x, y, nx, ny), x, y, dx, dy)
+    }
+
+    /// [`UsGridSystem::neighbor_address`] with the layout's `storage_of`
+    /// supplied by the caller: a sweep over the points resolves the layout
+    /// once instead of once per call.
+    fn neighbor_under(
+        &self,
+        storage_of: impl Fn(i64, i64) -> (i64, i64),
+        x: i64,
+        y: i64,
+        dx: i64,
+        dy: i64,
+    ) -> (i64, i64) {
         let (nxp, nyp) = (x + dx, y + dy);
         if nxp < 0 || nyp < 0 || nxp >= self.region.nx as i64 || nyp >= self.region.ny as i64 {
             let a = self.static_slot_of(nxp, nyp);
             (a.x, a.y)
         } else {
-            let a = self.storage_of(nxp, nyp);
-            (a.x, a.y)
+            storage_of(nxp, nyp)
         }
     }
 }
@@ -177,7 +192,9 @@ pub type UsUpdateFn = Arc<dyn Fn(f64, &[f64]) -> f64 + Send + Sync>;
 /// usgrid-family kernel artifact so that service-submitted jobs execute the
 /// cached plan's arithmetic.  Neighbour values arrive in the program's
 /// declared neighbour order, as one slice per point cut from the block's
-/// gathered neighbour values.  When absent, the app's built-in
+/// gathered neighbour values.  A law sees and returns values only: which
+/// points are a point's neighbours is fixed at `Initialize`, and the kernel's
+/// per-block [`GatherPlan`]s rely on that.  When absent, the app's built-in
 /// `alpha·me + beta·Σ` law runs; the stock compiled law reproduces it
 /// bit-for-bit.
 #[derive(Clone)]
@@ -190,7 +207,10 @@ impl std::fmt::Debug for UsUpdate {
 }
 
 /// The end-user application: Jacobi relaxation over the indirect neighbour
-/// lists (same arithmetic as SGrid, different memory behaviour).
+/// lists (same arithmetic as SGrid, different memory behaviour).  The lists
+/// are written once, by `Initialize`; the kernel resolves each block's list
+/// against the Env at the block's first pass and reads through that
+/// [`GatherPlan`] on every later pass and retry.
 #[derive(Debug, Clone)]
 pub struct UsGridJacobiApp {
     /// The DSL system (needed to compute neighbour addresses at init time).
@@ -237,51 +257,36 @@ impl UsGridJacobiApp {
     }
 }
 
+/// What the kernel keeps between passes, parked in the task's scratch slot.
+#[derive(Default)]
+struct UsScratch {
+    /// The block's own points, staged in and out as one slab.
+    points: Vec<UsCell>,
+    /// The gathered neighbour values, four per point.
+    near: Vec<f64>,
+    /// Each block's neighbour list, resolved at the block's first pass.
+    plans: HashMap<BlockId, GatherPlan>,
+}
+
 impl HpcApp<UsCell> for UsGridJacobiApp {
     fn loop_count(&self) -> usize {
         self.loops
     }
 
     fn initialize(&mut self, ctx: &mut TaskCtx<UsCell>) {
-        // Iterate logical points; stage each at its storage position in the
-        // slab of the block holding it, if that block belongs to this rank,
-        // and write every slab with one call.
-        let owned = ctx.owned_blocks();
-        let tiling = self.system.tiling();
-        let (tiles_x, bs) = (tiling.blocks_x(), tiling.block);
-        // Tile slot -> position of the tile's block in `owned` (and of its
-        // cells, row-major, in `slabs`) and its row length; `None` for a tile
-        // of another rank.
-        let mut slab_of_tile = vec![None; tiling.total_blocks()];
-        let mut slabs: Vec<Vec<UsCell>> = Vec::with_capacity(owned.len());
-        for (k, &bid) in owned.iter().enumerate() {
-            let meta = &ctx.env().block(bid).meta;
-            let tile = (meta.origin.y as usize / bs) * tiles_x + meta.origin.x as usize / bs;
-            slab_of_tile[tile] = Some((k, meta.extent.nx));
-            slabs.push(vec![UsCell::default(); meta.extent.cells()]);
-        }
-        let (nx, ny) = (self.system.region.nx as i64, self.system.region.ny as i64);
-        for y in 0..ny {
-            for x in 0..nx {
-                let s = self.system.storage_of(x, y);
-                let (sx, sy) = (s.x as usize, s.y as usize);
-                let Some((k, row)) = slab_of_tile[(sy / bs) * tiles_x + sx / bs] else {
-                    continue;
-                };
-                slabs[k][(sy % bs) * row + sx % bs] = UsCell {
-                    value: Self::initial_value(x, y),
-                    neighbors: [
-                        self.system.neighbor_address(x, y, 0, -1),
-                        self.system.neighbor_address(x, y, -1, 0),
-                        self.system.neighbor_address(x, y, 1, 0),
-                        self.system.neighbor_address(x, y, 0, 1),
-                    ],
-                };
-            }
-        }
-        for (bid, slab) in owned.into_iter().zip(&slabs) {
-            ctx.set_initial_block(bid, slab);
-        }
+        // Sweep the owned storage positions, one slab per block: the layout
+        // inverted names the logical point stored at each, and that point's
+        // value and neighbours are what the cell holds.
+        let system = &self.system;
+        let layout = system.layout.resolve(system.region.nx as i64, system.region.ny as i64);
+        ctx.initialize_owned(|s| {
+            let (x, y) = layout.logical_of(s.x, s.y);
+            // N, W, E, S.
+            let neighbors = [(0, -1), (-1, 0), (1, 0), (0, 1)].map(|(dx, dy)| {
+                system.neighbor_under(|x, y| layout.storage_of(x, y), x, y, dx, dy)
+            });
+            UsCell { value: Self::initial_value(x, y), neighbors }
+        });
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<UsCell>, _warmup: bool) -> bool {
@@ -289,41 +294,52 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
         let beta = self.beta;
         // Three platform calls a block: the block's own points in as one
         // slab, the values of all their neighbours as one gather (four per
-        // point, in point order), the updated points out as one slab.  Both
-        // staging vectors are parked in the task's scratch slot so later
-        // steps reuse them.
-        let (mut points, mut near) =
-            ctx.take_scratch::<(Vec<UsCell>, Vec<f64>)>().unwrap_or_default();
+        // point, in point order), the updated points out as one slab.  The
+        // scratch is parked in the task's scratch slot so later steps reuse
+        // it.
+        let mut scratch = ctx.take_scratch::<UsScratch>().unwrap_or_default();
+        let UsScratch { points, near, plans } = &mut scratch;
         for bid in ctx.get_blocks() {
             let cells = ctx.env().block(bid).meta.extent.cells();
             points.resize(cells, UsCell::default());
             near.resize(4 * cells, 0.0);
             // Own values: always inside the block.
-            ctx.get_block_dd(bid, &mut points);
+            ctx.get_block_dd(bid, points);
             // Neighbours are indirect: no static in-block guarantee, so the
             // access goes through MMAT / the Env search where it leaves the
-            // block.
-            let addrs = points
-                .iter()
-                .flat_map(|p| p.neighbors)
-                .map(|(nx, ny)| GlobalAddress::new2d(nx, ny));
-            ctx.get_gather(bid, addrs, |n| n.value, &mut near);
+            // block.  Which neighbours those are never changes — the update
+            // below keeps every point's `neighbors` — so the block's first
+            // pass resolves them from the slab it has just read, and every
+            // later pass and retry reads through that plan.
+            let plan = plans.entry(bid).or_insert_with(|| {
+                let addrs = points
+                    .iter()
+                    .flat_map(|p| p.neighbors)
+                    .map(|(nx, ny)| GlobalAddress::new2d(nx, ny));
+                ctx.resolve_gather(bid, addrs)
+            });
+            ctx.get_gather(plan, |n| n.value, near);
             // Each point's neighbour values arrive as one gathered slice.
-            for (me, vals) in points.iter_mut().zip(near.chunks_exact(4)) {
-                me.value = match &self.update {
-                    Some(update) => (update.0)(me.value, vals),
-                    None => {
+            let gathered = points.iter_mut().zip(near.chunks_exact(4));
+            match &self.update {
+                Some(update) => {
+                    for (me, vals) in gathered {
+                        me.value = (update.0)(me.value, vals);
+                    }
+                }
+                None => {
+                    for (me, vals) in gathered {
                         let mut sum = 0.0;
                         for v in vals {
                             sum += v;
                         }
-                        alpha * me.value + beta * sum
+                        me.value = alpha * me.value + beta * sum;
                     }
-                };
+                }
             }
-            ctx.set_block(bid, &points);
+            ctx.set_block(bid, points);
         }
-        ctx.put_scratch((points, near));
+        ctx.put_scratch(scratch);
         ctx.refresh()
     }
 
@@ -442,6 +458,71 @@ mod tests {
             let field =
                 run_region(region, layout, Topology::serial(), WovenProgram::unwoven(), false);
             close(&field, &reference(region, 3));
+        }
+    }
+
+    /// The app, with `Finalize` also keeping every owned cell as the Env
+    /// holds it.
+    #[derive(Clone)]
+    struct KeepCells(UsGridJacobiApp, Arc<parking_lot::Mutex<Vec<(GlobalAddress, UsCell)>>>);
+
+    impl HpcApp<UsCell> for KeepCells {
+        fn loop_count(&self) -> usize {
+            self.0.loop_count()
+        }
+        fn initialize(&mut self, ctx: &mut TaskCtx<UsCell>) {
+            self.0.initialize(ctx);
+        }
+        fn kernel(&mut self, ctx: &mut TaskCtx<UsCell>, warmup: bool) -> bool {
+            self.0.kernel(ctx, warmup)
+        }
+        fn finalize(&mut self, ctx: &mut TaskCtx<UsCell>) {
+            self.0.finalize(ctx);
+            let env = ctx.env().clone();
+            for bid in ctx.owned_blocks() {
+                let block = env.block(bid);
+                for idx in 0..block.meta.extent.cells() {
+                    let addr = block.to_global(block.meta.extent.delinearize(idx));
+                    self.1.lock().push((addr, ctx.get_global(bid, addr)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn initialize_places_every_point_where_the_layout_says() {
+        // No step runs, so what `Finalize` finds is what `Initialize` left:
+        // on a ragged tiling, with the points in place and scattered, on one
+        // rank and split over two.
+        let region = RegionSize { nx: 20, ny: 12 };
+        let distributed = Topology::new(vec![aohpc_runtime::LayerSpec::distributed(2)]);
+        for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 7 }] {
+            for topology in [Topology::serial(), distributed.clone()] {
+                let system = UsGridSystem::with_block_size(region, 8, layout);
+                let (sink, cells) = (new_field_sink(), Arc::default());
+                let app = KeepCells(
+                    UsGridJacobiApp::new(system.clone(), 0).with_sink(sink.clone()),
+                    Arc::clone(&cells),
+                );
+                let woven = Weaver::new().with_aspect(Box::new(MpiAspect::<UsCell>::new())).weave();
+                let config = RunConfig::serial().with_topology(topology);
+                let env_factory = Arc::new(system.clone()).env_factory();
+                execute(&config, woven, env_factory, Arc::new(move |_| app.clone()));
+
+                let values: HashMap<_, _> = sink.lock().iter().copied().collect();
+                let cells: HashMap<_, _> = cells.lock().iter().copied().collect();
+                assert_eq!((values.len(), cells.len()), (region.cells(), region.cells()));
+                for (x, y) in (0..12).flat_map(|y| (0..20).map(move |x| (x, y))) {
+                    let s = system.storage_of(x, y);
+                    let want = UsCell {
+                        value: UsGridJacobiApp::initial_value(x, y),
+                        neighbors: [(0, -1), (-1, 0), (1, 0), (0, 1)]
+                            .map(|(dx, dy)| system.neighbor_address(x, y, dx, dy)),
+                    };
+                    assert_eq!(values[&s], want.value, "{} ({x}, {y})", layout.name());
+                    assert_eq!(cells[&s], want, "{} ({x}, {y})", layout.name());
+                }
+            }
         }
     }
 

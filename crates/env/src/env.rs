@@ -61,6 +61,39 @@ pub struct EnvStats {
     pub working_bytes: usize,
 }
 
+/// The static half of a gather: where each address of a list lies relative
+/// to the block the reads start from — resolved once by
+/// [`Env::resolve_gather`], read any number of times by
+/// [`Env::read_gather_into`].
+///
+/// Four bytes an address, and 32 more for each one outside the block.  A
+/// plan is valid only for the Env that resolved it: it holds cell indices
+/// of that Env's `start` block.  Indexing stays bounds-checked, so a plan read
+/// against another Env panics or yields that Env's cells at the same indices;
+/// it never reads outside a buffer.
+#[derive(Debug, Clone)]
+pub struct GatherPlan {
+    start: BlockId,
+    /// Per address, the row-major cell index inside `start` (filler where the
+    /// address is listed in `outside`).
+    slots: Vec<u32>,
+    /// `(position in the list, address)` of every address not served from
+    /// `start`'s buffer, positions ascending.
+    outside: Vec<(usize, GlobalAddress)>,
+}
+
+impl GatherPlan {
+    /// Number of addresses the plan was resolved from.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the plan was resolved from an empty list.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
 /// Builder for an [`Env`].
 pub struct EnvBuilder<C> {
     blocks: Vec<Block<C>>,
@@ -635,76 +668,117 @@ impl<C: Cell> Env<C> {
         }
     }
 
-    /// Read the cells at `addrs` and keep `project(&cell)` of each:
-    /// `out[i] = project(&cell)` for the `i`-th address, where the cell is
-    /// what [`Env::read`] without the in-block hint yields (`C::default()`
-    /// for missing data) — the gather form of that call, for a block whose
-    /// cells name their neighbours (an unstructured grid's indirection).
-    /// Stops at the shorter of `addrs` and `out`.
+    /// The static half of a gather: resolve, once, where each of `addrs` lies
+    /// relative to `start`.  An address inside `start` — a placed block with
+    /// cell buffers — becomes its row-major cell index there; every other
+    /// address (and all of them when `start` is a catch-all or has no cell
+    /// buffers) is kept as it is, with its position in the list.
+    ///
+    /// Only geometry is frozen — a block's origin, extent and kind do not
+    /// change once the tree is built.  Validity, the MMAT state and the
+    /// values are read by each [`Env::read_gather_into`]; resolving reads no
+    /// cell and moves no counter.
+    pub fn resolve_gather(
+        &self,
+        start: BlockId,
+        addrs: impl IntoIterator<Item = GlobalAddress>,
+    ) -> GatherPlan {
+        let block = &self.blocks[start];
+        let direct = block.kind.has_buffers() && !block.meta.catch_all;
+        let addrs = addrs.into_iter();
+        let mut slots = Vec::with_capacity(addrs.size_hint().0);
+        let mut outside = Vec::new();
+        for addr in addrs {
+            let inside = if direct { block.cell_index(addr) } else { None };
+            // An index too large for a slot is served as an outside address.
+            slots.push(match inside.and_then(|idx| u32::try_from(idx).ok()) {
+                Some(idx) => idx,
+                None => {
+                    outside.push((slots.len(), addr));
+                    u32::MAX
+                }
+            });
+        }
+        GatherPlan { start, slots, outside }
+    }
+
+    /// Read the cells a [`GatherPlan`] names and keep `project(&cell)` of
+    /// each: `out[i] = project(&cell)` for the `i`-th address the plan was
+    /// resolved from, where the cell is what [`Env::read`] from the plan's
+    /// `start` without the in-block hint yields (`C::default()` for missing
+    /// data) — the gather form of that call, for a block whose cells name
+    /// their neighbours (an unstructured grid's indirection).  Stops at the
+    /// shorter of the plan and `out`.
     ///
     /// Values, **every** counter, missing-page records (in order) and the
-    /// MMAT memo are exactly those of the per-cell loop.  Addresses inside
-    /// `start` — the common case under Assumption III — are served from its
-    /// read buffer, one lock acquisition per stretch of them and no clone of
-    /// the cell; every other address goes through [`Env::read`], in order.
-    /// With MMAT on (each read consults and updates the memo), or `start` a
-    /// catch-all or a block without cell buffers, it is the per-cell loop.
+    /// MMAT memo are exactly those of the per-cell loop over the addresses.
+    /// Each stretch of entries inside `start` — the common case under
+    /// Assumption III — is served from its read buffer by cell index, one
+    /// lock acquisition per stretch and no clone of the cell; every other
+    /// entry goes through [`Env::read`], in order.  With MMAT on (each read
+    /// consults and updates the memo) it is the per-cell loop, the in-block
+    /// addresses rebuilt from their indices.
     ///
     /// `start`'s lock is never held across a per-cell read: a `Reference`
     /// block may map an outside address back into `start`, and a second
     /// read acquisition behind a queued writer deadlocks.
     pub fn read_gather_into<T>(
         &self,
-        start: BlockId,
-        addrs: impl IntoIterator<Item = GlobalAddress>,
+        plan: &GatherPlan,
         project: impl Fn(&C) -> T,
         out: &mut [T],
         state: &mut AccessState,
     ) {
+        let start = plan.start;
         let block = &self.blocks[start];
-        // The buffers in-block addresses may be served from, if any.
+        let len = plan.slots.len().min(out.len());
+        // The buffers in-block entries may be served from, if any.
         let direct = match &block.kind {
-            BlockKind::Data(buf) | BlockKind::BufferOnly(buf)
-                if !state.mmat_enabled && !block.meta.catch_all =>
-            {
-                Some(buf)
-            }
+            BlockKind::Data(buf) | BlockKind::BufferOnly(buf) if !state.mmat_enabled => Some(buf),
             _ => None,
         };
-        let mut pairs = out.iter_mut().zip(addrs);
-        let mut next = pairs.next();
-        while let Some((mut slot, addr)) = next.take() {
-            let Some((buf, mut idx)) = direct.zip(block.cell_index(addr)) else {
-                *slot = project(&self.read_unhinted(start, addr, state));
-                next = pairs.next();
-                continue;
-            };
-            // A stretch of addresses inside `start`, under one guard.
-            let guard = buf.read();
-            let whole = block.meta.is_valid();
-            let mut served = 0u64;
-            loop {
-                served += 1;
-                let page = (!whole).then(|| guard.pages().page_of(idx));
-                match page.filter(|&page| !guard.pages().is_valid(page)) {
-                    None => *slot = project(guard.read_cell(idx)),
-                    Some(page) => {
-                        state.record_missing(start, page);
-                        *slot = project(&C::default());
+        let mut outside = plan.outside.iter().take_while(|(at, _)| *at < len);
+        let mut from = 0;
+        loop {
+            let next = outside.next();
+            // The stretch of in-block entries before the next outside one.
+            let to = next.map_or(len, |(at, _)| *at);
+            let stretch = out[from..to].iter_mut().zip(&plan.slots[from..to]);
+            match direct {
+                Some(buf) if from < to => {
+                    let guard = buf.read();
+                    let cells = guard.read_buf();
+                    if block.meta.is_valid() {
+                        for (slot, &idx) in stretch {
+                            *slot = project(&cells[idx as usize]);
+                        }
+                    } else {
+                        let pages = guard.pages();
+                        for (slot, &idx) in stretch {
+                            let page = pages.page_of(idx as usize);
+                            *slot = if pages.is_valid(page) {
+                                project(&cells[idx as usize])
+                            } else {
+                                state.record_missing(start, page);
+                                project(&C::default())
+                            };
+                        }
                     }
+                    drop(guard);
+                    state.counters.reads += (to - from) as u64;
+                    state.counters.in_block_hits += (to - from) as u64;
                 }
-                let Some((after, addr)) = pairs.next() else { break };
-                match block.cell_index(addr) {
-                    Some(inside) => (slot, idx) = (after, inside),
-                    None => {
-                        next = Some((after, addr));
-                        break;
+                // The per-cell loop (and nothing for an empty stretch).
+                _ => {
+                    for (slot, &idx) in stretch {
+                        let addr = block.to_global(block.meta.extent.delinearize(idx as usize));
+                        *slot = project(&self.read_unhinted(start, addr, state));
                     }
                 }
             }
-            drop(guard);
-            state.counters.reads += served;
-            state.counters.in_block_hits += served;
+            let Some(&(at, addr)) = next else { break };
+            out[at] = project(&self.read_unhinted(start, addr, state));
+            from = at + 1;
         }
     }
 
@@ -1694,6 +1768,20 @@ mod tests {
             cell.wrapping_mul(3) ^ 0x55
         }
 
+        /// One read of `plan` and the per-cell loop over the `addrs` it was
+        /// resolved from, each on its own state: the values of both.
+        fn read_both_ways(
+            env: &Env<u64>,
+            plan: &GatherPlan,
+            addrs: &[GlobalAddress],
+            (gather, cellwise): (&mut AccessState, &mut AccessState),
+        ) -> (Vec<u64>, Vec<u64>) {
+            let mut got = vec![u64::MAX; addrs.len()];
+            env.read_gather_into(plan, project, &mut got, gather);
+            let read = |&a| project(&env.read(plan.start, a, false, cellwise).unwrap_or_default());
+            (got, addrs.iter().map(read).collect())
+        }
+
         /// Leave the pages of `id` named by `mask` invalid.
         fn invalidate_pages(env: &Env<u64>, id: BlockId, mask: u64) {
             env.set_block_valid(id, false).unwrap();
@@ -1711,7 +1799,9 @@ mod tests {
             /// list in the same order and the same MMAT memo — whatever the
             /// address list (inside `start`, in a neighbour, in the Static
             /// strip, outside the domain, repeated) and whatever `start` is
-            /// (Data, Buffer-only, or a block without cell buffers).
+            /// (Data, Buffer-only, or a block without cell buffers).  The
+            /// plan is resolved once; between its two rounds of reads
+            /// everything it must not have frozen changes.
             #[test]
             fn gather_reads_equal_the_per_cell_loop(
                 cpp in 1usize..8,
@@ -1764,21 +1854,38 @@ mod tests {
                         _ => GlobalAddress::new2d(x, y),
                     });
                 }
-                let fresh = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
-                let (mut gather, mut cellwise) = (fresh(), fresh());
+                let plan = env.resolve_gather(start, addrs.iter().copied());
+                prop_assert_eq!((plan.len(), plan.is_empty()), (addrs.len(), addrs.is_empty()));
 
-                // Twice, so the second pass replays whatever MMAT memorised.
-                for _ in 0..2 {
-                    let mut got = vec![u64::MAX; addrs.len()];
-                    env.read_gather_into(start, addrs.iter().copied(), project, &mut got, &mut gather);
-                    let want: Vec<u64> = addrs
-                        .iter()
-                        .map(|&a| project(&env.read(start, a, false, &mut cellwise).unwrap_or_default()))
-                        .collect();
-                    prop_assert_eq!(got, want);
-                    prop_assert_eq!(gather.counters, cellwise.counters);
-                    prop_assert_eq!(gather.missing(), cellwise.missing());
-                    prop_assert_eq!(gather.mmat.len(), cellwise.mmat.len());
+                for round in 0..2 {
+                    if round == 1 {
+                        // Pages arrive and go stale — the victims' and
+                        // `start`'s own — and the next state has MMAT the
+                        // other way round.
+                        env.set_block_valid(data[victims.0], true).unwrap();
+                        invalidate_pages(&env, data[victims.1], !invalid_mask);
+                        if env.block(start).kind.has_buffers() {
+                            if start_invalid {
+                                env.set_block_valid(start, true).unwrap();
+                            } else {
+                                invalidate_pages(&env, start, invalid_mask.rotate_left(29));
+                            }
+                        }
+                    }
+                    let fresh = || match mmat ^ (round == 1) {
+                        true => AccessState::with_mmat(),
+                        false => AccessState::new(),
+                    };
+                    let (mut gather, mut cellwise) = (fresh(), fresh());
+                    // Twice, so the second pass replays whatever MMAT memorised.
+                    for _ in 0..2 {
+                        let (got, want) =
+                            read_both_ways(&env, &plan, &addrs, (&mut gather, &mut cellwise));
+                        prop_assert_eq!(got, want);
+                        prop_assert_eq!(gather.counters, cellwise.counters);
+                        prop_assert_eq!(gather.missing(), cellwise.missing());
+                        prop_assert_eq!(gather.mmat.len(), cellwise.mmat.len());
+                    }
                 }
             }
         }
@@ -1788,15 +1895,52 @@ mod tests {
             let env = tiled_env(4, false, false, false);
             let start = env.data_block_ids()[4];
             let origin = env.block(start).meta.origin;
-            let addrs = [origin, origin + LocalAddress::new2d(1, 0)];
+            let plan = env.resolve_gather(start, [origin, origin + LocalAddress::new2d(1, 0)]);
             let mut st = AccessState::new();
             let mut out = [u64::MAX; 3];
-            env.read_gather_into(start, addrs, project, &mut out, &mut st);
+            env.read_gather_into(&plan, project, &mut out, &mut st);
             assert_ne!(out[1], u64::MAX);
             assert_eq!(out[2], u64::MAX, "no address, slot untouched");
-            env.read_gather_into(start, addrs, project, &mut out[..1], &mut st);
+            env.read_gather_into(&plan, project, &mut out[..1], &mut st);
             assert_eq!(st.counters.reads, 3, "no slot, address not read");
             assert_eq!(st.counters.in_block_hits, 3);
+        }
+
+        /// A `start` with no cell buffers to index — the Static strip, a
+        /// joint, the catch-all — leaves every entry of its plan an outside
+        /// address, even those the block contains, and reading the plan is
+        /// the per-cell loop.
+        #[test]
+        fn a_plan_against_a_start_without_buffers_is_the_per_cell_loop() {
+            let env = tiled_env(4, true, false, false);
+            let bufferless: Vec<BlockId> =
+                env.blocks().filter(|b| !b.kind.has_buffers()).map(|b| b.meta.id).collect();
+            let kinds: Vec<&str> = bufferless.iter().map(|&id| env.block(id).kind_name()).collect();
+            for kind in ["static", "empty", "arithmetic"] {
+                assert!(kinds.contains(&kind), "{kinds:?}");
+            }
+            // In the domain, in the Static strip, outside both; one repeated.
+            let addrs: Vec<GlobalAddress> = [(5, 4), (12, 3), (13, 8), (-2, 20), (12, 3), (0, 0)]
+                .map(|(x, y)| GlobalAddress::new2d(x, y))
+                .to_vec();
+            for start in bufferless {
+                let plan = env.resolve_gather(start, addrs.iter().copied());
+                let listed: Vec<GlobalAddress> = plan.outside.iter().map(|(_, a)| *a).collect();
+                assert_eq!(listed, addrs, "start {start}: every entry is outside");
+                for mmat in [false, true] {
+                    let fresh = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
+                    let (mut gather, mut cellwise) = (fresh(), fresh());
+                    // (A bounded joint "contains" addresses it has no cells
+                    // for: those read as missing, both ways.)
+                    for _ in 0..2 {
+                        let (got, want) =
+                            read_both_ways(&env, &plan, &addrs, (&mut gather, &mut cellwise));
+                        assert_eq!(got, want, "start {start}");
+                        assert_eq!(gather.counters, cellwise.counters, "start {start}");
+                        assert_eq!(gather.mmat.len(), cellwise.mmat.len(), "start {start}");
+                    }
+                }
+            }
         }
 
         /// The lock rule: `start`'s lock is not held across a per-cell read.
@@ -1844,9 +1988,10 @@ mod tests {
                     *cell
                 };
                 let addrs = [GlobalAddress::new2d(1, 1), GlobalAddress::new2d(-1, 2)];
+                let plan = env.resolve_gather(start, addrs);
                 let mut out = [0u64; 2];
                 let mut st = AccessState::new();
-                env.read_gather_into(start, addrs, project_when_contended, &mut out, &mut st);
+                env.read_gather_into(&plan, project_when_contended, &mut out, &mut st);
                 done_tx.send((out, st.counters.reference_reads)).expect("the test is waiting");
             });
             let (out, reference_reads) = done_rx

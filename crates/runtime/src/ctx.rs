@@ -2,8 +2,8 @@
 //!
 //! A [`TaskCtx`] is what an end-user application sees: the Block-based memory
 //! interface (`get` / `get_dd` / `set` per cell, `get_run` per halo edge,
-//! `get_gather` per neighbour list, `get_block_dd` / `set_block` /
-//! `set_initial_block` per block),
+//! `resolve_gather` once and `get_gather` per pass for a neighbour list,
+//! `get_block_dd` / `set_block` / `set_initial_block` per block),
 //! `get_blocks`, `refresh`, and a handful of introspection helpers.
 //! Internally every one of those calls is dispatched through the woven
 //! program, so aspect modules can intercept them — this is the runtime
@@ -19,7 +19,7 @@ use crate::task::{ScratchSlot, TaskSlot, Topology};
 use aohpc_aop::{
     attr, JoinPointKind, WovenProgram, GET_BLOCKS, KERNEL_BLOCK, KERNEL_STEP, REFRESH, WARM_UP,
 };
-use aohpc_env::{AccessState, BlockId, Cell, Env, GlobalAddress, LocalAddress};
+use aohpc_env::{AccessState, BlockId, Cell, Env, GatherPlan, GlobalAddress, LocalAddress};
 use aohpc_mem::PageId;
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -652,7 +652,10 @@ impl<C: Cell> TaskCtx<C> {
     //
     // Reads that may leave the block, so no "inside my block" assertion: a
     // run is an arithmetic sequence of addresses (a halo edge), a gather an
-    // arbitrary list (a block's indirect neighbours).
+    // arbitrary list (a block's indirect neighbours).  A gather is split in
+    // two: where each address lies relative to the block never changes, so
+    // it is resolved once into a `GatherPlan`; what is valid, memorised and
+    // stored there is read on every pass.
 
     /// Read the cells `first, first + step, …` (block-relative, no in-block
     /// assertion) into `out`: `out.len()` calls of [`TaskCtx::get`] with
@@ -672,22 +675,31 @@ impl<C: Cell> TaskCtx<C> {
         self.env.read_run_into(block, first, step, out, &mut self.state);
     }
 
-    /// Read the cells at `addrs` (global, no in-block assertion) and keep
-    /// `project(&cell)` of each in `out`: one [`TaskCtx::get_global`] per
-    /// address — same values, missing-page records, MMAT memo and **every**
-    /// counter — with the addresses inside `block` served from its buffer
-    /// under one lock and without cloning the cell (see
-    /// `Env::read_gather_into`).  What a kernel over indirect neighbour lists
-    /// (`UsGridJacobiApp`) reads its neighbours with, one call per block.
-    /// Stops at the shorter of `addrs` and `out`.
-    pub fn get_gather<T>(
-        &mut self,
+    /// Resolve, once, where each of `addrs` (global) lies relative to
+    /// `block`: the static half of [`TaskCtx::get_gather`].  Reads no cell,
+    /// moves no counter, and freezes only geometry (see
+    /// `Env::resolve_gather`), so a kernel whose address list does not change
+    /// — `UsGridJacobiApp`, whose points never rewrite their neighbour lists
+    /// — resolves a block's plan at its first pass and reuses it on every
+    /// later pass and retry.
+    pub fn resolve_gather(
+        &self,
         block: BlockId,
         addrs: impl IntoIterator<Item = GlobalAddress>,
-        project: impl Fn(&C) -> T,
-        out: &mut [T],
-    ) {
-        self.env.read_gather_into(block, addrs, project, out, &mut self.state);
+    ) -> GatherPlan {
+        self.env.resolve_gather(block, addrs)
+    }
+
+    /// Read the cells `plan` names (no in-block assertion) and keep
+    /// `project(&cell)` of each in `out`: one [`TaskCtx::get_global`] per
+    /// address the plan was resolved from — same values, missing-page
+    /// records, MMAT memo and **every** counter — with the addresses inside
+    /// the plan's block served from its buffer by cell index, one lock per
+    /// stretch and no clone of the cell (see `Env::read_gather_into`).  What
+    /// a kernel over indirect neighbour lists reads its neighbours with, one
+    /// call per block.  Stops at the shorter of `plan` and `out`.
+    pub fn get_gather<T>(&mut self, plan: &GatherPlan, project: impl Fn(&C) -> T, out: &mut [T]) {
+        self.env.read_gather_into(plan, project, out, &mut self.state);
     }
 
     // -- Slab accessors: the same three calls, a whole block at a time ------

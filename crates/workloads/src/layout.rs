@@ -80,6 +80,29 @@ impl AffinePermutation {
         debug_assert!(i < self.n);
         (self.a.wrapping_mul(i) % self.n + self.b) % self.n
     }
+
+    /// The inverse permutation, `j ↦ (a⁻¹·j − a⁻¹·b) mod n`:
+    /// `p.inverse().apply(p.apply(i)) == i`.
+    pub fn inverse(&self) -> Self {
+        let n = self.n as i128;
+        // a⁻¹ mod n by extended Euclid: `t0·a ≡ r0 (mod n)` throughout, and
+        // `r0` ends at gcd(a, n) = 1.  For n <= 2 the multiplier is 1.
+        let a_inv = if self.n <= 2 {
+            1
+        } else {
+            let (mut r0, mut r1) = (n, self.a as i128);
+            let (mut t0, mut t1) = (0i128, 1i128);
+            while r1 != 0 {
+                let q = r0 / r1;
+                (r0, r1) = (r1, r0 - q * r1);
+                (t0, t1) = (t1, t0 - q * t1);
+            }
+            debug_assert_eq!(r0, 1, "the multiplier is coprime with n by construction");
+            t0.rem_euclid(n)
+        };
+        let b = (-a_inv * self.b as i128).rem_euclid(n);
+        AffinePermutation { n: self.n, a: a_inv as u64, b: b as u64 }
+    }
 }
 
 /// The memory layout of the unstructured-grid sample.
@@ -94,20 +117,42 @@ pub enum GridLayout {
     },
 }
 
+/// Send `(x, y)` of a row-major `nx`-wide domain through a permutation of its
+/// flat indices.
+fn permute(perm: &AffinePermutation, x: i64, y: i64, nx: i64) -> (i64, i64) {
+    let flat = perm.apply((y * nx + x) as u64) as i64;
+    (flat % nx, flat / nx)
+}
+
 impl GridLayout {
+    /// CaseR's scattering permutation of an `nx × ny` domain (`None` for
+    /// CaseC, which scatters nothing).
+    fn scatter(&self, nx: i64, ny: i64) -> Option<AffinePermutation> {
+        match self {
+            GridLayout::CaseC => None,
+            GridLayout::CaseR { seed } => Some(AffinePermutation::new((nx * ny) as u64, *seed)),
+        }
+    }
+
     /// Map a logical grid point `(x, y)` of an `nx × ny` domain to the storage
     /// position where the unstructured-grid DSL places it.
     pub fn storage_of(&self, x: i64, y: i64, nx: i64, ny: i64) -> (i64, i64) {
         debug_assert!(x >= 0 && y >= 0 && x < nx && y < ny);
-        match self {
-            GridLayout::CaseC => (x, y),
-            GridLayout::CaseR { seed } => {
-                let n = (nx * ny) as u64;
-                let perm = AffinePermutation::new(n, *seed);
-                let flat = perm.apply((y * nx + x) as u64) as i64;
-                (flat % nx, flat / nx)
-            }
-        }
+        self.scatter(nx, ny).map_or((x, y), |perm| permute(&perm, x, y, nx))
+    }
+
+    /// The logical grid point stored at `(sx, sy)`: the inverse of
+    /// [`GridLayout::storage_of`].
+    pub fn logical_of(&self, sx: i64, sy: i64, nx: i64, ny: i64) -> (i64, i64) {
+        debug_assert!(sx >= 0 && sy >= 0 && sx < nx && sy < ny);
+        self.scatter(nx, ny).map_or((sx, sy), |perm| permute(&perm.inverse(), sx, sy, nx))
+    }
+
+    /// The layout of one `nx × ny` domain with CaseR's permutation and its
+    /// inverse built once — for a sweep over the domain, where building them
+    /// per point (as the two calls above must) would dominate.
+    pub fn resolve(&self, nx: i64, ny: i64) -> ResolvedLayout {
+        ResolvedLayout { nx, scatter: self.scatter(nx, ny).map(|perm| (perm, perm.inverse())) }
     }
 
     /// Short name used in reports ("CaseC" / "CaseR").
@@ -116,6 +161,27 @@ impl GridLayout {
             GridLayout::CaseC => "CaseC",
             GridLayout::CaseR { .. } => "CaseR",
         }
+    }
+}
+
+/// A [`GridLayout`] resolved against one domain size (see
+/// [`GridLayout::resolve`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ResolvedLayout {
+    nx: i64,
+    /// CaseR's permutation and its inverse.
+    scatter: Option<(AffinePermutation, AffinePermutation)>,
+}
+
+impl ResolvedLayout {
+    /// [`GridLayout::storage_of`] for this domain.
+    pub fn storage_of(&self, x: i64, y: i64) -> (i64, i64) {
+        self.scatter.as_ref().map_or((x, y), |(perm, _)| permute(perm, x, y, self.nx))
+    }
+
+    /// [`GridLayout::logical_of`] for this domain.
+    pub fn logical_of(&self, sx: i64, sy: i64) -> (i64, i64) {
+        self.scatter.as_ref().map_or((sx, sy), |(_, inverse)| permute(inverse, sx, sy, self.nx))
     }
 }
 
@@ -202,6 +268,34 @@ mod tests {
                 prop_assert!(j < n);
                 prop_assert!(!seen[j as usize]);
                 seen[j as usize] = true;
+            }
+        }
+
+        /// `logical_of` undoes `storage_of` at every point of the domain,
+        /// one-shot and resolved, down to the 1x1, 1x2 and 2x1 domains whose
+        /// permutation degenerates.
+        #[test]
+        fn logical_of_inverts_storage_of(nx in 1i64..=40, ny in 1i64..=40, seed in any::<u64>()) {
+            for (nx, ny) in [(nx, ny), (1, 1), (1, 2), (2, 1)] {
+                for layout in [GridLayout::CaseC, GridLayout::CaseR { seed }] {
+                    let resolved = layout.resolve(nx, ny);
+                    for (x, y) in (0..ny).flat_map(|y| (0..nx).map(move |x| (x, y))) {
+                        let (sx, sy) = layout.storage_of(x, y, nx, ny);
+                        prop_assert_eq!(resolved.storage_of(x, y), (sx, sy));
+                        prop_assert_eq!(layout.logical_of(sx, sy, nx, ny), (x, y));
+                        prop_assert_eq!(resolved.logical_of(sx, sy), (x, y));
+                    }
+                }
+            }
+        }
+
+        /// Inverting twice gives back the multiplier and the offset.
+        #[test]
+        fn inverse_of_inverse_is_the_permutation(n in 1u64..3000, seed in any::<u64>()) {
+            let p = AffinePermutation::new(n, seed);
+            prop_assert_eq!(p.inverse().inverse(), p);
+            for i in 0..n {
+                prop_assert_eq!(p.inverse().apply(p.apply(i)), i);
             }
         }
 

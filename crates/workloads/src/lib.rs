@@ -23,7 +23,7 @@
 pub mod layout;
 pub mod scale;
 
-pub use layout::{AffinePermutation, GridLayout};
+pub use layout::{AffinePermutation, GridLayout, ResolvedLayout};
 pub use scale::{ParticleSize, RegionSize, Scale, ScaleParseError};
 
 /// Order-insensitive checksum of a scalar field (sum and sum of squares

@@ -9,9 +9,10 @@
 //! access counters must read exactly what the per-cell loops read — except
 //! the two search counters, which count the searches that actually ran.
 //!
-//! `UsGridJacobiApp` reads each block's indirect neighbours with one
-//! `TaskCtx::get_gather`; the oracle is the same kernel with one
-//! `ctx.get_global` per neighbour, and there every counter must agree.
+//! `UsGridJacobiApp` resolves each block's indirect neighbours once
+//! (`TaskCtx::resolve_gather`) and reads them with one `TaskCtx::get_gather`
+//! a pass; the oracle is the same kernel with one `ctx.get_global` per
+//! neighbour, and there every counter must agree.
 
 use aohpc::dsl::UsUpdate;
 use aohpc::env::AccessCounters;
@@ -264,17 +265,18 @@ type UsGridOutcome = (Vec<u64>, AccessCounters, u64, u64);
 fn usgrid_run<A: HpcApp<UsCell> + Clone + Send + Sync + 'static>(
     platform: &Platform,
     system: &UsGridSystem,
+    steps: usize,
     wrap: impl Fn(UsGridJacobiApp) -> A,
     update: Option<UsUpdate>,
 ) -> UsGridOutcome {
     let sink = new_field_sink();
-    let mut app = UsGridJacobiApp::new(system.clone(), STEPS).with_sink(sink.clone());
+    let mut app = UsGridJacobiApp::new(system.clone(), steps).with_sink(sink.clone());
     if let Some(update) = update {
         app = app.with_update(update);
     }
     let app = wrap(app);
     let outcome = platform.run_system(Arc::new(system.clone()), Arc::new(move |_| app.clone()));
-    assert!(outcome.report.tasks.iter().all(|t| t.steps == STEPS as u64));
+    assert!(outcome.report.tasks.iter().all(|t| t.steps == steps as u64));
     let field = dense_bits(&sink.lock());
     let report = &outcome.report;
     (field, report.total_counters(), report.total_retries(), outcome.simulated_seconds.to_bits())
@@ -284,28 +286,42 @@ fn usgrid_run<A: HpcApp<UsCell> + Clone + Send + Sync + 'static>(
 /// the same counters — all thirteen, searches included — the same retries
 /// and simulated seconds, where reads stay in the block (CaseC) and where
 /// most leave it (CaseR), with and without MMAT, built-in and plugged-in law.
+///
+/// Each block's plan is resolved at its first pass, so every case is run as
+/// it stands, over more steps (the plans outlive the warm-up and several
+/// buffer swaps), and — across ranks — without the Dry-run prefetch: every
+/// step then finds its halo pages missing and is retried, and the retried
+/// pass reads through the same plan.
 fn gather_matches_the_per_cell_neighbour_reads(mode: ExecutionMode) {
     // Weights differ per neighbour, so a slice in the wrong order shows.
     let weighted = UsUpdate(Arc::new(|me, near: &[f64]| {
         0.4 * me + 0.1 * near[0] + 0.2 * near[1] + 0.05 * near[2] + 0.25 * near[3]
     }));
+    let mut rows = vec![(true, STEPS), (true, 5)];
+    if mode.topology().ranks() > 1 {
+        rows.push((false, STEPS));
+    }
     for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 11 }] {
         let system = UsGridSystem::with_block_size(RegionSize::square(REGION), BLOCK, layout);
         for mmat in [false, true] {
             for update in [None, Some(weighted.clone())] {
-                let platform = Platform::new(mode).with_mmat(mmat);
-                let case = format!(
-                    "{} {} mmat={mmat} plugged-law={}",
-                    layout.name(),
-                    mode.label(),
-                    update.is_some()
-                );
-                let gathered = usgrid_run(&platform, &system, |app| app, update.clone());
-                let oracle = usgrid_run(&platform, &system, PerCellUsGridApp, update);
-                assert_eq!(gathered.0, oracle.0, "{case}: fields differ");
-                assert_eq!(gathered.1, oracle.1, "{case}: counters differ");
-                assert_eq!((gathered.2, gathered.3), (oracle.2, oracle.3), "{case}");
-                assert!(gathered.1.reads > 0 && gathered.1.out_of_block_reads > 0, "{case}");
+                for &(dry_run, steps) in &rows {
+                    let platform = Platform::new(mode).with_mmat(mmat).with_dry_run(dry_run);
+                    let case = format!(
+                        "{} {} mmat={mmat} plugged-law={} dry-run={dry_run} steps={steps}",
+                        layout.name(),
+                        mode.label(),
+                        update.is_some()
+                    );
+                    let gathered = usgrid_run(&platform, &system, steps, |app| app, update.clone());
+                    let oracle =
+                        usgrid_run(&platform, &system, steps, PerCellUsGridApp, update.clone());
+                    assert_eq!(gathered.0, oracle.0, "{case}: fields differ");
+                    assert_eq!(gathered.1, oracle.1, "{case}: counters differ");
+                    assert_eq!((gathered.2, gathered.3), (oracle.2, oracle.3), "{case}");
+                    assert!(gathered.1.reads > 0 && gathered.1.out_of_block_reads > 0, "{case}");
+                    assert_eq!(gathered.2 > 0, !dry_run, "{case}: retries");
+                }
             }
         }
     }
