@@ -43,7 +43,13 @@ pub const GET_BLOCKS: &str = "Memory::get_blocks";
 /// Dry-run prefetch plan.
 pub const REFRESH: &str = "Memory::refresh";
 
-/// Warm-up invocation (the `WarmUp(Kernel)` macro of Listing 1).
+/// Warm-up invocation (the `WarmUp(Kernel)` macro of Listing 1): the marker
+/// ahead of the dry-run kernel pass.
+///
+/// Dispatched once per task, before step 0, on runs with a distributed layer
+/// (more than one rank) — the AspectType III advice at [`REFRESH`] is the
+/// dry run's only reader.  A single-rank run has no warm-up pass and never
+/// dispatches it, nor a [`KERNEL_STEP`] with the `warmup` attribute set.
 pub const WARM_UP: &str = "Annotation::WarmUp";
 
 /// Execution of one job through the service front door (`execute_spec`).

@@ -138,7 +138,11 @@ impl Platform {
         self
     }
 
-    /// Enable or disable the Dry-run prefetch of the distributed layer.
+    /// Enable or disable the Dry-run prefetch of the distributed layer.  Only
+    /// a mode with more than one rank reads it — and only such a mode makes
+    /// the warm-up (dry-run) kernel pass at all; a single-rank mode sweeps
+    /// `steps` times, so its counters and simulated time are one sweep short
+    /// of a multi-rank run's.
     pub fn with_dry_run(mut self, dry_run: bool) -> Self {
         self.dry_run = dry_run;
         self

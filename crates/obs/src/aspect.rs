@@ -14,10 +14,13 @@
 //!   dispatch sites pass trace/parent ids as integer attributes, so this
 //!   module needs no service types at all.
 //! - [`ObsRunAspect`] advises the kernel-plane join points
-//!   ([`names::KERNEL_STEP`], [`names::KERNEL_BLOCK`]) and is woven *per
-//!   job* with the job's trace and root-span ids baked in, so spans emitted
-//!   from rank/worker threads (which have no thread-local context) still
-//!   parent correctly into the job tree.
+//!   ([`names::INITIALIZE`], [`names::KERNEL_STEP`], [`names::KERNEL_BLOCK`],
+//!   [`names::FINALIZE`]) and is woven *per job* with the job's trace and
+//!   root-span ids baked in, so spans emitted from rank/worker threads
+//!   (which have no thread-local context) still parent correctly into the
+//!   job tree.  Under the job span a rank's run reads `Initialize`, one span
+//!   per kernel sweep, `Finalize`: `steps` sweeps on one rank, `steps + 1`
+//!   (the first flagged warm-up) on several — see `HpcApp::processing`.
 //!
 //! Both aspects use precedence 10 (outer), so their spans wrap any
 //! domain advice (MPI/OMP modules) at shared join points.
@@ -49,6 +52,12 @@ fn ctx_ids(ctx: &aohpc_aop::JoinPointCtx<'_>) -> (u64, u64) {
     let trace = ctx.attr(attr::TRACE).unwrap_or(0).max(0) as u64;
     let parent = ctx.attr(attr::PARENT).unwrap_or(0).max(0) as u64;
     (trace, parent)
+}
+
+/// `(task, rank)` of an `Initialize` / `Finalize` dispatch: the attributes
+/// its span is filed with.
+fn task_and_rank(ctx: &aohpc_aop::JoinPointCtx<'_>) -> (i64, i64) {
+    (ctx.attr(attr::TASK_ID).unwrap_or(-1), ctx.attr(attr::RANK).unwrap_or(-1))
 }
 
 impl Aspect for ObsServiceAspect {
@@ -214,11 +223,13 @@ struct RunState {
     steps: StepTable,
 }
 
-/// Per-job kernel-plane instrumentation: superstep and block spans.
+/// Per-job kernel-plane instrumentation: `Initialize`, superstep, block and
+/// `Finalize` spans.
 ///
 /// Constructed in the service's per-job weave with the job's trace and root
 /// span ids; keep a [`RunFinisher`] (via [`ObsRunAspect::finisher`]) to close
-/// the final step spans once the run returns.
+/// the step spans still open once the run returns (those of a rank's
+/// non-master tasks, and every task's if the run never reached `Finalize`).
 pub struct ObsRunAspect {
     hub: Arc<ObsHub>,
     trace: u64,
@@ -253,13 +264,44 @@ impl Aspect for ObsRunAspect {
     }
 
     fn bindings(&self) -> Vec<AdviceBinding> {
+        let init_hub = Arc::clone(&self.hub);
         let step_hub = Arc::clone(&self.hub);
         let step_state = Arc::clone(&self.state);
         let block_hub = Arc::clone(&self.hub);
         let block_state = Arc::clone(&self.state);
+        let fin_hub = Arc::clone(&self.hub);
+        let fin_state = Arc::clone(&self.state);
         let trace = self.trace;
         let job_span = self.job_span;
         vec![
+            // Initialize and Finalize run once per rank on its master task,
+            // bodies inside the dispatch: plain around-spans under the job.
+            AdviceBinding::new(
+                Pointcut::execution(names::INITIALIZE),
+                Advice::around(move |ctx, proceed| {
+                    let open = init_hub.recorder().start(names::INITIALIZE, trace, job_span);
+                    proceed(ctx);
+                    let (task, rank) = task_and_rank(ctx);
+                    init_hub.recorder().end_with(open, task, rank);
+                }),
+            ),
+            // The master task's last step has no successor marker: Finalize
+            // is what follows it, so Finalize closes it first — the step
+            // span then ends where the sweep did, not after the sink and the
+            // teardown.
+            AdviceBinding::new(
+                Pointcut::execution(names::FINALIZE),
+                Advice::around(move |ctx, proceed| {
+                    let (task, rank) = task_and_rank(ctx);
+                    let last_step = fin_state.steps.lock().remove(&task);
+                    if let Some((open, a, b)) = last_step {
+                        fin_hub.recorder().end_with(open, a, b);
+                    }
+                    let open = fin_hub.recorder().start(names::FINALIZE, trace, job_span);
+                    proceed(ctx);
+                    fin_hub.recorder().end_with(open, task, rank);
+                }),
+            ),
             // KERNEL_STEP is dispatched as a marker before the sweep body, so
             // a step span runs marker-to-marker: before advice closes the
             // task's previous step span and opens the next one.
@@ -297,8 +339,9 @@ impl Aspect for ObsRunAspect {
     }
 }
 
-/// Closes step spans left open when a run finishes (the final step of every
-/// task has no successor marker to close it).
+/// Closes step spans left open when a run finishes: the final step of a task
+/// has no successor marker, and only a rank's master task runs the `Finalize`
+/// that closes its own.
 pub struct RunFinisher {
     hub: Arc<ObsHub>,
     state: Arc<RunState>,

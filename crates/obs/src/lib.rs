@@ -6,17 +6,19 @@
 //! instead two aspect modules ([`ObsServiceAspect`], [`ObsRunAspect`])
 //! register advice at the platform's canonical join points
 //! (`Service::execute_spec`, `PlanCache::resolve`, `Kernel::execute_block`,
-//! `Cluster::plan_req`/`plan_rep`, `Annotation::KernelStep`), and the
-//! service weaves them in only when an [`ObsHub`] is installed.  With no hub
-//! the dispatch sites are gated off entirely, so the uninstrumented path
-//! stays within noise of the seed (enforced by `bench_obs`).
+//! `Cluster::plan_req`/`plan_rep`, `Annotation::Initialize`/`KernelStep`/
+//! `Finalize`), and the service weaves them in only when an [`ObsHub`] is
+//! installed.  With no hub the dispatch sites are gated off entirely, so the
+//! uninstrumented path stays within noise of the seed (enforced by
+//! `bench_obs`).
 //!
 //! One [`ObsHub`] bundles the three pillars:
 //!
 //! - [`TraceRecorder`] — sharded, bounded ring buffers of [`SpanRecord`]s
-//!   whose parent edges form job → superstep → block / cache / comm trees;
-//!   timestamps come from a [`Clock`] so `FakeClock` tests are
-//!   deterministic, and the record path is allocation-free after warmup.
+//!   whose parent edges form job → initialize / superstep → block /
+//!   finalize / cache / comm trees; timestamps come from a [`Clock`] so
+//!   `FakeClock` tests are deterministic, and the record path is
+//!   allocation-free after warmup.
 //! - [`Metrics`] — counters plus fixed-bucket [`Histogram`]s for the SLO
 //!   surface: queue-wait p50/p99, resolve/execute latency, plan fetch/serve
 //!   latency, worker utilization, and per-fingerprint kernel throughput.

@@ -13,9 +13,11 @@
 //! * [`HpcApp::loop_count`] — the number of main-loop iterations.
 //!
 //! [`HpcApp::processing`] has a default implementation reproducing Listing 1:
-//! one warm-up (dry-run) execution of the kernel, then `loop_count` real
-//! steps, re-executing any step whose refresh failed (the platform's
-//! recompute-on-miss semantics).
+//! `loop_count` real steps, re-executing any step whose refresh failed (the
+//! platform's recompute-on-miss semantics), preceded — on a run with a
+//! distributed layer, the only reader of a dry run — by one warm-up
+//! execution of the kernel.  A single-rank run sweeps `loop_count` times, not
+//! `loop_count + 1`; the contract is stated on [`HpcApp::processing`].
 
 use crate::ctx::TaskCtx;
 use aohpc_env::Cell;
@@ -40,12 +42,39 @@ pub trait HpcApp<C: Cell> {
     fn finalize(&mut self, ctx: &mut TaskCtx<C>);
 
     /// The Processing function of the annotation library (overridable).
+    ///
+    /// **The sweep contract.**  A task runs the kernel `loop_count` times,
+    /// plus once per failed refresh (a retry), plus — only on a run with a
+    /// distributed layer ([`TaskCtx::has_distributed_layer`]: more than one
+    /// rank in the topology) — once before step 0 as Listing 1's
+    /// `WarmUp(Kernel)`:
+    ///
+    /// | ranks | kernel sweeps a task | `WARM_UP` / warm-flagged `KERNEL_STEP` |
+    /// |-------|----------------------|----------------------------------------|
+    /// | 1     | `loop_count` + retries     | never dispatched                 |
+    /// | > 1   | `1 + loop_count` + retries | once each, before step 0         |
+    ///
+    /// The warm-up is a dry run: a full kernel pass whose writes are never
+    /// rotated in.  What it leaves behind is read by the distributed
+    /// module's AspectType III advice alone — the non-existent pages the
+    /// pass records at `refresh` are fetched and, with
+    /// [`RunConfig::with_dry_run`](crate::RunConfig::with_dry_run), become
+    /// the Dry-run prefetch plan, so step 0 finds its halo pages present
+    /// instead of being retried.  On one rank every page is local and no
+    /// such advice runs, so the pass is skipped, whatever the thread count
+    /// and with MMAT on or off: everything else a kernel sets up at its
+    /// first pass (a compiled plan, a `GatherPlan`, the MMAT memo, which
+    /// starts empty in a fresh task) is set up by step 0 at no extra cost,
+    /// and every step computes the same bits either way.  Counters follow:
+    /// reads, writes, dispatches and cost-model seconds of a single-rank run
+    /// are `loop_count` sweeps' worth, those of a multi-rank run
+    /// `1 + loop_count`.
     fn processing(&mut self, ctx: &mut TaskCtx<C>) {
-        // Warm-up: dry-run execution that gathers the communication pattern
-        // (Dry-run plan) and rebuilds MMAT from scratch.
-        ctx.begin_warmup();
-        let _ = ctx.run_kernel_step(true, |ctx| self.kernel(ctx, true));
-        ctx.end_warmup();
+        if ctx.has_distributed_layer() {
+            ctx.begin_warmup();
+            let _ = ctx.run_kernel_step(true, |ctx| self.kernel(ctx, true));
+            ctx.end_warmup();
+        }
 
         let loops = self.loop_count();
         let mut consecutive_failures = 0u64;
@@ -120,33 +149,60 @@ mod tests {
     }
 
     fn ctx(env: Arc<Env<f64>>) -> TaskCtx<f64> {
-        let topo = Topology::serial();
+        ctx_on(env, Topology::serial())
+    }
+
+    /// Rank 0's context on `topo`, no communicator: enough for `processing`,
+    /// which reads the topology alone to decide on the warm-up.
+    fn ctx_on(env: Arc<Env<f64>>, topo: Topology) -> TaskCtx<f64> {
         let shared = Arc::new(RankShared::new(topo.clone(), 0, None, true));
         TaskCtx::new(topo.slot(0, 0), env, shared, WovenProgram::unwoven(), true, false)
     }
 
-    #[test]
-    fn default_processing_runs_warmup_plus_loops() {
+    /// Run `loops` steps, the first `fail_first_n` real passes failing, on
+    /// `topo`; the app and its context afterwards.
+    fn processed(topo: Topology, loops: usize, fail_first_n: usize) -> (Counting, TaskCtx<f64>) {
         let (env, block) = setup();
-        let mut app =
-            Counting { loops: 5, kernel_calls: 0, warmup_calls: 0, fail_first_n: 0, block };
-        let mut c = ctx(env);
+        let mut app = Counting { loops, kernel_calls: 0, warmup_calls: 0, fail_first_n, block };
+        let mut c = ctx_on(env, topo);
         app.initialize(&mut c);
         app.processing(&mut c);
+        (app, c)
+    }
+
+    #[test]
+    fn single_rank_processing_runs_the_loops_and_no_warmup() {
+        let (app, c) = processed(Topology::serial(), 5, 0);
+        assert_eq!(app.warmup_calls, 0);
+        assert_eq!(app.kernel_calls, 5, "5 steps, no warm-up (was 1 + 5 = 6)");
+        assert_eq!(c.steps_done(), 5);
+        assert_eq!(c.retries(), 0);
+        // Threads are not a distributed layer.
+        let (app, _) = processed(Topology::hybrid(1, 2), 5, 0);
+        assert_eq!((app.warmup_calls, app.kernel_calls), (0, 5));
+    }
+
+    #[test]
+    fn two_rank_processing_runs_warmup_plus_loops() {
+        let (app, c) = processed(Topology::hybrid(2, 1), 5, 0);
         assert_eq!(app.warmup_calls, 1);
         assert_eq!(app.kernel_calls, 6, "1 warm-up + 5 steps");
         assert_eq!(c.steps_done(), 5);
         assert_eq!(c.retries(), 0);
+        assert!(!c.is_warmup(), "the flag is down once the pass ends");
     }
 
     #[test]
-    fn failed_steps_are_reexecuted() {
-        let (env, block) = setup();
-        let mut app =
-            Counting { loops: 3, kernel_calls: 0, warmup_calls: 0, fail_first_n: 2, block };
-        let mut c = ctx(env);
-        app.initialize(&mut c);
-        app.processing(&mut c);
+    fn single_rank_failed_steps_are_reexecuted() {
+        let (app, c) = processed(Topology::serial(), 3, 2);
+        assert_eq!(c.steps_done(), 3);
+        assert_eq!(c.retries(), 2);
+        assert_eq!(app.kernel_calls, 3 + 2, "3 steps + 2 retries (was 1 + 3 + 2 = 6)");
+    }
+
+    #[test]
+    fn two_rank_failed_steps_are_reexecuted() {
+        let (app, c) = processed(Topology::hybrid(2, 1), 3, 2);
         assert_eq!(c.steps_done(), 3);
         assert_eq!(c.retries(), 2);
         assert_eq!(app.kernel_calls, 1 + 3 + 2);

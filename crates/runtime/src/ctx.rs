@@ -346,7 +346,18 @@ impl<C: Cell> TaskCtx<C> {
         &self.shared.topology
     }
 
+    /// Whether the run has a distributed layer (more than one rank in the
+    /// topology): the one reader of a dry run, so the condition under which
+    /// [`HpcApp::processing`](crate::HpcApp::processing) runs the warm-up
+    /// pass.  Read from the topology, not from `shared.comm`: a run whose
+    /// topology has ranks but whose weave never started them (Direct mode)
+    /// is still a multi-rank run.
+    pub fn has_distributed_layer(&self) -> bool {
+        self.shared.topology.ranks() > 1
+    }
+
     /// Whether the current kernel execution is the warm-up (dry-run) pass.
+    /// Never true on a single-rank run, which has no such pass.
     pub fn is_warmup(&self) -> bool {
         self.warmup
     }
@@ -410,7 +421,11 @@ impl<C: Cell> TaskCtx<C> {
     // -- Annotation-library support ---------------------------------------
 
     /// Begin the warm-up pass: clears MMAT (as the paper's `WarmUp` macro
-    /// does) and switches the access mode to dry-run.
+    /// does), dispatches [`WARM_UP`] and switches the access mode to dry-run
+    /// — until [`TaskCtx::end_warmup`], `refresh` judges success and (under
+    /// the distributed module) fetches the pages found missing, but rotates
+    /// no buffer.  The default `processing` calls this only on a run with a
+    /// distributed layer ([`TaskCtx::has_distributed_layer`]).
     pub fn begin_warmup(&mut self) {
         // The WarmUp macro clears previously collected MMAT information.
         self.state.reset_mmat();
@@ -429,7 +444,9 @@ impl<C: Cell> TaskCtx<C> {
         self.warmup = true;
     }
 
-    /// End the warm-up pass.
+    /// End the warm-up pass: what it computed is discarded, what its
+    /// `refresh` fetched and memorised (pages, the Dry-run plan) stays for
+    /// step 0.
     pub fn end_warmup(&mut self) {
         self.warmup = false;
     }

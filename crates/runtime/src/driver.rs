@@ -88,7 +88,12 @@ impl RunConfig {
         self
     }
 
-    /// Enable or disable the Dry-run prefetch.
+    /// Enable or disable the Dry-run prefetch: whether the distributed
+    /// module's `refresh` advice memorises the pages a rank had to fetch and
+    /// requests them ahead of every later step.  Read only on a run with more
+    /// than one rank; such a run makes its warm-up pass either way (off, the
+    /// pass still fetches step 0's pages, and later steps are retried).  A
+    /// single-rank run has neither the pass nor the plan.
     pub fn with_dry_run(mut self, dry_run: bool) -> Self {
         self.dry_run = dry_run;
         self

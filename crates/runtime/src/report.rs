@@ -63,6 +63,12 @@ pub struct RankReport {
 /// full `RunReport` (per-task counter vectors, runtime event log) per job
 /// would dominate the result queue, while the summary carries exactly the
 /// figures the metering, admission and cost paths consume.
+///
+/// `reads` and `writes` are those of the kernel sweeps the run made
+/// (`Initialize` and `Finalize` run on the rank's data-manager context,
+/// which files no task report), and `dispatches` grows by three a sweep and
+/// task: `steps` + `retries` sweeps on one rank, one more — the warm-up — on
+/// several (see [`HpcApp::processing`](crate::HpcApp::processing)).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunSummary {
     /// Tasks that executed.

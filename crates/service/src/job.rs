@@ -269,17 +269,20 @@ pub struct JobReport {
     /// one spec agree bit-for-bit, on multi-rank topologies too, and with
     /// the serial run of the same spec.  NaN when `error` is set.
     pub checksum: f64,
-    /// Deterministic simulated execution time of the run.
+    /// Deterministic simulated execution time of the run: the cost model
+    /// over the run's counters, so `steps` sweeps' worth for a single-rank
+    /// job and `steps + 1` (the warm-up sweep) for a multi-rank one.
     pub simulated_seconds: f64,
-    /// Digest of the underlying run.
+    /// Digest of the underlying run (its counters cover the sweeps the run
+    /// made — see [`RunSummary`]).
     pub summary: RunSummary,
     /// Why the job failed, if it did (bookkeeping still settles): the panic
     /// message, or `completed k of n steps …` when the slowest task gave up
     /// re-executing a step before the run reached [`JobSpec::steps`].
     pub error: Option<String>,
     /// The job's trace id in the installed flight recorder — every span of
-    /// the job's tree (root, resolve, execute, supersteps, blocks, plan
-    /// fetches) carries this id.  `None` when the service runs without an
+    /// the job's tree (root, resolve, execute, initialize, supersteps,
+    /// blocks, finalize, plan fetches) carries this id.  `None` when the service runs without an
     /// observer ([`KernelService::with_observer`](crate::KernelService)).
     pub trace_id: Option<u64>,
     /// How long the job sat admitted before a worker picked it up.

@@ -1482,7 +1482,12 @@ fn execute_spec(
 /// another family's cell would fall through and leave rank 0 running alone.
 /// With an observer, the per-job [`ObsRunAspect`] joins the weave carrying
 /// the job's trace and root-span ids (rank threads have no thread-local span
-/// context) and its finisher closes the final step spans after the run.
+/// context): under the job span a rank's run reads `Initialize`, one span a
+/// sweep, `Finalize`, and the finisher closes what is still open after the
+/// run.  A sweep is a step, a retried step or — only when the spec's topology
+/// has more than one rank, the dry run's one reader — the warm-up before
+/// step 0, so a single-rank job's counters and spans are `steps` sweeps'
+/// worth and a multi-rank job's `steps + 1`.
 ///
 /// A run whose slowest task gave up before `spec.steps` (the
 /// [`MAX_RETRIES_PER_STEP`] cap in `HpcApp::processing`) is a failure, not a

@@ -10,9 +10,10 @@
 //!   meet at the barrier;
 //! * the summary shows the topology that was asked for, every step done, and
 //!   no retries where the direct run needed none;
-//! * the serial job's counters and simulated time equal the values captured
-//!   before the three per-family execute functions were folded into one, so
-//!   the fold is observable for observable.
+//! * every job's counters and simulated time equal recorded values, and its
+//!   writes state the sweep contract of `HpcApp::processing`: a job on one
+//!   rank sweeps `steps` times, a job on several `steps + 1` — the warm-up
+//!   (dry-run) pass runs only where the distributed layer reads it.
 
 use aohpc_suite::prelude::*;
 use aohpc_suite::{ExecutionMode, Platform};
@@ -22,12 +23,25 @@ const STEPS: usize = 3;
 const BLOCK: usize = 8;
 const TOPOLOGIES: [(usize, usize); 4] = [(1, 1), (2, 1), (1, 2), (2, 2)];
 
-/// The serial job's observables at the commit before the fold.
+/// One job's observables: `(reads, writes, pages_sent, retries, dispatches,
+/// simulated_seconds bits)`.
+type Row = (u64, u64, u64, u64, u64, u64);
+
+/// A family's job under each of [`TOPOLOGIES`], in that order.
+///
+/// The 2x1 and 2x2 rows are what the commit before the warm-up became
+/// conditional measured, figure for figure: a multi-rank job is untouched —
+/// it keeps the warm-up sweep, and with it `retries` 0 (the dry run's fetch
+/// serves step 0, its plan every later step).  The 1x1 and 1x2 rows are that
+/// commit's with one sweep less: reads and writes x `steps / (steps + 1)` =
+/// 3/4, dispatches less one task's `WARM_UP` marker and one sweep's three
+/// (`KernelStep`, `get_blocks`, `refresh`) per task — 17 - 4 = 13 on 1x1,
+/// 30 - 2 x 4 = 22 on 1x2 — and the cost model's seconds, linear in the
+/// counters, x 3/4 too (each family's per-sweep figure is beside its rows).
 struct Golden {
-    reads: u64,
-    writes: u64,
-    dispatches: u64,
-    simulated_seconds_bits: u64,
+    /// Cells the job writes in one sweep of its region.
+    writes_per_sweep: u64,
+    rows: [Row; 4],
 }
 
 /// The direct-path mode weaving exactly the aspects the service weaves for a
@@ -94,24 +108,27 @@ fn check(
     let session = service.open_session(SessionSpec::tenant("paths"));
     let name = spec.program.name().to_string();
     let mut serial_bits = None;
-    for (ranks, threads) in TOPOLOGIES {
+    for ((ranks, threads), row) in TOPOLOGIES.into_iter().zip(golden.rows) {
         let at = format!("{name} {ranks}x{threads}");
         let job = spec.clone().with_topology(Topology::hybrid(ranks, threads));
         let report = service.submit(session, job).unwrap().wait().expect("job resolves");
         assert_eq!(report.error, None, "{at}");
         let summary = &report.summary;
-        if (ranks, threads) == (1, 1) {
-            assert_eq!(
-                (
-                    summary.reads,
-                    summary.writes,
-                    summary.dispatches,
-                    report.simulated_seconds.to_bits()
-                ),
-                (golden.reads, golden.writes, golden.dispatches, golden.simulated_seconds_bits),
-                "{at}: (reads, writes, dispatches, simulated_seconds bits)"
-            );
-        }
+        // The sweep contract: the warm-up pass runs only across ranks.
+        let sweeps = (spec.steps + usize::from(ranks > 1)) as u64;
+        assert_eq!(summary.writes, golden.writes_per_sweep * sweeps, "{at}: {sweeps} sweeps");
+        assert_eq!(
+            (
+                summary.reads,
+                summary.writes,
+                summary.pages_sent,
+                summary.retries,
+                summary.dispatches,
+                report.simulated_seconds.to_bits()
+            ),
+            row,
+            "{at}: (reads, writes, pages_sent, retries, dispatches, simulated_seconds bits)"
+        );
         assert_eq!(
             (summary.ranks, summary.tasks, summary.steps),
             (ranks, ranks * threads, spec.steps as u64),
@@ -137,11 +154,17 @@ fn jacobi_5pt_matches_the_direct_run_under_every_topology() {
     check(
         stencil_job(StencilProgram::jacobi_5pt(), vec![0.5, 0.125]),
         direct_stencil,
+        // A sweep: 1024 gathers + 512 halo reads = 1536 reads, 1024 writes.
+        // One rank, 3 sweeps: 4608 / 3072 (was 4 sweeps: 6144 / 4096), and
+        // 82.224 us of simulated time a sweep: 1x1 328.896 -> 246.672 us.
         Golden {
-            reads: 6144,
-            writes: 4096,
-            dispatches: 17,
-            simulated_seconds_bits: 0x3f358df590543a58,
+            writes_per_sweep: 1024,
+            rows: [
+                (4608, 3072, 0, 0, 13, 0x3f302a782c3f2bc2),
+                (6144, 4096, 64, 0, 33, 0x3f29ae513289d764),
+                (4608, 3072, 0, 0, 22, 0x3f217a41cbb88bdd),
+                (6144, 4096, 64, 0, 59, 0x3f1de33e7600e6f1),
+            ],
         },
     );
 }
@@ -151,13 +174,49 @@ fn smooth_9pt_matches_the_direct_run_under_every_topology() {
     check(
         stencil_job(StencilProgram::smooth_9pt(), vec![0.6, 0.05]),
         direct_stencil,
+        // A sweep: 1024 gathers + 576 halo reads (corners too) = 1600 reads,
+        // 1024 writes.  One rank, 3 sweeps: 4800 / 3072 (was 6400 / 4096), and
+        // 103.916 us of simulated time a sweep: 1x1 415.664 -> 311.748 us.
         Golden {
-            reads: 6400,
-            writes: 4096,
-            dispatches: 17,
-            simulated_seconds_bits: 0x3f3b3daf493f7547,
+            writes_per_sweep: 1024,
+            rows: [
+                (4800, 3072, 0, 0, 13, 0x3f346e4376ef97f6),
+                (6400, 4096, 64, 0, 33, 0x3f2fe0e7aa276a2a),
+                (4800, 3072, 0, 0, 22, 0x3f2649d88417a9a4),
+                (6400, 4096, 64, 0, 59, 0x3f22364f23aa0050),
+            ],
         },
     );
+}
+
+/// MMAT on against MMAT off, on one rank and on two: the same field, bit
+/// for bit, and each task's memo as `(mmat_entries, mmat_hits)`, measured.
+///
+/// A sweep looks up 400 points x 4 neighbours = 1600 addresses.  On one rank
+/// the first real step fills the memo as the warm-up used to — the 602
+/// entries the commit before the warm-up became conditional ended with — and
+/// the sweep that is gone was all hits: 5798 - 1600 = 4198.  On two ranks
+/// nothing moved: 417 + 185 = 602 entries, 4191 + 1607 = 5798 hits.
+fn usgrid_memo_fills_at_the_first_real_step(spec: &JobSpec) {
+    for (ranks, memo) in [(1, vec![(602, 4198)]), (2, vec![(417, 4191), (185, 1607)])] {
+        let run = |mmat: bool| {
+            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
+            let sink = new_field_sink();
+            let app = UsGridJacobiApp::new(system.clone(), spec.steps).with_sink(sink.clone());
+            let outcome = Platform::new(mode(ranks, 1))
+                .with_mmat(mmat)
+                .run_system(Arc::new(system), app.factory());
+            let field: Vec<_> = sink.lock().iter().map(|(at, v)| (*at, v.to_bits())).collect();
+            let memo: Vec<_> =
+                outcome.report.tasks.iter().map(|t| (t.mmat_entries, t.mmat_hits)).collect();
+            (field, memo)
+        };
+        let (field, off) = run(false);
+        let (field_mmat, on) = run(true);
+        assert_eq!(field_mmat, field, "usgrid {ranks}x1: MMAT changed the field");
+        assert_eq!(off, vec![(0, 0); ranks], "usgrid {ranks}x1: no memo without MMAT");
+        assert_eq!(on, memo, "usgrid {ranks}x1: (mmat_entries, mmat_hits) a task");
+    }
 }
 
 #[test]
@@ -166,14 +225,21 @@ fn usgrid_jacobi4_matches_the_direct_run_under_every_topology() {
     let spec = JobSpec::new(UsGridProgram::jacobi4(), vec![0.5, 0.125], RegionSize::square(20))
         .with_block(BLOCK)
         .with_steps(STEPS);
+    usgrid_memo_fills_at_the_first_real_step(&spec);
     check(
         spec,
         direct_usgrid,
+        // A sweep: 400 points x (itself + 4 neighbours) = 2000 reads, 400
+        // writes.  One rank, 3 sweeps: 6000 / 1200 (was 8000 / 1600), and
+        // 51.96 us of simulated time a sweep: 1x1 207.84 -> 155.88 us.
         Golden {
-            reads: 8000,
-            writes: 1600,
-            dispatches: 17,
-            simulated_seconds_bits: 0x3f2b3df4016f15e3,
+            writes_per_sweep: 400,
+            rows: [
+                (6000, 1200, 0, 0, 13, 0x3f246e770113506a),
+                (8000, 1600, 96, 0, 33, 0x3f235beb78e06cb7),
+                (6000, 1200, 0, 0, 22, 0x3f18f02fe115c569),
+                (8000, 1600, 96, 0, 59, 0x3f1b916204db45b0),
+            ],
         },
     );
 }
@@ -190,11 +256,17 @@ fn particle_pair_sweep_matches_the_direct_run_under_every_topology() {
     check(
         spec,
         direct_particle,
+        // A sweep: 256 buckets x (itself + its 3x3 neighbourhood) = 2560
+        // reads, 256 writes.  One rank, 3 sweeps: 7680 / 768 (was 10240 / 1024),
+        // and 52.188 us of simulated time a sweep: 1x1 208.752 -> 156.564 us.
         Golden {
-            reads: 10240,
-            writes: 1024,
-            dispatches: 17,
-            simulated_seconds_bits: 0x3f2b5c8e06a49b10,
+            writes_per_sweep: 256,
+            rows: [
+                (7680, 768, 0, 0, 13, 0x3f24856a84fb744d),
+                (10240, 1024, 16, 0, 33, 0x3f21f75325176ee2),
+                (7680, 768, 0, 0, 22, 0x3f15a9c790801beb),
+                (10240, 1024, 16, 0, 59, 0x3f16bf4878946444),
+            ],
         },
     );
 }

@@ -67,9 +67,9 @@ fn ir_run(
     (field, outcome.report.total_counters())
 }
 
-/// The counters of the per-cell loops: 4 sweeps (warm-up + 3 steps) x (1024
-/// gathers + 512 halo reads), 1024 writes a sweep; every field not named is
-/// 0.  All but the two search counters were captured at the commit before
+/// The counters of the per-cell loops over `sweeps` sweeps — a sweep is 1024
+/// gathers + 512 halo reads and 1024 writes — every field not named 0.  All
+/// but the two search counters were captured, per sweep, at the commit before
 /// the slab calls and have not moved since.
 ///
 /// The searches are those that ran.  A block's halo is four runs of 8 cells.
@@ -82,21 +82,21 @@ fn ir_run(
 /// not a buffer, so each of their 8 cells is the per-cell call: a search of
 /// 18 nodes (the start, 15 siblings, the boundary branch, the catch-all).
 ///
-///   env_searches         = 4 x (48 + 16 x 8)            =   704
-///   search_nodes_visited = 4 x (432 + 16 x 8 x 18)      = 10944
+///   env_searches         = 48 + 16 x 8            =  176 a sweep
+///   search_nodes_visited = 432 + 16 x 8 x 18      = 2736 a sweep
 ///
-/// (One search per read — 4 x 512 = 2048 searches, 4 x (8 x 432 + 128 x 18)
-/// = 23040 nodes — is what the per-cell halo closure read, and still reads:
-/// see `closure_adaptor_*` below.)
-fn golden(missing_accesses: u64) -> AccessCounters {
+/// (One search per read — 512 searches, 8 x 432 + 128 x 18 = 5760 nodes a
+/// sweep — is what the per-cell halo closure read, and still reads: see
+/// `closure_adaptor_*` below.)
+fn golden(sweeps: u64, missing_accesses: u64) -> AccessCounters {
     AccessCounters {
-        reads: 6144,
-        writes: 4096,
-        skip_search_hits: 4096,
-        env_searches: 704,
-        search_nodes_visited: 10944,
-        out_of_block_reads: 2048,
-        arithmetic_reads: 512,
+        reads: sweeps * 1536,
+        writes: sweeps * 1024,
+        skip_search_hits: sweeps * 1024,
+        env_searches: sweeps * 176,
+        search_nodes_visited: sweeps * 2736,
+        out_of_block_reads: sweeps * 512,
+        arithmetic_reads: sweeps * 128,
         missing_accesses,
         ..AccessCounters::default()
     }
@@ -104,20 +104,24 @@ fn golden(missing_accesses: u64) -> AccessCounters {
 
 #[test]
 fn serial_slab_run_matches_the_per_cell_kernel_and_the_golden_counters() {
+    // One rank: the 3 steps and no warm-up sweep — reads 3 x 1536 = 4608,
+    // writes 3072, searches 528 over 8208 nodes (with the warm-up, 4 sweeps:
+    // 6144 / 4096 / 704 / 10944, the hybrid run's figures below).
     let mode = ExecutionMode::PlatformNop;
     let (field, counters) = ir_run(mode, listing1_jacobi(), vec![0.5, 0.125]);
     assert_eq!(field, classic_field(mode), "IR field differs from the Listing-1 kernel");
-    assert_eq!(counters, golden(0));
+    assert_eq!(counters, golden(3, 0));
 }
 
 #[test]
 fn hybrid_slab_run_matches_the_per_cell_kernel_and_the_golden_counters() {
-    // The warm-up sweep of each rank finds the other rank's halo pages
-    // missing (64 reads) before the Dry-run plan prefetches them.
+    // Two ranks: warm-up + 3 steps.  The warm-up sweep of each rank finds the
+    // other rank's halo pages missing (64 reads) before the Dry-run plan
+    // prefetches them.
     let mode = ExecutionMode::PlatformHybrid { ranks: 2, threads: 2 };
     let (field, counters) = ir_run(mode, listing1_jacobi(), vec![0.5, 0.125]);
     assert_eq!(field, classic_field(mode), "IR field differs from the Listing-1 kernel");
-    assert_eq!(counters, golden(64));
+    assert_eq!(counters, golden(4, 64));
 }
 
 /// `IrStencilApp` with the halo fetched the old way: the compiled kernel's
