@@ -48,11 +48,6 @@ impl Weaver {
         self
     }
 
-    /// Number of registered aspects.
-    pub fn aspect_count(&self) -> usize {
-        self.aspects.len()
-    }
-
     /// Produce the woven program: resolve precedences and freeze the binding
     /// table.
     pub fn weave(&self) -> WovenProgram {
@@ -174,8 +169,8 @@ impl WovenProgram {
     }
 
     /// Build a human-readable weave report over the platform's canonical join
-    /// points — the analogue of AspectC++'s weave log, used by tests and by
-    /// `DESIGN.md`-style documentation output.
+    /// points — the analogue of AspectC++'s weave log; every
+    /// `Platform::run` outcome carries one.
     pub fn report(&self) -> WeaveReport {
         let mut lines = Vec::new();
         for name in ALL_JOIN_POINTS {

@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the platform's design choices:
 //! MMAT on/off (the paper's own ablation), the Dry-run prefetch on/off in the
 //! distributed layer, the skip-search flag on/off for in-block accesses, and
 //! the data-branch tree topology (flat vs locality joints, §III-B3).

@@ -35,22 +35,7 @@ fn bench_backends_on_a_block(c: &mut Criterion) {
             black_box(field.values()[0])
         })
     });
-    group.bench_function("tree_walk_scalar", |b| {
-        let mut out = vec![0.0; n * n];
-        b.iter(|| {
-            let mut stats = ExecStats::default();
-            compiled.execute_block_tree(
-                &cells,
-                &params,
-                &mut |_, _| 0.0,
-                &mut out,
-                Processor::Scalar,
-                &mut stats,
-            );
-            black_box(out[n + 1])
-        })
-    });
-    for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+    for proc in [Processor::Scalar, Processor::Simd] {
         group.bench_function(proc.name(), |b| {
             let mut out = vec![0.0; n * n];
             let mut scratch = ExecScratch::new();

@@ -1,6 +1,6 @@
-//! Kernel microbench: register-allocated tape vs the legacy tree-walk
-//! interpreter on the Fig. 6 SGrid workload (5-point Jacobi), cold vs warm
-//! scratch, with allocation counting.
+//! Kernel microbench: the generic tape, the specialized loop and a
+//! hand-written loop on the Fig. 6 SGrid workload (5-point Jacobi), cold vs
+//! warm scratch, with allocation counting.
 //!
 //! Writes machine-readable `BENCH_kernel.json` (cells/sec, ops/sec,
 //! allocs/block per variant) to the current directory so CI can track the
@@ -100,7 +100,7 @@ fn main() {
     let cells: Vec<f64> = (0..n * n).map(|k| init((k % n) as i64, (k / n) as i64)).collect();
     let tape_stats = compiled.tape().stats();
 
-    println!("# bench_kernel — tape vs tree-walk, {n}x{n} jacobi-5pt block, scale = {scale}");
+    println!("# bench_kernel — execution tiers, {n}x{n} jacobi-5pt block, scale = {scale}");
     println!(
         "tape: {} dag nodes -> {} body instrs ({} fused loads, {} mul-adds), {} regs (max live {})",
         tape_stats.dag_nodes,
@@ -116,11 +116,9 @@ fn main() {
 
     // Warm generic tape: one scratch reused across blocks, specialized fast
     // path disabled — the interpreter baseline every later tier compares to.
-    for (name, proc) in [
-        ("tape_scalar_warm", Processor::Scalar),
-        ("tape_simd_warm", Processor::Simd),
-        ("tape_accel_warm", Processor::Accelerator),
-    ] {
+    for (name, proc) in
+        [("tape_scalar_warm", Processor::Scalar), ("tape_simd_warm", Processor::Simd)]
+    {
         let mut scratch = ExecScratch::new();
         outcomes.push(measure(name, n, reps, ops, |out| {
             let mut stats = ExecStats::default();
@@ -143,11 +141,9 @@ fn main() {
         SpecializationId::Generic,
         "jacobi-5pt must match a specialized kernel"
     );
-    for (name, proc) in [
-        ("tape_spec_scalar_warm", Processor::Scalar),
-        ("tape_spec_simd_warm", Processor::Simd),
-        ("tape_spec_accel_warm", Processor::Accelerator),
-    ] {
+    for (name, proc) in
+        [("tape_spec_scalar_warm", Processor::Scalar), ("tape_spec_simd_warm", Processor::Simd)]
+    {
         let mut scratch = ExecScratch::new();
         outcomes.push(measure(name, n, reps, ops, |out| {
             let mut stats = ExecStats::default();
@@ -207,16 +203,6 @@ fn main() {
         handwritten_jacobi(&cells, &params, n, out);
     }));
 
-    // Legacy tree-walk interpreter (reference/oracle, `--features tree-walk`).
-    for (name, proc) in
-        [("tree_walk_scalar", Processor::Scalar), ("tree_walk_simd", Processor::Simd)]
-    {
-        outcomes.push(measure(name, n, reps, ops, |out| {
-            let mut stats = ExecStats::default();
-            compiled.execute_block_tree(&cells, &params, &mut |_, _| 0.0, out, proc, &mut stats);
-        }));
-    }
-
     println!("{:<18} {:>14} {:>14} {:>13}", "variant", "cells/sec", "ops/sec", "allocs/block");
     for o in &outcomes {
         println!(
@@ -231,10 +217,6 @@ fn main() {
             .find(|o| o.name == name)
             .unwrap_or_else(|| panic!("variant {name} measured"))
     };
-    let speedup_scalar =
-        get("tape_scalar_warm").cells_per_sec / get("tree_walk_scalar").cells_per_sec;
-    let speedup_simd = get("tape_simd_warm").cells_per_sec / get("tree_walk_simd").cells_per_sec;
-    println!("speedup (tape/tree-walk): scalar {speedup_scalar:.2}x, simd {speedup_simd:.2}x");
     let speedup_spec_scalar =
         get("tape_spec_scalar_warm").cells_per_sec / get("tape_scalar_warm").cells_per_sec;
     let speedup_spec_simd =
@@ -300,8 +282,6 @@ fn main() {
         ));
     }
     json.push_str("  },\n");
-    json.push_str(&format!("  \"speedup_scalar\": {speedup_scalar:.3},\n"));
-    json.push_str(&format!("  \"speedup_simd\": {speedup_simd:.3},\n"));
     json.push_str(&format!("  \"speedup_spec_scalar\": {speedup_spec_scalar:.3},\n"));
     json.push_str(&format!("  \"speedup_spec_simd\": {speedup_spec_simd:.3},\n"));
     json.push_str(&format!("  \"spec_vs_handwritten\": {spec_vs_handwritten:.3}\n"));

@@ -41,8 +41,7 @@ fn main() {
     let system = Arc::new(SGridSystem::with_block_size(region, block));
     let app = IrStencilApp::new(StencilProgram::jacobi_5pt(), vec![0.5, 0.125], loops)
         .with_dispatcher(HeteroDispatcher::new(SchedulePolicy::Weighted(vec![
-            (Processor::Accelerator, 2.0),
-            (Processor::Simd, 1.0),
+            (Processor::Simd, 3.0),
             (Processor::Scalar, 1.0),
         ])))
         .with_stats_sink(stats_sink.clone());
@@ -56,17 +55,12 @@ fn main() {
     );
     println!(
         "{:<14} {:>8} {:>12} {:>12} {:>12} {:>14}",
-        "backend", "blocks", "cells", "scalar ops", "vector ops", "offload bytes"
+        "backend", "blocks", "cells", "scalar ops", "vector ops", "halo fetches"
     );
     for (name, s) in stats_sink.lock().iter() {
         println!(
             "{:<14} {:>8} {:>12} {:>12} {:>12} {:>14}",
-            name,
-            s.blocks,
-            s.cells,
-            s.scalar_ops,
-            s.vector_ops,
-            s.offload_bytes_in + s.offload_bytes_out
+            name, s.blocks, s.cells, s.scalar_ops, s.vector_ops, s.halo_fetches
         );
     }
 

@@ -154,11 +154,6 @@ pub fn scaling_workloads(
     ]
 }
 
-/// Print a markdown-ish table row.
-pub fn print_row(cells: &[String]) {
-    println!("{}", cells.join("  |  "));
-}
-
 /// Count the non-blank, non-comment lines of every `.rs` file under a
 /// directory (Table II's metric).
 pub fn count_loc(dir: &std::path::Path) -> usize {

@@ -105,8 +105,9 @@ pub struct RunOutcome {
     /// The runtime's detailed report (per-task counters, communication,
     /// memory, wall time).
     pub report: RunReport,
-    /// Simulated execution time from the cost model (used by the scaling
-    /// figures; see DESIGN.md §5 for why wall-clock is not used there).
+    /// Simulated execution time from the cost model (what the scaling
+    /// figures print: ranks are threads of one process here, so wall time
+    /// would not show the modelled interconnect).
     pub simulated_seconds: f64,
     /// Which aspects advised which join points.
     pub weave: WeaveReport,
@@ -145,12 +146,6 @@ impl Platform {
     /// of a multi-rank run's.
     pub fn with_dry_run(mut self, dry_run: bool) -> Self {
         self.dry_run = dry_run;
-        self
-    }
-
-    /// Use a custom cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 

@@ -115,13 +115,6 @@ impl<C: Cell> EnvBuilder<C> {
         EnvBuilder { blocks: Vec::new(), cells_per_page, num_buffers: 2, pool }
     }
 
-    /// Use `n ≥ 2` buffers per Data block (default 2, i.e. double buffering).
-    pub fn with_num_buffers(mut self, n: usize) -> Self {
-        assert!(n >= 2);
-        self.num_buffers = n;
-        self
-    }
-
     fn push(
         &mut self,
         parent: Option<BlockId>,

@@ -3,31 +3,28 @@
 //! The paper's future-work §VI proposes that "the platform generates kernels
 //! for multiple types of processors and executes them heterogeneously, using
 //! GPUs, SIMD, and other accelerators".  This module is that generation step
-//! for three processor models:
+//! for two processor models:
 //!
 //! * [`Processor::Scalar`] — one cell at a time, the shape a plain C++ loop
 //!   (or the paper's prototype) executes;
 //! * [`Processor::Simd`] — the interior region is processed in fixed-width
 //!   lanes (`LANES` cells per tape evaluation), the shape a vectorising
-//!   compiler or explicit SIMD intrinsics produce;
-//! * [`Processor::Accelerator`] — lane execution plus explicit offload
-//!   accounting (bytes shipped to and from the device), the shape of a GPU
-//!   kernel launch.  Since this container has no GPU, the accelerator is
-//!   *simulated*: it executes the same arithmetic on the CPU and reports the
-//!   transfer volume a real device would have moved (see DESIGN.md §5).
+//!   compiler, explicit SIMD intrinsics or a device kernel launch produce.
+//!   What a device would add is transfer volume, and that follows from the
+//!   counters already kept (see [`ExecStats::halo_fetches`]).
 //!
-//! All three backends interpret the same register-allocated
+//! Both backends interpret the same register-allocated
 //! [`ExecTape`](crate::tape::ExecTape) over the same
 //! [`AccessPlan`](crate::plan::AccessPlan) from a caller-provided
 //! [`ExecScratch`], so their results are bit-identical, tests compare them
 //! directly, and the steady-state block path performs **zero heap
 //! allocations** (see `tests/no_alloc.rs`).
 //!
-//! The previous tree-walking interpreter survives as a reference oracle
-//! behind the `tree-walk` feature ([`CompiledKernel::execute_block_tree`]):
-//! property tests assert the tape is bit-identical to it for random programs,
-//! extents and backends, and the `bench_kernel` harness measures what the
-//! lowering buys.
+//! The tree-walk oracle (`execute_block_tree`, compiled for this crate's
+//! tests only) evaluates every cell with [`Dag::eval`](crate::opt::Dag::eval)
+//! and shares nothing with the tape but the plan's interior rectangle:
+//! property tests assert the tape is bit-identical to it — output bits and
+//! [`ExecStats`] — for random programs, extents and backends.
 
 use crate::plan::{CompiledKernel, HaloRing, ResolvedAccess};
 use crate::tape::ExecScratch;
@@ -42,8 +39,6 @@ pub enum Processor {
     Scalar,
     /// Lane-parallel interior execution (width [`LANES`]).
     Simd,
-    /// Lane-parallel execution with host↔device transfer accounting.
-    Accelerator,
 }
 
 impl Processor {
@@ -52,7 +47,6 @@ impl Processor {
         match self {
             Processor::Scalar => "scalar",
             Processor::Simd => "simd",
-            Processor::Accelerator => "accelerator",
         }
     }
 }
@@ -69,16 +63,14 @@ pub struct ExecStats {
     /// Cells updated through the resolved boundary path.
     pub boundary_cells: u64,
     /// Out-of-block cells fetched from the platform: the halo ring's distinct
-    /// cells, once per block execution.
+    /// cells, once per block execution.  A device executing these blocks
+    /// would receive each block with its ring and send the block back:
+    /// `8 × (cells + halo_fetches)` bytes in, `8 × cells` bytes out.
     pub halo_fetches: u64,
     /// DAG operations evaluated one cell at a time.
     pub scalar_ops: u64,
     /// DAG operations evaluated [`LANES`] cells at a time.
     pub vector_ops: u64,
-    /// Bytes shipped host→device (Accelerator only).
-    pub offload_bytes_in: u64,
-    /// Bytes shipped device→host (Accelerator only).
-    pub offload_bytes_out: u64,
 }
 
 impl ExecStats {
@@ -91,8 +83,6 @@ impl ExecStats {
         self.halo_fetches += other.halo_fetches;
         self.scalar_ops += other.scalar_ops;
         self.vector_ops += other.vector_ops;
-        self.offload_bytes_in += other.offload_bytes_in;
-        self.offload_bytes_out += other.offload_bytes_out;
     }
 }
 
@@ -235,7 +225,7 @@ impl CompiledKernel {
                         }
                     }
                 }
-                Processor::Simd | Processor::Accelerator => {
+                Processor::Simd => {
                     tape.broadcast_prelude(regs, lane_regs);
                     tape.broadcast_prelude(regs, wide_regs);
                     for y in plan.interior.y0..plan.interior.y1 {
@@ -287,194 +277,62 @@ impl CompiledKernel {
             stats.boundary_cells += 1;
             stats.scalar_ops += ops;
         }
-
-        if processor == Processor::Accelerator {
-            // A real device would receive the block and its halo ring and send
-            // the updated block back.
-            let f64_bytes = std::mem::size_of::<f64>() as u64;
-            stats.offload_bytes_in += (plan.cells() as u64 + plan.halo_loads() as u64) * f64_bytes;
-            stats.offload_bytes_out += plan.cells() as u64 * f64_bytes;
-        }
     }
 }
 
-/// The legacy tree-walking interpreter, kept as the reference/oracle the tape
-/// is property-tested against (and the baseline `bench_kernel` measures the
-/// lowering's speedup over).  Enable with `--features tree-walk`; always
-/// available to this crate's own tests.
-#[cfg(any(test, feature = "tree-walk"))]
-mod tree_walk {
-    use super::{ExecStats, Processor, LANES};
-    use crate::opt::{Dag, Node};
-    use crate::plan::{CompiledKernel, ResolvedAccess};
-
-    /// Evaluate a DAG by walking the node list, with `loads` supplied per
-    /// slot.  `slots` is the compile-time load→slot table.
-    fn eval_with_operands(
-        dag: &Dag,
-        slots: &[usize],
-        operands: &[f64],
+#[cfg(test)]
+impl CompiledKernel {
+    /// The tree-walk oracle the tape is property-tested against: every cell
+    /// is one [`Dag::eval`](crate::opt::Dag::eval), a load read from `cells`
+    /// when its own coordinate (cell + offset) is in the block and from
+    /// `halo` otherwise — no linear offsets, operand slots or ring, so a
+    /// wrong one in the tape shows up as a wrong value.
+    ///
+    /// The counters follow from the plan's interior rectangle alone: on a
+    /// lane processor each interior row is `width / LANES` vector groups
+    /// (however the tape batches them) and a scalar remainder; boundary
+    /// cells are scalar; the ring's distinct cells are fetched once.
+    pub(crate) fn execute_block_tree(
+        &self,
+        cells: &[f64],
         params: &[f64],
-        values: &mut [f64],
-    ) -> f64 {
-        for (i, node) in dag.nodes().iter().enumerate() {
-            values[i] = match *node {
-                Node::Load { .. } => operands[slots[i]],
-                Node::Const(bits) => f64::from_bits(bits),
-                Node::Param(p) => params.get(p).copied().unwrap_or(0.0),
-                Node::Unary { op, a } => op.apply(values[a]),
-                Node::Binary { op, a, b } => op.apply(values[a], values[b]),
-            };
-        }
-        values[dag.root()]
-    }
-
-    impl CompiledKernel {
-        /// Execute one block with the tree-walking interpreter (same
-        /// signature and bit-identical results as
-        /// [`execute_block`](CompiledKernel::execute_block), minus the
-        /// scratch: this path heap-allocates its value buffers per block,
-        /// which is exactly the cost the tape removes).
-        ///
-        /// The per-node offset search and the operation count *are* hoisted
-        /// to compile time ([`CompiledKernel::load_slots`] /
-        /// [`CompiledKernel::op_count`]), so what this oracle measures
-        /// against the tape is purely the per-cell interpretation overhead.
-        pub fn execute_block_tree(
-            &self,
-            cells: &[f64],
-            params: &[f64],
-            halo: &mut impl FnMut(i64, i64) -> f64,
-            out: &mut [f64],
-            processor: Processor,
-            stats: &mut ExecStats,
-        ) {
-            self.check_block_args(cells, params, out);
-            let plan = self.plan();
-            let dag = self.dag();
-            let slots = self.load_slots();
-            let ops = self.op_count();
-
-            stats.blocks += 1;
-            stats.cells += plan.cells() as u64;
-
-            let nx = plan.extent_nx as i64;
-            let mut values = vec![0.0f64; dag.len()];
-            match processor {
-                Processor::Scalar => {
-                    for y in plan.interior.y0..plan.interior.y1 {
-                        for x in plan.interior.x0..plan.interior.x1 {
-                            let idx = (y * nx + x) as usize;
-                            for (i, node) in dag.nodes().iter().enumerate() {
-                                values[i] = match *node {
-                                    Node::Load { .. } => {
-                                        let delta = plan.linear_offsets[slots[i]];
-                                        cells[(idx as isize + delta) as usize]
-                                    }
-                                    Node::Const(bits) => f64::from_bits(bits),
-                                    Node::Param(p) => params.get(p).copied().unwrap_or(0.0),
-                                    Node::Unary { op, a } => op.apply(values[a]),
-                                    Node::Binary { op, a, b } => op.apply(values[a], values[b]),
-                                };
-                            }
-                            out[idx] = values[dag.root()];
-                            stats.interior_cells += 1;
-                            stats.scalar_ops += ops;
-                        }
+        halo: &mut impl FnMut(i64, i64) -> f64,
+        out: &mut [f64],
+        processor: Processor,
+        stats: &mut ExecStats,
+    ) {
+        self.check_block_args(cells, params, out);
+        let plan = self.plan();
+        let (nx, ny) = (plan.extent_nx as i64, plan.extent_ny as i64);
+        for y in 0..ny {
+            for x in 0..nx {
+                let mut loads = |dx: i64, dy: i64| {
+                    let (tx, ty) = (x + dx, y + dy);
+                    if (0..nx).contains(&tx) && (0..ny).contains(&ty) {
+                        cells[(ty * nx + tx) as usize]
+                    } else {
+                        halo(tx, ty)
                     }
-                }
-                Processor::Simd | Processor::Accelerator => {
-                    let mut lane_values = vec![[0.0f64; LANES]; dag.len()];
-                    for y in plan.interior.y0..plan.interior.y1 {
-                        let mut x = plan.interior.x0;
-                        while x + (LANES as i64) <= plan.interior.x1 {
-                            let base = (y * nx + x) as usize;
-                            for (i, node) in dag.nodes().iter().enumerate() {
-                                lane_values[i] = match *node {
-                                    Node::Load { .. } => {
-                                        let delta = plan.linear_offsets[slots[i]];
-                                        let start = (base as isize + delta) as usize;
-                                        let mut lane = [0.0f64; LANES];
-                                        lane.copy_from_slice(&cells[start..start + LANES]);
-                                        lane
-                                    }
-                                    Node::Const(bits) => [f64::from_bits(bits); LANES],
-                                    Node::Param(p) => {
-                                        [params.get(p).copied().unwrap_or(0.0); LANES]
-                                    }
-                                    Node::Unary { op, a } => {
-                                        let mut lane = lane_values[a];
-                                        for v in &mut lane {
-                                            *v = op.apply(*v);
-                                        }
-                                        lane
-                                    }
-                                    Node::Binary { op, a, b } => {
-                                        let (la, lb) = (lane_values[a], lane_values[b]);
-                                        let mut lane = [0.0f64; LANES];
-                                        for (k, v) in lane.iter_mut().enumerate() {
-                                            *v = op.apply(la[k], lb[k]);
-                                        }
-                                        lane
-                                    }
-                                };
-                            }
-                            out[base..base + LANES].copy_from_slice(&lane_values[dag.root()]);
-                            stats.interior_cells += LANES as u64;
-                            stats.vector_ops += ops;
-                            x += LANES as i64;
-                        }
-                        while x < plan.interior.x1 {
-                            let idx = (y * nx + x) as usize;
-                            for (i, node) in dag.nodes().iter().enumerate() {
-                                values[i] = match *node {
-                                    Node::Load { .. } => {
-                                        let delta = plan.linear_offsets[slots[i]];
-                                        cells[(idx as isize + delta) as usize]
-                                    }
-                                    Node::Const(bits) => f64::from_bits(bits),
-                                    Node::Param(p) => params.get(p).copied().unwrap_or(0.0),
-                                    Node::Unary { op, a } => op.apply(values[a]),
-                                    Node::Binary { op, a, b } => op.apply(values[a], values[b]),
-                                };
-                            }
-                            out[idx] = values[dag.root()];
-                            stats.interior_cells += 1;
-                            stats.scalar_ops += ops;
-                            x += 1;
-                        }
-                    }
-                }
-            }
-
-            // The oracle asks `halo` for every load by its own coordinate
-            // (cell + offset) — no ring, so a wrong ring slot shows up as a
-            // wrong value — and accounts the fetches as the ring does: each
-            // distinct cell once.
-            stats.halo_fetches += plan.halo_loads() as u64;
-            let mut operands = vec![0.0f64; plan.offsets.len()];
-            for cell in &plan.boundary {
-                for (slot, access) in cell.accesses.iter().enumerate() {
-                    operands[slot] = match *access {
-                        ResolvedAccess::InBlock(idx) => cells[idx],
-                        ResolvedAccess::Halo { .. } => {
-                            let (dx, dy) = plan.offsets[slot];
-                            halo(cell.x + dx, cell.y + dy)
-                        }
-                    };
-                }
-                out[cell.index] = eval_with_operands(dag, slots, &operands, params, &mut values);
-                stats.boundary_cells += 1;
-                stats.scalar_ops += ops;
-            }
-
-            if processor == Processor::Accelerator {
-                let f64_bytes = std::mem::size_of::<f64>() as u64;
-                stats.offload_bytes_in +=
-                    (plan.cells() as u64 + plan.halo_loads() as u64) * f64_bytes;
-                stats.offload_bytes_out += plan.cells() as u64 * f64_bytes;
+                };
+                out[(y * nx + x) as usize] = self.dag().eval(&mut loads, params);
             }
         }
+
+        let ops = self.op_count();
+        let total = plan.cells() as u64;
+        let rows = (plan.interior.y1 - plan.interior.y0) as u64;
+        let width = (plan.interior.x1 - plan.interior.x0) as u64;
+        let groups = match processor {
+            Processor::Scalar => 0,
+            Processor::Simd => rows * (width / LANES as u64),
+        };
+        stats.blocks += 1;
+        stats.cells += total;
+        stats.interior_cells += rows * width;
+        stats.boundary_cells += total - rows * width;
+        stats.halo_fetches += plan.halo_loads() as u64;
+        stats.vector_ops += ops * groups;
+        stats.scalar_ops += ops * (total - groups * LANES as u64);
     }
 }
 
@@ -547,30 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn accelerator_backend_matches_interpreter_and_accounts_transfers() {
-        let program = StencilProgram::jacobi_5pt();
-        one_step_matches_reference(&program, 16, 16, Processor::Accelerator);
-
-        let compiled = CompiledKernel::compile(&program, Extent::new2d(16, 16), OptLevel::Full);
-        let cells = vec![1.0; 256];
-        let mut out = vec![0.0; 256];
-        let mut stats = ExecStats::default();
-        let mut scratch = ExecScratch::new();
-        compiled.execute_block(
-            &cells,
-            &[0.5, 0.125],
-            &mut |_, _| 0.0,
-            &mut out,
-            Processor::Accelerator,
-            &mut stats,
-            &mut scratch,
-        );
-        assert_eq!(stats.offload_bytes_out, 256 * 8);
-        assert_eq!(stats.offload_bytes_in, (256 + 4 * 16) * 8);
-        assert!(stats.vector_ops > 0);
-    }
-
-    #[test]
     fn scalar_backend_has_no_vector_ops_and_vice_versa() {
         let program = StencilProgram::jacobi_5pt();
         let compiled = CompiledKernel::compile(&program, Extent::new2d(16, 16), OptLevel::Full);
@@ -590,7 +424,6 @@ mod tests {
         );
         assert_eq!(scalar.vector_ops, 0);
         assert!(scalar.scalar_ops > 0);
-        assert_eq!(scalar.offload_bytes_in, 0);
 
         let mut simd = ExecStats::default();
         compiled.execute_block(
@@ -604,7 +437,6 @@ mod tests {
         );
         assert!(simd.vector_ops > 0);
         assert!(simd.vector_ops < scalar.scalar_ops, "lanes amortise DAG evaluations");
-        assert_eq!(simd.offload_bytes_in, 0);
     }
 
     #[test]
@@ -637,8 +469,7 @@ mod tests {
     #[test]
     fn nine_point_ring_cells_are_fetched_once() {
         // Each of the 68 ring cells of a 16² block (4·16 edge cells + 4
-        // corners) is asked for once, though 188 boundary loads read them;
-        // the Accelerator ships the block and that ring.
+        // corners) is asked for once, though 188 boundary loads read them.
         let compiled = CompiledKernel::compile(
             &StencilProgram::smooth_9pt(),
             Extent::new2d(16, 16),
@@ -656,13 +487,12 @@ mod tests {
                 0.0
             },
             &mut out,
-            Processor::Accelerator,
+            Processor::Simd,
             &mut stats,
             &mut ExecScratch::new(),
         );
         assert_eq!(asked.len(), 68);
         assert_eq!(stats.halo_fetches, 68);
-        assert_eq!(stats.offload_bytes_in, (256 + 68) * 8);
     }
 
     #[test]
@@ -719,7 +549,7 @@ mod tests {
                     (0..nx * ny).map(|k| ((k * 37 + 11) % 89) as f64 / 89.0 - 0.3).collect();
                 let params = [0.25, 0.5];
                 let mut scratch = ExecScratch::new();
-                for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+                for proc in [Processor::Scalar, Processor::Simd] {
                     let mut tape_out = vec![0.0; nx * ny];
                     let mut tape_stats = ExecStats::default();
                     compiled.execute_block(
@@ -785,7 +615,6 @@ mod tests {
     fn processor_names() {
         assert_eq!(Processor::Scalar.name(), "scalar");
         assert_eq!(Processor::Simd.name(), "simd");
-        assert_eq!(Processor::Accelerator.name(), "accelerator");
     }
 
     /// Random subkernel expressions for tape-vs-oracle equivalence: loads,
@@ -826,7 +655,7 @@ mod tests {
     proptest! {
         /// The tape is bit-identical to the tree-walk oracle — same output
         /// bits *and* same ExecStats counters — for random programs, random
-        /// extents, both optimization levels and all three processors.
+        /// extents, both optimization levels and both processors.
         #[test]
         fn tape_is_bit_identical_to_tree_walk(
             expr in arb_expr(),
@@ -843,7 +672,7 @@ mod tests {
             let cells: Vec<f64> =
                 (0..nx * ny).map(|k| ((k * 29 + 3) % 67) as f64 / 67.0 - 0.4).collect();
             let mut scratch = ExecScratch::new();
-            for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+            for proc in [Processor::Scalar, Processor::Simd] {
                 let mut tape_out = vec![0.0; nx * ny];
                 let mut tape_stats = ExecStats::default();
                 compiled.execute_block(
@@ -865,7 +694,7 @@ mod tests {
             }
         }
 
-        /// All three backends agree with the interpreter for random block
+        /// Both backends agree with the interpreter for random block
         /// shapes and parameters (Jacobi kernel).
         #[test]
         fn backends_agree_on_random_shapes(
@@ -882,7 +711,7 @@ mod tests {
             let cells: Vec<f64> =
                 (0..nx * ny).map(|k| init((k % nx) as i64, (k / nx) as i64)).collect();
             let mut scratch = ExecScratch::new();
-            for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+            for proc in [Processor::Scalar, Processor::Simd] {
                 let mut out = vec![0.0; nx * ny];
                 let mut stats = ExecStats::default();
                 compiled.execute_block(&cells, &params, &mut |x, y| boundary(x, y), &mut out, proc, &mut stats, &mut scratch);

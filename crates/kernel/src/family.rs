@@ -503,10 +503,6 @@ pub struct ParticleKernel {
     level: OptLevel,
 }
 
-/// Bucket capacity the cost model assumes (the paper's 16; mirrors the DSL
-/// constant without depending on the DSL crate).
-const COST_BUCKET_CAPACITY: u64 = 16;
-
 impl ParticleKernel {
     /// Compile a particle program for bucket blocks of `extent`.
     pub fn compile(program: &ParticleProgram, extent: Extent, level: OptLevel) -> Self {
@@ -538,20 +534,6 @@ impl ParticleKernel {
     /// Optimization level the kernel was compiled at.
     pub fn level(&self) -> OptLevel {
         self.level
-    }
-
-    /// Buckets in the sweep neighbourhood ((2·reach + 1)²).
-    pub fn neighborhood_buckets(&self) -> usize {
-        let side = 2 * self.program.neighbor_reach() as usize + 1;
-        side * side
-    }
-
-    /// Deterministic cost estimate (pair interactions per block sweep),
-    /// used by cost-aware cache eviction.
-    pub fn cost(&self) -> u64 {
-        (self.nx * self.ny * self.neighborhood_buckets()) as u64
-            * COST_BUCKET_CAPACITY
-            * COST_BUCKET_CAPACITY
     }
 
     /// The lowered pair-force routine for a cutoff `radius`
@@ -626,12 +608,6 @@ impl UsGridKernel {
         self.level
     }
 
-    /// Deterministic cost estimate (loads per block sweep), used by
-    /// cost-aware cache eviction.
-    pub fn cost(&self) -> u64 {
-        (self.nx * self.ny * (self.program.neighbors().len() + 1)) as u64
-    }
-
     /// The lowered per-point update for weights `alpha` (centre) and `beta`
     /// (per neighbour) — `params[0]` / `params[1]` of the submitting job.
     ///
@@ -688,15 +664,6 @@ impl FamilyArtifact {
             FamilyArtifact::Stencil(k) => k.extent(),
             FamilyArtifact::Particle(k) => k.extent(),
             FamilyArtifact::UsGrid(k) => k.extent(),
-        }
-    }
-
-    /// Deterministic recompute-cost estimate used by cost-aware eviction.
-    pub fn cost(&self) -> u64 {
-        match self {
-            FamilyArtifact::Stencil(k) => (k.plan().cells() * k.plan().offsets.len().max(1)) as u64,
-            FamilyArtifact::Particle(k) => k.cost(),
-            FamilyArtifact::UsGrid(k) => k.cost(),
         }
     }
 
@@ -845,7 +812,6 @@ mod tests {
             assert_eq!(artifact.family(), family);
             assert_eq!(artifact.extent(), extent);
             assert_eq!(artifact.name(), program.name());
-            assert!(artifact.cost() > 0);
         }
     }
 
@@ -881,7 +847,6 @@ mod tests {
             Extent::new2d(8, 8),
             OptLevel::Full,
         );
-        assert_eq!(kernel.neighborhood_buckets(), 9);
         let law = kernel.pair_law(1.0);
         let p = [0.5, 0.5, 0.5];
         let q = [0.9, 0.5, 0.5];

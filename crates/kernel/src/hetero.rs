@@ -57,7 +57,7 @@ pub enum SchedulePolicy {
     /// Blocks alternate over a processor list in Z-order.
     RoundRobin(Vec<Processor>),
     /// Contiguous Z-order shares proportional to the given weights (e.g. the
-    /// accelerator takes 3/4 of the blocks, the scalar cores the rest).
+    /// lane backend takes 3/4 of the blocks, the scalar cores the rest).
     Weighted(Vec<(Processor, f64)>),
 }
 
@@ -219,12 +219,12 @@ mod tests {
         let d = HeteroDispatcher::new(SchedulePolicy::RoundRobin(vec![
             Processor::Scalar,
             Processor::Simd,
-            Processor::Accelerator,
+            Processor::Simd,
         ]));
         let assigned = d.assign(&[10usize, 11, 12, 13, 14, 15]);
         assert_eq!(assigned[0].1, Processor::Scalar);
         assert_eq!(assigned[1].1, Processor::Simd);
-        assert_eq!(assigned[2].1, Processor::Accelerator);
+        assert_eq!(assigned[2].1, Processor::Simd);
         assert_eq!(assigned[3].1, Processor::Scalar);
         assert_eq!(assigned.len(), 6);
     }
@@ -232,17 +232,17 @@ mod tests {
     #[test]
     fn weighted_split_respects_proportions() {
         let d = HeteroDispatcher::new(SchedulePolicy::Weighted(vec![
-            (Processor::Accelerator, 3.0),
+            (Processor::Simd, 3.0),
             (Processor::Scalar, 1.0),
         ]));
         let blocks: Vec<usize> = (0..16).collect();
         let assigned = d.assign(&blocks);
-        let accel = assigned.iter().filter(|(_, p)| *p == Processor::Accelerator).count();
+        let simd = assigned.iter().filter(|(_, p)| *p == Processor::Simd).count();
         let scalar = assigned.iter().filter(|(_, p)| *p == Processor::Scalar).count();
-        assert_eq!(accel, 12);
+        assert_eq!(simd, 12);
         assert_eq!(scalar, 4);
-        // The accelerator takes the first (Z-order-contiguous) share.
-        assert!(assigned[..12].iter().all(|(_, p)| *p == Processor::Accelerator));
+        // The first entry takes the first (Z-order-contiguous) share.
+        assert!(assigned[..12].iter().all(|(_, p)| *p == Processor::Simd));
     }
 
     #[test]
@@ -250,7 +250,7 @@ mod tests {
         let d = HeteroDispatcher::new(SchedulePolicy::Weighted(vec![
             (Processor::Simd, 1.0),
             (Processor::Scalar, 1.0),
-            (Processor::Accelerator, 1.0),
+            (Processor::Simd, 1.0),
         ]));
         for total in 1..20usize {
             let blocks: Vec<usize> = (0..total).collect();
@@ -330,11 +330,11 @@ mod tests {
             HeteroDispatcher::try_new(SchedulePolicy::RoundRobin(vec![Processor::Scalar])).is_ok()
         );
         let d = HeteroDispatcher::try_new(SchedulePolicy::Weighted(vec![
-            (Processor::Accelerator, 3.0),
+            (Processor::Simd, 3.0),
             (Processor::Scalar, 1.0),
         ]))
         .unwrap();
-        assert_eq!(d.processor_for(0, 16), Processor::Accelerator);
+        assert_eq!(d.processor_for(0, 16), Processor::Simd);
     }
 
     #[test]
@@ -348,7 +348,6 @@ mod tests {
         stats.record(Processor::Scalar, &ExecStats { cells: 5, blocks: 1, ..Default::default() });
         assert_eq!(stats.get(Processor::Scalar).unwrap().cells, 15);
         assert_eq!(stats.get(Processor::Simd).unwrap().vector_ops, 9);
-        assert!(stats.get(Processor::Accelerator).is_none());
         assert_eq!(stats.total().cells, 45);
         assert_eq!(stats.total().blocks, 4);
         assert_eq!(stats.iter().count(), 2);

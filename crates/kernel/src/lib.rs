@@ -24,7 +24,7 @@
 //! The compiled kernel carries a register-allocated execution [`tape`]
 //! (lowered once at compile time: constants/params hoisted to a per-block
 //! prelude, loads fused into their consumers, scratch reduced to the liveness
-//! peak), which all three backends interpret from a reusable
+//! peak), which both backends interpret from a reusable
 //! [`ExecScratch`] — so the steady-state block loop allocates nothing.
 //!
 //! ```
@@ -68,8 +68,8 @@ pub mod spec;
 pub mod tape;
 
 pub use app::{
-    default_initial_value, fill_halo_ring, new_stats_sink, new_stencil_field_sink, InitFn,
-    IrStencilApp, KernelScratch, StatsSink, StencilFieldSink,
+    default_initial_value, fill_halo_ring, new_stats_sink, new_stencil_field_sink, IrStencilApp,
+    KernelScratch, StatsSink, StencilFieldSink,
 };
 pub use backend::{ExecStats, Processor, LANES};
 pub use expr::{jacobi_5pt, lit, load, param, smooth_9pt, BinOp, KernelExpr, UnaryOp};

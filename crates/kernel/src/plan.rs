@@ -42,13 +42,6 @@ use std::sync::Arc;
 /// installing a `PlanSource` redirects every compile through it, which is how
 /// the multi-tenant service layer shares one plan cache across concurrent
 /// submissions of the same program.
-///
-/// The trait is **family-generic**: [`PlanSource::family_plan_for`] resolves
-/// a plan for any [`FamilyProgram`](crate::family::FamilyProgram).  Stencil
-/// implementors only need `plan_for`; the provided default routes stencil
-/// programs through it and compiles other families directly.  Caching
-/// sources (the service's `PlanCache`) override `family_plan_for` so every
-/// family shares the cache.
 pub trait PlanSource: Send + Sync {
     /// Resolve (compiling if needed) the plan for `(program, extent, level)`.
     fn plan_for(
@@ -57,26 +50,6 @@ pub trait PlanSource: Send + Sync {
         extent: Extent,
         level: OptLevel,
     ) -> Arc<CompiledKernel>;
-
-    /// Resolve a plan for a program of **any** kernel family.
-    ///
-    /// The default delegates stencil programs to [`PlanSource::plan_for`]
-    /// and compiles the other families on the spot (their lowering is
-    /// cheap); caching implementations override this to make every family
-    /// cache-resident.
-    fn family_plan_for(
-        &self,
-        program: &crate::family::FamilyProgram,
-        extent: Extent,
-        level: OptLevel,
-    ) -> crate::family::FamilyArtifact {
-        match program {
-            crate::family::FamilyProgram::Stencil(p) => {
-                crate::family::FamilyArtifact::Stencil(self.plan_for(p, extent, level))
-            }
-            other => other.compile(extent, level),
-        }
-    }
 }
 
 /// How one load of one boundary cell resolves.
@@ -376,10 +349,10 @@ impl AccessPlan {
 /// register-allocated execution tape.
 ///
 /// Everything the executor needs per block is resolved here, once:
-/// the [`ExecTape`] (instructions with baked offset slots and linear deltas),
-/// the load→slot table and the operation count the legacy tree-walk
-/// interpreter uses.  Plan caches that share `Arc<CompiledKernel>` therefore
-/// share the lowered tape too — a warm cache hit skips lowering entirely.
+/// the [`ExecTape`] (instructions with baked offset slots and linear deltas)
+/// and its operation count.  Plan caches that share `Arc<CompiledKernel>`
+/// therefore share the lowered tape too — a warm cache hit skips lowering
+/// entirely.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     name: String,
@@ -391,12 +364,6 @@ pub struct CompiledKernel {
     /// (`None` = interpret the tape).  Decided once, here, so plan caches
     /// amortize the match alongside the lowering.
     spec: Option<SpecializedKernel>,
-    /// For every DAG node, the index of its offset in `plan.offsets`
-    /// (`usize::MAX` for non-load nodes).  Hoisted out of the per-block path
-    /// so even the tree-walk oracle never searches at run time; only that
-    /// oracle reads it, so production builds don't carry it.
-    #[cfg(any(test, feature = "tree-walk"))]
-    load_slots: Vec<usize>,
 }
 
 impl CompiledKernel {
@@ -409,8 +376,6 @@ impl CompiledKernel {
         let plan = AccessPlan::build(&dag.offsets(), extent.nx, extent.ny);
         let tape = ExecTape::lower(&dag, &plan);
         let spec = SpecializedKernel::try_match(&tape);
-        #[cfg(any(test, feature = "tree-walk"))]
-        let load_slots = crate::tape::load_slot_table(&dag, &plan);
         CompiledKernel {
             name: program.name().to_string(),
             num_params: program.num_params(),
@@ -418,8 +383,6 @@ impl CompiledKernel {
             plan,
             tape,
             spec,
-            #[cfg(any(test, feature = "tree-walk"))]
-            load_slots,
         }
     }
 
@@ -439,18 +402,7 @@ impl CompiledKernel {
         let plan = AccessPlan::build(&dag.offsets(), extent.nx, extent.ny);
         let tape = ExecTape::lower(&dag, &plan);
         let spec = SpecializedKernel::try_match(&tape);
-        #[cfg(any(test, feature = "tree-walk"))]
-        let load_slots = crate::tape::load_slot_table(&dag, &plan);
-        CompiledKernel {
-            name: name.into(),
-            num_params,
-            dag,
-            plan,
-            tape,
-            spec,
-            #[cfg(any(test, feature = "tree-walk"))]
-            load_slots,
-        }
+        CompiledKernel { name: name.into(), num_params, dag, plan, tape, spec }
     }
 
     /// The program name.
@@ -500,13 +452,6 @@ impl CompiledKernel {
             self.plan.ring.slots(),
             processor != Processor::Scalar,
         );
-    }
-
-    /// The compile-time load→offset-slot table (`usize::MAX` for non-load
-    /// nodes), used by the tree-walk reference interpreter.
-    #[cfg(any(test, feature = "tree-walk"))]
-    pub fn load_slots(&self) -> &[usize] {
-        &self.load_slots
     }
 
     /// Evaluated DAG operations per cell.

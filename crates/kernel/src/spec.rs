@@ -5,8 +5,8 @@
 //! The platform executes a subkernel at one of three tiers, each bit-identical
 //! to the last (property-tested in `backend.rs` and here):
 //!
-//! 1. **Tree-walk oracle** — one `match` per DAG node per cell.  Kept as the
-//!    reference interpreter behind the `tree-walk` feature.
+//! 1. **Tree-walk oracle** — one `Dag::eval` per cell.  The reference the
+//!    other two are tested against; compiled for this crate's tests only.
 //! 2. **Tape** ([`ExecTape`]) — the register-allocated lowering: fused
 //!    super-instructions (`SumLoads`, `MulMulAdd`, …), baked addressing, a
 //!    prelude hoisted out of the cell loop.  Still an interpreter: every cell
@@ -443,7 +443,7 @@ mod tests {
                     (0..nx * ny).map(|i| ((i * 31 + 7) % 97) as f64 / 97.0 - 0.2).collect();
                 let params = [0.5, 0.125];
                 let mut scratch = ExecScratch::new();
-                for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+                for proc in [Processor::Scalar, Processor::Simd] {
                     let mut spec_out = vec![0.0; nx * ny];
                     let mut spec_stats = ExecStats::default();
                     k.execute_block(

@@ -320,9 +320,8 @@ enum Inlined {
 }
 
 /// For every DAG node, the index of its load offset in `plan.offsets`
-/// (`usize::MAX` for non-load nodes).  Shared between the tape lowering and
-/// the tree-walk oracle so slot resolution cannot drift between the two.
-pub(crate) fn load_slot_table(dag: &Dag, plan: &AccessPlan) -> Vec<usize> {
+/// (`usize::MAX` for non-load nodes).
+fn load_slot_table(dag: &Dag, plan: &AccessPlan) -> Vec<usize> {
     dag.nodes()
         .iter()
         .map(|n| match n {

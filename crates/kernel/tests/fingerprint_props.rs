@@ -51,7 +51,7 @@ fn run_bits(kernel: &CompiledKernel, cells: &[f64], params: &[f64], proc: Proces
 }
 
 proptest! {
-    /// Fingerprint equality ⇒ bit-identical compiled output on all three
+    /// Fingerprint equality ⇒ bit-identical compiled output on both
     /// backends (and the backends agree with each other), for random
     /// programs, shapes and parameters.
     #[test]
@@ -74,7 +74,7 @@ proptest! {
         let kb = CompiledKernel::compile(&b, extent, OptLevel::Full);
 
         let mut reference: Option<Vec<u64>> = None;
-        for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+        for proc in [Processor::Scalar, Processor::Simd] {
             let oa = run_bits(&ka, &cells, &params, proc);
             let ob = run_bits(&kb, &cells, &params, proc);
             prop_assert_eq!(&oa, &ob, "same fingerprint, different bits on {:?}", proc);

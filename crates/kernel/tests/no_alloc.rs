@@ -33,7 +33,7 @@ fn warm_execute_block_is_allocation_free() {
     let mut scratch = ExecScratch::new();
     let mut checksum = 0.0f64;
 
-    for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+    for proc in [Processor::Scalar, Processor::Simd] {
         // Warm-up: first call may grow the scratch buffers.
         let mut stats = ExecStats::default();
         compiled.execute_block(
@@ -96,7 +96,7 @@ fn cold_execute_block_is_allocation_free_after_prepare() {
         let cells: Vec<f64> = (0..n * n).map(|k| (k % 13) as f64 * 0.25 + 0.5).collect();
         let params = [0.5, 0.125];
         let mut out = vec![0.0f64; n * n];
-        for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+        for proc in [Processor::Scalar, Processor::Simd] {
             let mut scratch = ExecScratch::new();
             compiled.prepare_scratch(&mut scratch, proc);
             let (_, allocs) = aohpc_testalloc::count_in(|| {
@@ -142,7 +142,7 @@ fn pooled_scratch_stays_warm_across_job_churn() {
     // One "job": a few blocks on every backend, like a service worker's
     // steady-state unit of work.
     let mut run_job = |scratch: &mut ExecScratch| {
-        for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+        for proc in [Processor::Scalar, Processor::Simd] {
             for _ in 0..4 {
                 let mut stats = ExecStats::default();
                 compiled.execute_block(

@@ -26,7 +26,7 @@
 //! *relative* numbers are reported, exactly as in the paper.
 
 use crate::comm::CommStats;
-use crate::report::{RankReport, RunReport, TaskReport};
+use crate::report::RunReport;
 use aohpc_env::AccessCounters;
 use serde::Serialize;
 
@@ -145,22 +145,12 @@ impl CostModel {
         let per_cell = reads_per_cell as f64 * p.t_read_skip + p.t_write + p.t_cell_arithmetic;
         cells as f64 * steps as f64 * per_cell
     }
-
-    /// Helper mirroring [`CostModel::makespan_seconds`] but for a plain task
-    /// report list (used by unit tests of the figures' harnesses).
-    pub fn per_task_seconds(&self, tasks: &[TaskReport], threads: usize) -> Vec<f64> {
-        tasks.iter().map(|t| self.task_compute_seconds(&t.counters, threads)).collect()
-    }
-
-    /// Helper: communication seconds per rank report.
-    pub fn per_rank_comm_seconds(&self, ranks: &[RankReport]) -> Vec<f64> {
-        ranks.iter().map(|r| self.rank_comm_seconds(&r.comm)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{RankReport, TaskReport};
     use crate::task::{TaskSlot, Topology};
 
     fn counters(in_block: u64, searches_nodes: u64, writes: u64) -> AccessCounters {

@@ -14,7 +14,7 @@
 //!   tagged control plane ([`ControlFrame`]) used for out-of-band
 //!   coordination such as the service cluster's plan sharing.  This
 //!   substitutes for MPI over Omni-Path, which is not available in this
-//!   environment (see DESIGN.md §5).
+//!   environment.
 //! * [`MpiAspect`] and [`OmpAspect`] are the two prototype aspect modules of
 //!   §IV-A, implementing AspectType I (runtime/task control), II (block
 //!   assignment) and III (inter-task communication incl. the Dry-run

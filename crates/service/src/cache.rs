@@ -1,5 +1,5 @@
-//! The sharded compiled-plan cache, with pluggable eviction and a chained
-//! resolution path.
+//! The sharded compiled-plan cache, with LRU eviction, entry pinning and a
+//! chained resolution path.
 //!
 //! The paper's future-work "cache of data access resolution" is reified
 //! per-process by [`CompiledKernel::compile`]; this module makes it a shared,
@@ -27,14 +27,13 @@
 //!   split misses into [`PlanCacheStats::compiles`] and
 //!   [`PlanCacheStats::fetches`], so "each fingerprint is compiled exactly
 //!   once per cluster" is directly assertable from aggregated stats.
-//! * **Pluggable eviction.**  Each shard holds at most
-//!   `ceil(capacity / shards)` entries; inserting past that asks the
-//!   configured [`EvictionPolicy`] for a victim.  [`LruPolicy`] (default)
-//!   preserves the original behaviour; [`CostAwarePolicy`] weighs entries by
-//!   recompile cost (block cells × live offsets) so a burst of cheap plans
-//!   cannot flush an expensive one.  Entries can be **pinned** (hot tenants):
-//!   policies spare pinned entries while any unpinned candidate exists.
-//!   Recency is a global atomic tick, not a clock, so behaviour is
+//! * **One eviction rule.**  Each shard holds at most
+//!   `ceil(capacity / shards)` entries; inserting past that evicts the
+//!   least-recently-used entry.  Entries can be **pinned** (hot tenants):
+//!   a pinned entry is spared while any unpinned one exists, and when every
+//!   entry is pinned the least-recently-used of all goes — capacity stays
+//!   bounded, pinning is advisory under pressure, never a way to wedge a
+//!   shard.  Recency is a global atomic tick, not a clock, so behaviour is
 //!   deterministic under test.
 //! * **Tape included.**  A [`CompiledKernel`] carries its register-allocated
 //!   execution tape (lowered once, inside `compile`), so a warm hit hands the
@@ -187,81 +186,16 @@ impl std::ops::Add for PlanCacheStats {
     }
 }
 
-/// Per-entry accounting the eviction policy decides on.
+/// Per-entry accounting eviction decides on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct EntryMeta {
     /// Global recency tick of the last lookup that touched the entry.
     pub last_used: u64,
     /// Number of lookups served by the entry.
     pub uses: u64,
-    /// Recompile cost estimate: block cells × live (post-optimization)
-    /// stencil offsets — proportional to the plan/tape lowering work a
-    /// re-miss would pay.
-    pub cost: u64,
-    /// Whether the entry is pinned (hot tenant); policies spare pinned
-    /// entries while any unpinned candidate exists.
+    /// Whether the entry is pinned (hot tenant); eviction spares pinned
+    /// entries while any unpinned one exists.
     pub pinned: bool,
-}
-
-/// Strategy choosing which resident plan a full shard sacrifices.
-///
-/// Implementations pick among `(key, meta)` candidates; returning `None`
-/// (e.g. every candidate is pinned) makes the cache fall back to global LRU
-/// over *all* candidates — capacity stays bounded, pinning is advisory under
-/// pressure, never a way to wedge a shard.
-pub trait EvictionPolicy: Send + Sync + fmt::Debug {
-    /// The policy's display name (shows up in `Debug` output and benches).
-    fn name(&self) -> &'static str;
-
-    /// Choose the victim among a full shard's entries.
-    fn victim(&self, candidates: &mut dyn Iterator<Item = (PlanKey, EntryMeta)>)
-        -> Option<PlanKey>;
-}
-
-/// Evict the least-recently-used unpinned entry (the default policy, and the
-/// pre-policy behaviour of the cache).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LruPolicy;
-
-impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn victim(
-        &self,
-        candidates: &mut dyn Iterator<Item = (PlanKey, EntryMeta)>,
-    ) -> Option<PlanKey> {
-        candidates.filter(|(_, m)| !m.pinned).min_by_key(|(_, m)| m.last_used).map(|(k, _)| k)
-    }
-}
-
-/// Evict the *cheapest-to-recompile* unpinned entry, breaking ties by
-/// recency.
-///
-/// Rationale: an eviction's true price is the recompile a future miss pays,
-/// which for this pipeline is proportional to block cells × live offsets
-/// (plan resolution and tape lowering both walk that product).  Under a
-/// burst of small cheap plans, plain LRU happily flushes a large expensive
-/// plan that is merely *slightly* stale; this policy keeps it and drops a
-/// cheap entry instead (the retention the cache tests assert).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostAwarePolicy;
-
-impl EvictionPolicy for CostAwarePolicy {
-    fn name(&self) -> &'static str {
-        "cost-aware"
-    }
-
-    fn victim(
-        &self,
-        candidates: &mut dyn Iterator<Item = (PlanKey, EntryMeta)>,
-    ) -> Option<PlanKey> {
-        candidates
-            .filter(|(_, m)| !m.pinned)
-            .min_by_key(|(_, m)| (m.cost, m.last_used))
-            .map(|(k, _)| k)
-    }
 }
 
 /// What a [`PlanFetcher`] consultation produced — the distinction the
@@ -395,11 +329,10 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// A sharded, policy-bounded, cluster-chainable cache of compiled kernels.
+/// A sharded, capacity-bounded, cluster-chainable cache of compiled kernels.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: usize,
-    policy: Arc<dyn EvictionPolicy>,
     fetcher: Option<Arc<dyn PlanFetcher>>,
     flights: Mutex<HashMap<PlanKey, Arc<Flight>>>,
     tick: AtomicU64,
@@ -419,17 +352,11 @@ impl PlanCache {
     /// A cache of `shards` independent shards holding at most `capacity`
     /// plans in total (rounded up to a whole number per shard), evicting LRU.
     pub fn new(shards: usize, capacity: usize) -> Self {
-        Self::with_policy(shards, capacity, Arc::new(LruPolicy))
-    }
-
-    /// [`PlanCache::new`] with an explicit eviction policy.
-    pub fn with_policy(shards: usize, capacity: usize, policy: Arc<dyn EvictionPolicy>) -> Self {
         assert!(shards > 0, "the cache needs at least one shard");
         assert!(capacity >= shards, "capacity must allow one entry per shard");
         PlanCache {
             shard_capacity: capacity.div_ceil(shards),
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            policy,
             fetcher: None,
             flights: Mutex::new(HashMap::new()),
             tick: AtomicU64::new(0),
@@ -450,11 +377,6 @@ impl PlanCache {
     pub fn with_fetcher(mut self, fetcher: Arc<dyn PlanFetcher>) -> Self {
         self.fetcher = Some(fetcher);
         self
-    }
-
-    /// The active eviction policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     fn shard_for(&self, key: &PlanKey) -> &Mutex<Shard> {
@@ -630,20 +552,20 @@ impl PlanCache {
             (program.clone(), artifact, PlanOrigin::Compiled)
         });
 
-        // Publish: insert into the shard (evicting by policy), then complete
-        // the flight.  Insert-before-complete means no lookup can miss both.
-        let cost = artifact.cost();
+        // Publish: insert into the shard (evicting if it is full), then
+        // complete the flight.  Insert-before-complete means no lookup can
+        // miss both.
         {
             let mut shard = self.shard_for(&key).lock();
             if shard.entries.len() >= self.shard_capacity && !shard.entries.contains_key(&key) {
-                let victim = {
-                    let mut candidates = shard.entries.iter().map(|(k, e)| (*k, e.meta));
-                    self.policy.victim(&mut candidates).or_else(|| {
-                        // Everything pinned (or the policy abstained): fall
-                        // back to global LRU so capacity stays bounded.
-                        shard.entries.iter().min_by_key(|(_, e)| e.meta.last_used).map(|(k, _)| *k)
-                    })
-                };
+                // Least recently used among the unpinned entries; with
+                // everything pinned, least recently used of all, so capacity
+                // stays bounded.
+                let victim = shard
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| (e.meta.pinned, e.meta.last_used))
+                    .map(|(k, _)| *k);
                 if let Some(victim) = victim {
                     shard.entries.remove(&victim);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -654,7 +576,7 @@ impl PlanCache {
                 Entry {
                     program: entry_program.clone(),
                     artifact: artifact.clone(),
-                    meta: EntryMeta { last_used: now, uses: 1, cost, pinned: pin },
+                    meta: EntryMeta { last_used: now, uses: 1, pinned: pin },
                 },
             );
         }
@@ -835,17 +757,6 @@ impl PlanSource for PlanCache {
     ) -> Arc<CompiledKernel> {
         self.resolve(&FamilyProgram::from(program.clone()), extent, level, false).0.expect_stencil()
     }
-
-    /// Every family resolves through the cache — not just stencils — so the
-    /// apps of all three DSLs share the compile-once/fetch-everywhere path.
-    fn family_plan_for(
-        &self,
-        program: &FamilyProgram,
-        extent: Extent,
-        level: OptLevel,
-    ) -> FamilyArtifact {
-        self.resolve(program, extent, level, false).0
-    }
 }
 
 impl fmt::Debug for PlanCache {
@@ -853,7 +764,6 @@ impl fmt::Debug for PlanCache {
         f.debug_struct("PlanCache")
             .field("shards", &self.shards.len())
             .field("shard_capacity", &self.shard_capacity)
-            .field("policy", &self.policy.name())
             .field("chained", &self.fetcher.is_some())
             .field("stats", &self.stats())
             .finish()
@@ -886,15 +796,6 @@ mod tests {
     ) -> (Arc<CompiledKernel>, bool) {
         let (artifact, origin) = cache.resolve(&fam(program), extent, level, false);
         (artifact.expect_stencil(), origin == PlanOrigin::Hit)
-    }
-
-    /// A program whose plan cost scales with its live offset count.
-    fn wide_program(name: &str, width: i64) -> StencilProgram {
-        let mut expr = load(0, 0);
-        for dx in 1..=width {
-            expr = expr + load(dx, 0);
-        }
-        StencilProgram::new(name, expr, 0).unwrap()
     }
 
     #[test]
@@ -939,7 +840,6 @@ mod tests {
         // One shard, two slots: inserting a third evicts the least recently
         // used.
         let cache = PlanCache::new(1, 2);
-        assert_eq!(cache.policy_name(), "lru");
         let (p1, p2, p3) = (program("p1", 1), program("p2", 2), program("p3", 3));
         let ext = Extent::new2d(8, 8);
         get_or_compile(&cache, &p1, ext, OptLevel::Full);
@@ -957,38 +857,6 @@ mod tests {
         // The evicted plan recompiles on next use.
         let (_, hit) = get_or_compile(&cache, &p2, ext, OptLevel::Full);
         assert!(!hit);
-    }
-
-    #[test]
-    fn cost_aware_policy_retains_expensive_plans() {
-        // One shard, two slots, cost-aware eviction.  The expensive wide
-        // plan is the LRU entry when the third plan arrives — plain LRU
-        // would flush it (asserted below); cost-aware drops the cheap
-        // fresher entry instead.
-        let ext = Extent::new2d(16, 16);
-        let expensive = wide_program("expensive", 6); // 7 live offsets
-        let cheap1 = program("cheap1", 1); // 2 live offsets
-        let cheap2 = program("cheap2", 2);
-        let key = |p: &StencilProgram| PlanKey::of(&fam(p), ext, OptLevel::Full);
-
-        let cost_aware = PlanCache::with_policy(1, 2, Arc::new(CostAwarePolicy));
-        assert_eq!(cost_aware.policy_name(), "cost-aware");
-        get_or_compile(&cost_aware, &expensive, ext, OptLevel::Full);
-        get_or_compile(&cost_aware, &cheap1, ext, OptLevel::Full);
-        let meta_exp = cost_aware.entry_meta(&key(&expensive)).unwrap();
-        let meta_cheap = cost_aware.entry_meta(&key(&cheap1)).unwrap();
-        assert!(meta_exp.cost > meta_cheap.cost, "{meta_exp:?} vs {meta_cheap:?}");
-        assert!(meta_exp.last_used < meta_cheap.last_used, "expensive is the LRU entry");
-        get_or_compile(&cost_aware, &cheap2, ext, OptLevel::Full);
-        assert!(cost_aware.contains(&key(&expensive)), "expensive plan retained");
-        assert!(!cost_aware.contains(&key(&cheap1)), "cheap plan sacrificed");
-
-        // Control: under the same sequence, LRU evicts the expensive plan.
-        let lru = PlanCache::new(1, 2);
-        get_or_compile(&lru, &expensive, ext, OptLevel::Full);
-        get_or_compile(&lru, &cheap1, ext, OptLevel::Full);
-        get_or_compile(&lru, &cheap2, ext, OptLevel::Full);
-        assert!(!lru.contains(&key(&expensive)), "LRU would have dropped it");
     }
 
     #[test]
@@ -1026,8 +894,8 @@ mod tests {
         let cache = PlanCache::new(1, 2);
         cache.resolve(&fam(&program("a", 1)), ext, OptLevel::Full, true);
         cache.resolve(&fam(&program("b", 2)), ext, OptLevel::Full, true);
-        // Both residents pinned: the policy abstains, the LRU fallback still
-        // evicts so the shard cannot grow without bound.
+        // Both residents pinned: the least recently used of them still goes,
+        // so the shard cannot grow without bound.
         cache.resolve(&fam(&program("c", 3)), ext, OptLevel::Full, true);
         assert_eq!(cache.len(), 2, "capacity bound holds under total pin pressure");
         assert_eq!(cache.stats().evictions, 1);

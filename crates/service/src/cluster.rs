@@ -108,9 +108,7 @@
 //! the requester re-homes through its normal retry path instead of
 //! trusting a plan negotiated with a previous life.
 
-use crate::cache::{
-    EvictionPolicy, FetchOutcome, LruPolicy, PlanCache, PlanCacheStats, PlanFetcher, PlanKey,
-};
+use crate::cache::{FetchOutcome, PlanCache, PlanCacheStats, PlanFetcher, PlanKey};
 use crate::fault::{FaultAction, FaultPlan, FaultState, Interception};
 use crate::job::{
     FailoverProvenance, JobError, JobErrorKind, JobHandle, JobId, JobOutcome, JobReport, JobSpec,
@@ -1135,7 +1133,6 @@ pub struct ClusterService {
     memberships: Vec<Arc<Membership>>,
     supervisor: Option<JoinHandle<()>>,
     supervisor_tx: Option<Sender<SupervisorMsg>>,
-    fault: Option<Arc<FaultState>>,
     tuning: ClusterTuning,
     shutting_down: Arc<AtomicBool>,
     /// The cluster-wide observability hub, when one was installed
@@ -1145,35 +1142,16 @@ pub struct ClusterService {
 }
 
 impl ClusterService {
-    /// Start a cluster of `nodes` services, each sized by `config`, with the
-    /// default (LRU) eviction policy on every node's plan cache.
+    /// Start a cluster of `nodes` services, each sized by `config`.
     pub fn new(nodes: usize, config: ServiceConfig) -> Self {
-        Self::start(nodes, config, Arc::new(LruPolicy), None, None, ClusterTuning::default(), None)
-    }
-
-    /// [`ClusterService::new`] with an explicit eviction policy (shared by
-    /// every node's cache — policies are stateless strategies).
-    pub fn with_policy(
-        nodes: usize,
-        config: ServiceConfig,
-        policy: Arc<dyn EvictionPolicy>,
-    ) -> Self {
-        Self::start(nodes, config, policy, None, None, ClusterTuning::default(), None)
+        Self::start(nodes, config, None, None, ClusterTuning::default(), None)
     }
 
     /// A cluster whose nodes' admission deadlines — and failure detectors —
     /// run on one shared test-controlled [`FakeClock`] (the
     /// deterministic-harness seam; see [`KernelService::with_fake_clock`]).
     pub fn with_fake_clock(nodes: usize, config: ServiceConfig, clock: Arc<FakeClock>) -> Self {
-        Self::start(
-            nodes,
-            config,
-            Arc::new(LruPolicy),
-            Some(clock),
-            None,
-            ClusterTuning::default(),
-            None,
-        )
+        Self::start(nodes, config, Some(clock), None, ClusterTuning::default(), None)
     }
 
     /// A cluster sharing one observability hub across every node: each job's
@@ -1181,15 +1159,7 @@ impl ClusterService {
     /// serve spans all land in the same flight recorder, linked by the job's
     /// trace id.  Snapshot with [`ClusterService::obs_snapshot`].
     pub fn with_observer(nodes: usize, config: ServiceConfig, hub: Arc<ObsHub>) -> Self {
-        Self::start(
-            nodes,
-            config,
-            Arc::new(LruPolicy),
-            None,
-            Some(hub),
-            ClusterTuning::default(),
-            None,
-        )
+        Self::start(nodes, config, None, Some(hub), ClusterTuning::default(), None)
     }
 
     /// [`ClusterService::with_observer`] on a shared fake clock — give the
@@ -1200,20 +1170,7 @@ impl ClusterService {
         hub: Arc<ObsHub>,
         clock: Arc<FakeClock>,
     ) -> Self {
-        Self::start(
-            nodes,
-            config,
-            Arc::new(LruPolicy),
-            Some(clock),
-            Some(hub),
-            ClusterTuning::default(),
-            None,
-        )
-    }
-
-    /// A cluster with explicit failure-detector timing.
-    pub fn with_tuning(nodes: usize, config: ServiceConfig, tuning: ClusterTuning) -> Self {
-        Self::start(nodes, config, Arc::new(LruPolicy), None, None, tuning, None)
+        Self::start(nodes, config, Some(clock), Some(hub), ClusterTuning::default(), None)
     }
 
     /// The fault-tolerance test harness: a cluster on a shared fake clock
@@ -1227,7 +1184,7 @@ impl ClusterService {
         tuning: ClusterTuning,
         plan: FaultPlan,
     ) -> Self {
-        Self::start(nodes, config, Arc::new(LruPolicy), Some(clock), None, tuning, Some(plan))
+        Self::start(nodes, config, Some(clock), None, tuning, Some(plan))
     }
 
     /// [`ClusterService::with_fault_plan`] with an observability hub, so
@@ -1240,13 +1197,12 @@ impl ClusterService {
         plan: FaultPlan,
         hub: Arc<ObsHub>,
     ) -> Self {
-        Self::start(nodes, config, Arc::new(LruPolicy), Some(clock), Some(hub), tuning, Some(plan))
+        Self::start(nodes, config, Some(clock), Some(hub), tuning, Some(plan))
     }
 
     fn start(
         nodes: usize,
         config: ServiceConfig,
-        policy: Arc<dyn EvictionPolicy>,
         clock: Option<Arc<FakeClock>>,
         obs: Option<Arc<ObsHub>>,
         tuning: ClusterTuning,
@@ -1291,12 +1247,8 @@ impl ClusterService {
                 obs_woven: obs_woven.clone(),
             };
             let cache = Arc::new(
-                PlanCache::with_policy(
-                    config.cache_shards,
-                    config.cache_capacity,
-                    Arc::clone(&policy),
-                )
-                .with_fetcher(Arc::new(fetcher)),
+                PlanCache::new(config.cache_shards, config.cache_capacity)
+                    .with_fetcher(Arc::new(fetcher)),
             );
             let pacemaker_handle = comm.control_handle();
             let fabric = Fabric {
@@ -1410,7 +1362,6 @@ impl ClusterService {
             memberships,
             supervisor: Some(supervisor_handle),
             supervisor_tx: Some(supervisor_tx),
-            fault,
             tuning,
             shutting_down,
             obs,
@@ -1453,12 +1404,6 @@ impl ClusterService {
     /// The ranks `observer` considers eligible for plan ownership.
     pub fn live_view(&self, observer: usize) -> Vec<usize> {
         self.memberships[observer].live_view()
-    }
-
-    /// The armed fault schedule, when one was installed
-    /// ([`ClusterService::with_fault_plan`]).
-    pub fn fault_state(&self) -> Option<Arc<FaultState>> {
-        self.fault.clone()
     }
 
     /// The node a tenant label is affine to: a stable hash, so every session

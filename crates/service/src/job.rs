@@ -18,12 +18,14 @@
 //! worker slot, the outcome still settles all accounting.
 
 use crate::session::SessionId;
+use aohpc_dsl::particle::BUCKETS_PER_BLOCK_SIDE;
+use aohpc_dsl::ParticleSystem;
 use aohpc_kernel::{
     FamilyProgram, OptLevel, ParticleProgram, ProgramFingerprint, SchedulePolicy, SpecializationId,
     StencilProgram, UsGridProgram,
 };
 use aohpc_runtime::{CompletionSlot, Progress, ProgressNotifier, RunSummary, Topology, WeaveMode};
-use aohpc_workloads::{RegionSize, Scale};
+use aohpc_workloads::{ParticleSize, RegionSize, Scale};
 use serde::Serialize;
 use std::fmt;
 use std::future::Future;
@@ -56,6 +58,15 @@ pub enum JobSpecError {
         /// How many were given.
         given: usize,
     },
+    /// The program or the job's shape asks for structure the execute path
+    /// does not run as written: it would run the stock sweep in its place
+    /// and report that sweep's answer under this program's fingerprint.
+    UnsupportedProgram {
+        /// The submitted program's name.
+        program: String,
+        /// What the execute path cannot honour.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for JobSpecError {
@@ -66,6 +77,9 @@ impl fmt::Display for JobSpecError {
             JobSpecError::EmptyRegion => write!(f, "region must be non-empty"),
             JobSpecError::MissingParams { program, declared, given } => {
                 write!(f, "program {program} declares {declared} parameters, {given} given")
+            }
+            JobSpecError::UnsupportedProgram { program, reason } => {
+                write!(f, "program {program} cannot run as written: {reason}")
             }
         }
     }
@@ -140,7 +154,7 @@ impl JobSpec {
     /// the direct DSL path bit-for-bit.
     pub fn particle(scale: Scale) -> Self {
         let count = scale.scaling_particles();
-        let system = aohpc_dsl::ParticleSystem::paper(count);
+        let system = ParticleSystem::paper(count);
         let region = RegionSize { nx: system.buckets_x, ny: system.buckets_y };
         JobSpec::new(ParticleProgram::pair_sweep(), vec![1.0, 1e-3], region)
             .with_block(8)
@@ -175,7 +189,37 @@ impl JobSpec {
         if self.region.nx == 0 || self.region.ny == 0 {
             return Err(JobSpecError::EmptyRegion);
         }
-        Ok(())
+        // A usgrid point stores its N, W, E, S neighbours and the particle
+        // sweep reads the 3x3 buckets of the grid the count derives: until a
+        // family's program is lowered to what executes, anything else is
+        // refused here rather than answered with the stock sweep.
+        let reason = match &self.program {
+            FamilyProgram::Stencil(_) => None,
+            FamilyProgram::UsGrid(p) => (p.neighbors() != [(0, -1), (-1, 0), (1, 0), (0, 1)])
+                .then_some("a usgrid point stores its N, W, E, S neighbours, in that order"),
+            FamilyProgram::Particle(p) if p.neighbor_reach() != 1 => {
+                Some("the particle sweep reads the 3x3 bucket neighbourhood (reach 1)")
+            }
+            FamilyProgram::Particle(_) => {
+                let grid = ParticleSystem::paper(ParticleSize::new(self.particle_count()));
+                ((self.region.nx, self.region.ny) != (grid.buckets_x, grid.buckets_y)
+                    || self.block != BUCKETS_PER_BLOCK_SIDE)
+                    .then_some("region and block must be the bucket grid of the particle count")
+            }
+        };
+        match reason {
+            Some(reason) => Err(JobSpecError::UnsupportedProgram {
+                program: self.program.name().to_string(),
+                reason,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Particles a particle-family job places: the given count, else the
+    /// paper's half-full buckets over the region.
+    pub(crate) fn particle_count(&self) -> usize {
+        self.particles.unwrap_or(self.region.cells() * 8)
     }
 
     /// Set the block side length.
@@ -543,7 +587,7 @@ impl fmt::Debug for JobHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aohpc_kernel::Processor;
+    use aohpc_kernel::{PairLaw, Processor};
 
     #[test]
     fn builders_override_defaults() {
@@ -590,7 +634,7 @@ mod tests {
         assert_eq!(particle.program.family(), KernelFamilyId::Particle);
         assert_eq!(usgrid.program.family(), KernelFamilyId::UsGrid);
         // The particle region is the bucket grid the DSL derives itself.
-        let system = aohpc_dsl::ParticleSystem::paper(Scale::Smoke.scaling_particles());
+        let system = ParticleSystem::paper(Scale::Smoke.scaling_particles());
         assert_eq!(particle.region.nx, system.buckets_x);
         assert_eq!(particle.region.ny, system.buckets_y);
         assert_eq!(particle.particles, Some(Scale::Smoke.scaling_particles().count));
@@ -614,6 +658,41 @@ mod tests {
                 assert_eq!((declared, given), (2, 0));
             }
             other => panic!("expected MissingParams, got {other:?}"),
+        }
+        // Programs and shapes the execute path would answer with the stock
+        // sweep: each ran to the stock checksum under its own fingerprint.
+        let usgrid = |name: &str, neighbors| {
+            let program = UsGridProgram::new(name, neighbors, 2).expect("constructible");
+            JobSpec::new(program, vec![0.5, 0.125], RegionSize::square(32))
+                .with_block(16)
+                .with_steps(3)
+        };
+        let wide = ParticleProgram::new("wide", PairLaw::QuadraticDropoff, 2, 2).unwrap();
+        let mut wide_reach = JobSpec::particle(Scale::Smoke);
+        wide_reach.program = wide.into();
+        let pair_sweep = |side: usize, block: usize| {
+            let region = RegionSize::square(side);
+            JobSpec::new(ParticleProgram::pair_sweep(), vec![1.0, 1e-3], region)
+                .with_block(block)
+                .with_particles(1 << 10)
+        };
+        pair_sweep(16, 8).validate().expect("2^10 particles on their own 16x16 bucket grid");
+        for (spec, what) in [
+            (usgrid("south-only", vec![(0, 1)]), "N, W, E, S"),
+            (usgrid("far", vec![(8, 8), (-8, 0), (3, 3), (0, 0), (1, 1)]), "N, W, E, S"),
+            (wide_reach, "reach 1"),
+            (pair_sweep(64, 8), "bucket grid"),
+            (pair_sweep(16, 4), "bucket grid"),
+        ] {
+            match spec.validate() {
+                Err(JobSpecError::UnsupportedProgram { program, reason }) => {
+                    assert_eq!(program, spec.program.name());
+                    assert!(reason.contains(what), "{program}: {reason}");
+                }
+                other => {
+                    panic!("{}: expected UnsupportedProgram, got {other:?}", spec.program.name())
+                }
+            }
         }
         // Display keeps the substrings the admission tests (and users' error
         // matching) rely on.

@@ -8,15 +8,15 @@
 //! * [`SessionCtx`] / [`SessionSpec`] — per-tenant execution contexts every
 //!   submission flows through: environment and metadata key-value stores,
 //!   accumulated metering, and parent/child nesting for scoped sub-sessions.
-//! * [`PlanCache`] — a sharded, policy-bounded cache of compiled execution
+//! * [`PlanCache`] — a sharded, capacity-bounded cache of compiled execution
 //!   plans for **every kernel family** ([`KernelFamilyId`]: stencil,
 //!   particle, usgrid), keyed by the structural [`ProgramFingerprint`] plus
 //!   family tag, block shape and optimization level.  Concurrent tenants
 //!   submitting the same mathematics share one compiled
 //!   [`aohpc_kernel::FamilyArtifact`]; resolution is single-flight per key
 //!   and chains local shard → cluster fetch ([`PlanFetcher`]) → compile.
-//!   Eviction is pluggable ([`EvictionPolicy`]: [`LruPolicy`] default,
-//!   [`CostAwarePolicy`], entry pinning for hot sessions), and
+//!   A full shard evicts its least-recently-used entry, sparing the plans
+//!   hot sessions pinned while any other exists, and
 //!   [`PlanCacheStats::for_family`] breaks hits/misses down per family.
 //! * [`JobSpec`] / [`JobReport`] — the submission unit (a [`FamilyProgram`]
 //!   of any family, region, blocking, steps, schedule policy, topology,
@@ -93,8 +93,8 @@ pub mod service;
 pub mod session;
 
 pub use cache::{
-    CostAwarePolicy, EntryMeta, EvictionPolicy, FamilyLaneStats, FetchOutcome, LruPolicy,
-    PlanCache, PlanCacheStats, PlanFetcher, PlanKey, PlanOrigin,
+    EntryMeta, FamilyLaneStats, FetchOutcome, PlanCache, PlanCacheStats, PlanFetcher, PlanKey,
+    PlanOrigin,
 };
 pub use cluster::{
     plan_owner_among, ClusterCacheStats, ClusterCommStats, ClusterService, ClusterSessionId,

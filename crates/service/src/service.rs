@@ -54,9 +54,7 @@ use aohpc_obs::{
     ObsServiceAspect, ObsSnapshot,
 };
 use aohpc_runtime::annotation::MAX_RETRIES_PER_STEP;
-use aohpc_runtime::{
-    execute, CostModel, HpcApp, MpiAspect, OmpAspect, RunConfig, TaskSlot, Topology,
-};
+use aohpc_runtime::{execute, CostModel, HpcApp, MpiAspect, OmpAspect, RunConfig, TaskSlot};
 use aohpc_testalloc::sync::FakeClock;
 use aohpc_workloads::{checksum, GridLayout, ParticleSize, Scale};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -116,12 +114,6 @@ impl ServiceConfig {
     /// Sizing for an evaluation [`Scale`].
     pub fn for_scale(scale: Scale) -> Self {
         ServiceConfig { workers: scale.service_workers(), ..Default::default() }
-    }
-
-    /// One worker per task of a [`Topology`] (the service-side analogue of
-    /// "one task per core").
-    pub fn for_topology(topology: &Topology) -> Self {
-        ServiceConfig { workers: topology.total_tasks(), ..Default::default() }
     }
 
     /// Set the worker count.
@@ -508,17 +500,6 @@ impl KernelService {
     /// timeout tests signal instead of sleeping.
     pub fn with_fake_clock(config: ServiceConfig, clock: Arc<FakeClock>) -> Self {
         Self::start(config, ServiceClock::Fake(clock), None, None)
-    }
-
-    /// Start a service around an externally built plan cache — a cache with
-    /// a non-default [`EvictionPolicy`](crate::cache::EvictionPolicy) or a
-    /// chained [`PlanFetcher`](crate::cache::PlanFetcher) (how each
-    /// [`ClusterService`](crate::cluster::ClusterService) node joins the
-    /// cluster-wide plan-sharing path).  The `cache_shards` /
-    /// `cache_capacity` fields of `config` are ignored; the cache's own
-    /// geometry governs.
-    pub fn with_plan_cache(config: ServiceConfig, cache: Arc<PlanCache>) -> Self {
-        Self::start(config, ServiceClock::real(), Some(cache), None)
     }
 
     pub(crate) fn start(
@@ -1446,12 +1427,9 @@ fn execute_spec(
             run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
         }
         FamilyArtifact::Particle(kernel) => {
-            // The bucket grid re-derived from the particle count matches
-            // spec.region when the spec came from JobSpec::particle; the
-            // count fallback assumes the paper's half-full buckets for
-            // hand-built specs.
-            let count = spec.particles.unwrap_or(spec.region.cells() * 8);
-            let system = ParticleSystem::paper(ParticleSize::new(count));
+            // The bucket grid the count derives is spec.region in blocks of
+            // spec.block: `JobSpec::validate` admitted nothing else.
+            let system = ParticleSystem::paper(ParticleSize::new(spec.particle_count()));
             let sink = new_field_sink();
             let app = ParticleApp::new(system.clone(), spec.steps)
                 .with_dt(spec.params[1])
@@ -1549,6 +1527,7 @@ mod tests {
     use super::*;
     use crate::job::{JobErrorKind, JobStatus};
     use aohpc_kernel::{Processor, SchedulePolicy, StencilProgram};
+    use aohpc_runtime::Topology;
     use aohpc_workloads::RegionSize;
 
     fn smoke_job() -> JobSpec {
@@ -1662,12 +1641,12 @@ mod tests {
         let service = KernelService::new(ServiceConfig::default().with_workers(3));
         let a = service.open_session(SessionSpec::tenant("a"));
         let b = service.open_session(SessionSpec::tenant("b"));
-        for processor in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+        for processor in [Processor::Scalar, Processor::Simd] {
             service.submit(a, smoke_job().with_policy(SchedulePolicy::Single(processor))).unwrap();
             service.submit(b, smoke_job().with_policy(SchedulePolicy::Single(processor))).unwrap();
         }
         let reports = service.drain();
-        assert_eq!(reports.len(), 6);
+        assert_eq!(reports.len(), 4);
         let first = reports[0].checksum;
         for r in &reports {
             assert_eq!(r.checksum, first, "all backends and tenants agree bit-for-bit");
@@ -1854,7 +1833,15 @@ mod tests {
             Err(SubmitError::InvalidJob(ref m)) if m.contains("at least one processor")
         ));
 
-        assert_eq!(service.session(session).unwrap().meter().jobs_rejected, 3);
+        // A program the execute path would answer with the stock sweep.
+        let south_only = aohpc_kernel::UsGridProgram::new("south-only", vec![(0, 1)], 2).unwrap();
+        let unsupported = JobSpec::new(south_only, vec![0.5, 0.125], RegionSize::square(32));
+        assert!(matches!(
+            service.submit(session, unsupported),
+            Err(SubmitError::InvalidJob(ref m)) if m.contains("south-only cannot run as written")
+        ));
+
+        assert_eq!(service.session(session).unwrap().meter().jobs_rejected, 4);
         assert!(service.drain().is_empty(), "nothing malformed reached the queue");
     }
 

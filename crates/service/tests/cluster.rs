@@ -2,9 +2,7 @@
 //! identity with single-node execution, session affinity, fabric metering
 //! and deterministic (fake-clock) backpressure on cluster nodes.
 
-use aohpc_service::{
-    ClusterService, CostAwarePolicy, JobSpec, KernelService, ServiceConfig, SessionSpec,
-};
+use aohpc_service::{ClusterService, JobSpec, KernelService, ServiceConfig, SessionSpec};
 use aohpc_testalloc::sync::FakeClock;
 use aohpc_workloads::Scale;
 use std::sync::Arc;
@@ -133,9 +131,8 @@ fn sessions_are_affine_to_their_tenants_home_node() {
 }
 
 #[test]
-fn cluster_runs_under_cost_aware_policy_and_pinned_sessions() {
-    let cluster =
-        ClusterService::with_policy(2, config().with_cache(2, 8), Arc::new(CostAwarePolicy));
+fn pinned_sessions_pin_their_plans_on_a_cluster_node() {
+    let cluster = ClusterService::new(2, config().with_cache(2, 8));
     let hot = cluster.open_session_on(0, SessionSpec::tenant("hot").pin_plans());
     cluster.submit(hot, smoke_job()).unwrap().wait().unwrap();
     let stats = cluster.cache_stats();

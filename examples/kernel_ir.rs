@@ -1,7 +1,6 @@
 //! The subkernel internal DSL (the paper's future-work §VI): write the
 //! per-cell update as an expression, let the platform compile it, and execute
-//! it heterogeneously on scalar / SIMD / (simulated) accelerator backends —
-//! all under the same MPI+OpenMP aspect modules as a hand-written kernel.
+//! it heterogeneously on scalar and SIMD-lane backends — all under the same MPI+OpenMP aspect modules as a hand-written kernel.
 //!
 //! ```sh
 //! cargo run --release --example kernel_ir
@@ -31,8 +30,8 @@ fn main() {
         opt.identities_simplified
     );
 
-    // 3. Run it on the platform, heterogeneously: the accelerator takes half
-    //    the blocks, SIMD lanes a quarter, scalar cores the rest — under the
+    // 3. Run it on the platform, heterogeneously: SIMD lanes take three
+    //    quarters of the blocks, scalar cores the rest — under the
     //    MPI+OpenMP hybrid aspect weave.
     let region = RegionSize::square(128);
     let system = Arc::new(SGridSystem::with_block_size(region, 16));
@@ -40,8 +39,7 @@ fn main() {
     let field_sink = new_stencil_field_sink();
     let app = app
         .with_dispatcher(HeteroDispatcher::new(SchedulePolicy::Weighted(vec![
-            (Processor::Accelerator, 2.0),
-            (Processor::Simd, 1.0),
+            (Processor::Simd, 3.0),
             (Processor::Scalar, 1.0),
         ])))
         .with_stats_sink(stats_sink.clone())
@@ -58,17 +56,12 @@ fn main() {
 
     println!(
         "{:<14} {:>10} {:>12} {:>12} {:>12} {:>14}",
-        "backend", "blocks", "cells", "scalar ops", "vector ops", "offload bytes"
+        "backend", "blocks", "cells", "scalar ops", "vector ops", "halo fetches"
     );
     for (name, stats) in stats_sink.lock().iter() {
         println!(
             "{:<14} {:>10} {:>12} {:>12} {:>12} {:>14}",
-            name,
-            stats.blocks,
-            stats.cells,
-            stats.scalar_ops,
-            stats.vector_ops,
-            stats.offload_bytes_in + stats.offload_bytes_out
+            name, stats.blocks, stats.cells, stats.scalar_ops, stats.vector_ops, stats.halo_fetches
         );
     }
 

@@ -93,7 +93,7 @@ fn ir_kernel_matches_the_classic_kernel_in_every_mode_and_backend() {
     let reference = checksum(sink.lock().iter().map(|(_, v)| *v));
 
     for mode in ALL_MODES {
-        for processor in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+        for processor in [Processor::Scalar, Processor::Simd] {
             let system = Arc::new(SGridSystem::with_block_size(region, block));
             let sink = new_stencil_field_sink();
             let app = IrStencilApp::new(StencilProgram::jacobi_5pt(), vec![0.5, 0.125], loops)
@@ -136,7 +136,7 @@ fn ir_kernel_still_exercises_page_communication_and_dry_run() {
 #[test]
 fn custom_ir_program_runs_heterogeneously_under_hybrid_weave() {
     // A anisotropic diffusion-like program written directly as IR, scheduled
-    // over all three backends, under MPI+OpenMP: the run must complete every
+    // over both backends, under MPI+OpenMP: the run must complete every
     // step and use every backend.
     let expr = param(0) * load(0, 0)
         + param(1) * (load(1, 0) + load(-1, 0))
@@ -146,7 +146,7 @@ fn custom_ir_program_runs_heterogeneously_under_hybrid_weave() {
     let system = Arc::new(SGridSystem::with_block_size(RegionSize::square(64), 16));
     let app = IrStencilApp::new(program, vec![0.4, 0.2, 0.1], 3)
         .with_dispatcher(HeteroDispatcher::new(SchedulePolicy::RoundRobin(vec![
-            Processor::Accelerator,
+            Processor::Simd,
             Processor::Simd,
             Processor::Scalar,
         ])))
@@ -156,7 +156,7 @@ fn custom_ir_program_runs_heterogeneously_under_hybrid_weave() {
     assert_eq!(outcome.report.tasks.len(), 4);
     assert!(outcome.report.tasks.iter().all(|t| t.steps == 3));
     let stats = stats_sink.lock();
-    for processor in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+    for processor in [Processor::Scalar, Processor::Simd] {
         assert!(
             stats.get(processor).is_some(),
             "backend {} never executed a block",

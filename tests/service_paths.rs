@@ -13,7 +13,10 @@
 //! * every job's counters and simulated time equal recorded values, and its
 //!   writes state the sweep contract of `HpcApp::processing`: a job on one
 //!   rank sweeps `steps` times, a job on several `steps + 1` — the warm-up
-//!   (dry-run) pass runs only where the distributed layer reads it.
+//!   (dry-run) pass runs only where the distributed layer reads it;
+//! * the processor axis: a stencil job on the lane backend, alone or
+//!   alternating with the scalar one, gives the Scalar job's checksum bits
+//!   and counters on 1x1 and 2x2.
 
 use aohpc_suite::prelude::*;
 use aohpc_suite::{ExecutionMode, Platform};
@@ -99,10 +102,26 @@ fn direct_particle(spec: &JobSpec, mode: ExecutionMode) -> (f64, RunSummary) {
     direct(mode, system, app.factory(), &sink)
 }
 
+fn row_of(report: &JobReport) -> Row {
+    let summary = &report.summary;
+    (
+        summary.reads,
+        summary.writes,
+        summary.pages_sent,
+        summary.retries,
+        summary.dispatches,
+        report.simulated_seconds.to_bits(),
+    )
+}
+
+/// `policies` are the schedule policies a stencil job must also give the
+/// default (Scalar) job's bits under; empty for the other families, whose
+/// kernels no processor is chosen for.
 fn check(
     spec: JobSpec,
     direct_run: fn(&JobSpec, ExecutionMode) -> (f64, RunSummary),
     golden: Golden,
+    policies: &[SchedulePolicy],
 ) {
     let service = KernelService::new(ServiceConfig::default().with_workers(1));
     let session = service.open_session(SessionSpec::tenant("paths"));
@@ -111,24 +130,30 @@ fn check(
     for ((ranks, threads), row) in TOPOLOGIES.into_iter().zip(golden.rows) {
         let at = format!("{name} {ranks}x{threads}");
         let job = spec.clone().with_topology(Topology::hybrid(ranks, threads));
-        let report = service.submit(session, job).unwrap().wait().expect("job resolves");
+        let report = service.submit(session, job.clone()).unwrap().wait().expect("job resolves");
         assert_eq!(report.error, None, "{at}");
         let summary = &report.summary;
         // The sweep contract: the warm-up pass runs only across ranks.
         let sweeps = (spec.steps + usize::from(ranks > 1)) as u64;
         assert_eq!(summary.writes, golden.writes_per_sweep * sweeps, "{at}: {sweeps} sweeps");
         assert_eq!(
-            (
-                summary.reads,
-                summary.writes,
-                summary.pages_sent,
-                summary.retries,
-                summary.dispatches,
-                report.simulated_seconds.to_bits()
-            ),
+            row_of(&report),
             row,
             "{at}: (reads, writes, pages_sent, retries, dispatches, simulated_seconds bits)"
         );
+        // The processor axis, on 1x1 and 2x2.
+        if ranks == threads {
+            for policy in policies {
+                let job = job.clone().with_policy(policy.clone());
+                let other = service.submit(session, job).unwrap().wait().expect("job resolves");
+                assert_eq!(other.error, None, "{at} {policy:?}");
+                assert_eq!(
+                    (other.checksum.to_bits(), row_of(&other)),
+                    (report.checksum.to_bits(), row),
+                    "{at} {policy:?}: checksum and row vs the Scalar job"
+                );
+            }
+        }
         assert_eq!(
             (summary.ranks, summary.tasks, summary.steps),
             (ranks, ranks * threads, spec.steps as u64),
@@ -149,6 +174,13 @@ fn stencil_job(program: StencilProgram, params: Vec<f64>) -> JobSpec {
     JobSpec::new(program, params, RegionSize::square(32)).with_block(BLOCK).with_steps(STEPS)
 }
 
+fn lane_policies() -> [SchedulePolicy; 2] {
+    [
+        SchedulePolicy::Single(Processor::Simd),
+        SchedulePolicy::RoundRobin(vec![Processor::Simd, Processor::Scalar]),
+    ]
+}
+
 #[test]
 fn jacobi_5pt_matches_the_direct_run_under_every_topology() {
     check(
@@ -166,6 +198,7 @@ fn jacobi_5pt_matches_the_direct_run_under_every_topology() {
                 (6144, 4096, 64, 0, 59, 0x3f1de33e7600e6f1),
             ],
         },
+        &lane_policies(),
     );
 }
 
@@ -186,6 +219,7 @@ fn smooth_9pt_matches_the_direct_run_under_every_topology() {
                 (6400, 4096, 64, 0, 59, 0x3f22364f23aa0050),
             ],
         },
+        &lane_policies(),
     );
 }
 
@@ -241,6 +275,7 @@ fn usgrid_jacobi4_matches_the_direct_run_under_every_topology() {
                 (8000, 1600, 96, 0, 59, 0x3f1b916204db45b0),
             ],
         },
+        &[],
     );
 }
 
@@ -268,5 +303,6 @@ fn particle_pair_sweep_matches_the_direct_run_under_every_topology() {
                 (10240, 1024, 16, 0, 59, 0x3f16bf4878946444),
             ],
         },
+        &[],
     );
 }
