@@ -68,5 +68,5 @@ pub use advice::{Advice, AdviceKind};
 pub use aspect::{AdviceBinding, Aspect, ClosureAspect};
 pub use join_point::{attr, JoinPointCtx, JoinPointKind, JoinPointStats};
 pub use names::*;
-pub use pointcut::{ParseError, Pointcut};
+pub use pointcut::Pointcut;
 pub use weaver::{WeaveReport, Weaver, WovenProgram};

@@ -158,6 +158,33 @@ impl WovenProgram {
         self.dispatch_with(name, kind, &[], payload, &mut body)
     }
 
+    /// Run `body` under a join point that carries no payload and hand back
+    /// what it returns: the form a traced call site takes, where advice reads
+    /// the attributes (those in `attrs` and those the body sets) and the
+    /// caller needs the body's result.  The body runs at most once, at the
+    /// first `proceed`.
+    ///
+    /// # Panics
+    ///
+    /// If around advice suppresses the body: a result the caller needs
+    /// cannot be skipped.
+    pub fn dispatch_returning<R>(
+        &self,
+        name: &str,
+        kind: JoinPointKind,
+        attrs: &[(&'static str, i64)],
+        body: impl FnOnce(&mut JoinPointCtx<'_>) -> R,
+    ) -> R {
+        let mut body = Some(body);
+        let mut result = None;
+        self.dispatch_with(name, kind, attrs, &mut (), &mut |ctx| {
+            if let Some(body) = body.take() {
+                result = Some(body(ctx));
+            }
+        });
+        result.expect("advice on a value-returning join point must proceed")
+    }
+
     /// Dispatch statistics accumulated so far.
     pub fn stats(&self) -> &JoinPointStats {
         &self.stats

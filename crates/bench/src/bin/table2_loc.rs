@@ -24,7 +24,7 @@ fn main() {
         ("DSL Part (sgrid + usgrid + particle systems)", vec!["crates/dsl/src"]),
         ("App Part (end-user examples)", vec!["examples"]),
         ("Handwritten baselines", vec!["crates/baselines/src"]),
-        ("Evaluation harness", vec!["crates/bench/src", "crates/bench/benches"]),
+        ("Evaluation harness", vec!["crates/bench/src"]),
     ];
     for (label, dirs) in rows {
         let total: usize = dirs.iter().map(|d| count_loc(&root.join(d))).sum();

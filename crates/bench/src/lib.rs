@@ -1,10 +1,10 @@
 //! # aohpc-bench — the evaluation harness
 //!
 //! One binary per table/figure of the paper's evaluation section (run with
-//! `cargo run -p aohpc-bench --release --bin fig06_overhead`, etc.), plus
-//! Criterion micro-benchmarks (`cargo bench`).  Each harness prints the same
-//! rows/series the paper reports; problem sizes follow
-//! [`aohpc_workloads::Scale`] (`AOHPC_SCALE=smoke|default|paper`).
+//! `cargo run -p aohpc-bench --release --bin fig06_overhead`, etc.).  Each
+//! harness prints the same rows/series the paper reports; problem sizes
+//! follow [`aohpc_workloads::Scale`] (`AOHPC_SCALE=smoke|default|paper`).
+//! Wall-clock questions go to the layer ledger (`benchmark/`), not here.
 //!
 //! This crate's library holds the pieces the harnesses share: workload
 //! descriptions, runners for every execution mode, and the normalisation

@@ -66,27 +66,18 @@ impl Tiling {
     }
 }
 
-/// Build the default Env tree of Fig. 2 for a tiled rectangular region:
-/// a root Empty block, a boundary branch (added by the caller through
-/// `add_boundary`), an Empty joint, and one Data block per tile with its
-/// Z-order index.
+/// Build the Env tree of Fig. 2 for a tiled rectangular region: a root Empty
+/// block, a boundary branch (added by the caller through `add_boundary`), and
+/// one Data block per tile with its Z-order index under the data-branch
+/// joints `topology` asks for.
+///
+/// `TreeTopology::Flat` reproduces the paper's default tree (one Empty
+/// joint); the grouped topologies insert bounded Empty joints (§III-B3) so
+/// that out-of-block accesses prune most of the data branch during the Env
+/// search.
 ///
 /// Returns the built Env and the list of data block ids in (by, bx)
 /// iteration order.
-pub fn build_tiled_env<C: Cell>(
-    tiling: Tiling,
-    cells_per_page: usize,
-    pool: PoolHandle,
-    add_boundary: impl FnOnce(&mut EnvBuilder<C>, usize),
-) -> (Env<C>, Vec<aohpc_env::BlockId>) {
-    build_tiled_env_with_topology(tiling, cells_per_page, pool, TreeTopology::Flat, add_boundary)
-}
-
-/// [`build_tiled_env`] with an explicit data-branch [`TreeTopology`].
-///
-/// `TreeTopology::Flat` reproduces the paper's default tree; the grouped
-/// topologies insert bounded Empty joints (§III-B3) so that out-of-block
-/// accesses prune most of the data branch during the Env search.
 pub fn build_tiled_env_with_topology<C: Cell>(
     tiling: Tiling,
     cells_per_page: usize,
@@ -139,6 +130,12 @@ pub fn origin_index<C: Cell>(env: &Env<C>) -> HashMap<(i64, i64), aohpc_env::Blo
 mod tests {
     use super::*;
 
+    fn tiled(t: Tiling, topology: TreeTopology) -> (Env<f64>, Vec<aohpc_env::BlockId>) {
+        build_tiled_env_with_topology(t, 32, PoolHandle::unbounded(), topology, |b, root| {
+            b.add_arithmetic(root, Arc::new(|_| 0.0), true);
+        })
+    }
+
     #[test]
     fn tiling_counts() {
         let t = Tiling { nx: 100, ny: 60, block: 32 };
@@ -150,9 +147,7 @@ mod tests {
     #[test]
     fn tiled_env_has_expected_shape() {
         let t = Tiling { nx: 64, ny: 64, block: 16 };
-        let (env, data) = build_tiled_env::<f64>(t, 32, PoolHandle::unbounded(), |b, root| {
-            b.add_arithmetic(root, Arc::new(|_| 0.0), true);
-        });
+        let (env, data) = tiled(t, TreeTopology::Flat);
         assert_eq!(data.len(), 16);
         assert_eq!(env.stats().num_data_blocks, 16);
         // root + boundary + joint + 16 data blocks
@@ -167,19 +162,8 @@ mod tests {
     #[test]
     fn topology_variant_builds_grouped_joints() {
         let t = Tiling { nx: 64, ny: 64, block: 16 };
-        let (flat, flat_data) =
-            build_tiled_env::<f64>(t, 32, PoolHandle::unbounded(), |b, root| {
-                b.add_arithmetic(root, Arc::new(|_| 0.0), true);
-            });
-        let (quad, quad_data) = build_tiled_env_with_topology::<f64>(
-            t,
-            32,
-            PoolHandle::unbounded(),
-            TreeTopology::Quadtree { max_leaf_blocks: 2 },
-            |b, root| {
-                b.add_arithmetic(root, Arc::new(|_| 0.0), true);
-            },
-        );
+        let (flat, flat_data) = tiled(t, TreeTopology::Flat);
+        let (quad, quad_data) = tiled(t, TreeTopology::Quadtree { max_leaf_blocks: 2 });
         assert_eq!(flat_data.len(), quad_data.len());
         assert_eq!(flat.stats().num_data_blocks, quad.stats().num_data_blocks);
         // The quadtree tree has strictly more (joint) blocks than the flat one.
@@ -203,9 +187,7 @@ mod tests {
     #[test]
     fn ragged_tiling_truncates_edge_blocks() {
         let t = Tiling { nx: 40, ny: 40, block: 16 };
-        let (env, data) = build_tiled_env::<f64>(t, 32, PoolHandle::unbounded(), |b, root| {
-            b.add_arithmetic(root, Arc::new(|_| 0.0), true);
-        });
+        let (env, data) = tiled(t, TreeTopology::Flat);
         assert_eq!(data.len(), 9);
         let last = env.block(*data.last().unwrap());
         assert_eq!(last.meta.extent.nx, 8);

@@ -14,7 +14,7 @@
 //! §V-B1.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
-use aohpc_env::{BlockId, Env, GlobalAddress, LocalAddress, TreeTopology};
+use aohpc_env::{Env, GlobalAddress, LocalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
 use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::RegionSize;
@@ -205,44 +205,6 @@ impl HpcApp<f64> for SGridJacobiApp {
     }
 }
 
-/// Handy accessor mirroring the "Memory Library for Target Apps": wraps a
-/// context and a block for slightly less noisy kernels in examples.
-pub struct SGridBlockView<'a> {
-    ctx: &'a mut TaskCtx<f64>,
-    block: BlockId,
-    nx: i64,
-    ny: i64,
-}
-
-impl<'a> SGridBlockView<'a> {
-    /// View a block through a context.
-    pub fn new(ctx: &'a mut TaskCtx<f64>, block: BlockId) -> Self {
-        let ext = ctx.env().block(block).meta.extent;
-        SGridBlockView { ctx, block, nx: ext.nx as i64, ny: ext.ny as i64 }
-    }
-
-    /// Block width in cells.
-    pub fn nx(&self) -> i64 {
-        self.nx
-    }
-
-    /// Block height in cells.
-    pub fn ny(&self) -> i64 {
-        self.ny
-    }
-
-    /// `GetD` — the in-block test is derived from the coordinates.
-    pub fn get(&mut self, i: i64, j: i64) -> f64 {
-        let inside = i >= 0 && j >= 0 && i < self.nx && j < self.ny;
-        self.ctx.get(self.block, LocalAddress::new2d(i, j), inside)
-    }
-
-    /// `SetD`.
-    pub fn set(&mut self, i: i64, j: i64, v: f64) {
-        self.ctx.set(self.block, LocalAddress::new2d(i, j), v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,30 +330,5 @@ mod tests {
         assert_eq!(s.block_size, 256);
         assert_eq!(s.cells_per_page, 256);
         assert_eq!(s.tiling().total_blocks(), 64);
-    }
-
-    #[test]
-    fn block_view_reads_neighbours_and_boundary() {
-        let system = Arc::new(SGridSystem::with_block_size(RegionSize::square(16), 8));
-        let env = Arc::new({
-            let e = system.build_env();
-            for id in e.data_block_ids() {
-                e.block(id).meta.set_dm_tid(Some(0));
-                e.block(id).meta.set_ch_tid(Some(0));
-            }
-            e
-        });
-        let topo = Topology::serial();
-        let shared = Arc::new(aohpc_runtime::RankShared::new(topo.clone(), 0, None, true));
-        let mut ctx =
-            TaskCtx::new(topo.slot(0, 0), env, shared, WovenProgram::unwoven(), true, false);
-        let blocks = ctx.get_blocks();
-        ctx.set_initial(blocks[0], LocalAddress::new2d(0, 0), 9.0);
-        let mut view = SGridBlockView::new(&mut ctx, blocks[0]);
-        assert_eq!(view.nx(), 8);
-        assert_eq!(view.ny(), 8);
-        assert_eq!(view.get(0, 0), 9.0);
-        assert_eq!(view.get(-1, 0), 0.0, "Dirichlet boundary");
-        view.set(1, 1, 3.0);
     }
 }

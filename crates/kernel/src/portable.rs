@@ -259,8 +259,8 @@ impl PortableKernel {
     ///
     /// Advisory: [`PortableKernel::hydrate`] re-runs the deterministic
     /// shape matcher, so the hydrated artifact's specialization is always
-    /// recomputed locally.  Version-2 frames decode as
-    /// [`SpecializationId::Generic`] here and still specialize on hydrate.
+    /// recomputed locally.  Version-2 frames are refused by
+    /// [`PortableKernel::from_bytes`], so every decoded frame carries one.
     pub fn specialization(&self) -> SpecializationId {
         self.spec
     }

@@ -25,9 +25,10 @@
 //! Both aspects use precedence 10 (outer), so their spans wrap any
 //! domain advice (MPI/OMP modules) at shared join points.
 
+use crate::metrics::{Counter, Histogram, Metrics};
 use crate::trace::OpenSpan;
 use crate::ObsHub;
-use aohpc_aop::{attr, names, Advice, AdviceBinding, Aspect, Pointcut};
+use aohpc_aop::{attr, names, Advice, AdviceBinding, Aspect, JoinPointKind, Pointcut};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,11 +49,47 @@ impl ObsServiceAspect {
     }
 }
 
-fn ctx_ids(ctx: &aohpc_aop::JoinPointCtx<'_>) -> (u64, u64) {
-    let trace = ctx.attr(attr::TRACE).unwrap_or(0).max(0) as u64;
-    let parent = ctx.attr(attr::PARENT).unwrap_or(0).max(0) as u64;
-    (trace, parent)
+/// What a service-plane binding files besides its span.
+#[derive(Clone, Copy)]
+enum Meter {
+    /// The span's duration into a latency histogram.
+    Elapsed(fn(&Metrics) -> &Histogram),
+    /// One more event.
+    Count(fn(&Metrics) -> &Counter),
+    /// One more event when the body published `ok == 1`.
+    CountIfOk(fn(&Metrics) -> &Counter),
 }
+
+/// An attribute a span ends with, and the value filed when it is absent.
+type EndAttr = (&'static str, i64);
+
+/// The service-plane bindings, a row each: join point, kind, the two
+/// attributes its span ends with, its metric.  Every row is the same advice —
+/// open a span named after the join point under the dispatch's
+/// `(trace, parent)` attributes, proceed, read the two attributes (the body
+/// may have published them), file the metric, end the span.  The cluster rows
+/// run on fabric/pacemaker/supervisor threads with no job context: their
+/// spans are trace roots keyed by node.
+const SERVICE_BINDINGS: [(&str, JoinPointKind, EndAttr, EndAttr, Meter); 9] = {
+    use attr::{FAMILY, JOB, NODE, OK, ORIGIN, STEP};
+    use names::*;
+    use JoinPointKind::{Call, Execution};
+    use Meter::{Count, CountIfOk, Elapsed};
+    [
+        (SERVICE_EXECUTE, Execution, (FAMILY, -1), (JOB, -1), Elapsed(|m| &m.execute_ns)),
+        // The body publishes how the plan was obtained.
+        (CACHE_RESOLVE, Call, (ORIGIN, -1), (FAMILY, -1), Elapsed(|m| &m.resolve_ns)),
+        // Once per compile/cache insert, never per block: a span per verdict
+        // is cheap.
+        (KERNEL_SPECIALIZE, Call, (FAMILY, -1), (OK, 0), CountIfOk(|m| &m.specializations)),
+        (CLUSTER_PLAN_REQ, Call, (OK, 0), (NODE, -1), Elapsed(|m| &m.plan_fetch_ns)),
+        (CLUSTER_PLAN_REP, Execution, (NODE, -1), (OK, 0), Elapsed(|m| &m.plan_serve_ns)),
+        (CLUSTER_SUSPECT, Call, (NODE, -1), (OK, -1), Count(|m| &m.suspicions)),
+        (CLUSTER_FAILOVER, Execution, (NODE, -1), (JOB, -1), Count(|m| &m.failovers)),
+        (CLUSTER_REJOIN, Call, (NODE, -1), (STEP, -1), Count(|m| &m.rejoins)),
+        (CLUSTER_PARTITION, Call, (NODE, -1), (OK, -1), Count(|m| &m.partitions)),
+    ]
+};
 
 /// `(task, rank)` of an `Initialize` / `Finalize` dispatch: the attributes
 /// its span is filed with.
@@ -70,150 +107,36 @@ impl Aspect for ObsServiceAspect {
     }
 
     fn bindings(&self) -> Vec<AdviceBinding> {
-        let exec_hub = Arc::clone(&self.hub);
-        let resolve_hub = Arc::clone(&self.hub);
-        let req_hub = Arc::clone(&self.hub);
-        let rep_hub = Arc::clone(&self.hub);
-        let suspect_hub = Arc::clone(&self.hub);
-        let failover_hub = Arc::clone(&self.hub);
-        let rejoin_hub = Arc::clone(&self.hub);
-        let partition_hub = Arc::clone(&self.hub);
-        let spec_hub = Arc::clone(&self.hub);
-        vec![
-            AdviceBinding::new(
-                Pointcut::execution(names::SERVICE_EXECUTE),
-                Advice::around(move |ctx, proceed| {
-                    let (trace, parent) = ctx_ids(ctx);
-                    let open = exec_hub.recorder().start(names::SERVICE_EXECUTE, trace, parent);
+        SERVICE_BINDINGS
+            .into_iter()
+            .map(|(name, kind, a, b, meter)| {
+                let hub = Arc::clone(&self.hub);
+                let pointcut = match kind {
+                    JoinPointKind::Call => Pointcut::call(name),
+                    JoinPointKind::Execution => Pointcut::execution(name),
+                };
+                let advice = Advice::around(move |ctx, proceed| {
+                    let trace = ctx.attr(attr::TRACE).unwrap_or(0).max(0) as u64;
+                    let parent = ctx.attr(attr::PARENT).unwrap_or(0).max(0) as u64;
+                    let open = hub.recorder().start(name, trace, parent);
                     proceed(ctx);
-                    let family = ctx.attr(attr::FAMILY).unwrap_or(-1);
-                    let job = ctx.attr(attr::JOB).unwrap_or(-1);
-                    exec_hub
-                        .metrics()
-                        .execute_ns
-                        .record(exec_hub.recorder().now_nanos().saturating_sub(open.start_ns));
-                    exec_hub.recorder().end_with(open, family, job);
-                }),
-            ),
-            AdviceBinding::new(
-                Pointcut::call(names::CACHE_RESOLVE),
-                Advice::around(move |ctx, proceed| {
-                    let (trace, parent) = ctx_ids(ctx);
-                    let open = resolve_hub.recorder().start(names::CACHE_RESOLVE, trace, parent);
-                    proceed(ctx);
-                    // The body publishes how the plan was obtained.
-                    let origin = ctx.attr(attr::ORIGIN).unwrap_or(-1);
-                    let family = ctx.attr(attr::FAMILY).unwrap_or(-1);
-                    resolve_hub
-                        .metrics()
-                        .resolve_ns
-                        .record(resolve_hub.recorder().now_nanos().saturating_sub(open.start_ns));
-                    resolve_hub.recorder().end_with(open, origin, family);
-                }),
-            ),
-            AdviceBinding::new(
-                Pointcut::call(names::KERNEL_SPECIALIZE),
-                Advice::around(move |ctx, proceed| {
-                    // Specialization happens once per compile/cache insert,
-                    // never per block: a span per verdict is cheap.
-                    let (trace, parent) = ctx_ids(ctx);
-                    let open = spec_hub.recorder().start(names::KERNEL_SPECIALIZE, trace, parent);
-                    proceed(ctx);
-                    let family = ctx.attr(attr::FAMILY).unwrap_or(-1);
-                    let ok = ctx.attr(attr::OK).unwrap_or(0);
-                    if ok == 1 {
-                        spec_hub.metrics().specializations.inc();
+                    let a = ctx.attr(a.0).unwrap_or(a.1);
+                    let b = ctx.attr(b.0).unwrap_or(b.1);
+                    match meter {
+                        Meter::Elapsed(histogram) => histogram(hub.metrics())
+                            .record(hub.recorder().now_nanos().saturating_sub(open.start_ns)),
+                        Meter::Count(counter) => counter(hub.metrics()).inc(),
+                        Meter::CountIfOk(counter) => {
+                            if ctx.attr(attr::OK) == Some(1) {
+                                counter(hub.metrics()).inc();
+                            }
+                        }
                     }
-                    spec_hub.recorder().end_with(open, family, ok);
-                }),
-            ),
-            AdviceBinding::new(
-                Pointcut::call(names::CLUSTER_PLAN_REQ),
-                Advice::around(move |ctx, proceed| {
-                    let (trace, parent) = ctx_ids(ctx);
-                    let open = req_hub.recorder().start(names::CLUSTER_PLAN_REQ, trace, parent);
-                    proceed(ctx);
-                    let ok = ctx.attr(attr::OK).unwrap_or(0);
-                    let node = ctx.attr(attr::NODE).unwrap_or(-1);
-                    req_hub
-                        .metrics()
-                        .plan_fetch_ns
-                        .record(req_hub.recorder().now_nanos().saturating_sub(open.start_ns));
-                    req_hub.recorder().end_with(open, ok, node);
-                }),
-            ),
-            AdviceBinding::new(
-                Pointcut::execution(names::CLUSTER_PLAN_REP),
-                Advice::around(move |ctx, proceed| {
-                    // Serve side runs on a fabric thread with no job context;
-                    // the span is a trace root keyed by the serving node.
-                    let (trace, parent) = ctx_ids(ctx);
-                    let open = rep_hub.recorder().start(names::CLUSTER_PLAN_REP, trace, parent);
-                    proceed(ctx);
-                    let ok = ctx.attr(attr::OK).unwrap_or(0);
-                    let node = ctx.attr(attr::NODE).unwrap_or(-1);
-                    rep_hub
-                        .metrics()
-                        .plan_serve_ns
-                        .record(rep_hub.recorder().now_nanos().saturating_sub(open.start_ns));
-                    rep_hub.recorder().end_with(open, node, ok);
-                }),
-            ),
-            AdviceBinding::new(
-                Pointcut::call(names::CLUSTER_SUSPECT),
-                Advice::around(move |ctx, proceed| {
-                    // Detector transitions run on fabric/pacemaker threads with
-                    // no job context; the span is a trace root.
-                    let (trace, parent) = ctx_ids(ctx);
-                    let open = suspect_hub.recorder().start(names::CLUSTER_SUSPECT, trace, parent);
-                    proceed(ctx);
-                    let node = ctx.attr(attr::NODE).unwrap_or(-1);
-                    let ok = ctx.attr(attr::OK).unwrap_or(-1);
-                    suspect_hub.metrics().suspicions.inc();
-                    suspect_hub.recorder().end_with(open, node, ok);
-                }),
-            ),
-            AdviceBinding::new(
-                Pointcut::execution(names::CLUSTER_FAILOVER),
-                Advice::around(move |ctx, proceed| {
-                    let (trace, parent) = ctx_ids(ctx);
-                    let open =
-                        failover_hub.recorder().start(names::CLUSTER_FAILOVER, trace, parent);
-                    proceed(ctx);
-                    let node = ctx.attr(attr::NODE).unwrap_or(-1);
-                    let job = ctx.attr(attr::JOB).unwrap_or(-1);
-                    failover_hub.metrics().failovers.inc();
-                    failover_hub.recorder().end_with(open, node, job);
-                }),
-            ),
-            AdviceBinding::new(
-                Pointcut::call(names::CLUSTER_REJOIN),
-                Advice::around(move |ctx, proceed| {
-                    // Revivals run on fabric/supervisor threads with no job
-                    // context; the span is a trace root.
-                    let (trace, parent) = ctx_ids(ctx);
-                    let open = rejoin_hub.recorder().start(names::CLUSTER_REJOIN, trace, parent);
-                    proceed(ctx);
-                    let node = ctx.attr(attr::NODE).unwrap_or(-1);
-                    let step = ctx.attr(attr::STEP).unwrap_or(-1);
-                    rejoin_hub.metrics().rejoins.inc();
-                    rejoin_hub.recorder().end_with(open, node, step);
-                }),
-            ),
-            AdviceBinding::new(
-                Pointcut::call(names::CLUSTER_PARTITION),
-                Advice::around(move |ctx, proceed| {
-                    let (trace, parent) = ctx_ids(ctx);
-                    let open =
-                        partition_hub.recorder().start(names::CLUSTER_PARTITION, trace, parent);
-                    proceed(ctx);
-                    let node = ctx.attr(attr::NODE).unwrap_or(-1);
-                    let ok = ctx.attr(attr::OK).unwrap_or(-1);
-                    partition_hub.metrics().partitions.inc();
-                    partition_hub.recorder().end_with(open, node, ok);
-                }),
-            ),
-        ]
+                    hub.recorder().end_with(open, a, b);
+                });
+                AdviceBinding::new(pointcut, advice)
+            })
+            .collect()
     }
 }
 

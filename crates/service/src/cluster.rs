@@ -111,21 +111,18 @@
 use crate::cache::{FetchOutcome, PlanCache, PlanCacheStats, PlanFetcher, PlanKey};
 use crate::fault::{FaultAction, FaultPlan, FaultState, Interception};
 use crate::job::{
-    FailoverProvenance, JobError, JobErrorKind, JobHandle, JobId, JobOutcome, JobReport, JobSpec,
+    FailoverProvenance, JobErrorKind, JobHandle, JobId, JobOutcome, JobReport, JobSpec,
 };
 use crate::membership::{
     rendezvous_owner, ClusterTuning, Membership, MembershipStats, NodeState, Transition,
 };
 use crate::service::{
-    KernelService, OrphanSink, OrphanedJob, ServiceClock, ServiceConfig, SubmitError,
+    obs_snapshot, KernelService, OrphanSink, OrphanedJob, ServiceClock, ServiceConfig, SubmitError,
 };
 use crate::session::{CompletionStream, SessionCtx, SessionId, SessionMeter, SessionSpec};
 use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
 use aohpc_kernel::{FamilyProgram, OptLevel, PortableKernel};
-use aohpc_obs::{
-    current_context, AdmissionCounters, CacheCounters, CommCounters, JobCounters, ObsHub,
-    ObsServiceAspect, ObsSnapshot,
-};
+use aohpc_obs::{current_context, CommCounters, ObsHub, ObsServiceAspect, ObsSnapshot};
 use aohpc_runtime::{
     CommProbe, CommStats, Communicator, ControlFrame, ControlHandle, LIVENESS_TAG_BASE,
 };
@@ -195,14 +192,23 @@ pub fn plan_owner_among(spec: &JobSpec, candidates: &[usize]) -> usize {
     rendezvous_owner(key_hash(&key), candidates)
 }
 
-/// The `SUSPECT` gossip payload: subject rank, claimed state, incarnation.
-fn suspect_payload(t: &Transition) -> Vec<u8> {
-    let mut bytes = (t.subject as u64).to_le_bytes().to_vec();
-    bytes.push(match t.to {
+/// A membership state on the wire (`SUSPECT` and `VIEW_SYNC` payloads).
+fn state_byte(state: NodeState) -> u8 {
+    match state {
         NodeState::Alive => 0,
         NodeState::Suspect => 1,
         NodeState::Dead => 2,
-    });
+    }
+}
+
+fn decode_state(byte: u8) -> Option<NodeState> {
+    [NodeState::Alive, NodeState::Suspect, NodeState::Dead].get(usize::from(byte)).copied()
+}
+
+/// The `SUSPECT` gossip payload: subject rank, claimed state, incarnation.
+fn suspect_payload(t: &Transition) -> Vec<u8> {
+    let mut bytes = (t.subject as u64).to_le_bytes().to_vec();
+    bytes.push(state_byte(t.to));
     bytes.extend_from_slice(&t.incarnation.to_le_bytes());
     bytes
 }
@@ -212,14 +218,8 @@ fn decode_suspect(bytes: &[u8]) -> Option<(usize, NodeState, u64)> {
         return None;
     }
     let subject = u64::from_le_bytes(bytes[..8].try_into().ok()?) as usize;
-    let state = match bytes[8] {
-        0 => NodeState::Alive,
-        1 => NodeState::Suspect,
-        2 => NodeState::Dead,
-        _ => return None,
-    };
     let incarnation = u64::from_le_bytes(bytes[9..17].try_into().ok()?);
-    Some((subject, state, incarnation))
+    Some((subject, decode_state(bytes[8])?, incarnation))
 }
 
 /// The `VIEW_SYNC` payload: the full membership vector, 9 bytes per rank
@@ -227,11 +227,7 @@ fn decode_suspect(bytes: &[u8]) -> Option<(usize, NodeState, u64)> {
 fn view_payload(entries: &[(NodeState, u64)]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(entries.len() * 9);
     for (state, incarnation) in entries {
-        bytes.push(match state {
-            NodeState::Alive => 0,
-            NodeState::Suspect => 1,
-            NodeState::Dead => 2,
-        });
+        bytes.push(state_byte(*state));
         bytes.extend_from_slice(&incarnation.to_le_bytes());
     }
     bytes
@@ -244,13 +240,7 @@ fn decode_view(bytes: &[u8]) -> Option<Vec<(NodeState, u64)>> {
     bytes
         .chunks_exact(9)
         .map(|entry| {
-            let state = match entry[0] {
-                0 => NodeState::Alive,
-                1 => NodeState::Suspect,
-                2 => NodeState::Dead,
-                _ => return None,
-            };
-            Some((state, u64::from_le_bytes(entry[1..9].try_into().ok()?)))
+            Some((decode_state(entry[0])?, u64::from_le_bytes(entry[1..9].try_into().ok()?)))
         })
         .collect()
 }
@@ -261,16 +251,9 @@ fn decode_view(bytes: &[u8]) -> Option<Vec<(NodeState, u64)>> {
 fn dispatch_rejoin(woven: Option<&WovenProgram>, node: usize, incarnation: u64, restart: bool) {
     if let Some(woven) = woven {
         let attrs = [(attr::NODE, node as i64), (attr::STEP, incarnation as i64)];
-        let mut payload = ();
-        woven.dispatch_with(
-            names::CLUSTER_REJOIN,
-            JoinPointKind::Call,
-            &attrs,
-            &mut payload,
-            &mut |ctx| {
-                ctx.set_attr(attr::OK, i64::from(restart));
-            },
-        );
+        woven.dispatch_returning(names::CLUSTER_REJOIN, JoinPointKind::Call, &attrs, |ctx| {
+            ctx.set_attr(attr::OK, i64::from(restart));
+        });
     }
 }
 
@@ -293,16 +276,9 @@ fn publish_transition(
     if let Some(woven) = woven {
         if t.to != NodeState::Alive {
             let attrs = [(attr::NODE, t.subject as i64)];
-            let mut payload = ();
-            woven.dispatch_with(
-                names::CLUSTER_SUSPECT,
-                JoinPointKind::Call,
-                &attrs,
-                &mut payload,
-                &mut |ctx| {
-                    ctx.set_attr(attr::OK, i64::from(t.to == NodeState::Suspect));
-                },
-            );
+            woven.dispatch_returning(names::CLUSTER_SUSPECT, JoinPointKind::Call, &attrs, |ctx| {
+                ctx.set_attr(attr::OK, i64::from(t.to == NodeState::Suspect));
+            });
         }
     }
 }
@@ -465,20 +441,11 @@ impl ClusterFetcher {
             (attr::PARENT, parent as i64),
             (attr::NODE, owner as i64),
         ];
-        let mut fetched = None;
-        let mut payload = ();
-        woven.dispatch_with(
-            names::CLUSTER_PLAN_REQ,
-            JoinPointKind::Call,
-            &attrs,
-            &mut payload,
-            &mut |ctx| {
-                let plan = self.fetch_from(owner, key, program);
-                ctx.set_attr(attr::OK, i64::from(plan.is_some()));
-                fetched = Some(plan);
-            },
-        );
-        fetched.flatten()
+        woven.dispatch_returning(names::CLUSTER_PLAN_REQ, JoinPointKind::Call, &attrs, |ctx| {
+            let plan = self.fetch_from(owner, key, program);
+            ctx.set_attr(attr::OK, i64::from(plan.is_some()));
+            plan
+        })
     }
 }
 
@@ -700,23 +667,16 @@ impl Fabric {
                 let incarnation = self.membership.incarnation_of(rank);
                 let reply = match &self.obs_woven {
                     None => serve_plan_req(&self.cache, &frame.bytes, incarnation),
-                    Some(woven) => {
-                        let attrs = [(attr::NODE, rank as i64)];
-                        let mut reply = None;
-                        let mut payload = ();
-                        woven.dispatch_with(
-                            names::CLUSTER_PLAN_REP,
-                            JoinPointKind::Execution,
-                            &attrs,
-                            &mut payload,
-                            &mut |ctx| {
-                                let bytes = serve_plan_req(&self.cache, &frame.bytes, incarnation);
-                                ctx.set_attr(attr::OK, i64::from(bytes.get(16) == Some(&1)));
-                                reply = Some(bytes);
-                            },
-                        );
-                        reply.expect("serve body runs exactly once")
-                    }
+                    Some(woven) => woven.dispatch_returning(
+                        names::CLUSTER_PLAN_REP,
+                        JoinPointKind::Execution,
+                        &[(attr::NODE, rank as i64)],
+                        |ctx| {
+                            let bytes = serve_plan_req(&self.cache, &frame.bytes, incarnation);
+                            ctx.set_attr(attr::OK, i64::from(bytes.get(16) == Some(&1)));
+                            bytes
+                        },
+                    ),
                 };
                 // A vanished requester is not an error mid-shutdown.
                 let _ = comm.send_control(frame.from, TAG_PLAN_REP, reply);
@@ -843,13 +803,11 @@ impl PacemakerCtx {
     fn link_event(&self, from: usize, to: usize, healed: bool) {
         if let Some(woven) = &self.obs_woven {
             let attrs = [(attr::NODE, from as i64), (attr::RANK, to as i64)];
-            let mut payload = ();
-            woven.dispatch_with(
+            woven.dispatch_returning(
                 names::CLUSTER_PARTITION,
                 JoinPointKind::Call,
                 &attrs,
-                &mut payload,
-                &mut |ctx| {
+                |ctx| {
                     ctx.set_attr(attr::OK, i64::from(healed));
                 },
             );
@@ -857,28 +815,12 @@ impl PacemakerCtx {
     }
 }
 
-/// A running pacemaker: a joinable thread (wall clock) or a permanent
-/// `on_advance` registration gated by its stop flag (fake clock — the
-/// registration outlives the cluster, so the flag is the off switch).
-enum Pacemaker {
-    Thread { stop: Arc<AtomicBool>, handle: JoinHandle<()> },
-    FakeHook { stop: Arc<AtomicBool> },
-}
-
-impl Pacemaker {
-    fn stop(&self) {
-        match self {
-            Pacemaker::Thread { stop, .. } | Pacemaker::FakeHook { stop } => {
-                stop.store(true, Ordering::SeqCst);
-            }
-        }
-    }
-
-    fn join(self) {
-        if let Pacemaker::Thread { handle, .. } = self {
-            let _ = handle.join();
-        }
-    }
+/// A running pacemaker: a joinable thread (wall clock) or — no thread — a
+/// permanent `on_advance` registration (fake clock; it outlives the cluster).
+/// Either way the stop flag is the off switch.
+struct Pacemaker {
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
 }
 
 /// The failover supervisor's intake.
@@ -940,24 +882,15 @@ impl Supervisor {
                     }
                 }
             };
-            match msg {
-                Some(SupervisorMsg::Kill(rank)) => self.nodes[rank].kill_for_failover(),
-                Some(SupervisorMsg::Restart(rank)) => self.restart(rank),
-                Some(SupervisorMsg::Orphan { from, orphan }) => self.replay(from, *orphan),
-                Some(SupervisorMsg::Stop) => stopping = true,
-                None => {}
+            if let Some(msg) = msg {
+                stopping |= self.handle(msg);
             }
             self.poll_inflight();
             if stopping && self.inflight.is_empty() {
                 // Late orphans (a kill racing shutdown) still get replayed.
                 let mut drained_any = false;
                 while let Ok(msg) = self.rx.try_recv() {
-                    match msg {
-                        SupervisorMsg::Kill(rank) => self.nodes[rank].kill_for_failover(),
-                        SupervisorMsg::Restart(rank) => self.restart(rank),
-                        SupervisorMsg::Orphan { from, orphan } => self.replay(from, *orphan),
-                        SupervisorMsg::Stop => {}
-                    }
+                    self.handle(msg);
                     drained_any = true;
                 }
                 if !drained_any && self.inflight.is_empty() {
@@ -965,6 +898,17 @@ impl Supervisor {
                 }
             }
         }
+    }
+
+    /// Act on one message; `true` for `Stop`.
+    fn handle(&mut self, msg: SupervisorMsg) -> bool {
+        match msg {
+            SupervisorMsg::Kill(rank) => self.nodes[rank].kill_for_failover(),
+            SupervisorMsg::Restart(rank) => self.restart(rank),
+            SupervisorMsg::Orphan { from, orphan } => self.replay(from, *orphan),
+            SupervisorMsg::Stop => return true,
+        }
+        false
     }
 
     /// Execute a scripted restart: revive the killed service — cold cache,
@@ -1011,18 +955,9 @@ impl Supervisor {
                 Err(_) => candidates.retain(|&r| r != to),
             }
         }
-        Self::abandon(&self.nodes, from, orphan);
-    }
-
-    /// No survivor exists: resolve the orphan's handle so nothing hangs.
-    fn abandon(nodes: &[Arc<KernelService>], from: usize, orphan: OrphanedJob) {
-        let error = JobError {
-            job: orphan.cell.job,
-            session: orphan.session,
-            kind: JobErrorKind::Abandoned,
-        };
-        orphan.cell.slot.complete(Err(error));
-        nodes[from].push_stream_outcome(orphan.session, orphan.cell.job, Err(error));
+        // No survivor exists: resolve the orphan's handle so nothing hangs.
+        let abandoned = orphan.cell.error(JobErrorKind::Abandoned);
+        self.nodes[from].resolve_orphan(&orphan.cell, Err(abandoned));
     }
 
     fn poll_inflight(&mut self) {
@@ -1037,10 +972,10 @@ impl Supervisor {
         }
     }
 
-    /// Settle one finished replay: stamp the report with provenance, resolve
-    /// the original handle (exactly once — the orphan's slot was left open
-    /// for this), deliver the original session's stream outcome, and record
-    /// the `CLUSTER_FAILOVER` join point.
+    /// Close one finished replay: stamp the report with provenance, resolve
+    /// the orphan on the node that handed it off (handle and stream entry
+    /// were left open for this), and record the `CLUSTER_FAILOVER` join
+    /// point.
     fn finalize(&self, replay: Replay, outcome: JobOutcome) {
         let Replay { from, to, orphan, .. } = replay;
         let original_job = orphan.cell.job;
@@ -1054,26 +989,17 @@ impl Supervisor {
                 });
                 Ok(report)
             }
-            Err(err) => {
-                Err(JobError { job: original_job, session: orphan.session, kind: err.kind })
-            }
+            Err(err) => Err(orphan.cell.error(err.kind)),
         };
         let ok = outcome.is_ok();
-        if orphan.cell.slot.complete(outcome.clone()) && ok {
-            orphan.cell.mark_completed();
-        }
-        self.nodes[from].push_stream_outcome(orphan.session, original_job, outcome);
+        self.nodes[from].resolve_orphan(&orphan.cell, outcome);
         if let Some(woven) = &self.obs_woven {
             let attrs = [(attr::NODE, to as i64), (attr::JOB, original_job as i64)];
-            let mut payload = ();
-            woven.dispatch_with(
+            woven.dispatch_returning(
                 names::CLUSTER_FAILOVER,
                 JoinPointKind::Execution,
                 &attrs,
-                &mut payload,
-                &mut |ctx| {
-                    ctx.set_attr(attr::OK, i64::from(ok));
-                },
+                |ctx| ctx.set_attr(attr::OK, i64::from(ok)),
             );
         }
     }
@@ -1209,6 +1135,7 @@ impl ClusterService {
         fault_plan: Option<FaultPlan>,
     ) -> Self {
         assert!(nodes > 0, "a cluster needs at least one node");
+        let config = config.normalized();
         let comms = Communicator::<f64>::mesh(nodes);
         let shutting_down = Arc::new(AtomicBool::new(false));
         let probes: Vec<CommProbe> = comms.iter().map(Communicator::probe).collect();
@@ -1266,29 +1193,23 @@ impl ClusterService {
                     .spawn(move || fabric.run(comm))
                     .expect("spawn fabric thread"),
             );
-            let service_clock = match &clock {
-                Some(fake) => ServiceClock::Fake(Arc::clone(fake)),
-                None => ServiceClock::real(),
-            };
-            let service =
-                Arc::new(KernelService::start(config, service_clock, Some(cache), obs.clone()));
+            let service = Arc::new(KernelService::start(
+                config,
+                cluster_clock.clone(),
+                Some(cache),
+                obs.clone(),
+            ));
             // The node's stranded jobs flow to the supervisor; with the
-            // supervisor gone (a kill racing teardown) the handle is failed
-            // so nothing hangs.
+            // supervisor gone (a kill racing teardown) the orphan goes back
+            // to its node, which abandons it so nothing hangs.
             let sink_tx = supervisor_tx.clone();
-            let sink: OrphanSink = Arc::new(move |orphan: OrphanedJob| {
-                if let Err(send) =
-                    sink_tx.send(SupervisorMsg::Orphan { from: rank, orphan: Box::new(orphan) })
-                {
-                    if let SupervisorMsg::Orphan { orphan, .. } = send.0 {
-                        let error = JobError {
-                            job: orphan.cell.job,
-                            session: orphan.session,
-                            kind: JobErrorKind::Abandoned,
-                        };
-                        orphan.cell.slot.complete(Err(error));
+            let sink: OrphanSink = Arc::new(move |orphan| {
+                sink_tx.send(SupervisorMsg::Orphan { from: rank, orphan }).map_err(|refused| {
+                    match refused.0 {
+                        SupervisorMsg::Orphan { orphan, .. } => orphan,
+                        _ => unreachable!("the refused message is the orphan just sent"),
                     }
-                }
+                })
             });
             service.install_orphan_sink(sink);
             services.push(service);
@@ -1313,7 +1234,7 @@ impl ClusterService {
                     // closure holds no node Arc, so shutdown's try_unwrap
                     // stays possible.
                     fake.on_advance(move || ctx.beat());
-                    pacemakers.push(Pacemaker::FakeHook { stop });
+                    pacemakers.push(Pacemaker { stop, thread: None });
                 }
                 None => {
                     let beat_every = tuning.heartbeat_every;
@@ -1336,7 +1257,7 @@ impl ClusterService {
                             }
                         })
                         .expect("spawn pacemaker thread");
-                    pacemakers.push(Pacemaker::Thread { stop, handle });
+                    pacemakers.push(Pacemaker { stop, thread: Some(handle) });
                 }
             }
         }
@@ -1500,51 +1421,17 @@ impl ClusterService {
     /// returns no violations.
     pub fn obs_snapshot(&self) -> Option<ObsSnapshot> {
         let hub = self.obs.as_ref()?;
-        let metrics = hub.metrics();
-        let cache = self.cache_stats().total;
         let comm = self.comm_stats().total;
-        let mut waiting = 0u64;
-        let mut queued = 0u64;
-        let mut queue_limit = 0u64;
-        for node in &self.nodes {
-            let stats = node.admission_stats();
-            waiting += stats.waiting as u64;
-            queued += stats.queued as u64;
-            queue_limit += stats.queue_limit as u64;
-        }
-        Some(ObsSnapshot {
-            cache: Some(CacheCounters {
-                hits: cache.hits,
-                misses: cache.misses,
-                compiles: cache.compiles,
-                fetches: cache.fetches,
-                evictions: cache.evictions,
-                collisions: cache.collisions,
-                degraded_resolves: cache.degraded_resolves,
-                lanes: cache.family.iter().map(|lane| (lane.hits, lane.misses)).collect(),
-            }),
-            comm: Some(CommCounters {
-                messages_sent: comm.messages_sent,
-                messages_received: comm.messages_received,
-                bytes_sent: comm.bytes_sent,
-                bytes_received: comm.bytes_received,
-                control_sent: comm.control_sent,
-                control_received: comm.control_received,
-            }),
-            admission: AdmissionCounters {
-                waiting,
-                queued,
-                queue_limit,
-                queue_wait: metrics.queue_wait_ns.snapshot(),
-            },
-            jobs: JobCounters {
-                completed: metrics.jobs_completed.get(),
-                failed: metrics.jobs_failed.get(),
-                worker_busy_ns: metrics.worker_busy_ns.get(),
-            },
-            retained_spans: hub.recorder().len() as u64,
-            dropped_spans: hub.recorder().dropped(),
-        })
+        let comm = CommCounters {
+            messages_sent: comm.messages_sent,
+            messages_received: comm.messages_received,
+            bytes_sent: comm.bytes_sent,
+            bytes_received: comm.bytes_received,
+            control_sent: comm.control_sent,
+            control_received: comm.control_received,
+        };
+        let admission = self.nodes.iter().map(|node| node.admission_stats());
+        Some(obs_snapshot(hub, self.cache_stats().total, Some(comm), admission))
     }
 
     /// Clean shutdown: drain every node to quiescence (in-flight fetches
@@ -1571,10 +1458,10 @@ impl ClusterService {
         // Silence the pacemakers: no more heartbeats, sweeps or scripted
         // kills.  Fake-clock hooks stay registered but inert.
         for pacemaker in &self.pacemakers {
-            pacemaker.stop();
+            pacemaker.stop.store(true, Ordering::SeqCst);
         }
-        for pacemaker in self.pacemakers.drain(..) {
-            pacemaker.join();
+        for thread in self.pacemakers.drain(..).filter_map(|pacemaker| pacemaker.thread) {
+            let _ = thread.join();
         }
         // The supervisor finishes every in-flight replay before exiting, so
         // no orphan's handle is left unresolved.

@@ -17,6 +17,7 @@
 //! (it implements [`Future`]), or dropped — dropping never leaks the
 //! worker slot, the outcome still settles all accounting.
 
+use crate::service::Settlement;
 use crate::session::SessionId;
 use aohpc_dsl::particle::BUCKETS_PER_BLOCK_SIDE;
 use aohpc_dsl::ParticleSystem;
@@ -455,6 +456,11 @@ impl JobCell {
         self.state.store(STATE_COMPLETED, Ordering::Release);
     }
 
+    /// The error this job resolves with when it leaves without running.
+    pub(crate) fn error(&self, kind: JobErrorKind) -> JobError {
+        JobError { job: self.job, session: self.session, kind }
+    }
+
     pub(crate) fn status(&self) -> JobStatus {
         match self.state.load(Ordering::Acquire) {
             STATE_QUEUED => JobStatus::Queued,
@@ -528,29 +534,29 @@ impl JobHandle {
 
     /// Revoke the job if no worker has picked it up yet.
     ///
-    /// `true` means the cancel won: the job will never execute, the handle
-    /// resolves with [`JobErrorKind::Cancelled`], and its **session quota
-    /// slot** is released immediately (unblocking submitters parked on
-    /// `WouldBlock`).  The job's **bounded-queue slot** is different: the
-    /// cancelled message stays in the channel as a tombstone until a worker
-    /// dequeues and discards it, so submitters parked on `QueueFull` are
-    /// unblocked by worker progress, not by the cancel itself (and never in
-    /// admission-only mode, where no worker exists to drain tombstones).
+    /// `true` means the cancel won: the job will never execute and is settled
+    /// here, in the one order every exit follows (see the
+    /// [service module docs](crate::service)) — its **session quota slot** is
+    /// released and metered, then the handle resolves with
+    /// [`JobErrorKind::Cancelled`], so whoever the handle wakes can take the
+    /// slot, as can submitters parked on `WouldBlock`.  The job's
+    /// **bounded-queue slot** is different: the cancelled message stays in
+    /// the channel as a tombstone until a worker dequeues and discards it, so
+    /// submitters parked on `QueueFull` are unblocked by worker progress, not
+    /// by the cancel itself (and never in admission-only mode, where no
+    /// worker exists to drain tombstones).
     /// `false` means the job already runs or has resolved; it proceeds
     /// normally.
     pub fn cancel(&self) -> bool {
         if !self.cell.mark_cancelled() {
             return false;
         }
+        let cancelled = Err(self.cell.error(JobErrorKind::Cancelled));
         if let Some(inner) = self.service.upgrade() {
-            inner.settle_cancelled(&self.cell);
+            inner.settle(&self.cell, Settlement::Final(cancelled));
         } else {
             // The service is gone; just resolve the slot so waiters return.
-            self.cell.slot.complete(Err(JobError {
-                job: self.cell.job,
-                session: self.cell.session,
-                kind: JobErrorKind::Cancelled,
-            }));
+            self.cell.slot.complete(cancelled);
         }
         true
     }

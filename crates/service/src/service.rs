@@ -25,17 +25,22 @@
 //!    for, with the job's live
 //!    [`ProgressNotifier`](aohpc_runtime::ProgressNotifier) installed in the
 //!    run config.
-//! 4. **Results** — the job **resolves exactly once**: its [`JobHandle`]
-//!    completes (report or [`JobError`]), the session's
-//!    [`CompletionStream`] receives the outcome in submission order, and —
-//!    for the synchronous path — the [`JobReport`] is recorded so
-//!    [`KernelService::drain`] / [`KernelService::drain_session`] keep
-//!    working exactly as before.  The synchronous drains are now thin
-//!    wrappers over the same completion plumbing: they wait for the pending
-//!    count the resolution paths settle.
+//! 4. **Results** — the job **resolves exactly once**, in one place
+//!    (`Inner::settle` in this file, whose doc states the order): the
+//!    [`JobReport`] is retained for [`KernelService::drain`] /
+//!    [`KernelService::drain_session`], the session's [`CompletionStream`]
+//!    receives the outcome in submission order, the session releases the
+//!    job's quota slot and meters it, and only then does the [`JobHandle`]
+//!    complete (report or [`JobError`]) — so whatever the handle wakes sees
+//!    the job gone from the session's books.  A job that never runs
+//!    ([cancelled](JobHandle::cancel), abandoned at shutdown, stranded by a
+//!    kill) leaves through the same place in the same order.  The
+//!    synchronous drains wait for the pending count that settlement drops.
 
 use crate::cache::{PlanCache, PlanCacheStats, PlanOrigin};
-use crate::job::{JobCell, JobError, JobErrorKind, JobHandle, JobId, JobReport, JobSpec};
+use crate::job::{
+    JobCell, JobError, JobErrorKind, JobHandle, JobId, JobOutcome, JobReport, JobSpec,
+};
 use crate::session::{
     CompletionStream, SessionCtx, SessionId, SessionMeter, SessionSpec, StreamState,
 };
@@ -50,8 +55,8 @@ use aohpc_kernel::{
     ScratchPoolStats, SpecializationId,
 };
 use aohpc_obs::{
-    push_context, AdmissionCounters, CacheCounters, Histogram, JobCounters, ObsHub, ObsRunAspect,
-    ObsServiceAspect, ObsSnapshot,
+    push_context, AdmissionCounters, CacheCounters, CommCounters, Histogram, JobCounters, ObsHub,
+    ObsRunAspect, ObsServiceAspect, ObsSnapshot,
 };
 use aohpc_runtime::annotation::MAX_RETRIES_PER_STEP;
 use aohpc_runtime::{execute, CostModel, HpcApp, MpiAspect, OmpAspect, RunConfig, TaskSlot};
@@ -122,10 +127,11 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the plan-cache geometry.
+    /// Set the plan-cache geometry: at least one shard, at least one entry a
+    /// shard.
     pub fn with_cache(mut self, shards: usize, capacity: usize) -> Self {
-        self.cache_shards = shards;
-        self.cache_capacity = capacity;
+        self.cache_shards = shards.max(1);
+        self.cache_capacity = capacity.max(self.cache_shards);
         self
     }
 
@@ -151,6 +157,15 @@ impl ServiceConfig {
     pub fn with_report_retention(mut self, retain: bool) -> Self {
         self.retain_reports = retain;
         self
+    }
+
+    /// What a directly-constructed config means once the builders' clamps
+    /// are applied: a zero queue bound would make every admission `QueueFull`
+    /// forever, and a cache without a shard (or with fewer entries than
+    /// shards) cannot be built.
+    pub(crate) fn normalized(self) -> Self {
+        self.with_queue_bound(self.max_queued_jobs)
+            .with_cache(self.cache_shards, self.cache_capacity)
     }
 }
 
@@ -265,27 +280,17 @@ pub struct AdmissionStats {
 /// The clock admission deadlines are measured on: the wall clock in
 /// production, a test-controlled [`FakeClock`] under the deterministic
 /// harness (see [`KernelService::with_fake_clock`]).
+#[derive(Clone)]
 pub(crate) enum ServiceClock {
     Real(Instant),
     Fake(Arc<FakeClock>),
-}
-
-impl Clone for ServiceClock {
-    fn clone(&self) -> Self {
-        match self {
-            ServiceClock::Real(start) => ServiceClock::Real(*start),
-            ServiceClock::Fake(clock) => ServiceClock::Fake(Arc::clone(clock)),
-        }
-    }
 }
 
 impl ServiceClock {
     pub(crate) fn real() -> Self {
         ServiceClock::Real(Instant::now())
     }
-}
 
-impl ServiceClock {
     pub(crate) fn now(&self) -> Duration {
         match self {
             ServiceClock::Real(start) => start.elapsed(),
@@ -345,8 +350,6 @@ struct Queued {
 /// A job stranded on a killed node, handed to the failover supervisor for
 /// replay on a survivor (see [`KernelService::kill_for_failover`]).
 pub(crate) struct OrphanedJob {
-    /// The session the job was admitted under on the dead node.
-    pub(crate) session: SessionId,
     /// The full spec, so the replay is the same work.
     pub(crate) spec: JobSpec,
     /// The original cell: the supervisor resolves its slot with the replay's
@@ -358,9 +361,24 @@ pub(crate) struct OrphanedJob {
 }
 
 /// Where a killed node's orphans go: installed per node by the cluster's
-/// failover supervisor, absent on standalone services (orphaning then
-/// degrades to abandonment so every handle still resolves).
-pub(crate) type OrphanSink = Arc<dyn Fn(OrphanedJob) + Send + Sync>;
+/// failover supervisor, absent on standalone services.  A sink that can no
+/// longer deliver (the supervisor is gone) hands the orphan back; either way
+/// orphaning then degrades to abandonment so every handle still resolves.
+pub(crate) type OrphanSink =
+    Arc<dyn Fn(Box<OrphanedJob>) -> Result<(), Box<OrphanedJob>> + Send + Sync>;
+
+/// Which part of [`Inner::settle`] a call performs.
+pub(crate) enum Settlement {
+    /// The job ends on this node: resolve it with the outcome and release its
+    /// books.
+    Final(JobOutcome),
+    /// The job leaves this node for the failover sink: release its books now,
+    /// leave its handle open.
+    HandOff,
+    /// The close of a handed-off job: resolve it with the outcome; its books
+    /// were released at the hand-off.
+    Deferred(JobOutcome),
+}
 
 pub(crate) struct Inner {
     config: ServiceConfig,
@@ -414,39 +432,80 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// The session's stream state, if one is attached *and* has a live
-    /// consumer — callers skip building the outcome (a report clone on the
-    /// completion hot path) entirely otherwise.
-    fn consumer_stream(&self, session: SessionId) -> Option<Arc<StreamState>> {
-        self.streams.lock().get(&session).filter(|s| s.has_consumers()).cloned()
-    }
-
-    /// Deliver an outcome to the session's stream, if a consumer is
-    /// attached.
-    fn push_stream_outcome(&self, session: SessionId, job: JobId, outcome: crate::job::JobOutcome) {
-        if let Some(stream) = self.consumer_stream(session) {
-            stream.resolve(job, outcome);
+    /// The one place a job ends.  Every accepted job **resolves exactly once**
+    /// and every way of leaving a node — completion, [`JobHandle::cancel`],
+    /// abandonment at shutdown, a fail-stop kill with or without a failover
+    /// sink — comes here *after* winning the job's state claim
+    /// (`begin_running` / `mark_cancelled` / `mark_abandoned`), so the steps
+    /// below run once per job, in this order:
+    ///
+    /// 1. the report is retained for `drain` / `drain_session` (a job that
+    ///    ran here, [`ServiceConfig::retain_reports`] on);
+    /// 2. the session's completion stream receives the outcome (cloned only
+    ///    when a consumer is attached);
+    /// 3. the job's status becomes final (`Completed`; `Cancelled` and
+    ///    `Abandoned` are the claims themselves);
+    /// 4. the session releases the in-flight slot and meters the exit;
+    /// 5. the handle resolves — waiters return and wakers fire, on this
+    ///    thread, with no service lock held;
+    /// 6. the pending count drops, and `drain`, `drain_session` and parked
+    ///    submitters are woken.
+    ///
+    /// 1 before 4: a `drain_session` that sees the session idle must find its
+    /// last report.  1–4 before 5: whoever the handle wakes sees the exit in
+    /// the stream, the status and the meter, and can take the freed quota
+    /// slot.  The bounded-queue slot is not part of this: it frees when a
+    /// worker dequeues the message (see [`JobHandle::cancel`]).
+    ///
+    /// A job handed to the failover sink is the one exit in two calls:
+    /// [`Settlement::HandOff`] does 4 and 6 at the kill — the dead node's
+    /// `drain` never waits on work that finishes elsewhere — and
+    /// [`Settlement::Deferred`] does 2, 3 and 5 when the supervisor has the
+    /// replay's outcome (retained where it ran, not here).
+    pub(crate) fn settle(&self, cell: &JobCell, how: Settlement) {
+        if let Settlement::Final(Ok(report)) = &how {
+            if self.config.retain_reports {
+                self.results.lock().push(report.clone());
+            }
         }
-    }
-
-    /// Settle a job [`JobHandle::cancel`] has claimed: resolve the handle,
-    /// deliver the stream outcome, release the quota slot and wake both the
-    /// drains and any backpressured submitters.  The bounded-queue slot is
-    /// *not* released here — the message stays in the channel as a tombstone
-    /// until a worker dequeues it (see [`JobHandle::cancel`]).
-    pub(crate) fn settle_cancelled(&self, cell: &JobCell) {
-        let error =
-            JobError { job: cell.job, session: cell.session, kind: JobErrorKind::Cancelled };
-        cell.slot.complete(Err(error));
-        self.push_stream_outcome(cell.session, cell.job, Err(error));
-        if let Some(ctx) = self.sessions.lock().get_mut(&cell.session) {
-            ctx.note_cancelled();
+        let (outcome, release) = match how {
+            Settlement::Final(outcome) => (Some(outcome), true),
+            Settlement::HandOff => (None, true),
+            Settlement::Deferred(outcome) => (Some(outcome), false),
+        };
+        if let Some(outcome) = &outcome {
+            let stream =
+                self.streams.lock().get(&cell.session).filter(|s| s.has_consumers()).cloned();
+            if let Some(stream) = stream {
+                stream.resolve(cell.job, outcome.clone());
+            }
+            if outcome.is_ok() {
+                cell.mark_completed();
+            }
         }
-        let mut pending = self.pending.lock().expect("pending lock");
-        *pending -= 1;
-        drop(pending);
-        self.idle.notify_all();
-        self.capacity.bump();
+        if release {
+            if let Some(ctx) = self.sessions.lock().get_mut(&cell.session) {
+                match &outcome {
+                    Some(Ok(_)) => ctx.note_completed(),
+                    Some(Err(JobError { kind: JobErrorKind::Cancelled, .. })) => {
+                        ctx.note_cancelled()
+                    }
+                    Some(Err(JobError { kind: JobErrorKind::Abandoned, .. })) | None => {
+                        ctx.note_abandoned()
+                    }
+                }
+            }
+        }
+        if let Some(outcome) = outcome {
+            cell.slot.complete(outcome);
+        }
+        if release {
+            let mut pending = self.pending.lock().expect("pending lock");
+            *pending -= 1;
+            drop(pending);
+            self.idle.notify_all();
+            self.capacity.bump();
+        }
     }
 }
 
@@ -508,10 +567,7 @@ impl KernelService {
         cache: Option<Arc<PlanCache>>,
         obs: Option<Arc<ObsHub>>,
     ) -> Self {
-        // Normalize directly-constructed configs (the builder already
-        // clamps): a zero queue bound would make every admission QueueFull
-        // forever.
-        let config = ServiceConfig { max_queued_jobs: config.max_queued_jobs.max(1), ..config };
+        let config = config.normalized();
         let cache = cache.unwrap_or_else(|| {
             Arc::new(PlanCache::new(config.cache_shards, config.cache_capacity))
         });
@@ -553,7 +609,7 @@ impl KernelService {
             obs,
             service_woven,
         });
-        let (tx, rx) = bounded::<Queued>(config.max_queued_jobs.max(1));
+        let (tx, rx) = bounded::<Queued>(config.max_queued_jobs);
         let workers = (0..config.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -562,19 +618,7 @@ impl KernelService {
                     .name(format!("aohpc-service-{i}"))
                     .spawn(move || {
                         while let Ok(queued) = rx.recv() {
-                            // The queue slot frees as soon as the job is
-                            // dequeued; tell backpressured submitters.
-                            inner.queued.fetch_sub(1, Ordering::SeqCst);
-                            inner.capacity.bump();
-                            if inner.killed.load(Ordering::SeqCst) {
-                                // Fail-stop: anything dequeued after the kill
-                                // goes to the failover sink, never a worker.
-                                orphan_one(&inner, queued);
-                            } else if inner.shutting_down.load(Ordering::Relaxed) {
-                                abandon_one(&inner, &queued.cell);
-                            } else {
-                                run_one(&inner, queued);
-                            }
+                            dequeued(&inner, queued);
                         }
                     })
                     .expect("spawn service worker")
@@ -630,34 +674,7 @@ impl KernelService {
     /// instead of per-node snapshots.
     pub fn obs_snapshot(&self) -> Option<ObsSnapshot> {
         let hub = self.inner.obs.as_ref()?;
-        let metrics = hub.metrics();
-        let cache = self.cache_stats();
-        Some(ObsSnapshot {
-            cache: Some(CacheCounters {
-                hits: cache.hits,
-                misses: cache.misses,
-                compiles: cache.compiles,
-                fetches: cache.fetches,
-                evictions: cache.evictions,
-                collisions: cache.collisions,
-                degraded_resolves: cache.degraded_resolves,
-                lanes: cache.family.iter().map(|lane| (lane.hits, lane.misses)).collect(),
-            }),
-            comm: None,
-            admission: AdmissionCounters {
-                waiting: self.inner.capacity.waiting.load(Ordering::SeqCst) as u64,
-                queued: self.inner.queued.load(Ordering::SeqCst) as u64,
-                queue_limit: self.inner.config.max_queued_jobs as u64,
-                queue_wait: metrics.queue_wait_ns.snapshot(),
-            },
-            jobs: JobCounters {
-                completed: metrics.jobs_completed.get(),
-                failed: metrics.jobs_failed.get(),
-                worker_busy_ns: metrics.worker_busy_ns.get(),
-            },
-            retained_spans: hub.recorder().len() as u64,
-            dropped_spans: hub.recorder().dropped(),
-        })
+        Some(obs_snapshot(hub, self.cache_stats(), None, [self.admission_stats()]))
     }
 
     /// The shared plan cache (e.g. to install into an out-of-band app).
@@ -972,9 +989,7 @@ impl KernelService {
         // not at shutdown.  Workers racing this drain orphan their own
         // dequeues via the killed check in their loop.
         while let Ok(queued) = self.queue_rx.try_recv() {
-            self.inner.queued.fetch_sub(1, Ordering::SeqCst);
-            self.inner.capacity.bump();
-            orphan_one(&self.inner, queued);
+            dequeued(&self.inner, queued);
         }
     }
 
@@ -1001,16 +1016,10 @@ impl KernelService {
         true
     }
 
-    /// Deliver a failover outcome to the session's completion stream on this
-    /// node (the supervisor finalizing an orphan; the stream entry was
-    /// registered at original admission).
-    pub(crate) fn push_stream_outcome(
-        &self,
-        session: SessionId,
-        job: JobId,
-        outcome: crate::job::JobOutcome,
-    ) {
-        self.inner.push_stream_outcome(session, job, outcome);
+    /// Close a job this node handed to its orphan sink: the supervisor has
+    /// the replay's outcome, or found no survivor to replay on.
+    pub(crate) fn resolve_orphan(&self, cell: &JobCell, outcome: JobOutcome) {
+        self.inner.settle(cell, Settlement::Deferred(outcome));
     }
 
     /// Close the queue and join the workers.  Implied by `Drop`; explicit
@@ -1033,8 +1042,7 @@ impl KernelService {
         // mode) is abandoned inline so every job still resolves exactly
         // once.
         while let Ok(queued) = self.queue_rx.try_recv() {
-            self.inner.queued.fetch_sub(1, Ordering::SeqCst);
-            abandon_one(&self.inner, &queued.cell);
+            dequeued(&self.inner, queued);
         }
     }
 }
@@ -1056,6 +1064,49 @@ impl fmt::Debug for KernelService {
     }
 }
 
+/// One snapshot over the given stat islands — a node's, or a cluster's summed
+/// — and the hub's job metrics and recorder state.
+pub(crate) fn obs_snapshot(
+    hub: &ObsHub,
+    cache: PlanCacheStats,
+    comm: Option<CommCounters>,
+    admission: impl IntoIterator<Item = AdmissionStats>,
+) -> ObsSnapshot {
+    let metrics = hub.metrics();
+    let mut counters = AdmissionCounters {
+        waiting: 0,
+        queued: 0,
+        queue_limit: 0,
+        queue_wait: metrics.queue_wait_ns.snapshot(),
+    };
+    for node in admission {
+        counters.waiting += node.waiting as u64;
+        counters.queued += node.queued as u64;
+        counters.queue_limit += node.queue_limit as u64;
+    }
+    ObsSnapshot {
+        cache: Some(CacheCounters {
+            hits: cache.hits,
+            misses: cache.misses,
+            compiles: cache.compiles,
+            fetches: cache.fetches,
+            evictions: cache.evictions,
+            collisions: cache.collisions,
+            degraded_resolves: cache.degraded_resolves,
+            lanes: cache.family.iter().map(|lane| (lane.hits, lane.misses)).collect(),
+        }),
+        comm,
+        admission: counters,
+        jobs: JobCounters {
+            completed: metrics.jobs_completed.get(),
+            failed: metrics.jobs_failed.get(),
+            worker_busy_ns: metrics.worker_busy_ns.get(),
+        },
+        retained_spans: hub.recorder().len() as u64,
+        dropped_spans: hub.recorder().dropped(),
+    }
+}
+
 /// How one admission attempt failed.
 enum AdmitDenied {
     /// Retrying cannot help (unknown/closed session, malformed spec,
@@ -1073,62 +1124,53 @@ fn validate(spec: &JobSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// Discard a queued job during shutdown: resolve its handle and stream entry
-/// with [`JobErrorKind::Abandoned`] and settle the counters so a concurrent
-/// `drain` cannot hang on work that will never run.  A job already claimed
-/// by [`JobHandle::cancel`] was settled there.
-fn abandon_one(inner: &Inner, cell: &JobCell) {
-    if !cell.mark_abandoned() {
-        return;
-    }
-    let error = JobError { job: cell.job, session: cell.session, kind: JobErrorKind::Abandoned };
-    cell.slot.complete(Err(error));
-    inner.push_stream_outcome(cell.session, cell.job, Err(error));
-    if let Some(ctx) = inner.sessions.lock().get_mut(&cell.session) {
-        ctx.note_abandoned();
-    }
-    let mut pending = inner.pending.lock().expect("pending lock");
-    *pending -= 1;
-    drop(pending);
-    inner.idle.notify_all();
+/// What becomes of a message once it leaves the queue, on a worker or — where
+/// no worker will drain it — inline in `kill_for_failover` and shutdown.
+fn dequeued(inner: &Inner, queued: Queued) {
+    // The queue slot frees as soon as the job is dequeued; tell
+    // backpressured submitters.
+    inner.queued.fetch_sub(1, Ordering::SeqCst);
     inner.capacity.bump();
+    if inner.killed.load(Ordering::SeqCst) {
+        // Fail-stop: anything dequeued after the kill goes to the failover
+        // sink, never a worker.
+        orphan_one(inner, queued);
+    } else if inner.shutting_down.load(Ordering::Relaxed) {
+        abandon_one(inner, &queued.cell);
+    } else {
+        run_one(inner, queued);
+    }
 }
 
-/// Strand-side of a fail-stop kill: settle the dead node's accounting for a
-/// queued job and hand it to the failover sink **without** resolving its
-/// completion slot — the supervisor resolves it with the replay's report, so
-/// the submitter's handle still settles exactly once.  Without a sink
-/// (standalone service) the orphan degrades to an abandonment.
+/// Discard a queued job during shutdown, so a concurrent `drain` cannot hang
+/// on work that will never run.  A job already claimed by
+/// [`JobHandle::cancel`] was settled there.
+fn abandon_one(inner: &Inner, cell: &JobCell) {
+    if cell.mark_abandoned() {
+        inner.settle(cell, Settlement::Final(Err(cell.error(JobErrorKind::Abandoned))));
+    }
+}
+
+/// Strand-side of a fail-stop kill: hand a queued job to the failover sink
+/// with its handle left open — the supervisor resolves it with the replay's
+/// report, so the submitter's handle still settles exactly once.  Without a
+/// sink (standalone service), or with one that can no longer deliver, the
+/// orphan degrades to an abandonment.
 fn orphan_one(inner: &Inner, queued: Queued) {
     let Queued { cell, spec, .. } = queued;
     if !cell.mark_abandoned() {
         // A cancel won the race and settled everything already.
         return;
     }
-    let watermark = cell.progress.snapshot();
-    // The job leaves this node's books: its in-flight slot frees and the
-    // pending count drops, so the dead node's drain/shutdown never waits on
-    // work that will finish elsewhere.
-    if let Some(ctx) = inner.sessions.lock().get_mut(&cell.session) {
-        ctx.note_abandoned();
-    }
-    let mut pending = inner.pending.lock().expect("pending lock");
-    *pending -= 1;
-    drop(pending);
-    inner.idle.notify_all();
-    inner.capacity.bump();
+    let abandoned = Err(cell.error(JobErrorKind::Abandoned));
     let sink = inner.orphan_sink.lock().clone();
-    match sink {
-        Some(sink) => {
-            let session = cell.session;
-            sink(OrphanedJob { session, spec, cell, watermark });
-        }
-        None => {
-            let error =
-                JobError { job: cell.job, session: cell.session, kind: JobErrorKind::Abandoned };
-            cell.slot.complete(Err(error));
-            inner.push_stream_outcome(cell.session, cell.job, Err(error));
-        }
+    let Some(sink) = sink else {
+        return inner.settle(&cell, Settlement::Final(abandoned));
+    };
+    let orphan = Box::new(OrphanedJob { spec, watermark: cell.progress.snapshot(), cell });
+    inner.settle(&orphan.cell, Settlement::HandOff);
+    if let Err(orphan) = sink(orphan) {
+        inner.settle(&orphan.cell, Settlement::Deferred(abandoned));
     }
 }
 
@@ -1140,10 +1182,8 @@ struct Executed {
     error: Option<String>,
 }
 
-/// Execute one queued job on the calling worker thread and resolve it
-/// exactly once: retained results, completion stream, status, session
-/// accounting, handle, pending count and capacity wake-ups — in the order the
-/// drain invariants require.
+/// Execute one queued job on the calling worker thread and settle it with its
+/// report ([`Inner::settle`]).
 fn run_one(inner: &Inner, queued: Queued) {
     let Queued { cell, spec, admitted_at } = queued;
     if !cell.begin_running() {
@@ -1217,10 +1257,8 @@ fn run_one(inner: &Inner, queued: Queued) {
         }
     });
 
-    // Meter the session *without* releasing its in-flight slot yet: the
-    // report must be in `results` before in_flight drops to zero, or a
-    // concurrent `drain_session` could observe an idle session and miss its
-    // final report.
+    // Meter the session *without* releasing its in-flight slot: that is the
+    // settlement's, after the report is retained.
     let tenant = {
         let mut sessions = inner.sessions.lock();
         match sessions.get_mut(&session) {
@@ -1276,33 +1314,7 @@ fn run_one(inner: &Inner, queued: Queued) {
             hub.recorder().end_with(open, job as i64, i64::from(report.error.is_none()));
         }
     }
-    if inner.config.retain_reports {
-        inner.results.lock().push(report.clone());
-    }
-    // Resolve the stream first (clone only when a consumer actually exists —
-    // the drain/handle-only common case skips it).
-    if let Some(stream) = inner.consumer_stream(session) {
-        stream.resolve(job, Ok(report.clone()));
-    }
-    cell.mark_completed();
-
-    // Settle the session's accounting *before* resolving the handle, so a
-    // caller returning from `JobHandle::wait` observes its completion in the
-    // meter; the report is already in `results`, preserving the
-    // `drain_session` ordering invariant above.
-    if let Some(ctx) = inner.sessions.lock().get_mut(&session) {
-        ctx.note_completed();
-    }
-    cell.slot.complete(Ok(report));
-
-    let mut pending = inner.pending.lock().expect("pending lock");
-    *pending -= 1;
-    drop(pending);
-    // Every completion wakes the waiters: `drain` re-checks the global count,
-    // `drain_session` its session's in-flight count, parked submitters the
-    // freed quota slot.
-    inner.idle.notify_all();
-    inner.capacity.bump();
+    inner.settle(&cell, Settlement::Final(Ok(report)));
 }
 
 /// The admission pre-warm resolve.  With an observer installed the lookup is
@@ -1324,21 +1336,16 @@ fn resolve_primary(
         (attr::PARENT, parent as i64),
         (attr::FAMILY, i64::from(spec.program.family().tag())),
     ];
-    let mut resolved = None;
-    let mut payload = ();
-    inner.service_woven.dispatch_with(
+    let resolved = inner.service_woven.dispatch_returning(
         names::CACHE_RESOLVE,
         JoinPointKind::Call,
         &attrs,
-        &mut payload,
-        &mut |ctx| {
-            let (artifact, origin) =
-                inner.cache.resolve(&spec.program, primary, spec.opt_level, pin_plans);
-            ctx.set_attr(attr::ORIGIN, origin as i64);
-            resolved = Some((artifact, origin));
+        |ctx| {
+            let resolved = inner.cache.resolve(&spec.program, primary, spec.opt_level, pin_plans);
+            ctx.set_attr(attr::ORIGIN, resolved.1 as i64);
+            resolved
         },
     );
-    let resolved = resolved.expect("resolve body runs exactly once");
     // A fresh insert (local compile or cluster fetch + re-lower) ran the
     // shape-specialization matcher: record its verdict through the
     // `Kernel::specialize` join point, parented into the same job tree.
@@ -1349,18 +1356,11 @@ fn resolve_primary(
             .as_stencil()
             .map(|k| k.specialization() != SpecializationId::Generic)
             .unwrap_or(false);
-        let attrs = [
-            (attr::TRACE, trace as i64),
-            (attr::PARENT, parent as i64),
-            (attr::FAMILY, i64::from(spec.program.family().tag())),
-        ];
-        let mut payload = ();
-        inner.service_woven.dispatch_with(
+        inner.service_woven.dispatch_returning(
             names::KERNEL_SPECIALIZE,
             JoinPointKind::Call,
             &attrs,
-            &mut payload,
-            &mut |ctx| ctx.set_attr(attr::OK, i64::from(specialized)),
+            |ctx| ctx.set_attr(attr::OK, i64::from(specialized)),
         );
     }
     resolved
@@ -1384,18 +1384,12 @@ fn execute_traced(
         (attr::FAMILY, i64::from(spec.program.family().tag())),
         (attr::JOB, cell.job as i64),
     ];
-    let mut result = None;
-    let mut payload = ();
-    inner.service_woven.dispatch_with(
+    inner.service_woven.dispatch_returning(
         names::SERVICE_EXECUTE,
         JoinPointKind::Execution,
         &attrs,
-        &mut payload,
-        &mut |_| {
-            result = Some(execute_spec(inner, spec, cell, artifact, trace_ctx));
-        },
-    );
-    result.expect("execute body runs exactly once")
+        |_| execute_spec(inner, spec, cell, artifact, trace_ctx),
+    )
 }
 
 /// Build the job's `(system, app)` pair for its
@@ -1801,13 +1795,28 @@ mod tests {
 
     #[test]
     fn zero_queue_bound_is_normalized() {
-        // A directly-constructed config bypasses the builder clamp; the
-        // service must normalize it rather than livelock every admission.
-        let config = ServiceConfig { max_queued_jobs: 0, workers: 1, ..ServiceConfig::default() };
-        let service = KernelService::new(config);
-        let session = service.open_session(SessionSpec::tenant("t"));
-        assert_eq!(service.admission_stats().queue_limit, 1);
-        service.submit(session, smoke_job()).unwrap().wait().unwrap();
+        // A directly-constructed config bypasses the builder clamps; the
+        // service must normalize it rather than livelock every admission —
+        // or, for a cache without a shard or with fewer entries than shards,
+        // panic while it starts.
+        for (cache_shards, cache_capacity) in [(8, 64), (0, 64), (0, 0), (8, 3)] {
+            let config = ServiceConfig {
+                max_queued_jobs: 0,
+                workers: 1,
+                cache_shards,
+                cache_capacity,
+                ..ServiceConfig::default()
+            };
+            let service = KernelService::new(config);
+            let session = service.open_session(SessionSpec::tenant("t"));
+            assert_eq!(service.admission_stats().queue_limit, 1);
+            service.submit(session, smoke_job()).unwrap().wait().unwrap();
+            assert_eq!(service.cache_stats().entries, 1, "{cache_shards} x {cache_capacity}");
+        }
+        let built = ServiceConfig::default().with_cache(0, 0);
+        assert_eq!((built.cache_shards, built.cache_capacity), (1, 1));
+        let built = ServiceConfig::default().with_cache(8, 3);
+        assert_eq!((built.cache_shards, built.cache_capacity), (8, 8));
     }
 
     #[test]
@@ -2035,6 +2044,131 @@ mod tests {
         }
         assert_eq!(completed + abandoned, 64);
         assert!(abandoned > 0, "a 64-deep backlog cannot all have run before shutdown");
+    }
+
+    /// What a waker on a job's handle reads at the moment the handle
+    /// resolves: `(in_flight, jobs_completed)` of its session, its status,
+    /// and whether the session's stream already holds its outcome.
+    struct ExitProbe {
+        inner: Arc<Inner>,
+        handle: JobHandle,
+        stream: CompletionStream,
+        seen: StdMutex<Option<(usize, u64, JobStatus, bool)>>,
+    }
+
+    impl std::task::Wake for ExitProbe {
+        fn wake(self: Arc<Self>) {
+            let ctx = self.inner.sessions.lock().get(&self.handle.session()).cloned().unwrap();
+            let streamed = self.stream.try_next().map(|outcome| outcome.is_ok());
+            *self.seen.lock().unwrap() = Some((
+                ctx.in_flight(),
+                ctx.meter().jobs_completed,
+                self.handle.status(),
+                streamed == Some(self.handle.poll().expect("resolved").is_ok()),
+            ));
+        }
+    }
+
+    #[test]
+    fn every_exit_settles_before_its_handle_wakes() {
+        // The exits `tests/settlement.rs` cannot reach from outside the
+        // crate, each on an admission-only service with the probe on the
+        // handle first; the test thread plays the worker and the supervisor.
+        struct PanickingFetcher;
+        impl crate::cache::PlanFetcher for PanickingFetcher {
+            fn fetch(
+                &self,
+                _: &crate::cache::PlanKey,
+                _: &aohpc_kernel::FamilyProgram,
+            ) -> crate::cache::FetchOutcome {
+                panic!("the fetcher is down")
+            }
+        }
+        type Exit = fn(KernelService, &JobHandle);
+        let routes: [(&str, Exit, JobStatus, u64); 5] = [
+            (
+                "kill without a sink",
+                |service, _| service.kill_for_failover(),
+                JobStatus::Abandoned,
+                0,
+            ),
+            (
+                "kill, the sink hands the orphan back",
+                |service, _| {
+                    service.install_orphan_sink(Arc::new(Err));
+                    service.kill_for_failover();
+                },
+                JobStatus::Abandoned,
+                0,
+            ),
+            (
+                "kill, replayed on a survivor",
+                |service, handle| {
+                    // A sink that keeps the orphan, as the supervisor's intake does.
+                    let kept = Arc::new(StdMutex::new(None));
+                    let intake = Arc::clone(&kept);
+                    service.install_orphan_sink(Arc::new(move |orphan| {
+                        *intake.lock().unwrap() = Some(orphan);
+                        Ok(())
+                    }));
+                    service.kill_for_failover();
+                    // Handed off: this node's books are released, the handle
+                    // is still open.
+                    let ctx = service.session(handle.session()).unwrap();
+                    assert_eq!((ctx.in_flight(), *service.inner.pending.lock().unwrap()), (0, 0));
+                    assert!(!handle.is_complete());
+                    let orphan = kept.lock().unwrap().take().expect("the orphan reached the sink");
+                    let survivor = KernelService::new(ServiceConfig::default().with_workers(1));
+                    let session = survivor.open_session(SessionSpec::tenant("cluster-failover"));
+                    let replayed = survivor.submit(session, orphan.spec.clone()).unwrap().wait();
+                    service.resolve_orphan(&orphan.cell, replayed);
+                },
+                JobStatus::Completed,
+                0,
+            ),
+            ("shutdown with a backlog", |service, _| service.shutdown(), JobStatus::Abandoned, 0),
+            (
+                "a job that panics",
+                |service, _| {
+                    let queued = service.queue_rx.try_recv().expect("the job is queued");
+                    dequeued(&service.inner, queued);
+                },
+                JobStatus::Completed,
+                1,
+            ),
+        ];
+        for (name, exit, status, completed) in routes {
+            let cache = PlanCache::new(1, 4).with_fetcher(Arc::new(PanickingFetcher));
+            let service = KernelService::start(
+                admission_only().with_quota(1),
+                ServiceClock::real(),
+                Some(Arc::new(cache)),
+                None,
+            );
+            let session = service.open_session(SessionSpec::tenant("t"));
+            let stream = service.completion_stream(session).unwrap();
+            let mut handle = service.submit(session, smoke_job()).unwrap();
+            let probe = Arc::new(ExitProbe {
+                inner: Arc::clone(&service.inner),
+                handle: handle.clone(),
+                stream,
+                seen: StdMutex::new(None),
+            });
+            let waker = std::task::Waker::from(Arc::clone(&probe));
+            let mut cx = std::task::Context::from_waker(&waker);
+            assert!(
+                std::future::Future::poll(std::pin::Pin::new(&mut handle), &mut cx).is_pending()
+            );
+
+            exit(service, &handle);
+
+            let seen = probe.seen.lock().unwrap().take();
+            assert_eq!(seen, Some((0, completed, status, true)), "{name}");
+            // Only the job that ran here (and is metered as completed) has a
+            // report with an error: the panic's message.
+            let error = handle.poll().unwrap().ok().and_then(|report| report.error);
+            assert_eq!(error.as_deref(), (completed == 1).then_some("the fetcher is down"));
+        }
     }
 
     #[test]
