@@ -96,11 +96,28 @@ fn main() {
     }));
     // Platform: USGrid CaseC (CaseC and CaseR share one binary and one memory
     // footprint in the paper; MMAT adds working memory, reported separately).
+    // This is the Fig. 5b reference app: every cell stores its neighbours'
+    // addresses.
     rows.extend(platform_rows("USGrid", pool_bytes, |mode| {
         let mut system = UsGridSystem::with_block_size(region, block, GridLayout::CaseC);
         system.pool_bytes = Some(pool_bytes);
         let app = UsGridJacobiApp::new(system.clone(), loops);
         Platform::new(mode).with_mmat(true).run_system(Arc::new(system), app.factory())
+    }));
+    // The same region on the value plane — what the service runs for a usgrid
+    // job: 8-byte cells in the pool instead of 72-byte ones (256² in blocks
+    // of 64, two buffers: 9.4 MB -> 1.0 MB).  Both apps keep their per-block
+    // plans (four `u32` slots a point) app-side, in neither column.
+    let jacobi4 = UsGridProgram::jacobi4();
+    let kernel =
+        aohpc_kernel::UsGridKernel::compile(&jacobi4, Extent::new2d(block, block), OptLevel::Full);
+    rows.extend(platform_rows("USGrid values", pool_bytes, |mode| {
+        let mut system = UsGridSystem::with_block_size(region, block, GridLayout::CaseC);
+        system.pool_bytes = Some(pool_bytes);
+        let law = UsBlockLaw(kernel.block_law(0.5, 0.125));
+        let app = UsGridValueApp::new(system.clone(), jacobi4.neighbors().to_vec(), law, loops);
+        let system = Arc::new(UsGridValueSystem(system));
+        Platform::new(mode).with_mmat(true).run_system(system, app.factory())
     }));
     // Platform: Particle.
     rows.extend(platform_rows("Particle", pool_bytes, |mode| {

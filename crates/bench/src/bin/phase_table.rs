@@ -4,8 +4,12 @@
 //! 512² block 64, `usgrid_jacobi` CaseC 256² block 64, `particle_sweep` 2^15
 //! particles; 8 steps each) run back to back through a one-worker observed
 //! [`KernelService`], so the allocator and the caches are in the service's
-//! steady state.  Every phase below is a span the woven `ObsRunAspect`
-//! recorded, or the gap between two of them:
+//! steady state.  The apps timed are the ones the service runs:
+//! `IrStencilApp`, `UsGridValueApp` (usgrid's value plane — not the Fig. 5b
+//! reference `UsGridJacobiApp`, whose sweep moves 72-byte cells) and
+//! `ParticleApp`; for usgrid, "sweep 1" is the pass that resolves every
+//! block's neighbour plan.  Every phase below is a span the woven
+//! `ObsRunAspect` recorded, or the gap between two of them:
 //!
 //! * **set-up** — `Service::execute_spec` start → `Initialize` start: build
 //!   the DSL system and the Env, weave the job's aspects;

@@ -23,6 +23,22 @@
 //! style of Listing 1: loop over `get_blocks`, access cells through the
 //! block-based interface with the skip-search flag where legal, call
 //! `refresh` at the end of every step.
+//!
+//! # Reference apps and the paths the service runs
+//!
+//! The Listing-1 apps are the paper-fidelity *references*: what the figure
+//! bins (`crates/bench`), the layer ledger's replays and the test oracles
+//! drive.  What `KernelService` runs for a job is, per family:
+//!
+//! | family | Listing-1 reference | what the service runs |
+//! |---|---|---|
+//! | stencil | [`SGridJacobiApp`] on [`SGridSystem`], one platform call a cell | the kernel crate's `IrStencilApp` on [`SGridSystem`]: slabs, halo runs, the compiled tape |
+//! | usgrid | [`UsGridJacobiApp`] on [`UsGridSystem`] (`Cell = `[`UsCell`]: Fig. 5b, cells that store their neighbours' addresses), law [`UsUpdate`] a point | [`UsGridValueApp`] on [`UsGridValueSystem`] (`Cell = f64`): a per-block `GatherPlan` from the layout and the program's offsets, law [`UsBlockLaw`] a block |
+//! | particle | [`ParticleApp`] on [`ParticleSystem`], per-cell bucket reads | the same [`ParticleApp`], the compiled pair law plugged in ([`PairForce`]) — no product split yet |
+//!
+//! A product app leaves the field bits and every `AccessCounters` field of
+//! its reference (`tests/slab_accounting.rs`, `tests/value_plane.rs`), so the
+//! cost model prices both alike except for bytes on the wire.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,4 +51,6 @@ pub mod usgrid;
 pub use common::{new_field_sink, DslSystem, FieldSink};
 pub use particle::{Bucket, PairForce, Particle, ParticleApp, ParticleSystem};
 pub use sgrid::{SGridJacobiApp, SGridSystem};
-pub use usgrid::{UsCell, UsGridJacobiApp, UsGridSystem, UsUpdate};
+pub use usgrid::{
+    UsBlockLaw, UsCell, UsGridJacobiApp, UsGridSystem, UsGridValueApp, UsGridValueSystem, UsUpdate,
+};

@@ -14,17 +14,37 @@
 //!
 //! Data outside the computational domain lives in a Static Data block, as in
 //! §V-B2.
+//!
+//! # Reference and product
+//!
+//! The family has two apps over one geometry, as the stencil family has
+//! (`SGridJacobiApp` / the kernel crate's `IrStencilApp`):
+//!
+//! * **The paper-fidelity reference** — [`UsCell`], [`UsGridSystem`] as a
+//!   `DslSystem<Cell = UsCell>`, [`UsGridJacobiApp`] and [`UsUpdate`]: Fig. 5b
+//!   as drawn, every cell storing its neighbours' addresses beside its value
+//!   (72 bytes to change 8).  The figure bins, the layer ledger's L2/L3
+//!   replays and the test oracles drive it; no service path does.
+//! * **The product** — [`UsGridValueSystem`] (`Cell = f64`) and
+//!   [`UsGridValueApp`]: the same tiling, static row and catch-all over a
+//!   plane of values.  Which points are a point's neighbours is not data: it
+//!   follows from the layout and the program's neighbour offsets, so each
+//!   block's list is resolved into a [`GatherPlan`] at the block's first pass
+//!   and the cells hold nothing else.  The law is one [`UsBlockLaw`] call a
+//!   block.  This is what `KernelService` runs for a usgrid job; field bits,
+//!   every access counter and the MMAT memo equal the reference's
+//!   (`tests/value_plane.rs`).
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
-use aohpc_env::{BlockId, Env, Extent, GatherPlan, GlobalAddress, TreeTopology};
+use aohpc_env::{BlockId, Cell, Env, Extent, GatherPlan, GlobalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
 use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::{GridLayout, RegionSize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One unstructured-grid point: its value and the storage addresses of its
-/// four neighbours (the indirection of Fig. 5b/5c).
+/// One unstructured-grid point of the reference app: its value and the
+/// storage addresses of its four neighbours (the indirection of Fig. 5b/5c).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UsCell {
     /// Scalar value at the point.
@@ -142,41 +162,78 @@ impl UsGridSystem {
             storage_of(nxp, nyp)
         }
     }
-}
 
-impl DslSystem for UsGridSystem {
-    type Cell = UsCell;
+    /// The storage addresses of the neighbours at `offsets` of every point
+    /// stored in the block `extent` at `origin`, points in row-major order, a
+    /// point's neighbours in `offsets` order — written over `out`.
+    fn list_neighbors(
+        &self,
+        offsets: &[(i64, i64)],
+        origin: GlobalAddress,
+        extent: Extent,
+        out: &mut Vec<GlobalAddress>,
+    ) {
+        let layout = self.layout.resolve(self.region.nx as i64, self.region.ny as i64);
+        out.clear();
+        out.reserve(offsets.len() * extent.cells());
+        for start in extent.row_starts() {
+            let row = origin + start;
+            for sx in row.x..row.x + extent.nx as i64 {
+                let (x, y) = layout.logical_of(sx, row.y);
+                out.extend(offsets.iter().map(|&(dx, dy)| {
+                    let (ax, ay) =
+                        self.neighbor_under(|x, y| layout.storage_of(x, y), x, y, dx, dy);
+                    GlobalAddress::new2d(ax, ay)
+                }));
+            }
+        }
+    }
 
-    fn build_env(&self) -> Env<UsCell> {
-        let boundary_value = self.boundary_value;
+    /// The family's Env over cells of type `C`: one Data block per tile,
+    /// and `outside` wherever a read leaves the domain.
+    fn build_env_of<C: Cell>(&self, outside: C) -> Env<C> {
         let nx = self.region.nx;
         let ny = self.region.ny;
-        let (env, _data) = build_tiled_env_with_topology::<UsCell>(
+        let (env, _data) = build_tiled_env_with_topology::<C>(
             self.tiling(),
             self.cells_per_page,
             self.pool(),
             self.tree,
             |b, root| {
                 // Out-of-domain data: one row of static points below the domain.
-                let static_row: Vec<UsCell> = (0..nx)
-                    .map(|_| UsCell { value: boundary_value, neighbors: [(0, 0); 4] })
-                    .collect();
                 b.add_static(
                     root,
                     GlobalAddress::new2d(0, ny as i64),
                     Extent::new2d(nx, 1),
-                    static_row,
+                    vec![outside.clone(); nx],
                 );
                 // Anything else outside the domain (defensive) is a Dirichlet
                 // Arithmetic block.
-                b.add_arithmetic(
-                    root,
-                    Arc::new(move |_| UsCell { value: boundary_value, neighbors: [(0, 0); 4] }),
-                    true,
-                );
+                b.add_arithmetic(root, Arc::new(move |_| outside.clone()), true);
             },
         );
         env
+    }
+}
+
+impl DslSystem for UsGridSystem {
+    type Cell = UsCell;
+
+    fn build_env(&self) -> Env<UsCell> {
+        self.build_env_of(UsCell { value: self.boundary_value, neighbors: [(0, 0); 4] })
+    }
+}
+
+/// [`UsGridSystem`] on the value plane: the same tiling, static row and
+/// Dirichlet catch-all, the cells plain `f64` values (see the module docs).
+#[derive(Debug, Clone)]
+pub struct UsGridValueSystem(pub UsGridSystem);
+
+impl DslSystem for UsGridValueSystem {
+    type Cell = f64;
+
+    fn build_env(&self) -> Env<f64> {
+        self.0.build_env_of(self.0.boundary_value)
     }
 }
 
@@ -189,8 +246,9 @@ pub type UsUpdateFn = Arc<dyn Fn(f64, &[f64]) -> f64 + Send + Sync>;
 /// A pluggable per-point update law: `(own_value, neighbour_values) -> new`.
 ///
 /// Installed by [`UsGridJacobiApp::with_update`], typically from a compiled
-/// usgrid-family kernel artifact so that service-submitted jobs execute the
-/// cached plan's arithmetic.  Neighbour values arrive in the program's
+/// usgrid-family kernel artifact so that the reference app executes a cached
+/// plan's arithmetic (service-submitted jobs run [`UsGridValueApp`] and the
+/// artifact's [`UsBlockLaw`]).  Neighbour values arrive in the program's
 /// declared neighbour order, as one slice per point cut from the block's
 /// gathered neighbour values.  A law sees and returns values only: which
 /// points are a point's neighbours is fixed at `Initialize`, and the kernel's
@@ -206,8 +264,9 @@ impl std::fmt::Debug for UsUpdate {
     }
 }
 
-/// The end-user application: Jacobi relaxation over the indirect neighbour
-/// lists (same arithmetic as SGrid, different memory behaviour).  The lists
+/// The end-user application, as the paper draws it (the Fig. 5b reference of
+/// the module docs): Jacobi relaxation over the indirect neighbour lists
+/// (same arithmetic as SGrid, different memory behaviour).  The lists
 /// are written once, by `Initialize`; the kernel resolves each block's list
 /// against the Env at the block's first pass and reads through that
 /// [`GatherPlan`] on every later pass and retry.
@@ -352,6 +411,155 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
     }
 }
 
+/// The block-law signature: `(own, near, out)` over one block.
+///
+/// Structurally identical to the kernel crate's lowered block routine, so
+/// compiled artifacts plug in without a dependency edge between the crates.
+pub type UsBlockLawFn = Arc<dyn Fn(&[f64], &[f64], &mut [f64]) + Send + Sync>;
+
+/// The update law of [`UsGridValueApp`], applied a block at a time:
+/// `out[i]` is the new value of the point whose value is `own[i]` and whose
+/// neighbour values — in the program's declared neighbour order — are
+/// `near[k * i..k * (i + 1)]`, `k = near.len() / own.len()`.  Typically the
+/// block routine of a compiled usgrid-family kernel artifact.  A law sees
+/// and returns values only.
+#[derive(Clone)]
+pub struct UsBlockLaw(pub UsBlockLawFn);
+
+impl std::fmt::Debug for UsBlockLaw {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("UsBlockLaw(..)")
+    }
+}
+
+/// The product app of the family (see the module docs): a sweep over the
+/// indirect neighbour lists with the Env holding values only.  Run it on
+/// [`UsGridValueSystem`]`(system)`.
+///
+/// Three platform calls and one law call a block: the block's values in as
+/// one slab, its neighbours' values as one gather through the block's
+/// [`GatherPlan`], the law over the block, the new values out as one slab —
+/// per point the reads, writes and every other access counter of
+/// [`UsGridJacobiApp`], the Listing-1 reference.
+#[derive(Debug, Clone)]
+pub struct UsGridValueApp {
+    /// The geometry: region, tiling and layout.
+    pub system: UsGridSystem,
+    /// Logical neighbour offsets, in gather order (a program's
+    /// `neighbors()`).
+    pub neighbors: Vec<(i64, i64)>,
+    /// The update law.
+    pub law: UsBlockLaw,
+    /// Main-loop iterations.
+    pub loops: usize,
+    /// Where `Finalize` deposits the field, keyed by *storage* address.
+    pub sink: Option<FieldSink>,
+    /// What the kernel keeps between passes (an app instance is one task's).
+    scratch: ValueScratch,
+}
+
+impl UsGridValueApp {
+    /// A sweep of `law` over `neighbors`, `loops` times.
+    pub fn new(
+        system: UsGridSystem,
+        neighbors: Vec<(i64, i64)>,
+        law: UsBlockLaw,
+        loops: usize,
+    ) -> Self {
+        UsGridValueApp {
+            system,
+            neighbors,
+            law,
+            loops,
+            sink: None,
+            scratch: ValueScratch::default(),
+        }
+    }
+
+    /// Attach a result sink.
+    pub fn with_sink(mut self, sink: FieldSink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// App factory for the runtime driver.
+    pub fn factory(&self) -> Arc<dyn Fn(TaskSlot) -> UsGridValueApp + Send + Sync> {
+        let proto = self.clone();
+        Arc::new(move |_slot| proto.clone())
+    }
+}
+
+/// What the value-plane kernel keeps between passes.  Sized at the first
+/// pass; no later pass allocates.
+#[derive(Debug, Clone, Default)]
+struct ValueScratch {
+    /// The block's own values, as read.
+    own: Vec<f64>,
+    /// The gathered neighbour values, `neighbors.len()` per point.
+    near: Vec<f64>,
+    /// The block's new values.
+    out: Vec<f64>,
+    /// Each block's neighbour list, resolved at the block's first pass.
+    plans: HashMap<BlockId, GatherPlan>,
+}
+
+impl HpcApp<f64> for UsGridValueApp {
+    fn loop_count(&self) -> usize {
+        self.loops
+    }
+
+    fn initialize(&mut self, ctx: &mut TaskCtx<f64>) {
+        // The layout inverted names the logical point stored at each owned
+        // storage position; its value is all the cell holds.
+        let region = self.system.region;
+        let layout = self.system.layout.resolve(region.nx as i64, region.ny as i64);
+        ctx.initialize_owned(|s| {
+            let (x, y) = layout.logical_of(s.x, s.y);
+            UsGridJacobiApp::initial_value(x, y)
+        });
+    }
+
+    fn kernel(&mut self, ctx: &mut TaskCtx<f64>, _warmup: bool) -> bool {
+        let blocks = ctx.get_blocks();
+        let ValueScratch { own, near, out, plans } = &mut self.scratch;
+        // The task's blocks do not change: room for all their plans, once.
+        if plans.is_empty() {
+            plans.reserve(blocks.len());
+        }
+        // A block's neighbour addresses, listed only at its first pass.
+        let mut addrs = Vec::new();
+        for bid in blocks {
+            let meta = &ctx.env().block(bid).meta;
+            let (extent, origin) = (meta.extent, meta.origin);
+            let cells = extent.cells();
+            own.resize(cells, 0.0);
+            near.resize(self.neighbors.len() * cells, 0.0);
+            out.resize(cells, 0.0);
+            // Own values: always inside the block.
+            ctx.get_block_dd(bid, own);
+            // Neighbours are indirect: no static in-block guarantee, so the
+            // access goes through MMAT / the Env search where it leaves the
+            // block.  Which neighbours those are follows from the layout and
+            // the offsets alone, so the block's first pass resolves them and
+            // every later pass and retry reads through that plan.
+            let plan = plans.entry(bid).or_insert_with(|| {
+                self.system.list_neighbors(&self.neighbors, origin, extent, &mut addrs);
+                ctx.resolve_gather(bid, addrs.iter().copied())
+            });
+            ctx.get_gather(plan, |v| *v, near);
+            (self.law.0)(own, near, out);
+            ctx.set_block(bid, out);
+        }
+        ctx.refresh()
+    }
+
+    fn finalize(&mut self, ctx: &mut TaskCtx<f64>) {
+        if let Some(sink) = &self.sink {
+            ctx.deposit_owned(sink, |v| *v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,20 +615,47 @@ mod tests {
         let config = RunConfig::serial().with_topology(topology).with_mmat(mmat);
         let report = execute(&config, woven, sys_arc.env_factory(), app.factory());
         assert!(report.tasks.iter().all(|t| t.steps == steps as u64));
-        // Translate storage-addressed results back to logical order.
-        let (nx, ny) = (region.nx as i64, region.ny as i64);
-        let mut by_storage = std::collections::HashMap::new();
-        for (addr, v) in sink.lock().iter() {
-            by_storage.insert((addr.x, addr.y), *v);
-        }
-        let mut field = vec![f64::NAN; region.cells()];
-        for y in 0..ny {
-            for x in 0..nx {
-                let s = system.storage_of(x, y);
-                field[(y * nx + x) as usize] = by_storage[&(s.x, s.y)];
+        logical_field(&system, &sink)
+    }
+
+    /// The storage-addressed results in `sink`, in logical row-major order.
+    fn logical_field(system: &UsGridSystem, sink: &FieldSink) -> Vec<f64> {
+        let by_storage: HashMap<_, _> = sink.lock().iter().copied().collect();
+        let (nx, ny) = (system.region.nx as i64, system.region.ny as i64);
+        (0..ny)
+            .flat_map(|y| (0..nx).map(move |x| (x, y)))
+            .map(|(x, y)| by_storage[&system.storage_of(x, y)])
+            .collect()
+    }
+
+    /// [`run_region`] on the value plane, the law written out in place.
+    fn run_values(region: RegionSize, layout: GridLayout, topology: Topology) -> Vec<f64> {
+        let system = UsGridSystem::with_block_size(region, 8, layout);
+        let law = UsBlockLaw(Arc::new(|own, near, out| {
+            for ((new, me), near) in out.iter_mut().zip(own).zip(near.chunks_exact(4)) {
+                *new = 0.5 * me + 0.125 * (near[0] + near[1] + near[2] + near[3]);
+            }
+        }));
+        let sink = new_field_sink();
+        let nwes = vec![(0, -1), (-1, 0), (1, 0), (0, 1)];
+        let app = UsGridValueApp::new(system.clone(), nwes, law, 3).with_sink(sink.clone());
+        let woven = Weaver::new().with_aspect(Box::new(MpiAspect::<f64>::new())).weave();
+        let config = RunConfig::serial().with_topology(topology).with_mmat(true);
+        let env_factory = Arc::new(UsGridValueSystem(system.clone())).env_factory();
+        let report = execute(&config, woven, env_factory, app.factory());
+        assert!(report.tasks.iter().all(|t| t.steps == 3));
+        logical_field(&system, &sink)
+    }
+
+    #[test]
+    fn value_plane_matches_reference_on_one_rank_and_two() {
+        let region = RegionSize { nx: 20, ny: 12 };
+        let distributed = Topology::new(vec![aohpc_runtime::LayerSpec::distributed(2)]);
+        for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 7 }] {
+            for topology in [Topology::serial(), distributed.clone()] {
+                close(&run_values(region, layout, topology), &reference(region, 3));
             }
         }
-        field
     }
 
     fn close(a: &[f64], b: &[f64]) {

@@ -679,8 +679,12 @@ impl<C: Cell> Env<C> {
         let block = &self.blocks[start];
         let direct = block.kind.has_buffers() && !block.meta.catch_all;
         let addrs = addrs.into_iter();
-        let mut slots = Vec::with_capacity(addrs.size_hint().0);
-        let mut outside = Vec::new();
+        let listed = addrs.size_hint().0;
+        let mut slots = Vec::with_capacity(listed);
+        // Under Assumption III the addresses that leave a block are its
+        // rim's: room for a perimeter of them, so a local list never regrows.
+        let extent = block.meta.extent;
+        let mut outside = Vec::with_capacity(listed.min(2 * (extent.nx + extent.ny)));
         for addr in addrs {
             let inside = if direct { block.cell_index(addr) } else { None };
             // An index too large for a slot is served as an outside address.

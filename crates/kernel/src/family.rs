@@ -29,11 +29,13 @@
 //!   pair law and the bucket-neighbourhood reach, and the compiled
 //!   [`ParticleKernel`] hands out the lowered pair-force routine
 //!   ([`ParticleKernel::pair_law`]) that execution plugs into the sweep.
-//! * [`KernelFamilyId::UsGrid`] — the unstructured-grid relaxation sweep
-//!   (`UsGridJacobiApp`): the [`UsGridProgram`] captures the neighbour
-//!   offsets gathered through the indirection and the compiled
-//!   [`UsGridKernel`] hands out the lowered per-point update
-//!   ([`UsGridKernel::update_fn`]).
+//! * [`KernelFamilyId::UsGrid`] — the unstructured-grid relaxation sweep:
+//!   the [`UsGridProgram`] captures the neighbour offsets gathered through
+//!   the indirection and the compiled [`UsGridKernel`] hands out the lowered
+//!   update — a block at a time ([`UsGridKernel::block_law`], what the
+//!   service's `UsGridValueApp` runs) and a point at a time
+//!   ([`UsGridKernel::update_fn`], for the Listing-1 reference
+//!   `UsGridJacobiApp`).
 //!
 //! The enum pair [`FamilyProgram`] / [`FamilyArtifact`] is what the service
 //! stack traffics in: `JobSpec` holds a `FamilyProgram`, the plan cache maps
@@ -493,6 +495,12 @@ pub type PairForceFn = Arc<dyn Fn(&[f64; 3], &[f64; 3], &mut [f64; 3]) + Send + 
 /// the neighbour sum in gather order.
 pub type UsUpdateFn = Arc<dyn Fn(f64, &[f64]) -> f64 + Send + Sync>;
 
+/// The lowered block routine a compiled usgrid kernel hands out:
+/// `(own, near, out)` over one block — `out[i]` from `own[i]` and the
+/// `near.len() / own.len()` gathered neighbour values of point `i`, which lie
+/// together in `near`, in gather order.
+pub type UsBlockLawFn = Arc<dyn Fn(&[f64], &[f64], &mut [f64]) + Send + Sync>;
+
 /// A particle program compiled for one bucket-block shape: the lowered pair
 /// law plus the resolved neighbourhood geometry.
 #[derive(Debug, Clone, PartialEq)]
@@ -621,6 +629,31 @@ impl UsGridKernel {
             }
             alpha * me + beta * sum
         })
+    }
+
+    /// [`UsGridKernel::update_fn`] over a whole block: one call a block
+    /// instead of one a point, each point's neighbour sum still accumulated
+    /// in gather order from `0.0`, so the bits are the per-point routine's.
+    ///
+    /// The slices must agree: `own.len() == out.len()` and
+    /// `near.len() == own.len() × ` the program's neighbour count.
+    pub fn block_law(&self, alpha: f64, beta: f64) -> UsBlockLawFn {
+        #[inline(always)]
+        fn relax(alpha: f64, beta: f64, k: usize, own: &[f64], near: &[f64], out: &mut [f64]) {
+            assert!(own.len() == out.len() && near.len() == k * own.len());
+            for ((new, &me), vals) in out.iter_mut().zip(own).zip(near.chunks_exact(k)) {
+                let mut sum = 0.0;
+                for &n in vals {
+                    sum += n;
+                }
+                *new = alpha * me + beta * sum;
+            }
+        }
+        match self.program.neighbors().len() {
+            // The stock neighbour count as a constant: the inner loop unrolls.
+            4 => Arc::new(move |own, near, out| relax(alpha, beta, 4, own, near, out)),
+            k => Arc::new(move |own, near, out| relax(alpha, beta, k, own, near, out)),
+        }
     }
 }
 
@@ -873,5 +906,24 @@ mod tests {
         let update = kernel.update_fn(0.5, 0.125);
         let v = update(1.0, &[0.25, 0.5, 0.75, 1.0]);
         assert_eq!(v, 0.5 * 1.0 + 0.125 * (0.25 + 0.5 + 0.75 + 1.0));
+    }
+
+    #[test]
+    fn usgrid_block_law_is_the_point_update_over_a_block() {
+        // The stock four (the unrolled arm) and a list of five.
+        let offsets = [(0, -1), (-1, 0), (1, 0), (0, 1), (2, 2)];
+        for arity in [4, 5] {
+            let program = UsGridProgram::new("p", offsets[..arity].to_vec(), 2).unwrap();
+            let kernel = UsGridKernel::compile(&program, Extent::new2d(4, 3), OptLevel::Full);
+            let (update, law) = (kernel.update_fn(0.3, 0.7), kernel.block_law(0.3, 0.7));
+            let own: Vec<f64> = (0..12).map(|i| 0.1 + i as f64 / 7.0).collect();
+            let near: Vec<f64> = (0..12 * arity).map(|i| (i * i) as f64 / 3.0).collect();
+            let mut out = vec![f64::NAN; 12];
+            law(&own, &near, &mut out);
+            for (i, got) in out.iter().enumerate() {
+                let want = update(own[i], &near[arity * i..arity * (i + 1)]);
+                assert_eq!(got.to_bits(), want.to_bits(), "arity {arity}, point {i}");
+            }
+        }
     }
 }

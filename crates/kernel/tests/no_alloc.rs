@@ -6,11 +6,16 @@
 //! Counted with `aohpc-testalloc`'s thread-scoped tracking allocator, so
 //! concurrent libtest harness threads cannot contribute stray counts.
 
+use aohpc_aop::WovenProgram;
+use aohpc_dsl::{DslSystem, UsBlockLaw, UsGridSystem, UsGridValueApp, UsGridValueSystem};
 use aohpc_env::Extent;
 use aohpc_kernel::{
     lit, load, param, CompiledKernel, ExecScratch, ExecStats, OptLevel, Processor, ScratchPool,
-    StencilProgram,
+    StencilProgram, UsGridKernel, UsGridProgram,
 };
+use aohpc_runtime::{HpcApp, RankShared, TaskCtx, Topology};
+use aohpc_workloads::{GridLayout, RegionSize};
+use std::sync::Arc;
 
 #[global_allocator]
 static GLOBAL: aohpc_testalloc::CountingAlloc = aohpc_testalloc::CountingAlloc;
@@ -202,4 +207,58 @@ fn pooled_scratch_stays_warm_across_job_churn() {
     });
     assert_eq!(allocs, 0, "churn must not cool the surviving scratch");
     assert_eq!(pool.stats().reused, 7, "jobs 2..6, the held check-out, and the final job");
+}
+
+/// The value-plane usgrid sweep keeps its buffers and every block's
+/// `GatherPlan` in the task's scratch: a sweep after the first allocates only
+/// what the two platform calls around the blocks do (`get_blocks` hands out
+/// a fresh block list, `refresh` its payload) — nothing for the plan table,
+/// the plans or the slabs, where points stay in place (CaseC, a ragged
+/// tiling) and where they are scattered (CaseR: most addresses leave the
+/// block).
+#[test]
+fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
+    let program = UsGridProgram::jacobi4();
+    let kernel = UsGridKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
+    for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 7 }] {
+        let system = UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, layout);
+        let env = Arc::new(UsGridValueSystem(system.clone()).build_env());
+        for id in env.data_block_ids() {
+            env.block(id).meta.set_dm_tid(Some(0));
+        }
+        let topology = Topology::serial();
+        let shared = Arc::new(RankShared::new(topology.clone(), 0, None, true));
+        let slot = topology.slot(0, 0);
+        let mut ctx = TaskCtx::new(slot, env, shared, WovenProgram::unwoven(), true, false);
+        let law = UsBlockLaw(kernel.block_law(0.5, 0.125));
+        let mut app = UsGridValueApp::new(system, program.neighbors().to_vec(), law, 4);
+        app.initialize(&mut ctx);
+
+        // The first sweep sizes the scratch and resolves the six plans.
+        let (ok, cold) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
+        assert!(ok);
+
+        let (_, platform) = aohpc_testalloc::count_in(|| {
+            let blocks = ctx.get_blocks();
+            ctx.refresh();
+            blocks
+        });
+        // Nothing regrows while it does: three slabs (the first block is a
+        // full one), the plan table, the address list, and two lists a plan —
+        // where points stay in place, the addresses that leave a block fit
+        // the perimeter reserved for them.
+        if layout == GridLayout::CaseC {
+            assert_eq!(cold, platform + 5 + 2 * 6, "CaseC: the first sweep");
+        }
+        for sweep in 2..5 {
+            let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
+            assert!(ok);
+            assert_eq!(
+                allocs,
+                platform,
+                "{} sweep {sweep}: beyond get_blocks + refresh ({platform})",
+                layout.name()
+            );
+        }
+    }
 }

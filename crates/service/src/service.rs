@@ -47,7 +47,7 @@ use crate::session::{
 use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
 use aohpc_dsl::{
     new_field_sink, DslSystem, FieldSink, PairForce, ParticleApp, ParticleSystem, SGridSystem,
-    UsGridJacobiApp, UsGridSystem, UsUpdate,
+    UsBlockLaw, UsGridSystem, UsGridValueApp, UsGridValueSystem,
 };
 use aohpc_env::Extent;
 use aohpc_kernel::{
@@ -1396,7 +1396,8 @@ fn execute_traced(
 /// [kernel family](aohpc_kernel::KernelFamilyId) and hand it to
 /// [`run_family`]: stencil jobs run the IR app with the shared cache installed
 /// as its plan source, particle and usgrid jobs run their DSL apps with the
-/// cache-resolved family artifact installed as the update law.
+/// cache-resolved family artifact installed as the update law — for usgrid
+/// the value-plane app over the program's own neighbour offsets.
 fn execute_spec(
     inner: &Inner,
     spec: &JobSpec,
@@ -1434,12 +1435,11 @@ fn execute_spec(
         FamilyArtifact::UsGrid(kernel) => {
             let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
             let sink = new_field_sink();
-            let mut app = UsGridJacobiApp::new(system.clone(), spec.steps)
-                .with_sink(sink.clone())
-                .with_update(UsUpdate(kernel.update_fn(spec.params[0], spec.params[1])));
-            app.alpha = spec.params[0];
-            app.beta = spec.params[1];
-            run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
+            let law = UsBlockLaw(kernel.block_law(spec.params[0], spec.params[1]));
+            let neighbors = kernel.program().neighbors().to_vec();
+            let app = UsGridValueApp::new(system.clone(), neighbors, law, spec.steps)
+                .with_sink(sink.clone());
+            run_family(inner, spec, cell, trace_ctx, UsGridValueSystem(system), app.factory(), sink)
         }
     }
 }
@@ -1843,11 +1843,17 @@ mod tests {
         ));
 
         // A program the execute path would answer with the stock sweep.
-        let south_only = aohpc_kernel::UsGridProgram::new("south-only", vec![(0, 1)], 2).unwrap();
-        let unsupported = JobSpec::new(south_only, vec![0.5, 0.125], RegionSize::square(32));
+        let wide = aohpc_kernel::ParticleProgram::new(
+            "wide",
+            aohpc_kernel::PairLaw::QuadraticDropoff,
+            2,
+            2,
+        );
+        let mut unsupported = JobSpec::particle(Scale::Smoke);
+        unsupported.program = wide.unwrap().into();
         assert!(matches!(
             service.submit(session, unsupported),
-            Err(SubmitError::InvalidJob(ref m)) if m.contains("south-only cannot run as written")
+            Err(SubmitError::InvalidJob(ref m)) if m.contains("wide cannot run as written")
         ));
 
         assert_eq!(service.session(session).unwrap().meter().jobs_rejected, 4);

@@ -5,9 +5,10 @@
 //! sweep) × {serial, 2 ranks, 2 threads, 2×2} through `KernelService`:
 //!
 //! * the checksum equals the serial job's and the direct `Platform` run's,
-//!   bit for bit — the layer aspects must be typed on the family's own cell
-//!   (`f64`, `UsCell`, `Bucket`) or ranks never exchange and threads never
-//!   meet at the barrier;
+//!   bit for bit — the layer aspects must be typed on the cell of the system
+//!   that runs (`f64` for stencil and for usgrid's value plane, `Bucket`;
+//!   the direct usgrid run is the `UsCell` reference app) or ranks never
+//!   exchange and threads never meet at the barrier;
 //! * the summary shows the topology that was asked for, every step done, and
 //!   no retries where the direct run needed none;
 //! * every job's counters and simulated time equal recorded values, and its
@@ -266,13 +267,21 @@ fn usgrid_jacobi4_matches_the_direct_run_under_every_topology() {
         // A sweep: 400 points x (itself + 4 neighbours) = 2000 reads, 400
         // writes.  One rank, 3 sweeps: 6000 / 1200 (was 8000 / 1600), and
         // 51.96 us of simulated time a sweep: 1x1 207.84 -> 155.88 us.
+        //
+        // The service runs the value-plane app: every count is the reference
+        // app's (`direct_usgrid`), and so are the one-rank rows to the bit.
+        // Across ranks only the wire changed: a cell is 8 bytes, not the 72
+        // of a `UsCell`.  The slower rank sends 48 of the 96 pages, 4 cells
+        // each: 192 cells x (72 - 8) B = 12,288 B x `comm_per_byte` 8e-11 s =
+        // 0.98304 us less — 2x1 147.69792 -> 146.71488 us, 2x2 105.16320 ->
+        // 104.18016 us.
         Golden {
             writes_per_sweep: 400,
             rows: [
                 (6000, 1200, 0, 0, 13, 0x3f246e770113506a),
-                (8000, 1600, 96, 0, 33, 0x3f235beb78e06cb7),
+                (8000, 1600, 96, 0, 33, 0x3f233aef390e36a0),
                 (6000, 1200, 0, 0, 22, 0x3f18f02fe115c569),
-                (8000, 1600, 96, 0, 59, 0x3f1b916204db45b0),
+                (8000, 1600, 96, 0, 59, 0x3f1b4f698536d983),
             ],
         },
         &[],
