@@ -7,9 +7,11 @@
 //! steady state.  The apps timed are the ones the service runs:
 //! `IrStencilApp`, `UsGridValueApp` (usgrid's value plane — not the Fig. 5b
 //! reference `UsGridJacobiApp`, whose sweep moves 72-byte cells) and
-//! `ParticleApp`; for usgrid, "sweep 1" is the pass that resolves every
-//! block's neighbour plan.  Every phase below is a span the woven
-//! `ObsRunAspect` recorded, or the gap between two of them:
+//! `ParticleApp`; for usgrid, "sweep 1" is a later sweep plus what a block's
+//! first pass adds: its neighbour plan resolved from the program's offsets
+//! (`Env::resolve_offsets`, CaseC) and the first touch of the app's scratch.
+//! Every phase below is a span the woven `ObsRunAspect` recorded, or the gap
+//! between two of them:
 //!
 //! * **set-up** — `Service::execute_spec` start → `Initialize` start: build
 //!   the DSL system and the Env, weave the job's aspects;

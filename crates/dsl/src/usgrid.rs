@@ -36,7 +36,9 @@
 //!   (`tests/value_plane.rs`).
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
-use aohpc_env::{BlockId, Cell, Env, Extent, GatherPlan, GlobalAddress, TreeTopology};
+use aohpc_env::{
+    BlockId, Cell, Env, Extent, GatherPlan, GlobalAddress, LocalAddress, TreeTopology,
+};
 use aohpc_mem::PoolHandle;
 use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::{GridLayout, RegionSize};
@@ -163,30 +165,46 @@ impl UsGridSystem {
         }
     }
 
-    /// The storage addresses of the neighbours at `offsets` of every point
-    /// stored in the block `extent` at `origin`, points in row-major order, a
-    /// point's neighbours in `offsets` order — written over `out`.
-    fn list_neighbors(
+    /// The [`GatherPlan`] of block `bid`'s neighbour list: the storage
+    /// addresses of the neighbours at `offsets` of every point stored in the
+    /// block, points in row-major order, a point's neighbours in `offsets`
+    /// order.
+    ///
+    /// Where points stay in place (CaseC) the plan is resolved from the
+    /// offsets themselves: a neighbour inside the block is the point
+    /// `dy·nx + dx` cells on (Assumption III), and only a rim target needs an
+    /// address — the point there, or the static slot below the domain.  A
+    /// scattered layout (CaseR) has no such structure: its list is built in
+    /// `addrs` and resolved address by address.
+    fn neighbor_plan(
         &self,
+        ctx: &TaskCtx<f64>,
+        bid: BlockId,
         offsets: &[(i64, i64)],
-        origin: GlobalAddress,
-        extent: Extent,
-        out: &mut Vec<GlobalAddress>,
-    ) {
+        addrs: &mut Vec<GlobalAddress>,
+    ) -> GatherPlan {
         let layout = self.layout.resolve(self.region.nx as i64, self.region.ny as i64);
-        out.clear();
-        out.reserve(offsets.len() * extent.cells());
+        let storage = |(x, y): (i64, i64)| GlobalAddress::new2d(x, y);
+        if self.layout == GridLayout::CaseC {
+            let offsets = offsets.iter().map(|&(dx, dy)| LocalAddress::new2d(dx, dy));
+            return ctx.resolve_offsets(bid, offsets, |t| {
+                storage(self.neighbor_under(|x, y| layout.storage_of(x, y), t.x, t.y, 0, 0))
+            });
+        }
+        let meta = &ctx.env().block(bid).meta;
+        let (origin, extent) = (meta.origin, meta.extent);
+        addrs.clear();
+        addrs.reserve(offsets.len() * extent.cells());
         for start in extent.row_starts() {
             let row = origin + start;
             for sx in row.x..row.x + extent.nx as i64 {
                 let (x, y) = layout.logical_of(sx, row.y);
-                out.extend(offsets.iter().map(|&(dx, dy)| {
-                    let (ax, ay) =
-                        self.neighbor_under(|x, y| layout.storage_of(x, y), x, y, dx, dy);
-                    GlobalAddress::new2d(ax, ay)
+                addrs.extend(offsets.iter().map(|&(dx, dy)| {
+                    storage(self.neighbor_under(|x, y| layout.storage_of(x, y), x, y, dx, dy))
                 }));
             }
         }
+        ctx.resolve_gather(bid, addrs.iter().copied())
     }
 
     /// The family's Env over cells of type `C`: one Data block per tile,
@@ -526,12 +544,10 @@ impl HpcApp<f64> for UsGridValueApp {
         if plans.is_empty() {
             plans.reserve(blocks.len());
         }
-        // A block's neighbour addresses, listed only at its first pass.
+        // A block's neighbour addresses, listed (CaseR) only at its first pass.
         let mut addrs = Vec::new();
         for bid in blocks {
-            let meta = &ctx.env().block(bid).meta;
-            let (extent, origin) = (meta.extent, meta.origin);
-            let cells = extent.cells();
+            let cells = ctx.env().block(bid).meta.extent.cells();
             own.resize(cells, 0.0);
             near.resize(self.neighbors.len() * cells, 0.0);
             out.resize(cells, 0.0);
@@ -543,8 +559,7 @@ impl HpcApp<f64> for UsGridValueApp {
             // the offsets alone, so the block's first pass resolves them and
             // every later pass and retry reads through that plan.
             let plan = plans.entry(bid).or_insert_with(|| {
-                self.system.list_neighbors(&self.neighbors, origin, extent, &mut addrs);
-                ctx.resolve_gather(bid, addrs.iter().copied())
+                self.system.neighbor_plan(ctx, bid, &self.neighbors, &mut addrs)
             });
             ctx.get_gather(plan, |v| *v, near);
             (self.law.0)(own, near, out);

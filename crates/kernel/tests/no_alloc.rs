@@ -215,12 +215,18 @@ fn pooled_scratch_stays_warm_across_job_churn() {
 /// a fresh block list, `refresh` its payload) — nothing for the plan table,
 /// the plans or the slabs, where points stay in place (CaseC, a ragged
 /// tiling) and where they are scattered (CaseR: most addresses leave the
-/// block).
+/// block) — and in place for the "eight" program of `tests/value_plane.rs`
+/// too (corners, and a reach of 2 on one side).
 #[test]
 fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
-    let program = UsGridProgram::jacobi4();
-    let kernel = UsGridKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
-    for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 7 }] {
+    let eight = vec![(-1, -1), (1, -1), (-1, 1), (1, 1), (0, -1), (-2, 0), (1, 0), (0, 1)];
+    let eight = UsGridProgram::new("eight", eight, 2).unwrap();
+    for (layout, program) in [
+        (GridLayout::CaseC, UsGridProgram::jacobi4()),
+        (GridLayout::CaseC, eight),
+        (GridLayout::CaseR { seed: 7 }, UsGridProgram::jacobi4()),
+    ] {
+        let kernel = UsGridKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
         let system = UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, layout);
         let env = Arc::new(UsGridValueSystem(system.clone()).build_env());
         for id in env.data_block_ids() {
@@ -243,12 +249,13 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
             ctx.refresh();
             blocks
         });
-        // Nothing regrows while it does: three slabs (the first block is a
-        // full one), the plan table, the address list, and two lists a plan —
-        // where points stay in place, the addresses that leave a block fit
-        // the perimeter reserved for them.
+        // Nothing regrows while it does.  Where points stay in place the plan
+        // is resolved from the offsets, with no address list: 3 slabs (the
+        // first block is a full one) + 1 plan table = 4, and 2 lists a plan
+        // (slots, outside addresses) × 6 plans — each list sized exactly
+        // before it is filled, however far the offsets reach.
         if layout == GridLayout::CaseC {
-            assert_eq!(cold, platform + 5 + 2 * 6, "CaseC: the first sweep");
+            assert_eq!(cold, platform + 4 + 2 * 6, "CaseC {}: the first sweep", program.name());
         }
         for sweep in 2..5 {
             let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));

@@ -707,6 +707,25 @@ impl<C: Cell> TaskCtx<C> {
         self.env.resolve_gather(block, addrs)
     }
 
+    /// [`TaskCtx::resolve_gather`] of the list "each cell of `block` in
+    /// row-major order, each of `offsets` in order", a target that leaves
+    /// `block` remapped by `outside` — resolved from the offsets without
+    /// building the list (see `Env::resolve_offsets`): the same plan, for a
+    /// kernel whose neighbours are fixed offsets of every point
+    /// (`UsGridValueApp` where points stay in place).
+    pub fn resolve_offsets<O>(
+        &self,
+        block: BlockId,
+        offsets: O,
+        outside: impl FnMut(GlobalAddress) -> GlobalAddress,
+    ) -> GatherPlan
+    where
+        O: IntoIterator<Item = LocalAddress>,
+        O::IntoIter: Clone,
+    {
+        self.env.resolve_offsets(block, offsets, outside)
+    }
+
     /// Read the cells `plan` names (no in-block assertion) and keep
     /// `project(&cell)` of each in `out`: one [`TaskCtx::get_global`] per
     /// address the plan was resolved from — same values, missing-page

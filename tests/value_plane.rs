@@ -150,13 +150,28 @@ fn other_neighbour_lists_run_as_written() {
         let want = dense_reference(program.neighbors(), system.boundary_value);
         let sink = new_field_sink();
         let app = value_app(&system, &program, &sink);
-        Platform::new(ExecutionMode::PlatformNop)
-            .run_system(Arc::new(UsGridValueSystem(system)), app.factory());
+        let report = Platform::new(ExecutionMode::PlatformNop)
+            .run_system(Arc::new(UsGridValueSystem(system)), app.factory())
+            .report;
         let deposited = sink.lock().clone();
         assert_eq!(deposited.len(), REGION.cells(), "{name}");
         for (at, v) in &deposited {
             assert_eq!(v.to_bits(), dense(at, &want).to_bits(), "{name} at ({}, {})", at.x, at.y);
         }
+        // The plans these lists are read through are resolved from their
+        // offsets: a point's own value (hinted) and its k neighbours (not)
+        // are read once a sweep, and every neighbour read lands somewhere —
+        // in the block, out of it, or on nothing.
+        let k = program.neighbors().len() as u64;
+        let (points, counters) = (REGION.cells() as u64 * STEPS as u64, report.total_counters());
+        assert_eq!(counters.reads, (1 + k) * points, "{name}: reads");
+        assert_eq!(counters.writes, points, "{name}: writes");
+        assert_eq!(counters.skip_search_hits, points, "{name}: own values");
+        assert_eq!(
+            counters.in_block_hits + counters.out_of_block_reads + counters.missing_accesses,
+            k * points,
+            "{name}: every neighbour read accounted for"
+        );
 
         // ... and the service's checksum (its boundary is 0.0), folded in the
         // order `Finalize` deposits the field, under every topology.
