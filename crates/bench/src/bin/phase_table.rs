@@ -1,14 +1,19 @@
 //! Where a job's time goes, phase by phase, read from its trace alone.
 //!
-//! The three stock jobs of the layer ledger (`benchmark/`: `sgrid_jacobi`
-//! 512² block 64, `usgrid_jacobi` CaseC 256² block 64, `particle_sweep` 2^15
-//! particles; 8 steps each) run back to back through a one-worker observed
-//! [`KernelService`], so the allocator and the caches are in the service's
-//! steady state.  The apps timed are the ones the service runs:
-//! `IrStencilApp`, `UsGridValueApp` (usgrid's value plane — not the Fig. 5b
-//! reference `UsGridJacobiApp`, whose sweep moves 72-byte cells) and
-//! `ParticleApp`; for usgrid, "sweep 1" is a later sweep plus what a block's
-//! first pass adds: its neighbour plan resolved from the program's offsets
+//! Seven job shapes run through a one-worker observed [`KernelService`], one
+//! shape at a time, so the allocator and the caches are in the service's
+//! steady state: the three stock jobs of the layer ledger (`benchmark/`:
+//! `sgrid_jacobi` 512² block 64, `usgrid_jacobi` CaseC 256² block 64,
+//! `particle_sweep` 2^15 particles; 8 steps each) and the four kinds of
+//! `service_small_mix` that have a hand-written base (`jacobi64` 64² block
+//! 16, 4 steps; `usgrid48` 48² block 16, 2 steps; `particle1k` 2^10
+//! particles, 2 steps; `jacobi32` 32² block 16, 1 step).  The apps timed are
+//! the ones the service runs: `IrStencilApp`, `UsGridValueApp` (usgrid's
+//! value plane — not the Fig. 5b reference `UsGridJacobiApp`, whose sweep
+//! moves 72-byte cells) and `ParticleBlockApp` (particle's block app — not
+//! the Listing-1 reference `ParticleApp`, which reads ten buckets a bucket);
+//! for usgrid, "sweep 1" is a later sweep plus what a block's first pass
+//! adds: its neighbour plan resolved from the program's offsets
 //! (`Env::resolve_offsets`, CaseC) and the first touch of the app's scratch.
 //! Every phase below is a span the woven `ObsRunAspect` recorded, or the gap
 //! between two of them:
@@ -18,54 +23,106 @@
 //! * **Initialize**, each **sweep** (`Annotation::KernelStep`, the first one
 //!   apart: it is the cache-cold one and looks its plans up), **Finalize**;
 //! * **tail** — `Finalize` end → `Service::execute_spec` end: the checksum
-//!   pass over the sink, the cost model, teardown.
+//!   pass over the sink, the cost model, teardown;
+//! * **sweeps %** — all sweeps together over the whole job.
 //!
 //! A single-rank job has exactly `steps` sweeps (`HpcApp::processing`), so
-//! the phases add up to the execute span with nothing left over.
+//! the phases add up to the execute span with nothing left over.  Beside
+//! them, **hand-written** is the shape's hand-written code
+//! (`aohpc_baselines`, initialisation + `steps` steps: the base the
+//! benchmark divides by), timed as many times, before the first service
+//! starts.
 //!
 //! ```sh
-//! cargo run --release -p aohpc-bench --bin phase_table     # 40 jobs a kind
+//! cargo run --release -p aohpc-bench --bin phase_table     # 40 jobs a shape
 //! AOHPC_SCALE=smoke cargo run --release -p aohpc-bench --bin phase_table  # 3
 //! ```
 
-use aohpc::dsl::ParticleSystem;
+use aohpc::dsl::{ParticleSystem, UsGridJacobiApp};
+use aohpc::env::GlobalAddress;
 use aohpc_aop::names;
-use aohpc_kernel::{ParticleProgram, StencilProgram, UsGridProgram};
+use aohpc_baselines::{HandwrittenParticle, HandwrittenSGrid, HandwrittenUsGrid};
+use aohpc_kernel::{default_initial_value, ParticleProgram, StencilProgram, UsGridProgram};
 use aohpc_obs::{SpanRecord, WallClock};
 use aohpc_service::{FamilyProgram, JobSpec, KernelService, ObsHub, ServiceConfig, SessionSpec};
-use aohpc_workloads::{ParticleSize, RegionSize, Scale};
+use aohpc_workloads::{GridLayout, ParticleSize, RegionSize, Scale};
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
-const STEPS: usize = 8;
 const WARM_UP_JOBS: usize = 2;
-const PHASES: [&str; 8] =
-    ["job", "execute", "set-up", "Initialize", "sweep 1", "sweep 2..", "Finalize", "tail"];
+const PHASES: [&str; 10] = [
+    "job",
+    "execute",
+    "set-up",
+    "Initialize",
+    "sweep 1",
+    "sweep 2..",
+    "Finalize",
+    "tail",
+    "sweeps %",
+    "hand-written",
+];
 
-fn stock_jobs() -> Vec<(&'static str, JobSpec)> {
-    let grid = |program: FamilyProgram, side| {
-        JobSpec::new(program, vec![0.5, 0.125], RegionSize::square(side))
-            .with_block(64)
-            .with_steps(STEPS)
-    };
-    let count = 1 << 15;
+fn grid(program: impl Into<FamilyProgram>, side: usize, block: usize, steps: usize) -> JobSpec {
+    JobSpec::new(program, vec![0.5, 0.125], RegionSize::square(side))
+        .with_block(block)
+        .with_steps(steps)
+}
+
+fn particle(count: usize, steps: usize) -> JobSpec {
     let buckets = ParticleSystem::paper(ParticleSize::new(count));
-    let particle = JobSpec::new(
+    JobSpec::new(
         ParticleProgram::pair_sweep(),
         vec![1.0, 1e-3],
         RegionSize { nx: buckets.buckets_x, ny: buckets.buckets_y },
     )
     .with_block(8)
-    .with_steps(STEPS)
-    .with_particles(count);
+    .with_steps(steps)
+    .with_particles(count)
+}
+
+fn shapes() -> Vec<(&'static str, JobSpec)> {
+    let jacobi = StencilProgram::jacobi_5pt;
+    let usgrid = UsGridProgram::jacobi4;
     vec![
-        ("sgrid_jacobi", grid(StencilProgram::jacobi_5pt().into(), 512)),
-        ("usgrid_jacobi", grid(UsGridProgram::jacobi4().into(), 256)),
-        ("particle_sweep", particle),
+        ("sgrid_jacobi", grid(jacobi(), 512, 64, 8)),
+        ("usgrid_jacobi", grid(usgrid(), 256, 64, 8)),
+        ("particle_sweep", particle(1 << 15, 8)),
+        ("jacobi64 b16 x4", grid(jacobi(), 64, 16, 4)),
+        ("usgrid48 b16 x2", grid(usgrid(), 48, 16, 2)),
+        ("particle1k x2", particle(1 << 10, 2)),
+        ("jacobi32 b16 x1", grid(jacobi(), 32, 16, 1)),
     ]
 }
 
-/// One job's phases in milliseconds, in [`PHASES`] order.
-fn phases(spans: &[SpanRecord], trace: u64) -> [f64; PHASES.len()] {
+fn stencil_init(x: i64, y: i64) -> f64 {
+    default_initial_value(GlobalAddress::new2d(x, y))
+}
+
+/// One run of `spec`'s hand-written code, in seconds.
+fn hand_written(spec: &JobSpec) -> f64 {
+    let (region, steps) = (spec.region, spec.steps);
+    let start = Instant::now();
+    match &spec.program {
+        FamilyProgram::Stencil(_) => {
+            black_box(HandwrittenSGrid::new(region, steps, stencil_init).run());
+        }
+        FamilyProgram::UsGrid(_) => {
+            let init = UsGridJacobiApp::initial_value;
+            black_box(HandwrittenUsGrid::new(region, GridLayout::CaseC, steps, init).run());
+        }
+        FamilyProgram::Particle(_) => {
+            let count = spec.particles.expect("particle shapes carry their count");
+            black_box(HandwrittenParticle::new(ParticleSize::new(count), steps).run());
+        }
+    }
+    start.elapsed().as_secs_f64()
+}
+
+/// One job's platform phases in milliseconds, in [`PHASES`] order up to
+/// "sweeps %"; "sweep 2.." is NaN for a one-step job.
+fn phases(spans: &[SpanRecord], trace: u64, steps: usize) -> [f64; PHASES.len() - 1] {
     let of = |name: &str| -> Vec<&SpanRecord> {
         let mut found: Vec<_> =
             spans.iter().filter(|s| s.trace == trace && s.name == name).collect();
@@ -77,21 +134,27 @@ fn phases(spans: &[SpanRecord], trace: u64) -> [f64; PHASES.len()] {
     let (job, execute) = (one("Service::job"), one(names::SERVICE_EXECUTE));
     let (init, fin) = (one(names::INITIALIZE), one(names::FINALIZE));
     let sweeps = of(names::KERNEL_STEP);
-    assert_eq!(sweeps.len(), STEPS, "a single-rank job sweeps `steps` times");
+    assert_eq!(sweeps.len(), steps, "a single-rank job sweeps `steps` times");
     let later: u64 = sweeps[1..].iter().map(|s| s.duration_ns()).sum();
+    let all = later + sweeps[0].duration_ns();
     [
         ms(job.duration_ns()),
         ms(execute.duration_ns()),
         ms(init.start_ns - execute.start_ns),
         ms(init.duration_ns()),
         ms(sweeps[0].duration_ns()),
-        ms(later) / (STEPS - 1) as f64,
+        ms(later) / (steps - 1) as f64,
         ms(fin.duration_ns()),
         ms(execute.end_ns - fin.end_ns),
+        100.0 * all as f64 / job.duration_ns() as f64,
     ]
 }
 
+/// The median of `values`, NaN for none or any NaN.
 fn median(mut values: Vec<f64>) -> f64 {
+    if values.is_empty() || values.iter().any(|v| v.is_nan()) {
+        return f64::NAN;
+    }
     values.sort_by(f64::total_cmp);
     values[values.len() / 2]
 }
@@ -99,9 +162,22 @@ fn median(mut values: Vec<f64>) -> f64 {
 fn main() {
     let scale = Scale::from_env();
     let jobs = if scale == Scale::Smoke { 3 } else { 40 };
-    println!("# phase_table — one worker, {STEPS} steps, medians of {jobs} jobs a kind, ms");
-    println!("{:<15}{}", "", PHASES.map(|p| format!("{p:>11}")).concat());
-    for (label, spec) in stock_jobs() {
+    println!("# phase_table — one worker, medians of {jobs} jobs a shape, ms (sweeps: %)");
+    println!("{:<18}{}", "", PHASES.map(|p| format!("{p:>13}")).concat());
+    // The hand-written codes are timed first, before any service has run in
+    // this process: the heap a service leaves behind slows their many small
+    // allocations (2^10 particles: 1.4 ms here, 2.1–2.5 ms after the others).
+    let shapes = shapes();
+    let bases: Vec<f64> = shapes
+        .iter()
+        .map(|(_, spec)| {
+            for _ in 0..WARM_UP_JOBS {
+                hand_written(spec);
+            }
+            median((0..jobs).map(|_| 1e3 * hand_written(spec)).collect())
+        })
+        .collect();
+    for ((label, spec), base) in shapes.into_iter().zip(bases) {
         // One worker thread records into one shard: size it for every span
         // of every job (sgrid: 64 block spans a sweep, ~525 a job).
         let hub = ObsHub::with_clock_and_capacity(Arc::new(WallClock::new()), 1 << 16);
@@ -121,12 +197,21 @@ fn main() {
         }
         assert_eq!(hub.recorder().dropped(), 0, "the flight recorder held every span");
         let spans = hub.recorder().spans();
-        let rows: Vec<_> = traces.iter().map(|&t| phases(&spans, t)).collect();
-        let medians: Vec<f64> =
-            (0..PHASES.len()).map(|p| median(rows.iter().map(|r| r[p]).collect())).collect();
-        println!("{label:<15}{}", medians.iter().map(|m| format!("{m:>11.3}")).collect::<String>());
+        let rows: Vec<_> = traces.iter().map(|&t| phases(&spans, t, spec.steps)).collect();
+        let mut medians: Vec<f64> =
+            (0..PHASES.len() - 1).map(|p| median(rows.iter().map(|r| r[p]).collect())).collect();
         let violations = service.obs_snapshot().expect("observer installed").validate();
         assert!(violations.is_empty(), "snapshot inconsistent: {violations:?}");
         service.shutdown();
+
+        medians.push(base);
+        let cells = medians.iter().map(|m| {
+            if m.is_nan() {
+                format!("{:>13}", "-")
+            } else {
+                format!("{m:>13.3}")
+            }
+        });
+        println!("{label:<18}{}", cells.collect::<String>());
     }
 }

@@ -7,9 +7,9 @@ pub use crate::platform::{ExecutionMode, Platform, RunOutcome};
 pub use aohpc_aop::{Advice, AdviceBinding, Aspect, Pointcut, Weaver, WovenProgram};
 pub use aohpc_dsl::common::new_field_sink;
 pub use aohpc_dsl::{
-    Bucket, DslSystem, FieldSink, Particle, ParticleApp, ParticleSystem, SGridJacobiApp,
-    SGridSystem, UsBlockLaw, UsCell, UsGridJacobiApp, UsGridSystem, UsGridValueApp,
-    UsGridValueSystem,
+    Bucket, DslSystem, FieldSink, PairForce, Particle, ParticleApp, ParticleBlockApp,
+    ParticleSystem, SGridJacobiApp, SGridSystem, UsBlockLaw, UsCell, UsGridJacobiApp, UsGridSystem,
+    UsGridValueApp, UsGridValueSystem,
 };
 pub use aohpc_env::{
     AccessState, Block, BlockId, BlockKind, Env, EnvBuilder, Extent, GlobalAddress, LocalAddress,

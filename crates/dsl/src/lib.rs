@@ -34,11 +34,14 @@
 //! |---|---|---|
 //! | stencil | [`SGridJacobiApp`] on [`SGridSystem`], one platform call a cell | the kernel crate's `IrStencilApp` on [`SGridSystem`]: slabs, halo runs, the compiled tape |
 //! | usgrid | [`UsGridJacobiApp`] on [`UsGridSystem`] (`Cell = `[`UsCell`]: Fig. 5b, cells that store their neighbours' addresses), law [`UsUpdate`] a point | [`UsGridValueApp`] on [`UsGridValueSystem`] (`Cell = f64`): a per-block `GatherPlan` from the layout and the program's offsets, law [`UsBlockLaw`] a block |
-//! | particle | [`ParticleApp`] on [`ParticleSystem`], per-cell bucket reads | the same [`ParticleApp`], the compiled pair law plugged in ([`PairForce`]) — no product split yet |
+//! | particle | [`ParticleApp`] on [`ParticleSystem`], ten per-cell bucket reads a bucket | [`ParticleBlockApp`] on [`ParticleSystem`]: a block's buckets as one slab, its one-bucket ring as four runs, the compiled pair law ([`PairForce`]) a pair |
 //!
-//! A product app leaves the field bits and every `AccessCounters` field of
-//! its reference (`tests/slab_accounting.rs`, `tests/value_plane.rs`), so the
-//! cost model prices both alike except for bytes on the wire.
+//! A product app leaves the field bits of its reference.  The usgrid one
+//! leaves every `AccessCounters` field of its reference too
+//! (`tests/value_plane.rs`), so the cost model prices both alike except for
+//! bytes on the wire.  The stencil and particle ones read each cell once a
+//! sweep where their references read it once per load, and leave the
+//! counters of a per-cell loop over those cells (`tests/slab_accounting.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +52,7 @@ pub mod sgrid;
 pub mod usgrid;
 
 pub use common::{new_field_sink, DslSystem, FieldSink};
-pub use particle::{Bucket, PairForce, Particle, ParticleApp, ParticleSystem};
+pub use particle::{Bucket, PairForce, Particle, ParticleApp, ParticleBlockApp, ParticleSystem};
 pub use sgrid::{SGridJacobiApp, SGridSystem};
 pub use usgrid::{
     UsBlockLaw, UsCell, UsGridJacobiApp, UsGridSystem, UsGridValueApp, UsGridValueSystem, UsUpdate,

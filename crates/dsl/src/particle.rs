@@ -22,6 +22,13 @@
 //!   by exactly one bucket — no cross-block writes are needed, so the scheme
 //!   works unchanged under the MPI / OpenMP aspect modules.  The access
 //!   pattern is a fixed 5×5 stencil, so MMAT stays valid across steps.
+//!
+//! [`ParticleApp`] is the family's Listing-1 reference: ten per-cell reads a
+//! bucket (itself, then its 3×3 neighbourhood).  [`ParticleBlockApp`] is the
+//! product app the service runs: the reference's in-place sweep with a
+//! block's buckets moved in bulk — one slab in, its one-bucket ring as four
+//! runs, one slab out — the same pair law per pair in the same order, so the
+//! same field to the bit, each bucket read once a sweep.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
 use aohpc_env::{Env, GlobalAddress, LocalAddress, TreeTopology};
@@ -80,6 +87,14 @@ impl Bucket {
         } else {
             false
         }
+    }
+
+    /// The summed speed of the live particles: what `Finalize` reports.
+    pub fn speed(&self) -> f64 {
+        self.live()
+            .iter()
+            .map(|p| (p.vel[0].powi(2) + p.vel[1].powi(2) + p.vel[2].powi(2)).sqrt())
+            .sum()
     }
 }
 
@@ -141,6 +156,33 @@ impl ParticleSystem {
     /// The tiling of the bucket grid into blocks.
     pub fn tiling(&self) -> Tiling {
         Tiling { nx: self.buckets_x, ny: self.buckets_y, block: BUCKETS_PER_BLOCK_SIDE }
+    }
+
+    /// The bucket at `g` as `Initialize` places it: uniform placement, up to
+    /// `fill_per_bucket` particles until the requested count is reached,
+    /// each moving at `velocity`.  Particles are numbered bucket-major, so
+    /// every rank computes the same global ids without communication.
+    pub fn initial_bucket(&self, g: GlobalAddress, velocity: [f64; 3]) -> Bucket {
+        let fill = self.fill_per_bucket;
+        let first_id = (g.y as usize * self.buckets_x + g.x as usize) * fill;
+        let mut bucket = Bucket::default();
+        for k in 0..fill {
+            let id = first_id + k;
+            if id >= self.particles.count {
+                break;
+            }
+            // A low-discrepancy-ish lattice inside the unit bucket.
+            let fx = ((k * 7 + 3) % 16) as f64 / 16.0;
+            let fy = ((k * 11 + 5) % 16) as f64 / 16.0;
+            let (ox, oy) = (0.05 + 0.9 * fx, 0.05 + 0.9 * fy);
+            bucket.push(Particle {
+                id: id as u32,
+                pos: [g.x as f64 + ox, g.y as f64 + oy, 0.5],
+                vel: velocity,
+                acc: [0.0; 3],
+            });
+        }
+        bucket
     }
 
     /// A wall bucket for an out-of-domain position: fixed particles at the
@@ -289,14 +331,6 @@ impl ParticleApp {
     pub fn factory(&self) -> Arc<dyn Fn(TaskSlot) -> ParticleApp + Send + Sync> {
         let proto = self.clone();
         Arc::new(move |_slot| proto.clone())
-    }
-
-    /// Deterministic sub-bucket offset of the `k`-th particle of a bucket.
-    fn offset(k: usize) -> (f64, f64) {
-        // A low-discrepancy-ish lattice inside the unit bucket.
-        let fx = ((k * 7 + 3) % 16) as f64 / 16.0;
-        let fy = ((k * 11 + 5) % 16) as f64 / 16.0;
-        (0.05 + 0.9 * fx, 0.05 + 0.9 * fy)
     }
 
     /// The pairwise weight function: quadratic drop-off within the radius.
@@ -483,43 +517,8 @@ impl HpcApp<Bucket> for ParticleApp {
     }
 
     fn initialize(&mut self, ctx: &mut TaskCtx<Bucket>) {
-        // Uniform placement: fill each bucket of the domain with
-        // `fill_per_bucket` particles until the requested count is reached.
-        let fill = self.system.fill_per_bucket;
-        let bx_total = self.system.buckets_x;
-        let remaining_before = |bucket_index: usize| {
-            // Particles are numbered bucket-major so every rank computes the
-            // same global ids without communication.
-            bucket_index * fill
-        };
-        for bid in ctx.owned_blocks() {
-            let (ext, origin) = {
-                let b = ctx.env().block(bid);
-                (b.meta.extent, b.meta.origin)
-            };
-            for j in 0..ext.ny as i64 {
-                for i in 0..ext.nx as i64 {
-                    let g = origin + LocalAddress::new2d(i, j);
-                    let bucket_index = (g.y as usize) * bx_total + g.x as usize;
-                    let first_id = remaining_before(bucket_index);
-                    let mut bucket = Bucket::default();
-                    for k in 0..fill {
-                        let global_id = first_id + k;
-                        if global_id >= self.system.particles.count {
-                            break;
-                        }
-                        let (ox, oy) = Self::offset(k);
-                        bucket.push(Particle {
-                            id: global_id as u32,
-                            pos: [g.x as f64 + ox, g.y as f64 + oy, 0.5],
-                            vel: self.initial_velocity,
-                            acc: [0.0; 3],
-                        });
-                    }
-                    ctx.set_initial(bid, LocalAddress::new2d(i, j), bucket);
-                }
-            }
-        }
+        let (system, velocity) = (&self.system, self.initial_velocity);
+        ctx.initialize_owned(|g| system.initial_bucket(g, velocity));
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<Bucket>, _warmup: bool) -> bool {
@@ -544,13 +543,8 @@ impl HpcApp<Bucket> for ParticleApp {
             for j in 0..ext.ny as i64 {
                 for i in 0..ext.nx as i64 {
                     let bucket = ctx.get_dd(bid, LocalAddress::new2d(i, j));
-                    let speed: f64 = bucket
-                        .live()
-                        .iter()
-                        .map(|p| (p.vel[0].powi(2) + p.vel[1].powi(2) + p.vel[2].powi(2)).sqrt())
-                        .sum();
                     let addr = origin + LocalAddress::new2d(i, j);
-                    speeds.push((addr, speed));
+                    speeds.push((addr, bucket.speed()));
                     counts.push((addr, bucket.count as f64));
                 }
             }
@@ -560,6 +554,175 @@ impl HpcApp<Bucket> for ParticleApp {
         }
         if let Some(sink) = &self.count_sink {
             sink.lock().extend(counts);
+        }
+    }
+}
+
+/// The product app of the family (see the module docs): the reference's
+/// in-place sweep ([`ParticleApp`] without migration) with a block's buckets
+/// moved in bulk.  Run it on [`ParticleSystem`].
+///
+/// A block's pass runs inside `TaskCtx::run_block` (the
+/// `Kernel::execute_block` join point): its buckets in as one slab, its
+/// one-bucket ring as four runs — the row above and the row below, `bx + 2`
+/// buckets each with the corners, then the left and the right column, `by`
+/// each — the reference's force (one [`PairForce`] call a pair, in the
+/// reference's neighbourhood order) and update for every live particle, and
+/// the block out as one slab.  A bucket is read once a sweep: hinted in the
+/// block, unhinted on the ring.
+#[derive(Debug, Clone)]
+pub struct ParticleBlockApp {
+    /// The DSL system (for initial placement parameters).
+    pub system: ParticleSystem,
+    /// The pair-force law.
+    pub law: PairForce,
+    /// Time step.
+    pub dt: f64,
+    /// Main-loop iterations.
+    pub loops: usize,
+    /// `Finalize` deposits per-bucket summed speed here (keyed by bucket
+    /// coordinates), as the reference does.
+    pub sink: Option<FieldSink>,
+    /// What the kernel keeps between passes (an app instance is one task's).
+    scratch: BlockScratch,
+}
+
+/// The block kernel's staging, sized at the first block: at most one 8×8
+/// block of buckets each (82 KB), under the allocator's mmap threshold.
+#[derive(Debug, Clone, Default)]
+struct BlockScratch {
+    /// The block's buckets, as read.
+    own: Vec<Bucket>,
+    /// Its one-bucket ring: row above, row below, left column, right column.
+    ring: Vec<Bucket>,
+    /// The block's updated buckets.
+    out: Vec<Bucket>,
+}
+
+impl ParticleBlockApp {
+    /// A sweep of `law` over the system's buckets, `loops` times, at the
+    /// reference's default time step.
+    pub fn new(system: ParticleSystem, law: PairForce, loops: usize) -> Self {
+        ParticleBlockApp {
+            system,
+            law,
+            dt: 1e-3,
+            loops,
+            sink: None,
+            scratch: BlockScratch::default(),
+        }
+    }
+
+    /// Use a different time step.
+    pub fn with_dt(mut self, dt: f64) -> Self {
+        self.dt = dt;
+        self
+    }
+
+    /// Attach a result sink.
+    pub fn with_sink(mut self, sink: FieldSink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// App factory for the runtime driver.
+    pub fn factory(&self) -> Arc<dyn Fn(TaskSlot) -> ParticleBlockApp + Send + Sync> {
+        let proto = self.clone();
+        Arc::new(move |_slot| proto.clone())
+    }
+}
+
+/// The bucket at block-relative `(x, y)`, at most one bucket outside a
+/// `bx × by` block, from the block's slab and its ring (ring order as in
+/// [`BlockScratch::ring`]).
+fn bucket_at<'a>(
+    own: &'a [Bucket],
+    ring: &'a [Bucket],
+    bx: i64,
+    by: i64,
+    x: i64,
+    y: i64,
+) -> &'a Bucket {
+    if (0..bx).contains(&x) && (0..by).contains(&y) {
+        return &own[(y * bx + x) as usize];
+    }
+    let slot = if y < 0 {
+        x + 1
+    } else if y >= by {
+        (bx + 2) + x + 1
+    } else if x < 0 {
+        2 * (bx + 2) + y
+    } else {
+        2 * (bx + 2) + by + y
+    };
+    &ring[slot as usize]
+}
+
+impl HpcApp<Bucket> for ParticleBlockApp {
+    fn loop_count(&self) -> usize {
+        self.loops
+    }
+
+    fn initialize(&mut self, ctx: &mut TaskCtx<Bucket>) {
+        let system = &self.system;
+        ctx.initialize_owned(|g| system.initial_bucket(g, [0.0; 3]));
+    }
+
+    fn kernel(&mut self, ctx: &mut TaskCtx<Bucket>, _warmup: bool) -> bool {
+        let (law, dt) = (&*self.law.0, self.dt);
+        let BlockScratch { own, ring, out } = &mut self.scratch;
+        for bid in ctx.get_blocks() {
+            let ext = ctx.env().block(bid).meta.extent;
+            let (nx, ny) = (ext.nx, ext.ny);
+            ctx.run_block(bid as i64, nx * ny, |ctx| {
+                own.resize(nx * ny, Bucket::default());
+                ring.resize(2 * (nx + 2) + 2 * ny, Bucket::default());
+                ctx.get_block_dd(bid, own);
+                let (bx, by) = (nx as i64, ny as i64);
+                let (across, down) = (LocalAddress::new2d(1, 0), LocalAddress::new2d(0, 1));
+                let (rows, columns) = ring.split_at_mut(2 * (nx + 2));
+                let (above, below) = rows.split_at_mut(nx + 2);
+                let (left, right) = columns.split_at_mut(ny);
+                ctx.get_run(bid, LocalAddress::new2d(-1, -1), across, above);
+                ctx.get_run(bid, LocalAddress::new2d(-1, by), across, below);
+                ctx.get_run(bid, LocalAddress::new2d(-1, 0), down, left);
+                ctx.get_run(bid, LocalAddress::new2d(bx, 0), down, right);
+
+                out.clear();
+                out.extend_from_slice(own);
+                for (k, me) in own.iter().enumerate().filter(|(_, me)| me.count > 0) {
+                    let (i, j) = (k as i64 % bx, k as i64 / bx);
+                    // The 3×3 neighbourhood in the reference's (dj, di)
+                    // row-major order.
+                    let hood: [&Bucket; 9] = std::array::from_fn(|n| {
+                        let (di, dj) = (n as i64 % 3 - 1, n as i64 / 3 - 1);
+                        bucket_at(own, ring, bx, by, i + di, j + dj)
+                    });
+                    for (p, next) in me.live().iter().zip(&mut out[k].particles) {
+                        let mut force = [0.0f64; 3];
+                        for nb in hood {
+                            for q in nb.live() {
+                                if q.id != p.id {
+                                    law(&p.pos, &q.pos, &mut force);
+                                }
+                            }
+                        }
+                        next.acc = force;
+                        for d in 0..3 {
+                            next.vel[d] += next.acc[d] * dt;
+                            next.pos[d] += next.vel[d] * dt;
+                        }
+                    }
+                }
+                ctx.set_block(bid, out);
+            });
+        }
+        ctx.refresh()
+    }
+
+    fn finalize(&mut self, ctx: &mut TaskCtx<Bucket>) {
+        if let Some(sink) = &self.sink {
+            ctx.deposit_owned(sink, Bucket::speed);
         }
     }
 }

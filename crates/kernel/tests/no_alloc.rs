@@ -7,14 +7,17 @@
 //! concurrent libtest harness threads cannot contribute stray counts.
 
 use aohpc_aop::WovenProgram;
-use aohpc_dsl::{DslSystem, UsBlockLaw, UsGridSystem, UsGridValueApp, UsGridValueSystem};
-use aohpc_env::Extent;
+use aohpc_dsl::{
+    Bucket, DslSystem, PairForce, ParticleApp, ParticleBlockApp, ParticleSystem, UsBlockLaw,
+    UsGridSystem, UsGridValueApp, UsGridValueSystem,
+};
+use aohpc_env::{Cell, Env, Extent};
 use aohpc_kernel::{
-    lit, load, param, CompiledKernel, ExecScratch, ExecStats, OptLevel, Processor, ScratchPool,
-    StencilProgram, UsGridKernel, UsGridProgram,
+    lit, load, param, CompiledKernel, ExecScratch, ExecStats, OptLevel, ParticleKernel,
+    ParticleProgram, Processor, ScratchPool, StencilProgram, UsGridKernel, UsGridProgram,
 };
 use aohpc_runtime::{HpcApp, RankShared, TaskCtx, Topology};
-use aohpc_workloads::{GridLayout, RegionSize};
+use aohpc_workloads::{GridLayout, ParticleSize, RegionSize};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -209,6 +212,18 @@ fn pooled_scratch_stays_warm_across_job_churn() {
     assert_eq!(pool.stats().reused, 7, "jobs 2..6, the held check-out, and the final job");
 }
 
+/// The one task of a serial run over `env`, owning every block.
+fn serial_ctx<C: Cell>(env: Env<C>) -> TaskCtx<C> {
+    let env = Arc::new(env);
+    for id in env.data_block_ids() {
+        env.block(id).meta.set_dm_tid(Some(0));
+    }
+    let topology = Topology::serial();
+    let shared = Arc::new(RankShared::new(topology.clone(), 0, None, true));
+    let slot = topology.slot(0, 0);
+    TaskCtx::new(slot, env, shared, WovenProgram::unwoven(), true, false)
+}
+
 /// The value-plane usgrid sweep keeps its buffers and every block's
 /// `GatherPlan` in the task's scratch: a sweep after the first allocates only
 /// what the two platform calls around the blocks do (`get_blocks` hands out
@@ -228,14 +243,7 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
     ] {
         let kernel = UsGridKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
         let system = UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, layout);
-        let env = Arc::new(UsGridValueSystem(system.clone()).build_env());
-        for id in env.data_block_ids() {
-            env.block(id).meta.set_dm_tid(Some(0));
-        }
-        let topology = Topology::serial();
-        let shared = Arc::new(RankShared::new(topology.clone(), 0, None, true));
-        let slot = topology.slot(0, 0);
-        let mut ctx = TaskCtx::new(slot, env, shared, WovenProgram::unwoven(), true, false);
+        let mut ctx = serial_ctx(UsGridValueSystem(system.clone()).build_env());
         let law = UsBlockLaw(kernel.block_law(0.5, 0.125));
         let mut app = UsGridValueApp::new(system, program.neighbors().to_vec(), law, 4);
         app.initialize(&mut ctx);
@@ -267,5 +275,51 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
                 layout.name()
             );
         }
+    }
+}
+
+/// The particle block sweep keeps its three staging slabs in the app: a sweep
+/// after the first allocates only what `get_blocks` and `refresh` do —
+/// nothing a block and nothing a bucket, on a half-empty grid (1,000
+/// particles in 256 buckets) and a full one (2^12 in 576).  The Listing-1
+/// `ParticleApp` beside it allocates two `Vec`s a bucket, every sweep.
+#[test]
+fn warm_particle_sweep_allocates_nothing_of_its_own() {
+    let program = ParticleProgram::pair_sweep();
+    let kernel = ParticleKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
+    let law = PairForce(kernel.pair_law(1.0));
+    for count in [1000, 1 << 12] {
+        let system = ParticleSystem::paper(ParticleSize::new(count));
+        let buckets = (system.buckets_x * system.buckets_y) as u64;
+        let platform = |ctx: &mut TaskCtx<Bucket>| {
+            aohpc_testalloc::count_in(|| {
+                let blocks = ctx.get_blocks();
+                ctx.refresh();
+                blocks
+            })
+            .1
+        };
+
+        let mut ctx = serial_ctx(system.build_env());
+        let mut app = ParticleBlockApp::new(system.clone(), law.clone(), 4);
+        app.initialize(&mut ctx);
+        // The first sweep sizes the own, ring and out slabs: three.
+        let (ok, cold) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
+        assert!(ok);
+        let platform = platform(&mut ctx);
+        assert_eq!(cold, platform + 3, "{count}: the first sweep");
+        for sweep in 2..5 {
+            let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
+            assert!(ok);
+            assert_eq!(allocs, platform, "{count} sweep {sweep}: beyond get_blocks + refresh");
+        }
+
+        let mut ctx = serial_ctx(system.build_env());
+        let mut reference = ParticleApp::new(system, 4).with_pair_force(law.clone());
+        reference.initialize(&mut ctx);
+        assert!(reference.kernel(&mut ctx, false));
+        let (ok, allocs) = aohpc_testalloc::count_in(|| reference.kernel(&mut ctx, false));
+        assert!(ok);
+        assert_eq!(allocs, platform + 2 * buckets, "{count}: the reference, two a bucket");
     }
 }

@@ -46,7 +46,7 @@ use crate::session::{
 };
 use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
 use aohpc_dsl::{
-    new_field_sink, DslSystem, FieldSink, PairForce, ParticleApp, ParticleSystem, SGridSystem,
+    new_field_sink, DslSystem, FieldSink, PairForce, ParticleBlockApp, ParticleSystem, SGridSystem,
     UsBlockLaw, UsGridSystem, UsGridValueApp, UsGridValueSystem,
 };
 use aohpc_env::Extent;
@@ -1395,9 +1395,10 @@ fn execute_traced(
 /// Build the job's `(system, app)` pair for its
 /// [kernel family](aohpc_kernel::KernelFamilyId) and hand it to
 /// [`run_family`]: stencil jobs run the IR app with the shared cache installed
-/// as its plan source, particle and usgrid jobs run their DSL apps with the
-/// cache-resolved family artifact installed as the update law — for usgrid
-/// the value-plane app over the program's own neighbour offsets.
+/// as its plan source, particle and usgrid jobs run their DSL product apps
+/// with the cache-resolved family artifact installed as the law — for
+/// particle the block app (slab, ring runs, slab), for usgrid the value-plane
+/// app over the program's own neighbour offsets.
 fn execute_spec(
     inner: &Inner,
     spec: &JobSpec,
@@ -1426,10 +1427,10 @@ fn execute_spec(
             // spec.block: `JobSpec::validate` admitted nothing else.
             let system = ParticleSystem::paper(ParticleSize::new(spec.particle_count()));
             let sink = new_field_sink();
-            let app = ParticleApp::new(system.clone(), spec.steps)
+            let law = PairForce(kernel.pair_law(spec.params[0]));
+            let app = ParticleBlockApp::new(system.clone(), law, spec.steps)
                 .with_dt(spec.params[1])
-                .with_sink(sink.clone())
-                .with_pair_force(PairForce(kernel.pair_law(spec.params[0])));
+                .with_sink(sink.clone());
             run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
         }
         FamilyArtifact::UsGrid(kernel) => {

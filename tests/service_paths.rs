@@ -7,8 +7,9 @@
 //! * the checksum equals the serial job's and the direct `Platform` run's,
 //!   bit for bit — the layer aspects must be typed on the cell of the system
 //!   that runs (`f64` for stencil and for usgrid's value plane, `Bucket`;
-//!   the direct usgrid run is the `UsCell` reference app) or ranks never
-//!   exchange and threads never meet at the barrier;
+//!   the direct usgrid and particle runs are the reference apps, so this is
+//!   the product ≡ reference link for both) or ranks never exchange and
+//!   threads never meet at the barrier;
 //! * the summary shows the topology that was asked for, every step done, and
 //!   no retries where the direct run needed none;
 //! * every job's counters and simulated time equal recorded values, and its
@@ -300,16 +301,26 @@ fn particle_pair_sweep_matches_the_direct_run_under_every_topology() {
     check(
         spec,
         direct_particle,
-        // A sweep: 256 buckets x (itself + its 3x3 neighbourhood) = 2560
-        // reads, 256 writes.  One rank, 3 sweeps: 7680 / 768 (was 10240 / 1024),
-        // and 52.188 us of simulated time a sweep: 1x1 208.752 -> 156.564 us.
+        // The service runs `ParticleBlockApp`; `direct_particle` is the
+        // Listing-1 `ParticleApp`, which reads 256 buckets x (itself + its
+        // 3x3 neighbourhood) = 2560 a sweep.  The block app reads each bucket
+        // once: 256 own buckets (one hinted slab a block) + 4 blocks x 36
+        // ring buckets (2 x 10 + 2 x 8, four unhinted runs) = 400 reads, and
+        // 256 writes.  One rank, 3 sweeps: 7680 -> 1200 reads; two ranks, 4
+        // sweeps: 10240 -> 1600.  Writes, pages, retries, dispatches and the
+        // checksum bits are the reference's.
+        //
+        // Simulated time follows the counters.  A 1x1 sweep: 256 hinted
+        // reads x 1.5 ns + 256 writes x (4 + 1) ns + 144 out-of-block reads
+        // x 12 ns + 76 of them on the wall (Arithmetic) x 8 ns + 492 search
+        // nodes x 25 ns = 16.3 us, was 52.188: 1x1 156.564 -> 48.9 us.
         Golden {
             writes_per_sweep: 256,
             rows: [
-                (7680, 768, 0, 0, 13, 0x3f24856a84fb744d),
-                (10240, 1024, 16, 0, 33, 0x3f21f75325176ee2),
-                (7680, 768, 0, 0, 22, 0x3f15a9c790801beb),
-                (10240, 1024, 16, 0, 59, 0x3f16bf4878946444),
+                (1200, 768, 0, 0, 13, 0x3f09a33f34c93568),
+                (1600, 1024, 16, 0, 33, 0x3f1090ea4620f5ea),
+                (1200, 768, 0, 0, 22, 0x3efa855a4f0356cc),
+                (1600, 1024, 16, 0, 59, 0x3f08e1732e123a7e),
             ],
         },
         &[],

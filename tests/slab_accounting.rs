@@ -13,13 +13,23 @@
 //! (`TaskCtx::resolve_gather`) and reads them with one `TaskCtx::get_gather`
 //! a pass; the oracle is the same kernel with one `ctx.get_global` per
 //! neighbour, and there every counter must agree.
+//!
+//! `ParticleBlockApp` reads a block's buckets as one slab and its one-bucket
+//! ring as four runs.  Its field is `ParticleApp`'s (the Listing-1
+//! reference, ten per-cell reads a bucket) bit for bit, and its counters and
+//! missing-page records are those of the per-cell loop over the same buckets
+//! — searches aside, as for the stencil halo.
 
 use aohpc::dsl::UsUpdate;
 use aohpc::env::AccessCounters;
 use aohpc::prelude::*;
+use aohpc::runtime::ctx::RefreshPayload;
+use aohpc::runtime::execute;
+use aohpc_aop::{names, ClosureAspect};
 use aohpc_kernel::prelude::*;
-use aohpc_kernel::{default_initial_value, load, param};
-use std::sync::Arc;
+use aohpc_kernel::{default_initial_value, load, param, ParticleKernel};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex};
 
 const REGION: usize = 32;
 const BLOCK: usize = 8;
@@ -342,4 +352,236 @@ fn per_cell_neighbour_reads_match_the_gather_hybrid() {
         ranks: 2,
         threads: 2,
     });
+}
+
+/// Particle runs are three steps: a block's later passes read what its
+/// earlier ones wrote, across buffer swaps and (without the Dry-run
+/// prefetch) retried steps.
+const PARTICLE_STEPS: usize = 3;
+
+/// The compiled pair law: what the service plugs into the product app.
+fn pair_force() -> PairForce {
+    let program = ParticleProgram::pair_sweep();
+    let kernel = ParticleKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
+    PairForce(kernel.pair_law(1.0))
+}
+
+/// `ParticleBlockApp`'s sweep made of the per-cell calls its bulk reads
+/// stand for: each bucket of the block by `get_dd`, row-major, then each
+/// ring bucket by an unhinted `get` in ring order — the row above and the row
+/// below, corners included, then the left and the right column — and the
+/// update written back bucket by bucket, around the app's own `Initialize`
+/// and `Finalize`.
+#[derive(Clone)]
+struct PerCellParticleApp(ParticleBlockApp);
+
+impl HpcApp<Bucket> for PerCellParticleApp {
+    fn loop_count(&self) -> usize {
+        self.0.loop_count()
+    }
+
+    fn initialize(&mut self, ctx: &mut TaskCtx<Bucket>) {
+        self.0.initialize(ctx);
+    }
+
+    fn kernel(&mut self, ctx: &mut TaskCtx<Bucket>, _warmup: bool) -> bool {
+        let (law, dt) = (self.0.law.clone(), self.0.dt);
+        for bid in ctx.get_blocks() {
+            let extent = ctx.env().block(bid).meta.extent;
+            let (bx, by) = (extent.nx as i64, extent.ny as i64);
+            let mut own = Vec::new();
+            for j in 0..by {
+                for i in 0..bx {
+                    own.push(ctx.get_dd(bid, LocalAddress::new2d(i, j)));
+                }
+            }
+            let ring_order = (-1..=bx)
+                .map(|x| (x, -1))
+                .chain((-1..=bx).map(|x| (x, by)))
+                .chain((0..by).map(|y| (-1, y)))
+                .chain((0..by).map(|y| (bx, y)));
+            let mut ring = HashMap::new();
+            for (x, y) in ring_order {
+                ring.insert((x, y), ctx.get(bid, LocalAddress::new2d(x, y), false));
+            }
+            let at = |x: i64, y: i64| {
+                if (0..bx).contains(&x) && (0..by).contains(&y) {
+                    &own[(y * bx + x) as usize]
+                } else {
+                    &ring[&(x, y)]
+                }
+            };
+            for j in 0..by {
+                for i in 0..bx {
+                    let me = at(i, j);
+                    let mut next = *me;
+                    for (p, moved) in me.live().iter().zip(&mut next.particles) {
+                        let mut force = [0.0f64; 3];
+                        for dj in -1..=1 {
+                            for di in -1..=1 {
+                                for q in at(i + di, j + dj).live() {
+                                    if q.id != p.id {
+                                        (law.0)(&p.pos, &q.pos, &mut force);
+                                    }
+                                }
+                            }
+                        }
+                        moved.acc = force;
+                        for d in 0..3 {
+                            moved.vel[d] += moved.acc[d] * dt;
+                            moved.pos[d] += moved.vel[d] * dt;
+                        }
+                    }
+                    ctx.set(bid, LocalAddress::new2d(i, j), next);
+                }
+            }
+        }
+        ctx.refresh()
+    }
+
+    fn finalize(&mut self, ctx: &mut TaskCtx<Bucket>) {
+        self.0.finalize(ctx);
+    }
+}
+
+/// Each task's missing-page records, one list a `refresh`, in order.
+type MissingLog = BTreeMap<usize, Vec<Vec<(BlockId, usize)>>>;
+
+/// What a particle run leaves: the field's bits by bucket `(y, x)`, each
+/// task's counters and memo `(mmat_entries, mmat_hits)` in task order, its
+/// missing-page log, and the retried steps.
+struct ParticleOutcome {
+    field: BTreeMap<(i64, i64), u64>,
+    tasks: Vec<(AccessCounters, usize, u64)>,
+    missing: MissingLog,
+    retries: u64,
+}
+
+/// Run the app `make` builds around a fresh sink on `ranks × threads`, with
+/// the service's layer aspects and, outermost, one that logs the pages each
+/// task hands to `refresh` as missing.
+fn particle_run<A: HpcApp<Bucket> + Clone + Send + Sync + 'static>(
+    system: &ParticleSystem,
+    (ranks, threads): (usize, usize),
+    mmat: bool,
+    dry_run: bool,
+    make: impl FnOnce(FieldSink) -> A,
+) -> ParticleOutcome {
+    let log = Arc::new(Mutex::new(MissingLog::new()));
+    let recorder = {
+        let log = Arc::clone(&log);
+        ClosureAspect::new("missing-pages").with_precedence(i32::MIN).with_binding(
+            Pointcut::call(names::REFRESH),
+            Advice::before(move |ctx| {
+                let p = ctx.payload_mut::<RefreshPayload<Bucket>>().expect("refresh payload");
+                let pages = p.local_missing.clone();
+                log.lock().unwrap().entry(p.slot.task_id).or_default().push(pages);
+            }),
+        )
+    };
+    let mut weaver = Weaver::new().with_aspect(Box::new(recorder));
+    if ranks > 1 {
+        weaver = weaver.with_aspect(Box::new(MpiAspect::<Bucket>::new()));
+    }
+    if threads > 1 {
+        weaver = weaver.with_aspect(Box::new(OmpAspect::<Bucket>::new()));
+    }
+    let config = RunConfig::serial()
+        .with_topology(Topology::hybrid(ranks, threads))
+        .with_mmat(mmat)
+        .with_dry_run(dry_run);
+    let sink = new_field_sink();
+    let app = make(sink.clone());
+    let env = Arc::new(system.clone()).env_factory();
+    let report = execute(&config, weaver.weave(), env, Arc::new(move |_| app.clone()));
+    assert!(report.tasks.iter().all(|t| t.steps == PARTICLE_STEPS as u64));
+    let field = sink.lock().iter().map(|(at, v)| ((at.y, at.x), v.to_bits())).collect();
+    let mut tasks: Vec<_> = report.tasks.iter().collect();
+    tasks.sort_by_key(|t| t.slot.task_id);
+    let missing = std::mem::take(&mut *log.lock().unwrap());
+    ParticleOutcome {
+        field,
+        tasks: tasks.into_iter().map(|t| (t.counters, t.mmat_entries, t.mmat_hits)).collect(),
+        missing,
+        retries: report.total_retries(),
+    }
+}
+
+/// The block app against the per-cell oracle and against the Listing-1
+/// reference with the same law: a half-empty 16x16 grid (1,000 particles,
+/// 125 of 256 buckets filled) and a full 24x24 one (2^12), MMAT off and on,
+/// and — across ranks — with the Dry-run prefetch off, where every step finds
+/// its ring pages missing and is retried.
+fn particle_block_app_matches(topologies: &[(usize, usize)]) {
+    let law = pair_force();
+    for count in [1000, 1 << 12] {
+        let system = ParticleSystem::paper(ParticleSize::new(count));
+        let tiling = system.tiling();
+        let blocks = (tiling.nx / tiling.block) * (tiling.ny / tiling.block);
+        let cells = (tiling.nx * tiling.ny) as u64;
+        // A block's ring: two rows of 10 with the corners, two columns of 8.
+        let ring = blocks as u64 * (2 * 10 + 2 * 8);
+        for &topology in topologies {
+            let dry_runs: &[bool] = if topology.0 > 1 { &[true, false] } else { &[true] };
+            for mmat in [false, true] {
+                for &dry_run in dry_runs {
+                    let case =
+                        format!("{count} particles {topology:?} mmat={mmat} dry-run={dry_run}");
+                    let product = |sink| {
+                        ParticleBlockApp::new(system.clone(), law.clone(), PARTICLE_STEPS)
+                            .with_sink(sink)
+                    };
+                    let block = particle_run(&system, topology, mmat, dry_run, product);
+                    let oracle = particle_run(&system, topology, mmat, dry_run, |sink| {
+                        PerCellParticleApp(product(sink))
+                    });
+                    let reference = particle_run(&system, topology, mmat, dry_run, |sink| {
+                        ParticleApp::new(system.clone(), PARTICLE_STEPS)
+                            .with_pair_force(law.clone())
+                            .with_sink(sink)
+                    });
+
+                    assert_eq!(block.field.len() as u64, cells, "{case}: a value a bucket");
+                    assert_eq!(block.field, reference.field, "{case}: field vs ParticleApp");
+                    assert_eq!(block.field, oracle.field, "{case}: field vs the oracle");
+                    let searches_aside = |c: AccessCounters| AccessCounters {
+                        env_searches: 0,
+                        search_nodes_visited: 0,
+                        ..c
+                    };
+                    assert_eq!(block.tasks.len(), oracle.tasks.len(), "{case}: tasks");
+                    for (task, (got, want)) in block.tasks.iter().zip(&oracle.tasks).enumerate() {
+                        let at = format!("{case} task {task}");
+                        assert_eq!(searches_aside(got.0), searches_aside(want.0), "{at}: counters");
+                        assert_eq!((got.1, got.2), (want.1, want.2), "{at}: memo");
+                    }
+                    assert_eq!(block.missing, oracle.missing, "{case}: missing-page order");
+                    assert_eq!(block.retries, oracle.retries, "{case}: retries");
+                    assert_eq!(block.retries > 0, !dry_run, "{case}: retries");
+                    // A bucket is read once a sweep: its own, hinted, and
+                    // each ring bucket of its block, not.
+                    let total = block.tasks.iter().fold(AccessCounters::default(), |mut sum, t| {
+                        sum.merge(&t.0);
+                        sum
+                    });
+                    let sweeps = total.writes / cells;
+                    assert_eq!(total.writes, sweeps * cells, "{case}: whole sweeps");
+                    assert_eq!(total.skip_search_hits, sweeps * cells, "{case}: own buckets");
+                    assert_eq!(total.reads, sweeps * (cells + ring), "{case}: reads");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn particle_block_app_matches_the_reference_and_the_per_cell_reads_one_rank() {
+    particle_block_app_matches(&[(1, 1), (1, 2)]);
+}
+
+#[test]
+fn particle_block_app_matches_the_reference_and_the_per_cell_reads_across_ranks() {
+    // Four ranks too: on the 3x3 blocks of the 2^12 grid a block then finds
+    // pages missing on more than one side, so the runs' order shows.
+    particle_block_app_matches(&[(2, 1), (2, 2), (4, 1)]);
 }
