@@ -31,18 +31,29 @@
 //! them, **hand-written** is the shape's hand-written code
 //! (`aohpc_baselines`, initialisation + `steps` steps: the base the
 //! benchmark divides by), timed as many times, before the first service
-//! starts.
+//! starts; and **searches/sweep**, **nodes/sweep** are the Env searches a
+//! sweep ran and the tree nodes they visited (`env_searches`,
+//! `search_nodes_visited` over `steps`), from one direct `runtime::execute`
+//! run of the app the service runs for the shape — so a regression in the
+//! search count shows next to the time it costs.
 //!
 //! ```sh
 //! cargo run --release -p aohpc-bench --bin phase_table     # 40 jobs a shape
 //! AOHPC_SCALE=smoke cargo run --release -p aohpc-bench --bin phase_table  # 3
 //! ```
 
-use aohpc::dsl::{ParticleSystem, UsGridJacobiApp};
-use aohpc::env::GlobalAddress;
-use aohpc_aop::names;
+use aohpc::dsl::{
+    DslSystem, PairForce, ParticleBlockApp, ParticleSystem, SGridSystem, UsBlockLaw,
+    UsGridJacobiApp, UsGridSystem, UsGridValueApp, UsGridValueSystem,
+};
+use aohpc::env::{Extent, GlobalAddress};
+use aohpc::runtime::{execute, RunConfig};
+use aohpc_aop::{names, Weaver};
 use aohpc_baselines::{HandwrittenParticle, HandwrittenSGrid, HandwrittenUsGrid};
-use aohpc_kernel::{default_initial_value, ParticleProgram, StencilProgram, UsGridProgram};
+use aohpc_kernel::{
+    default_initial_value, FamilyArtifact, IrStencilApp, OptLevel, ParticleProgram, StencilProgram,
+    UsGridProgram,
+};
 use aohpc_obs::{SpanRecord, WallClock};
 use aohpc_service::{FamilyProgram, JobSpec, KernelService, ObsHub, ServiceConfig, SessionSpec};
 use aohpc_workloads::{GridLayout, ParticleSize, RegionSize, Scale};
@@ -51,7 +62,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const WARM_UP_JOBS: usize = 2;
-const PHASES: [&str; 10] = [
+const PHASES: [&str; 12] = [
     "job",
     "execute",
     "set-up",
@@ -62,7 +73,11 @@ const PHASES: [&str; 10] = [
     "tail",
     "sweeps %",
     "hand-written",
+    "searches/sweep",
+    "nodes/sweep",
 ];
+/// The columns read from a job's trace: those before "hand-written".
+const TRACED: usize = PHASES.len() - 3;
 
 fn grid(program: impl Into<FamilyProgram>, side: usize, block: usize, steps: usize) -> JobSpec {
     JobSpec::new(program, vec![0.5, 0.125], RegionSize::square(side))
@@ -120,9 +135,45 @@ fn hand_written(spec: &JobSpec) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
+/// The Env searches a sweep of `spec`'s job runs and the tree nodes they
+/// visit, from one direct run of the app the service runs for it (on one
+/// rank, so `steps` sweeps).  The service's plan source, scratch pool and
+/// dispatcher are left out: none of them moves a counter.
+fn searches_per_sweep(spec: &JobSpec) -> (f64, f64) {
+    let config = RunConfig::serial().with_topology(spec.topology.clone());
+    let extent = Extent::new2d(spec.block, spec.block);
+    let (params, steps) = (&spec.params, spec.steps);
+    let report = match spec.program.compile(extent, OptLevel::Full) {
+        FamilyArtifact::Stencil(_) => {
+            let program = spec.program.as_stencil().expect("a stencil artifact").clone();
+            let app = IrStencilApp::new(program, params.clone(), steps);
+            let system = Arc::new(SGridSystem::with_block_size(spec.region, spec.block));
+            execute(&config, Weaver::new().weave(), system.env_factory(), app.factory())
+        }
+        FamilyArtifact::Particle(kernel) => {
+            let count = spec.particles.expect("particle shapes carry their count");
+            let system = ParticleSystem::paper(ParticleSize::new(count));
+            let law = PairForce(kernel.pair_law(params[0]));
+            let app = ParticleBlockApp::new(system.clone(), law, steps).with_dt(params[1]);
+            execute(&config, Weaver::new().weave(), Arc::new(system).env_factory(), app.factory())
+        }
+        FamilyArtifact::UsGrid(kernel) => {
+            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
+            let law = UsBlockLaw(kernel.block_law(params[0], params[1]));
+            let neighbors = kernel.program().neighbors().to_vec();
+            let app = UsGridValueApp::new(system.clone(), neighbors, law, steps);
+            let system = Arc::new(UsGridValueSystem(system));
+            execute(&config, Weaver::new().weave(), system.env_factory(), app.factory())
+        }
+    };
+    let counters = report.total_counters();
+    let per_sweep = |n: u64| n as f64 / steps as f64;
+    (per_sweep(counters.env_searches), per_sweep(counters.search_nodes_visited))
+}
+
 /// One job's platform phases in milliseconds, in [`PHASES`] order up to
 /// "sweeps %"; "sweep 2.." is NaN for a one-step job.
-fn phases(spans: &[SpanRecord], trace: u64, steps: usize) -> [f64; PHASES.len() - 1] {
+fn phases(spans: &[SpanRecord], trace: u64, steps: usize) -> [f64; TRACED] {
     let of = |name: &str| -> Vec<&SpanRecord> {
         let mut found: Vec<_> =
             spans.iter().filter(|s| s.trace == trace && s.name == name).collect();
@@ -162,8 +213,11 @@ fn median(mut values: Vec<f64>) -> f64 {
 fn main() {
     let scale = Scale::from_env();
     let jobs = if scale == Scale::Smoke { 3 } else { 40 };
-    println!("# phase_table — one worker, medians of {jobs} jobs a shape, ms (sweeps: %)");
-    println!("{:<18}{}", "", PHASES.map(|p| format!("{p:>13}")).concat());
+    println!(
+        "# phase_table — one worker, medians of {jobs} jobs a shape, ms (sweeps: %; searches \
+         and nodes a sweep: one direct run)"
+    );
+    println!("{:<18}{}", "", PHASES.map(|p| format!("{p:>15}")).concat());
     // The hand-written codes are timed first, before any service has run in
     // this process: the heap a service leaves behind slows their many small
     // allocations (2^10 particles: 1.4 ms here, 2.1–2.5 ms after the others).
@@ -199,7 +253,7 @@ fn main() {
         let spans = hub.recorder().spans();
         let rows: Vec<_> = traces.iter().map(|&t| phases(&spans, t, spec.steps)).collect();
         let mut medians: Vec<f64> =
-            (0..PHASES.len() - 1).map(|p| median(rows.iter().map(|r| r[p]).collect())).collect();
+            (0..TRACED).map(|p| median(rows.iter().map(|r| r[p]).collect())).collect();
         let violations = service.obs_snapshot().expect("observer installed").validate();
         assert!(violations.is_empty(), "snapshot inconsistent: {violations:?}");
         service.shutdown();
@@ -207,11 +261,12 @@ fn main() {
         medians.push(base);
         let cells = medians.iter().map(|m| {
             if m.is_nan() {
-                format!("{:>13}", "-")
+                format!("{:>15}", "-")
             } else {
-                format!("{m:>13.3}")
+                format!("{m:>15.3}")
             }
         });
-        println!("{label:<18}{}", cells.collect::<String>());
+        let (searches, nodes) = searches_per_sweep(&spec);
+        println!("{label:<18}{}{searches:>15}{nodes:>15}", cells.collect::<String>());
     }
 }

@@ -17,9 +17,10 @@
 //! searches that *ran*, not the reads that could have needed one: a run read
 //! (`TaskCtx::get_run`, what a compiled kernel fetches its halo with) that
 //! serves a stretch of cells from the neighbour block its leading cell found
-//! is charged one search plus the per-read out-of-block penalty for every
-//! cell, so the simulated time of an IR job falls with its search count while
-//! a Listing-1 kernel's (one search per out-of-block `GetD`) does not move.
+//! (or, past the domain, from the boundary block) is charged one search plus
+//! the per-read out-of-block penalty for every cell, so the simulated time of
+//! an IR job falls with its search count while a Listing-1 kernel's (one
+//! search per out-of-block `GetD`) does not move.
 //!
 //! The default parameters are calibrated to the same order of magnitude as
 //! the paper's hardware (a ~3 GHz Xeon, a 12.5 GB/s interconnect); only

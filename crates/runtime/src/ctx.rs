@@ -678,7 +678,8 @@ impl<C: Cell> TaskCtx<C> {
     /// assertion) into `out`: `out.len()` calls of [`TaskCtx::get`] with
     /// `in_block = false` — same values, missing-page records and counters —
     /// except that the Env runs one search for a stretch of cells it can
-    /// prove share a holder (see `Env::read_run_into`), so `env_searches` /
+    /// prove share a holder, or lie past every holder and so fall to the
+    /// catch-all (see `Env::read_run_into`), so `env_searches` /
     /// `search_nodes_visited` count the searches that ran.  What a compiled
     /// kernel fills its halo ring with, one call per edge.
     pub fn get_run(

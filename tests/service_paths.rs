@@ -191,13 +191,18 @@ fn jacobi_5pt_matches_the_direct_run_under_every_topology() {
         // A sweep: 1024 gathers + 512 halo reads = 1536 reads, 1024 writes.
         // One rank, 3 sweeps: 4608 / 3072 (was 4 sweeps: 6144 / 4096), and
         // 82.224 us of simulated time a sweep: 1x1 328.896 -> 246.672 us.
+        //
+        // Then the halo runs that leave the domain searched once, not once a
+        // cell: the 16 edge runs of 8 cells, 16 x 7 = 112 searches of 18
+        // nodes fewer, 2016 x 25 ns = 50.4 us less a sweep, 82.224 -> 31.824:
+        // 1x1 246.672 -> 95.472 us; only the seconds bits moved.
         Golden {
             writes_per_sweep: 1024,
             rows: [
-                (4608, 3072, 0, 0, 13, 0x3f302a782c3f2bc2),
-                (6144, 4096, 64, 0, 33, 0x3f29ae513289d764),
-                (4608, 3072, 0, 0, 22, 0x3f217a41cbb88bdd),
-                (6144, 4096, 64, 0, 59, 0x3f1de33e7600e6f1),
+                (4608, 3072, 0, 0, 13, 0x3f1907047882143a),
+                (6144, 4096, 64, 0, 33, 0x3f18f00f94c1f23f),
+                (4608, 3072, 0, 0, 22, 0x3f0ce307184491cd),
+                (6144, 4096, 64, 0, 59, 0x3f103693c3cc5d0d),
             ],
         },
         &lane_policies(),
@@ -212,13 +217,18 @@ fn smooth_9pt_matches_the_direct_run_under_every_topology() {
         // A sweep: 1024 gathers + 576 halo reads (corners too) = 1600 reads,
         // 1024 writes.  One rank, 3 sweeps: 4800 / 3072 (was 6400 / 4096), and
         // 103.916 us of simulated time a sweep: 1x1 415.664 -> 311.748 us.
+        //
+        // Then the domain-leaving halo runs searched once: the 8 edge row
+        // runs of 10 cells and the 8 edge column runs of 8, 8 x 9 + 8 x 7 =
+        // 128 searches of 18 nodes fewer, 2304 x 25 ns = 57.6 us less a sweep,
+        // 103.916 -> 46.316: 1x1 311.748 -> 138.948 us.
         Golden {
             writes_per_sweep: 1024,
             rows: [
-                (4800, 3072, 0, 0, 13, 0x3f346e4376ef97f6),
-                (6400, 4096, 64, 0, 33, 0x3f2fe0e7aa276a2a),
-                (4800, 3072, 0, 0, 22, 0x3f2649d88417a9a4),
-                (6400, 4096, 64, 0, 59, 0x3f22364f23aa0050),
+                (4800, 3072, 0, 0, 13, 0x3f2236523b4ffc06),
+                (6400, 4096, 64, 0, 33, 0x3f20c76f331d4791),
+                (4800, 3072, 0, 0, 22, 0x3f15228c68f9d49a),
+                (6400, 4096, 64, 0, 59, 0x3f14cbdb3285ac2e),
             ],
         },
         &lane_policies(),
@@ -314,13 +324,19 @@ fn particle_pair_sweep_matches_the_direct_run_under_every_topology() {
         // reads x 1.5 ns + 256 writes x (4 + 1) ns + 144 out-of-block reads
         // x 12 ns + 76 of them on the wall (Arithmetic) x 8 ns + 492 search
         // nodes x 25 ns = 16.3 us, was 52.188: 1x1 156.564 -> 48.9 us.
+        //
+        // Then the ring runs wholly off the grid searched once, not once a
+        // bucket: each block's outer row (10) and outer column (8), 4 x (9 +
+        // 7) = 64 searches of 6 nodes (the start, 3 siblings, the boundary
+        // branch, the catch-all) fewer, 492 -> 108 nodes, 9.6 us less a
+        // sweep, 16.3 -> 6.7: 1x1 48.9 -> 20.1 us.
         Golden {
             writes_per_sweep: 256,
             rows: [
-                (1200, 768, 0, 0, 13, 0x3f09a33f34c93568),
-                (1600, 1024, 16, 0, 33, 0x3f1090ea4620f5ea),
-                (1200, 768, 0, 0, 22, 0x3efa855a4f0356cc),
-                (1600, 1024, 16, 0, 59, 0x3f08e1732e123a7e),
+                (1200, 768, 0, 0, 13, 0x3ef5138d7b7e25a0),
+                (1600, 1024, 16, 0, 33, 0x3f0710d9923b2a1a),
+                (1200, 768, 0, 0, 22, 0x3ee5c92e746a04b5),
+                (1600, 1024, 16, 0, 59, 0x3f03abdcd1cd73ae),
             ],
         },
         &[],

@@ -88,23 +88,26 @@ fn ir_run(
 /// From block `k` (row-major in the flat joint) the search visits the start,
 /// then the siblings in order, so it finds neighbour `k'` after `k' + 2`
 /// nodes if `k' < k` and `k' + 1` if `k' > k`: 432 nodes over the 48 runs.
-/// The other 16 runs leave the domain; the boundary is an Arithmetic block,
-/// not a buffer, so each of their 8 cells is the per-cell call: a search of
-/// 18 nodes (the start, 15 siblings, the boundary branch, the catch-all).
+/// The other 16 runs leave the domain: the leading cell's search visits 18
+/// nodes (the start, 15 siblings, the boundary branch, the catch-all) and
+/// lands on the boundary, an Arithmetic block.  No cell outside the hull of
+/// the data blocks lies in a block a search can match, so the other 7 are
+/// read from the boundary without a search.
 ///
-///   env_searches         = 48 + 16 x 8            =  176 a sweep
-///   search_nodes_visited = 432 + 16 x 8 x 18      = 2736 a sweep
+///   env_searches         = 48 + 16           =  64 a sweep
+///   search_nodes_visited = 432 + 16 x 18     = 720 a sweep
 ///
-/// (One search per read — 512 searches, 8 x 432 + 128 x 18 = 5760 nodes a
-/// sweep — is what the per-cell halo closure read, and still reads: see
-/// `closure_adaptor_*` below.)
+/// (Each of those 8 cells searched for was 48 + 16 x 8 = 176 searches and
+/// 432 + 16 x 8 x 18 = 2736 nodes a sweep.  One search per read — 512
+/// searches, 8 x 432 + 128 x 18 = 5760 nodes a sweep — is what the per-cell
+/// halo closure read, and still reads: see `closure_adaptor_*` below.)
 fn golden(sweeps: u64, missing_accesses: u64) -> AccessCounters {
     AccessCounters {
         reads: sweeps * 1536,
         writes: sweeps * 1024,
         skip_search_hits: sweeps * 1024,
-        env_searches: sweeps * 176,
-        search_nodes_visited: sweeps * 2736,
+        env_searches: sweeps * 64,
+        search_nodes_visited: sweeps * 720,
         out_of_block_reads: sweeps * 512,
         arithmetic_reads: sweeps * 128,
         missing_accesses,
@@ -115,8 +118,8 @@ fn golden(sweeps: u64, missing_accesses: u64) -> AccessCounters {
 #[test]
 fn serial_slab_run_matches_the_per_cell_kernel_and_the_golden_counters() {
     // One rank: the 3 steps and no warm-up sweep — reads 3 x 1536 = 4608,
-    // writes 3072, searches 528 over 8208 nodes (with the warm-up, 4 sweeps:
-    // 6144 / 4096 / 704 / 10944, the hybrid run's figures below).
+    // writes 3072, searches 192 over 2160 nodes (with the warm-up, 4 sweeps:
+    // 6144 / 4096 / 256 / 2880, the hybrid run's figures below).
     let mode = ExecutionMode::PlatformNop;
     let (field, counters) = ir_run(mode, listing1_jacobi(), vec![0.5, 0.125]);
     assert_eq!(field, classic_field(mode), "IR field differs from the Listing-1 kernel");
