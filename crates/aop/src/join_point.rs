@@ -96,15 +96,6 @@ impl<'a> JoinPointCtx<'a> {
     pub(crate) fn mark_proceeded(&mut self) {
         self.proceeded = true;
     }
-
-    /// Whether the original body has been executed (yet).
-    ///
-    /// Around advice may consult this to detect that an inner advice already
-    /// ran the body; the platform uses it to assert that exactly one proceed
-    /// happened per dispatch in debug builds.
-    pub fn has_proceeded(&self) -> bool {
-        self.proceeded
-    }
 }
 
 impl fmt::Debug for JoinPointCtx<'_> {
@@ -226,15 +217,6 @@ mod tests {
         assert!(ctx.payload_ref::<String>().is_none());
         ctx.payload_mut::<Vec<u32>>().unwrap().push(4);
         assert_eq!(ctx.payload_ref::<Vec<u32>>().unwrap(), &vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn ctx_proceed_flag() {
-        let mut payload = ();
-        let mut ctx = JoinPointCtx::new("X::y", JoinPointKind::Execution, &mut payload);
-        assert!(!ctx.has_proceeded());
-        ctx.mark_proceeded();
-        assert!(ctx.has_proceeded());
     }
 
     #[test]

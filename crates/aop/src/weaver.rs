@@ -278,15 +278,6 @@ impl WeaveReport {
         names.dedup();
         names
     }
-
-    /// Number of advised (join point, kind) pairs.
-    pub fn advised_join_points(&self) -> usize {
-        let mut set: Vec<(String, JoinPointKind)> =
-            self.lines.iter().map(|l| (l.join_point.clone(), l.kind)).collect();
-        set.sort();
-        set.dedup();
-        set.len()
-    }
 }
 
 impl fmt::Display for WeaveReport {
@@ -457,7 +448,6 @@ mod tests {
         assert_eq!(report.active_aspects(), vec!["mpi-like".to_string(), "omp-like".to_string()]);
         // Each aspect advises execution(Annotation::Processing) with 3 advice.
         assert_eq!(report.lines.len(), 6);
-        assert_eq!(report.advised_join_points(), 1);
         let text = report.to_string();
         assert!(text.contains("execution(Annotation::Processing)"));
     }

@@ -50,12 +50,6 @@ impl Workload {
             Workload::Particle { count } => format!("Particle {count}"),
         }
     }
-
-    /// Whether the paper evaluates this workload with MMAT (only USGrid needs
-    /// it; SGrid and Particle can decide in-block membership arithmetically).
-    pub fn uses_mmat(&self) -> bool {
-        matches!(self, Workload::UsGrid { .. })
-    }
 }
 
 /// Shared initial condition of the grid workloads.
@@ -194,8 +188,6 @@ mod tests {
         assert!(w[2].label().contains("CaseC"));
         assert!(w[4].label().contains("CaseR"));
         assert!(w[6].label().starts_with("Particle"));
-        assert!(!w[0].uses_mmat());
-        assert!(w[2].uses_mmat());
     }
 
     #[test]
@@ -208,8 +200,10 @@ mod tests {
     fn smoke_platform_and_baseline_run() {
         let scale = Scale::Smoke;
         for w in fig6_workloads(scale) {
-            let outcome =
-                run_platform(w, ExecutionMode::PlatformDirect, w.uses_mmat(), true, scale);
+            // The paper runs only USGrid with MMAT (SGrid and Particle decide
+            // in-block membership arithmetically).
+            let mmat = matches!(w, Workload::UsGrid { .. });
+            let outcome = run_platform(w, ExecutionMode::PlatformDirect, mmat, true, scale);
             assert!(outcome.simulated_seconds > 0.0, "{}", w.label());
             let work = run_handwritten(w, scale);
             assert!(baseline_seconds(&work, &CostModel::default()) > 0.0);

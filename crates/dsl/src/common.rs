@@ -4,7 +4,6 @@ use aohpc_env::{
     morton2d, Cell, Env, EnvBuilder, Extent, GlobalAddress, TilePlacement, TreeTopology,
 };
 use aohpc_mem::PoolHandle;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -28,15 +27,7 @@ pub trait DslSystem: Send + Sync {
     }
 }
 
-/// A shared sink the sample applications' `Finalize` writes per-rank results
-/// into (field values or checksums), so tests, examples and harnesses can
-/// observe the outcome of a parallel run.
-pub type FieldSink = Arc<Mutex<Vec<(GlobalAddress, f64)>>>;
-
-/// Create an empty [`FieldSink`].
-pub fn new_field_sink() -> FieldSink {
-    Arc::new(Mutex::new(Vec::new()))
-}
+pub use aohpc_runtime::{new_field_sink, FieldSink};
 
 /// Description of the block tiling of a rectangular region.
 #[derive(Debug, Clone, Copy)]

@@ -30,11 +30,17 @@
 //! bins (`crates/bench`), the layer ledger's replays and the test oracles
 //! drive.  What `KernelService` runs for a job is, per family:
 //!
-//! | family | Listing-1 reference | what the service runs |
+//! | family | Listing-1 reference | what the service runs: the block routine it supplies |
 //! |---|---|---|
-//! | stencil | [`SGridJacobiApp`] on [`SGridSystem`], one platform call a cell | the kernel crate's `IrStencilApp` on [`SGridSystem`]: slabs, halo runs, the compiled tape |
-//! | usgrid | [`UsGridJacobiApp`] on [`UsGridSystem`] (`Cell = `[`UsCell`]: Fig. 5b, cells that store their neighbours' addresses), law [`UsUpdate`] a point | [`UsGridValueApp`] on [`UsGridValueSystem`] (`Cell = f64`): a per-block `GatherPlan` from the layout and the program's offsets, law [`UsBlockLaw`] a block |
-//! | particle | [`ParticleApp`] on [`ParticleSystem`], ten per-cell bucket reads a bucket | [`ParticleBlockApp`] on [`ParticleSystem`]: a block's buckets as one slab, its one-bucket ring as four runs, the compiled pair law ([`PairForce`]) a pair |
+//! | stencil | [`SGridJacobiApp`] on [`SGridSystem`], one platform call a cell | the kernel crate's `IrStencilApp` on [`SGridSystem`]: block slab in, halo ring as one run an edge, the compiled tape, slab out |
+//! | usgrid | [`UsGridJacobiApp`] on [`UsGridSystem`] (`Cell = `[`UsCell`]: Fig. 5b, cells that store their neighbours' addresses), law [`UsUpdate`] a point | [`UsGridValueApp`] on [`UsGridValueSystem`] (`Cell = f64`): block slab in, one gather through a per-block `GatherPlan` from the layout and the program's offsets, law [`UsBlockLaw`] a block, slab out |
+//! | particle | [`ParticleApp`] on [`ParticleSystem`], ten per-cell bucket reads a bucket | [`ParticleBlockApp`] on [`ParticleSystem`]: block slab in, its one-bucket ring as four runs, the compiled pair law ([`PairForce`]) a pair, slab out |
+//!
+//! A product app is that block routine and nothing else of the flow: it
+//! implements `aohpc_runtime::BlockSweep`, and the runtime's one blanket
+//! `HpcApp` impl runs `Initialize`, the sweep (each block through the
+//! `Kernel::execute_block` join point, so every family's jobs have block
+//! spans), `refresh` and `Finalize` for all three.
 //!
 //! A product app leaves the field bits of its reference.  The usgrid one
 //! leaves every `AccessCounters` field of its reference too

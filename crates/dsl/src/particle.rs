@@ -31,9 +31,9 @@
 //! same field to the bit, each bucket read once a sweep.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
-use aohpc_env::{Env, GlobalAddress, LocalAddress, TreeTopology};
+use aohpc_env::{BlockId, Env, GlobalAddress, LocalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
-use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
+use aohpc_runtime::{BlockSweep, HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::ParticleSize;
 use std::sync::Arc;
 
@@ -562,9 +562,9 @@ impl HpcApp<Bucket> for ParticleApp {
 /// in-place sweep ([`ParticleApp`] without migration) with a block's buckets
 /// moved in bulk.  Run it on [`ParticleSystem`].
 ///
-/// A block's pass runs inside `TaskCtx::run_block` (the
-/// `Kernel::execute_block` join point): its buckets in as one slab, its
-/// one-bucket ring as four runs — the row above and the row below, `bx + 2`
+/// Its block routine (a `BlockSweep`, run inside the `Kernel::execute_block`
+/// join point) reads the block's buckets in as one slab, its one-bucket ring
+/// as four runs — the row above and the row below, `bx + 2`
 /// buckets each with the corners, then the left and the right column, `by`
 /// each — the reference's force (one [`PairForce`] call a pair, in the
 /// reference's neighbourhood order) and update for every live particle, and
@@ -658,72 +658,70 @@ fn bucket_at<'a>(
     &ring[slot as usize]
 }
 
-impl HpcApp<Bucket> for ParticleBlockApp {
-    fn loop_count(&self) -> usize {
+impl BlockSweep for ParticleBlockApp {
+    type Cell = Bucket;
+
+    fn loops(&self) -> usize {
         self.loops
     }
 
-    fn initialize(&mut self, ctx: &mut TaskCtx<Bucket>) {
-        let system = &self.system;
-        ctx.initialize_owned(|g| system.initial_bucket(g, [0.0; 3]));
+    fn initial(&self) -> impl FnMut(GlobalAddress) -> Bucket + '_ {
+        |g| self.system.initial_bucket(g, [0.0; 3])
     }
 
-    fn kernel(&mut self, ctx: &mut TaskCtx<Bucket>, _warmup: bool) -> bool {
+    fn sink(&self) -> Option<&FieldSink> {
+        self.sink.as_ref()
+    }
+
+    fn deposit(bucket: &Bucket) -> f64 {
+        bucket.speed()
+    }
+
+    fn block(&mut self, ctx: &mut TaskCtx<Bucket>, bid: BlockId, _i: usize, _n: usize) {
         let (law, dt) = (&*self.law.0, self.dt);
         let BlockScratch { own, ring, out } = &mut self.scratch;
-        for bid in ctx.get_blocks() {
-            let ext = ctx.env().block(bid).meta.extent;
-            let (nx, ny) = (ext.nx, ext.ny);
-            ctx.run_block(bid as i64, nx * ny, |ctx| {
-                own.resize(nx * ny, Bucket::default());
-                ring.resize(2 * (nx + 2) + 2 * ny, Bucket::default());
-                ctx.get_block_dd(bid, own);
-                let (bx, by) = (nx as i64, ny as i64);
-                let (across, down) = (LocalAddress::new2d(1, 0), LocalAddress::new2d(0, 1));
-                let (rows, columns) = ring.split_at_mut(2 * (nx + 2));
-                let (above, below) = rows.split_at_mut(nx + 2);
-                let (left, right) = columns.split_at_mut(ny);
-                ctx.get_run(bid, LocalAddress::new2d(-1, -1), across, above);
-                ctx.get_run(bid, LocalAddress::new2d(-1, by), across, below);
-                ctx.get_run(bid, LocalAddress::new2d(-1, 0), down, left);
-                ctx.get_run(bid, LocalAddress::new2d(bx, 0), down, right);
+        let ext = ctx.env().block(bid).meta.extent;
+        let (nx, ny) = (ext.nx, ext.ny);
+        own.resize(nx * ny, Bucket::default());
+        ring.resize(2 * (nx + 2) + 2 * ny, Bucket::default());
+        ctx.get_block_dd(bid, own);
+        let (bx, by) = (nx as i64, ny as i64);
+        let (across, down) = (LocalAddress::new2d(1, 0), LocalAddress::new2d(0, 1));
+        let (rows, columns) = ring.split_at_mut(2 * (nx + 2));
+        let (above, below) = rows.split_at_mut(nx + 2);
+        let (left, right) = columns.split_at_mut(ny);
+        ctx.get_run(bid, LocalAddress::new2d(-1, -1), across, above);
+        ctx.get_run(bid, LocalAddress::new2d(-1, by), across, below);
+        ctx.get_run(bid, LocalAddress::new2d(-1, 0), down, left);
+        ctx.get_run(bid, LocalAddress::new2d(bx, 0), down, right);
 
-                out.clear();
-                out.extend_from_slice(own);
-                for (k, me) in own.iter().enumerate().filter(|(_, me)| me.count > 0) {
-                    let (i, j) = (k as i64 % bx, k as i64 / bx);
-                    // The 3×3 neighbourhood in the reference's (dj, di)
-                    // row-major order.
-                    let hood: [&Bucket; 9] = std::array::from_fn(|n| {
-                        let (di, dj) = (n as i64 % 3 - 1, n as i64 / 3 - 1);
-                        bucket_at(own, ring, bx, by, i + di, j + dj)
-                    });
-                    for (p, next) in me.live().iter().zip(&mut out[k].particles) {
-                        let mut force = [0.0f64; 3];
-                        for nb in hood {
-                            for q in nb.live() {
-                                if q.id != p.id {
-                                    law(&p.pos, &q.pos, &mut force);
-                                }
-                            }
-                        }
-                        next.acc = force;
-                        for d in 0..3 {
-                            next.vel[d] += next.acc[d] * dt;
-                            next.pos[d] += next.vel[d] * dt;
+        out.clear();
+        out.extend_from_slice(own);
+        for (k, me) in own.iter().enumerate().filter(|(_, me)| me.count > 0) {
+            let (i, j) = (k as i64 % bx, k as i64 / bx);
+            // The 3×3 neighbourhood in the reference's (dj, di) row-major
+            // order.
+            let hood: [&Bucket; 9] = std::array::from_fn(|n| {
+                let (di, dj) = (n as i64 % 3 - 1, n as i64 / 3 - 1);
+                bucket_at(own, ring, bx, by, i + di, j + dj)
+            });
+            for (p, next) in me.live().iter().zip(&mut out[k].particles) {
+                let mut force = [0.0f64; 3];
+                for nb in hood {
+                    for q in nb.live() {
+                        if q.id != p.id {
+                            law(&p.pos, &q.pos, &mut force);
                         }
                     }
                 }
-                ctx.set_block(bid, out);
-            });
+                next.acc = force;
+                for d in 0..3 {
+                    next.vel[d] += next.acc[d] * dt;
+                    next.pos[d] += next.vel[d] * dt;
+                }
+            }
         }
-        ctx.refresh()
-    }
-
-    fn finalize(&mut self, ctx: &mut TaskCtx<Bucket>) {
-        if let Some(sink) = &self.sink {
-            ctx.deposit_owned(sink, Bucket::speed);
-        }
+        ctx.set_block(bid, out);
     }
 }
 

@@ -31,7 +31,8 @@
 //!   follows from the layout and the program's neighbour offsets, so each
 //!   block's list is resolved into a [`GatherPlan`] at the block's first pass
 //!   and the cells hold nothing else.  The law is one [`UsBlockLaw`] call a
-//!   block.  This is what `KernelService` runs for a usgrid job; field bits,
+//!   block, and the app is that block routine alone (a `BlockSweep`).  This
+//!   is what `KernelService` runs for a usgrid job; field bits,
 //!   every access counter and the MMAT memo equal the reference's
 //!   (`tests/value_plane.rs`).
 
@@ -40,7 +41,7 @@ use aohpc_env::{
     BlockId, Cell, Env, Extent, GatherPlan, GlobalAddress, LocalAddress, TreeTopology,
 };
 use aohpc_mem::PoolHandle;
-use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
+use aohpc_runtime::{BlockSweep, HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::{GridLayout, RegionSize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -302,12 +303,22 @@ pub struct UsGridJacobiApp {
     pub sink: Option<FieldSink>,
     /// Pluggable update law (None = the built-in `alpha·me + beta·Σ`).
     pub update: Option<UsUpdate>,
+    /// What the kernel keeps between passes (an app instance is one task's).
+    scratch: UsScratch,
 }
 
 impl UsGridJacobiApp {
     /// Create the benchmark application.
     pub fn new(system: UsGridSystem, loops: usize) -> Self {
-        UsGridJacobiApp { system, alpha: 0.5, beta: 0.125, loops, sink: None, update: None }
+        UsGridJacobiApp {
+            system,
+            alpha: 0.5,
+            beta: 0.125,
+            loops,
+            sink: None,
+            update: None,
+            scratch: UsScratch::default(),
+        }
     }
 
     /// Attach a result sink.
@@ -334,8 +345,8 @@ impl UsGridJacobiApp {
     }
 }
 
-/// What the kernel keeps between passes, parked in the task's scratch slot.
-#[derive(Default)]
+/// What the reference kernel keeps between passes.
+#[derive(Debug, Clone, Default)]
 struct UsScratch {
     /// The block's own points, staged in and out as one slab.
     points: Vec<UsCell>,
@@ -371,11 +382,8 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
         let beta = self.beta;
         // Three platform calls a block: the block's own points in as one
         // slab, the values of all their neighbours as one gather (four per
-        // point, in point order), the updated points out as one slab.  The
-        // scratch is parked in the task's scratch slot so later steps reuse
-        // it.
-        let mut scratch = ctx.take_scratch::<UsScratch>().unwrap_or_default();
-        let UsScratch { points, near, plans } = &mut scratch;
+        // point, in point order), the updated points out as one slab.
+        let UsScratch { points, near, plans } = &mut self.scratch;
         for bid in ctx.get_blocks() {
             let cells = ctx.env().block(bid).meta.extent.cells();
             points.resize(cells, UsCell::default());
@@ -416,7 +424,6 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
             }
             ctx.set_block(bid, points);
         }
-        ctx.put_scratch(scratch);
         ctx.refresh()
     }
 
@@ -454,10 +461,10 @@ impl std::fmt::Debug for UsBlockLaw {
 /// indirect neighbour lists with the Env holding values only.  Run it on
 /// [`UsGridValueSystem`]`(system)`.
 ///
-/// Three platform calls and one law call a block: the block's values in as
-/// one slab, its neighbours' values as one gather through the block's
-/// [`GatherPlan`], the law over the block, the new values out as one slab —
-/// per point the reads, writes and every other access counter of
+/// Its block routine is three platform calls and one law call: the block's
+/// values in as one slab, its neighbours' values as one gather through the
+/// block's [`GatherPlan`], the law over the block, the new values out as one
+/// slab — per point the reads, writes and every other access counter of
 /// [`UsGridJacobiApp`], the Listing-1 reference.
 #[derive(Debug, Clone)]
 pub struct UsGridValueApp {
@@ -519,59 +526,59 @@ struct ValueScratch {
     out: Vec<f64>,
     /// Each block's neighbour list, resolved at the block's first pass.
     plans: HashMap<BlockId, GatherPlan>,
+    /// A block's neighbour addresses, listed (CaseR) only at its first pass.
+    addrs: Vec<GlobalAddress>,
 }
 
-impl HpcApp<f64> for UsGridValueApp {
-    fn loop_count(&self) -> usize {
+impl BlockSweep for UsGridValueApp {
+    type Cell = f64;
+
+    fn loops(&self) -> usize {
         self.loops
     }
 
-    fn initialize(&mut self, ctx: &mut TaskCtx<f64>) {
+    fn initial(&self) -> impl FnMut(GlobalAddress) -> f64 + '_ {
         // The layout inverted names the logical point stored at each owned
         // storage position; its value is all the cell holds.
         let region = self.system.region;
         let layout = self.system.layout.resolve(region.nx as i64, region.ny as i64);
-        ctx.initialize_owned(|s| {
+        move |s| {
             let (x, y) = layout.logical_of(s.x, s.y);
             UsGridJacobiApp::initial_value(x, y)
-        });
+        }
     }
 
-    fn kernel(&mut self, ctx: &mut TaskCtx<f64>, _warmup: bool) -> bool {
-        let blocks = ctx.get_blocks();
-        let ValueScratch { own, near, out, plans } = &mut self.scratch;
+    fn sink(&self) -> Option<&FieldSink> {
+        self.sink.as_ref()
+    }
+
+    fn deposit(v: &f64) -> f64 {
+        *v
+    }
+
+    fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId, _i: usize, n: usize) {
+        let ValueScratch { own, near, out, plans, addrs } = &mut self.scratch;
         // The task's blocks do not change: room for all their plans, once.
         if plans.is_empty() {
-            plans.reserve(blocks.len());
+            plans.reserve(n);
         }
-        // A block's neighbour addresses, listed (CaseR) only at its first pass.
-        let mut addrs = Vec::new();
-        for bid in blocks {
-            let cells = ctx.env().block(bid).meta.extent.cells();
-            own.resize(cells, 0.0);
-            near.resize(self.neighbors.len() * cells, 0.0);
-            out.resize(cells, 0.0);
-            // Own values: always inside the block.
-            ctx.get_block_dd(bid, own);
-            // Neighbours are indirect: no static in-block guarantee, so the
-            // access goes through MMAT / the Env search where it leaves the
-            // block.  Which neighbours those are follows from the layout and
-            // the offsets alone, so the block's first pass resolves them and
-            // every later pass and retry reads through that plan.
-            let plan = plans.entry(bid).or_insert_with(|| {
-                self.system.neighbor_plan(ctx, bid, &self.neighbors, &mut addrs)
-            });
-            ctx.get_gather(plan, |v| *v, near);
-            (self.law.0)(own, near, out);
-            ctx.set_block(bid, out);
-        }
-        ctx.refresh()
-    }
-
-    fn finalize(&mut self, ctx: &mut TaskCtx<f64>) {
-        if let Some(sink) = &self.sink {
-            ctx.deposit_owned(sink, |v| *v);
-        }
+        let cells = ctx.env().block(bid).meta.extent.cells();
+        own.resize(cells, 0.0);
+        near.resize(self.neighbors.len() * cells, 0.0);
+        out.resize(cells, 0.0);
+        // Own values: always inside the block.
+        ctx.get_block_dd(bid, own);
+        // Neighbours are indirect: no static in-block guarantee, so the
+        // access goes through MMAT / the Env search where it leaves the
+        // block.  Which neighbours those are follows from the layout and the
+        // offsets alone, so the block's first pass resolves them and every
+        // later pass and retry reads through that plan.
+        let plan = plans
+            .entry(bid)
+            .or_insert_with(|| self.system.neighbor_plan(ctx, bid, &self.neighbors, addrs));
+        ctx.get_gather(plan, |v| *v, near);
+        (self.law.0)(own, near, out);
+        ctx.set_block(bid, out);
     }
 }
 

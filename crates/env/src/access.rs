@@ -71,11 +71,6 @@ impl AccessCounters {
         self.reference_reads += other.reference_reads;
         self.missing_accesses += other.missing_accesses;
     }
-
-    /// Total number of memory operations.
-    pub fn total_ops(&self) -> u64 {
-        self.reads + self.writes
-    }
 }
 
 /// Task-local access state.
@@ -195,7 +190,6 @@ mod tests {
         assert_eq!(a.reads, 11);
         assert_eq!(a.writes, 2);
         assert_eq!(a.mmat_hits, 5);
-        assert_eq!(a.total_ops(), 13);
     }
 
     #[test]

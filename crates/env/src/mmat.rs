@@ -57,11 +57,6 @@ impl MmatTable {
         }
     }
 
-    /// Peek without affecting hit/miss counters (used by tests and reports).
-    pub fn peek(&self, start: BlockId, addr: GlobalAddress) -> Option<MmatEntry> {
-        self.entries.get(&(start, addr)).copied()
-    }
-
     /// Memorise a resolution.
     pub fn record(&mut self, start: BlockId, addr: GlobalAddress, entry: MmatEntry) {
         self.entries.insert((start, addr), entry);
@@ -135,7 +130,7 @@ mod tests {
         let a = GlobalAddress::new2d(0, 0);
         t.record(0, a, MmatEntry::NonExistent);
         t.record(0, a, MmatEntry::Remote(2));
-        assert_eq!(t.peek(0, a), Some(MmatEntry::Remote(2)));
+        assert_eq!(t.lookup(0, a), Some(MmatEntry::Remote(2)));
         assert_eq!(t.len(), 1);
     }
 
@@ -166,7 +161,7 @@ mod tests {
                 model.insert((blk, addr), entry);
             }
             for ((blk, addr), want) in model {
-                prop_assert_eq!(t.peek(blk, addr), Some(want));
+                prop_assert_eq!(t.lookup(blk, addr), Some(want));
             }
         }
     }

@@ -1,32 +1,24 @@
 //! Platform integration: run a compiled subkernel as an end-user application.
 //!
-//! [`IrStencilApp`] is an App-Part program (an [`HpcApp`]) whose `kernel` is
-//! not hand-written Rust but a [`StencilProgram`] compiled per block shape.
-//! One step per block is:
+//! [`IrStencilApp`] is the stencil family's product app: a [`BlockSweep`]
+//! whose block routine runs a [`StencilProgram`] compiled per block shape.
+//! The rest of the flow — `Initialize`, the sweep through the
+//! `Kernel::execute_block` join point, `refresh`, `Finalize` — is the
+//! runtime's one blanket `HpcApp` impl over [`BlockSweep`].
 //!
-//! 1. gather the block's current values with one slab `GetDD`
-//!    ([`TaskCtx::get_block_dd`]: the in-block assertion made once for the
-//!    block, one copy, and one counted read per cell instead of one per load
-//!    — the access resolution of all interior loads was cached at compile
-//!    time);
-//! 2. execute the compiled kernel on the chosen backend, fetching only the
-//!    true out-of-block halo values through the platform: the plan's
-//!    [`HaloRing`] lists each of them once, and [`fill_halo_ring`] fetches
-//!    the ring with one run read per edge ([`TaskCtx::get_run`] — `GetD`
-//!    without the in-block assertion for every cell of the run, so MMAT and
-//!    the per-read counters still apply, but a stretch of cells the Env can
-//!    prove share a neighbour block costs one tree search, not one each);
-//! 3. write the results back with one slab `SetD` ([`TaskCtx::set_block`], one
-//!    counted write per cell, every page dirty) and finish the step with
-//!    `refresh`, exactly like a hand-written kernel.
+//! The block routine reads the block with one slab `GetDD`
+//! ([`TaskCtx::get_block_dd`]), runs the compiled kernel on the
+//! dispatcher's backend, and writes the block back with one slab `SetD`
+//! ([`TaskCtx::set_block`]).  Only the true out-of-block halo comes through
+//! the platform: the plan's [`HaloRing`] lists each of those cells once, and
+//! [`fill_halo_ring`] reads the ring with one run read per edge
+//! ([`TaskCtx::get_run`], so MMAT and the per-read counters still apply).
 //!
-//! `Initialize` and `Finalize` move whole blocks the same way
-//! ([`TaskCtx::initialize_owned`], [`TaskCtx::deposit_owned`]).  Because all
-//! of it goes through the same Annotation/Memory-Library join points and
-//! leaves the same counters as Listing 1's per-cell calls, every aspect
-//! module (MPI, OpenMP, hybrid) applies unchanged — which is the point of the
-//! paper's layering: the subkernel generator is a DSL-part concern, invisible
-//! to the aspect modules.
+//! Because all of it goes through the same Annotation/Memory-Library join
+//! points and leaves the same counters as Listing 1's per-cell calls, every
+//! aspect module (MPI, OpenMP, hybrid) applies unchanged — which is the point
+//! of the paper's layering: the subkernel generator is a DSL-part concern,
+//! invisible to the aspect modules.
 
 use crate::backend::{ExecStats, Processor};
 use crate::hetero::{HeteroDispatcher, PerProcessorStats};
@@ -35,30 +27,29 @@ use crate::plan::{CompiledKernel, HaloRing, PlanSource};
 use crate::program::StencilProgram;
 use crate::tape::{ExecScratch, ScratchPool};
 use aohpc_env::{BlockId, Extent, GlobalAddress, LocalAddress};
-use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
+use aohpc_runtime::{BlockSweep, FieldSink, TaskCtx, TaskSlot};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-task reusable kernel buffers: the tape's [`ExecScratch`] plus the
-/// gather/result staging vectors of the block loop.
+/// gather/result staging vectors of the block routine.
 ///
-/// The app parks one of these in the task context's scratch slot
-/// ([`TaskCtx::take_scratch`] / [`TaskCtx::put_scratch`]), so after the first
-/// block of the first step every buffer is warm and the whole per-step path
-/// allocates nothing.  When the task context drops at the end of the run, a
-/// pool-backed instance returns its `ExecScratch` to the owning
+/// A task's app checks one out at its first block and keeps it, so after the
+/// first block of the first step every buffer is warm and the whole per-step
+/// path allocates nothing.  When the task's app drops at the end of the run,
+/// a pool-backed instance returns its `ExecScratch` to the owning
 /// [`ScratchPool`] (how the multi-tenant service recycles buffers across jobs
 /// per worker); the block-shaped staging vectors are task-sized and simply
 /// drop.
 #[derive(Debug, Default)]
-pub struct KernelScratch {
+struct KernelScratch {
     /// Tape register files and boundary operand buffer.
-    pub exec: ExecScratch,
+    exec: ExecScratch,
     /// Staging for the block's current (read-buffer) values.
-    pub cells: Vec<f64>,
+    cells: Vec<f64>,
     /// Staging for the block's next values.
-    pub out: Vec<f64>,
+    out: Vec<f64>,
     pool: Option<Arc<ScratchPool>>,
 }
 
@@ -70,6 +61,13 @@ impl KernelScratch {
     }
 }
 
+/// A clone belongs to another task: it starts cold, from the same pool.
+impl Clone for KernelScratch {
+    fn clone(&self) -> Self {
+        KernelScratch::acquire(self.pool.clone())
+    }
+}
+
 impl Drop for KernelScratch {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.take() {
@@ -78,27 +76,21 @@ impl Drop for KernelScratch {
     }
 }
 
-/// Shared sink receiving `(address, value)` pairs from `Finalize` (same shape
-/// as the sample DSLs' sink, so harnesses can compare fields directly).
-pub type StencilFieldSink = Arc<Mutex<Vec<(GlobalAddress, f64)>>>;
+/// The platform's [`FieldSink`] under the names stencil callers know it by.
+pub use aohpc_runtime::{new_field_sink as new_stencil_field_sink, FieldSink as StencilFieldSink};
 
-/// Shared sink receiving every task's execution statistics, merged in at the
-/// end of each kernel pass: on one rank `blocks` totals blocks × steps (plus
-/// retried passes); across ranks the warm-up pass counts too (see
+/// Shared sink receiving every task's execution statistics, merged in block
+/// by block: on one rank `blocks` totals blocks × steps (plus retried
+/// passes); across ranks the warm-up pass counts too (see
 /// `HpcApp::processing`).
 pub type StatsSink = Arc<Mutex<PerProcessorStats>>;
-
-/// Create an empty field sink.
-pub fn new_stencil_field_sink() -> StencilFieldSink {
-    Arc::new(Mutex::new(Vec::new()))
-}
 
 /// Create an empty statistics sink.
 pub fn new_stats_sink() -> StatsSink {
     Arc::new(Mutex::new(PerProcessorStats::default()))
 }
 
-/// An end-user application whose kernel is an IR subkernel.
+/// An end-user application whose block routine is an IR subkernel.
 #[derive(Clone)]
 pub struct IrStencilApp {
     program: StencilProgram,
@@ -106,11 +98,13 @@ pub struct IrStencilApp {
     loops: usize,
     opt_level: OptLevel,
     dispatcher: HeteroDispatcher,
-    field_sink: Option<StencilFieldSink>,
+    field_sink: Option<FieldSink>,
     stats_sink: Option<StatsSink>,
     plan_source: Option<Arc<dyn PlanSource>>,
     scratch_pool: Option<Arc<ScratchPool>>,
     compiled: HashMap<(usize, usize), Arc<CompiledKernel>>,
+    /// This task's buffers, checked out at its first block.
+    scratch: Option<KernelScratch>,
 }
 
 impl std::fmt::Debug for IrStencilApp {
@@ -147,6 +141,7 @@ impl IrStencilApp {
             plan_source: None,
             scratch_pool: None,
             compiled: HashMap::new(),
+            scratch: None,
         }
     }
 
@@ -168,7 +163,7 @@ impl IrStencilApp {
     }
 
     /// Deposit the final field into a sink.
-    pub fn with_field_sink(mut self, sink: StencilFieldSink) -> Self {
+    pub fn with_field_sink(mut self, sink: FieldSink) -> Self {
         self.field_sink = Some(sink);
         self
     }
@@ -239,80 +234,58 @@ pub fn default_initial_value(addr: GlobalAddress) -> f64 {
     ((addr.x * 13 + addr.y * 7) % 97) as f64 / 97.0
 }
 
-impl HpcApp<f64> for IrStencilApp {
-    fn loop_count(&self) -> usize {
+impl BlockSweep for IrStencilApp {
+    type Cell = f64;
+
+    fn loops(&self) -> usize {
         self.loops
     }
 
-    fn initialize(&mut self, ctx: &mut TaskCtx<f64>) {
-        ctx.initialize_owned(default_initial_value);
+    fn initial(&self) -> impl FnMut(GlobalAddress) -> f64 + '_ {
+        default_initial_value
     }
 
-    fn kernel(&mut self, ctx: &mut TaskCtx<f64>, _warmup: bool) -> bool {
-        let blocks = ctx.get_blocks();
-        let assignments = self.dispatcher.assign(&blocks);
-        // Per-task reusable buffers: taking them out of the context sidesteps
-        // borrow entanglement with the ring fill below, and putting them
-        // back keeps them warm across steps (and retries) — after the first
-        // block the whole step allocates nothing.
-        let mut scratch = ctx
-            .take_scratch::<KernelScratch>()
-            .unwrap_or_else(|| KernelScratch::acquire(self.scratch_pool.clone()));
-        // Per-step statistics, merged into the shared sink at the end of the
-        // step (Initialize/Finalize run on a different app instance, so state
-        // accumulated here would not survive until `finalize`).
-        let mut step_stats = PerProcessorStats::default();
-        for (bid, processor) in assignments {
-            let ext = ctx.env().block(bid).meta.extent;
-            // Compile (or reuse) the plan for this block shape, and pre-size
-            // the execution scratch from the plan's tape statistics — the
-            // block loop below then allocates nothing even on its very first
-            // (cold) block.
-            let compiled = self.compiled_for(ext);
-            compiled.prepare_scratch(&mut scratch.exec, processor);
-            let (nx, ny) = (ext.nx, ext.ny);
+    fn sink(&self) -> Option<&FieldSink> {
+        self.field_sink.as_ref()
+    }
 
-            // The whole gather → execute → write-back unit runs through the
-            // `Kernel::execute_block` join point, so instrumentation aspects
-            // can bracket real per-block work; with no matching advice this
-            // is a plain call.
-            ctx.run_block(bid as i64, nx * ny, |ctx| {
-                // 1. Gather the block's current values (slab GetDD).
-                scratch.cells.resize(nx * ny, 0.0);
-                ctx.get_block_dd(bid, &mut scratch.cells);
+    fn deposit(v: &f64) -> f64 {
+        *v
+    }
 
-                // 2. Execute on the assigned backend; the halo ring comes
-                //    through the platform, run by run, so MMAT / Env-search
-                //    semantics are preserved.
-                scratch.out.resize(nx * ny, 0.0);
-                let mut stats = ExecStats::default();
-                let KernelScratch { exec, cells, out, .. } = &mut scratch;
-                compiled.execute_block_ring(
-                    cells,
-                    &self.params,
-                    |ring, buf| fill_halo_ring(ctx, bid, ring, buf),
-                    out,
-                    processor,
-                    &mut stats,
-                    exec,
-                );
-                step_stats.record(processor, &stats);
+    fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId, i: usize, n: usize) {
+        let processor = self.dispatcher.processor_for(i, n);
+        // Compile (or reuse) the plan for this block shape, and pre-size the
+        // execution scratch from the plan's tape statistics — the routine
+        // then allocates nothing even on its very first (cold) block.
+        let ext = ctx.env().block(bid).meta.extent;
+        let compiled = self.compiled_for(ext);
+        let pool = &self.scratch_pool;
+        let scratch = self.scratch.get_or_insert_with(|| KernelScratch::acquire(pool.clone()));
+        compiled.prepare_scratch(&mut scratch.exec, processor);
+        let KernelScratch { exec, cells, out, .. } = scratch;
 
-                // 3. Write the next-step values back (slab SetD).
-                ctx.set_block(bid, &scratch.out);
-            });
-        }
-        ctx.put_scratch(scratch);
+        // Gather the block's current values (slab GetDD), execute on the
+        // assigned backend with the halo ring coming through the platform
+        // run by run (so MMAT / Env-search semantics are preserved), and
+        // write the next-step values back (slab SetD).
+        cells.resize(ext.cells(), 0.0);
+        out.resize(ext.cells(), 0.0);
+        ctx.get_block_dd(bid, cells);
+        let mut stats = ExecStats::default();
+        compiled.execute_block_ring(
+            cells,
+            &self.params,
+            |ring, buf| fill_halo_ring(ctx, bid, ring, buf),
+            out,
+            processor,
+            &mut stats,
+            exec,
+        );
         if let Some(sink) = &self.stats_sink {
-            sink.lock().merge(&step_stats);
+            sink.lock().record(processor, &stats);
         }
-        ctx.refresh()
-    }
-
-    fn finalize(&mut self, ctx: &mut TaskCtx<f64>) {
-        if let Some(sink) = &self.field_sink {
-            ctx.deposit_owned(sink, |v| *v);
-        }
+        ctx.set_block(bid, out);
     }
 }
 

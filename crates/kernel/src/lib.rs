@@ -69,7 +69,7 @@ pub mod tape;
 
 pub use app::{
     default_initial_value, fill_halo_ring, new_stats_sink, new_stencil_field_sink, IrStencilApp,
-    KernelScratch, StatsSink, StencilFieldSink,
+    StatsSink, StencilFieldSink,
 };
 pub use backend::{ExecStats, Processor, LANES};
 pub use expr::{jacobi_5pt, lit, load, param, smooth_9pt, BinOp, KernelExpr, UnaryOp};
@@ -89,8 +89,7 @@ pub use tape::{ExecScratch, ExecTape, ScratchPool, ScratchPoolStats, TapeStats};
 /// Convenience re-exports for downstream users (examples, benches).
 pub mod prelude {
     pub use crate::app::{
-        new_stats_sink, new_stencil_field_sink, IrStencilApp, KernelScratch, StatsSink,
-        StencilFieldSink,
+        new_stats_sink, new_stencil_field_sink, IrStencilApp, StatsSink, StencilFieldSink,
     };
     pub use crate::backend::{ExecStats, Processor};
     pub use crate::expr::{lit, load, param, KernelExpr};

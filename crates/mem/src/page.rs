@@ -77,11 +77,6 @@ impl PageTable {
         self.flags[page].valid
     }
 
-    /// Is the page dirty (written since last refresh)?
-    pub fn is_dirty(&self, page: PageId) -> bool {
-        self.flags[page].dirty
-    }
-
     /// Mark the page containing `cell` dirty.
     pub fn mark_cell_dirty(&mut self, cell: usize) {
         let p = self.page_of(cell);
@@ -91,11 +86,6 @@ impl PageTable {
     /// Mark one page valid/invalid.
     pub fn set_valid(&mut self, page: PageId, valid: bool) {
         self.flags[page].valid = valid;
-    }
-
-    /// Mark one page dirty/clean.
-    pub fn set_dirty(&mut self, page: PageId, dirty: bool) {
-        self.flags[page].dirty = dirty;
     }
 
     /// Mark every page valid.
@@ -130,11 +120,6 @@ impl PageTable {
     /// Indices of dirty pages.
     pub fn dirty_pages(&self) -> Vec<PageId> {
         self.flags.iter().enumerate().filter(|(_, f)| f.dirty).map(|(i, _)| i).collect()
-    }
-
-    /// Indices of invalid pages.
-    pub fn invalid_pages(&self) -> Vec<PageId> {
-        self.flags.iter().enumerate().filter(|(_, f)| !f.valid).map(|(i, _)| i).collect()
     }
 
     /// Number of valid pages.
@@ -194,11 +179,11 @@ mod tests {
     fn validity_tracking() {
         let mut t = PageTable::new(64, 16);
         assert_eq!(t.valid_count(), 0);
-        assert_eq!(t.invalid_pages().len(), 4);
         t.validate_all();
         assert_eq!(t.valid_count(), 4);
         t.set_valid(2, false);
-        assert_eq!(t.invalid_pages(), vec![2]);
+        assert_eq!(t.valid_count(), 3);
+        assert!(!t.is_valid(2));
         t.invalidate_all();
         assert_eq!(t.valid_count(), 0);
     }
@@ -206,9 +191,8 @@ mod tests {
     #[test]
     fn flags_accessors() {
         let mut t = PageTable::new(16, 8);
-        t.set_dirty(1, true);
+        t.mark_cell_dirty(8);
         t.set_valid(1, true);
-        assert!(t.is_dirty(1));
         assert!(t.is_valid(1));
         assert_eq!(t.flags(1), PageFlags { valid: true, dirty: true });
         assert_eq!(t.flags(0), PageFlags::default());

@@ -18,9 +18,16 @@
 //! distributed layer, the only reader of a dry run — by one warm-up
 //! execution of the kernel.  A single-rank run sweeps `loop_count` times, not
 //! `loop_count + 1`; the contract is stated on [`HpcApp::processing`].
+//!
+//! A product app of a DSL family does not write that flow out.  It
+//! implements [`BlockSweep`] — its access shape and its law as one block
+//! routine, plus the initial field and the sink — and the one blanket
+//! [`HpcApp`] impl over it owns `Initialize`, the sweep over `get_blocks`
+//! (each block through the `Kernel::execute_block` join point), `refresh` and
+//! `Finalize`.
 
-use crate::ctx::TaskCtx;
-use aohpc_env::Cell;
+use crate::ctx::{FieldSink, TaskCtx};
+use aohpc_env::{BlockId, Cell, GlobalAddress};
 
 /// Hard cap on consecutive re-executions of one step; exceeding it means the
 /// data needed never arrives (a deadlock in user logic), so processing stops.
@@ -88,6 +95,70 @@ pub trait HpcApp<C: Cell> {
                     break;
                 }
             }
+        }
+    }
+}
+
+/// A product app as a DSL family supplies it: how one block is updated, and
+/// nothing else of the application flow.
+///
+/// The blanket `impl<S: BlockSweep> HpcApp<S::Cell> for S` runs it:
+///
+/// * `Initialize` — [`TaskCtx::initialize_owned`] on [`BlockSweep::initial`];
+/// * a sweep — [`TaskCtx::get_blocks`], then [`BlockSweep::block`] for each
+///   block inside [`TaskCtx::run_block`] (so every family's blocks are
+///   `Kernel::execute_block` join points, a direct call when unadvised),
+///   then `refresh`;
+/// * `Finalize` — [`TaskCtx::deposit_owned`] of [`BlockSweep::deposit`] into
+///   [`BlockSweep::sink`], when there is one.
+///
+/// An app instance is one task's (the driver builds one per task), so what a
+/// block routine keeps between passes — staging slabs, resolved plans —
+/// lives in `self`.
+pub trait BlockSweep {
+    /// The cell type of the Env the sweep runs on.
+    type Cell: Cell;
+
+    /// Number of main-loop iterations ([`HpcApp::loop_count`]).
+    fn loops(&self) -> usize;
+
+    /// The step-0 value of the cell at each global address.
+    fn initial(&self) -> impl FnMut(GlobalAddress) -> Self::Cell + '_;
+
+    /// Where `Finalize` deposits the field, if anywhere.
+    fn sink(&self) -> Option<&FieldSink>;
+
+    /// The value `Finalize` deposits for one cell.
+    fn deposit(cell: &Self::Cell) -> f64;
+
+    /// One block's pass: gather its values and neighbours, apply the law,
+    /// `set_block` the result.  The block is number `i` of the `n` this
+    /// sweep's `get_blocks` returned.
+    fn block(&mut self, ctx: &mut TaskCtx<Self::Cell>, bid: BlockId, i: usize, n: usize);
+}
+
+impl<S: BlockSweep> HpcApp<S::Cell> for S {
+    fn loop_count(&self) -> usize {
+        self.loops()
+    }
+
+    fn initialize(&mut self, ctx: &mut TaskCtx<S::Cell>) {
+        ctx.initialize_owned(self.initial());
+    }
+
+    fn kernel(&mut self, ctx: &mut TaskCtx<S::Cell>, _warmup: bool) -> bool {
+        let blocks = ctx.get_blocks();
+        let n = blocks.len();
+        for (i, &bid) in blocks.iter().enumerate() {
+            let cells = ctx.env().block(bid).meta.extent.cells();
+            ctx.run_block(bid as i64, cells, |ctx| self.block(ctx, bid, i, n));
+        }
+        ctx.refresh()
+    }
+
+    fn finalize(&mut self, ctx: &mut TaskCtx<S::Cell>) {
+        if let Some(sink) = self.sink() {
+            ctx.deposit_owned(sink, S::deposit);
         }
     }
 }

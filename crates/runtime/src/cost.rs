@@ -136,16 +136,6 @@ impl CostModel {
         }
         worst_rank
     }
-
-    /// Simulated time of a *handwritten* serial run over `cells` cells and
-    /// `steps` steps with `reads_per_cell` neighbour reads: the baseline the
-    /// paper's Fig. 6 normalises against when wall-clock measurement is not
-    /// used.
-    pub fn handwritten_seconds(&self, cells: u64, steps: u64, reads_per_cell: u64) -> f64 {
-        let p = &self.params;
-        let per_cell = reads_per_cell as f64 * p.t_read_skip + p.t_write + p.t_cell_arithmetic;
-        cells as f64 * steps as f64 * per_cell
-    }
 }
 
 #[cfg(test)]
@@ -223,13 +213,5 @@ mod tests {
         let makespan = m.makespan_seconds(&report);
         let slow = m.task_compute_seconds(&counters(10_000, 0, 10_000), 1);
         assert!((makespan - slow).abs() < 1e-12);
-    }
-
-    #[test]
-    fn handwritten_baseline_scales_linearly() {
-        let m = CostModel::default();
-        let a = m.handwritten_seconds(1_000, 10, 4);
-        let b = m.handwritten_seconds(2_000, 10, 4);
-        assert!((b / a - 2.0).abs() < 1e-9);
     }
 }

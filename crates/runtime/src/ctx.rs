@@ -15,7 +15,7 @@
 //! missing-page list and the Dry-run prefetch plan.
 
 use crate::comm::Communicator;
-use crate::task::{ScratchSlot, TaskSlot, Topology};
+use crate::task::{TaskSlot, Topology};
 use aohpc_aop::{
     attr, JoinPointKind, WovenProgram, GET_BLOCKS, KERNEL_BLOCK, KERNEL_STEP, REFRESH, WARM_UP,
 };
@@ -256,6 +256,16 @@ impl<C: Cell> RankShared<C> {
 // Task context
 // ---------------------------------------------------------------------------
 
+/// Where `Finalize` deposits a field: `(global address, value)` pairs from
+/// every rank ([`TaskCtx::deposit_owned`]), so tests, examples and harnesses
+/// can observe the outcome of a parallel run.
+pub type FieldSink = Arc<Mutex<Vec<(GlobalAddress, f64)>>>;
+
+/// Create an empty [`FieldSink`].
+pub fn new_field_sink() -> FieldSink {
+    Arc::new(Mutex::new(Vec::new()))
+}
+
 /// Everything one task needs to run its part of the application.
 pub struct TaskCtx<C: Cell> {
     slot: TaskSlot,
@@ -269,10 +279,6 @@ pub struct TaskCtx<C: Cell> {
     block_advised: bool,
     /// Task-local access state (counters, MMAT, missing pages).
     pub state: AccessState,
-    /// Task-local scratch (reusable kernel working buffers, see
-    /// [`ScratchSlot`]).  Persists across steps and retries; dropped with the
-    /// context when the task finishes.
-    scratch: ScratchSlot,
     /// Run-level progress counters, bumped as this task completes steps.
     progress: Option<Arc<ProgressNotifier>>,
     warmup: bool,
@@ -302,7 +308,6 @@ impl<C: Cell> TaskCtx<C> {
             use_weaver,
             block_advised,
             state: if mmat { AccessState::with_mmat() } else { AccessState::new() },
-            scratch: ScratchSlot::new(),
             progress: None,
             warmup: false,
             step: 0,
@@ -375,20 +380,6 @@ impl<C: Cell> TaskCtx<C> {
     /// Re-executed steps.
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// Take the task-local scratch of type `T` (None on first use or type
-    /// mismatch).  Taking transfers ownership, so the kernel can hold the
-    /// scratch mutably while it also borrows the context for platform
-    /// accesses; put it back with [`TaskCtx::put_scratch`] before returning.
-    pub fn take_scratch<T: std::any::Any + Send>(&mut self) -> Option<T> {
-        self.scratch.take::<T>()
-    }
-
-    /// Store the task-local scratch for the next step (replacing any held
-    /// value).
-    pub fn put_scratch<T: std::any::Any + Send>(&mut self, value: T) {
-        self.scratch.put(value);
     }
 
     /// Install run-level progress counters: every successful non-warm-up
@@ -965,22 +956,6 @@ mod tests {
         assert_eq!(ctx.steps_done(), 2);
         assert_eq!(ctx.retries(), 1);
         assert_eq!(ctx.step(), 2);
-    }
-
-    #[test]
-    fn scratch_persists_across_kernel_steps() {
-        let (env, _ids) = tiny_env();
-        let mut ctx = serial_ctx(env);
-        assert_eq!(ctx.take_scratch::<Vec<f64>>(), None, "first use starts empty");
-        ctx.put_scratch(vec![1.0f64; 8]);
-        // A later step sees the same buffer (no reallocation per step).
-        assert!(ctx.run_kernel_step(false, |ctx| {
-            let buf = ctx.take_scratch::<Vec<f64>>().expect("scratch survives");
-            assert_eq!(buf.len(), 8);
-            ctx.put_scratch(buf);
-            true
-        }));
-        assert!(ctx.take_scratch::<Vec<f64>>().is_some());
     }
 
     #[test]

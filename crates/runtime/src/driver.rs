@@ -11,13 +11,11 @@
 //! in.  Running the very same driver with an empty weave is exactly the
 //! paper's serial "Platform" / "Platform NOP" configuration.
 //!
-//! Each task's [`TaskCtx`] carries a task-local
-//! [`ScratchSlot`](crate::task::ScratchSlot): apps park reusable kernel
-//! working buffers there (e.g. the compiled-kernel tape's register files) so
-//! they persist across steps and retries without reallocation.  The driver
-//! consumes the context into its report when the task's processing loop ends
-//! — that is the point where the scratch drops, and where pool-backed
-//! scratches return themselves to their owner's pool.
+//! The driver builds one app instance per task (and one more for the rank's
+//! `Initialize`/`Finalize`), so an app keeps its reusable kernel working
+//! buffers in `self`: they persist across steps and retries without
+//! reallocation, and drop with the task's app when its processing loop ends
+//! — where pool-backed buffers return themselves to their owner's pool.
 
 use crate::annotation::HpcApp;
 use crate::comm::Communicator;

@@ -38,14 +38,14 @@ pub mod driver;
 pub mod report;
 pub mod task;
 
-pub use annotation::HpcApp;
+pub use annotation::{BlockSweep, HpcApp};
 pub use aspects::{MpiAspect, OmpAspect};
 pub use comm::{
     CommProbe, CommStats, Communicator, ControlFrame, ControlHandle, PagePayload, RankMessage,
     LIVENESS_TAG_BASE,
 };
 pub use cost::{CostModel, CostParams};
-pub use ctx::{Progress, ProgressNotifier, RankShared, TaskCtx};
+pub use ctx::{new_field_sink, FieldSink, Progress, ProgressNotifier, RankShared, TaskCtx};
 pub use driver::{execute, RunConfig, WeaveMode};
 pub use report::{RankReport, RunReport, RunSummary, TaskReport};
-pub use task::{CompletionSlot, LayerKind, LayerSpec, ScratchSlot, TaskSlot, Topology};
+pub use task::{CompletionSlot, LayerKind, LayerSpec, TaskSlot, Topology};

@@ -9,66 +9,10 @@
 //! tasks with task id `rank * threads + thread`.
 
 use serde::Serialize;
-use std::any::Any;
 use std::fmt;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::task::Waker;
 use std::time::Duration;
-
-/// Type-erased, task-local scratch storage.
-///
-/// A task's kernel often needs reusable working buffers (register files,
-/// gather/scatter staging) that must survive across steps — re-allocating
-/// them per step or per block is exactly the overhead the compiled-kernel
-/// tape removes.  The runtime cannot know the concrete buffer types (they
-/// belong to whatever app runs on top), so the slot stores one value behind
-/// `dyn Any` and hands it back by type: the app *takes* its scratch at the
-/// start of a step (ownership sidesteps any borrow entanglement with the
-/// context) and *puts* it back when done.  Dropping the slot drops the value,
-/// which lets pooled buffers return themselves to their pool via `Drop`.
-#[derive(Default)]
-pub struct ScratchSlot {
-    inner: Option<Box<dyn Any + Send>>,
-}
-
-impl ScratchSlot {
-    /// An empty slot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Take the stored value if it has type `T`.  A stored value of a
-    /// different type stays in place (and `None` is returned), so two apps
-    /// sharing a context cannot corrupt each other's scratch.
-    pub fn take<T: Any + Send>(&mut self) -> Option<T> {
-        match self.inner.take() {
-            Some(boxed) => match boxed.downcast::<T>() {
-                Ok(value) => Some(*value),
-                Err(other) => {
-                    self.inner = Some(other);
-                    None
-                }
-            },
-            None => None,
-        }
-    }
-
-    /// Store a value, replacing (and dropping) whatever was there.
-    pub fn put<T: Any + Send>(&mut self, value: T) {
-        self.inner = Some(Box::new(value));
-    }
-
-    /// Whether the slot currently holds a value.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_none()
-    }
-}
-
-impl fmt::Debug for ScratchSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScratchSlot").field("occupied", &self.inner.is_some()).finish()
-    }
-}
 
 /// A one-shot completion cell: written once, observable by any number of
 /// waiters, pollable both synchronously (condvar) and asynchronously (stored
@@ -310,12 +254,6 @@ impl Topology {
         TaskSlot { task_id: rank * self.threads_per_rank() + thread, rank, thread }
     }
 
-    /// The slot owning a global task id.
-    pub fn slot_of_task(&self, task_id: usize) -> TaskSlot {
-        let t = self.threads_per_rank();
-        TaskSlot { task_id, rank: task_id / t, thread: task_id % t }
-    }
-
     /// The global task id of a rank's master task (thread 0) — the paper's
     /// `dm_tid` for every block owned by that rank.
     pub fn rank_master_task(&self, rank: usize) -> usize {
@@ -373,25 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_slot_roundtrips_by_type() {
-        let mut slot = ScratchSlot::new();
-        assert!(slot.is_empty());
-        assert_eq!(slot.take::<Vec<f64>>(), None);
-        slot.put(vec![1.0f64, 2.0]);
-        assert!(!slot.is_empty());
-        // A mismatched type leaves the value in place.
-        assert_eq!(slot.take::<String>(), None);
-        assert!(!slot.is_empty());
-        assert_eq!(slot.take::<Vec<f64>>(), Some(vec![1.0, 2.0]));
-        assert!(slot.is_empty());
-        // put replaces the previous value.
-        slot.put(1u32);
-        slot.put(2u32);
-        assert_eq!(slot.take::<u32>(), Some(2));
-        assert!(format!("{slot:?}").contains("occupied"));
-    }
-
-    #[test]
     fn completion_slot_resolves_exactly_once() {
         let slot = CompletionSlot::new();
         assert!(!slot.is_complete());
@@ -446,25 +365,13 @@ mod tests {
     }
 
     proptest! {
-        /// slot / slot_of_task are mutually inverse and cover 0..total_tasks.
-        #[test]
-        fn slot_roundtrip(ranks in 1usize..12, threads in 1usize..12, sel in 0usize..200) {
-            let topo = Topology::hybrid(ranks, threads);
-            let tid = sel % topo.total_tasks();
-            let slot = topo.slot_of_task(tid);
-            prop_assert!(slot.rank < ranks);
-            prop_assert!(slot.thread < threads);
-            prop_assert_eq!(topo.slot(slot.rank, slot.thread), slot);
-            prop_assert_eq!(slot.task_id, tid);
-        }
-
         /// Master tasks are spaced by the thread count.
         #[test]
         fn master_task_spacing(ranks in 1usize..10, threads in 1usize..10) {
             let topo = Topology::hybrid(ranks, threads);
             for r in 0..ranks {
                 prop_assert_eq!(topo.rank_master_task(r), r * threads);
-                prop_assert_eq!(topo.slot_of_task(r * threads).thread, 0);
+                prop_assert_eq!(topo.slot(r, 0).task_id, r * threads);
             }
         }
     }

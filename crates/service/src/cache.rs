@@ -662,11 +662,6 @@ impl PlanCache {
         }
     }
 
-    /// A resident entry's accounting snapshot (None if not resident).
-    pub fn entry_meta(&self, key: &PlanKey) -> Option<EntryMeta> {
-        self.shard_for(key).lock().entries.get(key).map(|e| e.meta)
-    }
-
     /// Whether a key is currently resident (does not touch recency).
     pub fn contains(&self, key: &PlanKey) -> bool {
         self.shard_for(key).lock().entries.contains_key(key)
@@ -699,11 +694,6 @@ impl PlanCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Counter snapshot.
@@ -885,7 +875,7 @@ mod tests {
         assert!(!cache.unpin(&key(&cold)));
         // Explicit pin of a resident entry works too.
         assert!(cache.pin(&key(&newcomer)));
-        assert!(cache.entry_meta(&key(&newcomer)).unwrap().pinned);
+        assert_eq!(cache.stats().pinned_entries, 1);
     }
 
     #[test]
@@ -947,7 +937,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().hits, 1);
         assert!(!cache.is_empty());
-        assert_eq!(cache.shard_count(), 2);
     }
 
     /// A scripted fetcher: serves the compiled portable form (DAG attached,

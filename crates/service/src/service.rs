@@ -50,10 +50,7 @@ use aohpc_dsl::{
     UsBlockLaw, UsGridSystem, UsGridValueApp, UsGridValueSystem,
 };
 use aohpc_env::Extent;
-use aohpc_kernel::{
-    new_stencil_field_sink, FamilyArtifact, HeteroDispatcher, IrStencilApp, ScratchPool,
-    ScratchPoolStats, SpecializationId,
-};
+use aohpc_kernel::{FamilyArtifact, HeteroDispatcher, IrStencilApp, ScratchPool, SpecializationId};
 use aohpc_obs::{
     push_context, AdmissionCounters, CacheCounters, CommCounters, Histogram, JobCounters, ObsHub,
     ObsRunAspect, ObsServiceAspect, ObsSnapshot,
@@ -640,11 +637,6 @@ impl KernelService {
     /// Plan-cache counters.
     pub fn cache_stats(&self) -> PlanCacheStats {
         self.inner.cache.stats()
-    }
-
-    /// Execution-scratch pool counters (created / reused / idle).
-    pub fn scratch_stats(&self) -> ScratchPoolStats {
-        self.inner.scratch.stats()
     }
 
     /// Admission/backpressure counters (parked submitters, queue depth) plus
@@ -1411,7 +1403,7 @@ fn execute_spec(
             let program =
                 spec.program.as_stencil().expect("stencil artifact implies stencil program");
             let system = SGridSystem::with_block_size(spec.region, spec.block);
-            let sink = new_stencil_field_sink();
+            let sink = new_field_sink();
             let dispatcher =
                 HeteroDispatcher::try_new(spec.policy.clone()).expect("policy validated at submit");
             let app = IrStencilApp::new(program.clone(), spec.params.clone(), spec.steps)
@@ -1872,7 +1864,7 @@ mod tests {
         }
         let reports = service.drain();
         assert_eq!(reports.len(), 3);
-        let stats = service.scratch_stats();
+        let stats = service.inner.scratch.stats();
         assert_eq!(stats.created, 1, "one worker grows exactly one scratch: {stats:?}");
         assert_eq!(stats.reused, 2, "later jobs run on warm buffers: {stats:?}");
         assert_eq!(stats.idle, 1, "the scratch is parked between jobs: {stats:?}");

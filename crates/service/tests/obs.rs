@@ -167,50 +167,63 @@ fn cluster_fetch_spans_link_into_the_job_trace() {
     cluster.shutdown();
 }
 
-/// A traced particle job: every block pass is a `Kernel::execute_block` span
-/// under its sweep's `Annotation::KernelStep` span — blocks × sweeps of them,
-/// each block once a sweep.  1,000 particles make a 16x16 bucket grid of
-/// four 8x8 blocks; one rank sweeps `steps` times over all four, each of two
-/// ranks `steps + 1` times (the warm-up) over its two.
+/// A traced job of every family: every block pass is a `Kernel::execute_block`
+/// span under its sweep's `Annotation::KernelStep` span — blocks × sweeps of
+/// them, each block once a sweep.  Each job is four 8x8 blocks: a 16x16 grid
+/// for the stencil and usgrid jobs, and 1,000 particles make a 16x16 bucket
+/// grid.  One rank sweeps `steps` times over all four, each of two ranks
+/// `steps + 1` times (the warm-up) over its two.
 #[test]
-fn particle_job_has_a_block_span_per_block_and_sweep() {
+fn every_family_job_has_a_block_span_per_block_and_sweep() {
     use aohpc_aop::names;
-    use aohpc_kernel::ParticleProgram;
+    use aohpc_kernel::{ParticleProgram, StencilProgram, UsGridProgram};
     use aohpc_runtime::Topology;
     use aohpc_workloads::RegionSize;
 
     let steps = 3;
-    for (ranks, blocks_a_sweep) in [(1, 4), (2, 2)] {
-        let hub = ObsHub::new();
-        let service = KernelService::with_observer(
-            ServiceConfig::default().with_workers(1),
-            std::sync::Arc::clone(&hub),
-        );
-        let session = service.open_session(SessionSpec::tenant("blocks"));
-        let spec =
-            JobSpec::new(ParticleProgram::pair_sweep(), vec![1.0, 1e-3], RegionSize::square(16))
+    let region = RegionSize::square(16);
+    let families = [
+        ("stencil", JobSpec::new(StencilProgram::jacobi_5pt(), vec![0.5, 0.125], region)),
+        ("usgrid", JobSpec::new(UsGridProgram::jacobi4(), vec![0.5, 0.125], region)),
+        (
+            "particle",
+            JobSpec::new(ParticleProgram::pair_sweep(), vec![1.0, 1e-3], region)
+                .with_particles(1000),
+        ),
+    ];
+    for (family, spec) in families {
+        for (ranks, blocks_a_sweep) in [(1, 4), (2, 2)] {
+            let at = format!("{family}, {ranks} ranks");
+            let hub = ObsHub::new();
+            let service = KernelService::with_observer(
+                ServiceConfig::default().with_workers(1),
+                std::sync::Arc::clone(&hub),
+            );
+            let session = service.open_session(SessionSpec::tenant("blocks"));
+            let spec = spec
+                .clone()
                 .with_block(8)
                 .with_steps(steps)
-                .with_particles(1000)
                 .with_topology(Topology::hybrid(ranks, 1));
-        let report = service.submit(session, spec).expect("admitted").wait().expect("executed");
-        assert_eq!(report.error, None);
-        let trace = report.trace_id.expect("observed jobs are traced");
-        let spans: Vec<SpanRecord> =
-            hub.recorder().spans().into_iter().filter(|s| s.trace == trace).collect();
-        let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
-        let (sweeps, blocks) = (named(names::KERNEL_STEP), named(names::KERNEL_BLOCK));
-        let sweeps_a_rank = steps + usize::from(ranks > 1);
-        assert_eq!(sweeps.len(), ranks * sweeps_a_rank, "{ranks} ranks: sweeps");
-        assert_eq!(blocks.len(), 4 * sweeps_a_rank, "{ranks} ranks: blocks x sweeps");
-        for sweep in &sweeps {
-            let mut under: Vec<(i64, i64)> =
-                blocks.iter().filter(|b| b.parent == sweep.span).map(|b| (b.a, b.b)).collect();
-            under.sort_unstable();
-            under.dedup();
-            assert_eq!(under.len(), blocks_a_sweep, "{ranks} ranks: distinct blocks a sweep");
-            assert!(under.iter().all(|&(_, cells)| cells == 64), "8x8 buckets a block");
+            let report = service.submit(session, spec).expect("admitted").wait().expect("executed");
+            assert_eq!(report.error, None, "{at}");
+            let trace = report.trace_id.expect("observed jobs are traced");
+            let spans: Vec<SpanRecord> =
+                hub.recorder().spans().into_iter().filter(|s| s.trace == trace).collect();
+            let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+            let (sweeps, blocks) = (named(names::KERNEL_STEP), named(names::KERNEL_BLOCK));
+            let sweeps_a_rank = steps + usize::from(ranks > 1);
+            assert_eq!(sweeps.len(), ranks * sweeps_a_rank, "{at}: sweeps");
+            assert_eq!(blocks.len(), 4 * sweeps_a_rank, "{at}: blocks x sweeps");
+            for sweep in &sweeps {
+                let mut under: Vec<(i64, i64)> =
+                    blocks.iter().filter(|b| b.parent == sweep.span).map(|b| (b.a, b.b)).collect();
+                under.sort_unstable();
+                under.dedup();
+                assert_eq!(under.len(), blocks_a_sweep, "{at}: distinct blocks a sweep");
+                assert!(under.iter().all(|&(_, cells)| cells == 64), "{at}: 8x8 cells a block");
+            }
+            service.shutdown();
         }
-        service.shutdown();
     }
 }
