@@ -31,11 +31,13 @@
 //! them, **hand-written** is the shape's hand-written code
 //! (`aohpc_baselines`, initialisation + `steps` steps: the base the
 //! benchmark divides by), timed as many times, before the first service
-//! starts; and **searches/sweep**, **nodes/sweep** are the Env searches a
-//! sweep ran and the tree nodes they visited (`env_searches`,
-//! `search_nodes_visited` over `steps`), from one direct `runtime::execute`
-//! run of the app the service runs for the shape — so a regression in the
-//! search count shows next to the time it costs.
+//! starts; **searches/sweep**, **nodes/sweep** are the Env searches a later
+//! sweep runs and the tree nodes they visit, and **plan searches**, **plan
+//! nodes** those run once a job, resolving usgrid's neighbour plans (each
+//! off-block neighbour is searched for once, there) — from direct
+//! `runtime::execute` runs of the app the service runs for the shape, of
+//! `steps` and of `steps + 1` sweeps: a later sweep is their difference — so
+//! a regression in the search count shows next to the time it costs.
 //!
 //! ```sh
 //! cargo run --release -p aohpc-bench --bin phase_table     # 40 jobs a shape
@@ -62,7 +64,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const WARM_UP_JOBS: usize = 2;
-const PHASES: [&str; 12] = [
+const PHASES: [&str; 14] = [
     "job",
     "execute",
     "set-up",
@@ -75,9 +77,11 @@ const PHASES: [&str; 12] = [
     "hand-written",
     "searches/sweep",
     "nodes/sweep",
+    "plan searches",
+    "plan nodes",
 ];
 /// The columns read from a job's trace: those before "hand-written".
-const TRACED: usize = PHASES.len() - 3;
+const TRACED: usize = PHASES.len() - 5;
 
 fn grid(program: impl Into<FamilyProgram>, side: usize, block: usize, steps: usize) -> JobSpec {
     JobSpec::new(program, vec![0.5, 0.125], RegionSize::square(side))
@@ -135,14 +139,24 @@ fn hand_written(spec: &JobSpec) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// The Env searches a sweep of `spec`'s job runs and the tree nodes they
-/// visit, from one direct run of the app the service runs for it (on one
-/// rank, so `steps` sweeps).  The service's plan source, scratch pool and
-/// dispatcher are left out: none of them moves a counter.
-fn searches_per_sweep(spec: &JobSpec) -> (f64, f64) {
+/// The Env searches and the tree nodes they visit: a later sweep of
+/// `spec`'s job, and what its job runs once (see the module docs).
+fn searches(spec: &JobSpec) -> [u64; 4] {
+    let [searches, nodes] = searches_over(spec, spec.steps);
+    let [more_searches, more_nodes] = searches_over(spec, spec.steps + 1);
+    let (sweep_searches, sweep_nodes) = (more_searches - searches, more_nodes - nodes);
+    let steps = spec.steps as u64;
+    [sweep_searches, sweep_nodes, searches - steps * sweep_searches, nodes - steps * sweep_nodes]
+}
+
+/// `(env_searches, search_nodes_visited)` of one direct run of `steps`
+/// sweeps (on one rank) of the app the service runs for `spec`.  The
+/// service's plan source, scratch pool and dispatcher are left out: none of
+/// them moves a counter.
+fn searches_over(spec: &JobSpec, steps: usize) -> [u64; 2] {
     let config = RunConfig::serial().with_topology(spec.topology.clone());
     let extent = Extent::new2d(spec.block, spec.block);
-    let (params, steps) = (&spec.params, spec.steps);
+    let params = &spec.params;
     let report = match spec.program.compile(extent, OptLevel::Full) {
         FamilyArtifact::Stencil(_) => {
             let program = spec.program.as_stencil().expect("a stencil artifact").clone();
@@ -167,8 +181,7 @@ fn searches_per_sweep(spec: &JobSpec) -> (f64, f64) {
         }
     };
     let counters = report.total_counters();
-    let per_sweep = |n: u64| n as f64 / steps as f64;
-    (per_sweep(counters.env_searches), per_sweep(counters.search_nodes_visited))
+    [counters.env_searches, counters.search_nodes_visited]
 }
 
 /// One job's platform phases in milliseconds, in [`PHASES`] order up to
@@ -215,7 +228,7 @@ fn main() {
     let jobs = if scale == Scale::Smoke { 3 } else { 40 };
     println!(
         "# phase_table — one worker, medians of {jobs} jobs a shape, ms (sweeps: %; searches \
-         and nodes a sweep: one direct run)"
+         and nodes a later sweep and once a job: direct runs)"
     );
     println!("{:<18}{}", "", PHASES.map(|p| format!("{p:>15}")).concat());
     // The hand-written codes are timed first, before any service has run in
@@ -266,7 +279,7 @@ fn main() {
                 format!("{m:>15.3}")
             }
         });
-        let (searches, nodes) = searches_per_sweep(&spec);
-        println!("{label:<18}{}{searches:>15}{nodes:>15}", cells.collect::<String>());
+        let counts = searches(&spec).map(|n| format!("{n:>15}")).concat();
+        println!("{label:<18}{}{counts}", cells.collect::<String>());
     }
 }

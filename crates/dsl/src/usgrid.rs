@@ -179,7 +179,7 @@ impl UsGridSystem {
     /// `addrs` and resolved address by address.
     fn neighbor_plan(
         &self,
-        ctx: &TaskCtx<f64>,
+        ctx: &mut TaskCtx<f64>,
         bid: BlockId,
         offsets: &[(i64, i64)],
         addrs: &mut Vec<GlobalAddress>,
@@ -394,7 +394,8 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
             // access goes through MMAT / the Env search where it leaves the
             // block.  Which neighbours those are never changes — the update
             // below keeps every point's `neighbors` — so the block's first
-            // pass resolves them from the slab it has just read, and every
+            // pass resolves them from the slab it has just read (with MMAT
+            // off, searching once for each one off the block), and every
             // later pass and retry reads through that plan.
             let plan = plans.entry(bid).or_insert_with(|| {
                 let addrs = points
@@ -571,8 +572,9 @@ impl BlockSweep for UsGridValueApp {
         // Neighbours are indirect: no static in-block guarantee, so the
         // access goes through MMAT / the Env search where it leaves the
         // block.  Which neighbours those are follows from the layout and the
-        // offsets alone, so the block's first pass resolves them and every
-        // later pass and retry reads through that plan.
+        // offsets alone, so the block's first pass resolves them (with MMAT
+        // off, searching once for each one off the block) and every later
+        // pass and retry reads through that plan.
         let plan = plans
             .entry(bid)
             .or_insert_with(|| self.system.neighbor_plan(ctx, bid, &self.neighbors, addrs));

@@ -69,9 +69,9 @@ pub struct EnvStats {
 /// addresses, and [`Env::resolve_offsets`] from offsets applied to every cell
 /// of the block (the list is then never built).
 ///
-/// Four bytes an address, and 32 more for each one outside the block.  A
+/// Four bytes an address, and 56 more for each one outside the block.  A
 /// plan is valid only for the Env that resolved it: it holds cell indices
-/// of that Env's `start` block.  Indexing stays bounds-checked, so a plan read
+/// of that Env's blocks.  Indexing stays bounds-checked, so a plan read
 /// against another Env panics or yields that Env's cells at the same indices;
 /// it never reads outside a buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,9 +80,29 @@ pub struct GatherPlan {
     /// Per address, the row-major cell index inside `start` (filler where the
     /// address is listed in `outside`).
     slots: Vec<u32>,
-    /// `(position in the list, address)` of every address not served from
-    /// `start`'s buffer, positions ascending.
-    outside: Vec<(usize, GlobalAddress)>,
+    /// `(position in the list, address, where its search lands)` of every
+    /// address not served from `start`'s buffer, positions ascending.
+    outside: Vec<(usize, GlobalAddress, Landing)>,
+}
+
+/// Where the search from a plan's `start` lands for an address the plan
+/// lists outside `start`: found once, when the plan is resolved.
+///
+/// A search's result is geometry — kinds, extents, catch-all flags and
+/// joint boxes, all fixed at [`EnvBuilder::build`] — so it is the same on
+/// every later read; what the landing block holds is not, and is read then.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Landing {
+    /// Not resolved: read as [`Env::read`] reads it (MMAT on at
+    /// resolution, a `start` that serves nothing from its own buffer, or an
+    /// address inside `start` whose index does not fit a slot).
+    Unresolved,
+    /// A block without cell buffers (Static, Arithmetic, Reference, Empty).
+    Block(BlockId),
+    /// The cell at this row-major index of a buffer-bearing block.
+    Cell(BlockId, usize),
+    /// No block at all: the read is missing.
+    Nowhere,
 }
 
 impl GatherPlan {
@@ -731,14 +751,25 @@ impl<C: Cell> Env<C> {
     /// address (and all of them when `start` is a catch-all or has no cell
     /// buffers) is kept as it is, with its position in the list.
     ///
+    /// With MMAT off and `start` such a block, each address outside it is
+    /// also searched for once, from `start`, as [`Env::read`] would search:
+    /// the plan keeps the block the search lands on (and the cell index in a
+    /// buffer-bearing one), and `state` counts the searches and the nodes
+    /// they visit — the per-cell loop's, one read of each address.  With
+    /// MMAT on nothing is searched (the memo resolves those reads), and an
+    /// address inside `start` whose index does not fit a slot is not either
+    /// (`Env::read` serves it without a search).
+    ///
     /// Only geometry is frozen — a block's origin, extent and kind do not
-    /// change once the tree is built.  Validity, the MMAT state and the
-    /// values are read by each [`Env::read_gather_into`]; resolving reads no
-    /// cell and moves no counter.
+    /// change once the tree is built, nor therefore where a search lands.
+    /// Validity, the MMAT state and the values are read by each
+    /// [`Env::read_gather_into`]; resolving reads no cell and moves no
+    /// counter but the two search counters.
     pub fn resolve_gather(
         &self,
         start: BlockId,
         addrs: impl IntoIterator<Item = GlobalAddress>,
+        state: &mut AccessState,
     ) -> GatherPlan {
         let block = &self.blocks[start];
         let direct = block.kind.has_buffers() && !block.meta.catch_all;
@@ -751,16 +782,39 @@ impl<C: Cell> Env<C> {
         let mut outside = Vec::with_capacity(listed.min(2 * (extent.nx + extent.ny)));
         for addr in addrs {
             let inside = if direct { block.cell_index(addr) } else { None };
-            // An index too large for a slot is served as an outside address.
-            slots.push(match inside.and_then(|idx| u32::try_from(idx).ok()) {
-                Some(idx) => idx,
-                None => {
-                    outside.push((slots.len(), addr));
-                    u32::MAX
+            let landing = match inside.map(u32::try_from) {
+                Some(Ok(idx)) => {
+                    slots.push(idx);
+                    continue;
                 }
-            });
+                // An index too large for a slot is served as an outside
+                // address, which `Env::read` finds in `start` unsearched.
+                Some(Err(_)) => Landing::Unresolved,
+                None if direct => self.land(start, addr, state),
+                None => Landing::Unresolved,
+            };
+            outside.push((slots.len(), addr, landing));
+            slots.push(u32::MAX);
         }
         GatherPlan { start, slots, outside }
+    }
+
+    /// With MMAT off, search for `addr` from `start` as [`Env::read`] does
+    /// — counted in `state` — and keep where the search landed; with MMAT
+    /// on, nothing (the memo resolves each read).
+    fn land(&self, start: BlockId, addr: GlobalAddress, state: &mut AccessState) -> Landing {
+        if state.mmat_enabled {
+            return Landing::Unresolved;
+        }
+        state.counters.env_searches += 1;
+        let (found, visited) = self.find_block(addr, start);
+        state.counters.search_nodes_visited += visited;
+        let Some(bid) = found else { return Landing::Nowhere };
+        let block = &self.blocks[bid];
+        match block.cell_index(addr) {
+            Some(idx) if block.kind.has_buffers() => Landing::Cell(bid, idx),
+            _ => Landing::Block(bid),
+        }
     }
 
     /// [`Env::resolve_gather`] of the list "each cell of `start` in row-major
@@ -782,12 +836,14 @@ impl<C: Cell> Env<C> {
     /// A `start` that serves no cell from a buffer of its own (no cell
     /// buffers, a catch-all) lists every address as outside, as
     /// `resolve_gather` does; for one of those the list is built and handed
-    /// on.
+    /// on.  Where an address stays outside, it is searched for as
+    /// `resolve_gather` searches (with MMAT off, counted in `state`).
     pub fn resolve_offsets<O>(
         &self,
         start: BlockId,
         offsets: O,
         mut outside: impl FnMut(GlobalAddress) -> GlobalAddress,
+        state: &mut AccessState,
     ) -> GatherPlan
     where
         O: IntoIterator<Item = LocalAddress>,
@@ -806,7 +862,7 @@ impl<C: Cell> Env<C> {
                     addrs.push(if inside { origin + target } else { outside(origin + target) });
                 }
             }
-            return self.resolve_gather(start, addrs);
+            return self.resolve_gather(start, addrs, state);
         }
 
         let (nx, ny, nz) = (extent.nx as i64, extent.ny as i64, extent.nz as i64);
@@ -844,7 +900,7 @@ impl<C: Cell> Env<C> {
                     let addr = outside(origin + target);
                     match block.cell_index(addr) {
                         Some(idx) => slots[pos] = idx as u32,
-                        None => listed.push((pos, addr)),
+                        None => listed.push((pos, addr, self.land(start, addr, state))),
                     }
                 }
             }
@@ -871,18 +927,25 @@ impl<C: Cell> Env<C> {
     /// their neighbours (an unstructured grid's indirection).  Stops at the
     /// shorter of the plan and `out`.
     ///
-    /// Values, **every** counter, missing-page records (in order) and the
-    /// MMAT memo are exactly those of the per-cell loop over the addresses.
-    /// Each stretch of entries inside `start` — the common case under
-    /// Assumption III — is served from its read buffer by cell index, one
-    /// lock acquisition per stretch and no clone of the cell; every other
-    /// entry goes through [`Env::read`], in order.  With MMAT on (each read
-    /// consults and updates the memo) it is the per-cell loop, the in-block
-    /// addresses rebuilt from their indices.
+    /// Values, missing-page records (in order), the MMAT memo and every
+    /// counter except `env_searches` / `search_nodes_visited` are exactly
+    /// those of the per-cell loop over the addresses — the contract
+    /// [`Env::read_run_into`] has; the two search counters record only the
+    /// searches that ran.  Each stretch of entries inside `start` — the
+    /// common case under Assumption III — is served from its read buffer by
+    /// cell index, one lock acquisition per stretch and no clone of the
+    /// cell.  Every other entry is read in order: with MMAT off, where the
+    /// plan recorded where its search lands (see [`Env::resolve_gather`]),
+    /// by the call the per-cell path makes once its search has landed there,
+    /// with no search; otherwise through [`Env::read`].  So with MMAT off on
+    /// a `start` with cell buffers a gather runs no search at all, and the
+    /// resolution ran the per-cell loop's searches once.  With MMAT on (each
+    /// read consults and updates the memo) it is the per-cell loop, the
+    /// in-block addresses rebuilt from their indices, every counter equal.
     ///
-    /// `start`'s lock is never held across a per-cell read: a `Reference`
-    /// block may map an outside address back into `start`, and a second
-    /// read acquisition behind a queued writer deadlocks.
+    /// `start`'s lock is never held across a read of another entry: a
+    /// `Reference` block may map an outside address back into `start`, and a
+    /// second read acquisition behind a queued writer deadlocks.
     pub fn read_gather_into<T>(
         &self,
         plan: &GatherPlan,
@@ -898,12 +961,12 @@ impl<C: Cell> Env<C> {
             BlockKind::Data(buf) | BlockKind::BufferOnly(buf) if !state.mmat_enabled => Some(buf),
             _ => None,
         };
-        let mut outside = plan.outside.iter().take_while(|(at, _)| *at < len);
+        let mut outside = plan.outside.iter().take_while(|(at, ..)| *at < len);
         let mut from = 0;
         loop {
             let next = outside.next();
             // The stretch of in-block entries before the next outside one.
-            let to = next.map_or(len, |(at, _)| *at);
+            let to = next.map_or(len, |(at, ..)| *at);
             let stretch = out[from..to].iter_mut().zip(&plan.slots[from..to]);
             match direct {
                 Some(buf) if from < to => {
@@ -937,8 +1000,11 @@ impl<C: Cell> Env<C> {
                     }
                 }
             }
-            let Some(&(at, addr)) = next else { break };
-            out[at] = project(&self.read_unhinted(start, addr, state));
+            let Some(&(at, addr, landing)) = next else { break };
+            out[at] = project(&match direct {
+                Some(_) => self.read_landed(start, addr, landing, state),
+                None => self.read_unhinted(start, addr, state),
+            });
             from = at + 1;
         }
     }
@@ -948,6 +1014,39 @@ impl<C: Cell> Env<C> {
     #[inline(never)]
     fn read_unhinted(&self, start: BlockId, addr: GlobalAddress, state: &mut AccessState) -> C {
         self.read(start, addr, false, state).unwrap_or_default()
+    }
+
+    /// An outside entry of a plan on behalf of [`Env::read_gather_into`],
+    /// with MMAT off: read exactly as [`Env::read_noting`] reads it once its
+    /// search from `start` has landed where `landing` says, without the
+    /// search (an unresolved entry is read as `Env::read` reads it).  Out of
+    /// line, and no guard of `start` is held: a `Reference` may map back
+    /// into `start`.
+    #[inline(never)]
+    fn read_landed(
+        &self,
+        start: BlockId,
+        addr: GlobalAddress,
+        landing: Landing,
+        state: &mut AccessState,
+    ) -> C {
+        let value = match landing {
+            Landing::Unresolved => return self.read_unhinted(start, addr, state),
+            Landing::Nowhere => {
+                state.counters.missing_accesses += 1;
+                None
+            }
+            Landing::Block(bid) => {
+                state.counters.out_of_block_reads += 1;
+                self.read_value_at(bid, addr, state, 0)
+            }
+            Landing::Cell(bid, idx) => {
+                state.counters.out_of_block_reads += 1;
+                self.read_buffered_cell(bid, idx, addr, state)
+            }
+        };
+        state.counters.reads += 1;
+        value.unwrap_or_default()
     }
 
     /// Read with a local (block-relative) address — the `GetD`/`GetDD` form.
@@ -1825,7 +1924,7 @@ mod tests {
             written(b, &data)
         }
 
-        fn searches_aside(k: AccessCounters) -> AccessCounters {
+        pub(super) fn searches_aside(k: AccessCounters) -> AccessCounters {
             AccessCounters { env_searches: 0, search_nodes_visited: 0, ..k }
         }
 
@@ -2171,7 +2270,7 @@ mod tests {
     }
 
     mod gather_properties {
-        use super::run_properties::tiled_env;
+        use super::run_properties::{searches_aside, tiled_env};
         use super::*;
         use proptest::prelude::*;
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -2182,6 +2281,12 @@ mod tests {
         /// skipped or applied to the wrong cell shows.
         fn project(cell: &u64) -> u64 {
             cell.wrapping_mul(3) ^ 0x55
+        }
+
+        /// The two search counters of `k`, every other counter 0.
+        fn searches_only(k: AccessCounters) -> AccessCounters {
+            let (env_searches, search_nodes_visited) = (k.env_searches, k.search_nodes_visited);
+            AccessCounters { env_searches, search_nodes_visited, ..AccessCounters::default() }
         }
 
         /// One read of `plan` and the per-cell loop over the `addrs` it was
@@ -2211,13 +2316,20 @@ mod tests {
 
         proptest! {
             /// A gather and the per-cell loop it replaces: same values, the
-            /// same `AccessCounters` field for field, the same missing-page
-            /// list in the same order and the same MMAT memo — whatever the
-            /// address list (inside `start`, in a neighbour, in the Static
-            /// strip, outside the domain, repeated) and whatever `start` is
-            /// (Data, Buffer-only, or a block without cell buffers).  The
-            /// plan is resolved once; between its two rounds of reads
-            /// everything it must not have frozen changes.
+            /// same `AccessCounters` field for field but the two search
+            /// counters, the same missing-page list in the same order and
+            /// the same MMAT memo — whatever the address list (inside
+            /// `start`, in a neighbour, in the Static strip, outside the
+            /// domain, repeated) and whatever `start` is (Data, Buffer-only,
+            /// or a block without cell buffers).  The plan is resolved once;
+            /// between its two rounds of reads everything it must not have
+            /// frozen changes, the victims turn Buffer-only among them.
+            ///
+            /// The searches: with MMAT on every counter is the loop's.  With
+            /// MMAT off, resolving on a `start` with cell buffers runs the
+            /// searches of one pass of the loop and moves no other counter,
+            /// and every gather through that plan runs none; anywhere else
+            /// resolving runs none and a gather runs the loop's.
             #[test]
             fn gather_reads_equal_the_per_cell_loop(
                 cpp in 1usize..8,
@@ -2229,6 +2341,7 @@ mod tests {
                 buffer_only in any::<bool>(),
                 start_invalid in any::<bool>(),
                 victims in (0usize..9, 0usize..9),
+                victims_buffer_only in any::<bool>(),
                 invalid_mask in any::<u64>(),
                 picks in proptest::collection::vec((0usize..8, -3i64..17, -3i64..12), 0..48),
             ) {
@@ -2270,14 +2383,22 @@ mod tests {
                         _ => GlobalAddress::new2d(x, y),
                     });
                 }
-                let plan = env.resolve_gather(start, addrs.iter().copied());
+                let state = |mmat| if mmat { AccessState::with_mmat() } else { AccessState::new() };
+                let mut resolution = state(mmat);
+                let plan = env.resolve_gather(start, addrs.iter().copied(), &mut resolution);
                 prop_assert_eq!((plan.len(), plan.is_empty()), (addrs.len(), addrs.is_empty()));
+                let block = env.block(start);
+                let resolved = !mmat && block.kind.has_buffers() && !block.meta.catch_all;
+                prop_assert_eq!(searches_aside(resolution.counters), AccessCounters::default());
+                if !resolved {
+                    prop_assert_eq!(resolution.counters, AccessCounters::default());
+                }
 
                 for round in 0..2 {
                     if round == 1 {
                         // Pages arrive and go stale — the victims' and
-                        // `start`'s own — and the next state has MMAT the
-                        // other way round.
+                        // `start`'s own — holders may turn Buffer-only, and
+                        // the next state has MMAT the other way round.
                         env.set_block_valid(data[victims.0], true).unwrap();
                         invalidate_pages(&env, data[victims.1], !invalid_mask);
                         if env.block(start).kind.has_buffers() {
@@ -2287,20 +2408,38 @@ mod tests {
                                 invalidate_pages(&env, start, invalid_mask.rotate_left(29));
                             }
                         }
+                        for victim in [victims.0, victims.1] {
+                            if victims_buffer_only && env.block(data[victim]).is_data() {
+                                env.demote_to_buffer_only(data[victim]).unwrap();
+                                invalidate_pages(&env, data[victim], invalid_mask.rotate_left(3));
+                            }
+                        }
                     }
-                    let fresh = || match mmat ^ (round == 1) {
-                        true => AccessState::with_mmat(),
-                        false => AccessState::new(),
-                    };
-                    let (mut gather, mut cellwise) = (fresh(), fresh());
+                    let mmat_now = mmat ^ (round == 1);
+                    let (mut gather, mut cellwise) = (state(mmat_now), state(mmat_now));
                     // Twice, so the second pass replays whatever MMAT memorised.
-                    for _ in 0..2 {
+                    for pass in 0..2 {
                         let (got, want) =
                             read_both_ways(&env, &plan, &addrs, (&mut gather, &mut cellwise));
+                        let (g, c) = (gather.counters, cellwise.counters);
                         prop_assert_eq!(got, want);
-                        prop_assert_eq!(gather.counters, cellwise.counters);
+                        prop_assert_eq!(searches_aside(g), searches_aside(c));
                         prop_assert_eq!(gather.missing(), cellwise.missing());
                         prop_assert_eq!(gather.mmat.len(), cellwise.mmat.len());
+                        if resolved && !mmat_now {
+                            // The loop searched on each of `passes` passes,
+                            // the resolution once and the gathers never.  (A
+                            // Reference's own walk from its target, after the
+                            // search, is the gathers' nodes, as the loop's.)
+                            let (r, passes) = (resolution.counters, pass as u64 + 1);
+                            prop_assert_eq!(g.env_searches, 0);
+                            prop_assert_eq!(
+                                (r.env_searches * passes, r.search_nodes_visited * passes),
+                                (c.env_searches, c.search_nodes_visited - g.search_nodes_visited)
+                            );
+                        } else {
+                            prop_assert_eq!(g, c);
+                        }
                     }
                 }
             }
@@ -2311,8 +2450,9 @@ mod tests {
             let env = tiled_env(4, false, false, false);
             let start = env.data_block_ids()[4];
             let origin = env.block(start).meta.origin;
-            let plan = env.resolve_gather(start, [origin, origin + LocalAddress::new2d(1, 0)]);
             let mut st = AccessState::new();
+            let plan =
+                env.resolve_gather(start, [origin, origin + LocalAddress::new2d(1, 0)], &mut st);
             let mut out = [u64::MAX; 3];
             env.read_gather_into(&plan, project, &mut out, &mut st);
             assert_ne!(out[1], u64::MAX);
@@ -2340,9 +2480,12 @@ mod tests {
                 .map(|(x, y)| GlobalAddress::new2d(x, y))
                 .to_vec();
             for start in bufferless {
-                let plan = env.resolve_gather(start, addrs.iter().copied());
-                let listed: Vec<GlobalAddress> = plan.outside.iter().map(|(_, a)| *a).collect();
+                let mut resolution = AccessState::new();
+                let plan = env.resolve_gather(start, addrs.iter().copied(), &mut resolution);
+                let listed: Vec<GlobalAddress> = plan.outside.iter().map(|(_, a, _)| *a).collect();
                 assert_eq!(listed, addrs, "start {start}: every entry is outside");
+                assert!(plan.outside.iter().all(|(.., landing)| *landing == Landing::Unresolved));
+                assert_eq!(resolution.counters, AccessCounters::default(), "start {start}");
                 for mmat in [false, true] {
                     let fresh = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
                     let (mut gather, mut cellwise) = (fresh(), fresh());
@@ -2359,11 +2502,13 @@ mod tests {
             }
         }
 
-        /// The lock rule: `start`'s lock is not held across a per-cell read.
-        /// A Reference boundary maps the second address back into `start`, so
-        /// that read locks `start` again; had the gather kept its guard, a
-        /// writer queued in between would block the second acquisition for
-        /// good (std's `RwLock` prefers writers).
+        /// The lock rule: `start`'s lock is not held across the read of an
+        /// outside entry.  A Reference boundary maps the second address back
+        /// into `start`, so that read locks `start` again; had the gather
+        /// kept its guard, a writer queued in between would block the second
+        /// acquisition for good (std's `RwLock` prefers writers).  MMAT is
+        /// off, so the entry goes the resolved way: the search ran once, at
+        /// resolution, and the gather reads the Reference it landed on.
         #[test]
         fn a_gather_through_a_reference_into_start_yields_to_a_waiting_writer() {
             let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), 4);
@@ -2404,18 +2549,98 @@ mod tests {
                     *cell
                 };
                 let addrs = [GlobalAddress::new2d(1, 1), GlobalAddress::new2d(-1, 2)];
-                let plan = env.resolve_gather(start, addrs);
-                let mut out = [0u64; 2];
                 let mut st = AccessState::new();
+                let plan = env.resolve_gather(start, addrs, &mut st);
+                let resolved = st.counters.env_searches;
+                let mut out = [0u64; 2];
                 env.read_gather_into(&plan, project_when_contended, &mut out, &mut st);
-                done_tx.send((out, st.counters.reference_reads)).expect("the test is waiting");
+                let counters = (resolved, st.counters.env_searches, st.counters.reference_reads);
+                done_tx.send((out, counters)).expect("the test is waiting");
             });
-            let (out, reference_reads) = done_rx
+            let (out, counters) = done_rx
                 .recv_timeout(Duration::from_secs(30))
                 .expect("the gather must not deadlock against a queued writer");
-            assert_eq!((out, reference_reads), ([11, 2], 1));
+            assert_eq!((out, counters), ([11, 2], (1, 1, 1)), "one search, at resolution");
             writer.join().unwrap();
             reader.join().unwrap();
+        }
+
+        /// Where holders are not unique — a bounded joint narrower than the
+        /// block below it prunes the search for that block's right half,
+        /// which falls through to the boundary — a resolved entry is what
+        /// `find_block` from `start` returns, not the block that holds the
+        /// address, and the gather reads what the per-cell loop reads.
+        #[test]
+        fn a_resolved_entry_is_where_the_search_lands_where_holders_are_not_unique() {
+            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), 4);
+            let root = b.add_empty(None);
+            let boundary = b.add_arithmetic(root, Arc::new(|_| 7), true);
+            let flat = b.add_empty(Some(root));
+            let start =
+                b.add_data(flat, GlobalAddress::new2d(0, 1), Extent::new2d(8, 1), 0).unwrap();
+            let narrow = b.add_joint(Some(root), GlobalAddress::new2d(0, 0), Extent::new2d(4, 1));
+            let wide =
+                b.add_data(narrow, GlobalAddress::new2d(0, 0), Extent::new2d(8, 1), 1).unwrap();
+            let env = b.build();
+            assert!(!env.holders_are_unique);
+            for x in 0..8 {
+                env.write_initial(wide, LocalAddress::new2d(x, 0), 100 + x as u64);
+            }
+            let addrs: Vec<GlobalAddress> = (0..8).map(|x| GlobalAddress::new2d(x, 0)).collect();
+            let mut resolution = AccessState::new();
+            let plan = env.resolve_gather(start, addrs.iter().copied(), &mut resolution);
+            let landed: Vec<Option<BlockId>> = plan
+                .outside
+                .iter()
+                .map(|(.., landing)| match *landing {
+                    Landing::Cell(bid, _) | Landing::Block(bid) => Some(bid),
+                    Landing::Nowhere | Landing::Unresolved => None,
+                })
+                .collect();
+            let found: Vec<_> = addrs.iter().map(|&a| env.find_block(a, start).0).collect();
+            let (w, o) = (Some(wide), Some(boundary));
+            assert_eq!(landed, [w, w, w, w, o, o, o, o]);
+            assert_eq!(landed, found);
+            let (mut gather, mut cellwise) = (AccessState::new(), AccessState::new());
+            let (got, want) = read_both_ways(&env, &plan, &addrs, (&mut gather, &mut cellwise));
+            assert_eq!(got, want);
+            assert_eq!(want, [100, 101, 102, 103, 7, 7, 7, 7].map(|v| project(&v)));
+            assert_eq!(gather.counters.env_searches, 0);
+            assert_eq!(resolution.counters, searches_only(cellwise.counters));
+            assert_eq!(searches_aside(gather.counters), searches_aside(cellwise.counters));
+        }
+
+        /// An address inside `start` whose cell index does not fit a `u32`
+        /// slot is listed as outside, but the per-cell path serves it from
+        /// `start` without a search: the plan leaves it unresolved and the
+        /// gather reads it as `Env::read` does.  (Zero-sized cells: a block
+        /// of 2^33 of them costs no memory.)
+        #[test]
+        fn an_address_outside_only_by_its_index_width_is_read_unresolved() {
+            let mut b = EnvBuilder::<()>::new(PoolHandle::unbounded(), 1 << 31);
+            let root = b.add_empty(None);
+            let joint = b.add_empty(Some(root));
+            let huge = Extent::new3d(1 << 16, 1 << 16, 2);
+            let start = b.add_data(joint, GlobalAddress::new2d(0, 0), huge, 0).unwrap();
+            let boundary = b.add_arithmetic(root, Arc::new(|_| ()), true);
+            let env = b.build();
+            let deep = GlobalAddress::new3d(3, 0, 1);
+            assert!(env.block(start).cell_index(deep).unwrap() > u32::MAX as usize);
+            let addrs = [GlobalAddress::new2d(1, 0), deep, GlobalAddress::new2d(-1, 0)];
+            let mut resolution = AccessState::new();
+            let plan = env.resolve_gather(start, addrs, &mut resolution);
+            let outside: Vec<_> =
+                plan.outside.iter().map(|&(at, _, landing)| (at, landing)).collect();
+            assert_eq!(outside, [(1, Landing::Unresolved), (2, Landing::Block(boundary))]);
+            let (mut gather, mut cellwise) = (AccessState::new(), AccessState::new());
+            let mut out = [(); 3];
+            env.read_gather_into(&plan, |c| *c, &mut out, &mut gather);
+            for addr in addrs {
+                env.read(start, addr, false, &mut cellwise);
+            }
+            assert_eq!((gather.counters.in_block_hits, gather.counters.env_searches), (2, 0));
+            assert_eq!(resolution.counters, searches_only(cellwise.counters));
+            assert_eq!(searches_aside(gather.counters), searches_aside(cellwise.counters));
         }
     }
 
@@ -2537,15 +2762,18 @@ mod tests {
                     }
                 };
 
-                let fast = env.resolve_offsets(start, offsets.iter().copied(), remap);
                 let addrs = listed(&env, start, &offsets, remap);
-                let slow = env.resolve_gather(start, addrs.iter().copied());
-                prop_assert_eq!(&fast, &slow);
-                prop_assert_eq!(fast.len(), env.block(start).meta.extent.cells() * offsets.len());
-
                 for mmat in [false, true] {
                     let fresh = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
+                    // Resolved with MMAT as read: with it off, both run the
+                    // same searches, once.
                     let (mut a, mut b) = (fresh(), fresh());
+                    let fast = env.resolve_offsets(start, offsets.iter().copied(), remap, &mut a);
+                    let slow = env.resolve_gather(start, addrs.iter().copied(), &mut b);
+                    prop_assert_eq!(&fast, &slow);
+                    prop_assert_eq!(a.counters, b.counters);
+                    let cells = env.block(start).meta.extent.cells();
+                    prop_assert_eq!(fast.len(), cells * offsets.len());
                     // Twice, so the second pass replays whatever MMAT memorised.
                     for _ in 0..2 {
                         let (mut got, mut want) = (vec![0; addrs.len()], vec![0; addrs.len()]);

@@ -20,7 +20,9 @@
 //! (or, past the domain, from the boundary block) is charged one search plus
 //! the per-read out-of-block penalty for every cell, so the simulated time of
 //! an IR job falls with its search count while a Listing-1 kernel's (one
-//! search per out-of-block `GetD`) does not move.
+//! search per out-of-block `GetD`) does not move.  A gather
+//! (`TaskCtx::get_gather`) with MMAT off is charged its plan's searches once,
+//! when the plan is resolved, and the penalty on every pass.
 //!
 //! The default parameters are calibrated to the same order of magnitude as
 //! the paper's hardware (a ~3 GHz Xeon, a 12.5 GB/s interconnect); only

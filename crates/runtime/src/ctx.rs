@@ -685,18 +685,20 @@ impl<C: Cell> TaskCtx<C> {
     }
 
     /// Resolve, once, where each of `addrs` (global) lies relative to
-    /// `block`: the static half of [`TaskCtx::get_gather`].  Reads no cell,
-    /// moves no counter, and freezes only geometry (see
-    /// `Env::resolve_gather`), so a kernel whose address list does not change
-    /// — `UsGridJacobiApp`, whose points never rewrite their neighbour lists
-    /// — resolves a block's plan at its first pass and reuses it on every
-    /// later pass and retry.
+    /// `block`: the static half of [`TaskCtx::get_gather`].  Reads no cell
+    /// and freezes only geometry (see `Env::resolve_gather`), so a kernel
+    /// whose address list does not change — `UsGridJacobiApp`, whose points
+    /// never rewrite their neighbour lists — resolves a block's plan at its
+    /// first pass and reuses it on every later pass and retry.  With MMAT
+    /// off, an address off the block is searched for here, once, and the
+    /// search is counted in this task's `env_searches` /
+    /// `search_nodes_visited`: they count the searches that ran.
     pub fn resolve_gather(
-        &self,
+        &mut self,
         block: BlockId,
         addrs: impl IntoIterator<Item = GlobalAddress>,
     ) -> GatherPlan {
-        self.env.resolve_gather(block, addrs)
+        self.env.resolve_gather(block, addrs, &mut self.state)
     }
 
     /// [`TaskCtx::resolve_gather`] of the list "each cell of `block` in
@@ -704,9 +706,10 @@ impl<C: Cell> TaskCtx<C> {
     /// `block` remapped by `outside` — resolved from the offsets without
     /// building the list (see `Env::resolve_offsets`): the same plan, for a
     /// kernel whose neighbours are fixed offsets of every point
-    /// (`UsGridValueApp` where points stay in place).
+    /// (`UsGridValueApp` where points stay in place).  Searches are run and
+    /// counted as there.
     pub fn resolve_offsets<O>(
-        &self,
+        &mut self,
         block: BlockId,
         offsets: O,
         outside: impl FnMut(GlobalAddress) -> GlobalAddress,
@@ -715,17 +718,20 @@ impl<C: Cell> TaskCtx<C> {
         O: IntoIterator<Item = LocalAddress>,
         O::IntoIter: Clone,
     {
-        self.env.resolve_offsets(block, offsets, outside)
+        self.env.resolve_offsets(block, offsets, outside, &mut self.state)
     }
 
     /// Read the cells `plan` names (no in-block assertion) and keep
     /// `project(&cell)` of each in `out`: one [`TaskCtx::get_global`] per
     /// address the plan was resolved from — same values, missing-page
-    /// records, MMAT memo and **every** counter — with the addresses inside
-    /// the plan's block served from its buffer by cell index, one lock per
-    /// stretch and no clone of the cell (see `Env::read_gather_into`).  What
-    /// a kernel over indirect neighbour lists reads its neighbours with, one
-    /// call per block.  Stops at the shorter of `plan` and `out`.
+    /// records, MMAT memo and every counter but the two search counters —
+    /// with the addresses inside the plan's block served from its buffer by
+    /// cell index, one lock per stretch and no clone of the cell, and (MMAT
+    /// off) each address off it from where its search, run once at
+    /// resolution, landed (see `Env::read_gather_into`).  So with MMAT off a
+    /// gather app searches once a job, not once a pass.  What a kernel over
+    /// indirect neighbour lists reads its neighbours with, one call per
+    /// block.  Stops at the shorter of `plan` and `out`.
     pub fn get_gather<T>(&mut self, plan: &GatherPlan, project: impl Fn(&C) -> T, out: &mut [T]) {
         self.env.read_gather_into(plan, project, out, &mut self.state);
     }

@@ -64,15 +64,17 @@ fn usgrid_caser_matches_handwritten_under_mpi() {
     assert!(outcome.report.total_pages_sent() > 0, "CaseR must communicate pages across ranks");
 }
 
+/// The paper's claim for MMAT, where MMAT is the only memo: Listing 1's
+/// per-cell kernel reads each halo cell with an un-hinted `GetD`, and without
+/// MMAT every such read searches the Env again, sweep after sweep.
 #[test]
 fn mmat_eliminates_repeated_env_searches() {
     let region = RegionSize::square(32);
     let run = |mmat: bool| {
-        let system = UsGridSystem::with_block_size(region, 8, GridLayout::CaseC);
-        let app = UsGridJacobiApp::new(system.clone(), 6);
+        let system = Arc::new(SGridSystem::with_block_size(region, 8));
         Platform::new(ExecutionMode::PlatformDirect)
             .with_mmat(mmat)
-            .run_system(Arc::new(system), app.factory())
+            .run_system(system, SGridJacobiApp::new(6, 8).factory())
             .report
             .total_counters()
     };
@@ -92,6 +94,33 @@ fn mmat_eliminates_repeated_env_searches() {
                 .task_compute_seconds(&without, 1),
         "the cost model must reward MMAT"
     );
+}
+
+/// A gather app's plan is itself a memo of where its off-block reads land,
+/// resolved once a block: with MMAT off it searches once a job, as MMAT-on
+/// does — one search for each off-block entry of its plans, whatever the
+/// step count.  CaseC 32² in blocks of 8: 16 blocks × 4 edges × 8 points =
+/// 512 N/W/E/S neighbours off their block.  MMAT memorises per (block,
+/// address) and so searches 60 fewer: a point past the domain's side reads
+/// the static slot at the end of the row below the domain, so a side block's
+/// 8 neighbours off that side are one address (8 × 7 repeats), and a corner
+/// block's neighbour past the top or bottom there is that address again (4).
+#[test]
+fn a_gather_app_searches_its_plans_off_block_entries_once_a_job() {
+    let region = RegionSize::square(32);
+    for (mmat, searches) in [(false, 512), (true, 512 - 8 * 7 - 4)] {
+        for steps in [1, 3, 6] {
+            let system = UsGridSystem::with_block_size(region, 8, GridLayout::CaseC);
+            let app = UsGridJacobiApp::new(system.clone(), steps);
+            let counters = Platform::new(ExecutionMode::PlatformDirect)
+                .with_mmat(mmat)
+                .run_system(Arc::new(system), app.factory())
+                .report
+                .total_counters();
+            assert_eq!(counters.env_searches, searches, "mmat={mmat} steps={steps}");
+            assert_eq!(counters.out_of_block_reads, 512 * steps as u64, "mmat={mmat}");
+        }
+    }
 }
 
 #[test]

@@ -12,7 +12,9 @@
 //! `UsGridJacobiApp` resolves each block's indirect neighbours once
 //! (`TaskCtx::resolve_gather`) and reads them with one `TaskCtx::get_gather`
 //! a pass; the oracle is the same kernel with one `ctx.get_global` per
-//! neighbour, and there every counter must agree.
+//! neighbour.  With MMAT on every counter must agree; with MMAT off the
+//! searches for the neighbours off the block run once a job, when the plans
+//! are resolved, and every other counter must agree.
 //!
 //! `ParticleBlockApp` reads a block's buckets as one slab and its one-bucket
 //! ring as four runs.  Its field is `ParticleApp`'s (the Listing-1
@@ -115,6 +117,13 @@ fn golden(sweeps: u64, missing_accesses: u64) -> AccessCounters {
     }
 }
 
+/// `k` with the two search counters zeroed: what a bulk read leaves exactly
+/// as the per-cell loop it replaces, where the search counters count only the
+/// searches that ran.
+fn searches_aside(k: AccessCounters) -> AccessCounters {
+    AccessCounters { env_searches: 0, search_nodes_visited: 0, ..k }
+}
+
 #[test]
 fn serial_slab_run_matches_the_per_cell_kernel_and_the_golden_counters() {
     // One rank: the 3 steps and no warm-up sweep — reads 3 x 1536 = 4608,
@@ -211,8 +220,6 @@ fn run_reads_match_the_closure_adaptor(mode: ExecutionMode) {
         );
         assert!(counters.env_searches < oracle.env_searches, "{name}: {counters:?}");
         assert!(counters.search_nodes_visited < oracle.search_nodes_visited, "{name}");
-        let searches_aside =
-            |c: AccessCounters| AccessCounters { env_searches: 0, search_nodes_visited: 0, ..c };
         assert_eq!(searches_aside(counters), searches_aside(oracle), "{name} {}", mode.label());
     }
 }
@@ -275,69 +282,82 @@ impl HpcApp<UsCell> for PerCellUsGridApp {
     }
 }
 
-/// What a usgrid run leaves: field bits by storage address, every access
-/// counter, the retried steps and the cost model's seconds (as bits).
-type UsGridOutcome = (Vec<u64>, AccessCounters, u64, u64);
-
-fn usgrid_run<A: HpcApp<UsCell> + Clone + Send + Sync + 'static>(
-    platform: &Platform,
-    system: &UsGridSystem,
-    steps: usize,
-    wrap: impl Fn(UsGridJacobiApp) -> A,
-    update: Option<UsUpdate>,
-) -> UsGridOutcome {
-    let sink = new_field_sink();
-    let mut app = UsGridJacobiApp::new(system.clone(), steps).with_sink(sink.clone());
-    if let Some(update) = update {
-        app = app.with_update(update);
-    }
-    let app = wrap(app);
-    let outcome = platform.run_system(Arc::new(system.clone()), Arc::new(move |_| app.clone()));
-    assert!(outcome.report.tasks.iter().all(|t| t.steps == steps as u64));
-    let field = dense_bits(&sink.lock());
-    let report = &outcome.report;
-    (field, report.total_counters(), report.total_retries(), outcome.simulated_seconds.to_bits())
-}
-
-/// The gathered neighbour reads against the per-cell ones: the same field,
-/// the same counters — all thirteen, searches included — the same retries
-/// and simulated seconds, where reads stay in the block (CaseC) and where
-/// most leave it (CaseR), with and without MMAT, built-in and plugged-in law.
+/// The gathered neighbour reads against the per-cell ones, where reads stay
+/// in the block (CaseC) and where most leave it (CaseR), with and without
+/// MMAT, built-in and plugged-in law: the same field, the same retries, and
+/// per task the same memo, the same missing-page records in order and every
+/// counter but the two search counters.
 ///
 /// Each block's plan is resolved at its first pass, so every case is run as
 /// it stands, over more steps (the plans outlive the warm-up and several
 /// buffer swaps), and — across ranks — without the Dry-run prefetch: every
-/// step then finds its halo pages missing and is retried, and the retried
-/// pass reads through the same plan.
-fn gather_matches_the_per_cell_neighbour_reads(mode: ExecutionMode) {
+/// step then finds its neighbours' pages missing in Buffer-only blocks
+/// mid-refresh and is retried, and the retried pass reads through the same
+/// plan.
+///
+/// The searches: with MMAT on both kernels' off-block reads go through the
+/// memo, and every counter is the oracle's.  With MMAT off a plan searches
+/// for its off-block entries once, when it is resolved, where the oracle
+/// searches on every pass: a task's searches and search nodes times its
+/// passes (the warm-up across ranks, the steps, the retried steps) are the
+/// oracle's.
+fn gather_matches_the_per_cell_neighbour_reads(topologies: &[(usize, usize)]) {
     // Weights differ per neighbour, so a slice in the wrong order shows.
     let weighted = UsUpdate(Arc::new(|me, near: &[f64]| {
         0.4 * me + 0.1 * near[0] + 0.2 * near[1] + 0.05 * near[2] + 0.25 * near[3]
     }));
-    let mut rows = vec![(true, STEPS), (true, 5)];
-    if mode.topology().ranks() > 1 {
-        rows.push((false, STEPS));
-    }
-    for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 11 }] {
-        let system = UsGridSystem::with_block_size(RegionSize::square(REGION), BLOCK, layout);
-        for mmat in [false, true] {
-            for update in [None, Some(weighted.clone())] {
-                for &(dry_run, steps) in &rows {
-                    let platform = Platform::new(mode).with_mmat(mmat).with_dry_run(dry_run);
-                    let case = format!(
-                        "{} {} mmat={mmat} plugged-law={} dry-run={dry_run} steps={steps}",
-                        layout.name(),
-                        mode.label(),
-                        update.is_some()
-                    );
-                    let gathered = usgrid_run(&platform, &system, steps, |app| app, update.clone());
-                    let oracle =
-                        usgrid_run(&platform, &system, steps, PerCellUsGridApp, update.clone());
-                    assert_eq!(gathered.0, oracle.0, "{case}: fields differ");
-                    assert_eq!(gathered.1, oracle.1, "{case}: counters differ");
-                    assert_eq!((gathered.2, gathered.3), (oracle.2, oracle.3), "{case}");
-                    assert!(gathered.1.reads > 0 && gathered.1.out_of_block_reads > 0, "{case}");
-                    assert_eq!(gathered.2 > 0, !dry_run, "{case}: retries");
+    for &topology in topologies {
+        let mut rows = vec![(true, STEPS), (true, 5)];
+        if topology.0 > 1 {
+            rows.push((false, STEPS));
+        }
+        for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 11 }] {
+            let system = UsGridSystem::with_block_size(RegionSize::square(REGION), BLOCK, layout);
+            for mmat in [false, true] {
+                for update in [None, Some(weighted.clone())] {
+                    for &(dry_run, steps) in &rows {
+                        let case = format!(
+                            "{} {topology:?} mmat={mmat} plugged-law={} dry-run={dry_run} \
+                             steps={steps}",
+                            layout.name(),
+                            update.is_some()
+                        );
+                        let app = |sink| {
+                            let app = UsGridJacobiApp::new(system.clone(), steps).with_sink(sink);
+                            match &update {
+                                Some(update) => app.with_update(update.clone()),
+                                None => app,
+                            }
+                        };
+                        let flags = (mmat, dry_run);
+                        let gathered = logged_run(&system, topology, flags, steps, app);
+                        let oracle = logged_run(&system, topology, flags, steps, |sink| {
+                            PerCellUsGridApp(app(sink))
+                        });
+                        assert_eq!(gathered.field, oracle.field, "{case}: fields differ");
+                        assert_eq!(gathered.missing, oracle.missing, "{case}: missing-page order");
+                        assert_eq!(gathered.retries, oracle.retries, "{case}: retries");
+                        assert_eq!(gathered.retries > 0, !dry_run, "{case}: retries");
+                        assert_eq!(gathered.tasks.len(), oracle.tasks.len(), "{case}: tasks");
+                        for (task, (got, want)) in
+                            gathered.tasks.iter().zip(&oracle.tasks).enumerate()
+                        {
+                            let at = format!("{case} task {task}");
+                            let (g, w) = (got.counters, want.counters);
+                            assert_eq!((got.memo, got.passes), (want.memo, want.passes), "{at}");
+                            assert!(g.reads > 0 && g.out_of_block_reads > 0, "{at}");
+                            if mmat {
+                                assert_eq!(g, w, "{at}: counters");
+                                continue;
+                            }
+                            assert_eq!(searches_aside(g), searches_aside(w), "{at}: counters");
+                            assert_eq!(
+                                (g.env_searches * got.passes, g.search_nodes_visited * got.passes),
+                                (w.env_searches, w.search_nodes_visited),
+                                "{at}: searches once a job"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -346,15 +366,97 @@ fn gather_matches_the_per_cell_neighbour_reads(mode: ExecutionMode) {
 
 #[test]
 fn per_cell_neighbour_reads_match_the_gather_serial() {
-    gather_matches_the_per_cell_neighbour_reads(ExecutionMode::PlatformNop);
+    gather_matches_the_per_cell_neighbour_reads(&[(1, 1), (1, 2)]);
 }
 
 #[test]
 fn per_cell_neighbour_reads_match_the_gather_hybrid() {
-    gather_matches_the_per_cell_neighbour_reads(ExecutionMode::PlatformHybrid {
-        ranks: 2,
-        threads: 2,
-    });
+    gather_matches_the_per_cell_neighbour_reads(&[(2, 1), (2, 2)]);
+}
+
+/// Each task's missing-page records, one list a `refresh`, in order.
+type MissingLog = BTreeMap<usize, Vec<Vec<(BlockId, usize)>>>;
+
+/// One task's part of a logged run: its counters, its memo `(mmat_entries,
+/// mmat_hits)`, and the kernel passes it made (the warm-up across ranks, the
+/// steps, the retried steps).
+struct TaskOutcome {
+    counters: AccessCounters,
+    memo: (usize, u64),
+    passes: u64,
+}
+
+/// What a logged run leaves: the field's bits by the `(y, x)` of the address
+/// `Finalize` deposited each value at, each task's outcome in task order, its
+/// missing-page log, and the retried steps.
+struct LoggedOutcome {
+    field: BTreeMap<(i64, i64), u64>,
+    tasks: Vec<TaskOutcome>,
+    missing: MissingLog,
+    retries: u64,
+}
+
+/// Run the app `make` builds around a fresh sink on `ranks × threads` for
+/// `steps` steps, MMAT and the Dry-run prefetch as `(mmat, dry_run)` say, with
+/// the service's layer aspects and, outermost, one that logs the pages each
+/// task hands to `refresh` as missing.
+fn logged_run<S, A>(
+    system: &S,
+    (ranks, threads): (usize, usize),
+    (mmat, dry_run): (bool, bool),
+    steps: usize,
+    make: impl FnOnce(FieldSink) -> A,
+) -> LoggedOutcome
+where
+    S: DslSystem + Clone + 'static,
+    A: HpcApp<S::Cell> + Clone + Send + Sync + 'static,
+{
+    let log = Arc::new(Mutex::new(MissingLog::new()));
+    let recorder = {
+        let log = Arc::clone(&log);
+        ClosureAspect::new("missing-pages").with_precedence(i32::MIN).with_binding(
+            Pointcut::call(names::REFRESH),
+            Advice::before(move |ctx| {
+                let p = ctx.payload_mut::<RefreshPayload<S::Cell>>().expect("refresh payload");
+                let pages = p.local_missing.clone();
+                log.lock().unwrap().entry(p.slot.task_id).or_default().push(pages);
+            }),
+        )
+    };
+    let mut weaver = Weaver::new().with_aspect(Box::new(recorder));
+    if ranks > 1 {
+        weaver = weaver.with_aspect(Box::new(MpiAspect::<S::Cell>::new()));
+    }
+    if threads > 1 {
+        weaver = weaver.with_aspect(Box::new(OmpAspect::<S::Cell>::new()));
+    }
+    let config = RunConfig::serial()
+        .with_topology(Topology::hybrid(ranks, threads))
+        .with_mmat(mmat)
+        .with_dry_run(dry_run);
+    let sink = new_field_sink();
+    let app = make(sink.clone());
+    let env = Arc::new(system.clone()).env_factory();
+    let report = execute(&config, weaver.weave(), env, Arc::new(move |_| app.clone()));
+    assert!(report.tasks.iter().all(|t| t.steps == steps as u64));
+    let field = sink.lock().iter().map(|(at, v)| ((at.y, at.x), v.to_bits())).collect();
+    let mut tasks: Vec<_> = report.tasks.iter().collect();
+    tasks.sort_by_key(|t| t.slot.task_id);
+    let warm_up = u64::from(ranks > 1);
+    let missing = std::mem::take(&mut *log.lock().unwrap());
+    LoggedOutcome {
+        field,
+        tasks: tasks
+            .into_iter()
+            .map(|t| TaskOutcome {
+                counters: t.counters,
+                memo: (t.mmat_entries, t.mmat_hits),
+                passes: warm_up + t.steps + t.retries,
+            })
+            .collect(),
+        missing,
+        retries: report.total_retries(),
+    }
 }
 
 /// Particle runs are three steps: a block's later passes read what its
@@ -447,69 +549,6 @@ impl HpcApp<Bucket> for PerCellParticleApp {
     }
 }
 
-/// Each task's missing-page records, one list a `refresh`, in order.
-type MissingLog = BTreeMap<usize, Vec<Vec<(BlockId, usize)>>>;
-
-/// What a particle run leaves: the field's bits by bucket `(y, x)`, each
-/// task's counters and memo `(mmat_entries, mmat_hits)` in task order, its
-/// missing-page log, and the retried steps.
-struct ParticleOutcome {
-    field: BTreeMap<(i64, i64), u64>,
-    tasks: Vec<(AccessCounters, usize, u64)>,
-    missing: MissingLog,
-    retries: u64,
-}
-
-/// Run the app `make` builds around a fresh sink on `ranks × threads`, with
-/// the service's layer aspects and, outermost, one that logs the pages each
-/// task hands to `refresh` as missing.
-fn particle_run<A: HpcApp<Bucket> + Clone + Send + Sync + 'static>(
-    system: &ParticleSystem,
-    (ranks, threads): (usize, usize),
-    mmat: bool,
-    dry_run: bool,
-    make: impl FnOnce(FieldSink) -> A,
-) -> ParticleOutcome {
-    let log = Arc::new(Mutex::new(MissingLog::new()));
-    let recorder = {
-        let log = Arc::clone(&log);
-        ClosureAspect::new("missing-pages").with_precedence(i32::MIN).with_binding(
-            Pointcut::call(names::REFRESH),
-            Advice::before(move |ctx| {
-                let p = ctx.payload_mut::<RefreshPayload<Bucket>>().expect("refresh payload");
-                let pages = p.local_missing.clone();
-                log.lock().unwrap().entry(p.slot.task_id).or_default().push(pages);
-            }),
-        )
-    };
-    let mut weaver = Weaver::new().with_aspect(Box::new(recorder));
-    if ranks > 1 {
-        weaver = weaver.with_aspect(Box::new(MpiAspect::<Bucket>::new()));
-    }
-    if threads > 1 {
-        weaver = weaver.with_aspect(Box::new(OmpAspect::<Bucket>::new()));
-    }
-    let config = RunConfig::serial()
-        .with_topology(Topology::hybrid(ranks, threads))
-        .with_mmat(mmat)
-        .with_dry_run(dry_run);
-    let sink = new_field_sink();
-    let app = make(sink.clone());
-    let env = Arc::new(system.clone()).env_factory();
-    let report = execute(&config, weaver.weave(), env, Arc::new(move |_| app.clone()));
-    assert!(report.tasks.iter().all(|t| t.steps == PARTICLE_STEPS as u64));
-    let field = sink.lock().iter().map(|(at, v)| ((at.y, at.x), v.to_bits())).collect();
-    let mut tasks: Vec<_> = report.tasks.iter().collect();
-    tasks.sort_by_key(|t| t.slot.task_id);
-    let missing = std::mem::take(&mut *log.lock().unwrap());
-    ParticleOutcome {
-        field,
-        tasks: tasks.into_iter().map(|t| (t.counters, t.mmat_entries, t.mmat_hits)).collect(),
-        missing,
-        retries: report.total_retries(),
-    }
-}
-
 /// The block app against the per-cell oracle and against the Listing-1
 /// reference with the same law: a half-empty 16x16 grid (1,000 particles,
 /// 125 of 256 buckets filled) and a full 24x24 one (2^12), MMAT off and on,
@@ -534,11 +573,12 @@ fn particle_block_app_matches(topologies: &[(usize, usize)]) {
                         ParticleBlockApp::new(system.clone(), law.clone(), PARTICLE_STEPS)
                             .with_sink(sink)
                     };
-                    let block = particle_run(&system, topology, mmat, dry_run, product);
-                    let oracle = particle_run(&system, topology, mmat, dry_run, |sink| {
+                    let (flags, steps) = ((mmat, dry_run), PARTICLE_STEPS);
+                    let block = logged_run(&system, topology, flags, steps, product);
+                    let oracle = logged_run(&system, topology, flags, steps, |sink| {
                         PerCellParticleApp(product(sink))
                     });
-                    let reference = particle_run(&system, topology, mmat, dry_run, |sink| {
+                    let reference = logged_run(&system, topology, flags, steps, |sink| {
                         ParticleApp::new(system.clone(), PARTICLE_STEPS)
                             .with_pair_force(law.clone())
                             .with_sink(sink)
@@ -547,16 +587,12 @@ fn particle_block_app_matches(topologies: &[(usize, usize)]) {
                     assert_eq!(block.field.len() as u64, cells, "{case}: a value a bucket");
                     assert_eq!(block.field, reference.field, "{case}: field vs ParticleApp");
                     assert_eq!(block.field, oracle.field, "{case}: field vs the oracle");
-                    let searches_aside = |c: AccessCounters| AccessCounters {
-                        env_searches: 0,
-                        search_nodes_visited: 0,
-                        ..c
-                    };
                     assert_eq!(block.tasks.len(), oracle.tasks.len(), "{case}: tasks");
                     for (task, (got, want)) in block.tasks.iter().zip(&oracle.tasks).enumerate() {
                         let at = format!("{case} task {task}");
-                        assert_eq!(searches_aside(got.0), searches_aside(want.0), "{at}: counters");
-                        assert_eq!((got.1, got.2), (want.1, want.2), "{at}: memo");
+                        let (g, w) = (got.counters, want.counters);
+                        assert_eq!(searches_aside(g), searches_aside(w), "{at}: counters");
+                        assert_eq!(got.memo, want.memo, "{at}: memo");
                     }
                     assert_eq!(block.missing, oracle.missing, "{case}: missing-page order");
                     assert_eq!(block.retries, oracle.retries, "{case}: retries");
@@ -564,7 +600,7 @@ fn particle_block_app_matches(topologies: &[(usize, usize)]) {
                     // A bucket is read once a sweep: its own, hinted, and
                     // each ring bucket of its block, not.
                     let total = block.tasks.iter().fold(AccessCounters::default(), |mut sum, t| {
-                        sum.merge(&t.0);
+                        sum.merge(&t.counters);
                         sum
                     });
                     let sweeps = total.writes / cells;
