@@ -1,13 +1,15 @@
 //! Where a job's time goes, phase by phase, read from its trace alone.
 //!
-//! Seven job shapes run through a one-worker observed [`KernelService`], one
+//! Eight job shapes run through a one-worker observed [`KernelService`], one
 //! shape at a time, so the allocator and the caches are in the service's
 //! steady state: the three stock jobs of the layer ledger (`benchmark/`:
 //! `sgrid_jacobi` 512² block 64, `usgrid_jacobi` CaseC 256² block 64,
-//! `particle_sweep` 2^15 particles; 8 steps each) and the four kinds of
+//! `particle_sweep` 2^15 particles; 8 steps each), the four kinds of
 //! `service_small_mix` that have a hand-written base (`jacobi64` 64² block
 //! 16, 4 steps; `usgrid48` 48² block 16, 2 steps; `particle1k` 2^10
-//! particles, 2 steps; `jacobi32` 32² block 16, 1 step).  The apps timed are
+//! particles, 2 steps; `jacobi32` 32² block 16, 1 step), and the mix's
+//! `smooth64` (`smooth_9pt`, 64² block 16, 4 steps: the second specialized
+//! stencil shape, which has no hand-written base).  The apps timed are
 //! the ones the service runs: `IrStencilApp`, `UsGridValueApp` (usgrid's
 //! value plane — not the Fig. 5b reference `UsGridJacobiApp`, whose sweep
 //! moves 72-byte cells) and `ParticleBlockApp` (particle's block app — not
@@ -112,6 +114,7 @@ fn shapes() -> Vec<(&'static str, JobSpec)> {
         ("usgrid48 b16 x2", grid(usgrid(), 48, 16, 2)),
         ("particle1k x2", particle(1 << 10, 2)),
         ("jacobi32 b16 x1", grid(jacobi(), 32, 16, 1)),
+        ("smooth64 b16 x4", grid(StencilProgram::smooth_9pt(), 64, 16, 4)),
     ]
 }
 
@@ -119,11 +122,15 @@ fn stencil_init(x: i64, y: i64) -> f64 {
     default_initial_value(GlobalAddress::new2d(x, y))
 }
 
-/// One run of `spec`'s hand-written code, in seconds.
+/// One run of `spec`'s hand-written code, in seconds; NaN for a stencil
+/// other than jacobi-5pt, which has none.
 fn hand_written(spec: &JobSpec) -> f64 {
     let (region, steps) = (spec.region, spec.steps);
     let start = Instant::now();
     match &spec.program {
+        FamilyProgram::Stencil(program) if *program != StencilProgram::jacobi_5pt() => {
+            return f64::NAN;
+        }
         FamilyProgram::Stencil(_) => {
             black_box(HandwrittenSGrid::new(region, steps, stencil_init).run());
         }

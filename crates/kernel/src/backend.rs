@@ -18,7 +18,9 @@
 //! [`AccessPlan`](crate::plan::AccessPlan) from a caller-provided
 //! [`ExecScratch`], so their results are bit-identical, tests compare them
 //! directly, and the steady-state block path performs **zero heap
-//! allocations** (see `tests/no_alloc.rs`).
+//! allocations** (see `tests/no_alloc.rs`).  A specialized kernel (see
+//! `spec.rs`) runs the same row loop over a padded tile on both: for it the
+//! two processors differ only in the [`ExecStats`] they are accounted.
 //!
 //! The tree-walk oracle (`execute_block_tree`, compiled for this crate's
 //! tests only) evaluates every cell with [`Dag::eval`](crate::opt::Dag::eval)
@@ -52,24 +54,29 @@ impl Processor {
 }
 
 /// Counters accumulated while executing compiled kernels.
+///
+/// The split counters are the *modelled* processor's split of the plan's
+/// geometry: a specialized kernel is accounted what the tape counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ExecStats {
     /// Blocks executed.
     pub blocks: u64,
     /// Cells updated.
     pub cells: u64,
-    /// Cells updated through the interior fast path.
+    /// Cells inside the plan's interior rectangle (the tape's fast path).
     pub interior_cells: u64,
-    /// Cells updated through the resolved boundary path.
+    /// Cells outside it (the tape's resolved boundary path).
     pub boundary_cells: u64,
     /// Out-of-block cells fetched from the platform: the halo ring's distinct
     /// cells, once per block execution.  A device executing these blocks
     /// would receive each block with its ring and send the block back:
     /// `8 × (cells + halo_fetches)` bytes in, `8 × cells` bytes out.
     pub halo_fetches: u64,
-    /// DAG operations evaluated one cell at a time.
+    /// DAG operations evaluated one cell at a time: all on `Scalar`; on
+    /// `Simd`, the boundary and each interior row's remainder.
     pub scalar_ops: u64,
-    /// DAG operations evaluated [`LANES`] cells at a time.
+    /// DAG operations evaluated [`LANES`] cells at a time: on `Simd`, those
+    /// of each whole lane group of an interior row.
     pub vector_ops: u64,
 }
 
@@ -111,11 +118,12 @@ impl CompiledKernel {
     ///   not a fallback);
     /// * `fill` — fills the block's halo ring: called once, with the plan's
     ///   [`HaloRing`] and a buffer of one value per ring slot (it must set
-    ///   the slots of every run), before any boundary cell is evaluated.  The caller adds the block origin and
+    ///   the slots of every run; slots no run covers are never read), before
+    ///   any boundary cell is evaluated.  The caller adds the block origin and
     ///   goes through the platform (one `TaskCtx::get_run` per ring run, so
     ///   MMAT / Env-search accounting still applies);
     /// * `out` — the block's next values, row-major (same length as `cells`);
-    /// * `processor` — which backend executes the interior region;
+    /// * `processor` — the backend (a specialized kernel uses it for `stats` only);
     /// * `scratch` — reusable register/operand/ring buffers; grown on first
     ///   use, then reused allocation-free for every later block.
     #[allow(clippy::too_many_arguments)]
@@ -151,7 +159,7 @@ impl CompiledKernel {
     }
 
     /// [`execute_block`](CompiledKernel::execute_block) with the specialized
-    /// interior fast path disabled: always interpret the tape.  The reference
+    /// tile path disabled: always interpret the tape.  The reference
     /// the specialization bit-identity tests and benches compare against.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_block_unspecialized(
@@ -181,89 +189,78 @@ impl CompiledKernel {
         use_spec: bool,
     ) {
         self.check_block_args(cells, params, out);
+        self.prepare_scratch(scratch, processor);
         let plan = self.plan();
         let tape = self.tape();
-        let lanes = processor != Processor::Scalar;
-        scratch.ensure(tape.num_regs(), plan.offsets.len(), plan.ring.slots(), lanes);
+        let ExecScratch { regs, lane_regs, wide_regs, operands, ring, tile } = scratch;
+        // Prelude: constants and runtime parameters land in pinned registers
+        // once per block, not once per cell.
+        tape.run_prelude(params, regs);
+        let ring = &mut ring[..plan.ring.slots()];
+
+        // Specialized: one ring fill, then every cell of the block from one
+        // padded tile; the processor only sets the accounting.
+        if let Some(spec) = self.spec().filter(|_| use_spec) {
+            fill(&plan.ring, ring);
+            spec.exec_block(cells, &plan.ring, ring, regs, tile, out);
+            stats.merge(&plan.exec_stats(processor, tape.ops_per_cell()));
+            return;
+        }
 
         stats.blocks += 1;
         stats.cells += plan.cells() as u64;
 
-        let ExecScratch { regs, lane_regs, wide_regs, operands, ring } = scratch;
-        // Prelude: constants and runtime parameters land in pinned registers
-        // once per block, not once per cell.
-        tape.run_prelude(params, regs);
-
         // Interior: baked linear offsets, sequential order.
         let ops = tape.ops_per_cell();
         let nx = plan.extent_nx as i64;
-        match self.spec().filter(|_| use_spec) {
-            // Specialized fast path: the whole body as one monomorphic loop,
-            // zero interpreter dispatch, same group structure and accounting.
-            Some(spec) => {
-                let (w0, w1) = spec.weight_regs();
-                spec.exec_region(
-                    cells,
-                    out,
-                    &plan.interior,
-                    plan.extent_nx,
-                    lanes,
-                    regs[w0 as usize],
-                    regs[w1 as usize],
-                    ops,
-                    stats,
-                );
+        match processor {
+            Processor::Scalar => {
+                for y in plan.interior.y0..plan.interior.y1 {
+                    for x in plan.interior.x0..plan.interior.x1 {
+                        let idx = (y * nx + x) as usize;
+                        out[idx] = tape.exec_cell(cells, idx, regs);
+                        stats.interior_cells += 1;
+                        stats.scalar_ops += ops;
+                    }
+                }
             }
-            None => match processor {
-                Processor::Scalar => {
-                    for y in plan.interior.y0..plan.interior.y1 {
-                        for x in plan.interior.x0..plan.interior.x1 {
-                            let idx = (y * nx + x) as usize;
-                            out[idx] = tape.exec_cell(cells, idx, regs);
-                            stats.interior_cells += 1;
-                            stats.scalar_ops += ops;
-                        }
+            Processor::Simd => {
+                tape.broadcast_prelude(regs, lane_regs);
+                tape.broadcast_prelude(regs, wide_regs);
+                for y in plan.interior.y0..plan.interior.y1 {
+                    let mut x = plan.interior.x0;
+                    // Super-groups of WIDE cells (4 lane-groups per tape
+                    // dispatch); the accounting stays one vector op per
+                    // LANES-wide group, matching the modelled SIMD width.
+                    while x + (WIDE as i64) <= plan.interior.x1 {
+                        let base = (y * nx + x) as usize;
+                        tape.exec_lanes(cells, base, wide_regs, &mut out[base..base + WIDE]);
+                        stats.interior_cells += WIDE as u64;
+                        stats.vector_ops += ops * (WIDE / LANES) as u64;
+                        x += WIDE as i64;
+                    }
+                    // Full lane-groups.
+                    while x + (LANES as i64) <= plan.interior.x1 {
+                        let base = (y * nx + x) as usize;
+                        tape.exec_lanes(cells, base, lane_regs, &mut out[base..base + LANES]);
+                        stats.interior_cells += LANES as u64;
+                        stats.vector_ops += ops;
+                        x += LANES as i64;
+                    }
+                    // Remainder cells of the row.
+                    while x < plan.interior.x1 {
+                        let idx = (y * nx + x) as usize;
+                        out[idx] = tape.exec_cell(cells, idx, regs);
+                        stats.interior_cells += 1;
+                        stats.scalar_ops += ops;
+                        x += 1;
                     }
                 }
-                Processor::Simd => {
-                    tape.broadcast_prelude(regs, lane_regs);
-                    tape.broadcast_prelude(regs, wide_regs);
-                    for y in plan.interior.y0..plan.interior.y1 {
-                        let mut x = plan.interior.x0;
-                        // Super-groups of WIDE cells (4 lane-groups per tape
-                        // dispatch); the accounting stays one vector op per
-                        // LANES-wide group, matching the modelled SIMD width.
-                        while x + (WIDE as i64) <= plan.interior.x1 {
-                            let base = (y * nx + x) as usize;
-                            tape.exec_lanes(cells, base, wide_regs, &mut out[base..base + WIDE]);
-                            stats.interior_cells += WIDE as u64;
-                            stats.vector_ops += ops * (WIDE / LANES) as u64;
-                            x += WIDE as i64;
-                        }
-                        // Full lane-groups.
-                        while x + (LANES as i64) <= plan.interior.x1 {
-                            let base = (y * nx + x) as usize;
-                            tape.exec_lanes(cells, base, lane_regs, &mut out[base..base + LANES]);
-                            stats.interior_cells += LANES as u64;
-                            stats.vector_ops += ops;
-                            x += LANES as i64;
-                        }
-                        // Remainder cells of the row.
-                        while x < plan.interior.x1 {
-                            let idx = (y * nx + x) as usize;
-                            out[idx] = tape.exec_cell(cells, idx, regs);
-                            stats.interior_cells += 1;
-                            stats.scalar_ops += ops;
-                            x += 1;
-                        }
-                    }
-                }
-            },
+            }
         }
 
         // Boundary: the ring is fetched through the platform once, then
         // every resolved access is an index — into the block or the ring.
-        let ring = &mut ring[..plan.ring.slots()];
         fill(&plan.ring, ring);
         stats.halo_fetches += plan.ring.cells() as u64;
         for cell in &plan.boundary {
@@ -288,10 +285,10 @@ impl CompiledKernel {
     /// `halo` otherwise — no linear offsets, operand slots or ring, so a
     /// wrong one in the tape shows up as a wrong value.
     ///
-    /// The counters follow from the plan's interior rectangle alone: on a
-    /// lane processor each interior row is `width / LANES` vector groups
-    /// (however the tape batches them) and a scalar remainder; boundary
-    /// cells are scalar; the ring's distinct cells are fetched once.
+    /// The counters follow from the plan's geometry alone
+    /// (`AccessPlan::exec_stats`), the formula the specialized tile path is
+    /// accounted by; the tape counts them as it runs, so comparing the two
+    /// checks the formula too.
     pub(crate) fn execute_block_tree(
         &self,
         cells: &[f64],
@@ -317,22 +314,7 @@ impl CompiledKernel {
                 out[(y * nx + x) as usize] = self.dag().eval(&mut loads, params);
             }
         }
-
-        let ops = self.op_count();
-        let total = plan.cells() as u64;
-        let rows = (plan.interior.y1 - plan.interior.y0) as u64;
-        let width = (plan.interior.x1 - plan.interior.x0) as u64;
-        let groups = match processor {
-            Processor::Scalar => 0,
-            Processor::Simd => rows * (width / LANES as u64),
-        };
-        stats.blocks += 1;
-        stats.cells += total;
-        stats.interior_cells += rows * width;
-        stats.boundary_cells += total - rows * width;
-        stats.halo_fetches += plan.halo_loads() as u64;
-        stats.vector_ops += ops * groups;
-        stats.scalar_ops += ops * (total - groups * LANES as u64);
+        stats.merge(&plan.exec_stats(processor, self.op_count()));
     }
 }
 

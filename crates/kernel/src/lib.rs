@@ -25,7 +25,9 @@
 //! (lowered once at compile time: constants/params hoisted to a per-block
 //! prelude, loads fused into their consumers, scratch reduced to the liveness
 //! peak), which both backends interpret from a reusable
-//! [`ExecScratch`] — so the steady-state block loop allocates nothing.
+//! [`ExecScratch`] — so the steady-state block loop allocates nothing.  A
+//! tape that matches a hot shape runs its blocks from a padded tile in the
+//! same scratch instead ([`spec`]).
 //!
 //! ```
 //! use aohpc_kernel::prelude::*;

@@ -26,11 +26,11 @@
 //! plan is computed once per (program, block shape) pair and reused — the
 //! compile-time analogue of MMAT's run-time memoization.
 
-use crate::backend::Processor;
+use crate::backend::{ExecStats, Processor};
 use crate::opt::{Dag, OptLevel};
 use crate::program::StencilProgram;
 use crate::spec::{SpecializationId, SpecializedKernel};
-use crate::tape::{ExecScratch, ExecTape};
+use crate::tape::{ExecScratch, ExecTape, LANES};
 use aohpc_env::Extent;
 use serde::Serialize;
 use std::sync::Arc;
@@ -170,6 +170,16 @@ impl HaloRing {
     }
 }
 
+/// How far `offsets` reach past each side of a block, `[left, right, top,
+/// bottom]`, each ≥ 0: the width of the halo ring, and the padding of the
+/// tile a specialized kernel runs its block from.
+pub(crate) fn reach(offsets: &[(i64, i64)]) -> [i64; 4] {
+    let (xs, ys) = (offsets.iter().map(|o| o.0), offsets.iter().map(|o| o.1));
+    let (min_x, max_x) = (xs.clone().min().unwrap_or(0), xs.max().unwrap_or(0));
+    let (min_y, max_y) = (ys.clone().min().unwrap_or(0), ys.max().unwrap_or(0));
+    [-min_x.min(0), max_x.max(0), -min_y.min(0), max_y.max(0)]
+}
+
 /// Ring order (see [`HaloRing`]) for an `nx × ny` block and a stencil's
 /// reach past each of its sides.
 struct RingOrder {
@@ -277,26 +287,16 @@ impl AccessPlan {
     pub fn build(offsets: &[(i64, i64)], nx: usize, ny: usize) -> Self {
         assert!(nx > 0 && ny > 0, "blocks must be non-empty");
         let (inx, iny) = (nx as i64, ny as i64);
-        let min_dx = offsets.iter().map(|o| o.0).min().unwrap_or(0).min(0);
-        let max_dx = offsets.iter().map(|o| o.0).max().unwrap_or(0).max(0);
-        let min_dy = offsets.iter().map(|o| o.1).min().unwrap_or(0).min(0);
-        let max_dy = offsets.iter().map(|o| o.1).max().unwrap_or(0).max(0);
+        let [left, right, top, bottom] = reach(offsets);
         let interior = InteriorRegion {
-            x0: -min_dx,
-            x1: (inx - max_dx).max(-min_dx),
-            y0: -min_dy,
-            y1: (iny - max_dy).max(-min_dy),
+            x0: left,
+            x1: (inx - right).max(left),
+            y0: top,
+            y1: (iny - bottom).max(top),
         };
         let linear_offsets =
             offsets.iter().map(|&(dx, dy)| dy as isize * nx as isize + dx as isize).collect();
-        let order = RingOrder {
-            nx: inx,
-            ny: iny,
-            left: -min_dx,
-            right: max_dx,
-            top: -min_dy,
-            bottom: max_dy,
-        };
+        let order = RingOrder { nx: inx, ny: iny, left, right, top, bottom };
         let mut loaded = vec![false; order.len()];
         let mut boundary = Vec::new();
         for y in 0..iny {
@@ -343,6 +343,27 @@ impl AccessPlan {
     pub fn halo_loads(&self) -> usize {
         self.ring.cells()
     }
+
+    /// The [`ExecStats`] of one block on `processor` at `ops` DAG operations
+    /// a cell, whichever executor ran it: on `Simd` each interior row is
+    /// `width / LANES` vector groups and a scalar remainder; boundary cells
+    /// are scalar; the ring's distinct cells are fetched once.
+    pub(crate) fn exec_stats(&self, processor: Processor, ops: u64) -> ExecStats {
+        let (cells, interior, i) =
+            (self.cells() as u64, self.interior.cells() as u64, self.interior);
+        let row_groups = (i.x1 - i.x0) as u64 / LANES as u64;
+        let groups =
+            if processor == Processor::Simd { (i.y1 - i.y0) as u64 * row_groups } else { 0 };
+        ExecStats {
+            blocks: 1,
+            cells,
+            interior_cells: interior,
+            boundary_cells: cells - interior,
+            halo_fetches: self.halo_loads() as u64,
+            scalar_ops: ops * (cells - groups * LANES as u64),
+            vector_ops: ops * groups,
+        }
+    }
 }
 
 /// A program compiled for one block shape: optimized DAG + access plan +
@@ -375,7 +396,7 @@ impl CompiledKernel {
         // optimizer do not cost halo fetches.
         let plan = AccessPlan::build(&dag.offsets(), extent.nx, extent.ny);
         let tape = ExecTape::lower(&dag, &plan);
-        let spec = SpecializedKernel::try_match(&tape);
+        let spec = SpecializedKernel::try_match(&tape, &plan);
         CompiledKernel {
             name: program.name().to_string(),
             num_params: program.num_params(),
@@ -401,7 +422,7 @@ impl CompiledKernel {
         assert_eq!(extent.nz, 1, "the subkernel IR targets 2-D blocks");
         let plan = AccessPlan::build(&dag.offsets(), extent.nx, extent.ny);
         let tape = ExecTape::lower(&dag, &plan);
-        let spec = SpecializedKernel::try_match(&tape);
+        let spec = SpecializedKernel::try_match(&tape, &plan);
         CompiledKernel { name: name.into(), num_params, dag, plan, tape, spec }
     }
 
@@ -430,7 +451,7 @@ impl CompiledKernel {
         &self.tape
     }
 
-    /// Which specialized loop (if any) executes this kernel's interior.
+    /// Which specialized loop (if any) executes this kernel's blocks.
     pub fn specialization(&self) -> SpecializationId {
         self.spec.as_ref().map(SpecializedKernel::id).unwrap_or(SpecializationId::Generic)
     }
@@ -443,8 +464,9 @@ impl CompiledKernel {
     /// Pre-size a scratch from this kernel's compile-time stats so that every
     /// later [`execute_block`](CompiledKernel::execute_block) call — even the
     /// very first, cold one — performs zero allocations.  Plan-resolve time
-    /// is the natural call site: the tape's register count and the plan's
-    /// operand-slot count are both known here.
+    /// is the natural call site: the tape's register count, the plan's slot
+    /// counts and a specialized kernel's tile (the plan's reach around the
+    /// block) are all known here.
     pub fn prepare_scratch(&self, scratch: &mut ExecScratch, processor: Processor) {
         scratch.ensure(
             self.tape.num_regs(),
@@ -452,6 +474,8 @@ impl CompiledKernel {
             self.plan.ring.slots(),
             processor != Processor::Scalar,
         );
+        let tile = self.spec.as_ref().map_or(0, SpecializedKernel::tile_len);
+        scratch.tile.resize(scratch.tile.len().max(tile), 0.0);
     }
 
     /// Evaluated DAG operations per cell.

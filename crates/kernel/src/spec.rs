@@ -10,12 +10,13 @@
 //! 2. **Tape** ([`ExecTape`]) — the register-allocated lowering: fused
 //!    super-instructions (`SumLoads`, `MulMulAdd`, …), baked addressing, a
 //!    prelude hoisted out of the cell loop.  Still an interpreter: every cell
-//!    pays one dispatch per tape instruction.
+//!    pays one dispatch per tape instruction, and a boundary cell gathers its
+//!    operands one resolved access at a time.
 //! 3. **Specialized** ([`SpecializedKernel`]) — this module.  When the lowered
-//!    tape matches a known hot *shape*, the whole per-cell body is replaced by
-//!    one monomorphic, const-generic loop ([`exec_cell_spec`] /
-//!    [`exec_lanes_spec`]) with **zero interpreter dispatch**.  The decision is
-//!    made once, at [`CompiledKernel`] compile time, so a shared plan cache
+//!    tape matches a known hot *shape*, the whole block — boundary cells
+//!    included — runs as one monomorphic, const-generic row loop over a
+//!    padded tile, with **zero interpreter dispatch**.  The decision is made
+//!    once, at [`CompiledKernel`] compile time, so a shared plan cache
 //!    amortizes it across every job (and every node) that runs the program.
 //!
 //! # How a shape qualifies
@@ -41,12 +42,24 @@
 //! Anything else keeps [`SpecializationId::Generic`] and runs on the tape —
 //! specialization is a pure fast path, never a semantic fork.
 //!
+//! # The padded tile
+//!
+//! Where the tape splits a block into an interior and a boundary, a
+//! specialized kernel copies the block's rows into a `(left + nx + right) ×
+//! (top + ny + bottom)` tile in the [`ExecScratch`] (the plan's reach on each
+//! side), scatters the filled ring's runs around them, and computes every
+//! cell alike from `K + 1` sub-slices of length `nx` a row: no bounds checks,
+//! and the loop vectorises.  Tile positions no run fills (a 5-point stencil's
+//! corners) are never read.  Both processors run this one loop and differ
+//! only in the [`ExecStats`] they are accounted (`AccessPlan::exec_stats`).
+//!
 //! [`ExecTape`]: crate::tape::ExecTape
+//! [`ExecScratch`]: crate::tape::ExecScratch
+//! [`ExecStats`]: crate::backend::ExecStats
 //! [`CompiledKernel`]: crate::plan::CompiledKernel
 
-use crate::backend::ExecStats;
-use crate::plan::InteriorRegion;
-use crate::tape::{ExecTape, Reg, TapeOp, LANES, WIDE};
+use crate::plan::{reach, AccessPlan, HaloRing};
+use crate::tape::{ExecTape, Reg, TapeOp};
 use serde::Serialize;
 use std::fmt;
 
@@ -110,93 +123,40 @@ fn pick<const FORM: usize>(pos: usize, w0: f64, w1: f64, c: f64, s: f64) -> f64 
     }
 }
 
-/// A fixed-size view of one lane-group of cells (same trick as the tape's
-/// lane interpreter: the array type drops bounds checks and vectorises).
-#[inline(always)]
-fn strip<const N: usize>(cells: &[f64], base: usize, delta: isize) -> &[f64; N] {
-    let start = (base as isize + delta) as usize;
-    cells[start..start + N].try_into().expect("lane strip is N long")
-}
-
-/// Execute the weighted-sum super-instruction for one interior cell: the
-/// entire tape body — centre load, K-neighbour left-fold, weighted top — as
-/// one monomorphic function with zero interpreter dispatch.
-///
-/// Bit-identical to the generic tape: the neighbour sum folds left in load
-/// order and the `FORM` encoding preserves the exact `MulMulAdd` operand
-/// order (two multiplies, one add — three roundings, no FMA).
-#[inline(always)]
-pub fn exec_cell_spec<const K: usize, const FORM: usize>(
-    cells: &[f64],
-    idx: usize,
-    dc: isize,
-    deltas: &[isize; K],
-    w0: f64,
-    w1: f64,
-) -> f64 {
-    let c = cells[(idx as isize + dc) as usize];
-    let mut s = cells[(idx as isize + deltas[0]) as usize];
-    for &d in &deltas[1..] {
-        s += cells[(idx as isize + d) as usize];
-    }
-    pick::<FORM>(0, w0, w1, c, s) * pick::<FORM>(1, w0, w1, c, s)
-        + pick::<FORM>(2, w0, w1, c, s) * pick::<FORM>(3, w0, w1, c, s)
-}
-
-/// Lane-parallel [`exec_cell_spec`]: `N` consecutive interior cells per call,
-/// results written to `out[..N]`.  Element order matches the tape's lane
-/// interpreter exactly, so lane results stay bit-identical too.
-#[inline(always)]
-pub fn exec_lanes_spec<const K: usize, const FORM: usize, const N: usize>(
-    cells: &[f64],
-    base: usize,
-    dc: isize,
-    deltas: &[isize; K],
-    w0: f64,
-    w1: f64,
-    out: &mut [f64],
-) {
-    let c = strip::<N>(cells, base, dc);
-    let mut s = *strip::<N>(cells, base, deltas[0]);
-    for &d in &deltas[1..] {
-        let vx = strip::<N>(cells, base, d);
-        for (v, &x) in s.iter_mut().zip(vx) {
-            *v += x;
-        }
-    }
-    for (k, o) in out.iter_mut().enumerate().take(N) {
-        *o = pick::<FORM>(0, w0, w1, c[k], s[k]) * pick::<FORM>(1, w0, w1, c[k], s[k])
-            + pick::<FORM>(2, w0, w1, c[k], s[k]) * pick::<FORM>(3, w0, w1, c[k], s[k]);
-    }
-}
-
 /// A tape that matched a hot shape at compile time: everything the
-/// monomorphic interior loop needs, resolved once.
+/// monomorphic block loop needs, resolved once.
 ///
-/// Owned by [`CompiledKernel`]; the generic boundary path and the prelude are
-/// untouched — specialization replaces only the interior sweep.
+/// Owned by [`CompiledKernel`]; the prelude still fills the weight registers,
+/// and the loop replaces both the tape's interior sweep and its boundary path.
 ///
 /// [`CompiledKernel`]: crate::plan::CompiledKernel
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecializedKernel {
-    /// Row-major delta of the centre load.
-    dc: isize,
-    /// Row-major deltas of the K summed neighbour loads, in fold order.
-    deltas: Vec<isize>,
+    /// Tile index of block cell (0, 0)'s centre load (cell `(x, y)` adds
+    /// `y * width + x`).
+    dc: usize,
+    /// Tile indices of its K summed neighbour loads, in fold order.
+    deltas: Vec<usize>,
     /// Pinned (prelude) register of the first weight, in operand order.
     w0: Reg,
     /// Pinned register of the second weight.
     w1: Reg,
     /// `pc*4 + ps` operand layout of the `MulMulAdd` top.
     form: u8,
+    /// Block width; the tile's width (with the reach left and right of the
+    /// block) and length, and the tile index of block cell (0, 0).
+    nx: usize,
+    width: usize,
+    tile_len: usize,
+    origin: usize,
 }
 
 impl SpecializedKernel {
     /// Pattern-match a lowered tape against the known hot shapes.  Returns
     /// `None` (stay generic) unless the *entire* body is covered by a
     /// specialized loop.
-    pub(crate) fn try_match(tape: &ExecTape) -> Option<SpecializedKernel> {
-        let [TapeOp::Load { dst: rc, delta: dc, .. }, TapeOp::SumLoads { dst: rs, start, count }, TapeOp::MulMulAdd { dst, a, b, c, d }] =
+    pub(crate) fn try_match(tape: &ExecTape, plan: &AccessPlan) -> Option<SpecializedKernel> {
+        let [TapeOp::Load { dst: rc, slot: centre, .. }, TapeOp::SumLoads { dst: rs, start, count }, TapeOp::MulMulAdd { dst, a, b, c, d }] =
             tape.body[..]
         else {
             return None;
@@ -223,9 +183,27 @@ impl SpecializedKernel {
         if w0 >= pinned || w1 >= pinned {
             return None;
         }
-        let deltas =
-            tape.load_table[start as usize..(start + count) as usize].iter().map(|&(_, d)| d);
-        Some(SpecializedKernel { dc, deltas: deltas.collect(), w0, w1, form: (pc * 4 + ps) as u8 })
+
+        let [left, right, top, bottom] = reach(&plan.offsets);
+        let (nx, ny) = (plan.extent_nx, plan.extent_ny);
+        let width = (left + right) as usize + nx;
+        let origin = top as usize * width + left as usize;
+        let at = |slot: u16| {
+            let (dx, dy) = plan.offsets[slot as usize];
+            (origin as i64 + dy * width as i64 + dx) as usize
+        };
+        let table = &tape.load_table[start as usize..(start + count) as usize];
+        Some(SpecializedKernel {
+            dc: at(centre),
+            deltas: table.iter().map(|&(slot, _)| at(slot)).collect(),
+            w0,
+            w1,
+            form: (pc * 4 + ps) as u8,
+            nx,
+            width,
+            tile_len: width * ((top + bottom) as usize + ny),
+            origin,
+        })
     }
 
     /// The stable identifier recorded on the artifact.
@@ -233,54 +211,53 @@ impl SpecializedKernel {
         SpecializationId::WeightedSum { neighbors: self.deltas.len() as u8, form: self.form }
     }
 
-    /// Pinned registers holding the two weights (read after the prelude ran).
-    pub(crate) fn weight_regs(&self) -> (Reg, Reg) {
-        (self.w0, self.w1)
+    /// Length of the padded tile a block runs from.
+    pub(crate) fn tile_len(&self) -> usize {
+        self.tile_len
     }
 
-    /// Sweep the interior region with the monomorphic loop, reproducing the
-    /// generic backend's group structure (WIDE super-groups, LANES groups,
-    /// scalar remainder) and its `ExecStats` accounting exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_region(
+    /// Execute one block: copy its `cells` and the ring's runs (`slots`, one
+    /// value per ring slot, filled) into `tile`, then run every cell through
+    /// the monomorphic row loop into `out`.  `regs` holds the prelude's
+    /// pinned registers.
+    pub(crate) fn exec_block(
         &self,
         cells: &[f64],
+        ring: &HaloRing,
+        slots: &[f64],
+        regs: &[f64],
+        tile: &mut [f64],
         out: &mut [f64],
-        interior: &InteriorRegion,
-        nx: usize,
-        lanes: bool,
-        w0: f64,
-        w1: f64,
-        ops: u64,
-        stats: &mut ExecStats,
     ) {
+        let (nx, width, origin) = (self.nx, self.width, self.origin);
+        let tile = &mut tile[..self.tile_len];
+        for (y, row) in cells.chunks_exact(nx).enumerate() {
+            tile[origin + y * width..][..nx].copy_from_slice(row);
+        }
+        for run in ring.runs() {
+            let first = origin as i64 + run.y * width as i64 + run.x;
+            let step = run.dx + run.dy * width as i64;
+            for (k, &value) in (0..).zip(&slots[run.slots()]) {
+                tile[(first + k * step) as usize] = value;
+            }
+        }
+
+        let (w0, w1) = (regs[self.w0 as usize], regs[self.w1 as usize]);
         macro_rules! forms {
             ($k:literal) => {
                 match self.form {
-                    1 => self
-                        .run_region::<$k, 1>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    2 => self
-                        .run_region::<$k, 2>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    3 => self
-                        .run_region::<$k, 3>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    4 => self
-                        .run_region::<$k, 4>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    6 => self
-                        .run_region::<$k, 6>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    7 => self
-                        .run_region::<$k, 7>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    8 => self
-                        .run_region::<$k, 8>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    9 => self
-                        .run_region::<$k, 9>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    11 => self
-                        .run_region::<$k, 11>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    12 => self
-                        .run_region::<$k, 12>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    13 => self
-                        .run_region::<$k, 13>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
-                    14 => self
-                        .run_region::<$k, 14>(cells, out, interior, nx, lanes, w0, w1, ops, stats),
+                    1 => self.sweep::<$k, 1>(tile, out, w0, w1),
+                    2 => self.sweep::<$k, 2>(tile, out, w0, w1),
+                    3 => self.sweep::<$k, 3>(tile, out, w0, w1),
+                    4 => self.sweep::<$k, 4>(tile, out, w0, w1),
+                    6 => self.sweep::<$k, 6>(tile, out, w0, w1),
+                    7 => self.sweep::<$k, 7>(tile, out, w0, w1),
+                    8 => self.sweep::<$k, 8>(tile, out, w0, w1),
+                    9 => self.sweep::<$k, 9>(tile, out, w0, w1),
+                    11 => self.sweep::<$k, 11>(tile, out, w0, w1),
+                    12 => self.sweep::<$k, 12>(tile, out, w0, w1),
+                    13 => self.sweep::<$k, 13>(tile, out, w0, w1),
+                    14 => self.sweep::<$k, 14>(tile, out, w0, w1),
                     other => unreachable!("invalid weighted-sum form {other}"),
                 }
             };
@@ -297,70 +274,30 @@ impl SpecializedKernel {
         }
     }
 
-    /// The monomorphic sweep, instantiated per `(K, FORM)`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_region<const K: usize, const FORM: usize>(
+    /// The row loop, instantiated per `(K, FORM)`: each cell is the tape's
+    /// body — centre load, K-neighbour sum folded left in load order,
+    /// weighted top in `FORM`'s operand order (two multiplies, one add, three
+    /// roundings, no FMA) — so it is bit-identical to the tape.
+    fn sweep<const K: usize, const FORM: usize>(
         &self,
-        cells: &[f64],
+        tile: &[f64],
         out: &mut [f64],
-        interior: &InteriorRegion,
-        nx: usize,
-        lanes: bool,
         w0: f64,
         w1: f64,
-        ops: u64,
-        stats: &mut ExecStats,
     ) {
-        let deltas: &[isize; K] = self.deltas[..].try_into().expect("K matches delta count");
-        let dc = self.dc;
-        let nx = nx as i64;
-        for y in interior.y0..interior.y1 {
-            if !lanes {
-                for x in interior.x0..interior.x1 {
-                    let idx = (y * nx + x) as usize;
-                    out[idx] = exec_cell_spec::<K, FORM>(cells, idx, dc, deltas, w0, w1);
-                    stats.interior_cells += 1;
-                    stats.scalar_ops += ops;
+        let deltas: &[usize; K] = self.deltas[..].try_into().expect("K matches delta count");
+        let (nx, width) = (self.nx, self.width);
+        for (y, row) in out.chunks_exact_mut(nx).enumerate() {
+            let at = |d: usize| &tile[y * width + d..][..nx];
+            let centre = at(self.dc);
+            let neighbours: [&[f64]; K] = std::array::from_fn(|k| at(deltas[k]));
+            for (x, o) in row[..nx].iter_mut().enumerate() {
+                let (c, mut s) = (centre[x], neighbours[0][x]);
+                for n in &neighbours[1..] {
+                    s += n[x];
                 }
-            } else {
-                let mut x = interior.x0;
-                while x + (WIDE as i64) <= interior.x1 {
-                    let idx = (y * nx + x) as usize;
-                    exec_lanes_spec::<K, FORM, WIDE>(
-                        cells,
-                        idx,
-                        dc,
-                        deltas,
-                        w0,
-                        w1,
-                        &mut out[idx..idx + WIDE],
-                    );
-                    stats.interior_cells += WIDE as u64;
-                    stats.vector_ops += ops * (WIDE / LANES) as u64;
-                    x += WIDE as i64;
-                }
-                while x + (LANES as i64) <= interior.x1 {
-                    let idx = (y * nx + x) as usize;
-                    exec_lanes_spec::<K, FORM, LANES>(
-                        cells,
-                        idx,
-                        dc,
-                        deltas,
-                        w0,
-                        w1,
-                        &mut out[idx..idx + LANES],
-                    );
-                    stats.interior_cells += LANES as u64;
-                    stats.vector_ops += ops;
-                    x += LANES as i64;
-                }
-                while x < interior.x1 {
-                    let idx = (y * nx + x) as usize;
-                    out[idx] = exec_cell_spec::<K, FORM>(cells, idx, dc, deltas, w0, w1);
-                    stats.interior_cells += 1;
-                    stats.scalar_ops += ops;
-                    x += 1;
-                }
+                *o = pick::<FORM>(0, w0, w1, c, s) * pick::<FORM>(1, w0, w1, c, s)
+                    + pick::<FORM>(2, w0, w1, c, s) * pick::<FORM>(3, w0, w1, c, s);
             }
         }
     }
@@ -373,6 +310,7 @@ const MAX_NEIGHBORS: usize = 8;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{ExecStats, Processor};
     use crate::expr::{load, param};
     use crate::opt::OptLevel;
     use crate::plan::CompiledKernel;
@@ -429,53 +367,102 @@ mod tests {
         );
     }
 
+    const PARAMS: [f64; 2] = [0.5, 0.125];
+
+    /// One block of `k` through the specialized path or the tape, on a fresh
+    /// scratch: the outputs and the stats.
+    fn block(
+        k: &CompiledKernel,
+        cells: &[f64],
+        mut halo: impl FnMut(i64, i64) -> f64,
+        proc: Processor,
+        specialized: bool,
+    ) -> (Vec<f64>, ExecStats) {
+        let (mut out, mut stats, s) =
+            (vec![0.0; cells.len()], ExecStats::default(), &mut ExecScratch::new());
+        if specialized {
+            k.execute_block(cells, &PARAMS, &mut halo, &mut out, proc, &mut stats, s);
+        } else {
+            k.execute_block_unspecialized(cells, &PARAMS, &mut halo, &mut out, proc, &mut stats, s);
+        }
+        (out, stats)
+    }
+
     /// The specialized path must be bit-identical to the generic tape —
-    /// outputs and ExecStats — on every processor, including the widths that
-    /// exercise super-groups, lane groups and remainders.
+    /// outputs and ExecStats — on every processor: at widths that give the
+    /// tape super-groups, lane groups and remainders; on blocks narrower or
+    /// shorter than the stencil's reach (1×N, N×1, 2×2), where the interior
+    /// is empty and every cell is a boundary cell; for a one-sided stencil,
+    /// whose tile has no left or top pad; and with the ring's four corners
+    /// bumped, which on the 9-point ring moves exactly the block's corners.
     #[test]
     fn specialized_matches_generic_bitwise() {
-        use crate::backend::Processor;
-        for program in [StencilProgram::jacobi_5pt(), StencilProgram::smooth_9pt()] {
-            for (nx, ny) in [(43usize, 5usize), (16, 8), (9, 4)] {
+        let sizes = [(43usize, 5usize), (16, 8), (9, 4), (1, 7), (7, 1), (2, 2), (1, 1)];
+        // All offsets right of and below the centre: no left or top pad.
+        let e = param(0) * load(0, 0) + param(1) * (load(1, 0) + load(2, 0) + load(0, 2));
+        let one_sided = StencilProgram::new("one-sided", e, 2).unwrap();
+        for program in [StencilProgram::jacobi_5pt(), StencilProgram::smooth_9pt(), one_sided] {
+            for (nx, ny) in sizes {
                 let k = compile(&program, nx, ny);
                 assert_ne!(k.specialization(), SpecializationId::Generic);
                 let cells: Vec<f64> =
                     (0..nx * ny).map(|i| ((i * 31 + 7) % 97) as f64 / 97.0 - 0.2).collect();
-                let params = [0.5, 0.125];
-                let mut scratch = ExecScratch::new();
+                // `d` cells out from the block's corners: 1 the ring's, 0 its own.
+                let (w, h) = (nx as i64 - 1, ny as i64 - 1);
+                let corner = |x, y, d: i64| (-d == x || w + d == x) && (-d == y || h + d == y);
+                let bumped = |x, y| boundary(x, y) + if corner(x, y, 1) { 4.0 } else { 0.0 };
                 for proc in [Processor::Scalar, Processor::Simd] {
-                    let mut spec_out = vec![0.0; nx * ny];
-                    let mut spec_stats = ExecStats::default();
-                    k.execute_block(
-                        &cells,
-                        &params,
-                        &mut boundary,
-                        &mut spec_out,
-                        proc,
-                        &mut spec_stats,
-                        &mut scratch,
-                    );
-                    let mut gen_out = vec![0.0; nx * ny];
-                    let mut gen_stats = ExecStats::default();
-                    k.execute_block_unspecialized(
-                        &cells,
-                        &params,
-                        &mut boundary,
-                        &mut gen_out,
-                        proc,
-                        &mut gen_stats,
-                        &mut scratch,
-                    );
-                    for (i, (a, b)) in spec_out.iter().zip(&gen_out).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{} {nx}x{ny} {proc:?} cell {i}",
-                            program.name()
-                        );
+                    let what = format!("{} {nx}x{ny} {proc:?}", program.name());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let mut outs = Vec::new();
+                    for halo in [&boundary as &dyn Fn(i64, i64) -> f64, &bumped] {
+                        let (spec, spec_stats) = block(&k, &cells, halo, proc, true);
+                        let (generic, generic_stats) = block(&k, &cells, halo, proc, false);
+                        assert_eq!(bits(&spec), bits(&generic), "{what}");
+                        assert_eq!(spec_stats, generic_stats, "{what} stats");
+                        outs.push(spec);
                     }
-                    assert_eq!(spec_stats, gen_stats, "{} {proc:?} stats", program.name());
+                    if program.name() == "smooth-9pt" {
+                        for (i, (a, b)) in outs[0].iter().zip(&outs[1]).enumerate() {
+                            let (x, y) = ((i % nx) as i64, (i / nx) as i64);
+                            assert_eq!(a != b, corner(x, y, 0), "{what} cell ({x}, {y})");
+                        }
+                    }
                 }
+            }
+        }
+    }
+
+    /// A specialized block reads the ring's loaded slots only: with every
+    /// slot no run covers (the 5-point corners) holding NaN, every output is
+    /// finite.  And the ring is filled exactly once a block.
+    #[test]
+    fn unloaded_ring_slots_are_never_read() {
+        for (nx, ny) in [(16usize, 8usize), (1, 5), (5, 1), (2, 2)] {
+            let k = compile(&StencilProgram::jacobi_5pt(), nx, ny);
+            let (cells, mut out) = (vec![1.0; nx * ny], vec![0.0; nx * ny]);
+            let mut scratch = ExecScratch::new();
+            for proc in [Processor::Scalar, Processor::Simd] {
+                let mut fills = 0;
+                for _ in 0..3 {
+                    let fill = |ring: &HaloRing, buf: &mut [f64]| {
+                        fills += 1;
+                        buf.fill(f64::NAN);
+                        ring.fill_per_cell(buf, |x, y| (x + y) as f64);
+                    };
+                    let stats = &mut ExecStats::default();
+                    k.execute_block_ring(
+                        &cells,
+                        &PARAMS,
+                        fill,
+                        &mut out,
+                        proc,
+                        stats,
+                        &mut scratch,
+                    );
+                    assert!(out.iter().all(|v| v.is_finite()), "{nx}x{ny} {proc:?}: {out:?}");
+                }
+                assert_eq!(fills, 3, "{nx}x{ny} {proc:?}: one fill a block");
             }
         }
     }

@@ -37,9 +37,9 @@
 //!
 //! The tape is the *middle* of three execution tiers — tree-walk oracle →
 //! tape → specialized — each bit-identical to the last.  When the lowered
-//! tape matches a known hot shape, [`crate::spec::SpecializedKernel`]
-//! replaces the whole per-cell interpretation by one monomorphic
-//! super-instruction loop; see `spec.rs` for how a shape qualifies and
+//! tape matches a known hot shape, [`crate::spec::SpecializedKernel`] runs
+//! the whole block, boundary included, as one monomorphic row loop over a
+//! padded tile; see `spec.rs` for how a shape qualifies and
 //! `BENCH_kernel.json` for the measured trajectory across tiers.
 
 use crate::expr::{BinOp, UnaryOp};
@@ -994,8 +994,8 @@ impl fmt::Display for ExecTape {
 // Scratch
 // ---------------------------------------------------------------------------
 
-/// Reusable per-task execution scratch: the register files, the boundary
-/// operand buffer and the halo ring buffer the tape interpreter works from.
+/// Reusable per-task execution scratch: the tape interpreter's register
+/// files, boundary operand and halo ring buffers, and a specialized tile.
 ///
 /// Create once (or check out of a [`ScratchPool`]), pass to every
 /// [`execute_block`](crate::plan::CompiledKernel::execute_block) call; the
@@ -1009,6 +1009,8 @@ pub struct ExecScratch {
     pub(crate) operands: Vec<f64>,
     /// One value per slot of the plan's halo ring, filled once per block.
     pub(crate) ring: Vec<f64>,
+    /// A block and its ring in one row-major tile (see `spec.rs`).
+    pub(crate) tile: Vec<f64>,
 }
 
 impl ExecScratch {
@@ -1046,6 +1048,7 @@ impl ExecScratch {
             + std::mem::size_of_val(self.wide_regs.as_slice())
             + std::mem::size_of_val(self.operands.as_slice())
             + std::mem::size_of_val(self.ring.as_slice())
+            + std::mem::size_of_val(self.tile.as_slice())
     }
 }
 

@@ -95,11 +95,11 @@ fn cold_execute_block_is_allocation_free_after_prepare() {
         2,
     )
     .unwrap();
-    // jacobi qualifies for the weighted-sum specialization: the fast path
-    // must honour the same zero-alloc contract as the interpreter.
-    let specialized = StencilProgram::jacobi_5pt();
+    // jacobi and smooth qualify for the weighted-sum specialization: its
+    // padded tile must be sized by `prepare_scratch` too, so the fast path
+    // honours the same zero-alloc contract as the interpreter.
     let n = 40usize;
-    for program in [generic, specialized] {
+    for program in [generic, StencilProgram::jacobi_5pt(), StencilProgram::smooth_9pt()] {
         let compiled = CompiledKernel::compile(&program, Extent::new2d(n, n), OptLevel::Full);
         let cells: Vec<f64> = (0..n * n).map(|k| (k % 13) as f64 * 0.25 + 0.5).collect();
         let params = [0.5, 0.125];
