@@ -115,7 +115,9 @@ fn main() {
     let mut outcomes: Vec<Outcome> = Vec::new();
 
     // Warm generic tape: one scratch reused across blocks, specialized fast
-    // path disabled — the interpreter baseline every later tier compares to.
+    // path disabled — the row interpreter every later tier compares to.  Both
+    // processors run the same loop; the two rows differ only in the
+    // `ExecStats` they are accounted, so they should read alike.
     for (name, proc) in
         [("tape_scalar_warm", Processor::Scalar), ("tape_simd_warm", Processor::Simd)]
     {

@@ -44,7 +44,7 @@ use std::sync::Arc;
 /// drop.
 #[derive(Debug, Default)]
 struct KernelScratch {
-    /// Tape register files and boundary operand buffer.
+    /// Tape registers, halo ring and padded tile.
     exec: ExecScratch,
     /// Staging for the block's current (read-buffer) values.
     cells: Vec<f64>,
@@ -255,14 +255,11 @@ impl BlockSweep for IrStencilApp {
 
     fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId, i: usize, n: usize) {
         let processor = self.dispatcher.processor_for(i, n);
-        // Compile (or reuse) the plan for this block shape, and pre-size the
-        // execution scratch from the plan's tape statistics — the routine
-        // then allocates nothing even on its very first (cold) block.
+        // Compile (or reuse) the plan for this block shape.
         let ext = ctx.env().block(bid).meta.extent;
         let compiled = self.compiled_for(ext);
         let pool = &self.scratch_pool;
         let scratch = self.scratch.get_or_insert_with(|| KernelScratch::acquire(pool.clone()));
-        compiled.prepare_scratch(&mut scratch.exec, processor);
         let KernelScratch { exec, cells, out, .. } = scratch;
 
         // Gather the block's current values (slab GetDD), execute on the

@@ -2,44 +2,44 @@
 //!
 //! The paper's future-work §VI proposes that "the platform generates kernels
 //! for multiple types of processors and executes them heterogeneously, using
-//! GPUs, SIMD, and other accelerators".  This module is that generation step
-//! for two processor models:
+//! GPUs, SIMD, and other accelerators".  This module models two processors:
 //!
 //! * [`Processor::Scalar`] — one cell at a time, the shape a plain C++ loop
 //!   (or the paper's prototype) executes;
-//! * [`Processor::Simd`] — the interior region is processed in fixed-width
-//!   lanes (`LANES` cells per tape evaluation), the shape a vectorising
-//!   compiler, explicit SIMD intrinsics or a device kernel launch produce.
-//!   What a device would add is transfer volume, and that follows from the
+//! * [`Processor::Simd`] — the interior region in fixed-width lanes
+//!   ([`LANES`] cells per vector op), the shape a vectorising compiler,
+//!   explicit SIMD intrinsics or a device kernel launch produce.  What a
+//!   device would add is transfer volume, and that follows from the
 //!   counters already kept (see [`ExecStats::halo_fetches`]).
 //!
-//! Both backends interpret the same register-allocated
-//! [`ExecTape`](crate::tape::ExecTape) over the same
-//! [`AccessPlan`](crate::plan::AccessPlan) from a caller-provided
-//! [`ExecScratch`], so their results are bit-identical, tests compare them
-//! directly, and the steady-state block path performs **zero heap
-//! allocations** (see `tests/no_alloc.rs`).  A specialized kernel (see
-//! `spec.rs`) runs the same row loop over a padded tile on both: for it the
-//! two processors differ only in the [`ExecStats`] they are accounted.
+//! A `Processor` is an accounting label on one execute path: every block —
+//! interior and boundary alike — runs from one padded tile (the block's
+//! rows and its halo ring), through the register-allocated
+//! [`ExecTape`](crate::tape::ExecTape) a row at a time or, for a specialized
+//! kernel (see `spec.rs`), its monomorphic row loop, from a caller-provided
+//! [`ExecScratch`].  The processors differ only in the [`ExecStats`] they
+//! are accounted (`AccessPlan::exec_stats`); their results are
+//! bit-identical, and the steady-state block path performs **zero heap
+//! allocations** (see `tests/no_alloc.rs`).
 //!
 //! The tree-walk oracle (`execute_block_tree`, compiled for this crate's
 //! tests only) evaluates every cell with [`Dag::eval`](crate::opt::Dag::eval)
-//! and shares nothing with the tape but the plan's interior rectangle:
+//! and shares nothing with the tape but the plan's `exec_stats` formula:
 //! property tests assert the tape is bit-identical to it — output bits and
 //! [`ExecStats`] — for random programs, extents and backends.
 
-use crate::plan::{CompiledKernel, HaloRing, ResolvedAccess};
+use crate::plan::{CompiledKernel, HaloRing};
 use crate::tape::ExecScratch;
 use serde::Serialize;
 
-pub use crate::tape::{LANES, WIDE};
+pub use crate::tape::LANES;
 
 /// The processor model a block is executed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Processor {
     /// One cell at a time.
     Scalar,
-    /// Lane-parallel interior execution (width [`LANES`]).
+    /// Lane-parallel interior accounting (width [`LANES`]).
     Simd,
 }
 
@@ -63,9 +63,9 @@ pub struct ExecStats {
     pub blocks: u64,
     /// Cells updated.
     pub cells: u64,
-    /// Cells inside the plan's interior rectangle (the tape's fast path).
+    /// Cells inside the plan's interior rectangle (no load leaves the block).
     pub interior_cells: u64,
-    /// Cells outside it (the tape's resolved boundary path).
+    /// Cells outside it (some load reads the halo ring).
     pub boundary_cells: u64,
     /// Out-of-block cells fetched from the platform: the halo ring's distinct
     /// cells, once per block execution.  A device executing these blocks
@@ -119,12 +119,12 @@ impl CompiledKernel {
     /// * `fill` — fills the block's halo ring: called once, with the plan's
     ///   [`HaloRing`] and a buffer of one value per ring slot (it must set
     ///   the slots of every run; slots no run covers are never read), before
-    ///   any boundary cell is evaluated.  The caller adds the block origin and
+    ///   any cell is evaluated.  The caller adds the block origin and
     ///   goes through the platform (one `TaskCtx::get_run` per ring run, so
     ///   MMAT / Env-search accounting still applies);
     /// * `out` — the block's next values, row-major (same length as `cells`);
-    /// * `processor` — the backend (a specialized kernel uses it for `stats` only);
-    /// * `scratch` — reusable register/operand/ring buffers; grown on first
+    /// * `processor` — the processor `stats` are accounted for;
+    /// * `scratch` — reusable register, ring and tile buffers; grown on first
     ///   use, then reused allocation-free for every later block.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_block_ring(
@@ -159,7 +159,7 @@ impl CompiledKernel {
     }
 
     /// [`execute_block`](CompiledKernel::execute_block) with the specialized
-    /// tile path disabled: always interpret the tape.  The reference
+    /// row loop disabled: always interpret the tape.  The reference
     /// the specialization bit-identity tests and benches compare against.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_block_unspecialized(
@@ -189,91 +189,38 @@ impl CompiledKernel {
         use_spec: bool,
     ) {
         self.check_block_args(cells, params, out);
-        self.prepare_scratch(scratch, processor);
-        let plan = self.plan();
-        let tape = self.tape();
-        let ExecScratch { regs, lane_regs, wide_regs, operands, ring, tile } = scratch;
-        // Prelude: constants and runtime parameters land in pinned registers
+        let spec = self.spec().filter(|_| use_spec);
+        let row = self.size_scratch(scratch, spec.is_some());
+        let (plan, tape) = (self.plan(), self.tape());
+        let (nx, width, origin) = (plan.extent_nx, plan.tile_width, plan.tile_origin);
+        let ExecScratch { regs, ring, tile } = scratch;
+        // Prelude: constants and runtime parameters fill pinned registers
         // once per block, not once per cell.
-        tape.run_prelude(params, regs);
+        let regs = &mut regs[..tape.num_regs() * row];
+        tape.run_prelude(params, regs, row);
+
+        // The ring is fetched through the platform once; the block's rows
+        // and the ring's runs then go into one padded tile, which every
+        // cell, interior or boundary, reads its loads from.
         let ring = &mut ring[..plan.ring.slots()];
-
-        // Specialized: one ring fill, then every cell of the block from one
-        // padded tile; the processor only sets the accounting.
-        if let Some(spec) = self.spec().filter(|_| use_spec) {
-            fill(&plan.ring, ring);
-            spec.exec_block(cells, &plan.ring, ring, regs, tile, out);
-            stats.merge(&plan.exec_stats(processor, tape.ops_per_cell()));
-            return;
-        }
-
-        stats.blocks += 1;
-        stats.cells += plan.cells() as u64;
-
-        // Interior: baked linear offsets, sequential order.
-        let ops = tape.ops_per_cell();
-        let nx = plan.extent_nx as i64;
-        match processor {
-            Processor::Scalar => {
-                for y in plan.interior.y0..plan.interior.y1 {
-                    for x in plan.interior.x0..plan.interior.x1 {
-                        let idx = (y * nx + x) as usize;
-                        out[idx] = tape.exec_cell(cells, idx, regs);
-                        stats.interior_cells += 1;
-                        stats.scalar_ops += ops;
-                    }
-                }
-            }
-            Processor::Simd => {
-                tape.broadcast_prelude(regs, lane_regs);
-                tape.broadcast_prelude(regs, wide_regs);
-                for y in plan.interior.y0..plan.interior.y1 {
-                    let mut x = plan.interior.x0;
-                    // Super-groups of WIDE cells (4 lane-groups per tape
-                    // dispatch); the accounting stays one vector op per
-                    // LANES-wide group, matching the modelled SIMD width.
-                    while x + (WIDE as i64) <= plan.interior.x1 {
-                        let base = (y * nx + x) as usize;
-                        tape.exec_lanes(cells, base, wide_regs, &mut out[base..base + WIDE]);
-                        stats.interior_cells += WIDE as u64;
-                        stats.vector_ops += ops * (WIDE / LANES) as u64;
-                        x += WIDE as i64;
-                    }
-                    // Full lane-groups.
-                    while x + (LANES as i64) <= plan.interior.x1 {
-                        let base = (y * nx + x) as usize;
-                        tape.exec_lanes(cells, base, lane_regs, &mut out[base..base + LANES]);
-                        stats.interior_cells += LANES as u64;
-                        stats.vector_ops += ops;
-                        x += LANES as i64;
-                    }
-                    // Remainder cells of the row.
-                    while x < plan.interior.x1 {
-                        let idx = (y * nx + x) as usize;
-                        out[idx] = tape.exec_cell(cells, idx, regs);
-                        stats.interior_cells += 1;
-                        stats.scalar_ops += ops;
-                        x += 1;
-                    }
-                }
-            }
-        }
-
-        // Boundary: the ring is fetched through the platform once, then
-        // every resolved access is an index — into the block or the ring.
         fill(&plan.ring, ring);
-        stats.halo_fetches += plan.ring.cells() as u64;
-        for cell in &plan.boundary {
-            for (operand, access) in operands.iter_mut().zip(&cell.accesses) {
-                *operand = match *access {
-                    ResolvedAccess::InBlock(idx) => cells[idx],
-                    ResolvedAccess::Halo { slot } => ring[slot],
-                };
-            }
-            out[cell.index] = tape.exec_operands(operands, regs);
-            stats.boundary_cells += 1;
-            stats.scalar_ops += ops;
+        let tile = &mut tile[..plan.tile_len];
+        for (y, row) in cells.chunks_exact(nx).enumerate() {
+            tile[origin + y * width..][..nx].copy_from_slice(row);
         }
+        for run in plan.ring.runs() {
+            let first = origin as i64 + run.y * width as i64 + run.x;
+            let step = run.dx + run.dy * width as i64;
+            for (k, &value) in (0..).zip(&ring[run.slots()]) {
+                tile[(first + k * step) as usize] = value;
+            }
+        }
+
+        match spec {
+            Some(spec) => spec.exec_block(plan, tile, regs, out),
+            None => tape.exec_rows(plan, tile, regs, out),
+        }
+        stats.merge(&plan.exec_stats(processor, tape.ops_per_cell()));
     }
 }
 
@@ -286,9 +233,7 @@ impl CompiledKernel {
     /// wrong one in the tape shows up as a wrong value.
     ///
     /// The counters follow from the plan's geometry alone
-    /// (`AccessPlan::exec_stats`), the formula the specialized tile path is
-    /// accounted by; the tape counts them as it runs, so comparing the two
-    /// checks the formula too.
+    /// (`AccessPlan::exec_stats`), the formula every tier is accounted by.
     pub(crate) fn execute_block_tree(
         &self,
         cells: &[f64],
@@ -372,18 +317,14 @@ mod tests {
     }
 
     #[test]
-    fn scalar_backend_matches_interpreter() {
-        one_step_matches_reference(&StencilProgram::jacobi_5pt(), 8, 8, Processor::Scalar);
-        one_step_matches_reference(&StencilProgram::smooth_9pt(), 8, 6, Processor::Scalar);
-    }
-
-    #[test]
-    fn simd_backend_matches_interpreter() {
-        // Widths around the lane count exercise full lanes + remainders.
-        for nx in [4usize, 8, 9, 16, 19] {
-            one_step_matches_reference(&StencilProgram::jacobi_5pt(), nx, 7, Processor::Simd);
+    fn both_processors_match_interpreter() {
+        // Widths around the lane count: whole lane groups and remainders.
+        for proc in [Processor::Scalar, Processor::Simd] {
+            for nx in [4usize, 8, 9, 16, 19] {
+                one_step_matches_reference(&StencilProgram::jacobi_5pt(), nx, 7, proc);
+            }
+            one_step_matches_reference(&StencilProgram::smooth_9pt(), 21, 5, proc);
         }
-        one_step_matches_reference(&StencilProgram::smooth_9pt(), 21, 5, Processor::Simd);
     }
 
     #[test]
@@ -499,21 +440,20 @@ mod tests {
         );
     }
 
-    /// Blocks wide enough for the 32-cell super-group path must agree with
-    /// the tree-walk oracle bit-for-bit, including the `vector_ops`
-    /// accounting (one op per LANES-wide group regardless of how groups are
-    /// batched).  The proptest below also reaches these widths, but this
-    /// pins the instantiation deterministically: widths are chosen to hit
-    /// super-groups only (64), super-groups + lane groups (43 → interior 41 =
-    /// 32 + 8 + 1), lane groups + remainder, and every unfused form.
+    /// Rows many lane groups wide must agree with the tree-walk oracle
+    /// bit-for-bit, including the `vector_ops` accounting (one op per
+    /// LANES-wide group of an interior row).  The proptest below also reaches
+    /// these widths, but this pins them deterministically: interior rows of
+    /// 62, 41 and 34 cells (7, 5 and 4 lane groups and a remainder of 6, 1
+    /// and 2), and every unfused tape form.
     #[test]
-    fn wide_supergroups_match_tree_walk() {
+    fn wide_rows_match_tree_walk() {
         use crate::expr::{lit, load, param};
         let programs = [
             StencilProgram::jacobi_5pt(),
             StencilProgram::smooth_9pt(),
             // Exercises LoadUnary/Unary/Binary/AccLoads (not just the fused
-            // jacobi shape) on the wide path.
+            // jacobi shape) on wide rows.
             StencilProgram::new(
                 "mixed",
                 (-load(0, 0)).abs()
@@ -641,8 +581,8 @@ mod tests {
         #[test]
         fn tape_is_bit_identical_to_tree_walk(
             expr in arb_expr(),
-            // nx reaches past WIDE + halo so random cases also cover the
-            // 32-cell super-group interior path.
+            // nx reaches past 32 + halo so random cases also cover rows of
+            // several lane groups.
             nx in 1usize..44,
             ny in 1usize..10,
             level in prop_oneof![Just(OptLevel::None), Just(OptLevel::Full)],

@@ -82,7 +82,7 @@ pub use family::{
 pub use field::DenseField;
 pub use hetero::{HeteroDispatcher, PerProcessorStats, ScheduleError, SchedulePolicy};
 pub use opt::{Dag, OptLevel, OptStats};
-pub use plan::{AccessPlan, CompiledKernel, HaloRing, HaloRun, PlanSource, ResolvedAccess};
+pub use plan::{AccessPlan, CompiledKernel, HaloRing, HaloRun, PlanSource};
 pub use portable::{PortableError, PortableKernel};
 pub use program::{ProgramError, ProgramFingerprint, StencilProgram};
 pub use spec::SpecializationId;

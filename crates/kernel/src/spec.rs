@@ -9,15 +9,16 @@
 //!    other two are tested against; compiled for this crate's tests only.
 //! 2. **Tape** ([`ExecTape`]) — the register-allocated lowering: fused
 //!    super-instructions (`SumLoads`, `MulMulAdd`, …), baked addressing, a
-//!    prelude hoisted out of the cell loop.  Still an interpreter: every cell
-//!    pays one dispatch per tape instruction, and a boundary cell gathers its
-//!    operands one resolved access at a time.
+//!    prelude hoisted out of the cell loop.  Still an interpreter, a row at
+//!    a time: every row of the block pays one dispatch per tape instruction,
+//!    and every instruction is a loop over the row, its result stored in a
+//!    register row.
 //! 3. **Specialized** ([`SpecializedKernel`]) — this module.  When the lowered
-//!    tape matches a known hot *shape*, the whole block — boundary cells
-//!    included — runs as one monomorphic, const-generic row loop over a
-//!    padded tile, with **zero interpreter dispatch**.  The decision is made
-//!    once, at [`CompiledKernel`] compile time, so a shared plan cache
-//!    amortizes it across every job (and every node) that runs the program.
+//!    tape matches a known hot *shape*, the whole block runs as one
+//!    monomorphic, const-generic row loop with **zero interpreter dispatch**
+//!    and no register rows.  The decision is made once, at
+//!    [`CompiledKernel`] compile time, so a shared plan cache amortizes it
+//!    across every job (and every node) that runs the program.
 //!
 //! # How a shape qualifies
 //!
@@ -44,12 +45,12 @@
 //!
 //! # The padded tile
 //!
-//! Where the tape splits a block into an interior and a boundary, a
-//! specialized kernel copies the block's rows into a `(left + nx + right) ×
-//! (top + ny + bottom)` tile in the [`ExecScratch`] (the plan's reach on each
-//! side), scatters the filled ring's runs around them, and computes every
-//! cell alike from `K + 1` sub-slices of length `nx` a row: no bounds checks,
-//! and the loop vectorises.  Tile positions no run fills (a 5-point stencil's
+//! Both tiers run from the same tile: `execute_block` copies the block's
+//! rows into a `(left + nx + right) × (top + ny + bottom)` tile in the
+//! [`ExecScratch`] (the plan's reach on each side) and scatters the filled
+//! ring's runs around them.  A specialized kernel computes every cell alike
+//! from `K + 1` sub-slices of length `nx` a row: no bounds checks, and the
+//! loop vectorises.  Tile positions no run fills (a 5-point stencil's
 //! corners) are never read.  Both processors run this one loop and differ
 //! only in the [`ExecStats`] they are accounted (`AccessPlan::exec_stats`).
 //!
@@ -58,7 +59,7 @@
 //! [`ExecStats`]: crate::backend::ExecStats
 //! [`CompiledKernel`]: crate::plan::CompiledKernel
 
-use crate::plan::{reach, AccessPlan, HaloRing};
+use crate::plan::AccessPlan;
 use crate::tape::{ExecTape, Reg, TapeOp};
 use serde::Serialize;
 use std::fmt;
@@ -127,7 +128,7 @@ fn pick<const FORM: usize>(pos: usize, w0: f64, w1: f64, c: f64, s: f64) -> f64 
 /// monomorphic block loop needs, resolved once.
 ///
 /// Owned by [`CompiledKernel`]; the prelude still fills the weight registers,
-/// and the loop replaces both the tape's interior sweep and its boundary path.
+/// and the loop replaces the tape's row interpreter.
 ///
 /// [`CompiledKernel`]: crate::plan::CompiledKernel
 #[derive(Debug, Clone, PartialEq)]
@@ -143,12 +144,6 @@ pub struct SpecializedKernel {
     w1: Reg,
     /// `pc*4 + ps` operand layout of the `MulMulAdd` top.
     form: u8,
-    /// Block width; the tile's width (with the reach left and right of the
-    /// block) and length, and the tile index of block cell (0, 0).
-    nx: usize,
-    width: usize,
-    tile_len: usize,
-    origin: usize,
 }
 
 impl SpecializedKernel {
@@ -156,7 +151,7 @@ impl SpecializedKernel {
     /// `None` (stay generic) unless the *entire* body is covered by a
     /// specialized loop.
     pub(crate) fn try_match(tape: &ExecTape, plan: &AccessPlan) -> Option<SpecializedKernel> {
-        let [TapeOp::Load { dst: rc, slot: centre, .. }, TapeOp::SumLoads { dst: rs, start, count }, TapeOp::MulMulAdd { dst, a, b, c, d }] =
+        let [TapeOp::Load { dst: rc, delta: centre }, TapeOp::SumLoads { dst: rs, start, count }, TapeOp::MulMulAdd { dst, a, b, c, d }] =
             tape.body[..]
         else {
             return None;
@@ -184,25 +179,14 @@ impl SpecializedKernel {
             return None;
         }
 
-        let [left, right, top, bottom] = reach(&plan.offsets);
-        let (nx, ny) = (plan.extent_nx, plan.extent_ny);
-        let width = (left + right) as usize + nx;
-        let origin = top as usize * width + left as usize;
-        let at = |slot: u16| {
-            let (dx, dy) = plan.offsets[slot as usize];
-            (origin as i64 + dy * width as i64 + dx) as usize
-        };
+        let at = |delta: isize| (plan.tile_origin as isize + delta) as usize;
         let table = &tape.load_table[start as usize..(start + count) as usize];
         Some(SpecializedKernel {
             dc: at(centre),
-            deltas: table.iter().map(|&(slot, _)| at(slot)).collect(),
+            deltas: table.iter().map(|&delta| at(delta)).collect(),
             w0,
             w1,
             form: (pc * 4 + ps) as u8,
-            nx,
-            width,
-            tile_len: width * ((top + bottom) as usize + ny),
-            origin,
         })
     }
 
@@ -211,53 +195,33 @@ impl SpecializedKernel {
         SpecializationId::WeightedSum { neighbors: self.deltas.len() as u8, form: self.form }
     }
 
-    /// Length of the padded tile a block runs from.
-    pub(crate) fn tile_len(&self) -> usize {
-        self.tile_len
-    }
-
-    /// Execute one block: copy its `cells` and the ring's runs (`slots`, one
-    /// value per ring slot, filled) into `tile`, then run every cell through
-    /// the monomorphic row loop into `out`.  `regs` holds the prelude's
-    /// pinned registers.
+    /// Execute one block: run every cell of `plan`'s filled padded `tile`
+    /// through the monomorphic row loop into `out`.  `regs` holds the
+    /// prelude's pinned registers, one value each.
     pub(crate) fn exec_block(
         &self,
-        cells: &[f64],
-        ring: &HaloRing,
-        slots: &[f64],
+        plan: &AccessPlan,
+        tile: &[f64],
         regs: &[f64],
-        tile: &mut [f64],
         out: &mut [f64],
     ) {
-        let (nx, width, origin) = (self.nx, self.width, self.origin);
-        let tile = &mut tile[..self.tile_len];
-        for (y, row) in cells.chunks_exact(nx).enumerate() {
-            tile[origin + y * width..][..nx].copy_from_slice(row);
-        }
-        for run in ring.runs() {
-            let first = origin as i64 + run.y * width as i64 + run.x;
-            let step = run.dx + run.dy * width as i64;
-            for (k, &value) in (0..).zip(&slots[run.slots()]) {
-                tile[(first + k * step) as usize] = value;
-            }
-        }
-
+        let (nx, width) = (plan.extent_nx, plan.tile_width);
         let (w0, w1) = (regs[self.w0 as usize], regs[self.w1 as usize]);
         macro_rules! forms {
             ($k:literal) => {
                 match self.form {
-                    1 => self.sweep::<$k, 1>(tile, out, w0, w1),
-                    2 => self.sweep::<$k, 2>(tile, out, w0, w1),
-                    3 => self.sweep::<$k, 3>(tile, out, w0, w1),
-                    4 => self.sweep::<$k, 4>(tile, out, w0, w1),
-                    6 => self.sweep::<$k, 6>(tile, out, w0, w1),
-                    7 => self.sweep::<$k, 7>(tile, out, w0, w1),
-                    8 => self.sweep::<$k, 8>(tile, out, w0, w1),
-                    9 => self.sweep::<$k, 9>(tile, out, w0, w1),
-                    11 => self.sweep::<$k, 11>(tile, out, w0, w1),
-                    12 => self.sweep::<$k, 12>(tile, out, w0, w1),
-                    13 => self.sweep::<$k, 13>(tile, out, w0, w1),
-                    14 => self.sweep::<$k, 14>(tile, out, w0, w1),
+                    1 => self.sweep::<$k, 1>(tile, nx, width, out, w0, w1),
+                    2 => self.sweep::<$k, 2>(tile, nx, width, out, w0, w1),
+                    3 => self.sweep::<$k, 3>(tile, nx, width, out, w0, w1),
+                    4 => self.sweep::<$k, 4>(tile, nx, width, out, w0, w1),
+                    6 => self.sweep::<$k, 6>(tile, nx, width, out, w0, w1),
+                    7 => self.sweep::<$k, 7>(tile, nx, width, out, w0, w1),
+                    8 => self.sweep::<$k, 8>(tile, nx, width, out, w0, w1),
+                    9 => self.sweep::<$k, 9>(tile, nx, width, out, w0, w1),
+                    11 => self.sweep::<$k, 11>(tile, nx, width, out, w0, w1),
+                    12 => self.sweep::<$k, 12>(tile, nx, width, out, w0, w1),
+                    13 => self.sweep::<$k, 13>(tile, nx, width, out, w0, w1),
+                    14 => self.sweep::<$k, 14>(tile, nx, width, out, w0, w1),
                     other => unreachable!("invalid weighted-sum form {other}"),
                 }
             };
@@ -281,12 +245,13 @@ impl SpecializedKernel {
     fn sweep<const K: usize, const FORM: usize>(
         &self,
         tile: &[f64],
+        nx: usize,
+        width: usize,
         out: &mut [f64],
         w0: f64,
         w1: f64,
     ) {
         let deltas: &[usize; K] = self.deltas[..].try_into().expect("K matches delta count");
-        let (nx, width) = (self.nx, self.width);
         for (y, row) in out.chunks_exact_mut(nx).enumerate() {
             let at = |d: usize| &tile[y * width + d..][..nx];
             let centre = at(self.dc);
@@ -311,9 +276,9 @@ const MAX_NEIGHBORS: usize = 8;
 mod tests {
     use super::*;
     use crate::backend::{ExecStats, Processor};
-    use crate::expr::{load, param};
+    use crate::expr::{lit, load, param};
     use crate::opt::OptLevel;
-    use crate::plan::CompiledKernel;
+    use crate::plan::{CompiledKernel, HaloRing};
     use crate::program::StencilProgram;
     use crate::tape::ExecScratch;
     use aohpc_env::Extent;
@@ -433,36 +398,74 @@ mod tests {
         }
     }
 
-    /// A specialized block reads the ring's loaded slots only: with every
-    /// slot no run covers (the 5-point corners) holding NaN, every output is
-    /// finite.  And the ring is filled exactly once a block.
+    /// A block reads its own cells and the ring's loaded slots only, on
+    /// either tier, for a specialized program and a generic one (the
+    /// benchmark mix's cold shape): with every ring slot no run covers (the
+    /// 5-point corners) holding NaN, and on a scratch whose whole tile a
+    /// larger kernel left NaN, every output is finite and bit-equal to a
+    /// fresh scratch's.  And the ring is filled exactly once a block.
     #[test]
     fn unloaded_ring_slots_are_never_read() {
-        for (nx, ny) in [(16usize, 8usize), (1, 5), (5, 1), (2, 2)] {
-            let k = compile(&StencilProgram::jacobi_5pt(), nx, ny);
-            let (cells, mut out) = (vec![1.0; nx * ny], vec![0.0; nx * ny]);
+        let sum = load(1, -1) + load(-1, 0) + load(0, 1);
+        let e = param(0) * load(0, 0) + param(1) * (sum * lit(0.625));
+        let cold = StencilProgram::new("cold", e, 2).unwrap();
+        // A 9-point kernel over NaN cells and a NaN ring fills every position
+        // of its tile, which spans every smaller kernel's.
+        let stale = || {
+            let (big, n) = (compile(&StencilProgram::smooth_9pt(), 24, 24), 24 * 24);
             let mut scratch = ExecScratch::new();
-            for proc in [Processor::Scalar, Processor::Simd] {
+            let (nan, mut out) = (vec![f64::NAN; n], vec![0.0; n]);
+            let (halo, stats) = (&mut |_, _| f64::NAN, &mut ExecStats::default());
+            big.execute_block(
+                &nan,
+                &PARAMS,
+                halo,
+                &mut out,
+                Processor::Scalar,
+                stats,
+                &mut scratch,
+            );
+            assert!(scratch.tile.iter().all(|v| v.is_nan()));
+            scratch
+        };
+        for program in [StencilProgram::jacobi_5pt(), cold] {
+            for (nx, ny) in [(16usize, 8usize), (1, 5), (5, 1), (2, 2)] {
+                let k = compile(&program, nx, ny);
+                let cells: Vec<f64> = (0..nx * ny).map(|i| (i % 5) as f64 * 0.25 + 1.0).collect();
                 let mut fills = 0;
-                for _ in 0..3 {
-                    let fill = |ring: &HaloRing, buf: &mut [f64]| {
-                        fills += 1;
-                        buf.fill(f64::NAN);
-                        ring.fill_per_cell(buf, |x, y| (x + y) as f64);
-                    };
-                    let stats = &mut ExecStats::default();
-                    k.execute_block_ring(
-                        &cells,
-                        &PARAMS,
-                        fill,
-                        &mut out,
-                        proc,
-                        stats,
-                        &mut scratch,
-                    );
-                    assert!(out.iter().all(|v| v.is_finite()), "{nx}x{ny} {proc:?}: {out:?}");
+                // `ring`: the ring API with every slot NaN before the runs'
+                // fill; otherwise the tape with the specialized loop off.
+                let mut block = |scratch: &mut ExecScratch, proc, ring: bool| {
+                    let (mut out, stats) = (vec![0.0; nx * ny], &mut ExecStats::default());
+                    if ring {
+                        let fill = |ring: &HaloRing, buf: &mut [f64]| {
+                            fills += 1;
+                            buf.fill(f64::NAN);
+                            ring.fill_per_cell(buf, |x, y| (x + y) as f64);
+                        };
+                        k.execute_block_ring(&cells, &PARAMS, fill, &mut out, proc, stats, scratch);
+                    } else {
+                        let halo = &mut |x, y| (x + y) as f64;
+                        k.execute_block_unspecialized(
+                            &cells, &PARAMS, halo, &mut out, proc, stats, scratch,
+                        );
+                    }
+                    out
+                };
+                for ring in [true, false] {
+                    for proc in [Processor::Scalar, Processor::Simd] {
+                        let what = format!("{} {nx}x{ny} {proc:?} ring {ring}", program.name());
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let want = bits(&block(&mut ExecScratch::new(), proc, ring));
+                        assert!(want.iter().all(|&v| f64::from_bits(v).is_finite()), "{what}");
+                        for mut scratch in [ExecScratch::new(), stale()] {
+                            for _ in 0..3 {
+                                assert_eq!(bits(&block(&mut scratch, proc, ring)), want, "{what}");
+                            }
+                        }
+                    }
                 }
-                assert_eq!(fills, 3, "{nx}x{ny} {proc:?}: one fill a block");
+                assert_eq!(fills, 2 * 7, "{} {nx}x{ny}: one fill a block", program.name());
             }
         }
     }

@@ -15,10 +15,9 @@
 //! * **Prelude hoisting** — `Const` and `Param` nodes become a once-per-block
 //!   *prelude* that fills pinned registers; the per-cell body never touches
 //!   them again.  (The tree-walk re-broadcast both per cell per node.)
-//! * **Baked addressing** — each load instruction carries both its offset
-//!   *slot* (index into [`AccessPlan::offsets`], used by the boundary path)
-//!   and its row-major *delta* (used by the interior), so no search or lookup
-//!   table survives to run time.
+//! * **Baked addressing** — each load instruction carries its *delta* in the
+//!   plan's padded tile (`dy · width + dx`), so no search or lookup table
+//!   survives to run time.
 //! * **Fusion** — a load whose value is consumed exactly once folds into its
 //!   consumer ([`TapeOp::LoadUnary`], [`TapeOp::LoadBinLhs`],
 //!   [`TapeOp::LoadBinRhs`]), and an `Add` whose operand is a single-use
@@ -27,7 +26,17 @@
 //!   stay bit-identical to the tree-walk oracle.
 //! * **Liveness-based register allocation** — body registers are released at
 //!   their last use and reused, so the scratch a block needs is
-//!   `prelude + max_live` registers instead of `dag.len()` values.
+//!   `prelude + max_live` registers instead of `dag.len()` values.  An
+//!   instruction's destination is never one of its own operands' registers.
+//!
+//! [`ExecTape::exec_rows`] interprets the body a *row* at a time over the
+//! block's padded tile (see [`AccessPlan`]): every register holds a row of
+//! the block's width, every instruction is one loop over contiguous `f64`,
+//! and a load is a sub-slice of the tile at its delta.  Each cell still sees
+//! the body's operations in order, so its bits equal the tree-walk oracle's.
+//! Interior and boundary cells run alike, and both processors run this one
+//! loop: [`Processor`](crate::backend::Processor) only labels the
+//! accounting (`AccessPlan::exec_stats`).
 //!
 //! The tape is interpreted from a caller-provided [`ExecScratch`], so steady
 //! state executes with **zero allocations per block** (asserted by the
@@ -38,9 +47,9 @@
 //! The tape is the *middle* of three execution tiers — tree-walk oracle →
 //! tape → specialized — each bit-identical to the last.  When the lowered
 //! tape matches a known hot shape, [`crate::spec::SpecializedKernel`] runs
-//! the whole block, boundary included, as one monomorphic row loop over a
-//! padded tile; see `spec.rs` for how a shape qualifies and
-//! `BENCH_kernel.json` for the measured trajectory across tiers.
+//! the same tile through one monomorphic row loop instead; see `spec.rs`
+//! for how a shape qualifies and `BENCH_kernel.json` for the measured
+//! trajectory across tiers.
 
 use crate::expr::{BinOp, UnaryOp};
 use crate::opt::{Dag, Node};
@@ -51,15 +60,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of cells one vector lane-group processes.
+/// Number of cells one vector lane-group of the modelled SIMD processor
+/// processes (what `ExecStats` accounts one vector op for).
 pub const LANES: usize = 8;
-
-/// Width of the interior super-group: the lane backends dispatch each tape
-/// instruction over `WIDE` consecutive cells (4 lane-groups) where the row is
-/// wide enough, amortising interpretation overhead without changing the
-/// modelled SIMD width — `ExecStats` still accounts one vector op per
-/// [`LANES`]-wide group.
-pub const WIDE: usize = 4 * LANES;
 
 /// A register index into the scratch register file.
 pub type Reg = u16;
@@ -85,19 +88,15 @@ pub enum PreludeOp {
 
 /// A per-cell body instruction.
 ///
-/// `slot` is the index into [`AccessPlan::offsets`] (what the boundary path
-/// gathers operands by); `delta` is the row-major index delta of that offset
-/// (what the interior adds to the cell index).  Both are baked in at lowering
-/// time.
+/// A load's `delta` is its offset's index delta in the plan's padded tile
+/// (what a cell's tile index adds), baked in at lowering time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum TapeOp {
-    /// `r[dst] = load(slot)`.
+    /// `r[dst] = load(delta)`.
     Load {
         /// Destination register.
         dst: Reg,
-        /// Offset slot (boundary operand index).
-        slot: u16,
-        /// Row-major index delta (interior addressing).
+        /// Tile index delta.
         delta: isize,
     },
     /// `r[dst] = op(r[a])`.
@@ -120,31 +119,27 @@ pub enum TapeOp {
         /// Right operand register.
         b: Reg,
     },
-    /// Fused `r[dst] = op(load(slot))`.
+    /// Fused `r[dst] = op(load(delta))`.
     LoadUnary {
         /// Operator.
         op: UnaryOp,
         /// Destination register.
         dst: Reg,
-        /// Offset slot.
-        slot: u16,
-        /// Row-major index delta.
+        /// Tile index delta.
         delta: isize,
     },
-    /// Fused `r[dst] = op(load(slot), r[b])` (the load is the left operand).
+    /// Fused `r[dst] = op(load(delta), r[b])` (the load is the left operand).
     LoadBinLhs {
         /// Operator.
         op: BinOp,
         /// Destination register.
         dst: Reg,
-        /// Offset slot.
-        slot: u16,
-        /// Row-major index delta.
+        /// Tile index delta.
         delta: isize,
         /// Right operand register.
         b: Reg,
     },
-    /// Fused `r[dst] = op(r[a], load(slot))` (the load is the right operand).
+    /// Fused `r[dst] = op(r[a], load(delta))` (the load is the right operand).
     LoadBinRhs {
         /// Operator.
         op: BinOp,
@@ -152,9 +147,7 @@ pub enum TapeOp {
         dst: Reg,
         /// Left operand register.
         a: Reg,
-        /// Offset slot.
-        slot: u16,
-        /// Row-major index delta.
+        /// Tile index delta.
         delta: isize,
     },
     /// Fused `r[dst] = r[a] * r[b] + r[c]`, evaluated with the *two* roundings
@@ -238,8 +231,8 @@ pub struct TapeStats {
 pub struct ExecTape {
     pub(crate) prelude: Vec<PreludeOp>,
     pub(crate) body: Vec<TapeOp>,
-    /// `(slot, delta)` pairs referenced by chain instructions, in fold order.
-    pub(crate) load_table: Vec<(u16, isize)>,
+    /// Tile deltas of the loads chain instructions fold, in fold order.
+    pub(crate) load_table: Vec<isize>,
     pub(crate) root: Reg,
     num_regs: usize,
     ops_per_cell: u64,
@@ -249,12 +242,12 @@ pub struct ExecTape {
 /// Symbolic instruction used between fusion marking and register allocation:
 /// operands are still DAG node ids.
 enum SymOp {
-    Load { node: usize, slot: u16, delta: isize },
+    Load { node: usize, delta: isize },
     Unary { op: UnaryOp, node: usize, a: usize },
     Binary { op: BinOp, node: usize, a: usize, b: usize },
-    LoadUnary { op: UnaryOp, node: usize, slot: u16, delta: isize },
-    LoadBinLhs { op: BinOp, node: usize, slot: u16, delta: isize, b: usize },
-    LoadBinRhs { op: BinOp, node: usize, a: usize, slot: u16, delta: isize },
+    LoadUnary { op: UnaryOp, node: usize, delta: isize },
+    LoadBinLhs { op: BinOp, node: usize, delta: isize, b: usize },
+    LoadBinRhs { op: BinOp, node: usize, a: usize, delta: isize },
     MulAdd { node: usize, a: usize, b: usize, c: usize },
     MulMulAdd { node: usize, a: usize, b: usize, c: usize, d: usize },
     SumLoads { node: usize, start: u16, count: u16 },
@@ -319,22 +312,6 @@ enum Inlined {
     IntoChain,
 }
 
-/// For every DAG node, the index of its load offset in `plan.offsets`
-/// (`usize::MAX` for non-load nodes).
-fn load_slot_table(dag: &Dag, plan: &AccessPlan) -> Vec<usize> {
-    dag.nodes()
-        .iter()
-        .map(|n| match n {
-            Node::Load { dx, dy } => plan
-                .offsets
-                .iter()
-                .position(|&o| o == (*dx, *dy))
-                .expect("plan offsets cover every live load"),
-            _ => usize::MAX,
-        })
-        .collect()
-}
-
 impl ExecTape {
     /// Lower a DAG + plan into a tape.  Panics if the plan's offsets do not
     /// cover every load in the DAG (the plan is built from the same DAG, so
@@ -348,10 +325,16 @@ impl ExecTape {
             nodes.len()
         );
 
-        // Slot + linear delta of every load node.
-        let slot_of: Vec<Option<(u16, isize)>> = load_slot_table(dag, plan)
-            .into_iter()
-            .map(|slot| (slot != usize::MAX).then(|| (slot as u16, plan.linear_offsets[slot])))
+        // Tile delta of every load node.
+        let delta_of: Vec<Option<isize>> = nodes
+            .iter()
+            .map(|n| match *n {
+                Node::Load { dx, dy } => {
+                    let slot = plan.offsets.iter().position(|&o| o == (dx, dy));
+                    Some(plan.linear_offsets[slot.expect("plan offsets cover every live load")])
+                }
+                _ => None,
+            })
             .collect();
 
         // Use counts: references as an operand, plus one for the root (its
@@ -496,7 +479,7 @@ impl ExecTape {
 
         // Symbolic body in topological order; fused nodes emit nothing.
         let mut sym = Vec::new();
-        let mut load_table: Vec<(u16, isize)> = Vec::new();
+        let mut load_table: Vec<isize> = Vec::new();
         for (i, n) in nodes.iter().enumerate() {
             if inlined[i] != Inlined::No {
                 continue;
@@ -504,13 +487,13 @@ impl ExecTape {
             match *n {
                 Node::Const(_) | Node::Param(_) => {}
                 Node::Load { .. } => {
-                    let (slot, delta) = slot_of[i].expect("load node has a slot");
-                    sym.push(SymOp::Load { node: i, slot, delta });
+                    let delta = delta_of[i].expect("load node has a delta");
+                    sym.push(SymOp::Load { node: i, delta });
                 }
                 Node::Unary { op, a } => {
                     if inlined[a] == Inlined::IntoLoadOp {
-                        let (slot, delta) = slot_of[a].expect("fused operand is a load");
-                        sym.push(SymOp::LoadUnary { op, node: i, slot, delta });
+                        let delta = delta_of[a].expect("fused operand is a load");
+                        sym.push(SymOp::LoadUnary { op, node: i, delta });
                     } else {
                         sym.push(SymOp::Unary { op, node: i, a });
                     }
@@ -520,7 +503,7 @@ impl ExecTape {
                         let start = load_table.len() as u16;
                         let count = loads.len() as u16;
                         for l in loads {
-                            load_table.push(slot_of[l].expect("chain element is a load"));
+                            load_table.push(delta_of[l].expect("chain element is a load"));
                         }
                         match seed {
                             Some(s) => sym.push(SymOp::AccLoads { node: i, a: s, start, count }),
@@ -540,11 +523,11 @@ impl ExecTape {
                         let Node::Binary { a: ma, b: mb, .. } = nodes[b] else { unreachable!() };
                         sym.push(SymOp::MulAdd { node: i, a: ma, b: mb, c: a });
                     } else if inlined[a] == Inlined::IntoLoadOp {
-                        let (slot, delta) = slot_of[a].expect("fused operand is a load");
-                        sym.push(SymOp::LoadBinLhs { op, node: i, slot, delta, b });
+                        let delta = delta_of[a].expect("fused operand is a load");
+                        sym.push(SymOp::LoadBinLhs { op, node: i, delta, b });
                     } else if inlined[b] == Inlined::IntoLoadOp {
-                        let (slot, delta) = slot_of[b].expect("fused operand is a load");
-                        sym.push(SymOp::LoadBinRhs { op, node: i, a, slot, delta });
+                        let delta = delta_of[b].expect("fused operand is a load");
+                        sym.push(SymOp::LoadBinRhs { op, node: i, a, delta });
                     } else {
                         sym.push(SymOp::Binary { op, node: i, a, b });
                     }
@@ -565,9 +548,10 @@ impl ExecTape {
         }
         remaining[root] += 1;
 
-        // Linear-scan allocation: operands release their register at last
-        // use *before* the destination allocates, so an instruction may write
-        // in place over a dying operand.
+        // Linear-scan allocation: the destination allocates *before* the
+        // operands release their registers at last use, so no instruction
+        // writes a register it reads (the row interpreter borrows the
+        // destination row beside its operand rows).
         let mut free: Vec<Reg> = Vec::new();
         let mut next_body = 0usize;
         let mut max_live = 0usize;
@@ -586,6 +570,15 @@ impl ExecTape {
                     it.next().map(|&n| reg(n, &reg_of)),
                 )
             };
+            let dst = match free.pop() {
+                Some(r) => r,
+                None => {
+                    let r = (pinned + next_body) as Reg;
+                    next_body += 1;
+                    max_live = max_live.max(next_body);
+                    r
+                }
+            };
             for &r in &reads {
                 remaining[r] -= 1;
                 if remaining[r] == 0 {
@@ -598,30 +591,19 @@ impl ExecTape {
                     }
                 }
             }
-            let dst = match free.pop() {
-                Some(r) => r,
-                None => {
-                    let r = (pinned + next_body) as Reg;
-                    next_body += 1;
-                    max_live = max_live.max(next_body);
-                    r
-                }
-            };
             reg_of[op.def()] = Some(dst);
             body.push(match *op {
-                SymOp::Load { slot, delta, .. } => TapeOp::Load { dst, slot, delta },
+                SymOp::Load { delta, .. } => TapeOp::Load { dst, delta },
                 SymOp::Unary { op, .. } => TapeOp::Unary { op, dst, a: a.expect("unary operand") },
                 SymOp::Binary { op, .. } => {
                     TapeOp::Binary { op, dst, a: a.expect("binary lhs"), b: b.expect("binary rhs") }
                 }
-                SymOp::LoadUnary { op, slot, delta, .. } => {
-                    TapeOp::LoadUnary { op, dst, slot, delta }
+                SymOp::LoadUnary { op, delta, .. } => TapeOp::LoadUnary { op, dst, delta },
+                SymOp::LoadBinLhs { op, delta, .. } => {
+                    TapeOp::LoadBinLhs { op, dst, delta, b: a.expect("load-bin rhs") }
                 }
-                SymOp::LoadBinLhs { op, slot, delta, .. } => {
-                    TapeOp::LoadBinLhs { op, dst, slot, delta, b: a.expect("load-bin rhs") }
-                }
-                SymOp::LoadBinRhs { op, slot, delta, .. } => {
-                    TapeOp::LoadBinRhs { op, dst, a: a.expect("load-bin lhs"), slot, delta }
+                SymOp::LoadBinRhs { op, delta, .. } => {
+                    TapeOp::LoadBinRhs { op, dst, a: a.expect("load-bin lhs"), delta }
                 }
                 SymOp::MulAdd { .. } => TapeOp::MulAdd {
                     dst,
@@ -692,237 +674,129 @@ impl ExecTape {
         self.stats
     }
 
-    /// Run the prelude into the scalar register file (once per block).
+    /// Run the prelude once per block: every pinned register's `row` values
+    /// hold its constant or runtime parameter.
     #[inline]
-    pub fn run_prelude(&self, params: &[f64], regs: &mut [f64]) {
+    pub(crate) fn run_prelude(&self, params: &[f64], regs: &mut [f64], row: usize) {
         for op in &self.prelude {
-            match *op {
-                PreludeOp::Const { dst, bits } => regs[dst as usize] = f64::from_bits(bits),
-                PreludeOp::Param { dst, index } => regs[dst as usize] = params[index],
-            }
+            let (dst, value) = match *op {
+                PreludeOp::Const { dst, bits } => (dst, f64::from_bits(bits)),
+                PreludeOp::Param { dst, index } => (dst, params[index]),
+            };
+            regs[dst as usize * row..][..row].fill(value);
         }
     }
 
-    /// Broadcast the pinned prelude registers into a lane register file
-    /// (once per block, before lane execution).
-    #[inline]
-    pub fn broadcast_prelude<const N: usize>(&self, regs: &[f64], lane_regs: &mut [[f64; N]]) {
-        for i in 0..self.prelude.len() {
-            lane_regs[i] = [regs[i]; N];
-        }
-    }
-
-    /// Execute the body for one interior cell at row-major index `idx`,
-    /// returning the cell's new value.
-    #[inline]
-    pub fn exec_cell(&self, cells: &[f64], idx: usize, regs: &mut [f64]) -> f64 {
-        for op in &self.body {
-            match *op {
-                TapeOp::Load { dst, delta, .. } => {
-                    regs[dst as usize] = cells[(idx as isize + delta) as usize];
-                }
-                TapeOp::Unary { op, dst, a } => {
-                    regs[dst as usize] = op.apply(regs[a as usize]);
-                }
-                TapeOp::Binary { op, dst, a, b } => {
-                    regs[dst as usize] = op.apply(regs[a as usize], regs[b as usize]);
-                }
-                TapeOp::LoadUnary { op, dst, delta, .. } => {
-                    regs[dst as usize] = op.apply(cells[(idx as isize + delta) as usize]);
-                }
-                TapeOp::LoadBinLhs { op, dst, delta, b, .. } => {
-                    regs[dst as usize] =
-                        op.apply(cells[(idx as isize + delta) as usize], regs[b as usize]);
-                }
-                TapeOp::LoadBinRhs { op, dst, a, delta, .. } => {
-                    regs[dst as usize] =
-                        op.apply(regs[a as usize], cells[(idx as isize + delta) as usize]);
-                }
-                TapeOp::MulAdd { dst, a, b, c } => {
-                    regs[dst as usize] = regs[a as usize] * regs[b as usize] + regs[c as usize];
-                }
-                TapeOp::MulMulAdd { dst, a, b, c, d } => {
-                    regs[dst as usize] =
-                        regs[a as usize] * regs[b as usize] + regs[c as usize] * regs[d as usize];
-                }
-                TapeOp::SumLoads { dst, start, count } => {
-                    let table = &self.load_table[start as usize..(start + count) as usize];
-                    let mut acc = cells[(idx as isize + table[0].1) as usize];
-                    for &(_, delta) in &table[1..] {
-                        acc += cells[(idx as isize + delta) as usize];
-                    }
-                    regs[dst as usize] = acc;
-                }
-                TapeOp::AccLoads { dst, a, start, count } => {
-                    let table = &self.load_table[start as usize..(start + count) as usize];
-                    let mut acc = regs[a as usize];
-                    for &(_, delta) in table {
-                        acc += cells[(idx as isize + delta) as usize];
-                    }
-                    regs[dst as usize] = acc;
-                }
-            }
-        }
-        regs[self.root as usize]
-    }
-
-    /// Execute the body for `N` consecutive interior cells starting at
-    /// row-major index `base`, writing the results into `out`.  Instantiated
-    /// at [`LANES`] (one SIMD group) and [`WIDE`] (the unrolled super-group).
-    #[inline]
-    pub fn exec_lanes<const N: usize>(
+    /// Execute the body a row at a time over `plan`'s filled padded `tile`
+    /// into `out`.  `regs` holds a row of `nx` values a register, the
+    /// prelude's filled (see [`ExecTape::run_prelude`]).
+    pub(crate) fn exec_rows(
         &self,
-        cells: &[f64],
-        base: usize,
-        lane_regs: &mut [[f64; N]],
+        plan: &AccessPlan,
+        tile: &[f64],
+        regs: &mut [f64],
         out: &mut [f64],
     ) {
-        // A fixed-size view of one lane-group of cells: the array type lets
-        // the compiler drop per-element bounds checks and vectorise the loop.
-        #[inline(always)]
-        fn strip<const N: usize>(cells: &[f64], base: usize, delta: isize) -> &[f64; N] {
-            let start = (base as isize + delta) as usize;
-            cells[start..start + N].try_into().expect("lane strip is N long")
-        }
-        for op in &self.body {
-            match *op {
-                TapeOp::Load { dst, delta, .. } => {
-                    lane_regs[dst as usize] = *strip::<N>(cells, base, delta);
-                }
-                TapeOp::Unary { op, dst, a } => {
-                    let va = lane_regs[a as usize];
-                    let mut lane = [0.0; N];
-                    for (v, x) in lane.iter_mut().zip(va) {
-                        *v = op.apply(x);
+        let (nx, width) = (plan.extent_nx, plan.tile_width);
+        for (y, row) in out.chunks_exact_mut(nx).enumerate() {
+            let base = (plan.tile_origin + y * width) as isize;
+            let load = |delta: isize| &tile[(base + delta) as usize..][..nx];
+            let table = |start: u16, count: u16| {
+                self.load_table[start as usize..(start + count) as usize].iter().copied()
+            };
+            for op in &self.body {
+                match *op {
+                    TapeOp::Load { dst, delta } => {
+                        rows(regs, nx, dst, []).0.copy_from_slice(load(delta));
                     }
-                    lane_regs[dst as usize] = lane;
-                }
-                TapeOp::Binary { op, dst, a, b } => {
-                    let (va, vb) = (lane_regs[a as usize], lane_regs[b as usize]);
-                    let mut lane = [0.0; N];
-                    for (k, v) in lane.iter_mut().enumerate() {
-                        *v = op.apply(va[k], vb[k]);
-                    }
-                    lane_regs[dst as usize] = lane;
-                }
-                TapeOp::LoadUnary { op, dst, delta, .. } => {
-                    let vx = strip::<N>(cells, base, delta);
-                    let mut lane = [0.0; N];
-                    for (v, &x) in lane.iter_mut().zip(vx) {
-                        *v = op.apply(x);
-                    }
-                    lane_regs[dst as usize] = lane;
-                }
-                TapeOp::LoadBinLhs { op, dst, delta, b, .. } => {
-                    let vx = strip::<N>(cells, base, delta);
-                    let vb = lane_regs[b as usize];
-                    let mut lane = [0.0; N];
-                    for (k, v) in lane.iter_mut().enumerate() {
-                        *v = op.apply(vx[k], vb[k]);
-                    }
-                    lane_regs[dst as usize] = lane;
-                }
-                TapeOp::LoadBinRhs { op, dst, a, delta, .. } => {
-                    let vx = strip::<N>(cells, base, delta);
-                    let va = lane_regs[a as usize];
-                    let mut lane = [0.0; N];
-                    for (k, v) in lane.iter_mut().enumerate() {
-                        *v = op.apply(va[k], vx[k]);
-                    }
-                    lane_regs[dst as usize] = lane;
-                }
-                TapeOp::MulAdd { dst, a, b, c } => {
-                    let (va, vb, vc) =
-                        (lane_regs[a as usize], lane_regs[b as usize], lane_regs[c as usize]);
-                    let mut lane = [0.0; N];
-                    for (k, v) in lane.iter_mut().enumerate() {
-                        *v = va[k] * vb[k] + vc[k];
-                    }
-                    lane_regs[dst as usize] = lane;
-                }
-                TapeOp::MulMulAdd { dst, a, b, c, d } => {
-                    let (va, vb) = (lane_regs[a as usize], lane_regs[b as usize]);
-                    let (vc, vd) = (lane_regs[c as usize], lane_regs[d as usize]);
-                    let mut lane = [0.0; N];
-                    for (k, v) in lane.iter_mut().enumerate() {
-                        *v = va[k] * vb[k] + vc[k] * vd[k];
-                    }
-                    lane_regs[dst as usize] = lane;
-                }
-                TapeOp::SumLoads { dst, start, count } => {
-                    let table = &self.load_table[start as usize..(start + count) as usize];
-                    let mut acc = *strip::<N>(cells, base, table[0].1);
-                    for &(_, delta) in &table[1..] {
-                        let vx = strip::<N>(cells, base, delta);
-                        for (v, &x) in acc.iter_mut().zip(vx) {
-                            *v += x;
+                    TapeOp::Unary { op, dst, a } => {
+                        let (d, [a]) = rows(regs, nx, dst, [a]);
+                        for (d, &a) in d.iter_mut().zip(a) {
+                            *d = op.apply(a);
                         }
                     }
-                    lane_regs[dst as usize] = acc;
-                }
-                TapeOp::AccLoads { dst, a, start, count } => {
-                    let table = &self.load_table[start as usize..(start + count) as usize];
-                    let mut acc = lane_regs[a as usize];
-                    for &(_, delta) in table {
-                        let vx = strip::<N>(cells, base, delta);
-                        for (v, &x) in acc.iter_mut().zip(vx) {
-                            *v += x;
+                    TapeOp::Binary { op, dst, a, b } => {
+                        let (d, [a, b]) = rows(regs, nx, dst, [a, b]);
+                        for ((d, &a), &b) in d.iter_mut().zip(a).zip(b) {
+                            *d = op.apply(a, b);
                         }
                     }
-                    lane_regs[dst as usize] = acc;
+                    TapeOp::LoadUnary { op, dst, delta } => {
+                        let (d, []) = rows(regs, nx, dst, []);
+                        for (d, &x) in d.iter_mut().zip(load(delta)) {
+                            *d = op.apply(x);
+                        }
+                    }
+                    TapeOp::LoadBinLhs { op, dst, delta, b } => {
+                        let (d, [b]) = rows(regs, nx, dst, [b]);
+                        for ((d, &x), &b) in d.iter_mut().zip(load(delta)).zip(b) {
+                            *d = op.apply(x, b);
+                        }
+                    }
+                    TapeOp::LoadBinRhs { op, dst, a, delta } => {
+                        let (d, [a]) = rows(regs, nx, dst, [a]);
+                        for ((d, &a), &x) in d.iter_mut().zip(a).zip(load(delta)) {
+                            *d = op.apply(a, x);
+                        }
+                    }
+                    TapeOp::MulAdd { dst, a, b, c } => {
+                        let (d, [a, b, c]) = rows(regs, nx, dst, [a, b, c]);
+                        for (((d, &a), &b), &c) in d.iter_mut().zip(a).zip(b).zip(c) {
+                            *d = a * b + c;
+                        }
+                    }
+                    TapeOp::MulMulAdd { dst, a, b, c, d: e } => {
+                        let (d, [a, b, c, e]) = rows(regs, nx, dst, [a, b, c, e]);
+                        for ((((d, &a), &b), &c), &e) in d.iter_mut().zip(a).zip(b).zip(c).zip(e) {
+                            *d = a * b + c * e;
+                        }
+                    }
+                    TapeOp::SumLoads { dst, start, count } => {
+                        let (d, []) = rows(regs, nx, dst, []);
+                        let mut deltas = table(start, count);
+                        d.copy_from_slice(load(deltas.next().expect("a chain folds ≥ 2 loads")));
+                        for delta in deltas {
+                            for (d, &x) in d.iter_mut().zip(load(delta)) {
+                                *d += x;
+                            }
+                        }
+                    }
+                    TapeOp::AccLoads { dst, a, start, count } => {
+                        let (d, [a]) = rows(regs, nx, dst, [a]);
+                        d.copy_from_slice(a);
+                        for delta in table(start, count) {
+                            for (d, &x) in d.iter_mut().zip(load(delta)) {
+                                *d += x;
+                            }
+                        }
+                    }
                 }
             }
+            row.copy_from_slice(&regs[self.root as usize * nx..][..nx]);
         }
-        out[..N].copy_from_slice(&lane_regs[self.root as usize]);
     }
+}
 
-    /// Execute the body for one boundary cell whose loads were pre-gathered
-    /// into `operands` (one value per plan offset slot).
-    #[inline]
-    pub fn exec_operands(&self, operands: &[f64], regs: &mut [f64]) -> f64 {
-        for op in &self.body {
-            match *op {
-                TapeOp::Load { dst, slot, .. } => regs[dst as usize] = operands[slot as usize],
-                TapeOp::Unary { op, dst, a } => regs[dst as usize] = op.apply(regs[a as usize]),
-                TapeOp::Binary { op, dst, a, b } => {
-                    regs[dst as usize] = op.apply(regs[a as usize], regs[b as usize]);
-                }
-                TapeOp::LoadUnary { op, dst, slot, .. } => {
-                    regs[dst as usize] = op.apply(operands[slot as usize]);
-                }
-                TapeOp::LoadBinLhs { op, dst, slot, b, .. } => {
-                    regs[dst as usize] = op.apply(operands[slot as usize], regs[b as usize]);
-                }
-                TapeOp::LoadBinRhs { op, dst, a, slot, .. } => {
-                    regs[dst as usize] = op.apply(regs[a as usize], operands[slot as usize]);
-                }
-                TapeOp::MulAdd { dst, a, b, c } => {
-                    regs[dst as usize] = regs[a as usize] * regs[b as usize] + regs[c as usize];
-                }
-                TapeOp::MulMulAdd { dst, a, b, c, d } => {
-                    regs[dst as usize] =
-                        regs[a as usize] * regs[b as usize] + regs[c as usize] * regs[d as usize];
-                }
-                TapeOp::SumLoads { dst, start, count } => {
-                    let table = &self.load_table[start as usize..(start + count) as usize];
-                    let mut acc = operands[table[0].0 as usize];
-                    for &(slot, _) in &table[1..] {
-                        acc += operands[slot as usize];
-                    }
-                    regs[dst as usize] = acc;
-                }
-                TapeOp::AccLoads { dst, a, start, count } => {
-                    let table = &self.load_table[start as usize..(start + count) as usize];
-                    let mut acc = regs[a as usize];
-                    for &(slot, _) in table {
-                        acc += operands[slot as usize];
-                    }
-                    regs[dst as usize] = acc;
-                }
-            }
-        }
-        regs[self.root as usize]
-    }
+/// Register `dst`'s row of a register file of `nx`-long rows, writable,
+/// beside the rows of `srcs`, readable.  The lowering never makes an
+/// instruction's destination one of its operands, so the rows are disjoint.
+#[inline(always)]
+fn rows<const N: usize>(
+    regs: &mut [f64],
+    nx: usize,
+    dst: Reg,
+    srcs: [Reg; N],
+) -> (&mut [f64], [&[f64]; N]) {
+    let dst = dst as usize;
+    let (below, rest) = regs.split_at_mut(dst * nx);
+    let (row, above) = rest.split_at_mut(nx);
+    let (below, above) = (&*below, &*above);
+    let srcs = srcs.map(|src| match (src as usize).cmp(&dst) {
+        std::cmp::Ordering::Less => &below[src as usize * nx..][..nx],
+        std::cmp::Ordering::Greater => &above[(src as usize - dst - 1) * nx..][..nx],
+        std::cmp::Ordering::Equal => unreachable!("an instruction never reads its destination"),
+    });
+    (row, srcs)
 }
 
 impl fmt::Display for ExecTape {
@@ -946,21 +820,19 @@ impl fmt::Display for ExecTape {
         }
         for op in &self.body {
             match *op {
-                TapeOp::Load { dst, slot, delta } => {
-                    writeln!(f, "  r{dst} = load s{slot} ({delta:+})")?;
-                }
+                TapeOp::Load { dst, delta } => writeln!(f, "  r{dst} = load ({delta:+})")?,
                 TapeOp::Unary { op, dst, a } => writeln!(f, "  r{dst} = {} r{a}", op.symbol())?,
                 TapeOp::Binary { op, dst, a, b } => {
                     writeln!(f, "  r{dst} = {} r{a} r{b}", op.symbol())?;
                 }
-                TapeOp::LoadUnary { op, dst, slot, delta } => {
-                    writeln!(f, "  r{dst} = {} load s{slot} ({delta:+})", op.symbol())?;
+                TapeOp::LoadUnary { op, dst, delta } => {
+                    writeln!(f, "  r{dst} = {} load ({delta:+})", op.symbol())?;
                 }
-                TapeOp::LoadBinLhs { op, dst, slot, delta, b } => {
-                    writeln!(f, "  r{dst} = {} load s{slot} ({delta:+}) r{b}", op.symbol())?;
+                TapeOp::LoadBinLhs { op, dst, delta, b } => {
+                    writeln!(f, "  r{dst} = {} load ({delta:+}) r{b}", op.symbol())?;
                 }
-                TapeOp::LoadBinRhs { op, dst, a, slot, delta } => {
-                    writeln!(f, "  r{dst} = {} r{a} load s{slot} ({delta:+})", op.symbol())?;
+                TapeOp::LoadBinRhs { op, dst, a, delta } => {
+                    writeln!(f, "  r{dst} = {} r{a} load ({delta:+})", op.symbol())?;
                 }
                 TapeOp::MulAdd { dst, a, b, c } => {
                     writeln!(f, "  r{dst} = muladd r{a} r{b} r{c}")?;
@@ -970,17 +842,15 @@ impl fmt::Display for ExecTape {
                 }
                 TapeOp::SumLoads { dst, start, count } => {
                     write!(f, "  r{dst} = sumloads")?;
-                    for &(slot, delta) in &self.load_table[start as usize..(start + count) as usize]
-                    {
-                        write!(f, " s{slot}({delta:+})")?;
+                    for delta in &self.load_table[start as usize..(start + count) as usize] {
+                        write!(f, " ({delta:+})")?;
                     }
                     writeln!(f)?;
                 }
                 TapeOp::AccLoads { dst, a, start, count } => {
                     write!(f, "  r{dst} = accloads r{a}")?;
-                    for &(slot, delta) in &self.load_table[start as usize..(start + count) as usize]
-                    {
-                        write!(f, " s{slot}({delta:+})")?;
+                    for delta in &self.load_table[start as usize..(start + count) as usize] {
+                        write!(f, " ({delta:+})")?;
                     }
                     writeln!(f)?;
                 }
@@ -994,8 +864,9 @@ impl fmt::Display for ExecTape {
 // Scratch
 // ---------------------------------------------------------------------------
 
-/// Reusable per-task execution scratch: the tape interpreter's register
-/// files, boundary operand and halo ring buffers, and a specialized tile.
+/// Reusable per-task execution scratch: the tape's register file (a row of
+/// the block's width a register), the halo ring and the padded tile a block
+/// runs from.
 ///
 /// Create once (or check out of a [`ScratchPool`]), pass to every
 /// [`execute_block`](crate::plan::CompiledKernel::execute_block) call; the
@@ -1004,12 +875,9 @@ impl fmt::Display for ExecTape {
 #[derive(Debug, Clone, Default)]
 pub struct ExecScratch {
     pub(crate) regs: Vec<f64>,
-    pub(crate) lane_regs: Vec<[f64; LANES]>,
-    pub(crate) wide_regs: Vec<[f64; WIDE]>,
-    pub(crate) operands: Vec<f64>,
     /// One value per slot of the plan's halo ring, filled once per block.
     pub(crate) ring: Vec<f64>,
-    /// A block and its ring in one row-major tile (see `spec.rs`).
+    /// A block and its ring in one row-major tile (see [`AccessPlan`]).
     pub(crate) tile: Vec<f64>,
 }
 
@@ -1019,36 +887,18 @@ impl ExecScratch {
         Self::default()
     }
 
-    /// Grow the buffers to fit a tape with `num_regs` registers, `slots`
-    /// boundary operand slots, `ring` halo-ring slots, and (for lane
-    /// backends) lane registers.
+    /// Grow the buffers to at least `regs` register values, `ring`
+    /// halo-ring slots and a `tile` values long tile.
     #[inline]
-    pub(crate) fn ensure(&mut self, num_regs: usize, slots: usize, ring: usize, lanes: bool) {
-        if self.regs.len() < num_regs {
-            self.regs.resize(num_regs, 0.0);
-        }
-        if lanes && self.lane_regs.len() < num_regs {
-            self.lane_regs.resize(num_regs, [0.0; LANES]);
-        }
-        if lanes && self.wide_regs.len() < num_regs {
-            self.wide_regs.resize(num_regs, [0.0; WIDE]);
-        }
-        if self.operands.len() < slots {
-            self.operands.resize(slots, 0.0);
-        }
-        if self.ring.len() < ring {
-            self.ring.resize(ring, 0.0);
+    pub(crate) fn ensure(&mut self, regs: usize, ring: usize, tile: usize) {
+        for (buf, len) in [(&mut self.regs, regs), (&mut self.ring, ring), (&mut self.tile, tile)] {
+            buf.resize(buf.len().max(len), 0.0);
         }
     }
 
     /// Bytes currently held by the scratch buffers.
     pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of_val(self.regs.as_slice())
-            + std::mem::size_of_val(self.lane_regs.as_slice())
-            + std::mem::size_of_val(self.wide_regs.as_slice())
-            + std::mem::size_of_val(self.operands.as_slice())
-            + std::mem::size_of_val(self.ring.as_slice())
-            + std::mem::size_of_val(self.tile.as_slice())
+        [&self.regs, &self.ring, &self.tile].iter().map(|buf| std::mem::size_of_val(&buf[..])).sum()
     }
 }
 
@@ -1133,14 +983,46 @@ impl fmt::Debug for ScratchPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{jacobi_5pt, lit, load, param, smooth_9pt};
+    use crate::backend::{ExecStats, Processor};
+    use crate::expr::{jacobi_5pt, lit, load, param, smooth_9pt, KernelExpr};
     use crate::opt::OptLevel;
+    use crate::plan::CompiledKernel;
+    use crate::program::StencilProgram;
+    use aohpc_env::Extent;
 
-    fn tape_for(expr: &crate::expr::KernelExpr, nx: usize, ny: usize) -> (Dag, ExecTape) {
+    fn tape_for(expr: &KernelExpr, nx: usize, ny: usize) -> (Dag, ExecTape) {
         let dag = Dag::lower(expr, OptLevel::Full);
         let plan = AccessPlan::build(&dag.offsets(), nx, ny);
         let tape = ExecTape::lower(&dag, &plan);
         (dag, tape)
+    }
+
+    fn halo(x: i64, y: i64) -> f64 {
+        ((x * 5 - y * 3) % 11) as f64 * 0.0625
+    }
+
+    /// One `nx × ny` block of `expr` through the row interpreter (the
+    /// specialized loop off), out-of-block loads reading [`halo`].
+    fn exec_rows_of(
+        expr: &KernelExpr,
+        nx: usize,
+        ny: usize,
+        cells: &[f64],
+        params: &[f64],
+    ) -> Vec<f64> {
+        let program = StencilProgram::new("rows", expr.clone(), params.len()).unwrap();
+        let compiled = CompiledKernel::compile(&program, Extent::new2d(nx, ny), OptLevel::Full);
+        let mut out = vec![0.0; nx * ny];
+        compiled.execute_block_unspecialized(
+            cells,
+            params,
+            &mut halo,
+            &mut out,
+            Processor::Scalar,
+            &mut ExecStats::default(),
+            &mut ExecScratch::new(),
+        );
+        out
     }
 
     #[test]
@@ -1181,56 +1063,63 @@ mod tests {
     fn muladd_keeps_two_roundings() {
         // a*b + c with values chosen so FMA (one rounding) differs from
         // mul-then-add (two roundings).
-        let e = param(0) * param(1) + param(2);
-        let (_, tape) = tape_for(&(load(0, 0) * lit(0.0) + e), 4, 4);
+        let e = load(0, 0) * lit(0.0) + (param(0) * param(1) + param(2));
+        let (_, tape) = tape_for(&e, 4, 4);
+        assert!(tape.body().iter().any(|op| matches!(op, TapeOp::MulAdd { .. })), "{tape}");
         // a*b = 1 + 2^-26 + 2^-54 rounds to 1 + 2^-26, so a*b + c rounds to
         // 0.0 with two roundings but to 2^-54 under FMA.
         let params = [1.0 + 2f64.powi(-27), 1.0 + 2f64.powi(-27), -(1.0 + 2f64.powi(-26))];
-        let mut scratch = ExecScratch::new();
-        scratch.ensure(tape.num_regs(), 1, 0, false);
-        tape.run_prelude(&params, &mut scratch.regs);
-        let got = tape.exec_operands(&[0.0], &mut scratch.regs);
+        let got = exec_rows_of(&e, 4, 4, &[1.0; 16], &params);
         let want = params[0] * params[1] + params[2];
         let fma = params[0].mul_add(params[1], params[2]);
-        assert_eq!(got.to_bits(), want.to_bits(), "tape matches mul-then-add");
+        for v in got {
+            assert_eq!(v.to_bits(), want.to_bits(), "tape matches mul-then-add");
+        }
         assert_ne!(want.to_bits(), fma.to_bits(), "the probe actually distinguishes FMA");
     }
 
     #[test]
     fn tape_matches_dag_eval_cell_by_cell() {
-        for expr in [jacobi_5pt(), smooth_9pt()] {
+        let mixed = (-load(0, 0)).abs() - param(0) * (load(1, 0) - load(-1, 1)).max(load(0, -1));
+        for expr in [jacobi_5pt(), smooth_9pt(), mixed] {
             let (nx, ny) = (8usize, 6usize);
             let dag = Dag::lower(&expr, OptLevel::Full);
-            let plan = AccessPlan::build(&dag.offsets(), nx, ny);
-            let tape = ExecTape::lower(&dag, &plan);
             let params = [0.5, 0.125];
             let cells: Vec<f64> = (0..nx * ny).map(|k| (k as f64 * 0.37).sin() + 1.5).collect();
-            let mut scratch = ExecScratch::new();
-            scratch.ensure(tape.num_regs(), plan.offsets.len(), 0, true);
-            tape.run_prelude(&params, &mut scratch.regs);
-            tape.broadcast_prelude(&scratch.regs.clone(), &mut scratch.lane_regs);
-            for y in plan.interior.y0..plan.interior.y1 {
-                for x in plan.interior.x0..plan.interior.x1 {
-                    let idx = (y * nx as i64 + x) as usize;
-                    let got = tape.exec_cell(&cells, idx, &mut scratch.regs);
-                    let want = dag.eval(
-                        &mut |dx, dy| cells[((y + dy) * nx as i64 + x + dx) as usize],
-                        &params,
-                    );
-                    assert_eq!(got.to_bits(), want.to_bits(), "cell ({x},{y})");
-                }
+            let got = exec_rows_of(&expr, nx, ny, &cells, &params);
+            for (k, got) in got.iter().enumerate() {
+                let (x, y) = ((k % nx) as i64, (k / nx) as i64);
+                let mut loads = |dx: i64, dy: i64| {
+                    let (tx, ty) = (x + dx, y + dy);
+                    if (0..nx as i64).contains(&tx) && (0..ny as i64).contains(&ty) {
+                        cells[(ty * nx as i64 + tx) as usize]
+                    } else {
+                        halo(tx, ty)
+                    }
+                };
+                let want = dag.eval(&mut loads, &params);
+                assert_eq!(got.to_bits(), want.to_bits(), "{expr} cell ({x},{y})");
             }
-            // Lane groups agree with per-cell execution.
-            if plan.interior.x1 - plan.interior.x0 >= LANES as i64 {
-                let y = plan.interior.y0;
-                let base = (y * nx as i64 + plan.interior.x0) as usize;
-                let mut out = [0.0; LANES];
-                tape.exec_lanes(&cells, base, &mut scratch.lane_regs, &mut out);
-                for (k, &v) in out.iter().enumerate() {
-                    let want = tape.exec_cell(&cells, base + k, &mut scratch.regs);
-                    assert_eq!(v.to_bits(), want.to_bits(), "lane {k}");
-                }
-            }
+        }
+    }
+
+    #[test]
+    fn no_instruction_writes_a_register_it_reads() {
+        let (_, tape) = tape_for(&(jacobi_5pt() + (-load(1, 1)).abs() * load(0, 0)), 8, 8);
+        for op in tape.body() {
+            let (dst, reads): (Reg, Vec<Reg>) = match *op {
+                TapeOp::Unary { dst, a, .. }
+                | TapeOp::LoadBinRhs { dst, a, .. }
+                | TapeOp::AccLoads { dst, a, .. } => (dst, vec![a]),
+                TapeOp::LoadBinLhs { dst, b, .. } => (dst, vec![b]),
+                TapeOp::Binary { dst, a, b, .. } => (dst, vec![a, b]),
+                TapeOp::MulAdd { dst, a, b, c } => (dst, vec![a, b, c]),
+                TapeOp::MulMulAdd { dst, a, b, c, d } => (dst, vec![a, b, c, d]),
+                TapeOp::Load { dst, .. }
+                | TapeOp::LoadUnary { dst, .. }
+                | TapeOp::SumLoads { dst, .. } => (dst, vec![]),
+            };
+            assert!(!reads.contains(&dst), "{tape}");
         }
     }
 
@@ -1242,10 +1131,7 @@ mod tests {
         let (_, tape) = tape_for(&e, 4, 4);
         assert_eq!(tape.body().len(), 0, "{tape}");
         assert_eq!(tape.ops_per_cell(), 0);
-        let mut scratch = ExecScratch::new();
-        scratch.ensure(tape.num_regs(), 0, 0, false);
-        tape.run_prelude(&[], &mut scratch.regs);
-        assert_eq!(tape.exec_cell(&[1.0; 16], 5, &mut scratch.regs), 2.5);
+        assert_eq!(exec_rows_of(&e, 4, 4, &[1.0; 16], &[]), [2.5; 16]);
     }
 
     #[test]
@@ -1278,10 +1164,10 @@ mod tests {
     fn scratch_footprint_grows_with_use() {
         let mut s = ExecScratch::new();
         assert_eq!(s.footprint_bytes(), 0);
-        s.ensure(4, 5, 6, true);
+        s.ensure(4, 5, 6);
         let grown = s.footprint_bytes();
-        assert!(grown > 0);
-        s.ensure(2, 1, 1, false);
+        assert_eq!(grown, 15 * 8);
+        s.ensure(2, 1, 1);
         assert_eq!(s.footprint_bytes(), grown, "ensure never shrinks");
     }
 }
