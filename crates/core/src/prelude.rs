@@ -16,8 +16,8 @@ pub use aohpc_env::{
     TreeTopology,
 };
 pub use aohpc_kernel::{
-    FamilyProgram, HeteroDispatcher, IrStencilApp, KernelFamilyId, OptLevel, ParticleProgram,
-    Processor, ProgramFingerprint, SchedulePolicy, StencilProgram, UsGridProgram,
+    FamilyProgram, IrStencilApp, KernelFamilyId, OptLevel, ParticleProgram, Processor,
+    ProgramFingerprint, StencilProgram, UsGridProgram,
 };
 pub use aohpc_mem::{MemoryPool, MultiBuffer, PageTable, PoolHandle, PoolSet};
 pub use aohpc_runtime::{

@@ -7,8 +7,8 @@
 //! runtime's one blanket `HpcApp` impl over [`BlockSweep`].
 //!
 //! The block routine reads the block with one slab `GetDD`
-//! ([`TaskCtx::get_block_dd`]), runs the compiled kernel on the
-//! dispatcher's backend, and writes the block back with one slab `SetD`
+//! ([`TaskCtx::get_block_dd`]), runs the compiled kernel, and writes the
+//! block back with one slab `SetD`
 //! ([`TaskCtx::set_block`]).  Only the true out-of-block halo comes through
 //! the platform: the plan's [`HaloRing`] lists each of those cells once, and
 //! [`fill_halo_ring`] reads the ring with one run read per edge
@@ -21,14 +21,12 @@
 //! invisible to the aspect modules.
 
 use crate::backend::{ExecStats, Processor};
-use crate::hetero::{HeteroDispatcher, PerProcessorStats};
 use crate::opt::{OptLevel, OptStats};
 use crate::plan::{CompiledKernel, HaloRing, PlanSource};
 use crate::program::StencilProgram;
 use crate::tape::{ExecScratch, ScratchPool};
 use aohpc_env::{BlockId, Extent, GlobalAddress, LocalAddress};
 use aohpc_runtime::{BlockSweep, FieldSink, TaskCtx, TaskSlot};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -79,17 +77,6 @@ impl Drop for KernelScratch {
 /// The platform's [`FieldSink`] under the names stencil callers know it by.
 pub use aohpc_runtime::{new_field_sink as new_stencil_field_sink, FieldSink as StencilFieldSink};
 
-/// Shared sink receiving every task's execution statistics, merged in block
-/// by block: on one rank `blocks` totals blocks × steps (plus retried
-/// passes); across ranks the warm-up pass counts too (see
-/// `HpcApp::processing`).
-pub type StatsSink = Arc<Mutex<PerProcessorStats>>;
-
-/// Create an empty statistics sink.
-pub fn new_stats_sink() -> StatsSink {
-    Arc::new(Mutex::new(PerProcessorStats::default()))
-}
-
 /// An end-user application whose block routine is an IR subkernel.
 #[derive(Clone)]
 pub struct IrStencilApp {
@@ -97,9 +84,7 @@ pub struct IrStencilApp {
     params: Vec<f64>,
     loops: usize,
     opt_level: OptLevel,
-    dispatcher: HeteroDispatcher,
     field_sink: Option<FieldSink>,
-    stats_sink: Option<StatsSink>,
     plan_source: Option<Arc<dyn PlanSource>>,
     scratch_pool: Option<Arc<ScratchPool>>,
     compiled: HashMap<(usize, usize), Arc<CompiledKernel>>,
@@ -120,7 +105,7 @@ impl std::fmt::Debug for IrStencilApp {
 
 impl IrStencilApp {
     /// An application running `program` with the given parameters for `loops`
-    /// steps, scalar backend, full optimization and the sample DSLs' default
+    /// steps, full optimization and the sample DSLs' default
     /// initial condition.
     pub fn new(program: StencilProgram, params: Vec<f64>, loops: usize) -> Self {
         assert!(
@@ -135,9 +120,7 @@ impl IrStencilApp {
             params,
             loops,
             opt_level: OptLevel::Full,
-            dispatcher: HeteroDispatcher::default(),
             field_sink: None,
-            stats_sink: None,
             plan_source: None,
             scratch_pool: None,
             compiled: HashMap::new(),
@@ -151,26 +134,9 @@ impl IrStencilApp {
         self
     }
 
-    /// Use a heterogeneous dispatcher (which backend runs which block).
-    pub fn with_dispatcher(mut self, dispatcher: HeteroDispatcher) -> Self {
-        self.dispatcher = dispatcher;
-        self
-    }
-
-    /// Run every block on one backend.
-    pub fn with_processor(self, processor: Processor) -> Self {
-        self.with_dispatcher(HeteroDispatcher::single(processor))
-    }
-
     /// Deposit the final field into a sink.
     pub fn with_field_sink(mut self, sink: FieldSink) -> Self {
         self.field_sink = Some(sink);
-        self
-    }
-
-    /// Deposit per-processor execution statistics into a sink.
-    pub fn with_stats_sink(mut self, sink: StatsSink) -> Self {
-        self.stats_sink = Some(sink);
         self
     }
 
@@ -253,8 +219,7 @@ impl BlockSweep for IrStencilApp {
         *v
     }
 
-    fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId, i: usize, n: usize) {
-        let processor = self.dispatcher.processor_for(i, n);
+    fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId, _i: usize, _n: usize) {
         // Compile (or reuse) the plan for this block shape.
         let ext = ctx.env().block(bid).meta.extent;
         let compiled = self.compiled_for(ext);
@@ -262,26 +227,21 @@ impl BlockSweep for IrStencilApp {
         let scratch = self.scratch.get_or_insert_with(|| KernelScratch::acquire(pool.clone()));
         let KernelScratch { exec, cells, out, .. } = scratch;
 
-        // Gather the block's current values (slab GetDD), execute on the
-        // assigned backend with the halo ring coming through the platform
-        // run by run (so MMAT / Env-search semantics are preserved), and
+        // Gather the block's current values (slab GetDD), execute with the
+        // halo ring coming through the platform run by run (so MMAT / Env-search semantics are preserved), and
         // write the next-step values back (slab SetD).
         cells.resize(ext.cells(), 0.0);
         out.resize(ext.cells(), 0.0);
         ctx.get_block_dd(bid, cells);
-        let mut stats = ExecStats::default();
         compiled.execute_block_ring(
             cells,
             &self.params,
             |ring, buf| fill_halo_ring(ctx, bid, ring, buf),
             out,
-            processor,
-            &mut stats,
+            Processor::Scalar,
+            &mut ExecStats::default(),
             exec,
         );
-        if let Some(sink) = &self.stats_sink {
-            sink.lock().record(processor, &stats);
-        }
         ctx.set_block(bid, out);
     }
 }
@@ -371,42 +331,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_modes_match_reference_for_every_backend() {
+    fn parallel_modes_match_reference() {
         let region = RegionSize::square(32);
-        let want = reference_field(region, 3);
-        for processor in [Processor::Scalar, Processor::Simd] {
-            let woven = Weaver::new()
-                .with_aspect(Box::new(MpiAspect::<f64>::new()))
-                .with_aspect(Box::new(OmpAspect::<f64>::new()))
-                .weave();
-            let app = IrStencilApp::new(StencilProgram::jacobi_5pt(), vec![ALPHA, BETA], 3)
-                .with_processor(processor);
-            let (field, report) = run_ir_app(region, 8, Topology::hybrid(2, 2), woven, app);
-            assert_eq!(report.tasks.len(), 4);
-            close(&field, &want);
-        }
-    }
-
-    #[test]
-    fn heterogeneous_schedule_matches_reference_and_records_stats() {
-        use crate::hetero::SchedulePolicy;
-        let region = RegionSize::square(32);
-        let stats_sink = new_stats_sink();
-        let app = IrStencilApp::new(StencilProgram::jacobi_5pt(), vec![ALPHA, BETA], 3)
-            .with_dispatcher(HeteroDispatcher::new(SchedulePolicy::RoundRobin(vec![
-                Processor::Simd,
-                Processor::Scalar,
-                Processor::Simd,
-            ])))
-            .with_stats_sink(stats_sink.clone());
-        let (field, _) = run_ir_app(region, 8, Topology::serial(), WovenProgram::unwoven(), app);
+        let woven = Weaver::new()
+            .with_aspect(Box::new(MpiAspect::<f64>::new()))
+            .with_aspect(Box::new(OmpAspect::<f64>::new()))
+            .weave();
+        let app = IrStencilApp::new(StencilProgram::jacobi_5pt(), vec![ALPHA, BETA], 3);
+        let (field, report) = run_ir_app(region, 8, Topology::hybrid(2, 2), woven, app);
+        assert_eq!(report.tasks.len(), 4);
         close(&field, &reference_field(region, 3));
-        let stats = stats_sink.lock();
-        assert!(stats.get(Processor::Scalar).is_some());
-        assert!(stats.get(Processor::Simd).is_some());
-        // 16 blocks × 3 steps = 48 block executions (one rank: no warm-up
-        // sweep; with it this read 16 × (1 + 3) = 64).
-        assert_eq!(stats.total().blocks, 48);
     }
 
     #[test]
@@ -453,8 +387,7 @@ mod tests {
 
         let woven = Weaver::new().with_aspect(Box::new(MpiAspect::<f64>::new())).weave();
         let topo = Topology::new(vec![LayerSpec::distributed(3)]);
-        let app = IrStencilApp::new(StencilProgram::smooth_9pt(), vec![0.6, 0.05], 2)
-            .with_processor(Processor::Simd);
+        let app = IrStencilApp::new(StencilProgram::smooth_9pt(), vec![0.6, 0.05], 2);
         let (field, report) = run_ir_app(region, 8, topo, woven, app);
         assert_eq!(report.ranks.len(), 3);
         close(&field, reference.values());

@@ -1,26 +1,26 @@
-//! Execution backends for compiled subkernels.
+//! Execution of compiled subkernels.
 //!
 //! The paper's future-work §VI proposes that "the platform generates kernels
 //! for multiple types of processors and executes them heterogeneously, using
-//! GPUs, SIMD, and other accelerators".  This module models two processors:
+//! GPUs, SIMD, and other accelerators".  This platform generates one kernel
+//! and runs it one way: every block — interior and boundary alike — runs
+//! from one padded tile (the block's rows and its halo ring), through the
+//! register-allocated [`ExecTape`](crate::tape::ExecTape) a row at a time
+//! or, for a specialized kernel (see `spec.rs`), its monomorphic row loop,
+//! from a caller-provided [`ExecScratch`].  The steady-state block path
+//! performs **zero heap allocations** (see `tests/no_alloc.rs`).
+//!
+//! [`Processor`] is an accounting label kept for the kernel API, not a
+//! choice of code: it selects only how a block's [`ExecStats`] are
+//! accounted (`AccessPlan::exec_stats`), and results are bit-identical
+//! under both values.
 //!
 //! * [`Processor::Scalar`] — one cell at a time, the shape a plain C++ loop
-//!   (or the paper's prototype) executes;
+//!   (or the paper's prototype) executes; the platform's block routine
+//!   (`IrStencilApp`) runs every block under this label;
 //! * [`Processor::Simd`] — the interior region in fixed-width lanes
-//!   ([`LANES`] cells per vector op), the shape a vectorising compiler,
-//!   explicit SIMD intrinsics or a device kernel launch produce.  What a
-//!   device would add is transfer volume, and that follows from the
-//!   counters already kept (see [`ExecStats::halo_fetches`]).
-//!
-//! A `Processor` is an accounting label on one execute path: every block —
-//! interior and boundary alike — runs from one padded tile (the block's
-//! rows and its halo ring), through the register-allocated
-//! [`ExecTape`](crate::tape::ExecTape) a row at a time or, for a specialized
-//! kernel (see `spec.rs`), its monomorphic row loop, from a caller-provided
-//! [`ExecScratch`].  The processors differ only in the [`ExecStats`] they
-//! are accounted (`AccessPlan::exec_stats`); their results are
-//! bit-identical, and the steady-state block path performs **zero heap
-//! allocations** (see `tests/no_alloc.rs`).
+//!   ([`LANES`] cells per vector op), the shape a vectorising compiler or
+//!   explicit SIMD intrinsics produce.
 //!
 //! The tree-walk oracle (`execute_block_tree`, compiled for this crate's
 //! tests only) evaluates every cell with [`Dag::eval`](crate::opt::Dag::eval)
@@ -34,7 +34,7 @@ use serde::Serialize;
 
 pub use crate::tape::LANES;
 
-/// The processor model a block is executed on.
+/// The processor model a block's [`ExecStats`] are accounted for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Processor {
     /// One cell at a time.

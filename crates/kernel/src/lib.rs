@@ -4,9 +4,8 @@
 //!
 //! * **Subkernel modification** — end-users (or DSL parts) describe the
 //!   per-cell update as an expression IR ([`expr`], [`program`]) instead of a
-//!   hand-written loop; the platform then *generates* the kernel for
-//!   different processor models ([`backend`]) and can execute them
-//!   heterogeneously across blocks ([`hetero`]).
+//!   hand-written loop; the platform then *generates* the kernel and
+//!   executes it ([`backend`]).
 //! * **Cache of data access resolution** — the address of every load is
 //!   resolved once per (program, block shape) pair at compile time
 //!   ([`plan`]): interior loads become precomputed row-major index offsets
@@ -17,17 +16,17 @@
 //! The pipeline is: [`expr::KernelExpr`] → [`program::StencilProgram`]
 //! (validation) → [`opt::Dag`] (CSE, constant folding, algebraic
 //! simplification) → [`plan::CompiledKernel`] (access-resolution cache) →
-//! [`backend::Processor`] execution, optionally wrapped in
+//! block execution ([`backend`]), optionally wrapped in
 //! [`app::IrStencilApp`] to run on the platform under any aspect-module
 //! combination.
 //!
 //! The compiled kernel carries a register-allocated execution [`tape`]
 //! (lowered once at compile time: constants/params hoisted to a per-block
 //! prelude, loads fused into their consumers, scratch reduced to the liveness
-//! peak), which both backends interpret from a reusable
-//! [`ExecScratch`] — so the steady-state block loop allocates nothing.  A
-//! tape that matches a hot shape runs its blocks from a padded tile in the
-//! same scratch instead ([`spec`]).
+//! peak), which runs every block from a reusable [`ExecScratch`] — so the
+//! steady-state block loop allocates nothing.  A tape that matches a hot
+//! shape runs its blocks from a padded tile in the same scratch instead
+//! ([`spec`]).
 //!
 //! ```
 //! use aohpc_kernel::prelude::*;
@@ -61,7 +60,6 @@ pub mod backend;
 pub mod expr;
 pub mod family;
 pub mod field;
-pub mod hetero;
 pub mod opt;
 pub mod plan;
 pub mod portable;
@@ -70,8 +68,7 @@ pub mod spec;
 pub mod tape;
 
 pub use app::{
-    default_initial_value, fill_halo_ring, new_stats_sink, new_stencil_field_sink, IrStencilApp,
-    StatsSink, StencilFieldSink,
+    default_initial_value, fill_halo_ring, new_stencil_field_sink, IrStencilApp, StencilFieldSink,
 };
 pub use backend::{ExecStats, Processor, LANES};
 pub use expr::{jacobi_5pt, lit, load, param, smooth_9pt, BinOp, KernelExpr, UnaryOp};
@@ -80,7 +77,6 @@ pub use family::{
     ParticleKernel, ParticleProgram, UsBlockLawFn, UsGridKernel, UsGridProgram, UsUpdateFn,
 };
 pub use field::DenseField;
-pub use hetero::{HeteroDispatcher, PerProcessorStats, ScheduleError, SchedulePolicy};
 pub use opt::{Dag, OptLevel, OptStats};
 pub use plan::{AccessPlan, CompiledKernel, HaloRing, HaloRun, PlanSource};
 pub use portable::{PortableError, PortableKernel};
@@ -90,16 +86,13 @@ pub use tape::{ExecScratch, ExecTape, ScratchPool, ScratchPoolStats, TapeStats};
 
 /// Convenience re-exports for downstream users (examples, benches).
 pub mod prelude {
-    pub use crate::app::{
-        new_stats_sink, new_stencil_field_sink, IrStencilApp, StatsSink, StencilFieldSink,
-    };
+    pub use crate::app::{new_stencil_field_sink, IrStencilApp, StencilFieldSink};
     pub use crate::backend::{ExecStats, Processor};
     pub use crate::expr::{lit, load, param, KernelExpr};
     pub use crate::family::{
         FamilyArtifact, FamilyProgram, KernelFamilyId, ParticleProgram, UsGridProgram,
     };
     pub use crate::field::DenseField;
-    pub use crate::hetero::{HeteroDispatcher, PerProcessorStats, ScheduleError, SchedulePolicy};
     pub use crate::opt::{Dag, OptLevel, OptStats};
     pub use crate::plan::{AccessPlan, CompiledKernel, PlanSource};
     pub use crate::portable::PortableKernel;

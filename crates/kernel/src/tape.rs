@@ -29,7 +29,7 @@
 //!   `prelude + max_live` registers instead of `dag.len()` values.  An
 //!   instruction's destination is never one of its own operands' registers.
 //!
-//! [`ExecTape::exec_rows`] interprets the body a *row* at a time over the
+//! `ExecTape::exec_rows` interprets the body a *row* at a time over the
 //! block's padded tile (see [`AccessPlan`]): every register holds a row of
 //! the block's width, every instruction is one loop over contiguous `f64`,
 //! and a load is a sub-slice of the tile at its delta.  Each cell still sees

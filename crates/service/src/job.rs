@@ -3,8 +3,8 @@
 //! A [`JobSpec`] is everything one submission needs: the program, its runtime
 //! parameters, the region to sweep, how it is blocked, how many steps to run,
 //! and the execution knobs the one-shot harnesses already understand
-//! ([`SchedulePolicy`], [`Topology`], [`WeaveMode`], [`OptLevel`]).  A
-//! [`JobReport`] is the compact result the service hands back per job.
+//! ([`Topology`], [`WeaveMode`], [`OptLevel`]).  A [`JobReport`] is the
+//! compact result the service hands back per job.
 //!
 //! Submission returns a [`JobHandle`] — a poll/wait future backed by a
 //! shared [`CompletionSlot`].  Every accepted job **resolves exactly once**
@@ -22,8 +22,8 @@ use crate::session::SessionId;
 use aohpc_dsl::particle::BUCKETS_PER_BLOCK_SIDE;
 use aohpc_dsl::ParticleSystem;
 use aohpc_kernel::{
-    FamilyProgram, OptLevel, ParticleProgram, ProgramFingerprint, SchedulePolicy, SpecializationId,
-    StencilProgram, UsGridProgram,
+    FamilyProgram, OptLevel, ParticleProgram, ProgramFingerprint, SpecializationId, StencilProgram,
+    UsGridProgram,
 };
 use aohpc_runtime::{CompletionSlot, Progress, ProgressNotifier, RunSummary, Topology, WeaveMode};
 use aohpc_workloads::{ParticleSize, RegionSize, Scale};
@@ -110,8 +110,6 @@ pub struct JobSpec {
     pub particles: Option<usize>,
     /// Optimization level for the compiled plan.
     pub opt_level: OptLevel,
-    /// Which backend executes which block.
-    pub policy: SchedulePolicy,
     /// Parallel topology of the run.
     pub topology: Topology,
     /// Whether join points dispatch through the weaver.
@@ -129,7 +127,6 @@ impl JobSpec {
             steps: 1,
             particles: None,
             opt_level: OptLevel::Full,
-            policy: SchedulePolicy::default(),
             topology: Topology::serial(),
             weave_mode: WeaveMode::Woven,
         }
@@ -242,12 +239,6 @@ impl JobSpec {
     /// Set the optimization level.
     pub fn with_opt_level(mut self, level: OptLevel) -> Self {
         self.opt_level = level;
-        self
-    }
-
-    /// Set the block-to-processor policy.
-    pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -591,7 +582,7 @@ impl fmt::Debug for JobHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aohpc_kernel::{PairLaw, Processor};
+    use aohpc_kernel::PairLaw;
 
     #[test]
     fn builders_override_defaults() {
@@ -600,13 +591,11 @@ mod tests {
                 .with_block(16)
                 .with_steps(5)
                 .with_opt_level(OptLevel::None)
-                .with_policy(SchedulePolicy::Single(Processor::Simd))
                 .with_topology(Topology::hybrid(2, 2))
                 .with_weave_mode(WeaveMode::Direct);
         assert_eq!(spec.block, 16);
         assert_eq!(spec.steps, 5);
         assert_eq!(spec.opt_level, OptLevel::None);
-        assert_eq!(spec.policy, SchedulePolicy::Single(Processor::Simd));
         assert_eq!(spec.topology.total_tasks(), 4);
         assert_eq!(spec.weave_mode, WeaveMode::Direct);
     }

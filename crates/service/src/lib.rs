@@ -19,12 +19,13 @@
 //!   hot sessions pinned while any other exists, and
 //!   [`PlanCacheStats::for_family`] breaks hits/misses down per family.
 //! * [`JobSpec`] / [`JobReport`] — the submission unit (a [`FamilyProgram`]
-//!   of any family, region, blocking, steps, schedule policy, topology,
-//!   weave mode) and its result (field checksum, deterministic simulated
-//!   time, run digest).  Malformed specs are rejected at admission with a
-//!   typed [`JobSpecError`].  Stock constructors cover all three families:
-//!   [`JobSpec::jacobi`] / [`JobSpec::smooth`] (stencil),
-//!   [`JobSpec::particle`], [`JobSpec::usgrid`].
+//!   of any family, region, blocking, steps, topology, weave mode) and its
+//!   result (field checksum, deterministic simulated time, run digest).
+//!   Malformed specs are rejected at admission with a typed
+//!   [`JobSpecError`] inside [`SubmitError::InvalidJob`].  Stock
+//!   constructors cover all three families: [`JobSpec::jacobi`] /
+//!   [`JobSpec::smooth`] (stencil), [`JobSpec::particle`],
+//!   [`JobSpec::usgrid`].
 //! * [`KernelService`] — the front door: `open_session` → `submit` /
 //!   `try_submit` / `submit_timeout` / `submit_batch`, with per-session
 //!   admission quotas applied as **backpressure** and a bounded

@@ -39,7 +39,7 @@
 
 use crate::cache::{PlanCache, PlanCacheStats, PlanOrigin};
 use crate::job::{
-    JobCell, JobError, JobErrorKind, JobHandle, JobId, JobOutcome, JobReport, JobSpec,
+    JobCell, JobError, JobErrorKind, JobHandle, JobId, JobOutcome, JobReport, JobSpec, JobSpecError,
 };
 use crate::session::{
     CompletionStream, SessionCtx, SessionId, SessionMeter, SessionSpec, StreamState,
@@ -50,7 +50,7 @@ use aohpc_dsl::{
     UsBlockLaw, UsGridSystem, UsGridValueApp, UsGridValueSystem,
 };
 use aohpc_env::Extent;
-use aohpc_kernel::{FamilyArtifact, HeteroDispatcher, IrStencilApp, ScratchPool, SpecializationId};
+use aohpc_kernel::{FamilyArtifact, IrStencilApp, ScratchPool, SpecializationId};
 use aohpc_obs::{
     push_context, AdmissionCounters, CacheCounters, CommCounters, Histogram, JobCounters, ObsHub,
     ObsRunAspect, ObsServiceAspect, ObsSnapshot,
@@ -192,8 +192,8 @@ pub enum SubmitError {
         /// The configured queue depth.
         limit: usize,
     },
-    /// The spec itself is malformed (reason inside).
-    InvalidJob(String),
+    /// The spec itself is malformed ([`JobSpec::validate`]'s verdict).
+    InvalidJob(JobSpecError),
     /// The service is shutting down and accepts no further work.
     ShuttingDown,
 }
@@ -831,7 +831,7 @@ impl KernelService {
             if !ctx.is_active() {
                 return Err(AdmitDenied::Fatal(SubmitError::SessionClosed(session)));
             }
-            if let Err(reason) = validate(spec) {
+            if let Err(reason) = spec.validate() {
                 ctx.note_rejected();
                 return Err(AdmitDenied::Fatal(SubmitError::InvalidJob(reason)));
             }
@@ -1106,14 +1106,6 @@ enum AdmitDenied {
     Fatal(SubmitError),
     /// Capacity was momentarily exhausted; a later attempt can succeed.
     Throttled(SubmitError),
-}
-
-fn validate(spec: &JobSpec) -> Result<(), String> {
-    spec.validate().map_err(|e| e.to_string())?;
-    if let Err(e) = HeteroDispatcher::try_new(spec.policy.clone()) {
-        return Err(format!("schedule policy: {e}"));
-    }
-    Ok(())
 }
 
 /// What becomes of a message once it leaves the queue, on a worker or — where
@@ -1404,11 +1396,8 @@ fn execute_spec(
                 spec.program.as_stencil().expect("stencil artifact implies stencil program");
             let system = SGridSystem::with_block_size(spec.region, spec.block);
             let sink = new_field_sink();
-            let dispatcher =
-                HeteroDispatcher::try_new(spec.policy.clone()).expect("policy validated at submit");
             let app = IrStencilApp::new(program.clone(), spec.params.clone(), spec.steps)
                 .with_opt_level(spec.opt_level)
-                .with_dispatcher(dispatcher)
                 .with_plan_source(inner.cache.clone())
                 .with_scratch_pool(inner.scratch.clone())
                 .with_field_sink(sink.clone());
@@ -1513,7 +1502,7 @@ where
 mod tests {
     use super::*;
     use crate::job::{JobErrorKind, JobStatus};
-    use aohpc_kernel::{Processor, SchedulePolicy, StencilProgram};
+    use aohpc_kernel::StencilProgram;
     use aohpc_runtime::Topology;
     use aohpc_workloads::RegionSize;
 
@@ -1624,19 +1613,19 @@ mod tests {
     }
 
     #[test]
-    fn results_match_across_backends_and_sessions() {
+    fn results_match_across_sessions() {
         let service = KernelService::new(ServiceConfig::default().with_workers(3));
         let a = service.open_session(SessionSpec::tenant("a"));
         let b = service.open_session(SessionSpec::tenant("b"));
-        for processor in [Processor::Scalar, Processor::Simd] {
-            service.submit(a, smoke_job().with_policy(SchedulePolicy::Single(processor))).unwrap();
-            service.submit(b, smoke_job().with_policy(SchedulePolicy::Single(processor))).unwrap();
+        for _ in 0..2 {
+            service.submit(a, smoke_job()).unwrap();
+            service.submit(b, smoke_job()).unwrap();
         }
         let reports = service.drain();
         assert_eq!(reports.len(), 4);
         let first = reports[0].checksum;
         for r in &reports {
-            assert_eq!(r.checksum, first, "all backends and tenants agree bit-for-bit");
+            assert_eq!(r.checksum.to_bits(), first.to_bits(), "all tenants agree bit-for-bit");
         }
     }
 
@@ -1820,20 +1809,20 @@ mod tests {
         let missing_params =
             JobSpec::new(StencilProgram::jacobi_5pt(), vec![0.5], RegionSize::square(16));
         let err = service.submit(session, missing_params).unwrap_err();
-        assert!(matches!(err, SubmitError::InvalidJob(ref m) if m.contains("parameters")), "{err}");
+        assert!(
+            matches!(
+                err,
+                SubmitError::InvalidJob(JobSpecError::MissingParams { declared: 2, given: 1, .. })
+            ),
+            "{err}"
+        );
         assert!(!err.is_backpressure());
 
         let zero_block = smoke_job().with_block(0);
-        assert!(matches!(
-            service.submit(session, zero_block),
-            Err(SubmitError::InvalidJob(ref m)) if m.contains("block")
-        ));
-
-        let bad_policy = smoke_job().with_policy(SchedulePolicy::Weighted(vec![]));
-        assert!(matches!(
-            service.submit(session, bad_policy),
-            Err(SubmitError::InvalidJob(ref m)) if m.contains("at least one processor")
-        ));
+        assert_eq!(
+            service.submit(session, zero_block).unwrap_err(),
+            SubmitError::InvalidJob(JobSpecError::ZeroBlock)
+        );
 
         // A program the execute path would answer with the stock sweep.
         let wide = aohpc_kernel::ParticleProgram::new(
@@ -1846,10 +1835,12 @@ mod tests {
         unsupported.program = wide.unwrap().into();
         assert!(matches!(
             service.submit(session, unsupported),
-            Err(SubmitError::InvalidJob(ref m)) if m.contains("wide cannot run as written")
+            Err(SubmitError::InvalidJob(JobSpecError::UnsupportedProgram { ref program, .. }))
+                if program == "wide"
         ));
 
-        assert_eq!(service.session(session).unwrap().meter().jobs_rejected, 4);
+        // Three refusals: a job has no schedule policy left to reject.
+        assert_eq!(service.session(session).unwrap().meter().jobs_rejected, 3);
         assert!(service.drain().is_empty(), "nothing malformed reached the queue");
     }
 
@@ -2203,7 +2194,8 @@ mod tests {
     fn drain_on_idle_service_returns_immediately() {
         let service = KernelService::new(ServiceConfig::default().with_workers(1));
         assert!(service.drain().is_empty());
-        assert!(SubmitError::InvalidJob("x".into()).to_string().contains("invalid job"));
+        let invalid = SubmitError::InvalidJob(JobSpecError::ZeroSteps).to_string();
+        assert!(invalid.contains("invalid job: step count"), "{invalid}");
         assert!(SubmitError::UnknownSession(1).to_string().contains("unknown"));
         assert!(SubmitError::WouldBlock { session: 1, limit: 2 }.to_string().contains("quota"));
         assert!(SubmitError::QueueFull { limit: 2 }.to_string().contains("full"));

@@ -1,6 +1,6 @@
 //! The subkernel internal DSL (the paper's future-work §VI): write the
-//! per-cell update as an expression, let the platform compile it, and execute
-//! it heterogeneously on scalar and SIMD-lane backends — all under the same MPI+OpenMP aspect modules as a hand-written kernel.
+//! per-cell update as an expression, let the platform compile it, and run it
+//! under the same MPI+OpenMP aspect modules as a hand-written kernel.
 //!
 //! ```sh
 //! cargo run --release --example kernel_ir
@@ -8,7 +8,7 @@
 
 use aohpc::prelude::*;
 use aohpc_kernel::prelude::*;
-use aohpc_kernel::{load, param, Processor};
+use aohpc_kernel::{load, param};
 use std::sync::Arc;
 
 fn main() {
@@ -30,40 +30,22 @@ fn main() {
         opt.identities_simplified
     );
 
-    // 3. Run it on the platform, heterogeneously: SIMD lanes take three
-    //    quarters of the blocks, scalar cores the rest — under the
-    //    MPI+OpenMP hybrid aspect weave.
+    // 3. Run it on the platform under the MPI+OpenMP hybrid aspect weave.
     let region = RegionSize::square(128);
     let system = Arc::new(SGridSystem::with_block_size(region, 16));
-    let stats_sink = new_stats_sink();
     let field_sink = new_stencil_field_sink();
-    let app = app
-        .with_dispatcher(HeteroDispatcher::new(SchedulePolicy::Weighted(vec![
-            (Processor::Simd, 3.0),
-            (Processor::Scalar, 1.0),
-        ])))
-        .with_stats_sink(stats_sink.clone())
-        .with_field_sink(field_sink.clone());
+    let app = app.with_field_sink(field_sink.clone());
     let outcome = Platform::new(ExecutionMode::PlatformHybrid { ranks: 2, threads: 2 })
         .run_system(system, app.factory());
-
+    let counters = outcome.report.total_counters();
     println!(
-        "run            : {} tasks, {} pages shipped, simulated time {:.3} ms",
+        "run            : {} tasks, {} pages shipped, {} reads, {} writes, simulated time {:.3} ms",
         outcome.report.tasks.len(),
         outcome.report.total_pages_sent(),
+        counters.reads,
+        counters.writes,
         outcome.simulated_seconds * 1e3
     );
-
-    println!(
-        "{:<14} {:>10} {:>12} {:>12} {:>12} {:>14}",
-        "backend", "blocks", "cells", "scalar ops", "vector ops", "halo fetches"
-    );
-    for (name, stats) in stats_sink.lock().iter() {
-        println!(
-            "{:<14} {:>10} {:>12} {:>12} {:>12} {:>14}",
-            name, stats.blocks, stats.cells, stats.scalar_ops, stats.vector_ops, stats.halo_fetches
-        );
-    }
 
     let checksum: f64 = field_sink.lock().iter().map(|(_, v)| v).sum();
     println!("field checksum : {checksum:.6}");

@@ -16,10 +16,12 @@
 //!   writes state the sweep contract of `HpcApp::processing`: a job on one
 //!   rank sweeps `steps` times, a job on several `steps + 1` — the warm-up
 //!   (dry-run) pass runs only where the distributed layer reads it;
-//! * the processor axis: a stencil job on the lane backend, alone or
-//!   alternating with the scalar one, gives the Scalar job's checksum bits
-//!   and counters on 1x1 and 2x2.
+//! * the cluster route: on 1x1 and 2x2 the same job through a 2-node
+//!   `ClusterService`, submitted once on each node (one node compiles the
+//!   plan, the other fetches it), gives the `KernelService` job's checksum
+//!   bits and counters — the cluster link of the bit-identity chain.
 
+use aohpc_service::ClusterService;
 use aohpc_suite::prelude::*;
 use aohpc_suite::{ExecutionMode, Platform};
 use std::sync::Arc;
@@ -116,17 +118,15 @@ fn row_of(report: &JobReport) -> Row {
     )
 }
 
-/// `policies` are the schedule policies a stencil job must also give the
-/// default (Scalar) job's bits under; empty for the other families, whose
-/// kernels no processor is chosen for.
 fn check(
     spec: JobSpec,
     direct_run: fn(&JobSpec, ExecutionMode) -> (f64, RunSummary),
     golden: Golden,
-    policies: &[SchedulePolicy],
 ) {
     let service = KernelService::new(ServiceConfig::default().with_workers(1));
     let session = service.open_session(SessionSpec::tenant("paths"));
+    let cluster = ClusterService::new(2, ServiceConfig::default().with_workers(1));
+    let nodes = [0, 1].map(|node| cluster.open_session_on(node, SessionSpec::tenant("paths")));
     let name = spec.program.name().to_string();
     let mut serial_bits = None;
     for ((ranks, threads), row) in TOPOLOGIES.into_iter().zip(golden.rows) {
@@ -143,16 +143,15 @@ fn check(
             row,
             "{at}: (reads, writes, pages_sent, retries, dispatches, simulated_seconds bits)"
         );
-        // The processor axis, on 1x1 and 2x2.
+        // The cluster route, on 1x1 and 2x2: once on each node.
         if ranks == threads {
-            for policy in policies {
-                let job = job.clone().with_policy(policy.clone());
-                let other = service.submit(session, job).unwrap().wait().expect("job resolves");
-                assert_eq!(other.error, None, "{at} {policy:?}");
+            for (node, &id) in nodes.iter().enumerate() {
+                let other = cluster.submit(id, job.clone()).unwrap().wait().expect("job resolves");
+                assert_eq!(other.error, None, "{at} node {node}");
                 assert_eq!(
                     (other.checksum.to_bits(), row_of(&other)),
                     (report.checksum.to_bits(), row),
-                    "{at} {policy:?}: checksum and row vs the Scalar job"
+                    "{at} node {node}: checksum and row vs the KernelService job"
                 );
             }
         }
@@ -170,17 +169,14 @@ fn check(
             assert_eq!(summary.retries, 0, "{at}: retries");
         }
     }
+    // One plan a family: the first node to resolve it compiles, the other
+    // fetches it, and the 2x2 jobs hit on both nodes.
+    let cache = cluster.cache_stats().total;
+    assert_eq!((cache.compiles, cache.fetches), (1, 1), "{name}: (compiles, fetches)");
 }
 
 fn stencil_job(program: StencilProgram, params: Vec<f64>) -> JobSpec {
     JobSpec::new(program, params, RegionSize::square(32)).with_block(BLOCK).with_steps(STEPS)
-}
-
-fn lane_policies() -> [SchedulePolicy; 2] {
-    [
-        SchedulePolicy::Single(Processor::Simd),
-        SchedulePolicy::RoundRobin(vec![Processor::Simd, Processor::Scalar]),
-    ]
 }
 
 #[test]
@@ -205,7 +201,6 @@ fn jacobi_5pt_matches_the_direct_run_under_every_topology() {
                 (6144, 4096, 64, 0, 59, 0x3f103693c3cc5d0d),
             ],
         },
-        &lane_policies(),
     );
 }
 
@@ -231,7 +226,6 @@ fn smooth_9pt_matches_the_direct_run_under_every_topology() {
                 (6400, 4096, 64, 0, 59, 0x3f14cbdb3285ac2e),
             ],
         },
-        &lane_policies(),
     );
 }
 
@@ -307,7 +301,6 @@ fn usgrid_jacobi4_matches_the_direct_run_under_every_topology() {
                 (8000, 1600, 96, 0, 59, 0x3f0fd46136c0cd36),
             ],
         },
-        &[],
     );
 }
 
@@ -351,6 +344,5 @@ fn particle_pair_sweep_matches_the_direct_run_under_every_topology() {
                 (1600, 1024, 16, 0, 59, 0x3f03abdcd1cd73ae),
             ],
         },
-        &[],
     );
 }
