@@ -105,17 +105,16 @@ fn main() {
         Platform::new(mode).with_mmat(true).run_system(Arc::new(system), app.factory())
     }));
     // The same region on the value plane — what the service runs for a usgrid
-    // job: 8-byte cells in the pool instead of 72-byte ones (256² in blocks
-    // of 64, two buffers: 9.4 MB -> 1.0 MB).  Both apps keep their per-block
-    // plans (four `u32` slots a point) app-side, in neither column.
-    let jacobi4 = UsGridProgram::jacobi4();
-    let kernel =
-        aohpc_kernel::UsGridKernel::compile(&jacobi4, Extent::new2d(block, block), OptLevel::Full);
+    // job, the program lowered to its stencil: 8-byte cells in the pool
+    // instead of 72-byte ones (256² in blocks of 64, two buffers: 9.4 MB ->
+    // 1.0 MB).  The reference keeps its per-block gather plans (four `u32`
+    // slots a point) app-side, the stencil app one plan a tile shape: neither
+    // is in a column.
+    let jacobi4 = UsGridProgram::jacobi4().to_stencil();
     rows.extend(platform_rows("USGrid values", pool_bytes, |mode| {
         let mut system = UsGridSystem::with_block_size(region, block, GridLayout::CaseC);
         system.pool_bytes = Some(pool_bytes);
-        let law = UsBlockLaw(kernel.block_law(0.5, 0.125));
-        let app = UsGridValueApp::new(system.clone(), jacobi4.neighbors().to_vec(), law, loops);
+        let app = IrStencilApp::new(jacobi4.clone(), vec![0.5, 0.125], loops);
         let system = Arc::new(UsGridValueSystem(system));
         Platform::new(mode).with_mmat(true).run_system(system, app.factory())
     }));

@@ -10,13 +10,14 @@
 //! particles, 2 steps; `jacobi32` 32² block 16, 1 step), and the mix's
 //! `smooth64` (`smooth_9pt`, 64² block 16, 4 steps: the second specialized
 //! stencil shape, which has no hand-written base).  The apps timed are
-//! the ones the service runs: `IrStencilApp`, `UsGridValueApp` (usgrid's
-//! value plane — not the Fig. 5b reference `UsGridJacobiApp`, whose sweep
-//! moves 72-byte cells) and `ParticleBlockApp` (particle's block app — not
-//! the Listing-1 reference `ParticleApp`, which reads ten buckets a bucket);
-//! for usgrid, "sweep 1" is a later sweep plus what a block's first pass
-//! adds: its neighbour plan resolved from the program's offsets
-//! (`Env::resolve_offsets`, CaseC) and the first touch of the app's scratch.
+//! the ones the service runs: `IrStencilApp` — for usgrid too, its program
+//! lowered to a stencil (`UsGridProgram::to_stencil`) on the value plane
+//! `UsGridValueSystem`, not the Fig. 5b reference `UsGridJacobiApp`, whose
+//! sweep moves 72-byte cells — and `ParticleBlockApp` (particle's block app
+//! — not the Listing-1 reference `ParticleApp`, which reads ten buckets a
+//! bucket); "sweep 1" is a later sweep plus what a block's first pass adds:
+//! its plan looked up per tile shape and the first touch of the app's
+//! scratch.
 //! Every phase below is a span the woven `ObsRunAspect` recorded, or the gap
 //! between two of them:
 //!
@@ -35,8 +36,8 @@
 //! benchmark divides by), timed as many times, before the first service
 //! starts; **searches/sweep**, **nodes/sweep** are the Env searches a later
 //! sweep runs and the tree nodes they visit, and **plan searches**, **plan
-//! nodes** those run once a job, resolving usgrid's neighbour plans (each
-//! off-block neighbour is searched for once, there) — from direct
+//! nodes** those run once a job (zero for every shape: no job resolves a
+//! gather plan, and a halo run searches every sweep it runs) — from direct
 //! `runtime::execute` runs of the app the service runs for the shape, of
 //! `steps` and of `steps + 1` sweeps: a later sweep is their difference — so
 //! a regression in the search count shows next to the time it costs.
@@ -47,15 +48,15 @@
 //! ```
 
 use aohpc::dsl::{
-    DslSystem, PairForce, ParticleBlockApp, ParticleSystem, SGridSystem, UsBlockLaw,
-    UsGridJacobiApp, UsGridSystem, UsGridValueApp, UsGridValueSystem,
+    DslSystem, PairForce, ParticleBlockApp, ParticleSystem, SGridSystem, UsGridJacobiApp,
+    UsGridSystem, UsGridValueSystem,
 };
 use aohpc::env::{Extent, GlobalAddress};
 use aohpc::runtime::{execute, RunConfig};
 use aohpc_aop::{names, Weaver};
 use aohpc_baselines::{HandwrittenParticle, HandwrittenSGrid, HandwrittenUsGrid};
 use aohpc_kernel::{
-    default_initial_value, FamilyArtifact, IrStencilApp, OptLevel, ParticleProgram, StencilProgram,
+    default_initial_value, IrStencilApp, OptLevel, ParticleKernel, ParticleProgram, StencilProgram,
     UsGridProgram,
 };
 use aohpc_obs::{SpanRecord, WallClock};
@@ -162,27 +163,25 @@ fn searches(spec: &JobSpec) -> [u64; 4] {
 /// them moves a counter.
 fn searches_over(spec: &JobSpec, steps: usize) -> [u64; 2] {
     let config = RunConfig::serial().with_topology(spec.topology.clone());
-    let extent = Extent::new2d(spec.block, spec.block);
     let params = &spec.params;
-    let report = match spec.program.compile(extent, OptLevel::Full) {
-        FamilyArtifact::Stencil(_) => {
-            let program = spec.program.as_stencil().expect("a stencil artifact").clone();
-            let app = IrStencilApp::new(program, params.clone(), steps);
+    let report = match &spec.program {
+        FamilyProgram::Stencil(program) => {
+            let app = IrStencilApp::new(program.clone(), params.clone(), steps);
             let system = Arc::new(SGridSystem::with_block_size(spec.region, spec.block));
             execute(&config, Weaver::new().weave(), system.env_factory(), app.factory())
         }
-        FamilyArtifact::Particle(kernel) => {
+        FamilyProgram::Particle(program) => {
             let count = spec.particles.expect("particle shapes carry their count");
+            let extent = Extent::new2d(spec.block, spec.block);
+            let kernel = ParticleKernel::compile(program, extent, OptLevel::Full);
             let system = ParticleSystem::paper(ParticleSize::new(count));
             let law = PairForce(kernel.pair_law(params[0]));
             let app = ParticleBlockApp::new(system.clone(), law, steps).with_dt(params[1]);
             execute(&config, Weaver::new().weave(), Arc::new(system).env_factory(), app.factory())
         }
-        FamilyArtifact::UsGrid(kernel) => {
+        FamilyProgram::UsGrid(program) => {
             let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
-            let law = UsBlockLaw(kernel.block_law(params[0], params[1]));
-            let neighbors = kernel.program().neighbors().to_vec();
-            let app = UsGridValueApp::new(system.clone(), neighbors, law, steps);
+            let app = IrStencilApp::new(program.to_stencil(), params.clone(), steps);
             let system = Arc::new(UsGridValueSystem(system));
             execute(&config, Weaver::new().weave(), system.env_factory(), app.factory())
         }

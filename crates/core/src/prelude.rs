@@ -8,8 +8,8 @@ pub use aohpc_aop::{Advice, AdviceBinding, Aspect, Pointcut, Weaver, WovenProgra
 pub use aohpc_dsl::common::new_field_sink;
 pub use aohpc_dsl::{
     Bucket, DslSystem, FieldSink, PairForce, Particle, ParticleApp, ParticleBlockApp,
-    ParticleSystem, SGridJacobiApp, SGridSystem, UsBlockLaw, UsCell, UsGridJacobiApp, UsGridSystem,
-    UsGridValueApp, UsGridValueSystem,
+    ParticleSystem, SGridJacobiApp, SGridSystem, UsCell, UsGridJacobiApp, UsGridSystem,
+    UsGridValueSystem,
 };
 pub use aohpc_env::{
     AccessState, Block, BlockId, BlockKind, Env, EnvBuilder, Extent, GlobalAddress, LocalAddress,

@@ -33,7 +33,7 @@
 //! | family | Listing-1 reference | what the service runs: the block routine it supplies |
 //! |---|---|---|
 //! | stencil | [`SGridJacobiApp`] on [`SGridSystem`], one platform call a cell | the kernel crate's `IrStencilApp` on [`SGridSystem`]: block slab in, halo ring as one run an edge, the compiled tape, slab out |
-//! | usgrid | [`UsGridJacobiApp`] on [`UsGridSystem`] (`Cell = `[`UsCell`]: Fig. 5b, cells that store their neighbours' addresses), law [`UsUpdate`] a point | [`UsGridValueApp`] on [`UsGridValueSystem`] (`Cell = f64`): block slab in, one gather through a per-block `GatherPlan` from the layout and the program's offsets, law [`UsBlockLaw`] a block, slab out |
+//! | usgrid | [`UsGridJacobiApp`] on [`UsGridSystem`] (`Cell = `[`UsCell`]: Fig. 5b, cells that store their neighbours' addresses), law [`UsUpdate`] a point | the program lowered to its stencil (`UsGridProgram::to_stencil`, CaseC), run by the kernel crate's `IrStencilApp` on [`UsGridValueSystem`] (`Cell = f64`): the stencil's block routine |
 //! | particle | [`ParticleApp`] on [`ParticleSystem`], ten per-cell bucket reads a bucket | [`ParticleBlockApp`] on [`ParticleSystem`]: block slab in, its one-bucket ring as four runs, the compiled pair law ([`PairForce`]) a pair, slab out |
 //!
 //! A product app is that block routine and nothing else of the flow: it
@@ -42,12 +42,12 @@
 //! `Kernel::execute_block` join point, so every family's jobs have block
 //! spans), `refresh` and `Finalize` for all three.
 //!
-//! A product app leaves the field bits of its reference.  The usgrid one
-//! leaves every `AccessCounters` field of its reference too
-//! (`tests/value_plane.rs`), so the cost model prices both alike except for
-//! bytes on the wire.  The stencil and particle ones read each cell once a
-//! sweep where their references read it once per load, and leave the
-//! counters of a per-cell loop over those cells (`tests/slab_accounting.rs`).
+//! A product app leaves the field bits of its reference.  The stencil and
+//! particle ones read each cell once a sweep where their references read it
+//! once per load, and leave the counters of a per-cell loop over those cells
+//! (`tests/slab_accounting.rs`).  A usgrid job is a stencil job on
+//! [`UsGridValueSystem`], so the same holds for it; `tests/value_plane.rs`
+//! pins its counters beside the reference's bits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,6 +60,4 @@ pub mod usgrid;
 pub use common::{new_field_sink, DslSystem, FieldSink};
 pub use particle::{Bucket, PairForce, Particle, ParticleApp, ParticleBlockApp, ParticleSystem};
 pub use sgrid::{SGridJacobiApp, SGridSystem};
-pub use usgrid::{
-    UsBlockLaw, UsCell, UsGridJacobiApp, UsGridSystem, UsGridValueApp, UsGridValueSystem, UsUpdate,
-};
+pub use usgrid::{UsCell, UsGridJacobiApp, UsGridSystem, UsGridValueSystem, UsUpdate};

@@ -15,33 +15,33 @@
 //! Data outside the computational domain lives in a Static Data block, as in
 //! §V-B2.
 //!
-//! # Reference and product
+//! # Reference and what the service runs
 //!
-//! The family has two apps over one geometry, as the stencil family has
-//! (`SGridJacobiApp` / the kernel crate's `IrStencilApp`):
+//! The family has one app of its own, and one Env for the service:
 //!
 //! * **The paper-fidelity reference** — [`UsCell`], [`UsGridSystem`] as a
 //!   `DslSystem<Cell = UsCell>`, [`UsGridJacobiApp`] and [`UsUpdate`]: Fig. 5b
 //!   as drawn, every cell storing its neighbours' addresses beside its value
-//!   (72 bytes to change 8).  The figure bins, the layer ledger's L2/L3
-//!   replays and the test oracles drive it; no service path does.
-//! * **The product** — [`UsGridValueSystem`] (`Cell = f64`) and
-//!   [`UsGridValueApp`]: the same tiling, static row and catch-all over a
-//!   plane of values.  Which points are a point's neighbours is not data: it
-//!   follows from the layout and the program's neighbour offsets, so each
-//!   block's list is resolved into a [`GatherPlan`] at the block's first pass
-//!   and the cells hold nothing else.  The law is one [`UsBlockLaw`] call a
-//!   block, and the app is that block routine alone (a `BlockSweep`).  This
-//!   is what `KernelService` runs for a usgrid job; field bits,
-//!   every access counter and the MMAT memo equal the reference's
-//!   (`tests/value_plane.rs`).
+//!   (72 bytes to change 8), each block's list read through a [`GatherPlan`]
+//!   in either layout.  The figure bins, the layer ledger's L2/L3 replays and
+//!   the test oracles drive it; no service path does.
+//! * **The service's Env** — [`UsGridValueSystem`] (`Cell = f64`): the same
+//!   tiling, static row and catch-all over a plane of values.  Where points
+//!   stay in place (CaseC, the one layout the service runs) a program's
+//!   neighbours are fixed offsets of every point, so the program is a
+//!   stencil: the kernel crate lowers it (`UsGridProgram::to_stencil`) and
+//!   runs it as a stencil job runs (`IrStencilApp`: block slab in, the halo
+//!   ring as runs, the padded tile, slab out) on this Env.  A read off the
+//!   domain on any side yields `boundary_value`, as the reference's static
+//!   slots do, so the field bits are the reference's; the counters are the
+//!   stencil's, one read a point and one a ring cell where the reference
+//!   reads five (`tests/value_plane.rs`).  A scattered layout (CaseR) has no
+//!   offsets to lower and runs the reference only.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
-use aohpc_env::{
-    BlockId, Cell, Env, Extent, GatherPlan, GlobalAddress, LocalAddress, TreeTopology,
-};
+use aohpc_env::{BlockId, Cell, Env, Extent, GatherPlan, GlobalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
-use aohpc_runtime::{BlockSweep, HpcApp, TaskCtx, TaskSlot};
+use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::{GridLayout, RegionSize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -166,48 +166,6 @@ impl UsGridSystem {
         }
     }
 
-    /// The [`GatherPlan`] of block `bid`'s neighbour list: the storage
-    /// addresses of the neighbours at `offsets` of every point stored in the
-    /// block, points in row-major order, a point's neighbours in `offsets`
-    /// order.
-    ///
-    /// Where points stay in place (CaseC) the plan is resolved from the
-    /// offsets themselves: a neighbour inside the block is the point
-    /// `dy·nx + dx` cells on (Assumption III), and only a rim target needs an
-    /// address — the point there, or the static slot below the domain.  A
-    /// scattered layout (CaseR) has no such structure: its list is built in
-    /// `addrs` and resolved address by address.
-    fn neighbor_plan(
-        &self,
-        ctx: &mut TaskCtx<f64>,
-        bid: BlockId,
-        offsets: &[(i64, i64)],
-        addrs: &mut Vec<GlobalAddress>,
-    ) -> GatherPlan {
-        let layout = self.layout.resolve(self.region.nx as i64, self.region.ny as i64);
-        let storage = |(x, y): (i64, i64)| GlobalAddress::new2d(x, y);
-        if self.layout == GridLayout::CaseC {
-            let offsets = offsets.iter().map(|&(dx, dy)| LocalAddress::new2d(dx, dy));
-            return ctx.resolve_offsets(bid, offsets, |t| {
-                storage(self.neighbor_under(|x, y| layout.storage_of(x, y), t.x, t.y, 0, 0))
-            });
-        }
-        let meta = &ctx.env().block(bid).meta;
-        let (origin, extent) = (meta.origin, meta.extent);
-        addrs.clear();
-        addrs.reserve(offsets.len() * extent.cells());
-        for start in extent.row_starts() {
-            let row = origin + start;
-            for sx in row.x..row.x + extent.nx as i64 {
-                let (x, y) = layout.logical_of(sx, row.y);
-                addrs.extend(offsets.iter().map(|&(dx, dy)| {
-                    storage(self.neighbor_under(|x, y| layout.storage_of(x, y), x, y, dx, dy))
-                }));
-            }
-        }
-        ctx.resolve_gather(bid, addrs.iter().copied())
-    }
-
     /// The family's Env over cells of type `C`: one Data block per tile,
     /// and `outside` wherever a read leaves the domain.
     fn build_env_of<C: Cell>(&self, outside: C) -> Env<C> {
@@ -244,7 +202,8 @@ impl DslSystem for UsGridSystem {
 }
 
 /// [`UsGridSystem`] on the value plane: the same tiling, static row and
-/// Dirichlet catch-all, the cells plain `f64` values (see the module docs).
+/// Dirichlet catch-all, the cells plain `f64` values — the Env a usgrid job
+/// runs its lowered stencil on (see the module docs).
 #[derive(Debug, Clone)]
 pub struct UsGridValueSystem(pub UsGridSystem);
 
@@ -266,12 +225,11 @@ pub type UsUpdateFn = Arc<dyn Fn(f64, &[f64]) -> f64 + Send + Sync>;
 ///
 /// Installed by [`UsGridJacobiApp::with_update`], typically from a compiled
 /// usgrid-family kernel artifact so that the reference app executes a cached
-/// plan's arithmetic (service-submitted jobs run [`UsGridValueApp`] and the
-/// artifact's [`UsBlockLaw`]).  Neighbour values arrive in the program's
-/// declared neighbour order, as one slice per point cut from the block's
-/// gathered neighbour values.  A law sees and returns values only: which
-/// points are a point's neighbours is fixed at `Initialize`, and the kernel's
-/// per-block [`GatherPlan`]s rely on that.  When absent, the app's built-in
+/// plan's arithmetic.  Neighbour values arrive in the program's declared
+/// neighbour order, as one slice per point cut from the block's gathered
+/// neighbour values.  A law sees and returns values only: which points are a
+/// point's neighbours is fixed at `Initialize`, and the kernel's per-block
+/// [`GatherPlan`]s rely on that.  When absent, the app's built-in
 /// `alpha·me + beta·Σ` law runs; the stock compiled law reproduces it
 /// bit-for-bit.
 #[derive(Clone)]
@@ -437,153 +395,6 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
     }
 }
 
-/// The block-law signature: `(own, near, out)` over one block.
-///
-/// Structurally identical to the kernel crate's lowered block routine, so
-/// compiled artifacts plug in without a dependency edge between the crates.
-pub type UsBlockLawFn = Arc<dyn Fn(&[f64], &[f64], &mut [f64]) + Send + Sync>;
-
-/// The update law of [`UsGridValueApp`], applied a block at a time:
-/// `out[i]` is the new value of the point whose value is `own[i]` and whose
-/// neighbour values — in the program's declared neighbour order — are
-/// `near[k * i..k * (i + 1)]`, `k = near.len() / own.len()`.  Typically the
-/// block routine of a compiled usgrid-family kernel artifact.  A law sees
-/// and returns values only.
-#[derive(Clone)]
-pub struct UsBlockLaw(pub UsBlockLawFn);
-
-impl std::fmt::Debug for UsBlockLaw {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("UsBlockLaw(..)")
-    }
-}
-
-/// The product app of the family (see the module docs): a sweep over the
-/// indirect neighbour lists with the Env holding values only.  Run it on
-/// [`UsGridValueSystem`]`(system)`.
-///
-/// Its block routine is three platform calls and one law call: the block's
-/// values in as one slab, its neighbours' values as one gather through the
-/// block's [`GatherPlan`], the law over the block, the new values out as one
-/// slab — per point the reads, writes and every other access counter of
-/// [`UsGridJacobiApp`], the Listing-1 reference.
-#[derive(Debug, Clone)]
-pub struct UsGridValueApp {
-    /// The geometry: region, tiling and layout.
-    pub system: UsGridSystem,
-    /// Logical neighbour offsets, in gather order (a program's
-    /// `neighbors()`).
-    pub neighbors: Vec<(i64, i64)>,
-    /// The update law.
-    pub law: UsBlockLaw,
-    /// Main-loop iterations.
-    pub loops: usize,
-    /// Where `Finalize` deposits the field, keyed by *storage* address.
-    pub sink: Option<FieldSink>,
-    /// What the kernel keeps between passes (an app instance is one task's).
-    scratch: ValueScratch,
-}
-
-impl UsGridValueApp {
-    /// A sweep of `law` over `neighbors`, `loops` times.
-    pub fn new(
-        system: UsGridSystem,
-        neighbors: Vec<(i64, i64)>,
-        law: UsBlockLaw,
-        loops: usize,
-    ) -> Self {
-        UsGridValueApp {
-            system,
-            neighbors,
-            law,
-            loops,
-            sink: None,
-            scratch: ValueScratch::default(),
-        }
-    }
-
-    /// Attach a result sink.
-    pub fn with_sink(mut self, sink: FieldSink) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// App factory for the runtime driver.
-    pub fn factory(&self) -> Arc<dyn Fn(TaskSlot) -> UsGridValueApp + Send + Sync> {
-        let proto = self.clone();
-        Arc::new(move |_slot| proto.clone())
-    }
-}
-
-/// What the value-plane kernel keeps between passes.  Sized at the first
-/// pass; no later pass allocates.
-#[derive(Debug, Clone, Default)]
-struct ValueScratch {
-    /// The block's own values, as read.
-    own: Vec<f64>,
-    /// The gathered neighbour values, `neighbors.len()` per point.
-    near: Vec<f64>,
-    /// The block's new values.
-    out: Vec<f64>,
-    /// Each block's neighbour list, resolved at the block's first pass.
-    plans: HashMap<BlockId, GatherPlan>,
-    /// A block's neighbour addresses, listed (CaseR) only at its first pass.
-    addrs: Vec<GlobalAddress>,
-}
-
-impl BlockSweep for UsGridValueApp {
-    type Cell = f64;
-
-    fn loops(&self) -> usize {
-        self.loops
-    }
-
-    fn initial(&self) -> impl FnMut(GlobalAddress) -> f64 + '_ {
-        // The layout inverted names the logical point stored at each owned
-        // storage position; its value is all the cell holds.
-        let region = self.system.region;
-        let layout = self.system.layout.resolve(region.nx as i64, region.ny as i64);
-        move |s| {
-            let (x, y) = layout.logical_of(s.x, s.y);
-            UsGridJacobiApp::initial_value(x, y)
-        }
-    }
-
-    fn sink(&self) -> Option<&FieldSink> {
-        self.sink.as_ref()
-    }
-
-    fn deposit(v: &f64) -> f64 {
-        *v
-    }
-
-    fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId, _i: usize, n: usize) {
-        let ValueScratch { own, near, out, plans, addrs } = &mut self.scratch;
-        // The task's blocks do not change: room for all their plans, once.
-        if plans.is_empty() {
-            plans.reserve(n);
-        }
-        let cells = ctx.env().block(bid).meta.extent.cells();
-        own.resize(cells, 0.0);
-        near.resize(self.neighbors.len() * cells, 0.0);
-        out.resize(cells, 0.0);
-        // Own values: always inside the block.
-        ctx.get_block_dd(bid, own);
-        // Neighbours are indirect: no static in-block guarantee, so the
-        // access goes through MMAT / the Env search where it leaves the
-        // block.  Which neighbours those are follows from the layout and the
-        // offsets alone, so the block's first pass resolves them (with MMAT
-        // off, searching once for each one off the block) and every later
-        // pass and retry reads through that plan.
-        let plan = plans
-            .entry(bid)
-            .or_insert_with(|| self.system.neighbor_plan(ctx, bid, &self.neighbors, addrs));
-        ctx.get_gather(plan, |v| *v, near);
-        (self.law.0)(own, near, out);
-        ctx.set_block(bid, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,33 +463,22 @@ mod tests {
             .collect()
     }
 
-    /// [`run_region`] on the value plane, the law written out in place.
-    fn run_values(region: RegionSize, layout: GridLayout, topology: Topology) -> Vec<f64> {
-        let system = UsGridSystem::with_block_size(region, 8, layout);
-        let law = UsBlockLaw(Arc::new(|own, near, out| {
-            for ((new, me), near) in out.iter_mut().zip(own).zip(near.chunks_exact(4)) {
-                *new = 0.5 * me + 0.125 * (near[0] + near[1] + near[2] + near[3]);
-            }
-        }));
-        let sink = new_field_sink();
-        let nwes = vec![(0, -1), (-1, 0), (1, 0), (0, 1)];
-        let app = UsGridValueApp::new(system.clone(), nwes, law, 3).with_sink(sink.clone());
-        let woven = Weaver::new().with_aspect(Box::new(MpiAspect::<f64>::new())).weave();
-        let config = RunConfig::serial().with_topology(topology).with_mmat(true);
-        let env_factory = Arc::new(UsGridValueSystem(system.clone())).env_factory();
-        let report = execute(&config, woven, env_factory, app.factory());
-        assert!(report.tasks.iter().all(|t| t.steps == 3));
-        logical_field(&system, &sink)
-    }
-
     #[test]
-    fn value_plane_matches_reference_on_one_rank_and_two() {
+    fn the_value_env_reads_the_boundary_value_all_round_the_domain() {
+        // A stencil's halo ring on this Env reaches past every edge: above
+        // (the catch-all), below (the static row, then the catch-all), to
+        // either side and round the corners, as far as a span of 8.
         let region = RegionSize { nx: 20, ny: 12 };
-        let distributed = Topology::new(vec![aohpc_runtime::LayerSpec::distributed(2)]);
-        for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 7 }] {
-            for topology in [Topology::serial(), distributed.clone()] {
-                close(&run_values(region, layout, topology), &reference(region, 3));
+        let mut system = UsGridSystem::with_block_size(region, 8, GridLayout::CaseC);
+        system.boundary_value = 0.25;
+        let env = UsGridValueSystem(system).build_env();
+        let (mut state, start) = (aohpc_env::AccessState::new(), env.data_block_ids()[0]);
+        for (x, y) in (-8..12 + 8).flat_map(|y| (-8..20 + 8).map(move |x| (x, y))) {
+            if (0..20).contains(&x) && (0..12).contains(&y) {
+                continue;
             }
+            let read = env.read(start, GlobalAddress::new2d(x, y), false, &mut state);
+            assert_eq!(read, Some(0.25), "({x}, {y})");
         }
     }
 

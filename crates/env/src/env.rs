@@ -62,12 +62,9 @@ pub struct EnvStats {
 }
 
 /// The static half of a gather: where each address of a list lies relative
-/// to the block the reads start from — resolved once, read any number of
-/// times by [`Env::read_gather_into`].
-///
-/// Two resolvers make the same value: [`Env::resolve_gather`] from a list of
-/// addresses, and [`Env::resolve_offsets`] from offsets applied to every cell
-/// of the block (the list is then never built).
+/// to the block the reads start from — resolved once from the list by
+/// [`Env::resolve_gather`], read any number of times by
+/// [`Env::read_gather_into`].
 ///
 /// Four bytes an address, and 56 more for each one outside the block.  A
 /// plan is valid only for the Env that resolved it: it holds cell indices
@@ -815,108 +812,6 @@ impl<C: Cell> Env<C> {
             Some(idx) if block.kind.has_buffers() => Landing::Cell(bid, idx),
             _ => Landing::Block(bid),
         }
-    }
-
-    /// [`Env::resolve_gather`] of the list "each cell of `start` in row-major
-    /// order, each of `offsets` in order", without building the list.  The
-    /// address listed for the cell at `at` and the offset `o` is the target
-    /// `at + o` where that lies inside `start`, and `outside(at + o)` where it
-    /// does not: the DSL's remap of a neighbour off the block (into a
-    /// boundary row, say).
-    ///
-    /// A target inside `start` is its cell index by arithmetic.  A cell as far
-    /// from every edge as the offsets reach has all its targets inside, so a
-    /// row's interior is the first such cell's indices, each next cell's one
-    /// more — no bounds test, no address.  A rim target goes through
-    /// `outside`, and what that returns takes `resolve_gather`'s in-block
-    /// test: the plan is the listed addresses' for any remap, one that maps
-    /// back into `start` included.  Both lists are sized once: the number of
-    /// targets off the block is known before the loop.
-    ///
-    /// A `start` that serves no cell from a buffer of its own (no cell
-    /// buffers, a catch-all) lists every address as outside, as
-    /// `resolve_gather` does; for one of those the list is built and handed
-    /// on.  Where an address stays outside, it is searched for as
-    /// `resolve_gather` searches (with MMAT off, counted in `state`).
-    pub fn resolve_offsets<O>(
-        &self,
-        start: BlockId,
-        offsets: O,
-        mut outside: impl FnMut(GlobalAddress) -> GlobalAddress,
-        state: &mut AccessState,
-    ) -> GatherPlan
-    where
-        O: IntoIterator<Item = LocalAddress>,
-        O::IntoIter: Clone,
-    {
-        let block = &self.blocks[start];
-        let (origin, extent) = (block.meta.origin, block.meta.extent);
-        let offsets = offsets.into_iter();
-        let (cells, k) = (extent.cells(), offsets.clone().count());
-        if !block.kind.has_buffers() || block.meta.catch_all || u32::try_from(cells).is_err() {
-            let mut addrs = Vec::with_capacity(cells * k);
-            for idx in 0..cells {
-                let at = extent.delinearize(idx);
-                for target in offsets.clone().map(|o| at + o) {
-                    let inside = extent.contains_local(target);
-                    addrs.push(if inside { origin + target } else { outside(origin + target) });
-                }
-            }
-            return self.resolve_gather(start, addrs, state);
-        }
-
-        let (nx, ny, nz) = (extent.nx as i64, extent.ny as i64, extent.nz as i64);
-        // How far the offsets reach below and above a cell, per axis.
-        let reach = |axis: fn(LocalAddress) -> i64| {
-            offsets.clone().fold((0, 0), |(lo, hi), o| (lo.max(-axis(o)), hi.max(axis(o))))
-        };
-        let (rx, ry, rz) = (reach(|o| o.dx), reach(|o| o.dy), reach(|o| o.dz));
-        let interior = |c: i64, n: i64, (lo, hi): (i64, i64)| c >= lo && c < n - hi;
-        // The interior columns of a row that is interior in y and z.
-        let x0 = rx.0.min(nx);
-        let x1 = (nx - rx.1).max(x0);
-        // Per offset, the cells whose target stays inside: the rest leave.
-        let stays = |n: i64, d: i64| (n - d.abs()).max(0) as usize;
-        let leaving: usize = offsets
-            .clone()
-            .map(|o| cells - stays(nx, o.dx) * stays(ny, o.dy) * stays(nz, o.dz))
-            .sum();
-        let mut slots = vec![u32::MAX; cells * k];
-        let mut listed = Vec::with_capacity(leaving);
-        for (r, row) in extent.row_starts().enumerate() {
-            let base = r * extent.nx;
-            let inner_row = interior(row.dy, ny, ry) && interior(row.dz, nz, rz);
-            let (a, b) = if inner_row { (x0, x1) } else { (nx, nx) };
-            // The rim cells, left then right: positions stay ascending, as
-            // the interior in between lists nothing outside.
-            for x in (0..a).chain(b..nx) {
-                let at = LocalAddress::new3d(x, row.dy, row.dz);
-                let first = (base + x as usize) * k;
-                for (pos, target) in (first..).zip(offsets.clone().map(|o| at + o)) {
-                    if extent.contains_local(target) {
-                        slots[pos] = extent.linear_index(target) as u32;
-                        continue;
-                    }
-                    let addr = outside(origin + target);
-                    match block.cell_index(addr) {
-                        Some(idx) => slots[pos] = idx as u32,
-                        None => listed.push((pos, addr, self.land(start, addr, state))),
-                    }
-                }
-            }
-            if a < b {
-                let run = &mut slots[(base + a as usize) * k..(base + b as usize) * k];
-                let first_cell = base as i64 + a;
-                for (slot, o) in run.iter_mut().zip(offsets.clone()) {
-                    *slot = (first_cell + o.dz * nx * ny + o.dy * nx + o.dx) as u32;
-                }
-                // Each cell's targets are its left neighbour's, one cell on.
-                for pos in k..run.len() {
-                    run[pos] = run[pos - k] + 1;
-                }
-            }
-        }
-        GatherPlan { start, slots, outside: listed }
     }
 
     /// Read the cells a [`GatherPlan`] names and keep `project(&cell)` of
@@ -2641,151 +2536,6 @@ mod tests {
             assert_eq!((gather.counters.in_block_hits, gather.counters.env_searches), (2, 0));
             assert_eq!(resolution.counters, searches_only(cellwise.counters));
             assert_eq!(searches_aside(gather.counters), searches_aside(cellwise.counters));
-        }
-    }
-
-    mod offsets_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn value_at(a: GlobalAddress) -> u64 {
-            (a.x * 1_000 + a.y * 10 + a.z) as u64 ^ 0x5a5a
-        }
-
-        /// A tile of `extent` at `origin`, a second tile to its right, a
-        /// Static strip below both and a catch-all Arithmetic boundary: the
-        /// ids of the tile, the strip and the catch-all.
-        fn env_around(
-            extent: Extent,
-            origin: GlobalAddress,
-            cpp: usize,
-        ) -> (Env<u64>, [BlockId; 3]) {
-            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), cpp);
-            let root = b.add_empty(None);
-            let joint = b.add_empty(Some(root));
-            let tile = b.add_data(joint, origin, extent, 0).unwrap();
-            let right = origin + LocalAddress::new2d(extent.nx as i64, 0);
-            let next = b.add_data(joint, right, extent, 1).unwrap();
-            let strip_at = origin + LocalAddress::new2d(0, extent.ny as i64);
-            let strip = Extent::new2d(2 * extent.nx, 2);
-            let cells = (0..strip.cells()).map(|i| value_at(strip_at + strip.delinearize(i)) + 1);
-            let strip = b.add_static(root, strip_at, strip, cells.collect());
-            let catch_all = b.add_arithmetic(root, Arc::new(|a| value_at(a) + 2), true);
-            let env = b.build();
-            for id in [tile, next] {
-                let block = env.block(id);
-                for idx in 0..block.meta.extent.cells() {
-                    let la = block.meta.extent.delinearize(idx);
-                    env.write_initial(id, la, value_at(block.to_global(la)));
-                }
-            }
-            (env, [tile, strip, catch_all])
-        }
-
-        /// The list `resolve_offsets` stands for, built as written.
-        fn listed(
-            env: &Env<u64>,
-            start: BlockId,
-            offsets: &[LocalAddress],
-            outside: impl Fn(GlobalAddress) -> GlobalAddress,
-        ) -> Vec<GlobalAddress> {
-            let meta = &env.block(start).meta;
-            let mut addrs = Vec::new();
-            for idx in 0..meta.extent.cells() {
-                let at = meta.origin + meta.extent.delinearize(idx);
-                for &o in offsets {
-                    let target = at + o;
-                    let inside = meta.extent.contains_local(target - meta.origin);
-                    addrs.push(if inside { target } else { outside(target) });
-                }
-            }
-            addrs
-        }
-
-        proptest! {
-            /// The offset resolver and the list resolver make the same plan —
-            /// on a ragged tile (Data or Buffer-only), a Static strip and the
-            /// catch-all, for offsets of reach ≤ 3 and a remap that sends
-            /// some rim targets back into the tile, some to the strip, some
-            /// nowhere — and reading through either gives the same values,
-            /// counters, missing-page order and memo, with MMAT off and on.
-            #[test]
-            fn offset_plans_equal_listed_plans(
-                nx in 1usize..10,
-                ny in 1usize..10,
-                nz in 1usize..3,
-                ox in -5i64..6,
-                oy in -5i64..6,
-                cpp in 1usize..8,
-                start_kind in 0usize..4,
-                offsets in proptest::collection::vec((-3i64..4, -3i64..4, -1i64..2), 0..10),
-                remap_seed in any::<u64>(),
-                invalid_mask in any::<u64>(),
-            ) {
-                let extent = Extent::new3d(nx, ny, nz);
-                let origin = GlobalAddress::new2d(ox, oy);
-                let (mut env, [tile, strip, catch_all]) = env_around(extent, origin, cpp);
-                let start = match start_kind {
-                    0 | 1 => tile,
-                    2 => strip,
-                    _ => catch_all,
-                };
-                if start_kind == 1 {
-                    env.demote_to_buffer_only(tile).unwrap();
-                }
-                // Some of the tile's pages are stale (a remote block mid-refresh).
-                env.set_block_valid(tile, false).unwrap();
-                for page in 0..env.num_pages(tile).unwrap() {
-                    if invalid_mask >> (page % 64) & 1 == 0 {
-                        let payload = env.extract_page(tile, page).unwrap();
-                        env.install_page(tile, page, &payload).unwrap();
-                    }
-                }
-                let offsets: Vec<LocalAddress> =
-                    offsets.into_iter().map(|(dx, dy, dz)| LocalAddress::new3d(dx, dy, dz)).collect();
-                // Back into the tile, as it is, into the strip, or far away.
-                let remap = |t: GlobalAddress| {
-                    let spin = (t.x * 31 + t.y * 17 + t.z * 7) as u64 ^ remap_seed;
-                    let e = extent;
-                    match spin % 4 {
-                        0 => origin + LocalAddress::new3d(
-                            (t.x - origin.x).clamp(0, e.nx as i64 - 1),
-                            (t.y - origin.y).clamp(0, e.ny as i64 - 1),
-                            t.z.clamp(0, e.nz as i64 - 1),
-                        ),
-                        1 => t,
-                        2 => GlobalAddress::new2d(
-                            origin.x + t.x.rem_euclid(2 * e.nx as i64),
-                            origin.y + e.ny as i64 + t.y.rem_euclid(2),
-                        ),
-                        _ => GlobalAddress::new2d(t.x - 100, t.y),
-                    }
-                };
-
-                let addrs = listed(&env, start, &offsets, remap);
-                for mmat in [false, true] {
-                    let fresh = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
-                    // Resolved with MMAT as read: with it off, both run the
-                    // same searches, once.
-                    let (mut a, mut b) = (fresh(), fresh());
-                    let fast = env.resolve_offsets(start, offsets.iter().copied(), remap, &mut a);
-                    let slow = env.resolve_gather(start, addrs.iter().copied(), &mut b);
-                    prop_assert_eq!(&fast, &slow);
-                    prop_assert_eq!(a.counters, b.counters);
-                    let cells = env.block(start).meta.extent.cells();
-                    prop_assert_eq!(fast.len(), cells * offsets.len());
-                    // Twice, so the second pass replays whatever MMAT memorised.
-                    for _ in 0..2 {
-                        let (mut got, mut want) = (vec![0; addrs.len()], vec![0; addrs.len()]);
-                        env.read_gather_into(&fast, |c| *c, &mut got, &mut a);
-                        env.read_gather_into(&slow, |c| *c, &mut want, &mut b);
-                        prop_assert_eq!(got, want);
-                        prop_assert_eq!(a.counters, b.counters);
-                        prop_assert_eq!(a.missing(), b.missing());
-                        prop_assert_eq!(a.mmat.len(), b.mmat.len());
-                    }
-                }
-            }
         }
     }
 

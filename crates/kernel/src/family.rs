@@ -31,17 +31,18 @@
 //!   ([`ParticleKernel::pair_law`]) that execution plugs into the sweep.
 //! * [`KernelFamilyId::UsGrid`] — the unstructured-grid relaxation sweep:
 //!   the [`UsGridProgram`] captures the neighbour offsets gathered through
-//!   the indirection and the compiled [`UsGridKernel`] hands out the lowered
-//!   update — a block at a time ([`UsGridKernel::block_law`], what the
-//!   service's `UsGridValueApp` runs) and a point at a time
-//!   ([`UsGridKernel::update_fn`], for the Listing-1 reference
-//!   `UsGridJacobiApp`).
+//!   the indirection.  A program is a stencil in disguise: what the service
+//!   runs for it is [`UsGridProgram::to_stencil`] on the stencil tiers, and
+//!   the compiled [`UsGridKernel`] hands out the lowered point update
+//!   ([`UsGridKernel::update_fn`]) for the Listing-1 reference
+//!   `UsGridJacobiApp`.
 //!
 //! The enum pair [`FamilyProgram`] / [`FamilyArtifact`] is what the service
 //! stack traffics in: `JobSpec` holds a `FamilyProgram`, the plan cache maps
 //! a family-tagged key to a `FamilyArtifact`, and the cluster fabric ships
 //! either as a family-tagged [`crate::portable::PortableKernel`].
 
+use crate::expr::{load, param};
 use crate::opt::OptLevel;
 use crate::plan::CompiledKernel;
 use crate::program::{ProgramFingerprint, StencilProgram};
@@ -275,8 +276,8 @@ impl ParticleProgram {
 pub const MAX_USGRID_NEIGHBORS: usize = 16;
 
 /// Maximum absolute component of an unstructured-grid neighbour offset
-/// (same one-block-halo bound the stencil radius obeys).
-pub const MAX_USGRID_NEIGHBOR_SPAN: i64 = 8;
+/// (the stencil radius bound, [`crate::program::DEFAULT_MAX_RADIUS`]).
+pub const MAX_USGRID_NEIGHBOR_SPAN: i64 = crate::program::DEFAULT_MAX_RADIUS;
 
 /// A validated unstructured-grid program: a weighted relaxation sweep over
 /// the per-point indirect neighbour lists.
@@ -365,6 +366,27 @@ impl UsGridProgram {
         ProgramFingerprint::of_tagged_stream(KernelFamilyId::UsGrid.tag(), |write| {
             self.encode_canonical(write)
         })
+    }
+
+    /// The program as the stencil it is, where storage order is logical
+    /// order (CaseC): `param(0)·load(0, 0) + param(1)·(n0 + n1 + … + nk)`,
+    /// the neighbours `n0 … nk` at [`UsGridProgram::neighbors`] in gather
+    /// order, folded left to right from `n0`.
+    ///
+    /// The reference update ([`UsGridKernel::update_fn`]) folds the same
+    /// values in the same order from `0.0`, and `0.0 + n0` is `n0` but for
+    /// `n0 = −0.0`.  So the two agree bit for bit except when every
+    /// neighbour is −0.0 and `alpha·me` is −0.0 too (a neighbour off the
+    /// domain reads the boundary value, +0.0 in the service).  The name
+    /// carries over; a stencil fingerprint ignores it, so the lowered
+    /// `jacobi4` is `jacobi_5pt` to the plan cache.
+    pub fn to_stencil(&self) -> StencilProgram {
+        let mut near = self.neighbors.iter().map(|&(dx, dy)| load(dx, dy));
+        let first = near.next().expect("a valid usgrid program has a neighbour");
+        let sum = near.fold(first, |sum, n| sum + n);
+        let law = param(0) * load(0, 0) + param(1) * sum;
+        StencilProgram::new(self.name.clone(), law, self.num_params)
+            .expect("a valid usgrid program spans at most the stencil radius bound")
     }
 }
 
@@ -495,12 +517,6 @@ pub type PairForceFn = Arc<dyn Fn(&[f64; 3], &[f64; 3], &mut [f64; 3]) + Send + 
 /// the neighbour sum in gather order.
 pub type UsUpdateFn = Arc<dyn Fn(f64, &[f64]) -> f64 + Send + Sync>;
 
-/// The lowered block routine a compiled usgrid kernel hands out:
-/// `(own, near, out)` over one block — `out[i]` from `own[i]` and the
-/// `near.len() / own.len()` gathered neighbour values of point `i`, which lie
-/// together in `near`, in gather order.
-pub type UsBlockLawFn = Arc<dyn Fn(&[f64], &[f64], &mut [f64]) + Send + Sync>;
-
 /// A particle program compiled for one bucket-block shape: the lowered pair
 /// law plus the resolved neighbourhood geometry.
 #[derive(Debug, Clone, PartialEq)]
@@ -629,31 +645,6 @@ impl UsGridKernel {
             }
             alpha * me + beta * sum
         })
-    }
-
-    /// [`UsGridKernel::update_fn`] over a whole block: one call a block
-    /// instead of one a point, each point's neighbour sum still accumulated
-    /// in gather order from `0.0`, so the bits are the per-point routine's.
-    ///
-    /// The slices must agree: `own.len() == out.len()` and
-    /// `near.len() == own.len() × ` the program's neighbour count.
-    pub fn block_law(&self, alpha: f64, beta: f64) -> UsBlockLawFn {
-        #[inline(always)]
-        fn relax(alpha: f64, beta: f64, k: usize, own: &[f64], near: &[f64], out: &mut [f64]) {
-            assert!(own.len() == out.len() && near.len() == k * own.len());
-            for ((new, &me), vals) in out.iter_mut().zip(own).zip(near.chunks_exact(k)) {
-                let mut sum = 0.0;
-                for &n in vals {
-                    sum += n;
-                }
-                *new = alpha * me + beta * sum;
-            }
-        }
-        match self.program.neighbors().len() {
-            // The stock neighbour count as a constant: the inner loop unrolls.
-            4 => Arc::new(move |own, near, out| relax(alpha, beta, 4, own, near, out)),
-            k => Arc::new(move |own, near, out| relax(alpha, beta, k, own, near, out)),
-        }
     }
 }
 
@@ -909,21 +900,27 @@ mod tests {
     }
 
     #[test]
-    fn usgrid_block_law_is_the_point_update_over_a_block() {
-        // The stock four (the unrolled arm) and a list of five.
-        let offsets = [(0, -1), (-1, 0), (1, 0), (0, 1), (2, 2)];
-        for arity in [4, 5] {
-            let program = UsGridProgram::new("p", offsets[..arity].to_vec(), 2).unwrap();
-            let kernel = UsGridKernel::compile(&program, Extent::new2d(4, 3), OptLevel::Full);
-            let (update, law) = (kernel.update_fn(0.3, 0.7), kernel.block_law(0.3, 0.7));
-            let own: Vec<f64> = (0..12).map(|i| 0.1 + i as f64 / 7.0).collect();
-            let near: Vec<f64> = (0..12 * arity).map(|i| (i * i) as f64 / 3.0).collect();
-            let mut out = vec![f64::NAN; 12];
-            law(&own, &near, &mut out);
-            for (i, got) in out.iter().enumerate() {
-                let want = update(own[i], &near[arity * i..arity * (i + 1)]);
-                assert_eq!(got.to_bits(), want.to_bits(), "arity {arity}, point {i}");
-            }
+    fn usgrid_programs_lower_to_their_stencil() {
+        // The stock four is the 5-point Jacobi tree: one plan for both.
+        let jacobi = UsGridProgram::jacobi4().to_stencil();
+        assert!(jacobi.same_structure(&StencilProgram::jacobi_5pt()));
+        assert_eq!(jacobi.fingerprint(), StencilProgram::jacobi_5pt().fingerprint());
+        assert_eq!(jacobi.name(), "usgrid-jacobi4");
+        // One neighbour, the centre again, and the widest span all lower.
+        let span = MAX_USGRID_NEIGHBOR_SPAN;
+        for neighbors in [vec![(0, 1)], vec![(0, 0), (0, 0)], vec![(span, -span), (-span, 3)]] {
+            let program = UsGridProgram::new("p", neighbors.clone(), 3).unwrap();
+            let stencil = program.to_stencil();
+            assert_eq!(stencil.num_params(), 3);
+            let reach = neighbors.iter().map(|&(dx, dy)| dx.abs().max(dy.abs())).max();
+            assert_eq!(stencil.radius(), reach.unwrap());
+            // The law, folded from the first neighbour: bits of `update_fn`.
+            let kernel = UsGridKernel::compile(&program, Extent::new2d(4, 4), OptLevel::Full);
+            let value = |dx: i64, dy: i64| 0.25 + (3 * dx - dy) as f64 / 7.0;
+            let near: Vec<f64> = neighbors.iter().map(|&(dx, dy)| value(dx, dy)).collect();
+            let want = kernel.update_fn(0.3, -0.7)(value(0, 0), &near);
+            let got = stencil.expr().eval(&mut |dx, dy| value(dx, dy), &[0.3, -0.7]);
+            assert_eq!(got.to_bits(), want.to_bits(), "{neighbors:?}");
         }
     }
 }

@@ -74,7 +74,7 @@ pub use backend::{ExecStats, Processor, LANES};
 pub use expr::{jacobi_5pt, lit, load, param, smooth_9pt, BinOp, KernelExpr, UnaryOp};
 pub use family::{
     FamilyArtifact, FamilyError, FamilyProgram, KernelFamilyId, PairForceFn, PairLaw,
-    ParticleKernel, ParticleProgram, UsBlockLawFn, UsGridKernel, UsGridProgram, UsUpdateFn,
+    ParticleKernel, ParticleProgram, UsGridKernel, UsGridProgram, UsUpdateFn,
 };
 pub use field::DenseField;
 pub use opt::{Dag, OptLevel, OptStats};

@@ -8,16 +8,18 @@
 
 use aohpc_aop::WovenProgram;
 use aohpc_dsl::{
-    Bucket, DslSystem, PairForce, ParticleApp, ParticleBlockApp, ParticleSystem, UsBlockLaw,
-    UsGridSystem, UsGridValueApp, UsGridValueSystem,
+    Bucket, DslSystem, PairForce, ParticleApp, ParticleBlockApp, ParticleSystem, UsGridSystem,
+    UsGridValueSystem,
 };
 use aohpc_env::{Cell, Env, Extent};
 use aohpc_kernel::{
-    lit, load, param, CompiledKernel, ExecScratch, ExecStats, OptLevel, ParticleKernel,
-    ParticleProgram, Processor, ScratchPool, StencilProgram, UsGridKernel, UsGridProgram,
+    lit, load, param, CompiledKernel, ExecScratch, ExecStats, IrStencilApp, OptLevel,
+    ParticleKernel, ParticleProgram, PlanSource, Processor, ScratchPool, StencilProgram,
+    UsGridProgram,
 };
 use aohpc_runtime::{HpcApp, RankShared, TaskCtx, Topology};
 use aohpc_workloads::{GridLayout, ParticleSize, RegionSize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 #[global_allocator]
@@ -224,31 +226,40 @@ fn serial_ctx<C: Cell>(env: Env<C>) -> TaskCtx<C> {
     TaskCtx::new(slot, env, shared, WovenProgram::unwoven(), true, false)
 }
 
-/// The value-plane usgrid sweep keeps its buffers and every block's
-/// `GatherPlan` in the task's scratch: a sweep after the first allocates only
-/// what the two platform calls around the blocks do (`get_blocks` hands out
-/// a fresh block list, `refresh` its payload) — nothing for the plan table,
-/// the plans or the slabs, where points stay in place (CaseC, a ragged
-/// tiling) and where they are scattered (CaseR: most addresses leave the
-/// block) — and in place for the "eight" program of `tests/value_plane.rs`
-/// too (corners, and a reach of 2 on one side).
+/// A plan source holding the plans it was built with, so a sweep that
+/// resolves through it compiles nothing.
+struct Precompiled(HashMap<(usize, usize), Arc<CompiledKernel>>);
+
+impl PlanSource for Precompiled {
+    fn plan_for(&self, _: &StencilProgram, extent: Extent, _: OptLevel) -> Arc<CompiledKernel> {
+        Arc::clone(&self.0[&(extent.nx, extent.ny)])
+    }
+}
+
+/// A usgrid job's sweep — its program lowered to a stencil, run by the IR
+/// app on the value plane (CaseC, a ragged tiling) — keeps its plans, tile
+/// and slabs in the app: a sweep after the first allocates only what the two
+/// platform calls around the blocks do (`get_blocks` hands out a fresh block
+/// list, `refresh` its payload).  For the stock four and for the "eight"
+/// program of `tests/value_plane.rs` (corners, and a reach of 2 on one side).
 #[test]
 fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
     let eight = vec![(-1, -1), (1, -1), (-1, 1), (1, 1), (0, -1), (-2, 0), (1, 0), (0, 1)];
     let eight = UsGridProgram::new("eight", eight, 2).unwrap();
-    for (layout, program) in [
-        (GridLayout::CaseC, UsGridProgram::jacobi4()),
-        (GridLayout::CaseC, eight),
-        (GridLayout::CaseR { seed: 7 }, UsGridProgram::jacobi4()),
-    ] {
-        let kernel = UsGridKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
-        let system = UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, layout);
-        let mut ctx = serial_ctx(UsGridValueSystem(system.clone()).build_env());
-        let law = UsBlockLaw(kernel.block_law(0.5, 0.125));
-        let mut app = UsGridValueApp::new(system, program.neighbors().to_vec(), law, 4);
+    for program in [UsGridProgram::jacobi4(), eight] {
+        let system =
+            UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, GridLayout::CaseC);
+        let mut ctx = serial_ctx(UsGridValueSystem(system).build_env());
+        // The tiles of 8/8/4 x 8/4 come in four shapes, compiled up front.
+        let stencil = program.to_stencil();
+        let shapes = [(8, 8), (4, 8), (8, 4), (4, 4)].map(|(nx, ny)| {
+            let plan = CompiledKernel::compile(&stencil, Extent::new2d(nx, ny), OptLevel::Full);
+            ((nx, ny), Arc::new(plan))
+        });
+        let plans = Arc::new(Precompiled(shapes.into_iter().collect()));
+        let mut app = IrStencilApp::new(stencil, vec![0.5, 0.125], 4).with_plan_source(plans);
         app.initialize(&mut ctx);
 
-        // The first sweep sizes the scratch and resolves the six plans.
         let (ok, cold) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
         assert!(ok);
 
@@ -257,14 +268,11 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
             ctx.refresh();
             blocks
         });
-        // Nothing regrows while it does.  Where points stay in place the plan
-        // is resolved from the offsets, with no address list: 3 slabs (the
-        // first block is a full one) + 1 plan table = 4, and 2 lists a plan
-        // (slots, outside addresses) × 6 plans — each list sized exactly
-        // before it is filled, however far the offsets reach.
-        if layout == GridLayout::CaseC {
-            assert_eq!(cold, platform + 4 + 2 * 6, "CaseC {}: the first sweep", program.name());
-        }
+        // The first sweep sizes what the app keeps, once each: the plan memo
+        // (4 buckets, then 8 at the fourth shape) = 2, the two staging slabs
+        // = 2, and the scratch's registers, ring and tile = 3 — each grown at
+        // the first block, a full 8x8 one, and never again.
+        assert_eq!(cold, platform + 2 + 2 + 3, "{}: the first sweep", program.name());
         for sweep in 2..5 {
             let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
             assert!(ok);
@@ -272,7 +280,7 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
                 allocs,
                 platform,
                 "{} sweep {sweep}: beyond get_blocks + refresh ({platform})",
-                layout.name()
+                program.name()
             );
         }
     }

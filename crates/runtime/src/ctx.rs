@@ -701,26 +701,6 @@ impl<C: Cell> TaskCtx<C> {
         self.env.resolve_gather(block, addrs, &mut self.state)
     }
 
-    /// [`TaskCtx::resolve_gather`] of the list "each cell of `block` in
-    /// row-major order, each of `offsets` in order", a target that leaves
-    /// `block` remapped by `outside` — resolved from the offsets without
-    /// building the list (see `Env::resolve_offsets`): the same plan, for a
-    /// kernel whose neighbours are fixed offsets of every point
-    /// (`UsGridValueApp` where points stay in place).  Searches are run and
-    /// counted as there.
-    pub fn resolve_offsets<O>(
-        &mut self,
-        block: BlockId,
-        offsets: O,
-        outside: impl FnMut(GlobalAddress) -> GlobalAddress,
-    ) -> GatherPlan
-    where
-        O: IntoIterator<Item = LocalAddress>,
-        O::IntoIter: Clone,
-    {
-        self.env.resolve_offsets(block, offsets, outside, &mut self.state)
-    }
-
     /// Read the cells `plan` names (no in-block assertion) and keep
     /// `project(&cell)` of each in `out`: one [`TaskCtx::get_global`] per
     /// address the plan was resolved from — same values, missing-page

@@ -190,7 +190,8 @@ impl JobSpec {
         // The particle sweep reads the 3x3 buckets of the grid the count
         // derives: until the family's program is lowered to what executes,
         // anything else is refused here rather than answered with the stock
-        // sweep.  (A usgrid job gathers through its program's own offsets.)
+        // sweep.  (A usgrid program is lowered: it runs as its own stencil,
+        // and every valid one lowers.)
         let reason = match &self.program {
             FamilyProgram::Stencil(_) | FamilyProgram::UsGrid(_) => None,
             FamilyProgram::Particle(p) if p.neighbor_reach() != 1 => {
@@ -332,8 +333,9 @@ pub struct JobReport {
     /// The specialization tier the job's primary plan executed on:
     /// [`SpecializationId::Generic`] for the tape interpreter, a shape id
     /// (e.g. `weighted-sum/4pt/form7`) when the compiler instantiated a
-    /// monomorphic super-instruction kernel.  Always `Generic` for
-    /// non-stencil families.
+    /// monomorphic super-instruction kernel.  A usgrid job's primary plan
+    /// is its program lowered to a stencil; always `Generic` for particle
+    /// jobs.
     pub specialization: SpecializationId,
 }
 

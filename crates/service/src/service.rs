@@ -47,10 +47,12 @@ use crate::session::{
 use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
 use aohpc_dsl::{
     new_field_sink, DslSystem, FieldSink, PairForce, ParticleBlockApp, ParticleSystem, SGridSystem,
-    UsBlockLaw, UsGridSystem, UsGridValueApp, UsGridValueSystem,
+    UsGridSystem, UsGridValueSystem,
 };
 use aohpc_env::Extent;
-use aohpc_kernel::{FamilyArtifact, IrStencilApp, ScratchPool, SpecializationId};
+use aohpc_kernel::{
+    FamilyArtifact, FamilyProgram, IrStencilApp, ScratchPool, SpecializationId, StencilProgram,
+};
 use aohpc_obs::{
     push_context, AdmissionCounters, CacheCounters, CommCounters, Histogram, JobCounters, ObsHub,
     ObsRunAspect, ObsServiceAspect, ObsSnapshot,
@@ -1212,10 +1214,21 @@ fn run_one(inner: &Inner, queued: Queued) {
         // attributable to *this* job; the app's own plan lookups then hit the
         // warm entry.  The primary shape is the block-(0,0) tile, which the
         // DSL tiling clips to the region, so small regions pre-warm the plan
-        // that actually executes.
+        // that actually executes.  A usgrid job runs its program lowered to
+        // a stencil (see `execute_spec`), so the plan it pre-warms — and a
+        // hot session pins — is that stencil's.
         let primary = Extent::new2d(spec.block.min(spec.region.nx), spec.block.min(spec.region.ny));
         let resolve_start = inner.clock.now();
-        let (artifact, origin) = resolve_primary(inner, &spec, primary, pin_plans, trace_ctx);
+        let lowered;
+        let program = match &spec.program {
+            FamilyProgram::UsGrid(program) => {
+                lowered = FamilyProgram::Stencil(program.to_stencil());
+                &lowered
+            }
+            program => program,
+        };
+        let (artifact, origin) =
+            resolve_primary(inner, &spec, program, primary, pin_plans, trace_ctx);
         prewarm_hit.set(Some(origin == PlanOrigin::Hit));
         if let Some(kernel) = artifact.as_stencil() {
             spec_tier.set(kernel.specialization());
@@ -1301,19 +1314,21 @@ fn run_one(inner: &Inner, queued: Queued) {
     inner.settle(&cell, Settlement::Final(Ok(report)));
 }
 
-/// The admission pre-warm resolve.  With an observer installed the lookup is
-/// dispatched through the service's woven program, so the obs aspect wraps
-/// it in a span parented into the job's tree — the body publishes the plan's
-/// [`PlanOrigin`] as an attribute for the advice to file.
+/// The admission pre-warm resolve of `spec`'s primary plan, compiled from
+/// `program`.  With an observer installed the lookup is dispatched through
+/// the service's woven program, so the obs aspect wraps it in a span parented
+/// into the job's tree — the body publishes the plan's [`PlanOrigin`] as an
+/// attribute for the advice to file.
 fn resolve_primary(
     inner: &Inner,
     spec: &JobSpec,
+    program: &FamilyProgram,
     primary: Extent,
     pin_plans: bool,
     trace_ctx: Option<(u64, u64)>,
 ) -> (FamilyArtifact, PlanOrigin) {
     let Some((trace, parent)) = trace_ctx else {
-        return inner.cache.resolve(&spec.program, primary, spec.opt_level, pin_plans);
+        return inner.cache.resolve(program, primary, spec.opt_level, pin_plans);
     };
     let attrs = [
         (attr::TRACE, trace as i64),
@@ -1325,7 +1340,7 @@ fn resolve_primary(
         JoinPointKind::Call,
         &attrs,
         |ctx| {
-            let resolved = inner.cache.resolve(&spec.program, primary, spec.opt_level, pin_plans);
+            let resolved = inner.cache.resolve(program, primary, spec.opt_level, pin_plans);
             ctx.set_attr(attr::ORIGIN, resolved.1 as i64);
             resolved
         },
@@ -1378,11 +1393,14 @@ fn execute_traced(
 
 /// Build the job's `(system, app)` pair for its
 /// [kernel family](aohpc_kernel::KernelFamilyId) and hand it to
-/// [`run_family`]: stencil jobs run the IR app with the shared cache installed
-/// as its plan source, particle and usgrid jobs run their DSL product apps
-/// with the cache-resolved family artifact installed as the law — for
-/// particle the block app (slab, ring runs, slab), for usgrid the value-plane
-/// app over the program's own neighbour offsets.
+/// [`run_family`].  Stencil and usgrid jobs run the IR app with the shared
+/// cache installed as its plan source: a stencil program on the structured
+/// grid, a usgrid program lowered to its stencil
+/// ([`UsGridProgram::to_stencil`](aohpc_kernel::UsGridProgram::to_stencil))
+/// on the usgrid value plane, where points stay in place (CaseC), so a
+/// deposit's storage address is its logical position and the IR app's
+/// initial condition is the family's.  Particle jobs run the block app (slab,
+/// ring runs, slab) with the cache-resolved pair law (`artifact`) installed.
 fn execute_spec(
     inner: &Inner,
     spec: &JobSpec,
@@ -1390,20 +1408,18 @@ fn execute_spec(
     artifact: &FamilyArtifact,
     trace_ctx: Option<(u64, u64)>,
 ) -> Executed {
-    match artifact {
-        FamilyArtifact::Stencil(_) => {
-            let program =
-                spec.program.as_stencil().expect("stencil artifact implies stencil program");
+    match &spec.program {
+        FamilyProgram::Stencil(program) => {
             let system = SGridSystem::with_block_size(spec.region, spec.block);
-            let sink = new_field_sink();
-            let app = IrStencilApp::new(program.clone(), spec.params.clone(), spec.steps)
-                .with_opt_level(spec.opt_level)
-                .with_plan_source(inner.cache.clone())
-                .with_scratch_pool(inner.scratch.clone())
-                .with_field_sink(sink.clone());
-            run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
+            run_stencil(inner, spec, cell, trace_ctx, program.clone(), system)
         }
-        FamilyArtifact::Particle(kernel) => {
+        FamilyProgram::UsGrid(program) => {
+            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
+            let system = UsGridValueSystem(system);
+            run_stencil(inner, spec, cell, trace_ctx, program.to_stencil(), system)
+        }
+        FamilyProgram::Particle(_) => {
+            let kernel = artifact.as_particle().expect("a particle program resolves a pair law");
             // The bucket grid the count derives is spec.region in blocks of
             // spec.block: `JobSpec::validate` admitted nothing else.
             let system = ParticleSystem::paper(ParticleSize::new(spec.particle_count()));
@@ -1414,16 +1430,29 @@ fn execute_spec(
                 .with_sink(sink.clone());
             run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
         }
-        FamilyArtifact::UsGrid(kernel) => {
-            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
-            let sink = new_field_sink();
-            let law = UsBlockLaw(kernel.block_law(spec.params[0], spec.params[1]));
-            let neighbors = kernel.program().neighbors().to_vec();
-            let app = UsGridValueApp::new(system.clone(), neighbors, law, spec.steps)
-                .with_sink(sink.clone());
-            run_family(inner, spec, cell, trace_ctx, UsGridValueSystem(system), app.factory(), sink)
-        }
     }
+}
+
+/// [`run_family`] with the IR app running `program` on `system`, its plans
+/// resolved through the shared cache and its scratch from the worker pool.
+fn run_stencil<S>(
+    inner: &Inner,
+    spec: &JobSpec,
+    cell: &JobCell,
+    trace_ctx: Option<(u64, u64)>,
+    program: StencilProgram,
+    system: S,
+) -> Executed
+where
+    S: DslSystem<Cell = f64> + 'static,
+{
+    let sink = new_field_sink();
+    let app = IrStencilApp::new(program, spec.params.clone(), spec.steps)
+        .with_opt_level(spec.opt_level)
+        .with_plan_source(inner.cache.clone())
+        .with_scratch_pool(inner.scratch.clone())
+        .with_field_sink(sink.clone());
+    run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
 }
 
 /// The one execute path, whatever the family: weave the spec's layer aspects,

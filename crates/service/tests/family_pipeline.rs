@@ -9,8 +9,10 @@ use aohpc_aop::Weaver;
 use aohpc_dsl::{
     new_field_sink, DslSystem, ParticleApp, ParticleSystem, UsGridJacobiApp, UsGridSystem,
 };
+use aohpc_env::Extent;
 use aohpc_kernel::{
-    FamilyProgram, KernelFamilyId, OptLevel, ParticleProgram, StencilProgram, UsGridProgram,
+    FamilyProgram, KernelFamilyId, OptLevel, ParticleProgram, SpecializationId, StencilProgram,
+    UsGridProgram,
 };
 use aohpc_runtime::execute;
 use aohpc_service::{
@@ -59,6 +61,35 @@ fn direct_usgrid_checksum(spec: &JobSpec) -> f64 {
     cks
 }
 
+/// The plan keys a job resolves: a particle job its family record, at the
+/// primary block shape; a stencil job its program, a key a tile shape; and a
+/// usgrid job, which runs its program lowered to a stencil, that stencil's —
+/// no usgrid record.  A stencil fingerprint ignores the name, so the stock
+/// four's lowered keys are `jacobi_5pt`'s.
+fn plan_keys(spec: &JobSpec) -> Vec<PlanKey> {
+    let (block, region, level) = (spec.block, spec.region, spec.opt_level);
+    let stencil = match &spec.program {
+        FamilyProgram::Stencil(program) => FamilyProgram::from(program.clone()),
+        FamilyProgram::UsGrid(program) => FamilyProgram::from(program.to_stencil()),
+        FamilyProgram::Particle(_) => {
+            let primary = Extent::new2d(block.min(region.nx), block.min(region.ny));
+            return vec![PlanKey::of(&spec.program, primary, level)];
+        }
+    };
+    let sides = |n: usize| {
+        let mut sides: Vec<usize> = (0..n).step_by(block).map(|at| block.min(n - at)).collect();
+        sides.dedup();
+        sides
+    };
+    let mut keys = Vec::new();
+    for nx in sides(region.nx) {
+        for ny in sides(region.ny) {
+            keys.push(PlanKey::of(&stencil, Extent::new2d(nx, ny), level));
+        }
+    }
+    keys
+}
+
 fn service_checksum(spec: JobSpec) -> (f64, aohpc_service::PlanCacheStats) {
     let service = KernelService::new(ServiceConfig::default().with_workers(1));
     let session = service.open_session(SessionSpec::tenant("family"));
@@ -94,13 +125,44 @@ fn usgrid_jobs_run_end_to_end_and_match_the_direct_seed_path() {
         direct_usgrid_checksum(&spec).to_bits(),
         "cache-resolved update law diverged from the DSL's inline law"
     );
+    // The job resolved one plan, the lowered stencil's one tile shape (the
+    // smoke region is whole blocks), on the stencil lane; the usgrid lane
+    // saw no lookup.
     let lane = stats.for_family(KernelFamilyId::UsGrid);
-    assert_eq!((lane.misses, stats.compiles), (1, 1), "{stats:?}");
+    let stencil = stats.for_family(KernelFamilyId::Stencil);
+    assert_eq!((lane.hits, lane.misses), (0, 0), "{stats:?}");
+    assert_eq!((stencil.misses, stats.compiles), (1, 1), "{stats:?}");
+    assert_eq!(plan_keys(&spec).len(), 1);
 }
 
-/// A mixed-family batch through ONE service: every family executes, the
-/// cache holds one plan per family, and the per-family lanes attribute
-/// exactly their own jobs.
+/// A hot session's usgrid job pins the plan it runs — its program lowered to
+/// a stencil, at the primary block shape — and reports that plan's
+/// specialization: the stock four lower to the weighted-sum loop.
+#[test]
+fn a_hot_sessions_usgrid_job_pins_and_reports_its_stencil_plan() {
+    let service = KernelService::new(ServiceConfig::default().with_workers(1));
+    let session = service.open_session(SessionSpec::tenant("hot").pin_plans());
+    let spec = JobSpec::usgrid(Scale::Smoke);
+    let report = service.submit(session, spec.clone()).unwrap().wait().unwrap();
+    assert!(report.error.is_none(), "{:?}", report.error);
+    assert!(
+        matches!(report.specialization, SpecializationId::WeightedSum { neighbors: 4, .. }),
+        "{:?}",
+        report.specialization
+    );
+    // The smoke region is whole blocks: one plan, resident and pinned.
+    let keys = plan_keys(&spec);
+    assert_eq!(keys.len(), 1);
+    assert!(service.plan_cache().contains(&keys[0]));
+    let stats = service.cache_stats();
+    assert_eq!((stats.entries, stats.pinned_entries), (1, 1), "{stats:?}");
+}
+
+/// A mixed-family batch through ONE service: every family executes, and the
+/// per-family lanes attribute exactly their own lookups — the particle
+/// record on its lane, and on the stencil lane one plan that the jacobi job
+/// and the two usgrid jobs (the same block shape, lowered to the same
+/// stencil) share.
 #[test]
 fn one_service_hosts_all_three_families() {
     let service = KernelService::new(config());
@@ -121,16 +183,19 @@ fn one_service_hosts_all_three_families() {
 
     let stats = service.cache_stats();
     let particle = stats.for_family(KernelFamilyId::Particle);
+    let stencil = stats.for_family(KernelFamilyId::Stencil);
     let usgrid = stats.for_family(KernelFamilyId::UsGrid);
-    assert_eq!(particle.misses, 1, "{stats:?}");
-    assert_eq!(usgrid.misses, 1, "{stats:?}");
-    // The second particle/usgrid submission hit its family's warm plan.
-    assert!(particle.hits >= 1 && usgrid.hits >= 1, "{stats:?}");
+    assert_eq!((particle.misses, stencil.misses, stats.compiles), (1, 1, 2), "{stats:?}");
+    assert_eq!((usgrid.hits, usgrid.misses), (0, 0), "{stats:?}");
+    // The second particle submission, and two of the three stencil-lane
+    // jobs' pre-warms, hit the warm plan.
+    assert!(particle.hits >= 1 && stencil.hits >= 2, "{stats:?}");
 }
 
 /// Particle and usgrid jobs flow through the cluster's plan-sharing fabric:
-/// the owner compiles, everyone else hydrates the portable wire form, and
-/// results stay bit-identical to a single node.
+/// the owner of each plan compiles it, everyone else hydrates the portable
+/// wire form, and results stay bit-identical to a single node.  The plans
+/// are the particle record and the usgrid job's lowered stencil.
 #[test]
 fn particle_and_usgrid_plans_ship_across_the_cluster() {
     const NODES: usize = 3;
@@ -147,8 +212,10 @@ fn particle_and_usgrid_plans_ship_across_the_cluster() {
     assert!(reports.iter().all(|r| r.error.is_none()));
 
     let stats = cluster.cache_stats();
-    assert_eq!(stats.total.compiles as usize, jobs.len(), "one compile per family: {stats:?}");
-    assert_eq!(stats.total.fetches as usize, jobs.len() * (NODES - 1), "{stats:?}");
+    let plans: HashSet<PlanKey> = jobs.iter().flat_map(plan_keys).collect();
+    assert_eq!(plans.len(), 2);
+    assert_eq!(stats.total.compiles as usize, plans.len(), "one compile a plan: {stats:?}");
+    assert_eq!(stats.total.fetches as usize, plans.len() * (NODES - 1), "{stats:?}");
     assert_eq!(stats.total.misses, stats.total.compiles + stats.total.fetches);
 
     for job in jobs {
@@ -233,8 +300,10 @@ proptest! {
     }
 
     /// The acceptance property: over a random mixed-family workload on a
-    /// random cluster size, cluster-wide compiles == distinct fingerprints
-    /// submitted — compile-once-per-cluster holds for every family.
+    /// random cluster size, cluster-wide compiles == distinct plan keys the
+    /// submissions resolve — compile-once-per-cluster holds for every family
+    /// and for the stencil a usgrid program lowers to, which the stock
+    /// four's jobs share with `jacobi_5pt`'s.
     #[test]
     fn mixed_family_cluster_compiles_equal_distinct_fingerprints(
         submissions in collection::vec((0usize..3, 0usize..3), 1..8),
@@ -254,7 +323,7 @@ proptest! {
         let mut distinct = HashSet::new();
         for (node, which) in &submissions {
             let spec = palette[*which].clone();
-            distinct.insert(spec.program.fingerprint());
+            distinct.extend(plan_keys(&spec));
             cluster.submit(sessions[node % nodes], spec).unwrap();
         }
         let reports = cluster.drain();

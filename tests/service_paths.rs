@@ -48,6 +48,9 @@ type Row = (u64, u64, u64, u64, u64, u64);
 struct Golden {
     /// Cells the job writes in one sweep of its region.
     writes_per_sweep: u64,
+    /// Plans one cluster node compiles and the other fetches: a plan a tile
+    /// shape for a job the IR app runs, the family record for a particle job.
+    plans: u64,
     rows: [Row; 4],
 }
 
@@ -169,10 +172,11 @@ fn check(
             assert_eq!(summary.retries, 0, "{at}: retries");
         }
     }
-    // One plan a family: the first node to resolve it compiles, the other
-    // fetches it, and the 2x2 jobs hit on both nodes.
+    // Each plan: the first node to resolve it compiles, the other fetches
+    // it, and the 2x2 jobs hit on both nodes.
     let cache = cluster.cache_stats().total;
-    assert_eq!((cache.compiles, cache.fetches), (1, 1), "{name}: (compiles, fetches)");
+    let plans = golden.plans;
+    assert_eq!((cache.compiles, cache.fetches), (plans, plans), "{name}: (compiles, fetches)");
 }
 
 fn stencil_job(program: StencilProgram, params: Vec<f64>) -> JobSpec {
@@ -192,8 +196,10 @@ fn jacobi_5pt_matches_the_direct_run_under_every_topology() {
         // cell: the 16 edge runs of 8 cells, 16 x 7 = 112 searches of 18
         // nodes fewer, 2016 x 25 ns = 50.4 us less a sweep, 82.224 -> 31.824:
         // 1x1 246.672 -> 95.472 us; only the seconds bits moved.
+        // One plan: the 8x8 stencil, the one tile shape.
         Golden {
             writes_per_sweep: 1024,
+            plans: 1,
             rows: [
                 (4608, 3072, 0, 0, 13, 0x3f1907047882143a),
                 (6144, 4096, 64, 0, 33, 0x3f18f00f94c1f23f),
@@ -217,8 +223,10 @@ fn smooth_9pt_matches_the_direct_run_under_every_topology() {
         // runs of 10 cells and the 8 edge column runs of 8, 8 x 9 + 8 x 7 =
         // 128 searches of 18 nodes fewer, 2304 x 25 ns = 57.6 us less a sweep,
         // 103.916 -> 46.316: 1x1 311.748 -> 138.948 us.
+        // One plan: the 8x8 stencil, the one tile shape.
         Golden {
             writes_per_sweep: 1024,
+            plans: 1,
             rows: [
                 (4800, 3072, 0, 0, 13, 0x3f2236523b4ffc06),
                 (6400, 4096, 64, 0, 33, 0x3f20c76f331d4791),
@@ -269,36 +277,39 @@ fn usgrid_jacobi4_matches_the_direct_run_under_every_topology() {
     check(
         spec,
         direct_usgrid,
-        // A sweep: 400 points x (itself + 4 neighbours) = 2000 reads, 400
-        // writes.  One rank, 3 sweeps: 6000 / 1200 (was 8000 / 1600), and
-        // 51.96 us of simulated time a sweep: 1x1 207.84 -> 155.88 us.
+        // The service runs the program lowered to its stencil, on the value
+        // plane: a sweep reads the 400 points once (a hinted slab a block)
+        // and the 240 ring cells once (a run an edge: sum of 2 (w + h) over
+        // the 3x3 tiles of 8/8/4), all 240 off their block and 80 of them
+        // past the domain (the static row below it, the catch-all on the
+        // other sides) — 640 reads where the gather app read 5 a point,
+        // 2000.  1x1: 3 x 640 = 1920 (was 6000); two ranks, 4 sweeps: 2560
+        // (was 8000).  Writes, pages, retries, dispatches and the checksum
+        // bits stay.
         //
-        // The service runs the value-plane app: every count is the reference
-        // app's (`direct_usgrid`), and so are the one-rank rows to the bit.
-        // Across ranks only the wire changed: a cell is 8 bytes, not the 72
-        // of a `UsCell`.  The slower rank sends 48 of the 96 pages, 4 cells
-        // each: 192 cells x (72 - 8) B = 12,288 B x `comm_per_byte` 8e-11 s =
-        // 0.98304 us less — 2x1 147.69792 -> 146.71488 us, 2x2 105.16320 ->
-        // 104.18016 us.
+        // Simulated time follows the counters (a task's hinted reads x 1.5
+        // ns + writes x (4 + 1) + off-block reads x 12 + boundary reads x 8 +
+        // search nodes x 25, the memory part x 1.035 with two threads a rank).
+        // 1x1: 1200 x 1.5 + 1200 x 5 + 720 x 12 + 240 x 8 + 1320 x 25 = 51.36
+        // us (was 75.08).  2x1, the slower rank (the last 4 of 9 tiles in Z
+        // order, 112 cells): 448 x 1.5 + 448 x 5 + 352 x 12 + 144 x 8 + 1228
+        // x 25 = 38.988 us + 12 messages x 2 us + 1536 B x 0.08 ns = 63.11088
+        // us (was 78.91488).  1x2, the slower task: (336 x 1.5 + 336 x 4 +
+        // 264 x 12 + 108 x 8 + 921 x 25) x 1.035 + 336 = 30.252675 us (was
+        // 48.3498).  2x2, the slower rank's slower task: (192 x 1.5 + 192 x 4
+        // + 160 x 12 + 64 x 8 + 684 x 25) x 1.035 + 192 = 21.50058 us + 24.12288
+        // us = 45.62346 us (was 60.71016).
         //
-        // Then each plan's off-block entries searched for once, when the
-        // plan is resolved, not once a sweep: a task keeps one sweep's
-        // search nodes of the sweeps it makes, at 25 ns a node (x 1.035
-        // contention with two threads a rank).  1x1: 3 sweeps of 240
-        // searches over 1616 nodes, 2 x 1616 x 25 ns = 80.8 us less, 155.88
-        // -> 75.08 us; 2x1: the slower rank's 4 sweeps of 152 over 904, 3 x
-        // 904 x 25 ns = 67.8 us, 146.71488 -> 78.91488 us; 1x2: the slower
-        // task's 3 of 152 over 904, 2 x 904 x 25 ns x 1.035 = 46.782 us,
-        // 95.1318 -> 48.3498 us; 2x2: 4 of 96 over 560, 3 x 560 x 25 ns x
-        // 1.035 = 43.47 us, 104.18016 -> 60.71016 us.  Only the seconds bits
-        // moved.
+        // Plans: the lowered stencil's four tile shapes (8x8, 4x8, 8x4,
+        // 4x4), and no usgrid family record.
         Golden {
             writes_per_sweep: 400,
+            plans: 4,
             rows: [
-                (6000, 1200, 0, 0, 13, 0x3f13ae88940dbe84),
-                (8000, 1600, 96, 0, 33, 0x3f14afe350a87f32),
-                (6000, 1200, 0, 0, 22, 0x3f0959667a67b80f),
-                (8000, 1600, 96, 0, 59, 0x3f0fd46136c0cd36),
+                (1920, 1200, 0, 0, 13, 0x3f0aed6c299edfd4),
+                (2560, 1600, 96, 0, 33, 0x3f108b4ca998c18b),
+                (1920, 1200, 0, 0, 22, 0x3effb8e3fef0f5f2),
+                (2560, 1600, 96, 0, 59, 0x3f07eb7a2627ad26),
             ],
         },
     );
@@ -337,6 +348,7 @@ fn particle_pair_sweep_matches_the_direct_run_under_every_topology() {
         // sweep, 16.3 -> 6.7: 1x1 48.9 -> 20.1 us.
         Golden {
             writes_per_sweep: 256,
+            plans: 1,
             rows: [
                 (1200, 768, 0, 0, 13, 0x3ef5138d7b7e25a0),
                 (1600, 1024, 16, 0, 33, 0x3f0710d9923b2a1a),
