@@ -32,9 +32,9 @@
 //!
 //! | family | Listing-1 reference | what the service runs: the block routine it supplies |
 //! |---|---|---|
-//! | stencil | [`SGridJacobiApp`] on [`SGridSystem`], one platform call a cell | the kernel crate's `IrStencilApp` on [`SGridSystem`]: block slab in, halo ring as one run an edge, the compiled tape, slab out |
+//! | stencil | [`SGridJacobiApp`] on [`SGridSystem`], one platform call a cell | the kernel crate's `IrStencilApp` on [`SGridSystem`]: halo ring as one run an edge, then the compiled tape in the lent block (read buffer in, write buffer out) |
 //! | usgrid | [`UsGridJacobiApp`] on [`UsGridSystem`] (`Cell = `[`UsCell`]: Fig. 5b, cells that store their neighbours' addresses), law [`UsUpdate`] a point | the program lowered to its stencil (`UsGridProgram::to_stencil`, CaseC), run by the kernel crate's `IrStencilApp` on [`UsGridValueSystem`] (`Cell = f64`): the stencil's block routine |
-//! | particle | [`ParticleApp`] on [`ParticleSystem`], ten per-cell bucket reads a bucket | [`ParticleBlockApp`] on [`ParticleSystem`]: block slab in, its one-bucket ring as four runs, the compiled pair law ([`PairForce`]) a pair, slab out |
+//! | particle | [`ParticleApp`] on [`ParticleSystem`], ten per-cell bucket reads a bucket | [`ParticleBlockApp`] on [`ParticleSystem`]: its one-bucket ring as four runs, then the compiled pair law ([`PairForce`]) a pair in the lent block |
 //!
 //! A product app is that block routine and nothing else of the flow: it
 //! implements `aohpc_runtime::BlockSweep`, and the runtime's one blanket

@@ -25,9 +25,9 @@
 //!
 //! [`ParticleApp`] is the family's Listing-1 reference: ten per-cell reads a
 //! bucket (itself, then its 3×3 neighbourhood).  [`ParticleBlockApp`] is the
-//! product app the service runs: the reference's in-place sweep with a
-//! block's buckets moved in bulk — one slab in, its one-bucket ring as four
-//! runs, one slab out — the same pair law per pair in the same order, so the
+//! product app the service runs: the reference's in-place sweep a block at a
+//! time — its one-bucket ring as four runs, then the update in the block's
+//! own lent buffers — the same pair law per pair in the same order, so the
 //! same field to the bit, each bucket read once a sweep.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
@@ -563,13 +563,14 @@ impl HpcApp<Bucket> for ParticleApp {
 /// moved in bulk.  Run it on [`ParticleSystem`].
 ///
 /// Its block routine (a `BlockSweep`, run inside the `Kernel::execute_block`
-/// join point) reads the block's buckets in as one slab, its one-bucket ring
-/// as four runs — the row above and the row below, `bx + 2`
-/// buckets each with the corners, then the left and the right column, `by`
-/// each — the reference's force (one [`PairForce`] call a pair, in the
-/// reference's neighbourhood order) and update for every live particle, and
-/// the block out as one slab.  A bucket is read once a sweep: hinted in the
-/// block, unhinted on the ring.
+/// join point) reads the block's one-bucket ring as four runs — the row
+/// above and the row below, `bx + 2` buckets each with the corners, then
+/// the left and the right column, `by` each — and then, in the block's own
+/// buffers ([`TaskCtx::with_block`]), copies the read buffer into the write
+/// buffer and applies the reference's force (one [`PairForce`] call a
+/// pair, in the reference's neighbourhood order) and update to every live
+/// particle there.  A bucket is read once a sweep: hinted in the block,
+/// unhinted on the ring.
 #[derive(Debug, Clone)]
 pub struct ParticleBlockApp {
     /// The DSL system (for initial placement parameters).
@@ -583,34 +584,17 @@ pub struct ParticleBlockApp {
     /// `Finalize` deposits per-bucket summed speed here (keyed by bucket
     /// coordinates), as the reference does.
     pub sink: Option<FieldSink>,
-    /// What the kernel keeps between passes (an app instance is one task's).
-    scratch: BlockScratch,
-}
-
-/// The block kernel's staging, sized at the first block: at most one 8×8
-/// block of buckets each (82 KB), under the allocator's mmap threshold.
-#[derive(Debug, Clone, Default)]
-struct BlockScratch {
-    /// The block's buckets, as read.
-    own: Vec<Bucket>,
-    /// Its one-bucket ring: row above, row below, left column, right column.
+    /// The block's one-bucket ring — row above, row below, left column,
+    /// right column — kept between passes (an app instance is one task's)
+    /// and sized at the first block.
     ring: Vec<Bucket>,
-    /// The block's updated buckets.
-    out: Vec<Bucket>,
 }
 
 impl ParticleBlockApp {
     /// A sweep of `law` over the system's buckets, `loops` times, at the
     /// reference's default time step.
     pub fn new(system: ParticleSystem, law: PairForce, loops: usize) -> Self {
-        ParticleBlockApp {
-            system,
-            law,
-            dt: 1e-3,
-            loops,
-            sink: None,
-            scratch: BlockScratch::default(),
-        }
+        ParticleBlockApp { system, law, dt: 1e-3, loops, sink: None, ring: Vec::new() }
     }
 
     /// Use a different time step.
@@ -633,8 +617,8 @@ impl ParticleBlockApp {
 }
 
 /// The bucket at block-relative `(x, y)`, at most one bucket outside a
-/// `bx × by` block, from the block's slab and its ring (ring order as in
-/// [`BlockScratch::ring`]).
+/// `bx × by` block, from the block's buckets and its ring (ring order as in
+/// [`ParticleBlockApp::ring`]).
 fn bucket_at<'a>(
     own: &'a [Bucket],
     ring: &'a [Bucket],
@@ -678,13 +662,10 @@ impl BlockSweep for ParticleBlockApp {
     }
 
     fn block(&mut self, ctx: &mut TaskCtx<Bucket>, bid: BlockId, _i: usize, _n: usize) {
-        let (law, dt) = (&*self.law.0, self.dt);
-        let BlockScratch { own, ring, out } = &mut self.scratch;
+        let (law, dt, ring) = (&*self.law.0, self.dt, &mut self.ring);
         let ext = ctx.env().block(bid).meta.extent;
         let (nx, ny) = (ext.nx, ext.ny);
-        own.resize(nx * ny, Bucket::default());
         ring.resize(2 * (nx + 2) + 2 * ny, Bucket::default());
-        ctx.get_block_dd(bid, own);
         let (bx, by) = (nx as i64, ny as i64);
         let (across, down) = (LocalAddress::new2d(1, 0), LocalAddress::new2d(0, 1));
         let (rows, columns) = ring.split_at_mut(2 * (nx + 2));
@@ -694,34 +675,35 @@ impl BlockSweep for ParticleBlockApp {
         ctx.get_run(bid, LocalAddress::new2d(-1, by), across, below);
         ctx.get_run(bid, LocalAddress::new2d(-1, 0), down, left);
         ctx.get_run(bid, LocalAddress::new2d(bx, 0), down, right);
+        let ring = &*ring;
 
-        out.clear();
-        out.extend_from_slice(own);
-        for (k, me) in own.iter().enumerate().filter(|(_, me)| me.count > 0) {
-            let (i, j) = (k as i64 % bx, k as i64 / bx);
-            // The 3×3 neighbourhood in the reference's (dj, di) row-major
-            // order.
-            let hood: [&Bucket; 9] = std::array::from_fn(|n| {
-                let (di, dj) = (n as i64 % 3 - 1, n as i64 / 3 - 1);
-                bucket_at(own, ring, bx, by, i + di, j + dj)
-            });
-            for (p, next) in me.live().iter().zip(&mut out[k].particles) {
-                let mut force = [0.0f64; 3];
-                for nb in hood {
-                    for q in nb.live() {
-                        if q.id != p.id {
-                            law(&p.pos, &q.pos, &mut force);
+        ctx.with_block(bid, |own, out| {
+            out.clone_from_slice(own);
+            for (k, me) in own.iter().enumerate().filter(|(_, me)| me.count > 0) {
+                let (i, j) = (k as i64 % bx, k as i64 / bx);
+                // The 3×3 neighbourhood in the reference's (dj, di) row-major
+                // order.
+                let hood: [&Bucket; 9] = std::array::from_fn(|n| {
+                    let (di, dj) = (n as i64 % 3 - 1, n as i64 / 3 - 1);
+                    bucket_at(own, ring, bx, by, i + di, j + dj)
+                });
+                for (p, next) in me.live().iter().zip(&mut out[k].particles) {
+                    let mut force = [0.0f64; 3];
+                    for nb in hood {
+                        for q in nb.live() {
+                            if q.id != p.id {
+                                law(&p.pos, &q.pos, &mut force);
+                            }
                         }
                     }
-                }
-                next.acc = force;
-                for d in 0..3 {
-                    next.vel[d] += next.acc[d] * dt;
-                    next.pos[d] += next.vel[d] * dt;
+                    next.acc = force;
+                    for d in 0..3 {
+                        next.vel[d] += next.acc[d] * dt;
+                        next.pos[d] += next.vel[d] * dt;
+                    }
                 }
             }
-        }
-        ctx.set_block(bid, out);
+        });
     }
 }
 

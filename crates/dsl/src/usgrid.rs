@@ -30,8 +30,9 @@
 //!   stay in place (CaseC, the one layout the service runs) a program's
 //!   neighbours are fixed offsets of every point, so the program is a
 //!   stencil: the kernel crate lowers it (`UsGridProgram::to_stencil`) and
-//!   runs it as a stencil job runs (`IrStencilApp`: block slab in, the halo
-//!   ring as runs, the padded tile, slab out) on this Env.  A read off the
+//!   runs it as a stencil job runs (`IrStencilApp`: the halo ring as runs,
+//!   then the padded tile filled from the lent block and the row loop
+//!   writing into it) on this Env.  A read off the
 //!   domain on any side yields `boundary_value`, as the reference's static
 //!   slots do, so the field bits are the reference's; the counters are the
 //!   stencil's, one read a point and one a ring cell where the reference

@@ -1010,7 +1010,8 @@ impl<C: Cell> Env<C> {
     // exactly the counters, missing-page records and dirty flags the
     // per-cell loop over `0..extent.cells()` produces.  A block without cell
     // buffers or a slice of the wrong length returns `false` and touches
-    // nothing.
+    // nothing.  The borrowing forms (`view_block`, `lend_block`) are the
+    // copying ones without the copy, on a wholly valid block, counted alike.
 
     /// The buffers of `id` if it is a buffer-bearing block of `len` cells.
     fn slab_buffers(&self, id: BlockId, len: usize) -> Option<&RwLock<MultiBuffer<C>>> {
@@ -1025,19 +1026,72 @@ impl<C: Cell> Env<C> {
         }
     }
 
+    /// The counters of `len` hinted in-block reads (`GetDD`), whether or
+    /// not their pages are valid.
+    fn count_block_read(state: &mut AccessState, len: usize) {
+        state.counters.reads += len as u64;
+        state.counters.skip_search_hits += len as u64;
+    }
+
+    /// Borrow `start`'s read buffer for `f` under a read guard — what
+    /// [`Env::read_block_into`] would copy out, counted as it counts.
+    /// `None`, with nothing counted and `f` not called, when `start` has no
+    /// cell buffers or is not wholly valid.  Nothing may read the Env inside
+    /// `f` (the guard is held).
+    pub fn view_block<R>(
+        &self,
+        start: BlockId,
+        state: &mut AccessState,
+        f: impl FnOnce(&[C]) -> R,
+    ) -> Option<R> {
+        let buf = self.slab_buffers(start, self.blocks[start].meta.extent.cells())?;
+        let guard = buf.read();
+        if !self.blocks[start].meta.is_valid() {
+            return None;
+        }
+        Self::count_block_read(state, guard.cells());
+        Some(f(guard.read_buf()))
+    }
+
+    /// Lend `start`'s read buffer and write buffer to `f` together, under
+    /// one write guard — [`Env::read_block_into`] then
+    /// [`Env::write_block_from`] without either copy: the same counters,
+    /// and every page of the write buffer dirty.  `write` holds whatever the
+    /// buffer last held, so `f` must write every cell.  `None`, with nothing
+    /// touched and `f` not called, when `start` has no cell buffers or is
+    /// not wholly valid; the caller then copies.
+    ///
+    /// Nothing may read the Env inside `f`: the guard is not reentrant, and
+    /// a Reference can map any address back into `start`.  Read a block's
+    /// halo before lending it.
+    pub fn lend_block<R>(
+        &self,
+        start: BlockId,
+        state: &mut AccessState,
+        f: impl FnOnce(&[C], &mut [C]) -> R,
+    ) -> Option<R> {
+        let buf = self.slab_buffers(start, self.blocks[start].meta.extent.cells())?;
+        let mut guard = buf.write();
+        if !self.blocks[start].meta.is_valid() {
+            return None;
+        }
+        Self::count_block_read(state, guard.cells());
+        state.counters.writes += guard.cells() as u64;
+        let (read, write) = guard.read_write_bufs();
+        Some(f(read, write))
+    }
+
     /// Read every cell of `start` into `out` — the slab form of
     /// [`Env::read_local`] with the in-block hint (`GetDD`).  Cells of an
     /// invalid page read as `C::default()` and are recorded missing, one
     /// record per cell, as the per-cell path does.
     pub fn read_block_into(&self, start: BlockId, out: &mut [C], state: &mut AccessState) -> bool {
         let Some(buf) = self.slab_buffers(start, out.len()) else { return false };
-        state.counters.reads += out.len() as u64;
-        state.counters.skip_search_hits += out.len() as u64;
-        let guard = buf.read();
-        if self.blocks[start].meta.is_valid() {
-            out.clone_from_slice(guard.read_buf());
+        if self.view_block(start, state, |read| out.clone_from_slice(read)).is_some() {
             return true;
         }
+        Self::count_block_read(state, out.len());
+        let guard = buf.read();
         let pages = guard.pages();
         for page in 0..pages.num_pages() {
             let range = pages.cell_range(page);
@@ -1677,6 +1731,107 @@ mod tests {
             }
         }
 
+        proptest! {
+            /// Lending a block is reading it in and writing it out with the
+            /// slab calls, without the copies: two steps (a swap between
+            /// them, so both buffers take a turn) leave the same values in
+            /// both buffers, the same counters and the same page flags.  A
+            /// view is the read alone.  A block that is not wholly valid is
+            /// neither lent nor viewed — the closure is not called and
+            /// nothing is touched — and the copying fallback then records
+            /// the missing pages in order.
+            #[test]
+            fn a_lend_equals_the_slab_copies(
+                nx in 1usize..9,
+                ny in 1usize..9,
+                nz in 1usize..3,
+                cpp in 1usize..40,
+                buffer_only in any::<bool>(),
+                wholly_valid in any::<bool>(),
+                invalid_mask in any::<u64>(),
+                seed in any::<u64>(),
+            ) {
+                let extent = Extent::new3d(nx, ny, nz);
+                let n = extent.cells();
+                let initial: Vec<u64> = (0..n as u64).map(|i| seed.wrapping_add(i * 7919)).collect();
+                let law = |v: &u64, step: u64| v.rotate_left(17) ^ step;
+                let (lent, a) = one_block_env(extent, cpp, buffer_only);
+                let (copied, b) = one_block_env(extent, cpp, buffer_only);
+                let (mut st_a, mut st_b) = (AccessState::new(), AccessState::new());
+                for (env, id) in [(&lent, a), (&copied, b)] {
+                    prop_assert!(env.init_block_from(id, &initial));
+                    env.set_block_valid(id, wholly_valid).unwrap();
+                    if !wholly_valid {
+                        for page in 0..env.num_pages(id).unwrap() {
+                            if invalid_mask >> (page % 64) & 1 == 0 {
+                                let payload = env.extract_page(id, page).unwrap();
+                                env.install_page(id, page, &payload).unwrap();
+                            }
+                        }
+                    }
+                }
+                let valid = lent.block(a).meta.is_valid();
+
+                for step in 0..2u64 {
+                    // The copy: slab in, the law, slab out.
+                    let mut cells = vec![0; n];
+                    prop_assert!(copied.read_block_into(b, &mut cells, &mut st_b));
+                    let next: Vec<u64> = cells.iter().map(|v| law(v, step)).collect();
+                    prop_assert!(copied.write_block_from(b, &next, &mut st_b));
+
+                    let viewed = lent.view_block(a, &mut AccessState::new(), |read| read.to_vec());
+                    prop_assert_eq!(viewed.is_some(), valid);
+                    let before = (snapshot(&lent, a), st_a.counters, st_a.missing().to_vec());
+                    let mut calls = 0;
+                    let done = lent.lend_block(a, &mut st_a, |read, write| {
+                        calls += 1;
+                        for (w, r) in write.iter_mut().zip(read) {
+                            *w = law(r, step);
+                        }
+                        read.to_vec()
+                    });
+                    match done {
+                        Some(read) => {
+                            prop_assert_eq!(Some(&read), viewed.as_ref());
+                            prop_assert_eq!(&read, &cells);
+                        }
+                        None => {
+                            prop_assert!(!valid);
+                            prop_assert_eq!(calls, 0);
+                            let after = (snapshot(&lent, a), st_a.counters, st_a.missing().to_vec());
+                            prop_assert_eq!(after, before);
+                            // The caller's fallback: the copy.
+                            let mut cells = vec![0; n];
+                            prop_assert!(lent.read_block_into(a, &mut cells, &mut st_a));
+                            let next: Vec<u64> = cells.iter().map(|v| law(v, step)).collect();
+                            prop_assert!(lent.write_block_from(a, &next, &mut st_a));
+                        }
+                    }
+                    prop_assert_eq!(st_a.counters, st_b.counters);
+                    prop_assert_eq!(st_a.missing(), st_b.missing());
+                    prop_assert_eq!(snapshot(&lent, a), snapshot(&copied, b));
+
+                    // A view counts as the slab read.
+                    let (mut viewing, mut reading) = (AccessState::new(), AccessState::new());
+                    if let Some(read) = lent.view_block(a, &mut viewing, |read| read.to_vec()) {
+                        let mut out = vec![0; n];
+                        prop_assert!(copied.read_block_into(b, &mut out, &mut reading));
+                        prop_assert_eq!(read, out);
+                        prop_assert_eq!(viewing.counters, reading.counters);
+                    } else {
+                        prop_assert_eq!(viewing.counters, AccessCounters::default());
+                    }
+
+                    for (env, id) in [(&lent, a), (&copied, b)] {
+                        match &env.block(id).kind {
+                            BlockKind::Data(buf) | BlockKind::BufferOnly(buf) => buf.write().swap(),
+                            _ => unreachable!("buffer-bearing block"),
+                        }
+                    }
+                }
+            }
+        }
+
         #[test]
         fn wrong_length_and_non_buffer_blocks_are_refused_untouched() {
             let extent = Extent::new2d(4, 3);
@@ -1701,6 +1856,8 @@ mod tests {
                     assert!(!env.write_block_from(other, &buf, &mut st));
                     assert!(!env.init_block_from(other, &buf));
                 }
+                assert!(env.view_block(other, &mut st, |_| ()).is_none());
+                assert!(env.lend_block(other, &mut st, |_, _| ()).is_none());
             }
             assert_eq!(st.counters, AccessCounters::default());
             assert!(!st.has_missing());

@@ -6,13 +6,15 @@
 //! `Kernel::execute_block` join point, `refresh`, `Finalize` — is the
 //! runtime's one blanket `HpcApp` impl over [`BlockSweep`].
 //!
-//! The block routine reads the block with one slab `GetDD`
-//! ([`TaskCtx::get_block_dd`]), runs the compiled kernel, and writes the
-//! block back with one slab `SetD`
-//! ([`TaskCtx::set_block`]).  Only the true out-of-block halo comes through
-//! the platform: the plan's [`HaloRing`] lists each of those cells once, and
-//! [`fill_halo_ring`] reads the ring with one run read per edge
-//! ([`TaskCtx::get_run`], so MMAT and the per-read counters still apply).
+//! The block routine computes in the Env's own buffers.  It first reads the
+//! true out-of-block halo through the platform: the plan's [`HaloRing`]
+//! lists each of those cells once, and [`fill_halo_ring`] reads the ring
+//! with one run read per edge ([`TaskCtx::get_run`], so MMAT and the
+//! per-read counters still apply).  Then [`TaskCtx::with_block`] lends it
+//! the block's read and write buffers: the kernel's tile is filled straight
+//! from the one and its row loop writes straight into the other, counted as
+//! one slab `GetDD` and one slab `SetD`.  The ring comes first because
+//! nothing may read the Env while the block is lent.
 //!
 //! Because all of it goes through the same Annotation/Memory-Library join
 //! points and leaves the same counters as Listing 1's per-cell calls, every
@@ -30,24 +32,18 @@ use aohpc_runtime::{BlockSweep, FieldSink, TaskCtx, TaskSlot};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Per-task reusable kernel buffers: the tape's [`ExecScratch`] plus the
-/// gather/result staging vectors of the block routine.
+/// Per-task reusable kernel buffers: the tape's [`ExecScratch`] (registers,
+/// halo ring, padded tile).  The block itself is never staged: it is lent.
 ///
 /// A task's app checks one out at its first block and keeps it, so after the
 /// first block of the first step every buffer is warm and the whole per-step
 /// path allocates nothing.  When the task's app drops at the end of the run,
 /// a pool-backed instance returns its `ExecScratch` to the owning
 /// [`ScratchPool`] (how the multi-tenant service recycles buffers across jobs
-/// per worker); the block-shaped staging vectors are task-sized and simply
-/// drop.
+/// per worker).
 #[derive(Debug, Default)]
 struct KernelScratch {
-    /// Tape registers, halo ring and padded tile.
     exec: ExecScratch,
-    /// Staging for the block's current (read-buffer) values.
-    cells: Vec<f64>,
-    /// Staging for the block's next values.
-    out: Vec<f64>,
     pool: Option<Arc<ScratchPool>>,
 }
 
@@ -55,7 +51,7 @@ impl KernelScratch {
     /// Check out a scratch, warm from `pool` when one is configured.
     fn acquire(pool: Option<Arc<ScratchPool>>) -> Self {
         let exec = pool.as_deref().map(ScratchPool::acquire).unwrap_or_default();
-        KernelScratch { exec, cells: Vec::new(), out: Vec::new(), pool }
+        KernelScratch { exec, pool }
     }
 }
 
@@ -225,24 +221,17 @@ impl BlockSweep for IrStencilApp {
         let compiled = self.compiled_for(ext);
         let pool = &self.scratch_pool;
         let scratch = self.scratch.get_or_insert_with(|| KernelScratch::acquire(pool.clone()));
-        let KernelScratch { exec, cells, out, .. } = scratch;
+        let exec = &mut scratch.exec;
+        let params = &self.params;
 
-        // Gather the block's current values (slab GetDD), execute with the
-        // halo ring coming through the platform run by run (so MMAT / Env-search semantics are preserved), and
-        // write the next-step values back (slab SetD).
-        cells.resize(ext.cells(), 0.0);
-        out.resize(ext.cells(), 0.0);
-        ctx.get_block_dd(bid, cells);
-        compiled.execute_block_ring(
-            cells,
-            &self.params,
-            |ring, buf| fill_halo_ring(ctx, bid, ring, buf),
-            out,
-            Processor::Scalar,
-            &mut ExecStats::default(),
-            exec,
-        );
-        ctx.set_block(bid, out);
+        // The halo ring through the platform, run by run (so MMAT /
+        // Env-search semantics are preserved), then the kernel in the lent
+        // block: read buffer in, write buffer out.
+        fill_halo_ring(ctx, bid, &compiled.plan().ring, compiled.ring_buf(exec));
+        ctx.with_block(bid, |cells, out| {
+            let stats = &mut ExecStats::default();
+            compiled.execute_block_ring(cells, params, out, Processor::Scalar, stats, exec);
+        });
     }
 }
 

@@ -28,7 +28,7 @@
 //! property tests assert the tape is bit-identical to it — output bits and
 //! [`ExecStats`] — for random programs, extents and backends.
 
-use crate::plan::{CompiledKernel, HaloRing};
+use crate::plan::CompiledKernel;
 use crate::tape::ExecScratch;
 use serde::Serialize;
 
@@ -108,7 +108,19 @@ impl CompiledKernel {
         );
     }
 
-    /// Execute the kernel over one block by interpreting the compiled tape.
+    /// `scratch`'s halo-ring buffer for this kernel, one value per slot of
+    /// the plan's [`HaloRing`](crate::plan::HaloRing), grown here on first
+    /// use.  A caller of [`execute_block_ring`](Self::execute_block_ring)
+    /// fills the slots of every run here first; slots no run covers are
+    /// never read.
+    pub fn ring_buf<'s>(&self, scratch: &'s mut ExecScratch) -> &'s mut [f64] {
+        let slots = self.plan().ring.slots();
+        scratch.ensure(0, slots, 0);
+        &mut scratch.ring[..slots]
+    }
+
+    /// Execute the kernel over one block whose halo ring is already in
+    /// `scratch` (see [`ring_buf`](CompiledKernel::ring_buf)).
     ///
     /// * `cells` — the block's current (read-buffer) values, row-major,
     ///   `extent.cells()` long;
@@ -116,28 +128,26 @@ impl CompiledKernel {
     ///   [`num_params`](CompiledKernel::num_params) (validated here — a short
     ///   slice would otherwise silently zero-fill, which is a wrong answer,
     ///   not a fallback);
-    /// * `fill` — fills the block's halo ring: called once, with the plan's
-    ///   [`HaloRing`] and a buffer of one value per ring slot (it must set
-    ///   the slots of every run; slots no run covers are never read), before
-    ///   any cell is evaluated.  The caller adds the block origin and
-    ///   goes through the platform (one `TaskCtx::get_run` per ring run, so
-    ///   MMAT / Env-search accounting still applies);
     /// * `out` — the block's next values, row-major (same length as `cells`);
     /// * `processor` — the processor `stats` are accounted for;
     /// * `scratch` — reusable register, ring and tile buffers; grown on first
     ///   use, then reused allocation-free for every later block.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// The ring is filled first so that `cells` and `out` can be the Env's
+    /// own buffers, lent under a guard no halo read may wait on:
+    /// `IrStencilApp` fills the ring through the platform (one
+    /// `TaskCtx::get_run` per ring run, so MMAT / Env-search accounting
+    /// still applies), then runs this inside `TaskCtx::with_block`.
     pub fn execute_block_ring(
         &self,
         cells: &[f64],
         params: &[f64],
-        fill: impl FnOnce(&HaloRing, &mut [f64]),
         out: &mut [f64],
         processor: Processor,
         stats: &mut ExecStats,
         scratch: &mut ExecScratch,
     ) {
-        self.execute_block_impl(cells, params, fill, out, processor, stats, scratch, true);
+        self.execute_block_impl(cells, params, out, processor, stats, scratch, true);
     }
 
     /// [`execute_block_ring`](CompiledKernel::execute_block_ring) with the
@@ -154,8 +164,8 @@ impl CompiledKernel {
         stats: &mut ExecStats,
         scratch: &mut ExecScratch,
     ) {
-        let fill = |ring: &HaloRing, buf: &mut [f64]| ring.fill_per_cell(buf, halo);
-        self.execute_block_impl(cells, params, fill, out, processor, stats, scratch, true);
+        self.plan().ring.fill_per_cell(self.ring_buf(scratch), halo);
+        self.execute_block_impl(cells, params, out, processor, stats, scratch, true);
     }
 
     /// [`execute_block`](CompiledKernel::execute_block) with the specialized
@@ -172,8 +182,8 @@ impl CompiledKernel {
         stats: &mut ExecStats,
         scratch: &mut ExecScratch,
     ) {
-        let fill = |ring: &HaloRing, buf: &mut [f64]| ring.fill_per_cell(buf, halo);
-        self.execute_block_impl(cells, params, fill, out, processor, stats, scratch, false);
+        self.plan().ring.fill_per_cell(self.ring_buf(scratch), halo);
+        self.execute_block_impl(cells, params, out, processor, stats, scratch, false);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -181,7 +191,6 @@ impl CompiledKernel {
         &self,
         cells: &[f64],
         params: &[f64],
-        fill: impl FnOnce(&HaloRing, &mut [f64]),
         out: &mut [f64],
         processor: Processor,
         stats: &mut ExecStats,
@@ -199,11 +208,10 @@ impl CompiledKernel {
         let regs = &mut regs[..tape.num_regs() * row];
         tape.run_prelude(params, regs, row);
 
-        // The ring is fetched through the platform once; the block's rows
-        // and the ring's runs then go into one padded tile, which every
-        // cell, interior or boundary, reads its loads from.
-        let ring = &mut ring[..plan.ring.slots()];
-        fill(&plan.ring, ring);
+        // The ring was fetched once, before the call; the block's rows and
+        // the ring's runs go into one padded tile, which every cell,
+        // interior or boundary, reads its loads from.
+        let ring = &ring[..plan.ring.slots()];
         let tile = &mut tile[..plan.tile_len];
         for (y, row) in cells.chunks_exact(nx).enumerate() {
             tile[origin + y * width..][..nx].copy_from_slice(row);

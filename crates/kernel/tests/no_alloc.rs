@@ -237,8 +237,9 @@ impl PlanSource for Precompiled {
 }
 
 /// A usgrid job's sweep — its program lowered to a stencil, run by the IR
-/// app on the value plane (CaseC, a ragged tiling) — keeps its plans, tile
-/// and slabs in the app: a sweep after the first allocates only what the two
+/// app on the value plane (CaseC, a ragged tiling) — keeps its plans and
+/// tile in the app and computes in the lent block: a sweep after the first
+/// allocates only what the two
 /// platform calls around the blocks do (`get_blocks` hands out a fresh block
 /// list, `refresh` its payload).  For the stock four and for the "eight"
 /// program of `tests/value_plane.rs` (corners, and a reach of 2 on one side).
@@ -269,10 +270,10 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
             blocks
         });
         // The first sweep sizes what the app keeps, once each: the plan memo
-        // (4 buckets, then 8 at the fourth shape) = 2, the two staging slabs
-        // = 2, and the scratch's registers, ring and tile = 3 — each grown at
-        // the first block, a full 8x8 one, and never again.
-        assert_eq!(cold, platform + 2 + 2 + 3, "{}: the first sweep", program.name());
+        // (4 buckets, then 8 at the fourth shape) = 2, and the scratch's
+        // ring, registers and tile = 3 — each grown at the first block, a
+        // full 8x8 one, and never again.  The block is lent, not staged.
+        assert_eq!(cold, platform + 2 + 3, "{}: the first sweep", program.name());
         for sweep in 2..5 {
             let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
             assert!(ok);
@@ -286,10 +287,11 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
     }
 }
 
-/// The particle block sweep keeps its three staging slabs in the app: a sweep
-/// after the first allocates only what `get_blocks` and `refresh` do —
-/// nothing a block and nothing a bucket, on a half-empty grid (1,000
-/// particles in 256 buckets) and a full one (2^12 in 576).  The Listing-1
+/// The particle block sweep keeps its ring in the app and updates the lent
+/// block in place: a sweep after the first allocates only what `get_blocks`
+/// and `refresh` do — nothing a block and nothing a bucket, on a half-empty
+/// grid (1,000 particles in 256 buckets) and a full one (2^12 in 576).  The
+/// Listing-1
 /// `ParticleApp` beside it allocates two `Vec`s a bucket, every sweep.
 #[test]
 fn warm_particle_sweep_allocates_nothing_of_its_own() {
@@ -311,11 +313,12 @@ fn warm_particle_sweep_allocates_nothing_of_its_own() {
         let mut ctx = serial_ctx(system.build_env());
         let mut app = ParticleBlockApp::new(system.clone(), law.clone(), 4);
         app.initialize(&mut ctx);
-        // The first sweep sizes the own, ring and out slabs: three.
+        // The first sweep sizes the ring: one.  The block is lent, not
+        // staged.
         let (ok, cold) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
         assert!(ok);
         let platform = platform(&mut ctx);
-        assert_eq!(cold, platform + 3, "{count}: the first sweep");
+        assert_eq!(cold, platform + 1, "{count}: the first sweep");
         for sweep in 2..5 {
             let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
             assert!(ok);

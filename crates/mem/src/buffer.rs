@@ -138,6 +138,22 @@ impl<C: Clone + Default> MultiBuffer<C> {
         self.pages.mark_all_dirty();
     }
 
+    /// The read buffer and the write buffer together, every page marked
+    /// dirty — a block routine computes step `n` from step `n-1` in place,
+    /// with the page flags of [`MultiBuffer::fill_write_buf`].  The write
+    /// buffer holds whatever it last held: the borrower must write every
+    /// cell.
+    pub fn read_write_bufs(&mut self) -> (&[C], &mut [C]) {
+        let (r, w) = (self.read_idx, self.write_idx());
+        self.pages.mark_all_dirty();
+        let (low, high) = self.buffers.split_at_mut(r.max(w));
+        if r < w {
+            (&low[r], &mut high[0])
+        } else {
+            (&high[0], &mut low[w])
+        }
+    }
+
     /// Overwrite the whole *read* buffer from `src` — the slab form of
     /// [`MultiBuffer::write_cell_to_read_buf`] over all cells.
     pub fn fill_read_buf(&mut self, src: &[C]) {
@@ -278,6 +294,25 @@ mod tests {
         slab.swap();
         cellwise.swap();
         assert_eq!(slab.read_buf(), cellwise.read_buf());
+    }
+
+    #[test]
+    fn the_split_borrow_matches_the_slab_fill() {
+        for num_buffers in [2, 3] {
+            let mut lent: MultiBuffer<u32> = MultiBuffer::unpooled(5, num_buffers, 2);
+            let mut filled: MultiBuffer<u32> = MultiBuffer::unpooled(5, num_buffers, 2);
+            for step in 0..num_buffers as u32 + 1 {
+                let (read, write) = lent.read_write_bufs();
+                assert_eq!(read, filled.read_buf(), "buffers {num_buffers} step {step}");
+                let next: Vec<u32> = read.iter().map(|v| v * 3 + step + 1).collect();
+                write.copy_from_slice(&next);
+                filled.fill_write_buf(&next);
+                assert_eq!(lent.pages(), filled.pages(), "every page dirty");
+                lent.swap();
+                filled.swap();
+            }
+            assert_eq!(lent.read_buf(), filled.read_buf());
+        }
     }
 
     #[test]

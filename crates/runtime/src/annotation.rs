@@ -113,7 +113,7 @@ pub trait HpcApp<C: Cell> {
 ///   [`BlockSweep::sink`], when there is one.
 ///
 /// An app instance is one task's (the driver builds one per task), so what a
-/// block routine keeps between passes — staging slabs, resolved plans —
+/// block routine keeps between passes — ring buffers, resolved plans —
 /// lives in `self`.
 pub trait BlockSweep {
     /// The cell type of the Env the sweep runs on.
@@ -131,8 +131,9 @@ pub trait BlockSweep {
     /// The value `Finalize` deposits for one cell.
     fn deposit(cell: &Self::Cell) -> f64;
 
-    /// One block's pass: gather its values and neighbours, apply the law,
-    /// `set_block` the result.  The block is number `i` of the `n` this
+    /// One block's pass: read its out-of-block neighbours, then apply the
+    /// law inside [`TaskCtx::with_block`], from the lent read buffer into
+    /// the lent write buffer.  The block is number `i` of the `n` this
     /// sweep's `get_blocks` returned.
     fn block(&mut self, ctx: &mut TaskCtx<Self::Cell>, bid: BlockId, i: usize, n: usize);
 }

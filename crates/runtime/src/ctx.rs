@@ -3,7 +3,8 @@
 //! A [`TaskCtx`] is what an end-user application sees: the Block-based memory
 //! interface (`get` / `get_dd` / `set` per cell, `get_run` per halo edge,
 //! `resolve_gather` once and `get_gather` per pass for a neighbour list,
-//! `get_block_dd` / `set_block` / `set_initial_block` per block),
+//! `get_block_dd` / `set_block` / `set_initial_block` per block, and
+//! `with_block`, which lends a block routine the block's own buffers),
 //! `get_blocks`, `refresh`, and a handful of introspection helpers.
 //! Internally every one of those calls is dispatched through the woven
 //! program, so aspect modules can intercept them — this is the runtime
@@ -718,13 +719,47 @@ impl<C: Cell> TaskCtx<C> {
 
     // -- Slab accessors: the same three calls, a whole block at a time ------
     //
-    // A loop that touches every cell of its block (a compiled kernel's
-    // gather and write-back, `Initialize`, `Finalize`) asserts "inside my
-    // block" once for the block instead of once per cell.  Slices are in
-    // row-major (linear-index) order and must hold exactly the block's cells;
+    // A loop that touches every cell of its block (a block routine's read
+    // and write-back, `Initialize`, `Finalize`) asserts "inside my block"
+    // once for the block instead of once per cell.  Slices are in row-major
+    // (linear-index) order and must hold exactly the block's cells;
     // counters, missing-page records and dirty flags come out exactly as from
     // the per-cell loop.  `false` (nothing touched) on a block without cell
-    // buffers or a slice of the wrong length.
+    // buffers or a slice of the wrong length.  A block routine does not copy
+    // at all: `with_block` lends it the block's own buffers, counted as
+    // `get_block_dd` + `set_block`, and `deposit_owned` reads each block in
+    // place.
+
+    /// Lend `block`'s read buffer (step `n-1`) and write buffer (step `n`)
+    /// to `f`: the block routine's `get_block_dd` + `set_block` without
+    /// either copy — same counters, missing-page records and dirty pages.
+    /// `f` must write every cell of `write`, whose old contents are
+    /// unspecified, and must not touch the platform: the block is locked
+    /// while it runs, so read its halo first.  A block that is not wholly
+    /// valid is copied in and out around `f` instead.
+    pub fn with_block<R>(&mut self, block: BlockId, mut f: impl FnMut(&[C], &mut [C]) -> R) -> R {
+        match self.env.lend_block(block, &mut self.state, &mut f) {
+            Some(r) => r,
+            None => self.with_block_copied(block, f),
+        }
+    }
+
+    /// [`TaskCtx::with_block`] for a block that cannot be lent: the copying
+    /// path, on staging slabs allocated here.
+    #[cold]
+    #[inline(never)]
+    fn with_block_copied<R>(
+        &mut self,
+        block: BlockId,
+        mut f: impl FnMut(&[C], &mut [C]) -> R,
+    ) -> R {
+        let cells = self.env.block(block).meta.extent.cells();
+        let (mut read, mut write) = (vec![C::default(); cells], vec![C::default(); cells]);
+        self.get_block_dd(block, &mut read);
+        let r = f(&read, &mut write);
+        self.set_block(block, &write);
+        r
+    }
 
     /// Read every cell of `block` into `out` (`GetDD` over the block).
     pub fn get_block_dd(&mut self, block: BlockId, out: &mut [C]) -> bool {
@@ -776,14 +811,24 @@ impl<C: Cell> TaskCtx<C> {
         for bid in owned {
             let meta = &self.env.block(bid).meta;
             let (ext, origin) = (meta.extent, meta.origin);
-            slab.resize(ext.cells(), C::default());
-            self.get_block_dd(bid, &mut slab);
-            // (`max(1)`: a zero-cell block has no rows, and no chunk size 0.)
-            for (start, cells) in ext.row_starts().zip(slab.chunks_exact(ext.nx.max(1))) {
-                let row = origin + start;
-                out.extend(
-                    cells.iter().zip(row.x..).map(|(c, x)| (GlobalAddress { x, ..row }, value(c))),
-                );
+            let mut emit = |block: &[C]| {
+                // (`max(1)`: a zero-cell block has no rows, and no chunk size 0.)
+                for (start, cells) in ext.row_starts().zip(block.chunks_exact(ext.nx.max(1))) {
+                    let row = origin + start;
+                    out.extend(
+                        cells
+                            .iter()
+                            .zip(row.x..)
+                            .map(|(c, x)| (GlobalAddress { x, ..row }, value(c))),
+                    );
+                }
+            };
+            // In place (`GetDD` over the block); a block that is not wholly
+            // valid is copied, its missing pages recorded.
+            if self.env.view_block(bid, &mut self.state, &mut emit).is_none() {
+                slab.resize(ext.cells(), C::default());
+                self.get_block_dd(bid, &mut slab);
+                emit(&slab);
             }
         }
     }
@@ -908,6 +953,66 @@ mod tests {
         assert_eq!(pairs[17], (GlobalAddress::new2d(4, 0), 80.0), "second block follows the first");
         assert_eq!(pairs[32], (GlobalAddress::new2d(7, 3), 146.0));
         assert_eq!(ctx.state.counters.reads - reads_before, 32, "one counted read per cell");
+    }
+
+    /// `with_block` is `get_block_dd` + `set_block` without the copies, on
+    /// a wholly valid block; on one with missing pages it is the copy, with
+    /// the missing pages recorded in order.  `deposit_owned` reads in place
+    /// what it used to copy, and copies a block that is not wholly valid.
+    #[test]
+    fn a_lent_block_counts_and_records_as_the_copies() {
+        let (lend_env, ids) = tiny_env();
+        let (copy_env, _) = tiny_env();
+        let (mut lend, mut copy) = (serial_ctx(lend_env.clone()), serial_ctx(copy_env.clone()));
+        // Block 1 loses pages 1 and 3 of its four (a remote block mid-refresh).
+        for env in [&lend_env, &copy_env] {
+            env.set_block_valid(ids[1], false).unwrap();
+            for page in [0, 2] {
+                env.install_page(ids[1], page, &env.extract_page(ids[1], page).unwrap()).unwrap();
+            }
+        }
+        for ctx in [&mut lend, &mut copy] {
+            ctx.initialize_owned(|g| (g.x * 10 + g.y) as f64);
+        }
+        let law = |read: &[f64], write: &mut [f64]| {
+            for (w, r) in write.iter_mut().zip(read) {
+                *w = r * 2.0 + 1.0;
+            }
+        };
+        for &id in &ids {
+            lend.with_block(id, law);
+            let (mut read, mut write) = (vec![0.0; 16], vec![0.0; 16]);
+            assert!(copy.get_block_dd(id, &mut read));
+            law(&read, &mut write);
+            assert!(copy.set_block(id, &write));
+            assert_eq!(lend.state.counters, copy.state.counters, "block {id}");
+            assert_eq!(lend.state.missing(), copy.state.missing(), "block {id}");
+            let written = |env: &Env<f64>| match &env.block(id).kind {
+                aohpc_env::BlockKind::Data(buf) => {
+                    let mut g = buf.write();
+                    (g.write_buf().to_vec(), g.pages().clone())
+                }
+                _ => unreachable!("a Data block"),
+            };
+            assert_eq!(written(&lend_env), written(&copy_env), "block {id}");
+        }
+        assert_eq!(lend.state.missing(), [(ids[1], 1), (ids[1], 3)]);
+
+        let (lend_sink, copy_sink) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
+        lend.deposit_owned(&lend_sink, |v| *v);
+        let mut out = copy_sink.lock();
+        for id in copy.owned_blocks() {
+            let mut cells = vec![0.0; 16];
+            assert!(copy.get_block_dd(id, &mut cells));
+            let origin = copy.env().block(id).meta.origin;
+            out.extend(cells.iter().zip(0..).map(|(v, k)| {
+                (GlobalAddress { x: origin.x + k % 4, y: origin.y + k / 4, ..origin }, *v)
+            }));
+        }
+        drop(out);
+        assert_eq!(lend_sink.into_inner(), copy_sink.into_inner());
+        assert_eq!(lend.state.counters, copy.state.counters);
+        assert_eq!(lend.state.missing(), copy.state.missing());
     }
 
     #[test]

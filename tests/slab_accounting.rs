@@ -1,10 +1,12 @@
 //! The slab, run and gather access paths must not buy speed by dropping
 //! accounting.
 //!
-//! `IrStencilApp` moves whole blocks through `TaskCtx::{get_block_dd,
-//! set_block, set_initial_block}` and fetches its halo ring with one
-//! `TaskCtx::get_run` per edge; `SGridJacobiApp` is the paper's Listing-1
-//! kernel, one platform call per cell.  Both run the same mathematics on the
+//! `IrStencilApp` fetches its halo ring with one `TaskCtx::get_run` per
+//! edge and then computes in the block's own buffers (`TaskCtx::with_block`,
+//! counted as `get_block_dd` + `set_block`); the closure adaptor below
+//! copies the block in and out around `execute_block` instead;
+//! `SGridJacobiApp` is the paper's Listing-1 kernel, one platform call per
+//! cell.  Both run the same mathematics on the
 //! same platform, so the fields must agree bit for bit, and the IR run's
 //! access counters must read exactly what the per-cell loops read — except
 //! the two search counters, which count the searches that actually ran.
