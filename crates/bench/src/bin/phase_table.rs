@@ -24,9 +24,10 @@
 //! * **set-up** — `Service::execute_spec` start → `Initialize` start: build
 //!   the DSL system and the Env, weave the job's aspects;
 //! * **Initialize**, each **sweep** (`Annotation::KernelStep`, the first one
-//!   apart: it is the cache-cold one and looks its plans up), **Finalize**;
+//!   apart: it is the cache-cold one and looks its plans up), **Finalize**
+//!   (the owned blocks folded into the job's checksum in place);
 //! * **tail** — `Finalize` end → `Service::execute_spec` end: the checksum
-//!   pass over the sink, the cost model, teardown;
+//!   read, the cost model, teardown;
 //! * **sweeps %** — all sweeps together over the whole job.
 //!
 //! A single-rank job has exactly `steps` sweeps (`HpcApp::processing`), so

@@ -33,7 +33,7 @@
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
 use aohpc_env::{BlockId, Env, GlobalAddress, LocalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
-use aohpc_runtime::{BlockSweep, HpcApp, TaskCtx, TaskSlot};
+use aohpc_runtime::{BlockSweep, ChecksumSink, FinalizeSink, HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::ParticleSize;
 use std::sync::Arc;
 
@@ -582,8 +582,8 @@ pub struct ParticleBlockApp {
     /// Main-loop iterations.
     pub loops: usize,
     /// `Finalize` deposits per-bucket summed speed here (keyed by bucket
-    /// coordinates), as the reference does.
-    pub sink: Option<FieldSink>,
+    /// coordinates), as the reference does, or folds it into its checksum.
+    pub sink: Option<FinalizeSink>,
     /// The block's one-bucket ring — row above, row below, left column,
     /// right column — kept between passes (an app instance is one task's)
     /// and sized at the first block.
@@ -605,7 +605,13 @@ impl ParticleBlockApp {
 
     /// Attach a result sink.
     pub fn with_sink(mut self, sink: FieldSink) -> Self {
-        self.sink = Some(sink);
+        self.sink = Some(FinalizeSink::Field(sink));
+        self
+    }
+
+    /// Fold the result into its checksum, keeping no field.
+    pub fn with_checksum_sink(mut self, sink: ChecksumSink) -> Self {
+        self.sink = Some(FinalizeSink::Checksum(sink));
         self
     }
 
@@ -653,7 +659,7 @@ impl BlockSweep for ParticleBlockApp {
         |g| self.system.initial_bucket(g, [0.0; 3])
     }
 
-    fn sink(&self) -> Option<&FieldSink> {
+    fn sink(&self) -> Option<&FinalizeSink> {
         self.sink.as_ref()
     }
 

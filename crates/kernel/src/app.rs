@@ -28,7 +28,7 @@ use crate::plan::{CompiledKernel, HaloRing, PlanSource};
 use crate::program::StencilProgram;
 use crate::tape::{ExecScratch, ScratchPool};
 use aohpc_env::{BlockId, Extent, GlobalAddress, LocalAddress};
-use aohpc_runtime::{BlockSweep, FieldSink, TaskCtx, TaskSlot};
+use aohpc_runtime::{BlockSweep, ChecksumSink, FieldSink, FinalizeSink, TaskCtx, TaskSlot};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -80,7 +80,7 @@ pub struct IrStencilApp {
     params: Vec<f64>,
     loops: usize,
     opt_level: OptLevel,
-    field_sink: Option<FieldSink>,
+    sink: Option<FinalizeSink>,
     plan_source: Option<Arc<dyn PlanSource>>,
     scratch_pool: Option<Arc<ScratchPool>>,
     compiled: HashMap<(usize, usize), Arc<CompiledKernel>>,
@@ -116,7 +116,7 @@ impl IrStencilApp {
             params,
             loops,
             opt_level: OptLevel::Full,
-            field_sink: None,
+            sink: None,
             plan_source: None,
             scratch_pool: None,
             compiled: HashMap::new(),
@@ -132,7 +132,13 @@ impl IrStencilApp {
 
     /// Deposit the final field into a sink.
     pub fn with_field_sink(mut self, sink: FieldSink) -> Self {
-        self.field_sink = Some(sink);
+        self.sink = Some(FinalizeSink::Field(sink));
+        self
+    }
+
+    /// Fold the final field into its checksum, keeping no field.
+    pub fn with_checksum_sink(mut self, sink: ChecksumSink) -> Self {
+        self.sink = Some(FinalizeSink::Checksum(sink));
         self
     }
 
@@ -207,8 +213,8 @@ impl BlockSweep for IrStencilApp {
         default_initial_value
     }
 
-    fn sink(&self) -> Option<&FieldSink> {
-        self.field_sink.as_ref()
+    fn sink(&self) -> Option<&FinalizeSink> {
+        self.sink.as_ref()
     }
 
     fn deposit(v: &f64) -> f64 {

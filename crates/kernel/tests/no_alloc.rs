@@ -8,8 +8,8 @@
 
 use aohpc_aop::WovenProgram;
 use aohpc_dsl::{
-    Bucket, DslSystem, PairForce, ParticleApp, ParticleBlockApp, ParticleSystem, UsGridSystem,
-    UsGridValueSystem,
+    Bucket, DslSystem, PairForce, ParticleApp, ParticleBlockApp, ParticleSystem, SGridSystem,
+    UsGridSystem, UsGridValueSystem,
 };
 use aohpc_env::{Cell, Env, Extent};
 use aohpc_kernel::{
@@ -17,8 +17,8 @@ use aohpc_kernel::{
     ParticleKernel, ParticleProgram, PlanSource, Processor, ScratchPool, StencilProgram,
     UsGridProgram,
 };
-use aohpc_runtime::{HpcApp, RankShared, TaskCtx, Topology};
-use aohpc_workloads::{GridLayout, ParticleSize, RegionSize};
+use aohpc_runtime::{new_checksum_sink, new_field_sink, HpcApp, RankShared, TaskCtx, Topology};
+use aohpc_workloads::{checksum, GridLayout, ParticleSize, RegionSize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -285,6 +285,38 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
             );
         }
     }
+}
+
+/// `Finalize` into a checksum sink folds each owned block in place: it
+/// allocates only what the platform's `owned_blocks` does, where the field
+/// sink's `Finalize` also reserves its pair vector (32 B a cell, 8 MB on the
+/// 512² job).  Both give the same checksum bits.
+#[test]
+fn warm_checksum_finalize_allocates_nothing_of_its_own() {
+    let system = SGridSystem::with_block_size(RegionSize { nx: 96, ny: 64 }, 32);
+    let program = StencilProgram::jacobi_5pt();
+    let plan = CompiledKernel::compile(&program, Extent::new2d(32, 32), OptLevel::Full);
+    let plans = Arc::new(Precompiled([((32, 32), Arc::new(plan))].into_iter().collect()));
+    let app = IrStencilApp::new(program, vec![0.5, 0.125], 2).with_plan_source(plans);
+    let run = |mut app: IrStencilApp| {
+        let mut ctx = serial_ctx(system.build_env());
+        app.initialize(&mut ctx);
+        for _ in 0..2 {
+            assert!(app.kernel(&mut ctx, false));
+        }
+        let platform = aohpc_testalloc::count_in(|| ctx.owned_blocks()).1;
+        let finalize = aohpc_testalloc::count_in(|| app.finalize(&mut ctx)).1;
+        (platform, finalize)
+    };
+
+    let sum = new_checksum_sink();
+    let (platform, allocs) = run(app.clone().with_checksum_sink(sum.clone()));
+    assert_eq!(allocs, platform, "checksum Finalize: beyond owned_blocks ({platform})");
+    let field = new_field_sink();
+    let (platform, allocs) = run(app.with_field_sink(field.clone()));
+    assert_eq!(allocs, platform + 1, "field Finalize: owned_blocks and the pair vector");
+    let want = checksum(field.lock().iter().map(|(_, v)| *v));
+    assert_eq!(sum.lock().value().to_bits(), want.to_bits());
 }
 
 /// The particle block sweep keeps its ring in the app and updates the lent

@@ -26,7 +26,7 @@
 //! (each block through the `Kernel::execute_block` join point), `refresh` and
 //! `Finalize`.
 
-use crate::ctx::{FieldSink, TaskCtx};
+use crate::ctx::{FinalizeSink, TaskCtx};
 use aohpc_env::{BlockId, Cell, GlobalAddress};
 
 /// Hard cap on consecutive re-executions of one step; exceeding it means the
@@ -110,7 +110,9 @@ pub trait HpcApp<C: Cell> {
 ///   `Kernel::execute_block` join points, a direct call when unadvised),
 ///   then `refresh`;
 /// * `Finalize` — [`TaskCtx::deposit_owned`] of [`BlockSweep::deposit`] into
-///   [`BlockSweep::sink`], when there is one.
+///   [`BlockSweep::sink`], when there is one: the field as `(address,
+///   value)` pairs, or only its checksum, folded row by row from each block
+///   in place ([`FinalizeSink`]; the service's jobs keep no field).
 ///
 /// An app instance is one task's (the driver builds one per task), so what a
 /// block routine keeps between passes — ring buffers, resolved plans —
@@ -126,7 +128,7 @@ pub trait BlockSweep {
     fn initial(&self) -> impl FnMut(GlobalAddress) -> Self::Cell + '_;
 
     /// Where `Finalize` deposits the field, if anywhere.
-    fn sink(&self) -> Option<&FieldSink>;
+    fn sink(&self) -> Option<&FinalizeSink>;
 
     /// The value `Finalize` deposits for one cell.
     fn deposit(cell: &Self::Cell) -> f64;
@@ -158,8 +160,10 @@ impl<S: BlockSweep> HpcApp<S::Cell> for S {
     }
 
     fn finalize(&mut self, ctx: &mut TaskCtx<S::Cell>) {
-        if let Some(sink) = self.sink() {
-            ctx.deposit_owned(sink, S::deposit);
+        match self.sink() {
+            Some(FinalizeSink::Field(sink)) => ctx.deposit_owned(sink, S::deposit),
+            Some(FinalizeSink::Checksum(sink)) => ctx.deposit_owned(sink, S::deposit),
+            None => {}
         }
     }
 }

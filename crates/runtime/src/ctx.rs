@@ -22,6 +22,7 @@ use aohpc_aop::{
 };
 use aohpc_env::{AccessState, BlockId, Cell, Env, GatherPlan, GlobalAddress, LocalAddress};
 use aohpc_mem::PageId;
+use aohpc_workloads::Checksum;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::any::Any;
@@ -265,6 +266,56 @@ pub type FieldSink = Arc<Mutex<Vec<(GlobalAddress, f64)>>>;
 /// Create an empty [`FieldSink`].
 pub fn new_field_sink() -> FieldSink {
     Arc::new(Mutex::new(Vec::new()))
+}
+
+/// Where `Finalize` folds a field it does not keep: the field's
+/// [`Checksum`], pushed a cell at a time in the order a [`FieldSink`] would
+/// hold the cells, so its value is `checksum` over that sink's values, bit
+/// for bit.
+pub type ChecksumSink = Arc<Mutex<Checksum>>;
+
+/// Create an empty [`ChecksumSink`].
+pub fn new_checksum_sink() -> ChecksumSink {
+    Arc::new(Mutex::new(Checksum::default()))
+}
+
+/// Where a [`BlockSweep`](crate::BlockSweep)'s `Finalize` deposits: the
+/// field itself, or only its checksum.
+#[derive(Debug, Clone)]
+pub enum FinalizeSink {
+    /// Every cell's `(global address, value)`.
+    Field(FieldSink),
+    /// The field's checksum alone.
+    Checksum(ChecksumSink),
+}
+
+/// What [`TaskCtx::deposit_owned`] hands the owned blocks to, a row at a
+/// time.
+pub trait Deposit {
+    /// Room for `cells` more cells; asked once a deposit.
+    fn reserve(&mut self, _cells: usize) {}
+
+    /// Take one row: `cells`, the first at global address `row`, the rest
+    /// along x.
+    fn row<C>(&mut self, row: GlobalAddress, cells: &[C], value: impl Fn(&C) -> f64);
+}
+
+impl Deposit for Vec<(GlobalAddress, f64)> {
+    fn reserve(&mut self, cells: usize) {
+        Vec::reserve(self, cells);
+    }
+
+    fn row<C>(&mut self, row: GlobalAddress, cells: &[C], value: impl Fn(&C) -> f64) {
+        self.extend(cells.iter().zip(row.x..).map(|(c, x)| (GlobalAddress { x, ..row }, value(c))));
+    }
+}
+
+impl Deposit for Checksum {
+    fn row<C>(&mut self, _row: GlobalAddress, cells: &[C], value: impl Fn(&C) -> f64) {
+        for c in cells {
+            self.push(value(c));
+        }
+    }
 }
 
 /// Everything one task needs to run its part of the application.
@@ -795,14 +846,10 @@ impl<C: Cell> TaskCtx<C> {
         }
     }
 
-    /// `Finalize` into a field sink: append `(global address, value(cell))`
-    /// for every cell of every owned block — blocks in Z-order, cells
-    /// row-major — straight into the locked sink, reserved once.
-    pub fn deposit_owned(
-        &mut self,
-        sink: &Mutex<Vec<(GlobalAddress, f64)>>,
-        value: impl Fn(&C) -> f64,
-    ) {
+    /// `Finalize` into a sink: hand it `value(cell)` of every cell of every
+    /// owned block — blocks in Z-order, cells row-major — a row at a time,
+    /// holding its lock throughout (so tasks deposit one after another).
+    pub fn deposit_owned(&mut self, sink: &Mutex<impl Deposit>, value: impl Fn(&C) -> f64) {
         let owned = self.owned_blocks();
         let total: usize = owned.iter().map(|&b| self.env.block(b).meta.extent.cells()).sum();
         let mut slab = Vec::new();
@@ -814,13 +861,7 @@ impl<C: Cell> TaskCtx<C> {
             let mut emit = |block: &[C]| {
                 // (`max(1)`: a zero-cell block has no rows, and no chunk size 0.)
                 for (start, cells) in ext.row_starts().zip(block.chunks_exact(ext.nx.max(1))) {
-                    let row = origin + start;
-                    out.extend(
-                        cells
-                            .iter()
-                            .zip(row.x..)
-                            .map(|(c, x)| (GlobalAddress { x, ..row }, value(c))),
-                    );
+                    out.row(origin + start, cells, &value);
                 }
             };
             // In place (`GetDD` over the block); a block that is not wholly
@@ -958,20 +999,23 @@ mod tests {
     /// `with_block` is `get_block_dd` + `set_block` without the copies, on
     /// a wholly valid block; on one with missing pages it is the copy, with
     /// the missing pages recorded in order.  `deposit_owned` reads in place
-    /// what it used to copy, and copies a block that is not wholly valid.
+    /// what it used to copy, and copies a block that is not wholly valid,
+    /// into a field sink and a checksum sink alike.
     #[test]
     fn a_lent_block_counts_and_records_as_the_copies() {
         let (lend_env, ids) = tiny_env();
         let (copy_env, _) = tiny_env();
+        let (fold_env, _) = tiny_env();
         let (mut lend, mut copy) = (serial_ctx(lend_env.clone()), serial_ctx(copy_env.clone()));
+        let mut fold = serial_ctx(fold_env.clone());
         // Block 1 loses pages 1 and 3 of its four (a remote block mid-refresh).
-        for env in [&lend_env, &copy_env] {
+        for env in [&lend_env, &copy_env, &fold_env] {
             env.set_block_valid(ids[1], false).unwrap();
             for page in [0, 2] {
                 env.install_page(ids[1], page, &env.extract_page(ids[1], page).unwrap()).unwrap();
             }
         }
-        for ctx in [&mut lend, &mut copy] {
+        for ctx in [&mut lend, &mut copy, &mut fold] {
             ctx.initialize_owned(|g| (g.x * 10 + g.y) as f64);
         }
         let law = |read: &[f64], write: &mut [f64]| {
@@ -981,6 +1025,7 @@ mod tests {
         };
         for &id in &ids {
             lend.with_block(id, law);
+            fold.with_block(id, law);
             let (mut read, mut write) = (vec![0.0; 16], vec![0.0; 16]);
             assert!(copy.get_block_dd(id, &mut read));
             law(&read, &mut write);
@@ -1010,9 +1055,21 @@ mod tests {
             }));
         }
         drop(out);
-        assert_eq!(lend_sink.into_inner(), copy_sink.into_inner());
+        let field = lend_sink.into_inner();
+        assert_eq!(field, copy_sink.into_inner());
         assert_eq!(lend.state.counters, copy.state.counters);
         assert_eq!(lend.state.missing(), copy.state.missing());
+
+        // The checksum sink takes the same walk: block 0 in place, block 1
+        // through the copy, so the same reads and missing pages, and the
+        // field's checksum in the field's order.
+        let fold_sink = Mutex::new(Checksum::default());
+        fold.deposit_owned(&fold_sink, |v| *v);
+        let folded = fold_sink.into_inner().value();
+        let want = aohpc_workloads::checksum(field.iter().map(|(_, v)| *v));
+        assert_eq!(folded.to_bits(), want.to_bits());
+        assert_eq!(fold.state.counters, lend.state.counters);
+        assert_eq!(fold.state.missing(), lend.state.missing());
     }
 
     #[test]

@@ -45,7 +45,10 @@ pub use comm::{
     LIVENESS_TAG_BASE,
 };
 pub use cost::{CostModel, CostParams};
-pub use ctx::{new_field_sink, FieldSink, Progress, ProgressNotifier, RankShared, TaskCtx};
+pub use ctx::{
+    new_checksum_sink, new_field_sink, ChecksumSink, Deposit, FieldSink, FinalizeSink, Progress,
+    ProgressNotifier, RankShared, TaskCtx,
+};
 pub use driver::{execute, RunConfig, WeaveMode};
 pub use report::{RankReport, RunReport, RunSummary, TaskReport};
 pub use task::{CompletionSlot, LayerKind, LayerSpec, TaskSlot, Topology};

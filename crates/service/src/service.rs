@@ -46,8 +46,8 @@ use crate::session::{
 };
 use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
 use aohpc_dsl::{
-    new_field_sink, DslSystem, FieldSink, PairForce, ParticleBlockApp, ParticleSystem, SGridSystem,
-    UsGridSystem, UsGridValueSystem,
+    DslSystem, PairForce, ParticleBlockApp, ParticleSystem, SGridSystem, UsGridSystem,
+    UsGridValueSystem,
 };
 use aohpc_env::Extent;
 use aohpc_kernel::{
@@ -58,9 +58,12 @@ use aohpc_obs::{
     ObsRunAspect, ObsServiceAspect, ObsSnapshot,
 };
 use aohpc_runtime::annotation::MAX_RETRIES_PER_STEP;
-use aohpc_runtime::{execute, CostModel, HpcApp, MpiAspect, OmpAspect, RunConfig, TaskSlot};
+use aohpc_runtime::{
+    execute, new_checksum_sink, ChecksumSink, CostModel, HpcApp, MpiAspect, OmpAspect, RunConfig,
+    TaskSlot,
+};
 use aohpc_testalloc::sync::FakeClock;
-use aohpc_workloads::{checksum, GridLayout, ParticleSize, Scale};
+use aohpc_workloads::{GridLayout, ParticleSize, Scale};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -1398,9 +1401,10 @@ fn execute_traced(
 /// grid, a usgrid program lowered to its stencil
 /// ([`UsGridProgram::to_stencil`](aohpc_kernel::UsGridProgram::to_stencil))
 /// on the usgrid value plane, where points stay in place (CaseC), so a
-/// deposit's storage address is its logical position and the IR app's
-/// initial condition is the family's.  Particle jobs run the block app (slab,
-/// ring runs, slab) with the cache-resolved pair law (`artifact`) installed.
+/// point's storage address is its logical position and the IR app's
+/// initial condition is the family's.  Particle jobs run the block app (ring
+/// runs, then the lent block) with the cache-resolved pair law (`artifact`)
+/// installed.  Every app gets the job's checksum sink from `run_family`.
 fn execute_spec(
     inner: &Inner,
     spec: &JobSpec,
@@ -1423,12 +1427,12 @@ fn execute_spec(
             // The bucket grid the count derives is spec.region in blocks of
             // spec.block: `JobSpec::validate` admitted nothing else.
             let system = ParticleSystem::paper(ParticleSize::new(spec.particle_count()));
-            let sink = new_field_sink();
             let law = PairForce(kernel.pair_law(spec.params[0]));
-            let app = ParticleBlockApp::new(system.clone(), law, spec.steps)
-                .with_dt(spec.params[1])
-                .with_sink(sink.clone());
-            run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
+            let app =
+                ParticleBlockApp::new(system.clone(), law, spec.steps).with_dt(spec.params[1]);
+            run_family(inner, spec, cell, trace_ctx, system, |sink| {
+                app.with_checksum_sink(sink).factory()
+            })
         }
     }
 }
@@ -1446,19 +1450,23 @@ fn run_stencil<S>(
 where
     S: DslSystem<Cell = f64> + 'static,
 {
-    let sink = new_field_sink();
     let app = IrStencilApp::new(program, spec.params.clone(), spec.steps)
         .with_opt_level(spec.opt_level)
         .with_plan_source(inner.cache.clone())
-        .with_scratch_pool(inner.scratch.clone())
-        .with_field_sink(sink.clone());
-    run_family(inner, spec, cell, trace_ctx, system, app.factory(), sink)
+        .with_scratch_pool(inner.scratch.clone());
+    run_family(inner, spec, cell, trace_ctx, system, |sink| app.with_checksum_sink(sink).factory())
 }
 
 /// The one execute path, whatever the family: weave the spec's layer aspects,
-/// run `app` on `system` through `runtime::execute` with the job's progress
-/// counters installed, then fold the field `Finalize` left in `sink` into the
-/// checksum and the run's counters into the simulated time.
+/// run the app `app` makes on `system` through `runtime::execute` with the
+/// job's progress counters installed, then read the checksum its `Finalize`
+/// folded into the sink `app` was given, and fold the run's counters into the
+/// simulated time.
+///
+/// No field is kept: each task folds its owned blocks into the job's
+/// [`ChecksumSink`] in place, holding it for its whole deposit, so the
+/// checksum is the one a field sink's pairs would give, in the order the
+/// tasks reached `Finalize` (ranks in rank order).
 ///
 /// The layer aspects are instantiated on the system's own cell type: their
 /// advice finds the run's payloads by that type, so an aspect typed on
@@ -1481,8 +1489,7 @@ fn run_family<S, A>(
     cell: &JobCell,
     trace_ctx: Option<(u64, u64)>,
     system: S,
-    app: Arc<dyn Fn(TaskSlot) -> A + Send + Sync>,
-    sink: FieldSink,
+    app: impl FnOnce(ChecksumSink) -> Arc<dyn Fn(TaskSlot) -> A + Send + Sync>,
 ) -> Executed
 where
     S: DslSystem + 'static,
@@ -1505,7 +1512,9 @@ where
         .with_topology(spec.topology.clone())
         .with_weave_mode(spec.weave_mode)
         .with_progress(cell.progress.clone());
-    let report = execute(&config, weaver.weave(), Arc::new(system).env_factory(), app);
+    let sink = new_checksum_sink();
+    let report =
+        execute(&config, weaver.weave(), Arc::new(system).env_factory(), app(sink.clone()));
     if let Some(finisher) = finisher {
         finisher.finish();
     }
@@ -1523,7 +1532,7 @@ where
         );
         return Executed { checksum: f64::NAN, simulated_seconds, summary, error: Some(error) };
     }
-    let checksum = checksum(sink.lock().iter().map(|(_, v)| *v));
+    let checksum = sink.lock().value();
     Executed { checksum, simulated_seconds, summary, error: None }
 }
 
