@@ -107,9 +107,8 @@ fn main() {
     // The same region on the value plane — what the service runs for a usgrid
     // job, the program lowered to its stencil: 8-byte cells in the pool
     // instead of 72-byte ones (256² in blocks of 64, two buffers: 9.4 MB ->
-    // 1.0 MB).  The reference keeps its per-block gather plans (four `u32`
-    // slots a point) app-side, the stencil app one plan a tile shape: neither
-    // is in a column.
+    // 1.0 MB).  The stencil app keeps one plan a tile shape and each block's
+    // ring plans app-side: not in a column.
     let jacobi4 = UsGridProgram::jacobi4().to_stencil();
     rows.extend(platform_rows("USGrid values", pool_bytes, |mode| {
         let mut system = UsGridSystem::with_block_size(region, block, GridLayout::CaseC);

@@ -36,12 +36,14 @@
 //! (`aohpc_baselines`, initialisation + `steps` steps: the base the
 //! benchmark divides by), timed as many times, before the first service
 //! starts; **searches/sweep**, **nodes/sweep** are the Env searches a later
-//! sweep runs and the tree nodes they visit, and **plan searches**, **plan
-//! nodes** those run once a job (zero for every shape: no job resolves a
-//! gather plan, and a halo run searches every sweep it runs) — from direct
-//! `runtime::execute` runs of the app the service runs for the shape, of
-//! `steps` and of `steps + 1` sweeps: a later sweep is their difference — so
-//! a regression in the search count shows next to the time it costs.
+//! sweep runs and the tree nodes they visit — asserted zero for every shape
+//! at every scale: each block's ring plans are resolved at its first sweep,
+//! and searches are counted when a plan is resolved, never when it is read —
+//! and **plan searches**, **plan nodes** those run once a job, resolving the
+//! ring plans.  Both come from direct `runtime::execute` runs of the app the
+//! service runs for the shape, of `steps` and of `steps + 1` sweeps: a later
+//! sweep is their difference — so a search-count regression fails the run
+//! by the shape's name.
 //!
 //! ```sh
 //! cargo run --release -p aohpc-bench --bin phase_table     # 40 jobs a shape
@@ -149,11 +151,17 @@ fn hand_written(spec: &JobSpec) -> f64 {
 }
 
 /// The Env searches and the tree nodes they visit: a later sweep of
-/// `spec`'s job, and what its job runs once (see the module docs).
-fn searches(spec: &JobSpec) -> [u64; 4] {
+/// `spec`'s job — none, or the run stops here — and what its job runs once
+/// (see the module docs).
+fn searches(label: &str, spec: &JobSpec) -> [u64; 4] {
     let [searches, nodes] = searches_over(spec, spec.steps);
     let [more_searches, more_nodes] = searches_over(spec, spec.steps + 1);
     let (sweep_searches, sweep_nodes) = (more_searches - searches, more_nodes - nodes);
+    assert_eq!(
+        (sweep_searches, sweep_nodes),
+        (0, 0),
+        "{label}: a later sweep runs no Env search (its ring plans are resolved once a job)"
+    );
     let steps = spec.steps as u64;
     [sweep_searches, sweep_nodes, searches - steps * sweep_searches, nodes - steps * sweep_nodes]
 }
@@ -286,7 +294,7 @@ fn main() {
                 format!("{m:>15.3}")
             }
         });
-        let counts = searches(&spec).map(|n| format!("{n:>15}")).concat();
+        let counts = searches(label, &spec).map(|n| format!("{n:>15}")).concat();
         println!("{label:<18}{}{counts}", cells.collect::<String>());
     }
 }

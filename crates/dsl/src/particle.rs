@@ -31,10 +31,11 @@
 //! same field to the bit, each bucket read once a sweep.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
-use aohpc_env::{BlockId, Env, GlobalAddress, LocalAddress, TreeTopology};
+use aohpc_env::{BlockId, Env, GlobalAddress, LocalAddress, RunPlan, TreeTopology};
 use aohpc_mem::PoolHandle;
 use aohpc_runtime::{BlockSweep, ChecksumSink, FinalizeSink, HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::ParticleSize;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Maximum particles per bucket (the paper uses 16).
@@ -565,7 +566,8 @@ impl HpcApp<Bucket> for ParticleApp {
 /// Its block routine (a `BlockSweep`, run inside the `Kernel::execute_block`
 /// join point) reads the block's one-bucket ring as four runs — the row
 /// above and the row below, `bx + 2` buckets each with the corners, then
-/// the left and the right column, `by` each — and then, in the block's own
+/// the left and the right column, `by` each, read through the four run
+/// plans resolved at the block's first sweep — and then, in the block's own
 /// buffers ([`TaskCtx::with_block`]), copies the read buffer into the write
 /// buffer and applies the reference's force (one [`PairForce`] call a
 /// pair, in the reference's neighbourhood order) and update to every live
@@ -588,13 +590,17 @@ pub struct ParticleBlockApp {
     /// right column — kept between passes (an app instance is one task's)
     /// and sized at the first block.
     ring: Vec<Bucket>,
+    /// Each block's four ring runs, in ring order, resolved at the block's
+    /// first sweep (the map sized for the sweep's blocks at the first).
+    plans: HashMap<BlockId, [RunPlan; 4]>,
 }
 
 impl ParticleBlockApp {
     /// A sweep of `law` over the system's buckets, `loops` times, at the
     /// reference's default time step.
     pub fn new(system: ParticleSystem, law: PairForce, loops: usize) -> Self {
-        ParticleBlockApp { system, law, dt: 1e-3, loops, sink: None, ring: Vec::new() }
+        let (ring, plans) = (Vec::new(), HashMap::new());
+        ParticleBlockApp { system, law, dt: 1e-3, loops, sink: None, ring, plans }
     }
 
     /// Use a different time step.
@@ -667,20 +673,28 @@ impl BlockSweep for ParticleBlockApp {
         bucket.speed()
     }
 
-    fn block(&mut self, ctx: &mut TaskCtx<Bucket>, bid: BlockId, _i: usize, _n: usize) {
+    fn block(&mut self, ctx: &mut TaskCtx<Bucket>, bid: BlockId, _i: usize, n: usize) {
         let (law, dt, ring) = (&*self.law.0, self.dt, &mut self.ring);
         let ext = ctx.env().block(bid).meta.extent;
         let (nx, ny) = (ext.nx, ext.ny);
         ring.resize(2 * (nx + 2) + 2 * ny, Bucket::default());
         let (bx, by) = (nx as i64, ny as i64);
         let (across, down) = (LocalAddress::new2d(1, 0), LocalAddress::new2d(0, 1));
+        if self.plans.is_empty() {
+            self.plans.reserve(n);
+        }
+        let plans = self.plans.entry(bid).or_insert_with(|| {
+            let (row, column) = ((across, nx + 2), (down, ny));
+            [((-1, -1), row), ((-1, by), row), ((-1, 0), column), ((bx, 0), column)].map(
+                |((x, y), (step, len))| ctx.resolve_run(bid, LocalAddress::new2d(x, y), step, len),
+            )
+        });
         let (rows, columns) = ring.split_at_mut(2 * (nx + 2));
         let (above, below) = rows.split_at_mut(nx + 2);
         let (left, right) = columns.split_at_mut(ny);
-        ctx.get_run(bid, LocalAddress::new2d(-1, -1), across, above);
-        ctx.get_run(bid, LocalAddress::new2d(-1, by), across, below);
-        ctx.get_run(bid, LocalAddress::new2d(-1, 0), down, left);
-        ctx.get_run(bid, LocalAddress::new2d(bx, 0), down, right);
+        for (plan, run) in plans.iter().zip([above, below, left, right]) {
+            ctx.get_run(plan, run);
+        }
         let ring = &*ring;
 
         ctx.with_block(bid, |own, out| {

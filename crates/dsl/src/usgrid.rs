@@ -22,9 +22,9 @@
 //! * **The paper-fidelity reference** — [`UsCell`], [`UsGridSystem`] as a
 //!   `DslSystem<Cell = UsCell>`, [`UsGridJacobiApp`] and [`UsUpdate`]: Fig. 5b
 //!   as drawn, every cell storing its neighbours' addresses beside its value
-//!   (72 bytes to change 8), each block's list read through a [`GatherPlan`]
-//!   in either layout.  The figure bins, the layer ledger's L2/L3 replays and
-//!   the test oracles drive it; no service path does.
+//!   (72 bytes to change 8), each neighbour read with Listing 1's per-cell
+//!   `GetD` in either layout.  The figure bins, the layer ledger's L2/L3
+//!   replays and the test oracles drive it; no service path does.
 //! * **The service's Env** — [`UsGridValueSystem`] (`Cell = f64`): the same
 //!   tiling, static row and catch-all over a plane of values.  Where points
 //!   stay in place (CaseC, the one layout the service runs) a program's
@@ -40,11 +40,10 @@
 //!   offsets to lower and runs the reference only.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
-use aohpc_env::{BlockId, Cell, Env, Extent, GatherPlan, GlobalAddress, TreeTopology};
+use aohpc_env::{Cell, Env, Extent, GlobalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
 use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
 use aohpc_workloads::{GridLayout, RegionSize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One unstructured-grid point of the reference app: its value and the
@@ -227,12 +226,10 @@ pub type UsUpdateFn = Arc<dyn Fn(f64, &[f64]) -> f64 + Send + Sync>;
 /// Installed by [`UsGridJacobiApp::with_update`], typically from a compiled
 /// usgrid-family kernel artifact so that the reference app executes a cached
 /// plan's arithmetic.  Neighbour values arrive in the program's declared
-/// neighbour order, as one slice per point cut from the block's gathered
-/// neighbour values.  A law sees and returns values only: which points are a
-/// point's neighbours is fixed at `Initialize`, and the kernel's per-block
-/// [`GatherPlan`]s rely on that.  When absent, the app's built-in
-/// `alpha·me + beta·Σ` law runs; the stock compiled law reproduces it
-/// bit-for-bit.
+/// neighbour order, one slice per point.  A law sees and returns values
+/// only: which points are a point's neighbours is fixed at `Initialize`.
+/// When absent, the app's built-in `alpha·me + beta·Σ` law runs; the stock
+/// compiled law reproduces it bit-for-bit.
 #[derive(Clone)]
 pub struct UsUpdate(pub UsUpdateFn);
 
@@ -245,9 +242,9 @@ impl std::fmt::Debug for UsUpdate {
 /// The end-user application, as the paper draws it (the Fig. 5b reference of
 /// the module docs): Jacobi relaxation over the indirect neighbour lists
 /// (same arithmetic as SGrid, different memory behaviour).  The lists
-/// are written once, by `Initialize`; the kernel resolves each block's list
-/// against the Env at the block's first pass and reads through that
-/// [`GatherPlan`] on every later pass and retry.
+/// are written once, by `Initialize`; the kernel reads each neighbour with
+/// one un-hinted `GetD` ([`TaskCtx::get_global`]), Listing 1's per-cell
+/// call, so MMAT memorises where those reads land.
 #[derive(Debug, Clone)]
 pub struct UsGridJacobiApp {
     /// The DSL system (needed to compute neighbour addresses at init time).
@@ -262,8 +259,9 @@ pub struct UsGridJacobiApp {
     pub sink: Option<FieldSink>,
     /// Pluggable update law (None = the built-in `alpha·me + beta·Σ`).
     pub update: Option<UsUpdate>,
-    /// What the kernel keeps between passes (an app instance is one task's).
-    scratch: UsScratch,
+    /// The block's own points, staged in and out as one slab, kept between
+    /// passes (an app instance is one task's).
+    points: Vec<UsCell>,
 }
 
 impl UsGridJacobiApp {
@@ -276,7 +274,7 @@ impl UsGridJacobiApp {
             loops,
             sink: None,
             update: None,
-            scratch: UsScratch::default(),
+            points: Vec::new(),
         }
     }
 
@@ -304,17 +302,6 @@ impl UsGridJacobiApp {
     }
 }
 
-/// What the reference kernel keeps between passes.
-#[derive(Debug, Clone, Default)]
-struct UsScratch {
-    /// The block's own points, staged in and out as one slab.
-    points: Vec<UsCell>,
-    /// The gathered neighbour values, four per point.
-    near: Vec<f64>,
-    /// Each block's neighbour list, resolved at the block's first pass.
-    plans: HashMap<BlockId, GatherPlan>,
-}
-
 impl HpcApp<UsCell> for UsGridJacobiApp {
     fn loop_count(&self) -> usize {
         self.loops
@@ -337,50 +324,29 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<UsCell>, _warmup: bool) -> bool {
-        let alpha = self.alpha;
-        let beta = self.beta;
-        // Three platform calls a block: the block's own points in as one
-        // slab, the values of all their neighbours as one gather (four per
-        // point, in point order), the updated points out as one slab.
-        let UsScratch { points, near, plans } = &mut self.scratch;
+        let (alpha, beta) = (self.alpha, self.beta);
+        let (points, update) = (&mut self.points, &self.update);
         for bid in ctx.get_blocks() {
             let cells = ctx.env().block(bid).meta.extent.cells();
             points.resize(cells, UsCell::default());
-            near.resize(4 * cells, 0.0);
-            // Own values: always inside the block.
+            // Own values: always inside the block, one slab.
             ctx.get_block_dd(bid, points);
-            // Neighbours are indirect: no static in-block guarantee, so the
-            // access goes through MMAT / the Env search where it leaves the
-            // block.  Which neighbours those are never changes — the update
-            // below keeps every point's `neighbors` — so the block's first
-            // pass resolves them from the slab it has just read (with MMAT
-            // off, searching once for each one off the block), and every
-            // later pass and retry reads through that plan.
-            let plan = plans.entry(bid).or_insert_with(|| {
-                let addrs = points
-                    .iter()
-                    .flat_map(|p| p.neighbors)
-                    .map(|(nx, ny)| GlobalAddress::new2d(nx, ny));
-                ctx.resolve_gather(bid, addrs)
-            });
-            ctx.get_gather(plan, |n| n.value, near);
-            // Each point's neighbour values arrive as one gathered slice.
-            let gathered = points.iter_mut().zip(near.chunks_exact(4));
-            match &self.update {
-                Some(update) => {
-                    for (me, vals) in gathered {
-                        me.value = (update.0)(me.value, vals);
-                    }
-                }
-                None => {
-                    for (me, vals) in gathered {
+            for me in points.iter_mut() {
+                // Neighbours are indirect: no static in-block guarantee, so
+                // each read goes through MMAT / the Env search where it
+                // leaves the block (`GetD`).
+                let at = |(x, y)| GlobalAddress::new2d(x, y);
+                let vals = me.neighbors.map(|n| ctx.get_global(bid, at(n)).value);
+                me.value = match update {
+                    Some(update) => (update.0)(me.value, &vals),
+                    None => {
                         let mut sum = 0.0;
                         for v in vals {
                             sum += v;
                         }
-                        me.value = alpha * me.value + beta * sum;
+                        alpha * me.value + beta * sum
                     }
-                }
+                };
             }
             ctx.set_block(bid, points);
         }
@@ -402,6 +368,7 @@ mod tests {
     use crate::common::new_field_sink;
     use aohpc_aop::{Weaver, WovenProgram};
     use aohpc_runtime::{execute, MpiAspect, RunConfig, Topology};
+    use std::collections::HashMap;
 
     /// Handwritten reference on the logical grid (layout-independent).
     fn reference(region: RegionSize, steps: usize) -> Vec<f64> {

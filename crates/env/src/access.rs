@@ -22,19 +22,18 @@ pub struct AccessCounters {
     pub reads: u64,
     /// Total cell writes requested.
     pub writes: u64,
-    /// Reads satisfied by the starting block without a search — one per
-    /// cell whether it was read by [`Env::read`](crate::Env::read) or as part
-    /// of a gather ([`Env::read_gather_into`](crate::Env::read_gather_into)).
+    /// Reads satisfied by the starting block without a search.
     pub in_block_hits: u64,
     /// Reads satisfied via the skip-search flag (`GetDD`).
     pub skip_search_hits: u64,
-    /// Env tree searches actually run.  A run read
-    /// ([`Env::read_run_into`](crate::Env::read_run_into)) searches once for
-    /// a stretch of cells it can prove share a holder, so this may be lower
-    /// than the number of reads that left their starting block
-    /// (`out_of_block_reads` counts those, one per cell).  The slab and
-    /// gather forms never search less than the per-cell loop: every counter
-    /// they leave is that loop's.
+    /// Env tree searches actually run.  Searches are counted when a plan is
+    /// resolved, never when it is read (the rule is stated at
+    /// [`Env::resolve_run`](crate::Env::resolve_run)): a run plan searches
+    /// once a stretch of cells, once a job, so this may be far lower than
+    /// the number of reads that left their starting block
+    /// (`out_of_block_reads` counts those, one per cell, on every read).
+    /// The slab forms never search: every counter they leave is the per-cell
+    /// loop's.
     pub env_searches: u64,
     /// Tree nodes visited during the searches that ran.
     pub search_nodes_visited: u64,

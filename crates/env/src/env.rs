@@ -61,57 +61,58 @@ pub struct EnvStats {
     pub working_bytes: usize,
 }
 
-/// The static half of a gather: where each address of a list lies relative
-/// to the block the reads start from — resolved once from the list by
-/// [`Env::resolve_gather`], read any number of times by
-/// [`Env::read_gather_into`].
+/// A run of cells — `first, first + step, …` read from the block `start`
+/// without the in-block hint — resolved against the Env:
+/// [`Env::resolve_run`] finds once where each stretch of the run lands, and
+/// [`Env::read_run`] reads the stretches there on every sweep.
 ///
-/// Four bytes an address, and 56 more for each one outside the block.  A
-/// plan is valid only for the Env that resolved it: it holds cell indices
-/// of that Env's blocks.  Indexing stays bounds-checked, so a plan read
-/// against another Env panics or yields that Env's cells at the same indices;
-/// it never reads outside a buffer.
+/// A plan is valid only for the Env that resolved it: it holds block ids and
+/// cell indices of that Env's blocks.  Indexing stays bounds-checked, so a
+/// plan read against another Env panics or yields that Env's cells at the
+/// same indices; it never reads outside a buffer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GatherPlan {
+pub struct RunPlan {
     start: BlockId,
-    /// Per address, the row-major cell index inside `start` (filler where the
-    /// address is listed in `outside`).
-    slots: Vec<u32>,
-    /// `(position in the list, address, where its search lands)` of every
-    /// address not served from `start`'s buffer, positions ascending.
-    outside: Vec<(usize, GlobalAddress, Landing)>,
+    first: GlobalAddress,
+    step: LocalAddress,
+    /// `(cells, where they land)`, in run order.
+    stretches: Vec<(usize, Landing)>,
 }
 
-/// Where the search from a plan's `start` lands for an address the plan
-/// lists outside `start`: found once, when the plan is resolved.
+impl RunPlan {
+    fn len(&self) -> usize {
+        self.stretches.iter().map(|&(n, _)| n).sum()
+    }
+
+    /// Append `n` cells landing at `landing`, merged into the stretch before
+    /// where every cell of both is read alike (not a `Cell` stretch, which
+    /// indexes from its first cell).
+    fn push(&mut self, n: usize, landing: Landing) {
+        match self.stretches.last_mut() {
+            Some((m, last)) if *last == landing && !matches!(landing, Landing::Cell(..)) => *m += n,
+            _ => self.stretches.push((n, landing)),
+        }
+    }
+}
+
+/// Where a stretch of a [`RunPlan`] lands: found once, when the plan is
+/// resolved, by the search [`Env::read`] runs from the plan's start.
 ///
 /// A search's result is geometry — kinds, extents, catch-all flags and
 /// joint boxes, all fixed at [`EnvBuilder::build`] — so it is the same on
 /// every later read; what the landing block holds is not, and is read then.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Landing {
-    /// Not resolved: read as [`Env::read`] reads it (MMAT on at
-    /// resolution, a `start` that serves nothing from its own buffer, or an
-    /// address inside `start` whose index does not fit a slot).
+    /// Not resolved: each cell is read as [`Env::read`] reads it (MMAT on at
+    /// resolution, where every read consults the memo, or a cell of the
+    /// start block itself, which `Env::read` serves unsearched).
     Unresolved,
     /// A block without cell buffers (Static, Arithmetic, Reference, Empty).
     Block(BlockId),
-    /// The cell at this row-major index of a buffer-bearing block.
+    /// Cells of a buffer-bearing block, the first at this row-major index.
     Cell(BlockId, usize),
-    /// No block at all: the read is missing.
+    /// No block at all: every read is missing.
     Nowhere,
-}
-
-impl GatherPlan {
-    /// Number of addresses the plan was resolved from.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the plan was resolved from an empty list.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
 }
 
 /// Builder for an [`Env`].
@@ -264,10 +265,10 @@ impl<C: Cell> EnvBuilder<C> {
     /// Freeze the tree.
     ///
     /// One pass over the arena records what every later search would
-    /// otherwise rediscover: the first catch-all block, whether a run read
+    /// otherwise rediscover: the first catch-all block, whether a run plan
     /// may trust a holder it has already found, and the holders' hull — the
     /// bounding box of every placed value-holding block, outside which every
-    /// search lands on the catch-all (see [`Env::read_run_into`]).
+    /// search lands on the catch-all (see [`Env::resolve_run`]).
     pub fn build(self) -> Env<C> {
         let first_catch_all = self.blocks.iter().position(|b| b.meta.catch_all);
         let holders_are_unique = holders_are_unique(&self.blocks);
@@ -344,9 +345,9 @@ pub struct Env<C> {
     pool: PoolHandle,
     /// The catch-all block a search falls back to (first in arena order).
     first_catch_all: Option<BlockId>,
-    /// See [`holders_are_unique`]; what lets a run read skip searches.
+    /// See [`holders_are_unique`]; what lets a run plan skip searches.
     holders_are_unique: bool,
-    /// See [`holder_hull`]; what lets a run read leave the domain unsearched.
+    /// See [`holder_hull`]; what lets a run plan leave the domain unsearched.
     holder_hull: Option<([i64; 3], [i64; 3])>,
 }
 
@@ -544,24 +545,6 @@ impl<C: Cell> Env<C> {
         in_block_hint: bool,
         state: &mut AccessState,
     ) -> Option<C> {
-        self.read_noting(start, addr, in_block_hint, state, &mut None)
-    }
-
-    /// [`Env::read`], also noting in `landed` the block a tree search landed
-    /// on (left alone when the read was resolved without a search, or the
-    /// search found nothing).  The value comes back exactly as from `read` —
-    /// cells can be kilobytes, so it is not wrapped in a pair — and the body
-    /// is inlined into its two callers, so `read` itself pays nothing for
-    /// the note (a per-cell neighbour sweep is millions of these calls).
-    #[inline(always)]
-    fn read_noting(
-        &self,
-        start: BlockId,
-        addr: GlobalAddress,
-        in_block_hint: bool,
-        state: &mut AccessState,
-        landed: &mut Option<BlockId>,
-    ) -> Option<C> {
         state.counters.reads += 1;
 
         if in_block_hint {
@@ -610,7 +593,6 @@ impl<C: Cell> Env<C> {
         state.counters.search_nodes_visited += visited;
         match found {
             Some(bid) => {
-                *landed = Some(bid);
                 state.counters.out_of_block_reads += 1;
                 if state.mmat_enabled {
                     state.mmat.record(start, addr, MmatEntry::Remote(bid));
@@ -627,182 +609,85 @@ impl<C: Cell> Env<C> {
         }
     }
 
-    /// Read the run of cells `first, first + step, first + 2·step, …` into
-    /// `out` — the run form of [`Env::read`] without the in-block hint
-    /// (`GetD` over a halo edge).  Missing data reads as `C::default()`.
+    /// Resolve the run of `len` cells `first, first + step, …` read from
+    /// `start` without the in-block hint (`GetD` over a halo edge) into a
+    /// [`RunPlan`]: where each stretch of it lands, found once.
+    /// [`Env::read_run`] reads through the plan on every sweep.
     ///
-    /// Values, missing-page records (in order) and every counter except
-    /// `env_searches` / `search_nodes_visited` are exactly those of the
-    /// per-cell loop.  The leading cell is resolved as [`Env::read`] resolves
-    /// it, and where that took a tree search the following cells may skip
-    /// theirs; the two search counters record only the searches that ran.
-    /// Two shortcuts, both with MMAT off (each read would consult and update
-    /// the memo):
+    /// **Searches are counted when a plan is resolved, never when it is
+    /// read.**  Resolving reads no cell and moves no counter but
+    /// `env_searches` and `search_nodes_visited`; a read moves every other
+    /// counter as the per-cell loop does, and of those two only the nodes a
+    /// `Reference` block's own walk from its target visits, as there.
     ///
-    /// * **A holder's stretch.**  Where the search landed on a buffer-bearing
-    ///   block, the following cells still inside that block are served from
-    ///   it under one lock — only where the per-cell search is known to land
-    ///   there too: `start` a placed value-holding block and the tree's
-    ///   holders unique (checked at [`EnvBuilder::build`]).
+    /// The leading cell of each stretch is searched for as [`Env::read`]
+    /// searches (a cell of `start` itself is not: `Env::read` serves it
+    /// unsearched).  With MMAT off, that one search answers the cells after
+    /// it in two cases:
+    ///
+    /// * **A holder's stretch.**  Where the search landed on a
+    ///   buffer-bearing block, the following cells still inside that block —
+    ///   only where the per-cell search is known to land there too: `start`
+    ///   a placed value-holding block and the tree's holders unique (checked
+    ///   at [`EnvBuilder::build`]).
     /// * **Past the holders' hull.**  Where the search fell through to the
     ///   catch-all, the following cells outside the bounding box of the
-    ///   placed value-holding blocks (recorded at [`EnvBuilder::build`]) are
-    ///   served from the catch-all, each as the per-cell path serves it after
-    ///   its search.  This is exact for any tree: an address outside the hull
-    ///   lies in no block a search can match, so from any start and with any
-    ///   pruning the search falls through to the catch-all — provided `start`
-    ///   holds values (a bounded Empty joint could claim such an address
-    ///   first).  No guard is held there: a `Reference` catch-all may map
-    ///   back into `start`.
+    ///   placed value-holding blocks (recorded at [`EnvBuilder::build`]).
+    ///   This is exact for any tree: an address outside the hull lies in no
+    ///   block a search can match, so from any start and with any pruning
+    ///   the search falls through to the catch-all — provided `start` holds
+    ///   values (a bounded Empty joint could claim such an address first).
     ///
-    /// The cell after either stretch is resolved afresh, so a run may cross
-    /// blocks, leave the domain and come back.
-    pub fn read_run_into(
+    /// The cell after either stretch is searched for afresh, so a run may
+    /// cross blocks, leave the domain and come back.  With MMAT on nothing
+    /// is searched: the plan is one unresolved stretch, each of its reads
+    /// consults the memo, and the searches are the per-cell loop's.  Only
+    /// geometry is frozen — a block's origin, extent and kind do not change
+    /// once the tree is built, nor therefore where a search lands.
+    pub fn resolve_run(
         &self,
         start: BlockId,
         first: GlobalAddress,
         step: LocalAddress,
-        out: &mut [C],
+        len: usize,
         state: &mut AccessState,
-    ) {
-        let past_hull = !state.mmat_enabled && self.holds_values(start);
-        let shortcut = past_hull && self.holders_are_unique && !self.blocks[start].meta.catch_all;
-        let mut addr = first;
-        let mut i = 0;
-        while i < out.len() {
-            let mut landed = None;
-            out[i] = self.read_noting(start, addr, false, state, &mut landed).unwrap_or_default();
-            i += 1;
-            addr = addr + step;
-            let fell_through = landed.filter(|&b| past_hull && Some(b) == self.first_catch_all);
-            if let Some(catch_all) = fell_through {
-                (i, addr) = self.read_past_hull(catch_all, i, addr, step, out, state);
-                continue;
-            }
-            let Some(holder) = landed.filter(|_| shortcut) else { continue };
-            let block = &self.blocks[holder];
-            let (BlockKind::Data(buf) | BlockKind::BufferOnly(buf)) = &block.kind else { continue };
-            let guard = buf.read();
-            let whole = block.meta.is_valid();
-            let from = i;
-            // Consecutive cells of one invalid page are recorded in one go:
-            // (page, cells) of the stretch being crossed.
-            let mut gap: (PageId, u64) = (0, 0);
-            while i < out.len() {
-                let Some(idx) = block.cell_index(addr) else { break };
-                let invalid = (!whole)
-                    .then(|| guard.pages().page_of(idx))
-                    .filter(|&page| !guard.pages().is_valid(page));
-                match invalid {
-                    None => out[i] = guard.read_cell(idx).clone(),
-                    Some(page) => {
-                        out[i] = C::default();
-                        if page != gap.0 {
-                            state.record_missing_n(holder, gap.0, gap.1);
-                            gap = (page, 0);
-                        }
-                        gap.1 += 1;
-                    }
-                }
-                i += 1;
-                addr = addr + step;
-            }
-            state.record_missing_n(holder, gap.0, gap.1);
-            state.counters.reads += (i - from) as u64;
-            state.counters.out_of_block_reads += (i - from) as u64;
-        }
-    }
-
-    /// The run's cells from `out[i]` (at `addr`) on that lie outside the
-    /// holders' hull, each read from the `catch_all` exactly as
-    /// [`Env::read_noting`] reads it once its search has landed there; the
-    /// index and address of the first cell back inside the hull (or of the
-    /// run's end).  Kept out of line so the run loop stays small.
-    #[inline(never)]
-    fn read_past_hull(
-        &self,
-        catch_all: BlockId,
-        mut i: usize,
-        mut addr: GlobalAddress,
-        step: LocalAddress,
-        out: &mut [C],
-        state: &mut AccessState,
-    ) -> (usize, GlobalAddress) {
-        let outside = |a: GlobalAddress| {
-            let p = [a.x, a.y, a.z];
-            self.holder_hull.is_none_or(|(lo, hi)| (0..3).any(|k| p[k] < lo[k] || p[k] >= hi[k]))
-        };
-        while i < out.len() && outside(addr) {
-            state.counters.reads += 1;
-            state.counters.out_of_block_reads += 1;
-            out[i] = self.read_value_at(catch_all, addr, state, 0).unwrap_or_default();
-            i += 1;
-            addr = addr + step;
-        }
-        (i, addr)
-    }
-
-    /// The static half of a gather: resolve, once, where each of `addrs` lies
-    /// relative to `start`.  An address inside `start` — a placed block with
-    /// cell buffers — becomes its row-major cell index there; every other
-    /// address (and all of them when `start` is a catch-all or has no cell
-    /// buffers) is kept as it is, with its position in the list.
-    ///
-    /// With MMAT off and `start` such a block, each address outside it is
-    /// also searched for once, from `start`, as [`Env::read`] would search:
-    /// the plan keeps the block the search lands on (and the cell index in a
-    /// buffer-bearing one), and `state` counts the searches and the nodes
-    /// they visit — the per-cell loop's, one read of each address.  With
-    /// MMAT on nothing is searched (the memo resolves those reads), and an
-    /// address inside `start` whose index does not fit a slot is not either
-    /// (`Env::read` serves it without a search).
-    ///
-    /// Only geometry is frozen — a block's origin, extent and kind do not
-    /// change once the tree is built, nor therefore where a search lands.
-    /// Validity, the MMAT state and the values are read by each
-    /// [`Env::read_gather_into`]; resolving reads no cell and moves no
-    /// counter but the two search counters.
-    pub fn resolve_gather(
-        &self,
-        start: BlockId,
-        addrs: impl IntoIterator<Item = GlobalAddress>,
-        state: &mut AccessState,
-    ) -> GatherPlan {
-        let block = &self.blocks[start];
-        let direct = block.kind.has_buffers() && !block.meta.catch_all;
-        let addrs = addrs.into_iter();
-        let listed = addrs.size_hint().0;
-        let mut slots = Vec::with_capacity(listed);
-        // Under Assumption III the addresses that leave a block are its
-        // rim's: room for a perimeter of them, so a local list never regrows.
-        let extent = block.meta.extent;
-        let mut outside = Vec::with_capacity(listed.min(2 * (extent.nx + extent.ny)));
-        for addr in addrs {
-            let inside = if direct { block.cell_index(addr) } else { None };
-            let landing = match inside.map(u32::try_from) {
-                Some(Ok(idx)) => {
-                    slots.push(idx);
-                    continue;
-                }
-                // An index too large for a slot is served as an outside
-                // address, which `Env::read` finds in `start` unsearched.
-                Some(Err(_)) => Landing::Unresolved,
-                None if direct => self.land(start, addr, state),
-                None => Landing::Unresolved,
-            };
-            outside.push((slots.len(), addr, landing));
-            slots.push(u32::MAX);
-        }
-        GatherPlan { start, slots, outside }
-    }
-
-    /// With MMAT off, search for `addr` from `start` as [`Env::read`] does
-    /// — counted in `state` — and keep where the search landed; with MMAT
-    /// on, nothing (the memo resolves each read).
-    fn land(&self, start: BlockId, addr: GlobalAddress, state: &mut AccessState) -> Landing {
+    ) -> RunPlan {
+        let mut plan = RunPlan { start, first, step, stretches: Vec::new() };
         if state.mmat_enabled {
-            return Landing::Unresolved;
+            plan.push(len, Landing::Unresolved);
+            return plan;
         }
+        let block = &self.blocks[start];
+        let past_hull = self.holds_values(start);
+        let shortcut = past_hull && self.holders_are_unique && !block.meta.catch_all;
+        let (mut i, mut addr) = (0, first);
+        while i < len {
+            let landing = if !block.meta.catch_all && block.contains(addr) {
+                Landing::Unresolved
+            } else {
+                self.land(start, addr, state)
+            };
+            // The cells after the leading one that its search answers.
+            let answered = |a: GlobalAddress| match landing {
+                Landing::Block(b) => {
+                    past_hull && Some(b) == self.first_catch_all && self.outside_hull(a)
+                }
+                Landing::Cell(holder, _) => shortcut && self.blocks[holder].contains(a),
+                Landing::Unresolved | Landing::Nowhere => false,
+            };
+            let from = i;
+            (i, addr) = (i + 1, addr + step);
+            while i < len && answered(addr) {
+                (i, addr) = (i + 1, addr + step);
+            }
+            plan.push(i - from, landing);
+        }
+        plan
+    }
+
+    /// Search for `addr` from `start` as [`Env::read`] does — counted in
+    /// `state` — and keep where the search landed.
+    fn land(&self, start: BlockId, addr: GlobalAddress, state: &mut AccessState) -> Landing {
         state.counters.env_searches += 1;
         let (found, visited) = self.find_block(addr, start);
         state.counters.search_nodes_visited += visited;
@@ -814,109 +699,99 @@ impl<C: Cell> Env<C> {
         }
     }
 
-    /// Read the cells a [`GatherPlan`] names and keep `project(&cell)` of
-    /// each: `out[i] = project(&cell)` for the `i`-th address the plan was
-    /// resolved from, where the cell is what [`Env::read`] from the plan's
-    /// `start` without the in-block hint yields (`C::default()` for missing
-    /// data) — the gather form of that call, for a block whose cells name
-    /// their neighbours (an unstructured grid's indirection).  Stops at the
-    /// shorter of the plan and `out`.
+    /// Whether `a` lies outside the holders' hull (see [`holder_hull`]).
+    fn outside_hull(&self, a: GlobalAddress) -> bool {
+        let p = [a.x, a.y, a.z];
+        self.holder_hull.is_none_or(|(lo, hi)| (0..3).any(|k| p[k] < lo[k] || p[k] >= hi[k]))
+    }
+
+    /// Read the cells of `plan` into `out`, which must hold exactly the
+    /// run's cells: the run form of [`Env::read`] without the in-block hint,
+    /// each cell read where [`Env::resolve_run`] found it to land, with no
+    /// search.  Missing data reads as `C::default()`.
     ///
     /// Values, missing-page records (in order), the MMAT memo and every
-    /// counter except `env_searches` / `search_nodes_visited` are exactly
-    /// those of the per-cell loop over the addresses — the contract
-    /// [`Env::read_run_into`] has; the two search counters record only the
-    /// searches that ran.  Each stretch of entries inside `start` — the
-    /// common case under Assumption III — is served from its read buffer by
-    /// cell index, one lock acquisition per stretch and no clone of the
-    /// cell.  Every other entry is read in order: with MMAT off, where the
-    /// plan recorded where its search lands (see [`Env::resolve_gather`]),
-    /// by the call the per-cell path makes once its search has landed there,
-    /// with no search; otherwise through [`Env::read`].  So with MMAT off on
-    /// a `start` with cell buffers a gather runs no search at all, and the
-    /// resolution ran the per-cell loop's searches once.  With MMAT on (each
-    /// read consults and updates the memo) it is the per-cell loop, the
-    /// in-block addresses rebuilt from their indices, every counter equal.
+    /// counter but the two search counters are exactly those of the
+    /// per-cell loop: page validity, the memo and the values are read here,
+    /// on every sweep.  A holder's stretch is served under one guard, each
+    /// other cell as the per-cell path serves it once its search has landed.
+    /// With MMAT on, the read is the per-cell loop, whatever the plan holds.
     ///
-    /// `start`'s lock is never held across a read of another entry: a
-    /// `Reference` block may map an outside address back into `start`, and a
-    /// second read acquisition behind a queued writer deadlocks.
-    pub fn read_gather_into<T>(
-        &self,
-        plan: &GatherPlan,
-        project: impl Fn(&C) -> T,
-        out: &mut [T],
-        state: &mut AccessState,
-    ) {
-        let start = plan.start;
-        let block = &self.blocks[start];
-        let len = plan.slots.len().min(out.len());
-        // The buffers in-block entries may be served from, if any.
-        let direct = match &block.kind {
-            BlockKind::Data(buf) | BlockKind::BufferOnly(buf) if !state.mmat_enabled => Some(buf),
-            _ => None,
+    /// No guard is held from one stretch to the next: a `Reference` block
+    /// may map a cell back into `start`, and a second read acquisition
+    /// behind a queued writer deadlocks.
+    pub fn read_run(&self, plan: &RunPlan, out: &mut [C], state: &mut AccessState) {
+        assert_eq!(out.len(), plan.len(), "a run plan reads exactly its cells");
+        let step = plan.step;
+        let nth = |k: usize| {
+            let k = k as i64;
+            plan.first + LocalAddress::new3d(step.dx * k, step.dy * k, step.dz * k)
         };
-        let mut outside = plan.outside.iter().take_while(|(at, ..)| *at < len);
         let mut from = 0;
-        loop {
-            let next = outside.next();
-            // The stretch of in-block entries before the next outside one.
-            let to = next.map_or(len, |(at, ..)| *at);
-            let stretch = out[from..to].iter_mut().zip(&plan.slots[from..to]);
-            match direct {
-                Some(buf) if from < to => {
-                    let guard = buf.read();
-                    let cells = guard.read_buf();
-                    if block.meta.is_valid() {
-                        for (slot, &idx) in stretch {
-                            *slot = project(&cells[idx as usize]);
-                        }
-                    } else {
-                        let pages = guard.pages();
-                        for (slot, &idx) in stretch {
-                            let page = pages.page_of(idx as usize);
-                            *slot = if pages.is_valid(page) {
-                                project(&cells[idx as usize])
-                            } else {
-                                state.record_missing(start, page);
-                                project(&C::default())
-                            };
-                        }
-                    }
-                    drop(guard);
-                    state.counters.reads += (to - from) as u64;
-                    state.counters.in_block_hits += (to - from) as u64;
-                }
-                // The per-cell loop (and nothing for an empty stretch).
-                _ => {
-                    for (slot, &idx) in stretch {
-                        let addr = block.to_global(block.meta.extent.delinearize(idx as usize));
-                        *slot = project(&self.read_unhinted(start, addr, state));
+        for &(n, landing) in &plan.stretches {
+            let cells = &mut out[from..from + n];
+            match if state.mmat_enabled { Landing::Unresolved } else { landing } {
+                Landing::Cell(holder, idx) => self.read_held(holder, idx, step, cells, state),
+                landing => {
+                    for (k, cell) in (from..).zip(cells) {
+                        *cell = self.read_landed(plan.start, nth(k), landing, state);
                     }
                 }
             }
-            let Some(&(at, addr, landing)) = next else { break };
-            out[at] = project(&match direct {
-                Some(_) => self.read_landed(start, addr, landing, state),
-                None => self.read_unhinted(start, addr, state),
-            });
-            from = at + 1;
+            from += n;
         }
     }
 
-    /// One per-cell read on behalf of [`Env::read_gather_into`], kept out of
-    /// line so the gather's in-block loop stays small.
-    #[inline(never)]
-    fn read_unhinted(&self, start: BlockId, addr: GlobalAddress, state: &mut AccessState) -> C {
-        self.read(start, addr, false, state).unwrap_or_default()
+    /// A holder's stretch of a run: `out.len()` cells of `holder` from
+    /// row-major index `idx` on, `step` apart, under one guard — each read
+    /// and counted as the per-cell path reads it once its search has landed
+    /// on `holder`.
+    fn read_held(
+        &self,
+        holder: BlockId,
+        idx: usize,
+        step: LocalAddress,
+        out: &mut [C],
+        state: &mut AccessState,
+    ) {
+        let block = &self.blocks[holder];
+        let (BlockKind::Data(buf) | BlockKind::BufferOnly(buf)) = &block.kind else {
+            unreachable!("a Cell landing has cell buffers")
+        };
+        let e = block.meta.extent;
+        let stride = (step.dx + step.dy * e.nx as i64 + step.dz * (e.nx * e.ny) as i64) as isize;
+        let guard = buf.read();
+        let whole = block.meta.is_valid();
+        // Consecutive cells of one invalid page are recorded in one go:
+        // (page, cells) of the stretch being crossed.
+        let mut gap: (PageId, u64) = (0, 0);
+        for (k, cell) in out.iter_mut().enumerate() {
+            let idx = idx.wrapping_add_signed(k as isize * stride);
+            let invalid = (!whole)
+                .then(|| guard.pages().page_of(idx))
+                .filter(|&page| !guard.pages().is_valid(page));
+            match invalid {
+                None => *cell = guard.read_cell(idx).clone(),
+                Some(page) => {
+                    *cell = C::default();
+                    if page != gap.0 {
+                        state.record_missing_n(holder, gap.0, gap.1);
+                        gap = (page, 0);
+                    }
+                    gap.1 += 1;
+                }
+            }
+        }
+        drop(guard);
+        state.record_missing_n(holder, gap.0, gap.1);
+        state.counters.reads += out.len() as u64;
+        state.counters.out_of_block_reads += out.len() as u64;
     }
 
-    /// An outside entry of a plan on behalf of [`Env::read_gather_into`],
-    /// with MMAT off: read exactly as [`Env::read_noting`] reads it once its
-    /// search from `start` has landed where `landing` says, without the
-    /// search (an unresolved entry is read as `Env::read` reads it).  Out of
-    /// line, and no guard of `start` is held: a `Reference` may map back
-    /// into `start`.
+    /// One cell of a run, read as [`Env::read`] reads it once its search
+    /// from `start` has landed where `landing` says, without the search (an
+    /// unresolved cell is read by `Env::read` itself; a holder's stretch is
+    /// [`Env::read_held`]'s).  Out of line, so the run loop stays small.
     #[inline(never)]
     fn read_landed(
         &self,
@@ -926,7 +801,9 @@ impl<C: Cell> Env<C> {
         state: &mut AccessState,
     ) -> C {
         let value = match landing {
-            Landing::Unresolved => return self.read_unhinted(start, addr, state),
+            Landing::Unresolved | Landing::Cell(..) => {
+                return self.read(start, addr, false, state).unwrap_or_default();
+            }
             Landing::Nowhere => {
                 state.counters.missing_accesses += 1;
                 None
@@ -934,10 +811,6 @@ impl<C: Cell> Env<C> {
             Landing::Block(bid) => {
                 state.counters.out_of_block_reads += 1;
                 self.read_value_at(bid, addr, state, 0)
-            }
-            Landing::Cell(bid, idx) => {
-                state.counters.out_of_block_reads += 1;
-                self.read_buffered_cell(bid, idx, addr, state)
             }
         };
         state.counters.reads += 1;
@@ -1942,12 +1815,7 @@ mod tests {
         /// Static block to the right of the domain, and a catch-all that is
         /// either Arithmetic or a Reference mirroring into the domain;
         /// optionally one more data block lying across four tiles.
-        pub(super) fn tiled_env(
-            cpp: usize,
-            quadtree: bool,
-            reference: bool,
-            overlap: bool,
-        ) -> Env<u64> {
+        fn tiled_env(cpp: usize, quadtree: bool, reference: bool, overlap: bool) -> Env<u64> {
             let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), cpp);
             let root = b.add_empty(None);
             let mut data = add_tiles(&mut b, root, 3, quadtree);
@@ -1976,91 +1844,116 @@ mod tests {
             written(b, &data)
         }
 
-        pub(super) fn searches_aside(k: AccessCounters) -> AccessCounters {
+        fn searches_aside(k: AccessCounters) -> AccessCounters {
             AccessCounters { env_searches: 0, search_nodes_visited: 0, ..k }
         }
 
-        /// One run read on `run` and the per-cell loop it replaces on
+        /// The two search counters of `k`, every other counter 0.
+        fn searches_only(k: AccessCounters) -> AccessCounters {
+            let (env_searches, search_nodes_visited) = (k.env_searches, k.search_nodes_visited);
+            AccessCounters { env_searches, search_nodes_visited, ..AccessCounters::default() }
+        }
+
+        /// The `k`-th address of `plan`'s run.
+        fn nth(plan: &RunPlan, k: usize) -> GlobalAddress {
+            let (s, k) = (plan.step, k as i64);
+            plan.first + LocalAddress::new3d(s.dx * k, s.dy * k, s.dz * k)
+        }
+
+        /// Read `plan` once on `run` and the per-cell loop over its cells on
         /// `cellwise`: the values and the missing-page records, in order,
-        /// must agree, and so must every counter but the two search counters.
+        /// must agree, and so must every counter but the two search
+        /// counters.
+        fn read_beside_cells(
+            env: &Env<u64>,
+            plan: &RunPlan,
+            (run, cellwise): (&mut AccessState, &mut AccessState),
+        ) -> Vec<u64> {
+            let mut got = vec![u64::MAX; plan.len()];
+            env.read_run(plan, &mut got, run);
+            let read = |k| env.read(plan.start, nth(plan, k), false, cellwise).unwrap_or_default();
+            let want: Vec<u64> = (0..plan.len()).map(read).collect();
+            assert_eq!(got, want);
+            assert_eq!(run.missing(), cellwise.missing());
+            assert_eq!(searches_aside(run.counters), searches_aside(cellwise.counters));
+            got
+        }
+
+        /// Resolve the run on `resolution` — which moves the search
+        /// counters and nothing else — then [`read_beside_cells`] on states
+        /// with MMAT as `resolution` has it: with MMAT off, the read
+        /// searches nothing.
         fn run_beside_cells(
             env: &Env<u64>,
             start: BlockId,
             (first, step, len): (GlobalAddress, LocalAddress, usize),
-            (run, cellwise): (&mut AccessState, &mut AccessState),
-        ) {
-            let mut got = vec![u64::MAX; len];
-            env.read_run_into(start, first, step, &mut got, run);
-            let mut addr = first;
-            let mut want = Vec::with_capacity(len);
-            for _ in 0..len {
-                want.push(env.read(start, addr, false, cellwise).unwrap_or_default());
-                addr = addr + step;
+            (resolution, run, cellwise): (&mut AccessState, &mut AccessState, &mut AccessState),
+        ) -> RunPlan {
+            let plan = env.resolve_run(start, first, step, len, resolution);
+            assert_eq!(plan.len(), len);
+            assert_eq!(searches_aside(resolution.counters), AccessCounters::default());
+            let searches = run.counters.env_searches;
+            read_beside_cells(env, &plan, (run, cellwise));
+            if !run.mmat_enabled {
+                assert_eq!(run.counters.env_searches, searches, "a plan read searches nothing");
             }
-            assert_eq!(got, want);
-            assert_eq!(run.missing(), cellwise.missing());
-            assert_eq!(searches_aside(run.counters), searches_aside(cellwise.counters));
+            plan
         }
 
-        /// The most searches a run read from `start` may run on a tiled Env
-        /// without the overlapping block: one a maximal stretch of cells
-        /// that share a buffer-bearing holder or lie outside the holders'
-        /// hull, one for any other cell (a Static cell is searched for each
-        /// time), none for a cell of `start`.  The tiles and the strip fill
-        /// their hull, so a cell in no holder is outside it.
-        fn stretches(
-            env: &Env<u64>,
-            start: BlockId,
-            first: GlobalAddress,
-            step: LocalAddress,
-            len: usize,
-        ) -> u64 {
-            let (mut addr, mut count, mut prev) = (first, 0, None);
-            for _ in 0..len {
-                let holder =
-                    env.blocks().find(|b| !b.meta.catch_all && holds_values(b) && b.contains(addr));
-                // The stretch the cell may share with the one before: a
-                // buffer-bearing holder's, `Some(Some(id))`, or the
-                // outside's, `Some(None)`.
-                let stretch = match holder {
-                    Some(b) if b.kind.has_buffers() => Some(Some(b.meta.id)),
-                    Some(_) => None,
-                    None => Some(None),
-                };
-                let in_start = holder.is_some_and(|b| b.meta.id == start);
-                if !in_start && (stretch.is_none() || stretch != prev) {
-                    count += 1;
-                }
-                prev = stretch;
-                addr = addr + step;
-            }
-            count
+        /// Fresh states for a resolution, a plan read and the per-cell loop.
+        fn states(mmat: bool) -> [AccessState; 3] {
+            std::array::from_fn(
+                |_| if mmat { AccessState::with_mmat() } else { AccessState::new() },
+            )
+        }
+
+        /// Per cell of the run, the nodes the per-cell loop's search for it
+        /// visits (none for a cell of `start`, which `Env::read` serves
+        /// unsearched), and whether a resolution with MMAT off searches for
+        /// it: every other cell, except one that the stretch before it
+        /// answers — after a search that landed on a buffer-bearing block, a
+        /// cell of that block (with `start` a placed holder and the holders
+        /// unique); after one that fell through to the catch-all, a cell
+        /// outside the holders' hull (with `start` holding values).
+        fn searched(env: &Env<u64>, plan: &RunPlan) -> Vec<(u64, bool)> {
+            let block = env.block(plan.start);
+            let past_hull = holds_values(block);
+            let shortcut = past_hull && env.holders_are_unique && !block.meta.catch_all;
+            let mut answering = None;
+            (0..plan.len())
+                .map(|k| {
+                    let addr = nth(plan, k);
+                    if !block.meta.catch_all && block.contains(addr) {
+                        answering = None;
+                        return (0, false);
+                    }
+                    let (found, nodes) = env.find_block(addr, plan.start);
+                    let answered = match answering {
+                        Some(b) if Some(b) == env.first_catch_all => env.outside_hull(addr),
+                        Some(b) => env.block(b).contains(addr),
+                        None => false,
+                    };
+                    if !answered {
+                        let fell_through = found.filter(|_| past_hull) == env.first_catch_all;
+                        let held = |b: &BlockId| shortcut && env.block(*b).kind.has_buffers();
+                        answering = if fell_through { found } else { found.filter(held) };
+                    }
+                    (nodes, !answered)
+                })
+                .collect()
         }
 
         #[test]
         fn a_run_along_a_neighbour_searches_once() {
             let env = tiled_env(4, false, false, false);
             let start = env.data_block_ids()[4];
-            let (mut run, mut cellwise) = (AccessState::new(), AccessState::new());
-            let mut out = [0u64; 4];
+            let [mut resolution, mut run, mut cellwise] = states(false);
             // The row above the centre tile: four cells of the tile to its north.
-            env.read_run_into(
-                start,
-                GlobalAddress::new2d(4, 2),
-                LocalAddress::new2d(1, 0),
-                &mut out,
-                &mut run,
-            );
-            for (k, got) in out.iter().enumerate() {
-                let want =
-                    env.read(start, GlobalAddress::new2d(4 + k as i64, 2), false, &mut cellwise);
-                assert_eq!(Some(*got), want);
-            }
-            assert_eq!((run.counters.env_searches, cellwise.counters.env_searches), (1, 4));
-            assert_eq!(
-                run.counters.search_nodes_visited * 4,
-                cellwise.counters.search_nodes_visited
-            );
+            let at = (GlobalAddress::new2d(4, 2), LocalAddress::new2d(1, 0), 4);
+            run_beside_cells(&env, start, at, (&mut resolution, &mut run, &mut cellwise));
+            let (r, c) = (resolution.counters, cellwise.counters);
+            assert_eq!((r.env_searches, c.env_searches), (1, 4));
+            assert_eq!(r.search_nodes_visited * 4, c.search_nodes_visited);
             assert_eq!(run.counters.out_of_block_reads, 4);
         }
 
@@ -2069,7 +1962,7 @@ mod tests {
             // The joint's box covers only the left half of the block below
             // it, so a search for the right half is pruned and lands on the
             // boundary: the holder found for one cell says nothing about the
-            // next, and the run read must search cell by cell.
+            // next, and the resolution must search cell by cell.
             let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), 4);
             let root = b.add_empty(None);
             b.add_arithmetic(root, Arc::new(|_| 7), true);
@@ -2080,27 +1973,38 @@ mod tests {
             let wide =
                 b.add_data(narrow, GlobalAddress::new2d(0, 0), Extent::new2d(8, 1), 1).unwrap();
             let env = b.build();
+            assert!(!env.holders_are_unique);
             for x in 0..8 {
                 env.write_initial(wide, LocalAddress::new2d(x, 0), 100 + x as u64);
             }
-            let (mut run, mut cellwise) = (AccessState::new(), AccessState::new());
-            let mut got = [0u64; 8];
+            let [mut resolution, mut run, mut cellwise] = states(false);
             let (first, step) = (GlobalAddress::new2d(0, 0), LocalAddress::new2d(1, 0));
-            env.read_run_into(start, first, step, &mut got, &mut run);
-            let want: Vec<u64> = (0..8)
-                .map(|x| env.read(start, GlobalAddress::new2d(x, 0), false, &mut cellwise).unwrap())
-                .collect();
-            assert_eq!(want, [100, 101, 102, 103, 7, 7, 7, 7]);
-            assert_eq!(got[..], want[..]);
-            assert_eq!(run.counters, cellwise.counters);
+            let plan = run_beside_cells(
+                &env,
+                start,
+                (first, step, 8),
+                (&mut resolution, &mut run, &mut cellwise),
+            );
+            // Each cell lands where `find_block` from `start` lands, not on
+            // the block that holds it.
+            let landed: Vec<_> = plan.stretches.iter().map(|(n, landing)| (*n, *landing)).collect();
+            let boundary = env.first_catch_all.unwrap();
+            let w = |x| (1, Landing::Cell(wide, x));
+            assert_eq!(landed, [w(0), w(1), w(2), w(3), (4, Landing::Block(boundary))]);
+            let mut got = [0u64; 8];
+            env.read_run(&plan, &mut got, &mut AccessState::new());
+            assert_eq!(got, [100, 101, 102, 103, 7, 7, 7, 7]);
+            assert_eq!(resolution.counters, searches_only(cellwise.counters));
 
             // Past the hull, [0, 8) × [0, 2), the pruning cannot matter: four
             // cells more, none searched for, as the last cell inside already
             // fell through to the catch-all.
             assert_eq!(env.holder_hull, Some(([0, 0, 0], [8, 2, 1])));
-            let (mut run, mut cellwise) = (AccessState::new(), AccessState::new());
-            run_beside_cells(&env, start, (first, step, 12), (&mut run, &mut cellwise));
-            assert_eq!((run.counters.env_searches, cellwise.counters.env_searches), (8, 12));
+            let [mut resolution, mut run, mut cellwise] = states(false);
+            let at = (first, step, 12);
+            run_beside_cells(&env, start, at, (&mut resolution, &mut run, &mut cellwise));
+            let searches = (resolution.counters.env_searches, cellwise.counters.env_searches);
+            assert_eq!(searches, (8, 12));
         }
 
         /// A run wholly outside the holders' hull — the ring row or column of
@@ -2123,10 +2027,12 @@ mod tests {
                     for &((x, y), (dx, dy), len) in &runs {
                         let at = (GlobalAddress::new2d(x, y), LocalAddress::new2d(dx, dy), len);
                         for start in env.data_block_ids() {
-                            let (mut run, mut cellwise) = (AccessState::new(), AccessState::new());
-                            run_beside_cells(&env, start, at, (&mut run, &mut cellwise));
+                            let [mut resolution, mut run, mut cellwise] = states(false);
+                            let three = (&mut resolution, &mut run, &mut cellwise);
+                            let plan = run_beside_cells(&env, start, at, three);
+                            assert_eq!(plan.stretches.len(), 1, "{at:?} from {start}");
                             let searches =
-                                (run.counters.env_searches, cellwise.counters.env_searches);
+                                (resolution.counters.env_searches, cellwise.counters.env_searches);
                             assert_eq!(searches, (1, len as u64), "{at:?} from {start}");
                         }
                     }
@@ -2139,7 +2045,7 @@ mod tests {
         /// coordinates), starts outside the hull, crosses the block above and
         /// leaves again: a search a stretch — three where the per-cell loop
         /// runs six — with none, one or all of the crossed block's pages
-        /// missing.
+        /// missing, and none at all on the sweeps after the resolution.
         #[test]
         fn a_corner_run_that_crosses_a_neighbour_searches_once_a_stretch() {
             for quadtree in [false, true] {
@@ -2156,12 +2062,15 @@ mod tests {
                         }
                         let first = env.block(start).to_global(LocalAddress::new2d(-1, -1));
                         let at = (first, LocalAddress::new2d(1, 0), 6);
-                        let (mut run, mut cellwise) = (AccessState::new(), AccessState::new());
-                        run_beside_cells(&env, start, at, (&mut run, &mut cellwise));
+                        let [mut resolution, mut run, mut cellwise] = states(false);
+                        let three = (&mut resolution, &mut run, &mut cellwise);
+                        let plan = run_beside_cells(&env, start, at, three);
+                        read_beside_cells(&env, &plan, (&mut run, &mut cellwise));
+                        let case = format!("quadtree {quadtree}, reference {reference}");
                         assert_eq!(
-                            (run.counters.env_searches, cellwise.counters.env_searches),
-                            (3, 6),
-                            "quadtree {quadtree}, reference {reference}, pages {installed:b}"
+                            (resolution.counters.env_searches, cellwise.counters.env_searches),
+                            (3, 12),
+                            "{case}, pages {installed:b}"
                         );
                         assert_eq!(cellwise.has_missing(), installed != u64::MAX);
                     }
@@ -2169,31 +2078,36 @@ mod tests {
             }
         }
 
-        /// With MMAT on every read consults the memo, so the run read is the
-        /// per-cell loop, searches included: on the pass that fills the memo
-        /// and on the one that replays it.
+        /// With MMAT on every read consults the memo, so the plan is one
+        /// unresolved stretch, resolving counts nothing, and reading it is
+        /// the per-cell loop, searches included: on the pass that fills the
+        /// memo and on the one that replays it.
         #[test]
         fn with_mmat_a_run_past_the_hull_searches_as_the_per_cell_loop() {
             for reference in [false, true] {
                 let env = tiled_env(4, false, reference, false);
                 let start = env.data_block_ids()[0];
                 let at = (GlobalAddress::new2d(-1, -1), LocalAddress::new2d(1, 0), 17);
-                let (mut run, mut cellwise) = (AccessState::with_mmat(), AccessState::with_mmat());
-                for _ in 0..2 {
-                    run_beside_cells(&env, start, at, (&mut run, &mut cellwise));
-                    assert_eq!(run.counters, cellwise.counters);
-                    assert_eq!(run.mmat.len(), cellwise.mmat.len());
-                }
+                let [mut resolution, mut run, mut cellwise] = states(true);
+                let three = (&mut resolution, &mut run, &mut cellwise);
+                let plan = run_beside_cells(&env, start, at, three);
+                assert_eq!(plan.stretches, [(17, Landing::Unresolved)]);
+                assert_eq!(resolution.counters, AccessCounters::default());
+                read_beside_cells(&env, &plan, (&mut run, &mut cellwise));
+                assert_eq!(run.counters, cellwise.counters);
+                assert_eq!(run.mmat.len(), cellwise.mmat.len());
                 assert_eq!(run.counters.env_searches, 17, "the second pass is all hits");
             }
         }
 
-        /// The lock rule past the hull: no guard is held while the catch-all
-        /// is read.  The Reference catch-all maps every outside cell into
-        /// `start`; at the run's second cell it lets a writer at `start` and
-        /// waits for it to finish.  Had the run kept a guard on `start`, the
+        /// The lock rule: no guard is held while a stretch's landing is read.
+        /// The Reference catch-all maps every outside cell into `start`; at
+        /// the read's second cell it lets a writer at `start` run and waits
+        /// for it to finish.  Had the read kept a guard on `start`, the
         /// writer would stay queued and the read of `start` that follows
         /// would block behind it for good (std's `RwLock` prefers writers).
+        /// The plan is resolved first — the one search, and no mapping — so
+        /// the read runs none.
         #[test]
         fn a_run_past_the_hull_through_a_reference_into_start_yields_to_a_waiting_writer() {
             use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
@@ -2230,7 +2144,7 @@ mod tests {
             let writer = {
                 let env = Arc::clone(&env);
                 std::thread::spawn(move || {
-                    release_rx.recv().expect("the run reaches its second cell");
+                    release_rx.recv().expect("the read reaches its second cell");
                     let BlockKind::Data(buf) = &env.block(start).kind else { unreachable!() };
                     drop(buf.write());
                     written.store(true, SeqCst);
@@ -2239,120 +2153,21 @@ mod tests {
             let (done_tx, done_rx) = mpsc::channel();
             let reader = std::thread::spawn(move || {
                 // The row above `start`, corners included: all past the hull.
-                let (mut out, mut st) = ([0u64; 6], AccessState::new());
+                let mut st = AccessState::new();
                 let (first, step) = (GlobalAddress::new2d(-1, -1), LocalAddress::new2d(1, 0));
-                env.read_run_into(start, first, step, &mut out, &mut st);
-                let counters = (st.counters.reference_reads, st.counters.env_searches);
+                let plan = env.resolve_run(start, first, step, 6, &mut st);
+                let resolved = st.counters.env_searches;
+                let mut out = [0u64; 6];
+                env.read_run(&plan, &mut out, &mut st);
+                let counters = (st.counters.reference_reads, resolved, st.counters.env_searches);
                 done_tx.send((out, counters)).expect("the test is waiting");
             });
             let got = done_rx
                 .recv_timeout(Duration::from_secs(30))
-                .expect("the run must not deadlock against a queued writer");
-            assert_eq!(got, ([10, 10, 11, 12, 13, 13], (6, 1)));
+                .expect("the read must not deadlock against a queued writer");
+            assert_eq!(got, ([10, 10, 11, 12, 13, 13], (6, 1, 1)));
             writer.join().unwrap();
             reader.join().unwrap();
-        }
-
-        proptest! {
-            /// A run read and the per-cell loop it replaces: same values,
-            /// same missing-page list in the same order, every counter equal
-            /// except the two search counters, which count the searches that
-            /// ran — never more than the loop's, exactly the loop's with MMAT
-            /// on, and without the overlapping block at most one a stretch
-            /// (see [`stretches`]).
-            #[test]
-            fn run_reads_equal_the_per_cell_loop(
-                cpp in 1usize..8,
-                quadtree in any::<bool>(),
-                reference in any::<bool>(),
-                overlap_sel in 0usize..4,
-                mmat in any::<bool>(),
-                start_sel in 0usize..9,
-                x in -3i64..17,
-                y in -3i64..12,
-                step_sel in 0usize..6,
-                len in 1usize..28,
-                invalid_block in 0usize..9,
-                invalid_mask in any::<u64>(),
-            ) {
-                let overlap = overlap_sel == 0;
-                let env = tiled_env(cpp, quadtree, reference, overlap);
-                let data = env.data_block_ids();
-                // One tile loses some of its pages (a remote block mid-refresh).
-                let victim = data[invalid_block];
-                env.set_block_valid(victim, false).unwrap();
-                for page in 0..env.num_pages(victim).unwrap() {
-                    if invalid_mask >> (page % 64) & 1 == 0 {
-                        let payload = env.extract_page(victim, page).unwrap();
-                        env.install_page(victim, page, &payload).unwrap();
-                    }
-                }
-                let start = data[start_sel];
-                let first = GlobalAddress::new2d(x, y);
-                let step = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (2, -1)][step_sel];
-                let step = LocalAddress::new2d(step.0, step.1);
-                let fresh = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
-                let (mut run, mut cellwise) = (fresh(), fresh());
-
-                // Twice, so the second pass replays whatever MMAT memorised.
-                for _ in 0..2 {
-                    let mut got = vec![u64::MAX; len];
-                    env.read_run_into(start, first, step, &mut got, &mut run);
-                    let mut addr = first;
-                    let mut want = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        want.push(env.read(start, addr, false, &mut cellwise).unwrap_or_default());
-                        addr = addr + step;
-                    }
-                    prop_assert_eq!(got, want);
-                }
-                prop_assert_eq!(run.missing(), cellwise.missing());
-                prop_assert_eq!(run.mmat.len(), cellwise.mmat.len());
-                let (r, c) = (run.counters, cellwise.counters);
-                prop_assert!(r.env_searches <= c.env_searches);
-                prop_assert!(r.search_nodes_visited <= c.search_nodes_visited);
-                if mmat {
-                    prop_assert_eq!(r, c);
-                } else if !overlap {
-                    prop_assert!(r.env_searches <= 2 * stretches(&env, start, first, step, len));
-                }
-                prop_assert_eq!(searches_aside(r), searches_aside(c));
-            }
-        }
-    }
-
-    mod gather_properties {
-        use super::run_properties::{searches_aside, tiled_env};
-        use super::*;
-        use proptest::prelude::*;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::mpsc;
-        use std::time::{Duration, Instant};
-
-        /// What the tests keep of a cell: not the identity, so a projection
-        /// skipped or applied to the wrong cell shows.
-        fn project(cell: &u64) -> u64 {
-            cell.wrapping_mul(3) ^ 0x55
-        }
-
-        /// The two search counters of `k`, every other counter 0.
-        fn searches_only(k: AccessCounters) -> AccessCounters {
-            let (env_searches, search_nodes_visited) = (k.env_searches, k.search_nodes_visited);
-            AccessCounters { env_searches, search_nodes_visited, ..AccessCounters::default() }
-        }
-
-        /// One read of `plan` and the per-cell loop over the `addrs` it was
-        /// resolved from, each on its own state: the values of both.
-        fn read_both_ways(
-            env: &Env<u64>,
-            plan: &GatherPlan,
-            addrs: &[GlobalAddress],
-            (gather, cellwise): (&mut AccessState, &mut AccessState),
-        ) -> (Vec<u64>, Vec<u64>) {
-            let mut got = vec![u64::MAX; addrs.len()];
-            env.read_gather_into(plan, project, &mut got, gather);
-            let read = |&a| project(&env.read(plan.start, a, false, cellwise).unwrap_or_default());
-            (got, addrs.iter().map(read).collect())
         }
 
         /// Leave the pages of `id` named by `mask` invalid.
@@ -2367,23 +2182,26 @@ mod tests {
         }
 
         proptest! {
-            /// A gather and the per-cell loop it replaces: same values, the
-            /// same `AccessCounters` field for field but the two search
-            /// counters, the same missing-page list in the same order and
-            /// the same MMAT memo — whatever the address list (inside
-            /// `start`, in a neighbour, in the Static strip, outside the
-            /// domain, repeated) and whatever `start` is (Data, Buffer-only,
-            /// or a block without cell buffers).  The plan is resolved once;
-            /// between its two rounds of reads everything it must not have
-            /// frozen changes, the victims turn Buffer-only among them.
+            /// A run plan read and the per-cell loop it replaces: same
+            /// values, the same missing-page list in the same order, the
+            /// same MMAT memo and every counter equal but the two search
+            /// counters — from any start (a data tile, Buffer-only or not,
+            /// or any block of the arena: joints, the Static strip, the
+            /// catch-all), through either catch-all, on trees with and
+            /// without a block overlapping four tiles.  The plan is resolved
+            /// once; between its two rounds of reads what it must not have
+            /// frozen changes: pages arrive and go stale, holders turn
+            /// Buffer-only, MMAT flips.
             ///
-            /// The searches: with MMAT on every counter is the loop's.  With
-            /// MMAT off, resolving on a `start` with cell buffers runs the
-            /// searches of one pass of the loop and moves no other counter,
-            /// and every gather through that plan runs none; anywhere else
-            /// resolving runs none and a gather runs the loop's.
+            /// The searches: resolving with MMAT on counts nothing, and every
+            /// read is the per-cell loop's, counter for counter.  Resolving
+            /// with MMAT off counts exactly the searches of [`searched`] —
+            /// one pass of the loop's, less those a stretch's leading cell
+            /// answers — and nothing else, and a read with MMAT off counts
+            /// none, and of the nodes only a Reference's own walk from its
+            /// target, as the loop does after its search.
             #[test]
-            fn gather_reads_equal_the_per_cell_loop(
+            fn run_reads_equal_the_per_cell_loop(
                 cpp in 1usize..8,
                 quadtree in any::<bool>(),
                 reference in any::<bool>(),
@@ -2391,75 +2209,49 @@ mod tests {
                 mmat in any::<bool>(),
                 start_sel in 0usize..40,
                 buffer_only in any::<bool>(),
-                start_invalid in any::<bool>(),
+                x in -3i64..17,
+                y in -3i64..12,
+                step_sel in 0usize..6,
+                len in 1usize..28,
                 victims in (0usize..9, 0usize..9),
                 victims_buffer_only in any::<bool>(),
                 invalid_mask in any::<u64>(),
-                picks in proptest::collection::vec((0usize..8, -3i64..17, -3i64..12), 0..48),
             ) {
                 let mut env = tiled_env(cpp, quadtree, reference, overlap_sel == 0);
                 let data = env.data_block_ids();
                 // Three starts in four are data tiles; the rest range over
-                // the whole arena (joints, the Static strip, the catch-all).
-                let start = if start_sel < 30 {
-                    data[start_sel % data.len()]
-                } else {
-                    start_sel % env.len()
-                };
+                // the whole arena.
+                let start = if start_sel < 30 { data[start_sel % data.len()] } else { start_sel % env.len() };
                 if buffer_only && env.block(start).is_data() {
                     env.demote_to_buffer_only(start).unwrap();
+                    env.set_block_valid(start, true).unwrap();
                 }
-                // Remote blocks mid-refresh: two tiles, and maybe `start`.
+                // Two tiles lose some of their pages (remote blocks mid-refresh).
                 invalidate_pages(&env, data[victims.0], invalid_mask);
                 invalidate_pages(&env, data[victims.1], invalid_mask.rotate_left(7));
-                if env.block(start).kind.has_buffers() {
-                    if start_invalid {
-                        invalidate_pages(&env, start, invalid_mask.rotate_left(13));
-                    } else if !env.block(start).is_data() {
-                        env.set_block_valid(start, true).unwrap();
-                    }
-                }
-                let meta = &env.block(start).meta;
-                let (origin, ext) = (meta.origin, meta.extent);
-                let mut addrs: Vec<GlobalAddress> = Vec::with_capacity(picks.len());
-                for (kind, x, y) in picks {
-                    addrs.push(match (kind, addrs.last()) {
-                        // Inside `start` (where it has cells) ...
-                        (0..=3, _) if ext.cells() > 0 => {
-                            let dx = x.rem_euclid(ext.nx as i64);
-                            origin + LocalAddress::new2d(dx, y.rem_euclid(ext.ny as i64))
-                        }
-                        // ... the address just read, again ...
-                        (4, Some(&last)) => last,
-                        // ... or anywhere in and around the domain.
-                        _ => GlobalAddress::new2d(x, y),
-                    });
-                }
-                let state = |mmat| if mmat { AccessState::with_mmat() } else { AccessState::new() };
-                let mut resolution = state(mmat);
-                let plan = env.resolve_gather(start, addrs.iter().copied(), &mut resolution);
-                prop_assert_eq!((plan.len(), plan.is_empty()), (addrs.len(), addrs.is_empty()));
-                let block = env.block(start);
-                let resolved = !mmat && block.kind.has_buffers() && !block.meta.catch_all;
+                let step = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (2, -1)][step_sel];
+                let (first, step) = (GlobalAddress::new2d(x, y), LocalAddress::new2d(step.0, step.1));
+                let [mut resolution, ..] = states(mmat);
+                let plan = env.resolve_run(start, first, step, len, &mut resolution);
+                prop_assert_eq!(plan.len(), len);
                 prop_assert_eq!(searches_aside(resolution.counters), AccessCounters::default());
-                if !resolved {
+                let searched = searched(&env, &plan);
+                let leaders = searched.iter().filter(|(_, s)| *s);
+                let (searches, nodes) = leaders.fold((0, 0), |(s, n), (v, _)| (s + 1, n + v));
+                let searched_nodes: u64 = searched.iter().map(|(v, _)| v).sum();
+                if mmat {
                     prop_assert_eq!(resolution.counters, AccessCounters::default());
+                } else {
+                    prop_assert_eq!(
+                        (resolution.counters.env_searches, resolution.counters.search_nodes_visited),
+                        (searches, nodes)
+                    );
                 }
 
                 for round in 0..2 {
                     if round == 1 {
-                        // Pages arrive and go stale — the victims' and
-                        // `start`'s own — holders may turn Buffer-only, and
-                        // the next state has MMAT the other way round.
                         env.set_block_valid(data[victims.0], true).unwrap();
                         invalidate_pages(&env, data[victims.1], !invalid_mask);
-                        if env.block(start).kind.has_buffers() {
-                            if start_invalid {
-                                env.set_block_valid(start, true).unwrap();
-                            } else {
-                                invalidate_pages(&env, start, invalid_mask.rotate_left(29));
-                            }
-                        }
                         for victim in [victims.0, victims.1] {
                             if victims_buffer_only && env.block(data[victim]).is_data() {
                                 env.demote_to_buffer_only(data[victim]).unwrap();
@@ -2468,231 +2260,24 @@ mod tests {
                         }
                     }
                     let mmat_now = mmat ^ (round == 1);
-                    let (mut gather, mut cellwise) = (state(mmat_now), state(mmat_now));
+                    let [_, mut run, mut cellwise] = states(mmat_now);
                     // Twice, so the second pass replays whatever MMAT memorised.
-                    for pass in 0..2 {
-                        let (got, want) =
-                            read_both_ways(&env, &plan, &addrs, (&mut gather, &mut cellwise));
-                        let (g, c) = (gather.counters, cellwise.counters);
-                        prop_assert_eq!(got, want);
-                        prop_assert_eq!(searches_aside(g), searches_aside(c));
-                        prop_assert_eq!(gather.missing(), cellwise.missing());
-                        prop_assert_eq!(gather.mmat.len(), cellwise.mmat.len());
-                        if resolved && !mmat_now {
-                            // The loop searched on each of `passes` passes,
-                            // the resolution once and the gathers never.  (A
-                            // Reference's own walk from its target, after the
-                            // search, is the gathers' nodes, as the loop's.)
-                            let (r, passes) = (resolution.counters, pass as u64 + 1);
-                            prop_assert_eq!(g.env_searches, 0);
-                            prop_assert_eq!(
-                                (r.env_searches * passes, r.search_nodes_visited * passes),
-                                (c.env_searches, c.search_nodes_visited - g.search_nodes_visited)
-                            );
+                    for pass in 1..=2u64 {
+                        read_beside_cells(&env, &plan, (&mut run, &mut cellwise));
+                        prop_assert_eq!(run.mmat.len(), cellwise.mmat.len());
+                        let (r, c) = (run.counters, cellwise.counters);
+                        if mmat || mmat_now {
+                            prop_assert_eq!(r, c);
                         } else {
-                            prop_assert_eq!(g, c);
+                            prop_assert_eq!(r.env_searches, 0);
+                            prop_assert_eq!(
+                                r.search_nodes_visited,
+                                c.search_nodes_visited - pass * searched_nodes
+                            );
                         }
                     }
                 }
             }
-        }
-
-        #[test]
-        fn a_gather_stops_at_the_shorter_of_addresses_and_slots() {
-            let env = tiled_env(4, false, false, false);
-            let start = env.data_block_ids()[4];
-            let origin = env.block(start).meta.origin;
-            let mut st = AccessState::new();
-            let plan =
-                env.resolve_gather(start, [origin, origin + LocalAddress::new2d(1, 0)], &mut st);
-            let mut out = [u64::MAX; 3];
-            env.read_gather_into(&plan, project, &mut out, &mut st);
-            assert_ne!(out[1], u64::MAX);
-            assert_eq!(out[2], u64::MAX, "no address, slot untouched");
-            env.read_gather_into(&plan, project, &mut out[..1], &mut st);
-            assert_eq!(st.counters.reads, 3, "no slot, address not read");
-            assert_eq!(st.counters.in_block_hits, 3);
-        }
-
-        /// A `start` with no cell buffers to index — the Static strip, a
-        /// joint, the catch-all — leaves every entry of its plan an outside
-        /// address, even those the block contains, and reading the plan is
-        /// the per-cell loop.
-        #[test]
-        fn a_plan_against_a_start_without_buffers_is_the_per_cell_loop() {
-            let env = tiled_env(4, true, false, false);
-            let bufferless: Vec<BlockId> =
-                env.blocks().filter(|b| !b.kind.has_buffers()).map(|b| b.meta.id).collect();
-            let kinds: Vec<&str> = bufferless.iter().map(|&id| env.block(id).kind_name()).collect();
-            for kind in ["static", "empty", "arithmetic"] {
-                assert!(kinds.contains(&kind), "{kinds:?}");
-            }
-            // In the domain, in the Static strip, outside both; one repeated.
-            let addrs: Vec<GlobalAddress> = [(5, 4), (12, 3), (13, 8), (-2, 20), (12, 3), (0, 0)]
-                .map(|(x, y)| GlobalAddress::new2d(x, y))
-                .to_vec();
-            for start in bufferless {
-                let mut resolution = AccessState::new();
-                let plan = env.resolve_gather(start, addrs.iter().copied(), &mut resolution);
-                let listed: Vec<GlobalAddress> = plan.outside.iter().map(|(_, a, _)| *a).collect();
-                assert_eq!(listed, addrs, "start {start}: every entry is outside");
-                assert!(plan.outside.iter().all(|(.., landing)| *landing == Landing::Unresolved));
-                assert_eq!(resolution.counters, AccessCounters::default(), "start {start}");
-                for mmat in [false, true] {
-                    let fresh = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
-                    let (mut gather, mut cellwise) = (fresh(), fresh());
-                    // (A bounded joint "contains" addresses it has no cells
-                    // for: those read as missing, both ways.)
-                    for _ in 0..2 {
-                        let (got, want) =
-                            read_both_ways(&env, &plan, &addrs, (&mut gather, &mut cellwise));
-                        assert_eq!(got, want, "start {start}");
-                        assert_eq!(gather.counters, cellwise.counters, "start {start}");
-                        assert_eq!(gather.mmat.len(), cellwise.mmat.len(), "start {start}");
-                    }
-                }
-            }
-        }
-
-        /// The lock rule: `start`'s lock is not held across the read of an
-        /// outside entry.  A Reference boundary maps the second address back
-        /// into `start`, so that read locks `start` again; had the gather
-        /// kept its guard, a writer queued in between would block the second
-        /// acquisition for good (std's `RwLock` prefers writers).  MMAT is
-        /// off, so the entry goes the resolved way: the search ran once, at
-        /// resolution, and the gather reads the Reference it landed on.
-        #[test]
-        fn a_gather_through_a_reference_into_start_yields_to_a_waiting_writer() {
-            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), 4);
-            let root = b.add_empty(None);
-            let joint = b.add_empty(Some(root));
-            let start =
-                b.add_data(joint, GlobalAddress::new2d(0, 0), Extent::new2d(4, 4), 0).unwrap();
-            let mirror = |a: GlobalAddress| GlobalAddress::new2d(a.x.clamp(0, 3), a.y.clamp(0, 3));
-            b.add_reference(root, start, Arc::new(mirror), true);
-            let env = Arc::new(b.build());
-            env.write_initial(start, LocalAddress::new2d(1, 1), 11);
-            env.write_initial(start, LocalAddress::new2d(0, 2), 2);
-
-            let (holding_tx, holding_rx) = mpsc::channel();
-            let (done_tx, done_rx) = mpsc::channel();
-            let writer = {
-                let env = env.clone();
-                std::thread::spawn(move || {
-                    holding_rx.recv().expect("the gather reaches its first cell");
-                    let BlockKind::Data(buf) = &env.block(start).kind else { unreachable!() };
-                    drop(buf.write());
-                })
-            };
-            let reader = std::thread::spawn(move || {
-                let BlockKind::Data(buf) = &env.block(start).kind else { unreachable!() };
-                let first = AtomicBool::new(true);
-                // Runs under the gather's guard: release the writer, then
-                // hold on until it is queued (a queued writer turns further
-                // readers away), a few seconds at most.
-                let project_when_contended = |cell: &u64| {
-                    if first.swap(false, Ordering::Relaxed) {
-                        holding_tx.send(()).expect("the writer is waiting for this");
-                        let deadline = Instant::now() + Duration::from_secs(5);
-                        while buf.try_read().is_some() && Instant::now() < deadline {
-                            std::thread::yield_now();
-                        }
-                    }
-                    *cell
-                };
-                let addrs = [GlobalAddress::new2d(1, 1), GlobalAddress::new2d(-1, 2)];
-                let mut st = AccessState::new();
-                let plan = env.resolve_gather(start, addrs, &mut st);
-                let resolved = st.counters.env_searches;
-                let mut out = [0u64; 2];
-                env.read_gather_into(&plan, project_when_contended, &mut out, &mut st);
-                let counters = (resolved, st.counters.env_searches, st.counters.reference_reads);
-                done_tx.send((out, counters)).expect("the test is waiting");
-            });
-            let (out, counters) = done_rx
-                .recv_timeout(Duration::from_secs(30))
-                .expect("the gather must not deadlock against a queued writer");
-            assert_eq!((out, counters), ([11, 2], (1, 1, 1)), "one search, at resolution");
-            writer.join().unwrap();
-            reader.join().unwrap();
-        }
-
-        /// Where holders are not unique — a bounded joint narrower than the
-        /// block below it prunes the search for that block's right half,
-        /// which falls through to the boundary — a resolved entry is what
-        /// `find_block` from `start` returns, not the block that holds the
-        /// address, and the gather reads what the per-cell loop reads.
-        #[test]
-        fn a_resolved_entry_is_where_the_search_lands_where_holders_are_not_unique() {
-            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), 4);
-            let root = b.add_empty(None);
-            let boundary = b.add_arithmetic(root, Arc::new(|_| 7), true);
-            let flat = b.add_empty(Some(root));
-            let start =
-                b.add_data(flat, GlobalAddress::new2d(0, 1), Extent::new2d(8, 1), 0).unwrap();
-            let narrow = b.add_joint(Some(root), GlobalAddress::new2d(0, 0), Extent::new2d(4, 1));
-            let wide =
-                b.add_data(narrow, GlobalAddress::new2d(0, 0), Extent::new2d(8, 1), 1).unwrap();
-            let env = b.build();
-            assert!(!env.holders_are_unique);
-            for x in 0..8 {
-                env.write_initial(wide, LocalAddress::new2d(x, 0), 100 + x as u64);
-            }
-            let addrs: Vec<GlobalAddress> = (0..8).map(|x| GlobalAddress::new2d(x, 0)).collect();
-            let mut resolution = AccessState::new();
-            let plan = env.resolve_gather(start, addrs.iter().copied(), &mut resolution);
-            let landed: Vec<Option<BlockId>> = plan
-                .outside
-                .iter()
-                .map(|(.., landing)| match *landing {
-                    Landing::Cell(bid, _) | Landing::Block(bid) => Some(bid),
-                    Landing::Nowhere | Landing::Unresolved => None,
-                })
-                .collect();
-            let found: Vec<_> = addrs.iter().map(|&a| env.find_block(a, start).0).collect();
-            let (w, o) = (Some(wide), Some(boundary));
-            assert_eq!(landed, [w, w, w, w, o, o, o, o]);
-            assert_eq!(landed, found);
-            let (mut gather, mut cellwise) = (AccessState::new(), AccessState::new());
-            let (got, want) = read_both_ways(&env, &plan, &addrs, (&mut gather, &mut cellwise));
-            assert_eq!(got, want);
-            assert_eq!(want, [100, 101, 102, 103, 7, 7, 7, 7].map(|v| project(&v)));
-            assert_eq!(gather.counters.env_searches, 0);
-            assert_eq!(resolution.counters, searches_only(cellwise.counters));
-            assert_eq!(searches_aside(gather.counters), searches_aside(cellwise.counters));
-        }
-
-        /// An address inside `start` whose cell index does not fit a `u32`
-        /// slot is listed as outside, but the per-cell path serves it from
-        /// `start` without a search: the plan leaves it unresolved and the
-        /// gather reads it as `Env::read` does.  (Zero-sized cells: a block
-        /// of 2^33 of them costs no memory.)
-        #[test]
-        fn an_address_outside_only_by_its_index_width_is_read_unresolved() {
-            let mut b = EnvBuilder::<()>::new(PoolHandle::unbounded(), 1 << 31);
-            let root = b.add_empty(None);
-            let joint = b.add_empty(Some(root));
-            let huge = Extent::new3d(1 << 16, 1 << 16, 2);
-            let start = b.add_data(joint, GlobalAddress::new2d(0, 0), huge, 0).unwrap();
-            let boundary = b.add_arithmetic(root, Arc::new(|_| ()), true);
-            let env = b.build();
-            let deep = GlobalAddress::new3d(3, 0, 1);
-            assert!(env.block(start).cell_index(deep).unwrap() > u32::MAX as usize);
-            let addrs = [GlobalAddress::new2d(1, 0), deep, GlobalAddress::new2d(-1, 0)];
-            let mut resolution = AccessState::new();
-            let plan = env.resolve_gather(start, addrs, &mut resolution);
-            let outside: Vec<_> =
-                plan.outside.iter().map(|&(at, _, landing)| (at, landing)).collect();
-            assert_eq!(outside, [(1, Landing::Unresolved), (2, Landing::Block(boundary))]);
-            let (mut gather, mut cellwise) = (AccessState::new(), AccessState::new());
-            let mut out = [(); 3];
-            env.read_gather_into(&plan, |c| *c, &mut out, &mut gather);
-            for addr in addrs {
-                env.read(start, addr, false, &mut cellwise);
-            }
-            assert_eq!((gather.counters.in_block_hits, gather.counters.env_searches), (2, 0));
-            assert_eq!(resolution.counters, searches_only(cellwise.counters));
-            assert_eq!(searches_aside(gather.counters), searches_aside(cellwise.counters));
         }
     }
 

@@ -45,7 +45,7 @@ pub mod topology;
 pub use access::{AccessCounters, AccessState};
 pub use address::{Extent, GlobalAddress, LocalAddress};
 pub use block::{ArithFn, Block, BlockId, BlockKind, BlockMeta, RefMapFn, NO_TASK};
-pub use env::{Env, EnvBuilder, EnvError, EnvStats, GatherPlan};
+pub use env::{Env, EnvBuilder, EnvError, EnvStats, RunPlan};
 pub use mmat::{MmatEntry, MmatTable};
 pub use morton::{morton2d, morton3d, morton_decode2d};
 pub use topology::{TilePlacement, TreeTopology};

@@ -10,11 +10,15 @@
 //! true out-of-block halo through the platform: the plan's [`HaloRing`]
 //! lists each of those cells once, and [`fill_halo_ring`] reads the ring
 //! with one run read per edge ([`TaskCtx::get_run`], so MMAT and the
-//! per-read counters still apply).  Then [`TaskCtx::with_block`] lends it
-//! the block's read and write buffers: the kernel's tile is filled straight
-//! from the one and its row loop writes straight into the other, counted as
-//! one slab `GetDD` and one slab `SetD`.  The ring comes first because
-//! nothing may read the Env while the block is lent.
+//! per-read counters still apply), through the block's ring plans — where
+//! each run lands, resolved at the block's first sweep and kept in the app
+//! beside the compiled kernel (searches are counted when a plan is
+//! resolved, never when it is read: the rule is `Env::resolve_run`'s).
+//! Then [`TaskCtx::with_block`] lends it the block's read and write buffers:
+//! the kernel's tile is filled straight from the one and its row loop writes
+//! straight into the other, counted as one slab `GetDD` and one slab `SetD`.
+//! The ring comes first because nothing may read the Env while the block is
+//! lent.
 //!
 //! Because all of it goes through the same Annotation/Memory-Library join
 //! points and leaves the same counters as Listing 1's per-cell calls, every
@@ -27,7 +31,7 @@ use crate::opt::{OptLevel, OptStats};
 use crate::plan::{CompiledKernel, HaloRing, PlanSource};
 use crate::program::StencilProgram;
 use crate::tape::{ExecScratch, ScratchPool};
-use aohpc_env::{BlockId, Extent, GlobalAddress, LocalAddress};
+use aohpc_env::{BlockId, Extent, GlobalAddress, LocalAddress, RunPlan};
 use aohpc_runtime::{BlockSweep, ChecksumSink, FieldSink, FinalizeSink, TaskCtx, TaskSlot};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,6 +88,10 @@ pub struct IrStencilApp {
     plan_source: Option<Arc<dyn PlanSource>>,
     scratch_pool: Option<Arc<ScratchPool>>,
     compiled: HashMap<(usize, usize), Arc<CompiledKernel>>,
+    /// Each block's ring plans, one per run of its shape's [`HaloRing`],
+    /// resolved at the block's first sweep (the map sized for the sweep's
+    /// blocks at the first).
+    rings: HashMap<BlockId, Vec<RunPlan>>,
     /// This task's buffers, checked out at its first block.
     scratch: Option<KernelScratch>,
 }
@@ -120,6 +128,7 @@ impl IrStencilApp {
             plan_source: None,
             scratch_pool: None,
             compiled: HashMap::new(),
+            rings: HashMap::new(),
             scratch: None,
         }
     }
@@ -187,12 +196,25 @@ impl IrStencilApp {
 }
 
 /// Fill `buf` — one value per slot of `ring` — with the halo of `block`
-/// through the platform: one [`TaskCtx::get_run`] per ring run.
-pub fn fill_halo_ring(ctx: &mut TaskCtx<f64>, block: BlockId, ring: &HaloRing, buf: &mut [f64]) {
-    for run in ring.runs() {
-        let (first, step) =
-            (LocalAddress::new2d(run.x, run.y), LocalAddress::new2d(run.dx, run.dy));
-        ctx.get_run(block, first, step, &mut buf[run.slots()]);
+/// through the platform: one [`TaskCtx::get_run`] per ring run, through
+/// `plans`, the block's run plans in ring order.  Empty `plans` are the
+/// block's first sweep: each run is resolved into them first.
+pub fn fill_halo_ring(
+    ctx: &mut TaskCtx<f64>,
+    block: BlockId,
+    ring: &HaloRing,
+    plans: &mut Vec<RunPlan>,
+    buf: &mut [f64],
+) {
+    if plans.is_empty() {
+        plans.extend(ring.runs().iter().map(|run| {
+            let (first, step) =
+                (LocalAddress::new2d(run.x, run.y), LocalAddress::new2d(run.dx, run.dy));
+            ctx.resolve_run(block, first, step, run.len)
+        }));
+    }
+    for (run, plan) in ring.runs().iter().zip(plans.iter()) {
+        ctx.get_run(plan, &mut buf[run.slots()]);
     }
 }
 
@@ -221,7 +243,7 @@ impl BlockSweep for IrStencilApp {
         *v
     }
 
-    fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId, _i: usize, _n: usize) {
+    fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId, _i: usize, n: usize) {
         // Compile (or reuse) the plan for this block shape.
         let ext = ctx.env().block(bid).meta.extent;
         let compiled = self.compiled_for(ext);
@@ -229,11 +251,15 @@ impl BlockSweep for IrStencilApp {
         let scratch = self.scratch.get_or_insert_with(|| KernelScratch::acquire(pool.clone()));
         let exec = &mut scratch.exec;
         let params = &self.params;
+        if self.rings.is_empty() {
+            self.rings.reserve(n);
+        }
+        let plans = self.rings.entry(bid).or_default();
 
-        // The halo ring through the platform, run by run (so MMAT /
-        // Env-search semantics are preserved), then the kernel in the lent
-        // block: read buffer in, write buffer out.
-        fill_halo_ring(ctx, bid, &compiled.plan().ring, compiled.ring_buf(exec));
+        // The halo ring through the platform, run by run through the block's
+        // ring plans (so MMAT and the per-read counters are preserved), then
+        // the kernel in the lent block: read buffer in, write buffer out.
+        fill_halo_ring(ctx, bid, &compiled.plan().ring, plans, compiled.ring_buf(exec));
         ctx.with_block(bid, |cells, out| {
             let stats = &mut ExecStats::default();
             compiled.execute_block_ring(cells, params, out, Processor::Scalar, stats, exec);

@@ -136,8 +136,10 @@ impl CompiledKernel {
     /// The ring is filled first so that `cells` and `out` can be the Env's
     /// own buffers, lent under a guard no halo read may wait on:
     /// `IrStencilApp` fills the ring through the platform (one
-    /// `TaskCtx::get_run` per ring run, so MMAT / Env-search accounting
-    /// still applies), then runs this inside `TaskCtx::with_block`.
+    /// `TaskCtx::get_run` per ring run, through the block's ring plans, so
+    /// MMAT and the per-read counters still apply, and the searches are
+    /// counted once, when the plans are resolved — the rule is
+    /// `Env::resolve_run`'s), then runs this inside `TaskCtx::with_block`.
     pub fn execute_block_ring(
         &self,
         cells: &[f64],

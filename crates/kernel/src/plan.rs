@@ -19,9 +19,12 @@
 //! once — the block shape's [`HaloRing`]: every distinct out-of-block cell
 //! with a slot, the slots grouped into maximal axis-aligned runs.  The
 //! executor fetches each ring cell once per block (one platform run read per
-//! run, see `TaskCtx::get_run`), places the block's rows and the ring's runs
-//! in one padded tile (the plan's tile geometry), and every cell — interior
-//! or not — reads its loads from the tile at the offsets' baked tile deltas.
+//! run, see `TaskCtx::get_run`, through a run plan resolved at the block's
+//! first sweep: searches are counted when a plan is resolved, never when it
+//! is read, the rule of `Env::resolve_run`), places the block's rows and
+//! the ring's runs in one padded tile (the plan's tile geometry), and every
+//! cell — interior or not — reads its loads from the tile at the offsets'
+//! baked tile deltas.
 //!
 //! Under Assumption II the classification never changes between steps, so the
 //! plan is computed once per (program, block shape) pair and reused — the

@@ -3,9 +3,12 @@
 //! reentrant, so a routine reads its halo before it borrows the block.  The
 //! drill: a Reference catch-all maps the whole halo ring back into the
 //! block itself, and each product block routine — the stencil's and the
-//! particle family's — runs once on a thread with a timeout.  It must
-//! finish with exactly the values and counters of the copying path, also
-//! with a writer queued at the block in the middle of the ring (the
+//! particle family's — sweeps twice on a thread with a timeout: the first
+//! sweep resolves the block's ring plans, the second reads through them,
+//! each landing already resolved, so the ring's reads go straight to the
+//! catch-all and through it back into the block.  It must finish with
+//! exactly the values and counters of the copying path, also with a writer
+//! queued at the block in the middle of the second sweep's ring (the
 //! vendored `RwLock` is `std`'s, which prefers writers: a guard kept on the
 //! block across a ring read would block behind it for good).
 
@@ -30,21 +33,24 @@ enum Path {
     Copied,
 }
 
+/// The thread of a writer waiting to be let at the block, if there is one.
+type Writer = Option<std::thread::JoinHandle<()>>;
+
 /// One 4×4 Data block owned by task 0, and a Reference catch-all that maps
 /// every address outside it to the nearest cell of the block.  At its
-/// second mapping the catch-all lets a writer at the block run, when there
-/// is one, and waits up to two seconds for it to finish.
-fn mirror_env<C: Cell>(
-    writer: bool,
-) -> (Arc<Env<C>>, BlockId, Option<std::thread::JoinHandle<()>>) {
+/// second mapping once armed (the flag returned), the catch-all lets a
+/// writer at the block run, when there is one, and waits up to two seconds
+/// for it to finish.
+fn mirror_env<C: Cell>(writer: bool) -> (Arc<Env<C>>, BlockId, Arc<AtomicBool>, Writer) {
+    let armed = Arc::new(AtomicBool::new(false));
     let calls = AtomicUsize::new(0);
     let written = Arc::new(AtomicBool::new(!writer));
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let release_tx = Mutex::new(release_tx);
     let mirror = {
-        let written = Arc::clone(&written);
+        let (armed, written) = (Arc::clone(&armed), Arc::clone(&written));
         move |a: GlobalAddress| {
-            if writer && calls.fetch_add(1, SeqCst) == 1 {
+            if writer && armed.load(SeqCst) && calls.fetch_add(1, SeqCst) == 1 {
                 release_tx.lock().unwrap().send(()).expect("the writer is waiting for this");
                 let deadline = Instant::now() + Duration::from_secs(2);
                 while !written.load(SeqCst) && Instant::now() < deadline {
@@ -70,12 +76,13 @@ fn mirror_env<C: Cell>(
             written.store(true, SeqCst);
         })
     });
-    (env, block, writer)
+    (env, block, armed, writer)
 }
 
-/// Run `make()`'s block routine once over the mirror block, on its own
-/// thread: the block's next values and the task's counters.
-fn run_block<A, F>(make: F, path: Path, writer: bool) -> (Vec<A::Cell>, AccessCounters)
+/// Run `make()`'s sweep twice over the mirror block, on its own thread,
+/// arming the writer between the two: the block's values after the second
+/// sweep and the task's counters.  The second sweep runs no search.
+fn run_sweeps<A, F>(make: F, path: Path, writer: bool) -> (Vec<A::Cell>, AccessCounters)
 where
     A: BlockSweep,
     A::Cell: Send + 'static,
@@ -83,7 +90,7 @@ where
 {
     let (done_tx, done_rx) = mpsc::channel();
     let task = std::thread::spawn(move || {
-        let (env, block, writer) = mirror_env::<A::Cell>(writer);
+        let (env, block, armed, writer) = mirror_env::<A::Cell>(writer);
         let topology = Topology::serial();
         let shared = Arc::new(RankShared::new(topology.clone(), 0, None, true));
         let slot = topology.slot(0, 0);
@@ -99,10 +106,15 @@ where
             }
             env.block(block).meta.set_valid(false);
         }
-        app.block(&mut ctx, block, 0, 1);
+        assert!(app.kernel(&mut ctx, false), "{path:?}: the first sweep");
+        let resolved = ctx.state.counters.env_searches;
+        assert!(resolved > 0, "{path:?}: the first sweep resolves the ring");
+        armed.store(true, SeqCst);
+        assert!(app.kernel(&mut ctx, false), "{path:?}: the second sweep");
+        assert_eq!(ctx.state.counters.env_searches, resolved, "{path:?}: a planned read");
         assert!(!ctx.state.has_missing(), "{path:?}: every page is valid");
         let BlockKind::Data(buf) = &env.block(block).kind else { unreachable!() };
-        let next = buf.write().write_buf().to_vec();
+        let next = buf.write().read_buf().to_vec();
         done_tx.send((next, ctx.state.counters)).expect("the test is waiting");
         if let Some(writer) = writer {
             writer.join().unwrap();
@@ -120,11 +132,11 @@ fn the_stencil_block_routine_reads_its_ring_before_it_borrows_the_block() {
     for program in [StencilProgram::jacobi_5pt(), StencilProgram::smooth_9pt()] {
         let make = {
             let program = program.clone();
-            move || IrStencilApp::new(program, vec![0.5, 0.125], 1)
+            move || IrStencilApp::new(program, vec![0.5, 0.125], 2)
         };
-        let copied = run_block(make.clone(), Path::Copied, false);
+        let copied = run_sweeps(make.clone(), Path::Copied, false);
         for writer in [false, true] {
-            let lent = run_block(make.clone(), Path::Lent, writer);
+            let lent = run_sweeps(make.clone(), Path::Lent, writer);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&lent.0), bits(&copied.0), "{} writer {writer}", program.name());
             assert_eq!(lent.1, copied.1, "{} writer {writer}", program.name());
@@ -138,11 +150,11 @@ fn the_particle_block_routine_reads_its_ring_before_it_borrows_the_block() {
     let kernel = ParticleKernel::compile(&program, Extent::new2d(4, 4), OptLevel::Full);
     let law = PairForce(kernel.pair_law(1.0));
     let system = ParticleSystem::paper(ParticleSize::new(40));
-    let make = move || ParticleBlockApp::new(system, law, 1);
-    let copied: (Vec<Bucket>, _) = run_block(make.clone(), Path::Copied, false);
+    let make = move || ParticleBlockApp::new(system, law, 2);
+    let copied: (Vec<Bucket>, _) = run_sweeps(make.clone(), Path::Copied, false);
     assert!(copied.0.iter().any(|b| b.count > 0), "some particles move");
     for writer in [false, true] {
-        let lent = run_block(make.clone(), Path::Lent, writer);
+        let lent = run_sweeps(make.clone(), Path::Lent, writer);
         assert_eq!(lent, copied, "writer {writer}");
     }
 }

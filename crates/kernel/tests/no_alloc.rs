@@ -237,11 +237,10 @@ impl PlanSource for Precompiled {
 }
 
 /// A usgrid job's sweep — its program lowered to a stencil, run by the IR
-/// app on the value plane (CaseC, a ragged tiling) — keeps its plans and
-/// tile in the app and computes in the lent block: a sweep after the first
-/// allocates only what the two
-/// platform calls around the blocks do (`get_blocks` hands out a fresh block
-/// list, `refresh` its payload).  For the stock four and for the "eight"
+/// app on the value plane (CaseC, a ragged tiling) — keeps its plans, ring
+/// plans and tile in the app and computes in the lent block: a sweep after
+/// the first allocates only what the two platform calls around the blocks do
+/// (`get_blocks` hands out a fresh block list, `refresh` its payload).  For the stock four and for the "eight"
 /// program of `tests/value_plane.rs` (corners, and a reach of 2 on one side).
 #[test]
 fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
@@ -257,6 +256,7 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
             let plan = CompiledKernel::compile(&stencil, Extent::new2d(nx, ny), OptLevel::Full);
             ((nx, ny), Arc::new(plan))
         });
+        let runs = shapes[0].1.plan().ring.runs().len() as u64;
         let plans = Arc::new(Precompiled(shapes.into_iter().collect()));
         let mut app = IrStencilApp::new(stencil, vec![0.5, 0.125], 4).with_plan_source(plans);
         app.initialize(&mut ctx);
@@ -273,7 +273,13 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
         // (4 buckets, then 8 at the fourth shape) = 2, and the scratch's
         // ring, registers and tile = 3 — each grown at the first block, a
         // full 8x8 one, and never again.  The block is lent, not staged.
-        assert_eq!(cold, platform + 2 + 3, "{}: the first sweep", program.name());
+        // It also resolves the six blocks' ring plans: the map, sized for
+        // the sweep's blocks at the first, and each block's list of plans
+        // and each plan's stretches (no run of these rings lands in more
+        // than three, which the room of the first push holds) — 1 + 6 x (1
+        // + runs), the runs of the 8x8 ring, as many as any tile's.
+        let rings = 1 + 6 * (1 + runs);
+        assert_eq!(cold, platform + 2 + 3 + rings, "{}: the first sweep", program.name());
         for sweep in 2..5 {
             let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
             assert!(ok);
@@ -319,12 +325,12 @@ fn warm_checksum_finalize_allocates_nothing_of_its_own() {
     assert_eq!(sum.lock().value().to_bits(), want.to_bits());
 }
 
-/// The particle block sweep keeps its ring in the app and updates the lent
-/// block in place: a sweep after the first allocates only what `get_blocks`
-/// and `refresh` do — nothing a block and nothing a bucket, on a half-empty
-/// grid (1,000 particles in 256 buckets) and a full one (2^12 in 576).  The
-/// Listing-1
-/// `ParticleApp` beside it allocates two `Vec`s a bucket, every sweep.
+/// The particle block sweep keeps its ring and its ring plans in the app and
+/// updates the lent block in place: a sweep after the first allocates only
+/// what `get_blocks` and `refresh` do — nothing a block and nothing a bucket,
+/// on a half-empty grid (1,000 particles in 256 buckets) and a full one (2^12
+/// in 576).  The Listing-1 `ParticleApp` beside it allocates two `Vec`s a
+/// bucket, every sweep.
 #[test]
 fn warm_particle_sweep_allocates_nothing_of_its_own() {
     let program = ParticleProgram::pair_sweep();
@@ -346,11 +352,15 @@ fn warm_particle_sweep_allocates_nothing_of_its_own() {
         let mut app = ParticleBlockApp::new(system.clone(), law.clone(), 4);
         app.initialize(&mut ctx);
         // The first sweep sizes the ring: one.  The block is lent, not
-        // staged.
+        // staged.  It also resolves each block's four ring runs: the map,
+        // sized for the sweep's blocks at the first, and each run's
+        // stretches (at most three: a row crosses at most three blocks, or
+        // leaves the domain and comes back).
         let (ok, cold) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
         assert!(ok);
         let platform = platform(&mut ctx);
-        assert_eq!(cold, platform + 1, "{count}: the first sweep");
+        let blocks = buckets / 64;
+        assert_eq!(cold, platform + 1 + 1 + 4 * blocks, "{count}: the first sweep");
         for sweep in 2..5 {
             let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
             assert!(ok);

@@ -70,7 +70,7 @@ pub trait HpcApp<C: Cell> {
     /// instead of being retried.  On one rank every page is local and no
     /// such advice runs, so the pass is skipped, whatever the thread count
     /// and with MMAT on or off: everything else a kernel sets up at its
-    /// first pass (a compiled plan, a `GatherPlan`, the MMAT memo, which
+    /// first pass (a compiled plan, its ring plans, the MMAT memo, which
     /// starts empty in a fresh task) is set up by step 0 at no extra cost,
     /// and every step computes the same bits either way.  Counters follow:
     /// reads, writes, dispatches and cost-model seconds of a single-rank run

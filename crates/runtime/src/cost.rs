@@ -14,15 +14,14 @@
 //! ```
 //!
 //! The search terms (`t_search_node` × `search_nodes_visited`) charge the
-//! searches that *ran*, not the reads that could have needed one: a run read
-//! (`TaskCtx::get_run`, what a compiled kernel fetches its halo with) that
-//! serves a stretch of cells from the neighbour block its leading cell found
-//! (or, past the domain, from the boundary block) is charged one search plus
-//! the per-read out-of-block penalty for every cell, so the simulated time of
-//! an IR job falls with its search count while a Listing-1 kernel's (one
-//! search per out-of-block `GetD`) does not move.  A gather
-//! (`TaskCtx::get_gather`) with MMAT off is charged its plan's searches once,
-//! when the plan is resolved, and the penalty on every pass.
+//! searches that *ran*, not the reads that could have needed one, and
+//! searches are counted when a plan is resolved, never when it is read (the
+//! rule is stated at `Env::resolve_run`).  A halo run (`TaskCtx::get_run`,
+//! what a product block routine fills its ring with) is charged its plan's
+//! searches once, when the block's first sweep resolves it, and the per-read
+//! out-of-block penalty for every cell on every sweep; a Listing-1 kernel
+//! (one search per out-of-block `GetD`, unless MMAT memorised it) is charged
+//! a search a read.
 //!
 //! The default parameters are calibrated to the same order of magnitude as
 //! the paper's hardware (a ~3 GHz Xeon, a 12.5 GB/s interconnect); only

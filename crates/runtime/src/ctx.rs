@@ -1,9 +1,9 @@
 //! Task context, rank-shared state and the join-point payloads.
 //!
 //! A [`TaskCtx`] is what an end-user application sees: the Block-based memory
-//! interface (`get` / `get_dd` / `set` per cell, `get_run` per halo edge,
-//! `resolve_gather` once and `get_gather` per pass for a neighbour list,
-//! `get_block_dd` / `set_block` / `set_initial_block` per block, and
+//! interface (`get` / `get_dd` / `set` per cell, `resolve_run` once and
+//! `get_run` per sweep for a halo edge, `get_block_dd` / `set_block` /
+//! `set_initial_block` per block, and
 //! `with_block`, which lends a block routine the block's own buffers),
 //! `get_blocks`, `refresh`, and a handful of introspection helpers.
 //! Internally every one of those calls is dispatched through the woven
@@ -20,7 +20,7 @@ use crate::task::{TaskSlot, Topology};
 use aohpc_aop::{
     attr, JoinPointKind, WovenProgram, GET_BLOCKS, KERNEL_BLOCK, KERNEL_STEP, REFRESH, WARM_UP,
 };
-use aohpc_env::{AccessState, BlockId, Cell, Env, GatherPlan, GlobalAddress, LocalAddress};
+use aohpc_env::{AccessState, BlockId, Cell, Env, GlobalAddress, LocalAddress, RunPlan};
 use aohpc_mem::PageId;
 use aohpc_workloads::Checksum;
 use parking_lot::Mutex;
@@ -669,17 +669,19 @@ impl<C: Cell> TaskCtx<C> {
         payload.success
     }
 
-    // The accessors below are four forms of one contract.  The per-cell
-    // calls define it; the slab, run and gather forms move many cells per
-    // call and leave the values, missing-page records and counters the
-    // per-cell loop over the same cells leaves (the run form alone counts
-    // fewer searches — those it ran).
+    // The accessors below are three forms of one contract.  The per-cell
+    // calls define it; the slab and run forms move many cells per call and
+    // leave the values, missing-page records and counters the per-cell loop
+    // over the same cells leaves (the run form alone counts fewer searches:
+    // they are counted when its plan is resolved, never when it is read —
+    // the rule is `Env::resolve_run`'s).
 
     // -- Cell accessors (the GetD / GetDD / SetD macros of Listing 1) -------
     //
     // One platform call per cell: the paper's programming model, what a
-    // hand-written kernel (`SGridJacobiApp`, `ParticleApp`) uses, and the
-    // oracle the slab, run and gather forms are tested against.
+    // hand-written kernel (`SGridJacobiApp`, `UsGridJacobiApp`,
+    // `ParticleApp`) uses, and the oracle the slab and run forms are tested
+    // against.
 
     /// Read a cell via a block-relative address.  `in_block` is the caller's
     /// assertion that the address lies inside `block` (skips the Env search).
@@ -708,64 +710,40 @@ impl<C: Cell> TaskCtx<C> {
         self.env.write_initial(block, local, value)
     }
 
-    // -- Run and gather: the un-hinted read (`GetD`), many cells per call ----
+    // -- Runs: the un-hinted read (`GetD`) along a halo edge ----------------
     //
-    // Reads that may leave the block, so no "inside my block" assertion: a
-    // run is an arithmetic sequence of addresses (a halo edge), a gather an
-    // arbitrary list (a block's indirect neighbours).  A gather is split in
-    // two: where each address lies relative to the block never changes, so
-    // it is resolved once into a `GatherPlan`; what is valid, memorised and
-    // stored there is read on every pass.
+    // Reads that may leave the block, so no "inside my block" assertion: the
+    // arithmetic sequence of addresses `first, first + step, …`.  Where each
+    // stretch of a run lands never changes once the Env is built, so a run
+    // is resolved once into a `RunPlan` (searching, and counting the
+    // searches, there); what is valid, memorised and stored where it lands
+    // is read on every sweep.
 
-    /// Read the cells `first, first + step, …` (block-relative, no in-block
-    /// assertion) into `out`: `out.len()` calls of [`TaskCtx::get`] with
-    /// `in_block = false` — same values, missing-page records and counters —
-    /// except that the Env runs one search for a stretch of cells it can
-    /// prove share a holder, or lie past every holder and so fall to the
-    /// catch-all (see `Env::read_run_into`), so `env_searches` /
-    /// `search_nodes_visited` count the searches that ran.  What a compiled
-    /// kernel fills its halo ring with, one call per edge.
-    pub fn get_run(
+    /// Resolve the `len` cells `first, first + step, …` (block-relative, no
+    /// in-block assertion) into a plan for [`TaskCtx::get_run`]: where each
+    /// stretch of the run lands, searched for once and counted in this
+    /// task's `env_searches` / `search_nodes_visited` (see
+    /// `Env::resolve_run`).  Reads no cell, so a block routine resolves its
+    /// ring at the block's first sweep and reads through the plans on every
+    /// later sweep and retry.
+    pub fn resolve_run(
         &mut self,
         block: BlockId,
         first: LocalAddress,
         step: LocalAddress,
-        out: &mut [C],
-    ) {
+        len: usize,
+    ) -> RunPlan {
         let first = self.env.block(block).to_global(first);
-        self.env.read_run_into(block, first, step, out, &mut self.state);
+        self.env.resolve_run(block, first, step, len, &mut self.state)
     }
 
-    /// Resolve, once, where each of `addrs` (global) lies relative to
-    /// `block`: the static half of [`TaskCtx::get_gather`].  Reads no cell
-    /// and freezes only geometry (see `Env::resolve_gather`), so a kernel
-    /// whose address list does not change — `UsGridJacobiApp`, whose points
-    /// never rewrite their neighbour lists — resolves a block's plan at its
-    /// first pass and reuses it on every later pass and retry.  With MMAT
-    /// off, an address off the block is searched for here, once, and the
-    /// search is counted in this task's `env_searches` /
-    /// `search_nodes_visited`: they count the searches that ran.
-    pub fn resolve_gather(
-        &mut self,
-        block: BlockId,
-        addrs: impl IntoIterator<Item = GlobalAddress>,
-    ) -> GatherPlan {
-        self.env.resolve_gather(block, addrs, &mut self.state)
-    }
-
-    /// Read the cells `plan` names (no in-block assertion) and keep
-    /// `project(&cell)` of each in `out`: one [`TaskCtx::get_global`] per
-    /// address the plan was resolved from — same values, missing-page
-    /// records, MMAT memo and every counter but the two search counters —
-    /// with the addresses inside the plan's block served from its buffer by
-    /// cell index, one lock per stretch and no clone of the cell, and (MMAT
-    /// off) each address off it from where its search, run once at
-    /// resolution, landed (see `Env::read_gather_into`).  So with MMAT off a
-    /// gather app searches once a job, not once a pass.  What a kernel over
-    /// indirect neighbour lists reads its neighbours with, one call per
-    /// block.  Stops at the shorter of `plan` and `out`.
-    pub fn get_gather<T>(&mut self, plan: &GatherPlan, project: impl Fn(&C) -> T, out: &mut [T]) {
-        self.env.read_gather_into(plan, project, out, &mut self.state);
+    /// Read the cells of `plan` into `out` (exactly its cells): the
+    /// [`TaskCtx::get`] calls with `in_block = false` it stands for — same
+    /// values, missing-page records, MMAT memo and counters — without their
+    /// searches, which ran when the plan was resolved.  What a block routine
+    /// fills its halo ring with, one call per edge.
+    pub fn get_run(&mut self, plan: &RunPlan, out: &mut [C]) {
+        self.env.read_run(plan, out, &mut self.state);
     }
 
     // -- Slab accessors: the same three calls, a whole block at a time ------
@@ -961,21 +939,28 @@ mod tests {
     }
 
     #[test]
-    fn get_run_counts_like_per_cell_gets_but_searches_once() {
+    fn a_run_plan_searches_once_and_reads_like_per_cell_gets() {
         let (env, ids) = tiny_env();
         let mut run = serial_ctx(env.clone());
         let mut cellwise = serial_ctx(env);
         run.initialize_owned(|g| (g.x * 10 + g.y) as f64);
         // The column just right of block 0: the first column of block 1.
-        let mut got = [0.0; 4];
-        run.get_run(ids[0], LocalAddress::new2d(4, 0), LocalAddress::new2d(0, 1), &mut got);
-        let want: Vec<f64> =
-            (0..4).map(|y| cellwise.get(ids[0], LocalAddress::new2d(4, y), false)).collect();
-        assert_eq!(got[..], want[..]);
-        assert_eq!(got, [40.0, 41.0, 42.0, 43.0]);
+        let (first, step) = (LocalAddress::new2d(4, 0), LocalAddress::new2d(0, 1));
+        let plan = run.resolve_run(ids[0], first, step, 4);
+        let resolved = run.state.counters;
+        assert_eq!((resolved.env_searches, resolved.reads), (1, 0), "one search, no read");
+        // Two sweeps through the plan: no search, the per-cell reads' counts.
+        for _ in 0..2 {
+            let mut got = [0.0; 4];
+            run.get_run(&plan, &mut got);
+            let want: Vec<f64> =
+                (0..4).map(|y| cellwise.get(ids[0], LocalAddress::new2d(4, y), false)).collect();
+            assert_eq!(got[..], want[..]);
+            assert_eq!(got, [40.0, 41.0, 42.0, 43.0]);
+        }
         let (r, c) = (run.state.counters, cellwise.state.counters);
         assert_eq!((r.reads, r.out_of_block_reads), (c.reads, c.out_of_block_reads));
-        assert_eq!((r.env_searches, c.env_searches), (1, 4));
+        assert_eq!((r.env_searches, c.env_searches), (1, 8));
     }
 
     #[test]

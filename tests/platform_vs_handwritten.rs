@@ -96,20 +96,21 @@ fn mmat_eliminates_repeated_env_searches() {
     );
 }
 
-/// A gather app's plan is itself a memo of where its off-block reads land,
-/// resolved once a block: with MMAT off it searches once a job, as MMAT-on
-/// does — one search for each off-block entry of its plans, whatever the
-/// step count.  CaseC 32² in blocks of 8: 16 blocks × 4 edges × 8 points =
-/// 512 N/W/E/S neighbours off their block.  MMAT memorises per (block,
-/// address) and so searches 60 fewer: a point past the domain's side reads
+/// The same claim on the usgrid reference: Listing 1's kernel reads each
+/// neighbour with an un-hinted `GetD`, so without MMAT each read off the
+/// block searches the Env on every sweep, and with MMAT the memo searches
+/// each `(block, address)` once a job.  CaseC 32² in blocks of 8: 16 blocks
+/// × 4 edges × 8 points = 512 N/W/E/S neighbours off their block, `512 ×
+/// steps` searches without MMAT.  MMAT memorises per (block, address) and so
+/// searches 60 fewer than one sweep's: a point past the domain's side reads
 /// the static slot at the end of the row below the domain, so a side block's
 /// 8 neighbours off that side are one address (8 × 7 repeats), and a corner
 /// block's neighbour past the top or bottom there is that address again (4).
 #[test]
-fn a_gather_app_searches_its_plans_off_block_entries_once_a_job() {
+fn a_per_cell_usgrid_app_searches_off_block_reads_once_a_job_only_with_mmat() {
     let region = RegionSize::square(32);
-    for (mmat, searches) in [(false, 512), (true, 512 - 8 * 7 - 4)] {
-        for steps in [1, 3, 6] {
+    for steps in [1, 3, 6] {
+        for (mmat, searches) in [(false, 512 * steps as u64), (true, 512 - 8 * 7 - 4)] {
             let system = UsGridSystem::with_block_size(region, 8, GridLayout::CaseC);
             let app = UsGridJacobiApp::new(system.clone(), steps);
             let counters = Platform::new(ExecutionMode::PlatformDirect)

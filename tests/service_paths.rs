@@ -196,15 +196,24 @@ fn jacobi_5pt_matches_the_direct_run_under_every_topology() {
         // cell: the 16 edge runs of 8 cells, 16 x 7 = 112 searches of 18
         // nodes fewer, 2016 x 25 ns = 50.4 us less a sweep, 82.224 -> 31.824:
         // 1x1 246.672 -> 95.472 us; only the seconds bits moved.
+        //
+        // Then the ring plans: each block's runs are resolved at its first
+        // sweep, so every later sweep's searches go — the slowest task's
+        // search nodes a sweep x 25 ns (x 1.035 with two threads a rank) x
+        // the later sweeps: 1x1 720 x 2 = 36 us less, 95.472 -> 59.472; 2x1
+        // (rank 1) 434 x 3 = 32.55, 95.12992 -> 62.57992; 1x2 (thread 1) 434
+        // x 2 x 1.035 = 22.4595, 55.09725 -> 32.63775; 2x2 (rank 1, thread
+        // 1) 227 x 3 x 1.035 = 17.620875, 61.84842 -> 44.227545.  Only the
+        // seconds bits moved.
         // One plan: the 8x8 stencil, the one tile shape.
         Golden {
             writes_per_sweep: 1024,
             plans: 1,
             rows: [
-                (4608, 3072, 0, 0, 13, 0x3f1907047882143a),
-                (6144, 4096, 64, 0, 33, 0x3f18f00f94c1f23f),
-                (4608, 3072, 0, 0, 22, 0x3f0ce307184491cd),
-                (6144, 4096, 64, 0, 59, 0x3f103693c3cc5d0d),
+                (4608, 3072, 0, 0, 13, 0x3f0f2e325c377d34),
+                (6144, 4096, 64, 0, 33, 0x3f1067aad6d23807),
+                (4608, 3072, 0, 0, 22, 0x3f011c908d091b0f),
+                (6144, 4096, 64, 0, 59, 0x3f07301edff6c184),
             ],
         },
     );
@@ -223,15 +232,21 @@ fn smooth_9pt_matches_the_direct_run_under_every_topology() {
         // runs of 10 cells and the 8 edge column runs of 8, 8 x 9 + 8 x 7 =
         // 128 searches of 18 nodes fewer, 2304 x 25 ns = 57.6 us less a sweep,
         // 103.916 -> 46.316: 1x1 311.748 -> 138.948 us.
+        //
+        // Then the ring plans, resolved once a job (see jacobi above): 1x1
+        // 1260 nodes x 2 later sweeps x 25 ns = 63 us less, 138.948 ->
+        // 75.948; 2x1 743 x 3 = 55.725, 128.01392 -> 72.28892; 1x2 743 x 2 x
+        // 1.035 = 38.45025, 80.623455 -> 42.173205; 2x2 386 x 3 x 1.035 =
+        // 29.96325, 79.33164 -> 49.36839.
         // One plan: the 8x8 stencil, the one tile shape.
         Golden {
             writes_per_sweep: 1024,
             plans: 1,
             rows: [
-                (4800, 3072, 0, 0, 13, 0x3f2236523b4ffc06),
-                (6400, 4096, 64, 0, 33, 0x3f20c76f331d4791),
-                (4800, 3072, 0, 0, 22, 0x3f15228c68f9d49a),
-                (6400, 4096, 64, 0, 59, 0x3f14cbdb3285ac2e),
+                (4800, 3072, 0, 0, 13, 0x3f13e8c8b46ce234),
+                (6400, 4096, 64, 0, 33, 0x3f12f33a3065c0ff),
+                (4800, 3072, 0, 0, 22, 0x3f061c644a398280),
+                (6400, 4096, 64, 0, 59, 0x3f09e21cf6cbf0cf),
             ],
         },
     );
@@ -282,7 +297,7 @@ fn usgrid_jacobi4_matches_the_direct_run_under_every_topology() {
         // and the 240 ring cells once (a run an edge: sum of 2 (w + h) over
         // the 3x3 tiles of 8/8/4), all 240 off their block and 80 of them
         // past the domain (the static row below it, the catch-all on the
-        // other sides) — 640 reads where the gather app read 5 a point,
+        // other sides) — 640 reads where the reference app reads 5 a point,
         // 2000.  1x1: 3 x 640 = 1920 (was 6000); two ranks, 4 sweeps: 2560
         // (was 8000).  Writes, pages, retries, dispatches and the checksum
         // bits stay.
@@ -300,16 +315,28 @@ fn usgrid_jacobi4_matches_the_direct_run_under_every_topology() {
         // + 160 x 12 + 64 x 8 + 684 x 25) x 1.035 + 192 = 21.50058 us + 24.12288
         // us = 45.62346 us (was 60.71016).
         //
+        // Then the ring plans, resolved once a job: a task's search nodes
+        // are those of one sweep, where they were those of every sweep.
+        // 1x1: 1200 x 1.5 + 1200 x 5 + 720 x 12 + 240 x 8 + 440 x 25 = 29.36
+        // us (1320 nodes were 3 x 440).  That makes another task the slowest
+        // on the other three.  2x1, rank 0 (the first 5 tiles in Z order,
+        // 288 cells): 1152 x 1.5 + 1152 x 5 + 608 x 12 + 176 x 8 + 133 x 25 =
+        // 19.517 us + 24.12288 us = 43.63988 us.  1x2, thread 0: (864 x 1.5
+        // + 864 x 4 + 456 x 12 + 132 x 8 + 133 x 25) x 1.035 + 864 =
+        // 15.980175 us.  2x2, rank 0's thread 0: (768 x 1.5 + 768 x 4 + 384 x
+        // 12 + 128 x 8 + 78 x 25) x 1.035 + 768 = 12.98721 us + 24.12288 us =
+        // 37.11009 us.
+        //
         // Plans: the lowered stencil's four tile shapes (8x8, 4x8, 8x4,
         // 4x4), and no usgrid family record.
         Golden {
             writes_per_sweep: 400,
             plans: 4,
             rows: [
-                (1920, 1200, 0, 0, 13, 0x3f0aed6c299edfd4),
-                (2560, 1600, 96, 0, 33, 0x3f108b4ca998c18b),
-                (1920, 1200, 0, 0, 22, 0x3effb8e3fef0f5f2),
-                (2560, 1600, 96, 0, 59, 0x3f07eb7a2627ad26),
+                (1920, 1200, 0, 0, 13, 0x3efec943d6439907),
+                (2560, 1600, 96, 0, 33, 0x3f06e13edbf53f20),
+                (1920, 1200, 0, 0, 22, 0x3ef0c1a5439f50b8),
+                (2560, 1600, 96, 0, 59, 0x3f0374d4fbb3d7c1),
             ],
         },
     );
@@ -346,14 +373,20 @@ fn particle_pair_sweep_matches_the_direct_run_under_every_topology() {
         // 7) = 64 searches of 6 nodes (the start, 3 siblings, the boundary
         // branch, the catch-all) fewer, 492 -> 108 nodes, 9.6 us less a
         // sweep, 16.3 -> 6.7: 1x1 48.9 -> 20.1 us.
+        //
+        // Then the ring plans, resolved once a job (see jacobi above): 1x1
+        // 108 nodes x 2 later sweeps x 25 ns = 5.4 us less, 20.1 -> 14.7;
+        // 2x1 54 x 3 = 4.05, 43.99456 -> 39.94456; 1x2 54 x 2 x 1.035 =
+        // 2.7945, 10.38831 -> 7.59381; 2x2 27 x 3 x 1.035 = 2.095875, 37.5201
+        // -> 35.424225.
         Golden {
             writes_per_sweep: 256,
             plans: 1,
             rows: [
-                (1200, 768, 0, 0, 13, 0x3ef5138d7b7e25a0),
-                (1600, 1024, 16, 0, 33, 0x3f0710d9923b2a1a),
-                (1200, 768, 0, 0, 22, 0x3ee5c92e746a04b5),
-                (1600, 1024, 16, 0, 59, 0x3f03abdcd1cd73ae),
+                (1200, 768, 0, 0, 13, 0x3eeed4009db4b14d),
+                (1600, 1024, 16, 0, 33, 0x3f04f144a17dbd3c),
+                (1200, 768, 0, 0, 22, 0x3edfd9ca99394a14),
+                (1600, 1024, 16, 0, 59, 0x3f02928f1a56f1be),
             ],
         },
     );

@@ -1,22 +1,18 @@
-//! The slab, run and gather access paths must not buy speed by dropping
+//! The slab and run access paths must not buy speed by dropping
 //! accounting.
 //!
 //! `IrStencilApp` fetches its halo ring with one `TaskCtx::get_run` per
-//! edge and then computes in the block's own buffers (`TaskCtx::with_block`,
-//! counted as `get_block_dd` + `set_block`); the closure adaptor below
-//! copies the block in and out around `execute_block` instead;
-//! `SGridJacobiApp` is the paper's Listing-1 kernel, one platform call per
-//! cell.  Both run the same mathematics on the
+//! edge, through the block's ring plans, and then computes in the block's
+//! own buffers (`TaskCtx::with_block`, counted as `get_block_dd` +
+//! `set_block`); the closure adaptor below copies the block in and out
+//! around `execute_block` instead; `SGridJacobiApp` is the paper's Listing-1
+//! kernel, one platform call per cell.  Both run the same mathematics on the
 //! same platform, so the fields must agree bit for bit, and the IR run's
 //! access counters must read exactly what the per-cell loops read — except
-//! the two search counters, which count the searches that actually ran.
-//!
-//! `UsGridJacobiApp` resolves each block's indirect neighbours once
-//! (`TaskCtx::resolve_gather`) and reads them with one `TaskCtx::get_gather`
-//! a pass; the oracle is the same kernel with one `ctx.get_global` per
-//! neighbour.  With MMAT on every counter must agree; with MMAT off the
-//! searches for the neighbours off the block run once a job, when the plans
-//! are resolved, and every other counter must agree.
+//! the two search counters, which count the searches that actually ran:
+//! searches are counted when a plan is resolved, never when it is read (the
+//! rule is `Env::resolve_run`'s), and a block's ring plans are resolved at
+//! its first sweep.
 //!
 //! `ParticleBlockApp` reads a block's buckets as one slab and its one-bucket
 //! ring as four runs.  Its field is `ParticleApp`'s (the Listing-1
@@ -24,7 +20,6 @@
 //! missing-page records are those of the per-cell loop over the same buckets
 //! — searches aside, as for the stencil halo.
 
-use aohpc::dsl::UsUpdate;
 use aohpc::env::AccessCounters;
 use aohpc::prelude::*;
 use aohpc::runtime::ctx::RefreshPayload;
@@ -86,32 +81,37 @@ fn ir_run(
 /// but the two search counters were captured, per sweep, at the commit before
 /// the slab calls and have not moved since.
 ///
-/// The searches are those that ran.  A block's halo is four runs of 8 cells.
-/// Of a sweep's 16 x 4 = 64 runs, 48 lie along a neighbour block: the leading
-/// cell is searched for, the other 7 are served from the block it found.
-/// From block `k` (row-major in the flat joint) the search visits the start,
-/// then the siblings in order, so it finds neighbour `k'` after `k' + 2`
-/// nodes if `k' < k` and `k' + 1` if `k' > k`: 432 nodes over the 48 runs.
-/// The other 16 runs leave the domain: the leading cell's search visits 18
-/// nodes (the start, 15 siblings, the boundary branch, the catch-all) and
-/// lands on the boundary, an Arithmetic block.  No cell outside the hull of
-/// the data blocks lies in a block a search can match, so the other 7 are
-/// read from the boundary without a search.
+/// The searches are those that ran, when each block's ring plans were
+/// resolved: once a job, at the block's first sweep.  A block's halo is four
+/// runs of 8 cells.  Of the 16 x 4 = 64 runs, 48 lie along a neighbour
+/// block: the leading cell is searched for, the other 7 land in the block it
+/// found.  From block `k` (row-major in the flat joint) the search visits the
+/// start, then the siblings in order, so it finds neighbour `k'` after
+/// `k' + 2` nodes if `k' < k` and `k' + 1` if `k' > k`: 432 nodes over the 48
+/// runs.  The other 16 runs leave the domain: the leading cell's search
+/// visits 18 nodes (the start, 15 siblings, the boundary branch, the
+/// catch-all) and lands on the boundary, an Arithmetic block.  No cell
+/// outside the hull of the data blocks lies in a block a search can match,
+/// so the other 7 land on the boundary without a search.
 ///
-///   env_searches         = 48 + 16           =  64 a sweep
-///   search_nodes_visited = 432 + 16 x 18     = 720 a sweep
+///   env_searches         = 48 + 16           =  64 a job
+///   search_nodes_visited = 432 + 16 x 18     = 720 a job
 ///
-/// (Each of those 8 cells searched for was 48 + 16 x 8 = 176 searches and
-/// 432 + 16 x 8 x 18 = 2736 nodes a sweep.  One search per read — 512
-/// searches, 8 x 432 + 128 x 18 = 5760 nodes a sweep — is what the per-cell
-/// halo closure read, and still reads: see `closure_adaptor_*` below.)
+/// (Resolved on every sweep, as the run read did until the ring plans, that
+/// was 64 and 720 a sweep: `sweeps x 64` / `sweeps x 720`.  Each of those 8
+/// cells searched for was 48 + 16 x 8 = 176 searches and 432 + 16 x 8 x 18 =
+/// 2736 nodes a sweep.  One search per read — 512 searches, 8 x 432 + 128 x
+/// 18 = 5760 nodes a sweep — is what the per-cell halo closure read, and
+/// still reads: see `closure_adaptor_*` below.)  Across ranks each rank's
+/// tasks resolve their own blocks' plans on their rank's Env replica, whose
+/// tree is the same: 64 and 720 again.
 fn golden(sweeps: u64, missing_accesses: u64) -> AccessCounters {
     AccessCounters {
         reads: sweeps * 1536,
         writes: sweeps * 1024,
         skip_search_hits: sweeps * 1024,
-        env_searches: sweeps * 64,
-        search_nodes_visited: sweeps * 720,
+        env_searches: 64,
+        search_nodes_visited: 720,
         out_of_block_reads: sweeps * 512,
         arithmetic_reads: sweeps * 128,
         missing_accesses,
@@ -129,8 +129,9 @@ fn searches_aside(k: AccessCounters) -> AccessCounters {
 #[test]
 fn serial_slab_run_matches_the_per_cell_kernel_and_the_golden_counters() {
     // One rank: the 3 steps and no warm-up sweep — reads 3 x 1536 = 4608,
-    // writes 3072, searches 192 over 2160 nodes (with the warm-up, 4 sweeps:
-    // 6144 / 4096 / 256 / 2880, the hybrid run's figures below).
+    // writes 3072, and the ring plans' 64 searches over 720 nodes (with the
+    // warm-up, 4 sweeps: 6144 / 4096 / 64 / 720, the hybrid run's figures
+    // below).
     let mode = ExecutionMode::PlatformNop;
     let (field, counters) = ir_run(mode, listing1_jacobi(), vec![0.5, 0.125]);
     assert_eq!(field, classic_field(mode), "IR field differs from the Listing-1 kernel");
@@ -236,156 +237,14 @@ fn closure_adaptor_matches_the_run_reads_hybrid() {
     run_reads_match_the_closure_adaptor(ExecutionMode::PlatformHybrid { ranks: 2, threads: 2 });
 }
 
-/// `UsGridJacobiApp` with the neighbours read the old way: its kernel as it
-/// stood before the gather — slab in, four `ctx.get_global` per point, slab
-/// out — around the app's own `Initialize` and `Finalize`.
-#[derive(Clone)]
-struct PerCellUsGridApp(UsGridJacobiApp);
-
-impl HpcApp<UsCell> for PerCellUsGridApp {
-    fn loop_count(&self) -> usize {
-        self.0.loop_count()
-    }
-
-    fn initialize(&mut self, ctx: &mut TaskCtx<UsCell>) {
-        self.0.initialize(ctx);
-    }
-
-    fn kernel(&mut self, ctx: &mut TaskCtx<UsCell>, _warmup: bool) -> bool {
-        let (alpha, beta) = (self.0.alpha, self.0.beta);
-        let mut points = Vec::new();
-        for bid in ctx.get_blocks() {
-            let cells = ctx.env().block(bid).meta.extent.cells();
-            points.resize(cells, UsCell::default());
-            ctx.get_block_dd(bid, &mut points);
-            for me in points.iter_mut() {
-                let mut vals = [0.0f64; 4];
-                for (slot, (nx, ny)) in me.neighbors.into_iter().enumerate() {
-                    vals[slot] = ctx.get_global(bid, GlobalAddress::new2d(nx, ny)).value;
-                }
-                me.value = match &self.0.update {
-                    Some(update) => (update.0)(me.value, &vals),
-                    None => {
-                        let mut sum = 0.0;
-                        for v in vals {
-                            sum += v;
-                        }
-                        alpha * me.value + beta * sum
-                    }
-                };
-            }
-            ctx.set_block(bid, &points);
-        }
-        ctx.refresh()
-    }
-
-    fn finalize(&mut self, ctx: &mut TaskCtx<UsCell>) {
-        self.0.finalize(ctx);
-    }
-}
-
-/// The gathered neighbour reads against the per-cell ones, where reads stay
-/// in the block (CaseC) and where most leave it (CaseR), with and without
-/// MMAT, built-in and plugged-in law: the same field, the same retries, and
-/// per task the same memo, the same missing-page records in order and every
-/// counter but the two search counters.
-///
-/// Each block's plan is resolved at its first pass, so every case is run as
-/// it stands, over more steps (the plans outlive the warm-up and several
-/// buffer swaps), and — across ranks — without the Dry-run prefetch: every
-/// step then finds its neighbours' pages missing in Buffer-only blocks
-/// mid-refresh and is retried, and the retried pass reads through the same
-/// plan.
-///
-/// The searches: with MMAT on both kernels' off-block reads go through the
-/// memo, and every counter is the oracle's.  With MMAT off a plan searches
-/// for its off-block entries once, when it is resolved, where the oracle
-/// searches on every pass: a task's searches and search nodes times its
-/// passes (the warm-up across ranks, the steps, the retried steps) are the
-/// oracle's.
-fn gather_matches_the_per_cell_neighbour_reads(topologies: &[(usize, usize)]) {
-    // Weights differ per neighbour, so a slice in the wrong order shows.
-    let weighted = UsUpdate(Arc::new(|me, near: &[f64]| {
-        0.4 * me + 0.1 * near[0] + 0.2 * near[1] + 0.05 * near[2] + 0.25 * near[3]
-    }));
-    for &topology in topologies {
-        let mut rows = vec![(true, STEPS), (true, 5)];
-        if topology.0 > 1 {
-            rows.push((false, STEPS));
-        }
-        for layout in [GridLayout::CaseC, GridLayout::CaseR { seed: 11 }] {
-            let system = UsGridSystem::with_block_size(RegionSize::square(REGION), BLOCK, layout);
-            for mmat in [false, true] {
-                for update in [None, Some(weighted.clone())] {
-                    for &(dry_run, steps) in &rows {
-                        let case = format!(
-                            "{} {topology:?} mmat={mmat} plugged-law={} dry-run={dry_run} \
-                             steps={steps}",
-                            layout.name(),
-                            update.is_some()
-                        );
-                        let app = |sink| {
-                            let app = UsGridJacobiApp::new(system.clone(), steps).with_sink(sink);
-                            match &update {
-                                Some(update) => app.with_update(update.clone()),
-                                None => app,
-                            }
-                        };
-                        let flags = (mmat, dry_run);
-                        let gathered = logged_run(&system, topology, flags, steps, app);
-                        let oracle = logged_run(&system, topology, flags, steps, |sink| {
-                            PerCellUsGridApp(app(sink))
-                        });
-                        assert_eq!(gathered.field, oracle.field, "{case}: fields differ");
-                        assert_eq!(gathered.missing, oracle.missing, "{case}: missing-page order");
-                        assert_eq!(gathered.retries, oracle.retries, "{case}: retries");
-                        assert_eq!(gathered.retries > 0, !dry_run, "{case}: retries");
-                        assert_eq!(gathered.tasks.len(), oracle.tasks.len(), "{case}: tasks");
-                        for (task, (got, want)) in
-                            gathered.tasks.iter().zip(&oracle.tasks).enumerate()
-                        {
-                            let at = format!("{case} task {task}");
-                            let (g, w) = (got.counters, want.counters);
-                            assert_eq!((got.memo, got.passes), (want.memo, want.passes), "{at}");
-                            assert!(g.reads > 0 && g.out_of_block_reads > 0, "{at}");
-                            if mmat {
-                                assert_eq!(g, w, "{at}: counters");
-                                continue;
-                            }
-                            assert_eq!(searches_aside(g), searches_aside(w), "{at}: counters");
-                            assert_eq!(
-                                (g.env_searches * got.passes, g.search_nodes_visited * got.passes),
-                                (w.env_searches, w.search_nodes_visited),
-                                "{at}: searches once a job"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn per_cell_neighbour_reads_match_the_gather_serial() {
-    gather_matches_the_per_cell_neighbour_reads(&[(1, 1), (1, 2)]);
-}
-
-#[test]
-fn per_cell_neighbour_reads_match_the_gather_hybrid() {
-    gather_matches_the_per_cell_neighbour_reads(&[(2, 1), (2, 2)]);
-}
-
 /// Each task's missing-page records, one list a `refresh`, in order.
 type MissingLog = BTreeMap<usize, Vec<Vec<(BlockId, usize)>>>;
 
-/// One task's part of a logged run: its counters, its memo `(mmat_entries,
-/// mmat_hits)`, and the kernel passes it made (the warm-up across ranks, the
-/// steps, the retried steps).
+/// One task's part of a logged run: its counters and its memo
+/// `(mmat_entries, mmat_hits)`.
 struct TaskOutcome {
     counters: AccessCounters,
     memo: (usize, u64),
-    passes: u64,
 }
 
 /// What a logged run leaves: the field's bits by the `(y, x)` of the address
@@ -444,17 +303,12 @@ where
     let field = sink.lock().iter().map(|(at, v)| ((at.y, at.x), v.to_bits())).collect();
     let mut tasks: Vec<_> = report.tasks.iter().collect();
     tasks.sort_by_key(|t| t.slot.task_id);
-    let warm_up = u64::from(ranks > 1);
     let missing = std::mem::take(&mut *log.lock().unwrap());
     LoggedOutcome {
         field,
         tasks: tasks
             .into_iter()
-            .map(|t| TaskOutcome {
-                counters: t.counters,
-                memo: (t.mmat_entries, t.mmat_hits),
-                passes: warm_up + t.steps + t.retries,
-            })
+            .map(|t| TaskOutcome { counters: t.counters, memo: (t.mmat_entries, t.mmat_hits) })
             .collect(),
         missing,
         retries: report.total_retries(),
