@@ -131,7 +131,7 @@ pub mod attr {
     pub const JOB: &str = "job";
     /// Kernel family tag (0 = stencil, 1 = particle, 2 = usgrid).
     pub const FAMILY: &str = "family";
-    /// Plan resolution origin (0 = hit, 1 = compiled, 2 = fetched); set by
+    /// Plan resolution origin (0 = hit, 1 = compiled); set by
     /// the dispatched body for around advice to read after `proceed`.
     pub const ORIGIN: &str = "origin";
     /// Block index within a kernel sweep.

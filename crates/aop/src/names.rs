@@ -75,23 +75,12 @@ pub const KERNEL_BLOCK: &str = "Kernel::execute_block";
 /// specialized kernel was instantiated, 0 = generic).
 pub const KERNEL_SPECIALIZE: &str = "Kernel::specialize";
 
-/// Call of the plan cache's `resolve` (hit / cluster-fetch / compile chain).
+/// Call of the plan cache's `resolve` (a hit or a compile).
 ///
 /// The body publishes the resolution origin back through the `origin` attr so
 /// around advice can record which lane served the plan.  Attrs: `trace`,
 /// `parent`, `family`, `origin` (set by the body).
 pub const CACHE_RESOLVE: &str = "PlanCache::resolve";
-
-/// Call of a cross-node plan fetch (`PLAN_REQ` round-trip, requester side).
-///
-/// Attrs: `trace`, `parent`, `node`, `ok` (set by the body: 1 = plan
-/// received, 0 = declined / timed out).
-pub const CLUSTER_PLAN_REQ: &str = "Cluster::plan_req";
-
-/// Execution of a plan-request service (`PLAN_REP` production, owner side).
-///
-/// Attrs: `node`, `ok`.
-pub const CLUSTER_PLAN_REP: &str = "Cluster::plan_rep";
 
 /// Call of a failure-detector state transition: a rank was suspected or
 /// declared dead by the local membership view.
@@ -137,8 +126,6 @@ pub const ALL_JOIN_POINTS: &[&str] = &[
     KERNEL_BLOCK,
     KERNEL_SPECIALIZE,
     CACHE_RESOLVE,
-    CLUSTER_PLAN_REQ,
-    CLUSTER_PLAN_REP,
     CLUSTER_SUSPECT,
     CLUSTER_FAILOVER,
     CLUSTER_REJOIN,
@@ -156,6 +143,6 @@ mod tests {
             assert!(n.contains("::"), "join point {n} must be namespaced");
             assert!(seen.insert(*n), "duplicate join point name {n}");
         }
-        assert_eq!(ALL_JOIN_POINTS.len(), 18);
+        assert_eq!(ALL_JOIN_POINTS.len(), 16);
     }
 }

@@ -1,36 +1,37 @@
-//! Cluster microbench: compile-once-per-cluster plan sharing vs independent
-//! nodes, cold vs warm.
+//! Cluster microbench: N independent services vs one N-node cluster, cold,
+//! warm, through a node kill and through a rejoin.
 //!
 //! The variants run the same workload — `programs × nodes × reps` jobs,
 //! spread one tenant per node:
 //!
-//! * `independent_cold` — N unconnected `KernelService`s (the pre-cluster
-//!   deployment): every node compiles every program itself.
-//! * `cluster_cold` — a fresh `ClusterService`: each program compiles once
-//!   cluster-wide, every other node fetches the portable plan.
+//! * `independent_cold` — N unconnected `KernelService`s: every node
+//!   compiles every plan its jobs resolve.
+//! * `cluster_cold` — a fresh `ClusterService`: every node compiles every
+//!   plan its jobs resolve too (each node resolves its own plans; the
+//!   fabric carries only liveness), so the variant prices the cluster's
+//!   pacemakers, fabric threads and failover supervisor.
 //! * `cluster_warm` — the same cluster again: everything hits.
-//! * `family_mix_cold` — stencil + particle + usgrid through one fabric.
 //! * `cluster_failover` — the same workload with rank 1 fail-stopped
-//!   mid-batch on a fake-clock fault schedule: the cost of detection,
-//!   re-ownership and checkpoint replay, with every answer still
-//!   bit-identical and the failover count reported.
+//!   mid-batch on a fake-clock fault schedule: the cost of detection and
+//!   checkpoint replay, with every answer still bit-identical and the
+//!   failover count reported.
 //! * `cluster_rejoin` — kill, replay, *restart*: rank 1 rejoins under a
-//!   fresh incarnation and the same workload runs again on the healed
-//!   mesh.  Reports the rejoin count and how much of the rejoined rank's
-//!   cold cache was re-warmed by fetch instead of recompiled (post-heal
-//!   compile elision).
+//!   fresh incarnation with a cold cache and the same workload runs again
+//!   on the healed mesh (the rejoined rank compiles its plans again).
 //!
-//! Writes machine-readable `BENCH_cluster.json` (jobs/sec, compiles,
-//! fetches, control frames, failovers per variant, plus the rejoin
-//! section) alongside `BENCH_kernel.json` so CI can track the trajectory.
-//! Problem size follows `AOHPC_SCALE=smoke|default|paper`.
+//! Every variant asserts its compiles: the sum over nodes of the distinct
+//! plan keys each node resolved, and no fetch.  Writes machine-readable
+//! `BENCH_cluster.json` (jobs/sec, compiles, control frames, failovers per
+//! variant).  Problem size follows `AOHPC_SCALE=smoke|default|paper`.
 
-use aohpc_kernel::KernelFamilyId;
+use aohpc_kernel::prelude::Extent;
 use aohpc_service::{
-    ClusterService, ClusterTuning, FaultPlan, JobSpec, KernelService, ServiceConfig, SessionSpec,
+    ClusterService, ClusterTuning, FaultPlan, JobHandle, JobSpec, KernelService, NodeState,
+    PlanCacheStats, PlanKey, ServiceConfig, SessionSpec,
 };
 use aohpc_testalloc::sync::FakeClock;
 use aohpc_workloads::Scale;
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 struct Outcome {
@@ -38,7 +39,6 @@ struct Outcome {
     jobs: usize,
     secs: f64,
     compiles: u64,
-    fetches: u64,
     control_frames: u64,
     failovers: u64,
     checksum_bits: u64,
@@ -54,20 +54,28 @@ fn workload(scale: Scale) -> Vec<JobSpec> {
     vec![JobSpec::jacobi(scale), JobSpec::smooth(scale)]
 }
 
-/// One program per kernel family: the heterogeneous workload the
-/// family-generic pipeline exists for.
-fn mixed_workload(scale: Scale) -> Vec<JobSpec> {
-    vec![JobSpec::jacobi(scale), JobSpec::particle(scale), JobSpec::usgrid(scale)]
+/// The distinct plan keys a node running every job of `jobs` resolves: a
+/// stencil job resolves one plan a tile shape of its region.
+fn plan_keys(jobs: &[JobSpec]) -> u64 {
+    let mut keys = HashSet::new();
+    for spec in jobs {
+        let sides = |n: usize| (0..n).step_by(spec.block).map(move |at| spec.block.min(n - at));
+        for nx in sides(spec.region.nx) {
+            for ny in sides(spec.region.ny) {
+                keys.insert(PlanKey::of(&spec.program, Extent::new2d(nx, ny), spec.opt_level));
+            }
+        }
+    }
+    keys.len() as u64
 }
 
-/// Submit `reps` copies of every program under one session per node and
-/// wait for all of them; returns (first job's checksum bits, job count).
-fn run_jobs(
-    submit: impl Fn(usize, JobSpec) -> aohpc_service::JobHandle,
+/// Submit `reps` copies of every program under one session per node.
+fn submit_all(
+    submit: impl Fn(usize, JobSpec) -> JobHandle,
     nodes: usize,
     jobs: &[JobSpec],
     reps: usize,
-) -> (u64, usize) {
+) -> Vec<JobHandle> {
     let mut handles = Vec::new();
     for node in 0..nodes {
         for job in jobs {
@@ -76,15 +84,37 @@ fn run_jobs(
             }
         }
     }
+    handles
+}
+
+/// Wait for every handle; returns (first job's checksum bits, failovers).
+fn wait_all(handles: &[JobHandle]) -> (u64, u64) {
     let mut first_bits = 0u64;
+    let mut failovers = 0u64;
     for (i, handle) in handles.iter().enumerate() {
         let report = handle.wait().expect("job executed");
         assert!(report.error.is_none(), "bench job failed: {:?}", report.error);
         if i == 0 {
             first_bits = report.checksum.to_bits();
         }
+        failovers += u64::from(report.failover.is_some());
     }
-    (first_bits, handles.len())
+    (first_bits, failovers)
+}
+
+/// The ledger every variant holds: each miss a local compile, no fetch.
+fn assert_local(name: &str, stats: &PlanCacheStats) {
+    assert_eq!(stats.fetches, 0, "{name}: a node fetched a plan: {stats:?}");
+    assert_eq!(stats.misses, stats.compiles, "{name}: ledger broken: {stats:?}");
+}
+
+/// Advance the fake clock `ticks` notches of 10 ms, giving the fabric
+/// threads a real-time beat after each.
+fn drive(clock: &FakeClock, ticks: usize) {
+    for _ in 0..ticks {
+        clock.advance(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn main() {
@@ -96,119 +126,77 @@ fn main() {
         Scale::Paper => 16,
     };
     let jobs = workload(scale);
+    let keys = plan_keys(&jobs);
     let config = ServiceConfig::default().with_workers(scale.service_workers());
     println!(
-        "# bench_cluster — {} programs x {nodes} nodes x {reps} reps, scale = {scale}",
+        "# bench_cluster — {} programs ({keys} plan keys) x {nodes} nodes x {reps} reps, \
+         scale = {scale}",
         jobs.len()
     );
 
     let mut outcomes: Vec<Outcome> = Vec::new();
 
-    // Independent nodes: the pre-cluster deployment, compiles = P x N.
+    // Independent nodes: every node compiles every plan key.
     {
         let services: Vec<KernelService> = (0..nodes).map(|_| KernelService::new(config)).collect();
         let sessions: Vec<_> =
             services.iter().map(|s| s.open_session(SessionSpec::tenant("bench"))).collect();
         let start = Instant::now();
-        let (bits, count) =
-            run_jobs(|n, job| services[n].submit(sessions[n], job).unwrap(), nodes, &jobs, reps);
+        let handles =
+            submit_all(|n, job| services[n].submit(sessions[n], job).unwrap(), nodes, &jobs, reps);
+        let (bits, _) = wait_all(&handles);
         let secs = start.elapsed().as_secs_f64();
-        let compiles: u64 = services.iter().map(|s| s.cache_stats().compiles).sum();
+        let stats = services.iter().fold(PlanCacheStats::default(), |acc, s| acc + s.cache_stats());
+        assert_local("independent_cold", &stats);
+        assert_eq!(stats.compiles, keys * nodes as u64, "every node compiles every key");
         outcomes.push(Outcome {
             name: "independent_cold",
-            jobs: count,
+            jobs: handles.len(),
             secs,
-            compiles,
-            fetches: 0,
+            compiles: stats.compiles,
             control_frames: 0,
             failovers: 0,
             checksum_bits: bits,
         });
-        assert_eq!(compiles as usize, jobs.len() * nodes, "no sharing: every node compiles");
     }
 
-    // The cluster: cold (compile-once-per-cluster), then warm (all hits).
+    // The cluster: cold (each node compiles its keys), then warm (all hits).
     let cluster = ClusterService::new(nodes, config);
     let sessions: Vec<_> = (0..nodes)
         .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("bench-{n}"))))
         .collect();
-    for (name, expect_compiles) in
-        [("cluster_cold", Some(jobs.len() as u64)), ("cluster_warm", None)]
-    {
-        let before_cache = cluster.cache_stats().total;
+    for (name, expected) in [("cluster_cold", keys), ("cluster_warm", 0)] {
+        let before_cache = cluster.cache_stats().per_node;
         let before_comm = cluster.comm_stats().total;
         let start = Instant::now();
-        let (bits, count) =
-            run_jobs(|n, job| cluster.submit(sessions[n], job).unwrap(), nodes, &jobs, reps);
+        let handles =
+            submit_all(|n, job| cluster.submit(sessions[n], job).unwrap(), nodes, &jobs, reps);
+        let (bits, _) = wait_all(&handles);
         let secs = start.elapsed().as_secs_f64();
-        let cache = cluster.cache_stats().total;
+        let cache = cluster.cache_stats();
+        assert_local(name, &cache.total);
+        for (rank, (now, was)) in cache.per_node.iter().zip(&before_cache).enumerate() {
+            assert_eq!(now.compiles - was.compiles, expected, "{name}: node {rank} compiles");
+        }
         let comm = cluster.comm_stats().total;
-        let compiles = cache.compiles - before_cache.compiles;
         outcomes.push(Outcome {
             name,
-            jobs: count,
+            jobs: handles.len(),
             secs,
-            compiles,
-            fetches: cache.fetches - before_cache.fetches,
+            compiles: expected * nodes as u64,
             control_frames: comm.control_sent - before_comm.control_sent,
             failovers: 0,
             checksum_bits: bits,
         });
-        if let Some(expected) = expect_compiles {
-            assert_eq!(compiles, expected, "compile-once-per-cluster violated");
-        } else {
-            assert_eq!(compiles, 0, "warm cluster recompiled");
-        }
     }
     cluster.shutdown();
-
-    // Mixed-family workload on a fresh cluster: stencil + particle + usgrid
-    // through one plan-sharing fabric, compiles broken down per family.
-    let mixed = mixed_workload(scale);
-    let (mixed_outcome, family_lanes) = {
-        let cluster = ClusterService::new(nodes, config);
-        let sessions: Vec<_> = (0..nodes)
-            .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("mix-{n}"))))
-            .collect();
-        let start = Instant::now();
-        let (bits, count) =
-            run_jobs(|n, job| cluster.submit(sessions[n], job).unwrap(), nodes, &mixed, reps);
-        let secs = start.elapsed().as_secs_f64();
-        let cache = cluster.cache_stats().total;
-        let comm = cluster.comm_stats().total;
-        // One distinct program per family, so compile-once-per-cluster means
-        // exactly one compile per family; the lanes attribute the traffic.
-        assert_eq!(cache.compiles as usize, mixed.len(), "one compile per family");
-        let lanes: Vec<(KernelFamilyId, u64, u64, u64)> = KernelFamilyId::all()
-            .iter()
-            .map(|&f| {
-                let lane = cache.for_family(f);
-                let compiles = lane.misses - (nodes as u64 - 1);
-                assert_eq!(compiles, 1, "{f:?} compiled more than once cluster-wide");
-                (f, compiles, lane.hits, lane.misses)
-            })
-            .collect();
-        cluster.shutdown();
-        (
-            Outcome {
-                name: "family_mix_cold",
-                jobs: count,
-                secs,
-                compiles: cache.compiles,
-                fetches: cache.fetches,
-                control_frames: comm.control_sent,
-                failovers: 0,
-                checksum_bits: bits,
-            },
-            lanes,
-        )
-    };
-    outcomes.push(mixed_outcome);
 
     // Failover drill: the same workload on a fake-clock cluster whose rank 1
     // is fail-stopped mid-batch.  Every job still completes — queued jobs on
     // the dead rank replay on survivors, bit-identically — and the variant
-    // records how many reports carried failover provenance.
+    // records how many reports carried failover provenance.  Each survivor
+    // ran the whole workload, so it compiled every key; rank 1 compiled the
+    // keys of the jobs it dequeued before the kill.
     {
         let clock = FakeClock::new();
         let plan = FaultPlan::new().kill_at(1, Duration::from_millis(30));
@@ -223,41 +211,27 @@ fn main() {
             .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("drill-{n}"))))
             .collect();
         let start = Instant::now();
-        let mut handles = Vec::new();
-        for session in &sessions {
-            for job in &jobs {
-                for _ in 0..reps {
-                    handles.push(cluster.submit(*session, job.clone()).unwrap());
-                }
-            }
-        }
+        let handles =
+            submit_all(|n, job| cluster.submit(sessions[n], job).unwrap(), nodes, &jobs, reps);
         // Drive the detector well past the kill and its death threshold.
-        for _ in 0..40 {
-            clock.advance(Duration::from_millis(10));
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut bits = 0u64;
-        let mut failovers = 0u64;
-        for (i, handle) in handles.iter().enumerate() {
-            let report = handle.wait().expect("job survived the kill");
-            assert!(report.error.is_none(), "drill job failed: {:?}", report.error);
-            if i == 0 {
-                bits = report.checksum.to_bits();
-            }
-            if report.failover.is_some() {
-                failovers += 1;
-            }
-        }
+        drive(&clock, 40);
+        let (bits, failovers) = wait_all(&handles);
         let secs = start.elapsed().as_secs_f64();
-        let cache = cluster.cache_stats().total;
-        let comm = cluster.comm_stats().total;
+        let cache = cluster.cache_stats();
+        assert_local("cluster_failover", &cache.total);
+        for (rank, node) in cache.per_node.iter().enumerate() {
+            if rank == 1 {
+                assert!(node.compiles <= keys, "the killed rank compiled {node:?}");
+            } else {
+                assert_eq!(node.compiles, keys, "survivor {rank} compiles every key once");
+            }
+        }
         outcomes.push(Outcome {
             name: "cluster_failover",
             jobs: handles.len(),
             secs,
-            compiles: cache.compiles,
-            fetches: cache.fetches,
-            control_frames: comm.control_sent,
+            compiles: cache.total.compiles,
+            control_frames: cluster.comm_stats().total.control_sent,
             failovers,
             checksum_bits: bits,
         });
@@ -265,12 +239,10 @@ fn main() {
     }
 
     // Rejoin drill: rank 1 is fail-stopped mid-batch, the replays drain,
-    // then the rank *restarts* under a fresh incarnation and the same
-    // workload runs again across the healed mesh.  The rejoined rank's
-    // cold cache re-warms by fetching every plan it does not own — only
-    // its own rendezvous keys recompile, which is the post-heal compile
-    // elision the JSON records alongside the rejoin count.
-    let rejoin_section = {
+    // then the rank *restarts* under a fresh incarnation with a cold cache
+    // and the same workload runs again across the healed mesh: the
+    // survivors hit, the rejoined rank compiles every key again.
+    {
         let clock = FakeClock::new();
         let plan = FaultPlan::new()
             .kill_at(1, Duration::from_millis(30))
@@ -286,43 +258,20 @@ fn main() {
             .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("rejoin-{n}"))))
             .collect();
         let start = Instant::now();
-        let mut handles = Vec::new();
-        for session in &sessions {
-            for job in &jobs {
-                for _ in 0..reps {
-                    handles.push(cluster.submit(*session, job.clone()).unwrap());
-                }
-            }
-        }
+        let handles =
+            submit_all(|n, job| cluster.submit(sessions[n], job).unwrap(), nodes, &jobs, reps);
         // Drive the detector past the kill (30 ms), the death threshold and
         // the scripted restart (250 ms).
-        for _ in 0..60 {
-            clock.advance(Duration::from_millis(10));
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut bits = 0u64;
-        let mut failovers = 0u64;
-        for (i, handle) in handles.iter().enumerate() {
-            let report = handle.wait().expect("job survived the kill");
-            assert!(report.error.is_none(), "rejoin drill job failed: {:?}", report.error);
-            if i == 0 {
-                bits = report.checksum.to_bits();
-            }
-            if report.failover.is_some() {
-                failovers += 1;
-            }
-        }
-        let mut jobs_run = handles.len();
+        drive(&clock, 60);
+        let (bits, failovers) = wait_all(&handles);
         // Wait for the rejoin: every view holds rank 1 Alive under one
         // agreed fresh incarnation.
         let mut rejoined = false;
         for _ in 0..300 {
-            clock.advance(Duration::from_millis(10));
-            std::thread::sleep(Duration::from_millis(1));
+            drive(&clock, 1);
             let inc = cluster.incarnation(1, 1);
             let agreed = (0..nodes).all(|o| {
-                cluster.node_state(o, 1) == aohpc_service::NodeState::Alive
-                    && cluster.incarnation(o, 1) == inc
+                cluster.node_state(o, 1) == NodeState::Alive && cluster.incarnation(o, 1) == inc
             });
             if agreed && inc >= 1 {
                 rejoined = true;
@@ -330,36 +279,31 @@ fn main() {
             }
         }
         assert!(rejoined, "rank 1 never rejoined the mesh");
-        let rejoins = cluster.membership_stats(0).rejoins;
 
-        // Warm steady state on the healed mesh, rejoined rank included.
-        let before = cluster.cache_stats().total;
-        let (_, count) =
-            run_jobs(|n, job| cluster.submit(sessions[n], job).unwrap(), nodes, &jobs, reps);
-        jobs_run += count;
+        // Steady state on the healed mesh, rejoined rank included.
+        let before = cluster.cache_stats().per_node;
+        let again =
+            submit_all(|n, job| cluster.submit(sessions[n], job).unwrap(), nodes, &jobs, reps);
+        let (again_bits, _) = wait_all(&again);
+        assert_eq!(again_bits, bits, "the healed mesh computed different bits");
         let secs = start.elapsed().as_secs_f64();
-        let after = cluster.cache_stats().total;
-        let comm = cluster.comm_stats().total;
-        let recompiles = after.compiles - before.compiles;
-        let refetches = after.fetches - before.fetches;
-        assert!(
-            recompiles <= jobs.len() as u64,
-            "the rejoined rank recompiled plans it could have fetched"
-        );
-        let elision_pct = 100.0 * (1.0 - recompiles as f64 / jobs.len() as f64);
+        let cache = cluster.cache_stats();
+        assert_local("cluster_rejoin", &cache.total);
+        for (rank, (now, was)) in cache.per_node.iter().zip(&before).enumerate() {
+            let expected = if rank == 1 { keys } else { 0 };
+            assert_eq!(now.compiles - was.compiles, expected, "post-heal compiles on node {rank}");
+        }
         outcomes.push(Outcome {
             name: "cluster_rejoin",
-            jobs: jobs_run,
+            jobs: handles.len() + again.len(),
             secs,
-            compiles: after.compiles,
-            fetches: after.fetches,
-            control_frames: comm.control_sent,
+            compiles: cache.total.compiles,
+            control_frames: cluster.comm_stats().total.control_sent,
             failovers,
             checksum_bits: bits,
         });
         cluster.shutdown();
-        (rejoins, recompiles, refetches, elision_pct)
-    };
+    }
 
     // Every variant computed the same field bit-for-bit.
     for o in &outcomes[1..] {
@@ -367,72 +311,42 @@ fn main() {
     }
 
     println!(
-        "{:<17} {:>6} {:>12} {:>9} {:>8} {:>15} {:>10}",
-        "variant", "jobs", "jobs/sec", "compiles", "fetches", "control frames", "failovers"
+        "{:<17} {:>6} {:>12} {:>9} {:>15} {:>10}",
+        "variant", "jobs", "jobs/sec", "compiles", "control frames", "failovers"
     );
     for o in &outcomes {
         println!(
-            "{:<17} {:>6} {:>12.1} {:>9} {:>8} {:>15} {:>10}",
+            "{:<17} {:>6} {:>12.1} {:>9} {:>15} {:>10}",
             o.name,
             o.jobs,
             o.jobs_per_sec(),
             o.compiles,
-            o.fetches,
             o.control_frames,
             o.failovers
         );
     }
-    let cold = outcomes.iter().find(|o| o.name == "cluster_cold").unwrap();
-    let indep = outcomes.iter().find(|o| o.name == "independent_cold").unwrap();
-    println!(
-        "compiles per cluster: {} (vs {} unshared) — {:.0}% of the compile work elided",
-        cold.compiles,
-        indep.compiles,
-        100.0 * (1.0 - cold.compiles as f64 / indep.compiles as f64),
-    );
-    let (rejoins, recompiles, refetches, elision_pct) = rejoin_section;
-    println!(
-        "rejoin: {rejoins} rejoin(s); post-heal re-warm recompiled {recompiles}/{} plans \
-         ({refetches} fetched) — {elision_pct:.0}% of the compile work elided",
-        jobs.len(),
-    );
 
-    // Machine-readable trajectory record (no external JSON dependency in the
-    // offline workspace, so the document is assembled by hand).
+    // Machine-readable record (no external JSON dependency in the offline
+    // workspace, so the document is assembled by hand).
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"bench\": \"cluster_plan_sharing\",\n");
+    json.push_str("  \"bench\": \"cluster\",\n");
     json.push_str(&format!("  \"scale\": \"{scale}\",\n"));
     json.push_str(&format!("  \"nodes\": {nodes},\n"));
     json.push_str(&format!("  \"programs\": {},\n", jobs.len()));
+    json.push_str(&format!("  \"plan_keys\": {keys},\n"));
     json.push_str(&format!("  \"reps_per_node\": {reps},\n"));
     json.push_str("  \"variants\": {\n");
     for (i, o) in outcomes.iter().enumerate() {
         json.push_str(&format!(
-            "    \"{}\": {{\"jobs\": {}, \"jobs_per_sec\": {:.1}, \"compiles\": {}, \"fetches\": {}, \"control_frames\": {}, \"failovers\": {}}}{}\n",
+            "    \"{}\": {{\"jobs\": {}, \"jobs_per_sec\": {:.1}, \"compiles\": {}, \"control_frames\": {}, \"failovers\": {}}}{}\n",
             o.name,
             o.jobs,
             o.jobs_per_sec(),
             o.compiles,
-            o.fetches,
             o.control_frames,
             o.failovers,
             if i + 1 == outcomes.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"rejoin\": {{\"rejoins\": {rejoins}, \"post_heal_recompiles\": {recompiles}, \"post_heal_fetches\": {refetches}, \"post_heal_compile_elision_pct\": {elision_pct:.1}}},\n",
-    ));
-    json.push_str("  \"family_mix\": {\n");
-    for (i, (family, compiles, hits, misses)) in family_lanes.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{:?}\": {{\"compiles\": {}, \"hits\": {}, \"misses\": {}}}{}\n",
-            family,
-            compiles,
-            hits,
-            misses,
-            if i + 1 == family_lanes.len() { "" } else { "," },
         ));
     }
     json.push_str("  }\n}\n");

@@ -1,10 +1,10 @@
-//! Kernel families: one compile/cache/distribute pipeline for every DSL.
+//! Kernel families: one compile/cache pipeline for every DSL.
 //!
 //! The paper's platform hosts several DSLs (structured grid, particle,
 //! unstructured grid), but a plan pipeline that only understands
 //! [`StencilProgram`] forces every other DSL onto a side path with no
-//! fingerprinting, no plan cache and no cluster distribution.  This module
-//! is the family-generic boundary: a **kernel family** bundles
+//! fingerprinting and no plan cache.  This module is the family-generic
+//! boundary: a **kernel family** bundles
 //!
 //! * a validated *program* type (the structural identity of the kernel),
 //! * a *structural fingerprint* with per-family **domain separation** — the
@@ -14,15 +14,15 @@
 //!   [`KernelFamilyId`] so cross-family collisions are impossible *by
 //!   construction*, not merely improbable,
 //! * a *compiled artifact* (the lowered, block-shaped executor), and
-//! * a *portable wire form* (see [`crate::portable`]) so cluster plan
-//!   sharing works identically for every family.
+//! * a *portable wire form* (see [`crate::portable`]), the same frame
+//!   layout for every family.
 //!
 //! Three families are implemented:
 //!
 //! * [`KernelFamilyId::Stencil`] — the existing expression-IR path
 //!   ([`StencilProgram`] → [`CompiledKernel`]), byte-for-byte unchanged:
-//!   stencil fingerprints and wire frames are exactly what they were before
-//!   this module existed.
+//!   stencil fingerprints are exactly what they were before this module
+//!   existed.
 //! * [`KernelFamilyId::Particle`] — a bucketed neighbour sweep with a cutoff
 //!   radius and symmetric pair forces, lowered from the particle DSL
 //!   (`aohpc-dsl`'s `ParticleApp`): the [`ParticleProgram`] captures the
@@ -39,8 +39,8 @@
 //!
 //! The enum pair [`FamilyProgram`] / [`FamilyArtifact`] is what the service
 //! stack traffics in: `JobSpec` holds a `FamilyProgram`, the plan cache maps
-//! a family-tagged key to a `FamilyArtifact`, and the cluster fabric ships
-//! either as a family-tagged [`crate::portable::PortableKernel`].
+//! a family-tagged key to a `FamilyArtifact`, and every cluster node
+//! compiles its own.
 
 use crate::expr::{load, param};
 use crate::opt::OptLevel;
@@ -648,8 +648,7 @@ impl UsGridKernel {
     }
 }
 
-/// A compiled artifact of any kernel family — what the plan cache stores
-/// and the portable wire form hydrates into.
+/// A compiled artifact of any kernel family — what the plan cache stores.
 ///
 /// Cloning is cheap (each variant is an `Arc`): concurrent tenants
 /// resolving the same plan share one lowered kernel, whatever the family.

@@ -267,33 +267,6 @@ impl Dag {
         Self::lower(expr, OptLevel::Full)
     }
 
-    /// Rebuild a DAG from its parts (the wire-deserialization seam used by
-    /// [`PortableKernel`](crate::portable::PortableKernel), so a receiving
-    /// rank reuses the sender's optimization instead of re-running it).
-    ///
-    /// Validates the structural invariants the evaluators rely on: a
-    /// non-empty node list, an in-range root, and children strictly
-    /// preceding their parents (so one forward pass evaluates the DAG).
-    pub fn from_parts(nodes: Vec<Node>, root: NodeId, stats: OptStats) -> Result<Self, String> {
-        if nodes.is_empty() {
-            return Err("DAG has no nodes".to_string());
-        }
-        if root >= nodes.len() {
-            return Err(format!("DAG root {root} out of range ({} nodes)", nodes.len()));
-        }
-        for (id, node) in nodes.iter().enumerate() {
-            let ok = match node {
-                Node::Load { .. } | Node::Const(_) | Node::Param(_) => true,
-                Node::Unary { a, .. } => *a < id,
-                Node::Binary { a, b, .. } => *a < id && *b < id,
-            };
-            if !ok {
-                return Err(format!("DAG node {id} references a non-preceding child"));
-            }
-        }
-        Ok(Dag { nodes, root, stats })
-    }
-
     /// The lowering statistics.
     pub fn stats(&self) -> OptStats {
         self.stats

@@ -380,25 +380,6 @@ impl CompiledKernel {
         }
     }
 
-    /// Build a kernel from an **already-optimized** DAG — the hydration path
-    /// of [`PortableKernel`](crate::portable::PortableKernel): the receiving
-    /// rank skips `Dag::lower` (the optimizer ran once, on the sending rank)
-    /// and only re-resolves the access plan and re-lowers the tape for its
-    /// own address space.  Both stages are deterministic, so the result is
-    /// bit-identical to the sender's kernel.
-    pub fn from_parts(
-        name: impl Into<String>,
-        num_params: usize,
-        dag: Dag,
-        extent: Extent,
-    ) -> Self {
-        assert_eq!(extent.nz, 1, "the subkernel IR targets 2-D blocks");
-        let plan = AccessPlan::build(&dag.offsets(), extent.nx, extent.ny);
-        let tape = ExecTape::lower(&dag, &plan);
-        let spec = SpecializedKernel::try_match(&tape, &plan);
-        CompiledKernel { name: name.into(), num_params, dag, plan, tape, spec }
-    }
-
     /// The program name.
     pub fn name(&self) -> &str {
         &self.name

@@ -1,50 +1,27 @@
-//! The wire form of a compiled kernel: what crosses rank boundaries.
+//! The wire form of a kernel plan: a program, its block shape and its
+//! optimization level as bytes.
 //!
-//! A [`PortableKernel`] is the serializable, fingerprint-stamped form of a
-//! compiled plan — the validated program of **any kernel family** (see
-//! [`crate::family`]), the block shape its plan is resolved for, the
-//! optimization level, and (for the stencil family's *compiled* form) the
-//! sender's **optimized DAG**.  It is what the cluster's plan-sharing
-//! protocol ships between service nodes: ranks never share address space
-//! (see `aohpc_runtime::comm`), so a plan travels as bytes and is
-//! **re-lowered** on the receiving rank — but only the address-space-local
-//! stages re-run.  [`PortableKernel::hydrate`] of a compiled stencil form
-//! skips `Dag::lower` entirely (the optimizer pipeline — CSE, constant
-//! folding, algebraic simplification — runs once per cluster, on the
-//! compiling rank) and only re-resolves the access plan and re-lowers the
-//! execution tape.  Every stage is deterministic for every family, so
-//! hydration yields an artifact bit-identical to the sender's — the
-//! property the cluster equivalence tests assert.
-//!
-//! Two forms share the codec:
-//!
-//! * [`PortableKernel::pack`] — the *request* form (program + shape + level,
-//!   no DAG): cheap to build, enough for a peer to compile a plan it has
-//!   never seen.
-//! * [`PortableKernel::from_compiled`] — the *compiled* form: for stencils
-//!   it adds the optimized DAG cloned out of an existing kernel (no
-//!   re-lowering on the sending side); the particle and usgrid families'
-//!   lowering is a deterministic constant-time step, so their compiled form
-//!   coincides with the request form.
+//! A [`PortableKernel`] is the serializable, fingerprint-stamped request for
+//! a plan of **any kernel family** (see [`crate::family`]): the validated
+//! program, the block extent and the optimization level — exactly the key a
+//! plan cache compiles under.  Nothing in the product ships it: every cluster
+//! node compiles its own plans.  It stays, with its frame checks, because the
+//! layer ledger under `benchmark/` still times a pack → bytes → decode →
+//! hydrate round trip; it waits for ROADMAP B1, which stops that import.
+//! [`PortableKernel::hydrate`] compiles the decoded program, so the artifact
+//! is bit-identical to a local compile.
 //!
 //! The encoding is versioned and self-validating:
 //!
-//! * a magic/version header rejects frames from foreign protocols or future
-//!   incompatible releases, and a **family tag** right after the version
-//!   routes the payload decoder — a frame can never hydrate under the wrong
-//!   family;
+//! * a magic/version header rejects frames from foreign protocols or other
+//!   releases, and a **family tag** right after the version routes the
+//!   payload decoder — a frame can never hydrate under the wrong family;
 //! * the sender's [`ProgramFingerprint`] is stamped into the frame, and
 //!   [`PortableKernel::from_bytes`] recomputes the fingerprint of the decoded
-//!   program and refuses the frame on mismatch — a corrupted or mis-routed
-//!   plan can never hydrate into the wrong kernel;
-//! * an embedded DAG is checked for structural soundness (topological child
-//!   order, in-range root) and consistency with the stamped program (every
-//!   DAG load offset appears in the program, every DAG parameter is
-//!   declared);
-//! * a whole-frame integrity digest (trailing 16 bytes) catches in-transit
-//!   corruption the structural checks cannot see — a flipped DAG constant
-//!   in particular — and claimed block extents are bounded so a malformed
-//!   request cannot make the serving rank compile a terabyte-scale plan.
+//!   program and refuses the frame on mismatch;
+//! * a whole-frame integrity digest (trailing 16 bytes) catches corruption
+//!   the structural checks cannot see, and claimed block extents are bounded
+//!   so a malformed frame cannot ask for a terabyte-scale plan.
 //!
 //! No external serialization dependency exists in this offline workspace, so
 //! the codec is a small hand-rolled little-endian format reusing each
@@ -56,27 +33,20 @@ use crate::family::{
     FamilyArtifact, FamilyProgram, KernelFamilyId, PairLaw, ParticleProgram, UsGridProgram,
     MAX_USGRID_NEIGHBORS,
 };
-use crate::opt::{Dag, Node, OptLevel, OptStats};
+use crate::opt::OptLevel;
 use crate::program::{ProgramFingerprint, StencilProgram};
-use crate::spec::SpecializationId;
 use aohpc_env::Extent;
 use std::fmt;
 
 /// Frame magic: "AOPK" (AOhpc Portable Kernel).
 const MAGIC: [u8; 4] = *b"AOPK";
-/// The wire-format version, and the only one accepted: the cluster is always
-/// homogeneous, so there is no compatibility shim.  Version 2 added the
-/// family tag byte to the header; version 3 appends a three-byte
-/// specialization annotation (`[tag, neighbors, form]`, see
-/// [`crate::spec::SpecializationId`]) after the family payload.
-const VERSION: u16 = 3;
-/// Upper bound on wire-claimed DAG sizes (a hostility guard far above any
-/// real subkernel, not a functional limit).
-const MAX_DAG_NODES: usize = 1 << 20;
-/// Upper bound on either side of a wire-claimed block extent.  Compiling a
-/// plan walks every cell, and a request frame's extent is compiled *by the
-/// owner's single fabric thread* — an unbounded claim would let one
-/// malformed frame wedge a node's whole control plane.
+/// The wire-format version, and the only one accepted (there is no
+/// compatibility shim).  Version 4 dropped version 3's compiled form: the
+/// optimized DAG and the specialization annotation no longer travel.
+const VERSION: u16 = 4;
+/// Upper bound on either side of a wire-claimed block extent.  Hydrating a
+/// frame compiles its plan, which walks every cell — an unbounded claim
+/// would let one malformed frame stall its reader.
 const MAX_EXTENT_SIDE: usize = 1 << 16;
 /// Upper bound on total wire-claimed block cells (same rationale; far above
 /// the paper-scale 64x64 blocks).
@@ -97,7 +67,7 @@ pub enum PortableError {
     /// The optimization-level byte is out of range.
     BadLevel(u8),
     /// The claimed block extent is degenerate or implausibly large
-    /// (compiling it would be a denial of service on the serving rank).
+    /// (compiling it would be a denial of service on the reader).
     BadExtent {
         /// Claimed block width.
         nx: usize,
@@ -105,16 +75,12 @@ pub enum PortableError {
         ny: usize,
     },
     /// The frame decoded but its integrity digest does not match: modified
-    /// in transit (the digest covers the whole frame, including DAG
-    /// constants that no structural check can verify).
+    /// in transit (the digest covers the whole frame).
     CorruptFrame,
     /// The embedded expression failed to decode (reason inside).
     BadExpr(String),
     /// The decoded program payload failed validation (reason inside).
     BadProgram(String),
-    /// The embedded DAG is malformed or inconsistent with the program
-    /// (reason inside).
-    BadDag(String),
     /// The stamped fingerprint does not match the decoded program — the
     /// frame was corrupted or mis-assembled and must not be hydrated.
     FingerprintMismatch {
@@ -147,7 +113,6 @@ impl fmt::Display for PortableError {
             }
             PortableError::BadExpr(reason) => write!(f, "bad expression payload: {reason}"),
             PortableError::BadProgram(reason) => write!(f, "decoded program is invalid: {reason}"),
-            PortableError::BadDag(reason) => write!(f, "bad DAG payload: {reason}"),
             PortableError::FingerprintMismatch { stamped, actual } => write!(
                 f,
                 "fingerprint mismatch: frame stamped {stamped}, decoded program is {actual}"
@@ -161,12 +126,12 @@ impl fmt::Display for PortableError {
 
 impl std::error::Error for PortableError {}
 
-/// A serializable, fingerprint-stamped compiled-kernel form of any family.
+/// A serializable, fingerprint-stamped plan request of any family.
 ///
-/// See the [module docs](self) for the two forms and the role they play in
-/// cluster plan sharing.  Ship via [`PortableKernel::to_bytes`], rebuild
-/// with [`PortableKernel::from_bytes`], and turn back into an executable
-/// plan with [`PortableKernel::hydrate`].
+/// Serialize with [`PortableKernel::to_bytes`], rebuild with
+/// [`PortableKernel::from_bytes`], and compile into an executable plan with
+/// [`PortableKernel::hydrate`].  See the [module docs](self) for why it
+/// stays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortableKernel {
     program: FamilyProgram,
@@ -174,20 +139,12 @@ pub struct PortableKernel {
     ny: usize,
     level: OptLevel,
     fingerprint: ProgramFingerprint,
-    /// The sender's optimized DAG (stencil compiled form only): hydration
-    /// reuses it instead of re-running the optimizer.
-    dag: Option<Dag>,
-    /// The sender's specialization verdict (v3 frames; advisory).  The
-    /// receiving rank re-derives specialization during hydration — the
-    /// matcher is deterministic, so a mismatch can only mean frame
-    /// tampering the digest already catches, never a semantic drift.
-    spec: SpecializationId,
 }
 
 impl PortableKernel {
-    /// Capture the *request* form of `(program, extent, level)` — the exact
-    /// key the plan caches compile under, with no compiled artifact
-    /// attached.  Cheap: no lowering happens here.
+    /// Capture `(program, extent, level)` — the exact key the plan caches
+    /// compile under.  Cheap: no lowering happens here.  Waits for ROADMAP
+    /// B1: the ledger's portable round trip is its only caller.
     pub fn pack(program: &FamilyProgram, extent: Extent, level: OptLevel) -> Self {
         PortableKernel {
             fingerprint: program.fingerprint(),
@@ -195,33 +152,6 @@ impl PortableKernel {
             nx: extent.nx,
             ny: extent.ny,
             level,
-            dag: None,
-            spec: SpecializationId::Generic,
-        }
-    }
-
-    /// Capture the *compiled* form: the request fields plus — for the
-    /// stencil family — the optimized DAG cloned out of `artifact`, so the
-    /// receiver skips the optimizer.  No re-lowering happens on this side
-    /// either.  For the particle and usgrid families, whose lowering is a
-    /// constant-time deterministic step, the compiled form equals the
-    /// request form.
-    pub fn from_compiled(
-        program: &FamilyProgram,
-        artifact: &FamilyArtifact,
-        level: OptLevel,
-    ) -> Self {
-        PortableKernel {
-            fingerprint: program.fingerprint(),
-            program: program.clone(),
-            nx: artifact.extent().nx,
-            ny: artifact.extent().ny,
-            level,
-            dag: artifact.as_stencil().map(|k| k.dag().clone()),
-            spec: artifact
-                .as_stencil()
-                .map(|k| k.specialization())
-                .unwrap_or(SpecializationId::Generic),
         }
     }
 
@@ -250,22 +180,7 @@ impl PortableKernel {
         self.level
     }
 
-    /// Whether this is the compiled stencil form (carries the sender's DAG).
-    pub fn carries_dag(&self) -> bool {
-        self.dag.is_some()
-    }
-
-    /// The sender's specialization verdict carried by the frame (v3).
-    ///
-    /// Advisory: [`PortableKernel::hydrate`] re-runs the deterministic
-    /// shape matcher, so the hydrated artifact's specialization is always
-    /// recomputed locally.  Version-2 frames are refused by
-    /// [`PortableKernel::from_bytes`], so every decoded frame carries one.
-    pub fn specialization(&self) -> SpecializationId {
-        self.spec
-    }
-
-    /// Serialize to the versioned wire format.
+    /// Serialize to the versioned wire format.  Waits for ROADMAP B1.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(96 + self.program.name().len());
         out.extend_from_slice(&MAGIC);
@@ -285,13 +200,6 @@ impl PortableKernel {
         match &self.program {
             FamilyProgram::Stencil(p) => {
                 p.expr().encode_canonical(&mut |bytes| out.extend_from_slice(bytes));
-                match &self.dag {
-                    None => out.push(0),
-                    Some(dag) => {
-                        out.push(1);
-                        encode_dag(dag, &mut out);
-                    }
-                }
             }
             FamilyProgram::Particle(p) => {
                 out.push(p.law().tag());
@@ -305,29 +213,18 @@ impl PortableKernel {
                 }
             }
         }
-        // v3: specialization annotation `[tag, neighbors, form]`, digest
-        // covered.  Advisory — receivers re-derive it during hydration.
-        match self.spec {
-            SpecializationId::Generic => out.extend_from_slice(&[0, 0, 0]),
-            SpecializationId::WeightedSum { neighbors, form } => {
-                out.extend_from_slice(&[1, neighbors, form]);
-            }
-        }
         // Integrity digest over everything above.  The fingerprint stamp
         // only covers the *program*; the digest covers the whole frame —
-        // in particular the DAG, whose constants the program-consistency
-        // checks cannot see — so in-transit corruption can never hydrate
-        // into a kernel computing different mathematics.  (Integrity, not
-        // authentication: a peer is trusted, the wire is not.)
+        // shape and level included.  (Integrity, not authentication.)
         let digest = frame_digest(&out);
         out.extend_from_slice(&digest.to_le_bytes());
         out
     }
 
-    /// Decode and fully validate a frame: magic, version, family, program
-    /// validity, the fingerprint stamp (recomputed from the decoded
-    /// payload), and — for the compiled stencil form — DAG soundness and
-    /// program consistency.
+    /// Decode and fully validate a frame: magic, version, family, level,
+    /// extent bounds, program validity, the fingerprint stamp (recomputed
+    /// from the decoded payload) and the whole-frame digest.  Waits for
+    /// ROADMAP B1, with every one of these checks.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PortableError> {
         let mut pos = 0usize;
         if take(bytes, &mut pos, 4)? != MAGIC {
@@ -359,18 +256,10 @@ impl PortableKernel {
         let num_params = take_u64(bytes, &mut pos)? as usize;
         let name_len = take_u32(bytes, &mut pos)? as usize;
         let name = String::from_utf8_lossy(take(bytes, &mut pos, name_len)?).into_owned();
-        let mut dag = None;
         let program = match family {
             KernelFamilyId::Stencil => {
                 let expr = KernelExpr::decode_canonical(bytes, &mut pos)
                     .map_err(PortableError::BadExpr)?;
-                dag = match take(bytes, &mut pos, 1)?[0] {
-                    0 => None,
-                    1 => Some(decode_dag(bytes, &mut pos)?),
-                    b => {
-                        return Err(PortableError::BadDag(format!("unknown DAG presence flag {b}")))
-                    }
-                };
                 FamilyProgram::Stencil(
                     StencilProgram::new(name, expr, num_params)
                         .map_err(|e| PortableError::BadProgram(e.to_string()))?,
@@ -405,13 +294,6 @@ impl PortableKernel {
                 )
             }
         };
-        // The specialization annotation (advisory: hydration re-specializes).
-        let payload = take(bytes, &mut pos, 3)?;
-        let spec = match payload[0] {
-            0 => SpecializationId::Generic,
-            1 => SpecializationId::WeightedSum { neighbors: payload[1], form: payload[2] },
-            t => return Err(PortableError::BadProgram(format!("unknown specialization tag {t}"))),
-        };
         let stated = u128::from_le_bytes(take(bytes, &mut pos, 16)?.try_into().expect("sixteen"));
         if pos != bytes.len() {
             return Err(PortableError::TrailingBytes(bytes.len() - pos));
@@ -420,40 +302,20 @@ impl PortableKernel {
         if actual != stamped {
             return Err(PortableError::FingerprintMismatch { stamped, actual });
         }
-        if let (Some(dag), FamilyProgram::Stencil(p)) = (&dag, &program) {
-            verify_dag_against(dag, p)?;
-        }
         // Whole-frame integrity last: anything that decoded cleanly but was
-        // modified in transit — most importantly a DAG constant, which no
-        // structural check can catch — is refused here.
+        // modified in transit is refused here.
         if frame_digest(&bytes[..bytes.len() - 16]) != stated {
             return Err(PortableError::CorruptFrame);
         }
-        Ok(PortableKernel { program, nx, ny, level, fingerprint: stamped, dag, spec })
+        Ok(PortableKernel { program, nx, ny, level, fingerprint: stamped })
     }
 
-    /// Turn the portable form back into an executable plan on this rank.
-    ///
-    /// A compiled stencil form reuses the embedded optimized DAG and only
-    /// re-resolves the access plan and re-lowers the tape
-    /// ([`crate::plan::CompiledKernel::from_parts`]); every other path falls
-    /// back to the family's deterministic compile.  All paths are
-    /// deterministic, so the resulting artifact is bit-identical to the
-    /// sending rank's.  Returns the embedded program alongside the artifact
-    /// so caches can store it for structural hit verification.
+    /// Compile the frame into an executable plan: the family's
+    /// deterministic compile of the embedded program, so the artifact is
+    /// bit-identical to a local compile.  Returns the embedded program
+    /// alongside the artifact.  Waits for ROADMAP B1.
     pub fn hydrate(&self) -> (FamilyProgram, FamilyArtifact) {
-        let artifact = match (&self.dag, &self.program) {
-            (Some(dag), FamilyProgram::Stencil(p)) => FamilyArtifact::Stencil(std::sync::Arc::new(
-                crate::plan::CompiledKernel::from_parts(
-                    p.name(),
-                    p.num_params(),
-                    dag.clone(),
-                    self.extent(),
-                ),
-            )),
-            _ => self.program.compile(self.extent(), self.level),
-        };
-        (self.program.clone(), artifact)
+        (self.program.clone(), self.program.compile(self.extent(), self.level))
     }
 }
 
@@ -489,153 +351,19 @@ fn frame_digest(bytes: &[u8]) -> u128 {
     (u128::from(hi) << 64) | u128::from(lo)
 }
 
-fn encode_dag(dag: &Dag, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(dag.len() as u32).to_le_bytes());
-    for node in dag.nodes() {
-        match node {
-            Node::Load { dx, dy } => {
-                out.push(1);
-                out.extend_from_slice(&dx.to_le_bytes());
-                out.extend_from_slice(&dy.to_le_bytes());
-            }
-            Node::Const(bits) => {
-                out.push(2);
-                out.extend_from_slice(&bits.to_le_bytes());
-            }
-            Node::Param(i) => {
-                out.push(3);
-                out.extend_from_slice(&(*i as u64).to_le_bytes());
-            }
-            Node::Unary { op, a } => {
-                out.push(4);
-                out.push(*op as u8);
-                out.extend_from_slice(&(*a as u32).to_le_bytes());
-            }
-            Node::Binary { op, a, b } => {
-                out.push(5);
-                out.push(*op as u8);
-                out.extend_from_slice(&(*a as u32).to_le_bytes());
-                out.extend_from_slice(&(*b as u32).to_le_bytes());
-            }
-        }
-    }
-    out.extend_from_slice(&(dag.root() as u32).to_le_bytes());
-    let stats = dag.stats();
-    for v in [
-        stats.tree_nodes,
-        stats.dag_nodes,
-        stats.cse_merges,
-        stats.constants_folded,
-        stats.identities_simplified,
-    ] {
-        out.extend_from_slice(&(v as u64).to_le_bytes());
-    }
-}
-
-fn decode_dag(bytes: &[u8], pos: &mut usize) -> Result<Dag, PortableError> {
-    use crate::expr::{BinOp, UnaryOp};
-    let count = take_u32(bytes, pos)? as usize;
-    if count > MAX_DAG_NODES {
-        return Err(PortableError::BadDag(format!("{count} nodes exceeds the frame bound")));
-    }
-    let mut nodes = Vec::with_capacity(count);
-    for _ in 0..count {
-        let node = match take(bytes, pos, 1)?[0] {
-            1 => {
-                let dx = i64::from_le_bytes(take(bytes, pos, 8)?.try_into().expect("8"));
-                let dy = i64::from_le_bytes(take(bytes, pos, 8)?.try_into().expect("8"));
-                Node::Load { dx, dy }
-            }
-            2 => Node::Const(take_u64(bytes, pos)?),
-            3 => Node::Param(take_u64(bytes, pos)? as usize),
-            4 => {
-                let op = match take(bytes, pos, 1)?[0] {
-                    0 => UnaryOp::Neg,
-                    1 => UnaryOp::Abs,
-                    2 => UnaryOp::Sqrt,
-                    b => return Err(PortableError::BadDag(format!("unknown unary op {b}"))),
-                };
-                Node::Unary { op, a: take_u32(bytes, pos)? as usize }
-            }
-            5 => {
-                let op = match take(bytes, pos, 1)?[0] {
-                    0 => BinOp::Add,
-                    1 => BinOp::Sub,
-                    2 => BinOp::Mul,
-                    3 => BinOp::Div,
-                    4 => BinOp::Min,
-                    5 => BinOp::Max,
-                    b => return Err(PortableError::BadDag(format!("unknown binary op {b}"))),
-                };
-                Node::Binary {
-                    op,
-                    a: take_u32(bytes, pos)? as usize,
-                    b: take_u32(bytes, pos)? as usize,
-                }
-            }
-            t => return Err(PortableError::BadDag(format!("unknown node tag {t}"))),
-        };
-        nodes.push(node);
-    }
-    let root = take_u32(bytes, pos)? as usize;
-    let stats = OptStats {
-        tree_nodes: take_u64(bytes, pos)? as usize,
-        dag_nodes: take_u64(bytes, pos)? as usize,
-        cse_merges: take_u64(bytes, pos)? as usize,
-        constants_folded: take_u64(bytes, pos)? as usize,
-        identities_simplified: take_u64(bytes, pos)? as usize,
-    };
-    Dag::from_parts(nodes, root, stats).map_err(PortableError::BadDag)
-}
-
-/// The DAG must be *derivable* from the stamped program: the optimizer only
-/// removes or merges loads (never invents offsets) and never references
-/// undeclared parameters.  A frame violating either was not produced by
-/// compiling this program and must not hydrate.
-fn verify_dag_against(dag: &Dag, program: &StencilProgram) -> Result<(), PortableError> {
-    for node in dag.nodes() {
-        match node {
-            Node::Load { dx, dy } if !program.offsets().contains(&(*dx, *dy)) => {
-                return Err(PortableError::BadDag(format!(
-                    "DAG loads ({dx},{dy}), which the program never references"
-                )));
-            }
-            Node::Param(i) if *i >= program.num_params() => {
-                return Err(PortableError::BadDag(format!(
-                    "DAG references parameter {i}, but only {} are declared",
-                    program.num_params()
-                )));
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{load, param};
     use crate::plan::CompiledKernel;
-    use std::sync::Arc;
-
-    fn jacobi_compiled() -> (StencilProgram, CompiledKernel) {
-        let p = StencilProgram::jacobi_5pt();
-        let k = CompiledKernel::compile(&p, Extent::new2d(16, 8), OptLevel::Full);
-        (p, k)
-    }
 
     fn jacobi_portable() -> PortableKernel {
-        let (p, k) = jacobi_compiled();
-        PortableKernel::from_compiled(
-            &FamilyProgram::from(p),
-            &FamilyArtifact::Stencil(Arc::new(k)),
-            OptLevel::Full,
-        )
+        let p = FamilyProgram::from(StencilProgram::jacobi_5pt());
+        PortableKernel::pack(&p, Extent::new2d(16, 8), OptLevel::Full)
     }
 
     #[test]
-    fn both_stencil_forms_roundtrip() {
+    fn stencil_frames_roundtrip() {
         for program in [
             StencilProgram::jacobi_5pt(),
             StencilProgram::smooth_9pt(),
@@ -645,26 +373,15 @@ mod tests {
             for level in [OptLevel::None, OptLevel::Full] {
                 let extent = Extent::new2d(12, 5);
                 let wrapped = FamilyProgram::from(program.clone());
-                let request = PortableKernel::pack(&wrapped, extent, level);
-                assert!(!request.carries_dag());
-                let kernel = CompiledKernel::compile(&program, extent, level);
-                let compiled = PortableKernel::from_compiled(
-                    &wrapped,
-                    &FamilyArtifact::Stencil(Arc::new(kernel)),
-                    level,
-                );
-                assert!(compiled.carries_dag());
-                for packed in [request, compiled] {
-                    let decoded =
-                        PortableKernel::from_bytes(&packed.to_bytes()).expect("roundtrip");
-                    assert_eq!(decoded, packed);
-                    assert_eq!(decoded.family(), KernelFamilyId::Stencil);
-                    assert_eq!(decoded.program().name(), program.name());
-                    assert!(decoded.program().same_structure(&wrapped));
-                    assert_eq!(decoded.extent(), extent);
-                    assert_eq!(decoded.level(), level);
-                    assert_eq!(decoded.fingerprint(), program.fingerprint());
-                }
+                let packed = PortableKernel::pack(&wrapped, extent, level);
+                let decoded = PortableKernel::from_bytes(&packed.to_bytes()).expect("roundtrip");
+                assert_eq!(decoded, packed);
+                assert_eq!(decoded.family(), KernelFamilyId::Stencil);
+                assert_eq!(decoded.program().name(), program.name());
+                assert!(decoded.program().same_structure(&wrapped));
+                assert_eq!(decoded.extent(), extent);
+                assert_eq!(decoded.level(), level);
+                assert_eq!(decoded.fingerprint(), program.fingerprint());
             }
         }
     }
@@ -677,21 +394,14 @@ mod tests {
             FamilyProgram::from(UsGridProgram::jacobi4()),
         ] {
             for level in [OptLevel::None, OptLevel::Full] {
-                let request = PortableKernel::pack(&program, extent, level);
-                assert!(!request.carries_dag());
-                let artifact = program.compile(extent, level);
-                let compiled = PortableKernel::from_compiled(&program, &artifact, level);
-                assert!(!compiled.carries_dag(), "only stencils carry a DAG");
-                for packed in [request, compiled] {
-                    let decoded =
-                        PortableKernel::from_bytes(&packed.to_bytes()).expect("roundtrip");
-                    assert_eq!(decoded, packed);
-                    assert_eq!(decoded.family(), program.family());
-                    assert!(decoded.program().same_structure(&program));
-                    assert_eq!(decoded.extent(), extent);
-                    assert_eq!(decoded.level(), level);
-                    assert_eq!(decoded.fingerprint(), program.fingerprint());
-                }
+                let packed = PortableKernel::pack(&program, extent, level);
+                let decoded = PortableKernel::from_bytes(&packed.to_bytes()).expect("roundtrip");
+                assert_eq!(decoded, packed);
+                assert_eq!(decoded.family(), program.family());
+                assert!(decoded.program().same_structure(&program));
+                assert_eq!(decoded.extent(), extent);
+                assert_eq!(decoded.level(), level);
+                assert_eq!(decoded.fingerprint(), program.fingerprint());
             }
         }
     }
@@ -721,77 +431,16 @@ mod tests {
     }
 
     #[test]
-    fn hydration_reuses_the_dag_and_is_bit_identical() {
-        let (_, local) = jacobi_compiled();
+    fn a_version3_frame_is_refused() {
+        // A frame relabelled as version 3 (the compiled form's format),
+        // digest recomputed so only the version is wrong: there is no
+        // decoder for it.
         let wire = jacobi_portable().to_bytes();
-        let decoded = PortableKernel::from_bytes(&wire).unwrap();
-        assert!(decoded.carries_dag(), "the compiled form travelled");
-        let (program, artifact) = decoded.hydrate();
-        let remote = artifact.as_stencil().expect("stencil artifact");
-        // The sender's DAG — optimization statistics included — arrived
-        // verbatim: the optimizer did not re-run on this side.
-        assert_eq!(remote.dag(), local.dag(), "DAG reused, not re-lowered");
-        assert_eq!(remote.tape(), local.tape(), "re-lowered tape is bit-identical");
-        assert_eq!(remote.plan(), local.plan(), "access plan resolves identically");
-        assert!(program.same_structure(&FamilyProgram::from(StencilProgram::jacobi_5pt())));
-    }
-
-    #[test]
-    fn specialization_annotation_travels_and_matches_recomputation() {
-        // jacobi qualifies for the weighted-sum specialization; the v3
-        // frame carries the sender's verdict, and hydration re-derives the
-        // exact same one on the receiving rank.
-        let packed = jacobi_portable();
-        assert_ne!(packed.specialization(), SpecializationId::Generic);
-        let decoded = PortableKernel::from_bytes(&packed.to_bytes()).expect("roundtrip");
-        assert_eq!(decoded.specialization(), packed.specialization());
-        let (_, artifact) = decoded.hydrate();
-        assert_eq!(
-            artifact.as_stencil().expect("stencil").specialization(),
-            decoded.specialization(),
-            "carried annotation must match the receiver's recomputation"
-        );
-
-        // A shape the matcher refuses stays Generic on the wire too.
-        let edgy =
-            StencilProgram::new("edgy", (load(0, 0) - load(-3, 2)).abs().sqrt() / param(1), 3)
-                .unwrap();
-        let kernel = CompiledKernel::compile(&edgy, Extent::new2d(12, 5), OptLevel::Full);
-        let packed = PortableKernel::from_compiled(
-            &FamilyProgram::from(edgy),
-            &FamilyArtifact::Stencil(Arc::new(kernel)),
-            OptLevel::Full,
-        );
-        assert_eq!(packed.specialization(), SpecializationId::Generic);
-        let decoded = PortableKernel::from_bytes(&packed.to_bytes()).unwrap();
-        assert_eq!(decoded.specialization(), SpecializationId::Generic);
-    }
-
-    #[test]
-    fn a_version2_frame_is_refused() {
-        // A well-formed pre-specialization v2 frame: version bytes rewound,
-        // the three-byte spec annotation dropped, digest recomputed over the
-        // shortened body.  No fleet ever ran v2, so it is not accepted.
-        let wire = jacobi_portable().to_bytes();
-        let body_len = wire.len() - 16 - 3;
-        let mut v2 = wire[..body_len].to_vec();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let digest = frame_digest(&v2);
-        v2.extend_from_slice(&digest.to_le_bytes());
-
-        assert_eq!(PortableKernel::from_bytes(&v2), Err(PortableError::UnsupportedVersion(2)));
-    }
-
-    #[test]
-    fn unknown_specialization_tags_are_refused() {
-        let wire = jacobi_portable().to_bytes();
-        let tag_pos = wire.len() - 16 - 3;
-        let mut forged = wire[..tag_pos].to_vec();
-        forged.extend_from_slice(&[9, 0, 0]);
-        let digest = frame_digest(&forged);
-        forged.extend_from_slice(&digest.to_le_bytes());
-        let err = PortableKernel::from_bytes(&forged).unwrap_err();
-        assert!(matches!(err, PortableError::BadProgram(ref m) if m.contains("specialization")));
+        let mut v3 = wire[..wire.len() - 16].to_vec();
+        v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+        let digest = frame_digest(&v3);
+        v3.extend_from_slice(&digest.to_le_bytes());
+        assert_eq!(PortableKernel::from_bytes(&v3), Err(PortableError::UnsupportedVersion(3)));
     }
 
     #[test]
@@ -882,7 +531,6 @@ mod tests {
                 PortableError::FingerprintMismatch { .. }
                     | PortableError::BadExpr(_)
                     | PortableError::BadProgram(_)
-                    | PortableError::BadDag(_)
                     | PortableError::Truncated
                     | PortableError::TrailingBytes(_)
             ),
@@ -894,10 +542,9 @@ mod tests {
     #[test]
     fn any_single_byte_corruption_is_refused() {
         // Every byte of the frame is covered by either a structural check,
-        // the fingerprint stamp, or the whole-frame digest — including DAG
-        // constants, which no structural check can see.  Flip one bit at
-        // every position (digest bytes included) and demand rejection —
-        // for every family's frame shape.
+        // the fingerprint stamp, or the whole-frame digest.  Flip one bit at
+        // every position (digest bytes included) and demand rejection — for
+        // every family's frame shape.
         for wire in [
             jacobi_portable().to_bytes(),
             PortableKernel::pack(
@@ -979,38 +626,5 @@ mod tests {
         let mut wire = packed.to_bytes();
         wire[expr_start] = 99;
         assert!(matches!(PortableKernel::from_bytes(&wire), Err(PortableError::BadExpr(_))));
-    }
-
-    #[test]
-    fn inconsistent_dags_are_refused() {
-        use crate::expr::BinOp;
-        let p = FamilyProgram::from(StencilProgram::jacobi_5pt());
-        let nx_ny = Extent::new2d(8, 8);
-
-        // A DAG loading an offset the program never references.
-        let alien = Dag::from_parts(vec![Node::Load { dx: 7, dy: 7 }], 0, OptStats::default())
-            .expect("structurally sound");
-        let mut forged = PortableKernel::pack(&p, nx_ny, OptLevel::Full);
-        forged.dag = Some(alien);
-        let err = PortableKernel::from_bytes(&forged.to_bytes()).unwrap_err();
-        assert!(matches!(err, PortableError::BadDag(ref m) if m.contains("never references")));
-
-        // A DAG referencing an undeclared parameter.
-        let greedy = Dag::from_parts(vec![Node::Param(9)], 0, OptStats::default()).unwrap();
-        let mut forged = PortableKernel::pack(&p, nx_ny, OptLevel::Full);
-        forged.dag = Some(greedy);
-        let err = PortableKernel::from_bytes(&forged.to_bytes()).unwrap_err();
-        assert!(matches!(err, PortableError::BadDag(ref m) if m.contains("parameter")));
-
-        // Structural unsoundness (forward reference) is caught by
-        // Dag::from_parts during decode.
-        assert!(Dag::from_parts(
-            vec![Node::Binary { op: BinOp::Add, a: 0, b: 1 }],
-            0,
-            OptStats::default()
-        )
-        .is_err());
-        assert!(Dag::from_parts(vec![], 0, OptStats::default()).is_err());
-        assert!(Dag::from_parts(vec![Node::Param(0)], 3, OptStats::default()).is_err());
     }
 }

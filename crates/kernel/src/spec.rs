@@ -66,8 +66,8 @@ use std::fmt;
 
 /// Which specialized super-instruction loop (if any) a compiled kernel runs.
 ///
-/// Recorded on the [`CompiledKernel`] artifact at compile time, carried
-/// through `PortableKernel` frames, and surfaced in the service's `JobReport`
+/// Recorded on the [`CompiledKernel`] artifact at compile time and surfaced
+/// in the service's `JobReport`
 /// so a run is always explainable: `Generic` means the interpreted tape,
 /// anything else names the monomorphic loop that replaced it.
 ///

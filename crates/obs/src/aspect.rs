@@ -7,7 +7,6 @@
 //! - [`ObsServiceAspect`] advises the service-plane join points
 //!   ([`names::SERVICE_EXECUTE`], [`names::CACHE_RESOLVE`],
 //!   [`names::KERNEL_SPECIALIZE`],
-//!   [`names::CLUSTER_PLAN_REQ`], [`names::CLUSTER_PLAN_REP`],
 //!   [`names::CLUSTER_SUSPECT`], [`names::CLUSTER_FAILOVER`],
 //!   [`names::CLUSTER_REJOIN`], [`names::CLUSTER_PARTITION`]).  One
 //!   instance is woven into the service's own program at construction; the
@@ -37,7 +36,7 @@ use std::sync::Arc;
 pub const OBS_PRECEDENCE: i32 = 10;
 
 /// Service-plane instrumentation: job execution, plan resolution, and
-/// cluster plan traffic.
+/// cluster liveness and failover.
 pub struct ObsServiceAspect {
     hub: Arc<ObsHub>,
 }
@@ -70,7 +69,7 @@ type EndAttr = (&'static str, i64);
 /// may have published them), file the metric, end the span.  The cluster rows
 /// run on fabric/pacemaker/supervisor threads with no job context: their
 /// spans are trace roots keyed by node.
-const SERVICE_BINDINGS: [(&str, JoinPointKind, EndAttr, EndAttr, Meter); 9] = {
+const SERVICE_BINDINGS: [(&str, JoinPointKind, EndAttr, EndAttr, Meter); 7] = {
     use attr::{FAMILY, JOB, NODE, OK, ORIGIN, STEP};
     use names::*;
     use JoinPointKind::{Call, Execution};
@@ -82,8 +81,6 @@ const SERVICE_BINDINGS: [(&str, JoinPointKind, EndAttr, EndAttr, Meter); 9] = {
         // Once per compile/cache insert, never per block: a span per verdict
         // is cheap.
         (KERNEL_SPECIALIZE, Call, (FAMILY, -1), (OK, 0), CountIfOk(|m| &m.specializations)),
-        (CLUSTER_PLAN_REQ, Call, (OK, 0), (NODE, -1), Elapsed(|m| &m.plan_fetch_ns)),
-        (CLUSTER_PLAN_REP, Execution, (NODE, -1), (OK, 0), Elapsed(|m| &m.plan_serve_ns)),
         (CLUSTER_SUSPECT, Call, (NODE, -1), (OK, -1), Count(|m| &m.suspicions)),
         (CLUSTER_FAILOVER, Execution, (NODE, -1), (JOB, -1), Count(|m| &m.failovers)),
         (CLUSTER_REJOIN, Call, (NODE, -1), (STEP, -1), Count(|m| &m.rejoins)),
@@ -360,14 +357,14 @@ mod tests {
             JoinPointKind::Call,
             &[(attr::TRACE, 9), (attr::PARENT, 1), (attr::FAMILY, 2)],
             &mut payload,
-            &mut |ctx| ctx.set_attr(attr::ORIGIN, 2),
+            &mut |ctx| ctx.set_attr(attr::ORIGIN, 1),
         );
         let spans = hub.recorder().spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, names::CACHE_RESOLVE);
         assert_eq!(spans[0].trace, 9);
         assert_eq!(spans[0].parent, 1);
-        assert_eq!(spans[0].a, 2, "origin published by the body");
+        assert_eq!(spans[0].a, 1, "origin published by the body");
         assert_eq!(hub.metrics().resolve_ns.count(), 1);
     }
 

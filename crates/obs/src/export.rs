@@ -9,7 +9,7 @@
 //! complete (`"ph":"X"`) event, each instant event an `"i"` event.  The
 //! *trace id* is mapped to the `pid` field so every job groups into its own
 //! process row, with the recorder's thread index as `tid`; span/parent ids
-//! ride in `args` so the job → superstep → block → fetch tree stays
+//! ride in `args` so the job → superstep → block tree stays
 //! reconstructible from the file alone.
 
 use crate::trace::SpanRecord;

@@ -6,8 +6,8 @@
 //! instead two aspect modules ([`ObsServiceAspect`], [`ObsRunAspect`])
 //! register advice at the platform's canonical join points
 //! (`Service::execute_spec`, `PlanCache::resolve`, `Kernel::execute_block`,
-//! `Cluster::plan_req`/`plan_rep`, `Annotation::Initialize`/`KernelStep`/
-//! `Finalize`), and the service weaves them in only when an [`ObsHub`] is
+//! the `Cluster::*` liveness and failover points,
+//! `Annotation::Initialize`/`KernelStep`/`Finalize`), and the service weaves them in only when an [`ObsHub`] is
 //! installed.  With no hub the dispatch sites are gated off entirely, so the
 //! uninstrumented path stays within noise of the seed (enforced by
 //! `bench_obs`).
@@ -20,8 +20,8 @@
 //!   `FakeClock` tests are deterministic, and the record path is
 //!   allocation-free after warmup.
 //! - [`Metrics`] — counters plus fixed-bucket [`Histogram`]s for the SLO
-//!   surface: queue-wait p50/p99, resolve/execute latency, plan fetch/serve
-//!   latency, worker utilization, and per-fingerprint kernel throughput.
+//!   surface: queue-wait p50/p99, resolve/execute latency, worker
+//!   utilization, and per-fingerprint kernel throughput.
 //! - Exporters — [`chrome_trace_json`] (loadable in `chrome://tracing` /
 //!   Perfetto), [`json_lines`], and the human-readable, cross-validated
 //!   [`ObsSnapshot`].
@@ -52,7 +52,7 @@ use std::sync::Arc;
 ///
 /// Create one (usually via [`ObsHub::new`]) and hand it to
 /// `KernelService::with_observer` / `ClusterService::with_observer`; every
-/// node of a cluster shares the same hub so cross-node spans land in one
+/// node of a cluster shares the same hub so every node's spans land in one
 /// flight recorder.
 pub struct ObsHub {
     recorder: TraceRecorder,

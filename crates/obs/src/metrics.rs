@@ -3,7 +3,7 @@
 //! The [`Metrics`] registry unifies the stack's previously isolated stat
 //! islands under one roof: queue-wait / resolve / execute latency histograms
 //! (the p50/p99 SLO metrics), job outcome counters, worker-pool busy time,
-//! cluster plan-fetch/serve latency, and per-fingerprint kernel throughput.
+//! cluster liveness counters, and per-fingerprint kernel throughput.
 //!
 //! Histograms use 65 fixed power-of-two buckets (value `v` lands in bucket
 //! `⌈log2(v+1)⌉`), so recording is an atomic increment with no allocation and
@@ -183,16 +183,12 @@ pub struct Metrics {
     pub jobs_failed: Counter,
     /// Admission-queue wait per job (dequeue time − admit time), nanoseconds.
     pub queue_wait_ns: Histogram,
-    /// Plan-resolution phase (cache hit / fetch / compile) per job.
+    /// Plan-resolution phase (cache hit / compile) per job.
     pub resolve_ns: Histogram,
     /// Execute phase per job.
     pub execute_ns: Histogram,
     /// Total nanoseconds workers spent running jobs (utilization numerator).
     pub worker_busy_ns: Counter,
-    /// Cross-node plan-fetch round trips (requester side).
-    pub plan_fetch_ns: Histogram,
-    /// Plan-request service time (owner side).
-    pub plan_serve_ns: Histogram,
     /// Failure-detector transitions recorded (a rank suspected or declared
     /// dead by some node's membership view).
     pub suspicions: Counter,

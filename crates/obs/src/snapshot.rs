@@ -5,7 +5,7 @@
 //! in plain observability-side types so the obs crate stays decoupled from
 //! service internals, and [`ObsSnapshot::validate`] cross-checks the
 //! invariants that previously had no single place to live — most importantly
-//! the plan-cache ledger `misses == compiles + fetches` and the cluster-wide
+//! the plan-cache ledger `misses == compiles` and the cluster-wide
 //! comm send/receive balance.
 
 use crate::metrics::HistogramSnapshot;
@@ -16,19 +16,14 @@ use std::fmt;
 pub struct CacheCounters {
     /// Resolutions served from a resident plan.
     pub hits: u64,
-    /// Resolutions that had to compile or fetch.
+    /// Resolutions that had to compile.
     pub misses: u64,
     /// Plans compiled locally.
     pub compiles: u64,
-    /// Plans fetched from a cluster peer.
-    pub fetches: u64,
     /// Plans evicted.
     pub evictions: u64,
     /// Fingerprint collisions detected.
     pub collisions: u64,
-    /// Compiles forced by a failed (not declined) cluster fetch — the
-    /// degraded fallback path, visible instead of silent.
-    pub degraded_resolves: u64,
     /// Per-family (hits, misses) lanes, in family-id order.
     pub lanes: Vec<(u64, u64)>,
 }
@@ -101,16 +96,10 @@ impl ObsSnapshot {
     pub fn validate(&self) -> Vec<String> {
         let mut violations = Vec::new();
         if let Some(cache) = &self.cache {
-            if cache.misses != cache.compiles + cache.fetches {
+            if cache.misses != cache.compiles {
                 violations.push(format!(
-                    "cache ledger broken: misses {} != compiles {} + fetches {}",
-                    cache.misses, cache.compiles, cache.fetches
-                ));
-            }
-            if cache.degraded_resolves > cache.compiles {
-                violations.push(format!(
-                    "degraded resolves {} exceed compiles {}",
-                    cache.degraded_resolves, cache.compiles
+                    "cache ledger broken: misses {} != compiles {}",
+                    cache.misses, cache.compiles
                 ));
             }
             let lane_hits: u64 = cache.lanes.iter().map(|(h, _)| h).sum();
@@ -197,8 +186,8 @@ impl fmt::Display for ObsSnapshot {
         if let Some(cache) = &self.cache {
             writeln!(
                 f,
-                "  plan cache: {} hits, {} misses ({} compiles + {} fetches), {} evictions",
-                cache.hits, cache.misses, cache.compiles, cache.fetches, cache.evictions
+                "  plan cache: {} hits, {} misses ({} compiles), {} evictions",
+                cache.hits, cache.misses, cache.compiles, cache.evictions
             )?;
         }
         if let Some(comm) = &self.comm {
@@ -225,11 +214,9 @@ mod tests {
             cache: Some(CacheCounters {
                 hits: 5,
                 misses: 3,
-                compiles: 2,
-                fetches: 1,
+                compiles: 3,
                 evictions: 0,
                 collisions: 0,
-                degraded_resolves: 0,
                 lanes: vec![(5, 2), (0, 1), (0, 0)],
             }),
             comm: Some(CommCounters {
@@ -264,7 +251,7 @@ mod tests {
     #[test]
     fn broken_cache_ledger_is_reported() {
         let mut snap = consistent();
-        snap.cache.as_mut().unwrap().fetches = 0;
+        snap.cache.as_mut().unwrap().compiles = 2;
         let violations = snap.validate();
         assert_eq!(violations.len(), 1, "only the ledger breaks: {violations:?}");
         assert!(violations[0].contains("cache ledger broken"));

@@ -16,7 +16,7 @@
 //! Cross-layer parenting uses a thread-local context stack
 //! ([`push_context`] / [`current_context`]): the service pushes the
 //! (trace, job-span) pair while a job runs on a worker thread, and deeper
-//! layers (cache resolution, cluster fetches) pick it up without any
+//! layers (cache resolution) pick it up without any
 //! signature threading.
 
 use crate::clock::Clock;

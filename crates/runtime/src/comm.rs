@@ -68,7 +68,7 @@ pub const LIVENESS_TAG_BASE: u32 = 0xF000_0000;
 /// One control-plane frame: an application-tagged byte payload.
 ///
 /// Tags are allocated by the subsystem using the plane (the cluster service
-/// reserves a few for plan sharing and shutdown, and liveness tags live at
+/// reserves one for shutdown, and liveness tags live at
 /// [`LIVENESS_TAG_BASE`] and up); the transport itself only routes and
 /// meters them.
 #[derive(Debug, Clone, PartialEq, Eq)]

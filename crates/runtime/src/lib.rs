@@ -12,7 +12,7 @@
 //!   symmetric send/receive) for the cost model.  The fabric is a
 //!   multiplexed transport — the superstep data plane shares the mesh with a
 //!   tagged control plane ([`ControlFrame`]) used for out-of-band
-//!   coordination such as the service cluster's plan sharing.  This
+//!   coordination such as the service cluster's liveness frames.  This
 //!   substitutes for MPI over Omni-Path, which is not available in this
 //!   environment.
 //! * [`MpiAspect`] and [`OmpAspect`] are the two prototype aspect modules of

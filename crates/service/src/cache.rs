@@ -1,13 +1,12 @@
-//! The sharded compiled-plan cache, with LRU eviction, entry pinning and a
-//! chained resolution path.
+//! The sharded compiled-plan cache, with LRU eviction and entry pinning.
 //!
 //! The paper's future-work "cache of data access resolution" is reified
 //! per-process by [`CompiledKernel::compile`]; this module makes it a shared,
-//! concurrent, *cluster-aware* resource: plans are keyed by the structural
-//! program fingerprint plus block shape and optimization level, so concurrent
+//! concurrent resource: plans are keyed by the structural program
+//! fingerprint plus block shape and optimization level, so concurrent
 //! tenants submitting the same mathematics share one `Arc<CompiledKernel>`
-//! instead of each paying the compile — and a mesh of service nodes shares
-//! them across ranks instead of each node paying it once.
+//! instead of each paying the compile.  Every node of a cluster owns one and
+//! compiles its own plans.
 //!
 //! Design points:
 //!
@@ -15,18 +14,12 @@
 //!   so unrelated programs never contend on one lock.
 //! * **Single-flight resolution.**  A miss registers an in-flight *flight*
 //!   for its key; concurrent requests for the same key wait on the flight
-//!   instead of compiling again, so each distinct plan is resolved exactly
-//!   once per node.  The leader resolves **outside** every lock — a shard is
-//!   never blocked behind a compilation, and (crucially for the cluster) a
-//!   node waiting on a remote fetch holds no lock a peer-serving thread
-//!   could need, which is what keeps the cross-node request/serve cycle
-//!   deadlock-free.
-//! * **Chained sources.**  A miss resolves through up to three stages:
-//!   local shard → cluster fetch (an installed [`PlanFetcher`], e.g. the
-//!   cluster fabric asking the key's owner rank) → local compile.  Stats
-//!   split misses into [`PlanCacheStats::compiles`] and
-//!   [`PlanCacheStats::fetches`], so "each fingerprint is compiled exactly
-//!   once per cluster" is directly assertable from aggregated stats.
+//!   instead of compiling again, so each distinct plan is compiled exactly
+//!   once per cache.  The leader compiles **outside** every lock, so a shard
+//!   is never blocked behind a compilation.
+//! * **Two sources.**  A lookup is a shard hit, a joined flight, or a local
+//!   compile; every miss is a compile ([`PlanCacheStats::compiles`]), so the
+//!   ledger is `misses == compiles`.
 //! * **One eviction rule.**  Each shard holds at most
 //!   `ceil(capacity / shards)` entries; inserting past that evicts the
 //!   least-recently-used entry.  Entries can be **pinned** (hot tenants):
@@ -43,7 +36,7 @@
 use aohpc_env::Extent;
 use aohpc_kernel::{
     CompiledKernel, FamilyArtifact, FamilyProgram, KernelFamilyId, OptLevel, PlanSource,
-    PortableKernel, ProgramFingerprint, StencilProgram,
+    ProgramFingerprint, StencilProgram,
 };
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -94,9 +87,6 @@ pub enum PlanOrigin {
     Hit,
     /// Compiled locally on this node.
     Compiled,
-    /// Fetched from the cluster through the installed [`PlanFetcher`] and
-    /// re-lowered locally.
-    Fetched,
 }
 
 /// Per-family slice of the hit/miss ledger (indexed by
@@ -120,10 +110,10 @@ impl std::ops::Add for FamilyLaneStats {
 
 /// Counters of one cache (point-in-time snapshot).
 ///
-/// Invariants: `misses == compiles + fetches` — every miss is resolved by
-/// exactly one of the two non-cache sources (collision fall-throughs count a
-/// miss *and* a compile, keeping the identity) — and the global `hits` /
-/// `misses` each equal the sum of their per-family lanes.
+/// Invariants: `misses == compiles` — every miss is resolved by one local
+/// compile (collision fall-throughs count a miss *and* a compile, keeping
+/// the identity) — and the global `hits` / `misses` each equal the sum of
+/// their per-family lanes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PlanCacheStats {
     /// Lookups that found a live entry (or joined an in-progress flight for
@@ -131,20 +121,16 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that had to go past the local shards.
     pub misses: u64,
-    /// Misses resolved by a local [`CompiledKernel::compile`] — the number
-    /// summed across a cluster to assert compile-once-per-cluster.
+    /// Misses resolved by a local [`CompiledKernel::compile`].
     pub compiles: u64,
-    /// Misses resolved by fetching the plan from a peer node.
+    /// Always 0: no node fetches plans from a peer.  Waits for ROADMAP B1,
+    /// whose ledger still reads it.
     pub fetches: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
     /// Lookups whose fingerprint matched a resident entry for a *different*
     /// program (hash collision); served by an uncached compile.
     pub collisions: u64,
-    /// Misses whose cluster fetch was attempted and **failed** (owner dead,
-    /// timeout, retry budget spent) before falling back to a local compile.
-    /// A subset of `compiles` — the degraded path is visible, not silent.
-    pub degraded_resolves: u64,
     /// Entries currently resident.
     pub entries: usize,
     /// Resident entries currently pinned.
@@ -174,7 +160,6 @@ impl std::ops::Add for PlanCacheStats {
             fetches: self.fetches + rhs.fetches,
             evictions: self.evictions + rhs.evictions,
             collisions: self.collisions + rhs.collisions,
-            degraded_resolves: self.degraded_resolves + rhs.degraded_resolves,
             entries: self.entries + rhs.entries,
             pinned_entries: self.pinned_entries + rhs.pinned_entries,
             family: [
@@ -196,37 +181,6 @@ pub struct EntryMeta {
     /// Whether the entry is pinned (hot tenant); eviction spares pinned
     /// entries while any unpinned one exists.
     pub pinned: bool,
-}
-
-/// What a [`PlanFetcher`] consultation produced — the distinction the
-/// degraded-path ledger needs: a fetcher that *declines* (this node owns the
-/// key, or no cluster is attached) makes the local compile the intended
-/// resolution, while a fetcher that *fails* (owner dead, retries exhausted,
-/// fabric wedged) makes the same compile a degraded fallback worth metering.
-#[derive(Debug)]
-pub enum FetchOutcome {
-    /// The fetcher has nothing to do for this key (e.g. the local rank is
-    /// the owner): compile locally, not a degradation.
-    Declined,
-    /// The owner served the portable plan.
-    Fetched(PortableKernel),
-    /// The fetch was attempted and did not succeed (timeout, dead owner,
-    /// retry budget spent): the cache compiles locally and meters
-    /// [`PlanCacheStats::degraded_resolves`].
-    Failed,
-}
-
-/// A remote source of compiled plans, consulted between the local shards and
-/// a local compile (the "cluster fetch" stage of the resolution chain).
-///
-/// Implementations must not assume any cache lock is held (none is), and may
-/// block — e.g. on a control-plane round trip to the key's owner rank.
-pub trait PlanFetcher: Send + Sync {
-    /// Fetch the portable form of the plan for `key`.  `program` is the
-    /// requesting program (any family) — wire protocols ship it so the owner
-    /// can compile a plan it never saw.  See [`FetchOutcome`] for how the
-    /// three results steer the cache's ledger.
-    fn fetch(&self, key: &PlanKey, program: &FamilyProgram) -> FetchOutcome;
 }
 
 struct Entry {
@@ -307,10 +261,10 @@ impl Flight {
 }
 
 /// Unconditional cleanup for a flight's leader: however the leader exits —
-/// return, or an unwinding panic inside the fetcher or the compiler — the
-/// flight settles (abort is a no-op after `complete`) and leaves the map, so
-/// no waiter can block forever on an orphaned flight and no later leader's
-/// flight can be removed by mistake (`ptr_eq`-guarded).
+/// return, or an unwinding panic inside the compiler — the flight settles
+/// (abort is a no-op after `complete`) and leaves the map, so no waiter can
+/// block forever on an orphaned flight and no later leader's flight can be
+/// removed by mistake (`ptr_eq`-guarded).
 struct FlightGuard<'a> {
     cache: &'a PlanCache,
     key: PlanKey,
@@ -329,20 +283,23 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// A sharded, capacity-bounded, cluster-chainable cache of compiled kernels.
+/// How a cache compiles a plan it misses on.
+type Compile = fn(&FamilyProgram, Extent, OptLevel) -> FamilyArtifact;
+
+/// A sharded, capacity-bounded cache of compiled kernels.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: usize,
-    fetcher: Option<Arc<dyn PlanFetcher>>,
+    /// [`FamilyProgram::compile`]; a test build can swap in a compile that
+    /// panics, to drill the flight leader's abort path.
+    compile: Compile,
     flights: Mutex<HashMap<PlanKey, Arc<Flight>>>,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
-    fetches: AtomicU64,
     evictions: AtomicU64,
     collisions: AtomicU64,
-    degraded_resolves: AtomicU64,
     /// Per-family hit/miss attribution, indexed by [`KernelFamilyId::tag`].
     family_hits: [AtomicU64; 3],
     family_misses: [AtomicU64; 3],
@@ -351,31 +308,32 @@ pub struct PlanCache {
 impl PlanCache {
     /// A cache of `shards` independent shards holding at most `capacity`
     /// plans in total (rounded up to a whole number per shard), evicting LRU.
+    /// The ledger under `benchmark/` calls it directly, so its signature
+    /// waits for ROADMAP B1.
     pub fn new(shards: usize, capacity: usize) -> Self {
         assert!(shards > 0, "the cache needs at least one shard");
         assert!(capacity >= shards, "capacity must allow one entry per shard");
         PlanCache {
             shard_capacity: capacity.div_ceil(shards),
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            fetcher: None,
+            compile: FamilyProgram::compile,
             flights: Mutex::new(HashMap::new()),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
-            fetches: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             collisions: AtomicU64::new(0),
-            degraded_resolves: AtomicU64::new(0),
             family_hits: Default::default(),
             family_misses: Default::default(),
         }
     }
 
-    /// Install the cluster-fetch stage of the resolution chain (builder
-    /// style, before the cache is shared).
-    pub fn with_fetcher(mut self, fetcher: Arc<dyn PlanFetcher>) -> Self {
-        self.fetcher = Some(fetcher);
+    /// Compile misses with `compile` instead (builder style, before the
+    /// cache is shared).
+    #[cfg(test)]
+    pub(crate) fn with_compile(mut self, compile: Compile) -> Self {
+        self.compile = compile;
         self
     }
 
@@ -398,10 +356,9 @@ impl PlanCache {
     }
 
     /// Resolve the plan for `(program, extent, level)` — any kernel family —
-    /// through the full chain: local shard → in-progress flight → cluster
-    /// fetch → compile.  `pin` marks the entry pinned (set by hot-tenant
-    /// sessions); pins stick until [`PlanCache::unpin`] or
-    /// eviction-under-total-pin-pressure.
+    /// from the local shard, an in-progress flight, or a compile.  `pin`
+    /// marks the entry pinned (set by hot-tenant sessions); pins stick until
+    /// [`PlanCache::unpin`] or eviction-under-total-pin-pressure.
     pub fn resolve(
         &self,
         program: &FamilyProgram,
@@ -465,8 +422,8 @@ impl PlanCache {
         }
     }
 
-    /// The flight leader's path: re-check the shard, then resolve through
-    /// fetcher/compile with no locks held, publish and settle the flight.
+    /// The flight leader's path: re-check the shard, then compile with no
+    /// locks held, publish and settle the flight.
     #[allow(clippy::too_many_arguments)]
     fn lead_flight(
         &self,
@@ -478,9 +435,9 @@ impl PlanCache {
         now: u64,
         pin: bool,
     ) -> (FamilyArtifact, PlanOrigin) {
-        // However this leader exits — including a panic inside the fetcher
-        // or the compiler — the guard settles the flight and removes it, so
-        // waiters retry instead of hanging and the key never wedges.
+        // However this leader exits — including a panic inside the compiler —
+        // the guard settles the flight and removes it, so waiters retry
+        // instead of hanging and the key never wedges.
         let _guard = FlightGuard { cache: self, key, flight: Arc::clone(&flight) };
 
         // Re-check the shard: between this lookup's shard miss and its
@@ -510,47 +467,11 @@ impl PlanCache {
             None => {}
         }
 
-        // Resolve with NO locks held: a cluster fetch may block on a peer
-        // whose own threads are resolving against this cache.  Counters move
-        // only once the resolution succeeded, so `misses == compiles +
-        // fetches` holds even across leader panics.
-        let mut resolved: Option<(FamilyProgram, FamilyArtifact, PlanOrigin)> = None;
-        let mut fetch_failed = false;
-        if let Some(fetcher) = &self.fetcher {
-            match fetcher.fetch(&key, program) {
-                FetchOutcome::Fetched(portable) => {
-                    // Trust nothing off the wire: the portable form must be
-                    // the plan this lookup wants (same structure, same
-                    // shape/level), or the fetch is discarded and the chain
-                    // falls through to a local compile — a degraded resolve,
-                    // since the cluster path was attempted and produced
-                    // nothing usable.
-                    if portable.fingerprint() == key.fingerprint
-                        && portable.program().same_structure(program)
-                        && portable.extent() == extent
-                        && portable.level() == level
-                    {
-                        let (remote_program, artifact) = portable.hydrate();
-                        self.meter_miss(&key);
-                        self.fetches.fetch_add(1, Ordering::Relaxed);
-                        resolved = Some((remote_program, artifact, PlanOrigin::Fetched));
-                    } else {
-                        fetch_failed = true;
-                    }
-                }
-                FetchOutcome::Failed => fetch_failed = true,
-                FetchOutcome::Declined => {}
-            }
-        }
-        let (entry_program, artifact, origin) = resolved.unwrap_or_else(|| {
-            let artifact = program.compile(extent, level);
-            self.meter_miss(&key);
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            if fetch_failed {
-                self.degraded_resolves.fetch_add(1, Ordering::Relaxed);
-            }
-            (program.clone(), artifact, PlanOrigin::Compiled)
-        });
+        // Compile with NO locks held.  Counters move only once the compile
+        // returned, so `misses == compiles` holds even across leader panics.
+        let artifact = (self.compile)(program, extent, level);
+        self.meter_miss(&key);
+        self.compiles.fetch_add(1, Ordering::Relaxed);
 
         // Publish: insert into the shard (evicting if it is full), then
         // complete the flight.  Insert-before-complete means no lookup can
@@ -574,14 +495,14 @@ impl PlanCache {
             shard.entries.insert(
                 key,
                 Entry {
-                    program: entry_program.clone(),
+                    program: program.clone(),
                     artifact: artifact.clone(),
                     meta: EntryMeta { last_used: now, uses: 1, pinned: pin },
                 },
             );
         }
-        flight.complete(entry_program, artifact.clone());
-        (artifact, origin)
+        flight.complete(program.clone(), artifact.clone());
+        (artifact, PlanOrigin::Compiled)
     }
 
     /// One shard probe: a verified hit (meta touched), a fingerprint
@@ -623,7 +544,7 @@ impl PlanCache {
         self.collisions.fetch_add(1, Ordering::Relaxed);
         self.meter_miss(key);
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        program.compile(extent, level)
+        (self.compile)(program, extent, level)
     }
 
     /// Refresh recency (and optionally pin) after a flight-shared resolve.
@@ -675,7 +596,7 @@ impl PlanCache {
     /// Drop every resident entry, returning how many were discarded.
     ///
     /// Models a process restart (the rejoin path): a revived rank comes back
-    /// with a cold cache and re-warms through the fetch/compile chain.
+    /// with a cold cache and re-warms by compiling.
     /// Discarded entries are metered as evictions so the ledger still
     /// explains every departure.  In-flight resolutions are untouched — a
     /// flight's leader re-inserts on completion, which is exactly the
@@ -713,26 +634,23 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
-            fetches: self.fetches.load(Ordering::Relaxed),
+            fetches: 0,
             evictions: self.evictions.load(Ordering::Relaxed),
             collisions: self.collisions.load(Ordering::Relaxed),
-            degraded_resolves: self.degraded_resolves.load(Ordering::Relaxed),
             entries,
             pinned_entries,
             family: [lane(0), lane(1), lane(2)],
         };
-        // Ledger invariant: every miss is resolved by exactly one compile or
-        // fetch.  Each resolution meters its miss *before* its compile/fetch
-        // counter, so an in-flight resolution can only leave `misses` ahead —
-        // never behind.  Exact equality (`misses == compiles + fetches`)
-        // holds at quiescence and is cross-checked there by
-        // `aohpc_obs::ObsSnapshot::validate`.
+        // Ledger invariant: every miss is resolved by exactly one compile.
+        // Each resolution meters its miss *before* its compile counter, so
+        // an in-flight resolution can only leave `misses` ahead — never
+        // behind.  Exact equality (`misses == compiles`) holds at quiescence
+        // and is cross-checked there by `aohpc_obs::ObsSnapshot::validate`.
         debug_assert!(
-            stats.misses >= stats.compiles + stats.fetches,
-            "plan-cache ledger broken: misses {} < compiles {} + fetches {}",
+            stats.misses >= stats.compiles,
+            "plan-cache ledger broken: misses {} < compiles {}",
             stats.misses,
-            stats.compiles,
-            stats.fetches
+            stats.compiles
         );
         stats
     }
@@ -754,7 +672,6 @@ impl fmt::Debug for PlanCache {
         f.debug_struct("PlanCache")
             .field("shards", &self.shards.len())
             .field("shard_capacity", &self.shard_capacity)
-            .field("chained", &self.fetcher.is_some())
             .field("stats", &self.stats())
             .finish()
     }
@@ -764,7 +681,6 @@ impl fmt::Debug for PlanCache {
 mod tests {
     use super::*;
     use aohpc_kernel::{load, param, ParticleProgram, StencilProgram, UsGridProgram};
-    use std::sync::atomic::AtomicUsize;
     use std::thread;
 
     fn program(name: &str, dx: i64) -> StencilProgram {
@@ -939,87 +855,31 @@ mod tests {
         assert!(!cache.is_empty());
     }
 
-    /// A scripted fetcher: serves the compiled portable form (DAG attached,
-    /// like a real cluster reply) for every key it can, recording how often
-    /// it was consulted.
-    #[derive(Debug)]
-    struct ScriptedFetcher {
-        calls: AtomicUsize,
-        serve: bool,
-    }
-
-    impl PlanFetcher for ScriptedFetcher {
-        fn fetch(&self, key: &PlanKey, program: &FamilyProgram) -> FetchOutcome {
-            self.calls.fetch_add(1, Ordering::SeqCst);
-            if !self.serve {
-                return FetchOutcome::Declined;
-            }
-            let extent = Extent::new2d(key.nx, key.ny);
-            let artifact = program.compile(extent, key.level);
-            FetchOutcome::Fetched(PortableKernel::from_compiled(program, &artifact, key.level))
+    /// A compile that panics on its first call (the leader's resolution
+    /// dies) and compiles normally afterwards.
+    fn panic_once(program: &FamilyProgram, extent: Extent, level: OptLevel) -> FamilyArtifact {
+        static PANICKED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+        if !PANICKED.swap(true, Ordering::SeqCst) {
+            panic!("the compiler exploded mid-flight");
         }
-    }
-
-    #[test]
-    fn chained_resolution_prefers_the_fetcher_over_compiling() {
-        let fetcher = Arc::new(ScriptedFetcher { calls: AtomicUsize::new(0), serve: true });
-        let cache = PlanCache::new(2, 8).with_fetcher(Arc::clone(&fetcher) as Arc<dyn PlanFetcher>);
-        let p = StencilProgram::jacobi_5pt();
-        let (artifact, origin) =
-            cache.resolve(&fam(&p), Extent::new2d(8, 8), OptLevel::Full, false);
-        assert_eq!(origin, PlanOrigin::Fetched);
-        assert_eq!(artifact.extent(), Extent::new2d(8, 8));
-        assert_eq!(fetcher.calls.load(Ordering::SeqCst), 1);
-
-        // The fetched plan is resident: the next lookup never re-fetches.
-        let (_, origin) = cache.resolve(&fam(&p), Extent::new2d(8, 8), OptLevel::Full, false);
-        assert_eq!(origin, PlanOrigin::Hit);
-        assert_eq!(fetcher.calls.load(Ordering::SeqCst), 1, "hits skip the chain");
-
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.fetches, stats.compiles), (1, 1, 0));
-        assert_eq!(stats.hits, 1);
-
-        // The fetched plan matches a local compilation bit-for-bit — DAG
-        // included (the sender's optimization travelled; it did not re-run).
-        let local = CompiledKernel::compile(&p, Extent::new2d(8, 8), OptLevel::Full);
-        let kernel = artifact.expect_stencil();
-        assert_eq!(kernel.tape(), local.tape());
-        assert_eq!(kernel.dag(), local.dag());
-    }
-
-    /// A fetcher that panics on its first call (the leader's resolution
-    /// dies) and declines afterwards.
-    #[derive(Debug)]
-    struct PanicOnceFetcher {
-        panicked: std::sync::atomic::AtomicBool,
-    }
-
-    impl PlanFetcher for PanicOnceFetcher {
-        fn fetch(&self, _key: &PlanKey, _program: &FamilyProgram) -> FetchOutcome {
-            if !self.panicked.swap(true, Ordering::SeqCst) {
-                panic!("fetcher exploded mid-flight");
-            }
-            FetchOutcome::Declined
-        }
+        program.compile(extent, level)
     }
 
     #[test]
     fn leader_panic_does_not_wedge_the_key() {
-        let cache = PlanCache::new(2, 8)
-            .with_fetcher(Arc::new(PanicOnceFetcher { panicked: Default::default() }));
+        let cache = PlanCache::new(2, 8).with_compile(panic_once);
         let p = StencilProgram::jacobi_5pt();
         let ext = Extent::new2d(8, 8);
 
-        // The first resolve leads a flight whose resolution panics; the
-        // flight guard must settle and retire the flight on the way out.
+        // The first resolve leads a flight whose compile panics; the flight
+        // guard must settle and retire the flight on the way out.
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.resolve(&fam(&p), ext, OptLevel::Full, false)
         }));
         assert!(unwound.is_err(), "the panic propagates to the caller");
 
         // The key is not wedged: the next resolve leads a fresh flight and
-        // compiles normally (the fetcher now declines).
+        // compiles normally.
         let (_, origin) = cache.resolve(&fam(&p), ext, OptLevel::Full, false);
         assert_eq!(origin, PlanOrigin::Compiled);
         let (_, origin) = cache.resolve(&fam(&p), ext, OptLevel::Full, false);
@@ -1027,76 +887,8 @@ mod tests {
 
         // The panicked attempt moved no counters: the ledger still ties.
         let stats = cache.stats();
-        assert_eq!(stats.misses, stats.compiles + stats.fetches, "{stats:?}");
+        assert_eq!(stats.misses, stats.compiles, "{stats:?}");
         assert_eq!((stats.misses, stats.hits), (1, 1));
-    }
-
-    #[test]
-    fn declining_fetcher_falls_back_to_local_compile() {
-        let fetcher = Arc::new(ScriptedFetcher { calls: AtomicUsize::new(0), serve: false });
-        let cache = PlanCache::new(2, 8).with_fetcher(Arc::clone(&fetcher) as Arc<dyn PlanFetcher>);
-        let p = StencilProgram::jacobi_5pt();
-        let (_, origin) = cache.resolve(&fam(&p), Extent::new2d(8, 8), OptLevel::Full, false);
-        assert_eq!(origin, PlanOrigin::Compiled);
-        assert_eq!(fetcher.calls.load(Ordering::SeqCst), 1, "the chain consulted the fetcher");
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.fetches, stats.compiles), (1, 0, 1));
-    }
-
-    /// A fetcher returning the wrong plan (different block shape): the cache
-    /// must reject it and compile locally rather than serve a mis-shaped
-    /// kernel.
-    #[derive(Debug)]
-    struct WrongShapeFetcher;
-
-    impl PlanFetcher for WrongShapeFetcher {
-        fn fetch(&self, _key: &PlanKey, program: &FamilyProgram) -> FetchOutcome {
-            FetchOutcome::Fetched(PortableKernel::pack(
-                program,
-                Extent::new2d(2, 2),
-                OptLevel::Full,
-            ))
-        }
-    }
-
-    #[test]
-    fn mismatched_fetch_results_are_discarded() {
-        let cache = PlanCache::new(2, 8).with_fetcher(Arc::new(WrongShapeFetcher));
-        let p = StencilProgram::jacobi_5pt();
-        let (artifact, origin) =
-            cache.resolve(&fam(&p), Extent::new2d(8, 8), OptLevel::Full, false);
-        assert_eq!(origin, PlanOrigin::Compiled, "bad fetch falls through to compile");
-        assert_eq!(artifact.extent(), Extent::new2d(8, 8), "the local compile is correctly shaped");
-        assert_eq!(cache.stats().fetches, 0);
-        assert_eq!(cache.stats().compiles, 1);
-        assert_eq!(cache.stats().degraded_resolves, 1, "a discarded fetch is a degraded resolve");
-    }
-
-    /// A fetcher whose fetch attempt fails outright (dead owner, timeout):
-    /// the compile fallback is metered as degraded, unlike a decline.
-    #[derive(Debug)]
-    struct FailingFetcher;
-
-    impl PlanFetcher for FailingFetcher {
-        fn fetch(&self, _key: &PlanKey, _program: &FamilyProgram) -> FetchOutcome {
-            FetchOutcome::Failed
-        }
-    }
-
-    #[test]
-    fn failed_fetch_meters_a_degraded_resolve_but_a_decline_does_not() {
-        let failing = PlanCache::new(2, 8).with_fetcher(Arc::new(FailingFetcher));
-        let p = StencilProgram::jacobi_5pt();
-        let (_, origin) = failing.resolve(&fam(&p), Extent::new2d(8, 8), OptLevel::Full, false);
-        assert_eq!(origin, PlanOrigin::Compiled);
-        let stats = failing.stats();
-        assert_eq!((stats.compiles, stats.degraded_resolves), (1, 1));
-
-        let declining = PlanCache::new(2, 8)
-            .with_fetcher(Arc::new(ScriptedFetcher { calls: AtomicUsize::new(0), serve: false }));
-        declining.resolve(&fam(&p), Extent::new2d(8, 8), OptLevel::Full, false);
-        let stats = declining.stats();
-        assert_eq!((stats.compiles, stats.degraded_resolves), (1, 0), "declines are not degraded");
     }
 
     #[test]
@@ -1139,35 +931,6 @@ mod tests {
         }
         assert_eq!(stats.family.iter().map(|l| l.hits).sum::<u64>(), stats.hits);
         assert_eq!(stats.family.iter().map(|l| l.misses).sum::<u64>(), stats.misses);
-    }
-
-    #[test]
-    fn family_artifacts_survive_a_fetch_roundtrip() {
-        // The chained fetcher serves particle and usgrid plans through the
-        // same portable wire form the cluster uses.
-        let fetcher = Arc::new(ScriptedFetcher { calls: AtomicUsize::new(0), serve: true });
-        let cache = PlanCache::new(2, 8).with_fetcher(Arc::clone(&fetcher) as Arc<dyn PlanFetcher>);
-        let ext = Extent::new2d(8, 8);
-        for program in [
-            FamilyProgram::from(ParticleProgram::pair_sweep()),
-            FamilyProgram::from(UsGridProgram::jacobi4()),
-        ] {
-            let (artifact, origin) = cache.resolve(&program, ext, OptLevel::Full, false);
-            assert_eq!(origin, PlanOrigin::Fetched);
-            assert_eq!(artifact.family(), program.family());
-            let local = program.compile(ext, OptLevel::Full);
-            match (&artifact, &local) {
-                (FamilyArtifact::Particle(a), FamilyArtifact::Particle(b)) => {
-                    assert_eq!(a.as_ref(), b.as_ref())
-                }
-                (FamilyArtifact::UsGrid(a), FamilyArtifact::UsGrid(b)) => {
-                    assert_eq!(a.as_ref(), b.as_ref())
-                }
-                other => panic!("unexpected artifact pairing: {other:?}"),
-            }
-        }
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.fetches, stats.compiles), (2, 2, 0));
     }
 
     #[test]

@@ -1,47 +1,15 @@
-//! The cluster mesh: N service nodes sharing compiled plans over the
-//! simulated fabric — and surviving the death of any of them.
+//! The cluster mesh: N service nodes over the simulated fabric — and
+//! surviving the death of any of them.
 //!
 //! A [`ClusterService`] stands up `N` [`KernelService`] nodes — each with its
-//! own worker pool, session registry and [`PlanCache`] — connected by a
-//! [`Communicator::mesh`] whose **control plane** carries the plan-sharing
-//! protocol.  The result is the MPI-scale deployment shape the paper targets:
-//! tenants land on a node (session affinity), execution stays node-local, and
-//! the only cross-node traffic is metered control frames.
-//!
-//! # The plan-sharing protocol
-//!
-//! Every [`PlanKey`] has a deterministic **owner rank** — the highest
-//! rendezvous-hash scorer among the *live* ranks
-//! ([`rendezvous_owner`]) — the
-//! cluster's single-flight arbiter for that plan:
-//!
-//! 1. A node missing locally asks its cache's chained
-//!    [`PlanFetcher`] — here a [`ClusterFetcher`]
-//!    holding a [`ControlHandle`] onto the mesh.  If the node *is* the
-//!    owner (or the cluster is shutting down), the fetcher declines and the
-//!    cache compiles locally.
-//! 2. Otherwise the fetcher sends a `PLAN_REQ` control frame to the owner:
-//!    a request id, the owner incarnation the requester believes it is
-//!    addressing, plus the [`PortableKernel`] wire form of the wanted plan
-//!    (program, block shape, opt level — enough for the owner to compile a
-//!    plan it has never seen).
-//! 3. The owner's **fabric thread** — the thread owning the node's
-//!    [`Communicator`] endpoint — resolves the request against the owner's
-//!    own cache (compiling at most once, its local single-flight) and
-//!    replies with a `PLAN_REP` frame carrying the portable form plus the
-//!    owner's incarnation number.
-//! 4. The requester hydrates the portable form (re-lowering to a
-//!    bit-identical tape; see [`aohpc_kernel::portable`]) and caches it.
-//!
-//! Each distinct plan is therefore **compiled exactly once per cluster** —
-//! on its owner — and fetched (not recompiled) everywhere else: summed over
-//! all nodes, [`PlanCacheStats::compiles`] equals the number of distinct
-//! plans, the invariant the cluster tests assert.
-//!
-//! Requesters block on a reply holding **no lock** (the cache resolves
-//! flights outside its shards), and owners serve requests with node-local
-//! compilation only (the owner of a key never forwards), so the
-//! request/serve mesh cannot deadlock.
+//! own worker pool, session registry and [`PlanCache`](crate::PlanCache) —
+//! connected by a [`Communicator::mesh`].  Tenants land on a node (session
+//! affinity) and execution stays node-local: a node resolves every plan
+//! through its own cache (a shard hit, a single-flight join or a local
+//! compile), so each node compiles each distinct plan it runs exactly once.
+//! The fabric carries only liveness — heartbeats, membership gossip and
+//! view sync — on the liveness frame class; the only application control
+//! frame is the shutdown signal each fabric thread receives at teardown.
 //!
 //! # Fault tolerance
 //!
@@ -62,33 +30,26 @@
 //!   [`FaultAction::Restart`] revives a killed service (cold cache — the
 //!   process restarted) under a bumped incarnation; the returning rank's
 //!   heartbeats announce the new incarnation, which revives peers' Dead
-//!   entries outright (higher incarnation wins), and its plan ownership
-//!   returns with the live view.  Digest mismatches trigger an
-//!   anti-entropy exchange (`VIEW_PULL` → `VIEW_SYNC`: the full
-//!   `(state, incarnation)` vector, lattice-merged), so views diverged by
-//!   an asymmetric partition converge without waiting for every detector
-//!   to re-time-out.  A rank that learns it stands accused refutes
-//!   SWIM-style — outbids the accusation with a fresh incarnation and
-//!   broadcasts it ([`MembershipStats::refutations`]).  Because nobody
-//!   heartbeats a peer it believes dead, every eighth beat is also sent to
-//!   Dead peers as a *probe*: harmless toward a truly dead rank (its old
-//!   incarnation cannot resurrect the entry), but a rank falsely condemned
-//!   behind a symmetric partition receives it, pulls the condemner's view,
-//!   finds the accusation and refutes — so even a both-directions cut held
-//!   past the death deadline heals into a rejoin instead of a deadlock of
-//!   mutual silence.
-//! * **Plan re-ownership.**  Owners are rendezvous-hashed over the *live*
-//!   view, so when a rank dies only the keys it owned re-home (each to its
-//!   second-highest scorer).  A fetch that times out suspects the owner,
-//!   backs off (capped exponential, [`ClusterTuning::backoff_for`]), and
-//!   retries against the freshly computed owner; only after the retry
-//!   budget is spent does it degrade to a local compile — metered as
-//!   [`PlanCacheStats::degraded_resolves`], never silent.
+//!   entries outright (higher incarnation wins), and its cache re-warms by
+//!   compiling.  Digest mismatches trigger an anti-entropy exchange
+//!   (`VIEW_PULL` → `VIEW_SYNC`: the full `(state, incarnation)` vector,
+//!   lattice-merged), so views diverged by an asymmetric partition converge
+//!   without waiting for every detector to re-time-out.  A rank that learns
+//!   it stands accused refutes SWIM-style — outbids the accusation with a
+//!   fresh incarnation and broadcasts it ([`MembershipStats::refutations`]).
+//!   Because nobody heartbeats a peer it believes dead, every eighth beat is
+//!   also sent to Dead peers as a *probe*: harmless toward a truly dead rank
+//!   (its old incarnation cannot resurrect the entry), but a rank falsely
+//!   condemned behind a symmetric partition receives it, pulls the
+//!   condemner's view, finds the accusation and refutes — so even a
+//!   both-directions cut held past the death deadline heals into a rejoin
+//!   instead of a deadlock of mutual silence.
 //! * **Checkpoint replay.**  A kill fail-stops a node at the **dequeue
 //!   boundary**: jobs a worker already started finish (their superstep
 //!   state is node-local and deterministic), queued jobs are orphaned to
-//!   the cluster's *failover supervisor*, which replays them on a surviving
-//!   node.  The deterministic stack makes the replay bit-identical; the
+//!   the cluster's *failover supervisor*, which re-homes each on a survivor
+//!   chosen by [`rendezvous_owner`] over the not-killed ranks and replays
+//!   it there.  The deterministic stack makes the replay bit-identical; the
 //!   report resolves the original submitter's [`JobHandle`] carrying a
 //!   [`FailoverProvenance`], so zero jobs are lost and every failover is
 //!   auditable per job.
@@ -97,18 +58,8 @@
 //!   and frame drops/delays into the cluster
 //!   ([`ClusterService::with_fault_plan`]), driven by the same clock seam —
 //!   the harness the fault-tolerance tests (and nobody else) pay for.
-//!
-//! Stale incarnations are fenced on both sides of the plan protocol: a late
-//! `PLAN_REP` from a rank already declared dead carries a stale incarnation
-//! and is dropped (metered as
-//! [`MembershipStats::stale_replies_dropped`]) — the shutdown-vs-death race
-//! cannot fulfil a live request with a dead node's reply — and a `PLAN_REQ`
-//! addressed to an incarnation the owner has since superseded is dropped
-//! unserved (metered as [`MembershipStats::stale_requests_dropped`]), so
-//! the requester re-homes through its normal retry path instead of
-//! trusting a plan negotiated with a previous life.
 
-use crate::cache::{FetchOutcome, PlanCache, PlanCacheStats, PlanFetcher, PlanKey};
+use crate::cache::{PlanCacheStats, PlanKey};
 use crate::fault::{FaultAction, FaultPlan, FaultState, Interception};
 use crate::job::{
     FailoverProvenance, JobErrorKind, JobHandle, JobId, JobOutcome, JobReport, JobSpec,
@@ -121,8 +72,8 @@ use crate::service::{
 };
 use crate::session::{CompletionStream, SessionCtx, SessionId, SessionMeter, SessionSpec};
 use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
-use aohpc_kernel::{FamilyProgram, OptLevel, PortableKernel};
-use aohpc_obs::{current_context, CommCounters, ObsHub, ObsServiceAspect, ObsSnapshot};
+use aohpc_kernel::OptLevel;
+use aohpc_obs::{CommCounters, ObsHub, ObsServiceAspect, ObsSnapshot};
 use aohpc_runtime::{
     CommProbe, CommStats, Communicator, ControlFrame, ControlHandle, LIVENESS_TAG_BASE,
 };
@@ -133,17 +84,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Control-plane tag: stop the receiving fabric thread.
 pub const TAG_SHUTDOWN: u32 = 0;
-/// Control-plane tag: plan request (`req_id` + portable kernel bytes).
-pub const TAG_PLAN_REQ: u32 = 1;
-/// Control-plane tag: plan reply (`req_id` + sender incarnation + status +
-/// portable kernel bytes).
-pub const TAG_PLAN_REP: u32 = 2;
 /// Liveness-class tag: heartbeat (payload: sender's incarnation + a digest
 /// of its whole membership view, [`Membership::digest`]).  The digest is
 /// the anti-entropy trigger: a receiver holding a different view pulls the
@@ -162,8 +108,7 @@ pub const TAG_VIEW_PULL: u32 = LIVENESS_TAG_BASE + 2;
 /// by the receiver ([`Membership::merge_view`]).
 pub const TAG_VIEW_SYNC: u32 = LIVENESS_TAG_BASE + 3;
 
-/// The well-mixed hash of a plan key that rendezvous scoring runs on; every
-/// node computes the same hash for the same key.
+/// The well-mixed hash of a plan key that rendezvous scoring runs on.
 fn key_hash(key: &PlanKey) -> u64 {
     let fp = key.fingerprint.as_u128();
     (fp as u64)
@@ -177,14 +122,11 @@ fn key_hash(key: &PlanKey) -> u64 {
         }
 }
 
-/// The rank that would own `spec`'s plan among `candidates` — the
-/// re-ownership preview surface.
-///
-/// Matches the fetch path exactly: the plan key is the spec's program
-/// fingerprint plus its primary block extent and optimization level, and the
-/// scoring is the same rendezvous hash every fetcher runs.  Operators use it
-/// to predict plan placement; fault drills use it to build deterministic
-/// schedules ("kill the owner of this plan and watch the key re-home").
+/// The rendezvous-hash winner among `candidates` for `spec`'s primary plan
+/// key (the spec's program fingerprint plus its primary block extent and
+/// optimization level).  A pure hash: no node owns or serves a plan.  Fault
+/// drills use it to pick ranks deterministically.  Waits for ROADMAP B1:
+/// the ledger under `benchmark/` imports it.
 pub fn plan_owner_among(spec: &JobSpec, candidates: &[usize]) -> usize {
     let primary =
         aohpc_env::Extent::new2d(spec.block.min(spec.region.nx), spec.block.min(spec.region.ny));
@@ -283,259 +225,8 @@ fn publish_transition(
     }
 }
 
-/// One in-flight plan request: the fabric thread resolves it with the reply
-/// payload (`Some(bytes)`) or a decline (`None`).
-struct ReplySlot {
-    state: StdMutex<Option<Option<Vec<u8>>>>,
-    cv: Condvar,
-}
-
-impl ReplySlot {
-    fn new() -> Arc<Self> {
-        Arc::new(ReplySlot { state: StdMutex::new(None), cv: Condvar::new() })
-    }
-
-    fn resolve(&self, payload: Option<Vec<u8>>) {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if state.is_none() {
-            *state = Some(payload);
-        }
-        drop(state);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self, timeout: Duration) -> Option<Vec<u8>> {
-        // A fixed deadline, not a per-iteration timeout: spurious condvar
-        // wakeups (which std permits) must not restart the window.
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(payload) = state.take() {
-                return payload;
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (next, _) =
-                self.cv.wait_timeout(state, remaining).unwrap_or_else(|p| p.into_inner());
-            state = next;
-        }
-    }
-}
-
-/// The reply router one node's fetchers and fabric thread share.  Every slot
-/// remembers which rank it is waiting on, so a suspicion or death verdict
-/// can fail the slots aimed at that rank immediately instead of letting
-/// their fetchers wait out the timeout.
-struct PendingReplies {
-    next_req: AtomicU64,
-    slots: StdMutex<HashMap<u64, (usize, Arc<ReplySlot>)>>,
-}
-
-impl PendingReplies {
-    fn new() -> Arc<Self> {
-        Arc::new(PendingReplies {
-            next_req: AtomicU64::new(0),
-            slots: StdMutex::new(HashMap::new()),
-        })
-    }
-
-    fn register(&self, owner: usize) -> (u64, Arc<ReplySlot>) {
-        let id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = ReplySlot::new();
-        self.slots.lock().unwrap_or_else(|p| p.into_inner()).insert(id, (owner, Arc::clone(&slot)));
-        (id, slot)
-    }
-
-    fn take(&self, id: u64) -> Option<Arc<ReplySlot>> {
-        self.slots.lock().unwrap_or_else(|p| p.into_inner()).remove(&id).map(|(_, slot)| slot)
-    }
-
-    /// Fail every request waiting on `rank`: its waiters wake now and re-home
-    /// against the next owner.
-    fn fail_rank(&self, rank: usize) {
-        let slots: Vec<_> = {
-            let mut map = self.slots.lock().unwrap_or_else(|p| p.into_inner());
-            let ids: Vec<u64> =
-                map.iter().filter(|(_, (owner, _))| *owner == rank).map(|(id, _)| *id).collect();
-            ids.into_iter().filter_map(|id| map.remove(&id)).map(|(_, slot)| slot).collect()
-        };
-        for slot in slots {
-            slot.resolve(None);
-        }
-    }
-
-    /// Fail every outstanding request (fabric thread exit): waiters wake and
-    /// degrade to local compiles.
-    fn fail_all(&self) {
-        let slots: Vec<_> = {
-            let mut map = self.slots.lock().unwrap_or_else(|p| p.into_inner());
-            map.drain().map(|(_, (_, slot))| slot).collect()
-        };
-        for slot in slots {
-            slot.resolve(None);
-        }
-    }
-}
-
-/// The cluster-fetch stage of one node's plan-resolution chain: asks the
-/// key's owner rank — rendezvous-hashed over the live membership view — for
-/// the portable plan, retrying with capped exponential backoff (and a fresh
-/// owner computation) when the owner goes silent.
-pub struct ClusterFetcher {
-    rank: usize,
-    handle: ControlHandle<f64>,
-    pending: Arc<PendingReplies>,
-    membership: Arc<Membership>,
-    clock: ServiceClock,
-    shutting_down: Arc<AtomicBool>,
-    /// When the cluster carries an observer, cross-node requests dispatch
-    /// through this woven program so the obs aspect wraps each round trip in
-    /// a span — parented, via the calling worker's thread-local span
-    /// context, into the requesting job's trace.
-    obs_woven: Option<WovenProgram>,
-}
-
-impl ClusterFetcher {
-    /// The actual request/reply round trip to `owner`.
-    fn fetch_from(
-        &self,
-        owner: usize,
-        key: &PlanKey,
-        program: &FamilyProgram,
-    ) -> Option<PortableKernel> {
-        let (req_id, slot) = self.pending.register(owner);
-        let portable =
-            PortableKernel::pack(program, aohpc_env::Extent::new2d(key.nx, key.ny), key.level);
-        let mut payload = req_id.to_le_bytes().to_vec();
-        // Name the incarnation this request is addressed to: if the owner
-        // restarts before serving it, the request is provably from its
-        // previous life and the owner drops it rather than honoring it.
-        payload.extend_from_slice(&self.membership.incarnation_of(owner).to_le_bytes());
-        payload.extend_from_slice(&portable.to_bytes());
-        if !self.handle.send(owner, TAG_PLAN_REQ, payload) {
-            self.pending.take(req_id);
-            return None;
-        }
-        let bytes = slot.wait(self.membership.tuning().fetch_timeout);
-        self.pending.take(req_id);
-        PortableKernel::from_bytes(&bytes?).ok()
-    }
-
-    /// One attempt against `owner`, wrapped in a `CLUSTER_PLAN_REQ` span when
-    /// an observer is installed (declines and backoffs are local decisions,
-    /// not cross-node traffic, so only real requests get spans).
-    fn fetch_attempt(
-        &self,
-        owner: usize,
-        key: &PlanKey,
-        program: &FamilyProgram,
-    ) -> Option<PortableKernel> {
-        let Some(woven) = &self.obs_woven else {
-            return self.fetch_from(owner, key, program);
-        };
-        let (trace, parent) = current_context().unwrap_or((0, 0));
-        let attrs = [
-            (attr::TRACE, trace as i64),
-            (attr::PARENT, parent as i64),
-            (attr::NODE, owner as i64),
-        ];
-        woven.dispatch_returning(names::CLUSTER_PLAN_REQ, JoinPointKind::Call, &attrs, |ctx| {
-            let plan = self.fetch_from(owner, key, program);
-            ctx.set_attr(attr::OK, i64::from(plan.is_some()));
-            plan
-        })
-    }
-}
-
-impl PlanFetcher for ClusterFetcher {
-    fn fetch(&self, key: &PlanKey, program: &FamilyProgram) -> FetchOutcome {
-        if self.membership.ranks() <= 1 || self.shutting_down.load(Ordering::SeqCst) {
-            return FetchOutcome::Declined;
-        }
-        let hash = key_hash(key);
-        let tuning = self.membership.tuning();
-        let mut attempt = 0u32;
-        loop {
-            if self.shutting_down.load(Ordering::SeqCst) {
-                return FetchOutcome::Declined;
-            }
-            // Re-read the live view every attempt: a dead owner's keys
-            // re-home, so the retry goes to the *new* owner, not the corpse.
-            let owner = rendezvous_owner(hash, &self.membership.live_view());
-            if owner == self.rank {
-                // This node IS the single-flight arbiter: compile locally.
-                return FetchOutcome::Declined;
-            }
-            if let Some(plan) = self.fetch_attempt(owner, key, program) {
-                return FetchOutcome::Fetched(plan);
-            }
-            // Silence is evidence: suspect the owner (starting its cooldown)
-            // so the next attempt — and every other fetcher — re-homes
-            // instead of burning its budget against the same silent rank.
-            if let Some(t) = self.membership.suspect(owner, self.clock.now()) {
-                publish_transition(
-                    &self.handle,
-                    self.membership.ranks(),
-                    self.obs_woven.as_ref(),
-                    &t,
-                );
-            }
-            self.pending.fail_rank(owner);
-            if attempt >= tuning.fetch_retries {
-                // Budget spent: the cache compiles locally and meters the
-                // degraded resolve.
-                return FetchOutcome::Failed;
-            }
-            std::thread::sleep(tuning.backoff_for(attempt));
-            attempt += 1;
-        }
-    }
-}
-
-impl fmt::Debug for ClusterFetcher {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClusterFetcher")
-            .field("rank", &self.rank)
-            .field("ranks", &self.membership.ranks())
-            .finish()
-    }
-}
-
-/// Serve one `PLAN_REQ` payload (req id + expected owner incarnation +
-/// portable kernel bytes) against the owner's local cache, returning the
-/// reply frame (req id + serving rank's incarnation + status byte +
-/// compiled portable bytes).  The expected-incarnation guard runs *before*
-/// this (a stale request is dropped, not served).
-fn serve_plan_req(cache: &PlanCache, bytes: &[u8], incarnation: u64) -> Vec<u8> {
-    let req_id: [u8; 8] = bytes[..8].try_into().expect("eight bytes");
-    let mut reply = req_id.to_vec();
-    reply.extend_from_slice(&incarnation.to_le_bytes());
-    match PortableKernel::from_bytes(&bytes[16..]) {
-        Ok(portable) => {
-            // Resolve against the local cache: the owner's local
-            // single-flight makes this the cluster's one compile for the key
-            // (its own fetcher declines owned keys, so no forwarding loop is
-            // possible).  The reply carries the *compiled* form — optimized
-            // DAG attached — so the requester skips the optimizer and only
-            // re-lowers plan and tape.
-            let (artifact, _) =
-                cache.resolve(portable.program(), portable.extent(), portable.level(), false);
-            let compiled =
-                PortableKernel::from_compiled(portable.program(), &artifact, portable.level());
-            reply.push(1);
-            reply.extend_from_slice(&compiled.to_bytes());
-        }
-        Err(_) => reply.push(0),
-    }
-    reply
-}
-
 /// Everything one fabric thread works with besides the communicator it owns.
 struct Fabric {
-    cache: Arc<PlanCache>,
-    pending: Arc<PendingReplies>,
     membership: Arc<Membership>,
     fault: Option<Arc<FaultState>>,
     clock: ServiceClock,
@@ -545,12 +236,10 @@ struct Fabric {
 
 impl Fabric {
     /// The per-node fabric loop: owns the node's [`Communicator`] endpoint,
-    /// serves `PLAN_REQ` frames from its cache, routes `PLAN_REP` frames to
-    /// waiting fetchers, folds heartbeats and gossip into the membership
-    /// view, and applies the fault harness's frame perturbations.  Exits on
-    /// `TAG_SHUTDOWN` (the only reliable stop signal — a live endpoint's
-    /// channel never disconnects, see [`Communicator::recv_control`]),
-    /// failing all outstanding requests on the way out.
+    /// folds heartbeats and gossip into the membership view, answers view
+    /// pulls, and applies the fault harness's frame perturbations.  Exits
+    /// on `TAG_SHUTDOWN` (the only reliable stop signal — a live endpoint's
+    /// channel never disconnects, see [`Communicator::recv_control`]).
     fn run(self, mut comm: Communicator<f64>) {
         let rank = comm.rank();
         'fabric: while let Some(frame) = comm.recv_control() {
@@ -567,7 +256,6 @@ impl Fabric {
                 }
             }
         }
-        self.pending.fail_all();
     }
 
     /// Handle one frame; `false` means shutdown.
@@ -596,11 +284,8 @@ impl Fabric {
             while fault.is_wedged(rank) && !self.shutting_down.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_micros(200));
             }
-            if fault.is_killed(rank) && frame.tag != TAG_PLAN_REP {
-                // Fail-stop: a dead node neither serves, gossips, nor
-                // observes.  Replies to fetches its still-running jobs
-                // issued are the one exception — the kill boundary is the
-                // dequeue, so work a worker already started completes.
+            if fault.is_killed(rank) {
+                // Fail-stop: a dead node neither gossips nor observes.
                 return true;
             }
         }
@@ -651,66 +336,16 @@ impl Fabric {
                     }
                 }
             }
-            TAG_PLAN_REQ => {
-                if frame.bytes.len() < 16 {
-                    return true; // malformed: no req id / expected incarnation
-                }
-                let expected =
-                    u64::from_le_bytes(frame.bytes[8..16].try_into().expect("eight bytes"));
-                // A request addressed to a previous life of this rank: the
-                // requester (or its view) predates our restart.  Drop it —
-                // the requester's timeout re-homes the key against the live
-                // view, which its heartbeats have meanwhile refreshed.
-                if !self.membership.accepts_request(expected) {
-                    return true;
-                }
-                let incarnation = self.membership.incarnation_of(rank);
-                let reply = match &self.obs_woven {
-                    None => serve_plan_req(&self.cache, &frame.bytes, incarnation),
-                    Some(woven) => woven.dispatch_returning(
-                        names::CLUSTER_PLAN_REP,
-                        JoinPointKind::Execution,
-                        &[(attr::NODE, rank as i64)],
-                        |ctx| {
-                            let bytes = serve_plan_req(&self.cache, &frame.bytes, incarnation);
-                            ctx.set_attr(attr::OK, i64::from(bytes.get(16) == Some(&1)));
-                            bytes
-                        },
-                    ),
-                };
-                // A vanished requester is not an error mid-shutdown.
-                let _ = comm.send_control(frame.from, TAG_PLAN_REP, reply);
-            }
-            TAG_PLAN_REP => {
-                if frame.bytes.len() < 17 {
-                    return true;
-                }
-                let req_id = u64::from_le_bytes(frame.bytes[..8].try_into().expect("eight bytes"));
-                let incarnation =
-                    u64::from_le_bytes(frame.bytes[8..16].try_into().expect("eight bytes"));
-                // The shutdown-vs-death race: a reply sent before its sender
-                // was declared dead carries the stale incarnation and must
-                // not fulfil a live slot.
-                if !self.membership.accepts_reply(frame.from, incarnation) {
-                    return true;
-                }
-                let payload = (frame.bytes[16] == 1).then(|| frame.bytes[17..].to_vec());
-                if let Some(slot) = self.pending.take(req_id) {
-                    slot.resolve(payload);
-                }
-            }
             _ => {} // unknown tags are ignored (future protocol extensions)
         }
         true
     }
 
-    /// Act on one locally-adopted membership transition.  A condemnation
-    /// wakes the fetchers parked on the subject (they re-home now, not at
-    /// their timeout).  A refutation — an accusation against *this* rank
-    /// that [`Membership::adopt`] outbid with a fresh incarnation — is
-    /// broadcast so the accuser (and everyone it gossiped to) adopts the
-    /// new incarnation, and is recorded through the `CLUSTER_REJOIN` join
-    /// point (`ok` = 0).
+    /// Act on one locally-adopted membership transition.  A refutation — an
+    /// accusation against *this* rank that [`Membership::adopt`] outbid
+    /// with a fresh incarnation — is broadcast so the accuser (and everyone
+    /// it gossiped to) adopts the new incarnation, and is recorded through
+    /// the `CLUSTER_REJOIN` join point (`ok` = 0).
     fn react(&self, rank: usize, comm: &mut Communicator<f64>, t: &Transition) {
         if t.subject == rank && t.to == NodeState::Alive {
             let payload = suspect_payload(t);
@@ -720,8 +355,6 @@ impl Fabric {
                 }
             }
             dispatch_rejoin(self.obs_woven.as_ref(), rank, t.incarnation, false);
-        } else if t.to != NodeState::Alive {
-            self.pending.fail_rank(t.subject);
         }
     }
 }
@@ -733,7 +366,6 @@ struct PacemakerCtx {
     stop: Arc<AtomicBool>,
     handle: ControlHandle<f64>,
     membership: Arc<Membership>,
-    pending: Arc<PendingReplies>,
     fault: Option<Arc<FaultState>>,
     clock: ServiceClock,
     supervisor_tx: Sender<SupervisorMsg>,
@@ -790,9 +422,6 @@ impl PacemakerCtx {
             }
         }
         for t in self.membership.tick(now) {
-            // Fetchers parked on a condemned rank wake and re-home now, not
-            // at their timeout.
-            self.pending.fail_rank(t.subject);
             publish_transition(&self.handle, self.membership.ranks(), self.obs_woven.as_ref(), &t);
         }
     }
@@ -915,8 +544,7 @@ impl Supervisor {
     /// the process restarted — and restart its membership view under a
     /// bumped incarnation.  The revived rank re-announces itself through
     /// its own pacemaker's next heartbeat; peers revive their Dead entry by
-    /// incarnation arbitration, its plan ownership returns with the live
-    /// view, and its cache re-warms through the normal fetcher path.
+    /// incarnation arbitration, and its cache re-warms by compiling.
     /// Recorded at the `CLUSTER_REJOIN` join point (`ok` = 1).
     fn restart(&self, rank: usize) {
         if !self.nodes[rank].revive_after_failover() {
@@ -1042,10 +670,9 @@ pub struct ClusterCommStats {
     pub per_node: Vec<CommStats>,
 }
 
-/// `N` kernel-service nodes over a simulated fabric, sharing compiled plans
-/// so each distinct plan is compiled once per **cluster**, not once per node
-/// — and surviving fail-stop node deaths without losing a job (see the
-/// [module docs](self) for the protocol and the failure model).
+/// `N` kernel-service nodes over a simulated fabric, each compiling its own
+/// plans, surviving fail-stop node deaths without losing a job (see the
+/// [module docs](self) for the failure model).
 ///
 /// Dropping the cluster (or calling [`ClusterService::shutdown`]) drains
 /// every node, stops the failover supervisor, pacemakers and fabric
@@ -1080,10 +707,9 @@ impl ClusterService {
         Self::start(nodes, config, Some(clock), None, ClusterTuning::default(), None)
     }
 
-    /// A cluster sharing one observability hub across every node: each job's
-    /// span tree, the cross-node plan requests it triggers, and the peers'
-    /// serve spans all land in the same flight recorder, linked by the job's
-    /// trace id.  Snapshot with [`ClusterService::obs_snapshot`].
+    /// A cluster sharing one observability hub across every node: every
+    /// node's job span trees and the cluster's liveness records land in the
+    /// same flight recorder.  Snapshot with [`ClusterService::obs_snapshot`].
     pub fn with_observer(nodes: usize, config: ServiceConfig, hub: Arc<ObsHub>) -> Self {
         Self::start(nodes, config, None, Some(hub), ClusterTuning::default(), None)
     }
@@ -1141,8 +767,8 @@ impl ClusterService {
         let probes: Vec<CommProbe> = comms.iter().map(Communicator::probe).collect();
         let control: Vec<ControlHandle<f64>> =
             comms.iter().map(Communicator::control_handle).collect();
-        // One woven program serves every node's fetcher, fabric thread,
-        // pacemaker and the supervisor: the obs aspect is stateless beyond
+        // One woven program serves every node's fabric thread, pacemaker
+        // and the supervisor: the obs aspect is stateless beyond
         // the hub, and cloning a woven program is an Arc bump.
         let obs_woven = obs.as_ref().map(|hub| {
             Weaver::new().with_aspect(Box::new(ObsServiceAspect::new(Arc::clone(hub)))).weave()
@@ -1162,25 +788,9 @@ impl ClusterService {
         let mut pacemakers = Vec::with_capacity(nodes);
         for comm in comms {
             let rank = comm.rank();
-            let pending = PendingReplies::new();
             let membership = Arc::clone(&memberships[rank]);
-            let fetcher = ClusterFetcher {
-                rank,
-                handle: comm.control_handle(),
-                pending: Arc::clone(&pending),
-                membership: Arc::clone(&membership),
-                clock: cluster_clock.clone(),
-                shutting_down: Arc::clone(&shutting_down),
-                obs_woven: obs_woven.clone(),
-            };
-            let cache = Arc::new(
-                PlanCache::new(config.cache_shards, config.cache_capacity)
-                    .with_fetcher(Arc::new(fetcher)),
-            );
             let pacemaker_handle = comm.control_handle();
             let fabric = Fabric {
-                cache: Arc::clone(&cache),
-                pending: Arc::clone(&pending),
                 membership: Arc::clone(&membership),
                 fault: fault.clone(),
                 clock: cluster_clock.clone(),
@@ -1193,12 +803,8 @@ impl ClusterService {
                     .spawn(move || fabric.run(comm))
                     .expect("spawn fabric thread"),
             );
-            let service = Arc::new(KernelService::start(
-                config,
-                cluster_clock.clone(),
-                Some(cache),
-                obs.clone(),
-            ));
+            let service =
+                Arc::new(KernelService::start(config, cluster_clock.clone(), None, obs.clone()));
             // The node's stranded jobs flow to the supervisor; with the
             // supervisor gone (a kill racing teardown) the orphan goes back
             // to its node, which abandons it so nothing hangs.
@@ -1220,7 +826,6 @@ impl ClusterService {
                 stop: Arc::clone(&stop),
                 handle: pacemaker_handle,
                 membership,
-                pending,
                 fault: fault.clone(),
                 clock: cluster_clock.clone(),
                 supervisor_tx: supervisor_tx.clone(),
@@ -1322,7 +927,7 @@ impl ClusterService {
         self.memberships[observer].incarnation_of(subject)
     }
 
-    /// The ranks `observer` considers eligible for plan ownership.
+    /// The ranks `observer` currently considers alive (itself included).
     pub fn live_view(&self, observer: usize) -> Vec<usize> {
         self.memberships[observer].live_view()
     }
@@ -1389,19 +994,19 @@ impl ClusterService {
         self.nodes.iter().flat_map(|node| node.drain()).collect()
     }
 
-    /// Per-node and cluster-aggregated plan-cache counters.  The
-    /// compile-once-per-cluster invariant reads directly off the aggregate:
-    /// `total.compiles` equals the number of distinct plans resolved anywhere
-    /// in the cluster.
+    /// Per-node and cluster-aggregated plan-cache counters.  Each node
+    /// compiles each distinct plan it resolves once, so `total.compiles` is
+    /// the sum over nodes of the distinct plans each resolved.
     pub fn cache_stats(&self) -> ClusterCacheStats {
         let per_node: Vec<PlanCacheStats> = self.nodes.iter().map(|n| n.cache_stats()).collect();
         let total = per_node.iter().fold(PlanCacheStats::default(), |acc, s| acc + *s);
         ClusterCacheStats { total, per_node }
     }
 
-    /// Per-node and cluster-aggregated fabric counters (the control plane's
-    /// request/reply traffic; send/receive totals balance once quiesced —
-    /// heartbeats and gossip are metered separately as liveness frames).
+    /// Per-node and cluster-aggregated fabric counters.  The job path sends
+    /// no application control frames; heartbeats and gossip are metered
+    /// separately as liveness frames, and send/receive totals balance once
+    /// quiesced.
     pub fn comm_stats(&self) -> ClusterCommStats {
         let per_node: Vec<CommStats> = self.probes.iter().map(CommProbe::stats).collect();
         let total = per_node.iter().fold(CommStats::default(), |acc, s| acc + *s);
@@ -1434,10 +1039,10 @@ impl ClusterService {
         Some(obs_snapshot(hub, self.cache_stats().total, Some(comm), admission))
     }
 
-    /// Clean shutdown: drain every node to quiescence (in-flight fetches
-    /// need the fabric alive, in-flight replays the supervisor), stop the
-    /// pacemakers, stop the failover supervisor, stop the fabric threads,
-    /// then stop every node's workers.  Implied by `Drop`.
+    /// Clean shutdown: drain every node to quiescence (in-flight replays need
+    /// the supervisor), stop the pacemakers, stop the failover supervisor,
+    /// stop the fabric threads, then stop every node's workers.  Implied by
+    /// `Drop`.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -1446,14 +1051,12 @@ impl ClusterService {
         if self.fabrics.is_empty() {
             return;
         }
-        // Quiesce the data path first: a worker blocked on a plan fetch
-        // needs its peer's fabric thread to still be serving, and a replayed
-        // orphan resolves through the still-running supervisor.
+        // Quiesce the data path first: a replayed orphan resolves through
+        // the still-running supervisor.
         for node in &self.nodes {
             let _ = node.drain();
         }
-        // New fetches decline from here on (degrading to local compiles),
-        // and a wedged fabric un-parks so teardown cannot hang on it.
+        // A wedged fabric un-parks so teardown cannot hang on it.
         self.shutting_down.store(true, Ordering::SeqCst);
         // Silence the pacemakers: no more heartbeats, sweeps or scripted
         // kills.  Fake-clock hooks stay registered but inert.
@@ -1512,7 +1115,7 @@ mod tests {
 
     #[test]
     fn owners_are_deterministic_and_in_range() {
-        let p = FamilyProgram::from(aohpc_kernel::StencilProgram::jacobi_5pt());
+        let p = aohpc_kernel::FamilyProgram::from(aohpc_kernel::StencilProgram::jacobi_5pt());
         for ranks in 1..=7usize {
             let live: Vec<usize> = (0..ranks).collect();
             for nx in [4usize, 8, 16] {
@@ -1522,45 +1125,6 @@ mod tests {
                 assert_eq!(owner, rendezvous_owner(key_hash(&key), &live), "stable");
             }
         }
-    }
-
-    #[test]
-    fn reply_slot_timeout_returns_none() {
-        let slot = ReplySlot::new();
-        assert_eq!(slot.wait(Duration::from_millis(5)), None);
-        slot.resolve(Some(vec![1]));
-        assert_eq!(slot.wait(Duration::from_millis(5)), Some(vec![1]));
-        // Resolve-at-most-once: a second resolve cannot overwrite.
-        let slot = ReplySlot::new();
-        slot.resolve(None);
-        slot.resolve(Some(vec![2]));
-        assert_eq!(slot.wait(Duration::from_millis(5)), None);
-    }
-
-    #[test]
-    fn pending_replies_route_and_fail() {
-        let pending = PendingReplies::new();
-        let (id_a, slot_a) = pending.register(1);
-        let (id_b, _slot_b) = pending.register(2);
-        assert_ne!(id_a, id_b);
-        pending.take(id_a).expect("registered").resolve(Some(vec![7]));
-        assert_eq!(slot_a.wait(Duration::from_millis(5)), Some(vec![7]));
-        assert!(pending.take(id_a).is_none(), "taken slots leave the router");
-        pending.fail_all();
-        assert!(pending.take(id_b).is_none());
-    }
-
-    #[test]
-    fn pending_replies_fail_only_the_dead_ranks_slots() {
-        let pending = PendingReplies::new();
-        let (id_dead, slot_dead) = pending.register(3);
-        let (id_live, slot_live) = pending.register(1);
-        pending.fail_rank(3);
-        assert_eq!(slot_dead.wait(Duration::from_millis(5)), None, "failed immediately");
-        assert!(pending.take(id_dead).is_none(), "failed slots leave the router");
-        // The slot aimed at the live rank is untouched and still routable.
-        pending.take(id_live).expect("still registered").resolve(Some(vec![9]));
-        assert_eq!(slot_live.wait(Duration::from_millis(5)), Some(vec![9]));
     }
 
     #[test]

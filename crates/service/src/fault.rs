@@ -4,7 +4,7 @@
 //!
 //! A [`FaultPlan`] is a declarative schedule — *kill rank 2 at t=40 ms,
 //! restart it at t=200 ms, cut the link 1→0 at t=10 ms and heal it at
-//! t=120 ms, delay every `PLAN_REP` from 0 to 1 until t=120 ms* — armed into
+//! t=120 ms, delay every heartbeat from 0 to 1 until t=120 ms* — armed into
 //! a [`FaultState`] the [`ClusterService`](crate::cluster::ClusterService)
 //! threads consult:
 //!
@@ -23,13 +23,12 @@
 //!   asymmetric partitions are scripted as a single cut, symmetric ones as
 //!   two).  A **heal** restores the direction.  Cuts are consulted by
 //!   [`FaultState::intercept`] before the frame rules, so a partitioned
-//!   direction silences heartbeats, gossip and plan traffic alike.
+//!   direction silences heartbeats and gossip alike.
 //! * Each fabric loop passes every received frame through
 //!   [`FaultState::intercept`], which delivers, drops, or holds it; held
 //!   frames come back from [`FaultState::take_released`] once their release
-//!   time passes — the seam the stale-`PLAN_REP` regression test uses to
-//!   make a reply from a now-dead incarnation arrive *after* the death was
-//!   declared.
+//!   time passes, so a frame from a now-dead incarnation can be made to
+//!   arrive *after* the death was declared.
 //!
 //! The harness is pure bookkeeping: it never spawns threads and never
 //! touches a clock itself, so the same plan replays identically under any

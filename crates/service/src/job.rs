@@ -317,13 +317,13 @@ pub struct JobReport {
     pub error: Option<String>,
     /// The job's trace id in the installed flight recorder — every span of
     /// the job's tree (root, resolve, execute, initialize, supersteps,
-    /// blocks, finalize, plan fetches) carries this id.  `None` when the service runs without an
-    /// observer ([`KernelService::with_observer`](crate::KernelService)).
+    /// blocks, finalize) carries this id.  `None` when the service runs
+    /// without an observer ([`KernelService::with_observer`](crate::KernelService)).
     pub trace_id: Option<u64>,
     /// How long the job sat admitted before a worker picked it up.
     pub queue_wait: Duration,
-    /// The plan-resolution phase (the admission pre-warm lookup: cache hit,
-    /// cluster fetch, or local compile).
+    /// The plan-resolution phase (the admission pre-warm lookup: cache hit
+    /// or local compile).
     pub resolve_time: Duration,
     /// The execute phase (weave + run of the kernel itself).
     pub execute_time: Duration,

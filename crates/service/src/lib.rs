@@ -13,8 +13,8 @@
 //!   particle, usgrid), keyed by the structural [`ProgramFingerprint`] plus
 //!   family tag, block shape and optimization level.  Concurrent tenants
 //!   submitting the same mathematics share one compiled
-//!   [`aohpc_kernel::FamilyArtifact`]; resolution is single-flight per key
-//!   and chains local shard → cluster fetch ([`PlanFetcher`]) → compile.
+//!   [`aohpc_kernel::FamilyArtifact`]; resolution is single-flight per key:
+//!   a shard hit, a joined flight, or a local compile.
 //!   A full shard evicts its least-recently-used entry, sparing the plans
 //!   hot sessions pinned while any other exists, and
 //!   [`PlanCacheStats::for_family`] breaks hits/misses down per family.
@@ -39,11 +39,11 @@
 //!   [`KernelService::drain_session`] remain as thin wrappers over the same
 //!   completion plumbing.
 //! * [`ClusterService`] — N service nodes over a simulated
-//!   `Communicator::mesh`, with tenant-affine session routing and
-//!   control-plane plan sharing: each distinct plan is compiled exactly
-//!   once per **cluster** (on its fingerprint-owner rank) and shipped as a
-//!   fingerprint-stamped [`aohpc_kernel::PortableKernel`] everywhere else.
-//!   See the [cluster module docs](cluster) for the protocol.
+//!   `Communicator::mesh`, with tenant-affine session routing.  Every node
+//!   compiles its own plans through its own [`PlanCache`]; the fabric
+//!   carries liveness only (heartbeats, gossip, view sync), and a killed
+//!   node's queued jobs replay on a survivor.  See the
+//!   [cluster module docs](cluster) for the failure model.
 //!
 //! ```
 //! use aohpc_service::{JobSpec, KernelService, ServiceConfig, SessionSpec};
@@ -93,10 +93,7 @@ pub mod membership;
 pub mod service;
 pub mod session;
 
-pub use cache::{
-    EntryMeta, FamilyLaneStats, FetchOutcome, PlanCache, PlanCacheStats, PlanFetcher, PlanKey,
-    PlanOrigin,
-};
+pub use cache::{EntryMeta, FamilyLaneStats, PlanCache, PlanCacheStats, PlanKey, PlanOrigin};
 pub use cluster::{
     plan_owner_among, ClusterCacheStats, ClusterCommStats, ClusterService, ClusterSessionId,
 };

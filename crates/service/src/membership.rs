@@ -1,5 +1,5 @@
-//! Cluster liveness: the per-node membership view and the rendezvous hash
-//! that re-homes plan ownership when it changes.
+//! Cluster liveness: the per-node membership view, and the rendezvous hash
+//! that picks a survivor for a dead node's orphaned jobs.
 //!
 //! Every rank runs a failure detector over the multiplexed control plane:
 //! heartbeats ride dedicated liveness frames (tags above
@@ -8,8 +8,7 @@
 //! view — [`NodeState::Alive`] / [`NodeState::Suspect`] /
 //! [`NodeState::Dead`] per rank, each claim carrying an **incarnation
 //! number** so late frames from a declared-dead rank are recognizably stale
-//! and dropped instead of resurrecting it (or fulfilling a stale reply
-//! slot — the `shutdown()` vs node-death race).
+//! and dropped instead of resurrecting it.
 //!
 //! # Incarnation arbitration (SWIM-style)
 //!
@@ -47,14 +46,12 @@
 //! suspect threshold, it refreshes every deadline instead of suspecting the
 //! whole world.
 //!
-//! Plan ownership uses **rendezvous (HRW) hashing** over the live view
-//! ([`rendezvous_owner`]): each (key, rank) pair gets an independent score
-//! and the highest live score owns the key.  When a rank dies only the keys
-//! it owned move (to their second-highest scorer); every key owned by a
-//! survivor keeps its owner — the minimal-disruption property modulo
-//! hashing lacks, and the reason re-ownership restores
-//! `compiles == distinct fingerprints` for survivor-owned plans instead of
-//! reshuffling everything.
+//! Job re-homing uses **rendezvous (HRW) hashing** ([`rendezvous_owner`]):
+//! each (key, rank) pair gets an independent score and the highest score
+//! among the candidates wins.  Removing a rank moves only the keys it won
+//! (to their second-highest scorer) — the minimal-disruption property
+//! modulo hashing lacks — so a batch of orphans spreads over the survivors
+//! instead of dogpiling one.
 
 use serde::Serialize;
 use std::sync::Mutex;
@@ -65,7 +62,7 @@ use std::time::Duration;
 pub enum NodeState {
     /// Heard from recently (or never yet measured against a deadline).
     Alive,
-    /// Silent past the suspect threshold — excluded from plan ownership,
+    /// Silent past the suspect threshold — excluded from the live view,
     /// still given the chance to refute by any frame carrying a current
     /// incarnation.
     Suspect,
@@ -85,22 +82,14 @@ pub enum NodeState {
 pub struct ClusterTuning {
     /// Cadence the pacemaker broadcasts heartbeats at.
     pub heartbeat_every: Duration,
-    /// Silence after which a rank is suspected (ownership excludes it).
+    /// Silence after which a rank is suspected (the live view excludes it).
     pub suspect_after: Duration,
     /// Silence after which a suspect is declared dead (failover fires).
     pub dead_after: Duration,
     /// After a suspicion, heartbeats cannot clear it until this cooldown
     /// elapses — a wedged-then-revived fabric must re-earn trust instead of
-    /// flapping ownership on every late frame.
+    /// flapping its state on every late frame.
     pub suspect_cooldown: Duration,
-    /// Cross-node plan-fetch retry budget: how many times a fetcher retries
-    /// against the (possibly re-homed) owner before compiling locally.
-    pub fetch_retries: u32,
-    /// Base backoff between fetch retries (doubles per attempt, capped at
-    /// 8×).
-    pub fetch_backoff: Duration,
-    /// Per-attempt reply deadline for a cross-node plan fetch.
-    pub fetch_timeout: Duration,
 }
 
 impl Default for ClusterTuning {
@@ -110,9 +99,6 @@ impl Default for ClusterTuning {
             suspect_after: Duration::from_secs(1),
             dead_after: Duration::from_secs(3),
             suspect_cooldown: Duration::from_millis(500),
-            fetch_retries: 3,
-            fetch_backoff: Duration::from_millis(2),
-            fetch_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -126,16 +112,7 @@ impl ClusterTuning {
             suspect_after: Duration::from_millis(50),
             dead_after: Duration::from_millis(150),
             suspect_cooldown: Duration::from_millis(25),
-            fetch_retries: 3,
-            fetch_backoff: Duration::from_millis(1),
-            fetch_timeout: Duration::from_millis(200),
         }
-    }
-
-    /// Backoff before retry `attempt` (0-based): base × 2^attempt, capped at
-    /// 8× base.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
-        self.fetch_backoff * (1u32 << attempt.min(3))
     }
 }
 
@@ -155,14 +132,6 @@ pub struct MembershipStats {
     /// Times *this* rank bumped its own incarnation to refute an accusation
     /// (a peer claimed it Suspect or Dead at its current incarnation).
     pub refutations: u64,
-    /// Frames dropped because they carried a stale incarnation (e.g. a
-    /// `PLAN_REP` from a rank declared dead mid-flight).
-    pub stale_replies_dropped: u64,
-    /// `PLAN_REQ` frames this rank refused to serve because they were
-    /// addressed to an older incarnation of itself (a request in flight
-    /// across its own restart — the old incarnation's obligations are
-    /// void; the requester re-homes).
-    pub stale_requests_dropped: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -185,8 +154,8 @@ struct ViewInner {
     stats: MembershipStats,
 }
 
-/// One node's view of which ranks are alive — the failure detector state all
-/// ownership and failover decisions read.  Thread-safe; every method is a
+/// One node's view of which ranks are alive — the failure detector state
+/// liveness and failover decisions read.  Thread-safe; every method is a
 /// short critical section.
 pub struct Membership {
     rank: usize,
@@ -238,11 +207,6 @@ impl Membership {
         self.inner.lock().unwrap_or_else(|p| p.into_inner()).nodes.len()
     }
 
-    /// The detector's timing knobs.
-    pub fn tuning(&self) -> ClusterTuning {
-        self.tuning
-    }
-
     /// A rank's current state.
     pub fn state_of(&self, rank: usize) -> NodeState {
         self.inner.lock().unwrap_or_else(|p| p.into_inner()).nodes[rank].state
@@ -253,10 +217,9 @@ impl Membership {
         self.inner.lock().unwrap_or_else(|p| p.into_inner()).nodes[rank].incarnation
     }
 
-    /// The ranks currently eligible for plan ownership: Alive only (a
-    /// suspect is excluded so fetchers re-home immediately instead of
-    /// burning their retry budget against a silent owner).  The local rank
-    /// is always included — a node never excludes itself.
+    /// The ranks currently believed alive: Alive only (a suspect is
+    /// excluded).  The local rank is always included — a node never
+    /// excludes itself.
     pub fn live_view(&self) -> Vec<usize> {
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner
@@ -321,40 +284,6 @@ impl Membership {
             return Some(t);
         }
         None
-    }
-
-    /// Whether a reply from `from` claiming `incarnation` is current — the
-    /// guard on `PLAN_REP`: a reply sent before its sender was declared dead
-    /// carries the old incarnation and must not fulfil a live slot.  A stale
-    /// reply is metered.
-    pub fn accepts_reply(&self, from: usize, incarnation: u64) -> bool {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let node = inner.nodes[from];
-        if node.state != NodeState::Dead && incarnation >= node.incarnation {
-            true
-        } else {
-            inner.stats.stale_replies_dropped += 1;
-            false
-        }
-    }
-
-    /// Whether a `PLAN_REQ` addressed to this rank at `expected` incarnation
-    /// is current — the request-side twin of [`Membership::accepts_reply`]:
-    /// a request sent before this rank restarted names the *old*
-    /// incarnation, whose obligations died with it.  Serving it would hand
-    /// a requester (that may already have re-homed the key) a reply it no
-    /// longer expects; dropping it is metered and forces the requester
-    /// through the normal timeout → refresh → retry path, which picks up
-    /// the new incarnation from its heartbeats.
-    pub fn accepts_request(&self, expected: u64) -> bool {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let own = inner.nodes[self.rank].incarnation;
-        if expected >= own {
-            true
-        } else {
-            inner.stats.stale_requests_dropped += 1;
-            false
-        }
     }
 
     /// Adopt a peer's claim about `subject` (a `SUSPECT` broadcast or one
@@ -436,8 +365,7 @@ impl Membership {
         Some(Transition { subject, to, incarnation })
     }
 
-    /// Unilaterally declare `subject` dead (the fault harness's fail-stop, or
-    /// a fetch path that proved the owner gone).  The verdict condemns the
+    /// Unilaterally declare `subject` dead (the fault harness's fail-stop).  The verdict condemns the
     /// subject's *current* incarnation — a restart announces a higher one
     /// and revives the entry.  Returns the transition if the rank was not
     /// already dead.
@@ -451,25 +379,6 @@ impl Membership {
         let incarnation = node.incarnation;
         inner.stats.deaths += 1;
         Some(Transition { subject, to: NodeState::Dead, incarnation })
-    }
-
-    /// Mark `subject` suspect immediately (a fetch timeout is direct
-    /// evidence, ahead of the deadline sweep), starting its cooldown.
-    /// Returns the transition if the rank was alive.
-    pub fn suspect(&self, subject: usize, now: Duration) -> Option<Transition> {
-        if subject == self.rank {
-            return None;
-        }
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let node = &mut inner.nodes[subject];
-        if node.state != NodeState::Alive {
-            return None;
-        }
-        node.state = NodeState::Suspect;
-        node.cooldown_until = now + self.tuning.suspect_cooldown;
-        let incarnation = node.incarnation;
-        inner.stats.suspicions += 1;
-        Some(Transition { subject, to: NodeState::Suspect, incarnation })
     }
 
     /// One deadline sweep at detector time `now`: Alive ranks silent past
@@ -594,7 +503,7 @@ impl Membership {
     /// current incarnation triggers a refutation.  Because the merge only
     /// ever moves entries up the lattice, repeated exchanges converge and
     /// the digests stop differing.  Returns every local transition for the
-    /// caller to act on (waking fetchers, broadcasting refutations).
+    /// caller to act on (broadcasting refutations).
     pub fn merge_view(&self, entries: &[(NodeState, u64)], now: Duration) -> Vec<Transition> {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         let ranks = inner.nodes.len();
@@ -690,19 +599,16 @@ mod tests {
             vec![(2, NodeState::Suspect), (2, NodeState::Dead)],
             "one suspicion then one death, nothing else"
         );
-        // The verdict condemns the incarnation as claimed (no re-bump), and
-        // a reply from the dead incarnation is stale regardless.
+        // The verdict condemns the incarnation as claimed (no re-bump).
         assert_eq!(view.incarnation_of(2), 0);
-        assert!(!view.accepts_reply(2, 0));
-        assert!(view.accepts_reply(1, 0));
         let stats = view.stats();
-        assert_eq!((stats.suspicions, stats.deaths, stats.stale_replies_dropped), (1, 1, 1));
+        assert_eq!((stats.suspicions, stats.deaths), (1, 1));
     }
 
     #[test]
     fn heartbeat_after_cooldown_clears_suspicion() {
         let view = fast_view(2);
-        assert!(view.suspect(1, 10 * MS).is_some());
+        assert!(view.adopt(1, NodeState::Suspect, 0, 10 * MS).is_some());
         assert_eq!(view.state_of(1), NodeState::Suspect);
         // Inside the cooldown the heartbeat refreshes the deadline but the
         // suspicion stands.
@@ -721,7 +627,7 @@ mod tests {
         assert!(view.observe_alive(1, 0, MS).is_none(), "old incarnation cannot revive");
         assert_eq!(view.state_of(1), NodeState::Dead);
         assert!(view.declare_dead(1).is_none(), "idempotent");
-        assert!(view.suspect(1, MS).is_none());
+        assert!(view.adopt(1, NodeState::Suspect, 0, MS).is_none());
     }
 
     #[test]
@@ -737,15 +643,12 @@ mod tests {
         assert_eq!(view.state_of(1), NodeState::Alive);
         assert_eq!(view.incarnation_of(1), 1);
         assert_eq!(view.stats().rejoins, 1);
-        // Replies from the new incarnation are current; the old stays stale.
-        assert!(view.accepts_reply(1, 1));
-        assert!(!view.accepts_reply(1, 0));
     }
 
     #[test]
     fn fresh_incarnation_clears_suspicion_without_cooldown() {
         let view = fast_view(2);
-        view.suspect(1, 10 * MS);
+        view.adopt(1, NodeState::Suspect, 0, 10 * MS);
         // Still inside the cooldown — but the incarnation bumped, so this
         // is a refutation, not a flap: trust is restored immediately.
         let t = view.observe_alive(1, 1, 12 * MS).expect("refutation observed");
@@ -795,7 +698,7 @@ mod tests {
     fn restart_outbids_every_peer_belief_and_cold_resets_the_view() {
         // Peer view: rank 1 suspected, then declared dead at incarnation 0.
         let peer = fast_view(3);
-        peer.suspect(1, 10 * MS);
+        peer.adopt(1, NodeState::Suspect, 0, 10 * MS);
         peer.declare_dead(1);
         // Rank 1 restarts; its own view had condemned rank 2 meanwhile.
         let me = Membership::new(1, 3, ClusterTuning::fast(), Duration::ZERO);
@@ -810,22 +713,11 @@ mod tests {
     }
 
     #[test]
-    fn stale_requests_are_refused_and_metered() {
-        let me = Membership::new(1, 2, ClusterTuning::fast(), Duration::ZERO);
-        assert!(me.accepts_request(0));
-        me.restart(10 * MS);
-        // A request addressed to the pre-restart incarnation is void.
-        assert!(!me.accepts_request(0));
-        assert!(me.accepts_request(1));
-        assert_eq!(me.stats().stale_requests_dropped, 1);
-    }
-
-    #[test]
     fn digests_differ_on_divergence_and_converge_after_merge() {
         let a = Membership::new(0, 3, ClusterTuning::fast(), Duration::ZERO);
         let b = Membership::new(1, 3, ClusterTuning::fast(), Duration::ZERO);
         assert_eq!(a.digest(), b.digest(), "fresh views agree");
-        a.suspect(2, 10 * MS);
+        a.adopt(2, NodeState::Suspect, 0, 10 * MS);
         a.declare_dead(2);
         assert_ne!(a.digest(), b.digest(), "divergence is visible");
         let transitions = b.merge_view(&a.view_entries(), 20 * MS);
@@ -839,7 +731,7 @@ mod tests {
     #[test]
     fn merge_refutes_an_embedded_accusation_of_self() {
         let a = Membership::new(0, 2, ClusterTuning::fast(), Duration::ZERO);
-        a.suspect(1, 10 * MS);
+        a.adopt(1, NodeState::Suspect, 0, 10 * MS);
         // Rank 1 pulls rank 0's view and finds itself suspected: the merge
         // produces the refutation transition for the caller to broadcast.
         let b = Membership::new(1, 2, ClusterTuning::fast(), Duration::ZERO);
@@ -860,7 +752,7 @@ mod tests {
     fn live_view_excludes_suspects_but_never_self() {
         let view = fast_view(4);
         assert_eq!(view.live_view(), vec![0, 1, 2, 3]);
-        view.suspect(2, MS);
+        view.adopt(2, NodeState::Suspect, 0, MS);
         assert_eq!(view.live_view(), vec![0, 1, 3]);
         view.declare_dead(3);
         assert_eq!(view.live_view(), vec![0, 1]);
@@ -930,14 +822,5 @@ mod tests {
     #[should_panic(expected = "always in the live view")]
     fn rendezvous_rejects_an_empty_view() {
         rendezvous_owner(1, &[]);
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential() {
-        let tuning = ClusterTuning::default();
-        assert_eq!(tuning.backoff_for(0), tuning.fetch_backoff);
-        assert_eq!(tuning.backoff_for(1), tuning.fetch_backoff * 2);
-        assert_eq!(tuning.backoff_for(3), tuning.fetch_backoff * 8);
-        assert_eq!(tuning.backoff_for(30), tuning.fetch_backoff * 8, "capped at 8x");
     }
 }

@@ -997,8 +997,8 @@ impl KernelService {
 
     /// Revive a node killed by [`KernelService::kill_for_failover`]: the
     /// restart seam of the rejoin path.  Models a fresh process on the same
-    /// rank — the plan cache is dropped cold (re-warmed through the fetcher
-    /// chain), then admissions reopen.  Returns `false` (no-op) if the node
+    /// rank — the plan cache is dropped cold (re-warmed by compiling), then
+    /// admissions reopen.  Returns `false` (no-op) if the node
     /// was not killed.
     pub(crate) fn revive_after_failover(&self) -> bool {
         if !self.inner.killed.load(Ordering::SeqCst) {
@@ -1086,10 +1086,8 @@ pub(crate) fn obs_snapshot(
             hits: cache.hits,
             misses: cache.misses,
             compiles: cache.compiles,
-            fetches: cache.fetches,
             evictions: cache.evictions,
             collisions: cache.collisions,
-            degraded_resolves: cache.degraded_resolves,
             lanes: cache.family.iter().map(|lane| (lane.hits, lane.misses)).collect(),
         }),
         comm,
@@ -1190,8 +1188,7 @@ fn run_one(inner: &Inner, queued: Queued) {
         inner.sessions.lock().get(&session).map(|ctx| ctx.pins_plans()).unwrap_or(false);
 
     // With an observer installed, open the job's trace root and make it this
-    // worker thread's span context, so everything below — including a
-    // cluster plan fetch fired from inside the cache — parents into the
+    // worker thread's span context, so everything below parents into the
     // job's tree.  `trace_ctx` carries (trace id, root span id) to the
     // dispatch sites.
     let obs_job = inner.obs.as_ref().map(|hub| {
@@ -1348,9 +1345,9 @@ fn resolve_primary(
             resolved
         },
     );
-    // A fresh insert (local compile or cluster fetch + re-lower) ran the
-    // shape-specialization matcher: record its verdict through the
-    // `Kernel::specialize` join point, parented into the same job tree.
+    // A fresh insert (a local compile) ran the shape-specialization matcher:
+    // record its verdict through the `Kernel::specialize` join point,
+    // parented into the same job tree.
     // Cache hits reuse an already-recorded verdict, so they stay silent.
     if resolved.1 != PlanOrigin::Hit {
         let specialized = resolved
@@ -2102,15 +2099,12 @@ mod tests {
         // The exits `tests/settlement.rs` cannot reach from outside the
         // crate, each on an admission-only service with the probe on the
         // handle first; the test thread plays the worker and the supervisor.
-        struct PanickingFetcher;
-        impl crate::cache::PlanFetcher for PanickingFetcher {
-            fn fetch(
-                &self,
-                _: &crate::cache::PlanKey,
-                _: &aohpc_kernel::FamilyProgram,
-            ) -> crate::cache::FetchOutcome {
-                panic!("the fetcher is down")
-            }
+        fn panicking_compile(
+            _: &aohpc_kernel::FamilyProgram,
+            _: Extent,
+            _: aohpc_kernel::OptLevel,
+        ) -> FamilyArtifact {
+            panic!("the compiler is down")
         }
         type Exit = fn(KernelService, &JobHandle);
         let routes: [(&str, Exit, JobStatus, u64); 5] = [
@@ -2166,7 +2160,7 @@ mod tests {
             ),
         ];
         for (name, exit, status, completed) in routes {
-            let cache = PlanCache::new(1, 4).with_fetcher(Arc::new(PanickingFetcher));
+            let cache = PlanCache::new(1, 4).with_compile(panicking_compile);
             let service = KernelService::start(
                 admission_only().with_quota(1),
                 ServiceClock::real(),
@@ -2195,7 +2189,7 @@ mod tests {
             // Only the job that ran here (and is metered as completed) has a
             // report with an error: the panic's message.
             let error = handle.poll().unwrap().ok().and_then(|report| report.error);
-            assert_eq!(error.as_deref(), (completed == 1).then_some("the fetcher is down"));
+            assert_eq!(error.as_deref(), (completed == 1).then_some("the compiler is down"));
         }
     }
 

@@ -1,4 +1,4 @@
-//! Cluster plan-sharing integration tests: compile-once-per-cluster, bit
+//! Cluster integration tests: each node compiles its own plans, bit
 //! identity with single-node execution, session affinity, fabric metering
 //! and deterministic (fake-clock) backpressure on cluster nodes.
 
@@ -27,13 +27,13 @@ fn single_node_checksum(spec: JobSpec) -> f64 {
 }
 
 #[test]
-fn each_distinct_plan_compiles_once_cluster_wide() {
+fn each_node_compiles_each_distinct_plan_once() {
     const NODES: usize = 4;
     let cluster = ClusterService::new(NODES, config());
     assert_eq!(cluster.node_count(), NODES);
 
-    // Every node receives the same program: without plan sharing this is
-    // NODES compilations, with it exactly one (on the key's owner).
+    // Every node receives the same program twice: each node compiles it on
+    // its first job and hits on its second.
     let sessions: Vec<_> = (0..NODES)
         .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("tenant-{n}"))))
         .collect();
@@ -46,13 +46,11 @@ fn each_distinct_plan_compiles_once_cluster_wide() {
     assert!(reports.iter().all(|r| r.error.is_none()));
 
     let stats = cluster.cache_stats();
-    assert_eq!(stats.total.compiles, 1, "one distinct plan, one compile cluster-wide: {stats:?}");
-    // Every non-owner node resolved its first miss by fetching.
-    assert_eq!(stats.total.fetches as usize, NODES - 1, "{stats:?}");
-    assert_eq!(stats.total.misses, stats.total.compiles + stats.total.fetches);
-    // Exactly one node (the owner) compiled; per-node compiles are 0/1.
-    assert_eq!(stats.per_node.iter().filter(|s| s.compiles == 1).count(), 1);
-    assert!(stats.per_node.iter().all(|s| s.compiles <= 1));
+    // One distinct plan, one compile on each of the NODES nodes.
+    assert_eq!(stats.total.compiles as usize, NODES, "{stats:?}");
+    assert_eq!(stats.total.fetches, 0, "{stats:?}");
+    assert_eq!(stats.total.misses, stats.total.compiles);
+    assert!(stats.per_node.iter().all(|s| s.compiles == 1), "{stats:?}");
     // The plan is now resident on every node.
     assert_eq!(stats.total.entries, NODES);
 
@@ -66,13 +64,11 @@ fn each_distinct_plan_compiles_once_cluster_wide() {
         );
     }
 
-    // The fabric carried the protocol: one request + one reply per fetch,
-    // and the quiesced mesh balances its ledgers.
+    // The job path put no application frame on the fabric (heartbeats are
+    // metered apart, as liveness frames).
     let comm = cluster.comm_stats();
-    assert_eq!(comm.total.control_sent as usize, 2 * (NODES - 1), "{:?}", comm.total);
-    assert_eq!(comm.total.control_sent, comm.total.control_received);
-    assert_eq!(comm.total.bytes_sent, comm.total.bytes_received);
-    assert!(comm.total.bytes_sent > 0, "plans travelled as bytes");
+    assert_eq!(comm.total.control_sent, 0, "{:?}", comm.total);
+    assert_eq!(comm.total.control_received, 0, "{:?}", comm.total);
     cluster.shutdown();
 }
 
@@ -91,8 +87,8 @@ fn distinct_programs_each_compile_once() {
     assert_eq!(reports.len(), NODES * jobs.len());
     assert!(reports.iter().all(|r| r.error.is_none()));
     let stats = cluster.cache_stats();
-    assert_eq!(stats.total.compiles as usize, jobs.len(), "{stats:?}");
-    assert_eq!(stats.total.fetches as usize, jobs.len() * (NODES - 1), "{stats:?}");
+    assert_eq!(stats.total.compiles as usize, NODES * jobs.len(), "{stats:?}");
+    assert_eq!(stats.total.fetches, 0, "{stats:?}");
     for job in jobs {
         let reference = single_node_checksum(job.clone());
         let fp = job.program.fingerprint();
@@ -136,7 +132,7 @@ fn pinned_sessions_pin_their_plans_on_a_cluster_node() {
     let hot = cluster.open_session_on(0, SessionSpec::tenant("hot").pin_plans());
     cluster.submit(hot, smoke_job()).unwrap().wait().unwrap();
     let stats = cluster.cache_stats();
-    assert_eq!(stats.total.compiles + stats.total.fetches, 1);
+    assert_eq!((stats.total.compiles, stats.total.fetches), (1, 0));
     assert_eq!(stats.per_node[0].pinned_entries, 1, "hot session pinned its plan: {stats:?}");
     cluster.shutdown();
 }
@@ -149,7 +145,7 @@ fn single_node_cluster_degenerates_to_local_compilation() {
     let stats = cluster.cache_stats();
     assert_eq!((stats.total.compiles, stats.total.fetches), (1, 0));
     let comm = cluster.comm_stats();
-    assert_eq!(comm.total.control_sent, 0, "no peers, no protocol traffic");
+    assert_eq!(comm.total.control_sent, 0, "no application control traffic");
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Family-generic pipeline integration tests: particle and usgrid jobs are
 //! first-class service workloads.  Each family flows through the same
-//! fingerprint → plan cache → (portable wire form) → execution pipeline the
-//! stencil path uses, results stay bit-identical to the direct seed path,
-//! and the cluster compiles each distinct fingerprint exactly once no
-//! matter how the families are mixed (proptested).
+//! fingerprint → plan cache → execution pipeline the stencil path uses,
+//! results stay bit-identical to the direct seed path, and each cluster node
+//! compiles each distinct plan key it resolves exactly once no matter how
+//! the families are mixed (proptested).
 
 use aohpc_aop::Weaver;
 use aohpc_dsl::{
@@ -192,12 +192,11 @@ fn one_service_hosts_all_three_families() {
     assert!(particle.hits >= 1 && stencil.hits >= 2, "{stats:?}");
 }
 
-/// Particle and usgrid jobs flow through the cluster's plan-sharing fabric:
-/// the owner of each plan compiles it, everyone else hydrates the portable
-/// wire form, and results stay bit-identical to a single node.  The plans
-/// are the particle record and the usgrid job's lowered stencil.
+/// Particle and usgrid jobs on every node of a cluster: each node compiles
+/// each plan once — the particle record and the usgrid job's lowered
+/// stencil — and results stay bit-identical to a single node.
 #[test]
-fn particle_and_usgrid_plans_ship_across_the_cluster() {
+fn particle_and_usgrid_plans_compile_on_every_cluster_node() {
     const NODES: usize = 3;
     let cluster = ClusterService::new(NODES, config());
     let jobs = [JobSpec::particle(Scale::Smoke), JobSpec::usgrid(Scale::Smoke)];
@@ -214,9 +213,11 @@ fn particle_and_usgrid_plans_ship_across_the_cluster() {
     let stats = cluster.cache_stats();
     let plans: HashSet<PlanKey> = jobs.iter().flat_map(plan_keys).collect();
     assert_eq!(plans.len(), 2);
-    assert_eq!(stats.total.compiles as usize, plans.len(), "one compile a plan: {stats:?}");
-    assert_eq!(stats.total.fetches as usize, plans.len() * (NODES - 1), "{stats:?}");
-    assert_eq!(stats.total.misses, stats.total.compiles + stats.total.fetches);
+    for (rank, node) in stats.per_node.iter().enumerate() {
+        assert_eq!(node.compiles as usize, plans.len(), "node {rank}: {node:?}");
+    }
+    assert_eq!(stats.total.fetches, 0, "{stats:?}");
+    assert_eq!(stats.total.misses, stats.total.compiles);
 
     for job in jobs {
         let reference = match job.program.family() {
@@ -229,7 +230,7 @@ fn particle_and_usgrid_plans_ship_across_the_cluster() {
             assert_eq!(
                 report.checksum.to_bits(),
                 reference.to_bits(),
-                "hydrated {:?} plan diverged from the seed path",
+                "cluster {:?} job diverged from the seed path",
                 job.program.family()
             );
         }
@@ -300,10 +301,10 @@ proptest! {
     }
 
     /// The acceptance property: over a random mixed-family workload on a
-    /// random cluster size, cluster-wide compiles == distinct plan keys the
-    /// submissions resolve — compile-once-per-cluster holds for every family
-    /// and for the stencil a usgrid program lowers to, which the stock
-    /// four's jobs share with `jacobi_5pt`'s.
+    /// random cluster size, each node's compiles == the distinct plan keys
+    /// its submissions resolve — compile-once-per-node holds for every
+    /// family and for the stencil a usgrid program lowers to, which the
+    /// stock four's jobs share with `jacobi_5pt`'s.
     #[test]
     fn mixed_family_cluster_compiles_equal_distinct_fingerprints(
         submissions in collection::vec((0usize..3, 0usize..3), 1..8),
@@ -320,18 +321,21 @@ proptest! {
         let sessions: Vec<_> = (0..nodes)
             .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("t{n}"))))
             .collect();
-        let mut distinct = HashSet::new();
+        let mut distinct: Vec<HashSet<PlanKey>> = vec![HashSet::new(); nodes];
         for (node, which) in &submissions {
             let spec = palette[*which].clone();
-            distinct.extend(plan_keys(&spec));
+            distinct[node % nodes].extend(plan_keys(&spec));
             cluster.submit(sessions[node % nodes], spec).unwrap();
         }
         let reports = cluster.drain();
         prop_assert_eq!(reports.len(), submissions.len());
         prop_assert!(reports.iter().all(|r| r.error.is_none()));
         let stats = cluster.cache_stats();
-        prop_assert_eq!(stats.total.compiles as usize, distinct.len(), "{:?}", stats);
-        prop_assert_eq!(stats.total.misses, stats.total.compiles + stats.total.fetches);
+        for (rank, node) in stats.per_node.iter().enumerate() {
+            prop_assert_eq!(node.compiles as usize, distinct[rank].len(), "node {}: {:?}", rank, node);
+        }
+        prop_assert_eq!(stats.total.misses, stats.total.compiles);
+        prop_assert_eq!(stats.total.fetches, 0);
         cluster.shutdown();
     }
 }

@@ -1,6 +1,6 @@
 //! Observability integration tests: deterministic traces under the fake
-//! clock, cross-validated snapshots at quiescence, and cross-node trace
-//! linkage over the cluster fabric.
+//! clock, cross-validated snapshots at quiescence, and per-job trace
+//! linkage on every node of a cluster sharing one hub.
 //!
 //! The determinism property is the observability analogue of the harness's
 //! "no timing guesses" rule: with a [`FakeClock`] driving both the service
@@ -76,7 +76,7 @@ proptest! {
 }
 
 /// After a drained run the snapshot's cross-counter invariants all hold:
-/// cache ledger (`misses == compiles + fetches`), lane sums, queue-wait
+/// cache ledger (`misses == compiles`), lane sums, queue-wait
 /// count vs job count, and the histogram's internal ordering.
 #[test]
 fn snapshot_validates_clean_at_quiescence() {
@@ -117,12 +117,12 @@ fn snapshot_validates_clean_at_quiescence() {
     service.shutdown();
 }
 
-/// A two-node cluster with one shared hub: the non-owner node's plan fetch
-/// shows up as a `Cluster::plan_req` span *inside the requesting job's
-/// trace*, the owner's serve side as a `Cluster::plan_rep` root span, and
+/// A two-node cluster with one shared hub: each node compiles the plan
+/// itself, each job's resolve and superstep → block spans sit inside that
+/// job's own trace, no application control frame crosses the fabric, and
 /// the cluster-wide snapshot cross-validates clean.
 #[test]
-fn cluster_fetch_spans_link_into_the_job_trace() {
+fn cluster_job_spans_link_into_each_jobs_trace() {
     use aohpc_aop::names;
 
     let hub = ObsHub::new();
@@ -131,39 +131,40 @@ fn cluster_fetch_spans_link_into_the_job_trace() {
         ServiceConfig::default().with_workers(1),
         std::sync::Arc::clone(&hub),
     );
-    // The same program on both nodes: one compiles, the other fetches.
+    // The same program on both nodes: each compiles it once.
     for node in 0..2 {
         let session = cluster.open_session_on(node, SessionSpec::tenant(format!("n{node}")));
         cluster.submit(session, job(0)).expect("admitted");
     }
     let reports = cluster.drain();
     assert_eq!(reports.len(), 2);
-    let traces: Vec<u64> = reports.iter().map(|r| r.trace_id.expect("traced")).collect();
 
     let spans = hub.recorder().spans();
-    let req = spans
-        .iter()
-        .find(|s| s.name == names::CLUSTER_PLAN_REQ)
-        .expect("the non-owner node fetched over the fabric");
-    assert!(
-        traces.contains(&req.trace),
-        "plan request runs inside one of the jobs' traces (trace {})",
-        req.trace
-    );
-    assert_ne!(req.parent, 0, "the fetch is parented into the job's span tree");
-    assert!(req.a >= 1, "fetch succeeded (OK attribute)");
-    let rep = spans
-        .iter()
-        .find(|s| s.name == names::CLUSTER_PLAN_REP)
-        .expect("the owner served the plan");
-    assert_eq!(rep.trace, 0, "serve side runs on a fabric thread: a trace root");
+    for report in &reports {
+        let trace = report.trace_id.expect("traced");
+        let in_trace = |name: &str| {
+            spans.iter().filter(|s| s.trace == trace && s.name == name).collect::<Vec<_>>()
+        };
+        let root = spans
+            .iter()
+            .find(|s| s.trace == trace && s.name == "Service::job" && s.parent == 0)
+            .expect("the job has a root span");
+        let resolves = in_trace(names::CACHE_RESOLVE);
+        assert_eq!(resolves.len(), 1, "trace {trace}: one pre-warm resolve");
+        assert_eq!(resolves[0].parent, root.span, "the resolve parents into the job root");
+        let steps: std::collections::HashSet<u64> =
+            in_trace(names::KERNEL_STEP).iter().map(|s| s.span).collect();
+        let blocks = in_trace(names::KERNEL_BLOCK);
+        assert!(!steps.is_empty() && !blocks.is_empty(), "trace {trace}: sweeps and blocks");
+        assert!(blocks.iter().all(|b| steps.contains(&b.parent)), "blocks parent into sweeps");
+    }
 
     let snapshot = cluster.obs_snapshot().expect("observer installed");
     let violations = snapshot.validate();
     assert!(violations.is_empty(), "cluster snapshot inconsistent: {violations:?}");
     let comm = snapshot.comm.expect("fabric attached");
-    assert_eq!(comm.control_sent, comm.control_received);
-    assert_eq!(snapshot.cache.as_ref().unwrap().fetches, 1);
+    assert_eq!(comm.control_sent, 0, "the job path sends no application control frame");
+    assert_eq!(snapshot.cache.as_ref().unwrap().compiles, 2, "one compile on each node");
     cluster.shutdown();
 }
 

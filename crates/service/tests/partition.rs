@@ -9,23 +9,18 @@
 //!    kill / restart / cut / heal over a mixed-family workload (stencil,
 //!    particle, usgrid) resolve every handle with the checksum a plain
 //!    single-node service computes, and after the mesh heals a batch of
-//!    fresh plans compiles exactly once per distinct fingerprint.
+//!    fresh plans compiles exactly once on each node that resolves it.
 //! 2. **Incarnation arbitration converges asymmetric views** — a one-way
 //!    cut pins "A sees B dead, B sees A alive"; B refutes the overheard
 //!    suspicion exactly once, and after the heal both views settle on B's
-//!    refuted incarnation with no ownership flap.
-//! 3. **Incarnations fence both wire directions** — a `PLAN_REQ` stamped
-//!    with a pre-restart incarnation is dropped unserved by the restarted
-//!    owner, and a `PLAN_REP` sent by a pre-restart incarnation is dropped
-//!    by the requester even though the sender is Alive again.  An
-//!    old-incarnation heartbeat can never resurrect a dead entry.
+//!    refuted incarnation with no flap.
+//! 3. **Death is terminal per incarnation** — an old-incarnation heartbeat
+//!    can never resurrect a dead entry.
 //! 4. **A restarted rank re-earns its place** — fresh incarnation adopted
-//!    by every view, rendezvous ownership restored, cold cache re-warmed
-//!    through the ordinary plan-fetch path.
+//!    by every view, and its cold-reset cache re-warmed by compiling.
 
 use aohpc_kernel::{load, param, StencilProgram};
 use aohpc_obs::ObsHub;
-use aohpc_service::cluster::{plan_owner_among, TAG_PLAN_REP, TAG_PLAN_REQ};
 use aohpc_service::{
     ClusterService, ClusterTuning, FaultPlan, JobSpec, KernelService, Membership, NodeState,
     ServiceConfig, SessionSpec,
@@ -82,28 +77,6 @@ fn post_heal_specs() -> [JobSpec; 2] {
     [spec(a), spec(b)]
 }
 
-/// Scan a small deterministic family of specs for one whose rendezvous
-/// placement satisfies `pred` — the seam the drills use to aim a fault at
-/// "the owner of this plan" without probabilistic test topologies.
-fn find_spec(mut pred: impl FnMut(&JobSpec) -> bool) -> JobSpec {
-    for region in [48usize, 64, 96, 120] {
-        for block in [4usize, 6, 8, 12, 16, 24, 32] {
-            if region % block != 0 {
-                continue;
-            }
-            for program in [StencilProgram::jacobi_5pt(), StencilProgram::smooth_9pt()] {
-                let spec = JobSpec::new(program, vec![0.5, 0.125], RegionSize::square(region))
-                    .with_block(block)
-                    .with_steps(1);
-                if pred(&spec) {
-                    return spec;
-                }
-            }
-        }
-    }
-    panic!("no candidate spec matched the ownership predicate");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -113,7 +86,7 @@ proptest! {
     /// checksum bit-identical to the single-node reference, the resolve
     /// ledger stays balanced, every view re-converges to all-Alive with
     /// agreed incarnations, and a post-heal batch of fresh plans compiles
-    /// exactly once per distinct fingerprint cluster-wide.
+    /// exactly once on each node per distinct fingerprint.
     #[test]
     fn partition_schedules_lose_no_jobs_and_change_no_answers(
         kills in collection::vec((0usize..3, 30u64..80), 0..3),
@@ -148,9 +121,6 @@ proptest! {
         let killed_ranks: Vec<usize> = killed.iter().map(|&(r, _)| r).collect();
 
         let clock = FakeClock::new();
-        let mut tuning = ClusterTuning::fast();
-        tuning.fetch_timeout = Duration::from_millis(100);
-        tuning.fetch_retries = 2;
         let mut plan = FaultPlan::new();
         for (i, &(rank, at_ms)) in killed.iter().enumerate() {
             plan = plan
@@ -167,8 +137,13 @@ proptest! {
                     .heal_at(from, to, Duration::from_millis(at_ms + 80));
             }
         }
-        let cluster =
-            ClusterService::with_fault_plan(3, config(), clock.clone(), tuning, plan);
+        let cluster = ClusterService::with_fault_plan(
+            3,
+            config(),
+            clock.clone(),
+            ClusterTuning::fast(),
+            plan,
+        );
         let sessions: Vec<_> = (0..3)
             .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("t{n}"))))
             .collect();
@@ -205,9 +180,10 @@ proptest! {
         }
 
         // The resolve ledger stays balanced under partitions: every miss
-        // ended in exactly one of {successful fetch, compile}.
+        // ended in exactly one local compile, and nothing was fetched.
         let stats = cluster.cache_stats();
-        prop_assert_eq!(stats.total.misses, stats.total.compiles + stats.total.fetches);
+        prop_assert_eq!(stats.total.misses, stats.total.compiles);
+        prop_assert_eq!(stats.total.fetches, 0);
 
         // Anti-entropy re-converges every view: all-Alive everywhere, and
         // every observer agrees on every rank's incarnation.
@@ -235,8 +211,8 @@ proptest! {
         }
 
         // Post-heal, new work compiles exactly once per distinct
-        // fingerprint cluster-wide — the compile-once contract survives the
-        // whole episode.
+        // fingerprint on each of the three nodes that resolves it — the
+        // compile-once-per-node contract survives the whole episode.
         let before = cluster.cache_stats().total.compiles;
         let fresh = post_heal_specs();
         let posts: Vec<_> = (0..3)
@@ -255,8 +231,8 @@ proptest! {
         }
         prop_assert_eq!(
             cluster.cache_stats().total.compiles,
-            before + fresh.len() as u64,
-            "post-heal compiles must equal the number of distinct fresh fingerprints"
+            before + 3 * fresh.len() as u64,
+            "post-heal compiles must equal nodes x distinct fresh fingerprints"
         );
         cluster.shutdown();
     }
@@ -267,7 +243,7 @@ proptest! {
 /// hears rank 0, including the suspicion broadcast — refutes exactly once
 /// and keeps believing rank 0 Alive.  After the heal, incarnation order
 /// converges both views onto the refuted incarnation, with no further
-/// refutations, suspicions or ownership movement.
+/// refutations or suspicions.
 #[test]
 fn asymmetric_partition_converges_views_with_exactly_one_refutation() {
     let clock = FakeClock::new();
@@ -328,7 +304,7 @@ fn asymmetric_partition_converges_views_with_exactly_one_refutation() {
 
     // No flap after convergence: more detector time moves nothing — no new
     // suspicions, deaths, rejoins or refutations on either side, and the
-    // full two-rank view (hence every rendezvous ownership decision) holds.
+    // full two-rank view holds.
     for _ in 0..30 {
         step(&clock, 5);
     }
@@ -354,107 +330,6 @@ fn asymmetric_partition_converges_views_with_exactly_one_refutation() {
     let spans = hub.recorder().spans();
     assert!(spans.iter().any(|s| s.name == aohpc_aop::names::CLUSTER_PARTITION));
     assert!(spans.iter().any(|s| s.name == aohpc_aop::names::CLUSTER_REJOIN));
-    cluster.shutdown();
-}
-
-/// Request-side incarnation fencing: a `PLAN_REQ` delayed across its
-/// owner's kill + restart arrives stamped with the pre-restart incarnation
-/// and is dropped *unserved* (metered as `stale_requests_dropped`) — the
-/// restarted owner honours no obligation of its previous life.
-#[test]
-fn stale_plan_req_to_a_restarted_rank_is_dropped() {
-    // A spec whose plan is owned by rank 1 under the full three-rank view,
-    // so node 0's first fetch goes to rank 1.
-    let spec = find_spec(|s| plan_owner_among(s, &[0, 1, 2]) == 1);
-
-    let clock = FakeClock::new();
-    let mut tuning = ClusterTuning::fast();
-    tuning.fetch_timeout = Duration::from_millis(30);
-    tuning.fetch_retries = 1;
-    // Rank 0's request is held at rank 1 until detector time 300 ms — past
-    // rank 1's scripted death (30 ms) *and* restart (250 ms).
-    let plan = FaultPlan::new()
-        .delay_frames(Some(0), Some(1), Some(TAG_PLAN_REQ), Duration::from_millis(300))
-        .kill_at(1, Duration::from_millis(30))
-        .restart_at(1, Duration::from_millis(250));
-    let cluster = ClusterService::with_fault_plan(3, config(), clock.clone(), tuning, plan);
-
-    // The job completes in real time without rank 1's help: the fetch
-    // times out, suspects the owner, and re-homes.
-    let session = cluster.open_session_on(0, SessionSpec::tenant("t0"));
-    let report = cluster
-        .submit(session, spec)
-        .unwrap()
-        .wait_timeout(Duration::from_secs(30))
-        .expect("job resolved despite the held request")
-        .expect("job succeeded");
-    assert_eq!(report.error, None);
-
-    // Run the schedule: rank 1 dies, restarts under a fresh incarnation,
-    // and at 300 ms the held request flushes into its fabric.
-    let mut dropped = false;
-    for _ in 0..100 {
-        step(&clock, 10);
-        if cluster.membership_stats(1).stale_requests_dropped >= 1 {
-            dropped = true;
-            break;
-        }
-    }
-    let stats = cluster.membership_stats(1);
-    assert!(dropped, "the pre-restart PLAN_REQ was never dropped as stale: {stats:?}");
-    assert!(
-        cluster.incarnation(1, 1) >= 1,
-        "the restart must have bumped rank 1's own incarnation"
-    );
-    cluster.shutdown();
-}
-
-/// Reply-side incarnation fencing, sharpened: a `PLAN_REP` served by the
-/// *pre-restart* incarnation is dropped by the requester even though its
-/// sender is Alive again by then — the fence is the incarnation, not a
-/// standing death verdict.
-#[test]
-fn stale_plan_rep_from_a_previous_incarnation_is_dropped_while_the_sender_lives() {
-    let spec = find_spec(|s| plan_owner_among(s, &[0, 1, 2]) == 1);
-
-    let clock = FakeClock::new();
-    let mut tuning = ClusterTuning::fast();
-    tuning.fetch_timeout = Duration::from_millis(30);
-    tuning.fetch_retries = 1;
-    // Rank 1 serves the request immediately, but the reply is held at rank
-    // 0 until detector time 400 ms — by which point rank 1 has died (60
-    // ms), restarted (250 ms) and rejoined under a fresh incarnation.
-    let plan = FaultPlan::new()
-        .delay_frames(Some(1), Some(0), Some(TAG_PLAN_REP), Duration::from_millis(400))
-        .kill_at(1, Duration::from_millis(60))
-        .restart_at(1, Duration::from_millis(250));
-    let cluster = ClusterService::with_fault_plan(3, config(), clock.clone(), tuning, plan);
-
-    let session = cluster.open_session_on(0, SessionSpec::tenant("t0"));
-    let report = cluster
-        .submit(session, spec)
-        .unwrap()
-        .wait_timeout(Duration::from_secs(30))
-        .expect("job resolved despite the held reply")
-        .expect("job succeeded");
-    assert_eq!(report.error, None);
-
-    let mut dropped = false;
-    for _ in 0..100 {
-        step(&clock, 10);
-        if cluster.membership_stats(0).stale_replies_dropped >= 1 {
-            dropped = true;
-            break;
-        }
-    }
-    let stats = cluster.membership_stats(0);
-    assert!(dropped, "the pre-restart PLAN_REP was never dropped as stale: {stats:?}");
-    assert_eq!(
-        cluster.node_state(0, 1),
-        NodeState::Alive,
-        "the drop must be incarnation-fenced, not death-fenced: {stats:?}"
-    );
-    assert!(cluster.incarnation(0, 1) >= 1);
     cluster.shutdown();
 }
 
@@ -484,28 +359,20 @@ fn old_incarnation_heartbeat_cannot_resurrect_a_dead_entry() {
     assert_eq!(view.stats().rejoins, 1);
 }
 
-/// The acceptance drill: a killed plan owner restarts, re-announces over
-/// the liveness plane under a fresh incarnation adopted by every view,
-/// re-earns its rendezvous ownership (a fresh plan it owns compiles on it,
-/// exactly once cluster-wide), and re-warms its cold-reset cache through
-/// the ordinary plan-fetch path.
+/// The acceptance drill: a killed rank restarts, re-announces over the
+/// liveness plane under a fresh incarnation adopted by every view, and
+/// re-owns its plans: its cold-reset cache compiles each plan its jobs
+/// resolve again, once, while the survivors' caches stay warm.
 #[test]
 fn killed_rank_rejoins_with_fresh_incarnation_and_reowns_its_plans() {
-    let spec_owned_1 = find_spec(|s| plan_owner_among(s, &[0, 1, 2]) == 1);
-    let spec_owned_0 = find_spec(|s| plan_owner_among(s, &[0, 1, 2]) == 0);
-    // A second rank-1-owned plan under its own cache key: the key is
-    // (fingerprint, block extent, level), so a different program *or* a
-    // different block suffices.
-    let fresh_owned_1 = find_spec(|s| {
-        plan_owner_among(s, &[0, 1, 2]) == 1
-            && (s.program.name() != spec_owned_1.program.name() || s.block != spec_owned_1.block)
-    });
+    let spec = |program| {
+        JobSpec::new(program, vec![0.5, 0.125], RegionSize::square(48)).with_block(8).with_steps(1)
+    };
+    let warm_specs = [spec(StencilProgram::jacobi_5pt()), spec(StencilProgram::smooth_9pt())];
+    let fresh = post_heal_specs()[0].clone();
 
     let clock = FakeClock::new();
     let hub = ObsHub::with_clock(clock.clone());
-    let mut tuning = ClusterTuning::fast();
-    tuning.fetch_timeout = Duration::from_millis(100);
-    tuning.fetch_retries = 2;
     let plan = FaultPlan::new()
         .kill_at(1, Duration::from_millis(30))
         .restart_at(1, Duration::from_millis(250));
@@ -513,30 +380,32 @@ fn killed_rank_rejoins_with_fresh_incarnation_and_reowns_its_plans() {
         3,
         config(),
         clock.clone(),
-        tuning,
+        ClusterTuning::fast(),
         plan,
         hub.clone(),
     );
     let sessions: Vec<_> =
         (0..3).map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("t{n}")))).collect();
+    let run = |session, spec: &JobSpec, what: &str| {
+        let report = cluster
+            .submit(session, spec.clone())
+            .unwrap()
+            .wait_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|| panic!("{what} job resolved"))
+            .unwrap_or_else(|err| panic!("{what} job failed: {err:?}"));
+        assert_eq!(report.error, None, "{what}");
+    };
 
-    // Warm phase (detector time never advances, so no fault fires): each
-    // plan compiles once on its owner and every other node fetches it.
-    for spec in [&spec_owned_1, &spec_owned_0] {
+    // Warm phase (detector time never advances, so no fault fires): every
+    // node compiles both plans once — 3 nodes x 2 plans.
+    for spec in &warm_specs {
         for &session in &sessions {
-            let report = cluster
-                .submit(session, spec.clone())
-                .unwrap()
-                .wait_timeout(Duration::from_secs(60))
-                .expect("warm job resolved")
-                .expect("warm job succeeded");
-            assert_eq!(report.error, None);
+            run(session, spec, "warm");
         }
     }
     let warm = cluster.cache_stats();
-    assert_eq!(warm.total.compiles, 2);
-    assert_eq!(warm.total.fetches, 4);
-    assert_eq!(warm.per_node[1].compiles, 1, "rank 1 owns and compiled its plan");
+    assert_eq!((warm.total.compiles, warm.total.fetches), (6, 0), "{warm:?}");
+    assert_eq!(warm.per_node[1].compiles, 2, "rank 1 compiled both of its plans");
 
     // Kill fires at 30 ms; the survivors walk rank 1 into Dead at its
     // original incarnation.
@@ -580,48 +449,26 @@ fn killed_rank_rejoins_with_fresh_incarnation_and_reowns_its_plans() {
         rejoined_stats.per_node[1]
     );
 
-    // Re-earned ownership: a fresh rank-1-owned plan compiles exactly once
-    // cluster-wide — on rank 1.
+    // A fresh plan on every node: one compile on each, the rejoined rank's
+    // included.
     let posts: Vec<_> = (0..3)
         .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("post{n}"))))
         .collect();
     for &post in &posts {
-        let report = cluster
-            .submit(post, fresh_owned_1.clone())
-            .unwrap()
-            .wait_timeout(Duration::from_secs(60))
-            .expect("post-rejoin job resolved")
-            .expect("post-rejoin job succeeded");
-        assert_eq!(report.error, None);
+        run(post, &fresh, "post-rejoin");
     }
     let after = cluster.cache_stats();
-    assert_eq!(
-        after.total.compiles,
-        rejoined_stats.total.compiles + 1,
-        "a fresh plan compiles exactly once cluster-wide after the rejoin"
-    );
-    assert_eq!(
-        after.per_node[1].compiles,
-        rejoined_stats.per_node[1].compiles + 1,
-        "the rejoined rank compiled it: rendezvous ownership was re-earned"
-    );
+    assert_eq!(after.total.compiles, rejoined_stats.total.compiles + 3, "{after:?}");
+    assert_eq!(after.per_node[1].compiles, rejoined_stats.per_node[1].compiles + 1);
 
-    // Cold-cache warm-up: a plan rank 1 does *not* own is re-fetched from
-    // its owner, not recompiled.
-    let report = cluster
-        .submit(posts[1], spec_owned_0)
-        .unwrap()
-        .wait_timeout(Duration::from_secs(60))
-        .expect("re-warm job resolved")
-        .expect("re-warm job succeeded");
-    assert_eq!(report.error, None);
+    // Cold-cache warm-up: a plan rank 1 compiled before its death compiles
+    // again there — and only there; the survivors still hit theirs.
+    run(posts[1], &warm_specs[0], "re-warm");
+    run(posts[0], &warm_specs[0], "survivor");
     let warmed = cluster.cache_stats();
-    assert_eq!(warmed.total.compiles, after.total.compiles, "re-warming must not recompile");
-    assert_eq!(
-        warmed.per_node[1].fetches,
-        after.per_node[1].fetches + 1,
-        "the rejoined rank warms its cold cache through the plan-fetch path"
-    );
+    assert_eq!(warmed.total.compiles, after.total.compiles + 1, "{warmed:?}");
+    assert_eq!(warmed.per_node[1].compiles, after.per_node[1].compiles + 1);
+    assert_eq!(warmed.total.fetches, 0);
 
     // The rejoin landed at the observability join point.
     assert!(hub.metrics().rejoins.get() >= 1);

@@ -2,14 +2,12 @@
 //! observability layer, exported as a Chrome trace.
 //!
 //! Two service nodes share one [`ObsHub`], so every span any rank records —
-//! job roots, kernel supersteps, per-block execution, cache resolutions, and
-//! the cross-node plan-fetch round trips — lands in one flight recorder,
-//! linked into per-job trees by trace id.  The demo submits one program per
-//! kernel family to *both* nodes (forcing a cross-node fetch for every plan
-//! whose owner is the other rank), then:
+//! job roots, cache resolutions, kernel supersteps and per-block execution —
+//! lands in one flight recorder, linked into per-job trees by trace id.  The
+//! demo submits one program per kernel family to *both* nodes (each node
+//! compiles its own plans), then:
 //!
-//! 1. verifies the job → superstep → block span linkage and that at least
-//!    one `Cluster::plan_req` span sits inside a job's trace,
+//! 1. verifies the job → superstep → block span linkage,
 //! 2. writes `trace_capture.chrome.json` — open it in `chrome://tracing` or
 //!    <https://ui.perfetto.dev> to see the timeline,
 //! 3. prints the cross-validated [`ObsSnapshot`].
@@ -34,8 +32,8 @@ fn main() {
         ClusterService::with_observer(NODES, ServiceConfig::for_scale(scale), Arc::clone(&hub));
     println!("# trace_capture — {NODES} nodes, shared ObsHub, scale = {scale}");
 
-    // One program per kernel family, submitted on every node: each plan
-    // compiles on its fingerprint-owner rank and is fetched by the other.
+    // One program per kernel family, submitted on every node: each node
+    // compiles the plans its jobs resolve.
     let jobs = [JobSpec::jacobi(scale), JobSpec::particle(scale), JobSpec::usgrid(scale)];
     let mut handles = Vec::new();
     for node in 0..NODES {
@@ -81,24 +79,12 @@ fn main() {
     }
     assert!(linked_blocks > 0, "block spans recorded");
 
-    // Acceptance: the cross-node plan fetch is part of the requesting job's
-    // trace — the distributed round trip is visible in the job's own tree.
-    let fetches: Vec<_> = spans.iter().filter(|s| s.name == names::CLUSTER_PLAN_REQ).collect();
-    assert!(!fetches.is_empty(), "at least one plan crossed the fabric");
-    for fetch in &fetches {
-        assert!(traces.contains(&fetch.trace), "plan_req span shares a job's trace id");
-    }
-    let serves = spans.iter().filter(|s| s.name == names::CLUSTER_PLAN_REP).count();
-    assert!(serves >= fetches.len(), "every fetch was served");
-
     let chrome = chrome_trace_json(&spans);
     std::fs::write("trace_capture.chrome.json", &chrome).expect("write chrome trace");
     println!(
-        "\n{} spans across {} job traces ({} cross-node fetches, {} serves)",
+        "\n{} spans across {} job traces ({linked_blocks} block spans linked)",
         spans.len(),
-        traces.len(),
-        fetches.len(),
-        serves
+        traces.len()
     );
     println!("wrote trace_capture.chrome.json ({} bytes) — open in chrome://tracing", chrome.len());
 
@@ -106,10 +92,9 @@ fn main() {
     let violations = snapshot.validate();
     assert!(violations.is_empty(), "snapshot inconsistent: {violations:?}");
     println!(
-        "snapshot: {} completed, cache {}c/{}f/{}h, comm {} control frames — validate() clean ✓",
+        "snapshot: {} completed, cache {}c/{}h, comm {} control frames — validate() clean ✓",
         snapshot.jobs.completed,
         snapshot.cache.as_ref().unwrap().compiles,
-        snapshot.cache.as_ref().unwrap().fetches,
         snapshot.cache.as_ref().unwrap().hits,
         snapshot.comm.as_ref().unwrap().control_sent,
     );
