@@ -200,12 +200,13 @@ fn main() {
     {
         let clock = FakeClock::new();
         let plan = FaultPlan::new().kill_at(1, Duration::from_millis(30));
-        let cluster = ClusterService::with_fault_plan(
+        let cluster = ClusterService::with_fake_clock(
             nodes,
             config,
             clock.clone(),
             ClusterTuning::fast(),
             plan,
+            None,
         );
         let sessions: Vec<_> = (0..nodes)
             .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("drill-{n}"))))
@@ -247,12 +248,13 @@ fn main() {
         let plan = FaultPlan::new()
             .kill_at(1, Duration::from_millis(30))
             .restart_at(1, Duration::from_millis(250));
-        let cluster = ClusterService::with_fault_plan(
+        let cluster = ClusterService::with_fake_clock(
             nodes,
             config,
             clock.clone(),
             ClusterTuning::fast(),
             plan,
+            None,
         );
         let sessions: Vec<_> = (0..nodes)
             .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("rejoin-{n}"))))

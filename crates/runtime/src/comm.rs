@@ -1,5 +1,5 @@
-//! The simulated distributed-memory fabric: a multiplexed transport with a
-//! data plane (cell pages) and a control plane (tagged byte payloads).
+//! The simulated distributed-memory fabric: the superstep exchange of cell
+//! pages between ranks.
 //!
 //! The paper's distributed layer is MPI over Omni-Path; this environment has
 //! neither, so ranks are OS threads connected by a full mesh of channels.
@@ -9,40 +9,26 @@
 //! pattern (and therefore the Dry-run optimisation and the scaling behaviour)
 //! is exercised exactly as with real MPI.
 //!
-//! Two planes share one mesh:
+//! The mesh carries supersteps only: the deadlock-free exchange of
+//! [`Communicator::exchange`], matching the paper's statement that `refresh`
+//! "is synchronously executed when there are multiple tasks" — every rank
+//! sends one request message to every other rank (possibly empty, always
+//! carrying its local success flag), serves the requests it receives, and
+//! then collects the page data addressed to it.  The global success flag is
+//! the conjunction of all local flags, so all ranks re-execute a failed step
+//! together; [`Communicator::allreduce_and`] is the same conjunction on its
+//! own.
 //!
-//! * **Data plane** — the deadlock-free superstep of [`Communicator::exchange`],
-//!   matching the paper's statement that `refresh` "is synchronously executed
-//!   when there are multiple tasks": every rank sends one request message to
-//!   every other rank (possibly empty, always carrying its local success
-//!   flag), serves the requests it receives, and then collects the page data
-//!   addressed to it.  The global success flag is the conjunction of all
-//!   local flags, so all ranks re-execute a failed step together.
-//! * **Control plane** — tagged, unordered-with-respect-to-supersteps byte
-//!   frames ([`ControlFrame`]) for out-of-band coordination: compiled-plan
-//!   requests and replies in the cluster service, shutdown signals, and
-//!   whatever future subsystems need.  Control frames arriving while a rank
-//!   is inside a superstep are buffered and never perturb the page protocol;
-//!   conversely, page traffic arriving while a rank waits in
-//!   [`Communicator::recv_control`] is buffered for the next superstep.
-//!
-//! Both planes are metered in one [`CommStats`], with symmetric send/receive
-//! counters: across a quiesced mesh, total `messages_sent` equals total
+//! Traffic is metered in [`CommStats`] with symmetric send/receive counters:
+//! across a quiesced mesh, total `messages_sent` equals total
 //! `messages_received` and total `bytes_sent` equals total `bytes_received`
 //! (the balance the comm tests assert).
-//!
-//! Because the receiving side of an endpoint is single-owner (the pending
-//! buffer needs `&mut`), a rank that dedicates a thread to the fabric hands
-//! that thread the [`Communicator`] and keeps a cloneable [`ControlHandle`]
-//! (send-only) and a [`CommProbe`] (stats-only) for everyone else.
 
 use aohpc_env::BlockId;
 use aohpc_mem::PageId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::Serialize;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One page in flight: which block/page it is and its cells.
 #[derive(Debug, Clone)]
@@ -53,32 +39,6 @@ pub struct PagePayload<C> {
     pub page: PageId,
     /// The page's cells.
     pub cells: Vec<C>,
-}
-
-/// First tag of the **liveness class**: control frames tagged
-/// `>= LIVENESS_TAG_BASE` are background chatter (heartbeats, failure
-/// suspicions) rather than application traffic.  They ride the same control
-/// plane but are metered into [`CommStats::liveness_sent`] /
-/// [`CommStats::liveness_received`] instead of the `control_*` /
-/// `messages_*` / `bytes_*` ledgers, so the quiesced-mesh balance invariant
-/// (`control_sent == control_received` once the application drains) keeps
-/// holding while heartbeats are still in flight.
-pub const LIVENESS_TAG_BASE: u32 = 0xF000_0000;
-
-/// One control-plane frame: an application-tagged byte payload.
-///
-/// Tags are allocated by the subsystem using the plane (the cluster service
-/// reserves one for shutdown, and liveness tags live at
-/// [`LIVENESS_TAG_BASE`] and up); the transport itself only routes and
-/// meters them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ControlFrame {
-    /// Sending rank.
-    pub from: usize,
-    /// Application-defined message kind.
-    pub tag: u32,
-    /// Opaque payload.
-    pub bytes: Vec<u8>,
 }
 
 /// Messages exchanged between ranks.
@@ -107,50 +67,43 @@ pub enum RankMessage<C> {
         /// Served pages.
         pages: Vec<PagePayload<C>>,
     },
-    /// A control-plane frame (out-of-band with respect to supersteps).
-    Control {
-        /// Sending rank.
-        from: usize,
-        /// Application-defined message kind.
-        tag: u32,
-        /// Opaque payload.
-        bytes: Vec<u8>,
-    },
 }
 
 /// Communication counters of one rank (inputs to the cost model, the
 /// weak-scaling analysis and the cluster service's per-node dashboards).
 ///
-/// Send and receive are metered symmetrically on both planes: summed over all
-/// ranks of a quiesced mesh, `messages_sent == messages_received` and
+/// Send and receive are metered symmetrically: summed over all ranks of a
+/// quiesced mesh, `messages_sent == messages_received` and
 /// `bytes_sent == bytes_received`.  Bytes count page payloads
-/// (`cells × sizeof(C)`) and control payloads (`bytes.len()`); the fixed-size
-/// request/flag envelopes count as messages but carry no payload bytes.
+/// (`cells × sizeof(C)`); the fixed-size request/flag envelopes count as
+/// messages but carry no payload bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CommStats {
     /// Supersteps (collective refreshes) executed.
     pub supersteps: u64,
-    /// Messages sent on either plane (excluding empty ones is NOT done: MPI
-    /// would still need the synchronisation, so every message is counted).
+    /// Messages sent (excluding empty ones is NOT done: MPI would still need
+    /// the synchronisation, so every message is counted).
     pub messages_sent: u64,
-    /// Messages received on either plane.
+    /// Messages received.
     pub messages_received: u64,
     /// Pages shipped to other ranks.
     pub pages_sent: u64,
     /// Pages received from other ranks.
     pub pages_received: u64,
-    /// Payload bytes shipped to other ranks (both planes).
+    /// Payload bytes shipped to other ranks.
     pub bytes_sent: u64,
-    /// Payload bytes received from other ranks (both planes).
+    /// Payload bytes received from other ranks.
     pub bytes_received: u64,
-    /// Control frames sent.
+    /// Application control frames sent.  Nothing writes it; it stays until
+    /// ROADMAP B1, because the ledger under `benchmark/` reads it.
     pub control_sent: u64,
-    /// Control frames received.
+    /// Application control frames received.  Nothing writes it; it stays
+    /// until ROADMAP B1, beside [`CommStats::control_sent`].
     pub control_received: u64,
-    /// Liveness-class frames sent (tags `>=` [`LIVENESS_TAG_BASE`]:
-    /// heartbeats, suspicions).  Kept out of every other ledger.
+    /// Liveness frames sent on the service cluster's own fabric
+    /// (heartbeats, gossip, view sync).  Kept out of every other ledger.
     pub liveness_sent: u64,
-    /// Liveness-class frames received.
+    /// Liveness frames received on the service cluster's own fabric.
     pub liveness_received: u64,
 }
 
@@ -176,136 +129,6 @@ impl std::ops::Add for CommStats {
     }
 }
 
-/// The shared, atomically-updated counter block behind [`CommStats`].
-///
-/// Shared between the [`Communicator`], its [`ControlHandle`]s and its
-/// [`CommProbe`]s, so sends from detached handles and reads from monitoring
-/// threads all land in one rank-level ledger.
-#[derive(Debug, Default)]
-struct CommCounters {
-    supersteps: AtomicU64,
-    messages_sent: AtomicU64,
-    messages_received: AtomicU64,
-    pages_sent: AtomicU64,
-    pages_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    control_sent: AtomicU64,
-    control_received: AtomicU64,
-    liveness_sent: AtomicU64,
-    liveness_received: AtomicU64,
-}
-
-impl CommCounters {
-    fn snapshot(&self) -> CommStats {
-        CommStats {
-            supersteps: self.supersteps.load(Ordering::Relaxed),
-            messages_sent: self.messages_sent.load(Ordering::Relaxed),
-            messages_received: self.messages_received.load(Ordering::Relaxed),
-            pages_sent: self.pages_sent.load(Ordering::Relaxed),
-            pages_received: self.pages_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            control_sent: self.control_sent.load(Ordering::Relaxed),
-            control_received: self.control_received.load(Ordering::Relaxed),
-            liveness_sent: self.liveness_sent.load(Ordering::Relaxed),
-            liveness_received: self.liveness_received.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A read-only view of one rank's [`CommStats`], detachable from the
-/// endpoint: the cluster service keeps a probe per node so it can aggregate
-/// fabric counters while each node's fabric thread owns the communicator.
-#[derive(Debug, Clone)]
-pub struct CommProbe {
-    counters: Arc<CommCounters>,
-}
-
-impl CommProbe {
-    /// Point-in-time counter snapshot.
-    pub fn stats(&self) -> CommStats {
-        self.counters.snapshot()
-    }
-}
-
-/// A cloneable, send-only handle onto one rank's control plane.
-///
-/// Sends are metered into the owning rank's [`CommStats`].  A rank may send
-/// to itself — the frame arrives on its own receiver like any other, which is
-/// how an owner thread blocked in [`Communicator::recv_control`] is woken for
-/// shutdown.
-pub struct ControlHandle<C> {
-    rank: usize,
-    senders: Vec<Sender<RankMessage<C>>>,
-    counters: Arc<CommCounters>,
-}
-
-impl<C> Clone for ControlHandle<C> {
-    fn clone(&self) -> Self {
-        ControlHandle {
-            rank: self.rank,
-            senders: self.senders.clone(),
-            counters: Arc::clone(&self.counters),
-        }
-    }
-}
-
-impl<C> ControlHandle<C> {
-    /// This handle's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks in the mesh.
-    pub fn size(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Send a control frame to `peer` (self-sends allowed).  Returns `false`
-    /// if the peer's endpoint is gone (its receiver was dropped), which
-    /// callers treat as "the mesh is shutting down" rather than an error.
-    pub fn send(&self, peer: usize, tag: u32, bytes: Vec<u8>) -> bool {
-        send_control_frame(&self.senders, &self.counters, self.rank, peer, tag, bytes)
-    }
-}
-
-/// The one control-plane send implementation [`ControlHandle::send`] and
-/// [`Communicator::send_control`] share.  A frame is metered only once it is
-/// actually in the peer's channel — a send refused by a torn-down peer must
-/// not unbalance the quiesced-mesh `sent == received` ledger.
-fn send_control_frame<C>(
-    senders: &[Sender<RankMessage<C>>],
-    counters: &CommCounters,
-    from: usize,
-    peer: usize,
-    tag: u32,
-    bytes: Vec<u8>,
-) -> bool {
-    assert!(peer < senders.len(), "peer {peer} out of range");
-    let len = bytes.len() as u64;
-    if senders[peer].send(RankMessage::Control { from, tag, bytes }).is_err() {
-        return false;
-    }
-    if tag >= LIVENESS_TAG_BASE {
-        counters.liveness_sent.fetch_add(1, Ordering::Relaxed);
-    } else {
-        counters.messages_sent.fetch_add(1, Ordering::Relaxed);
-        counters.control_sent.fetch_add(1, Ordering::Relaxed);
-        counters.bytes_sent.fetch_add(len, Ordering::Relaxed);
-    }
-    true
-}
-
-impl<C> fmt::Debug for ControlHandle<C> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ControlHandle")
-            .field("rank", &self.rank)
-            .field("size", &self.senders.len())
-            .finish()
-    }
-}
-
 /// A rank's endpoint of the full-mesh fabric.
 pub struct Communicator<C> {
     rank: usize,
@@ -313,11 +136,11 @@ pub struct Communicator<C> {
     senders: Vec<Sender<RankMessage<C>>>,
     receiver: Receiver<RankMessage<C>>,
     /// Messages that arrived out of phase: a peer already in the *next*
-    /// superstep while this rank finishes the current one, or control frames
-    /// landing mid-superstep (and vice versa).
+    /// superstep (or allreduce round) while this rank finishes the current
+    /// one.
     pending: std::collections::VecDeque<RankMessage<C>>,
     cell_bytes: usize,
-    counters: Arc<CommCounters>,
+    stats: CommStats,
 }
 
 impl<C: Clone + Send + 'static> Communicator<C> {
@@ -341,7 +164,7 @@ impl<C: Clone + Send + 'static> Communicator<C> {
                 receiver,
                 pending: std::collections::VecDeque::new(),
                 cell_bytes: std::mem::size_of::<C>().max(1),
-                counters: Arc::new(CommCounters::default()),
+                stats: CommStats::default(),
             })
             .collect()
     }
@@ -358,137 +181,40 @@ impl<C: Clone + Send + 'static> Communicator<C> {
 
     /// Communication counters so far.
     pub fn stats(&self) -> CommStats {
-        self.counters.snapshot()
+        self.stats
     }
 
-    /// A detachable, read-only view of this rank's counters.
-    pub fn probe(&self) -> CommProbe {
-        CommProbe { counters: Arc::clone(&self.counters) }
-    }
-
-    /// A cloneable, send-only handle onto this rank's control plane (for
-    /// threads other than the endpoint's owner).
-    pub fn control_handle(&self) -> ControlHandle<C> {
-        ControlHandle {
-            rank: self.rank,
-            senders: self.senders.clone(),
-            counters: Arc::clone(&self.counters),
-        }
-    }
-
-    /// Send a control frame to `peer` directly from the endpoint (same
-    /// semantics as [`ControlHandle::send`], without building a handle).
-    pub fn send_control(&self, peer: usize, tag: u32, bytes: Vec<u8>) -> bool {
-        send_control_frame(&self.senders, &self.counters, self.rank, peer, tag, bytes)
-    }
-
-    /// Pull the next message off the wire, metering the receive side.  All
-    /// receive paths funnel through here (or [`Communicator::try_pull`]), so
-    /// every message is counted exactly once however long it sits in the
-    /// pending buffer afterwards.
-    fn pull(&mut self) -> Option<RankMessage<C>> {
-        let msg = self.receiver.recv().ok()?;
-        self.meter_received(&msg);
-        Some(msg)
-    }
-
-    /// Non-blocking [`Communicator::pull`].
-    fn try_pull(&mut self) -> Option<RankMessage<C>> {
-        let msg = self.receiver.try_recv().ok()?;
-        self.meter_received(&msg);
-        Some(msg)
-    }
-
-    fn meter_received(&self, msg: &RankMessage<C>) {
-        // Liveness-class frames stay out of the message/byte/control ledgers
-        // entirely; see [`LIVENESS_TAG_BASE`].
-        if let RankMessage::Control { tag, .. } = msg {
-            if *tag >= LIVENESS_TAG_BASE {
-                self.counters.liveness_received.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        self.counters.messages_received.fetch_add(1, Ordering::Relaxed);
-        match msg {
-            RankMessage::Pages { pages, .. } => {
-                let cells: usize = pages.iter().map(|p| p.cells.len()).sum();
-                self.counters.pages_received.fetch_add(pages.len() as u64, Ordering::Relaxed);
-                self.counters
-                    .bytes_received
-                    .fetch_add((cells * self.cell_bytes) as u64, Ordering::Relaxed);
-            }
-            RankMessage::Control { bytes, .. } => {
-                self.counters.control_received.fetch_add(1, Ordering::Relaxed);
-                self.counters.bytes_received.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            }
-            RankMessage::Flag { .. } | RankMessage::Requests { .. } => {}
+    /// Send one message to `peer`, metering the send side (`bytes` is the
+    /// payload's size, 0 for the envelopes).
+    fn send(&mut self, peer: usize, msg: RankMessage<C>, bytes: usize, phase: &str) {
+        self.stats.messages_sent += 1;
+        self.stats.bytes_sent += bytes as u64;
+        if self.senders[peer].send(msg).is_err() {
+            panic!("peer rank hung up during {phase}");
         }
     }
 
     /// Receive the next message satisfying `wanted`, buffering everything
     /// else for later phases (messages from faster peers can arrive out of
-    /// phase; see the protocol notes on [`Communicator::exchange`]).
+    /// phase; see the protocol notes on [`Communicator::exchange`]).  Every
+    /// message is metered once, when it comes off the wire, however long it
+    /// sits in the pending buffer afterwards.
     fn recv_matching(&mut self, mut wanted: impl FnMut(&RankMessage<C>) -> bool) -> RankMessage<C> {
         if let Some(pos) = self.pending.iter().position(&mut wanted) {
             return self.pending.remove(pos).expect("position just found");
         }
         loop {
-            let msg = self.pull().expect("mesh disconnected");
+            let msg = self.receiver.recv().expect("mesh disconnected");
+            self.stats.messages_received += 1;
+            if let RankMessage::Pages { pages, .. } = &msg {
+                let cells: usize = pages.iter().map(|p| p.cells.len()).sum();
+                self.stats.pages_received += pages.len() as u64;
+                self.stats.bytes_received += (cells * self.cell_bytes) as u64;
+            }
             if wanted(&msg) {
                 return msg;
             }
             self.pending.push_back(msg);
-        }
-    }
-
-    /// Block until the next control frame arrives (buffering any data-plane
-    /// traffic for the next superstep).
-    ///
-    /// Note that a live endpoint always holds a sender onto its own
-    /// receiver (self-sends are part of the API), so the underlying channel
-    /// cannot disconnect while the endpoint exists and this effectively
-    /// never returns `None` — do **not** rely on peer teardown to unblock a
-    /// receiving thread.  The idiom for stopping a thread parked here is an
-    /// application-level shutdown frame, sent to the rank via any
-    /// [`ControlHandle`] (which is exactly what the service cluster does).
-    pub fn recv_control(&mut self) -> Option<ControlFrame> {
-        if let Some(pos) =
-            self.pending.iter().position(|m| matches!(m, RankMessage::Control { .. }))
-        {
-            let msg = self.pending.remove(pos).expect("position just found");
-            return Some(Self::into_frame(msg));
-        }
-        loop {
-            let msg = self.pull()?;
-            if matches!(msg, RankMessage::Control { .. }) {
-                return Some(Self::into_frame(msg));
-            }
-            self.pending.push_back(msg);
-        }
-    }
-
-    /// Non-blocking [`Communicator::recv_control`]: `None` means no control
-    /// frame is currently available (the mesh may still be alive).
-    pub fn try_recv_control(&mut self) -> Option<ControlFrame> {
-        if let Some(pos) =
-            self.pending.iter().position(|m| matches!(m, RankMessage::Control { .. }))
-        {
-            let msg = self.pending.remove(pos).expect("position just found");
-            return Some(Self::into_frame(msg));
-        }
-        loop {
-            let msg = self.try_pull()?;
-            if matches!(msg, RankMessage::Control { .. }) {
-                return Some(Self::into_frame(msg));
-            }
-            self.pending.push_back(msg);
-        }
-    }
-
-    fn into_frame(msg: RankMessage<C>) -> ControlFrame {
-        match msg {
-            RankMessage::Control { from, tag, bytes } => ControlFrame { from, tag, bytes },
-            _ => unreachable!("caller matched Control"),
         }
     }
 
@@ -498,14 +224,9 @@ impl<C: Clone + Send + 'static> Communicator<C> {
         if self.size == 1 {
             return local;
         }
-        for peer in 0..self.size {
-            if peer == self.rank {
-                continue;
-            }
-            self.counters.messages_sent.fetch_add(1, Ordering::Relaxed);
-            self.senders[peer]
-                .send(RankMessage::Flag { from: self.rank, value: local })
-                .expect("peer rank hung up during allreduce");
+        let rank = self.rank;
+        for peer in (0..self.size).filter(|&peer| peer != rank) {
+            self.send(peer, RankMessage::Flag { from: rank, value: local }, 0, "allreduce");
         }
         // One flag per *distinct* sender: a fast peer already in the next
         // allreduce round may have its next flag queued behind a slow peer's
@@ -539,34 +260,28 @@ impl<C: Clone + Send + 'static> Communicator<C> {
     ///   shipping.
     ///
     /// Returns the pages received and the global success flag (AND of all
-    /// ranks' local flags).  Control frames arriving mid-superstep are
-    /// buffered for [`Communicator::recv_control`] / `try_recv_control` and
-    /// never disturb the protocol.
+    /// ranks' local flags).
     pub fn exchange(
         &mut self,
         requests: &[(usize, Vec<(BlockId, PageId)>)],
         local_success: bool,
         mut serve: impl FnMut(BlockId, PageId) -> Vec<C>,
     ) -> (Vec<PagePayload<C>>, bool) {
-        self.counters.supersteps.fetch_add(1, Ordering::Relaxed);
+        self.stats.supersteps += 1;
         if self.size == 1 {
             return (Vec::new(), local_success);
         }
 
         // Phase 1: send a request message to every other rank.
-        for peer in 0..self.size {
-            if peer == self.rank {
-                continue;
-            }
+        let rank = self.rank;
+        for peer in (0..self.size).filter(|&peer| peer != rank) {
             let reqs = requests
                 .iter()
                 .find(|(owner, _)| *owner == peer)
                 .map(|(_, r)| r.clone())
                 .unwrap_or_default();
-            self.counters.messages_sent.fetch_add(1, Ordering::Relaxed);
-            self.senders[peer]
-                .send(RankMessage::Requests { from: self.rank, reqs, local_success })
-                .expect("peer rank hung up during phase 1");
+            let msg = RankMessage::Requests { from: rank, reqs, local_success };
+            self.send(peer, msg, 0, "phase 1");
         }
 
         // Phase 1 receive: one Requests message from every other rank.
@@ -575,8 +290,7 @@ impl<C: Clone + Send + 'static> Communicator<C> {
         // requests may send us its Pages reply (for this superstep) before a
         // slower peer's Requests arrive, and a peer that finished this
         // superstep entirely may already be in its next allreduce/superstep.
-        // `recv_matching` buffers whatever does not belong to this phase
-        // (including control frames).
+        // `recv_matching` buffers whatever does not belong to this phase.
         let mut incoming_reqs: Vec<(usize, Vec<(BlockId, PageId)>)> = Vec::new();
         let mut global_success = local_success;
         let mut received: Vec<PagePayload<C>> = Vec::new();
@@ -586,7 +300,7 @@ impl<C: Clone + Send + 'static> Communicator<C> {
             let msg = self.recv_matching(|m| match m {
                 RankMessage::Requests { from, .. } => !reqs_seen.contains(from),
                 RankMessage::Pages { .. } => true,
-                RankMessage::Flag { .. } | RankMessage::Control { .. } => false,
+                RankMessage::Flag { .. } => false,
             });
             match msg {
                 RankMessage::Requests { from, reqs, local_success } => {
@@ -598,9 +312,7 @@ impl<C: Clone + Send + 'static> Communicator<C> {
                     received.extend(pages);
                     pages_msgs_seen += 1;
                 }
-                RankMessage::Flag { .. } | RankMessage::Control { .. } => {
-                    unreachable!("flags and control frames are filtered out")
-                }
+                RankMessage::Flag { .. } => unreachable!("flags are filtered out"),
             }
         }
 
@@ -608,19 +320,12 @@ impl<C: Clone + Send + 'static> Communicator<C> {
         for (peer, reqs) in incoming_reqs {
             let pages: Vec<PagePayload<C>> = reqs
                 .into_iter()
-                .map(|(block, page)| {
-                    let cells = serve(block, page);
-                    self.counters
-                        .bytes_sent
-                        .fetch_add((cells.len() * self.cell_bytes) as u64, Ordering::Relaxed);
-                    PagePayload { block, page, cells }
-                })
+                .map(|(block, page)| PagePayload { block, page, cells: serve(block, page) })
                 .collect();
-            self.counters.pages_sent.fetch_add(pages.len() as u64, Ordering::Relaxed);
-            self.counters.messages_sent.fetch_add(1, Ordering::Relaxed);
-            self.senders[peer]
-                .send(RankMessage::Pages { from: self.rank, pages })
-                .expect("peer rank hung up during phase 2");
+            let cells: usize = pages.iter().map(|p| p.cells.len()).sum();
+            self.stats.pages_sent += pages.len() as u64;
+            let msg = RankMessage::Pages { from: self.rank, pages };
+            self.send(peer, msg, cells * self.cell_bytes, "phase 2");
         }
 
         // Phase 2 receive: one Pages message from every other rank.  Requests
@@ -644,7 +349,7 @@ impl<C> fmt::Debug for Communicator<C> {
         f.debug_struct("Communicator")
             .field("rank", &self.rank)
             .field("size", &self.size)
-            .field("stats", &self.counters.snapshot())
+            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -781,143 +486,36 @@ mod tests {
     }
 
     #[test]
-    fn control_frames_roundtrip_with_tags() {
-        let comms = Communicator::<f64>::mesh(2);
-        let mut iter = comms.into_iter();
-        let c0 = iter.next().unwrap();
-        let mut c1 = iter.next().unwrap();
-
-        assert!(c0.send_control(1, 7, vec![1, 2, 3]));
-        assert!(c0.control_handle().send(1, 9, vec![4]));
-        let first = c1.recv_control().expect("frame delivered");
-        assert_eq!(first, ControlFrame { from: 0, tag: 7, bytes: vec![1, 2, 3] });
-        let second = c1.try_recv_control().expect("second frame delivered");
-        assert_eq!((second.tag, second.bytes), (9, vec![4]));
-        assert!(c1.try_recv_control().is_none(), "plane drained");
-
-        let s0 = c0.stats();
-        assert_eq!(s0.control_sent, 2);
-        assert_eq!(s0.bytes_sent, 4);
-        let s1 = c1.stats();
-        assert_eq!(s1.control_received, 2);
-        assert_eq!(s1.bytes_received, 4);
-        assert_eq!(s1.messages_received, 2);
-    }
-
-    #[test]
-    fn self_sends_wake_the_owner() {
-        let mut comms = Communicator::<u8>::mesh(1);
-        let mut c = comms.pop().unwrap();
-        let handle = c.control_handle();
-        assert_eq!((handle.rank(), handle.size()), (0, 1));
-        assert!(handle.send(0, 0, Vec::new()), "self-send reaches the own receiver");
-        let frame = c.recv_control().expect("own frame");
-        assert_eq!((frame.from, frame.tag), (0, 0));
-    }
-
-    #[test]
-    fn control_plane_multiplexes_with_supersteps() {
-        // Rank 0 runs supersteps while rank 1 interleaves control frames with
-        // its own supersteps: the data-plane protocol must stay in lockstep
-        // and every control frame must still be delivered.
-        let comms = Communicator::<f64>::mesh(2);
-        let mut iter = comms.into_iter();
-        let mut c0 = iter.next().unwrap();
-        let mut c1 = iter.next().unwrap();
-
-        let t1 = thread::spawn(move || {
-            for step in 0..10u64 {
-                // Control frame *before* the superstep: lands at rank 0 while
-                // it is inside `exchange` and must be buffered, not consumed.
-                assert!(c1.send_control(0, 42, step.to_le_bytes().to_vec()));
-                let (pages, ok) =
-                    c1.exchange(&[(0, vec![(step as usize, 0)])], true, |_, _| vec![0.0]);
-                assert!(ok);
-                assert_eq!(pages.len(), 1);
-            }
-            c1
-        });
-
-        for _ in 0..10 {
-            let (_, ok) = c0.exchange(&[], true, |b, _| vec![b as f64; 2]);
-            assert!(ok);
-        }
-        let c1 = t1.join().unwrap();
-
-        // All ten frames are still waiting, in order, on the control plane.
-        for step in 0..10u64 {
-            let frame = c0.try_recv_control().expect("buffered control frame");
-            assert_eq!(frame.tag, 42);
-            assert_eq!(frame.bytes, step.to_le_bytes().to_vec());
-        }
-        assert!(c0.try_recv_control().is_none());
-        assert_eq!(c0.stats().supersteps, 10);
-        assert_eq!(c0.stats().control_received, 10);
-        assert_eq!(c1.stats().control_sent, 10);
-    }
-
-    #[test]
     fn send_and_receive_totals_balance_across_the_mesh() {
-        // Every rank does page supersteps *and* control traffic; after the
-        // mesh quiesces, the send- and receive-side totals must agree exactly
-        // (the symmetry the CommStats contract promises).
+        // Every rank runs page supersteps of varying sizes interleaved with
+        // allreduce rounds; after the mesh quiesces, the send- and
+        // receive-side totals must agree exactly (the symmetry the CommStats
+        // contract promises).
         const RANKS: usize = 4;
         let comms = Communicator::<f64>::mesh(RANKS);
-        let probes: Vec<CommProbe> = comms.iter().map(|c| c.probe()).collect();
         let mut handles = Vec::new();
         for (rank, mut c) in comms.into_iter().enumerate() {
             handles.push(thread::spawn(move || {
                 for step in 0..5u64 {
-                    // A ring of control frames with rank-dependent payloads...
                     let peer = (rank + 1) % RANKS;
-                    assert!(c.send_control(peer, 1, vec![0u8; rank + 1]));
-                    // ...interleaved with page supersteps of varying sizes.
                     let reqs = vec![(peer, vec![(step as usize, 0)])];
                     let (pages, ok) = c.exchange(&reqs, true, |b, _| vec![0.5; b + 1]);
                     assert!(ok);
                     assert_eq!(pages.len(), 1);
+                    assert!(c.allreduce_and(true));
                 }
-                // Drain this rank's control plane so receives are metered.
-                for _ in 0..5 {
-                    assert!(c.recv_control().is_some());
-                }
-                c
+                c.stats()
             }));
         }
-        let comms: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-
-        let totals = probes.iter().map(|p| p.stats()).fold(CommStats::default(), |acc, s| acc + s);
+        let totals = handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold(CommStats::default(), |acc, s| acc + s);
         assert_eq!(totals.messages_sent, totals.messages_received, "message balance");
         assert_eq!(totals.bytes_sent, totals.bytes_received, "byte balance");
         assert_eq!(totals.pages_sent, totals.pages_received, "page balance");
-        assert_eq!(totals.control_sent, totals.control_received, "control balance");
-        assert_eq!(totals.control_sent, (RANKS * 5) as u64);
-        // The probes alias the live endpoints: dropping the comms afterwards
-        // does not invalidate the snapshots already taken.
-        drop(comms);
-        assert!(probes[0].stats().messages_sent > 0);
-    }
-
-    #[test]
-    fn liveness_frames_stay_out_of_the_control_ledger() {
-        let mut comms = Communicator::<f64>::mesh(2);
-        let c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        // One application frame, one liveness frame, both to rank 0.
-        assert!(c1.send_control(0, 1, vec![7, 7]));
-        assert!(c1.send_control(0, LIVENESS_TAG_BASE, vec![9; 16]));
-        assert!(c1.send_control(0, LIVENESS_TAG_BASE + 1, Vec::new()));
-        let sent = c1.stats();
-        assert_eq!((sent.control_sent, sent.liveness_sent), (1, 2));
-        assert_eq!(sent.bytes_sent, 2, "liveness payload bytes are not metered");
-        // Receive all three: the application frame lands in control_received,
-        // the liveness frames in liveness_received only.
-        for _ in 0..3 {
-            assert!(c0.recv_control().is_some());
-        }
-        let recv = c0.stats();
-        assert_eq!((recv.control_received, recv.liveness_received), (1, 2));
-        assert_eq!(recv.messages_received, 1);
-        assert_eq!(recv.bytes_received, 2);
+        // Per rank and step: 3 request, 3 page and 3 flag messages.
+        assert_eq!(totals.messages_sent, (RANKS * 5 * 9) as u64);
+        assert_eq!(totals.bytes_sent, 4 * (1 + 2 + 3 + 4 + 5) * 8, "page payload bytes");
     }
 }

@@ -9,12 +9,9 @@
 //! * [`Communicator`] is the simulated message-passing fabric of the
 //!   distributed layer: ranks are OS threads, pages move only through
 //!   explicit channels, and every transfer is metered (message count, bytes,
-//!   symmetric send/receive) for the cost model.  The fabric is a
-//!   multiplexed transport — the superstep data plane shares the mesh with a
-//!   tagged control plane ([`ControlFrame`]) used for out-of-band
-//!   coordination such as the service cluster's liveness frames.  This
-//!   substitutes for MPI over Omni-Path, which is not available in this
-//!   environment.
+//!   symmetric send/receive) for the cost model.  It carries the supersteps
+//!   of `refresh` and nothing else.  This substitutes for MPI over
+//!   Omni-Path, which is not available in this environment.
 //! * [`MpiAspect`] and [`OmpAspect`] are the two prototype aspect modules of
 //!   §IV-A, implementing AspectType I (runtime/task control), II (block
 //!   assignment) and III (inter-task communication incl. the Dry-run
@@ -40,10 +37,7 @@ pub mod task;
 
 pub use annotation::{BlockSweep, HpcApp};
 pub use aspects::{MpiAspect, OmpAspect};
-pub use comm::{
-    CommProbe, CommStats, Communicator, ControlFrame, ControlHandle, PagePayload, RankMessage,
-    LIVENESS_TAG_BASE,
-};
+pub use comm::{CommStats, Communicator, PagePayload, RankMessage};
 pub use cost::{CostModel, CostParams};
 pub use ctx::{
     new_checksum_sink, new_field_sink, ChecksumSink, Deposit, FieldSink, FinalizeSink, Progress,

@@ -1,15 +1,19 @@
-//! The cluster mesh: N service nodes over the simulated fabric — and
+//! The cluster mesh: N service nodes over a simulated fabric — and
 //! surviving the death of any of them.
 //!
 //! A [`ClusterService`] stands up `N` [`KernelService`] nodes — each with its
 //! own worker pool, session registry and [`PlanCache`](crate::PlanCache) —
-//! connected by a [`Communicator::mesh`].  Tenants land on a node (session
-//! affinity) and execution stays node-local: a node resolves every plan
-//! through its own cache (a shard hit, a single-flight join or a local
-//! compile), so each node compiles each distinct plan it runs exactly once.
-//! The fabric carries only liveness — heartbeats, membership gossip and
-//! view sync — on the liveness frame class; the only application control
-//! frame is the shutdown signal each fabric thread receives at teardown.
+//! connected by a private frame mesh: one unbounded channel of
+//! [`ControlFrame`]s per node, drained by that node's fabric thread.
+//! Tenants land on a node (session affinity) and execution stays
+//! node-local: a node resolves every plan through its own cache (a shard
+//! hit, a single-flight join or a local compile), so each node compiles each
+//! distinct plan it runs exactly once.  The fabric carries only liveness —
+//! heartbeats, membership gossip and view sync, metered into
+//! [`CommStats::liveness_sent`] / [`CommStats::liveness_received`] — plus
+//! the unmetered shutdown signal each fabric thread sends itself at
+//! teardown.  The runtime's MPI-style mesh is not involved: it carries
+//! supersteps only.
 //!
 //! # Fault tolerance
 //!
@@ -17,10 +21,8 @@
 //! changing an answer, built from four mechanisms (see also
 //! [`membership`](crate::membership) and [`fault`](crate::fault)):
 //!
-//! * **Liveness.**  Every node runs a *pacemaker* broadcasting heartbeats on
-//!   the liveness frame class (tags above
-//!   [`aohpc_runtime::LIVENESS_TAG_BASE`], metered outside the application
-//!   control ledger) and sweeping a per-node [`Membership`] view: silent
+//! * **Liveness.**  Every node runs a *pacemaker* broadcasting heartbeats
+//!   and sweeping a per-node [`Membership`] view: silent
 //!   peers become *suspect*, then *dead*, each transition carrying an
 //!   incarnation number and gossiped on `SUSPECT` frames so views converge.
 //!   Under a [`FakeClock`] the pacemaker ticks on `advance`, making
@@ -56,8 +58,8 @@
 //! * **Failure injection.**  A [`FaultPlan`] arms
 //!   scripted kills, restarts, directional link cuts/heals, fabric wedges,
 //!   and frame drops/delays into the cluster
-//!   ([`ClusterService::with_fault_plan`]), driven by the same clock seam —
-//!   the harness the fault-tolerance tests (and nobody else) pay for.
+//!   ([`ClusterService::with_fake_clock`]), driven by the same clock seam.
+//!   Every other constructor arms the empty plan, which perturbs nothing.
 
 use crate::cache::{PlanCacheStats, PlanKey};
 use crate::fault::{FaultAction, FaultPlan, FaultState, Interception};
@@ -74,9 +76,7 @@ use crate::session::{CompletionStream, SessionCtx, SessionId, SessionMeter, Sess
 use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
 use aohpc_kernel::OptLevel;
 use aohpc_obs::{CommCounters, ObsHub, ObsServiceAspect, ObsSnapshot};
-use aohpc_runtime::{
-    CommProbe, CommStats, Communicator, ControlFrame, ControlHandle, LIVENESS_TAG_BASE,
-};
+use aohpc_runtime::CommStats;
 use aohpc_testalloc::sync::FakeClock;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::hash_map::DefaultHasher;
@@ -88,25 +88,87 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Control-plane tag: stop the receiving fabric thread.
+/// Frame tag: stop the receiving fabric thread (a self-send, never
+/// metered).
 pub const TAG_SHUTDOWN: u32 = 0;
-/// Liveness-class tag: heartbeat (payload: sender's incarnation + a digest
-/// of its whole membership view, [`Membership::digest`]).  The digest is
-/// the anti-entropy trigger: a receiver holding a different view pulls the
+/// Liveness tag: heartbeat (payload: sender's incarnation + a digest of its
+/// whole membership view, [`Membership::digest`]).  The digest is the
+/// anti-entropy trigger: a receiver holding a different view pulls the
 /// sender's full vector and lattice-merges it.
-pub const TAG_HEARTBEAT: u32 = LIVENESS_TAG_BASE;
-/// Liveness-class tag: membership gossip (`subject` + state + incarnation).
-/// The originator of a suspect/dead transition — or of a refutation —
+pub const TAG_HEARTBEAT: u32 = 1;
+/// Liveness tag: membership gossip (`subject` + state + incarnation).  The
+/// originator of a suspect/dead transition — or of a refutation —
 /// broadcasts it so views converge without every detector timing out
 /// independently.
-pub const TAG_SUSPECT: u32 = LIVENESS_TAG_BASE + 1;
-/// Liveness-class tag: anti-entropy pull (empty payload) — "your heartbeat
-/// digest differs from my view; send me your full vector".
-pub const TAG_VIEW_PULL: u32 = LIVENESS_TAG_BASE + 2;
-/// Liveness-class tag: anti-entropy sync — the sender's full
+pub const TAG_SUSPECT: u32 = 2;
+/// Liveness tag: anti-entropy pull (empty payload) — "your heartbeat digest
+/// differs from my view; send me your full vector".
+pub const TAG_VIEW_PULL: u32 = 3;
+/// Liveness tag: anti-entropy sync — the sender's full
 /// `(state, incarnation)` vector, one 9-byte entry per rank, lattice-merged
 /// by the receiver ([`Membership::merge_view`]).
-pub const TAG_VIEW_SYNC: u32 = LIVENESS_TAG_BASE + 3;
+pub const TAG_VIEW_SYNC: u32 = 4;
+
+/// One frame on the cluster's fabric: a tagged byte payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ControlFrame {
+    /// Sending rank.
+    pub from: usize,
+    /// Message kind (`TAG_*`).
+    pub tag: u32,
+    /// Payload.
+    pub bytes: Vec<u8>,
+}
+
+/// The cluster's frame mesh: one unbounded channel of frames per node, and
+/// each node's liveness meter.  Every fabric thread and pacemaker, and the
+/// cluster itself, share it, so a node's channel never disconnects while the
+/// cluster lives: teardown wakes a fabric thread with a `TAG_SHUTDOWN`
+/// self-send.
+struct FrameMesh {
+    senders: Vec<Sender<ControlFrame>>,
+    sent: Vec<AtomicU64>,
+    received: Vec<AtomicU64>,
+}
+
+impl FrameMesh {
+    fn new(nodes: usize) -> (Arc<FrameMesh>, Vec<Receiver<ControlFrame>>) {
+        let (senders, inboxes) = (0..nodes).map(|_| unbounded()).unzip();
+        let meter = || (0..nodes).map(|_| AtomicU64::new(0)).collect();
+        (Arc::new(FrameMesh { senders, sent: meter(), received: meter() }), inboxes)
+    }
+
+    /// Send a frame from node `from` to node `to` (self-sends allowed).  A
+    /// frame is metered only once it is in the peer's channel.  `false`
+    /// means it was not delivered: `to` is no node of the mesh, or its
+    /// fabric thread has exited.
+    fn send(&self, from: usize, to: usize, tag: u32, bytes: Vec<u8>) -> bool {
+        let delivered = self
+            .senders
+            .get(to)
+            .is_some_and(|peer| peer.send(ControlFrame { from, tag, bytes }).is_ok());
+        if delivered && tag != TAG_SHUTDOWN {
+            self.sent[from].fetch_add(1, Ordering::Relaxed);
+        }
+        delivered
+    }
+
+    /// Send one payload from `from` to every other node.
+    fn broadcast(&self, from: usize, tag: u32, bytes: &[u8]) {
+        for peer in (0..self.senders.len()).filter(|&peer| peer != from) {
+            self.send(from, peer, tag, bytes.to_vec());
+        }
+    }
+
+    /// Node `rank`'s fabric counters: liveness frames only.
+    fn stats(&self, rank: usize) -> CommStats {
+        CommStats {
+            liveness_sent: self.sent[rank].load(Ordering::Relaxed),
+            liveness_received: self.received[rank].load(Ordering::Relaxed),
+            ..CommStats::default()
+        }
+    }
+}
 
 /// The well-mixed hash of a plan key that rendezvous scoring runs on.
 fn key_hash(key: &PlanKey) -> u64 {
@@ -203,18 +265,8 @@ fn dispatch_rejoin(woven: Option<&WovenProgram>, node: usize, incarnation: u64, 
 /// record it through the `CLUSTER_SUSPECT` join point (attrs: `node` = the
 /// subject, `ok` = 1 for a suspicion, 0 for a death).  Only the originator
 /// broadcasts — adopted claims are not re-gossiped, so there is no storm.
-fn publish_transition(
-    handle: &ControlHandle<f64>,
-    ranks: usize,
-    woven: Option<&WovenProgram>,
-    t: &Transition,
-) {
-    let payload = suspect_payload(t);
-    for peer in 0..ranks {
-        if peer != handle.rank() {
-            let _ = handle.send(peer, TAG_SUSPECT, payload.clone());
-        }
-    }
+fn publish_transition(mesh: &FrameMesh, rank: usize, woven: Option<&WovenProgram>, t: &Transition) {
+    mesh.broadcast(rank, TAG_SUSPECT, &suspect_payload(t));
     if let Some(woven) = woven {
         if t.to != NodeState::Alive {
             let attrs = [(attr::NODE, t.subject as i64)];
@@ -225,69 +277,57 @@ fn publish_transition(
     }
 }
 
-/// Everything one fabric thread works with besides the communicator it owns.
+/// Everything one node's fabric thread works with besides its inbox.
 struct Fabric {
+    rank: usize,
+    mesh: Arc<FrameMesh>,
     membership: Arc<Membership>,
-    fault: Option<Arc<FaultState>>,
+    fault: Arc<FaultState>,
     clock: ServiceClock,
     shutting_down: Arc<AtomicBool>,
     obs_woven: Option<WovenProgram>,
 }
 
 impl Fabric {
-    /// The per-node fabric loop: owns the node's [`Communicator`] endpoint,
-    /// folds heartbeats and gossip into the membership view, answers view
-    /// pulls, and applies the fault harness's frame perturbations.  Exits
-    /// on `TAG_SHUTDOWN` (the only reliable stop signal — a live endpoint's
-    /// channel never disconnects, see [`Communicator::recv_control`]).
-    fn run(self, mut comm: Communicator<f64>) {
-        let rank = comm.rank();
-        'fabric: while let Some(frame) = comm.recv_control() {
-            if !self.process(rank, &mut comm, frame, true) {
-                break 'fabric;
+    /// The per-node fabric loop: drains the node's inbox, folds heartbeats
+    /// and gossip into the membership view, answers view pulls, and applies
+    /// the fault harness's frame perturbations.  Exits on `TAG_SHUTDOWN`
+    /// (the only stop signal: the mesh keeps every inbox connected).
+    fn run(self, inbox: Receiver<ControlFrame>) {
+        while let Ok(frame) = inbox.recv() {
+            if frame.tag == TAG_SHUTDOWN {
+                return;
             }
+            self.mesh.received[self.rank].fetch_add(1, Ordering::Relaxed);
+            self.process(frame, true);
             // Frames the fault harness held are re-injected once due —
             // skipping re-interception, or a delay rule would re-hold them.
-            if let Some(fault) = &self.fault {
-                for released in fault.take_released(rank, self.clock.now()) {
-                    if !self.process(rank, &mut comm, released, false) {
-                        break 'fabric;
-                    }
-                }
+            for released in self.fault.take_released(self.rank, self.clock.now()) {
+                self.process(released, false);
             }
         }
     }
 
-    /// Handle one frame; `false` means shutdown.
-    fn process(
-        &self,
-        rank: usize,
-        comm: &mut Communicator<f64>,
-        frame: ControlFrame,
-        intercept: bool,
-    ) -> bool {
-        if frame.tag == TAG_SHUTDOWN {
-            return false;
-        }
+    /// Handle one liveness frame.
+    fn process(&self, frame: ControlFrame, intercept: bool) {
+        let (rank, fault) = (self.rank, &self.fault);
         let now = self.clock.now();
-        if let Some(fault) = &self.fault {
-            if intercept {
-                match fault.intercept(rank, &frame, now) {
-                    Interception::Dropped | Interception::Held => return true,
-                    Interception::Deliver => {}
-                }
+        if intercept {
+            match fault.intercept(rank, &frame, now) {
+                Interception::Dropped | Interception::Held => return,
+                Interception::Deliver => {}
             }
-            // A wedged fabric parks mid-stream: frames pile up behind it and
-            // its silence earns it a suspicion, exactly like a descheduled
-            // or livelocked fabric thread would.  Shutdown un-parks it so
-            // teardown cannot hang on a script that never unwedges.
-            while fault.is_wedged(rank) && !self.shutting_down.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            if fault.is_killed(rank) {
-                // Fail-stop: a dead node neither gossips nor observes.
-                return true;
-            }
+        }
+        // A wedged fabric parks mid-stream: frames pile up behind it and its
+        // silence earns it a suspicion, exactly like a descheduled or
+        // livelocked fabric thread would.  Shutdown un-parks it so teardown
+        // cannot hang on a script that never unwedges.
+        while fault.is_wedged(rank) && !self.shutting_down.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        if fault.is_killed(rank) {
+            // Fail-stop: a dead node neither gossips nor observes.
+            return;
         }
         // Any frame from a current-incarnation peer is liveness evidence.
         if frame.from != rank && frame.from < self.membership.ranks() {
@@ -313,32 +353,31 @@ impl Fabric {
                 let theirs =
                     frame.bytes.get(8..16).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes);
                 if theirs.is_some_and(|digest| digest != self.membership.digest()) {
-                    let _ = comm.send_control(frame.from, TAG_VIEW_PULL, Vec::new());
+                    self.mesh.send(rank, frame.from, TAG_VIEW_PULL, Vec::new());
                 }
             }
             TAG_SUSPECT => {
                 if let Some((subject, state, incarnation)) = decode_suspect(&frame.bytes) {
                     if subject < self.membership.ranks() {
                         if let Some(t) = self.membership.adopt(subject, state, incarnation, now) {
-                            self.react(rank, comm, &t);
+                            self.react(&t);
                         }
                     }
                 }
             }
             TAG_VIEW_PULL => {
                 let reply = view_payload(&self.membership.view_entries());
-                let _ = comm.send_control(frame.from, TAG_VIEW_SYNC, reply);
+                self.mesh.send(rank, frame.from, TAG_VIEW_SYNC, reply);
             }
             TAG_VIEW_SYNC => {
                 if let Some(entries) = decode_view(&frame.bytes) {
                     for t in self.membership.merge_view(&entries, now) {
-                        self.react(rank, comm, &t);
+                        self.react(&t);
                     }
                 }
             }
             _ => {} // unknown tags are ignored (future protocol extensions)
         }
-        true
     }
 
     /// Act on one locally-adopted membership transition.  A refutation — an
@@ -346,15 +385,10 @@ impl Fabric {
     /// with a fresh incarnation — is broadcast so the accuser (and everyone
     /// it gossiped to) adopts the new incarnation, and is recorded through
     /// the `CLUSTER_REJOIN` join point (`ok` = 0).
-    fn react(&self, rank: usize, comm: &mut Communicator<f64>, t: &Transition) {
-        if t.subject == rank && t.to == NodeState::Alive {
-            let payload = suspect_payload(t);
-            for peer in 0..self.membership.ranks() {
-                if peer != rank {
-                    let _ = comm.send_control(peer, TAG_SUSPECT, payload.clone());
-                }
-            }
-            dispatch_rejoin(self.obs_woven.as_ref(), rank, t.incarnation, false);
+    fn react(&self, t: &Transition) {
+        if t.subject == self.rank && t.to == NodeState::Alive {
+            self.mesh.broadcast(self.rank, TAG_SUSPECT, &suspect_payload(t));
+            dispatch_rejoin(self.obs_woven.as_ref(), self.rank, t.incarnation, false);
         }
     }
 }
@@ -364,9 +398,9 @@ impl Fabric {
 struct PacemakerCtx {
     rank: usize,
     stop: Arc<AtomicBool>,
-    handle: ControlHandle<f64>,
+    mesh: Arc<FrameMesh>,
     membership: Arc<Membership>,
-    fault: Option<Arc<FaultState>>,
+    fault: Arc<FaultState>,
     clock: ServiceClock,
     supervisor_tx: Sender<SupervisorMsg>,
     obs_woven: Option<WovenProgram>,
@@ -389,28 +423,26 @@ impl PacemakerCtx {
             return;
         }
         let now = self.clock.now();
-        if let Some(fault) = &self.fault {
-            // Whichever pacemaker observes the schedule first executes it
-            // (`drive` pops each action exactly once); kills and restarts
-            // are routed to the supervisor, which owns the node handles,
-            // and link events are recorded at the `CLUSTER_PARTITION` join
-            // point (`drive` already flipped the cut matrix).
-            for action in fault.drive(now) {
-                match action {
-                    FaultAction::Kill(rank) => {
-                        let _ = self.supervisor_tx.send(SupervisorMsg::Kill(rank));
-                    }
-                    FaultAction::Restart(rank) => {
-                        let _ = self.supervisor_tx.send(SupervisorMsg::Restart(rank));
-                    }
-                    FaultAction::Partition { from, to } => self.link_event(from, to, false),
-                    FaultAction::Heal { from, to } => self.link_event(from, to, true),
-                    FaultAction::Wedge(_) | FaultAction::Unwedge(_) => {}
+        // Whichever pacemaker observes the schedule first executes it
+        // (`drive` pops each action exactly once); kills and restarts are
+        // routed to the supervisor, which owns the node handles, and link
+        // events are recorded at the `CLUSTER_PARTITION` join point (`drive`
+        // already flipped the cut matrix).
+        for action in self.fault.drive(now) {
+            match action {
+                FaultAction::Kill(rank) => {
+                    let _ = self.supervisor_tx.send(SupervisorMsg::Kill(rank));
                 }
+                FaultAction::Restart(rank) => {
+                    let _ = self.supervisor_tx.send(SupervisorMsg::Restart(rank));
+                }
+                FaultAction::Partition { from, to } => self.link_event(from, to, false),
+                FaultAction::Heal { from, to } => self.link_event(from, to, true),
+                FaultAction::Wedge(_) | FaultAction::Unwedge(_) => {}
             }
-            if fault.is_killed(self.rank) || fault.is_wedged(self.rank) {
-                return; // a dead or wedged node goes silent
-            }
+        }
+        if self.fault.is_killed(self.rank) || self.fault.is_wedged(self.rank) {
+            return; // a dead or wedged node goes silent
         }
         let probe = self.beats.fetch_add(1, Ordering::Relaxed).is_multiple_of(DEAD_PROBE_EVERY);
         let incarnation = self.membership.incarnation_of(self.rank);
@@ -418,11 +450,11 @@ impl PacemakerCtx {
         beat.extend_from_slice(&self.membership.digest().to_le_bytes());
         for peer in 0..self.membership.ranks() {
             if peer != self.rank && (probe || self.membership.state_of(peer) != NodeState::Dead) {
-                let _ = self.handle.send(peer, TAG_HEARTBEAT, beat.clone());
+                self.mesh.send(self.rank, peer, TAG_HEARTBEAT, beat.clone());
             }
         }
         for t in self.membership.tick(now) {
-            publish_transition(&self.handle, self.membership.ranks(), self.obs_woven.as_ref(), &t);
+            publish_transition(&self.mesh, self.rank, self.obs_woven.as_ref(), &t);
         }
     }
 
@@ -679,8 +711,7 @@ pub struct ClusterCommStats {
 /// threads, and joins all workers.
 pub struct ClusterService {
     nodes: Vec<Arc<KernelService>>,
-    probes: Vec<CommProbe>,
-    control: Vec<ControlHandle<f64>>,
+    mesh: Arc<FrameMesh>,
     fabrics: Vec<JoinHandle<()>>,
     pacemakers: Vec<Pacemaker>,
     memberships: Vec<Arc<Membership>>,
@@ -697,76 +728,47 @@ pub struct ClusterService {
 impl ClusterService {
     /// Start a cluster of `nodes` services, each sized by `config`.
     pub fn new(nodes: usize, config: ServiceConfig) -> Self {
-        Self::start(nodes, config, None, None, ClusterTuning::default(), None)
-    }
-
-    /// A cluster whose nodes' admission deadlines — and failure detectors —
-    /// run on one shared test-controlled [`FakeClock`] (the
-    /// deterministic-harness seam; see [`KernelService::with_fake_clock`]).
-    pub fn with_fake_clock(nodes: usize, config: ServiceConfig, clock: Arc<FakeClock>) -> Self {
-        Self::start(nodes, config, Some(clock), None, ClusterTuning::default(), None)
+        Self::start(nodes, config, None, ClusterTuning::default(), FaultPlan::new(), None)
     }
 
     /// A cluster sharing one observability hub across every node: every
     /// node's job span trees and the cluster's liveness records land in the
     /// same flight recorder.  Snapshot with [`ClusterService::obs_snapshot`].
     pub fn with_observer(nodes: usize, config: ServiceConfig, hub: Arc<ObsHub>) -> Self {
-        Self::start(nodes, config, None, Some(hub), ClusterTuning::default(), None)
+        Self::start(nodes, config, None, ClusterTuning::default(), FaultPlan::new(), Some(hub))
     }
 
-    /// [`ClusterService::with_observer`] on a shared fake clock — give the
-    /// hub the same clock for fully deterministic cluster traces.
-    pub fn with_observer_and_clock(
-        nodes: usize,
-        config: ServiceConfig,
-        hub: Arc<ObsHub>,
-        clock: Arc<FakeClock>,
-    ) -> Self {
-        Self::start(nodes, config, Some(clock), Some(hub), ClusterTuning::default(), None)
-    }
-
-    /// The fault-tolerance test harness: a cluster on a shared fake clock
-    /// with explicit detector `tuning` (usually [`ClusterTuning::fast`]) and
-    /// a scripted [`FaultPlan`] — kills, wedges and frame perturbations fire
-    /// exactly when the test advances the clock past their scheduled times.
-    pub fn with_fault_plan(
+    /// The deterministic harness: a cluster whose nodes' admission
+    /// deadlines and failure detectors run on one shared test-controlled
+    /// [`FakeClock`] (see [`KernelService::with_fake_clock`]), with explicit
+    /// detector `tuning` (usually [`ClusterTuning::fast`]), a scripted
+    /// [`FaultPlan`] (`FaultPlan::new()` for none) — kills, wedges and frame
+    /// perturbations fire exactly when the test advances the clock past
+    /// their scheduled times — and an optional observability hub (give it
+    /// the same clock for deterministic traces).
+    pub fn with_fake_clock(
         nodes: usize,
         config: ServiceConfig,
         clock: Arc<FakeClock>,
         tuning: ClusterTuning,
         plan: FaultPlan,
+        obs: Option<Arc<ObsHub>>,
     ) -> Self {
-        Self::start(nodes, config, Some(clock), None, tuning, Some(plan))
-    }
-
-    /// [`ClusterService::with_fault_plan`] with an observability hub, so
-    /// fault drills land suspect/failover records in the flight recorder.
-    pub fn with_fault_plan_observed(
-        nodes: usize,
-        config: ServiceConfig,
-        clock: Arc<FakeClock>,
-        tuning: ClusterTuning,
-        plan: FaultPlan,
-        hub: Arc<ObsHub>,
-    ) -> Self {
-        Self::start(nodes, config, Some(clock), Some(hub), tuning, Some(plan))
+        Self::start(nodes, config, Some(clock), tuning, plan, obs)
     }
 
     fn start(
         nodes: usize,
         config: ServiceConfig,
         clock: Option<Arc<FakeClock>>,
-        obs: Option<Arc<ObsHub>>,
         tuning: ClusterTuning,
-        fault_plan: Option<FaultPlan>,
+        plan: FaultPlan,
+        obs: Option<Arc<ObsHub>>,
     ) -> Self {
         assert!(nodes > 0, "a cluster needs at least one node");
         let config = config.normalized();
-        let comms = Communicator::<f64>::mesh(nodes);
+        let (mesh, inboxes) = FrameMesh::new(nodes);
         let shutting_down = Arc::new(AtomicBool::new(false));
-        let probes: Vec<CommProbe> = comms.iter().map(Communicator::probe).collect();
-        let control: Vec<ControlHandle<f64>> =
-            comms.iter().map(Communicator::control_handle).collect();
         // One woven program serves every node's fabric thread, pacemaker
         // and the supervisor: the obs aspect is stateless beyond
         // the hub, and cloning a woven program is an Arc bump.
@@ -777,7 +779,7 @@ impl ClusterService {
             Some(fake) => ServiceClock::Fake(Arc::clone(fake)),
             None => ServiceClock::real(),
         };
-        let fault = fault_plan.map(|plan| Arc::new(plan.arm(nodes)));
+        let fault = Arc::new(plan.arm(nodes));
         let now = cluster_clock.now();
         let memberships: Vec<Arc<Membership>> =
             (0..nodes).map(|r| Arc::new(Membership::new(r, nodes, tuning, now))).collect();
@@ -786,13 +788,13 @@ impl ClusterService {
         let mut services: Vec<Arc<KernelService>> = Vec::with_capacity(nodes);
         let mut fabrics = Vec::with_capacity(nodes);
         let mut pacemakers = Vec::with_capacity(nodes);
-        for comm in comms {
-            let rank = comm.rank();
+        for (rank, inbox) in inboxes.into_iter().enumerate() {
             let membership = Arc::clone(&memberships[rank]);
-            let pacemaker_handle = comm.control_handle();
             let fabric = Fabric {
+                rank,
+                mesh: Arc::clone(&mesh),
                 membership: Arc::clone(&membership),
-                fault: fault.clone(),
+                fault: Arc::clone(&fault),
                 clock: cluster_clock.clone(),
                 shutting_down: Arc::clone(&shutting_down),
                 obs_woven: obs_woven.clone(),
@@ -800,11 +802,11 @@ impl ClusterService {
             fabrics.push(
                 std::thread::Builder::new()
                     .name(format!("aohpc-fabric-{rank}"))
-                    .spawn(move || fabric.run(comm))
+                    .spawn(move || fabric.run(inbox))
                     .expect("spawn fabric thread"),
             );
             let service =
-                Arc::new(KernelService::start(config, cluster_clock.clone(), None, obs.clone()));
+                Arc::new(KernelService::start(config, cluster_clock.clone(), obs.clone()));
             // The node's stranded jobs flow to the supervisor; with the
             // supervisor gone (a kill racing teardown) the orphan goes back
             // to its node, which abandons it so nothing hangs.
@@ -824,9 +826,9 @@ impl ClusterService {
             let ctx = PacemakerCtx {
                 rank,
                 stop: Arc::clone(&stop),
-                handle: pacemaker_handle,
+                mesh: Arc::clone(&mesh),
                 membership,
-                fault: fault.clone(),
+                fault: Arc::clone(&fault),
                 clock: cluster_clock.clone(),
                 supervisor_tx: supervisor_tx.clone(),
                 obs_woven: obs_woven.clone(),
@@ -881,8 +883,7 @@ impl ClusterService {
             .expect("spawn failover supervisor");
         ClusterService {
             nodes: services,
-            probes,
-            control,
+            mesh,
             fabrics,
             pacemakers,
             memberships,
@@ -1003,12 +1004,12 @@ impl ClusterService {
         ClusterCacheStats { total, per_node }
     }
 
-    /// Per-node and cluster-aggregated fabric counters.  The job path sends
-    /// no application control frames; heartbeats and gossip are metered
-    /// separately as liveness frames, and send/receive totals balance once
-    /// quiesced.
+    /// Per-node and cluster-aggregated fabric counters.  The fabric carries
+    /// liveness frames only (heartbeats, gossip, view sync), metered into
+    /// the `liveness_*` counters; the job path sends nothing, so every other
+    /// counter stays 0.
     pub fn comm_stats(&self) -> ClusterCommStats {
-        let per_node: Vec<CommStats> = self.probes.iter().map(CommProbe::stats).collect();
+        let per_node: Vec<CommStats> = (0..self.nodes.len()).map(|r| self.mesh.stats(r)).collect();
         let total = per_node.iter().fold(CommStats::default(), |acc, s| acc + *s);
         ClusterCommStats { total, per_node }
     }
@@ -1074,8 +1075,8 @@ impl ClusterService {
         if let Some(handle) = self.supervisor.take() {
             let _ = handle.join();
         }
-        for (rank, handle) in self.control.iter().enumerate() {
-            let _ = handle.send(rank, TAG_SHUTDOWN, Vec::new());
+        for rank in 0..self.fabrics.len() {
+            self.mesh.send(rank, rank, TAG_SHUTDOWN, Vec::new());
         }
         for fabric in self.fabrics.drain(..) {
             let _ = fabric.join();
@@ -1143,5 +1144,136 @@ mod tests {
             suspect_payload(&Transition { subject: 1, to: NodeState::Suspect, incarnation: 0 });
         bad[8] = 9;
         assert_eq!(decode_suspect(&bad), None, "unknown state byte rejected");
+    }
+
+    /// A 2-node cluster on a fake clock with fast detector tuning.
+    fn fake_pair(clock: &Arc<FakeClock>, hub: Option<Arc<ObsHub>>) -> ClusterService {
+        let config = ServiceConfig::default().with_workers(1);
+        let tuning = ClusterTuning::fast();
+        ClusterService::with_fake_clock(2, config, Arc::clone(clock), tuning, FaultPlan::new(), hub)
+    }
+
+    /// One detector beat, then a real-time moment for the fabric threads.
+    fn beat(clock: &FakeClock) {
+        clock.advance(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    /// Wait until every metered frame has been received, plus `unmetered`
+    /// frames put on the mesh without a sender's meter, twice in a row.
+    fn quiesce(cluster: &ClusterService, unmetered: u64) {
+        let mut settled = 0;
+        for _ in 0..5_000 {
+            let total = cluster.comm_stats().total;
+            settled = if total.liveness_sent + unmetered == total.liveness_received {
+                settled + 1
+            } else {
+                0
+            };
+            if settled == 2 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("the fabric never quiesced: {:?}", cluster.comm_stats().total);
+    }
+
+    #[test]
+    fn heartbeats_count_into_liveness_and_nothing_else() {
+        let clock = FakeClock::new();
+        let cluster = fake_pair(&clock, None);
+        for _ in 0..5 {
+            beat(&clock);
+        }
+        quiesce(&cluster, 0);
+        let comm = cluster.comm_stats();
+        for (rank, node) in comm.per_node.iter().enumerate() {
+            assert!(node.liveness_sent >= 5, "rank {rank} beat every advance: {node:?}");
+            let others = CommStats { liveness_sent: 0, liveness_received: 0, ..*node };
+            assert_eq!(others, CommStats::default(), "rank {rank}: liveness only");
+        }
+        assert_eq!(comm.total.liveness_sent, comm.total.liveness_received, "liveness balance");
+        cluster.shutdown();
+
+        // The shutdown self-send wakes a fabric but is metered nowhere.
+        let (mesh, _inboxes) = FrameMesh::new(1);
+        assert!(mesh.send(0, 0, TAG_SHUTDOWN, Vec::new()));
+        assert_eq!(mesh.stats(0), CommStats::default());
+        assert!(!mesh.send(0, 1, TAG_HEARTBEAT, Vec::new()), "no rank 1 in the mesh");
+    }
+
+    /// Every liveness tag's well-formed payload, truncated at every length
+    /// and with each single byte flipped (every single bit, then the whole
+    /// byte), plus an unknown tag, and the same from a sender outside the
+    /// mesh, injected into node 0's fabric: nothing panics, no transition
+    /// names a rank outside the mesh, and the views converge again — both
+    /// ranks Alive in both views, agreeing on every incarnation.  A flipped
+    /// frame can be a well-formed claim (a higher incarnation, a suspicion,
+    /// a death), so a refutation may bump an incarnation on the way.
+    #[test]
+    fn fabric_wire_fuzz_leaves_views_convergent() {
+        const NODES: usize = 2;
+        let clock = FakeClock::new();
+        let hub = ObsHub::with_clock(clock.clone());
+        let cluster = fake_pair(&clock, Some(Arc::clone(&hub)));
+        for _ in 0..3 {
+            beat(&clock);
+        }
+        let peer = &cluster.memberships[1];
+        let mut heartbeat = peer.incarnation_of(1).to_le_bytes().to_vec();
+        heartbeat.extend_from_slice(&peer.digest().to_le_bytes());
+        let accuse = |subject| {
+            suspect_payload(&Transition { subject, to: NodeState::Suspect, incarnation: 0 })
+        };
+        let bases = [
+            (TAG_HEARTBEAT, heartbeat),
+            (TAG_SUSPECT, accuse(0)),
+            (TAG_SUSPECT, accuse(1)),
+            (TAG_VIEW_PULL, Vec::new()),
+            (TAG_VIEW_SYNC, view_payload(&peer.view_entries())),
+            (0xdead_beef, vec![0xa5; 16]),
+        ];
+        let mut frames = Vec::new();
+        for (tag, base) in &bases {
+            for len in 0..=base.len() {
+                frames.push((*tag, base[..len].to_vec()));
+            }
+            for at in 0..base.len() {
+                for mask in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+                    let mut flipped = base.clone();
+                    flipped[at] ^= mask;
+                    frames.push((*tag, flipped));
+                }
+            }
+        }
+        let forged = NODES as u64 + 3;
+        for (tag, bytes) in &frames {
+            assert!(cluster.mesh.send(1, 0, *tag, bytes.clone()));
+            let frame = ControlFrame { from: forged as usize, tag: *tag, bytes: bytes.clone() };
+            cluster.mesh.senders[0].send(frame).unwrap();
+        }
+        quiesce(&cluster, frames.len() as u64);
+
+        let converged = |c: &ClusterService| {
+            (0..NODES).all(|subject| {
+                (0..NODES).all(|observer| c.node_state(observer, subject) == NodeState::Alive)
+                    && c.incarnation(0, subject) == c.incarnation(1, subject)
+            })
+        };
+        // Past the death deadline first, so a claim nobody refuted shows.
+        let mut beats = 0;
+        while beats < 20 || !converged(&cluster) {
+            assert!(beats < 500, "views never converged: {:?}", cluster.memberships);
+            beat(&clock);
+            beats += 1;
+        }
+        assert!(cluster.fabrics.iter().all(|fabric| !fabric.is_finished()), "a fabric died");
+        assert!(cluster.memberships.iter().all(|view| view.ranks() == NODES));
+        for span in hub.recorder().spans() {
+            if [names::CLUSTER_SUSPECT, names::CLUSTER_REJOIN].contains(&span.name) {
+                assert!((0..NODES as i64).contains(&span.a), "{} names rank {}", span.name, span.a);
+            }
+        }
+        cluster.shutdown();
     }
 }

@@ -34,7 +34,7 @@
 //! touches a clock itself, so the same plan replays identically under any
 //! interleaving — determinism comes from the fake clock driving it.
 
-use aohpc_runtime::ControlFrame;
+use crate::cluster::ControlFrame;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -140,7 +140,7 @@ impl FrameRule {
 }
 
 /// A declarative failure schedule, built by tests and armed into the cluster
-/// via `ClusterService::with_faults`.
+/// via [`ClusterService::with_fake_clock`](crate::ClusterService::with_fake_clock).
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     actions: Vec<(Duration, FaultAction)>,

@@ -38,11 +38,11 @@
 //!   order.  The synchronous [`KernelService::drain`] /
 //!   [`KernelService::drain_session`] remain as thin wrappers over the same
 //!   completion plumbing.
-//! * [`ClusterService`] — N service nodes over a simulated
-//!   `Communicator::mesh`, with tenant-affine session routing.  Every node
-//!   compiles its own plans through its own [`PlanCache`]; the fabric
-//!   carries liveness only (heartbeats, gossip, view sync), and a killed
-//!   node's queued jobs replay on a survivor.  See the
+//! * [`ClusterService`] — N service nodes connected by a private frame mesh
+//!   (one channel of frames per node), with tenant-affine session routing.
+//!   Every node compiles its own plans through its own [`PlanCache`]; the
+//!   mesh carries liveness only (heartbeats, gossip, view sync), and a
+//!   killed node's queued jobs replay on a survivor.  See the
 //!   [cluster module docs](cluster) for the failure model.
 //!
 //! ```
@@ -96,6 +96,7 @@ pub mod session;
 pub use cache::{EntryMeta, FamilyLaneStats, PlanCache, PlanCacheStats, PlanKey, PlanOrigin};
 pub use cluster::{
     plan_owner_among, ClusterCacheStats, ClusterCommStats, ClusterService, ClusterSessionId,
+    ControlFrame,
 };
 pub use fault::{FaultAction, FaultPlan, FaultState, Interception};
 pub use job::{

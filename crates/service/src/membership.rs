@@ -1,11 +1,11 @@
 //! Cluster liveness: the per-node membership view, and the rendezvous hash
 //! that picks a survivor for a dead node's orphaned jobs.
 //!
-//! Every rank runs a failure detector over the multiplexed control plane:
-//! heartbeats ride dedicated liveness frames (tags above
-//! [`aohpc_runtime::LIVENESS_TAG_BASE`], metered outside the application
-//! control ledger), and each node folds what it hears into a [`Membership`]
-//! view — [`NodeState::Alive`] / [`NodeState::Suspect`] /
+//! Every rank runs a failure detector over the cluster's frame mesh:
+//! heartbeats ride liveness frames (metered into
+//! [`CommStats::liveness_sent`](aohpc_runtime::CommStats::liveness_sent)),
+//! and each node folds what it hears into a [`Membership`] view —
+//! [`NodeState::Alive`] / [`NodeState::Suspect`] /
 //! [`NodeState::Dead`] per rank, each claim carrying an **incarnation
 //! number** so late frames from a declared-dead rank are recognizably stale
 //! and dropped instead of resurrecting it.

@@ -531,7 +531,7 @@ pub struct KernelService {
 impl KernelService {
     /// Start a service with the given sizing (wall clock).
     pub fn new(config: ServiceConfig) -> Self {
-        Self::start(config, ServiceClock::real(), None, None)
+        Self::start(config, ServiceClock::real(), None)
     }
 
     /// Start a service with an observability hub installed: every job gets a
@@ -541,7 +541,7 @@ impl KernelService {
     /// counters.  Snapshot with [`KernelService::obs_snapshot`], export the
     /// recorder with [`aohpc_obs::chrome_trace_json`].
     pub fn with_observer(config: ServiceConfig, hub: Arc<ObsHub>) -> Self {
-        Self::start(config, ServiceClock::real(), None, Some(hub))
+        Self::start(config, ServiceClock::real(), Some(hub))
     }
 
     /// [`KernelService::with_observer`] on a test-controlled [`FakeClock`]:
@@ -552,7 +552,7 @@ impl KernelService {
         hub: Arc<ObsHub>,
         clock: Arc<FakeClock>,
     ) -> Self {
-        Self::start(config, ServiceClock::Fake(clock), None, Some(hub))
+        Self::start(config, ServiceClock::Fake(clock), Some(hub))
     }
 
     /// Start a service whose admission deadlines run on a test-controlled
@@ -560,19 +560,16 @@ impl KernelService {
     /// calls [`FakeClock::advance`], which also wakes parked submitters so
     /// timeout tests signal instead of sleeping.
     pub fn with_fake_clock(config: ServiceConfig, clock: Arc<FakeClock>) -> Self {
-        Self::start(config, ServiceClock::Fake(clock), None, None)
+        Self::start(config, ServiceClock::Fake(clock), None)
     }
 
     pub(crate) fn start(
         config: ServiceConfig,
         clock: ServiceClock,
-        cache: Option<Arc<PlanCache>>,
         obs: Option<Arc<ObsHub>>,
     ) -> Self {
         let config = config.normalized();
-        let cache = cache.unwrap_or_else(|| {
-            Arc::new(PlanCache::new(config.cache_shards, config.cache_capacity))
-        });
+        let cache = Arc::new(PlanCache::new(config.cache_shards, config.cache_capacity));
         // Enough idle scratches for every worker to run a hybrid-topology job
         // (a few tasks each) without dropping warm buffers on release.
         let scratch = ScratchPool::new(config.workers.max(1) * 4);
@@ -2160,13 +2157,9 @@ mod tests {
             ),
         ];
         for (name, exit, status, completed) in routes {
-            let cache = PlanCache::new(1, 4).with_compile(panicking_compile);
-            let service = KernelService::start(
-                admission_only().with_quota(1),
-                ServiceClock::real(),
-                Some(Arc::new(cache)),
-                None,
-            );
+            let mut service = KernelService::new(admission_only().with_quota(1));
+            Arc::get_mut(&mut service.inner).expect("no worker holds the service yet").cache =
+                Arc::new(PlanCache::new(1, 4).with_compile(panicking_compile));
             let session = service.open_session(SessionSpec::tenant("t"));
             let stream = service.completion_stream(session).unwrap();
             let mut handle = service.submit(session, smoke_job()).unwrap();

@@ -2,7 +2,9 @@
 //! identity with single-node execution, session affinity, fabric metering
 //! and deterministic (fake-clock) backpressure on cluster nodes.
 
-use aohpc_service::{ClusterService, JobSpec, KernelService, ServiceConfig, SessionSpec};
+use aohpc_service::{
+    ClusterService, ClusterTuning, FaultPlan, JobSpec, KernelService, ServiceConfig, SessionSpec,
+};
 use aohpc_testalloc::sync::FakeClock;
 use aohpc_workloads::Scale;
 use std::sync::Arc;
@@ -183,6 +185,9 @@ fn fake_clock_cluster_backpressure_is_deterministic() {
             .with_quota(1)
             .with_admission_timeout(Duration::ZERO),
         Arc::clone(&clock),
+        ClusterTuning::default(),
+        FaultPlan::new(),
+        None,
     );
     let id = cluster.open_session_on(1, SessionSpec::tenant("t"));
     cluster.submit(id, smoke_job()).unwrap();

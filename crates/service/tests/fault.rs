@@ -98,12 +98,13 @@ proptest! {
         for &(rank, at_ms) in &killed {
             plan = plan.kill_at(rank, Duration::from_millis(at_ms));
         }
-        let cluster = ClusterService::with_fault_plan(
+        let cluster = ClusterService::with_fake_clock(
             3,
             ServiceConfig::default().with_workers(1),
             clock.clone(),
             ClusterTuning::fast(),
             plan,
+            None,
         );
         let sessions: Vec<_> = (0..3)
             .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("t{n}"))))
@@ -183,12 +184,13 @@ fn wedged_fabric_is_suspected_then_recovers() {
     let plan = FaultPlan::new()
         .wedge_at(1, Duration::from_millis(20))
         .unwedge_at(1, Duration::from_millis(100));
-    let cluster = ClusterService::with_fault_plan(
+    let cluster = ClusterService::with_fake_clock(
         2,
         ServiceConfig::default().with_workers(1),
         clock.clone(),
         ClusterTuning::fast(),
         plan,
+        None,
     );
 
     let mut saw_suspect = false;

@@ -137,12 +137,13 @@ proptest! {
                     .heal_at(from, to, Duration::from_millis(at_ms + 80));
             }
         }
-        let cluster = ClusterService::with_fault_plan(
+        let cluster = ClusterService::with_fake_clock(
             3,
             config(),
             clock.clone(),
             ClusterTuning::fast(),
             plan,
+            None,
         );
         let sessions: Vec<_> = (0..3)
             .map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("t{n}"))))
@@ -253,13 +254,13 @@ fn asymmetric_partition_converges_views_with_exactly_one_refutation() {
         0,
         Duration::from_millis(205),
     );
-    let cluster = ClusterService::with_fault_plan_observed(
+    let cluster = ClusterService::with_fake_clock(
         2,
         config(),
         clock.clone(),
         ClusterTuning::fast(),
         plan,
-        hub.clone(),
+        Some(hub.clone()),
     );
 
     // Drive to the pinned asymmetric window (the heal fires at 205 ms,
@@ -376,13 +377,13 @@ fn killed_rank_rejoins_with_fresh_incarnation_and_reowns_its_plans() {
     let plan = FaultPlan::new()
         .kill_at(1, Duration::from_millis(30))
         .restart_at(1, Duration::from_millis(250));
-    let cluster = ClusterService::with_fault_plan_observed(
+    let cluster = ClusterService::with_fake_clock(
         3,
         config(),
         clock.clone(),
         ClusterTuning::fast(),
         plan,
-        hub.clone(),
+        Some(hub.clone()),
     );
     let sessions: Vec<_> =
         (0..3).map(|n| cluster.open_session_on(n, SessionSpec::tenant(format!("t{n}")))).collect();
