@@ -45,14 +45,20 @@
 //! sweep is their difference — so a search-count regression fails the run
 //! by the shape's name.
 //!
+//! Under the table, each particle shape's kernel-layer figure: the pair
+//! interactions a sweep evaluates (computed from the placement,
+//! `ParticleSystem::pairs_per_sweep`, not counted in the sweep), and a
+//! later sweep's time and the hand-written code's (set-up and `steps`
+//! sweeps) over them, in ns a pair.
+//!
 //! ```sh
 //! cargo run --release -p aohpc-bench --bin phase_table     # 40 jobs a shape
 //! AOHPC_SCALE=smoke cargo run --release -p aohpc-bench --bin phase_table  # 3
 //! ```
 
 use aohpc::dsl::{
-    DslSystem, PairForce, ParticleBlockApp, ParticleSystem, SGridSystem, UsGridJacobiApp,
-    UsGridSystem, UsGridValueSystem,
+    DslSystem, ParticleBlockApp, ParticleSystem, SGridSystem, UsGridJacobiApp, UsGridSystem,
+    UsGridValueSystem,
 };
 use aohpc::env::{Extent, GlobalAddress};
 use aohpc::runtime::{execute, RunConfig};
@@ -184,8 +190,8 @@ fn searches_over(spec: &JobSpec, steps: usize) -> [u64; 2] {
             let extent = Extent::new2d(spec.block, spec.block);
             let kernel = ParticleKernel::compile(program, extent, OptLevel::Full);
             let system = ParticleSystem::paper(ParticleSize::new(count));
-            let law = PairForce(kernel.pair_law(params[0]));
-            let app = ParticleBlockApp::new(system.clone(), law, steps).with_dt(params[1]);
+            let app = ParticleBlockApp::new(system.clone(), kernel.law(params[0]), steps)
+                .with_dt(params[1]);
             execute(&config, Weaver::new().weave(), Arc::new(system).env_factory(), app.factory())
         }
         FamilyProgram::UsGrid(program) => {
@@ -250,6 +256,7 @@ fn main() {
     // this process: the heap a service leaves behind slows their many small
     // allocations (2^10 particles: 1.4 ms here, 2.1–2.5 ms after the others).
     let shapes = shapes();
+    let mut pair_rows = Vec::new();
     let bases: Vec<f64> = shapes
         .iter()
         .map(|(_, spec)| {
@@ -296,5 +303,17 @@ fn main() {
         });
         let counts = searches(label, &spec).map(|n| format!("{n:>15}")).concat();
         println!("{label:<18}{}{counts}", cells.collect::<String>());
+        if let Some(count) = spec.particles {
+            let pairs = ParticleSystem::paper(ParticleSize::new(count)).pairs_per_sweep() as f64;
+            let per_pair = |ms: f64| format!("{:>15.2}", ms * 1e6 / pairs);
+            let sweep = per_pair(medians[PHASES.iter().position(|&p| p == "sweep 2..").unwrap()]);
+            let hand = per_pair(base / spec.steps as f64);
+            pair_rows.push(format!("{label:<18}{pairs:>15}{sweep}{hand}"));
+        }
+    }
+    println!("\n# particle pair law: pairs a sweep (from the placement), ns a pair");
+    println!("{:<18}{:>15}{:>15}{:>15}", "", "pairs/sweep", "sweep 2..", "hand-written");
+    for row in pair_rows {
+        println!("{row}");
     }
 }

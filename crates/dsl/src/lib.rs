@@ -34,7 +34,7 @@
 //! |---|---|---|
 //! | stencil | [`SGridJacobiApp`] on [`SGridSystem`], one platform call a cell | the kernel crate's `IrStencilApp` on [`SGridSystem`]: halo ring as one run an edge, then the compiled tape in the lent block (read buffer in, write buffer out) |
 //! | usgrid | [`UsGridJacobiApp`] on [`UsGridSystem`] (`Cell = `[`UsCell`]: Fig. 5b, cells that store their neighbours' addresses), law [`UsUpdate`] a point | the program lowered to its stencil (`UsGridProgram::to_stencil`, CaseC), run by the kernel crate's `IrStencilApp` on [`UsGridValueSystem`] (`Cell = f64`): the stencil's block routine |
-//! | particle | [`ParticleApp`] on [`ParticleSystem`], ten per-cell bucket reads a bucket | [`ParticleBlockApp`] on [`ParticleSystem`]: its one-bucket ring as four runs, then the compiled pair law ([`PairForce`]) a pair in the lent block |
+//! | particle | [`ParticleApp`] on [`ParticleSystem`], ten per-cell bucket reads a bucket | [`ParticleBlockApp`] on [`ParticleSystem`]: its one-bucket ring as four runs, then, in the lent block, the compiled pair law ([`PairLanes`], inlined) over each bucket's particles as `f64` columns, four lanes at a time — the reference's calls one [`PairForce`] a pair |
 //!
 //! A product app is that block routine and nothing else of the flow: it
 //! implements `aohpc_runtime::BlockSweep`, and the runtime's one blanket
@@ -58,6 +58,8 @@ pub mod sgrid;
 pub mod usgrid;
 
 pub use common::{new_field_sink, DslSystem, FieldSink};
-pub use particle::{Bucket, PairForce, Particle, ParticleApp, ParticleBlockApp, ParticleSystem};
+pub use particle::{
+    Bucket, PairForce, PairLanes, Particle, ParticleApp, ParticleBlockApp, ParticleSystem,
+};
 pub use sgrid::{SGridJacobiApp, SGridSystem};
 pub use usgrid::{UsCell, UsGridJacobiApp, UsGridSystem, UsGridValueSystem, UsUpdate};

@@ -24,11 +24,14 @@
 //!   pattern is a fixed 5×5 stencil, so MMAT stays valid across steps.
 //!
 //! [`ParticleApp`] is the family's Listing-1 reference: ten per-cell reads a
-//! bucket (itself, then its 3×3 neighbourhood).  [`ParticleBlockApp`] is the
-//! product app the service runs: the reference's in-place sweep a block at a
-//! time — its one-bucket ring as four runs, then the update in the block's
-//! own lent buffers — the same pair law per pair in the same order, so the
-//! same field to the bit, each bucket read once a sweep.
+//! bucket (itself, then its 3×3 neighbourhood), its law a [`PairForce`]
+//! call a pair.  [`ParticleBlockApp`] is the product app the service runs:
+//! the reference's in-place sweep a block at a time — its one-bucket ring as
+//! four runs, then the update in the block's own lent buffers.  Its law is a
+//! [`PairLanes`] value, inlined into a loop over a bucket's particles as
+//! `f64` columns, four lanes at a time; each particle still sums the same
+//! pair law over the same neighbours in the same order, so the field is the
+//! reference's to the bit, and each bucket is read once a sweep.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
 use aohpc_env::{BlockId, Env, GlobalAddress, LocalAddress, RunPlan, TreeTopology};
@@ -186,6 +189,35 @@ impl ParticleSystem {
         bucket
     }
 
+    /// The pair interactions one in-place sweep evaluates: for each placed
+    /// particle, each other particle of its 3×3 bucket neighbourhood, wall
+    /// particles included — the law runs on every such pair, in its cutoff
+    /// or not.  Computed from the placement, which an in-place sweep keeps.
+    pub fn pairs_per_sweep(&self) -> u64 {
+        let (nx, ny) = (self.buckets_x as i64, self.buckets_y as i64);
+        let count = |x: i64, y: i64| {
+            let g = GlobalAddress::new2d(x, y);
+            let inside = (0..nx).contains(&x) && (0..ny).contains(&y);
+            let bucket =
+                if inside { self.initial_bucket(g, [0.0; 3]) } else { Self::wall_bucket(g) };
+            u64::from(bucket.count)
+        };
+        let padded: Vec<u64> = (-1..=ny)
+            .flat_map(|y| (-1..=nx).map(move |x| (x, y)))
+            .map(|(x, y)| count(x, y))
+            .collect();
+        let at = |x: i64, y: i64| padded[((y + 1) * (nx + 2) + x + 1) as usize];
+        let mut pairs = 0;
+        for y in 0..ny {
+            for x in 0..nx {
+                let hood: u64 =
+                    (-1..=1).flat_map(|dy| (-1..=1).map(move |dx| at(x + dx, y + dy))).sum();
+                pairs += at(x, y) * hood.saturating_sub(1);
+            }
+        }
+        pairs
+    }
+
     /// A wall bucket for an out-of-domain position: fixed particles at the
     /// bucket centre (Dirichlet-like wall of §V-B3).
     pub fn wall_bucket(addr: GlobalAddress) -> Bucket {
@@ -225,9 +257,10 @@ impl DslSystem for ParticleSystem {
 
 /// The pair-force hook signature: `(p_pos, q_pos, force_accumulator)`.
 ///
-/// Structurally identical to the kernel crate's lowered pair-force routine,
-/// so compiled artifacts plug in without a dependency edge between the
-/// crates.
+/// What a compiled particle kernel's `pair_law` hands the Listing-1
+/// reference.  The id-skip and the neighbourhood gather stay with the sweep
+/// (they are structural, not arithmetic); the closure owns every
+/// floating-point operation of one pair interaction.
 pub type PairForceFn = Arc<dyn Fn(&[f64; 3], &[f64; 3], &mut [f64; 3]) + Send + Sync>;
 
 /// A pluggable pairwise force law: `(p_pos, q_pos, force_accumulator)`.
@@ -243,6 +276,19 @@ impl std::fmt::Debug for PairForce {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("PairForce(..)")
     }
+}
+
+/// A pair law the block app runs inlined: the particle kernel's compiled law
+/// at one cutoff radius, a concrete value so that [`ParticleBlockApp`]'s
+/// pair loop is monomorphic in it.
+///
+/// `pair` owns every floating-point operation of one pair interaction; the
+/// id skip and the neighbourhood order stay with the sweep.  It is called
+/// for every lane of a four-lane chunk, live or padding (a padding lane's
+/// force is dropped), so it must not panic on any input.
+pub trait PairLanes: Clone + Send + Sync + 'static {
+    /// Add the force a particle at `q` exerts on one at `p` to `force`.
+    fn pair(&self, p: &[f64; 3], q: &[f64; 3], force: &mut [f64; 3]);
 }
 
 /// The end-user application: one force-integration step per iteration over
@@ -561,7 +607,7 @@ impl HpcApp<Bucket> for ParticleApp {
 
 /// The product app of the family (see the module docs): the reference's
 /// in-place sweep ([`ParticleApp`] without migration) with a block's buckets
-/// moved in bulk.  Run it on [`ParticleSystem`].
+/// moved in bulk and its pair law `L` inlined.  Run it on [`ParticleSystem`].
 ///
 /// Its block routine (a `BlockSweep`, run inside the `Kernel::execute_block`
 /// join point) reads the block's one-bucket ring as four runs — the row
@@ -569,16 +615,17 @@ impl HpcApp<Bucket> for ParticleApp {
 /// the left and the right column, `by` each, read through the four run
 /// plans resolved at the block's first sweep — and then, in the block's own
 /// buffers ([`TaskCtx::with_block`]), copies the read buffer into the write
-/// buffer and applies the reference's force (one [`PairForce`] call a
-/// pair, in the reference's neighbourhood order) and update to every live
-/// particle there.  A bucket is read once a sweep: hinted in the block,
-/// unhinted on the ring.
+/// buffer and applies the reference's force and update to every live
+/// particle there.  The force runs over the bucket's particles as columns
+/// (`lane_forces`): one neighbour at a time, in the reference's
+/// neighbourhood order, against four particles at a time.  A bucket is read
+/// once a sweep: hinted in the block, unhinted on the ring.
 #[derive(Debug, Clone)]
-pub struct ParticleBlockApp {
+pub struct ParticleBlockApp<L> {
     /// The DSL system (for initial placement parameters).
     pub system: ParticleSystem,
-    /// The pair-force law.
-    pub law: PairForce,
+    /// The pair law.
+    pub law: L,
     /// Time step.
     pub dt: f64,
     /// Main-loop iterations.
@@ -595,10 +642,10 @@ pub struct ParticleBlockApp {
     plans: HashMap<BlockId, [RunPlan; 4]>,
 }
 
-impl ParticleBlockApp {
+impl<L: PairLanes> ParticleBlockApp<L> {
     /// A sweep of `law` over the system's buckets, `loops` times, at the
     /// reference's default time step.
-    pub fn new(system: ParticleSystem, law: PairForce, loops: usize) -> Self {
+    pub fn new(system: ParticleSystem, law: L, loops: usize) -> Self {
         let (ring, plans) = (Vec::new(), HashMap::new());
         ParticleBlockApp { system, law, dt: 1e-3, loops, sink: None, ring, plans }
     }
@@ -622,7 +669,7 @@ impl ParticleBlockApp {
     }
 
     /// App factory for the runtime driver.
-    pub fn factory(&self) -> Arc<dyn Fn(TaskSlot) -> ParticleBlockApp + Send + Sync> {
+    pub fn factory(&self) -> Arc<dyn Fn(TaskSlot) -> ParticleBlockApp<L> + Send + Sync> {
         let proto = self.clone();
         Arc::new(move |_slot| proto.clone())
     }
@@ -654,7 +701,43 @@ fn bucket_at<'a>(
     &ring[slot as usize]
 }
 
-impl BlockSweep for ParticleBlockApp {
+/// Particles the pair loop runs at a time: the lanes each neighbour is
+/// applied to.
+const LANES: usize = 4;
+
+/// The force on each particle of `chunk` (at most [`LANES`] of a bucket's
+/// live particles) from every particle of `hood` (the bucket's 3×3
+/// neighbourhood, itself included) but itself, as `[x, y, z]` columns by
+/// lane.
+///
+/// The chunk's positions and ids are copied into columns; then each
+/// neighbour particle `q`, in the reference's `(nb, q)` order, is applied to
+/// all four lanes.  So each particle sums its forces in the reference's
+/// order, to the bit.  A short chunk's padding lanes run the law too, from
+/// the origin, and are never read.
+#[inline(always)]
+fn lane_forces<L: PairLanes>(law: &L, chunk: &[Particle], hood: [&Bucket; 9]) -> [[f64; LANES]; 3] {
+    let (mut x, mut y, mut z, mut id) = ([0.0; LANES], [0.0; LANES], [0.0; LANES], [0; LANES]);
+    for (l, p) in chunk.iter().enumerate() {
+        [x[l], y[l], z[l]] = p.pos;
+        id[l] = p.id;
+    }
+    let (mut fx, mut fy, mut fz) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    for nb in hood {
+        for q in nb.live() {
+            for l in 0..LANES {
+                if id[l] != q.id {
+                    let mut f = [fx[l], fy[l], fz[l]];
+                    law.pair(&[x[l], y[l], z[l]], &q.pos, &mut f);
+                    [fx[l], fy[l], fz[l]] = f;
+                }
+            }
+        }
+    }
+    [fx, fy, fz]
+}
+
+impl<L: PairLanes> BlockSweep for ParticleBlockApp<L> {
     type Cell = Bucket;
 
     fn loops(&self) -> usize {
@@ -674,7 +757,7 @@ impl BlockSweep for ParticleBlockApp {
     }
 
     fn block(&mut self, ctx: &mut TaskCtx<Bucket>, bid: BlockId, _i: usize, n: usize) {
-        let (law, dt, ring) = (&*self.law.0, self.dt, &mut self.ring);
+        let (law, dt, ring) = (&self.law, self.dt, &mut self.ring);
         let ext = ctx.env().block(bid).meta.extent;
         let (nx, ny) = (ext.nx, ext.ny);
         ring.resize(2 * (nx + 2) + 2 * ny, Bucket::default());
@@ -707,19 +790,16 @@ impl BlockSweep for ParticleBlockApp {
                     let (di, dj) = (n as i64 % 3 - 1, n as i64 / 3 - 1);
                     bucket_at(own, ring, bx, by, i + di, j + dj)
                 });
-                for (p, next) in me.live().iter().zip(&mut out[k].particles) {
-                    let mut force = [0.0f64; 3];
-                    for nb in hood {
-                        for q in nb.live() {
-                            if q.id != p.id {
-                                law(&p.pos, &q.pos, &mut force);
-                            }
+                let live = me.live();
+                let moved = out[k].particles[..live.len()].chunks_mut(LANES);
+                for (chunk, moved) in live.chunks(LANES).zip(moved) {
+                    let [fx, fy, fz] = lane_forces(law, chunk, hood);
+                    for (l, next) in moved.iter_mut().enumerate() {
+                        next.acc = [fx[l], fy[l], fz[l]];
+                        for d in 0..3 {
+                            next.vel[d] += next.acc[d] * dt;
+                            next.pos[d] += next.vel[d] * dt;
                         }
-                    }
-                    next.acc = force;
-                    for d in 0..3 {
-                        next.vel[d] += next.acc[d] * dt;
-                        next.pos[d] += next.vel[d] * dt;
                     }
                 }
             }
@@ -800,6 +880,26 @@ mod tests {
         let a = collect(&sink_a);
         assert!(!a.is_empty());
         assert_eq!(a, collect(&sink_b), "hooked law must be bit-identical");
+    }
+
+    /// The placement's pair count is the number of times the Listing-1
+    /// reference calls its law in one sweep, on a full grid and on one whose
+    /// last buckets are partly filled or empty.
+    #[test]
+    fn pairs_per_sweep_counts_the_law_calls_of_a_sweep() {
+        for count in [1 << 10, 1000, 37] {
+            let system = ParticleSystem::paper(ParticleSize::new(count));
+            let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
+            let counted = Arc::clone(&calls);
+            let law = PairForce(Arc::new(move |_: &[f64; 3], _: &[f64; 3], _: &mut [f64; 3]| {
+                counted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }));
+            let app = ParticleApp::new(system.clone(), 1).with_pair_force(law);
+            let env = Arc::new(system.clone()).env_factory();
+            execute(&RunConfig::serial(), WovenProgram::unwoven(), env, app.factory());
+            let calls = calls.load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(system.pairs_per_sweep(), calls, "{count} particles");
+        }
     }
 
     #[test]

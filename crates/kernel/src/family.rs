@@ -27,8 +27,10 @@
 //!   radius and symmetric pair forces, lowered from the particle DSL
 //!   (`aohpc-dsl`'s `ParticleApp`): the [`ParticleProgram`] captures the
 //!   pair law and the bucket-neighbourhood reach, and the compiled
-//!   [`ParticleKernel`] hands out the lowered pair-force routine
-//!   ([`ParticleKernel::pair_law`]) that execution plugs into the sweep.
+//!   [`ParticleKernel`] hands out the law at a cutoff radius as a concrete
+//!   value ([`ParticleKernel::law`], a [`CutoffLaw`]) that the block app
+//!   inlines into its lane loop, and as a closure
+//!   ([`ParticleKernel::pair_law`]) for the Listing-1 reference.
 //! * [`KernelFamilyId::UsGrid`] — the unstructured-grid relaxation sweep:
 //!   the [`UsGridProgram`] captures the neighbour offsets gathered through
 //!   the indirection.  A program is a stencil in disguise: what the service
@@ -46,6 +48,7 @@ use crate::expr::{load, param};
 use crate::opt::OptLevel;
 use crate::plan::CompiledKernel;
 use crate::program::{ProgramFingerprint, StencilProgram};
+use aohpc_dsl::PairLanes;
 use aohpc_env::Extent;
 use std::fmt;
 use std::sync::Arc;
@@ -505,12 +508,11 @@ impl fmt::Display for FamilyProgram {
     }
 }
 
-/// The lowered pair-force routine a compiled particle kernel hands out:
-/// `(p_pos, q_pos, force_accumulator)`.  The id-skip and neighbourhood
-/// gather stay with the sweep (they are structural, not arithmetic); the
-/// closure owns every floating-point operation of one pair interaction, in
-/// the exact order the DSL's direct path performs them.
-pub type PairForceFn = Arc<dyn Fn(&[f64; 3], &[f64; 3], &mut [f64; 3]) + Send + Sync>;
+/// The pair-force closure a compiled particle kernel hands the Listing-1
+/// reference (`aohpc_dsl::ParticleApp`), one indirect call a pair:
+/// [`ParticleKernel::pair_law`] wraps [`CutoffLaw`]'s `pair`, so it runs the
+/// same arithmetic as the block app's inlined lane loop.
+pub use aohpc_dsl::particle::PairForceFn;
 
 /// The lowered per-point update a compiled usgrid kernel hands out:
 /// `(centre_value, gathered_neighbour_values) -> new_value`, accumulating
@@ -560,19 +562,51 @@ impl ParticleKernel {
         self.level
     }
 
-    /// The lowered pair-force routine for a cutoff `radius`
-    /// (`params[0]` of the submitting job).
-    ///
-    /// Arithmetic and operation order are exactly the DSL direct path's
-    /// (`ParticleApp::force_on` / `weight`), so a sweep driven through this
-    /// closure is bit-identical to the seed path.
+    /// The compiled law at a cutoff `radius` (`params[0]` of the
+    /// submitting job): what the block app runs inlined.
+    pub fn law(&self, radius: f64) -> CutoffLaw {
+        CutoffLaw { law: self.program.law(), radius, beyond: (radius * radius).next_up() }
+    }
+
+    /// [`ParticleKernel::law`] as a closure, for the Listing-1 reference.
     pub fn pair_law(&self, radius: f64) -> PairForceFn {
-        match self.program.law() {
-            PairLaw::QuadraticDropoff => Arc::new(move |p, q, force| {
+        let law = self.law(radius);
+        Arc::new(move |p, q, force| law.pair(p, q, force))
+    }
+}
+
+/// A pair law at one cutoff radius: the particle family's arithmetic, once.
+///
+/// Arithmetic and operation order are exactly the DSL direct path's
+/// (`ParticleApp::force_on` / `weight`), so a sweep driven through it —
+/// inlined by the block app or called through [`ParticleKernel::pair_law`]
+/// — is bit-identical to that path.
+#[derive(Debug, Clone, Copy)]
+pub struct CutoffLaw {
+    law: PairLaw,
+    radius: f64,
+    /// A squared distance from which on `dist >= radius` holds for certain:
+    /// the float above `radius * radius`, so at least the exact square (the
+    /// product is off by half an ulp at most), and the rounded root is
+    /// monotone and exact on squares.  A pair this far apart is skipped
+    /// before its root, as the weight would skip it after.
+    beyond: f64,
+}
+
+impl PairLanes for CutoffLaw {
+    #[inline(always)]
+    fn pair(&self, p: &[f64; 3], q: &[f64; 3], force: &mut [f64; 3]) {
+        let radius = self.radius;
+        match self.law {
+            PairLaw::QuadraticDropoff => {
                 let dx = p[0] - q[0];
                 let dy = p[1] - q[1];
                 let dz = p[2] - q[2];
-                let dist = (dx * dx + dy * dy + dz * dz).sqrt();
+                let d2 = dx * dx + dy * dy + dz * dz;
+                if d2 >= self.beyond {
+                    return;
+                }
+                let dist = d2.sqrt();
                 let w = if dist >= radius || dist <= 1e-9 {
                     0.0
                 } else {
@@ -584,7 +618,7 @@ impl ParticleKernel {
                     force[1] += w * dy / dist;
                     force[2] += w * dz / dist;
                 }
-            }),
+            }
         }
     }
 }
@@ -887,6 +921,45 @@ mod tests {
         law(&p, &[2.0, 0.5, 0.5], &mut f2);
         law(&p, &p, &mut f2);
         assert_eq!(f2, [0.0; 3]);
+    }
+
+    /// The law's skip before the root drops exactly the pairs the weight
+    /// drops after it: pairs a few ulps either side of the cutoff and at
+    /// `r·(1 ± 2^-k)`, along each axis and a diagonal, at radii whose
+    /// squares round up, round down and are exact, give the bits of the
+    /// same law with the skip turned off.
+    #[test]
+    fn the_skip_before_the_root_drops_only_pairs_past_the_cutoff() {
+        let kernel = ParticleKernel::compile(
+            &ParticleProgram::pair_sweep(),
+            Extent::new2d(8, 8),
+            OptLevel::Full,
+        );
+        let p = [0.5, 0.25, 0.5];
+        for radius in [0.3, 0.7, 1.0, 1.1, 4.0 / 3.0, 2.0, 1e-6, 0.0] {
+            let law = kernel.law(radius);
+            let weight_only = CutoffLaw { beyond: f64::INFINITY, ..law };
+            let mut ulps = vec![radius];
+            for _ in 0..4 {
+                ulps.push(ulps[ulps.len() - 1].next_down());
+                ulps.insert(0, ulps[0].next_up());
+            }
+            let scaled = (1..40).flat_map(|k| [1.0 - 0.5f64.powi(k), 1.0 + 0.5f64.powi(k)]);
+            for near in ulps.into_iter().chain(scaled.map(|s| radius * s)) {
+                let diagonal = near / 2f64.sqrt();
+                for q in [
+                    [p[0] + near, p[1], p[2]],
+                    [p[0], p[1] - near, p[2]],
+                    [p[0], p[1], p[2] + near],
+                    [p[0] + diagonal, p[1] + diagonal, p[2]],
+                ] {
+                    let (mut got, mut want) = ([0.0; 3], [0.0; 3]);
+                    law.pair(&p, &q, &mut got);
+                    weight_only.pair(&p, &q, &mut want);
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{radius} {q:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use app::{
 pub use backend::{ExecStats, Processor, LANES};
 pub use expr::{jacobi_5pt, lit, load, param, smooth_9pt, BinOp, KernelExpr, UnaryOp};
 pub use family::{
-    FamilyArtifact, FamilyError, FamilyProgram, KernelFamilyId, PairForceFn, PairLaw,
+    CutoffLaw, FamilyArtifact, FamilyError, FamilyProgram, KernelFamilyId, PairForceFn, PairLaw,
     ParticleKernel, ParticleProgram, UsGridKernel, UsGridProgram, UsUpdateFn,
 };
 pub use field::DenseField;

@@ -13,7 +13,7 @@
 //! block across a ring read would block behind it for good).
 
 use aohpc_aop::WovenProgram;
-use aohpc_dsl::{Bucket, PairForce, ParticleBlockApp, ParticleSystem};
+use aohpc_dsl::{Bucket, ParticleBlockApp, ParticleSystem};
 use aohpc_env::{AccessCounters, BlockId, BlockKind, Cell, Env, EnvBuilder, Extent, GlobalAddress};
 use aohpc_kernel::{IrStencilApp, OptLevel, ParticleKernel, ParticleProgram, StencilProgram};
 use aohpc_mem::PoolHandle;
@@ -148,7 +148,7 @@ fn the_stencil_block_routine_reads_its_ring_before_it_borrows_the_block() {
 fn the_particle_block_routine_reads_its_ring_before_it_borrows_the_block() {
     let program = ParticleProgram::pair_sweep();
     let kernel = ParticleKernel::compile(&program, Extent::new2d(4, 4), OptLevel::Full);
-    let law = PairForce(kernel.pair_law(1.0));
+    let law = kernel.law(1.0);
     let system = ParticleSystem::paper(ParticleSize::new(40));
     let make = move || ParticleBlockApp::new(system, law, 2);
     let copied: (Vec<Bucket>, _) = run_sweeps(make.clone(), Path::Copied, false);

@@ -335,7 +335,7 @@ fn warm_checksum_finalize_allocates_nothing_of_its_own() {
 fn warm_particle_sweep_allocates_nothing_of_its_own() {
     let program = ParticleProgram::pair_sweep();
     let kernel = ParticleKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
-    let law = PairForce(kernel.pair_law(1.0));
+    let law = kernel.law(1.0);
     for count in [1000, 1 << 12] {
         let system = ParticleSystem::paper(ParticleSize::new(count));
         let buckets = (system.buckets_x * system.buckets_y) as u64;
@@ -349,7 +349,7 @@ fn warm_particle_sweep_allocates_nothing_of_its_own() {
         };
 
         let mut ctx = serial_ctx(system.build_env());
-        let mut app = ParticleBlockApp::new(system.clone(), law.clone(), 4);
+        let mut app = ParticleBlockApp::new(system.clone(), law, 4);
         app.initialize(&mut ctx);
         // The first sweep sizes the ring: one.  The block is lent, not
         // staged.  It also resolves each block's four ring runs: the map,
@@ -368,7 +368,8 @@ fn warm_particle_sweep_allocates_nothing_of_its_own() {
         }
 
         let mut ctx = serial_ctx(system.build_env());
-        let mut reference = ParticleApp::new(system, 4).with_pair_force(law.clone());
+        let mut reference =
+            ParticleApp::new(system, 4).with_pair_force(PairForce(kernel.pair_law(1.0)));
         reference.initialize(&mut ctx);
         assert!(reference.kernel(&mut ctx, false));
         let (ok, allocs) = aohpc_testalloc::count_in(|| reference.kernel(&mut ctx, false));

@@ -1205,11 +1205,13 @@ mod tests {
     /// Every liveness tag's well-formed payload, truncated at every length
     /// and with each single byte flipped (every single bit, then the whole
     /// byte), plus an unknown tag, and the same from a sender outside the
-    /// mesh, injected into node 0's fabric: nothing panics, no transition
-    /// names a rank outside the mesh, and the views converge again — both
-    /// ranks Alive in both views, agreeing on every incarnation.  A flipped
-    /// frame can be a well-formed claim (a higher incarnation, a suspicion,
-    /// a death), so a refutation may bump an incarnation on the way.
+    /// mesh, injected into node 0's fabric — one accusation of node 0 seeded
+    /// at incarnation `u64::MAX`, which it cannot outbid: nothing panics, no
+    /// transition names a rank outside the mesh, and the views converge
+    /// again — both ranks Alive in both views, agreeing on every
+    /// incarnation.  A flipped frame can be a well-formed claim (a higher
+    /// incarnation, a suspicion, a death), so a refutation may bump an
+    /// incarnation on the way.
     #[test]
     fn fabric_wire_fuzz_leaves_views_convergent() {
         const NODES: usize = 2;
@@ -1222,13 +1224,14 @@ mod tests {
         let peer = &cluster.memberships[1];
         let mut heartbeat = peer.incarnation_of(1).to_le_bytes().to_vec();
         heartbeat.extend_from_slice(&peer.digest().to_le_bytes());
-        let accuse = |subject| {
-            suspect_payload(&Transition { subject, to: NodeState::Suspect, incarnation: 0 })
+        let accuse = |subject, incarnation| {
+            suspect_payload(&Transition { subject, to: NodeState::Suspect, incarnation })
         };
         let bases = [
             (TAG_HEARTBEAT, heartbeat),
-            (TAG_SUSPECT, accuse(0)),
-            (TAG_SUSPECT, accuse(1)),
+            (TAG_SUSPECT, accuse(0, 0)),
+            (TAG_SUSPECT, accuse(1, 0)),
+            (TAG_SUSPECT, accuse(0, u64::MAX)),
             (TAG_VIEW_PULL, Vec::new()),
             (TAG_VIEW_SYNC, view_payload(&peer.view_entries())),
             (0xdead_beef, vec![0xa5; 16]),

@@ -301,6 +301,10 @@ impl Membership {
     /// against an already-superseded incarnation is stale and ignored, so
     /// each incarnation refutes at most once.
     ///
+    /// A claim at incarnation `u64::MAX` is refused, about this rank or any
+    /// other: nothing could ever outbid it, so its subject could neither
+    /// refute it nor come back from it.
+    ///
     /// Returns the local transition if the claim changed anything.
     pub fn adopt(
         &self,
@@ -322,6 +326,9 @@ impl Membership {
         incarnation: u64,
         now: Duration,
     ) -> Option<Transition> {
+        if incarnation == u64::MAX {
+            return None;
+        }
         if subject == rank {
             // An accusation against ourselves: we never mark ourselves down;
             // we refute by outbidding the claim's incarnation.
@@ -692,6 +699,21 @@ mod tests {
         let t = view.adopt(0, NodeState::Dead, 1, 3 * MS).expect("second refutation");
         assert_eq!(t.incarnation, 2);
         assert_eq!(view.stats().refutations, 2);
+    }
+
+    #[test]
+    fn a_claim_nothing_can_outbid_is_refused() {
+        let view = fast_view(3);
+        for to in [NodeState::Suspect, NodeState::Dead, NodeState::Alive] {
+            assert_eq!(view.adopt(0, to, u64::MAX, MS), None, "{to:?} about this rank");
+            assert_eq!(view.adopt(2, to, u64::MAX, MS), None, "{to:?} about a peer");
+        }
+        assert_eq!((view.incarnation_of(0), view.state_of(0)), (0, NodeState::Alive));
+        assert_eq!((view.incarnation_of(2), view.state_of(2)), (0, NodeState::Alive));
+        assert_eq!(view.stats().refutations, 0);
+        // The highest claim that can still be outbid is refuted as any other.
+        let t = view.adopt(0, NodeState::Suspect, u64::MAX - 1, MS).expect("refutation");
+        assert_eq!(t.incarnation, u64::MAX);
     }
 
     #[test]

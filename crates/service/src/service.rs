@@ -46,8 +46,7 @@ use crate::session::{
 };
 use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
 use aohpc_dsl::{
-    DslSystem, PairForce, ParticleBlockApp, ParticleSystem, SGridSystem, UsGridSystem,
-    UsGridValueSystem,
+    DslSystem, ParticleBlockApp, ParticleSystem, SGridSystem, UsGridSystem, UsGridValueSystem,
 };
 use aohpc_env::Extent;
 use aohpc_kernel::{
@@ -1398,7 +1397,8 @@ fn execute_traced(
 /// point's storage address is its logical position and the IR app's
 /// initial condition is the family's.  Particle jobs run the block app (ring
 /// runs, then the lent block) with the cache-resolved pair law (`artifact`)
-/// installed.  Every app gets the job's checksum sink from `run_family`.
+/// inlined into its pair loop.  Every app gets the job's checksum sink from
+/// `run_family`.
 fn execute_spec(
     inner: &Inner,
     spec: &JobSpec,
@@ -1421,7 +1421,7 @@ fn execute_spec(
             // The bucket grid the count derives is spec.region in blocks of
             // spec.block: `JobSpec::validate` admitted nothing else.
             let system = ParticleSystem::paper(ParticleSize::new(spec.particle_count()));
-            let law = PairForce(kernel.pair_law(spec.params[0]));
+            let law = kernel.law(spec.params[0]);
             let app =
                 ParticleBlockApp::new(system.clone(), law, spec.steps).with_dt(spec.params[1]);
             run_family(inner, spec, cell, trace_ctx, system, |sink| {

@@ -26,7 +26,8 @@ use aohpc::runtime::ctx::RefreshPayload;
 use aohpc::runtime::execute;
 use aohpc_aop::{names, ClosureAspect};
 use aohpc_kernel::prelude::*;
-use aohpc_kernel::{default_initial_value, load, param, ParticleKernel};
+use aohpc_kernel::{default_initial_value, load, param, CutoffLaw, ParticleKernel};
+use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -320,11 +321,12 @@ where
 /// prefetch) retried steps.
 const PARTICLE_STEPS: usize = 3;
 
-/// The compiled pair law: what the service plugs into the product app.
-fn pair_force() -> PairForce {
+/// The compiled pair law: as the service plugs it into the product app, and
+/// as a closure for the reference and the oracle.
+fn pair_laws() -> (CutoffLaw, PairForce) {
     let program = ParticleProgram::pair_sweep();
     let kernel = ParticleKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
-    PairForce(kernel.pair_law(1.0))
+    (kernel.law(1.0), PairForce(kernel.pair_law(1.0)))
 }
 
 /// `ParticleBlockApp`'s sweep made of the per-cell calls its bulk reads
@@ -332,9 +334,9 @@ fn pair_force() -> PairForce {
 /// ring bucket by an unhinted `get` in ring order — the row above and the row
 /// below, corners included, then the left and the right column — and the
 /// update written back bucket by bucket, around the app's own `Initialize`
-/// and `Finalize`.
+/// and `Finalize`, with the law called through its closure.
 #[derive(Clone)]
-struct PerCellParticleApp(ParticleBlockApp);
+struct PerCellParticleApp(ParticleBlockApp<CutoffLaw>, PairForce);
 
 impl HpcApp<Bucket> for PerCellParticleApp {
     fn loop_count(&self) -> usize {
@@ -346,7 +348,7 @@ impl HpcApp<Bucket> for PerCellParticleApp {
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<Bucket>, _warmup: bool) -> bool {
-        let (law, dt) = (self.0.law.clone(), self.0.dt);
+        let (law, dt) = (self.1.clone(), self.0.dt);
         for bid in ctx.get_blocks() {
             let extent = ctx.env().block(bid).meta.extent;
             let (bx, by) = (extent.nx as i64, extent.ny as i64);
@@ -411,7 +413,7 @@ impl HpcApp<Bucket> for PerCellParticleApp {
 /// and — across ranks — with the Dry-run prefetch off, where every step finds
 /// its ring pages missing and is retried.
 fn particle_block_app_matches(topologies: &[(usize, usize)]) {
-    let law = pair_force();
+    let (lanes, law) = pair_laws();
     for count in [1000, 1 << 12] {
         let system = ParticleSystem::paper(ParticleSize::new(count));
         let tiling = system.tiling();
@@ -426,13 +428,12 @@ fn particle_block_app_matches(topologies: &[(usize, usize)]) {
                     let case =
                         format!("{count} particles {topology:?} mmat={mmat} dry-run={dry_run}");
                     let product = |sink| {
-                        ParticleBlockApp::new(system.clone(), law.clone(), PARTICLE_STEPS)
-                            .with_sink(sink)
+                        ParticleBlockApp::new(system.clone(), lanes, PARTICLE_STEPS).with_sink(sink)
                     };
                     let (flags, steps) = ((mmat, dry_run), PARTICLE_STEPS);
                     let block = logged_run(&system, topology, flags, steps, product);
                     let oracle = logged_run(&system, topology, flags, steps, |sink| {
-                        PerCellParticleApp(product(sink))
+                        PerCellParticleApp(product(sink), law.clone())
                     });
                     let reference = logged_run(&system, topology, flags, steps, |sink| {
                         ParticleApp::new(system.clone(), PARTICLE_STEPS)
@@ -479,4 +480,46 @@ fn particle_block_app_matches_the_reference_and_the_per_cell_reads_across_ranks(
     // Four ranks too: on the 3x3 blocks of the 2^12 grid a block then finds
     // pages missing on more than one side, so the runs' order shows.
     particle_block_app_matches(&[(2, 1), (2, 2), (4, 1)]);
+}
+
+proptest! {
+    /// The block app's lane loop against `ParticleApp` with the same law as
+    /// a closure, field bits, on one rank and on two: any count on a 16x16
+    /// grid filled 1–16 a bucket — so last chunks of one to four lanes,
+    /// single-particle buckets and empty buckets occur — at any cutoff
+    /// radius in [0.3, 2.0] and time step.
+    #[test]
+    fn particle_lanes_match_the_reference_at_any_fill_and_radius(
+        count in 1usize..=2048,
+        fill in 1usize..=aohpc::dsl::particle::BUCKET_CAPACITY,
+        radius in 0.3f64..2.0,
+        dt in 1e-4f64..0.05,
+    ) {
+        let program = ParticleProgram::pair_sweep();
+        let kernel = ParticleKernel::compile(&program, Extent::new2d(8, 8), OptLevel::Full);
+        let mut system = ParticleSystem::paper(ParticleSize::new(2048));
+        system.particles = ParticleSize::new(count);
+        system.fill_per_bucket = fill;
+        let flags = (false, true);
+        let reference = logged_run(&system, (1, 1), flags, PARTICLE_STEPS, |sink| {
+            ParticleApp::new(system.clone(), PARTICLE_STEPS)
+                .with_pair_force(PairForce(kernel.pair_law(radius)))
+                .with_dt(dt)
+                .with_sink(sink)
+        });
+        prop_assert_eq!(reference.field.len(), system.buckets_x * system.buckets_y);
+        for topology in [(1, 1), (2, 1)] {
+            let block = logged_run(&system, topology, flags, PARTICLE_STEPS, |sink| {
+                ParticleBlockApp::new(system.clone(), kernel.law(radius), PARTICLE_STEPS)
+                    .with_dt(dt)
+                    .with_sink(sink)
+            });
+            prop_assert_eq!(
+                &block.field,
+                &reference.field,
+                "{} particles, {} a bucket, radius {}, dt {}, {:?}",
+                count, fill, radius, dt, topology
+            );
+        }
+    }
 }
