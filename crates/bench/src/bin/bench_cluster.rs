@@ -9,7 +9,7 @@
 //! * `cluster_cold` — a fresh `ClusterService`: every node compiles every
 //!   plan its jobs resolve too (each node resolves its own plans; the
 //!   fabric carries only liveness), so the variant prices the cluster's
-//!   pacemakers, fabric threads and failover supervisor.
+//!   liveness ticker and failover supervisor.
 //! * `cluster_warm` — the same cluster again: everything hits.
 //! * `cluster_failover` — the same workload with rank 1 fail-stopped
 //!   mid-batch on a fake-clock fault schedule: the cost of detection and
@@ -108,12 +108,11 @@ fn assert_local(name: &str, stats: &PlanCacheStats) {
     assert_eq!(stats.misses, stats.compiles, "{name}: ledger broken: {stats:?}");
 }
 
-/// Advance the fake clock `ticks` notches of 10 ms, giving the fabric
-/// threads a real-time beat after each.
+/// Advance the fake clock `ticks` notches of 10 ms; each advance runs one
+/// liveness step of the cluster.
 fn drive(clock: &FakeClock, ticks: usize) {
     for _ in 0..ticks {
         clock.advance(Duration::from_millis(10));
-        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -262,10 +261,13 @@ fn main() {
         let start = Instant::now();
         let handles =
             submit_all(|n, job| cluster.submit(sessions[n], job).unwrap(), nodes, &jobs, reps);
-        // Drive the detector past the kill (30 ms), the death threshold and
-        // the scripted restart (250 ms).
-        drive(&clock, 60);
+        // Drive the detector past the kill (30 ms) and the death threshold,
+        // let every job finish — replays and the dead rank's in-flight job,
+        // which would otherwise re-warm the restarted rank's cache — then
+        // drive past the scripted restart (250 ms).
+        drive(&clock, 20);
         let (bits, failovers) = wait_all(&handles);
+        drive(&clock, 40);
         // Wait for the rejoin: every view holds rank 1 Alive under one
         // agreed fresh incarnation.
         let mut rejoined = false;

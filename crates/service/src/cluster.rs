@@ -4,16 +4,26 @@
 //! A [`ClusterService`] stands up `N` [`KernelService`] nodes — each with its
 //! own worker pool, session registry and [`PlanCache`](crate::PlanCache) —
 //! connected by a private frame mesh: one unbounded channel of
-//! [`ControlFrame`]s per node, drained by that node's fabric thread.
+//! [`ControlFrame`]s per node, drained by the cluster's liveness step.
 //! Tenants land on a node (session affinity) and execution stays
 //! node-local: a node resolves every plan through its own cache (a shard
 //! hit, a single-flight join or a local compile), so each node compiles each
 //! distinct plan it runs exactly once.  The fabric carries only liveness —
 //! heartbeats, membership gossip and view sync, metered into
-//! [`CommStats::liveness_sent`] / [`CommStats::liveness_received`] — plus
-//! the unmetered shutdown signal each fabric thread sends itself at
-//! teardown.  The runtime's MPI-style mesh is not involved: it carries
-//! supersteps only.
+//! [`CommStats::liveness_sent`] / [`CommStats::liveness_received`].  The
+//! runtime's MPI-style mesh is not involved: it carries supersteps only.
+//!
+//! # The liveness step
+//!
+//! Liveness is one synchronous step over every node, in a fixed order: the
+//! fault schedule's due actions; a heartbeat from every live, unwedged node;
+//! every unwedged node's inbox drained in FIFO order, held frames released
+//! once due, until no frame moves; then every live, unwedged detector's
+//! deadline sweep, its transitions published and the inboxes drained again.
+//! Under a [`FakeClock`] each `advance` runs one step on the advancing
+//! thread, so the cluster starts no liveness thread and a seeded fault
+//! schedule always gives the same trace; under the wall clock one ticker
+//! thread runs the step every [`ClusterTuning::heartbeat_every`].
 //!
 //! # Fault tolerance
 //!
@@ -21,12 +31,12 @@
 //! changing an answer, built from four mechanisms (see also
 //! [`membership`](crate::membership) and [`fault`](crate::fault)):
 //!
-//! * **Liveness.**  Every node runs a *pacemaker* broadcasting heartbeats
-//!   and sweeping a per-node [`Membership`] view: silent
+//! * **Liveness.**  Every step, every node broadcasts a heartbeat and
+//!   sweeps its [`Membership`] view: silent
 //!   peers become *suspect*, then *dead*, each transition carrying an
 //!   incarnation number and gossiped on `SUSPECT` frames so views converge.
-//!   Under a [`FakeClock`] the pacemaker ticks on `advance`, making
-//!   detection fully test-controlled.
+//!   Under a [`FakeClock`] the step runs on `advance`, making detection
+//!   fully test-controlled.
 //! * **Rejoin and arbitration.**  A heartbeat carries its sender's
 //!   incarnation *and* a digest of its whole membership view.  A scripted
 //!   [`FaultAction::Restart`] revives a killed service (cold cache — the
@@ -56,9 +66,10 @@
 //!   [`FailoverProvenance`], so zero jobs are lost and every failover is
 //!   auditable per job.
 //! * **Failure injection.**  A [`FaultPlan`] arms
-//!   scripted kills, restarts, directional link cuts/heals, fabric wedges,
+//!   scripted kills, restarts, directional link cuts/heals, node wedges,
 //!   and frame drops/delays into the cluster
-//!   ([`ClusterService::with_fake_clock`]), driven by the same clock seam.
+//!   ([`ClusterService::with_fake_clock`]); the liveness step runs each
+//!   action when the clock passes its time.
 //!   Every other constructor arms the empty plan, which perturbs nothing.
 
 use crate::cache::{PlanCacheStats, PlanKey};
@@ -79,18 +90,16 @@ use aohpc_obs::{CommCounters, ObsHub, ObsServiceAspect, ObsSnapshot};
 use aohpc_runtime::CommStats;
 use aohpc_testalloc::sync::FakeClock;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Frame tag: stop the receiving fabric thread (a self-send, never
-/// metered).
-pub const TAG_SHUTDOWN: u32 = 0;
 /// Liveness tag: heartbeat (payload: sender's incarnation + a digest of its
 /// whole membership view, [`Membership::digest`]).  The digest is the
 /// anti-entropy trigger: a receiver holding a different view pulls the
@@ -121,36 +130,42 @@ pub struct ControlFrame {
 }
 
 /// The cluster's frame mesh: one unbounded channel of frames per node, and
-/// each node's liveness meter.  Every fabric thread and pacemaker, and the
-/// cluster itself, share it, so a node's channel never disconnects while the
-/// cluster lives: teardown wakes a fabric thread with a `TAG_SHUTDOWN`
-/// self-send.
+/// each node's liveness meter.  The mesh owns both ends of every channel, so
+/// none ever disconnects: a frame waits in its node's inbox until the
+/// liveness step drains it.
 struct FrameMesh {
     senders: Vec<Sender<ControlFrame>>,
+    inboxes: Vec<Receiver<ControlFrame>>,
     sent: Vec<AtomicU64>,
     received: Vec<AtomicU64>,
 }
 
 impl FrameMesh {
-    fn new(nodes: usize) -> (Arc<FrameMesh>, Vec<Receiver<ControlFrame>>) {
+    fn new(nodes: usize) -> FrameMesh {
         let (senders, inboxes) = (0..nodes).map(|_| unbounded()).unzip();
         let meter = || (0..nodes).map(|_| AtomicU64::new(0)).collect();
-        (Arc::new(FrameMesh { senders, sent: meter(), received: meter() }), inboxes)
+        FrameMesh { senders, inboxes, sent: meter(), received: meter() }
     }
 
-    /// Send a frame from node `from` to node `to` (self-sends allowed).  A
-    /// frame is metered only once it is in the peer's channel.  `false`
-    /// means it was not delivered: `to` is no node of the mesh, or its
-    /// fabric thread has exited.
+    /// Send a frame from node `from` to node `to`.  A frame is metered once
+    /// it is in the peer's channel.  `false` means it was not delivered:
+    /// `to` is no node of the mesh.
     fn send(&self, from: usize, to: usize, tag: u32, bytes: Vec<u8>) -> bool {
         let delivered = self
             .senders
             .get(to)
             .is_some_and(|peer| peer.send(ControlFrame { from, tag, bytes }).is_ok());
-        if delivered && tag != TAG_SHUTDOWN {
+        if delivered {
             self.sent[from].fetch_add(1, Ordering::Relaxed);
         }
         delivered
+    }
+
+    /// The oldest frame waiting for node `rank`, metered as received.
+    fn recv(&self, rank: usize) -> Option<ControlFrame> {
+        let frame = self.inboxes[rank].try_recv().ok()?;
+        self.received[rank].fetch_add(1, Ordering::Relaxed);
+        Some(frame)
     }
 
     /// Send one payload from `from` to every other node.
@@ -186,9 +201,8 @@ fn key_hash(key: &PlanKey) -> u64 {
 
 /// The rendezvous-hash winner among `candidates` for `spec`'s primary plan
 /// key (the spec's program fingerprint plus its primary block extent and
-/// optimization level).  A pure hash: no node owns or serves a plan.  Fault
-/// drills use it to pick ranks deterministically.  Waits for ROADMAP B1:
-/// the ledger under `benchmark/` imports it.
+/// optimization level).  A pure hash: no node owns or serves a plan.  No
+/// test or drill calls it; the layer ledger under `benchmark/` imports it.
 pub fn plan_owner_among(spec: &JobSpec, candidates: &[usize]) -> usize {
     let primary =
         aohpc_env::Extent::new2d(spec.block.min(spec.region.nx), spec.block.min(spec.region.ny));
@@ -261,152 +275,6 @@ fn dispatch_rejoin(woven: Option<&WovenProgram>, node: usize, incarnation: u64, 
     }
 }
 
-/// Broadcast a locally-originated membership transition to every peer and
-/// record it through the `CLUSTER_SUSPECT` join point (attrs: `node` = the
-/// subject, `ok` = 1 for a suspicion, 0 for a death).  Only the originator
-/// broadcasts — adopted claims are not re-gossiped, so there is no storm.
-fn publish_transition(mesh: &FrameMesh, rank: usize, woven: Option<&WovenProgram>, t: &Transition) {
-    mesh.broadcast(rank, TAG_SUSPECT, &suspect_payload(t));
-    if let Some(woven) = woven {
-        if t.to != NodeState::Alive {
-            let attrs = [(attr::NODE, t.subject as i64)];
-            woven.dispatch_returning(names::CLUSTER_SUSPECT, JoinPointKind::Call, &attrs, |ctx| {
-                ctx.set_attr(attr::OK, i64::from(t.to == NodeState::Suspect));
-            });
-        }
-    }
-}
-
-/// Everything one node's fabric thread works with besides its inbox.
-struct Fabric {
-    rank: usize,
-    mesh: Arc<FrameMesh>,
-    membership: Arc<Membership>,
-    fault: Arc<FaultState>,
-    clock: ServiceClock,
-    shutting_down: Arc<AtomicBool>,
-    obs_woven: Option<WovenProgram>,
-}
-
-impl Fabric {
-    /// The per-node fabric loop: drains the node's inbox, folds heartbeats
-    /// and gossip into the membership view, answers view pulls, and applies
-    /// the fault harness's frame perturbations.  Exits on `TAG_SHUTDOWN`
-    /// (the only stop signal: the mesh keeps every inbox connected).
-    fn run(self, inbox: Receiver<ControlFrame>) {
-        while let Ok(frame) = inbox.recv() {
-            if frame.tag == TAG_SHUTDOWN {
-                return;
-            }
-            self.mesh.received[self.rank].fetch_add(1, Ordering::Relaxed);
-            self.process(frame, true);
-            // Frames the fault harness held are re-injected once due —
-            // skipping re-interception, or a delay rule would re-hold them.
-            for released in self.fault.take_released(self.rank, self.clock.now()) {
-                self.process(released, false);
-            }
-        }
-    }
-
-    /// Handle one liveness frame.
-    fn process(&self, frame: ControlFrame, intercept: bool) {
-        let (rank, fault) = (self.rank, &self.fault);
-        let now = self.clock.now();
-        if intercept {
-            match fault.intercept(rank, &frame, now) {
-                Interception::Dropped | Interception::Held => return,
-                Interception::Deliver => {}
-            }
-        }
-        // A wedged fabric parks mid-stream: frames pile up behind it and its
-        // silence earns it a suspicion, exactly like a descheduled or
-        // livelocked fabric thread would.  Shutdown un-parks it so teardown
-        // cannot hang on a script that never unwedges.
-        while fault.is_wedged(rank) && !self.shutting_down.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        if fault.is_killed(rank) {
-            // Fail-stop: a dead node neither gossips nor observes.
-            return;
-        }
-        // Any frame from a current-incarnation peer is liveness evidence.
-        if frame.from != rank && frame.from < self.membership.ranks() {
-            let evidence_incarnation = if frame.tag == TAG_HEARTBEAT {
-                frame
-                    .bytes
-                    .get(..8)
-                    .and_then(|b| b.try_into().ok())
-                    .map(u64::from_le_bytes)
-                    .unwrap_or_else(|| self.membership.incarnation_of(frame.from))
-            } else {
-                self.membership.incarnation_of(frame.from)
-            };
-            let _ = self.membership.observe_alive(frame.from, evidence_incarnation, now);
-        }
-        match frame.tag {
-            TAG_HEARTBEAT => {
-                // Liveness evidence was folded above; what remains is the
-                // anti-entropy trigger: a sender advertising a different
-                // view digest holds evidence we lack (or vice versa), so
-                // pull its full vector.  Converged views — the steady state
-                // — exchange no sync traffic at all.
-                let theirs =
-                    frame.bytes.get(8..16).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes);
-                if theirs.is_some_and(|digest| digest != self.membership.digest()) {
-                    self.mesh.send(rank, frame.from, TAG_VIEW_PULL, Vec::new());
-                }
-            }
-            TAG_SUSPECT => {
-                if let Some((subject, state, incarnation)) = decode_suspect(&frame.bytes) {
-                    if subject < self.membership.ranks() {
-                        if let Some(t) = self.membership.adopt(subject, state, incarnation, now) {
-                            self.react(&t);
-                        }
-                    }
-                }
-            }
-            TAG_VIEW_PULL => {
-                let reply = view_payload(&self.membership.view_entries());
-                self.mesh.send(rank, frame.from, TAG_VIEW_SYNC, reply);
-            }
-            TAG_VIEW_SYNC => {
-                if let Some(entries) = decode_view(&frame.bytes) {
-                    for t in self.membership.merge_view(&entries, now) {
-                        self.react(&t);
-                    }
-                }
-            }
-            _ => {} // unknown tags are ignored (future protocol extensions)
-        }
-    }
-
-    /// Act on one locally-adopted membership transition.  A refutation — an
-    /// accusation against *this* rank that [`Membership::adopt`] outbid
-    /// with a fresh incarnation — is broadcast so the accuser (and everyone
-    /// it gossiped to) adopts the new incarnation, and is recorded through
-    /// the `CLUSTER_REJOIN` join point (`ok` = 0).
-    fn react(&self, t: &Transition) {
-        if t.subject == self.rank && t.to == NodeState::Alive {
-            self.mesh.broadcast(self.rank, TAG_SUSPECT, &suspect_payload(t));
-            dispatch_rejoin(self.obs_woven.as_ref(), self.rank, t.incarnation, false);
-        }
-    }
-}
-
-/// One node's heartbeat source and deadline sweeper, plus the fault
-/// schedule's driver.
-struct PacemakerCtx {
-    rank: usize,
-    stop: Arc<AtomicBool>,
-    mesh: Arc<FrameMesh>,
-    membership: Arc<Membership>,
-    fault: Arc<FaultState>,
-    clock: ServiceClock,
-    supervisor_tx: Sender<SupervisorMsg>,
-    obs_woven: Option<WovenProgram>,
-    beats: AtomicU64,
-}
-
 /// Every this-many beats, a heartbeat is also sent to peers this node
 /// believes dead.  An old-incarnation heartbeat can never resurrect a dead
 /// entry, so the probe is harmless toward ranks that really died — but a
@@ -417,45 +285,91 @@ struct PacemakerCtx {
 /// never learn of its condemnation and could never rejoin after the heal.
 const DEAD_PROBE_EVERY: u64 = 8;
 
-impl PacemakerCtx {
-    fn beat(&self) {
-        if self.stop.load(Ordering::SeqCst) {
+/// The cluster's liveness plane: the frame mesh, every node's membership
+/// view, the armed fault schedule and the services its kills and restarts
+/// act on, all driven by [`Liveness::step`].  [`ClusterService`] keeps no
+/// copy of the nodes or views: it reaches them through this plane.
+struct Liveness {
+    mesh: FrameMesh,
+    memberships: Vec<Arc<Membership>>,
+    fault: FaultState,
+    nodes: Vec<Arc<KernelService>>,
+    clock: ServiceClock,
+    obs_woven: Option<WovenProgram>,
+    /// Steps take turns on this lock.
+    turn: Mutex<Turn>,
+}
+
+/// What only the step in turn touches.
+struct Turn {
+    /// Set at shutdown: later steps do nothing.
+    stopped: bool,
+    /// Heartbeats each node has sent, for the dead-probe rule.
+    beats: Vec<u64>,
+}
+
+impl Liveness {
+    /// One liveness step of the whole cluster at the clock's current time:
+    /// run the fault actions now due, beat from every live node, drain the
+    /// inboxes until no frame moves, sweep every live detector and publish
+    /// its transitions, then drain again.  A killed or wedged node neither
+    /// beats nor sweeps.  Concurrent callers wait their turn.
+    fn step(&self) {
+        let mut turn = self.turn.lock();
+        if turn.stopped {
             return;
         }
         let now = self.clock.now();
-        // Whichever pacemaker observes the schedule first executes it
-        // (`drive` pops each action exactly once); kills and restarts are
-        // routed to the supervisor, which owns the node handles, and link
-        // events are recorded at the `CLUSTER_PARTITION` join point (`drive`
-        // already flipped the cut matrix).
         for action in self.fault.drive(now) {
-            match action {
-                FaultAction::Kill(rank) => {
-                    let _ = self.supervisor_tx.send(SupervisorMsg::Kill(rank));
-                }
-                FaultAction::Restart(rank) => {
-                    let _ = self.supervisor_tx.send(SupervisorMsg::Restart(rank));
-                }
-                FaultAction::Partition { from, to } => self.link_event(from, to, false),
-                FaultAction::Heal { from, to } => self.link_event(from, to, true),
-                FaultAction::Wedge(_) | FaultAction::Unwedge(_) => {}
+            self.execute(action, now);
+        }
+        let live: Vec<usize> = (0..self.nodes.len())
+            .filter(|&rank| !self.fault.is_killed(rank) && !self.fault.is_wedged(rank))
+            .collect();
+        for &rank in &live {
+            self.beat(rank, turn.beats[rank]);
+            turn.beats[rank] += 1;
+        }
+        self.settle(now);
+        for &rank in &live {
+            for t in self.memberships[rank].tick(now) {
+                self.publish(rank, &t);
             }
         }
-        if self.fault.is_killed(self.rank) || self.fault.is_wedged(self.rank) {
-            return; // a dead or wedged node goes silent
+        self.settle(now);
+    }
+
+    /// Stop stepping: a step in progress finishes first.
+    fn stop(&self) {
+        self.turn.lock().stopped = true;
+    }
+
+    /// Run one due fault action (`drive` already flipped its flag): a kill
+    /// fail-stops the node's service, which orphans its queue to the
+    /// failover supervisor; a restart revives it under a fresh incarnation;
+    /// a link event is recorded.
+    fn execute(&self, action: FaultAction, now: Duration) {
+        match action {
+            FaultAction::Kill(rank) => self.nodes[rank].kill_for_failover(),
+            FaultAction::Restart(rank) => self.restart(rank, now),
+            FaultAction::Partition { from, to } => self.link_event(from, to, false),
+            FaultAction::Heal { from, to } => self.link_event(from, to, true),
+            FaultAction::Wedge(_) | FaultAction::Unwedge(_) => {}
         }
-        let probe = self.beats.fetch_add(1, Ordering::Relaxed).is_multiple_of(DEAD_PROBE_EVERY);
-        let incarnation = self.membership.incarnation_of(self.rank);
-        let mut beat = incarnation.to_le_bytes().to_vec();
-        beat.extend_from_slice(&self.membership.digest().to_le_bytes());
-        for peer in 0..self.membership.ranks() {
-            if peer != self.rank && (probe || self.membership.state_of(peer) != NodeState::Dead) {
-                self.mesh.send(self.rank, peer, TAG_HEARTBEAT, beat.clone());
-            }
+    }
+
+    /// Execute a scripted restart: revive the killed service — cold cache,
+    /// the process restarted — and restart its membership view under a
+    /// bumped incarnation.  The revived rank re-announces itself with its
+    /// next heartbeat; peers revive their Dead entry by incarnation
+    /// arbitration, and its cache re-warms by compiling.  Recorded at the
+    /// `CLUSTER_REJOIN` join point (`ok` = 1).
+    fn restart(&self, rank: usize, now: Duration) {
+        if !self.nodes[rank].revive_after_failover() {
+            return; // a restart without a preceding kill is a no-op
         }
-        for t in self.membership.tick(now) {
-            publish_transition(&self.mesh, self.rank, self.obs_woven.as_ref(), &t);
-        }
+        let incarnation = self.memberships[rank].restart(now);
+        dispatch_rejoin(self.obs_woven.as_ref(), rank, incarnation, true);
     }
 
     /// Record one scripted link event through the `CLUSTER_PARTITION` join
@@ -474,23 +388,147 @@ impl PacemakerCtx {
             );
         }
     }
-}
 
-/// A running pacemaker: a joinable thread (wall clock) or — no thread — a
-/// permanent `on_advance` registration (fake clock; it outlives the cluster).
-/// Either way the stop flag is the off switch.
-struct Pacemaker {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    /// Node `rank`'s heartbeat — its incarnation and view digest — to every
+    /// peer it does not believe dead, and every `DEAD_PROBE_EVERY`-th beat
+    /// to the dead too.
+    fn beat(&self, rank: usize, beats: u64) {
+        let membership = &self.memberships[rank];
+        let probe = beats.is_multiple_of(DEAD_PROBE_EVERY);
+        let mut beat = membership.incarnation_of(rank).to_le_bytes().to_vec();
+        beat.extend_from_slice(&membership.digest().to_le_bytes());
+        for peer in 0..membership.ranks() {
+            if peer != rank && (probe || membership.state_of(peer) != NodeState::Dead) {
+                self.mesh.send(rank, peer, TAG_HEARTBEAT, beat.clone());
+            }
+        }
+    }
+
+    /// Drain every node's inbox, in rank order, until a round moves no frame.
+    fn settle(&self, now: Duration) {
+        while (0..self.nodes.len()).fold(false, |moved, rank| self.drain(rank, now) | moved) {}
+    }
+
+    /// Deliver the frames waiting for node `rank` in FIFO order through the
+    /// fault harness, then the held frames now due for it; `true` if any
+    /// frame moved.  A wedged node is not drained: its frames pile up, and
+    /// its silence earns it a suspicion, as a descheduled node's would.
+    fn drain(&self, rank: usize, now: Duration) -> bool {
+        if self.fault.is_wedged(rank) {
+            return false;
+        }
+        let mut moved = false;
+        while let Some(frame) = self.mesh.recv(rank) {
+            moved = true;
+            if self.fault.intercept(rank, &frame, now) == Interception::Deliver {
+                self.process(rank, frame, now);
+            }
+        }
+        // Released frames skip re-interception, or a delay rule would hold
+        // them again.
+        for frame in self.fault.take_released(rank, now) {
+            moved = true;
+            self.process(rank, frame, now);
+        }
+        moved
+    }
+
+    /// Node `rank` handles one liveness frame: folds heartbeats and gossip
+    /// into its membership view and answers view pulls.
+    fn process(&self, rank: usize, frame: ControlFrame, now: Duration) {
+        if self.fault.is_killed(rank) {
+            // Fail-stop: a dead node neither gossips nor observes.
+            return;
+        }
+        let membership = &self.memberships[rank];
+        // Any frame from a current-incarnation peer is liveness evidence.
+        if frame.from != rank && frame.from < membership.ranks() {
+            let evidence_incarnation = if frame.tag == TAG_HEARTBEAT {
+                frame
+                    .bytes
+                    .get(..8)
+                    .and_then(|b| b.try_into().ok())
+                    .map(u64::from_le_bytes)
+                    .unwrap_or_else(|| membership.incarnation_of(frame.from))
+            } else {
+                membership.incarnation_of(frame.from)
+            };
+            let _ = membership.observe_alive(frame.from, evidence_incarnation, now);
+        }
+        match frame.tag {
+            TAG_HEARTBEAT => {
+                // Liveness evidence was folded above; what remains is the
+                // anti-entropy trigger: a sender advertising a different
+                // view digest holds evidence we lack (or vice versa), so
+                // pull its full vector.  Converged views — the steady state
+                // — exchange no sync traffic at all.
+                let theirs =
+                    frame.bytes.get(8..16).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes);
+                if theirs.is_some_and(|digest| digest != membership.digest()) {
+                    self.mesh.send(rank, frame.from, TAG_VIEW_PULL, Vec::new());
+                }
+            }
+            TAG_SUSPECT => {
+                if let Some((subject, state, incarnation)) = decode_suspect(&frame.bytes) {
+                    if subject < membership.ranks() {
+                        if let Some(t) = membership.adopt(subject, state, incarnation, now) {
+                            self.react(rank, &t);
+                        }
+                    }
+                }
+            }
+            TAG_VIEW_PULL => {
+                let reply = view_payload(&membership.view_entries());
+                self.mesh.send(rank, frame.from, TAG_VIEW_SYNC, reply);
+            }
+            TAG_VIEW_SYNC => {
+                if let Some(entries) = decode_view(&frame.bytes) {
+                    for t in membership.merge_view(&entries, now) {
+                        self.react(rank, &t);
+                    }
+                }
+            }
+            _ => {} // unknown tags are ignored (future protocol extensions)
+        }
+    }
+
+    /// Node `rank` acts on one adopted membership transition.  A refutation
+    /// — an accusation against `rank` itself that [`Membership::adopt`]
+    /// outbid with a fresh incarnation — is broadcast so the accuser (and
+    /// everyone it gossiped to) adopts the new incarnation, and is recorded
+    /// through the `CLUSTER_REJOIN` join point (`ok` = 0).
+    fn react(&self, rank: usize, t: &Transition) {
+        if t.subject == rank && t.to == NodeState::Alive {
+            self.mesh.broadcast(rank, TAG_SUSPECT, &suspect_payload(t));
+            dispatch_rejoin(self.obs_woven.as_ref(), rank, t.incarnation, false);
+        }
+    }
+
+    /// Broadcast a transition node `rank`'s sweep originated and record it
+    /// through the `CLUSTER_SUSPECT` join point (attrs: `node` = the
+    /// subject, `ok` = 1 for a suspicion, 0 for a death).  Only the
+    /// originator broadcasts — adopted claims are not re-gossiped, so there
+    /// is no storm.
+    fn publish(&self, rank: usize, t: &Transition) {
+        self.mesh.broadcast(rank, TAG_SUSPECT, &suspect_payload(t));
+        if let Some(woven) = &self.obs_woven {
+            if t.to != NodeState::Alive {
+                let attrs = [(attr::NODE, t.subject as i64)];
+                woven.dispatch_returning(
+                    names::CLUSTER_SUSPECT,
+                    JoinPointKind::Call,
+                    &attrs,
+                    |ctx| {
+                        ctx.set_attr(attr::OK, i64::from(t.to == NodeState::Suspect));
+                    },
+                );
+            }
+        }
+    }
 }
 
 /// The failover supervisor's intake.
 enum SupervisorMsg {
-    /// Execute a scripted fail-stop of `rank` (from the fault schedule).
-    Kill(usize),
-    /// Execute a scripted restart of a killed `rank`: revive its service
-    /// (cold cache) and restart its membership under a fresh incarnation.
-    Restart(usize),
     /// A job stranded on killed rank `from`, to be replayed on a survivor.
     Orphan { from: usize, orphan: Box<OrphanedJob> },
     /// Cluster shutdown: finish in-flight replays, then exit.
@@ -505,15 +543,11 @@ struct Replay {
     handle: JobHandle,
 }
 
-/// The cluster's recovery authority: executes scripted kills, replays
-/// orphaned jobs on survivors, and settles each orphan's original handle
-/// with the replay's (bit-identical) report plus failover provenance.
+/// The cluster's recovery authority: replays orphaned jobs on survivors,
+/// and settles each orphan's original handle with the replay's
+/// (bit-identical) report plus failover provenance.
 struct Supervisor {
     nodes: Vec<Arc<KernelService>>,
-    /// The per-rank membership views, for restarting a revived rank's view
-    /// under its bumped incarnation.
-    memberships: Vec<Arc<Membership>>,
-    clock: ServiceClock,
     rx: Receiver<SupervisorMsg>,
     obs_woven: Option<WovenProgram>,
     /// One replay session per target node, opened lazily.
@@ -527,7 +561,8 @@ impl Supervisor {
         loop {
             // Block only when truly idle; while replays are in flight, poll
             // them between short waits (event-driven, never a serial wait —
-            // a second kill arriving mid-replay must still be executed).
+            // a second kill's orphans arriving mid-replay must still be
+            // re-homed).
             let msg = if self.inflight.is_empty() && !stopping {
                 match self.rx.recv() {
                     Ok(msg) => Some(msg),
@@ -564,26 +599,10 @@ impl Supervisor {
     /// Act on one message; `true` for `Stop`.
     fn handle(&mut self, msg: SupervisorMsg) -> bool {
         match msg {
-            SupervisorMsg::Kill(rank) => self.nodes[rank].kill_for_failover(),
-            SupervisorMsg::Restart(rank) => self.restart(rank),
             SupervisorMsg::Orphan { from, orphan } => self.replay(from, *orphan),
             SupervisorMsg::Stop => return true,
         }
         false
-    }
-
-    /// Execute a scripted restart: revive the killed service — cold cache,
-    /// the process restarted — and restart its membership view under a
-    /// bumped incarnation.  The revived rank re-announces itself through
-    /// its own pacemaker's next heartbeat; peers revive their Dead entry by
-    /// incarnation arbitration, and its cache re-warms by compiling.
-    /// Recorded at the `CLUSTER_REJOIN` join point (`ok` = 1).
-    fn restart(&self, rank: usize) {
-        if !self.nodes[rank].revive_after_failover() {
-            return; // a restart without a preceding kill is a no-op
-        }
-        let incarnation = self.memberships[rank].restart(self.clock.now());
-        dispatch_rejoin(self.obs_woven.as_ref(), rank, incarnation, true);
     }
 
     /// The survivor a stranded job re-homes to: rendezvous-hashed over the
@@ -707,18 +726,17 @@ pub struct ClusterCommStats {
 /// [module docs](self) for the failure model).
 ///
 /// Dropping the cluster (or calling [`ClusterService::shutdown`]) drains
-/// every node, stops the failover supervisor, pacemakers and fabric
-/// threads, and joins all workers.
+/// every node, stops the liveness step and the failover supervisor, and
+/// joins all workers.
 pub struct ClusterService {
-    nodes: Vec<Arc<KernelService>>,
-    mesh: Arc<FrameMesh>,
-    fabrics: Vec<JoinHandle<()>>,
-    pacemakers: Vec<Pacemaker>,
-    memberships: Vec<Arc<Membership>>,
-    supervisor: Option<JoinHandle<()>>,
-    supervisor_tx: Option<Sender<SupervisorMsg>>,
+    /// The liveness plane, which also owns the nodes and their views.
+    liveness: Arc<Liveness>,
+    /// The wall clock's liveness ticker and its stop channel; a fake clock's
+    /// `advance` steps the liveness plane itself.
+    ticker: Option<(Sender<()>, JoinHandle<()>)>,
+    /// The failover supervisor's intake and thread; taken at shutdown.
+    supervisor: Option<(Sender<SupervisorMsg>, JoinHandle<()>)>,
     tuning: ClusterTuning,
-    shutting_down: Arc<AtomicBool>,
     /// The cluster-wide observability hub, when one was installed
     /// ([`ClusterService::with_observer`]) — shared by every node, so spans
     /// from all ranks land in one flight recorder.
@@ -745,7 +763,8 @@ impl ClusterService {
     /// [`FaultPlan`] (`FaultPlan::new()` for none) — kills, wedges and frame
     /// perturbations fire exactly when the test advances the clock past
     /// their scheduled times — and an optional observability hub (give it
-    /// the same clock for deterministic traces).
+    /// the same clock for deterministic traces).  Every `advance` runs one
+    /// liveness step, until no frame moves, on the advancing thread.
     pub fn with_fake_clock(
         nodes: usize,
         config: ServiceConfig,
@@ -767,143 +786,82 @@ impl ClusterService {
     ) -> Self {
         assert!(nodes > 0, "a cluster needs at least one node");
         let config = config.normalized();
-        let (mesh, inboxes) = FrameMesh::new(nodes);
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        // One woven program serves every node's fabric thread, pacemaker
-        // and the supervisor: the obs aspect is stateless beyond
-        // the hub, and cloning a woven program is an Arc bump.
+        // One woven program serves the liveness step and the supervisor:
+        // the obs aspect is stateless beyond the hub, and cloning a woven
+        // program is an Arc bump.
         let obs_woven = obs.as_ref().map(|hub| {
             Weaver::new().with_aspect(Box::new(ObsServiceAspect::new(Arc::clone(hub)))).weave()
         });
-        let cluster_clock = match &clock {
-            Some(fake) => ServiceClock::Fake(Arc::clone(fake)),
-            None => ServiceClock::real(),
-        };
-        let fault = Arc::new(plan.arm(nodes));
-        let now = cluster_clock.now();
-        let memberships: Vec<Arc<Membership>> =
-            (0..nodes).map(|r| Arc::new(Membership::new(r, nodes, tuning, now))).collect();
+        let clock = clock.map_or_else(ServiceClock::real, ServiceClock::Fake);
+        let now = clock.now();
+        let memberships = (0..nodes).map(|r| Arc::new(Membership::new(r, nodes, tuning, now)));
         let (supervisor_tx, supervisor_rx) = unbounded::<SupervisorMsg>();
+        let services: Vec<Arc<KernelService>> = (0..nodes)
+            .map(|rank| {
+                let service = Arc::new(KernelService::start(config, clock.clone(), obs.clone()));
+                // The node's stranded jobs flow to the supervisor; with the
+                // supervisor gone (a kill racing teardown) the orphan goes
+                // back to its node, which abandons it so nothing hangs.
+                let sink_tx = supervisor_tx.clone();
+                let sink: OrphanSink = Arc::new(move |orphan| {
+                    sink_tx.send(SupervisorMsg::Orphan { from: rank, orphan }).map_err(|refused| {
+                        match refused.0 {
+                            SupervisorMsg::Orphan { orphan, .. } => orphan,
+                            _ => unreachable!("the refused message is the orphan just sent"),
+                        }
+                    })
+                });
+                service.install_orphan_sink(sink);
+                service
+            })
+            .collect();
 
-        let mut services: Vec<Arc<KernelService>> = Vec::with_capacity(nodes);
-        let mut fabrics = Vec::with_capacity(nodes);
-        let mut pacemakers = Vec::with_capacity(nodes);
-        for (rank, inbox) in inboxes.into_iter().enumerate() {
-            let membership = Arc::clone(&memberships[rank]);
-            let fabric = Fabric {
-                rank,
-                mesh: Arc::clone(&mesh),
-                membership: Arc::clone(&membership),
-                fault: Arc::clone(&fault),
-                clock: cluster_clock.clone(),
-                shutting_down: Arc::clone(&shutting_down),
-                obs_woven: obs_woven.clone(),
-            };
-            fabrics.push(
-                std::thread::Builder::new()
-                    .name(format!("aohpc-fabric-{rank}"))
-                    .spawn(move || fabric.run(inbox))
-                    .expect("spawn fabric thread"),
-            );
-            let service =
-                Arc::new(KernelService::start(config, cluster_clock.clone(), obs.clone()));
-            // The node's stranded jobs flow to the supervisor; with the
-            // supervisor gone (a kill racing teardown) the orphan goes back
-            // to its node, which abandons it so nothing hangs.
-            let sink_tx = supervisor_tx.clone();
-            let sink: OrphanSink = Arc::new(move |orphan| {
-                sink_tx.send(SupervisorMsg::Orphan { from: rank, orphan }).map_err(|refused| {
-                    match refused.0 {
-                        SupervisorMsg::Orphan { orphan, .. } => orphan,
-                        _ => unreachable!("the refused message is the orphan just sent"),
-                    }
-                })
-            });
-            service.install_orphan_sink(sink);
-            services.push(service);
-
-            let stop = Arc::new(AtomicBool::new(false));
-            let ctx = PacemakerCtx {
-                rank,
-                stop: Arc::clone(&stop),
-                mesh: Arc::clone(&mesh),
-                membership,
-                fault: Arc::clone(&fault),
-                clock: cluster_clock.clone(),
-                supervisor_tx: supervisor_tx.clone(),
-                obs_woven: obs_woven.clone(),
-                beats: AtomicU64::new(0),
-            };
-            match &clock {
-                Some(fake) => {
-                    // The registration is permanent (the clock keeps it for
-                    // its lifetime); the stop flag is the off switch.  The
-                    // closure holds no node Arc, so shutdown's try_unwrap
-                    // stays possible.
-                    fake.on_advance(move || ctx.beat());
-                    pacemakers.push(Pacemaker { stop, thread: None });
-                }
-                None => {
-                    let beat_every = tuning.heartbeat_every;
-                    let thread_stop = Arc::clone(&stop);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("aohpc-pacemaker-{rank}"))
-                        .spawn(move || {
-                            while !thread_stop.load(Ordering::SeqCst) {
-                                ctx.beat();
-                                // Sliced sleep so shutdown joins promptly.
-                                let mut slept = Duration::ZERO;
-                                while slept < beat_every {
-                                    if thread_stop.load(Ordering::SeqCst) {
-                                        return;
-                                    }
-                                    let slice = Duration::from_millis(5).min(beat_every - slept);
-                                    std::thread::sleep(slice);
-                                    slept += slice;
-                                }
-                            }
-                        })
-                        .expect("spawn pacemaker thread");
-                    pacemakers.push(Pacemaker { stop, thread: Some(handle) });
-                }
-            }
-        }
-        let supervisor = Supervisor {
+        let liveness = Arc::new(Liveness {
+            mesh: FrameMesh::new(nodes),
+            memberships: memberships.collect(),
+            fault: plan.arm(nodes),
             nodes: services.clone(),
-            memberships: memberships.clone(),
-            clock: cluster_clock.clone(),
+            clock: clock.clone(),
+            obs_woven: obs_woven.clone(),
+            turn: Mutex::new(Turn { stopped: false, beats: vec![0; nodes] }),
+        });
+        // The pacer holds the plane weakly: a fake clock keeps its hook for
+        // its own lifetime, which must not keep the nodes alive.
+        let plane = Arc::downgrade(&liveness);
+        let ticker = clock.pace(tuning.heartbeat_every, "aohpc-liveness", move || {
+            if let Some(liveness) = plane.upgrade() {
+                liveness.step();
+            }
+        });
+        let supervisor = Supervisor {
+            nodes: services,
             rx: supervisor_rx,
             obs_woven,
             sessions: HashMap::new(),
             inflight: Vec::new(),
         };
-        let supervisor_handle = std::thread::Builder::new()
+        let supervisor_thread = std::thread::Builder::new()
             .name("aohpc-failover".into())
             .spawn(move || supervisor.run())
             .expect("spawn failover supervisor");
         ClusterService {
-            nodes: services,
-            mesh,
-            fabrics,
-            pacemakers,
-            memberships,
-            supervisor: Some(supervisor_handle),
-            supervisor_tx: Some(supervisor_tx),
+            liveness,
+            ticker,
+            supervisor: Some((supervisor_tx, supervisor_thread)),
             tuning,
-            shutting_down,
             obs,
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.liveness.nodes.len()
     }
 
     /// Direct access to one node's service (stats, completion streams, or
     /// node-local administration).
     pub fn node(&self, rank: usize) -> &KernelService {
-        &self.nodes[rank]
+        &self.liveness.nodes[rank]
     }
 
     /// The failure-detector timing this cluster runs with.
@@ -913,24 +871,24 @@ impl ClusterService {
 
     /// Rank `observer`'s failure-detector counters.
     pub fn membership_stats(&self, observer: usize) -> MembershipStats {
-        self.memberships[observer].stats()
+        self.liveness.memberships[observer].stats()
     }
 
     /// What rank `observer` currently believes about rank `subject`.
     pub fn node_state(&self, observer: usize, subject: usize) -> NodeState {
-        self.memberships[observer].state_of(subject)
+        self.liveness.memberships[observer].state_of(subject)
     }
 
     /// The incarnation rank `observer` currently believes rank `subject`
     /// runs (for `observer == subject`, the rank's own incarnation).
     /// Converged views agree on every rank's incarnation.
     pub fn incarnation(&self, observer: usize, subject: usize) -> u64 {
-        self.memberships[observer].incarnation_of(subject)
+        self.liveness.memberships[observer].incarnation_of(subject)
     }
 
     /// The ranks `observer` currently considers alive (itself included).
     pub fn live_view(&self, observer: usize) -> Vec<usize> {
-        self.memberships[observer].live_view()
+        self.liveness.memberships[observer].live_view()
     }
 
     /// The node a tenant label is affine to: a stable hash, so every session
@@ -939,7 +897,7 @@ impl ClusterService {
     pub fn home_node(&self, tenant: &str) -> usize {
         let mut hasher = DefaultHasher::new();
         tenant.hash(&mut hasher);
-        (hasher.finish() % self.nodes.len() as u64) as usize
+        (hasher.finish() % self.liveness.nodes.len() as u64) as usize
     }
 
     /// Open a session on the tenant's [`ClusterService::home_node`].
@@ -950,13 +908,13 @@ impl ClusterService {
 
     /// Open a session on an explicit node (placement override).
     pub fn open_session_on(&self, node: usize, spec: SessionSpec) -> ClusterSessionId {
-        ClusterSessionId { node, session: self.nodes[node].open_session(spec) }
+        ClusterSessionId { node, session: self.liveness.nodes[node].open_session(spec) }
     }
 
     /// Submit one job under a cluster session (session-affine: runs on the
     /// session's node).  Semantics match [`KernelService::submit`].
     pub fn submit(&self, id: ClusterSessionId, spec: JobSpec) -> Result<JobHandle, SubmitError> {
-        self.nodes[id.node].submit(id.session, spec)
+        self.liveness.nodes[id.node].submit(id.session, spec)
     }
 
     /// Non-blocking submit; see [`KernelService::try_submit`].
@@ -965,41 +923,42 @@ impl ClusterService {
         id: ClusterSessionId,
         spec: JobSpec,
     ) -> Result<JobHandle, SubmitError> {
-        self.nodes[id.node].try_submit(id.session, spec)
+        self.liveness.nodes[id.node].try_submit(id.session, spec)
     }
 
     /// Attach the session's completion stream on its node.
     pub fn completion_stream(&self, id: ClusterSessionId) -> Result<CompletionStream, SubmitError> {
-        self.nodes[id.node].completion_stream(id.session)
+        self.liveness.nodes[id.node].completion_stream(id.session)
     }
 
     /// Snapshot a cluster session's context.
     pub fn session(&self, id: ClusterSessionId) -> Option<SessionCtx> {
-        self.nodes[id.node].session(id.session)
+        self.liveness.nodes[id.node].session(id.session)
     }
 
     /// Close a cluster session; see [`KernelService::close_session`].
     pub fn close_session(&self, id: ClusterSessionId) -> Option<SessionMeter> {
-        self.nodes[id.node].close_session(id.session)
+        self.liveness.nodes[id.node].close_session(id.session)
     }
 
     /// Drain one session's reports on its node.
     pub fn drain_session(&self, id: ClusterSessionId) -> Vec<JobReport> {
-        self.nodes[id.node].drain_session(id.session)
+        self.liveness.nodes[id.node].drain_session(id.session)
     }
 
-    /// Drain every node (waiting for cluster-wide quiescence) and return all
+    /// Drain every node (waiting until every node is idle) and return all
     /// reports in node-major order (node 0's reports by job id, then node
     /// 1's, ...; job ids are node-local).
     pub fn drain(&self) -> Vec<JobReport> {
-        self.nodes.iter().flat_map(|node| node.drain()).collect()
+        self.liveness.nodes.iter().flat_map(|node| node.drain()).collect()
     }
 
     /// Per-node and cluster-aggregated plan-cache counters.  Each node
     /// compiles each distinct plan it resolves once, so `total.compiles` is
     /// the sum over nodes of the distinct plans each resolved.
     pub fn cache_stats(&self) -> ClusterCacheStats {
-        let per_node: Vec<PlanCacheStats> = self.nodes.iter().map(|n| n.cache_stats()).collect();
+        let per_node: Vec<PlanCacheStats> =
+            self.liveness.nodes.iter().map(|n| n.cache_stats()).collect();
         let total = per_node.iter().fold(PlanCacheStats::default(), |acc, s| acc + *s);
         ClusterCacheStats { total, per_node }
     }
@@ -1009,7 +968,8 @@ impl ClusterService {
     /// the `liveness_*` counters; the job path sends nothing, so every other
     /// counter stays 0.
     pub fn comm_stats(&self) -> ClusterCommStats {
-        let per_node: Vec<CommStats> = (0..self.nodes.len()).map(|r| self.mesh.stats(r)).collect();
+        let per_node: Vec<CommStats> =
+            (0..self.liveness.nodes.len()).map(|r| self.liveness.mesh.stats(r)).collect();
         let total = per_node.iter().fold(CommStats::default(), |acc, s| acc + *s);
         ClusterCommStats { total, per_node }
     }
@@ -1022,7 +982,7 @@ impl ClusterService {
     /// One cross-validated snapshot over the whole cluster: aggregated
     /// plan-cache and fabric counters, admission state summed across nodes,
     /// and the shared hub's job metrics and recorder state.  `None` without
-    /// an installed observer.  At quiescence (after
+    /// an installed observer.  Once idle (after
     /// [`ClusterService::drain`]) [`validate`](ObsSnapshot::validate)
     /// returns no violations.
     pub fn obs_snapshot(&self) -> Option<ObsSnapshot> {
@@ -1036,62 +996,38 @@ impl ClusterService {
             control_sent: comm.control_sent,
             control_received: comm.control_received,
         };
-        let admission = self.nodes.iter().map(|node| node.admission_stats());
+        let admission = self.liveness.nodes.iter().map(|node| node.admission_stats());
         Some(obs_snapshot(hub, self.cache_stats().total, Some(comm), admission))
     }
 
-    /// Clean shutdown: drain every node to quiescence (in-flight replays need
-    /// the supervisor), stop the pacemakers, stop the failover supervisor,
-    /// stop the fabric threads, then stop every node's workers.  Implied by
-    /// `Drop`.
+    /// Clean shutdown: drain every node until idle (in-flight replays need
+    /// the supervisor), stop the liveness step, stop the failover
+    /// supervisor; every node's workers stop as its last handle drops with
+    /// the cluster.  Implied by `Drop`.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        if self.fabrics.is_empty() {
+        let Some((supervisor_tx, supervisor)) = self.supervisor.take() else {
             return;
-        }
+        };
         // Quiesce the data path first: a replayed orphan resolves through
         // the still-running supervisor.
-        for node in &self.nodes {
+        for node in &self.liveness.nodes {
             let _ = node.drain();
         }
-        // A wedged fabric un-parks so teardown cannot hang on it.
-        self.shutting_down.store(true, Ordering::SeqCst);
-        // Silence the pacemakers: no more heartbeats, sweeps or scripted
-        // kills.  Fake-clock hooks stay registered but inert.
-        for pacemaker in &self.pacemakers {
-            pacemaker.stop.store(true, Ordering::SeqCst);
-        }
-        for thread in self.pacemakers.drain(..).filter_map(|pacemaker| pacemaker.thread) {
-            let _ = thread.join();
+        // No more heartbeats, sweeps or scripted kills.  A fake clock keeps
+        // its hook, which now does nothing.
+        self.liveness.stop();
+        if let Some((stop, ticker)) = self.ticker.take() {
+            drop(stop);
+            let _ = ticker.join();
         }
         // The supervisor finishes every in-flight replay before exiting, so
         // no orphan's handle is left unresolved.
-        if let Some(tx) = self.supervisor_tx.take() {
-            let _ = tx.send(SupervisorMsg::Stop);
-        }
-        if let Some(handle) = self.supervisor.take() {
-            let _ = handle.join();
-        }
-        for rank in 0..self.fabrics.len() {
-            self.mesh.send(rank, rank, TAG_SHUTDOWN, Vec::new());
-        }
-        for fabric in self.fabrics.drain(..) {
-            let _ = fabric.join();
-        }
-        // Worker pools stop when the services drop; doing it explicitly here
-        // keeps shutdown observable and ordered.  The supervisor (the only
-        // other Arc holder) is joined, so the unwrap normally succeeds; a
-        // straggling clone defers to the Arc's own drop (KernelService shuts
-        // down on Drop).
-        for node in self.nodes.drain(..) {
-            match Arc::try_unwrap(node) {
-                Ok(service) => service.shutdown(),
-                Err(arc) => drop(arc),
-            }
-        }
+        let _ = supervisor_tx.send(SupervisorMsg::Stop);
+        let _ = supervisor.join();
     }
 }
 
@@ -1104,7 +1040,7 @@ impl Drop for ClusterService {
 impl fmt::Debug for ClusterService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterService")
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.liveness.nodes.len())
             .field("cache", &self.cache_stats().total)
             .finish()
     }
@@ -1153,29 +1089,9 @@ mod tests {
         ClusterService::with_fake_clock(2, config, Arc::clone(clock), tuning, FaultPlan::new(), hub)
     }
 
-    /// One detector beat, then a real-time moment for the fabric threads.
+    /// One detector beat: the advance runs one liveness step.
     fn beat(clock: &FakeClock) {
         clock.advance(Duration::from_millis(10));
-        std::thread::sleep(Duration::from_millis(1));
-    }
-
-    /// Wait until every metered frame has been received, plus `unmetered`
-    /// frames put on the mesh without a sender's meter, twice in a row.
-    fn quiesce(cluster: &ClusterService, unmetered: u64) {
-        let mut settled = 0;
-        for _ in 0..5_000 {
-            let total = cluster.comm_stats().total;
-            settled = if total.liveness_sent + unmetered == total.liveness_received {
-                settled + 1
-            } else {
-                0
-            };
-            if settled == 2 {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("the fabric never quiesced: {:?}", cluster.comm_stats().total);
     }
 
     #[test]
@@ -1185,7 +1101,6 @@ mod tests {
         for _ in 0..5 {
             beat(&clock);
         }
-        quiesce(&cluster, 0);
         let comm = cluster.comm_stats();
         for (rank, node) in comm.per_node.iter().enumerate() {
             assert!(node.liveness_sent >= 5, "rank {rank} beat every advance: {node:?}");
@@ -1195,17 +1110,14 @@ mod tests {
         assert_eq!(comm.total.liveness_sent, comm.total.liveness_received, "liveness balance");
         cluster.shutdown();
 
-        // The shutdown self-send wakes a fabric but is metered nowhere.
-        let (mesh, _inboxes) = FrameMesh::new(1);
-        assert!(mesh.send(0, 0, TAG_SHUTDOWN, Vec::new()));
-        assert_eq!(mesh.stats(0), CommStats::default());
+        let mesh = FrameMesh::new(1);
         assert!(!mesh.send(0, 1, TAG_HEARTBEAT, Vec::new()), "no rank 1 in the mesh");
     }
 
     /// Every liveness tag's well-formed payload, truncated at every length
     /// and with each single byte flipped (every single bit, then the whole
     /// byte), plus an unknown tag, and the same from a sender outside the
-    /// mesh, injected into node 0's fabric — one accusation of node 0 seeded
+    /// mesh, injected into node 0's inbox — one accusation of node 0 seeded
     /// at incarnation `u64::MAX`, which it cannot outbid: nothing panics, no
     /// transition names a rank outside the mesh, and the views converge
     /// again — both ranks Alive in both views, agreeing on every
@@ -1221,7 +1133,7 @@ mod tests {
         for _ in 0..3 {
             beat(&clock);
         }
-        let peer = &cluster.memberships[1];
+        let peer = &cluster.liveness.memberships[1];
         let mut heartbeat = peer.incarnation_of(1).to_le_bytes().to_vec();
         heartbeat.extend_from_slice(&peer.digest().to_le_bytes());
         let accuse = |subject, incarnation| {
@@ -1251,11 +1163,11 @@ mod tests {
         }
         let forged = NODES as u64 + 3;
         for (tag, bytes) in &frames {
-            assert!(cluster.mesh.send(1, 0, *tag, bytes.clone()));
+            assert!(cluster.liveness.mesh.send(1, 0, *tag, bytes.clone()));
             let frame = ControlFrame { from: forged as usize, tag: *tag, bytes: bytes.clone() };
-            cluster.mesh.senders[0].send(frame).unwrap();
+            cluster.liveness.mesh.senders[0].send(frame).unwrap();
         }
-        quiesce(&cluster, frames.len() as u64);
+        beat(&clock);
 
         let converged = |c: &ClusterService| {
             (0..NODES).all(|subject| {
@@ -1266,17 +1178,47 @@ mod tests {
         // Past the death deadline first, so a claim nobody refuted shows.
         let mut beats = 0;
         while beats < 20 || !converged(&cluster) {
-            assert!(beats < 500, "views never converged: {:?}", cluster.memberships);
+            assert!(beats < 500, "views never converged: {:?}", cluster.liveness.memberships);
             beat(&clock);
             beats += 1;
         }
-        assert!(cluster.fabrics.iter().all(|fabric| !fabric.is_finished()), "a fabric died");
-        assert!(cluster.memberships.iter().all(|view| view.ranks() == NODES));
+        assert!(cluster.liveness.memberships.iter().all(|view| view.ranks() == NODES));
         for span in hub.recorder().spans() {
             if [names::CLUSTER_SUSPECT, names::CLUSTER_REJOIN].contains(&span.name) {
                 assert!((0..NODES as i64).contains(&span.a), "{} names rank {}", span.name, span.a);
             }
         }
+        cluster.shutdown();
+    }
+
+    /// A frame the fault harness holds is released once due even when its
+    /// receiver hears nothing else: rank 1's heartbeats toward rank 0 are
+    /// held until `until` and rank 1 is killed before then.  The step at
+    /// `until` releases them all, and rank 0 folds them as rank 1's latest
+    /// evidence — without them it would suspect rank 1 at `until`, 60 ms
+    /// after last hearing from it.
+    #[test]
+    fn held_frames_are_released_without_further_traffic() {
+        let until = Duration::from_millis(60);
+        let plan = FaultPlan::new()
+            .delay_frames(Some(1), Some(0), None, until)
+            .kill_at(1, Duration::from_millis(25));
+        let clock = FakeClock::new();
+        let config = ServiceConfig::default().with_workers(1);
+        let cluster = ClusterService::with_fake_clock(
+            2,
+            config,
+            clock.clone(),
+            ClusterTuning::fast(),
+            plan,
+            None,
+        );
+        while clock.now() < until {
+            beat(&clock);
+        }
+        assert_eq!(cluster.liveness.fault.held_count(), 0, "every held frame is due at {until:?}");
+        assert_eq!(cluster.node_state(0, 1), NodeState::Alive);
+        assert_eq!(cluster.membership_stats(0).suspicions, 0);
         cluster.shutdown();
     }
 }

@@ -5,30 +5,30 @@
 //! A [`FaultPlan`] is a declarative schedule — *kill rank 2 at t=40 ms,
 //! restart it at t=200 ms, cut the link 1→0 at t=10 ms and heal it at
 //! t=120 ms, delay every heartbeat from 0 to 1 until t=120 ms* — armed into
-//! a [`FaultState`] the [`ClusterService`](crate::cluster::ClusterService)
-//! threads consult:
+//! a [`FaultState`] the [`ClusterService`](crate::cluster::ClusterService)'s
+//! liveness step consults:
 //!
-//! * The cluster's per-node pacemaker calls [`FaultState::drive`] whenever
-//!   detector time moves (on a [`FakeClock`](aohpc_testalloc::sync::FakeClock)
-//!   that is every `advance`), executing due [`FaultAction`]s: a **kill** is
-//!   fail-stop — the node's service orphans its queue, its fabric goes
-//!   silent; a **restart** brings the killed rank back as a *fresh
-//!   incarnation* (its service re-admits, its membership view restarts with
-//!   a bumped incarnation, and it rejoins the mesh through the normal
-//!   heartbeat / anti-entropy path); a **wedge** parks the fabric without
-//!   killing the node (frames pile up; heartbeats stop; peers suspect it
-//!   until the scripted unwedge lets it refute).
+//! * Each liveness step calls [`FaultState::drive`] once, first (on a
+//!   [`FakeClock`](aohpc_testalloc::sync::FakeClock) every `advance` runs a
+//!   step), and executes the due [`FaultAction`]s itself: a **kill** is
+//!   fail-stop — the node's service orphans its queue, and the node neither
+//!   beats nor observes; a **restart** brings the killed rank back as a
+//!   *fresh incarnation* (its service re-admits, its membership view
+//!   restarts with a bumped incarnation, and it rejoins the mesh through
+//!   the normal heartbeat / anti-entropy path); a **wedge** stops draining
+//!   the node's inbox without killing it (frames pile up; heartbeats stop;
+//!   peers suspect it until the scripted unwedge lets it refute).
 //! * A **partition** cuts one *direction* of one link: every frame sent by
 //!   `from` stops arriving at `to` (the reverse direction is untouched —
 //!   asymmetric partitions are scripted as a single cut, symmetric ones as
 //!   two).  A **heal** restores the direction.  Cuts are consulted by
 //!   [`FaultState::intercept`] before the frame rules, so a partitioned
 //!   direction silences heartbeats and gossip alike.
-//! * Each fabric loop passes every received frame through
-//!   [`FaultState::intercept`], which delivers, drops, or holds it; held
-//!   frames come back from [`FaultState::take_released`] once their release
-//!   time passes, so a frame from a now-dead incarnation can be made to
-//!   arrive *after* the death was declared.
+//! * The step passes every frame it drains from a node's inbox through
+//!   [`FaultState::intercept`], which delivers, drops, or holds it; every
+//!   drain also takes the node's held frames whose release time has passed
+//!   from [`FaultState::take_released`], so a frame from a now-dead
+//!   incarnation can be made to arrive *after* the death was declared.
 //!
 //! The harness is pure bookkeeping: it never spawns threads and never
 //! touches a clock itself, so the same plan replays identically under any
@@ -43,7 +43,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Fail-stop `rank`: its service stops admitting and orphans its queue,
-    /// its fabric neither serves nor beats — until a scripted
+    /// and it neither observes nor beats — until a scripted
     /// [`FaultAction::Restart`] brings it back as a fresh incarnation.
     Kill(usize),
     /// Restart a killed `rank`: its service re-admits and its membership
@@ -51,11 +51,11 @@ pub enum FaultAction {
     /// heartbeats are recognizably *new* — peers revive their Dead entry
     /// (incarnation arbitration) instead of ignoring a stale ghost.
     Restart(usize),
-    /// Park `rank`'s fabric thread: frames queue up undelivered and no
+    /// Stop draining `rank`'s inbox: frames queue up undelivered and no
     /// heartbeats leave, but workers keep running — the node *looks* dead to
     /// its peers without being dead.
     Wedge(usize),
-    /// Release a wedged fabric: it drains its backlog and resumes beating,
+    /// Release a wedged node: it drains its backlog and resumes beating,
     /// eventually refuting the suspicion it earned.
     Unwedge(usize),
     /// Cut the directed link `from → to`: frames sent by `from` stop
@@ -180,13 +180,13 @@ impl FaultPlan {
         self
     }
 
-    /// Wedge `rank`'s fabric at detector time `at`.
+    /// Wedge `rank` at detector time `at`.
     pub fn wedge_at(mut self, rank: usize, at: Duration) -> Self {
         self.actions.push((at, FaultAction::Wedge(rank)));
         self
     }
 
-    /// Un-wedge `rank`'s fabric at detector time `at`.
+    /// Un-wedge `rank` at detector time `at`.
     pub fn unwedge_at(mut self, rank: usize, at: Duration) -> Self {
         self.actions.push((at, FaultAction::Unwedge(rank)));
         self
@@ -245,8 +245,8 @@ struct HeldFrame {
 
 /// The armed, thread-shared runtime of a [`FaultPlan`].
 ///
-/// Every method is a short lock-or-atomic operation safe to call from
-/// pacemakers and fabric loops; the harness never blocks.
+/// Every method is a short lock-or-atomic operation safe to call from any
+/// thread; the harness never blocks.
 pub struct FaultState {
     pending: Mutex<Vec<(Duration, FaultAction)>>,
     rules: Vec<FrameRule>,
@@ -262,8 +262,8 @@ pub struct FaultState {
 impl FaultState {
     /// Advance the schedule to detector time `now`: flips the kill/wedge
     /// flags of every action due and returns those actions for the caller to
-    /// execute their side effects (orphaning a killed node's queue, waking a
-    /// parked fabric).  Idempotent per action — each fires exactly once.
+    /// execute their side effects (orphaning a killed node's queue, reviving
+    /// a restarted one).  Idempotent per action — each fires exactly once.
     pub fn drive(&self, now: Duration) -> Vec<FaultAction> {
         let mut pending = self.pending.lock().unwrap_or_else(|p| p.into_inner());
         let due = pending.iter().take_while(|(at, _)| *at <= now).count();
@@ -291,7 +291,7 @@ impl FaultState {
         self.killed[rank].load(Ordering::SeqCst)
     }
 
-    /// Whether `rank`'s fabric is currently wedged.
+    /// Whether `rank` is currently wedged.
     pub fn is_wedged(&self, rank: usize) -> bool {
         self.wedged[rank].load(Ordering::SeqCst)
     }

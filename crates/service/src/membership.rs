@@ -38,13 +38,13 @@
 //!   sides heals — without re-gossiping every transition.
 //!
 //! Detection is driven by the service's `Clock` seam: under a
-//! [`FakeClock`](aohpc_testalloc::sync::FakeClock) the pacemaker ticks on
-//! `advance`, so fault tests control suspicion and death *exactly*; under
-//! the wall clock the default [`ClusterTuning`] is generous (suspect after
-//! ~1 s of silence, dead after ~3 s) and [`Membership::tick`] forgives its
-//! own stalls — if the detector itself was descheduled longer than the
-//! suspect threshold, it refreshes every deadline instead of suspecting the
-//! whole world.
+//! [`FakeClock`](aohpc_testalloc::sync::FakeClock) the cluster's liveness
+//! step runs on every `advance`, so fault tests control suspicion and death
+//! *exactly*; under the wall clock the default [`ClusterTuning`] is
+//! generous (suspect after ~1 s of silence, dead after ~3 s) and
+//! [`Membership::tick`] forgives its own stalls — if the detector itself was
+//! descheduled longer than the suspect threshold, it refreshes every
+//! deadline instead of suspecting the whole world.
 //!
 //! Job re-homing uses **rendezvous (HRW) hashing** ([`rendezvous_owner`]):
 //! each (key, rank) pair gets an independent score and the highest score
@@ -80,14 +80,15 @@ pub enum NodeState {
 /// suspicion); fault tests tighten them and drive time with a fake clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterTuning {
-    /// Cadence the pacemaker broadcasts heartbeats at.
+    /// Cadence of the liveness step on the wall clock: every node beats once
+    /// a step.  (On a fake clock every `advance` is one step.)
     pub heartbeat_every: Duration,
     /// Silence after which a rank is suspected (the live view excludes it).
     pub suspect_after: Duration,
     /// Silence after which a suspect is declared dead (failover fires).
     pub dead_after: Duration,
     /// After a suspicion, heartbeats cannot clear it until this cooldown
-    /// elapses — a wedged-then-revived fabric must re-earn trust instead of
+    /// elapses — a wedged-then-revived node must re-earn trust instead of
     /// flapping its state on every late frame.
     pub suspect_cooldown: Duration,
 }

@@ -63,7 +63,7 @@ use aohpc_runtime::{
 };
 use aohpc_testalloc::sync::FakeClock;
 use aohpc_workloads::{GridLayout, ParticleSize, Scale};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -301,6 +301,38 @@ impl ServiceClock {
 
     fn is_fake(&self) -> bool {
         matches!(self, ServiceClock::Fake(_))
+    }
+
+    /// Run `step` once a beat of this clock: after every `advance` of a fake
+    /// clock, on the advancing thread, or every `every` of wall time on one
+    /// thread named `name`, which exits once the returned sender drops.  A
+    /// fake clock keeps `step` for its whole lifetime, so `step` should hold
+    /// nothing the clock must not keep alive.
+    pub(crate) fn pace(
+        &self,
+        every: Duration,
+        name: &str,
+        step: impl Fn() + Send + Sync + 'static,
+    ) -> Option<(Sender<()>, JoinHandle<()>)> {
+        match self {
+            ServiceClock::Fake(clock) => {
+                clock.on_advance(step);
+                None
+            }
+            ServiceClock::Real(_) => {
+                let (stop, stopped) = bounded::<()>(0);
+                let thread = std::thread::Builder::new()
+                    .name(name.to_string())
+                    .spawn(move || loop {
+                        step();
+                        if stopped.recv_timeout(every) != Err(RecvTimeoutError::Timeout) {
+                            return;
+                        }
+                    })
+                    .expect("spawn ticker thread");
+                Some((stop, thread))
+            }
+        }
     }
 }
 

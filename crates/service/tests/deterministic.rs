@@ -1,5 +1,5 @@
-//! Deterministic backpressure and timeout tests: no `thread::sleep`, no
-//! timing guesses.  Deadlines run on the harness's
+//! Deterministic backpressure and timeout tests: no sleeps, no timing
+//! guesses.  Deadlines run on the harness's
 //! [`FakeClock`](aohpc_testalloc::sync::FakeClock) (they pass only when the
 //! test advances it), thread orderings are pinned with
 //! [`StepLine`](aohpc_testalloc::sync::StepLine), and parked-submitter

@@ -2,7 +2,7 @@
 //!
 //! Every test stands up a [`ClusterService`] on a shared [`FakeClock`] with a
 //! scripted [`FaultPlan`], so failure detection is fully test-controlled:
-//! kills, fabric wedges and frame perturbations fire exactly when the test
+//! kills, node wedges and frame perturbations fire exactly when the test
 //! advances the clock past their scheduled times.  The invariants:
 //!
 //! 1. **Zero lost jobs** — every accepted submission resolves its
@@ -12,7 +12,7 @@
 //! 2. **Bit identity** — a replayed job's checksum equals, bit for bit, the
 //!    checksum a plain single-node `KernelService` computes for the same
 //!    spec.  Failover never changes an answer.
-//! 3. **Liveness hygiene** — a wedged fabric is *suspected*, not buried: it
+//! 3. **Liveness hygiene** — a wedged node is *suspected*, not buried: it
 //!    re-earns Alive after its cooldown, and the detector records zero
 //!    deaths.
 
@@ -118,7 +118,6 @@ proptest! {
         }
         for _ in 0..40 {
             clock.advance(Duration::from_millis(10));
-            std::thread::sleep(Duration::from_millis(1));
         }
 
         // Zero lost jobs, bit-identical answers, auditable failovers.
@@ -175,7 +174,7 @@ proptest! {
     }
 }
 
-/// A wedged fabric thread is *suspected* — the live view drops it — but
+/// A wedged node is *suspected* — the live view drops it — but
 /// once un-wedged it re-earns Alive past the suspicion cooldown.  No death is declared, nothing fails over, and the node serves
 /// jobs again.
 #[test]
@@ -197,7 +196,6 @@ fn wedged_fabric_is_suspected_then_recovers() {
     let mut recovered = false;
     for _ in 0..300 {
         clock.advance(Duration::from_millis(10));
-        std::thread::sleep(Duration::from_millis(1));
         if cluster.node_state(0, 1) == NodeState::Suspect {
             saw_suspect = true;
         }

@@ -35,11 +35,9 @@ fn config() -> ServiceConfig {
     ServiceConfig::default().with_workers(1)
 }
 
-/// Advance detector time one notch and give fabric threads a real-time
-/// beat to process what the advance released.
+/// Advance detector time one notch: the advance runs one liveness step.
 fn step(clock: &FakeClock, ms: u64) {
     clock.advance(Duration::from_millis(ms));
-    std::thread::sleep(Duration::from_millis(1));
 }
 
 /// A mixed-family palette: two structurally distinct stencils plus the
