@@ -153,7 +153,6 @@ pub mod attr {
 pub struct JoinPointStats {
     dispatches: AtomicU64,
     advised_dispatches: AtomicU64,
-    advice_executions: AtomicU64,
 }
 
 impl JoinPointStats {
@@ -169,10 +168,6 @@ impl JoinPointStats {
         }
     }
 
-    pub(crate) fn record_advice(&self, count: u64) {
-        self.advice_executions.fetch_add(count, Ordering::Relaxed);
-    }
-
     /// Total number of join-point dispatches.
     pub fn dispatches(&self) -> u64 {
         self.dispatches.load(Ordering::Relaxed)
@@ -181,11 +176,6 @@ impl JoinPointStats {
     /// Number of dispatches that had at least one matching advice.
     pub fn advised_dispatches(&self) -> u64 {
         self.advised_dispatches.load(Ordering::Relaxed)
-    }
-
-    /// Number of individual advice executions.
-    pub fn advice_executions(&self) -> u64 {
-        self.advice_executions.load(Ordering::Relaxed)
     }
 }
 
@@ -224,9 +214,7 @@ mod tests {
         let stats = JoinPointStats::new();
         stats.record_dispatch(false);
         stats.record_dispatch(true);
-        stats.record_advice(3);
         assert_eq!(stats.dispatches(), 2);
         assert_eq!(stats.advised_dispatches(), 1);
-        assert_eq!(stats.advice_executions(), 3);
     }
 }

@@ -49,8 +49,8 @@
 //! weaver.add_aspect(Box::new(Tracer(hits.clone())));
 //! let woven = weaver.weave();
 //!
-//! let mut payload = ();
-//! woven.dispatch("Annotation::Processing", JoinPointKind::Execution, &mut payload, |_ctx| {});
+//! let (name, kind) = ("Annotation::Processing", JoinPointKind::Execution);
+//! woven.dispatch_with(name, kind, &[], &mut (), &mut |_ctx| {});
 //! assert_eq!(hits.load(Ordering::SeqCst), 1);
 //! ```
 

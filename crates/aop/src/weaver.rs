@@ -135,7 +135,6 @@ impl WovenProgram {
         }
         let advised = !(befores.is_empty() && arounds.is_empty() && afters.is_empty());
         self.stats.record_dispatch(advised);
-        self.stats.record_advice((befores.len() + arounds.len() + afters.len()) as u64);
 
         for f in &befores {
             f(&mut ctx);
@@ -144,18 +143,6 @@ impl WovenProgram {
         for f in afters.iter().rev() {
             f(&mut ctx);
         }
-    }
-
-    /// Convenience wrapper over [`WovenProgram::dispatch_with`] without
-    /// attributes.
-    pub fn dispatch(
-        &self,
-        name: &str,
-        kind: JoinPointKind,
-        payload: &mut dyn Any,
-        mut body: impl FnMut(&mut JoinPointCtx<'_>),
-    ) {
-        self.dispatch_with(name, kind, &[], payload, &mut body)
     }
 
     /// Run `body` under a join point that carries no payload and hand back
@@ -333,9 +320,15 @@ mod tests {
     fn empty_weaver_runs_body_directly() {
         let woven = WovenProgram::unwoven();
         let mut payload = 0u32;
-        woven.dispatch(names::PROCESSING, JoinPointKind::Execution, &mut payload, |ctx| {
-            *ctx.payload_mut::<u32>().unwrap() += 1;
-        });
+        woven.dispatch_with(
+            names::PROCESSING,
+            JoinPointKind::Execution,
+            &[],
+            &mut payload,
+            &mut |ctx| {
+                *ctx.payload_mut::<u32>().unwrap() += 1;
+            },
+        );
         assert_eq!(payload, 1);
         assert_eq!(woven.stats().dispatches(), 1);
         assert_eq!(woven.stats().advised_dispatches(), 0);
@@ -351,9 +344,15 @@ mod tests {
         let woven = weaver.weave();
 
         let mut payload = ();
-        woven.dispatch(names::PROCESSING, JoinPointKind::Execution, &mut payload, |_| {
-            log.lock().push("body".to_string());
-        });
+        woven.dispatch_with(
+            names::PROCESSING,
+            JoinPointKind::Execution,
+            &[],
+            &mut payload,
+            &mut |_| {
+                log.lock().push("body".to_string());
+            },
+        );
 
         let got = log.lock().clone();
         assert_eq!(
@@ -384,9 +383,15 @@ mod tests {
         );
         let woven = Weaver::new().with_aspect(Box::new(aspect)).weave();
         let mut payload = 0usize;
-        woven.dispatch(names::PROCESSING, JoinPointKind::Execution, &mut payload, |ctx| {
-            *ctx.payload_mut::<usize>().unwrap() += 1;
-        });
+        woven.dispatch_with(
+            names::PROCESSING,
+            JoinPointKind::Execution,
+            &[],
+            &mut payload,
+            &mut |ctx| {
+                *ctx.payload_mut::<usize>().unwrap() += 1;
+            },
+        );
         assert_eq!(payload, 3);
     }
 
@@ -398,7 +403,7 @@ mod tests {
         );
         let woven = Weaver::new().with_aspect(Box::new(aspect)).weave();
         let mut payload = false;
-        woven.dispatch(names::REFRESH, JoinPointKind::Call, &mut payload, |ctx| {
+        woven.dispatch_with(names::REFRESH, JoinPointKind::Call, &[], &mut payload, &mut |ctx| {
             *ctx.payload_mut::<bool>().unwrap() = true;
         });
         assert!(!payload);
@@ -411,7 +416,13 @@ mod tests {
         let woven = Weaver::new().with_aspect(Box::new(aspect)).weave();
         let mut payload = ();
         // Execution kind: the call() pointcut must not fire.
-        woven.dispatch(names::REFRESH, JoinPointKind::Execution, &mut payload, |_| {});
+        woven.dispatch_with(
+            names::REFRESH,
+            JoinPointKind::Execution,
+            &[],
+            &mut payload,
+            &mut |_| {},
+        );
         assert_eq!(woven.stats().advised_dispatches(), 0);
     }
 
@@ -468,7 +479,7 @@ mod tests {
         let woven = WovenProgram::unwoven();
         let clone = woven.clone();
         let mut payload = ();
-        clone.dispatch(names::MAIN, JoinPointKind::Execution, &mut payload, |_| {});
+        clone.dispatch_with(names::MAIN, JoinPointKind::Execution, &[], &mut payload, &mut |_| {});
         assert_eq!(woven.stats().dispatches(), 1);
     }
 }

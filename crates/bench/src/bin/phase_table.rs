@@ -30,8 +30,9 @@
 //!   read, the cost model, teardown;
 //! * **sweeps %** — all sweeps together over the whole job.
 //!
-//! A single-rank job has exactly `steps` sweeps (`HpcApp::processing`), so
-//! the phases add up to the execute span with nothing left over.  Beside
+//! A single-rank job has exactly `steps` sweeps (`HpcApp::processing`), and
+//! a sweep span is the sweep itself, so the phases add up to the execute
+//! span up to the processing loop's bookkeeping between sweeps.  Beside
 //! them, **hand-written** is the shape's hand-written code
 //! (`aohpc_baselines`, initialisation + `steps` steps: the base the
 //! benchmark divides by), timed as many times, before the first service

@@ -95,7 +95,7 @@ where
         let shared = Arc::new(RankShared::new(topology.clone(), 0, None, true));
         let slot = topology.slot(0, 0);
         let mut ctx =
-            TaskCtx::new(slot, Arc::clone(&env), shared, WovenProgram::unwoven(), true, false);
+            TaskCtx::new(slot, Arc::clone(&env), shared, Some(WovenProgram::unwoven()), false);
         let mut app = make();
         app.initialize(&mut ctx);
         env.set_block_valid(block, path == Path::Lent).unwrap();

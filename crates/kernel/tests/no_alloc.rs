@@ -223,7 +223,7 @@ fn serial_ctx<C: Cell>(env: Env<C>) -> TaskCtx<C> {
     let topology = Topology::serial();
     let shared = Arc::new(RankShared::new(topology.clone(), 0, None, true));
     let slot = topology.slot(0, 0);
-    TaskCtx::new(slot, env, shared, WovenProgram::unwoven(), true, false)
+    TaskCtx::new(slot, env, shared, Some(WovenProgram::unwoven()), false)
 }
 
 /// A plan source holding the plans it was built with, so a sweep that

@@ -17,19 +17,19 @@
 //!   [`names::FINALIZE`]) and is woven *per job* with the job's trace and
 //!   root-span ids baked in, so spans emitted from rank/worker threads
 //!   (which have no thread-local context) still parent correctly into the
-//!   job tree.  Under the job span a rank's run reads `Initialize`, one span
-//!   per kernel sweep, `Finalize`: `steps` sweeps on one rank, `steps + 1`
-//!   (the first flagged warm-up) on several — see `HpcApp::processing`.
+//!   job tree.  Every one is an around span over the work it names.  Under
+//!   the job span a rank's run reads `Initialize`, one span per kernel sweep,
+//!   `Finalize`: `steps` sweeps on one rank, `steps + 1` (the first flagged
+//!   warm-up) on several — see `HpcApp::processing`.  A block span parents
+//!   into the sweep it runs in.
 //!
 //! Both aspects use precedence 10 (outer), so their spans wrap any
 //! domain advice (MPI/OMP modules) at shared join points.
 
 use crate::metrics::{Counter, Histogram, Metrics};
-use crate::trace::OpenSpan;
+use crate::trace::{current_context, push_context};
 use crate::ObsHub;
 use aohpc_aop::{attr, names, Advice, AdviceBinding, Aspect, JoinPointKind, Pointcut};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Aspect precedence for observability modules (outer position).
@@ -88,12 +88,6 @@ const SERVICE_BINDINGS: [(&str, JoinPointKind, EndAttr, EndAttr, Meter); 7] = {
     ]
 };
 
-/// `(task, rank)` of an `Initialize` / `Finalize` dispatch: the attributes
-/// its span is filed with.
-fn task_and_rank(ctx: &aohpc_aop::JoinPointCtx<'_>) -> (i64, i64) {
-    (ctx.attr(attr::TASK_ID).unwrap_or(-1), ctx.attr(attr::RANK).unwrap_or(-1))
-}
-
 impl Aspect for ObsServiceAspect {
     fn name(&self) -> &str {
         "obs-service"
@@ -137,40 +131,21 @@ impl Aspect for ObsServiceAspect {
     }
 }
 
-type StepTable = Mutex<HashMap<i64, (OpenSpan, i64, i64)>>;
-
-struct RunState {
-    steps: StepTable,
-}
-
 /// Per-job kernel-plane instrumentation: `Initialize`, superstep, block and
-/// `Finalize` spans.
+/// `Finalize` spans, each around the work of its join point.
 ///
 /// Constructed in the service's per-job weave with the job's trace and root
-/// span ids; keep a [`RunFinisher`] (via [`ObsRunAspect::finisher`]) to close
-/// the step spans still open once the run returns (those of a rank's
-/// non-master tasks, and every task's if the run never reached `Finalize`).
+/// span ids.
 pub struct ObsRunAspect {
     hub: Arc<ObsHub>,
     trace: u64,
     job_span: u64,
-    state: Arc<RunState>,
 }
 
 impl ObsRunAspect {
     /// An aspect parenting all spans under (`trace`, `job_span`).
     pub fn new(hub: Arc<ObsHub>, trace: u64, job_span: u64) -> Self {
-        ObsRunAspect {
-            hub,
-            trace,
-            job_span,
-            state: Arc::new(RunState { steps: Mutex::new(HashMap::new()) }),
-        }
-    }
-
-    /// Handle for closing still-open step spans after the run completes.
-    pub fn finisher(&self) -> RunFinisher {
-        RunFinisher { hub: Arc::clone(&self.hub), state: Arc::clone(&self.state) }
+        ObsRunAspect { hub, trace, job_span }
     }
 }
 
@@ -184,70 +159,50 @@ impl Aspect for ObsRunAspect {
     }
 
     fn bindings(&self) -> Vec<AdviceBinding> {
-        let init_hub = Arc::clone(&self.hub);
+        let (trace, job_span) = (self.trace, self.job_span);
+        // Initialize and Finalize run once per rank on its master task: a
+        // span under the job, filed with `(task, rank)`.
+        let phase = |name: &'static str| {
+            let hub = Arc::clone(&self.hub);
+            AdviceBinding::new(
+                Pointcut::execution(name),
+                Advice::around(move |ctx, proceed| {
+                    let open = hub.recorder().start(name, trace, job_span);
+                    proceed(ctx);
+                    let task = ctx.attr(attr::TASK_ID).unwrap_or(-1);
+                    let rank = ctx.attr(attr::RANK).unwrap_or(-1);
+                    hub.recorder().end_with(open, task, rank);
+                }),
+            )
+        };
         let step_hub = Arc::clone(&self.hub);
-        let step_state = Arc::clone(&self.state);
         let block_hub = Arc::clone(&self.hub);
-        let block_state = Arc::clone(&self.state);
-        let fin_hub = Arc::clone(&self.hub);
-        let fin_state = Arc::clone(&self.state);
-        let trace = self.trace;
-        let job_span = self.job_span;
         vec![
-            // Initialize and Finalize run once per rank on its master task,
-            // bodies inside the dispatch: plain around-spans under the job.
-            AdviceBinding::new(
-                Pointcut::execution(names::INITIALIZE),
-                Advice::around(move |ctx, proceed| {
-                    let open = init_hub.recorder().start(names::INITIALIZE, trace, job_span);
-                    proceed(ctx);
-                    let (task, rank) = task_and_rank(ctx);
-                    init_hub.recorder().end_with(open, task, rank);
-                }),
-            ),
-            // The master task's last step has no successor marker: Finalize
-            // is what follows it, so Finalize closes it first — the step
-            // span then ends where the sweep did, not after the sink and the
-            // teardown.
-            AdviceBinding::new(
-                Pointcut::execution(names::FINALIZE),
-                Advice::around(move |ctx, proceed| {
-                    let (task, rank) = task_and_rank(ctx);
-                    let last_step = fin_state.steps.lock().remove(&task);
-                    if let Some((open, a, b)) = last_step {
-                        fin_hub.recorder().end_with(open, a, b);
-                    }
-                    let open = fin_hub.recorder().start(names::FINALIZE, trace, job_span);
-                    proceed(ctx);
-                    fin_hub.recorder().end_with(open, task, rank);
-                }),
-            ),
-            // KERNEL_STEP is dispatched as a marker before the sweep body, so
-            // a step span runs marker-to-marker: before advice closes the
-            // task's previous step span and opens the next one.
+            phase(names::INITIALIZE),
+            phase(names::FINALIZE),
+            // A sweep runs inside its step's dispatch, so the step span is
+            // the sweep itself; while it runs it is the task thread's span
+            // context, which its block spans parent into.
             AdviceBinding::new(
                 Pointcut::execution(names::KERNEL_STEP),
-                Advice::before(move |ctx| {
-                    let task = ctx.attr(attr::TASK_ID).unwrap_or(0);
+                Advice::around(move |ctx, proceed| {
+                    let open = step_hub.recorder().start(names::KERNEL_STEP, trace, job_span);
+                    let sweep = push_context(trace, open.span);
+                    proceed(ctx);
+                    drop(sweep);
                     let step = ctx.attr(attr::STEP).unwrap_or(-1);
                     let warmup = ctx.attr(attr::WARMUP).unwrap_or(0);
-                    let open = step_hub.recorder().start(names::KERNEL_STEP, trace, job_span);
-                    let prev = step_state.steps.lock().insert(task, (open, step, warmup));
-                    if let Some((prev_open, a, b)) = prev {
-                        step_hub.recorder().end_with(prev_open, a, b);
-                    }
+                    step_hub.recorder().end_with(open, step, warmup);
                 }),
             ),
             AdviceBinding::new(
                 Pointcut::execution(names::KERNEL_BLOCK),
                 Advice::around(move |ctx, proceed| {
-                    let task = ctx.attr(attr::TASK_ID).unwrap_or(0);
-                    let parent = block_state
-                        .steps
-                        .lock()
-                        .get(&task)
-                        .map(|(open, _, _)| open.span)
-                        .unwrap_or(job_span);
+                    // Outside a sweep of this job, the block files under it.
+                    let parent = match current_context() {
+                        Some((t, step)) if t == trace => step,
+                        _ => job_span,
+                    };
                     let open = block_hub.recorder().start(names::KERNEL_BLOCK, trace, parent);
                     proceed(ctx);
                     let block = ctx.attr(attr::BLOCK).unwrap_or(-1);
@@ -256,25 +211,6 @@ impl Aspect for ObsRunAspect {
                 }),
             ),
         ]
-    }
-}
-
-/// Closes step spans left open when a run finishes: the final step of a task
-/// has no successor marker, and only a rank's master task runs the `Finalize`
-/// that closes its own.
-pub struct RunFinisher {
-    hub: Arc<ObsHub>,
-    state: Arc<RunState>,
-}
-
-impl RunFinisher {
-    /// End every still-open step span.
-    pub fn finish(&self) {
-        let drained: Vec<(OpenSpan, i64, i64)> =
-            self.state.steps.lock().drain().map(|(_, v)| v).collect();
-        for (open, a, b) in drained {
-            self.hub.recorder().end_with(open, a, b);
-        }
     }
 }
 
@@ -296,36 +232,35 @@ mod tests {
         let (clock, hub) = hub();
         let trace = hub.recorder().next_trace_id();
         let job = hub.recorder().start("Service::job", trace, 0);
-        let aspect = ObsRunAspect::new(Arc::clone(&hub), trace, job.span);
-        let finisher = aspect.finisher();
-        let woven = Weaver::new().with_aspect(Box::new(aspect)).weave();
+        let woven = Weaver::new()
+            .with_aspect(Box::new(ObsRunAspect::new(Arc::clone(&hub), trace, job.span)))
+            .weave();
 
         for step in 0..2i64 {
-            let mut payload = ();
             woven.dispatch_with(
                 names::KERNEL_STEP,
                 JoinPointKind::Execution,
                 &[(attr::TASK_ID, 0), (attr::STEP, step), (attr::WARMUP, 0)],
-                &mut payload,
-                &mut |_| {},
+                &mut (),
+                &mut |_| {
+                    clock.advance(Duration::from_nanos(10));
+                    for block in 0..2i64 {
+                        let mut ran = false;
+                        woven.dispatch_with(
+                            names::KERNEL_BLOCK,
+                            JoinPointKind::Execution,
+                            &[(attr::TASK_ID, 0), (attr::BLOCK, block), (attr::CELLS, 64)],
+                            &mut ran,
+                            &mut |ctx| {
+                                clock.advance(Duration::from_nanos(5));
+                                *ctx.payload_mut::<bool>().unwrap() = true;
+                            },
+                        );
+                        assert!(ran, "instrumentation must not suppress the body");
+                    }
+                },
             );
-            clock.advance(Duration::from_nanos(10));
-            for block in 0..2i64 {
-                let mut ran = false;
-                woven.dispatch_with(
-                    names::KERNEL_BLOCK,
-                    JoinPointKind::Execution,
-                    &[(attr::TASK_ID, 0), (attr::BLOCK, block), (attr::CELLS, 64)],
-                    &mut ran,
-                    &mut |ctx| {
-                        clock.advance(Duration::from_nanos(5));
-                        *ctx.payload_mut::<bool>().unwrap() = true;
-                    },
-                );
-                assert!(ran, "instrumentation must not suppress the body");
-            }
         }
-        finisher.finish();
         hub.recorder().end(job);
 
         let spans = hub.recorder().spans();
@@ -341,8 +276,8 @@ mod tests {
             assert!(steps.iter().any(|s| s.span == b.parent), "block parents a step span");
             assert_eq!(b.b, 64);
         }
-        // First step span was closed by the second marker: it covers the
-        // first step's blocks (10 + 2*5 ns).
+        // The first step span is its sweep: it covers the first step's
+        // blocks (10 + 2*5 ns).
         assert_eq!(steps[0].duration_ns(), 20);
     }
 

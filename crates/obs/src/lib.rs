@@ -8,9 +8,8 @@
 //! (`Service::execute_spec`, `PlanCache::resolve`, `Kernel::execute_block`,
 //! the `Cluster::*` liveness and failover points,
 //! `Annotation::Initialize`/`KernelStep`/`Finalize`), and the service weaves them in only when an [`ObsHub`] is
-//! installed.  With no hub the dispatch sites are gated off entirely, so the
-//! uninstrumented path stays within noise of the seed (enforced by
-//! `bench_obs`).
+//! installed.  With no hub the dispatch sites are gated off entirely;
+//! `bench_obs` measures what observing costs on top.
 //!
 //! One [`ObsHub`] bundles the three pillars:
 //!
@@ -36,7 +35,7 @@ pub mod metrics;
 pub mod snapshot;
 pub mod trace;
 
-pub use aspect::{ObsRunAspect, ObsServiceAspect, RunFinisher, OBS_PRECEDENCE};
+pub use aspect::{ObsRunAspect, ObsServiceAspect, OBS_PRECEDENCE};
 pub use clock::{Clock, WallClock};
 pub use export::{chrome_trace_json, json_lines};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, KernelRate, Metrics};

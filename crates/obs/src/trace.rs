@@ -15,9 +15,10 @@
 //!
 //! Cross-layer parenting uses a thread-local context stack
 //! ([`push_context`] / [`current_context`]): the service pushes the
-//! (trace, job-span) pair while a job runs on a worker thread, and deeper
-//! layers (cache resolution) pick it up without any
-//! signature threading.
+//! (trace, job-span) pair while a job runs on a worker thread, the run
+//! aspect a sweep's span while the sweep runs on its task's thread, and
+//! deeper layers (a sweep's blocks) pick it up without any signature
+//! threading.
 
 use crate::clock::Clock;
 use parking_lot::Mutex;

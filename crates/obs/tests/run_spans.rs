@@ -10,7 +10,9 @@ use aohpc_aop::{names, Weaver};
 use aohpc_env::{Env, EnvBuilder, Extent, GlobalAddress, LocalAddress};
 use aohpc_mem::PoolHandle;
 use aohpc_obs::{ObsHub, ObsRunAspect, SpanRecord};
-use aohpc_runtime::{execute, HpcApp, MpiAspect, RunConfig, TaskCtx, Topology};
+use aohpc_runtime::{
+    execute, HpcApp, LayerSpec, MpiAspect, OmpAspect, RunConfig, TaskCtx, Topology,
+};
 use aohpc_testalloc::sync::FakeClock;
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,7 +22,8 @@ const INIT_NS: u64 = 100;
 const STEP_NS: u64 = 10;
 const FINAL_NS: u64 = 1000;
 
-/// Two 2x2 blocks side by side: one per rank on two ranks.
+/// Two 2x2 blocks side by side: one per rank on two ranks, one per task on
+/// two threads.
 fn build_env() -> Env<f64> {
     let mut b = EnvBuilder::<f64>::new(PoolHandle::unbounded(), 4);
     let root = b.add_empty(None);
@@ -67,10 +70,12 @@ fn traced_run(topology: Topology) -> (SpanRecord, Vec<SpanRecord>) {
     let trace = hub.recorder().next_trace_id();
     let job = hub.recorder().start("Service::job", trace, 0);
     let aspect = ObsRunAspect::new(Arc::clone(&hub), trace, job.span);
-    let finisher = aspect.finisher();
     let mut weaver = Weaver::new().with_aspect(Box::new(aspect));
     if topology.ranks() > 1 {
         weaver = weaver.with_aspect(Box::new(MpiAspect::<f64>::new()));
+    }
+    if topology.threads_per_rank() > 1 {
+        weaver = weaver.with_aspect(Box::new(OmpAspect::<f64>::new()));
     }
     let report = execute(
         &RunConfig::serial().with_topology(topology),
@@ -79,7 +84,6 @@ fn traced_run(topology: Topology) -> (SpanRecord, Vec<SpanRecord>) {
         Arc::new(move |_| Ticking(clock.clone())),
     );
     assert!(report.tasks.iter().all(|t| t.steps == STEPS as u64 && t.retries == 0));
-    finisher.finish();
     hub.recorder().end(job);
 
     let mut spans = hub.recorder().spans();
@@ -141,5 +145,28 @@ fn two_rank_job_keeps_a_flagged_warmup_span_per_rank() {
         let flags: Vec<(i64, i64)> = rank[1..=STEPS + 1].iter().map(|s| (s.a, s.b)).collect();
         assert_eq!(flags, [(0, 1), (0, 0), (1, 0), (2, 0)], "(step, warmup): the first is flagged");
         assert_eq!((rank[0].a, rank[0].b), (rank[STEPS + 2].a, rank[STEPS + 2].b), "(task, rank)");
+    }
+}
+
+#[test]
+fn each_shared_layer_task_closes_its_own_step_spans_before_finalize() {
+    let (job, spans) = traced_run(Topology::new(vec![LayerSpec::shared(2)]));
+    let fin = named(&spans, names::FINALIZE);
+    assert_eq!(fin.len(), 1, "one rank, one Finalize");
+    // A task is a thread, and a step span is filed by the thread that ran
+    // its sweep.
+    let steps = named(&spans, names::KERNEL_STEP);
+    let mut threads: Vec<u64> = steps.iter().map(|s| s.thread).collect();
+    threads.sort_unstable();
+    threads.dedup();
+    assert_eq!(threads.len(), 2, "{steps:?}");
+    for thread in threads {
+        let task: Vec<&&SpanRecord> = steps.iter().filter(|s| s.thread == thread).collect();
+        assert_eq!(task.len(), STEPS, "thread {thread}: exactly `steps` step spans");
+        assert!(task.iter().all(|s| s.parent == job.span), "thread {thread}: under the job");
+        assert!(
+            task.iter().all(|s| s.end_ns <= fin[0].start_ns),
+            "thread {thread}: every step span ends before Finalize starts: {task:?}"
+        );
     }
 }

@@ -232,7 +232,7 @@ mod tests {
     /// which reads the topology alone to decide on the warm-up.
     fn ctx_on(env: Arc<Env<f64>>, topo: Topology) -> TaskCtx<f64> {
         let shared = Arc::new(RankShared::new(topo.clone(), 0, None, true));
-        TaskCtx::new(topo.slot(0, 0), env, shared, WovenProgram::unwoven(), true, false)
+        TaskCtx::new(topo.slot(0, 0), env, shared, Some(WovenProgram::unwoven()), false)
     }
 
     /// Run `loops` steps, the first `fail_first_n` real passes failing, on

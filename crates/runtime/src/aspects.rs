@@ -370,7 +370,7 @@ mod tests {
         let woven = Weaver::new().with_aspect(Box::new(MpiAspect::<f64>::new())).weave();
         let mut payload = 123u32;
         let mut ran = false;
-        woven.dispatch(MAIN, JoinPointKind::Execution, &mut payload, |_| ran = true);
+        woven.dispatch_with(MAIN, JoinPointKind::Execution, &[], &mut payload, &mut |_| ran = true);
         assert!(ran);
     }
 }

@@ -18,7 +18,8 @@
 use crate::comm::Communicator;
 use crate::task::{TaskSlot, Topology};
 use aohpc_aop::{
-    attr, JoinPointKind, WovenProgram, GET_BLOCKS, KERNEL_BLOCK, KERNEL_STEP, REFRESH, WARM_UP,
+    attr, JoinPointCtx, JoinPointKind, WovenProgram, GET_BLOCKS, KERNEL_BLOCK, KERNEL_STEP,
+    REFRESH, WARM_UP,
 };
 use aohpc_env::{AccessState, BlockId, Cell, Env, GlobalAddress, LocalAddress, RunPlan};
 use aohpc_mem::PageId;
@@ -97,13 +98,20 @@ pub struct RefreshPayload<C: Cell> {
     pub success: bool,
 }
 
-/// Payload of the `Annotation::KernelStep` execution join point.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelStepPayload {
-    /// Step index.
-    pub step: u64,
-    /// Whether this is a warm-up execution.
-    pub warmup: bool,
+/// Run `body` at the join point `name`: inside `woven`'s advice or, in
+/// Direct mode (`None`), as a plain call, whose attributes nothing reads.
+pub(crate) fn dispatch(
+    woven: Option<&WovenProgram>,
+    name: &str,
+    kind: JoinPointKind,
+    attrs: &[(&'static str, i64)],
+    payload: &mut dyn Any,
+    body: &mut dyn FnMut(&mut JoinPointCtx<'_>),
+) {
+    match woven {
+        Some(woven) => woven.dispatch_with(name, kind, attrs, payload, body),
+        None => body(&mut JoinPointCtx::new(name, kind, payload)),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -323,8 +331,9 @@ pub struct TaskCtx<C: Cell> {
     slot: TaskSlot,
     env: Arc<Env<C>>,
     shared: Arc<RankShared<C>>,
-    woven: WovenProgram,
-    use_weaver: bool,
+    /// The woven program; `None` in Direct mode, where join points are plain
+    /// calls.
+    woven: Option<WovenProgram>,
     /// Whether any advice matches `Kernel::execute_block` — computed once so
     /// un-instrumented runs skip the block dispatch entirely (no dispatch
     /// counter bump, no `JoinPointCtx` construction on the per-block path).
@@ -340,24 +349,22 @@ pub struct TaskCtx<C: Cell> {
 }
 
 impl<C: Cell> TaskCtx<C> {
-    /// Create a context for one task.
-    #[allow(clippy::too_many_arguments)]
+    /// Create a context for one task; `woven` is `None` in Direct mode.
     pub fn new(
         slot: TaskSlot,
         env: Arc<Env<C>>,
         shared: Arc<RankShared<C>>,
-        woven: WovenProgram,
-        use_weaver: bool,
+        woven: Option<WovenProgram>,
         mmat: bool,
     ) -> Self {
-        let block_advised =
-            use_weaver && woven.matching_advice_count(KERNEL_BLOCK, JoinPointKind::Execution) > 0;
+        let block_advised = woven
+            .as_ref()
+            .is_some_and(|w| w.matching_advice_count(KERNEL_BLOCK, JoinPointKind::Execution) > 0);
         TaskCtx {
             slot,
             env,
             shared,
             woven,
-            use_weaver,
             block_advised,
             state: if mmat { AccessState::with_mmat() } else { AccessState::new() },
             progress: None,
@@ -442,25 +449,6 @@ impl<C: Cell> TaskCtx<C> {
         self.progress = Some(progress);
     }
 
-    fn dispatch(
-        &self,
-        name: &str,
-        kind: JoinPointKind,
-        attrs: &[(&'static str, i64)],
-        payload: &mut dyn Any,
-        body: &mut dyn FnMut(&mut aohpc_aop::JoinPointCtx<'_>),
-    ) {
-        if self.use_weaver {
-            self.woven.dispatch_with(name, kind, attrs, payload, body);
-        } else {
-            let mut ctx = aohpc_aop::JoinPointCtx::new(name, kind, payload);
-            for (k, v) in attrs {
-                ctx.set_attr(k, *v);
-            }
-            body(&mut ctx);
-        }
-    }
-
     // -- Annotation-library support ---------------------------------------
 
     /// Begin the warm-up pass: clears MMAT (as the paper's `WarmUp` macro
@@ -472,18 +460,15 @@ impl<C: Cell> TaskCtx<C> {
     pub fn begin_warmup(&mut self) {
         // The WarmUp macro clears previously collected MMAT information.
         self.state.reset_mmat();
-        if self.use_weaver {
-            let mut payload = ();
-            let attrs = [(attr::TASK_ID, self.slot.task_id as i64), (attr::WARMUP, 1)];
-            let woven = self.woven.clone();
-            woven.dispatch_with(
-                WARM_UP,
-                JoinPointKind::Execution,
-                &attrs,
-                &mut payload,
-                &mut |_| {},
-            );
-        }
+        let attrs = [(attr::TASK_ID, self.slot.task_id as i64), (attr::WARMUP, 1)];
+        dispatch(
+            self.woven.as_ref(),
+            WARM_UP,
+            JoinPointKind::Execution,
+            &attrs,
+            &mut (),
+            &mut |_| {},
+        );
         self.warmup = true;
     }
 
@@ -494,32 +479,16 @@ impl<C: Cell> TaskCtx<C> {
         self.warmup = false;
     }
 
-    /// Execute one kernel step through the `Annotation::KernelStep` join
+    /// Execute one kernel step inside the `Annotation::KernelStep` join
     /// point, handling step/retry accounting.  `body` is the user kernel and
     /// returns the refresh outcome.
     pub fn run_kernel_step(&mut self, warmup: bool, body: impl FnOnce(&mut Self) -> bool) -> bool {
-        let step = self.step;
-        let mut payload = KernelStepPayload { step, warmup };
-        // The kernel needs `&mut self`, so it cannot run inside a dispatch
-        // closure that also borrows `self.woven`.  Dispatch the join point
-        // around a marker body, then run the kernel; instrumentation aspects
-        // observe the step boundaries, which is what they need.
         let attrs = [
             (attr::TASK_ID, self.slot.task_id as i64),
-            (attr::STEP, step as i64),
+            (attr::STEP, self.step as i64),
             (attr::WARMUP, i64::from(warmup)),
         ];
-        if self.use_weaver {
-            let woven = self.woven.clone();
-            woven.dispatch_with(
-                KERNEL_STEP,
-                JoinPointKind::Execution,
-                &attrs,
-                &mut payload,
-                &mut |_| {},
-            );
-        }
-        let ok = body(self);
+        let ok = self.around(KERNEL_STEP, &attrs, body);
         if !warmup {
             if ok {
                 self.steps_done += 1;
@@ -534,14 +503,11 @@ impl<C: Cell> TaskCtx<C> {
         ok
     }
 
-    /// Execute one block of kernel work through the `Kernel::execute_block`
+    /// Execute one block of kernel work inside the `Kernel::execute_block`
     /// join point, so instrumentation aspects (tracing, autotuning) can wrap
-    /// the platform's real per-block work.
-    ///
-    /// Unlike [`TaskCtx::run_kernel_step`], the body runs *inside* the
-    /// dispatch (around advice brackets actual block execution).  When no
-    /// advice matches the join point — the common case — the body is called
-    /// directly with zero dispatch overhead and no dispatch-counter bump.
+    /// the platform's real per-block work.  When no advice matches the join
+    /// point — the common case — the body is called directly with zero
+    /// dispatch overhead and no dispatch-counter bump.
     pub fn run_block<R>(
         &mut self,
         block: i64,
@@ -558,27 +524,31 @@ impl<C: Cell> TaskCtx<C> {
             (attr::BLOCK, block),
             (attr::CELLS, cells as i64),
         ];
+        self.around(KERNEL_BLOCK, &attrs, body)
+    }
+
+    /// Run `body` inside the execution join point `name`, so around advice
+    /// brackets the work itself, and hand back what it returns.
+    fn around<R>(
+        &mut self,
+        name: &str,
+        attrs: &[(&'static str, i64)],
+        body: impl FnOnce(&mut Self) -> R,
+    ) -> R {
         let woven = self.woven.clone();
         let mut body = Some(body);
         let mut result = None;
-        let mut payload = ();
-        woven.dispatch_with(
-            KERNEL_BLOCK,
-            JoinPointKind::Execution,
-            &attrs,
-            &mut payload,
-            &mut |_| {
-                if let Some(b) = body.take() {
-                    result = Some(b(self));
-                }
-            },
-        );
+        dispatch(woven.as_ref(), name, JoinPointKind::Execution, attrs, &mut (), &mut |_| {
+            if let Some(b) = body.take() {
+                result = Some(b(self));
+            }
+        });
         // Instrumentation must never change semantics: if an around advice
         // suppressed the body, run it anyway.
         if let Some(b) = body.take() {
             result = Some(b(self));
         }
-        result.expect("run_block body executes exactly once")
+        result.expect("the body runs exactly once")
     }
 
     // -- Memory-library Block-based interface -------------------------------
@@ -600,14 +570,21 @@ impl<C: Cell> TaskCtx<C> {
             (attr::THREAD, self.slot.thread as i64),
             (attr::PARALLELISM, self.shared.topology.threads_per_rank() as i64),
         ];
-        self.dispatch(GET_BLOCKS, JoinPointKind::Call, &attrs, &mut payload, &mut |ctx| {
-            let p = ctx.payload_mut::<GetBlocksPayload>().expect("GetBlocksPayload");
-            p.blocks = env
-                .data_block_ids()
-                .into_iter()
-                .filter(|&id| env.block(id).meta.dm_tid() == Some(master))
-                .collect();
-        });
+        dispatch(
+            self.woven.as_ref(),
+            GET_BLOCKS,
+            JoinPointKind::Call,
+            &attrs,
+            &mut payload,
+            &mut |ctx| {
+                let p = ctx.payload_mut::<GetBlocksPayload>().expect("GetBlocksPayload");
+                p.blocks = env
+                    .data_block_ids()
+                    .into_iter()
+                    .filter(|&id| env.block(id).meta.dm_tid() == Some(master))
+                    .collect();
+            },
+        );
         payload.blocks
     }
 
@@ -653,19 +630,26 @@ impl<C: Cell> TaskCtx<C> {
             (attr::THREAD, self.slot.thread as i64),
             (attr::WARMUP, i64::from(self.warmup)),
         ];
-        self.dispatch(REFRESH, JoinPointKind::Call, &attrs, &mut payload, &mut |ctx| {
-            let p = ctx.payload_mut::<RefreshPayload<C>>().expect("RefreshPayload");
-            // Original (single-task) refresh: succeed iff no non-existent data
-            // was accessed; on success, rotate the owned blocks' buffers to
-            // publish the new step.  When the distributed layer is woven in,
-            // its advice defers the rotation until the global outcome is
-            // known.
-            let ok = p.local_missing.is_empty() && p.shared.missing.lock().is_empty();
-            if ok && !p.warmup && !p.defer_swap {
-                p.env.swap_owned_buffers(dm_task);
-            }
-            p.success = ok;
-        });
+        dispatch(
+            self.woven.as_ref(),
+            REFRESH,
+            JoinPointKind::Call,
+            &attrs,
+            &mut payload,
+            &mut |ctx| {
+                let p = ctx.payload_mut::<RefreshPayload<C>>().expect("RefreshPayload");
+                // Original (single-task) refresh: succeed iff no non-existent data
+                // was accessed; on success, rotate the owned blocks' buffers to
+                // publish the new step.  When the distributed layer is woven in,
+                // its advice defers the rotation until the global outcome is
+                // known.
+                let ok = p.local_missing.is_empty() && p.shared.missing.lock().is_empty();
+                if ok && !p.warmup && !p.defer_swap {
+                    p.env.swap_owned_buffers(dm_task);
+                }
+                p.success = ok;
+            },
+        );
         payload.success
     }
 
@@ -897,7 +881,7 @@ mod tests {
     fn serial_ctx(env: Arc<Env<f64>>) -> TaskCtx<f64> {
         let topo = Topology::serial();
         let shared = Arc::new(RankShared::new(topo.clone(), 0, None, true));
-        TaskCtx::new(topo.slot(0, 0), env, shared, WovenProgram::unwoven(), true, false)
+        TaskCtx::new(topo.slot(0, 0), env, shared, Some(WovenProgram::unwoven()), false)
     }
 
     #[test]
@@ -1064,8 +1048,7 @@ mod tests {
             Topology::serial().slot(0, 0),
             env,
             Arc::new(RankShared::new(Topology::serial(), 0, None, true)),
-            WovenProgram::unwoven(),
-            true,
+            Some(WovenProgram::unwoven()),
             true,
         );
         // Populate the MMAT memo, then begin_warmup must clear it.
@@ -1162,7 +1145,7 @@ mod tests {
         let woven = Weaver::new().with_aspect(Box::new(aspect)).weave();
         let topo = Topology::serial();
         let shared = Arc::new(RankShared::new(topo.clone(), 0, None, true));
-        let mut ctx = TaskCtx::new(topo.slot(0, 0), env, shared, woven.clone(), true, false);
+        let mut ctx = TaskCtx::new(topo.slot(0, 0), env, shared, Some(woven.clone()), false);
         // The body runs inside the dispatch and can use the full context.
         let value = ctx.run_block(5, 16, |ctx| {
             ctx.set(ids[0], LocalAddress::new2d(0, 0), 2.0);
@@ -1184,7 +1167,7 @@ mod tests {
         let woven = Weaver::new().with_aspect(Box::new(aspect)).weave();
         let topo = Topology::serial();
         let shared = Arc::new(RankShared::new(topo.clone(), 0, None, true));
-        let mut ctx = TaskCtx::new(topo.slot(0, 0), env, shared, woven, true, false);
+        let mut ctx = TaskCtx::new(topo.slot(0, 0), env, shared, Some(woven), false);
         let out = ctx.run_block(0, 4, |_| 11u32);
         assert_eq!(out, 11, "the body must run even if advice never proceeds");
     }
@@ -1195,7 +1178,7 @@ mod tests {
         let topo = Topology::serial();
         let shared = Arc::new(RankShared::new(topo.clone(), 0, None, true));
         let woven = WovenProgram::unwoven();
-        let mut ctx = TaskCtx::new(topo.slot(0, 0), env, shared, woven.clone(), false, false);
+        let mut ctx = TaskCtx::new(topo.slot(0, 0), env, shared, None, false);
         let _ = ctx.get_blocks();
         assert!(ctx.refresh());
         assert_eq!(woven.stats().dispatches(), 0, "Direct mode never touches the weaver");

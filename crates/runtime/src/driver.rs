@@ -19,16 +19,13 @@
 
 use crate::annotation::HpcApp;
 use crate::comm::Communicator;
-use crate::ctx::{MainPayload, ProcessingPayload, ProgressNotifier, RankShared, TaskCtx};
+use crate::ctx::{dispatch, MainPayload, ProcessingPayload, ProgressNotifier, RankShared, TaskCtx};
 use crate::report::{RankReport, RunReport, TaskReport};
 use crate::task::{TaskSlot, Topology};
-use aohpc_aop::{
-    attr, JoinPointCtx, JoinPointKind, WovenProgram, FINALIZE, INITIALIZE, MAIN, PROCESSING,
-};
+use aohpc_aop::{attr, JoinPointKind, WovenProgram, FINALIZE, INITIALIZE, MAIN, PROCESSING};
 use aohpc_env::{Cell, Env, EnvStats};
 use aohpc_mem::PoolStats;
 use parking_lot::Mutex;
-use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
@@ -153,29 +150,10 @@ impl Drop for FinalizeTurn<'_> {
     }
 }
 
-fn dispatch(
-    woven: &WovenProgram,
-    use_weaver: bool,
-    name: &str,
-    kind: JoinPointKind,
-    attrs: &[(&'static str, i64)],
-    payload: &mut dyn Any,
-    body: &mut dyn FnMut(&mut JoinPointCtx<'_>),
-) {
-    if use_weaver {
-        woven.dispatch_with(name, kind, attrs, payload, body);
-    } else {
-        let mut ctx = JoinPointCtx::new(name, kind, payload);
-        for (k, v) in attrs {
-            ctx.set_attr(k, *v);
-        }
-        body(&mut ctx);
-    }
-}
-
 /// Execute an application.
 ///
-/// * `woven` — the woven program (aspect modules already registered).
+/// * `woven` — the woven program (aspect modules already registered); a
+///   [`WeaveMode::Direct`] run never dispatches through it.
 /// * `env_factory` — builds the full-domain Env; called once per rank so that
 ///   ranks never share memory (the distributed layer's replicas).
 /// * `app_factory` — builds the per-task application instance (each task runs
@@ -193,7 +171,8 @@ where
 {
     let start = Instant::now();
     let topology = config.topology.clone();
-    let use_weaver = config.weave_mode == WeaveMode::Woven;
+    // Direct mode has no woven program: its join points are plain calls.
+    let woven = (config.weave_mode == WeaveMode::Woven).then_some(woven);
     let mmat = config.mmat;
     let dry_run = config.dry_run;
     let progress = config.progress.clone();
@@ -259,19 +238,12 @@ where
             // dm_tid of every block the rank owns).
             let master_slot = topology.slot(rank, 0);
             let mut master_app = (app_factory)(master_slot);
-            let mut master_ctx = TaskCtx::new(
-                master_slot,
-                env.clone(),
-                shared.clone(),
-                woven.clone(),
-                use_weaver,
-                mmat,
-            );
+            let mut master_ctx =
+                TaskCtx::new(master_slot, env.clone(), shared.clone(), woven.clone(), mmat);
             let init_attrs =
                 [(attr::TASK_ID, master_slot.task_id as i64), (attr::RANK, rank as i64)];
             dispatch(
-                &woven,
-                use_weaver,
+                woven.as_ref(),
                 INITIALIZE,
                 JoinPointKind::Execution,
                 &init_attrs,
@@ -292,14 +264,8 @@ where
                 Arc::new(move |thread: usize| {
                     let slot = topology.slot(rank, thread);
                     let mut app = (app_factory)(slot);
-                    let mut ctx = TaskCtx::new(
-                        slot,
-                        env.clone(),
-                        shared.clone(),
-                        woven.clone(),
-                        use_weaver,
-                        mmat,
-                    );
+                    let mut ctx =
+                        TaskCtx::new(slot, env.clone(), shared.clone(), woven.clone(), mmat);
                     if let Some(progress) = &progress {
                         ctx.set_progress(progress.clone());
                     }
@@ -311,8 +277,7 @@ where
                 ProcessingPayload { threads, run_thread, runtime_log: runtime_log.clone() };
             let proc_attrs = [(attr::RANK, rank as i64), (attr::PARALLELISM, threads as i64)];
             dispatch(
-                &woven,
-                use_weaver,
+                woven.as_ref(),
                 PROCESSING,
                 JoinPointKind::Execution,
                 &proc_attrs,
@@ -325,8 +290,7 @@ where
 
             finalize_turn.wait();
             dispatch(
-                &woven,
-                use_weaver,
+                woven.as_ref(),
                 FINALIZE,
                 JoinPointKind::Execution,
                 &init_attrs,
@@ -347,8 +311,7 @@ where
         MainPayload { ranks: topology.ranks(), run_rank, runtime_log: runtime_log.clone() };
     let main_attrs = [(attr::PARALLELISM, topology.ranks() as i64)];
     dispatch(
-        &woven,
-        use_weaver,
+        woven.as_ref(),
         MAIN,
         JoinPointKind::Execution,
         &main_attrs,
@@ -378,8 +341,8 @@ where
         env_stats,
         pool_stats,
         wall_time: start.elapsed(),
-        dispatches: woven.stats().dispatches(),
-        advised_dispatches: woven.stats().advised_dispatches(),
+        dispatches: woven.as_ref().map_or(0, |w| w.stats().dispatches()),
+        advised_dispatches: woven.as_ref().map_or(0, |w| w.stats().advised_dispatches()),
         runtime_events,
     }
 }

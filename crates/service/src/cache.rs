@@ -294,6 +294,9 @@ pub struct PlanCache {
     /// panics, to drill the flight leader's abort path.
     compile: Compile,
     flights: Mutex<HashMap<PlanKey, Arc<Flight>>>,
+    /// Bumped by [`PlanCache::invalidate_all`]: a leader inserts its plan
+    /// only if no restart came between its compile's start and the insert.
+    generation: AtomicU64,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -318,6 +321,7 @@ impl PlanCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             compile: FamilyProgram::compile,
             flights: Mutex::new(HashMap::new()),
+            generation: AtomicU64::new(0),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -469,15 +473,19 @@ impl PlanCache {
 
         // Compile with NO locks held.  Counters move only once the compile
         // returned, so `misses == compiles` holds even across leader panics.
+        let generation = self.generation.load(Ordering::Acquire);
         let artifact = (self.compile)(program, extent, level);
         self.meter_miss(&key);
         self.compiles.fetch_add(1, Ordering::Relaxed);
 
         // Publish: insert into the shard (evicting if it is full), then
         // complete the flight.  Insert-before-complete means no lookup can
-        // miss both.
-        {
-            let mut shard = self.shard_for(&key).lock();
+        // miss both.  A plan whose compile began before a restart is handed
+        // to its caller and its flight but never inserted: the generation is
+        // checked under the shard lock, and `invalidate_all` bumps it before
+        // it clears the shards.
+        let mut shard = self.shard_for(&key).lock();
+        if self.generation.load(Ordering::Acquire) == generation {
             if shard.entries.len() >= self.shard_capacity && !shard.entries.contains_key(&key) {
                 // Least recently used among the unpinned entries; with
                 // everything pinned, least recently used of all, so capacity
@@ -501,6 +509,7 @@ impl PlanCache {
                 },
             );
         }
+        drop(shard);
         flight.complete(program.clone(), artifact.clone());
         (artifact, PlanOrigin::Compiled)
     }
@@ -598,10 +607,17 @@ impl PlanCache {
     /// Models a process restart (the rejoin path): a revived rank comes back
     /// with a cold cache and re-warms by compiling.
     /// Discarded entries are metered as evictions so the ledger still
-    /// explains every departure.  In-flight resolutions are untouched — a
-    /// flight's leader re-inserts on completion, which is exactly the
-    /// post-restart warm path.
+    /// explains every departure.  Resolutions already in flight are fenced
+    /// off: a leader that began compiling before the restart still hands its
+    /// plan to its caller and to those waiting on its flight, but never
+    /// inserts it, and the flights are forgotten, so a lookup after the
+    /// restart leads its own instead of joining one from before.
     pub fn invalidate_all(&self) -> usize {
+        // Bump before clearing: a leader that read the old generation either
+        // inserted already (and is cleared below) or sees the new one under
+        // its shard lock.
+        self.generation.fetch_add(1, Ordering::AcqRel);
+        self.flights.lock().clear();
         let mut dropped = 0;
         for shard in &self.shards {
             let mut shard = shard.lock();
@@ -889,6 +905,52 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, stats.compiles, "{stats:?}");
         assert_eq!((stats.misses, stats.hits), (1, 1));
+    }
+
+    /// Set when the gated compile has started; opened to let it finish.
+    static GATE: (StdMutex<(bool, bool)>, Condvar) =
+        (StdMutex::new((false, false)), Condvar::new());
+
+    /// A compile that announces it started, then waits for the gate to open.
+    fn gated(program: &FamilyProgram, extent: Extent, level: OptLevel) -> FamilyArtifact {
+        let (state, cv) = &GATE;
+        let mut state = state.lock().unwrap();
+        state.0 = true;
+        cv.notify_all();
+        while !state.1 {
+            state = cv.wait(state).unwrap();
+        }
+        drop(state);
+        program.compile(extent, level)
+    }
+
+    #[test]
+    fn a_restart_fences_off_a_compile_already_in_flight() {
+        let cache = Arc::new(PlanCache::new(2, 8).with_compile(gated));
+        let (p, ext) = (fam(&StencilProgram::jacobi_5pt()), Extent::new2d(8, 8));
+        let key = PlanKey::of(&p, ext, OptLevel::Full);
+        let job = {
+            let (cache, p) = (Arc::clone(&cache), p.clone());
+            thread::spawn(move || cache.resolve(&p, ext, OptLevel::Full, false).1)
+        };
+        let (state, cv) = &GATE;
+        let mut started = state.lock().unwrap();
+        while !started.0 {
+            started = cv.wait(started).unwrap();
+        }
+        // The restart lands while the job's compile runs.
+        assert_eq!(cache.invalidate_all(), 0);
+        started.1 = true;
+        cv.notify_all();
+        drop(started);
+        assert_eq!(job.join().unwrap(), PlanOrigin::Compiled, "the job still gets its plan");
+
+        assert_eq!(cache.len(), 0, "the revived cache holds no plan from before the restart");
+        assert!(!cache.contains(&key));
+        let (_, origin) = cache.resolve(&p, ext, OptLevel::Full, false);
+        assert_eq!(origin, PlanOrigin::Compiled, "the first lookup after the restart compiles");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.compiles), (2, 2), "{stats:?}");
     }
 
     #[test]

@@ -1500,11 +1500,10 @@ where
 /// With an observer, the per-job [`ObsRunAspect`] joins the weave carrying
 /// the job's trace and root-span ids (rank threads have no thread-local span
 /// context): under the job span a rank's run reads `Initialize`, one span a
-/// sweep, `Finalize`, and the finisher closes what is still open after the
-/// run.  A sweep is a step, a retried step or — only when the spec's topology
-/// has more than one rank, the dry run's one reader — the warm-up before
-/// step 0, so a single-rank job's counters and spans are `steps` sweeps'
-/// worth and a multi-rank job's `steps + 1`.
+/// sweep, `Finalize`.  A sweep is a step, a retried step or — only when the
+/// spec's topology has more than one rank, the dry run's one reader — the
+/// warm-up before step 0, so a single-rank job's counters and spans are
+/// `steps` sweeps' worth and a multi-rank job's `steps + 1`.
 ///
 /// A run whose slowest task gave up before `spec.steps` (the
 /// [`MAX_RETRIES_PER_STEP`] cap in `HpcApp::processing`) is a failure, not a
@@ -1528,11 +1527,8 @@ where
     if spec.topology.threads_per_rank() > 1 {
         weaver = weaver.with_aspect(Box::new(OmpAspect::<S::Cell>::new()));
     }
-    let mut finisher = None;
     if let (Some(hub), Some((trace, job_span))) = (&inner.obs, trace_ctx) {
-        let aspect = ObsRunAspect::new(Arc::clone(hub), trace, job_span);
-        finisher = Some(aspect.finisher());
-        weaver = weaver.with_aspect(Box::new(aspect));
+        weaver = weaver.with_aspect(Box::new(ObsRunAspect::new(Arc::clone(hub), trace, job_span)));
     }
     let config = RunConfig::serial()
         .with_topology(spec.topology.clone())
@@ -1541,9 +1537,6 @@ where
     let sink = new_checksum_sink();
     let report =
         execute(&config, weaver.weave(), Arc::new(system).env_factory(), app(sink.clone()));
-    if let Some(finisher) = finisher {
-        finisher.finish();
-    }
 
     let simulated_seconds = CostModel::default().makespan_seconds(&report);
     let summary = report.summary();
