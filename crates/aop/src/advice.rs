@@ -112,8 +112,8 @@ mod tests {
             c2.fetch_add(ctx.attr("task_id").unwrap_or(0) as usize, Ordering::SeqCst);
         });
         let mut payload = ();
-        let mut ctx = JoinPointCtx::new("X::y", JoinPointKind::Execution, &mut payload)
-            .with_attr("task_id", 5);
+        let mut ctx = JoinPointCtx::new("X::y", JoinPointKind::Execution, &mut payload);
+        ctx.set_attr("task_id", 5);
         if let Advice::Before(f) = &advice {
             f(&mut ctx);
         }

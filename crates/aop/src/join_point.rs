@@ -7,9 +7,12 @@
 //! canonical name (see [`crate::names`]) and kind.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// How many distinct attributes one dispatch carries on the stack: the five
+/// of `Kernel::execute_block`, with room for what a body or advice publishes.
+pub const ATTR_CAPACITY: usize = 8;
 
 /// Whether a join point corresponds to a *call* site or an *execution* site.
 ///
@@ -42,9 +45,9 @@ impl fmt::Display for JoinPointKind {
 /// `Memory::refresh`).  Advice downcasts the payload to the concrete type
 /// published by the platform for that join point.
 ///
-/// String/integer attributes provide lightweight out-of-band information such
-/// as the current task id or layer, without forcing a concrete type onto every
-/// advice implementation.
+/// Integer attributes provide lightweight out-of-band information such as
+/// the current task id or layer, without forcing a concrete type onto every
+/// advice implementation.  At most [`ATTR_CAPACITY`] distinct keys fit.
 pub struct JoinPointCtx<'a> {
     /// Canonical join-point name, e.g. `"Memory::refresh"`.
     pub name: &'a str,
@@ -53,33 +56,37 @@ pub struct JoinPointCtx<'a> {
     /// Operation-specific data; the platform documents the concrete type per
     /// join point.
     pub payload: &'a mut dyn Any,
-    /// Integer attributes (task ids, step counters, parallelism degrees, …).
-    attrs: HashMap<&'static str, i64>,
-    /// Whether `proceed()` has been invoked by an around advice (or the body
-    /// ran because no around advice was present).
-    proceeded: bool,
+    /// Integer attributes (task ids, step counters, parallelism degrees, …);
+    /// the first `len` slots are set.
+    attrs: [(&'static str, i64); ATTR_CAPACITY],
+    len: usize,
 }
 
 impl<'a> JoinPointCtx<'a> {
     /// Create a new context for a dispatch.
     pub fn new(name: &'a str, kind: JoinPointKind, payload: &'a mut dyn Any) -> Self {
-        JoinPointCtx { name, kind, payload, attrs: HashMap::new(), proceeded: false }
+        JoinPointCtx { name, kind, payload, attrs: [("", 0); ATTR_CAPACITY], len: 0 }
     }
 
-    /// Attach an integer attribute (builder style).
-    pub fn with_attr(mut self, key: &'static str, value: i64) -> Self {
-        self.attrs.insert(key, value);
-        self
-    }
-
-    /// Set an integer attribute.
+    /// Set an integer attribute, overwriting the value of a key already set.
+    /// Panics if `key` is new and [`ATTR_CAPACITY`] keys are set.
     pub fn set_attr(&mut self, key: &'static str, value: i64) {
-        self.attrs.insert(key, value);
+        if let Some(slot) = self.attrs[..self.len].iter_mut().find(|(k, _)| *k == key) {
+            slot.1 = value;
+            return;
+        }
+        assert!(
+            self.len < ATTR_CAPACITY,
+            "join point {} holds {ATTR_CAPACITY} attributes: no room for {key}",
+            self.name
+        );
+        self.attrs[self.len] = (key, value);
+        self.len += 1;
     }
 
     /// Read an integer attribute.
     pub fn attr(&self, key: &str) -> Option<i64> {
-        self.attrs.get(key).copied()
+        self.attrs[..self.len].iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
     }
 
     /// Downcast the payload to a concrete type (shared).
@@ -91,11 +98,6 @@ impl<'a> JoinPointCtx<'a> {
     pub fn payload_mut<T: 'static>(&mut self) -> Option<&mut T> {
         self.payload.downcast_mut::<T>()
     }
-
-    /// Record that the original body has been executed.
-    pub(crate) fn mark_proceeded(&mut self) {
-        self.proceeded = true;
-    }
 }
 
 impl fmt::Debug for JoinPointCtx<'_> {
@@ -103,8 +105,7 @@ impl fmt::Debug for JoinPointCtx<'_> {
         f.debug_struct("JoinPointCtx")
             .field("name", &self.name)
             .field("kind", &self.kind)
-            .field("attrs", &self.attrs)
-            .field("proceeded", &self.proceeded)
+            .field("attrs", &&self.attrs[..self.len])
             .finish()
     }
 }
@@ -192,12 +193,40 @@ mod tests {
     #[test]
     fn ctx_attrs_roundtrip() {
         let mut payload = 41i32;
-        let mut ctx = JoinPointCtx::new("X::y", JoinPointKind::Call, &mut payload)
-            .with_attr(attr::TASK_ID, 7);
+        let mut ctx = JoinPointCtx::new("X::y", JoinPointKind::Call, &mut payload);
+        ctx.set_attr(attr::TASK_ID, 7);
         ctx.set_attr(attr::STEP, 3);
         assert_eq!(ctx.attr(attr::TASK_ID), Some(7));
         assert_eq!(ctx.attr(attr::STEP), Some(3));
         assert_eq!(ctx.attr("missing"), None);
+    }
+
+    #[test]
+    fn set_attr_overwrites_a_key_already_set() {
+        let mut payload = ();
+        let mut ctx = JoinPointCtx::new("X::y", JoinPointKind::Call, &mut payload);
+        ctx.set_attr(attr::OK, 0);
+        ctx.set_attr(attr::STEP, 2);
+        ctx.set_attr(attr::OK, 1);
+        assert_eq!(ctx.attr(attr::OK), Some(1));
+        assert_eq!(format!("{ctx:?}").matches(attr::OK).count(), 1, "one entry a key");
+        // Overwriting never takes a slot: a full context still accepts it.
+        let keys = ["a", "b", "c", "d", "e", "f"];
+        for key in keys {
+            ctx.set_attr(key, 7);
+        }
+        ctx.set_attr(attr::STEP, 3);
+        assert_eq!(ctx.attr(attr::STEP), Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "join point X::full holds 8 attributes: no room for i")]
+    fn an_attribute_past_the_capacity_panics_naming_the_join_point() {
+        let mut payload = ();
+        let mut ctx = JoinPointCtx::new("X::full", JoinPointKind::Call, &mut payload);
+        for key in ["a", "b", "c", "d", "e", "f", "g", "h", "i"] {
+            ctx.set_attr(key, 0);
+        }
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //!
 //! The original prototype uses AspectC++, a source-to-source weaver.  Rust has
 //! no equivalent compiler, so this crate keeps the *JoinPoint Model* (JPM)
-//! intact but performs the weave at dispatch time: the platform names every
-//! operation that AspectC++ would expose as a join point (`main`,
+//! intact but performs the weave when the program is assembled: the platform
+//! names every operation that AspectC++ would expose as a join point (`main`,
 //! `Annotation::Initialize|Processing|Finalize`, `Memory::get_blocks`,
-//! `Memory::refresh`, …) and routes it through a [`Weaver`].  Aspect modules
-//! register [`Pointcut`]s and [`Advice`]; the weaver matches them exactly like
-//! the AspectC++ pattern language (`%` wildcards, `call`/`execution` kinds,
-//! `&&`/`||`/`!` combinators) and executes the advice chain around the
-//! original body.
+//! `Memory::refresh`, …) and routes it through a [`WovenProgram`].  Aspect
+//! modules register [`Pointcut`]s and [`Advice`]; [`Weaver::weave`] matches
+//! them against every canonical name exactly like the AspectC++ pattern
+//! language (`%` wildcards, `call`/`execution` kinds, `&&`/`||`/`!`
+//! combinators) and freezes one advice chain per join point; a dispatch looks
+//! its chain up and executes it around the original body.
 //!
 //! The observable semantics the paper relies on are preserved:
 //!
@@ -66,7 +67,7 @@ pub mod weaver;
 
 pub use advice::{Advice, AdviceKind};
 pub use aspect::{AdviceBinding, Aspect, ClosureAspect};
-pub use join_point::{attr, JoinPointCtx, JoinPointKind, JoinPointStats};
+pub use join_point::{attr, JoinPointCtx, JoinPointKind, JoinPointStats, ATTR_CAPACITY};
 pub use names::*;
 pub use pointcut::Pointcut;
 pub use weaver::{WeaveReport, Weaver, WovenProgram};

@@ -4,7 +4,10 @@
 //! memory libraries.  DSL parts and end-user code never introduce new join
 //! points (the paper deliberately defines pointcuts only against the platform
 //! libraries to avoid accidental matches from generic patterns), so this
-//! module is the complete vocabulary that aspect modules can advise.
+//! module is the complete vocabulary that aspect modules can advise:
+//! [`Weaver::weave`](crate::Weaver::weave) binds advice to each name of
+//! [`ALL_JOIN_POINTS`] and to nothing else.  A dispatch under any other name
+//! runs its body unadvised, whatever the pointcuts say.
 
 /// Entry point of the program (`main` of a C++ program in the paper).
 ///
@@ -61,9 +64,10 @@ pub const SERVICE_EXECUTE: &str = "Service::execute_spec";
 
 /// Execution of one block of kernel work inside a task sweep.
 ///
-/// Dispatched by `TaskCtx::run_block` only when at least one advice matches
-/// (so unadvised runs pay nothing).  Attrs: `task_id`, `step`, `block`,
-/// `cells`.
+/// Dispatched by `TaskCtx::run_block` only when the weave bound advice to it,
+/// which the task reads from the woven table once, so an unadvised run's
+/// blocks are plain calls that leave the dispatch counters alone.  Attrs:
+/// `task_id`, `step`, `warmup`, `block`, `cells`.
 pub const KERNEL_BLOCK: &str = "Kernel::execute_block";
 
 /// Call of the kernel compiler's shape-specialization matcher: a freshly
@@ -111,8 +115,8 @@ pub const CLUSTER_REJOIN: &str = "Cluster::rejoin";
 /// side), `ok` (1 = heal, 0 = cut).
 pub const CLUSTER_PARTITION: &str = "Cluster::partition";
 
-/// All names, useful for exhaustiveness checks in tests and for the weave
-/// report.
+/// All names: the join points a weave binds advice to, in the order of the
+/// weave report.
 pub const ALL_JOIN_POINTS: &[&str] = &[
     MAIN,
     INITIALIZE,

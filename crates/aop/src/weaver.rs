@@ -1,9 +1,14 @@
-//! The weaver: matches aspects against join points and drives advice chains.
+//! The weaver: binds aspects to join points and drives advice chains.
 //!
 //! [`Weaver`] collects aspect modules (the "transcompile with the AC++
 //! compiler" step of the paper); [`Weaver::weave`] produces a
-//! [`WovenProgram`], the runtime analogue of the parallelised C++ source: a
-//! compiled table of pointcut→advice bindings plus dispatch machinery.
+//! [`WovenProgram`], the runtime analogue of the parallelised C++ source.
+//! Pointcuts are evaluated once, at weave time: for every canonical join
+//! point ([`ALL_JOIN_POINTS`] × call/execution) the weave resolves the
+//! ordered chain of advice that applies, and the woven program keeps only
+//! that table.  A dispatch looks its chain up and runs it; it matches no
+//! pointcut.  A name outside the canonical list has no chain, so it runs its
+//! body unadvised, like any join point nothing advises.
 //!
 //! Dispatch semantics (matching AspectC++):
 //!
@@ -15,13 +20,13 @@
 //!    directly, if no around advice matched);
 //! 4. all matching *after* advice runs, inner aspects first (reverse order).
 
-use crate::advice::{Advice, AroundAdviceFn, SimpleAdviceFn};
+use crate::advice::Advice;
 use crate::aspect::Aspect;
 use crate::join_point::{JoinPointCtx, JoinPointKind, JoinPointStats};
 use crate::names::ALL_JOIN_POINTS;
-use crate::pointcut::Pointcut;
 use std::any::Any;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Collects aspect modules prior to weaving.
@@ -48,27 +53,35 @@ impl Weaver {
         self
     }
 
-    /// Produce the woven program: resolve precedences and freeze the binding
-    /// table.
+    /// Produce the woven program: order the aspects by precedence and bind
+    /// each canonical join point to the advice whose pointcut selects it.
     pub fn weave(&self) -> WovenProgram {
-        let mut entries: Vec<BindingEntry> = Vec::new();
-        let mut order: Vec<(i32, usize)> =
-            self.aspects.iter().enumerate().map(|(i, a)| (a.precedence(), i)).collect();
+        let mut order: Vec<&dyn Aspect> = self.aspects.iter().map(|a| a.as_ref()).collect();
         // Stable sort: same precedence keeps registration order.
-        order.sort_by_key(|(p, _)| *p);
-        for (rank, (_, idx)) in order.iter().enumerate() {
-            let aspect = &self.aspects[*idx];
-            for (binding_idx, binding) in aspect.bindings().into_iter().enumerate() {
-                entries.push(BindingEntry {
-                    aspect_name: aspect.name().to_string(),
-                    aspect_rank: rank,
-                    binding_idx,
-                    pointcut: binding.pointcut,
-                    advice: binding.advice,
-                });
+        order.sort_by_key(|a| a.precedence());
+        let mut aspects = Vec::with_capacity(order.len());
+        let mut bindings = Vec::new();
+        for (rank, aspect) in order.into_iter().enumerate() {
+            aspects.push(aspect.name().to_string());
+            bindings.extend(aspect.bindings().into_iter().map(|b| (rank, b)));
+        }
+        // Most bindings name one join point: one link each.
+        let mut links = Vec::with_capacity(bindings.len());
+        let mut chains = Vec::with_capacity(bindings.len());
+        for &name in ALL_JOIN_POINTS {
+            for kind in [JoinPointKind::Call, JoinPointKind::Execution] {
+                let start = links.len();
+                for (rank, binding) in &bindings {
+                    if binding.pointcut.matches(name, kind) {
+                        links.push(Link { advice: binding.advice.clone(), aspect_rank: *rank });
+                    }
+                }
+                if links.len() > start {
+                    chains.push(Chain { name, kind, links: start..links.len() });
+                }
             }
         }
-        WovenProgram { entries: Arc::new(entries), stats: Arc::new(JoinPointStats::new()) }
+        WovenProgram(Arc::new(Table { aspects, chains, links, stats: JoinPointStats::new() }))
     }
 }
 
@@ -79,23 +92,36 @@ impl fmt::Debug for Weaver {
     }
 }
 
-struct BindingEntry {
-    aspect_name: String,
-    aspect_rank: usize,
-    binding_idx: usize,
-    pointcut: Pointcut,
+/// One advice bound to a join point, in chain order (aspect precedence, then
+/// declaration order within the aspect).
+struct Link {
     advice: Advice,
+    aspect_rank: usize,
+}
+
+/// The advised join point `(name, kind)` and its slice of [`Table::links`].
+struct Chain {
+    name: &'static str,
+    kind: JoinPointKind,
+    links: Range<usize>,
+}
+
+/// What a weave resolved: a chain for every advised canonical join point
+/// (none for the rest), and the dispatch counters.
+struct Table {
+    /// Aspect names by precedence rank.
+    aspects: Vec<String>,
+    chains: Vec<Chain>,
+    links: Vec<Link>,
+    stats: JoinPointStats,
 }
 
 /// The result of weaving: a dispatchable program configuration.
 ///
-/// Cloning is cheap (shared binding table and statistics), so each task of a
-/// parallel run can hold its own handle.
+/// Cloning is cheap (one shared table, statistics included), so each task of
+/// a parallel run can hold its own handle.
 #[derive(Clone)]
-pub struct WovenProgram {
-    entries: Arc<Vec<BindingEntry>>,
-    stats: Arc<JoinPointStats>,
-}
+pub struct WovenProgram(Arc<Table>);
 
 impl WovenProgram {
     /// A program woven with no aspects at all (every dispatch just runs its
@@ -104,7 +130,17 @@ impl WovenProgram {
         Weaver::new().weave()
     }
 
-    /// Dispatch a join point: run matching advice around `body`.
+    /// The advice chain of `(name, kind)`: empty when nothing advises it.
+    fn chain(&self, name: &str, kind: JoinPointKind) -> &[Link] {
+        let table = &*self.0;
+        table
+            .chains
+            .iter()
+            .find(|c| c.kind == kind && c.name == name)
+            .map_or(&[], |c| &table.links[c.links.clone()])
+    }
+
+    /// Dispatch a join point: run its advice chain around `body`.
     ///
     /// `payload` carries the operation-specific data documented per join
     /// point; `attrs` carries integer attributes such as the task id.
@@ -117,31 +153,21 @@ impl WovenProgram {
         body: &mut dyn FnMut(&mut JoinPointCtx<'_>),
     ) {
         let mut ctx = JoinPointCtx::new(name, kind, payload);
-        for (k, v) in attrs {
-            ctx.set_attr(k, *v);
+        for &(k, v) in attrs {
+            ctx.set_attr(k, v);
         }
-
-        let mut befores: Vec<&SimpleAdviceFn> = Vec::new();
-        let mut arounds: Vec<&AroundAdviceFn> = Vec::new();
-        let mut afters: Vec<&SimpleAdviceFn> = Vec::new();
-        for entry in self.entries.iter() {
-            if entry.pointcut.matches(name, kind) {
-                match &entry.advice {
-                    Advice::Before(f) => befores.push(f),
-                    Advice::Around(f) => arounds.push(f),
-                    Advice::After(f) => afters.push(f),
-                }
+        let chain = self.chain(name, kind);
+        self.0.stats.record_dispatch(!chain.is_empty());
+        for link in chain {
+            if let Advice::Before(f) = &link.advice {
+                f(&mut ctx);
             }
         }
-        let advised = !(befores.is_empty() && arounds.is_empty() && afters.is_empty());
-        self.stats.record_dispatch(advised);
-
-        for f in &befores {
-            f(&mut ctx);
-        }
-        run_around_chain(&arounds, &mut ctx, body);
-        for f in afters.iter().rev() {
-            f(&mut ctx);
+        run_around_chain(chain, &mut ctx, body);
+        for link in chain.iter().rev() {
+            if let Advice::After(f) = &link.advice {
+                f(&mut ctx);
+            }
         }
     }
 
@@ -174,62 +200,56 @@ impl WovenProgram {
 
     /// Dispatch statistics accumulated so far.
     pub fn stats(&self) -> &JoinPointStats {
-        &self.stats
+        &self.0.stats
     }
 
-    /// Number of advice bindings that would fire for the given join point.
+    /// Number of advice bindings that fire for the given join point.
     pub fn matching_advice_count(&self, name: &str, kind: JoinPointKind) -> usize {
-        self.entries.iter().filter(|e| e.pointcut.matches(name, kind)).count()
+        self.chain(name, kind).len()
     }
 
     /// Build a human-readable weave report over the platform's canonical join
     /// points — the analogue of AspectC++'s weave log; every
     /// `Platform::run` outcome carries one.
     pub fn report(&self) -> WeaveReport {
-        let mut lines = Vec::new();
-        for name in ALL_JOIN_POINTS {
-            for kind in [JoinPointKind::Call, JoinPointKind::Execution] {
-                for entry in self.entries.iter() {
-                    if entry.pointcut.matches(name, kind) {
-                        lines.push(WeaveReportLine {
-                            join_point: (*name).to_string(),
-                            kind,
-                            aspect: entry.aspect_name.clone(),
-                            advice_kind: entry.advice.kind(),
-                            aspect_rank: entry.aspect_rank,
-                            binding_idx: entry.binding_idx,
-                        });
-                    }
-                }
-            }
-        }
+        let table = &*self.0;
+        let lines = table
+            .chains
+            .iter()
+            .flat_map(|chain| {
+                table.links[chain.links.clone()].iter().map(|link| WeaveReportLine {
+                    join_point: chain.name.to_string(),
+                    kind: chain.kind,
+                    aspect: table.aspects[link.aspect_rank].clone(),
+                    advice_kind: link.advice.kind(),
+                    aspect_rank: link.aspect_rank,
+                })
+            })
+            .collect();
         WeaveReport { lines }
     }
 }
 
 impl fmt::Debug for WovenProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WovenProgram").field("bindings", &self.entries.len()).finish()
+        f.debug_struct("WovenProgram").field("advised_join_points", &self.0.chains.len()).finish()
     }
 }
 
+/// Run the around advice of `chain`, outermost first, with `body` innermost.
 fn run_around_chain(
-    arounds: &[&AroundAdviceFn],
+    chain: &[Link],
     ctx: &mut JoinPointCtx<'_>,
     body: &mut dyn FnMut(&mut JoinPointCtx<'_>),
 ) {
-    match arounds.split_first() {
-        None => {
-            body(ctx);
-            ctx.mark_proceeded();
-        }
-        Some((outer, rest)) => {
-            // `proceed` runs the rest of the chain (and eventually the body).
-            let mut proceed = |inner_ctx: &mut JoinPointCtx<'_>| {
-                run_around_chain(rest, inner_ctx, body);
-            };
-            outer(ctx, &mut proceed);
-        }
+    let outer = chain.iter().enumerate().find_map(|(i, link)| match &link.advice {
+        Advice::Around(f) => Some((f, &chain[i + 1..])),
+        _ => None,
+    });
+    match outer {
+        None => body(ctx),
+        // `proceed` runs the rest of the chain (and eventually the body).
+        Some((outer, rest)) => outer(ctx, &mut |inner| run_around_chain(rest, inner, body)),
     }
 }
 
@@ -246,8 +266,6 @@ pub struct WeaveReportLine {
     pub advice_kind: crate::advice::AdviceKind,
     /// Position of the aspect in precedence order (0 = outermost).
     pub aspect_rank: usize,
-    /// Position of the binding within its aspect.
-    pub binding_idx: usize,
 }
 
 /// A complete weave report.
@@ -286,6 +304,7 @@ mod tests {
     use super::*;
     use crate::aspect::ClosureAspect;
     use crate::names;
+    use crate::pointcut::Pointcut;
     use parking_lot::Mutex;
     use std::sync::Arc as StdArc;
 
@@ -472,6 +491,56 @@ mod tests {
         assert_eq!(woven.matching_advice_count(names::REFRESH, JoinPointKind::Call), 2);
         assert_eq!(woven.matching_advice_count(names::REFRESH, JoinPointKind::Execution), 1);
         assert_eq!(woven.matching_advice_count(names::MAIN, JoinPointKind::Execution), 0);
+    }
+
+    #[test]
+    fn wildcard_pointcut_is_bound_at_weave_time_and_fires() {
+        let hits = StdArc::new(Mutex::new(Vec::new()));
+        let h = hits.clone();
+        let aspect = ClosureAspect::new("memory").with_binding(
+            Pointcut::within("Memory::%"),
+            Advice::before(move |ctx| h.lock().push((ctx.name.to_string(), ctx.kind))),
+        );
+        let woven = Weaver::new().with_aspect(Box::new(aspect)).weave();
+        // Both memory join points, either kind, are in the table.
+        for name in [names::GET_BLOCKS, names::REFRESH] {
+            for kind in [JoinPointKind::Call, JoinPointKind::Execution] {
+                assert_eq!(woven.matching_advice_count(name, kind), 1, "{kind}({name})");
+            }
+        }
+        assert_eq!(woven.report().lines.len(), 4);
+        woven.dispatch_with(names::GET_BLOCKS, JoinPointKind::Call, &[], &mut (), &mut |_| {});
+        woven.dispatch_with(names::REFRESH, JoinPointKind::Execution, &[], &mut (), &mut |_| {});
+        woven.dispatch_with(names::PROCESSING, JoinPointKind::Execution, &[], &mut (), &mut |_| {});
+        assert_eq!(
+            *hits.lock(),
+            vec![
+                (names::GET_BLOCKS.to_string(), JoinPointKind::Call),
+                (names::REFRESH.to_string(), JoinPointKind::Execution),
+            ]
+        );
+        assert_eq!((woven.stats().dispatches(), woven.stats().advised_dispatches()), (3, 2));
+    }
+
+    #[test]
+    fn a_name_outside_the_canonical_list_runs_unadvised() {
+        let aspect = ClosureAspect::new("everything")
+            .with_binding(Pointcut::Any, Advice::around(|_, _| panic!("advised")));
+        let woven = Weaver::new().with_aspect(Box::new(aspect)).weave();
+        assert_eq!(woven.matching_advice_count("Bench::probe", JoinPointKind::Call), 0);
+        let mut ran = 0;
+        woven.dispatch_with(
+            "Bench::probe",
+            JoinPointKind::Call,
+            &[("task_id", 3)],
+            &mut (),
+            &mut |ctx| {
+                assert_eq!(ctx.attr("task_id"), Some(3));
+                ran += 1;
+            },
+        );
+        assert_eq!(ran, 1);
+        assert_eq!((woven.stats().dispatches(), woven.stats().advised_dispatches()), (1, 0));
     }
 
     #[test]

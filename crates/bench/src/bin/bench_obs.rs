@@ -1,11 +1,11 @@
 //! Observability overhead bench: the woven tracing/metrics layer vs the
-//! gated-off baseline, on the same service workload.
+//! unobserved baseline, on the same service workload.
 //!
 //! Two variants run identical job streams through a [`KernelService`]:
 //!
-//! * `baseline` — no [`ObsHub`] installed: every obs join point is gated
-//!   off (the weave is empty and the per-block gate short-circuits), so
-//!   this is the seed execution path.
+//! * `baseline` — no [`ObsHub`] installed: no weave carries an obs aspect,
+//!   so a service-plane dispatch finds no advice chain and runs its body,
+//!   and a task's block join point, unadvised, is a plain call.
 //! * `observed` — a hub installed via `with_observer`: full span recording
 //!   (job / superstep / block / resolve trees), latency histograms, and
 //!   per-fingerprint throughput cells.

@@ -8,11 +8,10 @@ use aohpc_runtime::{
     execute, CostModel, HpcApp, LayerSpec, MpiAspect, OmpAspect, RunConfig, RunReport, TaskSlot,
     Topology, WeaveMode,
 };
-use serde::Serialize;
 use std::sync::Arc;
 
 /// The build/run configurations evaluated in the paper's Fig. 6 and beyond.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// "Platform": the application linked against the platform libraries and
     /// compiled directly (no weaving at all).

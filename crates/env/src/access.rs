@@ -9,14 +9,13 @@
 use crate::block::BlockId;
 use crate::mmat::MmatTable;
 use aohpc_mem::PageId;
-use serde::Serialize;
 use std::collections::HashSet;
 
 /// Counters describing the work done by the memory access layer.
 ///
 /// These feed the deterministic cost model used for the scaling figures and
 /// make the MMAT / skip-search ablations observable in tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessCounters {
     /// Total cell reads requested.
     pub reads: u64,

@@ -6,15 +6,12 @@
 //! uses).  Addresses are three-dimensional; two-dimensional DSLs simply keep
 //! `z = 0`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
 /// A position in the global computation domain (may be outside it, e.g. for
 /// boundary accesses).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct GlobalAddress {
     /// X coordinate.
     pub x: i64,
@@ -62,7 +59,7 @@ impl fmt::Display for GlobalAddress {
 }
 
 /// A displacement relative to a Block origin (the `LA_t` of Listing 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct LocalAddress {
     /// X displacement.
     pub dx: i64,
@@ -98,7 +95,7 @@ impl fmt::Display for LocalAddress {
 }
 
 /// The size of a Block in cells along each axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Extent {
     /// Cells along X.
     pub nx: usize,

@@ -14,7 +14,6 @@ use crate::mmat::MmatEntry;
 use crate::Cell;
 use aohpc_mem::{MultiBuffer, PageId, PoolError, PoolHandle};
 use parking_lot::RwLock;
-use serde::Serialize;
 use std::fmt;
 
 /// Errors produced while building or using an Env.
@@ -47,7 +46,7 @@ impl From<PoolError> for EnvError {
 }
 
 /// Summary statistics of an Env (used by the Fig. 12 harness).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EnvStats {
     /// Total number of blocks (all kinds).
     pub num_blocks: usize,

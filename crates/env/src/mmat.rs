@@ -15,11 +15,10 @@
 
 use crate::address::GlobalAddress;
 use crate::block::BlockId;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// How a memorised access resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MmatEntry {
     /// The address is inside the starting block, at this cell index.
     InBlock(usize),

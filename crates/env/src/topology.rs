@@ -26,7 +26,6 @@ use crate::address::{Extent, GlobalAddress};
 use crate::block::BlockId;
 use crate::env::EnvBuilder;
 use crate::Cell;
-use serde::Serialize;
 
 /// Spatial placement of one tile (future Data block) of a DSL part.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +75,7 @@ fn bounding_box(tiles: &[&TilePlacement]) -> (GlobalAddress, Extent) {
 }
 
 /// How the data branch of the Env tree groups Data blocks under joints.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TreeTopology {
     /// All data blocks under a single unbounded joint (the paper's default
     /// tree of Fig. 2a).

@@ -30,12 +30,11 @@
 
 use crate::plan::CompiledKernel;
 use crate::tape::ExecScratch;
-use serde::Serialize;
 
 pub use crate::tape::LANES;
 
 /// The processor model a block's [`ExecStats`] are accounted for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Processor {
     /// One cell at a time.
     Scalar,
@@ -57,7 +56,7 @@ impl Processor {
 ///
 /// The split counters are the *modelled* processor's split of the plan's
 /// geometry: a specialized kernel is accounted what the tape counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Blocks executed.
     pub blocks: u64,

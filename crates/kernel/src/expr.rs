@@ -23,12 +23,11 @@
 //! assert_eq!(jacobi.radius(), 1);
 //! ```
 
-use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// Binary operators of the IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -76,7 +75,7 @@ impl BinOp {
 }
 
 /// Unary operators of the IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
     /// Arithmetic negation.
     Neg,

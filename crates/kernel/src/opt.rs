@@ -16,7 +16,6 @@
 //! [`OptLevel::Full`].
 
 use crate::expr::{BinOp, KernelExpr, UnaryOp};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -57,7 +56,7 @@ pub enum Node {
 }
 
 /// How aggressively [`Dag::lower`] rewrites the expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OptLevel {
     /// Hash-consing only (CSE); arithmetic is preserved bit-for-bit.
     None,
@@ -68,7 +67,7 @@ pub enum OptLevel {
 }
 
 /// Statistics of one lowering, reported alongside benchmark results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptStats {
     /// Nodes in the source expression tree.
     pub tree_nodes: usize,

@@ -36,7 +36,6 @@ use crate::program::StencilProgram;
 use crate::spec::{SpecializationId, SpecializedKernel};
 use crate::tape::{ExecScratch, ExecTape, LANES};
 use aohpc_env::Extent;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// A provider of compiled kernels: given a program, a block shape and an
@@ -60,7 +59,7 @@ pub trait PlanSource: Send + Sync {
 /// `(x, y), (x + dx, y + dy), …` in block-local coordinates (which may be
 /// negative or ≥ extent), holding the ring slots `slot .. slot + len` in that
 /// order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HaloRun {
     /// Local X of the first cell.
     pub x: i64,
@@ -98,7 +97,7 @@ impl HaloRun {
 /// cell loads (the corners, for a 5-point stencil) keep their slot but
 /// belong to no run and are never fetched.  A 5-point ring is its four
 /// edges; the 9-point ring adds the four corners to the two row runs.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HaloRing {
     runs: Vec<HaloRun>,
     slots: usize,
@@ -216,7 +215,7 @@ impl RingOrder {
 
 /// The rectangular interior region (half-open bounds) where every stencil
 /// offset stays inside the block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InteriorRegion {
     /// First interior column.
     pub x0: i64,
@@ -241,7 +240,7 @@ impl InteriorRegion {
 }
 
 /// The resolved access pattern of one (stencil, block shape) pair.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessPlan {
     /// Block shape the plan was compiled for.
     pub extent_nx: usize,

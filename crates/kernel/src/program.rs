@@ -7,12 +7,11 @@
 //! platform for the paper's future-work "subkernel modification".
 
 use crate::expr::KernelExpr;
-use serde::Serialize;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Errors produced while validating a program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramError {
     /// The expression contains no load, so it does not depend on the field.
     NoLoads,
@@ -63,7 +62,7 @@ impl std::error::Error for ProgramError {}
 /// The value is computed with two independently-seeded FNV-1a passes over the
 /// canonical expression encoding, so it is stable across processes, platforms
 /// and releases of the standard library (unlike `DefaultHasher`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProgramFingerprint {
     hi: u64,
     lo: u64,

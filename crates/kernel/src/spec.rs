@@ -61,7 +61,6 @@
 
 use crate::plan::AccessPlan;
 use crate::tape::{ExecTape, Reg, TapeOp};
-use serde::Serialize;
 use std::fmt;
 
 /// Which specialized super-instruction loop (if any) a compiled kernel runs.
@@ -72,7 +71,7 @@ use std::fmt;
 /// anything else names the monomorphic loop that replaced it.
 ///
 /// [`CompiledKernel`]: crate::plan::CompiledKernel
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecializationId {
     /// No shape matched: the kernel interprets its tape.
     Generic,

@@ -55,7 +55,6 @@ use crate::expr::{BinOp, UnaryOp};
 use crate::opt::{Dag, Node};
 use crate::plan::AccessPlan;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,7 +67,7 @@ pub const LANES: usize = 8;
 pub type Reg = u16;
 
 /// A once-per-block prelude instruction (fills a pinned register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreludeOp {
     /// `r[dst] = constant` (stored as bits so the tape is hashable/serializable).
     Const {
@@ -90,7 +89,7 @@ pub enum PreludeOp {
 ///
 /// A load's `delta` is its offset's index delta in the plan's padded tile
 /// (what a cell's tile index adds), baked in at lowering time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TapeOp {
     /// `r[dst] = load(delta)`.
     Load {
@@ -205,7 +204,7 @@ pub enum TapeOp {
 }
 
 /// Compile-time statistics of one lowering (reported by the bench harness).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TapeStats {
     /// Nodes in the source DAG.
     pub dag_nodes: usize,
@@ -903,7 +902,7 @@ impl ExecScratch {
 }
 
 /// Counters of a [`ScratchPool`] (point-in-time snapshot).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchPoolStats {
     /// Scratches created because the pool was empty.
     pub created: u64,

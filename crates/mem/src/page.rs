@@ -9,13 +9,11 @@
 //! units (e.g. several grid points), which is what makes page-wise
 //! communication cheaper than block-wise communication.
 
-use serde::Serialize;
-
 /// Index of a page within one block's buffer.
 pub type PageId = usize;
 
 /// Validity / dirtiness flags of one page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PageFlags {
     /// The page's data is readable on this task.
     pub valid: bool,
@@ -24,7 +22,7 @@ pub struct PageFlags {
 }
 
 /// Per-page flags for one buffer of one block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageTable {
     cells_per_page: usize,
     num_cells: usize,

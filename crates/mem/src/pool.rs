@@ -14,7 +14,6 @@
 //! matching the role Valgrind-measured pools play in the paper's evaluation.
 
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
@@ -22,7 +21,7 @@ use std::sync::Arc;
 pub type PoolId = usize;
 
 /// A contiguous range reserved from a pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Chunk {
     /// Pool that owns this chunk.
     pub pool: PoolId,
@@ -71,7 +70,7 @@ impl fmt::Display for PoolError {
 impl std::error::Error for PoolError {}
 
 /// Usage statistics of a pool (the numbers behind Fig. 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Total capacity in bytes.
     pub capacity: u64,

@@ -1,8 +1,7 @@
 //! Exporters: Chrome `trace_event` JSON and JSON-lines dumps.
 //!
-//! Both formats are assembled by hand (the workspace's serde is a derive-only
-//! shim — see `vendor/serde`), matching the `BENCH_*.json` writer idiom used
-//! by the bench bins.
+//! Both formats are assembled by hand (the workspace has no serialization
+//! crate), matching the `BENCH_*.json` writer idiom used by the bench bins.
 //!
 //! [`chrome_trace_json`] produces the legacy `trace_event` array format
 //! loadable in `chrome://tracing` and Perfetto: each finished span becomes a

@@ -7,9 +7,11 @@
 //! register advice at the platform's canonical join points
 //! (`Service::execute_spec`, `PlanCache::resolve`, `Kernel::execute_block`,
 //! the `Cluster::*` liveness and failover points,
-//! `Annotation::Initialize`/`KernelStep`/`Finalize`), and the service weaves them in only when an [`ObsHub`] is
-//! installed.  With no hub the dispatch sites are gated off entirely;
-//! `bench_obs` measures what observing costs on top.
+//! `Annotation::Initialize`/`KernelStep`/`Finalize`), and the service weaves
+//! them in only when an [`ObsHub`] is installed.  With no hub the weave binds
+//! no advice to these join points, so each dispatch finds no chain and runs
+//! its body (and a task's block join point is a plain call); `bench_obs`
+//! measures what observing costs on top.
 //!
 //! One [`ObsHub`] bundles the three pillars:
 //!

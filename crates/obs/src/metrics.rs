@@ -138,7 +138,7 @@ impl Default for Histogram {
 }
 
 /// Summary statistics of a [`Histogram`] at one point in time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,

@@ -12,7 +12,7 @@ use crate::metrics::HistogramSnapshot;
 use std::fmt;
 
 /// Plan-cache counters (mirror of the service's `PlanCacheStats`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Resolutions served from a resident plan.
     pub hits: u64,
@@ -30,7 +30,7 @@ pub struct CacheCounters {
 
 /// Communication-plane counters (mirror of the runtime's `CommStats`,
 /// aggregated cluster-wide so send/receive balance holds).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommCounters {
     /// Messages sent across all endpoints.
     pub messages_sent: u64,
@@ -47,7 +47,7 @@ pub struct CommCounters {
 }
 
 /// Admission-queue state and latency distribution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionCounters {
     /// Submitters currently parked on backpressure.
     pub waiting: u64,
@@ -60,7 +60,7 @@ pub struct AdmissionCounters {
 }
 
 /// Job-outcome counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobCounters {
     /// Jobs that completed with a successful report.
     pub completed: u64,
@@ -72,7 +72,7 @@ pub struct JobCounters {
 
 /// A unified, point-in-time view across cache, comm, admission, and job
 /// counters, plus the recorder's retention state.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsSnapshot {
     /// Plan-cache counters, when a cache is attached.
     pub cache: Option<CacheCounters>,

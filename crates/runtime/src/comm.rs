@@ -27,7 +27,6 @@
 use aohpc_env::BlockId;
 use aohpc_mem::PageId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use serde::Serialize;
 use std::fmt;
 
 /// One page in flight: which block/page it is and its cells.
@@ -77,7 +76,7 @@ pub enum RankMessage<C> {
 /// `bytes_sent == bytes_received`.  Bytes count page payloads
 /// (`cells × sizeof(C)`); the fixed-size request/flag envelopes count as
 /// messages but carry no payload bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Supersteps (collective refreshes) executed.
     pub supersteps: u64,

@@ -30,10 +30,9 @@
 use crate::comm::CommStats;
 use crate::report::RunReport;
 use aohpc_env::AccessCounters;
-use serde::Serialize;
 
 /// Unit costs used by the model (seconds).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostParams {
     /// An in-block read through the platform's access path (lock + index).
     pub t_read_in_block: f64,
@@ -82,7 +81,7 @@ impl Default for CostParams {
 }
 
 /// The cost model: parameters plus evaluation helpers.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CostModel {
     /// Unit costs.
     pub params: CostParams,

@@ -25,7 +25,6 @@ use aohpc_env::{AccessState, BlockId, Cell, Env, GlobalAddress, LocalAddress, Ru
 use aohpc_mem::PageId;
 use aohpc_workloads::Checksum;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::any::Any;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -119,7 +118,7 @@ pub(crate) fn dispatch(
 // ---------------------------------------------------------------------------
 
 /// A point-in-time progress snapshot of one run (see [`ProgressNotifier`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Progress {
     /// Kernel steps completed across all tasks (non-warm-up, successful).
     pub steps: u64,
@@ -334,9 +333,9 @@ pub struct TaskCtx<C: Cell> {
     /// The woven program; `None` in Direct mode, where join points are plain
     /// calls.
     woven: Option<WovenProgram>,
-    /// Whether any advice matches `Kernel::execute_block` — computed once so
-    /// un-instrumented runs skip the block dispatch entirely (no dispatch
-    /// counter bump, no `JoinPointCtx` construction on the per-block path).
+    /// Whether the weave bound advice to `Kernel::execute_block`, read once
+    /// from the woven table: an unadvised run's blocks are plain calls, so
+    /// they leave the dispatch counters where the rest of the run puts them.
     block_advised: bool,
     /// Task-local access state (counters, MMAT, missing pages).
     pub state: AccessState,
@@ -505,9 +504,9 @@ impl<C: Cell> TaskCtx<C> {
 
     /// Execute one block of kernel work inside the `Kernel::execute_block`
     /// join point, so instrumentation aspects (tracing, autotuning) can wrap
-    /// the platform's real per-block work.  When no advice matches the join
-    /// point — the common case — the body is called directly with zero
-    /// dispatch overhead and no dispatch-counter bump.
+    /// the platform's real per-block work.  When the weave bound no advice
+    /// to the join point — the common case — the body is called directly,
+    /// with no dispatch-counter bump.
     pub fn run_block<R>(
         &mut self,
         block: i64,

@@ -10,11 +10,10 @@ use crate::comm::CommStats;
 use crate::task::{TaskSlot, Topology};
 use aohpc_env::{AccessCounters, EnvStats};
 use aohpc_mem::PoolStats;
-use serde::Serialize;
 use std::time::Duration;
 
 /// Per-task outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TaskReport {
     /// Which task this is.
     pub slot: TaskSlot,
@@ -49,7 +48,7 @@ impl TaskReport {
 }
 
 /// Per-rank outcome (communication side).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RankReport {
     /// Rank index.
     pub rank: usize,
@@ -69,7 +68,7 @@ pub struct RankReport {
 /// which files no task report), and `dispatches` grows by three a sweep and
 /// task: `steps` + `retries` sweeps on one rank, one more — the warm-up — on
 /// several (see [`HpcApp::processing`](crate::HpcApp::processing)).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Tasks that executed.
     pub tasks: usize,
@@ -95,7 +94,7 @@ pub struct RunSummary {
 }
 
 /// The complete outcome of one run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Topology the run used.
     pub topology: Topology,

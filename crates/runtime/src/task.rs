@@ -8,7 +8,6 @@
 //! top of a shared-memory layer (OpenMP-like), which yields `ranks × threads`
 //! tasks with task id `rank * threads + thread`.
 
-use serde::Serialize;
 use std::fmt;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::task::Waker;
@@ -147,7 +146,7 @@ impl<T> fmt::Debug for CompletionSlot<T> {
 }
 
 /// The kind of a parallel layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerKind {
     /// Distributed-memory layer: tasks do not share an Env; data moves by
     /// page communication (MPI in the paper).
@@ -157,7 +156,7 @@ pub enum LayerKind {
 }
 
 /// One layer of the machine description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerSpec {
     /// Kind of parallel resource this layer manages.
     pub kind: LayerKind,
@@ -178,7 +177,7 @@ impl LayerSpec {
 }
 
 /// The position of a task within the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskSlot {
     /// Global task id (`ch_tid` in the paper's terminology).
     pub task_id: usize,
@@ -193,7 +192,7 @@ pub struct TaskSlot {
 /// This is intentionally the two-layer shape the prototype evaluates; the
 /// layer list is kept so that additional layers (accelerators, NUMA domains)
 /// can be described without changing the public API.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     layers: Vec<LayerSpec>,
 }

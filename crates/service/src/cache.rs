@@ -39,7 +39,6 @@ use aohpc_kernel::{
     ProgramFingerprint, StencilProgram,
 };
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
@@ -81,7 +80,7 @@ impl PlanKey {
 }
 
 /// How a lookup obtained its plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOrigin {
     /// Served from a resident entry (or by waiting on a concurrent flight).
     Hit,
@@ -91,7 +90,7 @@ pub enum PlanOrigin {
 
 /// Per-family slice of the hit/miss ledger (indexed by
 /// [`KernelFamilyId::tag`] in [`PlanCacheStats::family`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FamilyLaneStats {
     /// Lookups of this family served from a resident entry or a shared
     /// flight.
@@ -114,7 +113,7 @@ impl std::ops::Add for FamilyLaneStats {
 /// compile (collision fall-throughs count a miss *and* a compile, keeping
 /// the identity) — and the global `hits` / `misses` each equal the sum of
 /// their per-family lanes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups that found a live entry (or joined an in-progress flight for
     /// the same plan).
@@ -172,7 +171,7 @@ impl std::ops::Add for PlanCacheStats {
 }
 
 /// Per-entry accounting eviction decides on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryMeta {
     /// Global recency tick of the last lookup that touched the entry.
     pub last_used: u64,

@@ -84,9 +84,9 @@ use crate::service::{
     obs_snapshot, KernelService, OrphanSink, OrphanedJob, ServiceClock, ServiceConfig, SubmitError,
 };
 use crate::session::{CompletionStream, SessionCtx, SessionId, SessionMeter, SessionSpec};
-use aohpc_aop::{attr, names, JoinPointKind, Weaver, WovenProgram};
+use aohpc_aop::{attr, names, JoinPointKind, WovenProgram};
 use aohpc_kernel::OptLevel;
-use aohpc_obs::{CommCounters, ObsHub, ObsServiceAspect, ObsSnapshot};
+use aohpc_obs::{CommCounters, ObsHub, ObsSnapshot};
 use aohpc_runtime::CommStats;
 use aohpc_testalloc::sync::FakeClock;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -266,13 +266,11 @@ fn decode_view(bytes: &[u8]) -> Option<Vec<(NodeState, u64)>> {
 /// Record an incarnation-arbitrated revival through the `CLUSTER_REJOIN`
 /// join point: `node` = the reviving rank, `step` = its new incarnation,
 /// `ok` = 1 for a restart rejoin, 0 for a refutation.
-fn dispatch_rejoin(woven: Option<&WovenProgram>, node: usize, incarnation: u64, restart: bool) {
-    if let Some(woven) = woven {
-        let attrs = [(attr::NODE, node as i64), (attr::STEP, incarnation as i64)];
-        woven.dispatch_returning(names::CLUSTER_REJOIN, JoinPointKind::Call, &attrs, |ctx| {
-            ctx.set_attr(attr::OK, i64::from(restart));
-        });
-    }
+fn dispatch_rejoin(woven: &WovenProgram, node: usize, incarnation: u64, restart: bool) {
+    let attrs = [(attr::NODE, node as i64), (attr::STEP, incarnation as i64)];
+    woven.dispatch_returning(names::CLUSTER_REJOIN, JoinPointKind::Call, &attrs, |ctx| {
+        ctx.set_attr(attr::OK, i64::from(restart));
+    });
 }
 
 /// Every this-many beats, a heartbeat is also sent to peers this node
@@ -295,7 +293,7 @@ struct Liveness {
     fault: FaultState,
     nodes: Vec<Arc<KernelService>>,
     clock: ServiceClock,
-    obs_woven: Option<WovenProgram>,
+    obs_woven: WovenProgram,
     /// Steps take turns on this lock.
     turn: Mutex<Turn>,
 }
@@ -369,24 +367,20 @@ impl Liveness {
             return; // a restart without a preceding kill is a no-op
         }
         let incarnation = self.memberships[rank].restart(now);
-        dispatch_rejoin(self.obs_woven.as_ref(), rank, incarnation, true);
+        dispatch_rejoin(&self.obs_woven, rank, incarnation, true);
     }
 
     /// Record one scripted link event through the `CLUSTER_PARTITION` join
     /// point (`node` = sending side of the direction, `rank` = receiving
     /// side, `ok` = 1 for a heal, 0 for a cut).
     fn link_event(&self, from: usize, to: usize, healed: bool) {
-        if let Some(woven) = &self.obs_woven {
-            let attrs = [(attr::NODE, from as i64), (attr::RANK, to as i64)];
-            woven.dispatch_returning(
-                names::CLUSTER_PARTITION,
-                JoinPointKind::Call,
-                &attrs,
-                |ctx| {
-                    ctx.set_attr(attr::OK, i64::from(healed));
-                },
-            );
-        }
+        let attrs = [(attr::NODE, from as i64), (attr::RANK, to as i64)];
+        self.obs_woven.dispatch_returning(
+            names::CLUSTER_PARTITION,
+            JoinPointKind::Call,
+            &attrs,
+            |ctx| ctx.set_attr(attr::OK, i64::from(healed)),
+        );
     }
 
     /// Node `rank`'s heartbeat — its incarnation and view digest — to every
@@ -500,7 +494,7 @@ impl Liveness {
     fn react(&self, rank: usize, t: &Transition) {
         if t.subject == rank && t.to == NodeState::Alive {
             self.mesh.broadcast(rank, TAG_SUSPECT, &suspect_payload(t));
-            dispatch_rejoin(self.obs_woven.as_ref(), rank, t.incarnation, false);
+            dispatch_rejoin(&self.obs_woven, rank, t.incarnation, false);
         }
     }
 
@@ -511,18 +505,14 @@ impl Liveness {
     /// is no storm.
     fn publish(&self, rank: usize, t: &Transition) {
         self.mesh.broadcast(rank, TAG_SUSPECT, &suspect_payload(t));
-        if let Some(woven) = &self.obs_woven {
-            if t.to != NodeState::Alive {
-                let attrs = [(attr::NODE, t.subject as i64)];
-                woven.dispatch_returning(
-                    names::CLUSTER_SUSPECT,
-                    JoinPointKind::Call,
-                    &attrs,
-                    |ctx| {
-                        ctx.set_attr(attr::OK, i64::from(t.to == NodeState::Suspect));
-                    },
-                );
-            }
+        if t.to != NodeState::Alive {
+            let attrs = [(attr::NODE, t.subject as i64)];
+            self.obs_woven.dispatch_returning(
+                names::CLUSTER_SUSPECT,
+                JoinPointKind::Call,
+                &attrs,
+                |ctx| ctx.set_attr(attr::OK, i64::from(t.to == NodeState::Suspect)),
+            );
         }
     }
 }
@@ -549,7 +539,7 @@ struct Replay {
 struct Supervisor {
     nodes: Vec<Arc<KernelService>>,
     rx: Receiver<SupervisorMsg>,
-    obs_woven: Option<WovenProgram>,
+    obs_woven: WovenProgram,
     /// One replay session per target node, opened lazily.
     sessions: HashMap<usize, SessionId>,
     inflight: Vec<Replay>,
@@ -672,15 +662,13 @@ impl Supervisor {
         };
         let ok = outcome.is_ok();
         self.nodes[from].resolve_orphan(&orphan.cell, outcome);
-        if let Some(woven) = &self.obs_woven {
-            let attrs = [(attr::NODE, to as i64), (attr::JOB, original_job as i64)];
-            woven.dispatch_returning(
-                names::CLUSTER_FAILOVER,
-                JoinPointKind::Execution,
-                &attrs,
-                |ctx| ctx.set_attr(attr::OK, i64::from(ok)),
-            );
-        }
+        let attrs = [(attr::NODE, to as i64), (attr::JOB, original_job as i64)];
+        self.obs_woven.dispatch_returning(
+            names::CLUSTER_FAILOVER,
+            JoinPointKind::Execution,
+            &attrs,
+            |ctx| ctx.set_attr(attr::OK, i64::from(ok)),
+        );
     }
 }
 
@@ -786,12 +774,6 @@ impl ClusterService {
     ) -> Self {
         assert!(nodes > 0, "a cluster needs at least one node");
         let config = config.normalized();
-        // One woven program serves the liveness step and the supervisor:
-        // the obs aspect is stateless beyond the hub, and cloning a woven
-        // program is an Arc bump.
-        let obs_woven = obs.as_ref().map(|hub| {
-            Weaver::new().with_aspect(Box::new(ObsServiceAspect::new(Arc::clone(hub)))).weave()
-        });
         let clock = clock.map_or_else(ServiceClock::real, ServiceClock::Fake);
         let now = clock.now();
         let memberships = (0..nodes).map(|r| Arc::new(Membership::new(r, nodes, tuning, now)));
@@ -815,6 +797,10 @@ impl ClusterService {
                 service
             })
             .collect();
+        // The liveness step and the supervisor dispatch through a node's
+        // service-plane program: the obs aspect is stateless beyond the hub
+        // every node shares, and cloning a woven program is an Arc bump.
+        let obs_woven = services[0].service_woven();
 
         let liveness = Arc::new(Liveness {
             mesh: FrameMesh::new(nodes),

@@ -27,7 +27,6 @@ use aohpc_kernel::{
 };
 use aohpc_runtime::{CompletionSlot, Progress, ProgressNotifier, RunSummary, Topology, WeaveMode};
 use aohpc_workloads::{ParticleSize, RegionSize, Scale};
-use serde::Serialize;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -41,7 +40,7 @@ pub type JobId = u64;
 
 /// Why a [`JobSpec`] is malformed — detected by [`JobSpec::validate`] at
 /// build/admission time instead of a downstream panic inside a worker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobSpecError {
     /// `with_block(0)`: a zero block side cannot tile any region.
     ZeroBlock,
@@ -263,7 +262,7 @@ impl JobSpec {
 /// the replay **bit-identical**: the job restarts from step 0 on the target
 /// node and produces the same checksum a healthy run would have, which the
 /// fault-injection tests assert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailoverProvenance {
     /// The rank the job was originally admitted on (the node that died).
     pub from_node: usize,
@@ -279,7 +278,7 @@ pub struct FailoverProvenance {
 }
 
 /// The result of one completed job.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JobReport {
     /// Job id (submission order within the service).
     pub job: JobId,
@@ -340,7 +339,7 @@ pub struct JobReport {
 }
 
 /// Why a job resolved without a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobErrorKind {
     /// [`JobHandle::cancel`] won the race: the job was dequeued unexecuted.
     Cancelled,
@@ -349,7 +348,7 @@ pub enum JobErrorKind {
 }
 
 /// The error half of a [`JobOutcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobError {
     /// The job that resolved without running.
     pub job: JobId,
@@ -377,7 +376,7 @@ impl std::error::Error for JobError {}
 pub type JobOutcome = Result<JobReport, JobError>;
 
 /// Where a job currently is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
     /// Admitted, waiting for a worker.
     Queued,

@@ -53,12 +53,11 @@
 //! modulo hashing lacks — so a batch of orphans spreads over the survivors
 //! instead of dogpiling one.
 
-use serde::Serialize;
 use std::sync::Mutex;
 use std::time::Duration;
 
 /// One rank's state in the local membership view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// Heard from recently (or never yet measured against a deadline).
     Alive,
@@ -118,7 +117,7 @@ impl ClusterTuning {
 }
 
 /// Counters of one node's failure detector.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MembershipStats {
     /// Alive → Suspect transitions recorded locally.
     pub suspicions: u64,

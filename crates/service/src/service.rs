@@ -65,7 +65,6 @@ use aohpc_testalloc::sync::FakeClock;
 use aohpc_workloads::{GridLayout, ParticleSize, Scale};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -262,7 +261,7 @@ impl std::error::Error for BatchError {
 }
 
 /// Point-in-time admission/backpressure counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     /// Submitters currently parked waiting for capacity.
     pub waiting: usize,
@@ -458,9 +457,9 @@ pub(crate) struct Inner {
     /// ([`KernelService::with_observer`]).
     obs: Option<Arc<ObsHub>>,
     /// The service plane's own woven program: carries the obs aspect around
-    /// `Service::execute_spec` and `PlanCache::resolve`.  Empty — and the
-    /// dispatch sites skipped entirely — when no hub is installed, so the
-    /// unobserved path pays nothing.
+    /// `Service::execute_spec`, `PlanCache::resolve` and
+    /// `Kernel::specialize`.  An empty weave when no hub is installed: the
+    /// dispatch sites are the same, and each finds no chain and runs its body.
     service_woven: WovenProgram,
 }
 
@@ -609,9 +608,9 @@ impl KernelService {
             let capacity = Arc::clone(&capacity);
             fake.on_advance(move || capacity.bump());
         }
-        // With a hub installed the service's own join points dispatch through
-        // this woven program; without one it stays empty and the dispatch
-        // sites are gated off before building any attributes.
+        // The service's own join points dispatch through this woven program;
+        // without a hub it is an empty weave, where a dispatch is a lookup
+        // that finds no chain.
         let service_woven = match &obs {
             Some(hub) => {
                 Weaver::new().with_aspect(Box::new(ObsServiceAspect::new(Arc::clone(hub)))).weave()
@@ -1023,6 +1022,12 @@ impl KernelService {
         self.inner.killed.load(Ordering::SeqCst)
     }
 
+    /// The service plane's woven program: the obs service aspect's when a
+    /// hub is installed, an empty weave otherwise.
+    pub(crate) fn service_woven(&self) -> WovenProgram {
+        self.inner.service_woven.clone()
+    }
+
     /// Revive a node killed by [`KernelService::kill_for_failover`]: the
     /// restart seam of the rejoin path.  Models a fresh process on the same
     /// rank — the plan cache is dropped cold (re-warmed by compiling), then
@@ -1226,6 +1231,15 @@ fn run_one(inner: &Inner, queued: Queued) {
     });
     let trace_ctx = obs_job.map(|(trace, open)| (trace, open.span));
     let _span_ctx = trace_ctx.map(|(trace, span)| push_context(trace, span));
+    // The attributes of the job's service-plane join points (resolve,
+    // specialize, execute): what the obs advice parents its spans by.
+    let (trace, parent) = trace_ctx.unwrap_or_default();
+    let attrs = [
+        (attr::TRACE, trace as i64),
+        (attr::PARENT, parent as i64),
+        (attr::FAMILY, i64::from(spec.program.family().tag())),
+        (attr::JOB, job as i64),
+    ];
 
     // Everything fallible runs inside the unwind guard so a panicking job can
     // never strand the pending counter (which would hang every later drain).
@@ -1255,15 +1269,19 @@ fn run_one(inner: &Inner, queued: Queued) {
             }
             program => program,
         };
-        let (artifact, origin) =
-            resolve_primary(inner, &spec, program, primary, pin_plans, trace_ctx);
+        let (artifact, origin) = resolve_primary(inner, &spec, program, primary, pin_plans, &attrs);
         prewarm_hit.set(Some(origin == PlanOrigin::Hit));
         if let Some(kernel) = artifact.as_stencil() {
             spec_tier.set(kernel.specialization());
         }
         resolve_time.set(inner.clock.now().saturating_sub(resolve_start));
         let execute_start = inner.clock.now();
-        let result = execute_traced(inner, &spec, &cell, &artifact, trace_ctx);
+        let result = inner.service_woven.dispatch_returning(
+            names::SERVICE_EXECUTE,
+            JoinPointKind::Execution,
+            &attrs,
+            |_| execute_spec(inner, &spec, &cell, &artifact, trace_ctx),
+        );
         execute_time.set(inner.clock.now().saturating_sub(execute_start));
         result
     }));
@@ -1343,30 +1361,22 @@ fn run_one(inner: &Inner, queued: Queued) {
 }
 
 /// The admission pre-warm resolve of `spec`'s primary plan, compiled from
-/// `program`.  With an observer installed the lookup is dispatched through
-/// the service's woven program, so the obs aspect wraps it in a span parented
-/// into the job's tree — the body publishes the plan's [`PlanOrigin`] as an
-/// attribute for the advice to file.
+/// `program`, dispatched through the service's woven program with the job's
+/// `attrs`: with an observer installed the obs aspect wraps it in a span
+/// parented into the job's tree — the body publishes the plan's
+/// [`PlanOrigin`] as an attribute for the advice to file.
 fn resolve_primary(
     inner: &Inner,
     spec: &JobSpec,
     program: &FamilyProgram,
     primary: Extent,
     pin_plans: bool,
-    trace_ctx: Option<(u64, u64)>,
+    attrs: &[(&'static str, i64)],
 ) -> (FamilyArtifact, PlanOrigin) {
-    let Some((trace, parent)) = trace_ctx else {
-        return inner.cache.resolve(program, primary, spec.opt_level, pin_plans);
-    };
-    let attrs = [
-        (attr::TRACE, trace as i64),
-        (attr::PARENT, parent as i64),
-        (attr::FAMILY, i64::from(spec.program.family().tag())),
-    ];
     let resolved = inner.service_woven.dispatch_returning(
         names::CACHE_RESOLVE,
         JoinPointKind::Call,
-        &attrs,
+        attrs,
         |ctx| {
             let resolved = inner.cache.resolve(program, primary, spec.opt_level, pin_plans);
             ctx.set_attr(attr::ORIGIN, resolved.1 as i64);
@@ -1386,37 +1396,11 @@ fn resolve_primary(
         inner.service_woven.dispatch_returning(
             names::KERNEL_SPECIALIZE,
             JoinPointKind::Call,
-            &attrs,
+            attrs,
             |ctx| ctx.set_attr(attr::OK, i64::from(specialized)),
         );
     }
     resolved
-}
-
-/// Run [`execute_spec`], wrapped in the `Service::execute_spec` join point
-/// when an observer is installed.
-fn execute_traced(
-    inner: &Inner,
-    spec: &JobSpec,
-    cell: &JobCell,
-    artifact: &FamilyArtifact,
-    trace_ctx: Option<(u64, u64)>,
-) -> Executed {
-    let Some((trace, parent)) = trace_ctx else {
-        return execute_spec(inner, spec, cell, artifact, None);
-    };
-    let attrs = [
-        (attr::TRACE, trace as i64),
-        (attr::PARENT, parent as i64),
-        (attr::FAMILY, i64::from(spec.program.family().tag())),
-        (attr::JOB, cell.job as i64),
-    ];
-    inner.service_woven.dispatch_returning(
-        names::SERVICE_EXECUTE,
-        JoinPointKind::Execution,
-        &attrs,
-        |_| execute_spec(inner, spec, cell, artifact, trace_ctx),
-    )
 }
 
 /// Build the job's `(system, app)` pair for its

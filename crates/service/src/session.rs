@@ -16,7 +16,6 @@
 //! internal reorder buffer holds early finishers until their turn).
 
 use crate::job::{JobId, JobOutcome};
-use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -31,7 +30,7 @@ pub type SessionId = u64;
 /// from the runtime's deterministic [`CostModel`](aohpc_runtime::CostModel),
 /// so metering is reproducible across hosts — the property that makes the
 /// numbers usable for admission decisions and tests alike.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SessionMeter {
     /// Jobs accepted through `submit`.
     pub jobs_submitted: u64,
@@ -102,7 +101,7 @@ impl SessionSpec {
 /// Obtained as a point-in-time snapshot from
 /// [`KernelService::session`](crate::KernelService::session); the service
 /// owns the live copy.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SessionCtx {
     id: SessionId,
     tenant: String,

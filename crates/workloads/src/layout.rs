@@ -18,10 +18,8 @@
 //! seedable, O(1) memory, and with the same "neighbours are far away"
 //! property.
 
-use serde::Serialize;
-
 /// A bijective affine permutation of `0..n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AffinePermutation {
     n: u64,
     a: u64,
@@ -106,7 +104,7 @@ impl AffinePermutation {
 }
 
 /// The memory layout of the unstructured-grid sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridLayout {
     /// Consecutive layout with spatial locality.
     CaseC,

@@ -14,11 +14,10 @@
 //! Harnesses select the scale from the `AOHPC_SCALE` environment variable
 //! (`paper`, `default`, `smoke`) or a `--scale` flag.
 
-use serde::Serialize;
 use std::fmt;
 
 /// Size class of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Minimal sizes for tests.
     Smoke,
@@ -30,7 +29,7 @@ pub enum Scale {
 }
 
 /// Error returned by [`Scale::parse`] for an unrecognised size class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaleParseError {
     /// The rejected input.
     pub value: String,
@@ -282,7 +281,7 @@ impl fmt::Display for Scale {
 }
 
 /// Size of a square (or rectangular) grid region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionSize {
     /// Cells along X.
     pub nx: usize,
@@ -309,7 +308,7 @@ impl fmt::Display for RegionSize {
 }
 
 /// Particle-count workload size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParticleSize {
     /// Number of movable particles.
     pub count: usize,

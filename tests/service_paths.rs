@@ -19,8 +19,13 @@
 //! * the cluster route: on 1x1 and 2x2 the same job through a 2-node
 //!   `ClusterService`, submitted once on each node (each node compiles the
 //!   plans itself), gives the `KernelService` job's checksum bits and
-//!   counters — the cluster link of the bit-identity chain.
+//!   counters — the cluster link of the bit-identity chain;
+//! * the observed route: the same job through a `KernelService` with an
+//!   observer installed gives the same checksum bits and counters but for
+//!   `dispatches` (its block join points are advised) — instrumentation never
+//!   changes semantics.
 
+use aohpc_obs::ObsHub;
 use aohpc_service::ClusterService;
 use aohpc_suite::prelude::*;
 use aohpc_suite::{ExecutionMode, Platform};
@@ -130,6 +135,9 @@ fn check(
     let session = service.open_session(SessionSpec::tenant("paths"));
     let cluster = ClusterService::new(2, ServiceConfig::default().with_workers(1));
     let nodes = [0, 1].map(|node| cluster.open_session_on(node, SessionSpec::tenant("paths")));
+    let observed =
+        KernelService::with_observer(ServiceConfig::default().with_workers(1), ObsHub::new());
+    let observed_session = observed.open_session(SessionSpec::tenant("paths"));
     let name = spec.program.name().to_string();
     let mut serial_bits = None;
     for ((ranks, threads), row) in TOPOLOGIES.into_iter().zip(golden.rows) {
@@ -158,6 +166,19 @@ fn check(
                 );
             }
         }
+        // The observed route: every column but `dispatches`.
+        let seen =
+            observed.submit(observed_session, job.clone()).unwrap().wait().expect("resolves");
+        assert_eq!(seen.error, None, "{at} observed");
+        let but_dispatches = |(reads, writes, pages, retries, _, seconds): Row| {
+            (reads, writes, pages, retries, seconds)
+        };
+        assert_eq!(
+            (seen.checksum.to_bits(), but_dispatches(row_of(&seen))),
+            (report.checksum.to_bits(), but_dispatches(row)),
+            "{at} observed: checksum and (reads, writes, pages_sent, retries, simulated_seconds \
+             bits) vs the unobserved job"
+        );
         assert_eq!(
             (summary.ranks, summary.tasks, summary.steps),
             (ranks, ranks * threads, spec.steps as u64),
