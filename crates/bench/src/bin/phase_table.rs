@@ -46,11 +46,11 @@
 //! sweep is their difference — so a search-count regression fails the run
 //! by the shape's name.
 //!
-//! Under the table, each particle shape's kernel-layer figure: the pair
-//! interactions a sweep evaluates (computed from the placement,
-//! `ParticleSystem::pairs_per_sweep`, not counted in the sweep), and a
-//! later sweep's time and the hand-written code's (set-up and `steps`
-//! sweeps) over them, in ns a pair.
+//! Under the table, each shape's kernel-layer figure: what a sweep updates
+//! — a grid shape's cells, or a particle shape's pair interactions
+//! (computed from the placement, `ParticleSystem::pairs_per_sweep`, not
+//! counted in the sweep) — and a later sweep's time and the hand-written
+//! code's (set-up and `steps` sweeps) over them, in ns a cell or a pair.
 //!
 //! ```sh
 //! cargo run --release -p aohpc-bench --bin phase_table     # 40 jobs a shape
@@ -183,8 +183,9 @@ fn searches_over(spec: &JobSpec, steps: usize) -> [u64; 2] {
     let report = match &spec.program {
         FamilyProgram::Stencil(program) => {
             let app = IrStencilApp::new(program.clone(), params.clone(), steps);
-            let system = Arc::new(SGridSystem::with_block_size(spec.region, spec.block));
-            execute(&config, Weaver::new().weave(), system.env_factory(), app.factory())
+            let system = SGridSystem::with_block_size(spec.region, spec.block)
+                .with_frame(program.radius() as usize);
+            execute(&config, Weaver::new().weave(), Arc::new(system).env_factory(), app.factory())
         }
         FamilyProgram::Particle(program) => {
             let count = spec.particles.expect("particle shapes carry their count");
@@ -196,8 +197,10 @@ fn searches_over(spec: &JobSpec, steps: usize) -> [u64; 2] {
             execute(&config, Weaver::new().weave(), Arc::new(system).env_factory(), app.factory())
         }
         FamilyProgram::UsGrid(program) => {
-            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
-            let app = IrStencilApp::new(program.to_stencil(), params.clone(), steps);
+            let program = program.to_stencil();
+            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC)
+                .with_frame(program.radius() as usize);
+            let app = IrStencilApp::new(program, params.clone(), steps);
             let system = Arc::new(UsGridValueSystem(system));
             execute(&config, Weaver::new().weave(), system.env_factory(), app.factory())
         }
@@ -257,7 +260,7 @@ fn main() {
     // this process: the heap a service leaves behind slows their many small
     // allocations (2^10 particles: 1.4 ms here, 2.1–2.5 ms after the others).
     let shapes = shapes();
-    let mut pair_rows = Vec::new();
+    let mut kernel_rows = Vec::new();
     let bases: Vec<f64> = shapes
         .iter()
         .map(|(_, spec)| {
@@ -304,17 +307,30 @@ fn main() {
         });
         let counts = searches(label, &spec).map(|n| format!("{n:>15}")).concat();
         println!("{label:<18}{}{counts}", cells.collect::<String>());
-        if let Some(count) = spec.particles {
-            let pairs = ParticleSystem::paper(ParticleSize::new(count)).pairs_per_sweep() as f64;
-            let per_pair = |ms: f64| format!("{:>15.2}", ms * 1e6 / pairs);
-            let sweep = per_pair(medians[PHASES.iter().position(|&p| p == "sweep 2..").unwrap()]);
-            let hand = per_pair(base / spec.steps as f64);
-            pair_rows.push(format!("{label:<18}{pairs:>15}{sweep}{hand}"));
-        }
+        let (units, unit) = match spec.particles {
+            Some(count) => {
+                (ParticleSystem::paper(ParticleSize::new(count)).pairs_per_sweep(), "pair")
+            }
+            None => (spec.region.cells() as u64, "cell"),
+        };
+        let per_unit = |ms: f64| {
+            let ns = ms * 1e6 / units as f64;
+            if ns.is_nan() {
+                format!("{:>15}", "-")
+            } else {
+                format!("{ns:>15.3}")
+            }
+        };
+        let sweep = per_unit(medians[PHASES.iter().position(|&p| p == "sweep 2..").unwrap()]);
+        let hand = per_unit(base / spec.steps as f64);
+        kernel_rows.push(format!("{label:<18}{units:>15}{unit:>15}{sweep}{hand}"));
     }
-    println!("\n# particle pair law: pairs a sweep (from the placement), ns a pair");
-    println!("{:<18}{:>15}{:>15}{:>15}", "", "pairs/sweep", "sweep 2..", "hand-written");
-    for row in pair_rows {
+    println!(
+        "\n# kernel layer: cells (grid) or pairs (particle, from the placement) a sweep, \
+         ns a cell or a pair"
+    );
+    println!("{:<18}{:>15}{:>15}{:>15}{:>15}", "", "a sweep", "unit", "sweep 2..", "hand-written");
+    for row in kernel_rows {
         println!("{row}");
     }
 }

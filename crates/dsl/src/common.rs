@@ -67,16 +67,22 @@ impl Tiling {
 /// that out-of-block accesses prune most of the data branch during the Env
 /// search.
 ///
+/// Every Data block keeps a ghost frame `frame` cells wide
+/// ([`EnvBuilder::with_frame`]): a grid system asked for one by its job is
+/// given its program's reach, so the stencil block routine runs from the
+/// lent block with its halo in the frame.
+///
 /// Returns the built Env and the list of data block ids in (by, bx)
 /// iteration order.
 pub fn build_tiled_env_with_topology<C: Cell>(
     tiling: Tiling,
     cells_per_page: usize,
+    frame: usize,
     pool: PoolHandle,
     topology: TreeTopology,
     add_boundary: impl FnOnce(&mut EnvBuilder<C>, usize),
 ) -> (Env<C>, Vec<aohpc_env::BlockId>) {
-    let mut b = EnvBuilder::<C>::new(pool, cells_per_page);
+    let mut b = EnvBuilder::<C>::new(pool, cells_per_page).with_frame(frame);
     let root = b.add_empty(None);
     // The boundary branch is attached directly under the root so the
     // locality-aware search reaches it last.
@@ -122,7 +128,7 @@ mod tests {
     use super::*;
 
     fn tiled(t: Tiling, topology: TreeTopology) -> (Env<f64>, Vec<aohpc_env::BlockId>) {
-        build_tiled_env_with_topology(t, 32, PoolHandle::unbounded(), topology, |b, root| {
+        build_tiled_env_with_topology(t, 32, 0, PoolHandle::unbounded(), topology, |b, root| {
             b.add_arithmetic(root, Arc::new(|_| 0.0), true);
         })
     }

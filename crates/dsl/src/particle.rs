@@ -245,6 +245,7 @@ impl DslSystem for ParticleSystem {
         let (env, _data) = build_tiled_env_with_topology::<Bucket>(
             self.tiling(),
             self.buckets_per_page,
+            0,
             self.pool(),
             self.tree,
             |b, root| {
@@ -780,7 +781,8 @@ impl<L: PairLanes> BlockSweep for ParticleBlockApp<L> {
         }
         let ring = &*ring;
 
-        ctx.with_block(bid, |own, out| {
+        ctx.with_block(bid, |own, out, frame| {
+            assert_eq!(frame, 0, "a particle Env keeps no frame");
             out.clone_from_slice(own);
             for (k, me) in own.iter().enumerate().filter(|(_, me)| me.count > 0) {
                 let (i, j) = (k as i64 % bx, k as i64 / bx);

@@ -31,8 +31,8 @@
 //!   neighbours are fixed offsets of every point, so the program is a
 //!   stencil: the kernel crate lowers it (`UsGridProgram::to_stencil`) and
 //!   runs it as a stencil job runs (`IrStencilApp`: the halo ring as runs,
-//!   then the padded tile filled from the lent block and the row loop
-//!   writing into it) on this Env.  A read off the
+//!   then the row loop over the lent block, the ring placed in its ghost
+//!   frame) on this Env, framed as wide as the program reaches.  A read off the
 //!   domain on any side yields `boundary_value`, as the reference's static
 //!   slots do, so the field bits are the reference's; the counters are the
 //!   stencil's, one read a point and one a ring cell where the reference
@@ -80,6 +80,9 @@ pub struct UsGridSystem {
     pub pool_bytes: Option<u64>,
     /// Shape of the data branch of the Env tree (§III-B3 locality joints).
     pub tree: TreeTopology,
+    /// Ghost cells kept around every Data block's rows (0 = none; see
+    /// `build_tiled_env_with_topology`).
+    pub frame: usize,
 }
 
 impl UsGridSystem {
@@ -93,6 +96,7 @@ impl UsGridSystem {
             boundary_value: 0.0,
             pool_bytes: None,
             tree: TreeTopology::Flat,
+            frame: 0,
         }
     }
 
@@ -106,12 +110,20 @@ impl UsGridSystem {
             boundary_value: 0.0,
             pool_bytes: None,
             tree: TreeTopology::Flat,
+            frame: 0,
         }
     }
 
     /// Use a non-default data-branch topology (locality joints, §III-B3).
     pub fn with_topology(mut self, tree: TreeTopology) -> Self {
         self.tree = tree;
+        self
+    }
+
+    /// Keep a ghost frame `width` cells wide around every Data block: the
+    /// reach of the stencil program the Env is built for.
+    pub fn with_frame(mut self, width: usize) -> Self {
+        self.frame = width;
         self
     }
 
@@ -174,6 +186,7 @@ impl UsGridSystem {
         let (env, _data) = build_tiled_env_with_topology::<C>(
             self.tiling(),
             self.cells_per_page,
+            self.frame,
             self.pool(),
             self.tree,
             |b, root| {

@@ -12,7 +12,7 @@ use crate::address::{Extent, GlobalAddress, LocalAddress};
 use crate::block::{ArithFn, Block, BlockId, BlockKind, BlockMeta, RefMapFn};
 use crate::mmat::MmatEntry;
 use crate::Cell;
-use aohpc_mem::{MultiBuffer, PageId, PoolError, PoolHandle};
+use aohpc_mem::{Frame, MultiBuffer, PageId, PoolError, PoolHandle};
 use parking_lot::RwLock;
 use std::fmt;
 
@@ -119,6 +119,8 @@ pub struct EnvBuilder<C> {
     blocks: Vec<Block<C>>,
     cells_per_page: usize,
     num_buffers: usize,
+    /// Ghost cells on every side of each buffer-bearing block's rows.
+    frame: usize,
     pool: PoolHandle,
 }
 
@@ -132,7 +134,24 @@ impl<C: Cell> EnvBuilder<C> {
     /// Fig. 2).
     pub fn new(pool: PoolHandle, cells_per_page: usize) -> Self {
         assert!(cells_per_page > 0, "cells_per_page must be non-zero");
-        EnvBuilder { blocks: Vec::new(), cells_per_page, num_buffers: 2, pool }
+        EnvBuilder { blocks: Vec::new(), cells_per_page, num_buffers: 2, frame: 0, pool }
+    }
+
+    /// Keep a ghost frame `width` cells wide around the rows of every
+    /// buffer-bearing block added from here on (see [`aohpc_mem::Frame`]):
+    /// room for a stencil's halo beside the block, which a block routine
+    /// lent the block (`Env::lend_block`) fills and reads in place.  Every
+    /// other access stays logical: values, counters and pages are those of
+    /// an unframed Env.
+    pub fn with_frame(mut self, width: usize) -> Self {
+        self.frame = width;
+        self
+    }
+
+    /// The buffers of a buffer-bearing block of `extent`.
+    fn buffers(&self, extent: Extent) -> Result<MultiBuffer<C>, PoolError> {
+        let frame = Frame::new(extent.nx, extent.ny * extent.nz, self.frame);
+        MultiBuffer::allocate(frame, self.num_buffers, self.cells_per_page, &self.pool)
     }
 
     fn push(
@@ -182,12 +201,7 @@ impl<C: Cell> EnvBuilder<C> {
         extent: Extent,
         morton: u64,
     ) -> Result<BlockId, EnvError> {
-        let mb = MultiBuffer::allocate(
-            extent.cells(),
-            self.num_buffers,
-            self.cells_per_page,
-            &self.pool,
-        )?;
+        let mb = self.buffers(extent)?;
         let id = self.push(Some(parent), origin, extent, BlockKind::Data(RwLock::new(mb)));
         self.blocks[id].meta.morton = Some(morton);
         self.blocks[id].meta.set_valid(true);
@@ -202,12 +216,7 @@ impl<C: Cell> EnvBuilder<C> {
         extent: Extent,
         morton: u64,
     ) -> Result<BlockId, EnvError> {
-        let mb = MultiBuffer::allocate(
-            extent.cells(),
-            self.num_buffers,
-            self.cells_per_page,
-            &self.pool,
-        )?;
+        let mb = self.buffers(extent)?;
         let id = self.push(Some(parent), origin, extent, BlockKind::BufferOnly(RwLock::new(mb)));
         self.blocks[id].meta.morton = Some(morton);
         self.blocks[id].meta.set_valid(false);
@@ -758,20 +767,24 @@ impl<C: Cell> Env<C> {
             unreachable!("a Cell landing has cell buffers")
         };
         let e = block.meta.extent;
-        let stride = (step.dx + step.dy * e.nx as i64 + step.dz * (e.nx * e.ny) as i64) as isize;
         let guard = buf.read();
-        let whole = block.meta.is_valid();
-        // Consecutive cells of one invalid page are recorded in one go:
-        // (page, cells) of the stretch being crossed.
-        let mut gap: (PageId, u64) = (0, 0);
-        for (k, cell) in out.iter_mut().enumerate() {
-            let idx = idx.wrapping_add_signed(k as isize * stride);
-            let invalid = (!whole)
-                .then(|| guard.pages().page_of(idx))
-                .filter(|&page| !guard.pages().is_valid(page));
-            match invalid {
-                None => *cell = guard.read_cell(idx).clone(),
-                Some(page) => {
+        if block.meta.is_valid() {
+            // A buffer's rows run through the block's planes: a plane is
+            // `ny` rows.
+            let rows = step.dy + step.dz * e.ny as i64;
+            guard.read_strided(idx, step.dx as isize, rows as isize, out);
+        } else {
+            let stride =
+                (step.dx + step.dy * e.nx as i64 + step.dz * (e.nx * e.ny) as i64) as isize;
+            // Consecutive cells of one invalid page are recorded in one go:
+            // (page, cells) of the stretch being crossed.
+            let mut gap: (PageId, u64) = (0, 0);
+            for (k, cell) in out.iter_mut().enumerate() {
+                let idx = idx.wrapping_add_signed(k as isize * stride);
+                let page = guard.pages().page_of(idx);
+                if guard.pages().is_valid(page) {
+                    *cell = guard.read_cell(idx).clone();
+                } else {
                     *cell = C::default();
                     if page != gap.0 {
                         state.record_missing_n(holder, gap.0, gap.1);
@@ -780,9 +793,9 @@ impl<C: Cell> Env<C> {
                     gap.1 += 1;
                 }
             }
+            drop(guard);
+            state.record_missing_n(holder, gap.0, gap.1);
         }
-        drop(guard);
-        state.record_missing_n(holder, gap.0, gap.1);
         state.counters.reads += out.len() as u64;
         state.counters.out_of_block_reads += out.len() as u64;
     }
@@ -906,7 +919,8 @@ impl<C: Cell> Env<C> {
     }
 
     /// Borrow `start`'s read buffer for `f` under a read guard — what
-    /// [`Env::read_block_into`] would copy out, counted as it counts.
+    /// [`Env::read_block_into`] would copy out, counted as it counts — with
+    /// the [`Frame`] that says where its cells are ([`Frame::rows`]).
     /// `None`, with nothing counted and `f` not called, when `start` has no
     /// cell buffers or is not wholly valid.  Nothing may read the Env inside
     /// `f` (the guard is held).
@@ -914,7 +928,7 @@ impl<C: Cell> Env<C> {
         &self,
         start: BlockId,
         state: &mut AccessState,
-        f: impl FnOnce(&[C]) -> R,
+        f: impl FnOnce(&[C], Frame) -> R,
     ) -> Option<R> {
         let buf = self.slab_buffers(start, self.blocks[start].meta.extent.cells())?;
         let guard = buf.read();
@@ -922,16 +936,18 @@ impl<C: Cell> Env<C> {
             return None;
         }
         Self::count_block_read(state, guard.cells());
-        Some(f(guard.read_buf()))
+        Some(f(guard.read_buf(), guard.frame()))
     }
 
-    /// Lend `start`'s read buffer and write buffer to `f` together, under
-    /// one write guard — [`Env::read_block_into`] then
+    /// Lend `start`'s read buffer and write buffer to `f` together, whole,
+    /// with the width of their ghost frame (see [`EnvBuilder::with_frame`]),
+    /// under one write guard — [`Env::read_block_into`] then
     /// [`Env::write_block_from`] without either copy: the same counters,
     /// and every page of the write buffer dirty.  `write` holds whatever the
-    /// buffer last held, so `f` must write every cell.  `None`, with nothing
-    /// touched and `f` not called, when `start` has no cell buffers or is
-    /// not wholly valid; the caller then copies.
+    /// buffer last held, so `f` must write every cell.  `read` is writable
+    /// for its frame alone, where `f` may place the block's halo.  `None`,
+    /// with nothing touched and `f` not called, when `start` has no cell
+    /// buffers or is not wholly valid; the caller then copies.
     ///
     /// Nothing may read the Env inside `f`: the guard is not reentrant, and
     /// a Reference can map any address back into `start`.  Read a block's
@@ -940,7 +956,7 @@ impl<C: Cell> Env<C> {
         &self,
         start: BlockId,
         state: &mut AccessState,
-        f: impl FnOnce(&[C], &mut [C]) -> R,
+        f: impl FnOnce(&mut [C], &mut [C], usize) -> R,
     ) -> Option<R> {
         let buf = self.slab_buffers(start, self.blocks[start].meta.extent.cells())?;
         let mut guard = buf.write();
@@ -949,8 +965,9 @@ impl<C: Cell> Env<C> {
         }
         Self::count_block_read(state, guard.cells());
         state.counters.writes += guard.cells() as u64;
+        let width = guard.frame().width();
         let (read, write) = guard.read_write_bufs();
-        Some(f(read, write))
+        Some(f(read, write, width))
     }
 
     /// Read every cell of `start` into `out` — the slab form of
@@ -959,7 +976,13 @@ impl<C: Cell> Env<C> {
     /// record per cell, as the per-cell path does.
     pub fn read_block_into(&self, start: BlockId, out: &mut [C], state: &mut AccessState) -> bool {
         let Some(buf) = self.slab_buffers(start, out.len()) else { return false };
-        if self.view_block(start, state, |read| out.clone_from_slice(read)).is_some() {
+        let nx = self.blocks[start].meta.extent.nx.max(1);
+        let copy = |read: &[C], frame: Frame| {
+            for (dst, row) in out.chunks_mut(nx).zip(frame.rows(read)) {
+                dst.clone_from_slice(row);
+            }
+        };
+        if self.view_block(start, state, copy).is_some() {
             return true;
         }
         Self::count_block_read(state, out.len());
@@ -968,7 +991,9 @@ impl<C: Cell> Env<C> {
         for page in 0..pages.num_pages() {
             let range = pages.cell_range(page);
             if pages.is_valid(page) {
-                out[range.clone()].clone_from_slice(&guard.read_buf()[range]);
+                for (dst, idx) in out[range.clone()].iter_mut().zip(range) {
+                    *dst = guard.read_cell(idx).clone();
+                }
             } else {
                 state.record_missing_n(start, page, range.len() as u64);
                 out[range].fill(C::default());
@@ -1507,10 +1532,16 @@ mod tests {
         use aohpc_mem::PageTable;
         use proptest::prelude::*;
 
-        /// One buffer-bearing block of `extent` under a joint, plus a
-        /// catch-all Arithmetic boundary (a block without cell buffers).
-        fn one_block_env(extent: Extent, cpp: usize, buffer_only: bool) -> (Env<u64>, BlockId) {
-            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), cpp);
+        /// One buffer-bearing block of `extent` framed `frame` wide under a
+        /// joint, plus a catch-all Arithmetic boundary (a block without cell
+        /// buffers).  Every frame cell holds [`GHOST`].
+        fn one_block_env(
+            extent: Extent,
+            cpp: usize,
+            buffer_only: bool,
+            frame: usize,
+        ) -> (Env<u64>, BlockId) {
+            let mut b = EnvBuilder::<u64>::new(PoolHandle::unbounded(), cpp).with_frame(frame);
             let root = b.add_empty(None);
             b.add_arithmetic(root, Arc::new(|_| 0), true);
             let joint = b.add_empty(Some(root));
@@ -1520,15 +1551,40 @@ mod tests {
             } else {
                 b.add_data(joint, origin, extent, 0).unwrap()
             };
-            (b.build(), id)
+            let env = b.build();
+            if let BlockKind::Data(buf) | BlockKind::BufferOnly(buf) = &env.block(id).kind {
+                let mut g = buf.write();
+                let cells = g.frame().cells();
+                for _ in 0..g.num_buffers() {
+                    let (frame, write) = (g.frame(), g.write_buf());
+                    let inside: Vec<usize> = (0..cells).map(|idx| frame.offset(idx)).collect();
+                    for (at, cell) in write.iter_mut().enumerate() {
+                        if !inside.contains(&at) {
+                            *cell = GHOST;
+                        }
+                    }
+                    g.swap();
+                }
+            }
+            (env, id)
         }
 
-        /// Both buffers and the page flags of a block.
+        /// What every frame cell holds: no logical access may yield it.
+        const GHOST: u64 = 0xdead_f4a3;
+
+        /// The block's cells (row-major) of `buf`, laid out as `frame`.
+        fn logical(buf: &[u64], frame: Frame) -> Vec<u64> {
+            frame.rows(buf).flatten().copied().collect()
+        }
+
+        /// Both buffers' cells and the page flags of a block.
         fn snapshot(env: &Env<u64>, id: BlockId) -> (Vec<u64>, Vec<u64>, PageTable) {
             match &env.block(id).kind {
                 BlockKind::Data(buf) | BlockKind::BufferOnly(buf) => {
                     let mut g = buf.write();
-                    (g.read_buf().to_vec(), g.write_buf().to_vec(), g.pages().clone())
+                    let frame = g.frame();
+                    let read = logical(g.read_buf(), frame);
+                    (read, logical(g.write_buf(), frame), g.pages().clone())
                 }
                 _ => unreachable!("buffer-bearing block"),
             }
@@ -1538,7 +1594,8 @@ mod tests {
             /// The slab calls and the per-cell loops they replace leave the
             /// same values, counters, missing-page list (in order) and page
             /// flags — on Data and Buffer-only blocks, wholly valid or with
-            /// an arbitrary subset of pages invalid.
+            /// an arbitrary subset of pages invalid, the slab side's block
+            /// framed or not, the per-cell side's not.
             #[test]
             fn slab_calls_equal_the_per_cell_loops(
                 nx in 1usize..9,
@@ -1549,13 +1606,14 @@ mod tests {
                 wholly_valid in any::<bool>(),
                 invalid_mask in any::<u64>(),
                 seed in any::<u64>(),
+                frame in 0usize..3,
             ) {
                 let extent = Extent::new3d(nx, ny, nz);
                 let n = extent.cells();
                 let initial: Vec<u64> = (0..n as u64).map(|i| seed.wrapping_add(i * 7919)).collect();
                 let next: Vec<u64> = initial.iter().map(|v| v.rotate_left(17) ^ 0x5bd1).collect();
-                let (slab, a) = one_block_env(extent, cpp, buffer_only);
-                let (cellwise, b) = one_block_env(extent, cpp, buffer_only);
+                let (slab, a) = one_block_env(extent, cpp, buffer_only, frame);
+                let (cellwise, b) = one_block_env(extent, cpp, buffer_only, 0);
                 let (mut st_a, mut st_b) = (AccessState::new(), AccessState::new());
 
                 // Initialise.
@@ -1611,7 +1669,9 @@ mod tests {
             /// view is the read alone.  A block that is not wholly valid is
             /// neither lent nor viewed — the closure is not called and
             /// nothing is touched — and the copying fallback then records
-            /// the missing pages in order.
+            /// the missing pages in order.  The lent block is framed or
+            /// not, the copied one not: the lend hands out the frame's
+            /// width, and the block's rows are where it says.
             #[test]
             fn a_lend_equals_the_slab_copies(
                 nx in 1usize..9,
@@ -1622,13 +1682,15 @@ mod tests {
                 wholly_valid in any::<bool>(),
                 invalid_mask in any::<u64>(),
                 seed in any::<u64>(),
+                frame in 0usize..3,
             ) {
                 let extent = Extent::new3d(nx, ny, nz);
                 let n = extent.cells();
                 let initial: Vec<u64> = (0..n as u64).map(|i| seed.wrapping_add(i * 7919)).collect();
                 let law = |v: &u64, step: u64| v.rotate_left(17) ^ step;
-                let (lent, a) = one_block_env(extent, cpp, buffer_only);
-                let (copied, b) = one_block_env(extent, cpp, buffer_only);
+                let (lent, a) = one_block_env(extent, cpp, buffer_only, frame);
+                let (copied, b) = one_block_env(extent, cpp, buffer_only, 0);
+                let layout = |width| Frame::new(nx, ny * nz, width);
                 let (mut st_a, mut st_b) = (AccessState::new(), AccessState::new());
                 for (env, id) in [(&lent, a), (&copied, b)] {
                     prop_assert!(env.init_block_from(id, &initial));
@@ -1651,19 +1713,23 @@ mod tests {
                     let next: Vec<u64> = cells.iter().map(|v| law(v, step)).collect();
                     prop_assert!(copied.write_block_from(b, &next, &mut st_b));
 
-                    let viewed = lent.view_block(a, &mut AccessState::new(), |read| read.to_vec());
+                    let viewed = lent.view_block(a, &mut AccessState::new(), logical);
                     prop_assert_eq!(viewed.is_some(), valid);
                     let before = (snapshot(&lent, a), st_a.counters, st_a.missing().to_vec());
                     let mut calls = 0;
-                    let done = lent.lend_block(a, &mut st_a, |read, write| {
+                    let done = lent.lend_block(a, &mut st_a, |read, write, width| {
                         calls += 1;
-                        for (w, r) in write.iter_mut().zip(read) {
-                            *w = law(r, step);
+                        let frame = layout(width);
+                        for (w, r) in frame.rows_mut(write).zip(frame.rows(read)) {
+                            for (w, r) in w.iter_mut().zip(r) {
+                                *w = law(r, step);
+                            }
                         }
-                        read.to_vec()
+                        (width, logical(read, frame))
                     });
                     match done {
-                        Some(read) => {
+                        Some((width, read)) => {
+                            prop_assert_eq!(width, frame);
                             prop_assert_eq!(Some(&read), viewed.as_ref());
                             prop_assert_eq!(&read, &cells);
                         }
@@ -1685,7 +1751,7 @@ mod tests {
 
                     // A view counts as the slab read.
                     let (mut viewing, mut reading) = (AccessState::new(), AccessState::new());
-                    if let Some(read) = lent.view_block(a, &mut viewing, |read| read.to_vec()) {
+                    if let Some(read) = lent.view_block(a, &mut viewing, logical) {
                         let mut out = vec![0; n];
                         prop_assert!(copied.read_block_into(b, &mut out, &mut reading));
                         prop_assert_eq!(read, out);
@@ -1707,7 +1773,7 @@ mod tests {
         #[test]
         fn wrong_length_and_non_buffer_blocks_are_refused_untouched() {
             let extent = Extent::new2d(4, 3);
-            let (env, id) = one_block_env(extent, 5, false);
+            let (env, id) = one_block_env(extent, 5, false, 1);
             assert!(env.init_block_from(id, &[9; 12]));
             let before = snapshot(&env, id);
             let mut st = AccessState::new();
@@ -1728,8 +1794,8 @@ mod tests {
                     assert!(!env.write_block_from(other, &buf, &mut st));
                     assert!(!env.init_block_from(other, &buf));
                 }
-                assert!(env.view_block(other, &mut st, |_| ()).is_none());
-                assert!(env.lend_block(other, &mut st, |_, _| ()).is_none());
+                assert!(env.view_block(other, &mut st, |_, _| ()).is_none());
+                assert!(env.lend_block(other, &mut st, |_, _, _| ()).is_none());
             }
             assert_eq!(st.counters, AccessCounters::default());
             assert!(!st.has_missing());

@@ -44,6 +44,7 @@ pub mod topology;
 
 pub use access::{AccessCounters, AccessState};
 pub use address::{Extent, GlobalAddress, LocalAddress};
+pub use aohpc_mem::Frame;
 pub use block::{ArithFn, Block, BlockId, BlockKind, BlockMeta, RefMapFn, NO_TASK};
 pub use env::{Env, EnvBuilder, EnvError, EnvStats, RunPlan};
 pub use mmat::{MmatEntry, MmatTable};

@@ -14,10 +14,13 @@
 //! each run lands, resolved at the block's first sweep and kept in the app
 //! beside the compiled kernel (searches are counted when a plan is
 //! resolved, never when it is read: the rule is `Env::resolve_run`'s).
-//! Then [`TaskCtx::with_block`] lends it the block's read and write buffers:
-//! the kernel's tile is filled straight from the one and its row loop writes
-//! straight into the other, counted as one slab `GetDD` and one slab `SetD`.
-//! The ring comes first because nothing may read the Env while the block is
+//! Then [`TaskCtx::with_block`] lends it the block's read and write buffers,
+//! counted as one slab `GetDD` and one slab `SetD`.  On an Env framed as
+//! wide as the program reaches (how the service builds a grid job's Env)
+//! the block is the kernel's tile: the ring goes into the read buffer's
+//! ghost frame, and the row loop reads the one and writes the other in
+//! place.  Any other block is copied into the scratch's tile first.  The
+//! ring comes first because nothing may read the Env while the block is
 //! lent.
 //!
 //! Because all of it goes through the same Annotation/Memory-Library join
@@ -37,7 +40,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-task reusable kernel buffers: the tape's [`ExecScratch`] (registers,
-/// halo ring, padded tile).  The block itself is never staged: it is lent.
+/// halo ring, and a tile for a block not lent in its kernel's frame).  The
+/// block itself is never staged: it is lent.
 ///
 /// A task's app checks one out at its first block and keeps it, so after the
 /// first block of the first step every buffer is warm and the whole per-step
@@ -258,11 +262,13 @@ impl BlockSweep for IrStencilApp {
 
         // The halo ring through the platform, run by run through the block's
         // ring plans (so MMAT and the per-read counters are preserved), then
-        // the kernel in the lent block: read buffer in, write buffer out.
+        // the kernel in the lent block: the ring into the read buffer's
+        // frame, read buffer in, write buffer out.
         fill_halo_ring(ctx, bid, &compiled.plan().ring, plans, compiled.ring_buf(exec));
-        ctx.with_block(bid, |cells, out| {
+        ctx.with_block(bid, |read, out, frame| {
             let stats = &mut ExecStats::default();
-            compiled.execute_block_ring(cells, params, out, Processor::Scalar, stats, exec);
+            let proc = Processor::Scalar;
+            compiled.execute_block_framed(read, frame, params, out, proc, stats, exec);
         });
     }
 }

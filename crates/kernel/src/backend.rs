@@ -4,11 +4,15 @@
 //! for multiple types of processors and executes them heterogeneously, using
 //! GPUs, SIMD, and other accelerators".  This platform generates one kernel
 //! and runs it one way: every block — interior and boundary alike — runs
-//! from one padded tile (the block's rows and its halo ring), through the
-//! register-allocated [`ExecTape`](crate::tape::ExecTape) a row at a time
-//! or, for a specialized kernel (see `spec.rs`), its monomorphic row loop,
-//! from a caller-provided [`ExecScratch`].  The steady-state block path
-//! performs **zero heap allocations** (see `tests/no_alloc.rs`).
+//! from one framed tile (the block's rows, its halo ring in a ghost frame as
+//! wide as the program reaches), through the register-allocated
+//! [`ExecTape`](crate::tape::ExecTape) a row at a time or, for a specialized
+//! kernel (see `spec.rs`), its monomorphic row loop.  A block lent in a
+//! frame that wide is its own tile
+//! ([`execute_block_framed`](CompiledKernel::execute_block_framed)); any
+//! other is copied into the tile of a caller-provided [`ExecScratch`].  The
+//! steady-state block path performs **zero heap allocations** (see
+//! `tests/no_alloc.rs`).
 //!
 //! [`Processor`] is an accounting label kept for the kernel API, not a
 //! choice of code: it selects only how a block's [`ExecStats`] are
@@ -29,7 +33,9 @@
 //! [`ExecStats`] — for random programs, extents and backends.
 
 use crate::plan::CompiledKernel;
+use crate::spec::SpecializedKernel;
 use crate::tape::ExecScratch;
+use aohpc_env::Frame;
 
 pub use crate::tape::LANES;
 
@@ -93,11 +99,15 @@ impl ExecStats {
 }
 
 impl CompiledKernel {
-    /// Validate the shared `execute_block*` preconditions.
-    fn check_block_args(&self, cells: &[f64], params: &[f64], out: &[f64]) {
+    /// Validate the shared `execute_block*` preconditions: `cells` and
+    /// `out` hold the block framed `frame` wide, and `params` covers the
+    /// program's (a short slice would otherwise silently zero-fill, which is
+    /// a wrong answer, not a fallback).
+    fn check_block_args(&self, cells: &[f64], params: &[f64], out: &[f64], frame: usize) {
         let plan = self.plan();
-        assert_eq!(cells.len(), plan.cells(), "cells slice does not match the compiled extent");
-        assert_eq!(out.len(), plan.cells(), "out slice does not match the compiled extent");
+        let len = Frame::new(plan.extent_nx, plan.extent_ny, frame).len();
+        assert_eq!(cells.len(), len, "cells slice does not match the compiled extent");
+        assert_eq!(out.len(), len, "out slice does not match the compiled extent");
         assert!(
             params.len() >= self.num_params(),
             "kernel {}: {} runtime parameter(s) supplied but the program declares {}",
@@ -109,51 +119,75 @@ impl CompiledKernel {
 
     /// `scratch`'s halo-ring buffer for this kernel, one value per slot of
     /// the plan's [`HaloRing`](crate::plan::HaloRing), grown here on first
-    /// use.  A caller of [`execute_block_ring`](Self::execute_block_ring)
-    /// fills the slots of every run here first; slots no run covers are
-    /// never read.
+    /// use.  A caller of
+    /// [`execute_block_framed`](Self::execute_block_framed) fills the slots
+    /// of every run here first; slots no run covers are never read.
     pub fn ring_buf<'s>(&self, scratch: &'s mut ExecScratch) -> &'s mut [f64] {
         let slots = self.plan().ring.slots();
         scratch.ensure(0, slots, 0);
         &mut scratch.ring[..slots]
     }
 
-    /// Execute the kernel over one block whose halo ring is already in
-    /// `scratch` (see [`ring_buf`](CompiledKernel::ring_buf)).
+    /// Execute the kernel over one block lent in its own buffers, whose
+    /// halo ring is already in `scratch` (see
+    /// [`ring_buf`](CompiledKernel::ring_buf)).
     ///
-    /// * `cells` — the block's current (read-buffer) values, row-major,
-    ///   `extent.cells()` long;
+    /// * `read` — the block's current (read-buffer) values framed `frame`
+    ///   wide, as `Env::lend_block` lends them: `nx + 2·frame` a row,
+    ///   `ny + 2·frame` rows, the block's rows inside (frame 0: the block,
+    ///   row-major);
     /// * `params` — runtime parameters; must cover
-    ///   [`num_params`](CompiledKernel::num_params) (validated here — a short
-    ///   slice would otherwise silently zero-fill, which is a wrong answer,
-    ///   not a fallback);
-    /// * `out` — the block's next values, row-major (same length as `cells`);
+    ///   [`num_params`](CompiledKernel::num_params);
+    /// * `out` — the block's next values, laid out as `read`; every cell of
+    ///   the block is written, its frame is not;
     /// * `processor` — the processor `stats` are accounted for;
-    /// * `scratch` — reusable register, ring and tile buffers; grown on first
+    /// * `scratch` — reusable register and ring buffers; grown on first
     ///   use, then reused allocation-free for every later block.
     ///
-    /// The ring is filled first so that `cells` and `out` can be the Env's
+    /// A block framed as wide as the program reaches ([`frame`](Self::frame))
+    /// is the tile: the ring's loaded slots go into `read`'s frame, and every
+    /// cell reads its loads from `read` in place.  Any other block (one
+    /// framed for another program, or a block that is not wholly valid,
+    /// which the platform copies out unframed) goes through the scratch's
+    /// tile first, as the per-cell [`execute_block`](Self::execute_block)
+    /// does — same values, same stats.
+    ///
+    /// The ring is filled first so that `read` and `out` can be the Env's
     /// own buffers, lent under a guard no halo read may wait on:
     /// `IrStencilApp` fills the ring through the platform (one
     /// `TaskCtx::get_run` per ring run, through the block's ring plans, so
     /// MMAT and the per-read counters still apply, and the searches are
     /// counted once, when the plans are resolved — the rule is
     /// `Env::resolve_run`'s), then runs this inside `TaskCtx::with_block`.
-    pub fn execute_block_ring(
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute_block_framed(
         &self,
-        cells: &[f64],
+        read: &mut [f64],
+        frame: usize,
         params: &[f64],
         out: &mut [f64],
         processor: Processor,
         stats: &mut ExecStats,
         scratch: &mut ExecScratch,
     ) {
-        self.execute_block_impl(cells, params, out, processor, stats, scratch, true);
+        let plan = self.plan();
+        if frame != plan.frame() {
+            return self.execute_tiled(read, frame, params, out, processor, stats, scratch, true);
+        }
+        self.check_block_args(read, params, out, frame);
+        let spec = self.spec();
+        let row = self.size_scratch(scratch, spec.is_some(), false);
+        let ExecScratch { regs, ring, .. } = scratch;
+        plan.place_ring(&ring[..plan.ring.slots()], read);
+        self.run(read, params, out, frame, regs, row, spec);
+        stats.merge(&plan.exec_stats(processor, self.tape().ops_per_cell()));
     }
 
-    /// [`execute_block_ring`](CompiledKernel::execute_block_ring) with the
-    /// ring filled one cell at a time: `halo` resolves an out-of-block load
-    /// given block-local target coordinates and is called once per ring cell.
+    /// [`execute_block_framed`](CompiledKernel::execute_block_framed) on an
+    /// unframed block, the ring filled one cell at a time: `halo` resolves
+    /// an out-of-block load given block-local target coordinates and is
+    /// called once per ring cell.  The block's rows and the ring go through
+    /// the scratch's tile.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_block(
         &self,
@@ -166,7 +200,7 @@ impl CompiledKernel {
         scratch: &mut ExecScratch,
     ) {
         self.plan().ring.fill_per_cell(self.ring_buf(scratch), halo);
-        self.execute_block_impl(cells, params, out, processor, stats, scratch, true);
+        self.execute_tiled(cells, 0, params, out, processor, stats, scratch, true);
     }
 
     /// [`execute_block`](CompiledKernel::execute_block) with the specialized
@@ -184,13 +218,17 @@ impl CompiledKernel {
         scratch: &mut ExecScratch,
     ) {
         self.plan().ring.fill_per_cell(self.ring_buf(scratch), halo);
-        self.execute_block_impl(cells, params, out, processor, stats, scratch, false);
+        self.execute_tiled(cells, 0, params, out, processor, stats, scratch, false);
     }
 
+    /// The tile path: `cells` and `out` hold the block framed `frame` wide;
+    /// the block's rows and the filled ring's runs go into the scratch's
+    /// tile, and every cell reads its loads from there.
     #[allow(clippy::too_many_arguments)]
-    fn execute_block_impl(
+    fn execute_tiled(
         &self,
         cells: &[f64],
+        frame: usize,
         params: &[f64],
         out: &mut [f64],
         processor: Processor,
@@ -198,38 +236,43 @@ impl CompiledKernel {
         scratch: &mut ExecScratch,
         use_spec: bool,
     ) {
-        self.check_block_args(cells, params, out);
+        self.check_block_args(cells, params, out, frame);
         let spec = self.spec().filter(|_| use_spec);
-        let row = self.size_scratch(scratch, spec.is_some());
-        let (plan, tape) = (self.plan(), self.tape());
-        let (nx, width, origin) = (plan.extent_nx, plan.tile_width, plan.tile_origin);
+        let row = self.size_scratch(scratch, spec.is_some(), true);
+        let plan = self.plan();
         let ExecScratch { regs, ring, tile } = scratch;
-        // Prelude: constants and runtime parameters fill pinned registers
-        // once per block, not once per cell.
+        let tile = &mut tile[..plan.tile.len()];
+        let block = Frame::new(plan.extent_nx, plan.extent_ny, frame);
+        for (dst, src) in plan.tile.rows_mut(tile).zip(block.rows(cells)) {
+            dst.copy_from_slice(src);
+        }
+        plan.place_ring(&ring[..plan.ring.slots()], tile);
+        self.run(tile, params, out, frame, regs, row, spec);
+        stats.merge(&plan.exec_stats(processor, self.tape().ops_per_cell()));
+    }
+
+    /// Run every cell of the filled `tile` (laid out as the plan's tile)
+    /// into `out` (framed `out_frame` wide): the prelude fills the pinned
+    /// registers once a block, not once a cell, then the specialized loop
+    /// (`spec`) or the row tape computes.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &self,
+        tile: &[f64],
+        params: &[f64],
+        out: &mut [f64],
+        out_frame: usize,
+        regs: &mut [f64],
+        row: usize,
+        spec: Option<&SpecializedKernel>,
+    ) {
+        let (plan, tape) = (self.plan(), self.tape());
         let regs = &mut regs[..tape.num_regs() * row];
         tape.run_prelude(params, regs, row);
-
-        // The ring was fetched once, before the call; the block's rows and
-        // the ring's runs go into one padded tile, which every cell,
-        // interior or boundary, reads its loads from.
-        let ring = &ring[..plan.ring.slots()];
-        let tile = &mut tile[..plan.tile_len];
-        for (y, row) in cells.chunks_exact(nx).enumerate() {
-            tile[origin + y * width..][..nx].copy_from_slice(row);
-        }
-        for run in plan.ring.runs() {
-            let first = origin as i64 + run.y * width as i64 + run.x;
-            let step = run.dx + run.dy * width as i64;
-            for (k, &value) in (0..).zip(&ring[run.slots()]) {
-                tile[(first + k * step) as usize] = value;
-            }
-        }
-
         match spec {
-            Some(spec) => spec.exec_block(plan, tile, regs, out),
-            None => tape.exec_rows(plan, tile, regs, out),
+            Some(spec) => spec.exec_block(plan, tile, regs, out, out_frame),
+            None => tape.exec_rows(plan, tile, regs, out, out_frame),
         }
-        stats.merge(&plan.exec_stats(processor, tape.ops_per_cell()));
     }
 }
 
@@ -252,7 +295,7 @@ impl CompiledKernel {
         processor: Processor,
         stats: &mut ExecStats,
     ) {
-        self.check_block_args(cells, params, out);
+        self.check_block_args(cells, params, out, 0);
         let plan = self.plan();
         let (nx, ny) = (plan.extent_nx as i64, plan.extent_ny as i64);
         for y in 0..ny {
@@ -269,6 +312,28 @@ impl CompiledKernel {
             }
         }
         stats.merge(&plan.exec_stats(processor, self.op_count()));
+    }
+}
+
+/// Blocks laid out in a ghost frame, as `Env::lend_block` lends them.
+#[cfg(test)]
+pub(crate) mod framing {
+    use aohpc_env::Frame;
+
+    /// The row-major `nx × ny` block `cells` framed `frame` wide, every
+    /// frame cell `fill`.
+    pub(crate) fn framed(cells: &[f64], nx: usize, ny: usize, frame: usize, fill: f64) -> Vec<f64> {
+        let layout = Frame::new(nx, ny, frame);
+        let mut buf = vec![fill; layout.len()];
+        for (row, src) in layout.rows_mut(&mut buf).zip(cells.chunks(nx)) {
+            row.copy_from_slice(src);
+        }
+        buf
+    }
+
+    /// The block's cells of `buf`, framed `frame` wide, row-major.
+    pub(crate) fn unframed(buf: &[f64], nx: usize, ny: usize, frame: usize) -> Vec<f64> {
+        Frame::new(nx, ny, frame).rows(buf).flatten().copied().collect()
     }
 }
 
@@ -622,6 +687,66 @@ mod tests {
                     );
                 }
                 prop_assert_eq!(tape_stats, tree_stats, "ExecStats diverged on {:?}", proc);
+            }
+        }
+
+        /// A block lent in the frame its program reaches runs in place and
+        /// is bit-identical to the tile path — output bits and ExecStats,
+        /// on both processors — for random programs reaching 1 or 2 (the
+        /// row tape) and the two weighted-sum shapes (the specialized loop),
+        /// on extents down to one cell wide: the ring goes into the read
+        /// buffer's frame, whose other cells (NaN) are never read, the
+        /// block's cells are left as they were, the output's frame is not
+        /// written, and the scratch's tile is never sized.  A block framed
+        /// any other width — narrower than the program reaches, or wider —
+        /// takes the tile, with the same bits.
+        #[test]
+        fn a_framed_block_is_bit_identical_to_the_tile(
+            expr in arb_expr(),
+            shape in 0usize..3,
+            reach in 1i64..=2,
+            nx in 1usize..40,
+            ny in 1usize..8,
+            other in 0usize..4,
+            params in proptest::collection::vec(-2.0f64..2.0, 3..=3),
+        ) {
+            use crate::expr::{lit, load};
+            let program = match shape {
+                0 => StencilProgram::new("prop", load(0, 0) + expr + lit(0.25) * load(0, -reach), 3)
+                    .expect("valid"),
+                1 => StencilProgram::jacobi_5pt(),
+                _ => StencilProgram::smooth_9pt(),
+            };
+            let compiled = CompiledKernel::compile(&program, Extent::new2d(nx, ny), OptLevel::Full);
+            let frame = compiled.frame();
+            prop_assert_eq!(frame as i64, program.radius());
+            let cells: Vec<f64> =
+                (0..nx * ny).map(|k| ((k * 31 + 5) % 71) as f64 / 71.0 - 0.3).collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for proc in [Processor::Scalar, Processor::Simd] {
+                let mut tile_out = vec![0.0; nx * ny];
+                let mut tile_stats = ExecStats::default();
+                compiled.execute_block(
+                    &cells, &params, &mut boundary, &mut tile_out, proc, &mut tile_stats,
+                    &mut ExecScratch::new(),
+                );
+                for width in [frame, other] {
+                    let mut scratch = ExecScratch::new();
+                    compiled.plan().ring.fill_per_cell(compiled.ring_buf(&mut scratch), boundary);
+                    let mut read = framing::framed(&cells, nx, ny, width, f64::NAN);
+                    let mut out = vec![f64::NAN; read.len()];
+                    let mut stats = ExecStats::default();
+                    compiled.execute_block_framed(
+                        &mut read, width, &params, &mut out, proc, &mut stats, &mut scratch,
+                    );
+                    let got = framing::unframed(&out, nx, ny, width);
+                    prop_assert_eq!(bits(&got), bits(&tile_out), "{:?} frame {}", proc, width);
+                    prop_assert_eq!(stats, tile_stats, "{:?} frame {}", proc, width);
+                    prop_assert_eq!(framing::unframed(&read, nx, ny, width), cells.clone());
+                    let written = out.iter().filter(|v| !v.is_nan()).count();
+                    prop_assert_eq!(written, nx * ny, "the output's frame is not written");
+                    prop_assert_eq!(scratch.tile_len() == 0, width == frame, "frame {}", width);
+                }
             }
         }
 

@@ -25,8 +25,9 @@
 //! prelude, loads fused into their consumers, scratch reduced to the liveness
 //! peak), which runs every block from a reusable [`ExecScratch`] — so the
 //! steady-state block loop allocates nothing.  A tape that matches a hot
-//! shape runs its blocks from a padded tile in the same scratch instead
-//! ([`spec`]).
+//! shape runs its blocks through a monomorphic row loop instead ([`spec`]).
+//! Either reads a block lent in the ghost frame its program reaches in
+//! place, and copies any other block into a framed tile first.
 //!
 //! ```
 //! use aohpc_kernel::prelude::*;

@@ -21,10 +21,11 @@
 //! executor fetches each ring cell once per block (one platform run read per
 //! run, see `TaskCtx::get_run`, through a run plan resolved at the block's
 //! first sweep: searches are counted when a plan is resolved, never when it
-//! is read, the rule of `Env::resolve_run`), places the block's rows and
-//! the ring's runs in one padded tile (the plan's tile geometry), and every
-//! cell — interior or not — reads its loads from the tile at the offsets'
-//! baked tile deltas.
+//! is read, the rule of `Env::resolve_run`), places the ring's runs in the
+//! ghost frame of the plan's tile — the block's own read buffer when the
+//! block is lent framed as wide as the program reaches, else a scratch tile
+//! the block's rows are copied into — and every cell, interior or not,
+//! reads its loads from the tile at the offsets' baked tile deltas.
 //!
 //! Under Assumption II the classification never changes between steps, so the
 //! plan is computed once per (program, block shape) pair and reused — the
@@ -35,7 +36,7 @@ use crate::opt::{Dag, OptLevel};
 use crate::program::StencilProgram;
 use crate::spec::{SpecializationId, SpecializedKernel};
 use crate::tape::{ExecScratch, ExecTape, LANES};
-use aohpc_env::Extent;
+use aohpc_env::{Extent, Frame};
 use std::sync::Arc;
 
 /// A provider of compiled kernels: given a program, a block shape and an
@@ -161,8 +162,7 @@ impl HaloRing {
 }
 
 /// How far `offsets` reach past each side of a block, `[left, right, top,
-/// bottom]`, each ≥ 0: the width of the halo ring, and the padding of the
-/// tile a block runs from.
+/// bottom]`, each ≥ 0: the width of the halo ring on each side.
 pub(crate) fn reach(offsets: &[(i64, i64)]) -> [i64; 4] {
     let (xs, ys) = (offsets.iter().map(|o| o.0), offsets.iter().map(|o| o.1));
     let (min_x, max_x) = (xs.clone().min().unwrap_or(0), xs.max().unwrap_or(0));
@@ -248,34 +248,46 @@ pub struct AccessPlan {
     pub extent_ny: usize,
     /// The live stencil offsets (after optimization), in DAG order.
     pub offsets: Vec<(i64, i64)>,
-    /// Tile index deltas of `offsets` (`dy · tile_width + dx`): a load of
-    /// the cell at tile index `i` reads `i + delta`.
+    /// Tile index deltas of `offsets` (`dy · stride + dx`, the stride of
+    /// `tile`): a load of the cell at tile index `i` reads `i + delta`.
     pub linear_offsets: Vec<isize>,
     /// The interior region.
     pub interior: InteriorRegion,
     /// The out-of-block cells the boundary reads, once each.
     pub ring: HaloRing,
-    /// The padded tile a block runs from: the block's rows with the reach
-    /// on each side, `tile_width` wide and `tile_len` long, block cell
-    /// `(x, y)` at `tile_origin + y · tile_width + x`.
-    pub(crate) tile_width: usize,
-    pub(crate) tile_origin: usize,
-    pub(crate) tile_len: usize,
+    /// The tile a block runs from: the block's rows in a ghost frame at
+    /// least as wide as the stencil reaches — the layout of a block buffer
+    /// framed that wide, which a block lent in it runs from in place.
+    pub(crate) tile: Frame,
 }
 
 impl AccessPlan {
-    /// Build the plan for a stencil (`offsets`) over a `nx × ny` block.
+    /// Build the plan for a stencil (`offsets`) over a `nx × ny` block, its
+    /// tile framed as wide as the stencil reaches past any side.
     pub fn build(offsets: &[(i64, i64)], nx: usize, ny: usize) -> Self {
+        let frame = reach(offsets).into_iter().max().unwrap_or(0);
+        Self::framed(offsets, nx, ny, frame as usize)
+    }
+
+    /// [`AccessPlan::build`] with the tile framed `frame` wide, at least the
+    /// stencil's reach.
+    pub fn framed(offsets: &[(i64, i64)], nx: usize, ny: usize, frame: usize) -> Self {
         assert!(nx > 0 && ny > 0, "blocks must be non-empty");
         let (inx, iny) = (nx as i64, ny as i64);
         let [left, right, top, bottom] = reach(offsets);
+        assert!(
+            [left, right, top, bottom].iter().all(|&r| r <= frame as i64),
+            "a tile framed {frame} wide cannot hold a stencil reaching {:?}",
+            [left, right, top, bottom]
+        );
         let interior = InteriorRegion {
             x0: left,
             x1: (inx - right).max(left),
             y0: top,
             y1: (iny - bottom).max(top),
         };
-        let width = (left + right) as usize + nx;
+        let tile = Frame::new(nx, ny, frame);
+        let width = tile.stride();
         let linear_offsets =
             offsets.iter().map(|&(dx, dy)| dy as isize * width as isize + dx as isize).collect();
         let order = RingOrder { nx: inx, ny: iny, left, right, top, bottom };
@@ -298,9 +310,26 @@ impl AccessPlan {
             linear_offsets,
             interior,
             ring,
-            tile_width: width,
-            tile_origin: top as usize * width + left as usize,
-            tile_len: width * ((top + bottom) as usize + ny),
+            tile,
+        }
+    }
+
+    /// Width of the tile's ghost frame: how wide a block's own frame must
+    /// be for the block to run in place.
+    pub fn frame(&self) -> usize {
+        self.tile.width()
+    }
+
+    /// Place the ring's values, one a slot of `ring`, in the frame of `tile`
+    /// (a buffer laid out as the plan's tile): the loaded slots only.
+    pub(crate) fn place_ring(&self, ring: &[f64], tile: &mut [f64]) {
+        let (width, origin) = (self.tile.stride() as i64, self.tile.offset(0) as i64);
+        for run in self.ring.runs() {
+            let first = origin + run.y * width + run.x;
+            let step = run.dx + run.dy * width;
+            for (k, &value) in (0..).zip(&ring[run.slots()]) {
+                tile[(first + k * step) as usize] = value;
+            }
         }
     }
 
@@ -365,8 +394,11 @@ impl CompiledKernel {
         assert_eq!(extent.nz, 1, "the subkernel IR targets 2-D blocks");
         let dag = Dag::lower(program.expr(), level);
         // Use the DAG's (post-optimization) offsets: loads removed by the
-        // optimizer do not cost halo fetches.
-        let plan = AccessPlan::build(&dag.offsets(), extent.nx, extent.ny);
+        // optimizer do not cost halo fetches.  The tile is framed as wide as
+        // the program reaches, optimized or not: the frame an Env built for
+        // the program keeps (`StencilProgram::radius`).
+        let frame = program.radius() as usize;
+        let plan = AccessPlan::framed(&dag.offsets(), extent.nx, extent.ny, frame);
         let tape = ExecTape::lower(&dag, &plan);
         let spec = SpecializedKernel::try_match(&tape, &plan);
         CompiledKernel {
@@ -419,16 +451,25 @@ impl CompiledKernel {
     /// first, cold one — performs zero allocations.  Every processor runs the
     /// same loop, so the processor sizes nothing; the benchmark ledger passes one.
     pub fn prepare_scratch(&self, scratch: &mut ExecScratch, _processor: Processor) {
-        self.size_scratch(scratch, self.spec.is_some());
+        self.size_scratch(scratch, self.spec.is_some(), true);
     }
 
-    /// Grow `scratch` for one block and return the values a register holds:
-    /// a row for the tape, one for the specialized loop (`spec`), which reads
+    /// Grow `scratch` for one block — its tile only when the block runs
+    /// from the tile (`tile`) — and return the values a register holds: a
+    /// row for the tape, one for the specialized loop (`spec`), which reads
     /// its pinned weights only.
-    pub(crate) fn size_scratch(&self, scratch: &mut ExecScratch, spec: bool) -> usize {
+    pub(crate) fn size_scratch(&self, scratch: &mut ExecScratch, spec: bool, tile: bool) -> usize {
         let row = if spec { 1 } else { self.plan.extent_nx };
-        scratch.ensure(self.tape.num_regs() * row, self.plan.ring.slots(), self.plan.tile_len);
+        let tile = if tile { self.plan.tile.len() } else { 0 };
+        scratch.ensure(self.tape.num_regs() * row, self.plan.ring.slots(), tile);
         row
+    }
+
+    /// Width of the ghost frame a block must be lent in to run in place:
+    /// the program's reach (see
+    /// [`execute_block_framed`](CompiledKernel::execute_block_framed)).
+    pub fn frame(&self) -> usize {
+        self.plan.frame()
     }
 
     /// Evaluated DAG operations per cell.
@@ -467,7 +508,8 @@ mod tests {
         let plan = AccessPlan::build(p.offsets(), 8, 6);
         // The tile pads the 8×6 block by one cell a side: 10 wide, 8 tall,
         // block cell (0, 0) one row and one column in.
-        assert_eq!((plan.tile_width, plan.tile_origin, plan.tile_len), (10, 11, 80));
+        let tile = plan.tile;
+        assert_eq!((tile.stride(), tile.offset(0), tile.len()), (10, 11, 80));
         // offsets order: (0,0), (0,-1), (-1,0), (1,0), (0,1)
         assert_eq!(plan.offsets[0], (0, 0));
         assert_eq!(plan.linear_offsets[0], 0);
@@ -550,14 +592,14 @@ mod tests {
                 let [left, right, top, bottom] = reach(&plan.offsets);
                 let (inx, iny) = (nx as i64, ny as i64);
                 let order = RingOrder { nx: inx, ny: iny, left, right, top, bottom };
-                let (width, origin) = (plan.tile_width as i64, plan.tile_origin as i64);
+                let (width, origin) = (plan.tile.stride() as i64, plan.tile.offset(0) as i64);
                 let mut targets = BTreeSet::new();
                 for (x, y) in (0..iny).flat_map(|y| (0..inx).map(move |x| (x, y))) {
                     for (&(dx, dy), &delta) in plan.offsets.iter().zip(&plan.linear_offsets) {
                         let target = (x + dx, y + dy);
                         let at = origin + target.1 * width + target.0;
                         prop_assert_eq!(origin + y * width + x + delta as i64, at);
-                        prop_assert!((0..plan.tile_len as i64).contains(&at));
+                        prop_assert!((0..plan.tile.len() as i64).contains(&at));
                         if !(0..inx).contains(&target.0) || !(0..iny).contains(&target.1) {
                             let slot = order.slot(target.0, target.1);
                             prop_assert!(slot < ring.slots());

@@ -43,16 +43,17 @@
 //! Anything else keeps [`SpecializationId::Generic`] and runs on the tape —
 //! specialization is a pure fast path, never a semantic fork.
 //!
-//! # The padded tile
+//! # The framed tile
 //!
-//! Both tiers run from the same tile: `execute_block` copies the block's
-//! rows into a `(left + nx + right) × (top + ny + bottom)` tile in the
-//! [`ExecScratch`] (the plan's reach on each side) and scatters the filled
-//! ring's runs around them.  A specialized kernel computes every cell alike
-//! from `K + 1` sub-slices of length `nx` a row: no bounds checks, and the
-//! loop vectorises.  Tile positions no run fills (a 5-point stencil's
-//! corners) are never read.  Both processors run this one loop and differ
-//! only in the [`ExecStats`] they are accounted (`AccessPlan::exec_stats`).
+//! Both tiers run from the same tile: the block's rows in a ghost frame as
+//! wide as the program reaches, the filled ring's runs placed in the frame.
+//! A block lent in a frame that wide is its own tile; any other block is
+//! copied into the [`ExecScratch`]'s tile first.  A specialized kernel
+//! computes every cell alike from `K + 1` sub-slices of length `nx` a row:
+//! no bounds checks, and the loop vectorises.  Frame positions no run fills
+//! (a 5-point stencil's corners) are never read.  Both processors run this
+//! one loop and differ only in the [`ExecStats`] they are accounted
+//! (`AccessPlan::exec_stats`).
 //!
 //! [`ExecTape`]: crate::tape::ExecTape
 //! [`ExecScratch`]: crate::tape::ExecScratch
@@ -61,6 +62,7 @@
 
 use crate::plan::AccessPlan;
 use crate::tape::{ExecTape, Reg, TapeOp};
+use aohpc_env::Frame;
 use std::fmt;
 
 /// Which specialized super-instruction loop (if any) a compiled kernel runs.
@@ -178,7 +180,7 @@ impl SpecializedKernel {
             return None;
         }
 
-        let at = |delta: isize| (plan.tile_origin as isize + delta) as usize;
+        let at = |delta: isize| (plan.tile.offset(0) as isize + delta) as usize;
         let table = &tape.load_table[start as usize..(start + count) as usize];
         Some(SpecializedKernel {
             dc: at(centre),
@@ -194,17 +196,20 @@ impl SpecializedKernel {
         SpecializationId::WeightedSum { neighbors: self.deltas.len() as u8, form: self.form }
     }
 
-    /// Execute one block: run every cell of `plan`'s filled padded `tile`
-    /// through the monomorphic row loop into `out`.  `regs` holds the
-    /// prelude's pinned registers, one value each.
+    /// Execute one block: run every cell of `plan`'s filled `tile` through
+    /// the monomorphic row loop into `out`, the block's rows framed
+    /// `out_frame` wide.  `regs` holds the prelude's pinned registers, one
+    /// value each.
     pub(crate) fn exec_block(
         &self,
         plan: &AccessPlan,
         tile: &[f64],
         regs: &[f64],
         out: &mut [f64],
+        out_frame: usize,
     ) {
-        let (nx, width) = (plan.extent_nx, plan.tile_width);
+        let (nx, width) = (plan.extent_nx, plan.tile.stride());
+        let out = Frame::new(nx, plan.extent_ny, out_frame).rows_mut(out);
         let (w0, w1) = (regs[self.w0 as usize], regs[self.w1 as usize]);
         macro_rules! forms {
             ($k:literal) => {
@@ -241,17 +246,17 @@ impl SpecializedKernel {
     /// body — centre load, K-neighbour sum folded left in load order,
     /// weighted top in `FORM`'s operand order (two multiplies, one add, three
     /// roundings, no FMA) — so it is bit-identical to the tape.
-    fn sweep<const K: usize, const FORM: usize>(
+    fn sweep<'o, const K: usize, const FORM: usize>(
         &self,
         tile: &[f64],
         nx: usize,
         width: usize,
-        out: &mut [f64],
+        out: impl Iterator<Item = &'o mut [f64]>,
         w0: f64,
         w1: f64,
     ) {
         let deltas: &[usize; K] = self.deltas[..].try_into().expect("K matches delta count");
-        for (y, row) in out.chunks_exact_mut(nx).enumerate() {
+        for (y, row) in out.enumerate() {
             let at = |d: usize| &tile[y * width + d..][..nx];
             let centre = at(self.dc);
             let neighbours: [&[f64]; K] = std::array::from_fn(|k| at(deltas[k]));
@@ -274,6 +279,7 @@ const MAX_NEIGHBORS: usize = 8;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::framing::{framed, unframed};
     use crate::backend::{ExecStats, Processor};
     use crate::expr::{lit, load, param};
     use crate::opt::OptLevel;
@@ -357,7 +363,7 @@ mod tests {
     /// tape super-groups, lane groups and remainders; on blocks narrower or
     /// shorter than the stencil's reach (1×N, N×1, 2×2), where the interior
     /// is empty and every cell is a boundary cell; for a one-sided stencil,
-    /// whose tile has no left or top pad; and with the ring's four corners
+    /// whose ring has no left or top run; and with the ring's four corners
     /// bumped, which on the 9-point ring moves exactly the block's corners.
     #[test]
     fn specialized_matches_generic_bitwise() {
@@ -400,8 +406,9 @@ mod tests {
     /// A block reads its own cells and the ring's loaded slots only, on
     /// either tier, for a specialized program and a generic one (the
     /// benchmark mix's cold shape): with every ring slot no run covers (the
-    /// 5-point corners) holding NaN, and on a scratch whose whole tile a
-    /// larger kernel left NaN, every output is finite and bit-equal to a
+    /// 5-point corners) holding NaN — and, lent in its own frame, every
+    /// frame cell the ring does not fill — and on a scratch whose whole tile
+    /// a larger kernel left NaN, every output is finite and bit-equal to a
     /// fresh scratch's.
     #[test]
     fn unloaded_ring_slots_are_never_read() {
@@ -431,15 +438,22 @@ mod tests {
             for (nx, ny) in [(16usize, 8usize), (1, 5), (5, 1), (2, 2)] {
                 let k = compile(&program, nx, ny);
                 let cells: Vec<f64> = (0..nx * ny).map(|i| (i % 5) as f64 * 0.25 + 1.0).collect();
-                // `ring`: the ring API with every slot NaN before the runs'
-                // fill; otherwise the tape with the specialized loop off.
+                // `ring`: the block lent in a NaN frame, the ring API with
+                // every slot NaN before the runs' fill; otherwise the tape
+                // with the specialized loop off.
                 let block = |scratch: &mut ExecScratch, proc, ring: bool| {
                     let (mut out, stats) = (vec![0.0; nx * ny], &mut ExecStats::default());
                     if ring {
                         let buf = k.ring_buf(scratch);
                         buf.fill(f64::NAN);
                         k.plan().ring.fill_per_cell(buf, |x, y| (x + y) as f64);
-                        k.execute_block_ring(&cells, &PARAMS, &mut out, proc, stats, scratch);
+                        let frame = k.frame();
+                        let mut read = framed(&cells, nx, ny, frame, f64::NAN);
+                        let mut lent = vec![f64::NAN; read.len()];
+                        k.execute_block_framed(
+                            &mut read, frame, &PARAMS, &mut lent, proc, stats, scratch,
+                        );
+                        out = unframed(&lent, nx, ny, frame);
                     } else {
                         let halo = &mut |x, y| (x + y) as f64;
                         k.execute_block_unspecialized(

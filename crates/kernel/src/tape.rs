@@ -16,7 +16,7 @@
 //!   *prelude* that fills pinned registers; the per-cell body never touches
 //!   them again.  (The tree-walk re-broadcast both per cell per node.)
 //! * **Baked addressing** — each load instruction carries its *delta* in the
-//!   plan's padded tile (`dy · width + dx`), so no search or lookup table
+//!   plan's framed tile (`dy · width + dx`), so no search or lookup table
 //!   survives to run time.
 //! * **Fusion** — a load whose value is consumed exactly once folds into its
 //!   consumer ([`TapeOp::LoadUnary`], [`TapeOp::LoadBinLhs`],
@@ -30,7 +30,7 @@
 //!   instruction's destination is never one of its own operands' registers.
 //!
 //! `ExecTape::exec_rows` interprets the body a *row* at a time over the
-//! block's padded tile (see [`AccessPlan`]): every register holds a row of
+//! block's framed tile (see [`AccessPlan`]): every register holds a row of
 //! the block's width, every instruction is one loop over contiguous `f64`,
 //! and a load is a sub-slice of the tile at its delta.  Each cell still sees
 //! the body's operations in order, so its bits equal the tree-walk oracle's.
@@ -54,6 +54,7 @@
 use crate::expr::{BinOp, UnaryOp};
 use crate::opt::{Dag, Node};
 use crate::plan::AccessPlan;
+use aohpc_env::Frame;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +88,7 @@ pub enum PreludeOp {
 
 /// A per-cell body instruction.
 ///
-/// A load's `delta` is its offset's index delta in the plan's padded tile
+/// A load's `delta` is its offset's index delta in the plan's framed tile
 /// (what a cell's tile index adds), baked in at lowering time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TapeOp {
@@ -686,19 +687,22 @@ impl ExecTape {
         }
     }
 
-    /// Execute the body a row at a time over `plan`'s filled padded `tile`
-    /// into `out`.  `regs` holds a row of `nx` values a register, the
-    /// prelude's filled (see [`ExecTape::run_prelude`]).
+    /// Execute the body a row at a time over `plan`'s filled `tile` into
+    /// `out`, the block's rows framed `out_frame` wide.  `regs` holds a row
+    /// of `nx` values a register, the prelude's filled (see
+    /// [`ExecTape::run_prelude`]).
     pub(crate) fn exec_rows(
         &self,
         plan: &AccessPlan,
         tile: &[f64],
         regs: &mut [f64],
         out: &mut [f64],
+        out_frame: usize,
     ) {
-        let (nx, width) = (plan.extent_nx, plan.tile_width);
-        for (y, row) in out.chunks_exact_mut(nx).enumerate() {
-            let base = (plan.tile_origin + y * width) as isize;
+        let (nx, width, origin) = (plan.extent_nx, plan.tile.stride(), plan.tile.offset(0));
+        let out = Frame::new(nx, plan.extent_ny, out_frame).rows_mut(out);
+        for (y, row) in out.enumerate() {
+            let base = (origin + y * width) as isize;
             let load = |delta: isize| &tile[(base + delta) as usize..][..nx];
             let table = |start: u16, count: u16| {
                 self.load_table[start as usize..(start + count) as usize].iter().copied()
@@ -864,8 +868,8 @@ impl fmt::Display for ExecTape {
 // ---------------------------------------------------------------------------
 
 /// Reusable per-task execution scratch: the tape's register file (a row of
-/// the block's width a register), the halo ring and the padded tile a block
-/// runs from.
+/// the block's width a register), the halo ring and the tile a block not
+/// lent in its kernel's frame runs from.
 ///
 /// Create once (or check out of a [`ScratchPool`]), pass to every
 /// [`execute_block`](crate::plan::CompiledKernel::execute_block) call; the
@@ -876,7 +880,7 @@ pub struct ExecScratch {
     pub(crate) regs: Vec<f64>,
     /// One value per slot of the plan's halo ring, filled once per block.
     pub(crate) ring: Vec<f64>,
-    /// A block and its ring in one row-major tile (see [`AccessPlan`]).
+    /// A block and its ring in one framed tile (see [`AccessPlan`]).
     pub(crate) tile: Vec<f64>,
 }
 
@@ -893,6 +897,13 @@ impl ExecScratch {
         for (buf, len) in [(&mut self.regs, regs), (&mut self.ring, ring), (&mut self.tile, tile)] {
             buf.resize(buf.len().max(len), 0.0);
         }
+    }
+
+    /// Values the tile holds room for: 0 until a block runs from the tile
+    /// (a per-cell `execute_block`, or a block not lent in the frame its
+    /// kernel reaches).
+    pub fn tile_len(&self) -> usize {
+        self.tile.len()
     }
 
     /// Bytes currently held by the scratch buffers.

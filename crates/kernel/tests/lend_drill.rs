@@ -6,8 +6,11 @@
 //! particle family's — sweeps twice on a thread with a timeout: the first
 //! sweep resolves the block's ring plans, the second reads through them,
 //! each landing already resolved, so the ring's reads go straight to the
-//! catch-all and through it back into the block.  It must finish with
-//! exactly the values and counters of the copying path, also with a writer
+//! catch-all and through it back into the block.  The stencil's block is
+//! also lent in a ghost frame as wide as its program reaches, where the
+//! routine places the ring it read in the frame and runs in place.  It must
+//! finish with exactly the values and counters of the copying path, also
+//! with a writer
 //! queued at the block in the middle of the second sweep's ring (the
 //! vendored `RwLock` is `std`'s, which prefers writers: a guard kept on the
 //! block across a ring read would block behind it for good).
@@ -36,12 +39,16 @@ enum Path {
 /// The thread of a writer waiting to be let at the block, if there is one.
 type Writer = Option<std::thread::JoinHandle<()>>;
 
-/// One 4×4 Data block owned by task 0, and a Reference catch-all that maps
+/// One 4×4 Data block framed `frame` wide, owned by task 0, and a Reference
+/// catch-all that maps
 /// every address outside it to the nearest cell of the block.  At its
 /// second mapping once armed (the flag returned), the catch-all lets a
 /// writer at the block run, when there is one, and waits up to two seconds
 /// for it to finish.
-fn mirror_env<C: Cell>(writer: bool) -> (Arc<Env<C>>, BlockId, Arc<AtomicBool>, Writer) {
+fn mirror_env<C: Cell>(
+    writer: bool,
+    frame: usize,
+) -> (Arc<Env<C>>, BlockId, Arc<AtomicBool>, Writer) {
     let armed = Arc::new(AtomicBool::new(false));
     let calls = AtomicUsize::new(0);
     let written = Arc::new(AtomicBool::new(!writer));
@@ -60,7 +67,7 @@ fn mirror_env<C: Cell>(writer: bool) -> (Arc<Env<C>>, BlockId, Arc<AtomicBool>, 
             GlobalAddress::new2d(a.x.clamp(0, 3), a.y.clamp(0, 3))
         }
     };
-    let mut b = EnvBuilder::<C>::new(PoolHandle::unbounded(), 4);
+    let mut b = EnvBuilder::<C>::new(PoolHandle::unbounded(), 4).with_frame(frame);
     let root = b.add_empty(None);
     let joint = b.add_empty(Some(root));
     let block = b.add_data(joint, GlobalAddress::new2d(0, 0), Extent::new2d(4, 4), 0).unwrap();
@@ -79,10 +86,16 @@ fn mirror_env<C: Cell>(writer: bool) -> (Arc<Env<C>>, BlockId, Arc<AtomicBool>, 
     (env, block, armed, writer)
 }
 
-/// Run `make()`'s sweep twice over the mirror block, on its own thread,
-/// arming the writer between the two: the block's values after the second
-/// sweep and the task's counters.  The second sweep runs no search.
-fn run_sweeps<A, F>(make: F, path: Path, writer: bool) -> (Vec<A::Cell>, AccessCounters)
+/// Run `make()`'s sweep twice over the mirror block framed `frame` wide, on
+/// its own thread, arming the writer between the two: the block's values
+/// after the second sweep and the task's counters.  The second sweep runs
+/// no search.
+fn run_sweeps<A, F>(
+    make: F,
+    path: Path,
+    writer: bool,
+    frame: usize,
+) -> (Vec<A::Cell>, AccessCounters)
 where
     A: BlockSweep,
     A::Cell: Send + 'static,
@@ -90,7 +103,7 @@ where
 {
     let (done_tx, done_rx) = mpsc::channel();
     let task = std::thread::spawn(move || {
-        let (env, block, armed, writer) = mirror_env::<A::Cell>(writer);
+        let (env, block, armed, writer) = mirror_env::<A::Cell>(writer, frame);
         let topology = Topology::serial();
         let shared = Arc::new(RankShared::new(topology.clone(), 0, None, true));
         let slot = topology.slot(0, 0);
@@ -114,7 +127,9 @@ where
         assert_eq!(ctx.state.counters.env_searches, resolved, "{path:?}: a planned read");
         assert!(!ctx.state.has_missing(), "{path:?}: every page is valid");
         let BlockKind::Data(buf) = &env.block(block).kind else { unreachable!() };
-        let next = buf.write().read_buf().to_vec();
+        let guard = buf.read();
+        let next = guard.frame().rows(guard.read_buf()).flatten().cloned().collect();
+        drop(guard);
         done_tx.send((next, ctx.state.counters)).expect("the test is waiting");
         if let Some(writer) = writer {
             writer.join().unwrap();
@@ -134,12 +149,13 @@ fn the_stencil_block_routine_reads_its_ring_before_it_borrows_the_block() {
             let program = program.clone();
             move || IrStencilApp::new(program, vec![0.5, 0.125], 2)
         };
-        let copied = run_sweeps(make.clone(), Path::Copied, false);
-        for writer in [false, true] {
-            let lent = run_sweeps(make.clone(), Path::Lent, writer);
+        let copied = run_sweeps(make.clone(), Path::Copied, false, 0);
+        for (writer, frame) in [(false, 0), (true, 0), (false, 1), (true, 1)] {
+            let lent = run_sweeps(make.clone(), Path::Lent, writer, frame);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&lent.0), bits(&copied.0), "{} writer {writer}", program.name());
-            assert_eq!(lent.1, copied.1, "{} writer {writer}", program.name());
+            let what = format!("{} writer {writer} frame {frame}", program.name());
+            assert_eq!(bits(&lent.0), bits(&copied.0), "{what}");
+            assert_eq!(lent.1, copied.1, "{what}");
         }
     }
 }
@@ -151,10 +167,10 @@ fn the_particle_block_routine_reads_its_ring_before_it_borrows_the_block() {
     let law = kernel.law(1.0);
     let system = ParticleSystem::paper(ParticleSize::new(40));
     let make = move || ParticleBlockApp::new(system, law, 2);
-    let copied: (Vec<Bucket>, _) = run_sweeps(make.clone(), Path::Copied, false);
+    let copied: (Vec<Bucket>, _) = run_sweeps(make.clone(), Path::Copied, false, 0);
     assert!(copied.0.iter().any(|b| b.count > 0), "some particles move");
     for writer in [false, true] {
-        let lent = run_sweeps(make.clone(), Path::Lent, writer);
+        let lent = run_sweeps(make.clone(), Path::Lent, writer, 0);
         assert_eq!(lent, copied, "writer {writer}");
     }
 }

@@ -237,28 +237,35 @@ impl PlanSource for Precompiled {
 }
 
 /// A usgrid job's sweep — its program lowered to a stencil, run by the IR
-/// app on the value plane (CaseC, a ragged tiling) — keeps its plans, ring
-/// plans and tile in the app and computes in the lent block: a sweep after
-/// the first allocates only what the two platform calls around the blocks do
-/// (`get_blocks` hands out a fresh block list, `refresh` its payload).  For the stock four and for the "eight"
-/// program of `tests/value_plane.rs` (corners, and a reach of 2 on one side).
+/// app on the value plane (CaseC, a ragged tiling), framed as wide as the
+/// program reaches, as the service builds it — keeps its plans and ring
+/// plans in the app and computes in the lent block, its halo in the
+/// block's frame: a sweep after the first allocates only what the two
+/// platform calls around the blocks do (`get_blocks` hands out a fresh
+/// block list, `refresh` its payload), and the task's scratch never sizes a
+/// tile.  For the stock four and for the "eight" program of
+/// `tests/value_plane.rs` (corners, and a reach of 2 on one side).
 #[test]
 fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
     let eight = vec![(-1, -1), (1, -1), (-1, 1), (1, 1), (0, -1), (-2, 0), (1, 0), (0, 1)];
     let eight = UsGridProgram::new("eight", eight, 2).unwrap();
     for program in [UsGridProgram::jacobi4(), eight] {
+        let stencil = program.to_stencil();
         let system =
-            UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, GridLayout::CaseC);
+            UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, GridLayout::CaseC)
+                .with_frame(stencil.radius() as usize);
         let mut ctx = serial_ctx(UsGridValueSystem(system).build_env());
         // The tiles of 8/8/4 x 8/4 come in four shapes, compiled up front.
-        let stencil = program.to_stencil();
         let shapes = [(8, 8), (4, 8), (8, 4), (4, 4)].map(|(nx, ny)| {
             let plan = CompiledKernel::compile(&stencil, Extent::new2d(nx, ny), OptLevel::Full);
             ((nx, ny), Arc::new(plan))
         });
         let runs = shapes[0].1.plan().ring.runs().len() as u64;
         let plans = Arc::new(Precompiled(shapes.into_iter().collect()));
-        let mut app = IrStencilApp::new(stencil, vec![0.5, 0.125], 4).with_plan_source(plans);
+        let pool = ScratchPool::new(1);
+        let mut app = IrStencilApp::new(stencil, vec![0.5, 0.125], 4)
+            .with_plan_source(plans)
+            .with_scratch_pool(Arc::clone(&pool));
         app.initialize(&mut ctx);
 
         let (ok, cold) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
@@ -271,26 +278,63 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
         });
         // The first sweep sizes what the app keeps, once each: the plan memo
         // (4 buckets, then 8 at the fourth shape) = 2, and the scratch's
-        // ring, registers and tile = 3 — each grown at the first block, a
-        // full 8x8 one, and never again.  The block is lent, not staged.
-        // It also resolves the six blocks' ring plans: the map, sized for
-        // the sweep's blocks at the first, and each block's list of plans
-        // and each plan's stretches (no run of these rings lands in more
-        // than three, which the room of the first push holds) — 1 + 6 x (1
-        // + runs), the runs of the 8x8 ring, as many as any tile's.
+        // ring and registers = 2 — each grown at the first block, a full
+        // 8x8 one, and never again.  The block is lent, not staged, and
+        // runs in place: no tile.  It also resolves the six blocks' ring
+        // plans: the map, sized for the sweep's blocks at the first, and
+        // each block's list of plans and each plan's stretches (no run of
+        // these rings lands in more than three, which the room of the first
+        // push holds) — 1 + 6 x (1 + runs), the runs of the 8x8 ring, as
+        // many as any tile's.
         let rings = 1 + 6 * (1 + runs);
-        assert_eq!(cold, platform + 2 + 3 + rings, "{}: the first sweep", program.name());
-        for sweep in 2..5 {
-            let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
-            assert!(ok);
-            assert_eq!(
-                allocs,
-                platform,
-                "{} sweep {sweep}: beyond get_blocks + refresh ({platform})",
-                program.name()
-            );
-        }
+        assert_eq!(cold, platform + 2 + 2 + rings, "{}: the first sweep", program.name());
+        assert_warm_in_place(&mut app, &mut ctx, platform, program.name());
+        drop(app);
+        assert_eq!(pool.acquire().tile_len(), 0, "{}: the lent path sizes no tile", program.name());
     }
+}
+
+/// Three more sweeps of `app`, each allocating only what the platform's
+/// `get_blocks` and `refresh` do (`platform`).
+fn assert_warm_in_place(app: &mut IrStencilApp, ctx: &mut TaskCtx<f64>, platform: u64, what: &str) {
+    for sweep in 2..5 {
+        let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(ctx, false));
+        assert!(ok);
+        assert_eq!(
+            allocs, platform,
+            "{what} sweep {sweep}: beyond get_blocks + refresh ({platform})"
+        );
+    }
+}
+
+/// The sgrid job's sweep as the service runs it — jacobi on a structured
+/// grid framed as wide as the program reaches, plans from a shared source,
+/// the scratch from the worker's pool — computes every block in place: its
+/// warm sweeps allocate only what the platform does, and the scratch it
+/// returns to the pool has never sized a tile.
+#[test]
+fn warm_sgrid_sweep_runs_in_place() {
+    let program = StencilProgram::jacobi_5pt();
+    let system = SGridSystem::with_block_size(RegionSize { nx: 96, ny: 64 }, 32)
+        .with_frame(program.radius() as usize);
+    let mut ctx = serial_ctx(system.build_env());
+    let plan = CompiledKernel::compile(&program, Extent::new2d(32, 32), OptLevel::Full);
+    let plans = Arc::new(Precompiled([((32, 32), Arc::new(plan))].into_iter().collect()));
+    let pool = ScratchPool::new(1);
+    let mut app = IrStencilApp::new(program, vec![0.5, 0.125], 4)
+        .with_plan_source(plans)
+        .with_scratch_pool(Arc::clone(&pool));
+    app.initialize(&mut ctx);
+    assert!(app.kernel(&mut ctx, false), "the first sweep");
+    let platform = aohpc_testalloc::count_in(|| {
+        let blocks = ctx.get_blocks();
+        ctx.refresh();
+        blocks
+    })
+    .1;
+    assert_warm_in_place(&mut app, &mut ctx, platform, "sgrid");
+    drop(app);
+    assert_eq!(pool.acquire().tile_len(), 0, "sgrid: the lent path sizes no tile");
 }
 
 /// `Finalize` into a checksum sink folds each owned block in place: it

@@ -30,6 +30,6 @@ pub mod buffer;
 pub mod page;
 pub mod pool;
 
-pub use buffer::MultiBuffer;
+pub use buffer::{Frame, MultiBuffer};
 pub use page::{PageFlags, PageId, PageTable};
 pub use pool::{Chunk, MemoryPool, PoolError, PoolHandle, PoolSet, PoolStats};

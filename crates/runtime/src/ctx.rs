@@ -22,7 +22,7 @@ use aohpc_aop::{
     REFRESH, WARM_UP,
 };
 use aohpc_env::{AccessState, BlockId, Cell, Env, GlobalAddress, LocalAddress, RunPlan};
-use aohpc_mem::PageId;
+use aohpc_mem::{Frame, PageId};
 use aohpc_workloads::Checksum;
 use parking_lot::Mutex;
 use std::any::Any;
@@ -743,13 +743,20 @@ impl<C: Cell> TaskCtx<C> {
     // place.
 
     /// Lend `block`'s read buffer (step `n-1`) and write buffer (step `n`)
-    /// to `f`: the block routine's `get_block_dd` + `set_block` without
-    /// either copy — same counters, missing-page records and dirty pages.
-    /// `f` must write every cell of `write`, whose old contents are
-    /// unspecified, and must not touch the platform: the block is locked
-    /// while it runs, so read its halo first.  A block that is not wholly
-    /// valid is copied in and out around `f` instead.
-    pub fn with_block<R>(&mut self, block: BlockId, mut f: impl FnMut(&[C], &mut [C]) -> R) -> R {
+    /// to `f`, whole, with the width of their ghost frame (see
+    /// `EnvBuilder::with_frame`; 0 for an unframed Env, where the buffers
+    /// are the block's cells, row-major): the block routine's
+    /// `get_block_dd` + `set_block` without either copy — same counters,
+    /// missing-page records and dirty pages.  `f` must write every cell of
+    /// `write`, whose old contents are unspecified, may write `read`'s frame
+    /// and nothing else of it, and must not touch the platform: the block is
+    /// locked while it runs, so read its halo first.  A block that is not
+    /// wholly valid is copied in and out around `f` instead, unframed.
+    pub fn with_block<R>(
+        &mut self,
+        block: BlockId,
+        mut f: impl FnMut(&mut [C], &mut [C], usize) -> R,
+    ) -> R {
         match self.env.lend_block(block, &mut self.state, &mut f) {
             Some(r) => r,
             None => self.with_block_copied(block, f),
@@ -757,18 +764,18 @@ impl<C: Cell> TaskCtx<C> {
     }
 
     /// [`TaskCtx::with_block`] for a block that cannot be lent: the copying
-    /// path, on staging slabs allocated here.
+    /// path, on unframed staging slabs allocated here.
     #[cold]
     #[inline(never)]
     fn with_block_copied<R>(
         &mut self,
         block: BlockId,
-        mut f: impl FnMut(&[C], &mut [C]) -> R,
+        mut f: impl FnMut(&mut [C], &mut [C], usize) -> R,
     ) -> R {
         let cells = self.env.block(block).meta.extent.cells();
         let (mut read, mut write) = (vec![C::default(); cells], vec![C::default(); cells]);
         self.get_block_dd(block, &mut read);
-        let r = f(&read, &mut write);
+        let r = f(&mut read, &mut write, 0);
         self.set_block(block, &write);
         r
     }
@@ -819,18 +826,17 @@ impl<C: Cell> TaskCtx<C> {
         for bid in owned {
             let meta = &self.env.block(bid).meta;
             let (ext, origin) = (meta.extent, meta.origin);
-            let mut emit = |block: &[C]| {
-                // (`max(1)`: a zero-cell block has no rows, and no chunk size 0.)
-                for (start, cells) in ext.row_starts().zip(block.chunks_exact(ext.nx.max(1))) {
+            let mut emit = |block: &[C], frame: Frame| {
+                for (start, cells) in ext.row_starts().zip(frame.rows(block)) {
                     out.row(origin + start, cells, &value);
                 }
             };
             // In place (`GetDD` over the block); a block that is not wholly
-            // valid is copied, its missing pages recorded.
+            // valid is copied, unframed, its missing pages recorded.
             if self.env.view_block(bid, &mut self.state, &mut emit).is_none() {
                 slab.resize(ext.cells(), C::default());
                 self.get_block_dd(bid, &mut slab);
-                emit(&slab);
+                emit(&slab, Frame::new(ext.nx, ext.ny * ext.nz, 0));
             }
         }
     }
@@ -992,8 +998,8 @@ mod tests {
             }
         };
         for &id in &ids {
-            lend.with_block(id, law);
-            fold.with_block(id, law);
+            lend.with_block(id, |read, write, _| law(read, write));
+            fold.with_block(id, |read, write, _| law(read, write));
             let (mut read, mut write) = (vec![0.0; 16], vec![0.0; 16]);
             assert!(copy.get_block_dd(id, &mut read));
             law(&read, &mut write);
@@ -1169,6 +1175,127 @@ mod tests {
         let mut ctx = TaskCtx::new(topo.slot(0, 0), env, shared, Some(woven), false);
         let out = ctx.run_block(0, 4, |_| 11u32);
         assert_eq!(out, 11, "the body must run even if advice never proceeds");
+    }
+
+    /// A framed Env is an unframed one to every logical access: per-cell
+    /// `get`/`set`, the slab read and fill, ring runs through `get_run`
+    /// (across blocks and off the domain), pages extracted and installed, a
+    /// lent block (its rows where the lent frame width puts them) and the
+    /// `Finalize` checksum fold give the same values, counters, missing
+    /// pages, page payloads and fold bits — and no frame cell, each holding
+    /// a poison value, ever shows up in any of them.
+    #[test]
+    fn a_framed_env_reads_writes_ships_and_folds_as_an_unframed_one() {
+        const GHOST: f64 = -7777.0;
+        let run = |(nx, ny, cpp): (usize, usize, usize), frame: usize| {
+            let mut b = EnvBuilder::<f64>::new(PoolHandle::unbounded(), cpp).with_frame(frame);
+            let root = b.add_empty(None);
+            b.add_arithmetic(root, Arc::new(|a: GlobalAddress| (a.x - 2 * a.y) as f64), true);
+            let joint = b.add_empty(Some(root));
+            let mut ids = Vec::new();
+            for (k, (bx, by)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
+                let origin = GlobalAddress::new2d(bx * nx as i64, by * ny as i64);
+                ids.push(b.add_data(joint, origin, Extent::new2d(nx, ny), k as u64).unwrap());
+            }
+            let env = Arc::new(b.build());
+            for &id in &ids {
+                env.block(id).meta.set_dm_tid(Some(0));
+                env.block(id).meta.set_ch_tid(Some(0));
+                let aohpc_env::BlockKind::Data(buf) = &env.block(id).kind else { unreachable!() };
+                let mut g = buf.write();
+                let layout = g.frame();
+                let inside: HashSet<usize> =
+                    (0..layout.cells()).map(|i| layout.offset(i)).collect();
+                for _ in 0..g.num_buffers() {
+                    for (at, cell) in g.write_buf().iter_mut().enumerate() {
+                        if !inside.contains(&at) {
+                            *cell = GHOST;
+                        }
+                    }
+                    g.swap();
+                }
+            }
+            let mut ctx = serial_ctx(env.clone());
+            let mut seen = Vec::new();
+            ctx.initialize_owned(|g| (g.x * 10 + g.y) as f64 + 0.5);
+            let (bx, by) = (nx as i64, ny as i64);
+            for &id in &ids {
+                for y in -1..=by {
+                    for x in -1..=bx {
+                        let inside = (0..bx).contains(&x) && (0..by).contains(&y);
+                        seen.push(ctx.get(id, LocalAddress::new2d(x, y), inside));
+                    }
+                }
+                let row = ctx.resolve_run(
+                    id,
+                    LocalAddress::new2d(-1, -1),
+                    LocalAddress::new2d(1, 0),
+                    nx + 2,
+                );
+                let column =
+                    ctx.resolve_run(id, LocalAddress::new2d(bx, 0), LocalAddress::new2d(0, 1), ny);
+                for (plan, len) in [(row, nx + 2), (column, ny)] {
+                    let mut cells = vec![0.0; len];
+                    ctx.get_run(&plan, &mut cells);
+                    seen.extend(cells);
+                }
+            }
+            // Step 1: block 0 per cell, the rest by slab.
+            for (k, &id) in ids.iter().enumerate() {
+                let next: Vec<f64> = (0..nx * ny).map(|i| (k * 100 + i) as f64 * 0.25).collect();
+                if k == 0 {
+                    for (i, v) in next.iter().enumerate() {
+                        let local = LocalAddress::new2d((i % nx) as i64, (i / nx) as i64);
+                        assert!(ctx.set(id, local, *v));
+                    }
+                } else {
+                    assert!(ctx.set_block(id, &next));
+                }
+            }
+            assert!(ctx.refresh());
+            // Step 2: every block lent.
+            for &id in &ids {
+                ctx.with_block(id, |read, write, width| {
+                    assert_eq!(width, frame);
+                    let layout = Frame::new(nx, ny, width);
+                    for (w, r) in layout.rows_mut(write).zip(layout.rows(read)) {
+                        for (w, r) in w.iter_mut().zip(r) {
+                            *w = r * 0.5 - 1.0;
+                        }
+                    }
+                });
+            }
+            assert!(ctx.refresh());
+            // Pages shipped out and back in, one of them changed on the way.
+            for &id in &ids {
+                env.set_block_valid(id, false).unwrap();
+                for page in 0..env.num_pages(id).unwrap() {
+                    let mut payload = env.extract_page(id, page).unwrap();
+                    seen.extend(payload.iter().copied());
+                    if page % 2 == 1 {
+                        payload.iter_mut().for_each(|v| *v += 3.0);
+                        env.install_page(id, page, &payload).unwrap();
+                    }
+                }
+                let mut cells = vec![0.0; nx * ny];
+                assert!(ctx.get_block_dd(id, &mut cells), "a copied read of a part-valid block");
+                seen.extend(cells);
+                ctx.with_block(id, |read, write, width| {
+                    assert_eq!(width, 0, "a part-valid block is copied in, unframed");
+                    write.copy_from_slice(read);
+                });
+            }
+            let sink = Mutex::new(Checksum::default());
+            ctx.deposit_owned(&sink, |v| *v);
+            let fold = sink.into_inner().value().to_bits();
+            assert!(!seen.contains(&GHOST), "{frame}: a frame cell was read");
+            (seen, ctx.state.counters, ctx.state.missing().to_vec(), fold)
+        };
+        for shape in [(4, 3, 5), (1, 4, 2), (5, 1, 3), (3, 3, 9)] {
+            for frame in 1..=2 {
+                assert_eq!(run(shape, frame), run(shape, 0), "{shape:?} framed {frame}");
+            }
+        }
     }
 
     #[test]

@@ -1411,9 +1411,11 @@ fn resolve_primary(
 /// ([`UsGridProgram::to_stencil`](aohpc_kernel::UsGridProgram::to_stencil))
 /// on the usgrid value plane, where points stay in place (CaseC), so a
 /// point's storage address is its logical position and the IR app's
-/// initial condition is the family's.  Particle jobs run the block app (ring
-/// runs, then the lent block) with the cache-resolved pair law (`artifact`)
-/// inlined into its pair loop.  Every app gets the job's checksum sink from
+/// initial condition is the family's.  A grid Env keeps a ghost frame as
+/// wide as its program reaches, so the IR app runs each block in place, its
+/// halo in the frame.  Particle jobs run the block app (ring runs, then the
+/// lent block) with the cache-resolved pair law (`artifact`) inlined into
+/// its pair loop.  Every app gets the job's checksum sink from
 /// `run_family`.
 fn execute_spec(
     inner: &Inner,
@@ -1424,13 +1426,15 @@ fn execute_spec(
 ) -> Executed {
     match &spec.program {
         FamilyProgram::Stencil(program) => {
-            let system = SGridSystem::with_block_size(spec.region, spec.block);
+            let system = SGridSystem::with_block_size(spec.region, spec.block)
+                .with_frame(program.radius() as usize);
             run_stencil(inner, spec, cell, trace_ctx, program.clone(), system)
         }
         FamilyProgram::UsGrid(program) => {
-            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
-            let system = UsGridValueSystem(system);
-            run_stencil(inner, spec, cell, trace_ctx, program.to_stencil(), system)
+            let program = program.to_stencil();
+            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC)
+                .with_frame(program.radius() as usize);
+            run_stencil(inner, spec, cell, trace_ctx, program, UsGridValueSystem(system))
         }
         FamilyProgram::Particle(_) => {
             let kernel = artifact.as_particle().expect("a particle program resolves a pair law");
