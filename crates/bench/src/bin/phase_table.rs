@@ -183,8 +183,8 @@ fn searches_over(spec: &JobSpec, steps: usize) -> [u64; 2] {
     let report = match &spec.program {
         FamilyProgram::Stencil(program) => {
             let app = IrStencilApp::new(program.clone(), params.clone(), steps);
-            let system = SGridSystem::with_block_size(spec.region, spec.block)
-                .with_frame(program.radius() as usize);
+            let system =
+                SGridSystem::with_block_size(spec.region, spec.block).with_frame(program.frame());
             execute(&config, Weaver::new().weave(), Arc::new(system).env_factory(), app.factory())
         }
         FamilyProgram::Particle(program) => {
@@ -199,7 +199,7 @@ fn searches_over(spec: &JobSpec, steps: usize) -> [u64; 2] {
         FamilyProgram::UsGrid(program) => {
             let program = program.to_stencil();
             let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC)
-                .with_frame(program.radius() as usize);
+                .with_frame(program.frame());
             let app = IrStencilApp::new(program, params.clone(), steps);
             let system = Arc::new(UsGridValueSystem(system));
             execute(&config, Weaver::new().weave(), system.env_factory(), app.factory())

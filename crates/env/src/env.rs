@@ -991,9 +991,7 @@ impl<C: Cell> Env<C> {
         for page in 0..pages.num_pages() {
             let range = pages.cell_range(page);
             if pages.is_valid(page) {
-                for (dst, idx) in out[range.clone()].iter_mut().zip(range) {
-                    *dst = guard.read_cell(idx).clone();
-                }
+                guard.read_range_into(range.clone(), &mut out[range]);
             } else {
                 state.record_missing_n(start, page, range.len() as u64);
                 out[range].fill(C::default());

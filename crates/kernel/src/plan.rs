@@ -396,9 +396,8 @@ impl CompiledKernel {
         // Use the DAG's (post-optimization) offsets: loads removed by the
         // optimizer do not cost halo fetches.  The tile is framed as wide as
         // the program reaches, optimized or not: the frame an Env built for
-        // the program keeps (`StencilProgram::radius`).
-        let frame = program.radius() as usize;
-        let plan = AccessPlan::framed(&dag.offsets(), extent.nx, extent.ny, frame);
+        // the program keeps.
+        let plan = AccessPlan::framed(&dag.offsets(), extent.nx, extent.ny, program.frame());
         let tape = ExecTape::lower(&dag, &plan);
         let spec = SpecializedKernel::try_match(&tape, &plan);
         CompiledKernel {
@@ -466,7 +465,7 @@ impl CompiledKernel {
     }
 
     /// Width of the ghost frame a block must be lent in to run in place:
-    /// the program's reach (see
+    /// [`StencilProgram::frame`] (see
     /// [`execute_block_framed`](CompiledKernel::execute_block_framed)).
     pub fn frame(&self) -> usize {
         self.plan.frame()

@@ -183,6 +183,14 @@ impl StencilProgram {
         self.radius
     }
 
+    /// Width of the ghost frame a grid block keeps for this program: its
+    /// reach.  A kernel compiled for the program frames its tile this wide
+    /// and runs a block lent in this frame in place; an Env built with
+    /// another width (or none) runs through the tile, same values.
+    pub fn frame(&self) -> usize {
+        self.radius as usize
+    }
+
     /// Whether another program is structurally interchangeable with this one:
     /// same expression tree (constants compared numerically) and same
     /// declared parameter count, names ignored.  This is the ground truth the

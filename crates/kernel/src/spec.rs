@@ -438,22 +438,23 @@ mod tests {
             for (nx, ny) in [(16usize, 8usize), (1, 5), (5, 1), (2, 2)] {
                 let k = compile(&program, nx, ny);
                 let cells: Vec<f64> = (0..nx * ny).map(|i| (i % 5) as f64 * 0.25 + 1.0).collect();
-                // `ring`: the block lent in a NaN frame, the ring API with
-                // every slot NaN before the runs' fill; otherwise the tape
-                // with the specialized loop off.
-                let block = |scratch: &mut ExecScratch, proc, ring: bool| {
+                // `Some(width)`: the block lent in a NaN frame `width` wide,
+                // the ring API with every slot NaN before the runs' fill —
+                // width 0 runs the specialized loop through the scratch's
+                // tile, the kernel's own width runs it in place; `None`: the
+                // tape with the specialized loop off.
+                let block = |scratch: &mut ExecScratch, proc, ring: Option<usize>| {
                     let (mut out, stats) = (vec![0.0; nx * ny], &mut ExecStats::default());
-                    if ring {
+                    if let Some(width) = ring {
                         let buf = k.ring_buf(scratch);
                         buf.fill(f64::NAN);
                         k.plan().ring.fill_per_cell(buf, |x, y| (x + y) as f64);
-                        let frame = k.frame();
-                        let mut read = framed(&cells, nx, ny, frame, f64::NAN);
+                        let mut read = framed(&cells, nx, ny, width, f64::NAN);
                         let mut lent = vec![f64::NAN; read.len()];
                         k.execute_block_framed(
-                            &mut read, frame, &PARAMS, &mut lent, proc, stats, scratch,
+                            &mut read, width, &PARAMS, &mut lent, proc, stats, scratch,
                         );
-                        out = unframed(&lent, nx, ny, frame);
+                        out = unframed(&lent, nx, ny, width);
                     } else {
                         let halo = &mut |x, y| (x + y) as f64;
                         k.execute_block_unspecialized(
@@ -462,9 +463,9 @@ mod tests {
                     }
                     out
                 };
-                for ring in [true, false] {
+                for ring in [Some(0), Some(k.frame()), None] {
                     for proc in [Processor::Scalar, Processor::Simd] {
-                        let what = format!("{} {nx}x{ny} {proc:?} ring {ring}", program.name());
+                        let what = format!("{} {nx}x{ny} {proc:?} ring {ring:?}", program.name());
                         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         let want = bits(&block(&mut ExecScratch::new(), proc, ring));
                         assert!(want.iter().all(|&v| f64::from_bits(v).is_finite()), "{what}");

@@ -237,23 +237,28 @@ impl PlanSource for Precompiled {
 }
 
 /// A usgrid job's sweep — its program lowered to a stencil, run by the IR
-/// app on the value plane (CaseC, a ragged tiling), framed as wide as the
-/// program reaches, as the service builds it — keeps its plans and ring
-/// plans in the app and computes in the lent block, its halo in the
-/// block's frame: a sweep after the first allocates only what the two
-/// platform calls around the blocks do (`get_blocks` hands out a fresh
-/// block list, `refresh` its payload), and the task's scratch never sizes a
-/// tile.  For the stock four and for the "eight" program of
-/// `tests/value_plane.rs` (corners, and a reach of 2 on one side).
+/// app on the value plane (CaseC, a ragged tiling) — keeps its plans, ring
+/// plans and scratch in the app and computes in the lent block: a sweep
+/// after the first allocates only what the two platform calls around the
+/// blocks do (`get_blocks` hands out a fresh block list, `refresh` its
+/// payload).  Unframed, the block goes through the scratch's tile; framed as
+/// wide as the program reaches, as the service builds it, the block runs in
+/// place, its halo in the frame, and the scratch never sizes a tile.  For
+/// the stock four and for the "eight" program of `tests/value_plane.rs`
+/// (corners, and a reach of 2 on one side).
 #[test]
 fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
     let eight = vec![(-1, -1), (1, -1), (-1, 1), (1, 1), (0, -1), (-2, 0), (1, 0), (0, 1)];
     let eight = UsGridProgram::new("eight", eight, 2).unwrap();
-    for program in [UsGridProgram::jacobi4(), eight] {
+    for (program, frame) in [UsGridProgram::jacobi4(), eight]
+        .into_iter()
+        .flat_map(|p| [0, p.to_stencil().frame()].map(|frame| (p.clone(), frame)))
+    {
+        let what = format!("{} frame {frame}", program.name());
         let stencil = program.to_stencil();
         let system =
             UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, GridLayout::CaseC)
-                .with_frame(stencil.radius() as usize);
+                .with_frame(frame);
         let mut ctx = serial_ctx(UsGridValueSystem(system).build_env());
         // The tiles of 8/8/4 x 8/4 come in four shapes, compiled up front.
         let shapes = [(8, 8), (4, 8), (8, 4), (4, 4)].map(|(nx, ny)| {
@@ -278,19 +283,21 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
         });
         // The first sweep sizes what the app keeps, once each: the plan memo
         // (4 buckets, then 8 at the fourth shape) = 2, and the scratch's
-        // ring and registers = 2 — each grown at the first block, a full
-        // 8x8 one, and never again.  The block is lent, not staged, and
-        // runs in place: no tile.  It also resolves the six blocks' ring
-        // plans: the map, sized for the sweep's blocks at the first, and
-        // each block's list of plans and each plan's stretches (no run of
-        // these rings lands in more than three, which the room of the first
-        // push holds) — 1 + 6 x (1 + runs), the runs of the 8x8 ring, as
-        // many as any tile's.
-        let rings = 1 + 6 * (1 + runs);
-        assert_eq!(cold, platform + 2 + 2 + rings, "{}: the first sweep", program.name());
-        assert_warm_in_place(&mut app, &mut ctx, platform, program.name());
+        // ring and registers, and unframed its tile = 2 or 3 — each grown at
+        // the first block, a full 8x8 one, and never again.  The block is
+        // lent, not staged; framed, it runs in place: no tile.  It also
+        // resolves the six blocks' ring plans: the map, sized for the
+        // sweep's blocks at the first, and each block's list of plans and
+        // each plan's stretches (no run of these rings lands in more than
+        // three, which the room of the first push holds) — 1 + 6 x (1 +
+        // runs), the runs of the 8x8 ring, as many as any tile's.
+        let (rings, scratch) = (1 + 6 * (1 + runs), if frame == 0 { 3 } else { 2 });
+        assert_eq!(cold, platform + 2 + scratch + rings, "{what}: the first sweep");
+        assert_warm_in_place(&mut app, &mut ctx, platform, &what);
         drop(app);
-        assert_eq!(pool.acquire().tile_len(), 0, "{}: the lent path sizes no tile", program.name());
+        if frame != 0 {
+            assert_eq!(pool.acquire().tile_len(), 0, "{what}: the lent path sizes no tile");
+        }
     }
 }
 
@@ -315,8 +322,8 @@ fn assert_warm_in_place(app: &mut IrStencilApp, ctx: &mut TaskCtx<f64>, platform
 #[test]
 fn warm_sgrid_sweep_runs_in_place() {
     let program = StencilProgram::jacobi_5pt();
-    let system = SGridSystem::with_block_size(RegionSize { nx: 96, ny: 64 }, 32)
-        .with_frame(program.radius() as usize);
+    let system =
+        SGridSystem::with_block_size(RegionSize { nx: 96, ny: 64 }, 32).with_frame(program.frame());
     let mut ctx = serial_ctx(system.build_env());
     let plan = CompiledKernel::compile(&program, Extent::new2d(32, 32), OptLevel::Full);
     let plans = Arc::new(Precompiled([((32, 32), Arc::new(plan))].into_iter().collect()));

@@ -23,6 +23,7 @@
 use crate::page::{PageId, PageTable};
 use crate::pool::{Chunk, PoolError, PoolHandle};
 use std::fmt;
+use std::ops::Range;
 
 /// Where a block's cells sit in each of its buffers: `rows` rows of `nx`
 /// cells, with `width` ghost cells on every side of them.  Logical cell
@@ -83,6 +84,23 @@ impl Frame {
     pub fn rows<'a, C>(&self, buf: &'a [C]) -> impl Iterator<Item = &'a [C]> + 'a {
         let (nx, stride) = (self.nx, self.stride().max(1));
         buf[self.offset(0).min(buf.len())..].chunks(stride).take(self.rows).map(move |r| &r[..nx])
+    }
+
+    /// The buffer ranges holding the logical cells `cells`, in order: one a
+    /// row the range touches, the whole range at width 0.
+    fn segments(&self, cells: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+        let (this, mut at) = (*self, cells.start);
+        std::iter::from_fn(move || {
+            (at < cells.end).then(|| {
+                let end = match this.width {
+                    0 => cells.end,
+                    _ => cells.end.min((at / this.nx + 1) * this.nx),
+                };
+                let (start, len) = (this.offset(at), end - at);
+                at = end;
+                start..start + len
+            })
+        })
     }
 
     /// [`Frame::rows`], writable.
@@ -283,10 +301,29 @@ impl<C: Clone + Default> MultiBuffer<C> {
         &mut self.pages
     }
 
+    /// Copy the logical cells `cells` of the read buffer into `out` (one
+    /// copy a row they touch).
+    pub fn read_range_into(&self, cells: Range<usize>, out: &mut [C]) {
+        assert_eq!(cells.len(), out.len(), "a range read fills all of `out`");
+        let buf = &self.buffers[self.read_idx];
+        let mut out = out;
+        for seg in self.frame.segments(cells) {
+            let (dst, rest) = out.split_at_mut(seg.len());
+            dst.clone_from_slice(&buf[seg]);
+            out = rest;
+        }
+    }
+
     /// Extract the cells of one page from the read buffer (for shipping to
     /// another task).
     pub fn extract_page(&self, page: PageId) -> Vec<C> {
-        self.pages.cell_range(page).map(|idx| self.read_cell(idx).clone()).collect()
+        let buf = &self.buffers[self.read_idx];
+        let range = self.pages.cell_range(page);
+        let mut cells = Vec::with_capacity(range.len());
+        for seg in self.frame.segments(range) {
+            cells.extend_from_slice(&buf[seg]);
+        }
+        cells
     }
 
     /// Install received cells into one page of the read buffer and mark it
@@ -294,8 +331,11 @@ impl<C: Clone + Default> MultiBuffer<C> {
     pub fn install_page(&mut self, page: PageId, cells: &[C]) {
         let range = self.pages.cell_range(page);
         assert_eq!(range.len(), cells.len(), "page payload size mismatch");
-        for (idx, cell) in range.zip(cells) {
-            self.write_cell_to_read_buf(idx, cell.clone());
+        let (buf, mut cells) = (&mut self.buffers[self.read_idx], cells);
+        for seg in self.frame.segments(range) {
+            let (src, rest) = cells.split_at(seg.len());
+            buf[seg].clone_from_slice(src);
+            cells = rest;
         }
         self.pages.set_valid(page, true);
     }
@@ -467,9 +507,10 @@ mod tests {
     proptest! {
         /// A framed buffer is the unframed one to every logical access:
         /// per-cell reads and writes, the slab fills, the rows, strided
-        /// reads along a row and a column, page payloads out and in, and
-        /// the page flags — and no frame cell, each holding a poison value,
-        /// shows up in any of them.  The frame is accounted with the pool.
+        /// reads along a row and a column, a range read, page payloads out
+        /// and in, and the page flags — and no frame cell, each holding a
+        /// poison value, shows up in any of them or is overwritten by an
+        /// installed page.  The frame is accounted with the pool.
         #[test]
         fn a_framed_buffer_is_the_unframed_one_to_every_logical_access(
             nx in 1usize..9,
@@ -512,6 +553,9 @@ mod tests {
                 let mut run = vec![0; rows];
                 mb.read_strided(nx - 1, 0, 1, &mut run);
                 seen.extend(&run);
+                let mut tail = vec![0; n - n / 3];
+                mb.read_range_into(n / 3..n, &mut tail);
+                seen.extend(&tail);
                 for page in 0..mb.pages().num_pages() {
                     let payload = mb.extract_page(page);
                     seen.extend(&payload);
@@ -521,6 +565,9 @@ mod tests {
                 seen.extend(mb.frame().rows(mb.read_buf()).flatten().copied());
             }
             prop_assert!(!seen[0].contains(&GHOST), "a frame cell was read");
+            let ghost = |(at, v): (usize, &u64)| inside.contains(&at) || *v == GHOST;
+            let kept = framed.read_buf().iter().enumerate().all(ghost);
+            prop_assert!(kept, "a frame cell was written");
             prop_assert_eq!(&seen[0], &seen[1]);
             prop_assert_eq!(framed.pages(), plain.pages());
         }

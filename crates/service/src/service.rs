@@ -1426,15 +1426,16 @@ fn execute_spec(
 ) -> Executed {
     match &spec.program {
         FamilyProgram::Stencil(program) => {
-            let system = SGridSystem::with_block_size(spec.region, spec.block)
-                .with_frame(program.radius() as usize);
-            run_stencil(inner, spec, cell, trace_ctx, program.clone(), system)
+            run_stencil(inner, spec, cell, trace_ctx, program.clone(), |frame| {
+                SGridSystem::with_block_size(spec.region, spec.block).with_frame(frame)
+            })
         }
         FamilyProgram::UsGrid(program) => {
-            let program = program.to_stencil();
-            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC)
-                .with_frame(program.radius() as usize);
-            run_stencil(inner, spec, cell, trace_ctx, program, UsGridValueSystem(system))
+            run_stencil(inner, spec, cell, trace_ctx, program.to_stencil(), |frame| {
+                let layout = GridLayout::CaseC;
+                let system = UsGridSystem::with_block_size(spec.region, spec.block, layout);
+                UsGridValueSystem(system.with_frame(frame))
+            })
         }
         FamilyProgram::Particle(_) => {
             let kernel = artifact.as_particle().expect("a particle program resolves a pair law");
@@ -1451,7 +1452,8 @@ fn execute_spec(
     }
 }
 
-/// [`run_family`] with the IR app running `program` on `system`, its plans
+/// [`run_family`] with the IR app running `program` on the system `system`
+/// builds for the program's [frame](StencilProgram::frame), its plans
 /// resolved through the shared cache and its scratch from the worker pool.
 fn run_stencil<S>(
     inner: &Inner,
@@ -1459,11 +1461,12 @@ fn run_stencil<S>(
     cell: &JobCell,
     trace_ctx: Option<(u64, u64)>,
     program: StencilProgram,
-    system: S,
+    system: impl FnOnce(usize) -> S,
 ) -> Executed
 where
     S: DslSystem<Cell = f64> + 'static,
 {
+    let system = system(program.frame());
     let app = IrStencilApp::new(program, spec.params.clone(), spec.steps)
         .with_opt_level(spec.opt_level)
         .with_plan_source(inner.cache.clone())
