@@ -106,9 +106,10 @@ fn main() {
     }));
     // The same region on the value plane — what the service runs for a usgrid
     // job, the program lowered to its stencil: 8-byte cells in the pool
-    // instead of 72-byte ones (256² in blocks of 64, two buffers: 9.4 MB ->
-    // 1.0 MB).  The stencil app keeps one plan a tile shape and each block's
-    // ring plans app-side: not in a column.
+    // instead of 72-byte ones, every block framed as wide as the stencil
+    // reaches, as the service's Env is (256² in blocks of 64, two buffers:
+    // 9.4 MB -> 1.1 MB).  The app's plans and the tasks' ring plans are in
+    // no column.
     let jacobi4 = UsGridProgram::jacobi4().to_stencil();
     rows.extend(platform_rows("USGrid values", pool_bytes, |mode| {
         let mut system = UsGridSystem::with_block_size(region, block, GridLayout::CaseC);

@@ -52,6 +52,11 @@
 //! counted in the sweep) — and a later sweep's time and the hand-written
 //! code's (set-up and `steps` sweeps) over them, in ns a cell or a pair.
 //!
+//! Last, what a block costs beside its cells: `sweep = a·cells + b·blocks`
+//! fitted to jacobi 512²'s later sweeps at blocks of 16 (1024 blocks) and
+//! of 128 (16), the median of at least 11 jobs each; `a` in ns a cell, `b`
+//! in µs a block.
+//!
 //! ```sh
 //! cargo run --release -p aohpc-bench --bin phase_table     # 40 jobs a shape
 //! AOHPC_SCALE=smoke cargo run --release -p aohpc-bench --bin phase_table  # 3
@@ -183,8 +188,7 @@ fn searches_over(spec: &JobSpec, steps: usize) -> [u64; 2] {
     let report = match &spec.program {
         FamilyProgram::Stencil(program) => {
             let app = IrStencilApp::new(program.clone(), params.clone(), steps);
-            let system =
-                SGridSystem::with_block_size(spec.region, spec.block).with_frame(program.frame());
+            let system = SGridSystem::with_block_size(spec.region, spec.block);
             execute(&config, Weaver::new().weave(), Arc::new(system).env_factory(), app.factory())
         }
         FamilyProgram::Particle(program) => {
@@ -198,8 +202,7 @@ fn searches_over(spec: &JobSpec, steps: usize) -> [u64; 2] {
         }
         FamilyProgram::UsGrid(program) => {
             let program = program.to_stencil();
-            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC)
-                .with_frame(program.frame());
+            let system = UsGridSystem::with_block_size(spec.region, spec.block, GridLayout::CaseC);
             let app = IrStencilApp::new(program, params.clone(), steps);
             let system = Arc::new(UsGridValueSystem(system));
             execute(&config, Weaver::new().weave(), system.env_factory(), app.factory())
@@ -271,32 +274,7 @@ fn main() {
         })
         .collect();
     for ((label, spec), base) in shapes.into_iter().zip(bases) {
-        // One worker thread records into one shard: size it for every span
-        // of every job (sgrid: 64 block spans a sweep, ~525 a job).
-        let hub = ObsHub::with_clock_and_capacity(Arc::new(WallClock::new()), 1 << 16);
-        let service = KernelService::with_observer(
-            ServiceConfig::default().with_workers(1),
-            Arc::clone(&hub),
-        );
-        let session = service.open_session(SessionSpec::tenant("phases"));
-        let mut traces = Vec::new();
-        for job in 0..WARM_UP_JOBS + jobs {
-            let report = service.submit(session, spec.clone()).expect("admitted").wait();
-            let report = report.expect("job executed");
-            assert!(report.error.is_none(), "{label}: {:?}", report.error);
-            if job >= WARM_UP_JOBS {
-                traces.push(report.trace_id.expect("observed jobs carry a trace id"));
-            }
-        }
-        assert_eq!(hub.recorder().dropped(), 0, "the flight recorder held every span");
-        let spans = hub.recorder().spans();
-        let rows: Vec<_> = traces.iter().map(|&t| phases(&spans, t, spec.steps)).collect();
-        let mut medians: Vec<f64> =
-            (0..TRACED).map(|p| median(rows.iter().map(|r| r[p]).collect())).collect();
-        let violations = service.obs_snapshot().expect("observer installed").validate();
-        assert!(violations.is_empty(), "snapshot inconsistent: {violations:?}");
-        service.shutdown();
-
+        let mut medians = traced(label, &spec, jobs).to_vec();
         medians.push(base);
         let cells = medians.iter().map(|m| {
             if m.is_nan() {
@@ -333,4 +311,58 @@ fn main() {
     for row in kernel_rows {
         println!("{row}");
     }
+    per_block(jobs.max(11));
+}
+
+/// The medians over `jobs` jobs of `spec` (after [`WARM_UP_JOBS`]) of each
+/// traced phase, run through a one-worker observed service.
+fn traced(label: &str, spec: &JobSpec, jobs: usize) -> [f64; TRACED] {
+    // One worker thread records into one shard: size it for every span of
+    // every job (a block span a block and sweep, and a few dozen others).
+    let blocks = spec.region.nx.div_ceil(spec.block) * spec.region.ny.div_ceil(spec.block);
+    let capacity = ((blocks * spec.steps + 64) * (WARM_UP_JOBS + jobs)).next_power_of_two();
+    let hub = ObsHub::with_clock_and_capacity(Arc::new(WallClock::new()), capacity);
+    let service =
+        KernelService::with_observer(ServiceConfig::default().with_workers(1), Arc::clone(&hub));
+    let session = service.open_session(SessionSpec::tenant("phases"));
+    let mut traces = Vec::new();
+    for job in 0..WARM_UP_JOBS + jobs {
+        let report = service.submit(session, spec.clone()).expect("admitted").wait();
+        let report = report.expect("job executed");
+        assert!(report.error.is_none(), "{label}: {:?}", report.error);
+        if job >= WARM_UP_JOBS {
+            traces.push(report.trace_id.expect("observed jobs carry a trace id"));
+        }
+    }
+    assert_eq!(hub.recorder().dropped(), 0, "the flight recorder held every span");
+    let spans = hub.recorder().spans();
+    let rows: Vec<_> = traces.iter().map(|&t| phases(&spans, t, spec.steps)).collect();
+    let violations = service.obs_snapshot().expect("observer installed").validate();
+    assert!(violations.is_empty(), "snapshot inconsistent: {violations:?}");
+    service.shutdown();
+    std::array::from_fn(|p| median(rows.iter().map(|r| r[p]).collect()))
+}
+
+/// What a block costs beside its cells: `sweep = a·cells + b·blocks` fitted
+/// to the later sweeps of jacobi 512² (8 steps) at blocks of 16 and of 128
+/// — the same cells, 1024 blocks against 16 — each the median of `jobs`
+/// jobs.
+fn per_block(jobs: usize) {
+    let later = PHASES.iter().position(|&p| p == "sweep 2..").expect("a later-sweep phase");
+    let [(small, n_small), (large, n_large)] = [16, 128].map(|block| {
+        let spec = grid(StencilProgram::jacobi_5pt(), 512, block, 8);
+        let blocks = (512 / block) * (512 / block);
+        (traced(&format!("jacobi512 b{block}"), &spec, jobs)[later], blocks as f64)
+    });
+    let b = (small - large) / (n_small - n_large);
+    let a = (large - b * n_large) / (512.0 * 512.0);
+    println!("\n# per block: jacobi 512², later sweeps, medians of {jobs} jobs a block size");
+    println!("{:<18}{:>15}{:>15}", "", "blocks", "sweep 2.. ms");
+    println!("{:<18}{n_small:>15}{small:>15.3}", "block 16");
+    println!("{:<18}{n_large:>15}{large:>15.3}", "block 128");
+    println!(
+        "sweep = a·cells + b·blocks: a = {:.3} ns a cell, b = {:.3} µs a block",
+        a * 1e6,
+        b * 1e3
+    );
 }

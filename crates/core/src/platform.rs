@@ -158,10 +158,11 @@ impl Platform {
         &self.cost
     }
 
-    /// Run an application given explicit Env and app factories.
+    /// Run an application given explicit Env and app factories (the Env
+    /// factory is handed the app's frame, see `runtime::execute`).
     pub fn run<C, A>(
         &self,
-        env_factory: Arc<dyn Fn() -> Env<C> + Send + Sync>,
+        env_factory: Arc<dyn Fn(usize) -> Env<C> + Send + Sync>,
         app_factory: Arc<dyn Fn(TaskSlot) -> A + Send + Sync>,
     ) -> RunOutcome
     where

@@ -14,16 +14,22 @@ pub trait DslSystem: Send + Sync {
     /// Cell type stored in the system's Data blocks.
     type Cell: Cell;
 
-    /// Build the full-domain Env (all Data blocks plus boundary blocks).
-    fn build_env(&self) -> Env<Self::Cell>;
+    /// Build the full-domain Env (all Data blocks plus boundary blocks),
+    /// every Data block keeping a ghost frame `frame` cells wide: the reach
+    /// of the app it is built for (`HpcApp::frame`).
+    fn build_framed_env(&self, frame: usize) -> Env<Self::Cell>;
 
-    /// A factory building one Env replica per call.
-    fn env_factory(self: Arc<Self>) -> Arc<dyn Fn() -> Env<Self::Cell> + Send + Sync>
+    /// The Env with no frame ([`DslSystem::build_framed_env`] at 0).
+    fn build_env(&self) -> Env<Self::Cell> {
+        self.build_framed_env(0)
+    }
+
+    /// A factory building one Env replica per call, framed as asked.
+    fn env_factory(self: Arc<Self>) -> Arc<dyn Fn(usize) -> Env<Self::Cell> + Send + Sync>
     where
         Self: Sized + 'static,
     {
-        let this = self;
-        Arc::new(move || this.build_env())
+        Arc::new(move |frame| self.build_framed_env(frame))
     }
 }
 
@@ -68,9 +74,7 @@ impl Tiling {
 /// search.
 ///
 /// Every Data block keeps a ghost frame `frame` cells wide
-/// ([`EnvBuilder::with_frame`]): a grid system asked for one by its job is
-/// given its program's reach, so the stencil block routine runs from the
-/// lent block with its halo in the frame.
+/// ([`EnvBuilder::with_frame`]; see [`DslSystem::build_framed_env`]).
 ///
 /// Returns the built Env and the list of data block ids in (by, bx)
 /// iteration order.

@@ -34,11 +34,10 @@
 //! reference's to the bit, and each bucket is read once a sweep.
 
 use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
-use aohpc_env::{BlockId, Env, GlobalAddress, LocalAddress, RunPlan, TreeTopology};
+use aohpc_env::{BlockId, Env, GlobalAddress, LocalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
-use aohpc_runtime::{BlockSweep, ChecksumSink, FinalizeSink, HpcApp, TaskCtx, TaskSlot};
+use aohpc_runtime::{BlockSweep, ChecksumSink, FinalizeSink, HpcApp, RingRun, TaskCtx, TaskSlot};
 use aohpc_workloads::ParticleSize;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Maximum particles per bucket (the paper uses 16).
@@ -241,11 +240,11 @@ impl ParticleSystem {
 impl DslSystem for ParticleSystem {
     type Cell = Bucket;
 
-    fn build_env(&self) -> Env<Bucket> {
+    fn build_framed_env(&self, frame: usize) -> Env<Bucket> {
         let (env, _data) = build_tiled_env_with_topology::<Bucket>(
             self.tiling(),
             self.buckets_per_page,
-            0,
+            frame,
             self.pool(),
             self.tree,
             |b, root| {
@@ -611,13 +610,12 @@ impl HpcApp<Bucket> for ParticleApp {
 /// moved in bulk and its pair law `L` inlined.  Run it on [`ParticleSystem`].
 ///
 /// Its block routine (a `BlockSweep`, run inside the `Kernel::execute_block`
-/// join point) reads the block's one-bucket ring as four runs — the row
-/// above and the row below, `bx + 2` buckets each with the corners, then
-/// the left and the right column, `by` each, read through the four run
-/// plans resolved at the block's first sweep — and then, in the block's own
-/// buffers ([`TaskCtx::with_block`]), copies the read buffer into the write
-/// buffer and applies the reference's force and update to every live
-/// particle there.  The force runs over the bucket's particles as columns
+/// join point) reads the block's one-bucket ring as four runs
+/// ([`TaskCtx::read_ring`]) — the row above and the row below, `bx + 2`
+/// buckets each with the corners, then the left and the right column, `by`
+/// each — and then, in the block's own buffers ([`TaskCtx::with_block`]),
+/// copies the read buffer into the write buffer and applies the reference's
+/// force and update to every live particle there.  The force runs over the bucket's particles as columns
 /// (`lane_forces`): one neighbour at a time, in the reference's
 /// neighbourhood order, against four particles at a time.  A bucket is read
 /// once a sweep: hinted in the block, unhinted on the ring.
@@ -638,17 +636,13 @@ pub struct ParticleBlockApp<L> {
     /// right column — kept between passes (an app instance is one task's)
     /// and sized at the first block.
     ring: Vec<Bucket>,
-    /// Each block's four ring runs, in ring order, resolved at the block's
-    /// first sweep (the map sized for the sweep's blocks at the first).
-    plans: HashMap<BlockId, [RunPlan; 4]>,
 }
 
 impl<L: PairLanes> ParticleBlockApp<L> {
     /// A sweep of `law` over the system's buckets, `loops` times, at the
     /// reference's default time step.
     pub fn new(system: ParticleSystem, law: L, loops: usize) -> Self {
-        let (ring, plans) = (Vec::new(), HashMap::new());
-        ParticleBlockApp { system, law, dt: 1e-3, loops, sink: None, ring, plans }
+        ParticleBlockApp { system, law, dt: 1e-3, loops, sink: None, ring: Vec::new() }
     }
 
     /// Use a different time step.
@@ -757,28 +751,17 @@ impl<L: PairLanes> BlockSweep for ParticleBlockApp<L> {
         bucket.speed()
     }
 
-    fn block(&mut self, ctx: &mut TaskCtx<Bucket>, bid: BlockId, _i: usize, n: usize) {
+    fn block(&mut self, ctx: &mut TaskCtx<Bucket>, bid: BlockId) {
         let (law, dt, ring) = (&self.law, self.dt, &mut self.ring);
         let ext = ctx.env().block(bid).meta.extent;
         let (nx, ny) = (ext.nx, ext.ny);
         ring.resize(2 * (nx + 2) + 2 * ny, Bucket::default());
         let (bx, by) = (nx as i64, ny as i64);
-        let (across, down) = (LocalAddress::new2d(1, 0), LocalAddress::new2d(0, 1));
-        if self.plans.is_empty() {
-            self.plans.reserve(n);
-        }
-        let plans = self.plans.entry(bid).or_insert_with(|| {
-            let (row, column) = ((across, nx + 2), (down, ny));
-            [((-1, -1), row), ((-1, by), row), ((-1, 0), column), ((bx, 0), column)].map(
-                |((x, y), (step, len))| ctx.resolve_run(bid, LocalAddress::new2d(x, y), step, len),
-            )
-        });
-        let (rows, columns) = ring.split_at_mut(2 * (nx + 2));
-        let (above, below) = rows.split_at_mut(nx + 2);
-        let (left, right) = columns.split_at_mut(ny);
-        for (plan, run) in plans.iter().zip([above, below, left, right]) {
-            ctx.get_run(plan, run);
-        }
+        let row = |y, slot| RingRun { x: -1, y, dx: 1, dy: 0, slot, len: nx + 2 };
+        let column = |x, slot| RingRun { x, y: 0, dx: 0, dy: 1, slot, len: ny };
+        let rows = 2 * (nx + 2);
+        let runs = [row(-1, 0), row(by, nx + 2), column(-1, rows), column(bx, rows + ny)];
+        ctx.read_ring(bid, &runs, ring);
         let ring = &*ring;
 
         ctx.with_block(bid, |own, out, frame| {

@@ -36,9 +36,6 @@ pub struct SGridSystem {
     pub pool_bytes: Option<u64>,
     /// Shape of the data branch of the Env tree (§III-B3 locality joints).
     pub tree: TreeTopology,
-    /// Ghost cells kept around every Data block's rows (0 = none; see
-    /// `build_tiled_env_with_topology`).
-    pub frame: usize,
 }
 
 impl SGridSystem {
@@ -51,7 +48,6 @@ impl SGridSystem {
             boundary_value: 0.0,
             pool_bytes: None,
             tree: TreeTopology::Flat,
-            frame: 0,
         }
     }
 
@@ -66,20 +62,12 @@ impl SGridSystem {
             boundary_value: 0.0,
             pool_bytes: None,
             tree: TreeTopology::Flat,
-            frame: 0,
         }
     }
 
     /// Use a non-default data-branch topology (locality joints, §III-B3).
     pub fn with_topology(mut self, tree: TreeTopology) -> Self {
         self.tree = tree;
-        self
-    }
-
-    /// Keep a ghost frame `width` cells wide around every Data block: the
-    /// reach of the stencil program the Env is built for.
-    pub fn with_frame(mut self, width: usize) -> Self {
-        self.frame = width;
         self
     }
 
@@ -99,12 +87,12 @@ impl SGridSystem {
 impl DslSystem for SGridSystem {
     type Cell = f64;
 
-    fn build_env(&self) -> Env<f64> {
+    fn build_framed_env(&self, frame: usize) -> Env<f64> {
         let boundary = self.boundary_value;
         let (env, _data) = build_tiled_env_with_topology::<f64>(
             self.tiling(),
             self.cells_per_page,
-            self.frame,
+            frame,
             self.pool(),
             self.tree,
             |b, root| {

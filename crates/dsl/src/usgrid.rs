@@ -80,9 +80,6 @@ pub struct UsGridSystem {
     pub pool_bytes: Option<u64>,
     /// Shape of the data branch of the Env tree (§III-B3 locality joints).
     pub tree: TreeTopology,
-    /// Ghost cells kept around every Data block's rows (0 = none; see
-    /// `build_tiled_env_with_topology`).
-    pub frame: usize,
 }
 
 impl UsGridSystem {
@@ -96,7 +93,6 @@ impl UsGridSystem {
             boundary_value: 0.0,
             pool_bytes: None,
             tree: TreeTopology::Flat,
-            frame: 0,
         }
     }
 
@@ -110,20 +106,12 @@ impl UsGridSystem {
             boundary_value: 0.0,
             pool_bytes: None,
             tree: TreeTopology::Flat,
-            frame: 0,
         }
     }
 
     /// Use a non-default data-branch topology (locality joints, §III-B3).
     pub fn with_topology(mut self, tree: TreeTopology) -> Self {
         self.tree = tree;
-        self
-    }
-
-    /// Keep a ghost frame `width` cells wide around every Data block: the
-    /// reach of the stencil program the Env is built for.
-    pub fn with_frame(mut self, width: usize) -> Self {
-        self.frame = width;
         self
     }
 
@@ -178,15 +166,15 @@ impl UsGridSystem {
         }
     }
 
-    /// The family's Env over cells of type `C`: one Data block per tile,
-    /// and `outside` wherever a read leaves the domain.
-    fn build_env_of<C: Cell>(&self, outside: C) -> Env<C> {
+    /// The family's Env over cells of type `C`, framed `frame` wide: one
+    /// Data block per tile, and `outside` wherever a read leaves the domain.
+    fn build_env_of<C: Cell>(&self, outside: C, frame: usize) -> Env<C> {
         let nx = self.region.nx;
         let ny = self.region.ny;
         let (env, _data) = build_tiled_env_with_topology::<C>(
             self.tiling(),
             self.cells_per_page,
-            self.frame,
+            frame,
             self.pool(),
             self.tree,
             |b, root| {
@@ -209,8 +197,8 @@ impl UsGridSystem {
 impl DslSystem for UsGridSystem {
     type Cell = UsCell;
 
-    fn build_env(&self) -> Env<UsCell> {
-        self.build_env_of(UsCell { value: self.boundary_value, neighbors: [(0, 0); 4] })
+    fn build_framed_env(&self, frame: usize) -> Env<UsCell> {
+        self.build_env_of(UsCell { value: self.boundary_value, neighbors: [(0, 0); 4] }, frame)
     }
 }
 
@@ -223,8 +211,8 @@ pub struct UsGridValueSystem(pub UsGridSystem);
 impl DslSystem for UsGridValueSystem {
     type Cell = f64;
 
-    fn build_env(&self) -> Env<f64> {
-        self.0.build_env_of(self.0.boundary_value)
+    fn build_framed_env(&self, frame: usize) -> Env<f64> {
+        self.0.build_env_of(self.0.boundary_value, frame)
     }
 }
 

@@ -7,21 +7,18 @@
 //! runtime's one blanket `HpcApp` impl over [`BlockSweep`].
 //!
 //! The block routine computes in the Env's own buffers.  It first reads the
-//! true out-of-block halo through the platform: the plan's [`HaloRing`]
-//! lists each of those cells once, and [`fill_halo_ring`] reads the ring
-//! with one run read per edge ([`TaskCtx::get_run`], so MMAT and the
-//! per-read counters still apply), through the block's ring plans — where
-//! each run lands, resolved at the block's first sweep and kept in the app
-//! beside the compiled kernel (searches are counted when a plan is
-//! resolved, never when it is read: the rule is `Env::resolve_run`'s).
+//! true out-of-block halo through the platform: the plan's
+//! [`HaloRing`](crate::plan::HaloRing) lists each of those cells once, and
+//! [`TaskCtx::read_ring`] reads it with one run read per edge (so MMAT and
+//! the per-read counters still apply).
 //! Then [`TaskCtx::with_block`] lends it the block's read and write buffers,
-//! counted as one slab `GetDD` and one slab `SetD`.  On an Env framed as
-//! wide as the program reaches (how the service builds a grid job's Env)
+//! counted as one slab `GetDD` and one slab `SetD`.  The app's reach is the
+//! program's ([`StencilProgram::frame`]), so its Env is framed that wide and
 //! the block is the kernel's tile: the ring goes into the read buffer's
 //! ghost frame, and the row loop reads the one and writes the other in
-//! place.  Any other block is copied into the scratch's tile first.  The
-//! ring comes first because nothing may read the Env while the block is
-//! lent.
+//! place.  A block lent unframed (a hand-built Env, the copied fallback) is
+//! copied into the scratch's tile first.  The ring comes first because
+//! nothing may read the Env while the block is lent.
 //!
 //! Because all of it goes through the same Annotation/Memory-Library join
 //! points and leaves the same counters as Listing 1's per-cell calls, every
@@ -31,10 +28,10 @@
 
 use crate::backend::{ExecStats, Processor};
 use crate::opt::{OptLevel, OptStats};
-use crate::plan::{CompiledKernel, HaloRing, PlanSource};
+use crate::plan::{CompiledKernel, PlanSource};
 use crate::program::StencilProgram;
 use crate::tape::{ExecScratch, ScratchPool};
-use aohpc_env::{BlockId, Extent, GlobalAddress, LocalAddress, RunPlan};
+use aohpc_env::{BlockId, Extent, GlobalAddress};
 use aohpc_runtime::{BlockSweep, ChecksumSink, FieldSink, FinalizeSink, TaskCtx, TaskSlot};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -92,10 +89,6 @@ pub struct IrStencilApp {
     plan_source: Option<Arc<dyn PlanSource>>,
     scratch_pool: Option<Arc<ScratchPool>>,
     compiled: HashMap<(usize, usize), Arc<CompiledKernel>>,
-    /// Each block's ring plans, one per run of its shape's [`HaloRing`],
-    /// resolved at the block's first sweep (the map sized for the sweep's
-    /// blocks at the first).
-    rings: HashMap<BlockId, Vec<RunPlan>>,
     /// This task's buffers, checked out at its first block.
     scratch: Option<KernelScratch>,
 }
@@ -132,7 +125,6 @@ impl IrStencilApp {
             plan_source: None,
             scratch_pool: None,
             compiled: HashMap::new(),
-            rings: HashMap::new(),
             scratch: None,
         }
     }
@@ -199,29 +191,6 @@ impl IrStencilApp {
     }
 }
 
-/// Fill `buf` — one value per slot of `ring` — with the halo of `block`
-/// through the platform: one [`TaskCtx::get_run`] per ring run, through
-/// `plans`, the block's run plans in ring order.  Empty `plans` are the
-/// block's first sweep: each run is resolved into them first.
-pub fn fill_halo_ring(
-    ctx: &mut TaskCtx<f64>,
-    block: BlockId,
-    ring: &HaloRing,
-    plans: &mut Vec<RunPlan>,
-    buf: &mut [f64],
-) {
-    if plans.is_empty() {
-        plans.extend(ring.runs().iter().map(|run| {
-            let (first, step) =
-                (LocalAddress::new2d(run.x, run.y), LocalAddress::new2d(run.dx, run.dy));
-            ctx.resolve_run(block, first, step, run.len)
-        }));
-    }
-    for (run, plan) in ring.runs().iter().zip(plans.iter()) {
-        ctx.get_run(plan, &mut buf[run.slots()]);
-    }
-}
-
 /// The default initial condition shared with the sample SGrid DSL, so the two
 /// kernels can be compared field-for-field.
 pub fn default_initial_value(addr: GlobalAddress) -> f64 {
@@ -233,6 +202,10 @@ impl BlockSweep for IrStencilApp {
 
     fn loops(&self) -> usize {
         self.loops
+    }
+
+    fn frame(&self) -> usize {
+        self.program.frame()
     }
 
     fn initial(&self) -> impl FnMut(GlobalAddress) -> f64 + '_ {
@@ -247,7 +220,7 @@ impl BlockSweep for IrStencilApp {
         *v
     }
 
-    fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId, _i: usize, n: usize) {
+    fn block(&mut self, ctx: &mut TaskCtx<f64>, bid: BlockId) {
         // Compile (or reuse) the plan for this block shape.
         let ext = ctx.env().block(bid).meta.extent;
         let compiled = self.compiled_for(ext);
@@ -255,16 +228,12 @@ impl BlockSweep for IrStencilApp {
         let scratch = self.scratch.get_or_insert_with(|| KernelScratch::acquire(pool.clone()));
         let exec = &mut scratch.exec;
         let params = &self.params;
-        if self.rings.is_empty() {
-            self.rings.reserve(n);
-        }
-        let plans = self.rings.entry(bid).or_default();
 
-        // The halo ring through the platform, run by run through the block's
-        // ring plans (so MMAT and the per-read counters are preserved), then
-        // the kernel in the lent block: the ring into the read buffer's
-        // frame, read buffer in, write buffer out.
-        fill_halo_ring(ctx, bid, &compiled.plan().ring, plans, compiled.ring_buf(exec));
+        // The halo ring through the platform, run by run (so MMAT and the
+        // per-read counters are preserved), then the kernel in the lent
+        // block: the ring into the read buffer's frame, read buffer in,
+        // write buffer out.
+        ctx.read_ring(bid, compiled.plan().ring.runs(), compiled.ring_buf(exec));
         ctx.with_block(bid, |read, out, frame| {
             let stats = &mut ExecStats::default();
             let proc = Processor::Scalar;

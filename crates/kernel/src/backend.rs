@@ -154,11 +154,9 @@ impl CompiledKernel {
     ///
     /// The ring is filled first so that `read` and `out` can be the Env's
     /// own buffers, lent under a guard no halo read may wait on:
-    /// `IrStencilApp` fills the ring through the platform (one
-    /// `TaskCtx::get_run` per ring run, through the block's ring plans, so
-    /// MMAT and the per-read counters still apply, and the searches are
-    /// counted once, when the plans are resolved — the rule is
-    /// `Env::resolve_run`'s), then runs this inside `TaskCtx::with_block`.
+    /// `IrStencilApp` fills the ring through the platform
+    /// (`TaskCtx::read_ring`, so MMAT and the per-read counters still
+    /// apply), then runs this inside `TaskCtx::with_block`.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_block_framed(
         &self,

@@ -68,9 +68,7 @@ pub mod program;
 pub mod spec;
 pub mod tape;
 
-pub use app::{
-    default_initial_value, fill_halo_ring, new_stencil_field_sink, IrStencilApp, StencilFieldSink,
-};
+pub use app::{default_initial_value, new_stencil_field_sink, IrStencilApp, StencilFieldSink};
 pub use backend::{ExecStats, Processor, LANES};
 pub use expr::{jacobi_5pt, lit, load, param, smooth_9pt, BinOp, KernelExpr, UnaryOp};
 pub use family::{
@@ -79,7 +77,7 @@ pub use family::{
 };
 pub use field::DenseField;
 pub use opt::{Dag, OptLevel, OptStats};
-pub use plan::{AccessPlan, CompiledKernel, HaloRing, HaloRun, PlanSource};
+pub use plan::{AccessPlan, CompiledKernel, HaloRing, PlanSource};
 pub use portable::{PortableError, PortableKernel};
 pub use program::{ProgramError, ProgramFingerprint, StencilProgram};
 pub use spec::SpecializationId;

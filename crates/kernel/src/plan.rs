@@ -19,9 +19,7 @@
 //! once — the block shape's [`HaloRing`]: every distinct out-of-block cell
 //! with a slot, the slots grouped into maximal axis-aligned runs.  The
 //! executor fetches each ring cell once per block (one platform run read per
-//! run, see `TaskCtx::get_run`, through a run plan resolved at the block's
-//! first sweep: searches are counted when a plan is resolved, never when it
-//! is read, the rule of `Env::resolve_run`), places the ring's runs in the
+//! run, see `TaskCtx::read_ring`), places the ring's runs in the
 //! ghost frame of the plan's tile — the block's own read buffer when the
 //! block is lent framed as wide as the program reaches, else a scratch tile
 //! the block's rows are copied into — and every cell, interior or not,
@@ -37,6 +35,7 @@ use crate::program::StencilProgram;
 use crate::spec::{SpecializationId, SpecializedKernel};
 use crate::tape::{ExecScratch, ExecTape, LANES};
 use aohpc_env::{Extent, Frame};
+use aohpc_runtime::RingRun;
 use std::sync::Arc;
 
 /// A provider of compiled kernels: given a program, a block shape and an
@@ -56,40 +55,9 @@ pub trait PlanSource: Send + Sync {
     ) -> Arc<CompiledKernel>;
 }
 
-/// A maximal axis-aligned run of halo-ring cells: the `len` cells
-/// `(x, y), (x + dx, y + dy), …` in block-local coordinates (which may be
-/// negative or ≥ extent), holding the ring slots `slot .. slot + len` in that
-/// order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HaloRun {
-    /// Local X of the first cell.
-    pub x: i64,
-    /// Local Y of the first cell.
-    pub y: i64,
-    /// X step between consecutive cells (1 for a row run, else 0).
-    pub dx: i64,
-    /// Y step between consecutive cells (1 for a column run, else 0).
-    pub dy: i64,
-    /// Ring slot of the first cell.
-    pub slot: usize,
-    /// Number of cells.
-    pub len: usize,
-}
-
-impl HaloRun {
-    /// The ring slots this run fills.
-    pub fn slots(&self) -> std::ops::Range<usize> {
-        self.slot..self.slot + self.len
-    }
-
-    /// The run's cells, in slot order.
-    pub fn cells(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
-        (0..self.len as i64).map(|k| (self.x + k * self.dx, self.y + k * self.dy))
-    }
-}
-
 /// The distinct out-of-block cells one execution of a plan reads, each with
-/// a slot, grouped into maximal axis-aligned runs.
+/// a slot, grouped into maximal axis-aligned runs ([`RingRun`]s, what
+/// `TaskCtx::read_ring` reads).
 ///
 /// A cell's slot is its place in ring order over everything the stencil can
 /// reach outside the block: the rows above the block top-down and the rows
@@ -100,7 +68,7 @@ impl HaloRun {
 /// edges; the 9-point ring adds the four corners to the two row runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HaloRing {
-    runs: Vec<HaloRun>,
+    runs: Vec<RingRun>,
     slots: usize,
     cells: usize,
 }
@@ -109,7 +77,7 @@ impl HaloRing {
     /// The ring of the loaded slots of `order`: loaded neighbours along a
     /// line become one run.
     fn of_loaded(order: &RingOrder, loaded: &[bool]) -> Self {
-        let mut runs: Vec<HaloRun> = Vec::new();
+        let mut runs: Vec<RingRun> = Vec::new();
         let mut slot = 0;
         for ((x0, y0), (dx, dy), len) in order.lines() {
             let mut open = false;
@@ -117,7 +85,7 @@ impl HaloRing {
                 if loaded[slot] {
                     match runs.last_mut() {
                         Some(run) if open => run.len += 1,
-                        _ => runs.push(HaloRun {
+                        _ => runs.push(RingRun {
                             x: x0 + k * dx,
                             y: y0 + k * dy,
                             dx,
@@ -146,7 +114,7 @@ impl HaloRing {
     }
 
     /// The runs, in slot order.
-    pub fn runs(&self) -> &[HaloRun] {
+    pub fn runs(&self) -> &[RingRun] {
         &self.runs
     }
 

@@ -237,8 +237,9 @@ impl PlanSource for Precompiled {
 }
 
 /// A usgrid job's sweep — its program lowered to a stencil, run by the IR
-/// app on the value plane (CaseC, a ragged tiling) — keeps its plans, ring
-/// plans and scratch in the app and computes in the lent block: a sweep
+/// app on the value plane (CaseC, a ragged tiling) — keeps its plans and
+/// scratch in the app, its ring plans in the task's context, and computes
+/// in the lent block: a sweep
 /// after the first allocates only what the two platform calls around the
 /// blocks do (`get_blocks` hands out a fresh block list, `refresh` its
 /// payload).  Unframed, the block goes through the scratch's tile; framed as
@@ -257,9 +258,8 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
         let what = format!("{} frame {frame}", program.name());
         let stencil = program.to_stencil();
         let system =
-            UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, GridLayout::CaseC)
-                .with_frame(frame);
-        let mut ctx = serial_ctx(UsGridValueSystem(system).build_env());
+            UsGridSystem::with_block_size(RegionSize { nx: 20, ny: 12 }, 8, GridLayout::CaseC);
+        let mut ctx = serial_ctx(UsGridValueSystem(system).build_framed_env(frame));
         // The tiles of 8/8/4 x 8/4 come in four shapes, compiled up front.
         let shapes = [(8, 8), (4, 8), (8, 4), (4, 4)].map(|(nx, ny)| {
             let plan = CompiledKernel::compile(&stencil, Extent::new2d(nx, ny), OptLevel::Full);
@@ -286,8 +286,9 @@ fn warm_usgrid_sweep_allocates_nothing_of_its_own() {
         // ring and registers, and unframed its tile = 2 or 3 — each grown at
         // the first block, a full 8x8 one, and never again.  The block is
         // lent, not staged; framed, it runs in place: no tile.  It also
-        // resolves the six blocks' ring plans: the map, sized for the
-        // sweep's blocks at the first, and each block's list of plans and
+        // resolves the six blocks' ring plans: the context's table, sized
+        // for the Env's blocks at the first read, and each block's list of
+        // plans and
         // each plan's stretches (no run of these rings lands in more than
         // three, which the room of the first push holds) — 1 + 6 x (1 +
         // runs), the runs of the 8x8 ring, as many as any tile's.
@@ -322,9 +323,8 @@ fn assert_warm_in_place(app: &mut IrStencilApp, ctx: &mut TaskCtx<f64>, platform
 #[test]
 fn warm_sgrid_sweep_runs_in_place() {
     let program = StencilProgram::jacobi_5pt();
-    let system =
-        SGridSystem::with_block_size(RegionSize { nx: 96, ny: 64 }, 32).with_frame(program.frame());
-    let mut ctx = serial_ctx(system.build_env());
+    let system = SGridSystem::with_block_size(RegionSize { nx: 96, ny: 64 }, 32);
+    let mut ctx = serial_ctx(system.build_framed_env(program.frame()));
     let plan = CompiledKernel::compile(&program, Extent::new2d(32, 32), OptLevel::Full);
     let plans = Arc::new(Precompiled([((32, 32), Arc::new(plan))].into_iter().collect()));
     let pool = ScratchPool::new(1);
@@ -376,8 +376,8 @@ fn warm_checksum_finalize_allocates_nothing_of_its_own() {
     assert_eq!(sum.lock().value().to_bits(), want.to_bits());
 }
 
-/// The particle block sweep keeps its ring and its ring plans in the app and
-/// updates the lent block in place: a sweep after the first allocates only
+/// The particle block sweep keeps its ring in the app, its ring plans in
+/// the task's context, and updates the lent block in place: a sweep after the first allocates only
 /// what `get_blocks` and `refresh` do — nothing a block and nothing a bucket,
 /// on a half-empty grid (1,000 particles in 256 buckets) and a full one (2^12
 /// in 576).  The Listing-1 `ParticleApp` beside it allocates two `Vec`s a
@@ -403,15 +403,16 @@ fn warm_particle_sweep_allocates_nothing_of_its_own() {
         let mut app = ParticleBlockApp::new(system.clone(), law, 4);
         app.initialize(&mut ctx);
         // The first sweep sizes the ring: one.  The block is lent, not
-        // staged.  It also resolves each block's four ring runs: the map,
-        // sized for the sweep's blocks at the first, and each run's
-        // stretches (at most three: a row crosses at most three blocks, or
-        // leaves the domain and comes back).
+        // staged.  It also resolves each block's four ring runs: the
+        // context's table, sized for the Env's blocks at the first read,
+        // and each block's list of plans and each run's stretches (at most
+        // three: a row crosses at most three blocks, or leaves the domain
+        // and comes back) — 1 + blocks x (1 + 4).
         let (ok, cold) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
         assert!(ok);
         let platform = platform(&mut ctx);
         let blocks = buckets / 64;
-        assert_eq!(cold, platform + 1 + 1 + 4 * blocks, "{count}: the first sweep");
+        assert_eq!(cold, platform + 1 + 1 + 5 * blocks, "{count}: the first sweep");
         for sweep in 2..5 {
             let (ok, allocs) = aohpc_testalloc::count_in(|| app.kernel(&mut ctx, false));
             assert!(ok);

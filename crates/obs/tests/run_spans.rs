@@ -80,7 +80,7 @@ fn traced_run(topology: Topology) -> (SpanRecord, Vec<SpanRecord>) {
     let report = execute(
         &RunConfig::serial().with_topology(topology),
         weaver.weave(),
-        Arc::new(build_env),
+        Arc::new(|_frame| build_env()),
         Arc::new(move |_| Ticking(clock.clone())),
     );
     assert!(report.tasks.iter().all(|t| t.steps == STEPS as u64 && t.retries == 0));

@@ -48,6 +48,16 @@ pub trait HpcApp<C: Cell> {
     /// Post-processing after the main loop.
     fn finalize(&mut self, ctx: &mut TaskCtx<C>);
 
+    /// How far past a block's edge the app's block routine reads, in cells:
+    /// the width of the ghost frame its Env keeps around every Data block
+    /// (see `EnvBuilder::with_frame`).  [`execute`](crate::execute) builds
+    /// each rank's Env for its master app's reach, so a routine that reads
+    /// `frame` cells out can run in the lent block.  0 (the default): no
+    /// frame.
+    fn frame(&self) -> usize {
+        0
+    }
+
     /// The Processing function of the annotation library (overridable).
     ///
     /// **The sweep contract.**  A task runs the kernel `loop_count` times,
@@ -114,15 +124,21 @@ pub trait HpcApp<C: Cell> {
 ///   value)` pairs, or only its checksum, folded row by row from each block
 ///   in place ([`FinalizeSink`]; the service's jobs keep no field).
 ///
-/// An app instance is one task's (the driver builds one per task), so what a
-/// block routine keeps between passes — ring buffers, resolved plans —
-/// lives in `self`.
+/// An app states its reach ([`BlockSweep::frame`]); the platform keeps the
+/// rest: the Env's frame follows the app, and a block's ring plans are
+/// [`TaskCtx::read_ring`]'s.
 pub trait BlockSweep {
     /// The cell type of the Env the sweep runs on.
     type Cell: Cell;
 
     /// Number of main-loop iterations ([`HpcApp::loop_count`]).
     fn loops(&self) -> usize;
+
+    /// How far past a block's edge [`BlockSweep::block`] reads
+    /// ([`HpcApp::frame`]).
+    fn frame(&self) -> usize {
+        0
+    }
 
     /// The step-0 value of the cell at each global address.
     fn initial(&self) -> impl FnMut(GlobalAddress) -> Self::Cell + '_;
@@ -133,11 +149,11 @@ pub trait BlockSweep {
     /// The value `Finalize` deposits for one cell.
     fn deposit(cell: &Self::Cell) -> f64;
 
-    /// One block's pass: read its out-of-block neighbours, then apply the
-    /// law inside [`TaskCtx::with_block`], from the lent read buffer into
-    /// the lent write buffer.  The block is number `i` of the `n` this
-    /// sweep's `get_blocks` returned.
-    fn block(&mut self, ctx: &mut TaskCtx<Self::Cell>, bid: BlockId, i: usize, n: usize);
+    /// One block's pass: read its out-of-block neighbours
+    /// ([`TaskCtx::read_ring`]), then apply the law inside
+    /// [`TaskCtx::with_block`], from the lent read buffer into the lent
+    /// write buffer.
+    fn block(&mut self, ctx: &mut TaskCtx<Self::Cell>, bid: BlockId);
 }
 
 impl<S: BlockSweep> HpcApp<S::Cell> for S {
@@ -145,16 +161,18 @@ impl<S: BlockSweep> HpcApp<S::Cell> for S {
         self.loops()
     }
 
+    fn frame(&self) -> usize {
+        BlockSweep::frame(self)
+    }
+
     fn initialize(&mut self, ctx: &mut TaskCtx<S::Cell>) {
         ctx.initialize_owned(self.initial());
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<S::Cell>, _warmup: bool) -> bool {
-        let blocks = ctx.get_blocks();
-        let n = blocks.len();
-        for (i, &bid) in blocks.iter().enumerate() {
+        for bid in ctx.get_blocks() {
             let cells = ctx.env().block(bid).meta.extent.cells();
-            ctx.run_block(bid as i64, cells, |ctx| self.block(ctx, bid, i, n));
+            ctx.run_block(bid as i64, cells, |ctx| self.block(ctx, bid));
         }
         ctx.refresh()
     }

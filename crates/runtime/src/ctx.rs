@@ -1,8 +1,8 @@
 //! Task context, rank-shared state and the join-point payloads.
 //!
 //! A [`TaskCtx`] is what an end-user application sees: the Block-based memory
-//! interface (`get` / `get_dd` / `set` per cell, `resolve_run` once and
-//! `get_run` per sweep for a halo edge, `get_block_dd` / `set_block` /
+//! interface (`get` / `get_dd` / `set` per cell, `read_ring` for a block's
+//! halo ring, its plans kept here, `get_block_dd` / `set_block` /
 //! `set_initial_block` per block, and
 //! `with_block`, which lends a block routine the block's own buffers),
 //! `get_blocks`, `refresh`, and a handful of introspection helpers.
@@ -325,6 +325,37 @@ impl Deposit for Checksum {
     }
 }
 
+/// One run of a block's halo ring: the `len` cells `(x, y), (x + dx, y +
+/// dy), …` in block-local coordinates (which may be negative or ≥ extent),
+/// holding the ring slots `slot .. slot + len` in that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingRun {
+    /// Local X of the first cell.
+    pub x: i64,
+    /// Local Y of the first cell.
+    pub y: i64,
+    /// X step between consecutive cells (1 for a row run, else 0).
+    pub dx: i64,
+    /// Y step between consecutive cells (1 for a column run, else 0).
+    pub dy: i64,
+    /// Ring slot of the first cell.
+    pub slot: usize,
+    /// Number of cells.
+    pub len: usize,
+}
+
+impl RingRun {
+    /// The ring slots this run fills.
+    pub fn slots(&self) -> std::ops::Range<usize> {
+        self.slot..self.slot + self.len
+    }
+
+    /// The run's cells, in slot order.
+    pub fn cells(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
+        (0..self.len as i64).map(|k| (self.x + k * self.dx, self.y + k * self.dy))
+    }
+}
+
 /// Everything one task needs to run its part of the application.
 pub struct TaskCtx<C: Cell> {
     slot: TaskSlot,
@@ -339,6 +370,9 @@ pub struct TaskCtx<C: Cell> {
     block_advised: bool,
     /// Task-local access state (counters, MMAT, missing pages).
     pub state: AccessState,
+    /// Each block's ring plans, indexed by [`BlockId`], one a run of the
+    /// ring [`TaskCtx::read_ring`] first read it with (empty until then).
+    rings: Vec<Vec<RunPlan>>,
     /// Run-level progress counters, bumped as this task completes steps.
     progress: Option<Arc<ProgressNotifier>>,
     warmup: bool,
@@ -366,6 +400,7 @@ impl<C: Cell> TaskCtx<C> {
             woven,
             block_advised,
             state: if mmat { AccessState::with_mmat() } else { AccessState::new() },
+            rings: Vec::new(),
             progress: None,
             warmup: false,
             step: 0,
@@ -706,9 +741,8 @@ impl<C: Cell> TaskCtx<C> {
     /// in-block assertion) into a plan for [`TaskCtx::get_run`]: where each
     /// stretch of the run lands, searched for once and counted in this
     /// task's `env_searches` / `search_nodes_visited` (see
-    /// `Env::resolve_run`).  Reads no cell, so a block routine resolves its
-    /// ring at the block's first sweep and reads through the plans on every
-    /// later sweep and retry.
+    /// `Env::resolve_run`).  Reads no cell, so a plan serves every later
+    /// sweep and retry ([`TaskCtx::read_ring`] keeps a block's).
     pub fn resolve_run(
         &mut self,
         block: BlockId,
@@ -723,10 +757,33 @@ impl<C: Cell> TaskCtx<C> {
     /// Read the cells of `plan` into `out` (exactly its cells): the
     /// [`TaskCtx::get`] calls with `in_block = false` it stands for — same
     /// values, missing-page records, MMAT memo and counters — without their
-    /// searches, which ran when the plan was resolved.  What a block routine
-    /// fills its halo ring with, one call per edge.
+    /// searches, which ran when the plan was resolved.
     pub fn get_run(&mut self, plan: &RunPlan, out: &mut [C]) {
         self.env.read_run(plan, out, &mut self.state);
+    }
+
+    /// Read `block`'s halo ring into `out`, run `k` of `runs` into
+    /// `out[runs[k].slots()]`: [`TaskCtx::resolve_run`] for every run, then
+    /// [`TaskCtx::get_run`] for every run, with the plans kept here.  A
+    /// block's ring is fixed for the task, so its runs are resolved (and
+    /// their searches counted) at the block's first read only; every later
+    /// read goes through the kept plans and searches nothing.
+    pub fn read_ring(&mut self, block: BlockId, runs: &[RingRun], out: &mut [C]) {
+        if self.rings.len() <= block {
+            self.rings.resize_with(self.env.len(), Vec::new);
+        }
+        let plans = &mut self.rings[block];
+        if plans.is_empty() {
+            let home = self.env.block(block);
+            plans.extend(runs.iter().map(|run| {
+                let first = home.to_global(LocalAddress::new2d(run.x, run.y));
+                let step = LocalAddress::new2d(run.dx, run.dy);
+                self.env.resolve_run(block, first, step, run.len, &mut self.state)
+            }));
+        }
+        for (run, plan) in runs.iter().zip(plans.iter()) {
+            self.env.read_run(plan, &mut out[run.slots()], &mut self.state);
+        }
     }
 
     // -- Slab accessors: the same three calls, a whole block at a time ------
@@ -1294,6 +1351,120 @@ mod tests {
         for shape in [(4, 3, 5), (1, 4, 2), (5, 1, 3), (3, 3, 9)] {
             for frame in 1..=2 {
                 assert_eq!(run(shape, frame), run(shape, 0), "{shape:?} framed {frame}");
+            }
+        }
+    }
+
+    mod ring_properties {
+        use super::*;
+        use proptest::collection;
+        use proptest::prelude::*;
+
+        /// A 3×3 tiling of 4×3 data blocks, `cpp` cells a page, every block
+        /// whose bit is set in `gaps` missing its odd pages, and a catch-all
+        /// that is Arithmetic or a Reference into block `home` mirroring
+        /// onto the nearest cell of the domain (so a ring of `home` that
+        /// leaves the domain comes back into `home`).
+        fn ring_env(cpp: usize, gaps: u16, home: usize, reference: bool) -> Arc<Env<f64>> {
+            let mut b = EnvBuilder::<f64>::new(PoolHandle::unbounded(), cpp);
+            let root = b.add_empty(None);
+            let joint = b.add_empty(Some(root));
+            let ids: Vec<BlockId> = (0..9)
+                .map(|k| {
+                    let origin = GlobalAddress::new2d(k % 3 * 4, k / 3 * 3);
+                    b.add_data(joint, origin, Extent::new2d(4, 3), k as u64).unwrap()
+                })
+                .collect();
+            if reference {
+                let mirror =
+                    |a: GlobalAddress| GlobalAddress::new2d(a.x.clamp(0, 11), a.y.clamp(0, 8));
+                b.add_reference(root, ids[home], Arc::new(mirror), true);
+            } else {
+                b.add_arithmetic(root, Arc::new(|a: GlobalAddress| (a.x - 2 * a.y) as f64), true);
+            }
+            let env = Arc::new(b.build());
+            for &id in &ids {
+                env.block(id).meta.set_dm_tid(Some(0));
+            }
+            serial_ctx(env.clone()).initialize_owned(|g| (g.x * 10 + g.y) as f64 + 0.5);
+            for (k, &id) in ids.iter().enumerate() {
+                if gaps >> k & 1 == 1 {
+                    env.set_block_valid(id, false).unwrap();
+                    for page in (0..env.num_pages(id).unwrap()).step_by(2) {
+                        let payload = env.extract_page(id, page).unwrap();
+                        env.install_page(id, page, &payload).unwrap();
+                    }
+                }
+            }
+            env
+        }
+
+        proptest! {
+            /// `read_ring` is `resolve_run` for every run at the block's
+            /// first read, then `get_run` for every run at every read: over
+            /// two sweeps, the same values in the same slots, the same
+            /// counters and the same missing pages in order, with MMAT off
+            /// and on, on a ring that may leave the domain through a
+            /// Reference back into its own block.  With MMAT off, its Env
+            /// searches are counted at the first read only.
+            #[test]
+            fn a_ring_read_resolves_its_runs_once_and_reads_them_each_sweep(
+                cpp in 1usize..7,
+                gaps in any::<u16>(),
+                home in 0usize..9,
+                reference in any::<bool>(),
+                mmat in any::<bool>(),
+                // Per run: first cell, along x or y, length, slots skipped
+                // before it.
+                shape in collection::vec(
+                    (-2i64..6, -2i64..5, any::<bool>(), 1usize..9, 0usize..2),
+                    1..6,
+                ),
+            ) {
+                let env = ring_env(cpp, gaps, home, reference);
+                let bid = env.data_block_ids()[home];
+                let mut slot = 0;
+                let runs: Vec<RingRun> = shape
+                    .iter()
+                    .map(|&(x, y, across, len, gap)| {
+                        let (dx, dy) = if across { (1, 0) } else { (0, 1) };
+                        let run = RingRun { x, y, dx, dy, slot: slot + gap, len };
+                        slot = run.slots().end;
+                        run
+                    })
+                    .collect();
+                let ctx = || {
+                    let topo = Topology::serial();
+                    let shared = Arc::new(RankShared::new(topo.clone(), 0, None, true));
+                    TaskCtx::new(topo.slot(0, 0), env.clone(), shared, None, mmat)
+                };
+                let (mut ring, mut by_run) = (ctx(), ctx());
+                let plans: Vec<RunPlan> = runs
+                    .iter()
+                    .map(|r| {
+                        let first = LocalAddress::new2d(r.x, r.y);
+                        by_run.resolve_run(bid, first, LocalAddress::new2d(r.dx, r.dy), r.len)
+                    })
+                    .collect();
+                let mut searched = None;
+                for sweep in 0..2 {
+                    let (mut got, mut want) = (vec![-1.0; slot], vec![-1.0; slot]);
+                    ring.read_ring(bid, &runs, &mut got);
+                    for (run, plan) in runs.iter().zip(&plans) {
+                        by_run.get_run(plan, &mut want[run.slots()]);
+                    }
+                    prop_assert_eq!(got, want, "sweep {}", sweep);
+                    prop_assert_eq!(ring.state.counters, by_run.state.counters, "sweep {}", sweep);
+                    prop_assert_eq!(ring.state.missing(), by_run.state.missing(), "sweep {}", sweep);
+                    // A Reference whose map leaves its target walks the
+                    // tree on every read, by run or by cell alike, so only
+                    // the searches a resolution counts are pinned here.
+                    let now = ring.state.counters.env_searches;
+                    if !mmat {
+                        prop_assert!(searched.is_none_or(|s| s == now), "sweep {sweep} searched");
+                    }
+                    searched = Some(now);
+                }
             }
         }
     }

@@ -154,15 +154,17 @@ impl Drop for FinalizeTurn<'_> {
 ///
 /// * `woven` — the woven program (aspect modules already registered); a
 ///   [`WeaveMode::Direct`] run never dispatches through it.
-/// * `env_factory` — builds the full-domain Env; called once per rank so that
-///   ranks never share memory (the distributed layer's replicas).
+/// * `env_factory` — builds the full-domain Env framed as wide as its
+///   argument ([`HpcApp::frame`] of the rank's master app); called once per
+///   rank so that ranks never share memory (the distributed layer's
+///   replicas).
 /// * `app_factory` — builds the per-task application instance (each task runs
 ///   its own copy of the end-user program, as in the paper's execution
 ///   model).
 pub fn execute<C, A>(
     config: &RunConfig,
     woven: WovenProgram,
-    env_factory: Arc<dyn Fn() -> Env<C> + Send + Sync>,
+    env_factory: Arc<dyn Fn(usize) -> Env<C> + Send + Sync>,
     app_factory: Arc<dyn Fn(TaskSlot) -> A + Send + Sync>,
 ) -> RunReport
 where
@@ -201,10 +203,12 @@ where
             let ranks = topology.ranks();
             let threads = topology.threads_per_rank();
 
-            // Build this rank's Env replica and perform the rank-level block
-            // assignment by Z-order index (the DSL layer's policy in the
-            // paper's prototype).
-            let mut env = (env_factory)();
+            // Build this rank's Env replica, framed for its master app's
+            // reach, and perform the rank-level block assignment by Z-order
+            // index (the DSL layer's policy in the paper's prototype).
+            let master_slot = topology.slot(rank, 0);
+            let mut master_app = (app_factory)(master_slot);
+            let mut env = (env_factory)(master_app.frame());
             let parts = env.partition_by_morton(ranks);
             for (r, ids) in parts.iter().enumerate() {
                 let master = topology.rank_master_task(r);
@@ -236,8 +240,6 @@ where
 
             // The rank's master task initialises the rank's data (it is the
             // dm_tid of every block the rank owns).
-            let master_slot = topology.slot(rank, 0);
-            let mut master_app = (app_factory)(master_slot);
             let mut master_ctx =
                 TaskCtx::new(master_slot, env.clone(), shared.clone(), woven.clone(), mmat);
             let init_attrs =

@@ -41,7 +41,7 @@ pub use comm::{CommStats, Communicator, PagePayload, RankMessage};
 pub use cost::{CostModel, CostParams};
 pub use ctx::{
     new_checksum_sink, new_field_sink, ChecksumSink, Deposit, FieldSink, FinalizeSink, Progress,
-    ProgressNotifier, RankShared, TaskCtx,
+    ProgressNotifier, RankShared, RingRun, TaskCtx,
 };
 pub use driver::{execute, RunConfig, WeaveMode};
 pub use report::{RankReport, RunReport, RunSummary, TaskReport};

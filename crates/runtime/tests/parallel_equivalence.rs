@@ -171,7 +171,7 @@ fn run_with(topology: Topology, aspects: Vec<Box<dyn aohpc_aop::Aspect>>, mmat: 
         inner: Jacobi,
         sink: sink_for_factory.clone(),
     });
-    let env_factory = Arc::new(build_env);
+    let env_factory = Arc::new(|_frame| build_env());
     let report = execute(&config, woven, env_factory, app_factory);
     assert!(report.tasks.iter().all(|t| t.steps == STEPS as u64), "all tasks completed all steps");
 
@@ -248,7 +248,7 @@ fn runtime_events_show_aspect_type_one_control() {
     let report = execute(
         &config,
         woven,
-        Arc::new(build_env),
+        Arc::new(|_frame| build_env()),
         Arc::new(move |_slot: TaskSlot| Collecting { inner: Jacobi, sink: sink2.clone() }),
     );
     assert!(report.runtime_events.iter().any(|e| e.starts_with("mpi:init")));
@@ -272,7 +272,7 @@ fn distributed_runs_without_dry_run_pay_recompute_retries() {
     let report = execute(
         &config,
         woven,
-        Arc::new(build_env),
+        Arc::new(|_frame| build_env()),
         Arc::new(move |_slot: TaskSlot| Collecting { inner: Jacobi, sink: sink2.clone() }),
     );
     assert!(report.tasks.iter().all(|t| t.steps == STEPS as u64));

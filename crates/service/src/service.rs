@@ -1411,12 +1411,10 @@ fn resolve_primary(
 /// ([`UsGridProgram::to_stencil`](aohpc_kernel::UsGridProgram::to_stencil))
 /// on the usgrid value plane, where points stay in place (CaseC), so a
 /// point's storage address is its logical position and the IR app's
-/// initial condition is the family's.  A grid Env keeps a ghost frame as
-/// wide as its program reaches, so the IR app runs each block in place, its
-/// halo in the frame.  Particle jobs run the block app (ring runs, then the
-/// lent block) with the cache-resolved pair law (`artifact`) inlined into
-/// its pair loop.  Every app gets the job's checksum sink from
-/// `run_family`.
+/// initial condition is the family's.  Particle jobs run the block app
+/// (ring runs, then the lent block) with the cache-resolved pair law
+/// (`artifact`) inlined into its pair loop.  Every app gets the job's
+/// checksum sink from `run_family`.
 fn execute_spec(
     inner: &Inner,
     spec: &JobSpec,
@@ -1426,16 +1424,14 @@ fn execute_spec(
 ) -> Executed {
     match &spec.program {
         FamilyProgram::Stencil(program) => {
-            run_stencil(inner, spec, cell, trace_ctx, program.clone(), |frame| {
-                SGridSystem::with_block_size(spec.region, spec.block).with_frame(frame)
-            })
+            let system = SGridSystem::with_block_size(spec.region, spec.block);
+            run_stencil(inner, spec, cell, trace_ctx, program.clone(), system)
         }
         FamilyProgram::UsGrid(program) => {
-            run_stencil(inner, spec, cell, trace_ctx, program.to_stencil(), |frame| {
-                let layout = GridLayout::CaseC;
-                let system = UsGridSystem::with_block_size(spec.region, spec.block, layout);
-                UsGridValueSystem(system.with_frame(frame))
-            })
+            let layout = GridLayout::CaseC;
+            let system =
+                UsGridValueSystem(UsGridSystem::with_block_size(spec.region, spec.block, layout));
+            run_stencil(inner, spec, cell, trace_ctx, program.to_stencil(), system)
         }
         FamilyProgram::Particle(_) => {
             let kernel = artifact.as_particle().expect("a particle program resolves a pair law");
@@ -1452,8 +1448,7 @@ fn execute_spec(
     }
 }
 
-/// [`run_family`] with the IR app running `program` on the system `system`
-/// builds for the program's [frame](StencilProgram::frame), its plans
+/// [`run_family`] with the IR app running `program` on `system`, its plans
 /// resolved through the shared cache and its scratch from the worker pool.
 fn run_stencil<S>(
     inner: &Inner,
@@ -1461,12 +1456,11 @@ fn run_stencil<S>(
     cell: &JobCell,
     trace_ctx: Option<(u64, u64)>,
     program: StencilProgram,
-    system: impl FnOnce(usize) -> S,
+    system: S,
 ) -> Executed
 where
     S: DslSystem<Cell = f64> + 'static,
 {
-    let system = system(program.frame());
     let app = IrStencilApp::new(program, spec.params.clone(), spec.steps)
         .with_opt_level(spec.opt_level)
         .with_plan_source(inner.cache.clone())
