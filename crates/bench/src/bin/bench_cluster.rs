@@ -9,7 +9,7 @@
 //! * `cluster_cold` — a fresh `ClusterService`: every node compiles every
 //!   plan its jobs resolve too (each node resolves its own plans; the
 //!   fabric carries only liveness), so the variant prices the cluster's
-//!   liveness ticker and failover supervisor.
+//!   liveness ticker.
 //! * `cluster_warm` — the same cluster again: everything hits.
 //! * `cluster_failover` — the same workload with rank 1 fail-stopped
 //!   mid-batch on a fake-clock fault schedule: the cost of detection and

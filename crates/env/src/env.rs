@@ -715,8 +715,11 @@ impl<C: Cell> Env<C> {
 
     /// Read the cells of `plan` into `out`, which must hold exactly the
     /// run's cells: the run form of [`Env::read`] without the in-block hint,
-    /// each cell read where [`Env::resolve_run`] found it to land, with no
-    /// search.  Missing data reads as `C::default()`.
+    /// each cell read where [`Env::resolve_run`] found it to land.  The one
+    /// search a read still runs is a `Reference` block's: a cell its map
+    /// sends outside its target block is found by [`Env::find_block`] on
+    /// every read, adding to `search_nodes_visited` (not `env_searches`),
+    /// as the per-cell path does.  Missing data reads as `C::default()`.
     ///
     /// Values, missing-page records (in order), the MMAT memo and every
     /// counter but the two search counters are exactly those of the

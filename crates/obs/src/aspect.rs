@@ -67,7 +67,7 @@ type EndAttr = (&'static str, i64);
 /// open a span named after the join point under the dispatch's
 /// `(trace, parent)` attributes, proceed, read the two attributes (the body
 /// may have published them), file the metric, end the span.  The cluster rows
-/// run in the liveness step or on the failover supervisor, with no job
+/// run in the liveness step or in a replay's settlement, with no job
 /// context: their spans are trace roots keyed by node.
 const SERVICE_BINDINGS: [(&str, JoinPointKind, EndAttr, EndAttr, Meter); 7] = {
     use attr::{FAMILY, JOB, NODE, OK, ORIGIN, STEP};

@@ -757,7 +757,8 @@ impl<C: Cell> TaskCtx<C> {
     /// Read the cells of `plan` into `out` (exactly its cells): the
     /// [`TaskCtx::get`] calls with `in_block = false` it stands for — same
     /// values, missing-page records, MMAT memo and counters — without their
-    /// searches, which ran when the plan was resolved.
+    /// searches, which ran when the plan was resolved (all but a `Reference`
+    /// block's off-target walk, see [`Env::read_run`]).
     pub fn get_run(&mut self, plan: &RunPlan, out: &mut [C]) {
         self.env.read_run(plan, out, &mut self.state);
     }
@@ -767,7 +768,8 @@ impl<C: Cell> TaskCtx<C> {
     /// [`TaskCtx::get_run`] for every run, with the plans kept here.  A
     /// block's ring is fixed for the task, so its runs are resolved (and
     /// their searches counted) at the block's first read only; every later
-    /// read goes through the kept plans and searches nothing.
+    /// read goes through the kept plans, with no search but the one
+    /// [`Env::read_run`] keeps for a `Reference` block.
     pub fn read_ring(&mut self, block: BlockId, runs: &[RingRun], out: &mut [C]) {
         if self.rings.len() <= block {
             self.rings.resize_with(self.env.len(), Vec::new);

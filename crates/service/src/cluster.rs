@@ -58,13 +58,12 @@
 //!   instead of a deadlock of mutual silence.
 //! * **Checkpoint replay.**  A kill fail-stops a node at the **dequeue
 //!   boundary**: jobs a worker already started finish (their superstep
-//!   state is node-local and deterministic), queued jobs are orphaned to
-//!   the cluster's *failover supervisor*, which re-homes each on a survivor
-//!   chosen by [`rendezvous_owner`] over the not-killed ranks and replays
-//!   it there.  The deterministic stack makes the replay bit-identical; the
-//!   report resolves the original submitter's [`JobHandle`] carrying a
+//!   state is node-local and deterministic); the call that orphans a queued
+//!   job re-homes it on a survivor chosen by [`rendezvous_owner`] over the
+//!   not-killed ranks, and the replay's own completion resolves the
+//!   original submitter's [`JobHandle`] with its bit-identical report and a
 //!   [`FailoverProvenance`], so zero jobs are lost and every failover is
-//!   auditable per job.
+//!   auditable per job.  No thread of its own runs any of this.
 //! * **Failure injection.**  A [`FaultPlan`] arms
 //!   scripted kills, restarts, directional link cuts/heals, node wedges,
 //!   and frame drops/delays into the cluster
@@ -74,9 +73,7 @@
 
 use crate::cache::{PlanCacheStats, PlanKey};
 use crate::fault::{FaultAction, FaultPlan, FaultState, Interception};
-use crate::job::{
-    FailoverProvenance, JobErrorKind, JobHandle, JobId, JobOutcome, JobReport, JobSpec,
-};
+use crate::job::{FailoverProvenance, JobErrorKind, JobHandle, JobOutcome, JobReport, JobSpec};
 use crate::membership::{
     rendezvous_owner, ClusterTuning, Membership, MembershipStats, NodeState, Transition,
 };
@@ -89,14 +86,14 @@ use aohpc_kernel::OptLevel;
 use aohpc_obs::{CommCounters, ObsHub, ObsSnapshot};
 use aohpc_runtime::CommStats;
 use aohpc_testalloc::sync::FakeClock;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -284,14 +281,16 @@ fn dispatch_rejoin(woven: &WovenProgram, node: usize, incarnation: u64, restart:
 const DEAD_PROBE_EVERY: u64 = 8;
 
 /// The cluster's liveness plane: the frame mesh, every node's membership
-/// view, the armed fault schedule and the services its kills and restarts
-/// act on, all driven by [`Liveness::step`].  [`ClusterService`] keeps no
-/// copy of the nodes or views: it reaches them through this plane.
+/// view, the armed fault schedule, the services its kills and restarts act
+/// on and the failover books of the jobs its kills strand, all driven by
+/// [`Liveness::step`].  [`ClusterService`] keeps no copy of the nodes or
+/// views: it reaches them through this plane.
 struct Liveness {
     mesh: FrameMesh,
     memberships: Vec<Arc<Membership>>,
     fault: FaultState,
     nodes: Vec<Arc<KernelService>>,
+    failover: Arc<Failover>,
     clock: ServiceClock,
     obs_woven: WovenProgram,
     /// Steps take turns on this lock.
@@ -310,9 +309,11 @@ impl Liveness {
     /// One liveness step of the whole cluster at the clock's current time:
     /// run the fault actions now due, beat from every live node, drain the
     /// inboxes until no frame moves, sweep every live detector and publish
-    /// its transitions, then drain again.  A killed or wedged node neither
-    /// beats nor sweeps.  Concurrent callers wait their turn.
-    fn step(&self) {
+    /// its transitions, drain again, then retry the failover intake.  A
+    /// killed or wedged node neither beats nor sweeps.  Nothing here parks:
+    /// on the wall clock this is the heartbeat ticker.  Concurrent callers
+    /// wait their turn.
+    fn step(self: &Arc<Self>) {
         let mut turn = self.turn.lock();
         if turn.stopped {
             return;
@@ -335,6 +336,7 @@ impl Liveness {
             }
         }
         self.settle(now);
+        self.retry_intake(false);
     }
 
     /// Stop stepping: a step in progress finishes first.
@@ -343,9 +345,9 @@ impl Liveness {
     }
 
     /// Run one due fault action (`drive` already flipped its flag): a kill
-    /// fail-stops the node's service, which orphans its queue to the
-    /// failover supervisor; a restart revives it under a fresh incarnation;
-    /// a link event is recorded.
+    /// fail-stops the node's service, whose orphans re-home on survivors
+    /// before the kill returns ([`Liveness::strand`]); a restart revives it
+    /// under a fresh incarnation; a link event is recorded.
     fn execute(&self, action: FaultAction, now: Duration) {
         match action {
             FaultAction::Kill(rank) => self.nodes[rank].kill_for_failover(),
@@ -515,144 +517,144 @@ impl Liveness {
             );
         }
     }
+
+    /// Killed rank `from`'s orphan sink, called by whoever orphans the job
+    /// (the kill inside the step, or a worker racing it): count the orphan
+    /// until it settles, then re-home it.
+    fn strand(self: &Arc<Self>, from: usize, orphan: OrphanedJob) {
+        self.failover.books().unsettled += 1;
+        self.rehome(from, orphan, false);
+    }
+
+    /// Replay a stranded job on the survivor rendezvous-hashed over the
+    /// not-killed ranks, so a batch of orphans spreads instead of dogpiling
+    /// one node, falling through to the next survivor when one refuses it.
+    /// A survivor that is only throttled leaves the orphan parked in the
+    /// intake, unless `wait` parks the admission until it has room.  With no
+    /// survivor left the orphan is abandoned.  The replay's handle gets one
+    /// waker, which settles the original; if the replay has already
+    /// resolved, it settles here.
+    fn rehome(self: &Arc<Self>, from: usize, orphan: OrphanedJob, wait: bool) {
+        let key = orphan.cell.job ^ ((from as u64) << 48);
+        let mut candidates: Vec<usize> =
+            (0..self.nodes.len()).filter(|&r| r != from && !self.nodes[r].is_killed()).collect();
+        while !candidates.is_empty() {
+            let to = rendezvous_owner(key, &candidates);
+            let node = &self.nodes[to];
+            let session = *self.failover.sessions[to]
+                .get_or_init(|| node.open_session(SessionSpec::tenant("cluster-failover")));
+            let patience = if wait { Duration::MAX } else { Duration::ZERO };
+            match node.submit_timeout(session, orphan.spec.clone(), patience) {
+                Ok(handle) => {
+                    let (plane, failover) = (Arc::downgrade(self), Arc::clone(&self.failover));
+                    let replay = Arc::new(Replay { plane, failover, from, to, orphan, handle });
+                    let waker = Waker::from(Arc::clone(&replay));
+                    if let Some(outcome) = replay.handle.cell.slot.poll_with_waker(&waker) {
+                        replay.settle(outcome);
+                    }
+                    return;
+                }
+                Err(error) if error.is_backpressure() => {
+                    self.failover.books().intake.push((from, orphan));
+                    return self.failover.changed.notify_all();
+                }
+                Err(_) => candidates.retain(|&r| r != to),
+            }
+        }
+        let abandoned = orphan.cell.error(JobErrorKind::Abandoned);
+        self.nodes[from].resolve_orphan(&orphan.cell, Err(abandoned));
+        self.failover.settled_one();
+    }
+
+    /// Re-home every parked orphan once more; without `wait`, one still
+    /// throttled parks again.
+    fn retry_intake(self: &Arc<Self>, wait: bool) {
+        let parked = std::mem::take(&mut self.failover.books().intake);
+        for (from, orphan) in parked {
+            self.rehome(from, orphan, wait);
+        }
+    }
+
+    /// Block until every orphan has settled, re-homing the intake with
+    /// admissions that park until they are let in; `false` if none was left
+    /// to wait for.
+    fn await_orphans(self: &Arc<Self>) -> bool {
+        let mut books = self.failover.books();
+        let waited = books.unsettled > 0;
+        while books.unsettled > 0 {
+            if books.intake.is_empty() {
+                books = self.failover.changed.wait(books).unwrap_or_else(PoisonError::into_inner);
+            } else {
+                drop(books);
+                self.retry_intake(true);
+                books = self.failover.books();
+            }
+        }
+        waited
+    }
 }
 
-/// The failover supervisor's intake.
-enum SupervisorMsg {
-    /// A job stranded on killed rank `from`, to be replayed on a survivor.
-    Orphan { from: usize, orphan: Box<OrphanedJob> },
-    /// Cluster shutdown: finish in-flight replays, then exit.
-    Stop,
+/// The cluster's failover books, apart from the plane so that a replay's
+/// waker holds them while it holds the nodes only weakly: one replay
+/// session per node, opened lazily; the intake of orphans `(from, job)`
+/// whose survivor was only throttled; and how many orphans have not settled
+/// yet, parked or replaying.
+struct Failover {
+    sessions: Vec<OnceLock<SessionId>>,
+    books: StdMutex<Books>,
+    /// Signalled when an orphan parks or settles.
+    changed: Condvar,
 }
 
-/// One orphan mid-replay on its target node.
+struct Books {
+    intake: Vec<(usize, OrphanedJob)>,
+    unsettled: usize,
+}
+
+impl Failover {
+    fn books(&self) -> MutexGuard<'_, Books> {
+        self.books.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn settled_one(&self) {
+        self.books().unsettled -= 1;
+        self.changed.notify_all();
+    }
+}
+
+/// One orphan of rank `from` replaying on survivor `to`, registered as the
+/// replay's waker.
 struct Replay {
+    plane: Weak<Liveness>,
+    failover: Arc<Failover>,
     from: usize,
     to: usize,
     orphan: OrphanedJob,
     handle: JobHandle,
 }
 
-/// The cluster's recovery authority: replays orphaned jobs on survivors,
-/// and settles each orphan's original handle with the replay's
-/// (bit-identical) report plus failover provenance.
-struct Supervisor {
-    nodes: Vec<Arc<KernelService>>,
-    rx: Receiver<SupervisorMsg>,
-    obs_woven: WovenProgram,
-    /// One replay session per target node, opened lazily.
-    sessions: HashMap<usize, SessionId>,
-    inflight: Vec<Replay>,
+impl Wake for Replay {
+    fn wake(self: Arc<Self>) {
+        self.settle(self.handle.poll().expect("woken by the replay's resolution"));
+    }
 }
 
-impl Supervisor {
-    fn run(mut self) {
-        let mut stopping = false;
-        loop {
-            // Block only when truly idle; while replays are in flight, poll
-            // them between short waits (event-driven, never a serial wait —
-            // a second kill's orphans arriving mid-replay must still be
-            // re-homed).
-            let msg = if self.inflight.is_empty() && !stopping {
-                match self.rx.recv() {
-                    Ok(msg) => Some(msg),
-                    Err(_) => break,
-                }
-            } else {
-                match self.rx.recv_timeout(Duration::from_millis(2)) {
-                    Ok(msg) => Some(msg),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        stopping = true;
-                        None
-                    }
-                }
-            };
-            if let Some(msg) = msg {
-                stopping |= self.handle(msg);
-            }
-            self.poll_inflight();
-            if stopping && self.inflight.is_empty() {
-                // Late orphans (a kill racing shutdown) still get replayed.
-                let mut drained_any = false;
-                while let Ok(msg) = self.rx.try_recv() {
-                    self.handle(msg);
-                    drained_any = true;
-                }
-                if !drained_any && self.inflight.is_empty() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Act on one message; `true` for `Stop`.
-    fn handle(&mut self, msg: SupervisorMsg) -> bool {
-        match msg {
-            SupervisorMsg::Orphan { from, orphan } => self.replay(from, *orphan),
-            SupervisorMsg::Stop => return true,
-        }
-        false
-    }
-
-    /// The survivor a stranded job re-homes to: rendezvous-hashed over the
-    /// not-killed ranks so a batch of orphans spreads instead of dogpiling
-    /// one node.
-    fn pick_target(&self, from: usize, job: JobId, candidates: &[usize]) -> Option<usize> {
-        if candidates.is_empty() {
-            return None;
-        }
-        Some(rendezvous_owner(job ^ ((from as u64) << 48), candidates))
-    }
-
-    fn replay(&mut self, from: usize, orphan: OrphanedJob) {
-        let original_job = orphan.cell.job;
-        let mut candidates: Vec<usize> =
-            (0..self.nodes.len()).filter(|&r| r != from && !self.nodes[r].is_killed()).collect();
-        // A target can die between pick and submit (a second kill racing
-        // this replay); fall through to the remaining survivors before
-        // giving up on the job.
-        while let Some(to) = self.pick_target(from, original_job, &candidates) {
-            let session = *self.sessions.entry(to).or_insert_with(|| {
-                self.nodes[to].open_session(SessionSpec::tenant("cluster-failover"))
-            });
-            match self.nodes[to].submit(session, orphan.spec.clone()) {
-                Ok(handle) => {
-                    self.inflight.push(Replay { from, to, orphan, handle });
-                    return;
-                }
-                Err(_) => candidates.retain(|&r| r != to),
-            }
-        }
-        // No survivor exists: resolve the orphan's handle so nothing hangs.
-        let abandoned = orphan.cell.error(JobErrorKind::Abandoned);
-        self.nodes[from].resolve_orphan(&orphan.cell, Err(abandoned));
-    }
-
-    fn poll_inflight(&mut self) {
-        let mut index = 0;
-        while index < self.inflight.len() {
-            if let Some(outcome) = self.inflight[index].handle.poll() {
-                let replay = self.inflight.swap_remove(index);
-                self.finalize(replay, outcome);
-            } else {
-                index += 1;
-            }
-        }
-    }
-
-    /// Close one finished replay: stamp the report with provenance, resolve
-    /// the orphan on the node that handed it off (handle and stream entry
-    /// were left open for this), and record the `CLUSTER_FAILOVER` join
-    /// point.
-    fn finalize(&self, replay: Replay, outcome: JobOutcome) {
-        let Replay { from, to, orphan, .. } = replay;
-        let original_job = orphan.cell.job;
+impl Replay {
+    /// Stamp the replay's report with its provenance, resolve the original
+    /// on the node that stranded it (its handle and stream entry were left
+    /// open for this), record the `CLUSTER_FAILOVER` join point, and retry
+    /// the intake, since the replay freed a failover-session slot.  Runs on
+    /// the survivor's worker inside its settlement, with no service lock
+    /// held.  The orphan counts as settled only once the plane is let go:
+    /// the cluster's shutdown waits for that, so a worker is never the last
+    /// holder of the nodes.
+    fn settle(&self, outcome: JobOutcome) {
+        let (orphan, original_job) = (&self.orphan, self.orphan.cell.job);
         let outcome: JobOutcome = match outcome {
             Ok(mut report) => {
                 report.failover = Some(FailoverProvenance {
-                    from_node: from,
-                    to_node: to,
+                    from_node: self.from,
+                    to_node: self.to,
                     original_job,
                     checkpoint_steps: orphan.watermark.steps,
                 });
@@ -660,15 +662,19 @@ impl Supervisor {
             }
             Err(err) => Err(orphan.cell.error(err.kind)),
         };
-        let ok = outcome.is_ok();
-        self.nodes[from].resolve_orphan(&orphan.cell, outcome);
-        let attrs = [(attr::NODE, to as i64), (attr::JOB, original_job as i64)];
-        self.obs_woven.dispatch_returning(
-            names::CLUSTER_FAILOVER,
-            JoinPointKind::Execution,
-            &attrs,
-            |ctx| ctx.set_attr(attr::OK, i64::from(ok)),
-        );
+        if let Some(plane) = self.plane.upgrade() {
+            let ok = outcome.is_ok();
+            plane.nodes[self.from].resolve_orphan(&orphan.cell, outcome);
+            let attrs = [(attr::NODE, self.to as i64), (attr::JOB, original_job as i64)];
+            plane.obs_woven.dispatch_returning(
+                names::CLUSTER_FAILOVER,
+                JoinPointKind::Execution,
+                &attrs,
+                |ctx| ctx.set_attr(attr::OK, i64::from(ok)),
+            );
+            plane.retry_intake(false);
+        }
+        self.failover.settled_one();
     }
 }
 
@@ -713,17 +719,15 @@ pub struct ClusterCommStats {
 /// plans, surviving fail-stop node deaths without losing a job (see the
 /// [module docs](self) for the failure model).
 ///
-/// Dropping the cluster (or calling [`ClusterService::shutdown`]) drains
-/// every node, stops the liveness step and the failover supervisor, and
-/// joins all workers.
+/// Dropping the cluster (or calling [`ClusterService::shutdown`]) stops the
+/// liveness step, drains every node, settles every stranded job and joins
+/// all workers.
 pub struct ClusterService {
     /// The liveness plane, which also owns the nodes and their views.
     liveness: Arc<Liveness>,
     /// The wall clock's liveness ticker and its stop channel; a fake clock's
     /// `advance` steps the liveness plane itself.
     ticker: Option<(Sender<()>, JoinHandle<()>)>,
-    /// The failover supervisor's intake and thread; taken at shutdown.
-    supervisor: Option<(Sender<SupervisorMsg>, JoinHandle<()>)>,
     tuning: ClusterTuning,
     /// The cluster-wide observability hub, when one was installed
     /// ([`ClusterService::with_observer`]) — shared by every node, so spans
@@ -777,40 +781,39 @@ impl ClusterService {
         let clock = clock.map_or_else(ServiceClock::real, ServiceClock::Fake);
         let now = clock.now();
         let memberships = (0..nodes).map(|r| Arc::new(Membership::new(r, nodes, tuning, now)));
-        let (supervisor_tx, supervisor_rx) = unbounded::<SupervisorMsg>();
         let services: Vec<Arc<KernelService>> = (0..nodes)
-            .map(|rank| {
-                let service = Arc::new(KernelService::start(config, clock.clone(), obs.clone()));
-                // The node's stranded jobs flow to the supervisor; with the
-                // supervisor gone (a kill racing teardown) the orphan goes
-                // back to its node, which abandons it so nothing hangs.
-                let sink_tx = supervisor_tx.clone();
-                let sink: OrphanSink = Arc::new(move |orphan| {
-                    sink_tx.send(SupervisorMsg::Orphan { from: rank, orphan }).map_err(|refused| {
-                        match refused.0 {
-                            SupervisorMsg::Orphan { orphan, .. } => orphan,
-                            _ => unreachable!("the refused message is the orphan just sent"),
-                        }
-                    })
-                });
-                service.install_orphan_sink(sink);
-                service
-            })
+            .map(|_| Arc::new(KernelService::start(config, clock.clone(), obs.clone())))
             .collect();
-        // The liveness step and the supervisor dispatch through a node's
+        // The liveness step and the replays dispatch through a node's
         // service-plane program: the obs aspect is stateless beyond the hub
         // every node shares, and cloning a woven program is an Arc bump.
         let obs_woven = services[0].service_woven();
-
+        let failover = Failover {
+            sessions: (0..nodes).map(|_| OnceLock::new()).collect(),
+            books: StdMutex::new(Books { intake: Vec::new(), unsettled: 0 }),
+            changed: Condvar::new(),
+        };
         let liveness = Arc::new(Liveness {
             mesh: FrameMesh::new(nodes),
             memberships: memberships.collect(),
             fault: plan.arm(nodes),
-            nodes: services.clone(),
+            nodes: services,
+            failover: Arc::new(failover),
             clock: clock.clone(),
-            obs_woven: obs_woven.clone(),
+            obs_woven,
             turn: Mutex::new(Turn { stopped: false, beats: vec![0; nodes] }),
         });
+        // A node's stranded jobs re-home where they are orphaned.  The sink
+        // holds the plane weakly, as every node holds its sink.
+        for (rank, node) in liveness.nodes.iter().enumerate() {
+            let plane = Arc::downgrade(&liveness);
+            let sink: OrphanSink = Arc::new(move |orphan| {
+                if let Some(plane) = plane.upgrade() {
+                    plane.strand(rank, orphan);
+                }
+            });
+            node.install_orphan_sink(sink);
+        }
         // The pacer holds the plane weakly: a fake clock keeps its hook for
         // its own lifetime, which must not keep the nodes alive.
         let plane = Arc::downgrade(&liveness);
@@ -819,24 +822,7 @@ impl ClusterService {
                 liveness.step();
             }
         });
-        let supervisor = Supervisor {
-            nodes: services,
-            rx: supervisor_rx,
-            obs_woven,
-            sessions: HashMap::new(),
-            inflight: Vec::new(),
-        };
-        let supervisor_thread = std::thread::Builder::new()
-            .name("aohpc-failover".into())
-            .spawn(move || supervisor.run())
-            .expect("spawn failover supervisor");
-        ClusterService {
-            liveness,
-            ticker,
-            supervisor: Some((supervisor_tx, supervisor_thread)),
-            tuning,
-            obs,
-        }
+        ClusterService { liveness, ticker, tuning, obs }
     }
 
     /// Number of nodes.
@@ -932,11 +918,24 @@ impl ClusterService {
         self.liveness.nodes[id.node].drain_session(id.session)
     }
 
-    /// Drain every node (waiting until every node is idle) and return all
-    /// reports in node-major order (node 0's reports by job id, then node
-    /// 1's, ...; job ids are node-local).
+    /// Drain every node, waiting until every node is idle and every job a
+    /// kill stranded has settled — so every original handle has resolved
+    /// when this returns — and return all reports in node-major order (node
+    /// 0's reports by job id, then node 1's, ...; job ids are node-local).
+    /// Orphans parked on a throttled survivor are re-homed here with parking
+    /// admissions.
     pub fn drain(&self) -> Vec<JobReport> {
-        self.liveness.nodes.iter().flat_map(|node| node.drain()).collect()
+        let nodes = &self.liveness.nodes;
+        let mut reports: Vec<Vec<JobReport>> = nodes.iter().map(|node| node.drain()).collect();
+        // A node's drain returns once the cluster counts its orphans; their
+        // replays may land on nodes already drained, so drain again after.
+        while self.liveness.await_orphans() {
+            for (node, reports) in nodes.iter().zip(&mut reports) {
+                reports.extend(node.drain());
+                reports.sort_by_key(|report| report.job);
+            }
+        }
+        reports.concat()
     }
 
     /// Per-node and cluster-aggregated plan-cache counters.  Each node
@@ -986,34 +985,26 @@ impl ClusterService {
         Some(obs_snapshot(hub, self.cache_stats().total, Some(comm), admission))
     }
 
-    /// Clean shutdown: drain every node until idle (in-flight replays need
-    /// the supervisor), stop the liveness step, stop the failover
-    /// supervisor; every node's workers stop as its last handle drops with
-    /// the cluster.  Implied by `Drop`.
+    /// Clean shutdown: stop the liveness step, then drain every node and
+    /// settle every stranded job ([`ClusterService::drain`]); every node's
+    /// workers stop as its last handle drops with the cluster.  Implied by
+    /// `Drop`.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        let Some((supervisor_tx, supervisor)) = self.supervisor.take() else {
-            return;
-        };
-        // Quiesce the data path first: a replayed orphan resolves through
-        // the still-running supervisor.
-        for node in &self.liveness.nodes {
-            let _ = node.drain();
-        }
-        // No more heartbeats, sweeps or scripted kills.  A fake clock keeps
-        // its hook, which now does nothing.
+        // No more heartbeats, sweeps or scripted kills; a step in progress
+        // finishes first.  A fake clock keeps its hook, which now does
+        // nothing.
         self.liveness.stop();
         if let Some((stop, ticker)) = self.ticker.take() {
             drop(stop);
             let _ = ticker.join();
         }
-        // The supervisor finishes every in-flight replay before exiting, so
-        // no orphan's handle is left unresolved.
-        let _ = supervisor_tx.send(SupervisorMsg::Stop);
-        let _ = supervisor.join();
+        // Jobs a kill racing the stop stranded are replayed or abandoned
+        // here, so no handle is left unresolved.
+        let _ = self.drain();
     }
 }
 

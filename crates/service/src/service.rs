@@ -379,12 +379,12 @@ struct Queued {
     admitted_at: Duration,
 }
 
-/// A job stranded on a killed node, handed to the failover supervisor for
+/// A job stranded on a killed node, handed to the node's orphan sink for
 /// replay on a survivor (see [`KernelService::kill_for_failover`]).
 pub(crate) struct OrphanedJob {
     /// The full spec, so the replay is the same work.
     pub(crate) spec: JobSpec,
-    /// The original cell: the supervisor resolves its slot with the replay's
+    /// The original cell: the replay's completion resolves its slot with the
     /// rewritten report, so the submitter's handle settles exactly once.
     pub(crate) cell: Arc<JobCell>,
     /// Progress the dead node had made (the checkpoint watermark; zeros for
@@ -392,21 +392,21 @@ pub(crate) struct OrphanedJob {
     pub(crate) watermark: aohpc_runtime::Progress,
 }
 
-/// Where a killed node's orphans go: installed per node by the cluster's
-/// failover supervisor, absent on standalone services.  A sink that can no
-/// longer deliver (the supervisor is gone) hands the orphan back; either way
-/// orphaning then degrades to abandonment so every handle still resolves.
-pub(crate) type OrphanSink =
-    Arc<dyn Fn(Box<OrphanedJob>) -> Result<(), Box<OrphanedJob>> + Send + Sync>;
+/// Where a killed node's orphans go: installed per node by the cluster,
+/// absent on standalone services, where orphaning degrades to abandonment.
+/// The sink owns the orphan and closes it once, through
+/// [`KernelService::resolve_orphan`], with the replay's outcome or as
+/// abandoned.
+pub(crate) type OrphanSink = Arc<dyn Fn(OrphanedJob) + Send + Sync>;
 
 /// Which part of [`Inner::settle`] a call performs.
 pub(crate) enum Settlement {
     /// The job ends on this node: resolve it with the outcome and release its
     /// books.
     Final(JobOutcome),
-    /// The job leaves this node for the failover sink: release its books now,
-    /// leave its handle open.
-    HandOff,
+    /// The job leaves this node for the failover sink: release its books,
+    /// give the sink the orphan, leave its handle open.
+    HandOff(OrphanedJob, OrphanSink),
     /// The close of a handed-off job: resolve it with the outcome; its books
     /// were released at the hand-off.
     Deferred(JobOutcome),
@@ -445,8 +445,7 @@ pub(crate) struct Inner {
     /// complete normally — the kill boundary is the dequeue, matching the
     /// superstep-checkpoint failure model.
     killed: AtomicBool,
-    /// The failover supervisor's orphan intake, when this node runs inside a
-    /// cluster with fault tolerance enabled.
+    /// Where this node's orphans go, when it runs inside a cluster.
     orphan_sink: Mutex<Option<OrphanSink>>,
     clock: ServiceClock,
     /// Queue-wait latency distribution, always on (recording is a handful of
@@ -490,20 +489,21 @@ impl Inner {
     /// worker dequeues the message (see [`JobHandle::cancel`]).
     ///
     /// A job handed to the failover sink is the one exit in two calls:
-    /// [`Settlement::HandOff`] does 4 and 6 at the kill — the dead node's
-    /// `drain` never waits on work that finishes elsewhere — and
-    /// [`Settlement::Deferred`] does 2, 3 and 5 when the supervisor has the
-    /// replay's outcome (retained where it ran, not here).
+    /// [`Settlement::HandOff`] does 4, gives the sink the orphan, then does 6
+    /// — the dead node's `drain` returns once the sink holds every orphan,
+    /// and never waits on work that finishes elsewhere — and
+    /// [`Settlement::Deferred`] does 2, 3 and 5 with the replay's outcome
+    /// (retained where it ran, not here).
     pub(crate) fn settle(&self, cell: &JobCell, how: Settlement) {
         if let Settlement::Final(Ok(report)) = &how {
             if self.config.retain_reports {
                 self.results.lock().push(report.clone());
             }
         }
-        let (outcome, release) = match how {
-            Settlement::Final(outcome) => (Some(outcome), true),
-            Settlement::HandOff => (None, true),
-            Settlement::Deferred(outcome) => (Some(outcome), false),
+        let (outcome, release, handoff) = match how {
+            Settlement::Final(outcome) => (Some(outcome), true, None),
+            Settlement::HandOff(orphan, sink) => (None, true, Some((orphan, sink))),
+            Settlement::Deferred(outcome) => (Some(outcome), false, None),
         };
         if let Some(outcome) = &outcome {
             let stream =
@@ -530,6 +530,9 @@ impl Inner {
         }
         if let Some(outcome) = outcome {
             cell.slot.complete(outcome);
+        }
+        if let Some((orphan, sink)) = handoff {
+            sink(orphan);
         }
         if release {
             let mut pending = self.pending.lock().expect("pending lock");
@@ -991,8 +994,8 @@ impl KernelService {
         out
     }
 
-    /// Install the failover supervisor's orphan intake (cluster-internal;
-    /// one sink per node, set before any kill can fire).
+    /// Install the cluster's orphan sink (cluster-internal; one sink per
+    /// node, set before any kill can fire).
     pub(crate) fn install_orphan_sink(&self, sink: OrphanSink) {
         *self.inner.orphan_sink.lock() = Some(sink);
     }
@@ -1009,8 +1012,8 @@ impl KernelService {
         // Wake parked submitters so they observe the kill and fail fast.
         self.inner.capacity.bump();
         // Drain the backlog directly: with zero workers (or workers all busy)
-        // nobody else will, and the orphans must reach the supervisor now,
-        // not at shutdown.  Workers racing this drain orphan their own
+        // nobody else will, and the orphans must reach the sink now, not at
+        // shutdown.  Workers racing this drain orphan their own
         // dequeues via the killed check in their loop.
         while let Ok(queued) = self.queue_rx.try_recv() {
             dequeued(&self.inner, queued);
@@ -1046,8 +1049,8 @@ impl KernelService {
         true
     }
 
-    /// Close a job this node handed to its orphan sink: the supervisor has
-    /// the replay's outcome, or found no survivor to replay on.
+    /// Close a job this node handed to its orphan sink with the replay's
+    /// outcome, or as abandoned when no survivor was left to replay on.
     pub(crate) fn resolve_orphan(&self, cell: &JobCell, outcome: JobOutcome) {
         self.inner.settle(cell, Settlement::Deferred(outcome));
     }
@@ -1172,26 +1175,24 @@ fn abandon_one(inner: &Inner, cell: &JobCell) {
 }
 
 /// Strand-side of a fail-stop kill: hand a queued job to the failover sink
-/// with its handle left open — the supervisor resolves it with the replay's
+/// with its handle left open — the sink resolves it with the replay's
 /// report, so the submitter's handle still settles exactly once.  Without a
-/// sink (standalone service), or with one that can no longer deliver, the
-/// orphan degrades to an abandonment.
+/// sink (standalone service) the orphan degrades to an abandonment.
 fn orphan_one(inner: &Inner, queued: Queued) {
     let Queued { cell, spec, .. } = queued;
     if !cell.mark_abandoned() {
         // A cancel won the race and settled everything already.
         return;
     }
-    let abandoned = Err(cell.error(JobErrorKind::Abandoned));
     let sink = inner.orphan_sink.lock().clone();
-    let Some(sink) = sink else {
-        return inner.settle(&cell, Settlement::Final(abandoned));
+    let how = match sink {
+        Some(sink) => {
+            let watermark = cell.progress.snapshot();
+            Settlement::HandOff(OrphanedJob { spec, watermark, cell: Arc::clone(&cell) }, sink)
+        }
+        None => Settlement::Final(Err(cell.error(JobErrorKind::Abandoned))),
     };
-    let orphan = Box::new(OrphanedJob { spec, watermark: cell.progress.snapshot(), cell });
-    inner.settle(&orphan.cell, Settlement::HandOff);
-    if let Err(orphan) = sink(orphan) {
-        inner.settle(&orphan.cell, Settlement::Deferred(abandoned));
-    }
+    inner.settle(&cell, how);
 }
 
 /// What executing a job yields: the result fields of its [`JobReport`].
@@ -2105,7 +2106,7 @@ mod tests {
     fn every_exit_settles_before_its_handle_wakes() {
         // The exits `tests/settlement.rs` cannot reach from outside the
         // crate, each on an admission-only service with the probe on the
-        // handle first; the test thread plays the worker and the supervisor.
+        // handle first; the test thread plays the worker and the cluster.
         fn panicking_compile(
             _: &aohpc_kernel::FamilyProgram,
             _: Extent,
@@ -2122,9 +2123,14 @@ mod tests {
                 0,
             ),
             (
-                "kill, the sink hands the orphan back",
+                "kill, no survivor: the sink abandons the orphan",
                 |service, _| {
-                    service.install_orphan_sink(Arc::new(Err));
+                    let node = Arc::downgrade(&service.inner);
+                    service.install_orphan_sink(Arc::new(move |orphan: OrphanedJob| {
+                        let abandoned = Err(orphan.cell.error(JobErrorKind::Abandoned));
+                        let node = node.upgrade().expect("the node outlives its kill");
+                        node.settle(&orphan.cell, Settlement::Deferred(abandoned));
+                    }));
                     service.kill_for_failover();
                 },
                 JobStatus::Abandoned,
@@ -2133,12 +2139,11 @@ mod tests {
             (
                 "kill, replayed on a survivor",
                 |service, handle| {
-                    // A sink that keeps the orphan, as the supervisor's intake does.
+                    // A sink that keeps the orphan, as the cluster's intake does.
                     let kept = Arc::new(StdMutex::new(None));
                     let intake = Arc::clone(&kept);
                     service.install_orphan_sink(Arc::new(move |orphan| {
                         *intake.lock().unwrap() = Some(orphan);
-                        Ok(())
                     }));
                     service.kill_for_failover();
                     // Handed off: this node's books are released, the handle

@@ -15,16 +15,24 @@
 //! 3. **Liveness hygiene** — a wedged node is *suspected*, not buried: it
 //!    re-earns Alive after its cooldown, and the detector records zero
 //!    deaths.
+//! 4. **No failover machinery of its own** — the kill re-homes its orphans
+//!    in the liveness step, on the rendezvous survivor of that step, and
+//!    each replay settles its original from its own completion: a fake-clock
+//!    cluster starts no thread beside its workers, and `drain` returns with
+//!    every original handle resolved.
 
 use aohpc_kernel::{load, param, StencilProgram};
 use aohpc_service::{
-    ClusterService, ClusterTuning, FaultPlan, JobSpec, KernelService, NodeState, ServiceConfig,
-    SessionSpec,
+    rendezvous_owner, ClusterService, ClusterSessionId, ClusterTuning, FaultPlan, JobHandle,
+    JobSpec, KernelService, NodeState, ServiceConfig, SessionSpec,
 };
-use aohpc_testalloc::sync::FakeClock;
+use aohpc_testalloc::sync::{spin_until, FakeClock};
 use aohpc_workloads::RegionSize;
 use proptest::collection;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::task::{Context, Wake, Waker};
 use std::time::Duration;
 
 /// The program palette: three structurally distinct kernels, sized so one
@@ -221,5 +229,157 @@ fn wedged_fabric_is_suspected_then_recovers() {
             .expect("post-wedge job succeeded");
         assert_eq!(report.error, None);
     }
+    cluster.shutdown();
+}
+
+/// Parks the worker that wakes it, inside the settlement of the job it is
+/// registered on, until the test opens it: the jobs queued behind that job
+/// stay queued.
+#[derive(Default)]
+struct Gate {
+    entered: AtomicBool,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Wake for Gate {
+    fn wake(self: Arc<Self>) {
+        self.entered.store(true, Ordering::SeqCst);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+const NODES: usize = 4;
+const DOOMED: usize = 1;
+
+/// Park `session`'s node's one worker inside the wake-up of a cheap job until
+/// the returned gate opens: jobs queued behind it stay queued.
+fn park_worker(cluster: &ClusterService, session: ClusterSessionId) -> Arc<Gate> {
+    let gate = loop {
+        let gate = Arc::new(Gate::default());
+        let mut blocker = cluster.submit(session, post_recovery_spec()).unwrap();
+        let waker = Waker::from(Arc::clone(&gate));
+        let mut cx = Context::from_waker(&waker);
+        if std::future::Future::poll(std::pin::Pin::new(&mut blocker), &mut cx).is_pending() {
+            break gate;
+        }
+        // The worker finished the blocker before the gate was on it: again.
+    };
+    spin_until("the worker parks", || gate.entered.load(Ordering::SeqCst));
+    gate
+}
+
+/// A four-node fake-clock cluster (one worker a node, `quota` jobs in flight
+/// a session) whose rank `DOOMED` is killed with six jobs queued on it, each
+/// in its own session.  Every worker is parked until the clock has passed
+/// the kill, so the replays queue on the survivors: with a quota of one, a
+/// survivor's second orphan waits in the failover intake (six orphans on
+/// three survivors: one gets two).  Returns the cluster and the six jobs'
+/// handles.
+fn cluster_with_a_stranding_kill(quota: usize) -> (ClusterService, Vec<JobHandle>) {
+    let clock = FakeClock::new();
+    let plan = FaultPlan::new().kill_at(DOOMED, Duration::from_millis(15));
+    let config = ServiceConfig::default().with_workers(1).with_quota(quota);
+    let tuning = ClusterTuning::fast();
+    let cluster = ClusterService::with_fake_clock(NODES, config, clock.clone(), tuning, plan, None);
+    let open = |rank: usize, name: String| cluster.open_session_on(rank, SessionSpec::tenant(name));
+    let gates: Vec<Arc<Gate>> = (0..NODES)
+        .map(|rank| park_worker(&cluster, open(rank, format!("blocker-{rank}"))))
+        .collect();
+    let palette = programs();
+    let handles: Vec<JobHandle> = (0..6)
+        .map(|i| cluster.submit(open(DOOMED, format!("doomed-{i}")), palette[i % 3].clone()))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    clock.advance(Duration::from_millis(20));
+    let late = open(DOOMED, "late".into());
+    assert!(cluster.node(DOOMED).try_submit(late.session, post_recovery_spec()).is_err());
+    gates.iter().for_each(|gate| gate.open());
+    (cluster, handles)
+}
+
+/// The names of this process's threads.
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task lists the threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .collect()
+}
+
+/// A fake-clock cluster replays a killed node's jobs without a thread of its
+/// own: none named for failover or liveness exists while it lives.
+#[test]
+fn failover_runs_on_no_thread_of_its_own() {
+    let (cluster, handles) = cluster_with_a_stranding_kill(32);
+    let replayed =
+        handles.iter().filter(|handle| handle.wait().expect("replayed").failover.is_some()).count();
+    assert_eq!(replayed, handles.len(), "every queued job was replayed");
+    let names = thread_names();
+    assert!(names.iter().any(|name| name.starts_with("aohpc-service")), "{names:?}");
+    for extra in ["aohpc-failover", "aohpc-liveness"] {
+        assert!(!names.iter().any(|name| name == extra), "{extra} runs: {names:?}");
+    }
+    cluster.shutdown();
+}
+
+/// `drain` returns with every original handle resolved, and each orphan
+/// went where the kill's step sent it: the rendezvous owner of
+/// `job ^ from << 48` over the ranks not killed in that step — also when
+/// that survivor was throttled and the orphan waited in the intake.
+#[test]
+fn drain_returns_with_every_stranded_job_settled_where_the_kill_sent_it() {
+    let survivors: Vec<usize> = (0..NODES).filter(|&rank| rank != DOOMED).collect();
+    for quota in [32, 1] {
+        let (cluster, handles) = cluster_with_a_stranding_kill(quota);
+        cluster.drain();
+        for handle in &handles {
+            let report = handle.poll().expect("resolved when drain returns").expect("replayed");
+            let provenance = report.failover.expect("a queued job of the killed node fails over");
+            assert_eq!((provenance.from_node, provenance.original_job), (DOOMED, handle.id()));
+            let key = provenance.original_job ^ ((DOOMED as u64) << 48);
+            let owner = rendezvous_owner(key, &survivors);
+            assert_eq!(provenance.to_node, owner, "quota {quota}: {provenance:?}");
+        }
+        cluster.shutdown();
+    }
+}
+
+/// An orphan whose survivor's queue is full waits in the intake.  No replay
+/// finishes after it to retry it, so `drain` re-homes it, parking until the
+/// queue has room, and returns with its handle resolved.
+#[test]
+fn drain_re_homes_an_orphan_parked_behind_a_full_queue() {
+    let clock = FakeClock::new();
+    let plan = FaultPlan::new().kill_at(DOOMED, Duration::from_millis(15));
+    let config = ServiceConfig::default().with_workers(1).with_queue_bound(1);
+    let tuning = ClusterTuning::fast();
+    let cluster = ClusterService::with_fake_clock(NODES, config, clock.clone(), tuning, plan, None);
+    let open = |rank: usize, name: &str| cluster.open_session_on(rank, SessionSpec::tenant(name));
+    let gates: Vec<Arc<Gate>> =
+        (0..NODES).map(|rank| park_worker(&cluster, open(rank, "blocker"))).collect();
+    let stranded = cluster.submit(open(DOOMED, "doomed"), programs()[0].clone()).unwrap();
+    let survivors: Vec<usize> = (0..NODES).filter(|&rank| rank != DOOMED).collect();
+    let target = rendezvous_owner(stranded.id() ^ ((DOOMED as u64) << 48), &survivors);
+    // The target's one queue slot is taken behind its parked worker.
+    let filler = cluster.submit(open(target, "filler"), post_recovery_spec()).unwrap();
+    clock.advance(Duration::from_millis(20));
+    gates.iter().for_each(|gate| gate.open());
+    filler.wait().expect("the filler runs");
+    assert!(stranded.poll().is_none(), "the orphan waits in the intake");
+    cluster.drain();
+    let report = stranded.poll().expect("resolved when drain returns").expect("replayed");
+    let provenance = report.failover.expect("the stranded job failed over");
+    assert_eq!((provenance.from_node, provenance.to_node), (DOOMED, target));
     cluster.shutdown();
 }
