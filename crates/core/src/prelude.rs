@@ -19,7 +19,7 @@ pub use aohpc_kernel::{
     FamilyProgram, IrStencilApp, KernelFamilyId, OptLevel, ParticleProgram, Processor,
     ProgramFingerprint, StencilProgram, UsGridProgram,
 };
-pub use aohpc_mem::{MemoryPool, MultiBuffer, PageTable, PoolHandle, PoolSet};
+pub use aohpc_mem::{MemoryPool, MultiBuffer, PageTable, PoolHandle};
 pub use aohpc_runtime::{
     CostModel, CostParams, HpcApp, LayerSpec, MpiAspect, OmpAspect, RunConfig, RunReport,
     RunSummary, TaskCtx, TaskSlot, Topology,

@@ -10,12 +10,10 @@
 //!
 //! This crate provides those three building blocks:
 //!
-//! * [`MemoryPool`] / [`PoolSet`] — a first-fit chunk allocator over a fixed
-//!   capacity, with the usage statistics that the paper's Fig. 12 reports
-//!   (used pool, unused pool).  A [`PoolSet`] combines several pools so that
-//!   buffers can draw chunks from different memory tiers with one interface,
-//!   as the paper's design intends for non-uniform memory and memory-mapped
-//!   files.
+//! * [`MemoryPool`] / [`PoolHandle`] — a first-fit chunk allocator over a
+//!   fixed capacity, with the usage statistics that the paper's Fig. 12
+//!   reports (used pool, unused pool), and the shareable handle buffers
+//!   allocate through.
 //! * [`PageTable`] — per-page validity / dirtiness flags plus the
 //!   "non-existent page" bookkeeping used by `refresh` and the Dry-run
 //!   feature.
@@ -32,4 +30,4 @@ pub mod pool;
 
 pub use buffer::{Frame, MultiBuffer};
 pub use page::{PageFlags, PageId, PageTable};
-pub use pool::{Chunk, MemoryPool, PoolError, PoolHandle, PoolSet, PoolStats};
+pub use pool::{Chunk, MemoryPool, PoolError, PoolHandle, PoolStats};

@@ -1,11 +1,9 @@
 //! Fixed-size memory pools and chunk allocation.
 //!
 //! The platform's execution model places every Data Block's buffers on a
-//! fixed-size pool so that (a) allocation cost is paid once at start-up,
+//! fixed-size pool so that (a) allocation cost is paid once at start-up and
 //! (b) memory usage is observable (Fig. 12 of the paper separates *used pool*,
-//! *unused pool* and *working memory*), and (c) a buffer can be assembled
-//! from chunks of *several* pools, which is how the paper plans to expose
-//! non-uniform memory tiers and memory-mapped files behind one interface.
+//! *unused pool* and *working memory*).
 //!
 //! [`MemoryPool`] is a first-fit allocator over a byte range `0..capacity`.
 //! It does not own host memory itself — Rust's typed `Vec<C>` buffers own the
@@ -17,14 +15,9 @@ use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 
-/// Identifier of a pool inside a [`PoolSet`].
-pub type PoolId = usize;
-
 /// A contiguous range reserved from a pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Chunk {
-    /// Pool that owns this chunk.
-    pub pool: PoolId,
     /// Byte offset of the chunk inside its pool.
     pub offset: u64,
     /// Length of the chunk in bytes.
@@ -49,7 +42,7 @@ pub enum PoolError {
         available: u64,
     },
     /// The freed chunk was not allocated from this pool (double free or
-    /// cross-pool free).
+    /// out of range).
     InvalidFree(Chunk),
 }
 
@@ -89,7 +82,6 @@ pub struct PoolStats {
 /// A fixed-size, first-fit chunk allocator.
 #[derive(Debug)]
 pub struct MemoryPool {
-    id: PoolId,
     name: String,
     capacity: u64,
     /// Sorted, non-overlapping free ranges `(offset, len)`.
@@ -104,7 +96,6 @@ impl MemoryPool {
     /// Create a pool with the given capacity in bytes.
     pub fn new(name: impl Into<String>, capacity: u64) -> Self {
         MemoryPool {
-            id: 0,
             name: name.into(),
             capacity,
             free: if capacity > 0 { vec![(0, capacity)] } else { vec![] },
@@ -120,22 +111,13 @@ impl MemoryPool {
         &self.name
     }
 
-    /// Identifier assigned by the owning [`PoolSet`] (0 for stand-alone pools).
-    pub fn id(&self) -> PoolId {
-        self.id
-    }
-
-    pub(crate) fn set_id(&mut self, id: PoolId) {
-        self.id = id;
-    }
-
     /// Allocate `len` bytes (first fit). Zero-byte requests succeed and are
     /// tracked so that every buffer owns exactly one chunk.
     pub fn alloc(&mut self, len: u64) -> Result<Chunk, PoolError> {
         if len == 0 {
             self.live_allocations += 1;
             self.total_allocations += 1;
-            return Ok(Chunk { pool: self.id, offset: 0, len: 0 });
+            return Ok(Chunk { offset: 0, len: 0 });
         }
         let slot = self.free.iter().position(|&(_, flen)| flen >= len);
         match slot {
@@ -151,7 +133,7 @@ impl MemoryPool {
                 self.peak_used = self.peak_used.max(self.used);
                 self.live_allocations += 1;
                 self.total_allocations += 1;
-                Ok(Chunk { pool: self.id, offset: off, len })
+                Ok(Chunk { offset: off, len })
             }
         }
     }
@@ -214,27 +196,16 @@ impl MemoryPool {
     }
 }
 
-/// A thread-safe handle to a set of pools.
-///
-/// Buffers allocate through this handle; the paper's design allows one buffer
-/// to combine chunks from several pools, so the handle exposes both
-/// pool-targeted and "first pool that fits" allocation.
+/// A thread-safe, shareable handle to one pool: buffers allocate through it.
 #[derive(Clone)]
 pub struct PoolHandle {
-    inner: Arc<Mutex<PoolSet>>,
+    inner: Arc<Mutex<MemoryPool>>,
 }
 
 impl PoolHandle {
-    /// Wrap a pool set.
-    pub fn new(set: PoolSet) -> Self {
-        PoolHandle { inner: Arc::new(Mutex::new(set)) }
-    }
-
     /// A handle with one anonymous pool of the given capacity.
     pub fn single(capacity: u64) -> Self {
-        let mut set = PoolSet::new();
-        set.add_pool(MemoryPool::new("default", capacity));
-        Self::new(set)
+        PoolHandle { inner: Arc::new(Mutex::new(MemoryPool::new("default", capacity))) }
     }
 
     /// An effectively unbounded pool — convenient for tests and the
@@ -243,14 +214,9 @@ impl PoolHandle {
         Self::single(u64::MAX / 2)
     }
 
-    /// Allocate from the first pool with room.
+    /// Allocate `len` bytes (first fit).
     pub fn alloc(&self, len: u64) -> Result<Chunk, PoolError> {
         self.inner.lock().alloc(len)
-    }
-
-    /// Allocate from a specific pool.
-    pub fn alloc_in(&self, pool: PoolId, len: u64) -> Result<Chunk, PoolError> {
-        self.inner.lock().alloc_in(pool, len)
     }
 
     /// Free a chunk.
@@ -258,99 +224,15 @@ impl PoolHandle {
         self.inner.lock().free(chunk)
     }
 
-    /// Aggregate statistics over all pools.
+    /// The pool's usage statistics.
     pub fn stats(&self) -> PoolStats {
         self.inner.lock().stats()
-    }
-
-    /// Per-pool statistics.
-    pub fn per_pool_stats(&self) -> Vec<(String, PoolStats)> {
-        self.inner.lock().per_pool_stats()
     }
 }
 
 impl fmt::Debug for PoolHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PoolHandle").field("stats", &self.stats()).finish()
-    }
-}
-
-/// An ordered collection of pools.
-#[derive(Debug, Default)]
-pub struct PoolSet {
-    pools: Vec<MemoryPool>,
-}
-
-impl PoolSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        PoolSet { pools: Vec::new() }
-    }
-
-    /// Add a pool; returns its id within the set.
-    pub fn add_pool(&mut self, mut pool: MemoryPool) -> PoolId {
-        let id = self.pools.len();
-        pool.set_id(id);
-        self.pools.push(pool);
-        id
-    }
-
-    /// Number of pools.
-    pub fn len(&self) -> usize {
-        self.pools.len()
-    }
-
-    /// Whether the set has no pools.
-    pub fn is_empty(&self) -> bool {
-        self.pools.is_empty()
-    }
-
-    /// Allocate from the first pool that can satisfy the request.
-    pub fn alloc(&mut self, len: u64) -> Result<Chunk, PoolError> {
-        let mut best_err = PoolError::OutOfMemory { requested: len, available: 0 };
-        for pool in &mut self.pools {
-            match pool.alloc(len) {
-                Ok(chunk) => return Ok(chunk),
-                Err(e) => best_err = e,
-            }
-        }
-        Err(best_err)
-    }
-
-    /// Allocate from a specific pool.
-    pub fn alloc_in(&mut self, pool: PoolId, len: u64) -> Result<Chunk, PoolError> {
-        match self.pools.get_mut(pool) {
-            Some(p) => p.alloc(len),
-            None => Err(PoolError::OutOfMemory { requested: len, available: 0 }),
-        }
-    }
-
-    /// Free a chunk back to its owning pool.
-    pub fn free(&mut self, chunk: Chunk) -> Result<(), PoolError> {
-        match self.pools.get_mut(chunk.pool) {
-            Some(p) => p.free(chunk),
-            None => Err(PoolError::InvalidFree(chunk)),
-        }
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> PoolStats {
-        let mut agg = PoolStats::default();
-        for p in &self.pools {
-            let s = p.stats();
-            agg.capacity += s.capacity;
-            agg.used += s.used;
-            agg.unused += s.unused;
-            agg.peak_used += s.peak_used;
-            agg.live_allocations += s.live_allocations;
-            agg.total_allocations += s.total_allocations;
-        }
-        agg
-    }
-
-    /// Per-pool statistics with pool names.
-    pub fn per_pool_stats(&self) -> Vec<(String, PoolStats)> {
-        self.pools.iter().map(|p| (p.name().to_string(), p.stats())).collect()
     }
 }
 
@@ -410,7 +292,7 @@ mod tests {
     #[test]
     fn free_out_of_range_rejected() {
         let mut pool = MemoryPool::new("p", 64);
-        let bogus = Chunk { pool: 0, offset: 60, len: 10 };
+        let bogus = Chunk { offset: 60, len: 10 };
         assert!(matches!(pool.free(bogus), Err(PoolError::InvalidFree(_))));
     }
 
@@ -421,32 +303,6 @@ mod tests {
         assert_eq!(c.len, 0);
         pool.free(c).unwrap();
         assert!(pool.alloc(1).is_err());
-    }
-
-    #[test]
-    fn pool_set_falls_through_pools() {
-        let mut set = PoolSet::new();
-        set.add_pool(MemoryPool::new("small", 64));
-        set.add_pool(MemoryPool::new("large", 1024));
-        let a = set.alloc(32).unwrap();
-        assert_eq!(a.pool, 0);
-        let b = set.alloc(512).unwrap();
-        assert_eq!(b.pool, 1, "second pool must satisfy what the first cannot");
-        set.free(a).unwrap();
-        set.free(b).unwrap();
-        assert_eq!(set.stats().used, 0);
-        assert_eq!(set.stats().capacity, 1088);
-    }
-
-    #[test]
-    fn pool_set_targeted_allocation() {
-        let mut set = PoolSet::new();
-        let p0 = set.add_pool(MemoryPool::new("a", 64));
-        let p1 = set.add_pool(MemoryPool::new("b", 64));
-        let c = set.alloc_in(p1, 10).unwrap();
-        assert_eq!(c.pool, p1);
-        assert!(set.alloc_in(p0, 128).is_err());
-        assert!(set.alloc_in(99, 1).is_err());
     }
 
     #[test]
@@ -465,18 +321,6 @@ mod tests {
         }
         assert_eq!(handle.stats().used, 0);
         assert_eq!(handle.stats().total_allocations, 4);
-    }
-
-    #[test]
-    fn per_pool_stats_names() {
-        let mut set = PoolSet::new();
-        set.add_pool(MemoryPool::new("hbm", 10));
-        set.add_pool(MemoryPool::new("ddr", 20));
-        let handle = PoolHandle::new(set);
-        let stats = handle.per_pool_stats();
-        assert_eq!(stats[0].0, "hbm");
-        assert_eq!(stats[1].0, "ddr");
-        assert_eq!(stats[1].1.capacity, 20);
     }
 
     proptest! {

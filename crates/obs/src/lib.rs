@@ -21,8 +21,8 @@
 //!   `FakeClock` tests are deterministic, and the record path is
 //!   allocation-free after warmup.
 //! - [`Metrics`] — counters plus fixed-bucket [`Histogram`]s for the SLO
-//!   surface: queue-wait p50/p99, resolve/execute latency, worker
-//!   utilization, and per-fingerprint kernel throughput.
+//!   surface: queue-wait p50/p99, resolve/execute latency and worker
+//!   utilization.
 //! - Exporters — [`chrome_trace_json`] (loadable in `chrome://tracing` /
 //!   Perfetto), [`json_lines`], and the human-readable, cross-validated
 //!   [`ObsSnapshot`].
@@ -40,7 +40,7 @@ pub mod trace;
 pub use aspect::{ObsRunAspect, ObsServiceAspect, OBS_PRECEDENCE};
 pub use clock::{Clock, WallClock};
 pub use export::{chrome_trace_json, json_lines};
-pub use metrics::{Counter, Histogram, HistogramSnapshot, KernelRate, Metrics};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics};
 pub use snapshot::{AdmissionCounters, CacheCounters, CommCounters, JobCounters, ObsSnapshot};
 pub use trace::{
     current_context, push_context, ContextGuard, OpenSpan, SpanRecord, TraceRecorder,

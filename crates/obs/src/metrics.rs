@@ -3,15 +3,13 @@
 //! The [`Metrics`] registry unifies the stack's previously isolated stat
 //! islands under one roof: queue-wait / resolve / execute latency histograms
 //! (the p50/p99 SLO metrics), job outcome counters, worker-pool busy time,
-//! cluster liveness counters, and per-fingerprint kernel throughput.
+//! and cluster liveness counters.
 //!
 //! Histograms use 65 fixed power-of-two buckets (value `v` lands in bucket
 //! `⌈log2(v+1)⌉`), so recording is an atomic increment with no allocation and
 //! quantiles are conservative upper-bound estimates — exactly what an SLO
 //! check needs.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing counter.
@@ -152,28 +150,6 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
-/// Accumulated throughput of one kernel fingerprint.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelRate {
-    /// Jobs contributing to this rate.
-    pub jobs: u64,
-    /// Total cells processed.
-    pub cells: u64,
-    /// Total execute-phase nanoseconds.
-    pub nanos: u64,
-}
-
-impl KernelRate {
-    /// Cells per second over the accumulated window (0 if no time recorded).
-    pub fn cells_per_sec(&self) -> f64 {
-        if self.nanos == 0 {
-            0.0
-        } else {
-            self.cells as f64 * 1e9 / self.nanos as f64
-        }
-    }
-}
-
 /// The unified metrics registry installed once per [`crate::ObsHub`].
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -204,31 +180,12 @@ pub struct Metrics {
     /// Tapes that qualified for a monomorphic super-instruction kernel at
     /// compile/cache-insert time (`Kernel::specialize`, `ok` = 1).
     pub specializations: Counter,
-    kernel_rates: Mutex<HashMap<u64, KernelRate>>,
 }
 
 impl Metrics {
     /// Empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fold one job's kernel throughput into the per-fingerprint table.
-    /// Called once per job completion — off the block hot path.
-    pub fn record_kernel(&self, fingerprint: u64, cells: u64, nanos: u64) {
-        let mut rates = self.kernel_rates.lock();
-        let rate = rates.entry(fingerprint).or_default();
-        rate.jobs += 1;
-        rate.cells += cells;
-        rate.nanos += nanos;
-    }
-
-    /// Per-fingerprint throughput, sorted by fingerprint for stable output.
-    pub fn kernel_rates(&self) -> Vec<(u64, KernelRate)> {
-        let mut out: Vec<(u64, KernelRate)> =
-            self.kernel_rates.lock().iter().map(|(k, v)| (*k, *v)).collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
     }
 }
 
@@ -291,20 +248,5 @@ mod tests {
         // max() caps the bucket upper bound, so a lone sample reports itself.
         assert_eq!(h.quantile(0.50), 7);
         assert_eq!(h.quantile(0.99), 7);
-    }
-
-    #[test]
-    fn kernel_rates_accumulate() {
-        let m = Metrics::new();
-        m.record_kernel(0xfeed, 1_000_000, 500_000_000);
-        m.record_kernel(0xfeed, 1_000_000, 500_000_000);
-        m.record_kernel(0xbeef, 10, 1_000_000_000);
-        let rates = m.kernel_rates();
-        assert_eq!(rates.len(), 2);
-        let feed = rates.iter().find(|(k, _)| *k == 0xfeed).unwrap().1;
-        assert_eq!(feed.jobs, 2);
-        assert!((feed.cells_per_sec() - 2_000_000.0).abs() < 1e-6);
-        let beef = rates.iter().find(|(k, _)| *k == 0xbeef).unwrap().1;
-        assert!((beef.cells_per_sec() - 10.0).abs() < 1e-9);
     }
 }

@@ -641,9 +641,10 @@ impl Wake for Replay {
 
 impl Replay {
     /// Stamp the replay's report with its provenance, resolve the original
-    /// on the node that stranded it (its handle and stream entry were left
-    /// open for this), record the `CLUSTER_FAILOVER` join point, and retry
-    /// the intake, since the replay freed a failover-session slot.  Runs on
+    /// on the node that stranded it (its handle, which the session's stream
+    /// reads, was left open for this), record the `CLUSTER_FAILOVER` join
+    /// point, and retry the intake, since the replay freed a
+    /// failover-session slot.  Runs on
     /// the survivor's worker inside its settlement, with no service lock
     /// held.  The orphan counts as settled only once the plane is let go:
     /// the cluster's shutdown waits for that, so a worker is never the last

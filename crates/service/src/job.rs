@@ -508,11 +508,9 @@ impl JobHandle {
 
     /// Block until the job resolves.
     ///
-    /// This is the per-job migration target for
-    /// [`KernelService::drain`](crate::KernelService::drain) callers.  On an
-    /// admission-only service (zero workers) a queued job only resolves at
-    /// shutdown, so prefer [`JobHandle::wait_timeout`] when the worker pool
-    /// may be empty.
+    /// On an admission-only service (zero workers) a queued job only
+    /// resolves at shutdown, so prefer [`JobHandle::wait_timeout`] when the
+    /// worker pool may be empty.
     pub fn wait(&self) -> JobOutcome {
         self.cell.slot.wait()
     }

@@ -65,22 +65,6 @@
 //! assert_eq!(service.cache_stats().misses, 1);
 //! assert!(service.cache_stats().hits >= 3);
 //! ```
-//!
-//! # Migrating from `drain` to `JobHandle::wait`
-//!
-//! `drain()` still works unchanged — it waits for quiescence and returns
-//! every retained report.  New code should prefer the per-job surface:
-//!
-//! | blocking pattern                        | async replacement                         |
-//! |-----------------------------------------|-------------------------------------------|
-//! | `submit(...)?; ...; drain()`            | `let h = submit(...)?; h.wait()`          |
-//! | `drain_session(s)`                      | `completion_stream(s)` + `next()`         |
-//! | quota hit ⇒ `Err(QuotaExceeded)`        | `try_submit` ⇒ `Err(WouldBlock)` (retry), |
-//! |                                         | or `submit_timeout` (bounded wait)        |
-//!
-//! Handle/stream-only deployments should disable
-//! [`ServiceConfig::retain_reports`] so the undrained report buffer cannot
-//! grow without bound.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

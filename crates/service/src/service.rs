@@ -28,11 +28,11 @@
 //! 4. **Results** — the job **resolves exactly once**, in one place
 //!    (`Inner::settle` in this file, whose doc states the order): the
 //!    [`JobReport`] is retained for [`KernelService::drain`] /
-//!    [`KernelService::drain_session`], the session's [`CompletionStream`]
-//!    receives the outcome in submission order, the session releases the
-//!    job's quota slot and meters it, and only then does the [`JobHandle`]
-//!    complete (report or [`JobError`]) — so whatever the handle wakes sees
-//!    the job gone from the session's books.  A job that never runs
+//!    [`KernelService::drain_session`], the session releases the job's
+//!    quota slot and meters it, and only then does the [`JobHandle`]
+//!    complete (report or [`JobError`]) — so whatever the handle wakes,
+//!    the session's [`CompletionStream`] among them, sees the job gone from
+//!    the session's books.  A job that never runs
 //!    ([cancelled](JobHandle::cancel), abandoned at shutdown, stranded by a
 //!    kill) leaves through the same place in the same order.  The
 //!    synchronous drains wait for the pending count that settlement drops.
@@ -298,10 +298,6 @@ impl ServiceClock {
         }
     }
 
-    fn is_fake(&self) -> bool {
-        matches!(self, ServiceClock::Fake(_))
-    }
-
     /// Run `step` once a beat of this clock: after every `advance` of a fake
     /// clock, on the advancing thread, or every `every` of wall time on one
     /// thread named `name`, which exits once the returned sender drops.  A
@@ -334,11 +330,6 @@ impl ServiceClock {
         }
     }
 }
-
-/// When parked on a fake clock, re-check at this real cadence as a safety
-/// net; the primary wake-up is the clock's `on_advance` hook bumping the
-/// capacity epoch.
-const FAKE_CLOCK_WAIT_SLICE: Duration = Duration::from_millis(100);
 
 /// The capacity condition submitters park on: an epoch bumped (and
 /// broadcast) whenever queue or quota capacity may have changed — a worker
@@ -421,8 +412,7 @@ pub(crate) struct Inner {
     scratch: Arc<ScratchPool>,
     sessions: Mutex<HashMap<SessionId, SessionCtx>>,
     /// Per-session completion streams (attached lazily; see
-    /// [`KernelService::completion_stream`]).  Lock order: `sessions` may be
-    /// held while taking this lock, never the reverse.
+    /// [`KernelService::completion_stream`]).
     streams: Mutex<HashMap<SessionId, Arc<StreamState>>>,
     results: Mutex<Vec<JobReport>>,
     pending: StdMutex<u64>,
@@ -472,28 +462,28 @@ impl Inner {
     ///
     /// 1. the report is retained for `drain` / `drain_session` (a job that
     ///    ran here, [`ServiceConfig::retain_reports`] on);
-    /// 2. the session's completion stream receives the outcome (cloned only
-    ///    when a consumer is attached);
-    /// 3. the job's status becomes final (`Completed`; `Cancelled` and
+    /// 2. the job's status becomes final (`Completed`; `Cancelled` and
     ///    `Abandoned` are the claims themselves);
-    /// 4. the session releases the in-flight slot and meters the exit;
-    /// 5. the handle resolves — waiters return and wakers fire, on this
-    ///    thread, with no service lock held;
-    /// 6. the pending count drops, and `drain`, `drain_session` and parked
+    /// 3. the session releases the in-flight slot and meters the exit;
+    /// 4. the handle resolves — waiters return, wakers fire and the session's
+    ///    completion stream can deliver it, on this thread, with no service
+    ///    lock held;
+    /// 5. the pending count drops, and `drain`, `drain_session` and parked
     ///    submitters are woken.
     ///
-    /// 1 before 4: a `drain_session` that sees the session idle must find its
-    /// last report.  1–4 before 5: whoever the handle wakes sees the exit in
-    /// the stream, the status and the meter, and can take the freed quota
-    /// slot.  The bounded-queue slot is not part of this: it frees when a
-    /// worker dequeues the message (see [`JobHandle::cancel`]).
+    /// 1 before 3: a `drain_session` that sees the session idle must find its
+    /// last report.  1–3 before 4: whoever the handle wakes sees the exit in
+    /// the status and the meter, and can take the freed quota slot.  The
+    /// bounded-queue slot is not part of this: it frees when a worker
+    /// dequeues the message (see [`JobHandle::cancel`]).
     ///
     /// A job handed to the failover sink is the one exit in two calls:
-    /// [`Settlement::HandOff`] does 4, gives the sink the orphan, then does 6
+    /// [`Settlement::HandOff`] does 3, gives the sink the orphan, then does 5
     /// — the dead node's `drain` returns once the sink holds every orphan,
     /// and never waits on work that finishes elsewhere — and
-    /// [`Settlement::Deferred`] does 2, 3 and 5 with the replay's outcome
-    /// (retained where it ran, not here).
+    /// [`Settlement::Deferred`] does 2 and 4 with the replay's outcome
+    /// (retained where it ran, not here), so the original's handle and
+    /// stream deliver the replay's report.
     pub(crate) fn settle(&self, cell: &JobCell, how: Settlement) {
         if let Settlement::Final(Ok(report)) = &how {
             if self.config.retain_reports {
@@ -505,15 +495,8 @@ impl Inner {
             Settlement::HandOff(orphan, sink) => (None, true, Some((orphan, sink))),
             Settlement::Deferred(outcome) => (Some(outcome), false, None),
         };
-        if let Some(outcome) = &outcome {
-            let stream =
-                self.streams.lock().get(&cell.session).filter(|s| s.has_consumers()).cloned();
-            if let Some(stream) = stream {
-                stream.resolve(cell.job, outcome.clone());
-            }
-            if outcome.is_ok() {
-                cell.mark_completed();
-            }
+        if matches!(outcome, Some(Ok(_))) {
+            cell.mark_completed();
         }
         if release {
             if let Some(ctx) = self.sessions.lock().get_mut(&cell.session) {
@@ -757,7 +740,7 @@ impl KernelService {
     /// submitted to the session **from this point on** are delivered on it
     /// in submission order, as `Ok(JobReport)` or `Err(JobError)` for
     /// cancelled/abandoned jobs.  Handles from repeated calls share one
-    /// buffer — each outcome is delivered to exactly one consumer.
+    /// queue — each outcome is delivered to exactly one consumer.
     pub fn completion_stream(&self, session: SessionId) -> Result<CompletionStream, SubmitError> {
         if !self.inner.sessions.lock().contains_key(&session) {
             return Err(SubmitError::UnknownSession(session));
@@ -772,8 +755,8 @@ impl KernelService {
     ///
     /// Returns a [`JobHandle`] that resolves exactly once with the job's
     /// outcome — poll it, block on [`JobHandle::wait`], `.await` it, or
-    /// ignore it and collect through [`KernelService::drain`] /
-    /// [`CompletionStream`] as before.
+    /// ignore it and collect through [`KernelService::drain`] or the
+    /// session's [`CompletionStream`].
     ///
     /// Fatal admission checks run in the order the module docs list them:
     /// the session must exist and be active (so callers keying re-auth logic
@@ -823,20 +806,26 @@ impl KernelService {
             }
             // Park until the capacity epoch moves or the deadline passes.
             // The epoch is re-read under the lock, so a release between the
-            // failed admission above and this wait is never lost.
-            let guard = capacity.epoch.lock().unwrap_or_else(|p| p.into_inner());
+            // failed admission above and this wait is never lost.  A fake
+            // clock's deadline passes only in `advance`, which bumps the
+            // epoch, so that wait needs no timeout.
+            let mut guard = capacity.epoch.lock().unwrap_or_else(|p| p.into_inner());
             if *guard == seen {
-                let wait_for = if inner.clock.is_fake() {
-                    FAKE_CLOCK_WAIT_SLICE
-                } else {
-                    deadline.saturating_sub(inner.clock.now())
+                guard = match &inner.clock {
+                    ServiceClock::Fake(_) => {
+                        capacity.cv.wait(guard).unwrap_or_else(|p| p.into_inner())
+                    }
+                    ServiceClock::Real(_) => {
+                        let wait_for = deadline.saturating_sub(inner.clock.now());
+                        capacity
+                            .cv
+                            .wait_timeout(guard, wait_for)
+                            .unwrap_or_else(|p| p.into_inner())
+                            .0
+                    }
                 };
-                let (guard, _) =
-                    capacity.cv.wait_timeout(guard, wait_for).unwrap_or_else(|p| p.into_inner());
-                seen = *guard;
-            } else {
-                seen = *guard;
             }
+            seen = *guard;
         };
         if registered {
             capacity.waiting.fetch_sub(1, Ordering::SeqCst);
@@ -882,13 +871,13 @@ impl KernelService {
                 }));
             }
             ctx.note_submitted();
-            // Job id assignment and the stream's expected-order entry happen
-            // under the session lock, so per-session stream order always
-            // matches ascending job ids.
+            // Job id assignment and the stream's entry happen under the
+            // session lock, so per-session stream order always matches
+            // ascending job ids.
             let job = inner.next_job.fetch_add(1, Ordering::Relaxed) + 1;
             let cell = JobCell::new(job, session);
             if let Some(stream) = inner.streams.lock().get(&session) {
-                stream.expect(job);
+                stream.expect(&cell);
             }
             inner.queued.fetch_add(1, Ordering::SeqCst);
             cell
@@ -1349,11 +1338,6 @@ fn run_one(inner: &Inner, queued: Queued) {
             metrics.jobs_failed.inc();
         }
         metrics.worker_busy_ns.add((report.resolve_time + report.execute_time).as_nanos() as u64);
-        metrics.record_kernel(
-            fingerprint.as_u128() as u64,
-            report.summary.writes,
-            report.execute_time.as_nanos() as u64,
-        );
         if let Some((_, open)) = obs_job {
             hub.recorder().end_with(open, job as i64, i64::from(report.error.is_none()));
         }

@@ -12,13 +12,13 @@
 //! [`CompletionStream`] attached via
 //! [`KernelService::completion_stream`](crate::KernelService::completion_stream)
 //! receives every subsequently-submitted job's [`JobOutcome`] **in
-//! submission order**, regardless of the order workers finish them (an
-//! internal reorder buffer holds early finishers until their turn).
+//! submission order**, regardless of the order workers finish them: it
+//! holds the handles of the jobs it owes and waits on the earliest.
 
-use crate::job::{JobId, JobOutcome};
-use std::collections::{BTreeMap, VecDeque};
+use crate::job::{JobCell, JobOutcome};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Identifier of a session within one [`KernelService`](crate::KernelService).
@@ -60,8 +60,8 @@ pub struct SessionMeter {
 #[derive(Debug, Clone, Default)]
 pub struct SessionSpec {
     pub(crate) tenant: String,
-    pub(crate) environment: BTreeMap<String, String>,
-    pub(crate) metadata: BTreeMap<String, String>,
+    pub(crate) environment: HashMap<String, String>,
+    pub(crate) metadata: HashMap<String, String>,
     pub(crate) pin_plans: bool,
 }
 
@@ -105,8 +105,8 @@ impl SessionSpec {
 pub struct SessionCtx {
     id: SessionId,
     tenant: String,
-    environment: BTreeMap<String, String>,
-    metadata: BTreeMap<String, String>,
+    environment: HashMap<String, String>,
+    metadata: HashMap<String, String>,
     parent: Option<SessionId>,
     active: bool,
     pin_plans: bool,
@@ -219,99 +219,58 @@ impl SessionCtx {
 // Completion streams
 // ---------------------------------------------------------------------------
 
-/// Upper bound on a single condvar wait inside the blocking stream methods.
-/// This is a missed-notification safety net, **not** an overall deadline:
-/// [`CompletionStream::next`] keeps re-waiting in these slices for as long
-/// as an undelivered job is owed, so it blocks indefinitely when that job
-/// never resolves (e.g. queued on an admission-only service).  Callers
-/// needing a bounded wait use [`CompletionStream::next_timeout`].
-const STREAM_WAIT_SLICE: Duration = Duration::from_millis(200);
-
-struct StreamInner {
-    /// Job ids this stream owes the consumer, in submission order.
-    expected: VecDeque<JobId>,
-    /// Outcomes that arrived ahead of their turn (reorder buffer).
-    ready: BTreeMap<JobId, JobOutcome>,
-    /// The first job id ever owed.  Job ids are global and ascending and
-    /// `expect` is called in admission order, so "is this job owed?" is the
-    /// O(1) comparison `job >= watermark` — no scan of `expected` (jobs
-    /// submitted before the stream attached all have smaller ids).
-    watermark: Option<JobId>,
-}
-
-/// Shared state between a session's [`CompletionStream`] handles and the
-/// service's completion paths.
+/// A session's owed jobs, shared between its [`CompletionStream`] handles
+/// and admission.
 ///
-/// Delivery is gated on live consumers: while at least one
-/// [`CompletionStream`] handle exists, admissions are owed and outcomes
-/// buffered; when the last handle drops, the buffers are cleared and both
-/// sides become no-ops, so an attached-then-abandoned stream cannot
-/// accumulate reports without bound.  Re-attaching resumes delivery for
-/// jobs submitted from that point on.
+/// The stream holds the cells of the jobs admitted while at least one
+/// [`CompletionStream`] handle exists, in submission order, and reads each
+/// outcome from the cell's own completion slot — the one the job's handle
+/// resolves on.  When the last handle drops the cells are let go and
+/// admission stops adding them, so an attached-then-abandoned stream cannot
+/// accumulate jobs without bound.  Re-attaching owes the jobs submitted from
+/// that point on.
 pub(crate) struct StreamState {
-    inner: Mutex<StreamInner>,
-    cv: Condvar,
+    owed: Mutex<VecDeque<Arc<JobCell>>>,
     /// Live `CompletionStream` handles sharing this state.
     consumers: AtomicUsize,
 }
 
 impl StreamState {
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(StreamState {
-            inner: Mutex::new(StreamInner {
-                expected: VecDeque::new(),
-                ready: BTreeMap::new(),
-                watermark: None,
-            }),
-            cv: Condvar::new(),
-            consumers: AtomicUsize::new(0),
-        })
+        Arc::new(StreamState { owed: Mutex::new(VecDeque::new()), consumers: AtomicUsize::new(0) })
     }
 
-    fn lock(&self) -> MutexGuard<'_, StreamInner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Whether any consumer handle is attached (completion paths skip the
-    /// report clone entirely when none is).
-    pub(crate) fn has_consumers(&self) -> bool {
-        self.consumers.load(Ordering::SeqCst) > 0
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Arc<JobCell>>> {
+        self.owed.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Admission-side: the stream owes the consumer this job's outcome.
     /// Called in submission order (under the service's session lock).  A
     /// no-op while no consumer is attached.
-    pub(crate) fn expect(&self, job: JobId) {
-        let mut inner = self.lock();
-        // Re-checked under the lock: a concurrent last-consumer drop clears
-        // the buffers under this same lock, so either this push lands before
-        // the clear (and is cleared) or the check below sees zero consumers.
-        if !self.has_consumers() {
-            return;
-        }
-        inner.watermark.get_or_insert(job);
-        inner.expected.push_back(job);
-    }
-
-    /// Completion-side: a job resolved.  Outcomes for jobs submitted before
-    /// the stream was attached (or while it was detached — the watermark
-    /// resets when the last consumer drops) are not owed and are dropped;
-    /// the ownership test is an O(1) watermark comparison, not a scan of
-    /// the backlog.
-    pub(crate) fn resolve(&self, job: JobId, outcome: JobOutcome) {
-        let mut inner = self.lock();
-        if inner.watermark.is_some_and(|first_owed| job >= first_owed) {
-            inner.ready.insert(job, outcome);
-            drop(inner);
-            self.cv.notify_all();
+    pub(crate) fn expect(&self, cell: &Arc<JobCell>) {
+        let mut owed = self.lock();
+        // Checked under the lock: the last consumer's drop clears the queue
+        // under this same lock, so either this push lands before the clear
+        // (and is cleared) or the check sees zero consumers.
+        if self.consumers.load(Ordering::SeqCst) > 0 {
+            owed.push_back(Arc::clone(cell));
         }
     }
 
-    fn pop_ready(inner: &mut StreamInner) -> Option<JobOutcome> {
-        let next = *inner.expected.front()?;
-        let outcome = inner.ready.remove(&next)?;
-        inner.expected.pop_front();
-        Some(outcome)
+    /// Wait on the front cell with `wait` (the stream lock released) and
+    /// deliver its outcome if the cell is still the front — another consumer
+    /// may have taken it meanwhile, and then the next front is waited on.
+    /// `None` when nothing is owed or `wait` gives up.
+    fn next_with(&self, wait: impl Fn(&JobCell) -> Option<JobOutcome>) -> Option<JobOutcome> {
+        loop {
+            let front = Arc::clone(self.lock().front()?);
+            let outcome = wait(&front)?;
+            let mut owed = self.lock();
+            if owed.front().is_some_and(|cell| Arc::ptr_eq(cell, &front)) {
+                owed.pop_front();
+                return Some(outcome);
+            }
+        }
     }
 }
 
@@ -320,13 +279,13 @@ impl StreamState {
 /// Obtained from
 /// [`KernelService::completion_stream`](crate::KernelService::completion_stream);
 /// jobs submitted to the session **after** the stream is attached are
-/// delivered here in submission order — a job that finishes early waits in a
-/// reorder buffer until every earlier job of the session has been delivered.
-/// Cancelled and abandoned jobs are delivered too (as `Err`), so the stream
-/// never stalls on a hole.
+/// delivered here in submission order — the stream waits on the earliest
+/// undelivered job's handle, so a job that finishes early is delivered once
+/// every earlier job of the session has been.  Cancelled and abandoned jobs
+/// are delivered too (as `Err`), so the stream never stalls on a hole.
 ///
 /// Further `completion_stream` calls for the same session return handles
-/// sharing this buffer; each outcome goes to exactly one consumer.  The
+/// sharing one queue; each outcome goes to exactly one consumer.  The
 /// stream is also a blocking [`Iterator`], ending (`None`) when no
 /// undelivered job remains.
 pub struct CompletionStream {
@@ -347,73 +306,44 @@ impl CompletionStream {
 
     /// Jobs submitted-but-not-yet-delivered (including ones still running).
     pub fn pending(&self) -> usize {
-        self.state.lock().expected.len()
+        self.state.lock().len()
     }
 
     /// The next in-order outcome if it is already available (non-blocking).
     pub fn try_next(&self) -> Option<JobOutcome> {
-        StreamState::pop_ready(&mut self.state.lock())
+        let mut owed = self.state.lock();
+        let outcome = owed.front()?.slot.poll()?;
+        owed.pop_front();
+        Some(outcome)
     }
 
     /// Block until the next in-order outcome is available and return it.
     /// Returns `None` immediately when the stream owes nothing (no
-    /// undelivered submission) — the natural end-of-batch signal.
+    /// undelivered submission) — the natural end-of-batch signal.  Blocks
+    /// for as long as the owed job is unresolved (e.g. queued on an
+    /// admission-only service); [`CompletionStream::next_timeout`] bounds
+    /// the wait.
     #[allow(clippy::should_implement_trait)] // the Iterator impl delegates here
     pub fn next(&self) -> Option<JobOutcome> {
-        let mut inner = self.state.lock();
-        loop {
-            if let Some(outcome) = StreamState::pop_ready(&mut inner) {
-                return Some(outcome);
-            }
-            if inner.expected.is_empty() {
-                return None;
-            }
-            let (guard, _) = self
-                .state
-                .cv
-                .wait_timeout(inner, STREAM_WAIT_SLICE)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            inner = guard;
-        }
+        self.state.next_with(|cell| Some(cell.slot.wait()))
     }
 
     /// Like [`CompletionStream::next`], but gives up after `timeout` even if
     /// an undelivered job is still in flight.
     pub fn next_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.state.lock();
-        loop {
-            if let Some(outcome) = StreamState::pop_ready(&mut inner) {
-                return Some(outcome);
-            }
-            if inner.expected.is_empty() {
-                return None;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (guard, _) = self
-                .state
-                .cv
-                .wait_timeout(inner, remaining.min(STREAM_WAIT_SLICE))
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            inner = guard;
-        }
+        self.state.next_with(|cell| {
+            cell.slot.wait_timeout(deadline.saturating_duration_since(Instant::now()))
+        })
     }
 }
 
 impl Drop for CompletionStream {
     fn drop(&mut self) {
         if self.state.consumers.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Last consumer gone: nobody can ever read the buffers, so clear
-            // them and reset the watermark — completions for in-flight and
-            // future jobs become no-ops until a new stream attaches (which
-            // starts a fresh watermark at its first admission).
-            let mut inner = self.state.lock();
-            inner.expected.clear();
-            inner.ready.clear();
-            inner.watermark = None;
+            // Last consumer gone: nobody can ever read the queue, so let its
+            // cells go; admission adds none until a new stream attaches.
+            self.state.lock().clear();
         }
     }
 }
@@ -428,11 +358,9 @@ impl Iterator for CompletionStream {
 
 impl std::fmt::Debug for CompletionStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.state.lock();
         f.debug_struct("CompletionStream")
             .field("session", &self.session)
-            .field("pending", &inner.expected.len())
-            .field("buffered", &inner.ready.len())
+            .field("pending", &self.pending())
             .finish()
     }
 }

@@ -1,5 +1,5 @@
-//! Deterministic backpressure and timeout tests: no sleeps, no timing
-//! guesses.  Deadlines run on the harness's
+//! Deterministic backpressure, timeout and completion-stream tests: no
+//! sleeps, no timing guesses.  Deadlines run on the harness's
 //! [`FakeClock`](aohpc_testalloc::sync::FakeClock) (they pass only when the
 //! test advances it), thread orderings are pinned with
 //! [`StepLine`](aohpc_testalloc::sync::StepLine), and parked-submitter
@@ -176,4 +176,51 @@ fn one_freed_slot_admits_exactly_one_of_two_waiters() {
     assert_eq!(meter.jobs_submitted, 2, "blocker + the admitted waiter");
     assert_eq!(meter.jobs_throttled, 1, "the loser was metered once, at its deadline");
     assert_eq!(service.admission_stats().waiting, 0);
+}
+
+/// Whether this process's thread named `name` is asleep: state `S` in its
+/// `/proc/self/task/*/stat`, parked in a wait rather than running toward one.
+fn is_asleep(name: &str) -> bool {
+    std::fs::read_dir("/proc/self/task").expect("/proc/self/task lists the threads").any(|task| {
+        let path = task.expect("a task entry").path();
+        let comm = std::fs::read_to_string(path.join("comm")).unwrap_or_default();
+        let stat = std::fs::read_to_string(path.join("stat")).unwrap_or_default();
+        comm.trim_end() == name && stat.rsplit_once(") ").is_some_and(|(_, s)| s.starts_with('S'))
+    })
+}
+
+/// Two consumers of one session's stream: the one blocked on the earliest
+/// job does not take it from the queue before it resolves, so a later job
+/// that resolves first still waits its turn, and each outcome goes to
+/// exactly one consumer, in submission order.
+#[test]
+fn two_consumers_share_one_stream_in_submission_order() {
+    let service = KernelService::new(ServiceConfig::default().with_workers(0).with_quota(2));
+    let session = service.open_session(SessionSpec::tenant("t"));
+    let (first, second) =
+        (service.completion_stream(session).unwrap(), service.completion_stream(session).unwrap());
+    let a = service.submit(session, job()).unwrap();
+    let b = service.submit(session, job()).unwrap();
+
+    // Not a scoped thread: if an assertion below fails, dropping the service
+    // abandons A, so the consumer returns instead of hanging the test.
+    let consumer = std::thread::Builder::new()
+        .name("stream-first".into())
+        .spawn(move || {
+            let outcome = first.next();
+            (first, outcome)
+        })
+        .unwrap();
+    spin_until("the first consumer blocks on A", || is_asleep("stream-first"));
+
+    assert!(b.cancel());
+    assert!(second.try_next().is_none(), "B resolved, but waits its turn behind A");
+    assert_eq!(second.pending(), 2, "both jobs are still owed");
+
+    assert!(a.cancel());
+    let (first, got_a) = consumer.join().unwrap();
+    assert_eq!(got_a.expect("A was owed").unwrap_err().job, a.id());
+    let got_b = second.next().expect("B was owed");
+    assert_eq!(got_b.unwrap_err().job, b.id());
+    assert!(first.try_next().is_none() && second.next().is_none(), "each outcome went once");
 }

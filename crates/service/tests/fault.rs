@@ -280,13 +280,16 @@ fn park_worker(cluster: &ClusterService, session: ClusterSessionId) -> Arc<Gate>
 }
 
 /// A four-node fake-clock cluster (one worker a node, `quota` jobs in flight
-/// a session) whose rank `DOOMED` is killed with six jobs queued on it, each
-/// in its own session.  Every worker is parked until the clock has passed
-/// the kill, so the replays queue on the survivors: with a quota of one, a
-/// survivor's second orphan waits in the failover intake (six orphans on
-/// three survivors: one gets two).  Returns the cluster and the six jobs'
-/// handles.
-fn cluster_with_a_stranding_kill(quota: usize) -> (ClusterService, Vec<JobHandle>) {
+/// a session) whose rank `DOOMED` is killed with six jobs queued on it, in
+/// the sessions `session(cluster, i)` opens on `DOOMED` for job `i`.  Every
+/// worker is parked until the clock has passed the kill, so the replays
+/// queue on the survivors: with a quota of one, a survivor's second orphan
+/// waits in the failover intake (six orphans on three survivors: one gets
+/// two).  Returns the cluster and the six jobs' handles.
+fn cluster_with_a_stranding_kill_in(
+    quota: usize,
+    session: impl Fn(&ClusterService, usize) -> ClusterSessionId,
+) -> (ClusterService, Vec<JobHandle>) {
     let clock = FakeClock::new();
     let plan = FaultPlan::new().kill_at(DOOMED, Duration::from_millis(15));
     let config = ServiceConfig::default().with_workers(1).with_quota(quota);
@@ -298,7 +301,7 @@ fn cluster_with_a_stranding_kill(quota: usize) -> (ClusterService, Vec<JobHandle
         .collect();
     let palette = programs();
     let handles: Vec<JobHandle> = (0..6)
-        .map(|i| cluster.submit(open(DOOMED, format!("doomed-{i}")), palette[i % 3].clone()))
+        .map(|i| cluster.submit(session(&cluster, i), palette[i % 3].clone()))
         .collect::<Result<_, _>>()
         .unwrap();
     clock.advance(Duration::from_millis(20));
@@ -306,6 +309,13 @@ fn cluster_with_a_stranding_kill(quota: usize) -> (ClusterService, Vec<JobHandle
     assert!(cluster.node(DOOMED).try_submit(late.session, post_recovery_spec()).is_err());
     gates.iter().for_each(|gate| gate.open());
     (cluster, handles)
+}
+
+/// [`cluster_with_a_stranding_kill_in`] with each job in its own session.
+fn cluster_with_a_stranding_kill(quota: usize) -> (ClusterService, Vec<JobHandle>) {
+    cluster_with_a_stranding_kill_in(quota, |cluster, i| {
+        cluster.open_session_on(DOOMED, SessionSpec::tenant(format!("doomed-{i}")))
+    })
 }
 
 /// The names of this process's threads.
@@ -353,6 +363,32 @@ fn drain_returns_with_every_stranded_job_settled_where_the_kill_sent_it() {
         }
         cluster.shutdown();
     }
+}
+
+/// A completion stream on the killed node delivers every stranded job's
+/// replayed report in submission order: the replay settles the original's
+/// handle, which is what the stream reads.
+#[test]
+fn a_stream_on_the_killed_node_delivers_the_replays_in_order() {
+    let doomed = std::sync::OnceLock::new();
+    let stream = std::sync::OnceLock::new();
+    let (cluster, handles) = cluster_with_a_stranding_kill_in(32, |cluster, _| {
+        *doomed.get_or_init(|| {
+            let session = cluster.open_session_on(DOOMED, SessionSpec::tenant("doomed"));
+            stream.set(cluster.completion_stream(session).unwrap()).unwrap();
+            session
+        })
+    });
+    let stream = stream.into_inner().expect("attached before the first submission");
+    cluster.drain();
+    assert_eq!(stream.pending(), handles.len(), "the stream owes every stranded job");
+    for handle in &handles {
+        let report = stream.try_next().expect("resolved when drain returns").expect("replayed");
+        let provenance = report.failover.expect("a queued job of the killed node fails over");
+        assert_eq!((provenance.from_node, provenance.original_job), (DOOMED, handle.id()));
+    }
+    assert!(stream.next().is_none(), "nothing further owed");
+    cluster.shutdown();
 }
 
 /// An orphan whose survivor's queue is full waits in the intake.  No replay
